@@ -1,0 +1,99 @@
+//! Differential tests for the planned evaluation paths: for every
+//! shipped black-box (`swarmops`) script the fitness of seeded candidates
+//! is bit-identical whether the planner (recursive term planned once,
+//! join builds reused, plans served from the plan cache) or the forced
+//! row interpreter evaluates it, and the symbolic compilation of P4 —
+//! which runs the same recursive simulation CDTE — yields the identical
+//! linear program on both paths.
+
+use bench::figures::{P3_CDTE, P3_NOCDTE, P3_SHARED, P4_CDTE, P4_NOCDTE, P4_SHARED};
+use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
+use solvedbplus_core::problem::{build_blackbox, build_problem, compile_linear, to_lp};
+use solvedbplus_core::Session;
+use sqlengine::ast::{SolveStmt, Statement};
+use sqlengine::{set_force_row_interpreter, Ctes};
+
+/// The script's `SOLVESELECT`, without any `CREATE TABLE … AS` around it.
+fn solve_stmt(script: &str) -> SolveStmt {
+    let start = match script.find("\nSOLVESELECT") {
+        Some(i) => i + 1,
+        None => panic!("script has no SOLVESELECT"),
+    };
+    let end = script[start..].find(';').map_or(script.len(), |i| start + i);
+    match sqlengine::parser::parse_statement(&script[start..end]).expect("parse") {
+        Statement::Solve(s) => s,
+        other => panic!("not a solve statement: {other:?}"),
+    }
+}
+
+/// Run `f` with the row interpreter forced, restoring the setting.
+fn forced_rows<T>(f: impl FnOnce() -> T) -> T {
+    let was = set_force_row_interpreter(true);
+    let out = f();
+    set_force_row_interpreter(was);
+    out
+}
+
+/// `count` candidates inside the box `[lower, upper]`, from a fixed LCG.
+fn candidates(lower: &[f64], upper: &[f64], count: usize) -> Vec<Vec<f64>> {
+    let mut state = 0x5DEECE66Du64;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| lower.iter().zip(upper).map(|(l, u)| l + (u - l) * unit()).collect())
+        .collect()
+}
+
+#[test]
+fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
+    let s: Session = bench::setup::feature_session().expect("feature session");
+    let ctes = Ctes::new();
+    for (name, script) in [
+        ("uc1/s_3ss_p3", S_3SS_P3),
+        ("uc1/s_shared_p3", S_SHARED_P3),
+        ("features/p3_cdte", P3_CDTE),
+        ("features/p3_nocdte", P3_NOCDTE),
+        ("features/p3_shared", P3_SHARED),
+    ] {
+        let stmt = solve_stmt(script);
+        let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
+        let bb = build_blackbox(s.db(), &ctes, &prob).expect(name);
+        let xs = candidates(&bb.space.lower, &bb.space.upper, 24);
+        let before = s.db().exec_counts();
+        let planned: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
+        let work = s.db().exec_counts().since(&before);
+        let rows: Vec<u64> =
+            forced_rows(|| xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect());
+        assert_eq!(planned, rows, "{name}");
+        assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()), "{name}");
+        // The planned path really is the prepared one: the simulation
+        // steps ran on kept builds and nothing was planned per candidate.
+        assert!(work.recursive_steps > 0 && work.builds_reused > 0, "{name}: {work:?}");
+        assert_eq!(work.plans_built, 0, "{name}: {work:?}");
+    }
+}
+
+#[test]
+fn p4_symbolic_compile_yields_the_identical_lp() {
+    let s: Session = bench::setup::feature_session().expect("feature session");
+    let ctes = Ctes::new();
+    for (name, script) in [
+        ("uc1/s_3ss_p4", S_3SS_P4),
+        ("uc1/s_shared_p4", S_SHARED_P4),
+        ("features/p4_cdte", P4_CDTE),
+        ("features/p4_nocdte", P4_NOCDTE),
+        ("features/p4_shared", P4_SHARED),
+    ] {
+        let stmt = solve_stmt(script);
+        let lp_text = || {
+            let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
+            let rules = compile_linear(s.db(), &ctes, &prob).expect(name);
+            format!("{:?}", to_lp(&prob, &rules))
+        };
+        let planned = lp_text();
+        assert_eq!(planned, forced_rows(lp_text), "{name}");
+        assert!(planned.contains("constraints"), "{name}");
+    }
+}

@@ -4,8 +4,8 @@
 //! (Algorithm 2), ordered materialization of the decision relations with
 //! the scoping rules of §4.1, decision-variable creation with
 //! unused-variable pruning (§4.3), symbolic compilation of
-//! `MINIMIZE`/`SUBJECTTO` rules into a linear program, and the
-//! re-materializing fitness function used by black-box solvers.
+//! `MINIMIZE`/`SUBJECTTO` rules into a linear program, and the prepared
+//! candidate evaluation used by black-box solvers.
 
 use crate::model::expect_model;
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
@@ -318,26 +318,24 @@ pub fn build_problem_traced(
 // ---------------------------------------------------------------------------
 
 /// How decision cells are filled during (re-)materialization.
-pub enum CellPatch<'a> {
+pub enum CellPatch {
     /// Keep materialized (initial) values.
     Initial,
     /// Replace with symbolic variables.
     Symbolic,
-    /// Replace with concrete candidate values.
-    Values(&'a [f64]),
 }
 
 /// Re-materialize all decision relations in order, applying the patch to
 /// decision cells, and return the CTE environment exposing them under
 /// their aliases. Relations are *re-executed*, so derived relations (e.g.
 /// a recursive simulation CDTE) see patched upstream values — this is
-/// the black-box fitness evaluation path of §5.3 and the symbolic
-/// compilation path of §4.1.
+/// the symbolic compilation path of §4.1. (Concrete candidates of a
+/// black-box solver go through [`BlackboxProblem::fitness`].)
 pub fn materialize_env(
     db: &Database,
     base: &Ctes,
     prob: &ProblemInstance,
-    patch: &CellPatch<'_>,
+    patch: &CellPatch,
 ) -> Result<Ctes> {
     let mut env = base.clone();
     for (ri, rel) in prob.relations.iter().enumerate() {
@@ -363,15 +361,7 @@ pub fn materialize_env(
                 }
             }
         };
-        if table.num_rows() != rel.table.num_rows() {
-            return Err(Error::solver(format!(
-                "relation {} changed cardinality during solving ({} vs {} rows); \
-                 decision relations must be stable",
-                rel.alias.as_deref().unwrap_or("<input>"),
-                table.num_rows(),
-                rel.table.num_rows()
-            )));
-        }
+        check_cardinality(rel, &table)?;
         for (row_idx, ids) in rel.vars.iter().enumerate() {
             for (k, &id) in ids.iter().enumerate() {
                 let col = rel.dec_cols[k];
@@ -380,14 +370,6 @@ pub fn materialize_env(
                 let v = match patch {
                     CellPatch::Initial => continue,
                     CellPatch::Symbolic => sym_value(LinExpr::var(id)),
-                    CellPatch::Values(x) => {
-                        let raw = x[id as usize];
-                        if info.integer {
-                            Value::Int(raw.round() as i64)
-                        } else {
-                            Value::Float(raw)
-                        }
-                    }
                 };
                 table.rows[row_idx][col] = v;
             }
@@ -397,6 +379,21 @@ pub fn materialize_env(
         }
     }
     Ok(env)
+}
+
+/// Decision relations must keep the row count they were instantiated
+/// with: variables are addressed by row.
+fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
+    if table.num_rows() == rel.table.num_rows() {
+        return Ok(());
+    }
+    Err(Error::solver(format!(
+        "relation {} changed cardinality during solving ({} vs {} rows); \
+         decision relations must be stable",
+        rel.alias.as_deref().unwrap_or("<input>"),
+        table.num_rows(),
+        rel.table.num_rows()
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -599,10 +596,11 @@ pub fn apply_solution(prob: &ProblemInstance, assignment: &dyn Fn(VarId) -> Opti
 // Black-box support
 // ---------------------------------------------------------------------------
 
-/// A black-box view of the problem: box bounds per variable (extracted
-/// from single-variable linear constraints), remaining constraints as
-/// penalties, and the objective query.
-pub struct BlackboxProblem {
+/// A black-box view of the problem, prepared once per solve: box bounds
+/// per variable (extracted from single-variable linear constraints),
+/// remaining constraints as penalties, and the evaluation of a candidate
+/// — the objective query over the relations a candidate changes.
+pub struct BlackboxProblem<'a> {
     pub space: globalopt::SearchSpace,
     /// Linear constraints not representable as bounds (penalized).
     pub penalties: Vec<ConstraintValue>,
@@ -610,16 +608,28 @@ pub struct BlackboxProblem {
     pub minimize: bool,
     /// Starting point from initial values (midpoint of bounds when NULL).
     pub start: Vec<f64>,
+    prob: &'a ProblemInstance,
+    /// The base environment plus every relation no candidate can change
+    /// (no decision cells, reads none that has), bound once.
+    fixed: Ctes,
+    /// The other relations in instantiation order: index into
+    /// `prob.relations`, and whether its query is re-run per candidate
+    /// (it reads a relation a candidate changes) or only its own
+    /// decision cells are patched.
+    chain: Vec<(usize, bool)>,
 }
 
 /// Build the black-box formulation: SUBJECTTO is evaluated symbolically
 /// to harvest bounds; the objective stays a query re-evaluated per
-/// candidate.
-pub fn build_blackbox(
+/// candidate. The start point is evaluated here, so an objective that
+/// can never be evaluated fails the solve instead of scoring every
+/// candidate ∞; its plans stay in the engine's plan cache for the
+/// candidates that follow.
+pub fn build_blackbox<'a>(
     db: &Database,
     base: &Ctes,
-    prob: &ProblemInstance,
-) -> Result<BlackboxProblem> {
+    prob: &'a ProblemInstance,
+) -> Result<BlackboxProblem<'a>> {
     let n = prob.num_vars();
     if n == 0 {
         return Err(Error::solver("problem has no decision variables"));
@@ -689,38 +699,84 @@ pub fn build_blackbox(
             ))
         }
     };
-    Ok(BlackboxProblem { space, penalties, objective, minimize, start })
+
+    // Split the relations into those a candidate can change — they hold
+    // decision cells, or read (possibly through a view) one that does —
+    // and the rest, which are bound once.
+    let mut fixed = base.clone();
+    let mut chain = Vec::new();
+    let mut changing: Vec<&str> = Vec::new();
+    for (ri, rel) in prob.relations.iter().enumerate() {
+        let reads = sqlengine::plan::relation_reads(db, &rel.query);
+        let rerun = changing.iter().any(|a| reads.contains(*a));
+        if rerun || !rel.dec_cols.is_empty() {
+            chain.push((ri, rerun));
+            changing.extend(rel.alias.as_deref());
+        } else if let Some(a) = &rel.alias {
+            fixed.insert(a, Arc::new(rel.table.clone()));
+        }
+    }
+
+    let bb = BlackboxProblem { space, penalties, objective, minimize, start, prob, fixed, chain };
+    bb.evaluate(db, &bb.start)?;
+    Ok(bb)
 }
 
 /// Penalty weight applied per unit of constraint violation in black-box
 /// fitness.
 pub const PENALTY_WEIGHT: f64 = 1e9;
 
-/// Evaluate the black-box fitness (minimization sense) for a candidate.
-pub fn blackbox_fitness(
-    db: &Database,
-    base: &Ctes,
-    prob: &ProblemInstance,
-    bb: &BlackboxProblem,
-    x: &[f64],
-) -> f64 {
-    let env = match materialize_env(db, base, prob, &CellPatch::Values(x)) {
-        Ok(e) => e,
-        Err(_) => return f64::INFINITY,
-    };
-    let raw = match run_query(db, &env, &bb.objective, None) {
-        Ok(t) => match t.scalar().and_then(|v| v.as_f64()) {
-            Ok(v) => v,
-            Err(_) => return f64::INFINITY,
-        },
-        Err(_) => return f64::INFINITY,
-    };
-    let mut fitness = if bb.minimize { raw } else { -raw };
-    let getter = |v: VarId| x[v as usize];
-    for p in &bb.penalties {
-        fitness += PENALTY_WEIGHT * p.violation(&getter);
+impl BlackboxProblem<'_> {
+    /// The black-box fitness (minimization sense) of a candidate; ∞ when
+    /// the candidate cannot be evaluated.
+    pub fn fitness(&self, db: &Database, x: &[f64]) -> f64 {
+        self.evaluate(db, x).unwrap_or(f64::INFINITY)
     }
-    fitness
+
+    /// Evaluate a candidate: bind the relations it changes — re-running
+    /// those downstream of a decision cell, so derived relations (e.g. a
+    /// recursive simulation CDTE) see the candidate's values — then run
+    /// the objective query and add the penalties (§5.3).
+    pub fn evaluate(&self, db: &Database, x: &[f64]) -> Result<f64> {
+        let mut env = self.fixed.clone();
+        for &(ri, rerun) in &self.chain {
+            let rel = &self.prob.relations[ri];
+            let mut table = if rerun {
+                let t = run_query(db, &env, &rel.query, None).map_err(|e| {
+                    let name = rel.alias.as_deref().unwrap_or("<input>");
+                    Error::solver(format!("in relation {name}: {e}"))
+                })?;
+                check_cardinality(rel, &t)?;
+                t
+            } else {
+                rel.table.clone()
+            };
+            for (row, ids) in rel.vars.iter().enumerate() {
+                for (&col, &id) in rel.dec_cols.iter().zip(ids) {
+                    let raw = x[id as usize];
+                    table.rows[row][col] = if self.prob.vars[id as usize].integer {
+                        Value::Int(raw.round() as i64)
+                    } else {
+                        Value::Float(raw)
+                    };
+                }
+            }
+            if let Some(a) = &rel.alias {
+                env.insert(a, Arc::new(table));
+            }
+        }
+        let clause = if self.minimize { "MINIMIZE" } else { "MAXIMIZE" };
+        let raw = run_query(db, &env, &self.objective, None)
+            .and_then(|t| t.scalar())
+            .and_then(|v| v.as_f64())
+            .map_err(|e| rule_error(clause, None, &self.objective, e))?;
+        let mut fitness = if self.minimize { raw } else { -raw };
+        let getter = |v: VarId| x[v as usize];
+        for p in &self.penalties {
+            fitness += PENALTY_WEIGHT * p.violation(&getter);
+        }
+        Ok(fitness)
+    }
 }
 
 #[cfg(test)]
@@ -913,8 +969,8 @@ mod tests {
         assert_eq!(bb.space.upper, vec![10.0]);
         assert!(bb.penalties.is_empty());
         // Quadratic objective evaluated concretely per candidate.
-        let f3 = blackbox_fitness(&db, &Ctes::new(), &prob, &bb, &[3.0]);
-        let f5 = blackbox_fitness(&db, &Ctes::new(), &prob, &bb, &[5.0]);
+        let f3 = bb.fitness(&db, &[3.0]);
+        let f5 = bb.fitness(&db, &[5.0]);
         assert!(f3 < 1e-12);
         assert!((f5 - 4.0).abs() < 1e-9);
     }
@@ -936,9 +992,9 @@ mod tests {
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
         let bb = build_blackbox(&db, &Ctes::new(), &prob).unwrap();
         assert_eq!(bb.penalties.len(), 1);
-        let bad = blackbox_fitness(&db, &Ctes::new(), &prob, &bb, &[1.0, 1.0]);
+        let bad = bb.fitness(&db, &[1.0, 1.0]);
         assert!(bad > PENALTY_WEIGHT); // violated by 2
-        let good = blackbox_fitness(&db, &Ctes::new(), &prob, &bb, &[2.0, 2.0]);
+        let good = bb.fitness(&db, &[2.0, 2.0]);
         assert!((good - 4.0).abs() < 1e-9);
     }
 
@@ -959,12 +1015,14 @@ mod tests {
         // A relation whose row count depends on its own decision value.
         let stmt = solve_stmt(
             "SOLVESELECT a(x) AS (SELECT * FROM t) \
-             WITH b AS (SELECT x FROM a WHERE x > 0) USING s()",
+             WITH b AS (SELECT x FROM a WHERE x > 0) \
+             MINIMIZE (SELECT sum(x) FROM b) USING s()",
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
+        let bb = build_blackbox(&db, &Ctes::new(), &prob).unwrap();
         // With x = -1 the dependent relation b loses its row.
-        let err =
-            materialize_env(&db, &Ctes::new(), &prob, &CellPatch::Values(&[-1.0])).unwrap_err();
+        let err = bb.evaluate(&db, &[-1.0]).unwrap_err();
         assert!(err.to_string().contains("cardinality"));
+        assert_eq!(bb.fitness(&db, &[-1.0]), f64::INFINITY);
     }
 }

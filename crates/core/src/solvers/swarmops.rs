@@ -2,11 +2,11 @@
 //! `swarmops.pso()` and §4.4's `swarmops.sa()`), backed by the
 //! `globalopt` crate's PSO / SA / DE.
 //!
-//! The fitness function re-materializes the decision relations with the
-//! candidate values and re-evaluates the `MINIMIZE`/`MAXIMIZE` query —
+//! The fitness function re-runs the decision relations downstream of the
+//! candidate's values and re-evaluates the `MINIMIZE`/`MAXIMIZE` query —
 //! exactly the per-iteration cost the paper measures in Fig. 4(b).
 
-use crate::problem::{apply_solution, blackbox_fitness, build_blackbox, ProblemInstance};
+use crate::problem::{apply_solution, build_blackbox, ProblemInstance};
 use crate::solver::{SolveContext, Solver};
 use globalopt::{
     differential_evolution_with, pso_with, sa_from_with, DeOptions, PsoOptions, SaOptions,
@@ -29,10 +29,11 @@ impl Solver for SwarmOps {
 
     fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
         let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, prob))?;
-        let fitness = |x: &[f64]| blackbox_fitness(ctx.db, ctx.ctes, prob, &bb, x);
+        let fitness = |x: &[f64]| bb.fitness(ctx.db, x);
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0x5001_7EDB) as u64;
         let method = prob.method.as_deref().unwrap_or("pso");
         let search = ctx.trace.map(|t| t.span("search"));
+        let work_before = ctx.db.exec_counts();
         // One watchdog/progress callback shared by the three methods;
         // `interrupted` records whether it asked the search to stop.
         let mut interrupted = false;
@@ -83,7 +84,13 @@ impl Solver for SwarmOps {
                 )
             }
         };
-        drop(search);
+        if let Some(span) = search {
+            let work = ctx.db.exec_counts().since(&work_before);
+            span.note("evaluations", result.evaluations);
+            span.note("recursive_steps", work.recursive_steps);
+            span.note("plans_built", work.plans_built);
+            span.note("builds_reused", work.builds_reused);
+        }
         ctx.report(obs::SolverStats {
             solver: "swarmops".into(),
             method: method.into(),

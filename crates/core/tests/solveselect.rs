@@ -560,3 +560,59 @@ fn solveselect_composes_as_query_body() {
         .unwrap();
     assert_eq!(t.value(0, 0), &Value::Float(10.0));
 }
+
+// ---------------------------------------------------------------------------
+// Black-box solving: an objective that cannot be evaluated fails the solve
+// ---------------------------------------------------------------------------
+
+/// The start point is evaluated before the search. An objective that can
+/// never evaluate used to score every candidate ∞ and "succeed" with the
+/// start point; it must fail with a solver error naming the rule.
+#[test]
+fn swarmops_unevaluable_objective_is_a_typed_error() {
+    let mut s = Session::new();
+    s.execute_script("CREATE TABLE v (x float8); INSERT INTO v VALUES (0.5)").unwrap();
+    for (objective, reason) in [
+        // Bind error.
+        ("SELECT nosuch FROM q", "nosuch"),
+        // Non-numeric scalar.
+        ("SELECT 'high' FROM q", "high"),
+        // Not a scalar at all.
+        ("SELECT x, x FROM q", "single column"),
+        // NULL at the start point (an aggregate over no rows).
+        ("SELECT sum(x) FROM q WHERE x > 0.7", "NULL"),
+    ] {
+        let err = s
+            .query(&format!(
+                "SOLVESELECT q(x) AS (SELECT * FROM v) \
+                 MINIMIZE ({objective}) \
+                 SUBJECTTO (SELECT 0 <= x <= 1 FROM q) \
+                 USING swarmops.sa(iterations := 20)"
+            ))
+            .unwrap_err();
+        assert!(matches!(err, sqlengine::Error::Solver(_)), "{objective}: {err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("MINIMIZE rule"), "{objective}: {msg}");
+        assert!(msg.contains(reason), "{objective}: {msg}");
+    }
+}
+
+/// Candidates other than the start point may still fail to evaluate;
+/// they score ∞ and the search moves on.
+#[test]
+fn swarmops_later_candidates_may_score_infinity() {
+    let mut s = Session::new();
+    s.execute_script("CREATE TABLE v (x float8); INSERT INTO v VALUES (0.5)").unwrap();
+    let t = s
+        .query(
+            "SOLVESELECT q(x) AS (SELECT * FROM v) \
+             MINIMIZE (SELECT (x - 0.1)^2 + 1 / (CASE WHEN x < 0.3 THEN 0 ELSE 1 END) FROM q) \
+             SUBJECTTO (SELECT 0 <= x <= 1 FROM q) \
+             USING swarmops.sa(iterations := 400, seed := 3)",
+        )
+        .unwrap();
+    // Integer division by zero makes every x < 0.3 unevaluable, so the
+    // search settles at the edge of the evaluable region.
+    let x = t.value_by_name(0, "x").unwrap().as_f64().unwrap();
+    assert!((0.3..0.4).contains(&x), "x = {x}");
+}

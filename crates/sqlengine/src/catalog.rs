@@ -258,6 +258,31 @@ pub trait VirtualTableProvider: Send + Sync {
     fn table(&self, name: &str) -> Option<Table>;
 }
 
+/// A reading of the executor's monotone work counters; the difference of
+/// two readings is the work done in between (a black-box solver notes
+/// it on its `search` span).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecCounts {
+    /// Query plans built by the planner (cache hits build none).
+    pub plans_built: u64,
+    /// Iterations of `WITH RECURSIVE` recursive terms executed.
+    pub recursive_steps: u64,
+    /// Hash-join build sides reused from an earlier recursive step
+    /// instead of being rebuilt.
+    pub builds_reused: u64,
+}
+
+impl ExecCounts {
+    /// Work done since the `earlier` reading.
+    pub fn since(&self, earlier: &ExecCounts) -> ExecCounts {
+        ExecCounts {
+            plans_built: self.plans_built - earlier.plans_built,
+            recursive_steps: self.recursive_steps - earlier.recursive_steps,
+            builds_reused: self.builds_reused - earlier.builds_reused,
+        }
+    }
+}
+
 /// The database: named tables, views, UDFs and the solve hook.
 #[derive(Default)]
 pub struct Database {
@@ -275,16 +300,19 @@ pub struct Database {
     /// Monotone counter bumped on every catalog mutation; cached plans
     /// are keyed on it so DDL and DML invalidate the plan cache.
     pub(crate) catalog_epoch: AtomicU64,
-    /// Per-table statistics used by the cost-based planner, keyed by the
-    /// table allocation identity (see `plan::stats`). Interior-mutable so
-    /// read-only query paths can populate it lazily.
+    /// Catalog-table statistics used by the cost-based planner, keyed by
+    /// table name and stamped with the allocation identity they were
+    /// collected from (see `plan::stats`). Interior-mutable so read-only
+    /// query paths can populate it lazily.
     pub(crate) stats_cache:
-        std::sync::Mutex<HashMap<(usize, usize), Arc<crate::plan::stats::TableStats>>>,
-    /// Cache of optimized plans keyed by `(catalog epoch, exact query
-    /// rendering)` — see `plan::cache`. Hit/miss counters feed
-    /// `sdb_stat_statements`.
-    pub(crate) plan_cache:
-        std::sync::Mutex<HashMap<crate::plan::cache::PlanCacheKey, Arc<crate::plan::PlannedQuery>>>,
+        std::sync::Mutex<HashMap<String, ((usize, usize), Arc<crate::plan::stats::TableStats>)>>,
+    /// Monotone executor work counters, read through [`ExecCounts`].
+    plans_built: AtomicU64,
+    recursive_steps: AtomicU64,
+    builds_reused: AtomicU64,
+    /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
+    /// feed `sdb_stat_statements`.
+    pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
     /// Per-session solver wall-clock budget in milliseconds
     /// (`SET solver_timeout_ms`); `None` = unlimited.
     solver_timeout_ms: Option<u64>,
@@ -323,6 +351,25 @@ impl Database {
     /// Current catalog epoch (monotone across mutations).
     pub fn catalog_epoch(&self) -> u64 {
         self.catalog_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Read the executor work counters.
+    pub fn exec_counts(&self) -> ExecCounts {
+        ExecCounts {
+            plans_built: self.plans_built.load(Ordering::Relaxed),
+            recursive_steps: self.recursive_steps.load(Ordering::Relaxed),
+            builds_reused: self.builds_reused.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn count_plan_built(&self) {
+        self.plans_built.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Account one finished recursive CTE: its steps and reused builds.
+    pub(crate) fn count_recursion(&self, steps: u64, builds_reused: u64) {
+        self.recursive_steps.fetch_add(steps, Ordering::Relaxed);
+        self.builds_reused.fetch_add(builds_reused, Ordering::Relaxed);
     }
 
     // -- session control (solver watchdog, live progress) ------------------

@@ -46,8 +46,8 @@ pub struct ExecResult {
     /// Plan-cache outcome for the statement's top-level query:
     /// `Some(true)` = served from the cache, `Some(false)` = planned
     /// fresh and cached, `None` = not cache-eligible (row interpreter,
-    /// CTEs, DML/DDL). Feeds the hit/miss counters in
-    /// `sdb_stat_statements`.
+    /// a plan that captured CTE-dependent rows, DML/DDL). Feeds the
+    /// hit/miss counters in `sdb_stat_statements`.
     pub plan_cache_hit: Option<bool>,
 }
 
@@ -150,6 +150,7 @@ pub fn execute_statement_timed(
     // even when the statement errored mid-flight: the in-memory state
     // already changed, and the log must mirror it.
     db.flush_dirty();
+    db.end_statement_plans();
     let mut result = inner?;
     result.plan_cache_hit = select::take_plan_cache_event();
     // Solves executed in subquery position have no warnings channel of

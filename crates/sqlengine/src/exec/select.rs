@@ -8,14 +8,20 @@ use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
 use crate::exec::funcs;
+use crate::plan::exec::IteratedPlan;
+use crate::plan::PlannedQuery;
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{BinOp, DataType, GroupKey, Value};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Iteration guard for `WITH RECURSIVE`.
 const MAX_RECURSION: usize = 1_000_000;
+
+/// Why `plan_select` hands a query back (`Ok(None)`), for EXPLAIN.
+const OUTSIDE_PLANNER: &str = "shape outside the planner: no FROM, LATERAL, USING, or SOLVE";
 
 thread_local! {
     /// Advisory findings from solves in subquery position (no warnings
@@ -63,6 +69,35 @@ pub fn run_query(db: &Database, ctes: &Ctes, q: &Query, outer: Option<&Env<'_>>)
     run_query_planned(db, ctes, q, outer, None).map(|(t, _)| t)
 }
 
+/// Materialize the `WITH` members of `q` in order on top of `ctes`, each
+/// seeing the ones before it. Borrows `ctes` as-is when there is nothing
+/// to add. `notes`, when given, receives one line per recursive member
+/// saying how its recursive term ran (`EXPLAIN SELECT`).
+fn with_ctes<'c>(
+    db: &Database,
+    ctes: &'c Ctes,
+    q: &Query,
+    outer: Option<&Env<'_>>,
+    mut notes: Option<&mut Vec<String>>,
+) -> Result<Cow<'c, Ctes>> {
+    let mut env = Cow::Borrowed(ctes);
+    for cte in &q.with {
+        let table = if q.recursive && query_references(&cte.query, &cte.name) {
+            let (table, how) = run_recursive_cte(db, &env, cte, outer)?;
+            if let Some(notes) = notes.as_deref_mut() {
+                notes.push(format!("recursive CTE {}: {how}", cte.name));
+            }
+            table
+        } else {
+            let mut t = run_query(db, &env, &cte.query, outer)?;
+            rename_columns(&mut t, &cte.columns)?;
+            t
+        };
+        env.to_mut().insert(&cte.name, Arc::new(table));
+    }
+    Ok(env)
+}
+
 /// Execute a query, routing plannable top-level SELECTs through the
 /// columnar executor (`plan` module). Returns the optimized-plan
 /// fingerprint when the columnar path ran, `None` when the row
@@ -75,49 +110,20 @@ pub fn run_query_planned(
     outer: Option<&Env<'_>>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
-    let mut env_ctes = ctes.clone();
-    for cte in &q.with {
-        let table = if q.recursive && query_references(&cte.query, &cte.name) {
-            run_recursive_cte(db, &env_ctes, cte, outer)?
-        } else {
-            let mut t = run_query(db, &env_ctes, &cte.query, outer)?;
-            rename_columns(&mut t, &cte.columns)?;
-            t
-        };
-        env_ctes.insert(&cte.name, Arc::new(table));
-    }
+    let env_ctes = with_ctes(db, ctes, q, outer, None)?;
 
     if let SetExpr::Select(sel) = &q.body {
         if outer.is_none() && !force_row_interpreter() {
-            // Cached plans embed resolved table handles, so only
-            // CTE-free queries are cache-eligible; the key's catalog
-            // epoch invalidates entries on any mutation (plan::cache).
-            let cache_key = if env_ctes.is_empty() {
-                Some(db.plan_cache_key(sel, &q.order_by, &q.limit, &q.offset))
-            } else {
-                None
-            };
-            if let Some(key) = &cache_key {
-                if let Some(planned) = db.cached_plan(key) {
-                    PLAN_CACHE_EVENT.with(|c| c.set(Some(true)));
-                    let fp = planned.fingerprint();
-                    let t = crate::plan::execute(db, &env_ctes, &planned, trace)?;
-                    return Ok((t, Some(fp)));
-                }
-            }
             // Planning failures (unsupported shapes) fall back to the
             // row interpreter; execution errors are genuine and surface.
-            if let Ok(Some(planned)) =
-                crate::plan::plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset)
+            if let Ok(Some((planned, cache_hit))) =
+                db.plan_cached(&env_ctes, sel, &q.order_by, &q.limit, &q.offset)
             {
-                let fp = planned.fingerprint();
-                let planned = Arc::new(planned);
-                if let Some(key) = cache_key {
-                    PLAN_CACHE_EVENT.with(|c| c.set(Some(false)));
-                    db.cache_plan(key, planned.clone());
+                if cache_hit.is_some() {
+                    PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
                 }
                 let t = crate::plan::execute(db, &env_ctes, &planned, trace)?;
-                return Ok((t, Some(fp)));
+                return Ok((t, Some(planned.fingerprint())));
             }
         }
     }
@@ -131,33 +137,23 @@ pub fn run_query_planned(
 }
 
 /// Render the optimized plan for `EXPLAIN SELECT` — or a one-line
-/// explanation of why the query stays on the row interpreter. CTEs are
-/// materialized first (the planner resolves FROM sources at plan time).
+/// explanation of why the query stays on the row interpreter — after one
+/// line per recursive CTE. CTEs are materialized first (the planner
+/// takes slot schemas and estimates from their bindings).
 pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<String>> {
-    let mut env_ctes = ctes.clone();
-    for cte in &q.with {
-        let table = if q.recursive && query_references(&cte.query, &cte.name) {
-            run_recursive_cte(db, &env_ctes, cte, None)?
-        } else {
-            let mut t = run_query(db, &env_ctes, &cte.query, None)?;
-            rename_columns(&mut t, &cte.columns)?;
-            t
-        };
-        env_ctes.insert(&cte.name, Arc::new(table));
-    }
-    Ok(match &q.body {
+    let mut lines = Vec::new();
+    let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines))?;
+    match &q.body {
         SetExpr::Select(sel) => {
             match crate::plan::plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset) {
-                Ok(Some(p)) => p.explain_lines(),
-                Ok(None) => vec![
-                    "row interpreter (shape outside the planner: no FROM, LATERAL, USING, or SOLVE)"
-                        .to_string(),
-                ],
-                Err(e) => vec![format!("row interpreter (planning fell back: {e})")],
+                Ok(Some(p)) => lines.extend(p.explain_lines()),
+                Ok(None) => lines.push(format!("row interpreter ({OUTSIDE_PLANNER})")),
+                Err(e) => lines.push(format!("row interpreter (planning fell back: {e})")),
             }
         }
-        _ => vec!["row interpreter (set operation or VALUES body)".to_string()],
-    })
+        _ => lines.push("row interpreter (set operation or VALUES body)".to_string()),
+    }
+    Ok(lines)
 }
 
 /// The original row-at-a-time path (CTEs already materialized into
@@ -168,17 +164,16 @@ fn run_query_rows(
     q: &Query,
     outer: Option<&Env<'_>>,
 ) -> Result<Table> {
-    let env_ctes = env_ctes.clone();
     match &q.body {
         SetExpr::Select(sel) => {
-            run_select(db, &env_ctes, sel, outer, &q.order_by, &q.limit, &q.offset)
+            run_select(db, env_ctes, sel, outer, &q.order_by, &q.limit, &q.offset)
         }
         body => {
-            let mut t = run_set_expr(db, &env_ctes, body, outer)?;
+            let mut t = run_set_expr(db, env_ctes, body, outer)?;
             // ORDER BY over set-op output binds against output columns.
             if !q.order_by.is_empty() {
                 let scope = Scope::from_schema(None, &t.schema);
-                let ctx = EvalCtx { db, ctes: &env_ctes };
+                let ctx = EvalCtx { db, ctes: env_ctes };
                 let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.rows.len());
                 let bound: Vec<(BoundExpr, &OrderItem)> = q
                     .order_by
@@ -199,7 +194,7 @@ fn run_query_rows(
                 sort_keyed(&mut keyed, &q.order_by);
                 t.rows = keyed.into_iter().map(|(_, r)| r).collect();
             }
-            apply_limit_offset(db, &env_ctes, &mut t, &q.limit, &q.offset, outer)?;
+            apply_limit_offset(db, env_ctes, &mut t, &q.limit, &q.offset, outer)?;
             Ok(t)
         }
     }
@@ -360,29 +355,62 @@ pub fn query_references(q: &Query, name: &str) -> bool {
     set_refs(&q.body, name)
 }
 
+/// Plan the recursive term of CTE `name` once, against the first binding
+/// of its working table in `step_ctes`. `Err` carries the reason the row
+/// interpreter has to evaluate the term instead.
+fn plan_recursive_term(
+    db: &Database,
+    step_ctes: &Ctes,
+    term: &Query,
+    name: &str,
+    outer: Option<&Env<'_>>,
+) -> std::result::Result<Arc<PlannedQuery>, String> {
+    if outer.is_some() {
+        return Err("correlated with an outer query".to_string());
+    }
+    if force_row_interpreter() {
+        return Err("row interpreter forced".to_string());
+    }
+    let SetExpr::Select(sel) = &term.body else {
+        return Err("recursive term is not a plain SELECT".to_string());
+    };
+    match db.plan_cached(step_ctes, sel, &[], &None, &None) {
+        // Rows captured at plan time would go stale with the first step.
+        Ok(Some((p, _))) if p.captured_reads.contains(name) => {
+            Err("a FROM subquery or view reads the recursive relation".to_string())
+        }
+        Ok(Some((p, _))) => Ok(p),
+        Ok(None) => Err(OUTSIDE_PLANNER.to_string()),
+        Err(e) => Err(format!("planning fell back: {e}")),
+    }
+}
+
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint
-/// semantics.
+/// semantics. The recursive term is planned once; every step executes
+/// that plan with only the working table rebound, keeping the build side
+/// of joins the working table does not feed. Terms the planner refuses
+/// run on the row interpreter. Also returns how the term ran, for
+/// `EXPLAIN SELECT`.
 fn run_recursive_cte(
     db: &Database,
     ctes: &Ctes,
     cte: &Cte,
     outer: Option<&Env<'_>>,
-) -> Result<Table> {
+) -> Result<(Table, String)> {
     let SetExpr::SetOp { op: SetOp::Union, all, left, right } = &cte.query.body else {
         return Err(Error::unsupported(
             "recursive CTE must have the form <anchor> UNION [ALL] <recursive term>",
         ));
     };
-    // Anchor.
-    let anchor_q = Query {
+    let bare = |body: &SetExpr| Query {
         with: vec![],
         recursive: false,
-        body: (**left).clone(),
+        body: body.clone(),
         order_by: vec![],
         limit: None,
         offset: None,
     };
-    let mut result = run_query(db, ctes, &anchor_q, outer)?;
+    let mut result = run_query(db, ctes, &bare(left), outer)?;
     rename_columns(&mut result, &cte.columns)?;
     let schema = result.schema.clone();
 
@@ -397,28 +425,30 @@ fn run_recursive_cte(
         }
         result.rows = deduped;
     }
+    if result.rows.is_empty() {
+        return Ok((result, "no steps (empty anchor)".to_string()));
+    }
 
-    let mut working = result.rows.clone();
-    let rec_q = Query {
-        with: vec![],
-        recursive: false,
-        body: (**right).clone(),
-        order_by: vec![],
-        limit: None,
-        offset: None,
-    };
-    let mut iterations = 0usize;
-    while !working.is_empty() {
-        iterations += 1;
-        if iterations > MAX_RECURSION || result.rows.len() > MAX_RECURSION {
+    let working = |rows: Vec<Row>| Arc::new(Table::with_rows(schema.clone(), rows));
+    let mut step_ctes = ctes.with(&cte.name, working(result.rows.clone()));
+    let rec_q = bare(right);
+    let plan = plan_recursive_term(db, &step_ctes, &rec_q, &cte.name, outer);
+    let mut planned = plan.as_ref().map(|p| IteratedPlan::new(p, &cte.name));
+
+    let mut steps = 0usize;
+    let mut working_rows = result.rows.len();
+    while working_rows > 0 {
+        steps += 1;
+        if steps > MAX_RECURSION || result.rows.len() > MAX_RECURSION {
             return Err(Error::eval(format!(
                 "recursive CTE '{}' exceeded the iteration limit",
                 cte.name
             )));
         }
-        let working_table = Table::with_rows(schema.clone(), working);
-        let step_ctes = ctes.with(&cte.name, Arc::new(working_table));
-        let step = run_query(db, &step_ctes, &rec_q, outer)?;
+        let step = match &mut planned {
+            Ok(plan) => plan.step(db, &step_ctes)?,
+            Err(_) => run_query_rows(db, &step_ctes, &rec_q, outer)?,
+        };
         if step.num_columns() != schema.len() {
             return Err(Error::eval(format!(
                 "recursive term of '{}' returns {} columns, expected {}",
@@ -427,21 +457,27 @@ fn run_recursive_cte(
                 schema.len()
             )));
         }
-        let mut new_rows = Vec::new();
-        for row in step.rows {
-            if *all {
-                new_rows.push(row);
-            } else {
+        let mut new_rows = step.rows;
+        if !all {
+            new_rows.retain(|row| {
                 let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-                if seen.insert(key, ()).is_none() {
-                    new_rows.push(row);
-                }
-            }
+                seen.insert(key, ()).is_none()
+            });
         }
         result.rows.extend(new_rows.iter().cloned());
-        working = new_rows;
+        working_rows = new_rows.len();
+        step_ctes.insert(&cte.name, working(new_rows));
     }
-    Ok(result)
+
+    let (reused, how) = match &planned {
+        Ok(plan) if plan.keeps_builds() => {
+            (plan.builds_reused(), "planned once, build side reused".to_string())
+        }
+        Ok(_) => (0, "planned once".to_string()),
+        Err(why) => (0, format!("row interpreter ({why})")),
+    };
+    db.count_recursion(steps as u64, reused);
+    Ok((result, how))
 }
 
 fn run_set_expr(

@@ -28,7 +28,8 @@ pub mod types;
 pub mod wire;
 
 pub use catalog::{
-    CatalogMutation, Ctes, Database, DurabilityHook, ScalarUdf, SolveHandler, VirtualTableProvider,
+    CatalogMutation, Ctes, Database, DurabilityHook, ExecCounts, ScalarUdf, SolveHandler,
+    VirtualTableProvider,
 };
 pub use diag::{Diagnostic, Severity};
 pub use error::{Error, Result};

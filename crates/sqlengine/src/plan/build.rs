@@ -27,7 +27,8 @@
 //! reordering: bound subqueries re-bind against the runtime scope chain
 //! at evaluation time, so the scope they see must stay syntactic.
 
-use super::ir::{PlanAggCall, PlanNode, PlannedQuery};
+use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
+use super::stats::TableStats;
 use crate::ast::{
     Expr, JoinConstraint, JoinKind, Literal, OrderItem, Select, SelectItem, SetExpr,
     TableRef as AstTableRef,
@@ -39,9 +40,9 @@ use crate::exec::select::{
     bind_with_idx_markers, expand_projection, find_aggregates, resolve_group_by,
     resolve_idx_markers, rewrite_agg, run_query, static_type, try_equi_keys, AggCall,
 };
-use crate::table::TableRef;
+use crate::script::rwset::{expr_reads, query_reads};
 use crate::types::DataType;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Compile a `SELECT` into an optimized plan, or `None` when the shape
@@ -70,7 +71,14 @@ pub fn plan_select(
     }
 
     // LIMIT/OFFSET are constant expressions; resolve them at plan time
-    // (errors fall back so the interpreter reports them).
+    // (errors fall back so the interpreter reports them). What their
+    // subqueries read is captured in the plan like a FROM subquery.
+    let mut captured_reads = BTreeSet::new();
+    for e in limit.iter().chain(offset) {
+        let mut reads = BTreeSet::new();
+        expr_reads(e, &HashSet::new(), &mut reads);
+        capture_reads(db, reads, &mut captured_reads);
+    }
     let eval_const = |e: &Expr| -> Result<Option<usize>> {
         let scope = Scope::default();
         let binder = Binder::new(db, &scope);
@@ -98,7 +106,7 @@ pub fn plan_select(
         let mut bases = Vec::new();
         let mut ons: Vec<(&Expr, Scope)> = Vec::new();
         for tref in &sel.from {
-            if !flatten_pure(db, ctes, tref, &mut bases, &mut ons)? {
+            if !flatten_pure(db, ctes, tref, &mut bases, &mut ons, &mut captured_reads)? {
                 return Ok(None);
             }
         }
@@ -123,7 +131,9 @@ pub fn plan_select(
     } else {
         let mut node: Option<PlanNode> = None;
         for tref in &sel.from {
-            let Some(next) = build_syntactic(db, ctes, tref)? else { return Ok(None) };
+            let Some(next) = build_syntactic(db, ctes, tref, &mut captured_reads)? else {
+                return Ok(None);
+            };
             node = Some(match node {
                 None => next,
                 Some(acc) => {
@@ -368,17 +378,15 @@ pub fn plan_select(
             let col_distinct = |syn: usize| -> Option<f64> {
                 let bi = offsets.iter().rposition(|&o| o <= syn)?;
                 let j = syn - offsets[bi];
-                let stats = db.table_stats(&bases[bi].source);
-                Some(stats.distinct_of(j))
+                Some(bases[bi].stats.distinct_of(j))
             };
             let mut nodes: Vec<Option<PlanNode>> = Vec::with_capacity(bases.len());
             let mut ests: Vec<f64> = Vec::with_capacity(bases.len());
             for (bi, base) in bases.iter().enumerate() {
-                let stats = db.table_stats(&base.source);
                 let scope =
                     Scope::new(kept[bi].iter().map(|&j| base.scope.cols[j].clone()).collect());
                 let full = kept[bi].len() == widths[bi];
-                let mut est = stats.row_count as f64;
+                let mut est = base.stats.row_count as f64;
                 let mut node = PlanNode::Scan {
                     label: base.label.clone(),
                     source: base.source.clone(),
@@ -703,7 +711,8 @@ pub fn plan_select(
         input = PlanNode::Limit { input: Box::new(input), limit: limit_n, offset: offset_n };
     }
 
-    Ok(Some(PlannedQuery { root: input, names, static_types, visible }))
+    db.count_plan_built();
+    Ok(Some(PlannedQuery { root: input, names, static_types, visible, captured_reads }))
 }
 
 // ---------------------------------------------------------------------------
@@ -717,8 +726,9 @@ enum FromShape<'a> {
 
 struct Base {
     label: String,
-    source: TableRef,
+    source: ScanSource,
     scope: Scope,
+    stats: Arc<TableStats>,
 }
 
 /// Is this FROM element a tree of inner/cross joins over plain
@@ -758,6 +768,7 @@ fn flatten_pure<'a>(
     t: &'a AstTableRef,
     bases: &mut Vec<Base>,
     ons: &mut Vec<(&'a Expr, Scope)>,
+    captured: &mut BTreeSet<String>,
 ) -> Result<bool> {
     fn go<'a>(
         db: &Database,
@@ -765,18 +776,19 @@ fn flatten_pure<'a>(
         t: &'a AstTableRef,
         bases: &mut Vec<Base>,
         ons: &mut Vec<(&'a Expr, Scope)>,
+        captured: &mut BTreeSet<String>,
     ) -> Result<Option<Scope>> {
         match t {
             AstTableRef::Join { left, right, constraint, .. } => {
-                let Some(ls) = go(db, ctes, left, bases, ons)? else { return Ok(None) };
-                let Some(rs) = go(db, ctes, right, bases, ons)? else { return Ok(None) };
+                let Some(ls) = go(db, ctes, left, bases, ons, captured)? else { return Ok(None) };
+                let Some(rs) = go(db, ctes, right, bases, ons, captured)? else { return Ok(None) };
                 let combined = ls.join(&rs);
                 if let JoinConstraint::On(e) = constraint {
                     ons.push((e, combined.clone()));
                 }
                 Ok(Some(combined))
             }
-            primary => match materialize_primary(db, ctes, primary)? {
+            primary => match materialize_primary(db, ctes, primary, captured)? {
                 Some(base) => {
                     let scope = base.scope.clone();
                     bases.push(base);
@@ -786,62 +798,104 @@ fn flatten_pure<'a>(
             },
         }
     }
-    Ok(go(db, ctes, t, bases, ons)?.is_some())
+    Ok(go(db, ctes, t, bases, ons, captured)?.is_some())
 }
 
-/// Materialize a table primary (named relation or subquery) as an
-/// `Arc<Table>` plus its scope — the same resolution order as the row
+/// Resolve a table primary (named relation or subquery) to a scan source
+/// plus its scope and statistics — the same resolution order as the row
 /// interpreter's `scan_named`: CTEs shadow views shadow tables shadow
-/// virtual tables.
-fn materialize_primary(db: &Database, ctes: &Ctes, t: &AstTableRef) -> Result<Option<Base>> {
+/// virtual tables. A CTE becomes a slot, re-resolved at every execution;
+/// views and subqueries are run here and their result captured, and the
+/// names they read are added to `captured`.
+fn materialize_primary(
+    db: &Database,
+    ctes: &Ctes,
+    t: &AstTableRef,
+    captured: &mut BTreeSet<String>,
+) -> Result<Option<Base>> {
+    let uncached = |t: &crate::table::Table| Arc::new(TableStats::collect(t));
     match t {
         AstTableRef::Named { name, alias } => {
             let qualifier = alias.as_ref().map(|a| a.name.as_str()).unwrap_or(name);
-            let (source, mut scope) = if let Some(t) = ctes.get(name) {
-                let scope = Scope::from_schema(Some(qualifier), &t.schema);
-                (t.clone(), scope)
+            let scope_of = |t: &crate::table::Table| Scope::from_schema(Some(qualifier), &t.schema);
+            let (source, mut scope, stats) = if let Some(t) = ctes.get(name) {
+                // A slot takes its estimate from this first binding.
+                let slot = ScanSource::Slot { name: name.clone(), schema: t.schema.clone() };
+                (slot, scope_of(t), uncached(t))
             } else if let Some(vq) = db.view(name) {
+                capture_reads(db, reads_of(vq), captured);
                 let t = run_query(db, ctes, vq, None)?;
-                let scope = Scope::from_schema(Some(qualifier), &t.schema);
-                (Arc::new(t), scope)
+                let (scope, stats) = (scope_of(&t), uncached(&t));
+                (ScanSource::Table(Arc::new(t)), scope, stats)
             } else {
                 match db.table(name) {
-                    Ok(t) => {
-                        let scope = Scope::from_schema(Some(qualifier), &t.schema);
-                        (t.clone(), scope)
-                    }
+                    Ok(t) => (ScanSource::Table(t.clone()), scope_of(t), db.table_stats(name, t)),
                     Err(e) => match db.virtual_table(name) {
                         Some(t) => {
-                            let scope = Scope::from_schema(Some(qualifier), &t.schema);
-                            (Arc::new(t), scope)
+                            let (scope, stats) = (scope_of(&t), uncached(&t));
+                            (ScanSource::Table(Arc::new(t)), scope, stats)
                         }
                         None => return Err(e),
                     },
                 }
             };
             crate::exec::select::apply_alias_columns(&mut scope, alias.as_ref())?;
-            Ok(Some(Base { label: name.clone(), source, scope }))
+            Ok(Some(Base { label: name.clone(), source, scope, stats }))
         }
         AstTableRef::Subquery { query, lateral: false, alias } => {
+            capture_reads(db, reads_of(query), captured);
             let t = run_query(db, ctes, query, None)?;
             let qualifier = alias.as_ref().map(|a| a.name.as_str());
             let mut scope = Scope::from_schema(qualifier, &t.schema);
             crate::exec::select::apply_alias_columns(&mut scope, alias.as_ref())?;
             let label =
                 alias.as_ref().map(|a| a.name.clone()).unwrap_or_else(|| "(subquery)".to_string());
-            Ok(Some(Base { label, source: Arc::new(t), scope }))
+            let stats = uncached(&t);
+            Ok(Some(Base { label, source: ScanSource::Table(Arc::new(t)), scope, stats }))
         }
         _ => Ok(None),
     }
 }
 
+/// Every relation name `q` reads, following views into the names they
+/// read. Conservative: names bound by the query's own `WITH` are left
+/// out, everything else that appears as a relation is in.
+pub fn relation_reads(db: &Database, q: &crate::ast::Query) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    capture_reads(db, reads_of(q), &mut out);
+    out
+}
+
+fn reads_of(q: &crate::ast::Query) -> BTreeSet<String> {
+    let mut reads = BTreeSet::new();
+    query_reads(q, &HashSet::new(), &mut reads);
+    reads
+}
+
+/// Add the relation names in `reads` to `out`, following views into the
+/// names *they* read.
+fn capture_reads(db: &Database, reads: BTreeSet<String>, out: &mut BTreeSet<String>) {
+    for name in reads {
+        if out.insert(name.clone()) {
+            if let Some(vq) = db.view(&name) {
+                capture_reads(db, reads_of(vq), out);
+            }
+        }
+    }
+}
+
 /// Build a plan subtree that mirrors the syntactic join structure
 /// (used for outer joins, where reordering/pushdown are unsound).
-fn build_syntactic(db: &Database, ctes: &Ctes, t: &AstTableRef) -> Result<Option<PlanNode>> {
+fn build_syntactic(
+    db: &Database,
+    ctes: &Ctes,
+    t: &AstTableRef,
+    captured: &mut BTreeSet<String>,
+) -> Result<Option<PlanNode>> {
     match t {
         AstTableRef::Join { left, right, kind, constraint } => {
-            let Some(l) = build_syntactic(db, ctes, left)? else { return Ok(None) };
-            let Some(r) = build_syntactic(db, ctes, right)? else { return Ok(None) };
+            let Some(l) = build_syntactic(db, ctes, left, captured)? else { return Ok(None) };
+            let Some(r) = build_syntactic(db, ctes, right, captured)? else { return Ok(None) };
             let combined = l.scope().join(r.scope());
             let (lkeys, rkeys, cond, desc) = match constraint {
                 JoinConstraint::Using(_) => return Ok(None),
@@ -888,8 +942,9 @@ fn build_syntactic(db: &Database, ctes: &Ctes, t: &AstTableRef) -> Result<Option
             }))
         }
         primary => {
-            let Some(base) = materialize_primary(db, ctes, primary)? else { return Ok(None) };
-            let stats = db.table_stats(&base.source);
+            let Some(base) = materialize_primary(db, ctes, primary, captured)? else {
+                return Ok(None);
+            };
             let total = base.scope.cols.len();
             Ok(Some(PlanNode::Scan {
                 label: base.label,
@@ -897,7 +952,7 @@ fn build_syntactic(db: &Database, ctes: &Ctes, t: &AstTableRef) -> Result<Option
                 cols: None,
                 total_cols: total,
                 scope: base.scope,
-                est: stats.row_count as f64,
+                est: base.stats.row_count as f64,
             }))
         }
     }

@@ -1,15 +1,31 @@
-//! Plan cache: optimized plans keyed by `(catalog epoch, exact query
-//! rendering)`.
+//! Plan cache: optimized plans keyed by `(catalog epoch, bound CTE
+//! names, exact query rendering)`, in two lifetimes.
 //!
-//! Plans embed resolved [`crate::table::TableRef`] handles (the
-//! `PlanNode::Scan` source), so a cached plan is only valid for the
-//! exact catalog state it was built against. Rather than tracking
-//! fine-grained dependencies, the key includes the catalog epoch — a
-//! monotone counter [`Database::bump_epoch`] advances on *every*
-//! catalog mutation (DDL, DML, wholesale replacement) — so any change
-//! to tables or views strands stale entries, which age out when the
-//! cache is cleared at its size bound. Table statistics are derived
-//! from table data, so the epoch also covers stats changes.
+//! Plans embed resolved [`crate::table::TableRef`] handles for catalog
+//! tables, views and FROM subqueries (`ScanSource::Table`), so a cached
+//! plan is only valid for the exact catalog state it was built against.
+//! Rather than tracking fine-grained dependencies, the key includes the
+//! catalog epoch — a monotone counter [`Database::bump_epoch`] advances
+//! on *every* catalog mutation (DDL, DML, wholesale replacement) — so
+//! any change to tables or views strands stale entries, which age out
+//! when the cache is cleared at its size bound. Table statistics are
+//! derived from table data, so the epoch also covers stats changes.
+//!
+//! CTEs are not embedded: a plan scans them through *slots*
+//! (`ScanSource::Slot`) resolved at execute time, so a query under a
+//! CTE environment — every query of a `SOLVESELECT`, whose decision
+//! relations are CTEs — is cacheable too. Its key carries the names the
+//! environment binds (which names resolve to a CTE rather than the
+//! catalog is part of the plan), a hit is honoured only when every slot
+//! is bound to a relation of the planned schema, and a plan that
+//! captured rows read from a bound CTE (a FROM subquery or view over
+//! it) is never cached. A CTE environment belongs to one statement, and
+//! so do these plans: they sit in a map of their own that the statement
+//! layer empties when the statement ends
+//! ([`Database::end_statement_plans`]). Within the statement they are
+//! what lets a black-box solver plan its objective and simulation
+//! relations once and re-execute them per candidate, and lets the
+//! symbolic passes of one `SOLVESELECT` share their plans.
 //!
 //! The key stores the full `Debug` rendering of the query, not a hash
 //! of it: `HashMap` compares keys on lookup, so two distinct queries
@@ -21,62 +37,122 @@
 //! literal variants (unlike `sdb_stat_statements`, whose shape key
 //! masks literals to group statements).
 
-use super::PlannedQuery;
+use super::{plan_select, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
-use crate::catalog::Database;
+use crate::catalog::{Ctes, Database};
+use crate::error::Result;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Clear the cache once it holds this many plans. Epoch-keyed entries
-/// go stale on every mutation, so a long DML-heavy session would
-/// otherwise grow the map without bound.
+/// Clear a map once it holds this many plans. Epoch-keyed entries go
+/// stale on every mutation, so a long DML-heavy session would otherwise
+/// grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
-/// Full plan-cache key: catalog epoch plus the exact rendered query.
-/// Hash collisions between different queries land in the same bucket
-/// but fail the equality check, so a lookup can never return another
-/// query's plan.
+/// Full plan-cache key: catalog epoch, the CTE names in scope and the
+/// exact rendered query. Hash collisions between different queries land
+/// in the same bucket but fail the equality check, so a lookup can never
+/// return another query's plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
     epoch: u64,
+    ctes: Vec<String>,
     query: String,
 }
 
+/// The two plan maps of a [`Database`].
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    /// Plans of CTE-free queries; live until the size bound clears them.
+    session: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
+    /// Plans of queries under a CTE environment; live until the
+    /// statement ends.
+    statement: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
+}
+
+impl PlanCache {
+    fn map(&mut self, statement_scoped: bool) -> &mut HashMap<PlanCacheKey, Arc<PlannedQuery>> {
+        if statement_scoped {
+            &mut self.statement
+        } else {
+            &mut self.session
+        }
+    }
+}
+
 impl Database {
-    /// Cache key for a plannable SELECT under the current catalog epoch.
+    /// Cache key for a plannable SELECT under the current catalog epoch
+    /// and the CTE names `ctes` binds.
     pub(crate) fn plan_cache_key(
         &self,
+        ctes: &Ctes,
         sel: &Select,
         order_by: &[OrderItem],
         limit: &Option<Expr>,
         offset: &Option<Expr>,
     ) -> PlanCacheKey {
+        let mut names: Vec<String> = ctes.names().map(str::to_string).collect();
+        names.sort_unstable();
         PlanCacheKey {
             epoch: self.catalog_epoch(),
+            ctes: names,
             query: format!("{sel:?}|{order_by:?}|{limit:?}|{offset:?}"),
         }
     }
 
-    /// Look up a cached plan (a hit is an `Arc` clone, no re-planning).
-    pub(crate) fn cached_plan(&self, key: &PlanCacheKey) -> Option<Arc<PlannedQuery>> {
-        match self.plan_cache.lock() {
-            Ok(cache) => cache.get(key).cloned(),
-            Err(_) => None,
+    /// The plan for a `SELECT` under `ctes`, and whether it came from
+    /// the cache (`Some(true)`), was planned now and cached
+    /// (`Some(false)`), or was planned now but cannot be cached because
+    /// it captured rows that depend on a bound CTE (`None`). `Ok(None)`
+    /// and `Err` mean what they mean for [`plan_select`].
+    pub(crate) fn plan_cached(
+        &self,
+        ctes: &Ctes,
+        sel: &Select,
+        order_by: &[OrderItem],
+        limit: &Option<Expr>,
+        offset: &Option<Expr>,
+    ) -> Result<Option<(Arc<PlannedQuery>, Option<bool>)>> {
+        let key = self.plan_cache_key(ctes, sel, order_by, limit, offset);
+        let statement_scoped = !key.ctes.is_empty();
+        let hit = self
+            .plan_cache
+            .lock()
+            .ok()
+            .and_then(|mut c| c.map(statement_scoped).get(&key).cloned());
+        if let Some(planned) = hit {
+            // Only a plan made under a CTE environment has slots to check.
+            if !statement_scoped || planned.slots_bound(ctes) {
+                return Ok(Some((planned, Some(true))));
+            }
         }
+        let Some(planned) = plan_select(self, ctes, sel, order_by, limit, offset)? else {
+            return Ok(None);
+        };
+        let planned = Arc::new(planned);
+        if planned.captured_reads.iter().any(|name| ctes.get(name).is_some()) {
+            return Ok(Some((planned, None)));
+        }
+        if let Ok(mut cache) = self.plan_cache.lock() {
+            let map = cache.map(statement_scoped);
+            if map.len() >= MAX_CACHED_PLANS {
+                map.clear();
+            }
+            map.insert(key, planned.clone());
+        }
+        Ok(Some((planned, Some(false))))
     }
 
-    /// Insert a freshly built plan under `key`.
-    pub(crate) fn cache_plan(&self, key: PlanCacheKey, plan: Arc<PlannedQuery>) {
+    /// The statement is over: drop the plans of its CTE environments.
+    pub(crate) fn end_statement_plans(&self) {
         if let Ok(mut cache) = self.plan_cache.lock() {
-            if cache.len() >= MAX_CACHED_PLANS {
-                cache.clear();
-            }
-            cache.insert(key, plan);
+            cache.statement.clear();
         }
     }
 
     /// Number of plans currently cached (observability).
     pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.lock().map(|c| c.len()).unwrap_or(0)
+        self.plan_cache.lock().map(|c| c.session.len() + c.statement.len()).unwrap_or(0)
     }
 }
 
@@ -102,7 +178,7 @@ mod tests {
         let stmt = crate::parser::parse_statement(sql).unwrap();
         let crate::ast::Statement::Query(q) = stmt else { panic!("expected query") };
         let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
-        db.plan_cache_key(sel, &q.order_by, &q.limit, &q.offset)
+        db.plan_cache_key(&Ctes::new(), sel, &q.order_by, &q.limit, &q.offset)
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //! non-vectorizable expressions evaluate through the interpreter's
 //! [`BoundExpr::eval`] on materialized rows. Each operator runs under an
 //! `obs` span so `EXPLAIN ANALYZE` shows a per-operator timing tree.
+//!
+//! A plan holds CTEs as *slots* resolved at execute time, so one plan
+//! can run against many bindings. [`IteratedPlan`] is that loop for a
+//! recursive CTE: it rebinds one slot per step and keeps the build side
+//! of every hash join that does not depend on it.
 
 use super::columnar::{batches_to_rows, Batch, ColumnVec, VecEvalCtx, VecExpr, BATCH_SIZE};
-use super::ir::{PlanAggCall, PlanNode, PlannedQuery};
+use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
@@ -17,6 +22,7 @@ use crate::exec::select::{sort_keyed, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{DataType, GroupKey, Value};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Execute a planned query, producing the final result table.
@@ -26,181 +32,276 @@ pub fn execute(
     planned: &PlannedQuery,
     trace: Option<&obs::Trace>,
 ) -> Result<Table> {
-    let ctx = EvalCtx { db, ctes };
-    let span = trace.map(|t| t.span("columnar executor"));
-    let batches = run_node(&ctx, &planned.root, trace)?;
-    let mut rows = batches_to_rows(&batches);
-    for r in &mut rows {
-        r.truncate(planned.visible);
-    }
-    if let Some(s) = &span {
-        s.rows(rows.len() as u64);
+    Runner { ctx: EvalCtx { db, ctes }, trace, kept: None }.run(planned)
+}
+
+/// One plan executed repeatedly while a single CTE slot (`rebound`) is
+/// bound to a new relation between executions — the recursive term of a
+/// `WITH RECURSIVE` over its working table. Hash-join build sides that
+/// are [invariant](PlanNode::invariant_under) under that rebinding are
+/// built by the first execution that reaches them and probed by every
+/// later one.
+pub(crate) struct IteratedPlan<'p> {
+    plan: &'p PlannedQuery,
+    kept: KeptBuilds<'p>,
+}
+
+/// Kept build sides, keyed by the address of the join's right child in
+/// the (immutably borrowed) plan.
+struct KeptBuilds<'p> {
+    rebound: &'p str,
+    builds: HashMap<*const PlanNode, Rc<JoinBuild>>,
+    reused: u64,
+}
+
+impl<'p> IteratedPlan<'p> {
+    pub(crate) fn new(plan: &'p PlannedQuery, rebound: &'p str) -> IteratedPlan<'p> {
+        IteratedPlan { plan, kept: KeptBuilds { rebound, builds: HashMap::new(), reused: 0 } }
     }
 
-    // Output schema: infer each column's type from the first non-NULL
-    // value, falling back to the statically known type (same as the row
-    // interpreter — solver variable typing depends on this).
-    let mut schema = Schema::new(
-        planned.names.iter().map(|n| TColumn::new(n.clone(), DataType::Unknown)).collect(),
-    );
-    for (i, col) in schema.columns.iter_mut().enumerate() {
-        for row in &rows {
-            if !row[i].is_null() {
-                col.ty = row[i].data_type();
-                break;
+    /// Execute the plan against `ctes`, which may differ from the
+    /// previous call's only in the binding of the `rebound` slot.
+    pub(crate) fn step(&mut self, db: &Database, ctes: &Ctes) -> Result<Table> {
+        Runner { ctx: EvalCtx { db, ctes }, trace: None, kept: Some(&mut self.kept) }.run(self.plan)
+    }
+
+    /// How many times a step probed a kept build side instead of
+    /// rebuilding it.
+    pub(crate) fn builds_reused(&self) -> u64 {
+        self.kept.reused
+    }
+
+    /// Does any join of the plan qualify for build reuse?
+    pub(crate) fn keeps_builds(&self) -> bool {
+        fn any(node: &PlanNode, slot: &str) -> bool {
+            let own = matches!(node, PlanNode::Join { right, lkeys, .. }
+                if !lkeys.is_empty() && right.invariant_under(slot));
+            own || node.children().into_iter().any(|c| any(c, slot))
+        }
+        any(&self.plan.root, self.kept.rebound)
+    }
+}
+
+/// One execution of a plan.
+struct Runner<'a, 'k, 'p> {
+    ctx: EvalCtx<'a>,
+    trace: Option<&'a obs::Trace>,
+    kept: Option<&'k mut KeptBuilds<'p>>,
+}
+
+impl Runner<'_, '_, '_> {
+    fn run(&mut self, planned: &PlannedQuery) -> Result<Table> {
+        let span = self.trace.map(|t| t.span("columnar executor"));
+        let batches = self.run_node(&planned.root)?;
+        let mut rows = batches_to_rows(&batches);
+        for r in &mut rows {
+            r.truncate(planned.visible);
+        }
+        if let Some(s) = &span {
+            s.rows(rows.len() as u64);
+        }
+
+        // Output schema: infer each column's type from the first non-NULL
+        // value, falling back to the statically known type (same as the
+        // row interpreter — solver variable typing depends on this).
+        let mut schema = Schema::new(
+            planned.names.iter().map(|n| TColumn::new(n.clone(), DataType::Unknown)).collect(),
+        );
+        for (i, col) in schema.columns.iter_mut().enumerate() {
+            for row in &rows {
+                if !row[i].is_null() {
+                    col.ty = row[i].data_type();
+                    break;
+                }
+            }
+            if col.ty == DataType::Unknown {
+                col.ty = planned.static_types[i].clone();
             }
         }
-        if col.ty == DataType::Unknown {
-            col.ty = planned.static_types[i].clone();
+        Ok(Table::with_rows(schema, rows))
+    }
+
+    fn run_node(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
+        let span = self.trace.map(|t| t.span(&node.describe()));
+        let out = self.run_node_inner(node)?;
+        if let Some(s) = &span {
+            s.rows(out.iter().map(|b| b.len as u64).sum());
         }
+        Ok(out)
     }
-    Ok(Table::with_rows(schema, rows))
-}
 
-fn run_node(ctx: &EvalCtx<'_>, node: &PlanNode, trace: Option<&obs::Trace>) -> Result<Vec<Batch>> {
-    let span = trace.map(|t| t.span(&node.describe()));
-    let out = run_node_inner(ctx, node, trace)?;
-    if let Some(s) = &span {
-        s.rows(out.iter().map(|b| b.len as u64).sum());
+    /// The build side of a hash join: taken from the kept builds when an
+    /// earlier step left it there, otherwise built now (and kept if the
+    /// right subtree cannot change between steps).
+    fn join_build(&mut self, right: &PlanNode, rkeys: &[BoundExpr]) -> Result<Rc<JoinBuild>> {
+        let key: *const PlanNode = right;
+        if let Some(kept) = self.kept.as_deref_mut() {
+            if let Some(build) = kept.builds.get(&key) {
+                kept.reused += 1;
+                return Ok(build.clone());
+            }
+        }
+        let rb = self.run_node(right)?;
+        let build = Rc::new(JoinBuild::new(&self.ctx, &rb, right.scope(), rkeys)?);
+        if let Some(kept) = self.kept.as_deref_mut() {
+            if right.invariant_under(kept.rebound) {
+                kept.builds.insert(key, build.clone());
+            }
+        }
+        Ok(build)
     }
-    Ok(out)
-}
 
-fn run_node_inner(
-    ctx: &EvalCtx<'_>,
-    node: &PlanNode,
-    trace: Option<&obs::Trace>,
-) -> Result<Vec<Batch>> {
-    match node {
-        PlanNode::Scan { source, cols, .. } => Ok(source
-            .rows
-            .chunks(BATCH_SIZE)
-            .map(|c| Batch::from_rows(c, cols.as_deref()))
-            .collect()),
+    fn run_node_inner(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
+        match node {
+            PlanNode::Scan { source, cols, .. } => {
+                let table: &Table = match source {
+                    ScanSource::Table(t) => t,
+                    ScanSource::Slot { name, schema } => {
+                        let t = self.ctx.ctes.get(name).ok_or_else(|| {
+                            Error::eval(format!("plan slot '{name}' is not bound"))
+                        })?;
+                        if t.schema != *schema {
+                            return Err(Error::eval(format!(
+                                "plan slot '{name}' is bound to a relation of another schema"
+                            )));
+                        }
+                        t
+                    }
+                };
+                Ok(table
+                    .rows
+                    .chunks(BATCH_SIZE)
+                    .map(|c| Batch::from_rows(c, cols.as_deref()))
+                    .collect())
+            }
 
-        PlanNode::Filter { input, pred, .. } => {
-            let scope = input.scope();
-            let batches = run_node(ctx, input, trace)?;
-            let vctx = VecEvalCtx { ctx, scope };
-            let ve = VecExpr::compile(pred);
-            let mut out = Vec::with_capacity(batches.len());
-            for b in &batches {
-                let col = ve.eval(b, &vctx)?;
-                let mut sel = Vec::new();
-                match col.as_ref() {
-                    ColumnVec::Bool(vals, bm) => {
-                        for (i, v) in vals.iter().enumerate().take(b.len) {
-                            if bm.get(i) && *v {
-                                sel.push(i);
+            PlanNode::Filter { input, pred, .. } => {
+                let scope = input.scope();
+                let batches = self.run_node(input)?;
+                let vctx = VecEvalCtx { ctx: &self.ctx, scope };
+                let ve = VecExpr::compile(pred);
+                let mut out = Vec::with_capacity(batches.len());
+                for b in &batches {
+                    let col = ve.eval(b, &vctx)?;
+                    let mut sel = Vec::new();
+                    match col.as_ref() {
+                        ColumnVec::Bool(vals, bm) => {
+                            for (i, v) in vals.iter().enumerate().take(b.len) {
+                                if bm.get(i) && *v {
+                                    sel.push(i);
+                                }
+                            }
+                        }
+                        other => {
+                            // Mirror the interpreter: `as_bool` may error on
+                            // non-boolean predicate values.
+                            for i in 0..b.len {
+                                if other.get(i).as_bool()? == Some(true) {
+                                    sel.push(i);
+                                }
                             }
                         }
                     }
-                    other => {
-                        // Mirror the interpreter: `as_bool` may error on
-                        // non-boolean predicate values.
-                        for i in 0..b.len {
-                            if other.get(i).as_bool()? == Some(true) {
-                                sel.push(i);
-                            }
-                        }
+                    if sel.len() == b.len {
+                        out.push(b.clone());
+                    } else if !sel.is_empty() {
+                        out.push(b.gather(&sel));
                     }
                 }
-                if sel.len() == b.len {
-                    out.push(b.clone());
-                } else if !sel.is_empty() {
-                    out.push(b.gather(&sel));
-                }
+                Ok(out)
             }
-            Ok(out)
-        }
 
-        PlanNode::Reorder { input, perm, .. } => {
-            let batches = run_node(ctx, input, trace)?;
-            Ok(batches
-                .into_iter()
-                .map(|b| Batch {
-                    cols: perm.iter().map(|&p| b.cols[p].clone()).collect(),
-                    len: b.len,
-                })
-                .collect())
-        }
-
-        PlanNode::Join { left, right, kind, lkeys, rkeys, cond, scope, .. } => {
-            let lb = run_node(ctx, left, trace)?;
-            let rb = run_node(ctx, right, trace)?;
-            if !lkeys.is_empty() {
-                hash_join(ctx, &lb, &rb, left.scope(), right.scope(), *kind, lkeys, rkeys)
-            } else {
-                loop_join(ctx, &lb, &rb, left.scope(), right.scope(), scope, *kind, cond.as_ref())
+            PlanNode::Reorder { input, perm, .. } => {
+                let batches = self.run_node(input)?;
+                Ok(batches
+                    .into_iter()
+                    .map(|b| Batch {
+                        cols: perm.iter().map(|&p| b.cols[p].clone()).collect(),
+                        len: b.len,
+                    })
+                    .collect())
             }
-        }
 
-        PlanNode::Aggregate { input, group, sets, aggs, .. } => {
-            let in_scope = input.scope();
-            let batches = run_node(ctx, input, trace)?;
-            aggregate(ctx, &batches, in_scope, group, sets, aggs)
-        }
-
-        PlanNode::Project { input, exprs, .. } => {
-            let in_scope = input.scope();
-            let batches = run_node(ctx, input, trace)?;
-            let vctx = VecEvalCtx { ctx, scope: in_scope };
-            let ves: Vec<VecExpr> = exprs.iter().map(VecExpr::compile).collect();
-            batches
-                .iter()
-                .map(|b| {
-                    let cols = ves.iter().map(|e| e.eval(b, &vctx)).collect::<Result<Vec<_>>>()?;
-                    Ok(Batch { cols, len: b.len })
-                })
-                .collect()
-        }
-
-        PlanNode::Distinct { input, visible } => {
-            let batches = run_node(ctx, input, trace)?;
-            let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
-            let mut out = Vec::new();
-            for b in &batches {
-                let mut sel = Vec::new();
-                for i in 0..b.len {
-                    let key: Vec<GroupKey> =
-                        b.cols[..*visible].iter().map(|c| c.get(i).group_key()).collect();
-                    if seen.insert(key, ()).is_none() {
-                        sel.push(i);
-                    }
-                }
-                if sel.len() == b.len {
-                    out.push(b.clone());
-                } else if !sel.is_empty() {
-                    out.push(b.gather(&sel));
-                }
-            }
-            Ok(out)
-        }
-
-        PlanNode::Sort { input, items, visible, .. } => {
-            let batches = run_node(ctx, input, trace)?;
-            let rows = batches_to_rows(&batches);
-            let mut keyed: Vec<(Vec<Value>, Row)> =
-                rows.into_iter().map(|r| (r[*visible..].to_vec(), r)).collect();
-            sort_keyed(&mut keyed, items);
-            let rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
-            Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
-        }
-
-        PlanNode::Limit { input, limit, offset } => {
-            let batches = run_node(ctx, input, trace)?;
-            let mut rows = batches_to_rows(&batches);
-            if let Some(o) = offset {
-                if *o >= rows.len() {
-                    rows.clear();
+            PlanNode::Join { left, right, kind, lkeys, rkeys, cond, scope, .. } => {
+                let lb = self.run_node(left)?;
+                if lkeys.is_empty() {
+                    let rb = self.run_node(right)?;
+                    let (ls, rs) = (left.scope(), right.scope());
+                    loop_join(&self.ctx, &lb, &rb, ls, rs, scope, *kind, cond.as_ref())
                 } else {
-                    rows.drain(..*o);
+                    let build = self.join_build(right, rkeys)?;
+                    hash_probe(&self.ctx, &lb, &build, left.scope(), *kind, lkeys)
                 }
             }
-            if let Some(l) = limit {
-                rows.truncate(*l);
+
+            PlanNode::Aggregate { input, group, sets, aggs, .. } => {
+                let in_scope = input.scope();
+                let batches = self.run_node(input)?;
+                aggregate(&self.ctx, &batches, in_scope, group, sets, aggs)
             }
-            Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+
+            PlanNode::Project { input, exprs, .. } => {
+                let in_scope = input.scope();
+                let batches = self.run_node(input)?;
+                let vctx = VecEvalCtx { ctx: &self.ctx, scope: in_scope };
+                let ves: Vec<VecExpr> = exprs.iter().map(VecExpr::compile).collect();
+                batches
+                    .iter()
+                    .map(|b| {
+                        let cols =
+                            ves.iter().map(|e| e.eval(b, &vctx)).collect::<Result<Vec<_>>>()?;
+                        Ok(Batch { cols, len: b.len })
+                    })
+                    .collect()
+            }
+
+            PlanNode::Distinct { input, visible } => {
+                let batches = self.run_node(input)?;
+                let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
+                let mut out = Vec::new();
+                for b in &batches {
+                    let mut sel = Vec::new();
+                    for i in 0..b.len {
+                        let key: Vec<GroupKey> =
+                            b.cols[..*visible].iter().map(|c| c.get(i).group_key()).collect();
+                        if seen.insert(key, ()).is_none() {
+                            sel.push(i);
+                        }
+                    }
+                    if sel.len() == b.len {
+                        out.push(b.clone());
+                    } else if !sel.is_empty() {
+                        out.push(b.gather(&sel));
+                    }
+                }
+                Ok(out)
+            }
+
+            PlanNode::Sort { input, items, visible, .. } => {
+                let batches = self.run_node(input)?;
+                let rows = batches_to_rows(&batches);
+                let mut keyed: Vec<(Vec<Value>, Row)> =
+                    rows.into_iter().map(|r| (r[*visible..].to_vec(), r)).collect();
+                sort_keyed(&mut keyed, items);
+                let rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
+                Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+            }
+
+            PlanNode::Limit { input, limit, offset } => {
+                let batches = self.run_node(input)?;
+                let mut rows = batches_to_rows(&batches);
+                if let Some(o) = offset {
+                    if *o >= rows.len() {
+                        rows.clear();
+                    } else {
+                        rows.drain(..*o);
+                    }
+                }
+                if let Some(l) = limit {
+                    rows.truncate(*l);
+                }
+                Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+            }
         }
     }
 }
@@ -228,69 +329,81 @@ fn concat(batches: &[Batch], width: usize) -> Batch {
     Batch { cols, len }
 }
 
-/// Hash equi-join. Replicates the interpreter's `hash_join` exactly:
-/// build on the right (right rows in order, NULL keys never match but
-/// stay pad-eligible), probe left rows in order emitting matches in
-/// bucket order, pad unmatched left inline for LEFT/FULL, then append
-/// unmatched right rows in right order for RIGHT/FULL.
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
+/// The build side of a hash equi-join: the right input as one batch and
+/// its rows indexed by join key (right rows in order; NULL keys never
+/// match, so they are left out of the index but stay pad-eligible).
+struct JoinBuild {
+    batch: Batch,
+    table: HashMap<Vec<GroupKey>, Vec<usize>>,
+}
+
+impl JoinBuild {
+    fn new(
+        ctx: &EvalCtx<'_>,
+        rb: &[Batch],
+        rscope: &Scope,
+        rkeys: &[BoundExpr],
+    ) -> Result<JoinBuild> {
+        let batch = concat(rb, rscope.cols.len());
+        let rv = VecEvalCtx { ctx, scope: rscope };
+        let rkey_cols: Vec<Arc<ColumnVec>> =
+            rkeys.iter().map(|k| VecExpr::compile(k).eval(&batch, &rv)).collect::<Result<_>>()?;
+        let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
+        for ri in 0..batch.len {
+            if let Some(key) = join_key(&rkey_cols, ri) {
+                table.entry(key).or_default().push(ri);
+            }
+        }
+        Ok(JoinBuild { batch, table })
+    }
+}
+
+/// The join key of row `i`, or `None` when any key column is NULL there.
+fn join_key(key_cols: &[Arc<ColumnVec>], i: usize) -> Option<Vec<GroupKey>> {
+    let mut key = Vec::with_capacity(key_cols.len());
+    for c in key_cols {
+        let v = c.get(i);
+        if v.is_null() {
+            return None;
+        }
+        key.push(v.group_key());
+    }
+    Some(key)
+}
+
+/// Probe a hash-join build with the left input. Together with
+/// [`JoinBuild::new`] this replicates the interpreter's `hash_join`
+/// exactly: probe left rows in order emitting matches in bucket order,
+/// pad unmatched left inline for LEFT/FULL, then append unmatched right
+/// rows in right order for RIGHT/FULL.
+fn hash_probe(
     ctx: &EvalCtx<'_>,
     lb: &[Batch],
-    rb: &[Batch],
+    build: &JoinBuild,
     lscope: &Scope,
-    rscope: &Scope,
     kind: crate::ast::JoinKind,
     lkeys: &[BoundExpr],
-    rkeys: &[BoundExpr],
 ) -> Result<Vec<Batch>> {
     use crate::ast::JoinKind;
     let lbatch = concat(lb, lscope.cols.len());
-    let rbatch = concat(rb, rscope.cols.len());
-
-    let rv = VecEvalCtx { ctx, scope: rscope };
-    let rkey_cols: Vec<Arc<ColumnVec>> =
-        rkeys.iter().map(|k| VecExpr::compile(k).eval(&rbatch, &rv)).collect::<Result<_>>()?;
-    let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for ri in 0..rbatch.len {
-        let mut key = Vec::with_capacity(rkey_cols.len());
-        let mut has_null = false;
-        for c in &rkey_cols {
-            let v = c.get(ri);
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(v.group_key());
-        }
-        if has_null {
-            continue; // NULL keys never match.
-        }
-        table.entry(key).or_default().push(ri);
-    }
-
+    let rbatch = &build.batch;
     let lv = VecEvalCtx { ctx, scope: lscope };
     let lkey_cols: Vec<Arc<ColumnVec>> =
         lkeys.iter().map(|k| VecExpr::compile(k).eval(&lbatch, &lv)).collect::<Result<_>>()?;
     let mut li_out: Vec<Option<usize>> = Vec::new();
     let mut ri_out: Vec<Option<usize>> = Vec::new();
-    let mut right_matched = vec![false; rbatch.len];
+    // Only RIGHT/FULL joins need to know which right rows matched; the
+    // others must not pay for the right side's size on every probe.
+    let pad_right = matches!(kind, JoinKind::Right | JoinKind::Full);
+    let mut right_matched = vec![false; if pad_right { rbatch.len } else { 0 }];
     for li in 0..lbatch.len {
-        let mut key = Vec::with_capacity(lkey_cols.len());
-        let mut has_null = false;
-        for c in &lkey_cols {
-            let v = c.get(li);
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(v.group_key());
-        }
-        let matches = if has_null { None } else { table.get(&key) };
+        let matches = join_key(&lkey_cols, li).and_then(|key| build.table.get(&key));
         match matches {
             Some(ris) if !ris.is_empty() => {
                 for &ri in ris {
-                    right_matched[ri] = true;
+                    if pad_right {
+                        right_matched[ri] = true;
+                    }
                     li_out.push(Some(li));
                     ri_out.push(Some(ri));
                 }
@@ -303,12 +416,10 @@ fn hash_join(
             }
         }
     }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, m) in right_matched.iter().enumerate() {
-            if !m {
-                li_out.push(None);
-                ri_out.push(Some(ri));
-            }
+    for (ri, m) in right_matched.iter().enumerate() {
+        if !m {
+            li_out.push(None);
+            ri_out.push(Some(ri));
         }
     }
 

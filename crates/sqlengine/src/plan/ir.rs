@@ -11,10 +11,25 @@
 //! cost annotations, and a structural string (no estimates) hashed into
 //! the plan fingerprint recorded in `sdb_stat_statements`.
 
+use super::build::bound_has_subquery;
 use crate::ast::{JoinKind, OrderItem};
+use crate::catalog::Ctes;
 use crate::exec::eval::{BoundExpr, Scope};
-use crate::table::TableRef;
+use crate::table::{Schema, TableRef};
 use crate::types::DataType;
+use std::collections::BTreeSet;
+
+/// Where a [`PlanNode::Scan`] reads its rows.
+#[derive(Debug, Clone)]
+pub enum ScanSource {
+    /// A relation resolved at plan time: a catalog table, or the
+    /// materialized result of a view or FROM subquery.
+    Table(TableRef),
+    /// A CTE *slot*: whatever relation `name` is bound to in the `Ctes`
+    /// of each execution. The plan was built against `schema`; the
+    /// executor rejects a binding with any other schema.
+    Slot { name: String, schema: Schema },
+}
 
 /// One aggregate call in an [`PlanNode::Aggregate`], with pre-bound
 /// argument expressions (evaluated against the aggregate input scope).
@@ -35,11 +50,12 @@ pub struct PlanAggCall {
 /// builder has the original AST at hand, the executor does not).
 #[derive(Debug, Clone)]
 pub enum PlanNode {
-    /// Scan a materialized relation (base table, CTE, view or subquery
-    /// result), optionally keeping only the columns in `cols`.
+    /// Scan a relation (base table, view or subquery result captured at
+    /// plan time, or a CTE slot bound at execute time), optionally
+    /// keeping only the columns in `cols`.
     Scan {
         label: String,
-        source: TableRef,
+        source: ScanSource,
         /// `Some` = projection pruning kept these source column indices
         /// (in order); `None` = full width.
         cols: Option<Vec<usize>>,
@@ -214,7 +230,33 @@ impl PlanNode {
         }
     }
 
-    fn children(&self) -> Vec<&PlanNode> {
+    /// Does this subtree produce the same rows in every execution that
+    /// rebinds only the CTE slot `slot`? True when it neither scans that
+    /// slot nor evaluates a subquery (subqueries run against the
+    /// execution's CTEs, so they may read the slot too).
+    pub(crate) fn invariant_under(&self, slot: &str) -> bool {
+        let pure = |e: &BoundExpr| !bound_has_subquery(e);
+        let own = match self {
+            PlanNode::Scan { source, .. } => {
+                !matches!(source, ScanSource::Slot { name, .. } if name == slot)
+            }
+            PlanNode::Filter { pred, .. } => pure(pred),
+            PlanNode::Join { lkeys, rkeys, cond, .. } => {
+                lkeys.iter().chain(rkeys).chain(cond).all(pure)
+            }
+            PlanNode::Aggregate { group, aggs, .. } => {
+                group.iter().all(pure) && aggs.iter().all(|a| a.arg.iter().chain(&a.arg2).all(pure))
+            }
+            PlanNode::Project { exprs, .. } => exprs.iter().all(pure),
+            PlanNode::Reorder { .. }
+            | PlanNode::Distinct { .. }
+            | PlanNode::Sort { .. }
+            | PlanNode::Limit { .. } => true,
+        };
+        own && self.children().into_iter().all(|c| c.invariant_under(slot))
+    }
+
+    pub(crate) fn children(&self) -> Vec<&PlanNode> {
         match self {
             PlanNode::Scan { .. } => vec![],
             PlanNode::Filter { input, .. }
@@ -331,9 +373,29 @@ pub struct PlannedQuery {
     /// Number of visible output columns (ORDER BY keys beyond this are
     /// dropped from the final table).
     pub visible: usize,
+    /// Every relation name read (transitively through views) by the
+    /// views and FROM subqueries the planner materialized into
+    /// [`ScanSource::Table`] scans. Rebinding one of these names makes
+    /// the captured rows stale, so the plan must not be executed again.
+    pub captured_reads: BTreeSet<String>,
 }
 
 impl PlannedQuery {
+    /// Is every CTE slot of the plan bound in `ctes` to a relation of
+    /// the schema it was planned against?
+    pub fn slots_bound(&self, ctes: &Ctes) -> bool {
+        fn bound(node: &PlanNode, ctes: &Ctes) -> bool {
+            let own = match node {
+                PlanNode::Scan { source: ScanSource::Slot { name, schema }, .. } => {
+                    ctes.get(name).is_some_and(|t| t.schema == *schema)
+                }
+                _ => true,
+            };
+            own && node.children().into_iter().all(|c| bound(c, ctes))
+        }
+        bound(&self.root, ctes)
+    }
+
     /// Stable structural fingerprint of the optimized plan (FNV-1a over
     /// the estimate-free plan rendering).
     pub fn fingerprint(&self) -> u64 {

@@ -22,7 +22,7 @@ pub mod exec;
 pub mod ir;
 pub mod stats;
 
-pub use build::plan_select;
+pub use build::{plan_select, relation_reads};
 pub use exec::execute;
 pub use ir::{PlanNode, PlannedQuery};
 pub use stats::TableStats;

@@ -1,13 +1,15 @@
 //! Per-table statistics for cost-based planning.
 //!
-//! Statistics are computed lazily the first time the planner sees a
-//! table and cached on the [`Database`] keyed by the table's allocation
-//! identity `(Arc pointer, row count)`. Tables are copy-on-write
-//! (`Arc<Table>`), so any mutation produces a new allocation and the
-//! planner naturally picks up fresh statistics. A recycled allocation
-//! address with an identical row count can in principle alias a stale
-//! entry — statistics are advisory (they steer plan choice, never
-//! results), so the consequence is at worst a suboptimal plan.
+//! Statistics of *catalog* tables are computed lazily the first time
+//! the planner sees the table and cached on the [`Database`] under the
+//! table's name, stamped with the allocation identity `(Arc pointer, row
+//! count)` they were collected from. Tables are copy-on-write
+//! (`Arc<Table>`), so any mutation produces a new allocation, the stamp
+//! no longer matches and the entry is recollected in place — the cache
+//! never holds more entries than the catalog has had table names.
+//! Ephemeral relations (CTE bindings, view and subquery results) are
+//! never cached: the planner collects their statistics once per plan.
+//! Statistics are advisory (they steer plan choice, never results).
 
 use crate::catalog::Database;
 use crate::table::TableRef;
@@ -63,24 +65,27 @@ impl TableStats {
 }
 
 impl Database {
-    /// Statistics for a catalog table, computed on first use and cached.
-    pub(crate) fn table_stats(&self, table: &TableRef) -> Arc<TableStats> {
-        let key = (Arc::as_ptr(table) as usize, table.rows.len());
+    /// Statistics for the catalog table `name` (currently `table`),
+    /// computed on first use and cached until the table is mutated.
+    pub(crate) fn table_stats(&self, name: &str, table: &TableRef) -> Arc<TableStats> {
+        let stamp = (Arc::as_ptr(table) as usize, table.rows.len());
         if let Ok(cache) = self.stats_cache.lock() {
-            if let Some(s) = cache.get(&key) {
-                return s.clone();
+            if let Some((s, stats)) = cache.get(name) {
+                if *s == stamp {
+                    return stats.clone();
+                }
             }
         }
         let stats = Arc::new(TableStats::collect(table));
         if let Ok(mut cache) = self.stats_cache.lock() {
-            // Bound the cache: a DDL-heavy session would otherwise grow it
-            // without limit.
-            if cache.len() > 4096 {
-                cache.clear();
-            }
-            cache.insert(key, stats.clone());
+            cache.insert(name.to_string(), (stamp, stats.clone()));
         }
         stats
+    }
+
+    /// Number of tables with cached statistics (observability, tests).
+    pub fn stats_cache_len(&self) -> usize {
+        self.stats_cache.lock().map(|c| c.len()).unwrap_or(0)
     }
 }
 
@@ -112,10 +117,39 @@ mod tests {
     fn stats_cache_invalidates_on_copy_on_write() {
         let mut db = Database::new();
         db.create_table("t", Table::from_rows(&["a"], vec![vec![Value::Int(1)]]), false).unwrap();
-        let s1 = db.table_stats(&db.table("t").unwrap().clone());
+        let s1 = db.table_stats("t", db.table("t").unwrap());
         assert_eq!(s1.row_count, 1);
         db.table_mut("t").unwrap().rows.push(vec![Value::Int(2)]);
-        let s2 = db.table_stats(&db.table("t").unwrap().clone());
+        let s2 = db.table_stats("t", db.table("t").unwrap());
         assert_eq!(s2.row_count, 2);
+        assert_eq!(db.stats_cache_len(), 1, "the table's entry is replaced, not added to");
+    }
+
+    /// Working tables and other CTE bindings are ephemeral: a long
+    /// recursion must not push entries into the cache (it used to insert
+    /// one per step and evict the catalog tables' statistics).
+    #[test]
+    fn recursion_caches_statistics_of_catalog_tables_only() {
+        let mut db = Database::new();
+        crate::exec::execute_script(
+            &mut db,
+            "CREATE TABLE u (step int, v float8);
+             INSERT INTO u WITH RECURSIVE g(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM g WHERE n < 999)
+                           SELECT n, 1.0 FROM g",
+        )
+        .unwrap();
+        let t = crate::exec::execute_sql(
+            &mut db,
+            "WITH RECURSIVE sim(step, x) AS (
+                SELECT 0, 10.0
+                UNION ALL
+                SELECT s.step + 1, 0.5 * s.x + n.v FROM sim s JOIN u n ON n.step = s.step)
+             SELECT count(*) FROM sim",
+        )
+        .unwrap()
+        .into_table()
+        .unwrap();
+        assert_eq!(t.value(0, 0), &Value::Int(1001), "1000 recursive steps ran");
+        assert!(db.stats_cache_len() <= 1, "only `u` is a catalog table");
     }
 }

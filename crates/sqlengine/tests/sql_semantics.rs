@@ -237,3 +237,144 @@ fn text_escaping_round_trips() {
     execute_sql(&mut db, "INSERT INTO t VALUES ('it''s ''quoted''')").unwrap();
     assert_eq!(scalar(&mut db, "SELECT s FROM t"), Value::text("it's 'quoted'"));
 }
+
+// ---------------------------------------------------------------------------
+// Recursive CTEs: the recursive term is planned once and re-executed per
+// step; every shape must agree with the row interpreter.
+// ---------------------------------------------------------------------------
+
+/// Run `sql` on the planner path and on the forced row interpreter and
+/// check both give `expected` (as a sorted single-column result). Returns
+/// how many join build sides the planner path reused.
+fn recursion_agrees(db: &mut Database, sql: &str, expected: &[i64]) -> u64 {
+    let run = |db: &mut Database| {
+        let mut got: Vec<i64> = q(db, sql).rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        got.sort_unstable();
+        got
+    };
+    let before = db.exec_counts();
+    assert_eq!(run(db), expected, "planned: {sql}");
+    let reused = db.exec_counts().since(&before).builds_reused;
+    let was = sqlengine::set_force_row_interpreter(true);
+    let rows = run(db);
+    sqlengine::set_force_row_interpreter(was);
+    assert_eq!(rows, expected, "row interpreter: {sql}");
+    reused
+}
+
+fn graph() -> Database {
+    // 1 → {2, 3}, 2 → 4, 3 → 4, 4 → {1, 5}: diamonds and a cycle.
+    db_with(
+        "CREATE TABLE edges (src int, dst int);
+         INSERT INTO edges VALUES (1,2),(1,3),(2,4),(3,4),(4,1),(4,5)",
+    )
+}
+
+#[test]
+fn recursive_union_dedupes_multi_row_working_tables() {
+    let mut db = graph();
+    let reused = recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM reach r \
+         JOIN edges e ON e.src = r.n) SELECT n FROM reach",
+        &[1, 2, 3, 4, 5],
+    );
+    // `edges` is the build side of every step after the first.
+    assert!(reused > 0);
+    // UNION ALL over the same acyclic part keeps the duplicate path to 4.
+    recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE reach(n) AS (SELECT 1 UNION ALL SELECT e.dst FROM reach r \
+         JOIN edges e ON e.src = r.n WHERE e.src < 4) SELECT n FROM reach",
+        &[1, 2, 3, 4, 4],
+    );
+}
+
+#[test]
+fn recursive_name_on_both_join_sides_is_never_a_kept_build() {
+    let mut db = Database::new();
+    let reused = recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL \
+         SELECT a.n + b.n FROM r a JOIN r b ON a.n = b.n WHERE a.n < 20) SELECT n FROM r",
+        &[1, 2, 4, 8, 16, 32],
+    );
+    assert_eq!(reused, 0, "both join inputs are the working table");
+}
+
+#[test]
+fn recursive_name_on_the_syntactic_right_rebuilds_every_step() {
+    // A LEFT JOIN keeps its syntactic order, so the working table is the
+    // hash join's build side: reusing the first step's build would stop
+    // the walk at node 3.
+    let mut db = graph();
+    let reused = recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM edges e \
+         LEFT JOIN reach r ON e.src = r.n WHERE r.n IS NOT NULL) SELECT n FROM reach",
+        &[1, 2, 3, 4, 5],
+    );
+    assert_eq!(reused, 0);
+}
+
+#[test]
+fn recursive_name_inside_a_scalar_subquery_sees_the_working_table() {
+    let mut db = db_with("CREATE TABLE one (k int); INSERT INTO one VALUES (1)");
+    recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL \
+         SELECT (SELECT max(n) FROM r) + 1 FROM one WHERE (SELECT max(n) FROM r) < 5) \
+         SELECT n FROM r",
+        &[1, 2, 3, 4, 5],
+    );
+    // Joined to a catalog table whose rows are filtered by the subquery:
+    // the subquery reads the working table, so nothing below it is kept.
+    let mut db = graph();
+    recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION \
+         SELECT e.dst FROM edges e WHERE e.src = (SELECT max(n) FROM r)) SELECT n FROM r",
+        &[1, 2, 3, 4, 5],
+    );
+}
+
+#[test]
+fn recursive_name_inside_a_from_subquery_falls_back_to_rows() {
+    let mut db = graph();
+    let sql = "WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM edges e \
+               JOIN (SELECT n FROM reach) r ON e.src = r.n) SELECT n FROM reach";
+    recursion_agrees(&mut db, sql, &[1, 2, 3, 4, 5]);
+    let plan = q(&mut db, &format!("EXPLAIN {sql}"));
+    let first = plan.rows[0][0].to_string();
+    assert!(first.contains("recursive CTE reach: row interpreter"), "{first}");
+    let plan = q(
+        &mut db,
+        "EXPLAIN WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM reach r \
+         JOIN edges e ON e.src = r.n) SELECT n FROM reach",
+    );
+    assert_eq!(plan.rows[0][0].to_string(), "recursive CTE reach: planned once, build side reused");
+}
+
+#[test]
+fn recursive_cte_with_an_empty_anchor_is_empty() {
+    let mut db = graph();
+    recursion_agrees(
+        &mut db,
+        "WITH RECURSIVE reach(n) AS (SELECT src FROM edges WHERE src > 9 UNION ALL \
+         SELECT e.dst FROM reach r JOIN edges e ON e.src = r.n) SELECT n FROM reach",
+        &[],
+    );
+}
+
+#[test]
+fn recursive_term_column_count_mismatch_errors_on_both_paths() {
+    let mut db = Database::new();
+    let sql = "WITH RECURSIVE t(n) AS (SELECT 1 UNION ALL SELECT n + 1, n FROM t WHERE n < 3) \
+               SELECT count(*) FROM t";
+    let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
+    assert!(planned.contains("returns 2 columns, expected 1"), "{planned}");
+    let was = sqlengine::set_force_row_interpreter(true);
+    let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
+    sqlengine::set_force_row_interpreter(was);
+    assert_eq!(planned, rows);
+}

@@ -10,6 +10,37 @@ use solvedbplus::{datagen, Session};
 const HISTORY: usize = 168; // one week of hourly measurements
 const HORIZON: usize = 24; // plan one day ahead
 
+/// P3, first statement: the generic LTI thermal model, stored once.
+/// (`pub` so the differential test in `tests/pa_workflows.rs` evaluates
+/// exactly the statements this example runs.)
+pub const MODEL_SQL: &str = "INSERT INTO model SELECT (SOLVEMODEL \
+       pars AS (SELECT 0.0::float8 AS a1, 0.0::float8 AS b1, 0.0::float8 AS b2) \
+       WITH data0 AS (SELECT 21.0::float8 AS intemp), \
+            data AS (SELECT time, outtemp, intemp, hload FROM hist), \
+            simul AS ( \
+              WITH RECURSIVE sim(time, x) AS ( \
+                SELECT (SELECT min(time) FROM data), (SELECT intemp FROM data0) \
+                UNION ALL \
+                SELECT sim.time + interval '1 hour', \
+                       (SELECT a1 FROM pars) * sim.x \
+                       + (SELECT b1 FROM pars) * n.outtemp \
+                       + (SELECT b2 FROM pars) * n.hload \
+                FROM sim JOIN data n ON n.time = sim.time) \
+              SELECT time, x FROM sim))";
+
+/// P3, second statement: fit the model's parameters to this building by
+/// simulated annealing over the SQL-evaluated simulation error.
+pub const FIT_SQL: &str = "SOLVESELECT t(a1, b1, b2) AS \
+       (SELECT 0.5::float8 AS a1, 0.05::float8 AS b1, 0.0005::float8 AS b2) \
+     INLINE m AS (SELECT m << (SOLVEMODEL \
+         pars AS (SELECT a1, b1, b2 FROM t) \
+         WITH data0 AS (SELECT intemp FROM hist ORDER BY time LIMIT 1)) \
+       FROM model) \
+     MINIMIZE (SELECT sum((m_simul.x - h.intemp)^2) FROM m_simul, hist h \
+               WHERE m_simul.time = h.time) \
+     SUBJECTTO (SELECT 0 <= a1 <= 1, 0 <= b1 <= 1, 0 <= b2 <= 0.001 FROM t) \
+     USING swarmops.sa(iterations := 2500, seed := 11)";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut s = Session::new();
 
@@ -38,34 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // P3: store the generic LTI thermal model once, then fit its
     // parameters to this building by simulated annealing.
     s.execute("CREATE TABLE model (m model)")?;
-    s.execute(
-        "INSERT INTO model SELECT (SOLVEMODEL \
-           pars AS (SELECT 0.0::float8 AS a1, 0.0::float8 AS b1, 0.0::float8 AS b2) \
-           WITH data0 AS (SELECT 21.0::float8 AS intemp), \
-                data AS (SELECT time, outtemp, intemp, hload FROM hist), \
-                simul AS ( \
-                  WITH RECURSIVE sim(time, x) AS ( \
-                    SELECT (SELECT min(time) FROM data), (SELECT intemp FROM data0) \
-                    UNION ALL \
-                    SELECT sim.time + interval '1 hour', \
-                           (SELECT a1 FROM pars) * sim.x \
-                           + (SELECT b1 FROM pars) * n.outtemp \
-                           + (SELECT b2 FROM pars) * n.hload \
-                    FROM sim JOIN data n ON n.time = sim.time) \
-                  SELECT time, x FROM sim))",
-    )?;
-    let fitted = s.query(
-        "SOLVESELECT t(a1, b1, b2) AS \
-           (SELECT 0.5::float8 AS a1, 0.05::float8 AS b1, 0.0005::float8 AS b2) \
-         INLINE m AS (SELECT m << (SOLVEMODEL \
-             pars AS (SELECT a1, b1, b2 FROM t) \
-             WITH data0 AS (SELECT intemp FROM hist ORDER BY time LIMIT 1)) \
-           FROM model) \
-         MINIMIZE (SELECT sum((m_simul.x - h.intemp)^2) FROM m_simul, hist h \
-                   WHERE m_simul.time = h.time) \
-         SUBJECTTO (SELECT 0 <= a1 <= 1, 0 <= b1 <= 1, 0 <= b2 <= 0.001 FROM t) \
-         USING swarmops.sa(iterations := 2500, seed := 11)",
-    )?;
+    s.execute(MODEL_SQL)?;
+    let fitted = s.query(FIT_SQL)?;
     let a1 = fitted.value_by_name(0, "a1")?.as_f64()?;
     let b1 = fitted.value_by_name(0, "b1")?.as_f64()?;
     let b2 = fitted.value_by_name(0, "b2")?.as_f64()?;

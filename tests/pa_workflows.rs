@@ -192,3 +192,92 @@ fn modeleval_inspection() {
         .unwrap();
     assert_eq!(v.as_f64().unwrap(), 20.0);
 }
+
+/// `examples/energy_planning.rs`, included for the SQL it runs.
+#[allow(dead_code)]
+#[path = "../examples/energy_planning.rs"]
+mod energy_planning;
+
+/// A session holding `history` measured hours as `hist` and the example's
+/// shared thermal model.
+fn fitting_session(history: usize) -> Session {
+    let mut s = Session::new();
+    s.db_mut().put_table("hist", datagen::energy_planning_table(history, 0, 42));
+    s.execute("CREATE TABLE model (m model)").unwrap();
+    s.execute(energy_planning::MODEL_SQL).unwrap();
+    s
+}
+
+/// The example's black-box fit evaluates to the same bits whether the
+/// planner (recursive term planned once, build sides kept, plans cached)
+/// or the row interpreter runs the simulation.
+#[test]
+fn example_fitness_is_bit_identical_to_the_row_interpreter() {
+    use solvedbplus::core::problem::build_blackbox;
+    use solvedbplus::sqlengine::{self, ast::Statement, set_force_row_interpreter};
+
+    let s = fitting_session(48);
+    let Statement::Solve(stmt) =
+        sqlengine::parser::parse_statement(energy_planning::FIT_SQL).unwrap()
+    else {
+        panic!("FIT_SQL is not a SOLVESELECT");
+    };
+    let ctes = solvedbplus::Ctes::new();
+    let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
+    let bb = build_blackbox(s.db(), &ctes, &prob).unwrap();
+    // 24 candidates on a lattice through the box.
+    let xs: Vec<Vec<f64>> = (0..24)
+        .map(|k| {
+            let at = |i: usize| ((k * (3 + 2 * i) + i) % 24) as f64 / 23.0;
+            (0..3)
+                .map(|i| bb.space.lower[i] + (bb.space.upper[i] - bb.space.lower[i]) * at(i))
+                .collect()
+        })
+        .collect();
+    let planned: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
+    let was = set_force_row_interpreter(true);
+    let rows: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
+    set_force_row_interpreter(was);
+    assert_eq!(planned, rows);
+    assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()));
+}
+
+/// Scaling of the SQL-evaluated fitness, by the executor's own counts
+/// (no timing): per evaluation the simulation takes one recursive step
+/// per history row on a kept join build, and builds no plan at all —
+/// the statement as a whole builds the same number of plans at 100 and
+/// at 400 history rows.
+#[test]
+fn fitness_plans_do_not_grow_with_history() {
+    use solvedbplus::obs;
+    let counts_at =
+        |history: usize| {
+            let mut s = fitting_session(history);
+            let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
+            let before = s.db().exec_counts();
+            let result = s.execute(&sql).unwrap();
+            let statement_plans = s.db().exec_counts().since(&before).plans_built;
+            let trace = result.trace.expect("solve statements are traced");
+            fn find<'a>(stages: &'a [obs::Stage], name: &str) -> Option<&'a obs::Stage> {
+                stages.iter().find_map(|s| {
+                    if s.name == name {
+                        Some(s)
+                    } else {
+                        find(&s.children, name)
+                    }
+                })
+            }
+            let search = find(&trace.stages, "search").expect("search stage");
+            let note = |key: &str| -> u64 {
+                let (_, v) = search.meta.iter().find(|(k, _)| k == key).expect(key);
+                v.parse().unwrap()
+            };
+            let evaluations = note("evaluations");
+            assert_eq!(evaluations, trace.solvers[0].evaluations);
+            assert_eq!(note("plans_built"), 0, "history {history}");
+            assert_eq!(note("recursive_steps"), evaluations * (history as u64 + 1));
+            assert_eq!(note("builds_reused"), evaluations * history as u64);
+            statement_plans
+        };
+    assert_eq!(counts_at(100), counts_at(400));
+}
