@@ -2,8 +2,9 @@
 //!
 //! One module per concern: [`eloc`] implements the implementation-size
 //! metric, [`setup`] prepares sessions/datasets, [`uc1`]/[`uc2`] run the
-//! SolveDB+ pipelines from the checked-in SQL scripts, and [`figures`]
-//! regenerates every figure's data series. The `reproduce` binary prints
+//! SolveDB+ pipelines from the checked-in SQL scripts, [`figures`]
+//! regenerates every figure's data series, and [`sweep`] walks the
+//! static-analysis corpus. The `reproduce` binary prints
 //! them; the Criterion benches time the hot paths.
 
 #![forbid(unsafe_code)]
@@ -12,6 +13,7 @@
 pub mod eloc;
 pub mod figures;
 pub mod setup;
+pub mod sweep;
 pub mod uc1;
 pub mod uc2;
 

@@ -8,8 +8,8 @@
 
 use bench::figures::{P3_CDTE, P3_NOCDTE, P3_SHARED, P4_CDTE, P4_NOCDTE, P4_SHARED};
 use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
-use solvedbplus_core::problem::{build_blackbox, build_problem, compile_linear, to_lp};
-use solvedbplus_core::Session;
+use solvedbplus_core::problem::{build_blackbox, build_problem};
+use solvedbplus_core::{compile_model, Session};
 use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::{set_force_row_interpreter, Ctes};
 
@@ -59,7 +59,8 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
     ] {
         let stmt = solve_stmt(script);
         let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
-        let bb = build_blackbox(s.db(), &ctes, &prob).expect(name);
+        let model = compile_model(s.db(), &ctes, &prob);
+        let bb = build_blackbox(s.db(), &ctes, &model).expect(name);
         let xs = candidates(&bb.space.lower, &bb.space.upper, 24);
         let before = s.db().exec_counts();
         let planned: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
@@ -89,8 +90,10 @@ fn p4_symbolic_compile_yields_the_identical_lp() {
         let stmt = solve_stmt(script);
         let lp_text = || {
             let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
-            let rules = compile_linear(s.db(), &ctes, &prob).expect(name);
-            format!("{:?}", to_lp(&prob, &rules))
+            let model = compile_model(s.db(), &ctes, &prob);
+            assert!(model.first_failure().is_none(), "{name}");
+            let lowered = model.lowered();
+            format!("{:?}", (&lowered.problem, &lowered.used, &lowered.atom_of_row))
         };
         let planned = lp_text();
         assert_eq!(planned, forced_rows(lp_text), "{name}");

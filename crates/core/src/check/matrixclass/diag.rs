@@ -1,74 +1,44 @@
 //! The diagnostic face of the matrix classification pass: SD020–SD025.
 
-use super::super::CheckedModel;
-use super::{lp_view, LpView};
-use crate::explain::var_name;
+use super::super::{capped, MAX_PER_CODE};
+use crate::compile::CompiledModel;
+use crate::explain::{render_lp_row, var_name};
 use lp::matrix::{MatrixAnalysis, RowClass, TuCertificate};
 use sqlengine::diag::Diagnostic;
-
-/// Per-code cap on individual findings; the rest fold into a summary.
-const MAX_PER_CODE: usize = 8;
 
 /// Run the matrix classification over the checked model and report
 /// SD020 (row-class census + matrix summary), SD021/SD022 (total
 /// unimodularity), SD023 (implied integrality), SD024 (set row over
 /// non-binary variables) and SD025 (knapsack item over capacity).
-pub fn matrix_rules(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
-    if !m.complete || m.atoms.is_empty() {
+pub fn matrix_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+    if !m.complete() || m.atoms.is_empty() {
         return;
     }
-    let Some(view) = lp_view(m) else {
-        return;
-    };
     // The classification serves integer machinery — cut separation,
     // integrality proofs, branching. On a pure LP it changes nothing,
     // so stay silent rather than annotate every continuous model.
-    if view.problem.constraints.is_empty() || !view.problem.has_integers() {
+    let p = &m.lowered().problem;
+    if p.constraints.is_empty() || !p.has_integers() {
         return;
     }
-    let a = lp::matrix::analyze(&view.problem);
+    let a = lp::matrix::analyze(p);
 
-    sd020_census(m, &view, &a, diags);
-    sd021_sd022_tu(m, &view, &a, diags);
-    sd023_implied(m, &view, &a, diags);
-    sd024_set_over_continuous(m, &view, diags);
-    sd025_oversized_item(m, &view, &a, diags);
+    sd020_census(m, &a, diags);
+    sd021_sd022_tu(m, &a, diags);
+    sd023_implied(m, &a, diags);
+    sd024_set_over_continuous(m, diags);
+    sd025_oversized_item(m, &a, diags);
 }
 
-/// Render lp row `i` of the view in terms of the model's variable names.
-fn render_row(m: &CheckedModel<'_>, view: &LpView, i: usize) -> String {
-    let c = &view.problem.constraints[i];
-    let parts: Vec<String> = c
-        .coeffs
-        .iter()
-        .map(|&(j, a)| {
-            let name = var_name(m.prob, view.used[j]);
-            if a == 1.0 {
-                name
-            } else if a == -1.0 {
-                format!("-{name}")
-            } else {
-                format!("{a}*{name}")
-            }
-        })
-        .collect();
-    format!("{} {} {}", parts.join(" + "), c.rel, c.rhs)
-}
-
-/// Rule label of the atom behind lp row `i`.
-fn row_rule<'a>(m: &'a CheckedModel<'_>, view: &LpView, i: usize) -> &'a str {
-    &m.atoms[view.atom_of_row[i]].rule
+/// Label of the rule behind LP row `i`.
+fn row_rule<'a>(m: &'a CompiledModel<'_>, i: usize) -> &'a str {
+    m.rule_label(m.atoms[m.lowered().atom_of_row[i]].rule)
 }
 
 /// SD020 — the census note. Its detail is the full matrix summary
 /// (`EXPLAIN CHECK`'s matrix-summary section): per-class counts with an
 /// example row each, the TU verdict, and the implied-integrality tally.
-fn sd020_census(
-    m: &CheckedModel<'_>,
-    view: &LpView,
-    a: &MatrixAnalysis,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn sd020_census(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     let census = a.census();
     if census.is_empty() {
         return;
@@ -81,7 +51,7 @@ fn sd020_census(
             .row_classes
             .iter()
             .position(|&c| c == class)
-            .map(|i| format!("  e.g. {} (rule {})", render_row(m, view, i), row_rule(m, view, i)))
+            .map(|i| format!("  e.g. {} (rule {})", render_lp_row(m, i), row_rule(m, i)))
             .unwrap_or_default();
         lines.push(format!("{} × {}{example}", count, class_name(class)));
     }
@@ -92,7 +62,7 @@ fn sd020_census(
         Some(TuCertificate::Network) => "total unimodularity: proven (network matrix)".to_string(),
         None => "total unimodularity: not detected".to_string(),
     });
-    let declared = view.problem.integer.iter().filter(|&&b| b).count();
+    let declared = m.lowered().problem.integer.iter().filter(|&&b| b).count();
     if declared > 0 {
         lines.push(format!(
             "implied integrality: {} of {declared} integer declaration(s) provable",
@@ -112,12 +82,7 @@ fn sd020_census(
 }
 
 /// SD021/SD022 — whole-matrix total unimodularity.
-fn sd021_sd022_tu(
-    m: &CheckedModel<'_>,
-    view: &LpView,
-    a: &MatrixAnalysis,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn sd021_sd022_tu(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     let Some(tu) = a.tu else { return };
     let (code, shape) = match tu {
         TuCertificate::Interval => ("SD021", "an interval matrix (consecutive ones in every row)"),
@@ -125,7 +90,7 @@ fn sd021_sd022_tu(
             ("SD022", "a network matrix (±1 entries, two per column, bipartition exists)")
         }
     };
-    let has_integers = view.problem.has_integers();
+    let has_integers = m.lowered().problem.has_integers();
     let detail = if !has_integers {
         "the model has no integer variables, so the proof changes nothing here; \
          it documents that every vertex the simplex visits is integral when the \
@@ -141,7 +106,6 @@ fn sd021_sd022_tu(
          bound keeps the LP vertices fractional; branch-and-bound still runs"
             .to_string()
     };
-    let _ = m;
     diags.push(
         Diagnostic::note(code, format!("the constraint matrix is {shape} — totally unimodular"))
             .with_detail(detail),
@@ -150,18 +114,17 @@ fn sd021_sd022_tu(
 
 /// SD023 — per-variable implied integrality (the partial case; a full
 /// TU proof is SD021/SD022's story).
-fn sd023_implied(
-    m: &CheckedModel<'_>,
-    view: &LpView,
-    a: &MatrixAnalysis,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn sd023_implied(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     if a.exactness_proof().is_some() || a.relaxable.is_empty() {
         return;
     }
-    let names: Vec<String> =
-        a.relaxable.iter().take(MAX_PER_CODE).map(|&j| var_name(m.prob, view.used[j])).collect();
-    let declared = view.problem.integer.iter().filter(|&&b| b).count();
+    let names: Vec<String> = a
+        .relaxable
+        .iter()
+        .take(MAX_PER_CODE)
+        .map(|&j| var_name(m.prob, m.lowered().used[j]))
+        .collect();
+    let declared = m.lowered().problem.integer.iter().filter(|&&b| b).count();
     let all = a.relaxable.len() == declared;
     diags.push(
         Diagnostic::note(
@@ -189,8 +152,8 @@ fn sd023_implied(
 /// SD024 — an all-ones row with right-hand side 1 over at least one
 /// non-binary variable: the set-partitioning shape only means "pick
 /// one" when the variables are binary.
-fn sd024_set_over_continuous(m: &CheckedModel<'_>, view: &LpView, diags: &mut Vec<Diagnostic>) {
-    let p = &view.problem;
+fn sd024_set_over_continuous(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+    let p = &m.lowered().problem;
     let is_binary = |j: usize| p.integer[j] && p.lower[j] == 0.0 && p.upper[j] == 1.0;
     let mut found: Vec<String> = Vec::new();
     for (i, c) in p.constraints.iter().enumerate() {
@@ -203,7 +166,7 @@ fn sd024_set_over_continuous(m: &CheckedModel<'_>, view: &LpView, diags: &mut Ve
         if c.coeffs.iter().all(|&(j, _)| is_binary(j)) {
             continue; // the genuine set row; SD020 counted it
         }
-        found.push(format!("'{}' (rule {})", render_row(m, view, i), row_rule(m, view, i)));
+        found.push(format!("'{}' (rule {})", render_lp_row(m, i), row_rule(m, i)));
     }
     capped(diags, &found, |item| {
         Diagnostic::warning(
@@ -220,13 +183,8 @@ fn sd024_set_over_continuous(m: &CheckedModel<'_>, view: &LpView, diags: &mut Ve
 
 /// SD025 — a knapsack item whose weight alone exceeds the capacity is
 /// unselectable; the row silently forces it to zero.
-fn sd025_oversized_item(
-    m: &CheckedModel<'_>,
-    view: &LpView,
-    a: &MatrixAnalysis,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let p = &view.problem;
+fn sd025_oversized_item(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
+    let p = &m.lowered().problem;
     let mut found: Vec<String> = Vec::new();
     for (i, c) in p.constraints.iter().enumerate() {
         if a.row_classes.get(i) != Some(&RowClass::Knapsack) {
@@ -238,9 +196,9 @@ fn sd025_oversized_item(
             if w > c.rhs && p.lower[j] >= 0.0 {
                 found.push(format!(
                     "{} in '{}' (rule {}): weight {w} exceeds capacity {}",
-                    var_name(m.prob, view.used[j]),
-                    render_row(m, view, i),
-                    row_rule(m, view, i),
+                    var_name(m.prob, m.lowered().used[j]),
+                    render_lp_row(m, i),
+                    row_rule(m, i),
                     c.rhs
                 ));
             }
@@ -266,21 +224,5 @@ fn class_name(c: RowClass) -> &'static str {
         RowClass::Cover => "cover (weighted sum >= demand)",
         RowClass::FlowBalance => "flow balance (±1 equality)",
         RowClass::General => "general",
-    }
-}
-
-/// Emit up to [`MAX_PER_CODE`] individual findings, folding the rest
-/// into one summary diagnostic (mirrors `presolve::diag::capped`).
-fn capped(diags: &mut Vec<Diagnostic>, items: &[String], mk: impl Fn(&str) -> Diagnostic) {
-    for item in items.iter().take(MAX_PER_CODE) {
-        diags.push(mk(item));
-    }
-    if items.len() > MAX_PER_CODE {
-        let sample = mk(&items[0]);
-        diags.push(Diagnostic {
-            message: format!("... and {} more findings like it", items.len() - MAX_PER_CODE),
-            detail: None,
-            ..sample
-        });
     }
 }

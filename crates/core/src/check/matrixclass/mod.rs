@@ -2,12 +2,10 @@
 //!
 //! The analyzers up to SD019 reason about bounds, references and block
 //! structure; this pass looks at the *constraint matrix itself*, the
-//! way a modern MIP engine would. It digests the checked model's atoms
-//! into an [`lp::Problem`] using exactly `to_lp`'s translation (single
-//! variable non-equality atoms become box bounds, everything else a
-//! row) and runs [`lp::matrix::analyze`] over it, so the classification
-//! reported by `EXPLAIN CHECK` is the same one `solverlp` acts on at
-//! run time.
+//! way a modern MIP engine would. It runs [`lp::matrix::analyze`] over
+//! the compiled model's linear program — the one `solverlp` starts
+//! from — so the classification `EXPLAIN CHECK` reports is over the
+//! rows the solver sees (before its presolve).
 //!
 //! The findings (emitted by [`diag`]):
 //!
@@ -28,90 +26,3 @@
 //!   the capacity; the variable is forced to zero.
 
 pub mod diag;
-
-use super::CheckedModel;
-use crate::symbolic::{Rel, VarId};
-
-/// The checked model digested into lp form, with provenance: which atom
-/// each lp row came from, and which decision variable each lp column is.
-pub struct LpView {
-    pub problem: lp::Problem,
-    /// `used[j]` is the decision variable behind lp column `j`.
-    pub used: Vec<VarId>,
-    /// `atom_of_row[i]` is the index into `CheckedModel::atoms` of the
-    /// atom behind lp row `i`.
-    pub atom_of_row: Vec<usize>,
-}
-
-/// Digest the checked atoms into an [`lp::Problem`], mirroring
-/// `problem::to_lp`: variables referenced by the objective or any atom
-/// become columns, single-variable non-equality atoms become box
-/// bounds, every other atom becomes a constraint row. Returns `None`
-/// when no atom references a variable (nothing to classify).
-pub fn lp_view(m: &CheckedModel<'_>) -> Option<LpView> {
-    let mut used: Vec<VarId> = Vec::new();
-    let mut seen = vec![false; m.prob.num_vars()];
-    let mut mark = |vs: &[(VarId, f64)], used: &mut Vec<VarId>| {
-        for &(v, _) in vs {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                used.push(v);
-            }
-        }
-    };
-    if let Some(obj) = &m.objective {
-        mark(&obj.terms, &mut used);
-    }
-    for a in &m.atoms {
-        mark(&a.diff.terms, &mut used);
-    }
-    if used.is_empty() {
-        return None;
-    }
-    used.sort_unstable();
-    let index: std::collections::HashMap<VarId, usize> =
-        used.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-
-    let mut p = if m.minimize {
-        lp::Problem::minimize(used.len())
-    } else {
-        lp::Problem::maximize(used.len())
-    };
-    for (i, &v) in used.iter().enumerate() {
-        p.integer[i] = m.prob.vars[v as usize].integer;
-    }
-    if let Some(obj) = &m.objective {
-        p.objective_constant = obj.constant;
-        p.set_objective(obj.terms.iter().map(|&(v, c)| (index[&v], c)).collect());
-    }
-    let mut atom_of_row = Vec::new();
-    for (ai, a) in m.atoms.iter().enumerate() {
-        let rhs = -a.diff.constant;
-        if a.diff.terms.len() == 1 && a.rel != Rel::Eq {
-            let (v, coef) = a.diff.terms[0];
-            if coef == 0.0 {
-                continue;
-            }
-            let bound = rhs / coef;
-            let j = index[&v];
-            if (a.rel == Rel::Le) == (coef > 0.0) {
-                p.tighten(j, f64::NEG_INFINITY, bound);
-            } else {
-                p.tighten(j, bound, f64::INFINITY);
-            }
-        } else {
-            let lprel = match a.rel {
-                Rel::Le => lp::Rel::Le,
-                Rel::Ge => lp::Rel::Ge,
-                Rel::Eq => lp::Rel::Eq,
-            };
-            p.add_constraint(
-                a.diff.terms.iter().map(|&(v, c)| (index[&v], c)).collect(),
-                lprel,
-                rhs,
-            );
-            atom_of_row.push(ai);
-        }
-    }
-    Some(LpView { problem: p, used, atom_of_row })
-}

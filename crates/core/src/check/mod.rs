@@ -32,29 +32,24 @@
 //! (SD013–SD018 are the *cross-statement* diagnostics of the whole-script
 //! analyzer, `sqlengine::script` — see that module.)
 //!
-//! The analysis reuses the symbolic compilation machinery of §4.1: rules
-//! are evaluated over a symbolically materialized environment, and the
-//! checks inspect the resulting linear atoms. Evaluation is per-rule, so
-//! one defective rule does not hide findings in the others. SD008–SD012
-//! additionally run the abstract-interpretation engine of [`presolve`]
-//! over those atoms. Everything here is advisory — the analyzer never
-//! fails a statement itself; `Error`-level findings predict what the
-//! solver will reject.
+//! The analysis reads the statement's [`CompiledModel`] — the rules
+//! evaluated once, per rule, over symbolic decision cells (§4.1) — so
+//! one defective rule does not hide findings in the others, and the
+//! checks inspect exactly the linear atoms, the linear program and the
+//! interval fixpoint the solver goes on to use. Everything here is
+//! advisory — the analyzer never fails a statement itself;
+//! `Error`-level findings predict what the solver will reject.
 
 pub mod matrixclass;
 pub mod presolve;
 pub mod rules;
 pub mod structure;
 
-use crate::problem::{
-    collect_constraints, materialize_env, rule_label, CellPatch, ProblemInstance,
-};
-use crate::symbolic::{as_linexpr, LinExpr, Rel};
+use crate::compile::{both_objectives, compile_model, CompiledModel, FailureKind, RuleFailure};
 use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::diag::{Diagnostic, Severity};
 use sqlengine::error::{Error, Result};
-use sqlengine::exec::run_query;
 use sqlengine::parser;
 
 /// Solvers whose rule system must compile to a *linear* program.
@@ -65,165 +60,108 @@ const SINGLE_OBJECTIVE_SOLVERS: &[&str] = &["solverlp", "swarmops"];
 /// Comparison tolerance for constant-constraint evaluation.
 pub(crate) const TOL: f64 = 1e-9;
 
-/// One flattened constraint atom, pre-digested for the checks:
-/// `diff ⋈ 0` where `diff = lhs - rhs`, tagged with the rule it came
-/// from.
-pub struct Atom {
-    pub diff: LinExpr,
-    pub rel: Rel,
-    /// Human-readable label of the originating rule.
-    pub rule: String,
+/// Per-code cap on individual findings; the rest fold into one summary.
+const MAX_PER_CODE: usize = 8;
+
+/// Emit up to [`MAX_PER_CODE`] individual findings, folding the rest
+/// into one summary diagnostic so large models stay readable.
+fn capped(diags: &mut Vec<Diagnostic>, items: &[String], mk: impl Fn(&str) -> Diagnostic) {
+    for item in items.iter().take(MAX_PER_CODE) {
+        diags.push(mk(item));
+    }
+    if items.len() > MAX_PER_CODE {
+        let sample = mk(&items[0]);
+        diags.push(Diagnostic {
+            message: format!("... and {} more findings like it", items.len() - MAX_PER_CODE),
+            detail: None,
+            ..sample
+        });
+    }
 }
 
-/// The digested model the structural checks run over.
-pub struct CheckedModel<'a> {
-    pub prob: &'a ProblemInstance,
-    /// All constraint atoms that evaluated symbolically.
-    pub atoms: Vec<Atom>,
-    /// The objective, when it compiled to a linear expression.
-    pub objective: Option<LinExpr>,
-    pub minimize: bool,
-    /// True when every rule (and the objective, if present) evaluated
-    /// symbolically — the reference- and bound-sensitive checks (SD001,
-    /// SD003) only run on a complete picture.
-    pub complete: bool,
+/// SD002: a non-linear rule under a linear solver. `message` mirrors the
+/// run-time wording so the diagnostic and the eventual solver error agree.
+fn sd002(message: String) -> Diagnostic {
+    Diagnostic::error("SD002", message).with_detail(
+        "nonlinear rules need a black-box solver: \
+         try USING swarmops.pso() instead of solverlp",
+    )
 }
 
-fn is_nonlinear(msg: &str) -> bool {
-    msg.contains("not linear") || msg.contains("not representable in a linear program")
-}
-
-/// Run the analyzer over an already-compiled problem instance.
+/// Run the analyzer over a compiled model. Pure analysis: it executes
+/// no query.
 ///
-/// Never returns an error: a model the analyzer cannot evaluate at all
-/// simply yields no (or only structural) findings, and the solver
-/// reports the failure at run time.
-pub fn check_problem(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> Vec<Diagnostic> {
+/// A model the compiler could not evaluate at all simply yields no (or
+/// only structural) findings, and the solver reports the failure at run
+/// time.
+pub fn check_problem(model: &CompiledModel<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let prob = model.prob;
     let solver = prob.solver.as_deref();
     let linear_solver = solver.is_some_and(|s| LINEAR_SOLVERS.contains(&s));
+    let clause = if model.minimize { "MINIMIZE" } else { "MAXIMIZE" };
 
     // No rules at all (predictive solvers, plain fills): nothing to
     // analyze — every variable is legitimately "unreferenced".
-    let has_rules =
-        prob.minimize.is_some() || prob.maximize.is_some() || !prob.subjectto.is_empty();
-    if !has_rules {
+    if model.objective.is_none() && model.rules.is_empty() {
         return diags;
     }
 
     // SD007: multiple objectives for a single-objective solver.
-    let both_objectives = prob.minimize.is_some() && prob.maximize.is_some();
-    if both_objectives && solver.is_some_and(|s| SINGLE_OBJECTIVE_SOLVERS.contains(&s)) {
-        diags.push(
-            Diagnostic::error(
-                "SD007",
-                format!(
-                    "both MINIMIZE and MAXIMIZE are specified, but '{}' is single-objective",
-                    solver.unwrap_or_default()
-                ),
-            )
-            .with_detail(
-                "drop one objective, or fold it into the other as a weighted sum \
-                 (e.g. MINIMIZE cost - w * profit)",
-            ),
-        );
+    if prob.minimize.is_some()
+        && prob.maximize.is_some()
+        && solver.is_some_and(|s| SINGLE_OBJECTIVE_SOLVERS.contains(&s))
+    {
+        diags.push(Diagnostic::error("SD007", both_objectives(prob).message()).with_detail(
+            "drop one objective, or fold it into the other as a weighted sum \
+             (e.g. MINIMIZE cost - w * profit)",
+        ));
     }
 
-    // Symbolic environment. Lenient: derived relations that cannot be
-    // expressed symbolically stay unavailable, and rules referencing
-    // them are reported per-rule below.
-    let Ok(env) = materialize_env(db, ctes, prob, &CellPatch::Symbolic) else {
-        return diags;
-    };
+    match &model.objective {
+        // SD006: objective with no decision variables.
+        Some(Ok(lin)) if lin.is_constant() => {
+            diags.push(
+                Diagnostic::warning("SD006", "objective contains no decision variables")
+                    .with_detail(format!(
+                        "the {clause} expression evaluates to the constant {}; \
+                         every feasible solution is equally optimal",
+                        lin.constant
+                    )),
+            );
+        }
+        // SD002 (objective side).
+        Some(Err(RuleFailure { kind: FailureKind::NonLinear, error })) if linear_solver => {
+            diags.push(sd002(error.message().to_string()));
+        }
+        _ => {} // fine, or the solver's to report at run time
+    }
 
-    // Objective: evaluate symbolically unless both are present (then
-    // SD007 already fired and neither compiles meaningfully).
-    let (obj_query, minimize) = match (&prob.minimize, &prob.maximize) {
-        (Some(q), None) => (Some(q), true),
-        (None, Some(q)) => (Some(q), false),
-        _ => (None, true),
-    };
-    let mut objective = None;
-    if let Some(q) = obj_query {
-        let clause = if minimize { "MINIMIZE" } else { "MAXIMIZE" };
-        match run_query(db, &env, q, None).and_then(|t| t.scalar()).and_then(|v| as_linexpr(&v)) {
-            Ok(lin) => {
-                // SD006: objective with no decision variables.
-                if lin.is_constant() {
-                    diags.push(
-                        Diagnostic::warning("SD006", "objective contains no decision variables")
-                            .with_detail(format!(
-                                "the {clause} expression evaluates to the constant {}; \
-                                 every feasible solution is equally optimal",
-                                lin.constant
-                            )),
-                    );
-                }
-                objective = Some(lin);
+    for failure in model.rules.iter().filter_map(|r| r.as_ref().err()) {
+        match failure.kind {
+            // SD004 (constant FALSE cell, caught during evaluation).
+            FailureKind::TriviallyFalse => {
+                diags.push(Diagnostic::error("SD004", failure.error.to_string()).with_detail(
+                    "a constraint cell evaluated to constant FALSE; \
+                     no assignment of the decision variables can satisfy it",
+                ));
             }
-            Err(e) if linear_solver && is_nonlinear(&e.to_string()) => {
-                // SD002 (objective side). Mirror the runtime wording so
-                // the diagnostic and the eventual solver error agree.
-                diags.push(
-                    Diagnostic::error(
-                        "SD002",
-                        format!("in {clause} rule {}: {e}", rule_label(None, q)),
-                    )
-                    .with_detail(
-                        "nonlinear rules need a black-box solver: \
-                         try USING swarmops.pso() instead of solverlp",
-                    ),
-                );
+            FailureKind::NonLinear if linear_solver => {
+                diags.push(sd002(failure.error.to_string()));
             }
-            Err(_) => {} // the solver reports non-linearity findings at run time
+            // Other evaluation failures (unknown relations, type
+            // errors) are the solver's to report.
+            _ => {}
         }
     }
 
-    // Constraints, rule by rule, so one defective rule does not abort
-    // analysis of the rest.
-    let mut all_rules_ok = true;
-    let mut atoms = Vec::new();
-    for rule in &prob.subjectto {
-        let label = rule_label(rule.alias.as_deref(), &rule.query);
-        let mut collected = Vec::new();
-        match collect_constraints(db, &env, std::slice::from_ref(rule), &mut collected) {
-            Ok(()) => {
-                for c in &collected {
-                    for (l, rel, r) in c.atoms() {
-                        atoms.push(Atom { diff: l.sub(r), rel, rule: label.clone() });
-                    }
-                }
-            }
-            Err(e) => {
-                all_rules_ok = false;
-                let msg = e.to_string();
-                if msg.contains("trivially false") {
-                    // SD004 (constant FALSE cell, caught during eval).
-                    diags.push(Diagnostic::error("SD004", msg).with_detail(
-                        "a constraint cell evaluated to constant FALSE; \
-                         no assignment of the decision variables can satisfy it",
-                    ));
-                } else if linear_solver && is_nonlinear(&msg) {
-                    diags.push(Diagnostic::error("SD002", msg).with_detail(
-                        "nonlinear rules need a black-box solver: \
-                         try USING swarmops.pso() instead of solverlp",
-                    ));
-                }
-                // Other evaluation failures (unavailable derived
-                // relations, type errors) are the solver's to report.
-            }
-        }
-    }
-
-    let complete = all_rules_ok && !both_objectives && (obj_query.is_none() || objective.is_some());
-    let model = CheckedModel { prob, atoms, objective, minimize, complete };
-    rules::sd004_infeasible_constants(&model, &mut diags);
-    rules::sd005_duplicate_or_shadowed(&model, &mut diags);
-    rules::sd001_unbounded_in_objective(&model, &mut diags);
-    rules::sd003_unreferenced_columns(&model, &mut diags);
-    presolve::diag::presolve_rules(&model, &mut diags);
-    structure::sd019_decomposable(&model, &mut diags);
-    matrixclass::diag::matrix_rules(&model, &mut diags);
+    rules::sd004_infeasible_constants(model, &mut diags);
+    rules::sd005_duplicate_or_shadowed(model, &mut diags);
+    rules::sd001_unbounded_in_objective(model, &mut diags);
+    rules::sd003_unreferenced_columns(model, &mut diags);
+    presolve::diag::presolve_rules(model, &mut diags);
+    structure::sd019_decomposable(model, &mut diags);
+    matrixclass::diag::matrix_rules(model, &mut diags);
 
     diags.sort_by(|a, b| b.severity.cmp(&a.severity).then_with(|| a.code.cmp(&b.code)));
     diags
@@ -234,7 +172,7 @@ pub fn check_problem(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> Vec<
 /// into a problem instance.
 pub fn check_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Vec<Diagnostic>> {
     let prob = crate::problem::build_problem(db, ctes, stmt)?;
-    Ok(check_problem(db, ctes, &prob))
+    Ok(check_problem(&compile_model(db, ctes, &prob)))
 }
 
 /// Parse and check a single `SOLVESELECT` statement.

@@ -1,102 +1,67 @@
 //! The diagnostic face of the presolve fixpoint: SD008–SD012.
 //!
-//! The engine runs over the same digested atoms as the structural
-//! checks in [`crate::check::rules`], mirroring `to_lp`'s translation:
-//! single-variable non-equality atoms become initial bounds (so this
-//! pass never re-reports what SD005 says about shadowed bounds), and
-//! everything else becomes a propagation row. Findings derived from a
-//! subset of the constraints remain valid for the whole model —
-//! propagation only shrinks intervals, so an infeasibility, redundancy
-//! or fixing proven early can never be retracted by more constraints.
+//! The engine runs over the compiled model's linear program — the very
+//! rows and declared bounds `solverlp` presolves — so single-variable
+//! non-equality atoms are initial bounds (and this pass never re-reports
+//! what SD005 says about shadowed bounds) and everything else is a
+//! propagation row. Findings derived from a subset of the constraints
+//! remain valid for the whole model — propagation only shrinks
+//! intervals, so an infeasibility, redundancy or fixing proven early can
+//! never be retracted by more constraints.
 
-use super::super::{Atom, CheckedModel, LINEAR_SOLVERS};
-use super::{propagate, Infeasibility, Interval, Model, Row, RowRel};
-use crate::explain::{render_linexpr, var_name};
+use super::super::{capped, LINEAR_SOLVERS, MAX_PER_CODE};
+use super::{Infeasibility, Interval, Row, RowRel};
+use crate::compile::CompiledModel;
+use crate::explain::{render_atom, render_lp_row, var_name};
 use crate::symbolic::Rel;
 use sqlengine::diag::Diagnostic;
-use std::collections::BTreeMap;
 
 /// Coefficient magnitude ratio beyond which SD012 fires.
 const COEFF_RATIO_LIMIT: f64 = 1e8;
-/// Per-code cap on individual findings; the rest fold into one summary.
-const MAX_PER_CODE: usize = 8;
 
-/// One engine row traced back to its source rule (for messages).
-struct TracedRow {
-    rule: String,
-    rendered: String,
-}
-
-/// Run interval propagation over the checked model and report SD008
+/// Run interval propagation over the compiled model and report SD008
 /// (proven infeasible), SD009 (implied-fixed variable), SD010
 /// (redundant / forcing constraint), SD011 (empty or singleton row)
 /// and SD012 (pathological coefficient range).
-pub fn presolve_rules(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     if m.atoms.is_empty() {
         return;
     }
-
-    let n = m.prob.num_vars();
-    let mut model = Model {
-        intervals: vec![Interval::FREE; n],
-        integer: m.prob.vars.iter().map(|v| v.integer).collect(),
-        rows: Vec::new(),
+    let low = m.lowered();
+    let row_label = |i: usize| {
+        let rule = m.rule_label(m.atoms[low.atom_of_row[i]].rule);
+        format!("'{}' (rule {rule})", render_lp_row(m, i))
     };
-    let mut traced: Vec<TracedRow> = Vec::new();
-    let (mut min_abs, mut max_abs) = (f64::INFINITY, 0.0f64);
 
+    let (mut min_abs, mut max_abs) = (f64::INFINITY, 0.0f64);
     for a in &m.atoms {
-        let terms = merged_terms(a);
-        for &(_, c) in &terms {
+        for &(_, c) in &a.diff.terms {
             min_abs = min_abs.min(c.abs());
             max_abs = max_abs.max(c.abs());
         }
-        let rhs = -a.diff.constant;
-        match terms.len() {
-            // Constant atoms: violated ones are SD004's; satisfied ones
-            // add nothing and are worth a note.
-            0 => {
-                let violated = match a.rel {
-                    Rel::Le => a.diff.constant > super::FEAS,
-                    Rel::Ge => a.diff.constant < -super::FEAS,
-                    Rel::Eq => a.diff.constant.abs() > super::FEAS,
-                };
-                if !violated {
-                    diags.push(
-                        Diagnostic::note(
-                            "SD011",
-                            format!(
-                                "constraint in rule {} is trivially satisfied: {}",
-                                a.rule,
-                                render_atom(m, a)
-                            ),
-                        )
-                        .with_detail(
-                            "the decision variables cancel out, leaving a constant \
-                             comparison that always holds; the constraint can be removed",
+        // Constant atoms: violated ones are SD004's; satisfied ones add
+        // nothing and are worth a note.
+        if a.diff.is_constant() {
+            let violated = match a.rel {
+                Rel::Le => a.diff.constant > super::FEAS,
+                Rel::Ge => a.diff.constant < -super::FEAS,
+                Rel::Eq => a.diff.constant.abs() > super::FEAS,
+            };
+            if !violated {
+                diags.push(
+                    Diagnostic::note(
+                        "SD011",
+                        format!(
+                            "constraint in rule {} is trivially satisfied: {}",
+                            m.rule_label(a.rule),
+                            render_atom(m.prob, a)
                         ),
-                    );
-                }
-            }
-            // Single-variable bounds mirror `to_lp`: they seed the
-            // intervals instead of becoming rows (SD005 already covers
-            // duplicate/shadowed bounds). Singleton equalities stay as
-            // rows so the engine records the fixing (SD011).
-            1 if a.rel != Rel::Eq => {
-                let (v, c) = terms[0];
-                let bound = rhs / c;
-                let upper = (a.rel == Rel::Le) == (c > 0.0);
-                let iv = if upper {
-                    Interval::new(f64::NEG_INFINITY, bound)
-                } else {
-                    Interval::new(bound, f64::INFINITY)
-                };
-                model.intervals[v as usize] = model.intervals[v as usize].meet(iv);
-            }
-            _ => {
-                let (row, rendered) = normalize_row(terms, a.rel, rhs, m);
-                model.rows.push(row);
-                traced.push(TracedRow { rule: a.rule.clone(), rendered });
+                    )
+                    .with_detail(
+                        "the decision variables cancel out, leaving a constant \
+                         comparison that always holds; the constraint can be removed",
+                    ),
+                );
             }
         }
     }
@@ -129,55 +94,65 @@ pub fn presolve_rules(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
     let mut forcing: Vec<String> = Vec::new();
     let mut redundant: Vec<String> = Vec::new();
     let mut noop_singleton: Vec<String> = Vec::new();
-    for (i, row) in model.rows.iter().enumerate() {
-        let label = format!("'{}' (rule {})", traced[i].rendered, traced[i].rule);
-        let (minact, maxact) = declared_activity(row, &model.intervals);
+    let propagated = m.propagated();
+    let declared = &propagated.model.intervals;
+    for (i, row) in propagated.model.rows.iter().enumerate() {
+        if row.coeffs.is_empty() {
+            continue; // a constant atom, handled above
+        }
+        let (minact, maxact) = declared_activity(row, declared);
         let tol = super::FEAS * (1.0 + row.rhs.abs());
         if let [(j, c)] = row.coeffs[..] {
-            // Only singleton *equalities* reach here (inequalities
-            // seeded the intervals above). Pinning a cell is idiomatic
-            // — flag just the no-op case where the declared bounds
-            // already say the same thing.
-            let iv = model.intervals[j];
+            // Only singleton *equalities* are rows (inequalities are
+            // declared bounds). Pinning a cell is idiomatic — flag just
+            // the no-op case where the declared bounds already say the
+            // same thing.
+            let iv = declared[j];
             if row.rel == RowRel::Eq && iv.is_point() && (iv.lo - row.rhs / c).abs() <= tol {
-                noop_singleton.push(label);
+                noop_singleton.push(row_label(i));
             }
             continue;
         }
         match row.rel {
             RowRel::Le => {
                 if maxact <= row.rhs + tol {
-                    redundant.push(label);
+                    redundant.push(row_label(i));
                 } else if minact.is_finite() && minact >= row.rhs - tol {
-                    forcing.push(label);
+                    forcing.push(row_label(i));
                 }
             }
             RowRel::Eq => {
                 let pinned_lo = minact.is_finite() && (minact - row.rhs).abs() <= tol;
                 let pinned_hi = maxact.is_finite() && (maxact - row.rhs).abs() <= tol;
                 if pinned_lo && pinned_hi {
-                    redundant.push(label);
+                    redundant.push(row_label(i));
                 } else if pinned_lo || pinned_hi {
-                    forcing.push(label);
+                    forcing.push(row_label(i));
                 }
             }
         }
     }
 
-    let out = propagate(&model);
+    let out = &propagated.outcome;
 
     // SD008 — propagation proves the model infeasible.
     if let Some(inf) = &out.infeasible {
         let detail = match inf {
+            // A violated constant row is SD004's finding, already made.
+            Infeasibility::RowActivity { row, .. }
+                if propagated.model.rows[*row].coeffs.is_empty() =>
+            {
+                return;
+            }
             Infeasibility::RowActivity { row, minact, maxact } => format!(
-                "constraint '{}' (rule {}) cannot be satisfied: its activity stays within \
+                "constraint {} cannot be satisfied: its activity stays within \
                  [{minact}, {maxact}] under the propagated variable bounds",
-                traced[*row].rendered, traced[*row].rule
+                row_label(*row)
             ),
             Infeasibility::EmptyBounds { var } => format!(
                 "bound propagation empties the domain of {}: the constraints imply \
                  contradictory lower and upper bounds",
-                var_name(m.prob, *var as u32)
+                var_name(m.prob, low.used[*var])
             ),
         };
         diags.push(
@@ -191,13 +166,14 @@ pub fn presolve_rules(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
 
     // SD009 — the constraints fully determine every decision variable:
     // the model solves, but there is no decision left to make.
-    if !out.fixed.is_empty() && out.fixed.iter().all(Option::is_some) {
+    let every_variable = low.used.len() == m.prob.num_vars();
+    if every_variable && !out.fixed.is_empty() && out.fixed.iter().all(Option::is_some) {
         let values: Vec<String> = out
             .fixed
             .iter()
             .enumerate()
             .take(MAX_PER_CODE)
-            .filter_map(|(v, f)| f.map(|x| format!("{} = {x}", var_name(m.prob, v as u32))))
+            .filter_map(|(j, f)| f.map(|x| format!("{} = {x}", var_name(m.prob, low.used[j]))))
             .collect();
         diags.push(
             Diagnostic::warning(
@@ -253,76 +229,4 @@ fn declared_activity(row: &Row, iv: &[Interval]) -> (f64, f64) {
         hi += b;
     }
     (lo, hi)
-}
-
-/// Emit up to [`MAX_PER_CODE`] individual findings, folding the rest
-/// into one summary diagnostic so large models stay readable.
-fn capped(diags: &mut Vec<Diagnostic>, items: &[String], mk: impl Fn(&str) -> Diagnostic) {
-    for item in items.iter().take(MAX_PER_CODE) {
-        diags.push(mk(item));
-    }
-    if items.len() > MAX_PER_CODE {
-        let sample = mk(&items[0]);
-        diags.push(Diagnostic {
-            message: format!("... and {} more findings like it", items.len() - MAX_PER_CODE),
-            detail: None,
-            ..sample
-        });
-    }
-}
-
-/// Merge duplicate variables in an atom's difference expression and
-/// drop zero coefficients.
-fn merged_terms(a: &Atom) -> Vec<(u32, f64)> {
-    let mut merged: BTreeMap<u32, f64> = BTreeMap::new();
-    for &(v, c) in &a.diff.terms {
-        *merged.entry(v).or_insert(0.0) += c;
-    }
-    merged.into_iter().filter(|&(_, c)| c != 0.0).collect()
-}
-
-/// Normalize an atom into an engine row (`Ge` negated into `Le`) and
-/// render it for messages.
-fn normalize_row(
-    terms: Vec<(u32, f64)>,
-    rel: Rel,
-    rhs: f64,
-    m: &CheckedModel<'_>,
-) -> (Row, String) {
-    let rendered = {
-        let parts: Vec<String> = terms
-            .iter()
-            .map(|&(v, c)| {
-                if c == 1.0 {
-                    var_name(m.prob, v)
-                } else if c == -1.0 {
-                    format!("-{}", var_name(m.prob, v))
-                } else {
-                    format!("{c}*{}", var_name(m.prob, v))
-                }
-            })
-            .collect();
-        let op = match rel {
-            Rel::Le => "<=",
-            Rel::Eq => "=",
-            Rel::Ge => ">=",
-        };
-        format!("{} {op} {rhs}", parts.join(" + "))
-    };
-    let (coeffs, row_rel, row_rhs) = match rel {
-        Rel::Ge => (terms.into_iter().map(|(v, c)| (v as usize, -c)).collect(), RowRel::Le, -rhs),
-        Rel::Le => (terms.into_iter().map(|(v, c)| (v as usize, c)).collect(), RowRel::Le, rhs),
-        Rel::Eq => (terms.into_iter().map(|(v, c)| (v as usize, c)).collect(), RowRel::Eq, rhs),
-    };
-    (Row { coeffs, rel: row_rel, rhs: row_rhs }, rendered)
-}
-
-/// Render an atom `diff ⋈ 0` for messages (mirrors `rules::render_atom`).
-fn render_atom(m: &CheckedModel<'_>, a: &Atom) -> String {
-    let op = match a.rel {
-        Rel::Le => "<=",
-        Rel::Eq => "=",
-        Rel::Ge => ">=",
-    };
-    format!("{} {op} 0", render_linexpr(m.prob, &a.diff))
 }

@@ -7,10 +7,8 @@ use super::{
     propagate, Counts, DropCause, FixCause, Infeasibility, Interval, Model, Outcome, Reduction,
     Row, RowRel,
 };
-use crate::explain::var_name;
-use crate::problem::{compile_linear, to_lp, ProblemInstance};
-use crate::symbolic::VarId;
-use sqlengine::catalog::{Ctes, Database};
+use crate::compile::CompiledModel;
+use crate::explain::{render_row, var_name};
 use std::collections::BTreeMap;
 
 /// The result of presolving an [`lp::Problem`].
@@ -106,6 +104,12 @@ fn row_of(c: &lp::Constraint) -> Row {
 pub fn reduce(p: &lp::Problem) -> Presolved {
     let model = model_of(p);
     let outcome = propagate(&model);
+    reduce_with(p, &model, outcome)
+}
+
+/// [`reduce`], given `model_of(p)` and the fixpoint already reached
+/// over it.
+pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolved {
     let original_rows = model.rows.len();
 
     if outcome.infeasible.is_some() {
@@ -180,30 +184,38 @@ pub fn reduce(p: &lp::Problem) -> Presolved {
 /// How many reduction-log lines render before eliding the rest.
 const MAX_LOG_LINES: usize = 40;
 
-/// Compile a problem instance to its LP, presolve it, and render the
-/// reduction log — the body of `EXPLAIN PRESOLVE SOLVESELECT`. Models
-/// that do not compile to a linear program get a one-line explanation
-/// instead of an error: presolve simply does not apply to them.
-pub fn explain_presolve(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> Vec<String> {
-    let rules = match compile_linear(db, ctes, prob) {
-        Ok(r) => r,
-        Err(e) => {
-            return vec![format!(
-                "presolve: rules do not compile to a linear program; no reductions apply ({e})"
-            )];
-        }
+/// Presolve the compiled model's LP and render the reduction log — the
+/// body of `EXPLAIN PRESOLVE SOLVESELECT`. Models that do not compile
+/// to a linear program get a one-line explanation instead of an error:
+/// presolve simply does not apply to them.
+pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
+    if let Some(failure) = m.first_failure() {
+        return vec![format!(
+            "presolve: rules do not compile to a linear program; no reductions apply ({})",
+            failure.error
+        )];
+    }
+    let low = m.lowered();
+    let propagated = m.propagated();
+    let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
+    let name = |j: usize| var_name(m.prob, low.used[j]);
+    // A normalized engine row back in `alias[row].col` terms.
+    let row = |i: usize| {
+        let r = &propagated.model.rows[i];
+        let op = match r.rel {
+            RowRel::Le => "<=",
+            RowRel::Eq => "=",
+        };
+        render_row(m.prob, r.coeffs.iter().map(|&(j, c)| (low.used[j], c)), op, r.rhs)
     };
-    let (lp_prob, used) = to_lp(prob, &rules);
-    let pre = reduce(&lp_prob);
-    let name = |j: usize| var_name(prob, used[j]);
 
     let mut lines = Vec::new();
     if let Some(inf) = &pre.outcome.infeasible {
         lines.push("presolve: interval propagation proves the model infeasible".to_string());
         lines.push(match inf {
-            Infeasibility::RowActivity { row, minact, maxact } => format!(
+            Infeasibility::RowActivity { row: i, minact, maxact } => format!(
                 "  row '{}' cannot hold: activity stays within [{minact}, {maxact}]",
-                render_model_row(&model_of(&lp_prob).rows[*row], prob, &used),
+                row(*i),
             ),
             Infeasibility::EmptyBounds { var } => {
                 format!("  the constraints imply contradictory bounds on {}", name(*var))
@@ -219,7 +231,6 @@ pub fn explain_presolve(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> V
         pre.reduced.num_vars,
         pre.reduced.constraints.len()
     ));
-    let model = model_of(&lp_prob);
     let mut entries = Vec::new();
     for r in &pre.outcome.log {
         entries.push(match r {
@@ -235,17 +246,14 @@ pub fn explain_presolve(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> V
                 };
                 format!("  fixed {} = {value} ({why})", name(*var))
             }
-            Reduction::RowDropped { row, cause } => {
+            Reduction::RowDropped { row: i, cause } => {
                 let why = match cause {
                     DropCause::Redundant => "redundant",
                     DropCause::Forcing => "forcing",
                     DropCause::Singleton => "singleton",
                     DropCause::Empty => "empty",
                 };
-                format!(
-                    "  removed row '{}' ({why})",
-                    render_model_row(&model.rows[*row], prob, &used)
-                )
+                format!("  removed row '{}' ({why})", row(*i))
             }
         });
     }
@@ -263,29 +271,6 @@ pub fn explain_presolve(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> V
         lines.push("all variables fixed by propagation; no solver call needed".to_string());
     }
     lines
-}
-
-/// Render a normalized engine row back into `alias[row].col` terms.
-fn render_model_row(row: &Row, prob: &ProblemInstance, used: &[VarId]) -> String {
-    let parts: Vec<String> = row
-        .coeffs
-        .iter()
-        .map(|&(j, c)| {
-            let n = var_name(prob, used[j]);
-            if c == 1.0 {
-                n
-            } else if c == -1.0 {
-                format!("-{n}")
-            } else {
-                format!("{c}*{n}")
-            }
-        })
-        .collect();
-    let op = match row.rel {
-        RowRel::Le => "<=",
-        RowRel::Eq => "=",
-    };
-    format!("{} {op} {}", parts.join(" + "), row.rhs)
 }
 
 #[cfg(test)]

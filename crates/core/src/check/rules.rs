@@ -1,27 +1,15 @@
-//! The structural checks: each inspects the digested [`CheckedModel`]
+//! The structural checks: each inspects the [`CompiledModel`]'s atoms
 //! and appends findings. All checks are conservative — when the model
 //! could not be fully evaluated (a rule failed, the objective did not
 //! compile) the reference- and bound-sensitive checks stay silent
 //! rather than guess.
 
-use super::{Atom, CheckedModel, TOL};
-use crate::explain::{render_linexpr, var_name};
+use super::TOL;
+use crate::compile::{Atom, CompiledModel};
+use crate::explain::{render_atom, var_name};
 use crate::symbolic::{LinExpr, Rel, VarId};
 use sqlengine::diag::Diagnostic;
 use std::collections::{BTreeMap, HashMap};
-
-fn rel_op(rel: Rel) -> &'static str {
-    match rel {
-        Rel::Le => "<=",
-        Rel::Eq => "=",
-        Rel::Ge => ">=",
-    }
-}
-
-/// Render an atom `diff ⋈ 0` back into readable form.
-fn render_atom(m: &CheckedModel<'_>, a: &Atom) -> String {
-    format!("{} {} 0", render_linexpr(m.prob, &a.diff), rel_op(a.rel))
-}
 
 // ---------------------------------------------------------------------------
 // SD001 — decision variable unbounded in the objective direction
@@ -33,11 +21,11 @@ fn render_atom(m: &CheckedModel<'_>, a: &Atom) -> String {
 /// inequality atoms; any appearance in a multi-variable or equality
 /// atom disables the check for that variable (the coupling may bound
 /// it indirectly).
-pub fn sd001_unbounded_in_objective(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
-    if !m.complete {
+pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+    if !m.complete() {
         return;
     }
-    let Some(obj) = &m.objective else { return };
+    let Some(obj) = m.linear_objective() else { return };
     for &(v, coef) in &obj.terms {
         if coef == 0.0 {
             continue;
@@ -90,12 +78,12 @@ pub fn sd001_unbounded_in_objective(m: &CheckedModel<'_>, diags: &mut Vec<Diagno
 /// or any constraint is dead weight: §4.3's pruning removes the
 /// variables before solving and their cells pass through unchanged,
 /// which is rarely what the model author meant.
-pub fn sd003_unreferenced_columns(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
-    if !m.complete {
+pub fn sd003_unreferenced_columns(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+    if !m.complete() {
         return;
     }
     let mut used = vec![false; m.prob.num_vars()];
-    if let Some(obj) = &m.objective {
+    if let Some(obj) = m.linear_objective() {
         for v in obj.vars() {
             used[v as usize] = true;
         }
@@ -148,7 +136,7 @@ pub fn sd003_unreferenced_columns(m: &CheckedModel<'_>, diags: &mut Vec<Diagnost
 /// ever satisfy the model. (Constant comparisons that never touch a
 /// decision variable, like `1 <= 0`, are caught earlier during rule
 /// evaluation and reported from the driver.)
-pub fn sd004_infeasible_constants(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd004_infeasible_constants(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     for a in &m.atoms {
         if !a.diff.is_constant() {
             continue;
@@ -165,8 +153,8 @@ pub fn sd004_infeasible_constants(m: &CheckedModel<'_>, diags: &mut Vec<Diagnost
                     "SD004",
                     format!(
                         "constraint in rule {} is trivially infeasible: {}",
-                        a.rule,
-                        render_atom(m, a)
+                        m.rule_label(a.rule),
+                        render_atom(m.prob, a)
                     ),
                 )
                 .with_detail(
@@ -215,7 +203,7 @@ fn atom_key(diff: &LinExpr, rel: Rel) -> AtomKey {
 /// Exact duplicate atoms add no information (warning); a single-variable
 /// bound strictly dominated by a tighter bound on the same side is
 /// shadowed (note).
-pub fn sd005_duplicate_or_shadowed(m: &CheckedModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     // -- exact duplicates ---------------------------------------------------
     let mut seen: Vec<(AtomKey, &Atom, usize)> = Vec::new();
     for a in &m.atoms {
@@ -234,12 +222,12 @@ pub fn sd005_duplicate_or_shadowed(m: &CheckedModel<'_>, diags: &mut Vec<Diagnos
             diags.push(
                 Diagnostic::warning(
                     "SD005",
-                    format!("constraint '{}' appears {n} times", render_atom(m, a)),
+                    format!("constraint '{}' appears {n} times", render_atom(m.prob, a)),
                 )
                 .with_detail(format!(
                     "first occurrence in rule {}; duplicates add no information and \
                      enlarge the solver input",
-                    a.rule
+                    m.rule_label(a.rule)
                 )),
             );
         }

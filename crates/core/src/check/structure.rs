@@ -15,10 +15,8 @@
 //! resulting components among *constrained* variables (variables no
 //! rule references are SD003's business, not a "block").
 
-use super::{Atom, CheckedModel};
-use crate::problem::{collect_constraints, materialize_env, CellPatch, ProblemInstance};
+use crate::compile::{Atom, CompiledModel};
 use crate::symbolic::VarId;
-use sqlengine::catalog::{Ctes, Database};
 use sqlengine::diag::Diagnostic;
 use std::collections::HashMap;
 
@@ -72,8 +70,8 @@ pub fn blocks(atoms: &[Atom]) -> Vec<Block> {
 /// unevaluated rule might couple the blocks) and at least one genuine
 /// multi-variable constraint (a model of pure per-variable bounds would
 /// otherwise report every variable as its own "block").
-pub fn sd019_decomposable(model: &CheckedModel, diags: &mut Vec<Diagnostic>) {
-    if !model.complete {
+pub fn sd019_decomposable(model: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+    if !model.complete() {
         return;
     }
     let has_coupling = model.atoms.iter().any(|a| {
@@ -114,27 +112,15 @@ pub fn sd019_decomposable(model: &CheckedModel, diags: &mut Vec<Diagnostic>) {
     );
 }
 
-/// Compute the block structure of a compiled problem instance from
-/// scratch (the entry point for tests and the future partitioned
-/// solver). Returns an empty vector when the model cannot be evaluated
-/// symbolically — callers must treat that as "no decomposition known".
-pub fn problem_blocks(db: &Database, ctes: &Ctes, prob: &ProblemInstance) -> Vec<Block> {
-    let Ok(env) = materialize_env(db, ctes, prob, &CellPatch::Symbolic) else {
+/// The block structure of a compiled model (the entry point for tests
+/// and the future partitioned solver). Returns an empty vector when a
+/// rule did not compile — an incomplete picture admits no sound
+/// decomposition, and callers must treat that as "none known".
+pub fn problem_blocks(model: &CompiledModel<'_>) -> Vec<Block> {
+    if model.rule_failure().is_some() {
         return Vec::new();
-    };
-    let mut atoms = Vec::new();
-    for rule in &prob.subjectto {
-        let mut collected = Vec::new();
-        if collect_constraints(db, &env, std::slice::from_ref(rule), &mut collected).is_err() {
-            return Vec::new(); // incomplete picture: no sound decomposition
-        }
-        for c in &collected {
-            for (l, rel, r) in c.atoms() {
-                atoms.push(Atom { diff: l.sub(r), rel, rule: String::new() });
-            }
-        }
     }
-    blocks(&atoms)
+    blocks(&model.atoms)
 }
 
 /// Minimal path-halving union-find over sparse `VarId`s.
@@ -183,11 +169,7 @@ mod tests {
     use crate::symbolic::{LinExpr, Rel};
 
     fn atom(vars: &[(VarId, f64)]) -> Atom {
-        Atom {
-            diff: LinExpr { constant: 0.0, terms: vars.to_vec() },
-            rel: Rel::Le,
-            rule: String::new(),
-        }
+        Atom { diff: LinExpr { constant: 0.0, terms: vars.to_vec() }, rel: Rel::Le, rule: 0 }
     }
 
     #[test]

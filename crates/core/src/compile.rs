@@ -1,0 +1,536 @@
+//! One compiled model per `SOLVESELECT` (paper §4.1): the rules are
+//! evaluated *once* over symbolic decision cells, rule by rule, and
+//! every later pass — the static analyzer, `EXPLAIN`, `EXPLAIN
+//! PRESOLVE`, the block detector, `solverlp` and the black-box
+//! formulation — reads the resulting [`CompiledModel`].
+//!
+//! A rule that does not compile is kept as a typed [`RuleFailure`]
+//! instead of aborting the compilation. *Strict* consumers (the
+//! solvers) report the first failure as the statement's error;
+//! *lenient* ones (the analyzer, the explainers) work on whatever did
+//! compile and say what did not.
+
+use crate::check::presolve::reduce::model_of;
+use crate::check::presolve::{propagate, Model, Outcome};
+use crate::problem::{check_cardinality, ProblemInstance};
+use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
+use sqlengine::ast::{NamedRule, Query};
+use sqlengine::catalog::{Ctes, Database};
+use sqlengine::error::{Error, Result};
+use sqlengine::exec::run_query;
+use sqlengine::types::{downcast, Value};
+use std::sync::{Arc, OnceLock};
+
+/// Why a rule did not compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureKind {
+    /// The rule, or a derived relation it reads, has no linear form in
+    /// the decision variables — the model needs a black-box solver.
+    NonLinear,
+    /// A SUBJECTTO cell is the constant `FALSE`.
+    TriviallyFalse,
+    /// Anything else: a binder or type error, a non-boolean cell, two
+    /// objectives, an unstable decision relation.
+    Other,
+}
+
+/// A rule that did not compile. `error` is what a strict consumer
+/// returns for the statement; it names the clause and the rule.
+#[derive(Debug, Clone)]
+pub struct RuleFailure {
+    pub kind: FailureKind,
+    pub error: Error,
+}
+
+/// What compiling one rule yields.
+pub type Compiled<T> = std::result::Result<T, RuleFailure>;
+
+/// One flattened constraint atom `diff ⋈ 0`, where `diff = lhs - rhs`.
+pub struct Atom {
+    pub diff: LinExpr,
+    pub rel: Rel,
+    /// Index of the SUBJECTTO rule it came from.
+    pub rule: usize,
+}
+
+/// The model as a linear program. Only variables that appear in the
+/// objective or a constraint become LP columns (the unbound-variable
+/// pruning of §4.3); single-variable comparisons with a constant side
+/// become bounds rather than rows.
+pub struct Lowered {
+    pub problem: lp::Problem,
+    /// `used[j]` is the decision variable behind LP column `j`.
+    pub used: Vec<VarId>,
+    /// `atom_of_row[i]` indexes the atom behind LP row `i`.
+    pub atom_of_row: Vec<usize>,
+}
+
+/// Interval propagation over the lowered (unreduced) problem: the
+/// presolve engine's view of it and the fixpoint it reaches.
+pub struct Propagated {
+    pub model: Model,
+    pub outcome: Outcome,
+}
+
+/// The rules of one problem instance, compiled once.
+pub struct CompiledModel<'a> {
+    pub prob: &'a ProblemInstance,
+    /// Objective sense; `true` when there is no objective.
+    pub minimize: bool,
+    /// `None` when the statement has no objective.
+    pub objective: Option<Compiled<LinExpr>>,
+    /// One entry per SUBJECTTO rule, in statement order: the constraint
+    /// cells the rule evaluated to, or why it did not evaluate.
+    pub rules: Vec<Compiled<Vec<ConstraintValue>>>,
+    /// The atoms of every rule that compiled.
+    pub atoms: Vec<Atom>,
+    labels: Vec<String>,
+    lowered: OnceLock<Lowered>,
+    propagated: OnceLock<Propagated>,
+}
+
+/// Describe a rule for error messages and diagnostics: its alias when
+/// named, else its (truncated) SQL text — so a nonlinearity error names
+/// the offending rule instead of floating free of context.
+pub fn rule_label(alias: Option<&str>, query: &Query) -> String {
+    match alias {
+        Some(a) => format!("'{a}'"),
+        None => {
+            let sql = query.to_string();
+            let mut s: String = sql.chars().take(60).collect();
+            if s.chars().count() < sql.chars().count() {
+                s.push_str("...");
+            }
+            format!("({s})")
+        }
+    }
+}
+
+/// Wrap a rule-evaluation error with which clause and rule produced it.
+pub(crate) fn rule_error(clause: &str, alias: Option<&str>, query: &Query, e: Error) -> Error {
+    Error::solver(format!("in {clause} rule {}: {e}", rule_label(alias, query)))
+}
+
+/// What a statement with two objectives fails with (and SD007 predicts).
+pub(crate) fn both_objectives(prob: &ProblemInstance) -> Error {
+    Error::solver(format!(
+        "both MINIMIZE and MAXIMIZE are specified, but '{}' is single-objective",
+        prob.solver.as_deref().unwrap_or_default()
+    ))
+}
+
+/// Re-run every decision relation in order with symbolic variables in
+/// its decision cells, so derived relations (e.g. a recursive simulation
+/// CDTE) carry linear expressions — the symbolic pass of §4.1. Lenient:
+/// a derived relation that cannot be expressed symbolically (a
+/// simulation that is nonlinear in the decision variables, say) stays
+/// out of the environment and is returned with the kind of its failure;
+/// rules that read it fail the same way, rules that don't are
+/// unaffected.
+fn symbolic_env(
+    db: &Database,
+    base: &Ctes,
+    prob: &ProblemInstance,
+) -> Result<(Ctes, Vec<(String, FailureKind)>)> {
+    let mut env = base.clone();
+    let mut skipped = Vec::new();
+    for rel in &prob.relations {
+        let mut table = if rel.dec_cols.is_empty() && rel.alias.is_none() {
+            rel.table.clone()
+        } else {
+            match run_query(db, &env, &rel.query, None) {
+                Ok(t) => t,
+                Err(e) => {
+                    if let Some(a) = &rel.alias {
+                        skipped.push((a.clone(), failure_kind(db, &rel.query, &e, &skipped)));
+                    }
+                    continue;
+                }
+            }
+        };
+        check_cardinality(rel, &table)?;
+        for (row, ids) in rel.vars.iter().enumerate() {
+            for (&col, &id) in rel.dec_cols.iter().zip(ids) {
+                table.rows[row][col] = sym_value(LinExpr::var(id));
+            }
+        }
+        if let Some(a) = &rel.alias {
+            env.insert(a, Arc::new(table));
+        }
+    }
+    Ok((env, skipped))
+}
+
+/// The failure of a rule (or derived relation) whose query did not
+/// evaluate: non-linear when the engine said so, or when the query reads
+/// a relation that is itself missing from the symbolic environment for
+/// that reason.
+fn failure_kind(
+    db: &Database,
+    query: &Query,
+    e: &Error,
+    skipped: &[(String, FailureKind)],
+) -> FailureKind {
+    if matches!(e, Error::NonLinear(_)) {
+        return FailureKind::NonLinear;
+    }
+    if skipped.is_empty() {
+        return FailureKind::Other;
+    }
+    let reads = sqlengine::plan::relation_reads(db, query);
+    skipped.iter().find(|(a, _)| reads.contains(a)).map_or(FailureKind::Other, |&(_, kind)| kind)
+}
+
+fn query_failure(
+    db: &Database,
+    clause: &str,
+    alias: Option<&str>,
+    query: &Query,
+    e: Error,
+    skipped: &[(String, FailureKind)],
+) -> RuleFailure {
+    RuleFailure {
+        kind: failure_kind(db, query, &e, skipped),
+        error: rule_error(clause, alias, query, e),
+    }
+}
+
+/// Evaluate one SUBJECTTO rule, collecting its constraint cells.
+/// `TRUE`/`NULL` cells are ignored; a constant `FALSE` cell makes the
+/// problem infeasible at compile time.
+fn compile_rule(
+    db: &Database,
+    env: &Ctes,
+    rule: &NamedRule,
+    skipped: &[(String, FailureKind)],
+) -> Compiled<Vec<ConstraintValue>> {
+    let alias = rule.alias.as_deref();
+    let t = run_query(db, env, &rule.query, None)
+        .map_err(|e| query_failure(db, "SUBJECTTO", alias, &rule.query, e, skipped))?;
+    let mut out = Vec::new();
+    for cell in t.rows.iter().flatten() {
+        if let Some(c) = downcast::<ConstraintVal>(cell) {
+            out.push(c.0.clone());
+            continue;
+        }
+        match cell {
+            Value::Bool(true) | Value::Null => {}
+            Value::Bool(false) => {
+                return Err(RuleFailure {
+                    kind: FailureKind::TriviallyFalse,
+                    error: Error::solver(format!(
+                        "constraint{} is trivially false — the problem is infeasible",
+                        alias.map(|a| format!(" '{a}'")).unwrap_or_default()
+                    )),
+                })
+            }
+            other => {
+                return Err(RuleFailure {
+                    kind: FailureKind::Other,
+                    error: Error::solver(format!(
+                        "SUBJECTTO cell evaluated to {} ({}), expected a constraint or boolean",
+                        other.data_type().sql_name(),
+                        other
+                    )),
+                })
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Compile the rules of a problem instance: one symbolic pass over the
+/// decision relations, then the objective and each SUBJECTTO rule
+/// evaluated on its own, so one defective rule does not hide the
+/// others. Never fails — failures are part of the result.
+pub fn compile_model<'a>(
+    db: &Database,
+    base: &Ctes,
+    prob: &'a ProblemInstance,
+) -> CompiledModel<'a> {
+    let mut model = CompiledModel {
+        prob,
+        minimize: prob.minimize.is_some() || prob.maximize.is_none(),
+        objective: None,
+        rules: Vec::new(),
+        atoms: Vec::new(),
+        labels: prob.subjectto.iter().map(|r| rule_label(r.alias.as_deref(), &r.query)).collect(),
+        lowered: OnceLock::new(),
+        propagated: OnceLock::new(),
+    };
+    // No rules at all (predictive solvers, plain fills): nothing reads
+    // the symbolic environment, so it is not built.
+    if prob.minimize.is_none() && prob.maximize.is_none() && prob.subjectto.is_empty() {
+        return model;
+    }
+    let (env, skipped) = match symbolic_env(db, base, prob) {
+        Ok(v) => v,
+        Err(e) => {
+            // An unstable decision relation fails every rule alike.
+            let failure = RuleFailure { kind: FailureKind::Other, error: e };
+            model.rules = prob.subjectto.iter().map(|_| Err(failure.clone())).collect();
+            model.objective = Some(Err(failure));
+            return model;
+        }
+    };
+    let clause = if model.minimize { "MINIMIZE" } else { "MAXIMIZE" };
+    model.objective = match (&prob.minimize, &prob.maximize) {
+        (None, None) => None,
+        (Some(_), Some(_)) => {
+            Some(Err(RuleFailure { kind: FailureKind::Other, error: both_objectives(prob) }))
+        }
+        (Some(q), None) | (None, Some(q)) => Some(
+            run_query(db, &env, q, None)
+                .and_then(|t| t.scalar())
+                .and_then(|v| as_linexpr(&v))
+                .map_err(|e| query_failure(db, clause, None, q, e, &skipped)),
+        ),
+    };
+    for (ri, rule) in prob.subjectto.iter().enumerate() {
+        let compiled = compile_rule(db, &env, rule, &skipped);
+        for c in compiled.iter().flatten() {
+            for (l, rel, r) in c.atoms() {
+                model.atoms.push(Atom { diff: l.sub(r), rel, rule: ri });
+            }
+        }
+        model.rules.push(compiled);
+    }
+    model
+}
+
+impl CompiledModel<'_> {
+    /// Label of SUBJECTTO rule `i` (see [`rule_label`]).
+    pub fn rule_label(&self, i: usize) -> &str {
+        &self.labels[i]
+    }
+
+    /// The objective, when it compiled to a linear expression.
+    pub fn linear_objective(&self) -> Option<&LinExpr> {
+        self.objective.as_ref().and_then(|o| o.as_ref().ok())
+    }
+
+    /// The first SUBJECTTO rule that did not compile.
+    pub fn rule_failure(&self) -> Option<&RuleFailure> {
+        self.rules.iter().find_map(|r| r.as_ref().err())
+    }
+
+    /// The first failure in the order strict consumers report them: the
+    /// objective, then the rules in statement order.
+    pub fn first_failure(&self) -> Option<&RuleFailure> {
+        self.objective.as_ref().and_then(|o| o.as_ref().err()).or_else(|| self.rule_failure())
+    }
+
+    /// True when the objective (if any) and every rule compiled. The
+    /// reference- and bound-sensitive analyses only run on a complete
+    /// picture: an unevaluated rule might reference, bound or couple
+    /// anything.
+    pub fn complete(&self) -> bool {
+        self.first_failure().is_none()
+    }
+
+    /// The model as a linear program, lowered on first use (black-box
+    /// solves never need it). Lowers what compiled: a missing or failed
+    /// objective lowers to zero, failed rules contribute no rows.
+    pub fn lowered(&self) -> &Lowered {
+        self.lowered.get_or_init(|| self.lower())
+    }
+
+    /// Interval propagation over [`CompiledModel::lowered`], run on first
+    /// use: the analyzer's SD008–SD011 and `solverlp`'s presolve read
+    /// the same fixpoint.
+    pub fn propagated(&self) -> &Propagated {
+        self.propagated.get_or_init(|| {
+            let model = model_of(&self.lowered().problem);
+            let outcome = propagate(&model);
+            Propagated { model, outcome }
+        })
+    }
+
+    fn lower(&self) -> Lowered {
+        let prob = self.prob;
+        let objective = self.linear_objective();
+        let mut referenced = vec![false; prob.num_vars()];
+        for e in objective.into_iter().chain(self.atoms.iter().map(|a| &a.diff)) {
+            for v in e.vars() {
+                referenced[v as usize] = true;
+            }
+        }
+        let used: Vec<VarId> =
+            (0..prob.num_vars() as VarId).filter(|&v| referenced[v as usize]).collect();
+        let mut index = vec![usize::MAX; prob.num_vars()];
+        for (j, &v) in used.iter().enumerate() {
+            index[v as usize] = j;
+        }
+        let columns = |e: &LinExpr| e.terms.iter().map(|&(v, c)| (index[v as usize], c)).collect();
+
+        let mut p = if self.minimize {
+            lp::Problem::minimize(used.len())
+        } else {
+            lp::Problem::maximize(used.len())
+        };
+        for (j, &v) in used.iter().enumerate() {
+            p.integer[j] = prob.vars[v as usize].integer;
+        }
+        if let Some(obj) = objective {
+            p.objective_constant = obj.constant;
+            p.set_objective(columns(obj));
+        }
+        let mut atom_of_row = Vec::new();
+        for (ai, a) in self.atoms.iter().enumerate() {
+            let rhs = -a.diff.constant; // diff ⋈ 0  ⇔  terms ⋈ -const
+            match a.diff.terms[..] {
+                // Box bound: c·x ⋈ rhs.
+                [(v, coef)] if a.rel != Rel::Eq => {
+                    let bound = rhs / coef;
+                    if (a.rel == Rel::Le) == (coef > 0.0) {
+                        p.tighten(index[v as usize], f64::NEG_INFINITY, bound);
+                    } else {
+                        p.tighten(index[v as usize], bound, f64::INFINITY);
+                    }
+                }
+                _ => {
+                    let rel = match a.rel {
+                        Rel::Le => lp::Rel::Le,
+                        Rel::Ge => lp::Rel::Ge,
+                        Rel::Eq => lp::Rel::Eq,
+                    };
+                    p.add_constraint(columns(&a.diff), rel, rhs);
+                    atom_of_row.push(ai);
+                }
+            }
+        }
+        Lowered { problem: p, used, atom_of_row }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::build_problem;
+    use sqlengine::ast::Statement;
+    use sqlengine::{execute_script, parser};
+
+    fn compiled<T>(db: &Database, sql: &str, f: impl FnOnce(&CompiledModel<'_>) -> T) -> T {
+        let Statement::Solve(stmt) = parser::parse_statement(sql).unwrap() else {
+            panic!("not a solve statement");
+        };
+        let prob = build_problem(db, &Ctes::new(), &stmt).unwrap();
+        f(&compile_model(db, &Ctes::new(), &prob))
+    }
+
+    fn test_db() -> Database {
+        let mut db = Database::new();
+        execute_script(
+            &mut db,
+            "CREATE TABLE pars (p1 float8, p2 float8, p3 float8);
+             INSERT INTO pars VALUES (NULL, NULL, NULL);
+             CREATE TABLE input (x float8, y float8);
+             INSERT INTO input VALUES (1, 10), (2, 20);",
+        )
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn symbolic_compile_of_paper_lr_problem() {
+        // min sum(err) s.t. -err <= p1*x - y <= err (an L1 regression).
+        let sql = "SOLVESELECT p(p1) AS (SELECT * FROM pars) \
+                   WITH e(err) AS (SELECT x, y, NULL::float8 AS err FROM input) \
+                   MINIMIZE (SELECT sum(err) FROM e) \
+                   SUBJECTTO (SELECT -1*err <= (p1 * x - y) <= err FROM e, p) \
+                   USING solverlp()";
+        compiled(&test_db(), sql, |m| {
+            assert!(m.minimize && m.first_failure().is_none());
+            // Objective = err0 + err1.
+            assert_eq!(m.linear_objective().unwrap().terms.len(), 2);
+            // Two rows × one chain (two atoms each), all from rule 0.
+            assert_eq!(m.atoms.len(), 4);
+            assert!(m.atoms.iter().all(|a| a.rule == 0));
+            let low = m.lowered();
+            assert_eq!(low.used.len(), 3); // p1 + two errs (all referenced)
+            assert_eq!(low.atom_of_row, vec![0, 1, 2, 3]);
+            let sol = lp::solve(&low.problem);
+            assert!(sol.is_optimal());
+            // Perfect fit: p1 = 10, errors 0.
+            let p1_idx = low.used.iter().position(|&v| m.prob.vars[v as usize].rel == 0).unwrap();
+            assert!((sol.x[p1_idx] - 10.0).abs() < 1e-6);
+            assert!(sol.objective.abs() < 1e-6);
+        });
+    }
+
+    #[test]
+    fn pruning_excludes_unreferenced_variables_and_bounds_are_not_rows() {
+        let sql = "SOLVESELECT p(p1, p2, p3) AS (SELECT * FROM pars) \
+                   MINIMIZE (SELECT sum(p1) FROM p) \
+                   SUBJECTTO (SELECT p1 >= 1 FROM p) USING solverlp()";
+        compiled(&test_db(), sql, |m| {
+            let low = m.lowered();
+            assert_eq!(low.used, vec![0]); // p2 and p3 pruned
+            assert!(low.problem.constraints.is_empty() && low.atom_of_row.is_empty());
+            assert_eq!(low.problem.lower, vec![1.0]);
+        });
+    }
+
+    #[test]
+    fn failures_are_typed_per_rule_and_the_rest_still_compiles() {
+        let sql = "SOLVESELECT p(p1, p2) AS (SELECT * FROM pars) \
+                   MINIMIZE (SELECT p1 * p2 FROM p) \
+                   SUBJECTTO (SELECT 1 = 2), (SELECT p1 + p2 <= 4 FROM p), \
+                             (SELECT p1 <> 3 FROM p), (SELECT p1 + 1 FROM p) \
+                   USING solverlp()";
+        compiled(&test_db(), sql, |m| {
+            let kinds: Vec<Option<FailureKind>> =
+                m.rules.iter().map(|r| r.as_ref().err().map(|f| f.kind)).collect();
+            assert_eq!(
+                kinds,
+                vec![
+                    Some(FailureKind::TriviallyFalse),
+                    None,
+                    Some(FailureKind::NonLinear),
+                    Some(FailureKind::Other)
+                ]
+            );
+            // The one good rule is there, attributed to its index.
+            assert_eq!(m.atoms.len(), 1);
+            assert_eq!(m.atoms[0].rule, 1);
+            // Strict order: the objective's failure comes first.
+            let first = m.first_failure().unwrap();
+            assert_eq!(first.kind, FailureKind::NonLinear);
+            assert!(first.error.to_string().contains("in MINIMIZE rule"), "{}", first.error);
+            assert!(m.rule_failure().unwrap().error.to_string().contains("infeasible"));
+        });
+    }
+
+    #[test]
+    fn a_rule_over_a_nonlinear_derived_relation_is_nonlinear() {
+        let sql = "SOLVESELECT p(p1, p2) AS (SELECT * FROM pars) \
+                   WITH sq AS (SELECT p1 * p2 AS v FROM p) \
+                   MINIMIZE (SELECT sum(v) FROM sq) \
+                   SUBJECTTO (SELECT 0 <= p1 <= 1 FROM p), (SELECT v >= 0 FROM nosuch) \
+                   USING swarmops.pso()";
+        compiled(&test_db(), sql, |m| {
+            let objective = m.objective.as_ref().unwrap().as_ref().unwrap_err();
+            assert_eq!(objective.kind, FailureKind::NonLinear);
+            assert!(objective.error.to_string().contains("'sq' does not exist"));
+            assert!(m.rules[0].is_ok());
+            // A relation that never existed is not a linearity matter.
+            assert_eq!(m.rules[1].as_ref().unwrap_err().kind, FailureKind::Other);
+        });
+    }
+
+    #[test]
+    fn statements_without_rules_run_no_symbolic_pass() {
+        let db = test_db();
+        let Statement::Solve(stmt) =
+            parser::parse_statement("SOLVESELECT p(p1) AS (SELECT * FROM pars) USING s()").unwrap()
+        else {
+            panic!("not a solve statement");
+        };
+        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
+        let before = db.exec_counts();
+        let m = compile_model(&db, &Ctes::new(), &prob);
+        assert!(m.objective.is_none() && m.rules.is_empty() && m.atoms.is_empty());
+        assert_eq!(m.lowered().problem.num_vars, 0);
+        assert_eq!(db.exec_counts(), before);
+    }
+}

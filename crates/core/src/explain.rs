@@ -3,8 +3,9 @@
 //! objective, constraints — without running a solver. This is the
 //! PA-pipeline analogue of `EXPLAIN`.
 
-use crate::problem::{build_problem, compile_linear, to_lp, ProblemInstance};
-use crate::symbolic::{LinExpr, Rel};
+use crate::compile::{compile_model, Atom, CompiledModel, FailureKind};
+use crate::problem::{build_problem, ProblemInstance};
+use crate::symbolic::{LinExpr, VarId};
 use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
@@ -29,6 +30,10 @@ pub struct Explanation {
     pub constraint_count: usize,
     /// Whether the rules compile to a linear program.
     pub linear: bool,
+    /// When they do not for a reason other than non-linearity (a
+    /// trivially false or non-boolean cell, an unknown relation, two
+    /// objectives): the error of the first rule that failed.
+    pub failure: Option<String>,
     /// The named solver and method.
     pub solver: Option<String>,
     /// Matrix-classification summary (row-class census, TU verdict,
@@ -65,8 +70,15 @@ impl Explanation {
             s,
             "constraints: {} ({})",
             self.constraint_count,
-            if self.linear { "linear" } else { "not linear — black-box evaluation" }
+            match (self.linear, &self.failure) {
+                (true, _) => "linear",
+                (false, None) => "not linear — black-box evaluation",
+                (false, Some(_)) => "not compiled",
+            }
         );
+        if let Some(f) = &self.failure {
+            let _ = writeln!(s, "  {f}");
+        }
         for c in self.constraints.iter().take(MAX_RENDERED) {
             let _ = writeln!(s, "  {c}");
         }
@@ -108,7 +120,7 @@ fn matrix_summary(p: &lp::Problem) -> Option<String> {
     Some(parts.join(", "))
 }
 
-pub(crate) fn var_name(prob: &ProblemInstance, v: u32) -> String {
+pub(crate) fn var_name(prob: &ProblemInstance, v: VarId) -> String {
     let info = &prob.vars[v as usize];
     let rel = &prob.relations[info.rel];
     format!(
@@ -119,26 +131,56 @@ pub(crate) fn var_name(prob: &ProblemInstance, v: u32) -> String {
     )
 }
 
+/// The terms `c*name`, with unit coefficients elided.
+fn render_terms(prob: &ProblemInstance, terms: impl Iterator<Item = (VarId, f64)>) -> Vec<String> {
+    terms
+        .map(|(v, c)| {
+            let name = var_name(prob, v);
+            if c == 1.0 {
+                name
+            } else if c == -1.0 {
+                format!("-{name}")
+            } else {
+                format!("{c}*{name}")
+            }
+        })
+        .collect()
+}
+
 pub(crate) fn render_linexpr(prob: &ProblemInstance, e: &LinExpr) -> String {
-    let mut parts = Vec::new();
-    for &(v, c) in &e.terms {
-        if c == 1.0 {
-            parts.push(var_name(prob, v));
-        } else if c == -1.0 {
-            parts.push(format!("-{}", var_name(prob, v)));
-        } else {
-            parts.push(format!("{c}*{}", var_name(prob, v)));
-        }
-    }
+    let mut parts = render_terms(prob, e.terms.iter().copied());
     if e.constant != 0.0 || parts.is_empty() {
         parts.push(format!("{}", e.constant));
     }
     parts.join(" + ")
 }
 
+/// Render an atom `diff ⋈ 0` back into readable form.
+pub(crate) fn render_atom(prob: &ProblemInstance, a: &Atom) -> String {
+    format!("{} {} 0", render_linexpr(prob, &a.diff), a.rel)
+}
+
+/// Render a row `c*name + … ⋈ rhs`.
+pub(crate) fn render_row(
+    prob: &ProblemInstance,
+    terms: impl Iterator<Item = (VarId, f64)>,
+    op: impl std::fmt::Display,
+    rhs: f64,
+) -> String {
+    format!("{} {op} {rhs}", render_terms(prob, terms).join(" + "))
+}
+
+/// Render row `i` of the model's linear program.
+pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
+    let low = m.lowered();
+    let c = &low.problem.constraints[i];
+    render_row(m.prob, c.coeffs.iter().map(|&(j, a)| (low.used[j], a)), c.rel, c.rhs)
+}
+
 /// Compile (but do not solve) a `SOLVESELECT`, reporting its structure.
 pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Explanation> {
     let prob = build_problem(db, ctes, stmt)?;
+    let model = compile_model(db, ctes, &prob);
     let relations = prob
         .relations
         .iter()
@@ -162,53 +204,47 @@ pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Expl
         s
     });
 
-    match compile_linear(db, ctes, &prob) {
-        Ok(rules) => {
-            let (lp_prob, used) = to_lp(&prob, &rules);
-            let mut constraints = Vec::new();
-            let mut count = 0usize;
-            for c in &rules.constraints {
-                for (l, rel, r) in c.atoms() {
-                    count += 1;
-                    let op = match rel {
-                        Rel::Le => "<=",
-                        Rel::Eq => "=",
-                        Rel::Ge => ">=",
-                    };
-                    constraints.push(format!(
-                        "{} {} {}",
-                        render_linexpr(&prob, l),
-                        op,
-                        render_linexpr(&prob, r)
-                    ));
-                }
-            }
-            Ok(Explanation {
-                relations,
-                variables: prob.num_vars(),
-                used_variables: used.len(),
-                objective: Some(render_linexpr(&prob, &rules.objective)),
-                minimize: rules.minimize,
-                constraints,
-                constraint_count: count,
-                linear: true,
-                solver,
-                matrix: matrix_summary(&lp_prob),
-            })
-        }
-        Err(_) => Ok(Explanation {
+    if let Some(failure) = model.first_failure() {
+        return Ok(Explanation {
             relations,
             variables: prob.num_vars(),
             used_variables: prob.num_vars(),
             objective: None,
-            minimize: prob.minimize.is_some() || prob.maximize.is_none(),
+            minimize: model.minimize,
             constraints: vec![],
             constraint_count: prob.subjectto.len(),
             linear: false,
+            failure: (failure.kind != FailureKind::NonLinear).then(|| failure.error.to_string()),
             solver,
             matrix: None,
-        }),
+        });
     }
+    let constraints: Vec<String> = model
+        .rules
+        .iter()
+        .flatten()
+        .flatten()
+        .flat_map(|c| c.atoms())
+        .map(|(l, rel, r)| {
+            format!("{} {rel} {}", render_linexpr(&prob, l), render_linexpr(&prob, r))
+        })
+        .collect();
+    let lowered = model.lowered();
+    Ok(Explanation {
+        relations,
+        variables: prob.num_vars(),
+        used_variables: lowered.used.len(),
+        objective: Some(
+            model.linear_objective().map_or_else(|| "0".to_string(), |o| render_linexpr(&prob, o)),
+        ),
+        minimize: model.minimize,
+        constraint_count: constraints.len(),
+        constraints,
+        linear: true,
+        failure: None,
+        solver,
+        matrix: matrix_summary(&lowered.problem),
+    })
 }
 
 /// Parse and explain a `SOLVESELECT` statement.
@@ -279,8 +315,34 @@ mod tests {
              SUBJECTTO (SELECT 0 <= a <= 1 FROM p) USING swarmops.pso()",
         )
         .unwrap();
-        assert!(!e.linear);
+        assert!(!e.linear && e.failure.is_none());
         assert!(e.render().contains("black-box"));
+    }
+
+    /// Only non-linearity earns the black-box label; any other rule
+    /// failure is rendered with the rule and its error.
+    #[test]
+    fn other_rule_failures_are_rendered_not_called_nonlinear() {
+        let db = db();
+        for (rule, reason) in [
+            ("SELECT 1 = 2", "trivially false"),
+            ("SELECT a + 1 FROM p", "expected a constraint or boolean"),
+            ("SELECT v >= 0 FROM nosuch", "in SUBJECTTO rule (SELECT (v >= 0) FROM nosuch)"),
+        ] {
+            let e = explain_sql(
+                &db,
+                &format!(
+                    "SOLVESELECT p(a) AS (SELECT * FROM pars) MINIMIZE (SELECT a FROM p) \
+                     SUBJECTTO (SELECT 0 <= a <= 1 FROM p), ({rule}) USING solverlp()"
+                ),
+            )
+            .unwrap();
+            assert!(!e.linear, "{rule}");
+            let text = e.render();
+            assert!(text.contains("constraints: 2 (not compiled)"), "{rule}:\n{text}");
+            assert!(text.contains(reason), "{rule}:\n{text}");
+            assert!(!text.contains("black-box"), "{rule}:\n{text}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! `MODELEVAL` from query execution into the solver framework.
 
 use crate::check;
+use crate::compile::compile_model;
 use crate::explain;
 use crate::model::{expect_model, ModelValue};
-use crate::problem::{build_problem, build_problem_traced, materialize_env, CellPatch};
+use crate::problem::{build_problem, build_problem_traced, initial_env};
 use crate::solver::{SolveContext, SolveControl, SolverRegistry};
 use sqlengine::ast::{Query, SolveKind, SolveStmt};
 use sqlengine::catalog::{Ctes, Database, SolveHandler};
@@ -45,15 +46,18 @@ impl SolveHandler for Handler {
             SolverRegistry::check_method(solver.as_ref(), &using.method)?;
             (solver, build_problem_traced(db, ctes, stmt, trace)?)
         };
+        // The one symbolic evaluation of the rules; the analyzer and
+        // the solver both read its result.
+        let model = obs::trace::span_time(trace, "compile", || compile_model(db, ctes, &prob));
         // Pre-solve static analysis. All findings go into the sink; the
         // executor keeps only advisory (Warning/Note) severities on the
         // result — Error-level findings predict a solver failure that
         // the solve call below reports in its own words.
         obs::trace::span_time(trace, "check", || {
-            warnings.extend(check::check_problem(db, ctes, &prob));
+            warnings.extend(check::check_problem(&model));
         });
         let control = SolveControl::from_db(db);
-        let ctx = SolveContext { db, ctes, trace, control: control.as_ref() };
+        let ctx = SolveContext { db, ctes, trace, control: control.as_ref(), model: &model };
         let span = trace.map(|t| {
             let s = t.span("solve");
             s.note("solver", &using.solver);
@@ -82,7 +86,7 @@ impl SolveHandler for Handler {
 
     fn presolve_solve(&self, db: &Database, stmt: &SolveStmt, ctes: &Ctes) -> Result<Table> {
         let prob = build_problem(db, ctes, stmt)?;
-        let lines = check::presolve::reduce::explain_presolve(db, ctes, &prob);
+        let lines = check::presolve::reduce::explain_presolve(&compile_model(db, ctes, &prob));
         let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
         let rows = lines.into_iter().map(|l| vec![Value::text(&l)]).collect();
         Ok(Table::with_rows(schema, rows))
@@ -107,7 +111,6 @@ impl SolveHandler for Handler {
         // Turn the model's relations into CTEs (materialized with their
         // initial values) and evaluate the SELECT in that context.
         let prob = build_problem(db, ctes, &mv.stmt)?;
-        let env = materialize_env(db, ctes, &prob, &CellPatch::Initial)?;
-        run_query(db, &env, select, None)
+        run_query(db, &initial_env(ctes, &prob), select, None)
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Implements the paper's contributions on top of the `sqlengine`
 //! substrate: the solver framework and registry (§4.1), symbolic
-//! compilation of rules into linear programs, shared problem models with
+//! compilation of rules into one [`CompiledModel`] that the analyzers
+//! and the solvers read, shared problem models with
 //! instantiation (`<<`, Algorithm 1) and inlining (`INLINE`,
 //! Algorithm 2), `MODELEVAL`, the CDTE machinery incl. the `c_mask`
 //! rewrite (§4.3), and the in-DBMS Predictive Framework (§3).
@@ -13,6 +14,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod check;
+pub mod compile;
 pub mod explain;
 pub mod handler;
 pub mod model;
@@ -25,6 +27,7 @@ pub mod solvers;
 pub mod symbolic;
 
 pub use check::{check_sql, check_stmt};
+pub use compile::{compile_model, CompiledModel};
 pub use explain::{explain_sql, Explanation};
 pub use model::ModelValue;
 pub use obs_tables::ObsTables;

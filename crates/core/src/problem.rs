@@ -2,13 +2,13 @@
 //!
 //! Implements the semantics of paper §4.1–§4.4: INLINE expansion
 //! (Algorithm 2), ordered materialization of the decision relations with
-//! the scoping rules of §4.1, decision-variable creation with
-//! unused-variable pruning (§4.3), symbolic compilation of
-//! `MINIMIZE`/`SUBJECTTO` rules into a linear program, and the prepared
-//! candidate evaluation used by black-box solvers.
+//! the scoping rules of §4.1, decision-variable creation, output
+//! assembly, and the prepared candidate evaluation used by black-box
+//! solvers. (The symbolic compilation of the rules is [`crate::compile`].)
 
+use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
-use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
+use crate::symbolic::{ConstraintValue, Rel, VarId};
 use sqlengine::ast::{
     Cte, DecCols, DecRel, Expr, NamedRule, Query, Select, SelectItem, SolveStmt, TableRef,
 };
@@ -16,7 +16,7 @@ use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
 use sqlengine::exec::run_query;
 use sqlengine::table::Table;
-use sqlengine::types::{downcast, DataType, Value};
+use sqlengine::types::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -313,77 +313,21 @@ pub fn build_problem_traced(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Environment materialization under a cell patch
-// ---------------------------------------------------------------------------
-
-/// How decision cells are filled during (re-)materialization.
-pub enum CellPatch {
-    /// Keep materialized (initial) values.
-    Initial,
-    /// Replace with symbolic variables.
-    Symbolic,
-}
-
-/// Re-materialize all decision relations in order, applying the patch to
-/// decision cells, and return the CTE environment exposing them under
-/// their aliases. Relations are *re-executed*, so derived relations (e.g.
-/// a recursive simulation CDTE) see patched upstream values — this is
-/// the symbolic compilation path of §4.1. (Concrete candidates of a
-/// black-box solver go through [`BlackboxProblem::fitness`].)
-pub fn materialize_env(
-    db: &Database,
-    base: &Ctes,
-    prob: &ProblemInstance,
-    patch: &CellPatch,
-) -> Result<Ctes> {
+/// The CTE environment exposing every decision relation under its alias
+/// with the values it was instantiated with (what `MODELEVAL` reads).
+pub fn initial_env(base: &Ctes, prob: &ProblemInstance) -> Ctes {
     let mut env = base.clone();
-    for (ri, rel) in prob.relations.iter().enumerate() {
-        let mut table = match patch {
-            // The initial tables were already materialized at build time;
-            // avoid re-running their queries.
-            CellPatch::Initial => rel.table.clone(),
-            _ => {
-                if rel.dec_cols.is_empty() && rel.alias.is_none() {
-                    rel.table.clone()
-                } else {
-                    match run_query(db, &env, &rel.query, None) {
-                        Ok(t) => t,
-                        // Symbolic materialization is lenient: a derived
-                        // relation that is nonlinear in the decision
-                        // variables (e.g. a simulation CDTE under a
-                        // black-box formulation) simply stays unavailable;
-                        // rules that reference it will error, rules that
-                        // don't are unaffected.
-                        Err(_) if matches!(patch, CellPatch::Symbolic) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        };
-        check_cardinality(rel, &table)?;
-        for (row_idx, ids) in rel.vars.iter().enumerate() {
-            for (k, &id) in ids.iter().enumerate() {
-                let col = rel.dec_cols[k];
-                let info = &prob.vars[id as usize];
-                debug_assert_eq!((info.rel, info.row, info.col), (ri, row_idx, col));
-                let v = match patch {
-                    CellPatch::Initial => continue,
-                    CellPatch::Symbolic => sym_value(LinExpr::var(id)),
-                };
-                table.rows[row_idx][col] = v;
-            }
-        }
+    for rel in &prob.relations {
         if let Some(a) = &rel.alias {
-            env.insert(a, Arc::new(table));
+            env.insert(a, Arc::new(rel.table.clone()));
         }
     }
-    Ok(env)
+    env
 }
 
 /// Decision relations must keep the row count they were instantiated
 /// with: variables are addressed by row.
-fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
+pub(crate) fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
     if table.num_rows() == rel.table.num_rows() {
         return Ok(());
     }
@@ -394,173 +338,6 @@ fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
         table.num_rows(),
         rel.table.num_rows()
     )))
-}
-
-// ---------------------------------------------------------------------------
-// Linear compilation
-// ---------------------------------------------------------------------------
-
-/// Rules compiled to linear form.
-#[derive(Debug, Clone)]
-pub struct LinearRules {
-    pub objective: LinExpr,
-    pub minimize: bool,
-    pub constraints: Vec<ConstraintValue>,
-}
-
-/// Describe a rule for error messages and diagnostics: its alias when
-/// named, else its (truncated) SQL text — so a nonlinearity error names
-/// the offending rule instead of floating free of context.
-pub fn rule_label(alias: Option<&str>, query: &Query) -> String {
-    match alias {
-        Some(a) => format!("'{a}'"),
-        None => {
-            let sql = query.to_string();
-            let mut s: String = sql.chars().take(60).collect();
-            if s.chars().count() < sql.chars().count() {
-                s.push_str("...");
-            }
-            format!("({s})")
-        }
-    }
-}
-
-/// Wrap a rule-evaluation error with which clause and rule produced it.
-fn rule_error(clause: &str, alias: Option<&str>, query: &Query, e: Error) -> Error {
-    Error::solver(format!("in {clause} rule {}: {e}", rule_label(alias, query)))
-}
-
-/// Evaluate MINIMIZE/MAXIMIZE and SUBJECTTO symbolically.
-pub fn compile_linear(db: &Database, base: &Ctes, prob: &ProblemInstance) -> Result<LinearRules> {
-    let env = materialize_env(db, base, prob, &CellPatch::Symbolic)?;
-    let (obj_query, minimize) = match (&prob.minimize, &prob.maximize) {
-        (Some(q), None) => (Some(q), true),
-        (None, Some(q)) => (Some(q), false),
-        (None, None) => (None, true),
-        (Some(_), Some(_)) => {
-            return Err(Error::solver(
-                "linear solvers support a single objective (MINIMIZE or MAXIMIZE)",
-            ))
-        }
-    };
-    let clause = if minimize { "MINIMIZE" } else { "MAXIMIZE" };
-    let objective = match obj_query {
-        None => LinExpr::constant(0.0),
-        Some(q) => run_query(db, &env, q, None)
-            .and_then(|t| t.scalar())
-            .and_then(|v| as_linexpr(&v))
-            .map_err(|e| rule_error(clause, None, q, e))?,
-    };
-    let mut constraints = Vec::new();
-    collect_constraints(db, &env, &prob.subjectto, &mut constraints)?;
-    Ok(LinearRules { objective, minimize, constraints })
-}
-
-/// Evaluate SUBJECTTO queries in an environment, collecting constraint
-/// cells. `TRUE`/`NULL` cells are ignored; a constant `FALSE` cell makes
-/// the problem infeasible at compile time.
-pub fn collect_constraints(
-    db: &Database,
-    env: &Ctes,
-    rules: &[NamedRule],
-    out: &mut Vec<ConstraintValue>,
-) -> Result<()> {
-    for rule in rules {
-        let t = run_query(db, env, &rule.query, None)
-            .map_err(|e| rule_error("SUBJECTTO", rule.alias.as_deref(), &rule.query, e))?;
-        for row in &t.rows {
-            for cell in row {
-                if let Some(c) = downcast::<ConstraintVal>(cell) {
-                    out.push(c.0.clone());
-                    continue;
-                }
-                match cell {
-                    Value::Bool(true) | Value::Null => {}
-                    Value::Bool(false) => {
-                        return Err(Error::solver(format!(
-                            "constraint{} is trivially false — the problem is infeasible",
-                            rule.alias.as_deref().map(|a| format!(" '{a}'")).unwrap_or_default()
-                        )))
-                    }
-                    other => {
-                        return Err(Error::solver(format!(
-                            "SUBJECTTO cell evaluated to {} ({}), expected a constraint or boolean",
-                            other.data_type().sql_name(),
-                            other
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Convert compiled rules into an [`lp::Problem`]. Only variables that
-/// appear in the objective or constraints become LP variables (the
-/// unbound-variable pruning of §4.3); single-variable comparisons with
-/// constant sides become bounds rather than rows.
-pub fn to_lp(prob: &ProblemInstance, rules: &LinearRules) -> (lp::Problem, Vec<VarId>) {
-    let mut used: Vec<VarId> = Vec::new();
-    let mut seen = vec![false; prob.num_vars()];
-    let mark = |e: &LinExpr, used: &mut Vec<VarId>, seen: &mut Vec<bool>| {
-        for v in e.vars() {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                used.push(v);
-            }
-        }
-    };
-    mark(&rules.objective, &mut used, &mut seen);
-    for c in &rules.constraints {
-        for (l, _, r) in c.atoms() {
-            mark(l, &mut used, &mut seen);
-            mark(r, &mut used, &mut seen);
-        }
-    }
-    used.sort_unstable();
-    let index: HashMap<VarId, usize> = used.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-
-    let mut p = if rules.minimize {
-        lp::Problem::minimize(used.len())
-    } else {
-        lp::Problem::maximize(used.len())
-    };
-    for (i, &v) in used.iter().enumerate() {
-        p.integer[i] = prob.vars[v as usize].integer;
-    }
-    p.objective_constant = rules.objective.constant;
-    p.set_objective(rules.objective.terms.iter().map(|&(v, c)| (index[&v], c)).collect());
-    for c in &rules.constraints {
-        for (l, rel, r) in c.atoms() {
-            let diff = l.sub(r); // diff ⋈ 0  ⇔  terms ⋈ -const
-            let rhs = -diff.constant;
-            let lprel = match rel {
-                Rel::Le => lp::Rel::Le,
-                Rel::Ge => lp::Rel::Ge,
-                Rel::Eq => lp::Rel::Eq,
-            };
-            if diff.terms.len() == 1 && rel != Rel::Eq {
-                // Box bound: c·x ⋈ rhs.
-                let (v, coef) = diff.terms[0];
-                let bound = rhs / coef;
-                let j = index[&v];
-                let le = (rel == Rel::Le) == (coef > 0.0);
-                if le {
-                    p.tighten(j, f64::NEG_INFINITY, bound);
-                } else {
-                    p.tighten(j, bound, f64::INFINITY);
-                }
-            } else {
-                p.add_constraint(
-                    diff.terms.iter().map(|&(v, c)| (index[&v], c)).collect(),
-                    lprel,
-                    rhs,
-                );
-            }
-        }
-    }
-    (p, used)
 }
 
 // ---------------------------------------------------------------------------
@@ -619,8 +396,8 @@ pub struct BlackboxProblem<'a> {
     chain: Vec<(usize, bool)>,
 }
 
-/// Build the black-box formulation: SUBJECTTO is evaluated symbolically
-/// to harvest bounds; the objective stays a query re-evaluated per
+/// Build the black-box formulation: the compiled SUBJECTTO rules are
+/// harvested for bounds; the objective stays a query re-evaluated per
 /// candidate. The start point is evaluated here, so an objective that
 /// can never be evaluated fails the solve instead of scoring every
 /// candidate ∞; its plans stay in the engine's plan cache for the
@@ -628,20 +405,21 @@ pub struct BlackboxProblem<'a> {
 pub fn build_blackbox<'a>(
     db: &Database,
     base: &Ctes,
-    prob: &'a ProblemInstance,
+    model: &CompiledModel<'a>,
 ) -> Result<BlackboxProblem<'a>> {
+    let prob = model.prob;
     let n = prob.num_vars();
     if n == 0 {
         return Err(Error::solver("problem has no decision variables"));
     }
-    let env = materialize_env(db, base, prob, &CellPatch::Symbolic)?;
-    let mut constraints = Vec::new();
-    collect_constraints(db, &env, &prob.subjectto, &mut constraints)?;
+    if let Some(failure) = model.rule_failure() {
+        return Err(failure.error.clone());
+    }
 
     let mut lower = vec![f64::NEG_INFINITY; n];
     let mut upper = vec![f64::INFINITY; n];
     let mut penalties = Vec::new();
-    for c in constraints {
+    for c in model.rules.iter().flatten().flatten() {
         let mut as_bounds = Vec::new();
         let mut boundable = true;
         for (l, rel, r) in c.atoms() {
@@ -664,7 +442,7 @@ pub fn build_blackbox<'a>(
                 }
             }
         } else {
-            penalties.push(c);
+            penalties.push(c.clone());
         }
     }
     let integer: Vec<bool> = prob.vars.iter().map(|v| v.integer).collect();
@@ -782,6 +560,7 @@ impl BlackboxProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile_model;
     use sqlengine::ast::Statement;
     use sqlengine::{execute_script, parser};
 
@@ -861,68 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_compile_of_paper_lr_problem() {
-        let mut db = Database::new();
-        execute_script(
-            &mut db,
-            "CREATE TABLE pars (p1 float8); INSERT INTO pars VALUES (NULL);
-             CREATE TABLE input (x float8, y float8);
-             INSERT INTO input VALUES (1, 10), (2, 20);",
-        )
-        .unwrap();
-        // min sum(err) s.t. -err <= p1*x - y <= err (an L1 regression).
-        let stmt = solve_stmt(
-            "SOLVESELECT p(p1) AS (SELECT * FROM pars) \
-             WITH e(err) AS (SELECT x, y, NULL::float8 AS err FROM input) \
-             MINIMIZE (SELECT sum(err) FROM e) \
-             SUBJECTTO (SELECT -1*err <= (p1 * x - y) <= err FROM e, p) \
-             USING solverlp()",
-        );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let rules = compile_linear(&db, &Ctes::new(), &prob).unwrap();
-        assert!(rules.minimize);
-        // Objective = err0 + err1.
-        assert_eq!(rules.objective.terms.len(), 2);
-        // Two rows × one chain (two atoms each).
-        let atoms: usize = rules.constraints.iter().map(|c| c.atoms().len()).sum();
-        assert_eq!(atoms, 4);
-        let (lp_prob, used) = to_lp(&prob, &rules);
-        assert_eq!(used.len(), 3); // p1 + two errs (all referenced)
-        let sol = lp::solve(&lp_prob);
-        assert!(sol.is_optimal());
-        // Perfect fit: p1 = 10, errors 0.
-        let p1_idx = used.iter().position(|&v| prob.vars[v as usize].rel == 0).unwrap();
-        assert!((sol.x[p1_idx] - 10.0).abs() < 1e-6);
-        assert!(sol.objective.abs() < 1e-6);
-    }
-
-    #[test]
-    fn pruning_excludes_unreferenced_variables() {
-        let db = test_db();
-        let stmt = solve_stmt(
-            "SOLVESELECT p(potemp, pmonth, peps) AS (SELECT * FROM pars) \
-             MINIMIZE (SELECT sum(potemp) FROM p) \
-             SUBJECTTO (SELECT potemp >= 1 FROM p) USING solverlp()",
-        );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let rules = compile_linear(&db, &Ctes::new(), &prob).unwrap();
-        let (_, used) = to_lp(&prob, &rules);
-        assert_eq!(used.len(), 1); // pmonth and peps pruned
-    }
-
-    #[test]
-    fn trivially_false_constraint_is_infeasible() {
-        let db = test_db();
-        let stmt = solve_stmt(
-            "SOLVESELECT p(potemp) AS (SELECT * FROM pars) \
-             SUBJECTTO (SELECT 1 = 2) USING solverlp()",
-        );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let err = compile_linear(&db, &Ctes::new(), &prob).unwrap_err();
-        assert!(err.to_string().contains("infeasible"));
-    }
-
-    #[test]
     fn inline_imports_with_prefixes() {
         let mut db = test_db();
         // Store a model in a table.
@@ -946,9 +663,9 @@ mod tests {
 
         // And the whole thing solves: x >= 20 minimized → 20.
         let prob = build_problem(&db, &Ctes::new(), &expanded).unwrap();
-        let rules = compile_linear(&db, &Ctes::new(), &prob).unwrap();
-        let (lp_prob, _) = to_lp(&prob, &rules);
-        let sol = lp::solve(&lp_prob);
+        let model = compile_model(&db, &Ctes::new(), &prob);
+        assert!(model.first_failure().is_none());
+        let sol = lp::solve(&model.lowered().problem);
         assert!(sol.is_optimal());
         assert!((sol.objective - 20.0).abs() < 1e-6);
     }
@@ -964,7 +681,8 @@ mod tests {
              SUBJECTTO (SELECT 0 <= a <= 10 FROM p) USING swarmops.pso()",
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let bb = build_blackbox(&db, &Ctes::new(), &prob).unwrap();
+        let model = compile_model(&db, &Ctes::new(), &prob);
+        let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         assert_eq!(bb.space.lower, vec![0.0]);
         assert_eq!(bb.space.upper, vec![10.0]);
         assert!(bb.penalties.is_empty());
@@ -990,7 +708,8 @@ mod tests {
              USING swarmops.de()",
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let bb = build_blackbox(&db, &Ctes::new(), &prob).unwrap();
+        let model = compile_model(&db, &Ctes::new(), &prob);
+        let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         assert_eq!(bb.penalties.len(), 1);
         let bad = bb.fitness(&db, &[1.0, 1.0]);
         assert!(bad > PENALTY_WEIGHT); // violated by 2
@@ -1019,7 +738,8 @@ mod tests {
              MINIMIZE (SELECT sum(x) FROM b) USING s()",
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let bb = build_blackbox(&db, &Ctes::new(), &prob).unwrap();
+        let model = compile_model(&db, &Ctes::new(), &prob);
+        let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         // With x = -1 the dependent relation b loses its row.
         let err = bb.evaluate(&db, &[-1.0]).unwrap_err();
         assert!(err.to_string().contains("cardinality"));

@@ -2,6 +2,7 @@
 //! which `USING solver.method(...)` resolves (paper §4.1, RC3's
 //! extensibility).
 
+use crate::compile::CompiledModel;
 use crate::problem::ProblemInstance;
 use parking_lot::RwLock;
 use sqlengine::catalog::{Ctes, Database};
@@ -132,13 +133,15 @@ impl SolveControl {
 /// Execution context handed to solvers: catalog access plus the CTE
 /// environment the `SOLVESELECT` ran under, the query trace (when the
 /// statement is being instrumented) into which solvers record
-/// sub-stages and [`obs::SolverStats`] telemetry, and the optional
-/// watchdog ([`SolveControl`]) solvers poll at progress points.
+/// sub-stages and [`obs::SolverStats`] telemetry, the optional
+/// watchdog ([`SolveControl`]) solvers poll at progress points, and
+/// the statement's rules as compiled once before the solver was called.
 pub struct SolveContext<'a> {
     pub db: &'a Database,
     pub ctes: &'a Ctes,
     pub trace: Option<&'a obs::Trace>,
     pub control: Option<&'a SolveControl>,
+    pub model: &'a CompiledModel<'a>,
 }
 
 impl SolveContext<'_> {

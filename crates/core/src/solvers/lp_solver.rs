@@ -2,12 +2,13 @@
 //! solverlp.cbc()`), backed by this repository's simplex and
 //! branch-and-bound instead of CBC/GLPK.
 
-use crate::check::presolve::reduce::{reduce, Presolved};
+use crate::check::presolve::reduce::{reduce, reduce_with, Presolved};
 use crate::check::presolve::Counts;
-use crate::problem::{apply_solution, compile_linear, to_lp, ProblemInstance};
+use crate::problem::{apply_solution, ProblemInstance};
 use crate::solver::{SolveContext, Solver};
 use sqlengine::error::{Error, Result};
 use sqlengine::table::Table;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 #[derive(Debug, Default)]
@@ -25,13 +26,16 @@ impl Solver for LpSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
-        let (mut lp_prob, used) = ctx.stage("compile", || -> Result<_> {
-            let rules = compile_linear(ctx.db, ctx.ctes, prob)?;
-            Ok(to_lp(prob, &rules))
-        })?;
+        if let Some(failure) = ctx.model.first_failure() {
+            return Err(failure.error.clone());
+        }
+        let lowered = ctx.model.lowered();
+        // Copied only by the two paths that change it: the relaxation
+        // below and the row-class registration with presolve off.
+        let mut lp_prob = Cow::Borrowed(&lowered.problem);
         // Method `simplex` forces the LP relaxation even with integers.
-        if prob.method.as_deref() == Some("simplex") {
-            lp_prob.integer.iter_mut().for_each(|b| *b = false);
+        if prob.method.as_deref() == Some("simplex") && lp_prob.has_integers() {
+            lp_prob.to_mut().integer.iter_mut().for_each(|b| *b = false);
         }
         let node_limit = match prob.param_usize("node_limit") {
             Some(Ok(limit)) => Some(limit),
@@ -40,13 +44,21 @@ impl Solver for LpSolver {
         // Interval-propagation presolve (on by default; `presolve := off`
         // disables it). Shrinks the problem the simplex/B&B actually
         // sees; the solution is un-crushed back to the full variable
-        // space before post-processing.
+        // space before post-processing. The fixpoint over the model's
+        // own LP is the one the analyzer already read.
         let presolve_on = prob
             .param_text("presolve")
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
-        let mut pre: Option<Presolved> =
-            presolve_on.then(|| ctx.stage("presolve", || reduce(&lp_prob)));
+        let mut pre: Option<Presolved> = presolve_on.then(|| {
+            ctx.stage("presolve", || match &lp_prob {
+                Cow::Borrowed(p) => {
+                    let propagated = ctx.model.propagated();
+                    reduce_with(p, &propagated.model, propagated.outcome.clone())
+                }
+                Cow::Owned(relaxed) => reduce(relaxed),
+            })
+        });
         let counts = pre.as_ref().map(|p| p.counts()).unwrap_or_default();
         // Matrix classification (on by default; `matrixclass := off`
         // disables it): classify rows, look for an integrality proof,
@@ -57,7 +69,10 @@ impl Solver for LpSolver {
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
         let analysis: Option<lp::matrix::MatrixAnalysis> = if matrixclass_on {
-            let target = pre.as_mut().map(|p| &mut p.reduced).unwrap_or(&mut lp_prob);
+            let target = match pre.as_mut() {
+                Some(p) => &mut p.reduced,
+                None => lp_prob.to_mut(),
+            };
             Some(ctx.stage("matrixclass", || {
                 let a = lp::matrix::analyze(target);
                 target.row_classes = a.row_classes.clone();
@@ -70,7 +85,7 @@ impl Solver for LpSolver {
             if pre.as_ref().is_some_and(|p| p.infeasible()) {
                 return (lp::Solution::infeasible(), None);
             }
-            let target = pre.as_ref().map(|p| &p.reduced).unwrap_or(&lp_prob);
+            let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
             if target.num_vars == 0 {
                 // Propagation fixed every variable; the objective is
                 // the folded constant and there is nothing to solve.
@@ -93,7 +108,7 @@ impl Solver for LpSolver {
         });
         let (matrix_class, integrality_proof, blocks) = match &analysis {
             Some(a) => {
-                let target = pre.as_ref().map(|p| &p.reduced).unwrap_or(&lp_prob);
+                let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
                 (a.census_label(), a.proof_label(target), lp::matrix::block_count(target) as u64)
             }
             None => (String::new(), String::new(), 0),
@@ -113,7 +128,7 @@ impl Solver for LpSolver {
             // instead of a result table.
             return Err(ctx.abort_error(&incumbents));
         }
-        ctx.stage("post-process", || finish(prob, sol, &used))
+        ctx.stage("post-process", || finish(prob, sol, &lowered.used))
     }
 }
 

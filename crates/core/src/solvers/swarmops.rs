@@ -28,7 +28,7 @@ impl Solver for SwarmOps {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
-        let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, prob))?;
+        let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, ctx.model))?;
         let fitness = |x: &[f64]| bb.fitness(ctx.db, x);
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0x5001_7EDB) as u64;
         let method = prob.method.as_deref().unwrap_or("pso");

@@ -168,7 +168,7 @@ impl CustomValue for SymValue {
                 } else if rhs.is_constant() {
                     Ok(sym_value(lhs.scale(rhs.constant)))
                 } else {
-                    Err(Error::solver(
+                    Err(Error::non_linear(
                         "product of two decision expressions is not linear (use a black-box solver)",
                     ))
                 }
@@ -181,14 +181,14 @@ impl CustomValue for SymValue {
                         Ok(sym_value(lhs.scale(1.0 / rhs.constant)))
                     }
                 } else {
-                    Err(Error::solver("division by a decision expression is not linear"))
+                    Err(Error::non_linear("division by a decision expression is not linear"))
                 }
             }
             BinOp::Pow => {
                 if rhs.is_constant() && rhs.constant == 1.0 {
                     Ok(sym_value(lhs))
                 } else {
-                    Err(Error::solver(
+                    Err(Error::non_linear(
                         "exponentiation of decision expressions is not linear (use a black-box solver)",
                     ))
                 }
@@ -199,7 +199,7 @@ impl CustomValue for SymValue {
                     BinOp::Ge | BinOp::Gt => Rel::Ge,
                     BinOp::Eq => Rel::Eq,
                     BinOp::Ne => {
-                        return Some(Err(Error::solver(
+                        return Some(Err(Error::non_linear(
                             "'<>' constraints are not representable in a linear program",
                         )))
                     }
@@ -241,6 +241,16 @@ pub enum Rel {
     Le,
     Eq,
     Ge,
+}
+
+impl std::fmt::Display for Rel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Rel::Le => "<=",
+            Rel::Eq => "=",
+            Rel::Ge => ">=",
+        })
+    }
 }
 
 /// A constraint produced by comparing symbolic values: a single
@@ -310,13 +320,8 @@ impl CustomValue for ConstraintVal {
             .iter()
             .map(|(l, rel, r)| {
                 format!(
-                    "{} {} {}",
+                    "{} {rel} {}",
                     SymValue((*l).clone()).to_text(),
-                    match rel {
-                        Rel::Le => "<=",
-                        Rel::Eq => "=",
-                        Rel::Ge => ">=",
-                    },
                     SymValue((*r).clone()).to_text()
                 )
             })
@@ -352,7 +357,7 @@ impl CustomValue for ConstraintVal {
                     ))))
                 }
             }
-            (BinOp::Or, _) => Some(Err(Error::solver(
+            (BinOp::Or, _) => Some(Err(Error::non_linear(
                 "disjunctive constraints are not representable in a linear program",
             ))),
             _ => Some(Err(Error::solver(format!(

@@ -100,21 +100,47 @@ fn sd002_fires_for_nonlinear_objective_under_solverlp() {
 
 #[test]
 fn sd002_message_matches_the_runtime_error() {
-    // Satellite guarantee: the analyzer's wording and the solver's
-    // run-time failure agree on clause, rule and reason.
-    let sql = "SOLVESELECT q(x) AS (SELECT x FROM v) \
-               MINIMIZE (SELECT x * x FROM q) \
-               SUBJECTTO (SELECT 0 <= x <= 10 FROM q) \
-               USING solverlp()";
-    let mut s = lp_session();
-    let d = s.check(sql).unwrap();
-    let sd002 = find(&d, "SD002").expect("SD002 expected");
-    let runtime = s.execute(sql).expect_err("solverlp must reject x*x").to_string();
-    assert!(
-        runtime.contains(&sd002.message),
-        "runtime error {runtime:?} should contain the diagnostic message {:?}",
-        sd002.message
-    );
+    // Satellite guarantee: every error-level finding of the analyzer and
+    // the solver's run-time failure agree on clause, rule and reason —
+    // both read the same compiled rule failure.
+    for (case, code, objective, rule) in [
+        (
+            "non-linear objective",
+            "SD002",
+            "MINIMIZE (SELECT x * x FROM q)",
+            "SELECT x <= 10 FROM q",
+        ),
+        ("non-linear rule", "SD002", "MINIMIZE (SELECT x FROM q)", "SELECT x * y <= 10 FROM q"),
+        ("<> rule", "SD002", "MINIMIZE (SELECT x FROM q)", "SELECT x <> 3 FROM q"),
+        ("trivially false rule", "SD004", "MINIMIZE (SELECT x FROM q)", "SELECT 1 = 2"),
+        (
+            "both objectives",
+            "SD007",
+            "MINIMIZE (SELECT x FROM q) MAXIMIZE (SELECT y FROM q)",
+            "SELECT x <= 10 FROM q",
+        ),
+    ] {
+        let sql = |using: &str| {
+            format!(
+                "SOLVESELECT q(x, y) AS (SELECT * FROM v) {objective} \
+                 SUBJECTTO (SELECT 0 <= x, 0 <= y <= 5 FROM q), ({rule}) USING {using}"
+            )
+        };
+        let mut s = lp_session();
+        let diags = s.check(&sql("solverlp()")).unwrap();
+        let errors: Vec<&Diagnostic> =
+            diags.iter().filter(|d| d.severity == Severity::Error).collect();
+        assert_eq!(errors.iter().map(|d| d.code.as_str()).collect::<Vec<_>>(), [code], "{case}");
+        let runtime = s.execute(&sql("solverlp()")).expect_err(case).to_string();
+        assert!(
+            runtime.contains(&errors[0].message),
+            "{case}: runtime error {runtime:?} should contain the diagnostic message {:?}",
+            errors[0].message
+        );
+        // Non-linearity is no defect under a black-box solver.
+        let blackbox = s.check(&sql("swarmops.pso()")).unwrap();
+        assert!(find(&blackbox, "SD002").is_none(), "{case}: got {:?}", codes(&blackbox));
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn solve_results_carry_a_trace() {
     assert_eq!(trace.label, "SOLVESELECT");
     let mut names = Vec::new();
     stage_names(&trace.stages, &mut names);
-    for expected in ["parse", "plan", "instantiate", "check", "solve", "post-process"] {
+    for expected in ["parse", "plan", "instantiate", "compile", "check", "solve", "post-process"] {
         assert!(names.iter().any(|n| n == expected), "missing stage {expected} in {names:?}");
     }
     // Every stage took measurable time and the tree fits in the total.
@@ -126,6 +126,22 @@ fn stat_statements_aggregates_by_shape() {
     // The metrics SELECTs themselves get recorded too, on the next read.
     let again = s.query("SELECT calls FROM sdb_stat_statements").unwrap();
     assert!(again.rows.len() >= stats.rows.len());
+}
+
+/// A plan that scanned a virtual table holds a snapshot the catalog
+/// epoch knows nothing about, so it is never cached: the same text read
+/// again within one epoch sees the statements run in between.
+#[test]
+fn virtual_table_reads_are_not_served_from_a_cached_plan() {
+    let mut s = Session::new();
+    s.execute_script("CREATE TABLE t (x int); INSERT INTO t VALUES (1)").unwrap();
+    s.execute("CREATE VIEW calls_seen AS SELECT sum(calls) AS n FROM sdb_stat_statements").unwrap();
+    for read in ["SELECT sum(calls) FROM sdb_stat_statements", "SELECT n FROM calls_seen"] {
+        let before = s.query_scalar(read).unwrap().as_i64().unwrap();
+        s.query("SELECT x FROM t").unwrap(); // no catalog change: same epoch
+        let after = s.query_scalar(read).unwrap().as_i64().unwrap();
+        assert!(after > before, "{read}: {before} then {after}");
+    }
 }
 
 #[test]
@@ -252,7 +268,7 @@ fn sdb_metrics_exposes_stage_histograms_after_a_solve() {
     s.query(SOLVE).unwrap();
     let t = s.query("SELECT name, count FROM sdb_metrics").unwrap();
     let names = text_column(&t, "name");
-    for expected in ["statement", "solve", "solve/compile"] {
+    for expected in ["statement", "compile", "solve", "solve/solve-lp"] {
         assert!(names.iter().any(|n| n == expected), "missing {expected} in {names:?}");
     }
 }

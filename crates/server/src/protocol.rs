@@ -157,7 +157,7 @@ pub fn error_to_frame(e: &EngineError) -> Frame {
         EngineError::Bind(m) => (error_kind::BIND, m),
         EngineError::Catalog(m) => (error_kind::CATALOG, m),
         EngineError::Eval(m) => (error_kind::EVAL, m),
-        EngineError::Solver(m) => (error_kind::SOLVER, m),
+        EngineError::Solver(m) | EngineError::NonLinear(m) => (error_kind::SOLVER, m),
         EngineError::SolveTimeout(m) => (error_kind::TIMEOUT, m),
         EngineError::Unsupported(m) => (error_kind::UNSUPPORTED, m),
     };

@@ -680,6 +680,13 @@ impl Database {
         self.virtual_tables.as_ref().and_then(|p| p.table(name))
     }
 
+    /// True when `name` resolves to a virtual table: the provider serves
+    /// it and no real table shadows it.
+    pub(crate) fn serves_virtual(&self, name: &str) -> bool {
+        !self.has_table(name)
+            && self.virtual_tables.as_ref().is_some_and(|p| p.names().iter().any(|n| n == name))
+    }
+
     /// Names served by the installed virtual-table provider, sorted.
     pub fn virtual_table_names(&self) -> Vec<String> {
         let mut v = self.virtual_tables.as_ref().map(|p| p.names()).unwrap_or_default();

@@ -19,6 +19,11 @@ pub enum Error {
     Eval(String),
     /// Error raised by a solver or the solver framework.
     Solver(String),
+    /// A solver error of one particular cause: an expression over
+    /// decision variables that has no linear form. Reads as a solver
+    /// error; the category lets the model compiler tell "needs a
+    /// black-box solver" from every other rule failure.
+    NonLinear(String),
     /// A solve exceeded its wall-clock budget or was cancelled
     /// (`SET solver_timeout_ms` / `CANCEL <session>`). The message
     /// carries the partial incumbent trajectory when one exists.
@@ -46,11 +51,29 @@ impl Error {
     pub fn solver(msg: impl Into<String>) -> Self {
         Error::Solver(msg.into())
     }
+    pub fn non_linear(msg: impl Into<String>) -> Self {
+        Error::NonLinear(msg.into())
+    }
     pub fn solve_timeout(msg: impl Into<String>) -> Self {
         Error::SolveTimeout(msg.into())
     }
     pub fn unsupported(msg: impl Into<String>) -> Self {
         Error::Unsupported(msg.into())
+    }
+
+    /// The message without its category prefix.
+    pub fn message(&self) -> &str {
+        match self {
+            Error::Lex(m)
+            | Error::Parse(m)
+            | Error::Bind(m)
+            | Error::Catalog(m)
+            | Error::Eval(m)
+            | Error::Solver(m)
+            | Error::NonLinear(m)
+            | Error::SolveTimeout(m)
+            | Error::Unsupported(m) => m,
+        }
     }
 }
 
@@ -62,7 +85,7 @@ impl fmt::Display for Error {
             Error::Bind(m) => write!(f, "binder error: {m}"),
             Error::Catalog(m) => write!(f, "catalog error: {m}"),
             Error::Eval(m) => write!(f, "evaluation error: {m}"),
-            Error::Solver(m) => write!(f, "solver error: {m}"),
+            Error::Solver(m) | Error::NonLinear(m) => write!(f, "solver error: {m}"),
             Error::SolveTimeout(m) => write!(f, "solve timeout: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
@@ -83,6 +106,12 @@ mod tests {
         assert_eq!(e.to_string(), "syntax error: unexpected token");
         let e = Error::eval("division by zero");
         assert_eq!(e.to_string(), "evaluation error: division by zero");
+    }
+
+    #[test]
+    fn non_linear_reads_as_a_solver_error() {
+        assert_eq!(Error::non_linear("x*y").to_string(), Error::solver("x*y").to_string());
+        assert_ne!(Error::non_linear("x*y"), Error::solver("x*y"));
     }
 
     #[test]

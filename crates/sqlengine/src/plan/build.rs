@@ -832,6 +832,9 @@ fn materialize_primary(
                     Ok(t) => (ScanSource::Table(t.clone()), scope_of(t), db.table_stats(name, t)),
                     Err(e) => match db.virtual_table(name) {
                         Some(t) => {
+                            // A snapshot taken now, outside the catalog
+                            // epoch: the plan must not be cached.
+                            captured.insert(name.clone());
                             let (scope, stats) = (scope_of(&t), uncached(&t));
                             (ScanSource::Table(Arc::new(t)), scope, stats)
                         }

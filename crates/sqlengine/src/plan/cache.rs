@@ -19,7 +19,10 @@
 //! catalog is part of the plan), a hit is honoured only when every slot
 //! is bound to a relation of the planned schema, and a plan that
 //! captured rows read from a bound CTE (a FROM subquery or view over
-//! it) is never cached. A CTE environment belongs to one statement, and
+//! it) is never cached. Neither is a plan that scanned a *virtual*
+//! table (`sdb_stat_statements`, `sdb_metrics`, …), directly or through
+//! a view: its rows are a snapshot of telemetry that moves without the
+//! catalog epoch moving. A CTE environment belongs to one statement, and
 //! so do these plans: they sit in a map of their own that the statement
 //! layer empties when the statement ends
 //! ([`Database::end_statement_plans`]). Within the statement they are
@@ -103,8 +106,9 @@ impl Database {
     /// The plan for a `SELECT` under `ctes`, and whether it came from
     /// the cache (`Some(true)`), was planned now and cached
     /// (`Some(false)`), or was planned now but cannot be cached because
-    /// it captured rows that depend on a bound CTE (`None`). `Ok(None)`
-    /// and `Err` mean what they mean for [`plan_select`].
+    /// it captured rows that depend on a bound CTE or come from a
+    /// virtual table (`None`). `Ok(None)` and `Err` mean what they mean
+    /// for [`plan_select`].
     pub(crate) fn plan_cached(
         &self,
         ctes: &Ctes,
@@ -130,7 +134,8 @@ impl Database {
             return Ok(None);
         };
         let planned = Arc::new(planned);
-        if planned.captured_reads.iter().any(|name| ctes.get(name).is_some()) {
+        let stale = |name: &String| ctes.get(name).is_some() || self.serves_virtual(name);
+        if planned.captured_reads.iter().any(stale) {
             return Ok(Some((planned, None)));
         }
         if let Ok(mut cache) = self.plan_cache.lock() {

@@ -375,8 +375,10 @@ pub struct PlannedQuery {
     pub visible: usize,
     /// Every relation name read (transitively through views) by the
     /// views and FROM subqueries the planner materialized into
-    /// [`ScanSource::Table`] scans. Rebinding one of these names makes
-    /// the captured rows stale, so the plan must not be executed again.
+    /// [`ScanSource::Table`] scans, and every virtual table scanned.
+    /// Rebinding one of these names makes the captured rows stale, so
+    /// the plan must not be executed again; a virtual table's rows are
+    /// stale as soon as they are captured.
     pub captured_reads: BTreeSet<String>,
 }
 

@@ -41,6 +41,22 @@ pub const FIT_SQL: &str = "SOLVESELECT t(a1, b1, b2) AS \
      SUBJECTTO (SELECT 0 <= a1 <= 1, 0 <= b1 <= 1, 0 <= b2 <= 0.001 FROM t) \
      USING swarmops.sa(iterations := 2500, seed := 11)";
 
+/// P4: the cost-minimal HVAC schedule over `horizon`, under the fitted
+/// dynamics in `hvac_pars` and the PV forecast in `pv_forecast`.
+pub const PLAN_SQL: &str = "SOLVESELECT t(hload, intemp) AS \
+       (SELECT h.time, h.outtemp, h.intemp, h.hload, f.pvsupply \
+        FROM horizon h JOIN pv_forecast f ON f.time = h.time) \
+     INLINE m AS (SELECT m << (SOLVEMODEL \
+         pars AS (SELECT a1, b1, b2 FROM hvac_pars) \
+         WITH data0 AS (SELECT intemp FROM hist ORDER BY time DESC LIMIT 1), \
+              data AS (SELECT time, outtemp, 0.0 AS intemp, hload FROM t)) \
+       FROM model) \
+     MINIMIZE (SELECT sum((hload - pvsupply) * 0.12) FROM t) \
+     SUBJECTTO \
+       (SELECT t.intemp = m_simul.x FROM m_simul, t WHERE t.time = m_simul.time), \
+       (SELECT 20 <= intemp <= 25, 0 <= hload <= 17000 FROM t) \
+     USING solverlp.cbc()";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut s = Session::new();
 
@@ -85,22 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // P4: schedule HVAC loads — minimize electricity cost subject to the
     // thermal dynamics (the same shared model) and comfort limits.
-    s.execute(
-        "CREATE TABLE plan AS \
-         SOLVESELECT t(hload, intemp) AS \
-           (SELECT h.time, h.outtemp, h.intemp, h.hload, f.pvsupply \
-            FROM horizon h JOIN pv_forecast f ON f.time = h.time) \
-         INLINE m AS (SELECT m << (SOLVEMODEL \
-             pars AS (SELECT a1, b1, b2 FROM hvac_pars) \
-             WITH data0 AS (SELECT intemp FROM hist ORDER BY time DESC LIMIT 1), \
-                  data AS (SELECT time, outtemp, 0.0 AS intemp, hload FROM t)) \
-           FROM model) \
-         MINIMIZE (SELECT sum((hload - pvsupply) * 0.12) FROM t) \
-         SUBJECTTO \
-           (SELECT t.intemp = m_simul.x FROM m_simul, t WHERE t.time = m_simul.time), \
-           (SELECT 20 <= intemp <= 25, 0 <= hload <= 17000 FROM t) \
-         USING solverlp.cbc()",
-    )?;
+    s.execute(&format!("CREATE TABLE plan AS {PLAN_SQL}"))?;
 
     // P5: analyze the result.
     let out = s.query(

@@ -224,7 +224,8 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
     };
     let ctes = solvedbplus::Ctes::new();
     let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
-    let bb = build_blackbox(s.db(), &ctes, &prob).unwrap();
+    let model = solvedbplus::core::compile_model(s.db(), &ctes, &prob);
+    let bb = build_blackbox(s.db(), &ctes, &model).unwrap();
     // 24 candidates on a lattice through the box.
     let xs: Vec<Vec<f64>> = (0..24)
         .map(|k| {
@@ -249,35 +250,104 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
 /// at 400 history rows.
 #[test]
 fn fitness_plans_do_not_grow_with_history() {
-    use solvedbplus::obs;
-    let counts_at =
-        |history: usize| {
-            let mut s = fitting_session(history);
-            let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
-            let before = s.db().exec_counts();
-            let result = s.execute(&sql).unwrap();
-            let statement_plans = s.db().exec_counts().since(&before).plans_built;
-            let trace = result.trace.expect("solve statements are traced");
-            fn find<'a>(stages: &'a [obs::Stage], name: &str) -> Option<&'a obs::Stage> {
-                stages.iter().find_map(|s| {
-                    if s.name == name {
-                        Some(s)
-                    } else {
-                        find(&s.children, name)
-                    }
-                })
-            }
-            let search = find(&trace.stages, "search").expect("search stage");
-            let note = |key: &str| -> u64 {
-                let (_, v) = search.meta.iter().find(|(k, _)| k == key).expect(key);
-                v.parse().unwrap()
-            };
-            let evaluations = note("evaluations");
-            assert_eq!(evaluations, trace.solvers[0].evaluations);
-            assert_eq!(note("plans_built"), 0, "history {history}");
-            assert_eq!(note("recursive_steps"), evaluations * (history as u64 + 1));
-            assert_eq!(note("builds_reused"), evaluations * history as u64);
-            statement_plans
+    let counts_at = |history: usize| {
+        let mut s = fitting_session(history);
+        let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
+        let before = s.db().exec_counts();
+        let result = s.execute(&sql).unwrap();
+        let statement_plans = s.db().exec_counts().since(&before).plans_built;
+        let trace = result.trace.expect("solve statements are traced");
+        let search = find_stage(&trace.stages, "search").expect("search stage");
+        let note = |key: &str| -> u64 {
+            let (_, v) = search.meta.iter().find(|(k, _)| k == key).expect(key);
+            v.parse().unwrap()
         };
+        let evaluations = note("evaluations");
+        assert_eq!(evaluations, trace.solvers[0].evaluations);
+        assert_eq!(note("plans_built"), 0, "history {history}");
+        assert_eq!(note("recursive_steps"), evaluations * (history as u64 + 1));
+        assert_eq!(note("builds_reused"), evaluations * history as u64);
+        statement_plans
+    };
     assert_eq!(counts_at(100), counts_at(400));
+}
+
+/// The first stage of that name anywhere in a stage tree.
+fn find_stage<'a>(
+    stages: &'a [solvedbplus::obs::Stage],
+    name: &str,
+) -> Option<&'a solvedbplus::obs::Stage> {
+    stages.iter().find_map(|s| if s.name == name { Some(s) } else { find_stage(&s.children, name) })
+}
+
+fn count_stages(stages: &[solvedbplus::obs::Stage], name: &str) -> usize {
+    stages.iter().map(|s| (s.name == name) as usize + count_stages(&s.children, name)).sum()
+}
+
+/// One `SOLVESELECT` runs the symbolic evaluation of its rules once, by
+/// the executor's own counts (no timing). The example's P4 plan steps
+/// its simulation CDTE once per horizon row at instantiation and once
+/// more in the single symbolic pass that the analyzer and `solverlp`
+/// both read; its black-box fit, whose simulation is not linear in the
+/// parameters, gives the symbolic pass up before its first step. Either
+/// way the trace has one `compile` stage, and `check` is pure analysis.
+#[test]
+fn a_solve_statement_compiles_its_rules_once() {
+    use solvedbplus::core::{check, compile_model};
+    use solvedbplus::sqlengine::{self, ast::Statement};
+    const HISTORY: u64 = 48;
+    const HORIZON: u64 = 12;
+
+    let mut s = Session::new();
+    let input = datagen::energy_planning_table(HISTORY as usize, HORIZON as usize, 42);
+    s.db_mut().put_table("input", input);
+    s.execute_script(&format!(
+        "CREATE TABLE hist AS SELECT * FROM input WHERE pvsupply IS NOT NULL;
+         CREATE TABLE horizon AS SELECT * FROM input WHERE pvsupply IS NULL;
+         CREATE TABLE pv_forecast AS SELECT time, 500.0 AS pvsupply FROM horizon;
+         CREATE TABLE hvac_pars AS SELECT {} AS a1, {} AS b1, {} AS b2;
+         CREATE TABLE model (m model)",
+        datagen::TRUE_A1,
+        datagen::TRUE_B1,
+        datagen::TRUE_B2
+    ))
+    .unwrap();
+    s.execute(energy_planning::MODEL_SQL).unwrap();
+
+    // P4 under solverlp: instantiate + one symbolic pass.
+    let before = s.db().exec_counts();
+    let result = s.execute(energy_planning::PLAN_SQL).unwrap();
+    let steps = s.db().exec_counts().since(&before).recursive_steps;
+    assert_eq!(steps, 2 * (HORIZON + 1));
+    let trace = result.trace.expect("solve statements are traced");
+    assert_eq!(count_stages(&trace.stages, "compile"), 1);
+    let check_stage = find_stage(&trace.stages, "check").expect("check stage");
+    assert!(check_stage.children.is_empty());
+
+    // P3 under swarmops: instantiate, the start point and every search
+    // evaluation run the whole simulation; the symbolic pass stops at
+    // the first product of two decision expressions, before a step.
+    let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
+    let before = s.db().exec_counts();
+    let result = s.execute(&sql).unwrap();
+    let steps = s.db().exec_counts().since(&before).recursive_steps;
+    let trace = result.trace.expect("solve statements are traced");
+    let evaluations = trace.solvers[0].evaluations;
+    assert_eq!(steps, (1 + 1 + evaluations) * (HISTORY + 1));
+    assert_eq!(count_stages(&trace.stages, "compile"), 1);
+    assert!(find_stage(&trace.stages, "check").expect("check stage").children.is_empty());
+
+    // The analyzer, the lowering and the propagation execute nothing.
+    let Statement::Solve(stmt) =
+        sqlengine::parser::parse_statement(energy_planning::PLAN_SQL).unwrap()
+    else {
+        panic!("PLAN_SQL is not a SOLVESELECT");
+    };
+    let ctes = solvedbplus::Ctes::new();
+    let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
+    let model = compile_model(s.db(), &ctes, &prob);
+    let compiled = s.db().exec_counts();
+    assert!(check::check_problem(&model).iter().all(|d| d.code == "SD019"));
+    assert!(model.propagated().outcome.infeasible.is_none());
+    assert_eq!(s.db().exec_counts(), compiled);
 }

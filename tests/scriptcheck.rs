@@ -5,7 +5,7 @@
 //! clean; and the decomposable model fires SD019 with provably disjoint
 //! blocks.
 
-use solvedbplus::core::{build_problem, check};
+use solvedbplus::core::{build_problem, check, compile_model};
 use solvedbplus::sqlengine::ast::Statement;
 use solvedbplus::sqlengine::catalog::Ctes;
 use solvedbplus::sqlengine::parser;
@@ -106,7 +106,8 @@ fn decomposable_blocks_are_variable_disjoint() {
     }
     let solve = solve.expect("decomposable.sql contains a SOLVESELECT");
     let prob = build_problem(session.db(), &Ctes::new(), &solve).unwrap();
-    let blocks = check::structure::problem_blocks(session.db(), &Ctes::new(), &prob);
+    let model = compile_model(session.db(), &Ctes::new(), &prob);
+    let blocks = check::structure::problem_blocks(&model);
     assert!(blocks.len() >= 2, "expected >= 2 blocks, got {blocks:?}");
     for (i, a) in blocks.iter().enumerate() {
         assert!(!a.vars.is_empty(), "block {i} has no variables");
