@@ -205,19 +205,21 @@ fn atom_key(diff: &LinExpr, rel: Rel) -> AtomKey {
 /// shadowed (note).
 pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     // -- exact duplicates ---------------------------------------------------
-    let mut seen: Vec<(AtomKey, &Atom, usize)> = Vec::new();
+    // First occurrences in model order, with how often each recurs.
+    let mut seen: Vec<(&Atom, usize)> = Vec::new();
+    let mut index: HashMap<AtomKey, usize> = HashMap::new();
     for a in &m.atoms {
         if a.diff.is_constant() {
             continue; // SD004 territory
         }
         let (diff, rel) = normalize(a);
-        let key = atom_key(&diff, rel);
-        match seen.iter_mut().find(|(k, _, _)| *k == key) {
-            Some((_, _, n)) => *n += 1,
-            None => seen.push((key, a, 1)),
-        }
+        let at = *index.entry(atom_key(&diff, rel)).or_insert_with(|| {
+            seen.push((a, 0));
+            seen.len() - 1
+        });
+        seen[at].1 += 1;
     }
-    for (_, a, n) in &seen {
+    for (a, n) in &seen {
         if *n > 1 {
             diags.push(
                 Diagnostic::warning(

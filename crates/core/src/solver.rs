@@ -71,18 +71,6 @@ impl SolveControl {
         })
     }
 
-    /// Construct a bare budget-only control (used by tests and the
-    /// bench harness).
-    pub fn with_budget_ms(budget_ms: u64) -> SolveControl {
-        SolveControl {
-            start: Instant::now(),
-            budget_ms: Some(budget_ms),
-            kill: None,
-            sink: None,
-            last_emit_nanos: AtomicU64::new(0),
-        }
-    }
-
     /// Time since the solve started.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()

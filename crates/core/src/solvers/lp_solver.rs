@@ -30,8 +30,7 @@ impl Solver for LpSolver {
             return Err(failure.error.clone());
         }
         let lowered = ctx.model.lowered();
-        // Copied only by the two paths that change it: the relaxation
-        // below and the row-class registration with presolve off.
+        // Copied only by the one path that changes it: the relaxation below.
         let mut lp_prob = Cow::Borrowed(&lowered.problem);
         // Method `simplex` forces the LP relaxation even with integers.
         if prob.method.as_deref() == Some("simplex") && lp_prob.has_integers() {
@@ -50,7 +49,7 @@ impl Solver for LpSolver {
             .param_text("presolve")
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
-        let mut pre: Option<Presolved> = presolve_on.then(|| {
+        let pre: Option<Presolved> = presolve_on.then(|| {
             ctx.stage("presolve", || match &lp_prob {
                 Cow::Borrowed(p) => {
                     let propagated = ctx.model.propagated();
@@ -60,32 +59,20 @@ impl Solver for LpSolver {
             })
         });
         let counts = pre.as_ref().map(|p| p.counts()).unwrap_or_default();
+        // The problem the solver sees.
+        let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
         // Matrix classification (on by default; `matrixclass := off`
-        // disables it): classify rows, look for an integrality proof,
-        // and register the row classes on the problem the solver sees
-        // (the registration point for future cut separators).
+        // disables it): classify rows and look for an integrality proof.
         let matrixclass_on = prob
             .param_text("matrixclass")
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
-        let analysis: Option<lp::matrix::MatrixAnalysis> = if matrixclass_on {
-            let target = match pre.as_mut() {
-                Some(p) => &mut p.reduced,
-                None => lp_prob.to_mut(),
-            };
-            Some(ctx.stage("matrixclass", || {
-                let a = lp::matrix::analyze(target);
-                target.row_classes = a.row_classes.clone();
-                a
-            }))
-        } else {
-            None
-        };
+        let analysis: Option<lp::matrix::MatrixAnalysis> =
+            matrixclass_on.then(|| ctx.stage("matrixclass", || lp::matrix::analyze(target)));
         let (sol, stats) = ctx.stage("solve-lp", || {
             if pre.as_ref().is_some_and(|p| p.infeasible()) {
                 return (lp::Solution::infeasible(), None);
             }
-            let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
             if target.num_vars == 0 {
                 // Propagation fixed every variable; the objective is
                 // the folded constant and there is nothing to solve.
@@ -108,7 +95,6 @@ impl Solver for LpSolver {
         });
         let (matrix_class, integrality_proof, blocks) = match &analysis {
             Some(a) => {
-                let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
                 (a.census_label(), a.proof_label(target), lp::matrix::block_count(target) as u64)
             }
             None => (String::new(), String::new(), 0),

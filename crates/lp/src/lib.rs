@@ -68,11 +68,6 @@ pub struct Problem {
     pub upper: Vec<f64>,
     /// Per-variable integrality flags.
     pub integer: Vec<bool>,
-    /// Row classes recorded by [`matrix::analyze`] (parallel to
-    /// `constraints` once populated, empty until a classification pass
-    /// runs). This is the registration point future cut separators
-    /// (knapsack covers, clique cuts over packing rows) read from.
-    pub row_classes: Vec<matrix::RowClass>,
 }
 
 impl Problem {
@@ -87,7 +82,6 @@ impl Problem {
             lower: vec![f64::NEG_INFINITY; n],
             upper: vec![f64::INFINITY; n],
             integer: vec![false; n],
-            row_classes: vec![],
         }
     }
 

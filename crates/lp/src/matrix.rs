@@ -11,9 +11,8 @@
 //! [`MatrixAnalysis`] whose claims downstream code *acts on* — the
 //! `solverlp` driver skips branch-and-bound outright on a full
 //! integrality certificate and relaxes implied-integral variables
-//! otherwise, and classified rows are recorded on the problem
-//! ([`Problem::row_classes`]) as the registration point for knapsack /
-//! clique cut separation.
+//! otherwise; the classified rows ([`MatrixAnalysis::row_classes`]) are
+//! what a knapsack / clique cut separator would read.
 //!
 //! Everything here is a *certificate*, not a heuristic: each claim is
 //! checkable (the proptest harness re-verifies TU claims by brute-force

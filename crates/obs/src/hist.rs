@@ -83,11 +83,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Record a duration as nanoseconds.
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_nanos() as u64);
-    }
-
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {

@@ -111,11 +111,6 @@ fn ms(nanos: u64) -> f64 {
 }
 
 impl QueryTrace {
-    /// Total number of stages across the tree.
-    pub fn stage_count(&self) -> usize {
-        self.stages.iter().map(Stage::count).sum()
-    }
-
     /// Render the stage tree as indented text lines, one per stage,
     /// followed by one line per solver's telemetry. This is the body of
     /// `EXPLAIN ANALYZE` and of the CLI `\timing` output.

@@ -105,10 +105,6 @@ impl ShutdownHandle {
         // the listener is already gone this simply fails, which is fine.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
     }
-
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
 }
 
 impl Server {

@@ -6,7 +6,7 @@ use crate::diag::Diagnostic;
 use crate::error::{Error, Result};
 use crate::table::{coerce, Row, Table, TableRef};
 use crate::types::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -292,11 +292,6 @@ pub struct Database {
     solve_handler: Option<Arc<dyn SolveHandler>>,
     virtual_tables: Option<Arc<dyn VirtualTableProvider>>,
     durability: Option<Arc<dyn DurabilityHook>>,
-    /// Tables mutated through [`Database::table_mut`] since the last
-    /// [`Database::flush_dirty`] — the escape hatch that keeps direct
-    /// mutable access from bypassing the durability hook. The statement
-    /// executor flushes after every statement.
-    dirty_tables: HashSet<String>,
     /// Monotone counter bumped on every catalog mutation; cached plans
     /// are keyed on it so DDL and DML invalidate the plan cache.
     pub(crate) catalog_epoch: AtomicU64,
@@ -456,7 +451,6 @@ impl Database {
             }
             return Ok(());
         }
-        self.dirty_tables.remove(name);
         self.bump_epoch();
         self.emit(CatalogMutation::DropTable { name: name.to_string() });
         Ok(())
@@ -470,26 +464,6 @@ impl Database {
 
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    /// Mutable access for DML; clones on shared access (copy-on-write).
-    ///
-    /// When a durability hook is attached the table is marked dirty and
-    /// its full state is re-published at the next [`Self::flush_dirty`]
-    /// (the statement executor flushes after every statement), so direct
-    /// mutable access cannot bypass the write-ahead log. Prefer
-    /// [`Self::append_rows`] / [`Self::put_table`], whose records are
-    /// precise.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        if self.durability.is_some() && self.tables.contains_key(name) {
-            self.dirty_tables.insert(name.to_string());
-        }
-        self.bump_epoch();
-        let arc = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| Error::catalog(format!("table '{name}' does not exist")))?;
-        Ok(Arc::make_mut(arc))
     }
 
     /// Append pre-built rows to a table, coercing each value to the
@@ -528,7 +502,6 @@ impl Database {
     pub fn put_table(&mut self, name: &str, table: Table) {
         let table = Arc::new(table);
         self.tables.insert(name.to_string(), table.clone());
-        self.dirty_tables.remove(name);
         self.bump_epoch();
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
     }
@@ -620,34 +593,9 @@ impl Database {
         self.durability = Some(hook);
     }
 
-    /// The attached durability hook, if any.
-    pub fn durability_hook(&self) -> Option<&Arc<dyn DurabilityHook>> {
-        self.durability.as_ref()
-    }
-
-    /// Publish the full state of every table mutated through
-    /// [`Self::table_mut`] since the last flush as `PutTable` records.
-    /// The statement executor calls this after every statement, making
-    /// the durability hook observe *all* catalog mutations regardless of
-    /// which mutation API the writer used.
-    pub fn flush_dirty(&mut self) {
-        if self.durability.is_none() || self.dirty_tables.is_empty() {
-            return;
-        }
-        let dirty: Vec<String> = self.dirty_tables.drain().collect();
-        for name in dirty {
-            if let Some(table) = self.tables.get(&name) {
-                let table = table.clone();
-                self.emit(CatalogMutation::PutTable { name, table });
-            }
-        }
-    }
-
     /// `CHECKPOINT`: force a snapshot and rotate the log through the
     /// attached durability hook.
     pub fn checkpoint(&mut self, trace: Option<&obs::Trace>) -> Result<Table> {
-        // Dirty tables must reach the log before the snapshot covers them.
-        self.flush_dirty();
         let hook = self.durability.clone().ok_or_else(|| {
             Error::unsupported("CHECKPOINT requires a data directory (start with --data-dir)")
         })?;
@@ -686,13 +634,6 @@ impl Database {
         !self.has_table(name)
             && self.virtual_tables.as_ref().is_some_and(|p| p.names().iter().any(|n| n == name))
     }
-
-    /// Names served by the installed virtual-table provider, sorted.
-    pub fn virtual_table_names(&self) -> Vec<String> {
-        let mut v = self.virtual_tables.as_ref().map(|p| p.names()).unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -713,11 +654,11 @@ mod tests {
     }
 
     #[test]
-    fn table_mut_is_copy_on_write() {
+    fn append_rows_is_copy_on_write() {
         let mut db = Database::new();
         db.create_table("t", Table::from_rows(&["a"], vec![vec![Value::Int(1)]]), false).unwrap();
         let snapshot = db.table("t").unwrap().clone();
-        db.table_mut("t").unwrap().rows.push(vec![Value::Int(2)]);
+        db.append_rows("t", vec![vec![Value::Int(2)]]).unwrap();
         assert_eq!(snapshot.num_rows(), 1);
         assert_eq!(db.table("t").unwrap().num_rows(), 2);
     }

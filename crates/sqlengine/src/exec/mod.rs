@@ -2,9 +2,10 @@
 
 pub mod eval;
 pub mod funcs;
+pub(crate) mod head;
 pub mod select;
 
-use crate::ast::{ExplainMode, Query, SetExpr, Statement};
+use crate::ast::{ExplainMode, Statement};
 use crate::catalog::{Ctes, Database};
 use crate::diag::{diagnostics_table, Diagnostic, Severity};
 use crate::error::{Error, Result};
@@ -146,10 +147,6 @@ pub fn execute_statement_timed(
     drop(select::take_nested_solve_warnings());
     let _ = select::take_plan_cache_event();
     let inner = execute_statement_inner(db, stmt, parse_nanos, &ctes);
-    // Publish tables mutated through `table_mut` to the durability hook
-    // even when the statement errored mid-flight: the in-memory state
-    // already changed, and the log must mirror it.
-    db.flush_dirty();
     db.end_statement_plans();
     let mut result = inner?;
     result.plan_cache_hit = select::take_plan_cache_event();
@@ -425,15 +422,4 @@ fn execute_statement_inner(
             }
         }
     }
-}
-
-/// Convenience for read-only queries with extra CTE bindings (used by the
-/// SolveDB+ layer to expose decision relations to rule queries).
-pub fn query_with_ctes(db: &Database, ctes: &Ctes, q: &Query) -> Result<Table> {
-    run_query(db, ctes, q, None)
-}
-
-/// True when the query is a single plain `SELECT` (no set ops).
-pub fn is_plain_select(q: &Query) -> bool {
-    matches!(q.body, SetExpr::Select(_))
 }

@@ -6,12 +6,12 @@ use crate::ast::*;
 use crate::catalog::{Ctes, Database};
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
-use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
-use crate::exec::funcs;
+use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
+use crate::exec::head::{limit_offset, resolve_relation, Relation, SelectHead};
 use crate::plan::exec::IteratedPlan;
 use crate::plan::PlannedQuery;
 use crate::table::{Column as TColumn, Row, Schema, Table};
-use crate::types::{BinOp, DataType, GroupKey, Value};
+use crate::types::{BinOp, GroupKey, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -194,7 +194,7 @@ fn run_query_rows(
                 sort_keyed(&mut keyed, &q.order_by);
                 t.rows = keyed.into_iter().map(|(_, r)| r).collect();
             }
-            apply_limit_offset(db, env_ctes, &mut t, &q.limit, &q.offset, outer)?;
+            apply_limit_offset(db, env_ctes, &mut t, &q.limit, &q.offset)?;
             Ok(t)
         }
     }
@@ -264,34 +264,13 @@ fn apply_limit_offset(
     t: &mut Table,
     limit: &Option<Expr>,
     offset: &Option<Expr>,
-    outer: Option<&Env<'_>>,
 ) -> Result<()> {
-    let eval_const = |e: &Expr| -> Result<Value> {
-        let scope = Scope::default();
-        let binder = Binder::new(db, &scope);
-        let b = binder.bind(e)?;
-        let ctx = EvalCtx { db, ctes };
-        let env = Env::empty();
-        let _ = outer; // limits are constant expressions
-        b.eval(&ctx, &env)
-    };
-    if let Some(off) = offset {
-        let v = eval_const(off)?;
-        if !v.is_null() {
-            let n = v.as_i64()?.max(0) as usize;
-            if n >= t.rows.len() {
-                t.rows.clear();
-            } else {
-                t.rows.drain(..n);
-            }
-        }
+    let (limit, offset) = limit_offset(db, ctes, limit, offset)?;
+    if let Some(n) = offset {
+        t.rows.drain(..n.min(t.rows.len()));
     }
-    if let Some(lim) = limit {
-        let v = eval_const(lim)?;
-        if !v.is_null() {
-            let n = v.as_i64()?.max(0) as usize;
-            t.rows.truncate(n);
-        }
+    if let Some(n) = limit {
+        t.rows.truncate(n);
     }
     Ok(())
 }
@@ -632,7 +611,7 @@ pub struct Rel {
     pub rows: Vec<Row>,
 }
 
-/// Resolve a named relation: CTEs shadow views shadow tables.
+/// Scan a named relation: a copy of its rows under the FROM item's scope.
 fn scan_named(
     db: &Database,
     ctes: &Ctes,
@@ -640,37 +619,18 @@ fn scan_named(
     alias: Option<&TableAlias>,
     outer: Option<&Env<'_>>,
 ) -> Result<Rel> {
-    let qualifier = alias.map(|a| a.name.as_str()).unwrap_or(name);
-    if let Some(t) = ctes.get(name) {
-        let mut scope = Scope::from_schema(Some(qualifier), &t.schema);
-        apply_alias_columns(&mut scope, alias)?;
-        return Ok(Rel { scope, rows: t.rows.clone() });
-    }
-    if let Some(vq) = db.view(name) {
-        let t = run_query(db, ctes, vq, outer)?;
-        let mut scope = Scope::from_schema(Some(qualifier), &t.schema);
-        apply_alias_columns(&mut scope, alias)?;
-        return Ok(Rel { scope, rows: t.rows });
-    }
-    match db.table(name) {
-        Ok(t) => {
-            let mut scope = Scope::from_schema(Some(qualifier), &t.schema);
-            apply_alias_columns(&mut scope, alias)?;
-            Ok(Rel { scope, rows: t.rows.clone() })
-        }
-        Err(e) => {
-            // Catalog miss: fall back to virtual tables (sdb_* views),
-            // which real relations of the same name shadow.
-            match db.virtual_table(name) {
-                Some(t) => {
-                    let mut scope = Scope::from_schema(Some(qualifier), &t.schema);
-                    apply_alias_columns(&mut scope, alias)?;
-                    Ok(Rel { scope, rows: t.rows })
-                }
-                None => Err(e),
-            }
-        }
-    }
+    let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
+        Relation::Cte(t) | Relation::Table(t) => Cow::Borrowed(t.as_ref()),
+        Relation::View(vq) => Cow::Owned(run_query(db, ctes, vq, outer)?),
+        Relation::Virtual(t) => Cow::Owned(t),
+    };
+    let mut scope = Scope::from_schema(Some(alias.map_or(name, |a| a.name.as_str())), &t.schema);
+    apply_alias_columns(&mut scope, alias)?;
+    let rows = match t {
+        Cow::Borrowed(t) => t.rows.clone(),
+        Cow::Owned(t) => t.rows,
+    };
+    Ok(Rel { scope, rows })
 }
 
 pub(crate) fn apply_alias_columns(scope: &mut Scope, alias: Option<&TableAlias>) -> Result<()> {
@@ -1127,126 +1087,6 @@ fn eval_from(
 // SELECT core
 // ---------------------------------------------------------------------------
 
-/// Aggregate call found in an expression.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AggCall {
-    pub(crate) name: String,
-    pub(crate) distinct: bool,
-    /// `None` = count(*).
-    pub(crate) arg: Option<Expr>,
-    /// Second argument (string_agg separator).
-    pub(crate) arg2: Option<Expr>,
-}
-
-pub(crate) fn find_aggregates(e: &Expr, out: &mut Vec<AggCall>) {
-    e.walk(&mut |node| {
-        if let Expr::Func { name, args, distinct } = node {
-            if funcs::is_aggregate(name) {
-                let arg = args.first().and_then(|a| match &a.value {
-                    Expr::Wildcard { .. } => None,
-                    v => Some(v.clone()),
-                });
-                let call = AggCall {
-                    name: name.clone(),
-                    distinct: *distinct,
-                    arg,
-                    arg2: args.get(1).map(|a| a.value.clone()),
-                };
-                if !out.contains(&call) {
-                    out.push(call);
-                }
-            }
-        }
-    });
-}
-
-/// Rewrite an expression for the post-aggregation scope: aggregate calls
-/// become references to `#a{i}`, expressions equal to a GROUP BY item
-/// become `#g{i}`.
-pub(crate) fn rewrite_agg(e: &Expr, group_by: &[Expr], aggs: &[AggCall]) -> Expr {
-    // Group-expression match first (so `a` in GROUP BY a stays valid).
-    for (i, g) in group_by.iter().enumerate() {
-        if e == g {
-            return Expr::Column { qualifier: None, name: format!("#g{i}") };
-        }
-    }
-    if let Expr::Func { name, args, distinct } = e {
-        if funcs::is_aggregate(name) {
-            let arg = args.first().and_then(|a| match &a.value {
-                Expr::Wildcard { .. } => None,
-                v => Some(v.clone()),
-            });
-            let call = AggCall {
-                name: name.clone(),
-                distinct: *distinct,
-                arg,
-                arg2: args.get(1).map(|a| a.value.clone()),
-            };
-            if let Some(i) = aggs.iter().position(|a| *a == call) {
-                return Expr::Column { qualifier: None, name: format!("#a{i}") };
-            }
-        }
-    }
-    // Recurse structurally.
-    match e {
-        Expr::BinOp { op, lhs, rhs } => Expr::BinOp {
-            op: *op,
-            lhs: Box::new(rewrite_agg(lhs, group_by, aggs)),
-            rhs: Box::new(rewrite_agg(rhs, group_by, aggs)),
-        },
-        Expr::UnOp { op, expr } => {
-            Expr::UnOp { op: *op, expr: Box::new(rewrite_agg(expr, group_by, aggs)) }
-        }
-        Expr::Chain { first, rest } => Expr::Chain {
-            first: Box::new(rewrite_agg(first, group_by, aggs)),
-            rest: rest.iter().map(|(op, x)| (*op, rewrite_agg(x, group_by, aggs))).collect(),
-        },
-        Expr::Func { name, args, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| FuncArg {
-                    name: a.name.clone(),
-                    value: rewrite_agg(&a.value, group_by, aggs),
-                })
-                .collect(),
-            distinct: *distinct,
-        },
-        Expr::Cast { expr, ty } => {
-            Expr::Cast { expr: Box::new(rewrite_agg(expr, group_by, aggs)), ty: ty.clone() }
-        }
-        Expr::Case { operand, branches, else_ } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(rewrite_agg(o, group_by, aggs))),
-            branches: branches
-                .iter()
-                .map(|(c, r)| (rewrite_agg(c, group_by, aggs), rewrite_agg(r, group_by, aggs)))
-                .collect(),
-            else_: else_.as_ref().map(|x| Box::new(rewrite_agg(x, group_by, aggs))),
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(rewrite_agg(expr, group_by, aggs)), negated: *negated }
-        }
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            list: list.iter().map(|x| rewrite_agg(x, group_by, aggs)).collect(),
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            low: Box::new(rewrite_agg(low, group_by, aggs)),
-            high: Box::new(rewrite_agg(high, group_by, aggs)),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated, case_insensitive } => Expr::Like {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            pattern: Box::new(rewrite_agg(pattern, group_by, aggs)),
-            negated: *negated,
-            case_insensitive: *case_insensitive,
-        },
-        other => other.clone(),
-    }
-}
-
 /// Aggregate accumulator.
 pub(crate) struct AggState {
     kind: String,
@@ -1412,86 +1252,6 @@ impl AggState {
     }
 }
 
-/// Expand `SELECT *` / `t.*` items into positional column references
-/// (`#idx{i}` markers) and attach default names to plain expressions.
-/// Shared between the row interpreter and the planner so both see the
-/// same projection list.
-pub(crate) fn expand_projection(
-    sel: &Select,
-    scope: &Scope,
-) -> Result<Vec<(Option<String>, Expr)>> {
-    let mut proj: Vec<(Option<String>, Expr)> = Vec::new();
-    for item in &sel.projection {
-        match item {
-            SelectItem::Wildcard { qualifier } => {
-                for (i, c) in scope.cols.iter().enumerate() {
-                    let keep = match qualifier {
-                        None => true,
-                        Some(q) => c.qualifier.as_deref() == Some(q.as_str()),
-                    };
-                    if keep && !c.name.starts_with('#') {
-                        // Reference by position via a marker resolved below.
-                        proj.push((
-                            Some(c.name.clone()),
-                            Expr::Column {
-                                qualifier: Some(format!("#idx{i}")),
-                                name: c.name.clone(),
-                            },
-                        ));
-                    }
-                }
-                if proj.is_empty() && scope.cols.is_empty() {
-                    return Err(Error::bind("SELECT * with no FROM clause"));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                // Inner wildcard check (count(*) is rewritten later).
-                let name = alias.clone().or_else(|| default_name(expr));
-                proj.push((name, expr.clone()));
-            }
-        }
-    }
-    Ok(proj)
-}
-
-/// Resolve GROUP BY items against the projection list: positional
-/// references (`GROUP BY 2`) and projection aliases become the projected
-/// expression; input columns win over aliases.
-pub(crate) fn resolve_group_by(
-    items: &[Expr],
-    proj: &[(Option<String>, Expr)],
-    scope: &Scope,
-) -> Result<Vec<Expr>> {
-    let mut group_by: Vec<Expr> = Vec::new();
-    for g in items {
-        let resolved = match g {
-            Expr::Literal(Literal::Int(i)) => {
-                let idx = *i - 1;
-                if idx < 0 || idx as usize >= proj.len() {
-                    return Err(Error::bind(format!("GROUP BY position {i} out of range")));
-                }
-                proj[idx as usize].1.clone()
-            }
-            Expr::Column { qualifier: None, name } => {
-                // Prefer an input column; otherwise a projection alias.
-                if scope.resolve(None, name)?.is_some() {
-                    g.clone()
-                } else if let Some((_, e)) =
-                    proj.iter().find(|(n, _)| n.as_deref() == Some(name.as_str()))
-                {
-                    e.clone()
-                } else {
-                    g.clone()
-                }
-            }
-            other => other.clone(),
-        };
-        group_by.push(resolved);
-    }
-    Ok(group_by)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_select(
     db: &Database,
     ctes: &Ctes,
@@ -1519,226 +1279,24 @@ fn run_select(
         rows = kept;
     }
 
-    // Expand wildcards into column references (pre-binding).
-    let proj = expand_projection(sel, &input.scope)?;
-
-    // Resolve GROUP BY items given projections (position / alias refs).
-    let group_by = resolve_group_by(&sel.group_by, &proj, &input.scope)?;
-
-    // Detect aggregation.
-    let mut aggs: Vec<AggCall> = Vec::new();
-    for (_, e) in &proj {
-        find_aggregates(e, &mut aggs);
-    }
-    if let Some(h) = &sel.having {
-        find_aggregates(h, &mut aggs);
-    }
-    for o in order_by {
-        find_aggregates(&o.expr, &mut aggs);
-    }
-    let aggregated = !group_by.is_empty()
-        || sel.grouping_sets.is_some()
-        || !aggs.is_empty()
-        || sel.having.is_some();
-
-    let (out_scope, out_rows, proj_bound, having_bound, order_bound);
-    if aggregated {
-        // Bind group and aggregate argument expressions against the input.
-        let in_binder = Binder::with_outer(db, &input.scope, outer);
-        let group_bound: Vec<BoundExpr> =
-            group_by.iter().map(|g| in_binder.bind(g)).collect::<Result<_>>()?;
-        struct BoundAgg {
-            call: AggCall,
-            arg: Option<BoundExpr>,
-            arg2: Option<BoundExpr>,
-        }
-        let aggs_bound: Vec<BoundAgg> = aggs
-            .iter()
-            .map(|a| {
-                Ok(BoundAgg {
-                    call: a.clone(),
-                    arg: a.arg.as_ref().map(|e| in_binder.bind(e)).transpose()?,
-                    arg2: a.arg2.as_ref().map(|e| in_binder.bind(e)).transpose()?,
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        // Group rows. Plain GROUP BY is the single grouping set using
-        // every key; ROLLUP/CUBE/GROUPING SETS run one grouping pass per
-        // set with the keys outside the set masked to NULL, and the
-        // per-set outputs concatenated.
-        let sets: Vec<Vec<usize>> = match &sel.grouping_sets {
-            Some(s) => s.clone(),
-            None => vec![(0..group_by.len()).collect()],
-        };
-        let make_states = || -> Vec<AggState> {
-            aggs.iter().map(|a| AggState::new(&a.name, a.distinct)).collect()
-        };
-        let mut groups: Vec<(Vec<Value>, Vec<AggState>, Option<Value>)> = Vec::new();
-        for set in &sets {
-            let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-            let empty_gidx = if set.is_empty() {
-                // The empty set is a global aggregate: exactly one output
-                // row even over empty input.
-                groups.push((vec![Value::Null; group_by.len()], make_states(), None));
-                Some(groups.len() - 1)
-            } else {
-                None
-            };
-            for row in &rows {
-                let env = Env { scope: &input.scope, row, parent: outer };
-                let gvals: Vec<Value> =
-                    group_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
-                let masked: Vec<Value> = (0..group_by.len())
-                    .map(|i| if set.contains(&i) { gvals[i].clone() } else { Value::Null })
-                    .collect();
-                let gidx = match empty_gidx {
-                    Some(g) => g,
-                    None => {
-                        let key: Vec<GroupKey> = masked.iter().map(|v| v.group_key()).collect();
-                        *index.entry(key).or_insert_with(|| {
-                            groups.push((masked.clone(), make_states(), None));
-                            groups.len() - 1
-                        })
-                    }
-                };
-                let (_, states, sep_slot) = &mut groups[gidx];
-                for (si, ba) in aggs_bound.iter().enumerate() {
-                    let v = match &ba.arg {
-                        None => None,
-                        Some(b) => Some(b.eval(&ctx, &env)?),
-                    };
-                    let sep = match &ba.arg2 {
-                        None => None,
-                        Some(b) => {
-                            let s = b.eval(&ctx, &env)?;
-                            *sep_slot = Some(s.clone());
-                            Some(s)
-                        }
-                    };
-                    states[si].update(v, sep.as_ref())?;
-                    let _ = &ba.call;
-                }
-            }
-        }
-
-        // Post-aggregation scope: #g0.. then #a0..
-        let mut cols = Vec::new();
-        for i in 0..group_by.len() {
-            cols.push(ScopeCol { qualifier: None, name: format!("#g{i}"), ty: DataType::Unknown });
-        }
-        for i in 0..aggs.len() {
-            cols.push(ScopeCol { qualifier: None, name: format!("#a{i}"), ty: DataType::Unknown });
-        }
-        let agg_scope = Scope::new(cols);
-
-        let mut agg_rows: Vec<Row> = Vec::with_capacity(groups.len());
-        for (gvals, states, sep) in groups {
-            let mut row = gvals;
-            for st in states {
-                row.push(st.finish(sep.as_ref())?);
-            }
-            agg_rows.push(row);
-        }
-
-        // Rewrite & bind projection / HAVING / ORDER BY against agg scope.
-        let rewritten_proj: Vec<(Option<String>, Expr)> = proj
-            .iter()
-            .map(|(n, e)| {
-                (n.clone(), rewrite_agg(&resolve_idx_markers(e, &input.scope), &group_by, &aggs))
-            })
-            .collect();
-        let agg_binder = Binder::with_outer(db, &agg_scope, outer);
-        let pb: Vec<BoundExpr> = rewritten_proj
-            .iter()
-            .map(|(_, e)| {
-                agg_binder.bind(e).map_err(|err| match err {
-                    Error::Bind(m) => Error::bind(format!(
-                        "{m} (column must appear in GROUP BY or be used in an aggregate)"
-                    )),
-                    other => other,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let hb = sel
-            .having
-            .as_ref()
-            .map(|h| agg_binder.bind(&rewrite_agg(h, &group_by, &aggs)))
-            .transpose()?;
-        let ob: Vec<BoundExpr> = order_by
-            .iter()
-            .map(|o| {
-                if let Expr::Literal(Literal::Int(i)) = &o.expr {
-                    let idx = *i - 1;
-                    if idx < 0 || idx as usize >= pb.len() {
-                        return Err(Error::bind(format!("ORDER BY position {i} out of range")));
-                    }
-                    // Positional: re-use projection's bound expr.
-                    return Ok(pb[idx as usize].clone());
-                }
-                // Alias reference?
-                if let Expr::Column { qualifier: None, name } = &o.expr {
-                    if let Some(i) =
-                        rewritten_proj.iter().position(|(n, _)| n.as_deref() == Some(name.as_str()))
-                    {
-                        return Ok(pb[i].clone());
-                    }
-                }
-                agg_binder.bind(&rewrite_agg(&o.expr, &group_by, &aggs))
-            })
-            .collect::<Result<_>>()?;
-
-        out_scope = agg_scope;
-        out_rows = agg_rows;
-        proj_bound = pb;
-        having_bound = hb;
-        order_bound = ob;
-    } else {
-        // Non-aggregated path: bind directly against the input scope.
-        let binder = Binder::with_outer(db, &input.scope, outer);
-        let pb: Vec<BoundExpr> = proj
-            .iter()
-            .map(|(_, e)| bind_with_idx_markers(&binder, e, &input.scope))
-            .collect::<Result<_>>()?;
-        let ob: Vec<BoundExpr> = order_by
-            .iter()
-            .map(|o| {
-                if let Expr::Literal(Literal::Int(i)) = &o.expr {
-                    let idx = *i - 1;
-                    if idx < 0 || idx as usize >= pb.len() {
-                        return Err(Error::bind(format!("ORDER BY position {i} out of range")));
-                    }
-                    return Ok(pb[idx as usize].clone());
-                }
-                if let Expr::Column { qualifier: None, name } = &o.expr {
-                    if let Some(i) =
-                        proj.iter().position(|(n, _)| n.as_deref() == Some(name.as_str()))
-                    {
-                        return Ok(pb[i].clone());
-                    }
-                }
-                binder.bind(&o.expr)
-            })
-            .collect::<Result<_>>()?;
-        out_scope = input.scope;
-        out_rows = rows;
-        proj_bound = pb;
-        having_bound = None;
-        order_bound = ob;
-    }
+    let head = SelectHead::analyze(db, sel, order_by, &input.scope, outer)?;
+    let (out_scope, out_rows) = match &head.agg_scope {
+        Some(agg_scope) => (agg_scope, aggregate_rows(&ctx, &head, &input.scope, &rows, outer)?),
+        None => (&input.scope, rows),
+    };
 
     // Evaluate projection (+ order keys) per row; apply HAVING.
     let mut produced: Vec<(Vec<Value>, Row)> = Vec::with_capacity(out_rows.len());
     for row in &out_rows {
-        let env = Env { scope: &out_scope, row, parent: outer };
-        if let Some(h) = &having_bound {
+        let env = Env { scope: out_scope, row, parent: outer };
+        if let Some(h) = &head.having_bound {
             if h.eval(&ctx, &env)?.as_bool()? != Some(true) {
                 continue;
             }
         }
-        let out: Row = proj_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
+        let out: Row = head.proj_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
         let keys: Vec<Value> =
-            order_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
+            head.order_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
         produced.push((keys, out));
     }
 
@@ -1756,89 +1314,80 @@ fn run_select(
         sort_keyed(&mut produced, order_by);
     }
 
-    // Build the output schema.
-    let names: Vec<String> = proj
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| n.clone().unwrap_or_else(|| format!("column{}", i + 1)))
-        .collect();
-    let mut schema =
-        Schema::new(names.into_iter().map(|n| TColumn::new(n, DataType::Unknown)).collect());
-    // Infer types from values.
-    for (i, col) in schema.columns.iter_mut().enumerate() {
-        for (_, row) in &produced {
-            if !row[i].is_null() {
-                col.ty = row[i].data_type();
-                break;
-            }
-        }
-        // All-NULL columns keep their statically known type (a direct
-        // column reference or an explicit cast) so decision columns stay
-        // typed — integrality of solver variables depends on this.
-        if col.ty == DataType::Unknown {
-            col.ty = static_type(&proj_bound[i], &out_scope);
-        }
-    }
+    // Output schema: each column's type from its first non-NULL value,
+    // else the statically known one.
+    let columns = head.names.into_iter().zip(head.static_types).enumerate().map(|(i, (n, st))| {
+        let seen = produced.iter().find(|(_, row)| !row[i].is_null());
+        TColumn::new(n, seen.map_or(st, |(_, row)| row[i].data_type()))
+    });
+    let schema = Schema::new(columns.collect());
     let mut table = Table::with_rows(schema, produced.into_iter().map(|(_, r)| r).collect());
-    apply_limit_offset(db, ctes, &mut table, limit, offset, outer)?;
+    apply_limit_offset(db, ctes, &mut table, limit, offset)?;
     Ok(table)
 }
 
-/// Wildcard-expanded items carry a `#idx{i}` qualifier so they bind by
-/// position, immune to duplicate column names.
-pub(crate) fn bind_with_idx_markers(
-    binder: &Binder<'_>,
-    e: &Expr,
-    _scope: &Scope,
-) -> Result<BoundExpr> {
-    if let Expr::Column { qualifier: Some(q), .. } = e {
-        if let Some(index) = q.strip_prefix("#idx").and_then(|i| i.parse::<usize>().ok()) {
-            return Ok(BoundExpr::Column { depth: 0, index });
-        }
-    }
-    binder.bind(e)
-}
-
-/// In the aggregate path markers must be turned back into plain column
-/// expressions so they can match GROUP BY items.
-pub(crate) fn resolve_idx_markers(e: &Expr, scope: &Scope) -> Expr {
-    if let Expr::Column { qualifier: Some(q), .. } = e {
-        if let Some(col) = q
-            .strip_prefix("#idx")
-            .and_then(|i| i.parse::<usize>().ok())
-            .and_then(|index| scope.cols.get(index))
-        {
-            return Expr::Column { qualifier: col.qualifier.clone(), name: col.name.clone() };
-        }
-    }
-    e.clone()
-}
-
-/// Statically known output type of a bound expression (used when value
-/// inference sees only NULLs).
-pub(crate) fn static_type(b: &BoundExpr, scope: &Scope) -> DataType {
-    match b {
-        BoundExpr::Column { depth: 0, index } => scope.cols[*index].ty.clone(),
-        BoundExpr::Cast { ty, .. } => ty.clone(),
-        BoundExpr::Const(v) if !v.is_null() => v.data_type(),
-        _ => DataType::Unknown,
-    }
-}
-
-fn default_name(e: &Expr) -> Option<String> {
-    match e {
-        Expr::Column { name, .. } => Some(name.clone()),
-        Expr::Func { name, .. } => Some(name.clone()),
-        Expr::Cast { expr, .. } => default_name(expr),
-        Expr::ScalarSubquery(q) => {
-            // Use the subquery's single output column name when obvious.
-            if let SetExpr::Select(s) = &q.body {
-                if let Some(SelectItem::Expr { expr, alias }) = s.projection.first() {
-                    return alias.clone().or_else(|| default_name(expr));
+/// Group `rows` (the filtered FROM output) and fold the aggregates: one
+/// output row of `head.agg_scope` per group. Plain GROUP BY is the single
+/// grouping set using every key; ROLLUP/CUBE/GROUPING SETS run one
+/// grouping pass per set with the keys outside the set masked to NULL,
+/// and the per-set outputs concatenated.
+fn aggregate_rows(
+    ctx: &EvalCtx<'_>,
+    head: &SelectHead,
+    scope: &Scope,
+    rows: &[Row],
+    outer: Option<&Env<'_>>,
+) -> Result<Vec<Row>> {
+    let nkeys = head.group_bound.len();
+    let make_states = || -> Vec<AggState> {
+        head.aggs.iter().map(|a| AggState::new(&a.name, a.distinct)).collect()
+    };
+    let mut groups: Vec<(Vec<Value>, Vec<AggState>, Option<Value>)> = Vec::new();
+    for set in &head.sets {
+        let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
+        let empty_gidx = if set.is_empty() {
+            // The empty set is a global aggregate: exactly one output
+            // row even over empty input.
+            groups.push((vec![Value::Null; nkeys], make_states(), None));
+            Some(groups.len() - 1)
+        } else {
+            None
+        };
+        for row in rows {
+            let env = Env { scope, row, parent: outer };
+            let gvals: Vec<Value> =
+                head.group_bound.iter().map(|b| b.eval(ctx, &env)).collect::<Result<_>>()?;
+            let masked: Vec<Value> = (0..nkeys)
+                .map(|i| if set.contains(&i) { gvals[i].clone() } else { Value::Null })
+                .collect();
+            let gidx = match empty_gidx {
+                Some(g) => g,
+                None => {
+                    let key: Vec<GroupKey> = masked.iter().map(|v| v.group_key()).collect();
+                    *index.entry(key).or_insert_with(|| {
+                        groups.push((masked.clone(), make_states(), None));
+                        groups.len() - 1
+                    })
+                }
+            };
+            let (_, states, sep_slot) = &mut groups[gidx];
+            for (state, (arg, arg2)) in states.iter_mut().zip(&head.agg_args) {
+                let v = arg.as_ref().map(|b| b.eval(ctx, &env)).transpose()?;
+                let sep = arg2.as_ref().map(|b| b.eval(ctx, &env)).transpose()?;
+                state.update(v, sep.as_ref())?;
+                if sep.is_some() {
+                    *sep_slot = sep;
                 }
             }
-            None
         }
-        _ => None,
     }
+    groups
+        .into_iter()
+        .map(|(mut row, states, sep)| {
+            for st in states {
+                row.push(st.finish(sep.as_ref())?);
+            }
+            Ok(row)
+        })
+        .collect()
 }

@@ -30,17 +30,15 @@
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::stats::TableStats;
 use crate::ast::{
-    Expr, JoinConstraint, JoinKind, Literal, OrderItem, Select, SelectItem, SetExpr,
-    TableRef as AstTableRef,
+    Expr, JoinConstraint, JoinKind, OrderItem, Select, SelectItem, SetExpr, TableRef as AstTableRef,
 };
 use crate::catalog::{Ctes, Database};
 use crate::error::Result;
-use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
-use crate::exec::select::{
-    bind_with_idx_markers, expand_projection, find_aggregates, resolve_group_by,
-    resolve_idx_markers, rewrite_agg, run_query, static_type, try_equi_keys, AggCall,
-};
+use crate::exec::eval::{Binder, BoundExpr, Scope, ScopeCol};
+use crate::exec::head::{limit_offset, resolve_relation, AggCall, Relation, SelectHead};
+use crate::exec::select::{apply_alias_columns, run_query, try_equi_keys};
 use crate::script::rwset::{expr_reads, query_reads};
+use crate::table::Table;
 use crate::types::DataType;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -70,35 +68,15 @@ pub fn plan_select(
         return Ok(None);
     }
 
-    // LIMIT/OFFSET are constant expressions; resolve them at plan time
-    // (errors fall back so the interpreter reports them). What their
-    // subqueries read is captured in the plan like a FROM subquery.
+    // LIMIT/OFFSET are constants of the plan. What their subqueries read
+    // is captured in the plan like a FROM subquery.
     let mut captured_reads = BTreeSet::new();
     for e in limit.iter().chain(offset) {
         let mut reads = BTreeSet::new();
         expr_reads(e, &HashSet::new(), &mut reads);
         capture_reads(db, reads, &mut captured_reads);
     }
-    let eval_const = |e: &Expr| -> Result<Option<usize>> {
-        let scope = Scope::default();
-        let binder = Binder::new(db, &scope);
-        let b = binder.bind(e)?;
-        let ctx = EvalCtx { db, ctes };
-        let v = b.eval(&ctx, &Env::empty())?;
-        if v.is_null() {
-            Ok(None)
-        } else {
-            Ok(Some(v.as_i64()?.max(0) as usize))
-        }
-    };
-    let limit_n = match limit {
-        Some(e) => eval_const(e)?,
-        None => None,
-    };
-    let offset_n = match offset {
-        Some(e) => eval_const(e)?,
-        None => None,
-    };
+    let (limit_n, offset_n) = limit_offset(db, ctes, limit, offset)?;
 
     // -- FROM clause --------------------------------------------------------
     let pure = sel.from.iter().all(is_pure_inner);
@@ -163,72 +141,18 @@ pub fn plan_select(
         }
     };
 
-    // -- projection / grouping analysis (mirrors run_select) ----------------
-    let proj = expand_projection(sel, &syn_scope)?;
-    let group_by = resolve_group_by(&sel.group_by, &proj, &syn_scope)?;
-    let mut aggs: Vec<AggCall> = Vec::new();
-    for (_, e) in &proj {
-        find_aggregates(e, &mut aggs);
-    }
-    if let Some(h) = &sel.having {
-        find_aggregates(h, &mut aggs);
-    }
-    for o in order_by {
-        find_aggregates(&o.expr, &mut aggs);
-    }
-    let aggregated = !group_by.is_empty()
-        || sel.grouping_sets.is_some()
-        || !aggs.is_empty()
-        || sel.having.is_some();
+    // -- head: select list, grouping, HAVING, ORDER BY ----------------------
+    let mut head = SelectHead::analyze(db, sel, order_by, &syn_scope, None)?;
 
     // Subqueries re-bind against the runtime scope at evaluation time,
     // so any subquery in any expression pins the scope to its syntactic
     // shape: no pruning, no join reordering.
-    let mut has_subquery = proj.iter().any(|(_, e)| expr_has_subquery(e))
+    let mut has_subquery = head.proj.iter().any(|(_, e)| expr_has_subquery(e))
         || sel.where_.as_ref().is_some_and(expr_has_subquery)
         || sel.having.as_ref().is_some_and(expr_has_subquery)
-        || group_by.iter().any(expr_has_subquery)
+        || head.group_by.iter().any(expr_has_subquery)
         || order_by.iter().any(|o| expr_has_subquery(&o.expr));
-
-    // Bind the pre-aggregation expressions against the syntactic scope.
     let syn_binder = Binder::new(db, &syn_scope);
-    let mut group_bound: Vec<BoundExpr> = Vec::new();
-    let mut agg_args: Vec<(Option<BoundExpr>, Option<BoundExpr>)> = Vec::new();
-    let mut proj_bound: Vec<BoundExpr> = Vec::new();
-    let mut order_bound: Vec<BoundExpr> = Vec::new();
-    if aggregated {
-        for g in &group_by {
-            group_bound.push(syn_binder.bind(g)?);
-        }
-        for a in &aggs {
-            agg_args.push((
-                a.arg.as_ref().map(|e| syn_binder.bind(e)).transpose()?,
-                a.arg2.as_ref().map(|e| syn_binder.bind(e)).transpose()?,
-            ));
-        }
-    } else {
-        for (_, e) in &proj {
-            proj_bound.push(bind_with_idx_markers(&syn_binder, e, &syn_scope)?);
-        }
-        for o in order_by {
-            if let Expr::Literal(Literal::Int(i)) = &o.expr {
-                let idx = *i - 1;
-                if idx < 0 || idx as usize >= proj_bound.len() {
-                    return Ok(None); // interpreter reports the range error
-                }
-                order_bound.push(proj_bound[idx as usize].clone());
-                continue;
-            }
-            if let Expr::Column { qualifier: None, name } = &o.expr {
-                if let Some(i) = proj.iter().position(|(n, _)| n.as_deref() == Some(name.as_str()))
-                {
-                    order_bound.push(proj_bound[i].clone());
-                    continue;
-                }
-            }
-            order_bound.push(syn_binder.bind(&o.expr)?);
-        }
-    }
 
     // -- conjunct classification (pure mode) --------------------------------
     let (mut input, col_map) = match from {
@@ -339,16 +263,8 @@ pub fn plan_select(
                 for (b, _) in &residual {
                     add(b);
                 }
-                for b in group_bound.iter().chain(proj_bound.iter()).chain(order_bound.iter()) {
+                for b in head.input_bound_mut() {
                     add(b);
-                }
-                for (a1, a2) in &agg_args {
-                    if let Some(b) = a1 {
-                        add(b);
-                    }
-                    if let Some(b) = a2 {
-                        add(b);
-                    }
                 }
                 (0..bases.len())
                     .map(|bi| {
@@ -554,49 +470,26 @@ pub fn plan_select(
         }
     };
 
-    // Remap the pre-aggregation expressions through pruning.
+    // Remap the expressions that read the FROM output through pruning.
     if let Some(m) = &col_map {
-        for b in group_bound.iter_mut().chain(proj_bound.iter_mut()).chain(order_bound.iter_mut()) {
+        for b in head.input_bound_mut() {
             let Some(x) = remap_cols(b, m) else { return Ok(None) };
             *b = x;
         }
-        for (a1, a2) in agg_args.iter_mut() {
-            for slot in [a1, a2] {
-                if let Some(b) = slot {
-                    let Some(x) = remap_cols(b, m) else { return Ok(None) };
-                    *slot = Some(x);
-                }
-            }
-        }
     }
 
-    // -- aggregation / projection tail --------------------------------------
-    let (names, static_types, visible);
-    if aggregated {
-        let sets: Vec<Vec<usize>> = match &sel.grouping_sets {
-            Some(s) => s.clone(),
-            None => vec![(0..group_by.len()).collect()],
-        };
-        // Post-aggregation scope: #g0.. then #a0.. (same as run_select).
-        let mut cols = Vec::new();
-        for i in 0..group_by.len() {
-            cols.push(ScopeCol { qualifier: None, name: format!("#g{i}"), ty: DataType::Unknown });
-        }
-        for i in 0..aggs.len() {
-            cols.push(ScopeCol { qualifier: None, name: format!("#a{i}"), ty: DataType::Unknown });
-        }
-        let agg_scope = Scope::new(cols);
-
+    // -- aggregation --------------------------------------------------------
+    if let Some(agg_scope) = head.agg_scope {
         let agg_desc = {
-            let g = group_by.iter().map(|e| e.to_string()).collect::<Vec<_>>().join(", ");
-            let a = aggs.iter().map(agg_display).collect::<Vec<_>>().join(", ");
+            let g = head.group_by.iter().map(|e| e.to_string()).collect::<Vec<_>>().join(", ");
+            let a = head.aggs.iter().map(agg_display).collect::<Vec<_>>().join(", ");
             clip(&format!("group=[{g}] aggs=[{a}]"))
         };
-        let input_est = input.est();
-        let est = agg_est(input_est, &sets);
-        let plan_aggs: Vec<PlanAggCall> = aggs
+        let est = agg_est(input.est(), &head.sets);
+        let aggs: Vec<PlanAggCall> = head
+            .aggs
             .iter()
-            .zip(agg_args)
+            .zip(head.agg_args)
             .map(|(call, (arg, arg2))| PlanAggCall {
                 name: call.name.clone(),
                 distinct: call.distinct,
@@ -607,79 +500,40 @@ pub fn plan_select(
             .collect();
         input = PlanNode::Aggregate {
             input: Box::new(input),
-            group: group_bound,
-            sets,
-            aggs: plan_aggs,
+            group: head.group_bound,
+            sets: head.sets,
+            aggs,
             desc: agg_desc,
-            scope: agg_scope.clone(),
+            scope: agg_scope,
             est,
         };
 
         // HAVING filters aggregate rows before projection.
-        let agg_binder = Binder::new(db, &agg_scope);
-        if let Some(h) = &sel.having {
-            let pred = agg_binder.bind(&rewrite_agg(h, &group_by, &aggs))?;
+        if let (Some(h), Some(pred)) = (&sel.having, head.having_bound) {
             let est = sel_est(input.est(), 1);
             input =
                 PlanNode::Filter { input: Box::new(input), pred, desc: clip(&h.to_string()), est };
         }
-
-        // Projection and ORDER BY bind against the aggregate scope.
-        let rewritten_proj: Vec<(Option<String>, Expr)> = proj
-            .iter()
-            .map(|(n, e)| {
-                (n.clone(), rewrite_agg(&resolve_idx_markers(e, &syn_scope), &group_by, &aggs))
-            })
-            .collect();
-        let pb: Vec<BoundExpr> =
-            rewritten_proj.iter().map(|(_, e)| agg_binder.bind(e)).collect::<Result<_>>()?;
-        let mut ob: Vec<BoundExpr> = Vec::new();
-        for o in order_by {
-            if let Expr::Literal(Literal::Int(i)) = &o.expr {
-                let idx = *i - 1;
-                if idx < 0 || idx as usize >= pb.len() {
-                    return Ok(None);
-                }
-                ob.push(pb[idx as usize].clone());
-                continue;
-            }
-            if let Expr::Column { qualifier: None, name } = &o.expr {
-                if let Some(i) =
-                    rewritten_proj.iter().position(|(n, _)| n.as_deref() == Some(name.as_str()))
-                {
-                    ob.push(pb[i].clone());
-                    continue;
-                }
-            }
-            ob.push(agg_binder.bind(&rewrite_agg(&o.expr, &group_by, &aggs))?);
-        }
-        proj_bound = pb;
-        order_bound = ob;
-        names = output_names(&proj);
-        static_types = proj_bound.iter().map(|b| static_type(b, &agg_scope)).collect::<Vec<_>>();
-        visible = proj.len();
-    } else {
-        names = output_names(&proj);
-        static_types = proj_bound.iter().map(|b| static_type(b, input.scope())).collect::<Vec<_>>();
-        visible = proj.len();
     }
 
     // Project (visible columns + ORDER BY keys).
+    let (names, static_types, visible) = (head.names, head.static_types, head.proj.len());
     let mut out_cols: Vec<ScopeCol> = names
         .iter()
         .zip(static_types.iter())
         .map(|(n, t)| ScopeCol { qualifier: None, name: n.clone(), ty: t.clone() })
         .collect();
-    for i in 0..order_bound.len() {
+    for i in 0..head.order_bound.len() {
         out_cols.push(ScopeCol {
             qualifier: None,
             name: format!("#ord{i}"),
             ty: DataType::Unknown,
         });
     }
-    let proj_desc = clip(&proj.iter().map(|(_, e)| e.to_string()).collect::<Vec<_>>().join(", "));
-    let mut exprs = proj_bound;
-    exprs.extend(order_bound);
+    let proj_desc =
+        clip(&head.proj.iter().map(|(_, e)| e.to_string()).collect::<Vec<_>>().join(", "));
+    let mut exprs = head.proj_bound;
+    exprs.extend(head.order_bound);
     input = PlanNode::Project {
         input: Box::new(input),
         exprs,
@@ -801,63 +655,58 @@ fn flatten_pure<'a>(
     Ok(go(db, ctes, t, bases, ons, captured)?.is_some())
 }
 
-/// Resolve a table primary (named relation or subquery) to a scan source
-/// plus its scope and statistics — the same resolution order as the row
-/// interpreter's `scan_named`: CTEs shadow views shadow tables shadow
-/// virtual tables. A CTE becomes a slot, re-resolved at every execution;
-/// views and subqueries are run here and their result captured, and the
-/// names they read are added to `captured`.
+/// Turn a table primary (named relation or subquery) into a scan source
+/// plus its scope and statistics. A CTE becomes a slot, re-resolved at
+/// every execution; views and subqueries are run here and their result
+/// captured, and the names they read are added to `captured`.
 fn materialize_primary(
     db: &Database,
     ctes: &Ctes,
     t: &AstTableRef,
     captured: &mut BTreeSet<String>,
 ) -> Result<Option<Base>> {
-    let uncached = |t: &crate::table::Table| Arc::new(TableStats::collect(t));
-    match t {
+    let uncached = |t: &Table| Arc::new(TableStats::collect(t));
+    // A relation computed here: the plan holds its rows.
+    let owned = |t: Table| {
+        let stats = uncached(&t);
+        (ScanSource::Table(Arc::new(t)), stats)
+    };
+    let (label, qualifier, alias, (source, stats)) = match t {
         AstTableRef::Named { name, alias } => {
-            let qualifier = alias.as_ref().map(|a| a.name.as_str()).unwrap_or(name);
-            let scope_of = |t: &crate::table::Table| Scope::from_schema(Some(qualifier), &t.schema);
-            let (source, mut scope, stats) = if let Some(t) = ctes.get(name) {
+            let resolved = match resolve_relation(db, ctes, name)? {
                 // A slot takes its estimate from this first binding.
-                let slot = ScanSource::Slot { name: name.clone(), schema: t.schema.clone() };
-                (slot, scope_of(t), uncached(t))
-            } else if let Some(vq) = db.view(name) {
-                capture_reads(db, reads_of(vq), captured);
-                let t = run_query(db, ctes, vq, None)?;
-                let (scope, stats) = (scope_of(&t), uncached(&t));
-                (ScanSource::Table(Arc::new(t)), scope, stats)
-            } else {
-                match db.table(name) {
-                    Ok(t) => (ScanSource::Table(t.clone()), scope_of(t), db.table_stats(name, t)),
-                    Err(e) => match db.virtual_table(name) {
-                        Some(t) => {
-                            // A snapshot taken now, outside the catalog
-                            // epoch: the plan must not be cached.
-                            captured.insert(name.clone());
-                            let (scope, stats) = (scope_of(&t), uncached(&t));
-                            (ScanSource::Table(Arc::new(t)), scope, stats)
-                        }
-                        None => return Err(e),
-                    },
+                Relation::Cte(t) => {
+                    (ScanSource::Slot { name: name.clone(), schema: t.schema.clone() }, uncached(t))
+                }
+                Relation::View(vq) => {
+                    capture_reads(db, reads_of(vq), captured);
+                    owned(run_query(db, ctes, vq, None)?)
+                }
+                Relation::Table(t) => (ScanSource::Table(t.clone()), db.table_stats(name, t)),
+                Relation::Virtual(t) => {
+                    // A snapshot taken now, outside the catalog epoch:
+                    // the plan must not be cached.
+                    captured.insert(name.clone());
+                    owned(t)
                 }
             };
-            crate::exec::select::apply_alias_columns(&mut scope, alias.as_ref())?;
-            Ok(Some(Base { label: name.clone(), source, scope, stats }))
+            (name.clone(), Some(alias.as_ref().map_or(name, |a| &a.name)), alias, resolved)
         }
         AstTableRef::Subquery { query, lateral: false, alias } => {
             capture_reads(db, reads_of(query), captured);
-            let t = run_query(db, ctes, query, None)?;
-            let qualifier = alias.as_ref().map(|a| a.name.as_str());
-            let mut scope = Scope::from_schema(qualifier, &t.schema);
-            crate::exec::select::apply_alias_columns(&mut scope, alias.as_ref())?;
-            let label =
-                alias.as_ref().map(|a| a.name.clone()).unwrap_or_else(|| "(subquery)".to_string());
-            let stats = uncached(&t);
-            Ok(Some(Base { label, source: ScanSource::Table(Arc::new(t)), scope, stats }))
+            let label = alias.as_ref().map_or_else(|| "(subquery)".to_string(), |a| a.name.clone());
+            let qualifier = alias.as_ref().map(|a| &a.name);
+            (label, qualifier, alias, owned(run_query(db, ctes, query, None)?))
         }
-        _ => Ok(None),
-    }
+        _ => return Ok(None),
+    };
+    let schema = match &source {
+        ScanSource::Table(t) => &t.schema,
+        ScanSource::Slot { schema, .. } => schema,
+    };
+    let mut scope = Scope::from_schema(qualifier.map(String::as_str), schema);
+    apply_alias_columns(&mut scope, alias.as_ref())?;
+    Ok(Some(Base { label, source, scope, stats }))
 }
 
 /// Every relation name `q` reads, following views into the names they
@@ -1319,13 +1168,6 @@ fn agg_display(call: &AggCall) -> String {
     } else {
         format!("{}({})", call.name, arg)
     }
-}
-
-fn output_names(proj: &[(Option<String>, Expr)]) -> Vec<String> {
-    proj.iter()
-        .enumerate()
-        .map(|(i, (n, _))| n.clone().unwrap_or_else(|| format!("column{}", i + 1)))
-        .collect()
 }
 
 /// Clip a display string for EXPLAIN output.

@@ -119,7 +119,7 @@ mod tests {
         db.create_table("t", Table::from_rows(&["a"], vec![vec![Value::Int(1)]]), false).unwrap();
         let s1 = db.table_stats("t", db.table("t").unwrap());
         assert_eq!(s1.row_count, 1);
-        db.table_mut("t").unwrap().rows.push(vec![Value::Int(2)]);
+        db.append_rows("t", vec![vec![Value::Int(2)]]).unwrap();
         let s2 = db.table_stats("t", db.table("t").unwrap());
         assert_eq!(s2.row_count, 2);
         assert_eq!(db.stats_cache_len(), 1, "the table's entry is replaced, not added to");

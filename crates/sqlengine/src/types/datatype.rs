@@ -53,10 +53,6 @@ impl DataType {
         }
     }
 
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
     /// The common type of two inputs (for set operations, CASE arms,
     /// recursive CTE unification). `Unknown` defers to the other side.
     pub fn unify(&self, other: &DataType) -> Result<DataType> {

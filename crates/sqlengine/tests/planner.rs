@@ -4,7 +4,7 @@
 //! routes plannable SELECTs through the logical plan + columnar batch
 //! executor, and once with `set_force_row_interpreter(true)`, which
 //! pins the legacy row-at-a-time interpreter. The two executions must
-//! agree on column names and on the multiset of result rows (the
+//! agree on column names and types and on the multiset of result rows (the
 //! optimizer may legally reorder joins, so row order is only compared
 //! when the query carries an ORDER BY).
 //!
@@ -14,7 +14,9 @@
 //! hand-written queries covering the planner's edge shapes
 //! (ROLLUP/CUBE/GROUPING SETS, outer joins, subqueries, NULL keys).
 
-use sqlengine::{execute_script, execute_sql, set_force_row_interpreter, Database, Table, Value};
+use sqlengine::{
+    execute_script, execute_sql, set_force_row_interpreter, DataType, Database, Table, Value,
+};
 
 fn setup() -> Database {
     let mut db = Database::new();
@@ -119,6 +121,9 @@ fn check(db: &mut Database, sql: &str, ordered: bool) {
     match (planned, row) {
         (Ok(p), Ok(r)) => {
             assert_eq!(p.schema.names(), r.schema.names(), "column names differ for: {sql}");
+            let types =
+                |t: &Table| t.schema.columns.iter().map(|c| c.ty.clone()).collect::<Vec<_>>();
+            assert_eq!(types(&p), types(&r), "column types differ for: {sql}");
             let mut pk = row_keys(&p);
             let mut rk = row_keys(&r);
             if !ordered {
@@ -208,10 +213,38 @@ fn differential_handwritten_corpus() {
         ("SELECT upper(c) AS u, length(c) FROM t1 WHERE c IS NOT NULL", false),
         ("SELECT coalesce(a, -1), coalesce(c, 'none') FROM t1", false),
         ("SELECT abs(b - 25), round(d) FROM t1", false),
+        // The SELECT head: positions and output names in GROUP BY / ORDER BY.
+        ("SELECT c, count(*) AS n FROM t1 GROUP BY 1 ORDER BY 2 DESC, 1", true),
+        ("SELECT a % 3 AS g, sum(b) AS s FROM t1 GROUP BY g ORDER BY g", true),
+        ("SELECT a, b + 1 AS nxt FROM t1 ORDER BY nxt, 1, c, d", true),
+        // An output name that collides with an input column: ORDER BY
+        // takes the output, GROUP BY the input.
+        ("SELECT b AS a, a AS b FROM t1 ORDER BY a, b", true),
+        ("SELECT a + 100 AS a, count(*) FROM t1 GROUP BY a ORDER BY 1", true),
+        // `*` over a join that repeats a column name binds by position.
+        ("SELECT * FROM t1 JOIN t2 ON t1.a = t2.a", false),
+        ("SELECT y.*, x.a FROM t1 x JOIN t1 y ON x.a = y.b WHERE x.b < 20", false),
+        ("SELECT DISTINCT * FROM t1 x, t3 WHERE x.a = t3.k AND t3.v > 25", false),
+        // HAVING without GROUP BY is one global group.
+        ("SELECT count(*) FROM t1 HAVING count(*) > 1", true),
+        ("SELECT sum(b) FROM t1 HAVING sum(b) < 0", true),
+        ("SELECT c, sum(b) AS s FROM t1 GROUP BY ROLLUP (c) ORDER BY sum(b) DESC, c", true),
+        // LIMIT / OFFSET are constants: a scalar subquery, NULL (= absent).
+        (
+            "SELECT a, b FROM t1 ORDER BY a, b, c, d \
+             LIMIT (SELECT 3) OFFSET (SELECT count(*) FROM t3) - 13",
+            true,
+        ),
+        ("SELECT a, b FROM t1 ORDER BY a, b, c, d LIMIT NULL OFFSET NULL", true),
+        ("SELECT a, b FROM t1 ORDER BY a, b, c, d LIMIT -1", true),
         // Errors must match exactly.
         ("SELECT nope FROM t1", true),
         ("SELECT a FROM t1 GROUP BY c", true),
         ("SELECT sum(b) + a FROM t1", true),
+        ("SELECT b AS a, count(*) FROM t1 GROUP BY a", true),
+        ("SELECT a, count(*) FROM t1 GROUP BY a ORDER BY 0", true),
+        ("SELECT a FROM t1 LIMIT 'many'", true),
+        ("SELECT a FROM t1 ORDER BY nope LIMIT nope", true),
     ];
     for (sql, ordered) in corpus {
         check(&mut db, sql, *ordered);
@@ -307,6 +340,81 @@ fn add_where(sql: &mut String, rng: &mut Rng, qual: &dyn Fn(&str) -> String) {
         preds.push(p);
     }
     sql.push_str(&format!(" WHERE {}", preds.join(rng.pick(&[" AND ", " OR "]))));
+}
+
+/// Head errors are one message whichever executor meets them (`check`),
+/// and it is the message with the position or the GROUP BY hint in it.
+#[test]
+fn head_errors_are_the_same_message_on_both_paths() {
+    let mut db = setup();
+    for (sql, needle) in [
+        ("SELECT a, count(*) FROM t1", "must appear in GROUP BY or be used in an aggregate"),
+        ("SELECT a FROM t1 ORDER BY 9", "ORDER BY position 9 out of range"),
+        ("SELECT a, count(*) FROM t1 GROUP BY 9", "GROUP BY position 9 out of range"),
+    ] {
+        check(&mut db, sql, true);
+        let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
+        assert!(err.contains(needle), "{sql}: {err}");
+    }
+}
+
+/// A column whose every value is NULL keeps its declared type on both
+/// paths — decision columns of a SOLVESELECT are such columns, and the
+/// integrality of the solver's variables is read off this type.
+#[test]
+fn all_null_columns_keep_their_static_type_on_both_paths() {
+    let mut db = Database::new();
+    execute_script(
+        &mut db,
+        "CREATE TABLE v (id INT, x FLOAT8, n INT);
+         INSERT INTO v VALUES (1, NULL, NULL), (2, NULL, NULL);",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT x, n, cast(NULL AS INT) AS k FROM v",
+        "SELECT * FROM v WHERE id > 0 ORDER BY id",
+        "SELECT p.x, q.n FROM v p JOIN v q ON p.id = q.id",
+        "SELECT cast(max(x) AS FLOAT8) AS m, cast(NULL AS INT) AS k FROM v GROUP BY id",
+    ] {
+        // `check` holds the two paths to the same types; this pins which.
+        check(&mut db, sql, false);
+        let t = execute_sql(&mut db, sql).unwrap().into_table().unwrap();
+        for c in t.schema.columns.iter().filter(|c| c.name != "id") {
+            let want = if c.name == "n" || c.name == "k" { DataType::Int } else { DataType::Float };
+            assert_eq!(c.ty, want, "column {}: {sql}", c.name);
+        }
+    }
+}
+
+/// CTEs shadow views shadow tables shadow virtual tables, whichever
+/// executor scans the name.
+#[test]
+fn relation_names_resolve_in_one_order_on_both_paths() {
+    struct Fake;
+    impl sqlengine::VirtualTableProvider for Fake {
+        fn names(&self) -> Vec<String> {
+            vec!["sdb_fake".to_string()]
+        }
+        fn table(&self, name: &str) -> Option<Table> {
+            (name == "sdb_fake")
+                .then(|| Table::from_rows(&["z"], vec![vec![Value::text("virtual")]]))
+        }
+    }
+    let mut db = Database::new();
+    db.set_virtual_tables(std::sync::Arc::new(Fake));
+    let z = |db: &mut Database, sql: &str| {
+        check(db, sql, true);
+        rows_of(db, sql)
+    };
+    let scan = "SELECT z FROM sdb_fake WHERE z IS NOT NULL";
+    assert_eq!(z(&mut db, scan), [["virtual"]]);
+    let under_cte = format!("WITH sdb_fake AS (SELECT 'cte' AS z) {scan}");
+    assert_eq!(z(&mut db, &under_cte), [["cte"]]);
+    execute_sql(&mut db, "CREATE TABLE sdb_fake AS SELECT 'table' AS z").unwrap();
+    assert_eq!(z(&mut db, scan), [["table"]]);
+    execute_sql(&mut db, "CREATE OR REPLACE VIEW sdb_fake AS SELECT 'view' AS z").unwrap();
+    assert_eq!(z(&mut db, scan), [["view"]]);
+    assert_eq!(z(&mut db, &under_cte), [["cte"]]);
 }
 
 // ---------------------------------------------------------------------------
