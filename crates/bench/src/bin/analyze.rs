@@ -236,7 +236,7 @@ fn main() {
                 Err(e) => sweep.failures.push(format!("{path}: cannot read: {e}")),
             }
         }
-        let code = verdict(&sweep, persistent);
+        let code = verdict(&mut sweep, persistent);
         drop(persist);
         std::process::exit(code);
     }
@@ -254,13 +254,18 @@ fn main() {
                 .into(),
         );
     }
-    let code = verdict(&sweep, persistent);
+    let code = verdict(&mut sweep, persistent);
     drop(persist);
     std::process::exit(code);
 }
 
 /// Print the sweep summary and return the process exit code.
-fn verdict(sweep: &Sweep, persistent: bool) -> i32 {
+fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
+    // A failing statement is tolerated above; a simplex that gave up is not.
+    let unconverged = lp::simplex::not_converged_total();
+    if unconverged > 0 {
+        sweep.failures.push(format!("{unconverged} LP solve(s) did not converge"));
+    }
     println!(
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
          {} EXPLAIN SELECT run(s) ({} planned), {} scriptcheck finding(s), \

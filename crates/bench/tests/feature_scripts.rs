@@ -66,4 +66,5 @@ fn p4_variants_agree() {
     for x in floats(&cdte, "intemp") {
         assert!((20.0 - 1e-6..=25.0 + 1e-6).contains(&x), "intemp {x}");
     }
+    assert_eq!(lp::simplex::not_converged_total(), 0, "a feature script's LP did not converge");
 }

@@ -56,6 +56,9 @@ fn model_reports_match_the_golden_file() {
     for_each_script(&mut |_, _| {}, &mut |s, name, sql| render_script(s, name, sql, &mut out))
         .expect("sweep sessions");
     assert_eq!(out.matches(": EXPLAIN CHECK\n").count(), 22, "solves visited by the sweep");
+    // The sweep tolerates a failing statement, so a solve that stopped
+    // converging would otherwise only shorten the report.
+    assert_eq!(lp::simplex::not_converged_total(), 0, "a shipped model did not converge");
     if out != GOLDEN {
         let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("model_reports.txt");
         std::fs::write(&actual, &out).expect("write the actual rendering");

@@ -116,6 +116,10 @@ fn solver_stats(metrics: &MetricsRegistry) -> Table {
         Column::new("iterations", DataType::Int),
         Column::new("nodes_explored", DataType::Int),
         Column::new("nodes_pruned", DataType::Int),
+        Column::new("warm_starts", DataType::Int),
+        Column::new("cold_starts", DataType::Int),
+        Column::new("dual_pivots", DataType::Int),
+        Column::new("refactorizations", DataType::Int),
         Column::new("evaluations", DataType::Int),
         Column::new("restarts", DataType::Int),
         Column::new("presolve_cols", DataType::Int),
@@ -139,6 +143,10 @@ fn solver_stats(metrics: &MetricsRegistry) -> Table {
                 int(a.iterations),
                 int(a.nodes_explored),
                 int(a.nodes_pruned),
+                int(a.warm_starts),
+                int(a.cold_starts),
+                int(a.dual_pivots),
+                int(a.refactorizations),
                 int(a.evaluations),
                 int(a.restarts),
                 int(a.presolve_cols),
@@ -276,6 +284,9 @@ mod tests {
                 method: "bb".into(),
                 iterations: 7,
                 nodes_explored: 3,
+                warm_starts: 2,
+                dual_pivots: 5,
+                refactorizations: 2,
                 presolve_cols: 2,
                 presolve_bounds: 4,
                 objective: Some(1.5),
@@ -290,13 +301,21 @@ mod tests {
         assert_eq!(t.num_rows(), 1);
         assert_eq!(t.rows[0][0], Value::text("solverlp"));
         assert_eq!(t.rows[0][2], Value::Int(1));
-        assert_eq!(t.rows[0][4], Value::Int(7));
-        assert_eq!(t.rows[0][9], Value::Int(2));
-        assert_eq!(t.rows[0][11], Value::Int(4));
-        assert_eq!(t.rows[0][12], Value::Int(3));
-        assert_eq!(t.rows[0][13], Value::text("setpart:2"));
-        assert_eq!(t.rows[0][14], Value::text("network-tu"));
-        assert_eq!(t.rows[0][15], Value::Float(1.5));
+        let col = |name: &str| {
+            let i = t.schema.columns.iter().position(|c| c.name == name).unwrap();
+            t.rows[0][i].clone()
+        };
+        assert_eq!(col("iterations"), Value::Int(7));
+        assert_eq!(col("warm_starts"), Value::Int(2));
+        assert_eq!(col("cold_starts"), Value::Int(0));
+        assert_eq!(col("dual_pivots"), Value::Int(5));
+        assert_eq!(col("refactorizations"), Value::Int(2));
+        assert_eq!(col("presolve_cols"), Value::Int(2));
+        assert_eq!(col("presolve_bounds"), Value::Int(4));
+        assert_eq!(col("blocks"), Value::Int(3));
+        assert_eq!(col("matrix_class"), Value::text("setpart:2"));
+        assert_eq!(col("integrality_proof"), Value::text("network-tu"));
+        assert_eq!(col("last_objective"), Value::Float(1.5));
     }
 
     #[test]

@@ -69,28 +69,30 @@ impl Solver for LpSolver {
             .unwrap_or(true);
         let analysis: Option<lp::matrix::MatrixAnalysis> =
             matrixclass_on.then(|| ctx.stage("matrixclass", || lp::matrix::analyze(target)));
-        let (sol, stats) = ctx.stage("solve-lp", || {
+        // `method` is what ran: branch-and-bound (shortcuts included) or
+        // the simplex alone.
+        let (sol, stats, method) = ctx.stage("solve-lp", || {
             if pre.as_ref().is_some_and(|p| p.infeasible()) {
-                return (lp::Solution::infeasible(), None);
+                return (lp::Solution::infeasible(), lp::mip::MipStats::default(), "simplex");
             }
             if target.num_vars == 0 {
                 // Propagation fixed every variable; the objective is
                 // the folded constant and there is nothing to solve.
-                return (
-                    lp::Solution {
-                        status: lp::Status::Optimal,
-                        x: vec![],
-                        objective: target.objective_constant,
-                        iterations: 0,
-                        nodes: 0,
-                    },
-                    None,
-                );
+                let sol = lp::Solution {
+                    status: lp::Status::Optimal,
+                    x: vec![],
+                    objective: target.objective_constant,
+                    iterations: 0,
+                    nodes: 0,
+                };
+                return (sol, lp::mip::MipStats::default(), "simplex");
             }
             if target.has_integers() {
-                solve_mip(ctx, target, analysis.as_ref(), node_limit)
+                let (sol, stats) = solve_mip(ctx, target, analysis.as_ref(), node_limit);
+                (sol, stats, "bb")
             } else {
-                (lp::simplex::solve_lp(target), None)
+                let (sol, stats) = solve_relaxation(target);
+                (sol, stats, "simplex")
             }
         });
         let (matrix_class, integrality_proof, blocks) = match &analysis {
@@ -103,7 +105,7 @@ impl Solver for LpSolver {
             Some(p) => p.uncrush_solution(sol),
             None => sol,
         };
-        let mut tele = telemetry(&sol, stats.as_ref(), counts);
+        let mut tele = telemetry(&sol, &stats, method, counts);
         tele.matrix_class = matrix_class;
         tele.integrality_proof = integrality_proof;
         tele.blocks = blocks;
@@ -139,22 +141,16 @@ fn solve_mip(
     target: &lp::Problem,
     analysis: Option<&lp::matrix::MatrixAnalysis>,
     node_limit: Option<usize>,
-) -> (lp::Solution, Option<lp::mip::MipStats>) {
+) -> (lp::Solution, lp::mip::MipStats) {
     if let Some(a) = analysis {
         let declared: Vec<usize> = (0..target.num_vars).filter(|&j| target.integer[j]).collect();
         let full_proof = a.exactness_proof().is_some()
             || (!declared.is_empty() && declared.iter().all(|&j| a.implied_integral[j]));
         if full_proof {
-            let mut relaxed = target.clone();
-            relaxed.integer.iter_mut().for_each(|b| *b = false);
-            let mut sol = lp::simplex::solve_lp(&relaxed);
+            let (mut sol, mut stats) = solve_relaxation(target);
             if accept_integral(target, &mut sol, &declared) {
-                let stats = lp::mip::MipStats {
-                    simplex_iterations: sol.iterations,
-                    incumbents: vec![(0, sol.objective)],
-                    ..lp::mip::MipStats::default()
-                };
-                return (sol, Some(stats));
+                stats.incumbents = vec![(0, sol.objective)];
+                return (sol, stats);
             }
         } else if !a.relaxable.is_empty() {
             let mut relaxed = target.clone();
@@ -163,12 +159,22 @@ fn solve_mip(
             }
             let (mut sol, stats) = branch_and_bound(ctx, &relaxed, node_limit);
             if sol.status != lp::Status::Optimal || accept_integral(target, &mut sol, &declared) {
-                return (sol, Some(stats));
+                return (sol, stats);
             }
         }
     }
-    let (sol, stats) = branch_and_bound(ctx, target, node_limit);
-    (sol, Some(stats))
+    branch_and_bound(ctx, target, node_limit)
+}
+
+/// Solve the LP relaxation of `target` (the simplex ignores integrality
+/// flags), reporting the kernel's counters in the branch-and-bound
+/// shape with no nodes.
+fn solve_relaxation(target: &lp::Problem) -> (lp::Solution, lp::mip::MipStats) {
+    let mut tableau = lp::simplex::Simplex::new(target);
+    let sol = tableau.solve();
+    let mut stats = lp::mip::MipStats { simplex_iterations: sol.iterations, ..Default::default() };
+    stats.record_kernel(tableau.counters());
+    (sol, stats)
 }
 
 /// Verify that `sol` is integral on `declared` within tolerance; on
@@ -215,7 +221,8 @@ fn branch_and_bound(
 /// Map an LP/MIP outcome onto the shared solver-telemetry shape.
 fn telemetry(
     sol: &lp::Solution,
-    stats: Option<&lp::mip::MipStats>,
+    stats: &lp::mip::MipStats,
+    method: &str,
     counts: Counts,
 ) -> obs::SolverStats {
     // Interrupted solves carry an objective only when an incumbent was
@@ -223,29 +230,23 @@ fn telemetry(
     let objective = (matches!(sol.status, lp::Status::Optimal | lp::Status::NodeLimit)
         || (sol.status == lp::Status::Interrupted && !sol.x.is_empty()))
     .then_some(sol.objective);
-    let mut out = match stats {
-        Some(st) => obs::SolverStats {
-            solver: "solverlp".into(),
-            method: "bb".into(),
-            iterations: st.simplex_iterations as u64,
-            nodes_explored: st.nodes_explored as u64,
-            nodes_pruned: st.nodes_pruned as u64,
-            objective,
-            incumbents: st.incumbents.iter().map(|&(n, v)| (n as u64, v)).collect(),
-            ..obs::SolverStats::default()
-        },
-        None => obs::SolverStats {
-            solver: "solverlp".into(),
-            method: "simplex".into(),
-            iterations: sol.iterations as u64,
-            objective,
-            ..obs::SolverStats::default()
-        },
-    };
-    out.presolve_cols = counts.cols_removed;
-    out.presolve_rows = counts.rows_removed;
-    out.presolve_bounds = counts.bounds_tightened;
-    out
+    obs::SolverStats {
+        solver: "solverlp".into(),
+        method: method.into(),
+        iterations: stats.simplex_iterations as u64,
+        nodes_explored: stats.nodes_explored as u64,
+        nodes_pruned: stats.nodes_pruned as u64,
+        warm_starts: stats.warm_starts as u64,
+        cold_starts: stats.cold_starts as u64,
+        dual_pivots: stats.dual_pivots as u64,
+        refactorizations: stats.refactorizations as u64,
+        objective,
+        incumbents: stats.incumbents.iter().map(|&(n, v)| (n as u64, v)).collect(),
+        presolve_cols: counts.cols_removed,
+        presolve_rows: counts.rows_removed,
+        presolve_bounds: counts.bounds_tightened,
+        ..obs::SolverStats::default()
+    }
 }
 
 fn finish(
@@ -266,5 +267,9 @@ fn finish(
         lp::Status::Interrupted => {
             Err(Error::solver("internal: interrupted solve was not aborted"))
         }
+        lp::Status::NotConverged => Err(Error::solver(
+            "simplex did not converge: iteration cap or singular basis \
+             (EXPLAIN CHECK reports badly scaled rows as SD012)",
+        )),
     }
 }

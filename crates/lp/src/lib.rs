@@ -165,6 +165,9 @@ pub enum Status {
     /// watchdog: timeout or kill). The best incumbent found so far — if
     /// any — is in the solution.
     Interrupted,
+    /// The simplex hit its iteration cap or a singular basis it could
+    /// not recover from; there is no solution to report.
+    NotConverged,
 }
 
 /// A solve result.

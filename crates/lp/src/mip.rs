@@ -1,13 +1,16 @@
 //! Branch-and-bound mixed-integer programming on top of the simplex.
 //!
 //! Best-first search on the LP relaxation bound, most-fractional
-//! branching, with an optional node limit. This replaces the CBC/GLPK
-//! MIP solvers used by the paper's `solverlp`.
+//! branching, with an optional node limit. One [`Simplex`] tableau
+//! serves the whole tree: a node changes bounds on it and re-solves
+//! from its parent's basis. This replaces the CBC/GLPK MIP solvers used
+//! by the paper's `solverlp`.
 
-use crate::simplex::solve_lp;
+use crate::simplex::{Basis, Counters, Simplex};
 use crate::{Problem, Solution, Status};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 const INT_TOL: f64 = 1e-6;
 
@@ -33,6 +36,8 @@ struct Node {
     /// LP relaxation bound of the parent (minimization sense).
     bound: f64,
     depth: usize,
+    /// The parent's optimal basis, shared with the sibling.
+    basis: Rc<Basis>,
 }
 
 /// Best-first: smaller bound (for minimization-sense values) explored
@@ -86,11 +91,31 @@ pub struct MipStats {
     /// Nodes discarded by bound or by an infeasible relaxation before
     /// branching.
     pub nodes_pruned: usize,
-    /// Simplex iterations summed over every LP relaxation solved.
+    /// Simplex iterations (primal and dual) summed over every LP
+    /// relaxation solved.
     pub simplex_iterations: usize,
+    /// Nodes re-solved from their parent's basis.
+    pub warm_starts: usize,
+    /// Nodes whose warm re-solve failed (singular basis, iteration cap)
+    /// and that were solved cold instead.
+    pub cold_starts: usize,
+    /// Dual simplex pivots, a subset of `simplex_iterations`.
+    pub dual_pivots: usize,
+    /// Basis-inverse refactorizations over the whole search.
+    pub refactorizations: usize,
     /// Incumbent trajectory: (nodes explored when found, objective in
     /// the problem's own sense).
     pub incumbents: Vec<(usize, f64)>,
+}
+
+impl MipStats {
+    /// Copy what the LP kernel counted while it solved the relaxations.
+    pub fn record_kernel(&mut self, c: Counters) {
+        self.warm_starts = c.warm_starts;
+        self.cold_starts = c.cold_starts;
+        self.dual_pivots = c.dual_pivots;
+        self.refactorizations = c.refactorizations;
+    }
 }
 
 /// A point-in-time snapshot of a running branch-and-bound search,
@@ -137,12 +162,12 @@ pub fn branch_and_bound_with(
     let sense = if root.minimize { 1.0 } else { -1.0 };
     let mut stats = MipStats::default();
 
-    let root_lp = solve_lp(root);
+    let mut tableau = Simplex::new(root);
+    let root_lp = tableau.solve();
     stats.simplex_iterations += root_lp.iterations;
-    match root_lp.status {
-        Status::Infeasible => return (Solution::infeasible(), stats),
-        Status::Unbounded => return (Solution::unbounded(), stats),
-        _ => {}
+    if root_lp.status != Status::Optimal {
+        // Infeasible, unbounded or not converged: so is the MIP.
+        return (root_lp, stats);
     }
     if pick_branch_var(root, &root_lp.x).is_none() {
         // Relaxation is already integral.
@@ -154,16 +179,27 @@ pub fn branch_and_bound_with(
         });
         s.objective = root.objective_value(&s.x);
         stats.incumbents.push((0, s.objective));
+        stats.record_kernel(tableau.counters());
         return (s, stats);
     }
 
     let mut heap = BinaryHeap::new();
-    heap.push(Node { changes: vec![], bound: sense * root_lp.objective, depth: 0 });
+    heap.push(Node {
+        changes: vec![],
+        bound: sense * root_lp.objective,
+        depth: 0,
+        basis: Rc::new(tableau.basis()),
+    });
+    // The root is the first node popped; its relaxation is this one.
+    let mut root_lp = Some(root_lp);
+    // Columns whose bounds on the tableau differ from the root's.
+    let mut changed: Vec<usize> = Vec::new();
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None; // (sense-adjusted obj, x)
     let mut nodes = 0usize;
     let mut hit_limit = false;
     let mut interrupted = false;
+    let mut not_converged = false;
 
     while let Some(node) = heap.pop() {
         // Bound pruning.
@@ -192,13 +228,30 @@ pub fn branch_and_bound_with(
             interrupted = true;
             break;
         }
-        // Materialize the subproblem.
-        let mut sub = root.clone();
-        for &(j, lo, hi) in &node.changes {
-            sub.tighten(j, lo, hi);
+        let lp = match root_lp.take() {
+            Some(lp) => lp,
+            None => {
+                // Move the tableau to this node's bounds and re-solve
+                // from the parent's basis.
+                for j in changed.drain(..) {
+                    tableau.set_bounds(j, root.lower[j], root.upper[j]);
+                }
+                for &(j, lo, hi) in &node.changes {
+                    let (l, u) = tableau.bounds(j);
+                    tableau.set_bounds(j, l.max(lo), u.min(hi));
+                    changed.push(j);
+                }
+                let lp = tableau.resolve_from(&node.basis);
+                stats.simplex_iterations += lp.iterations;
+                lp
+            }
+        };
+        if lp.status == Status::NotConverged {
+            // Nothing found so far can be called optimal or even best.
+            not_converged = true;
+            incumbent = None;
+            break;
         }
-        let lp = solve_lp(&sub);
-        stats.simplex_iterations += lp.iterations;
         if lp.status != Status::Optimal {
             stats.nodes_pruned += 1;
             continue;
@@ -213,7 +266,7 @@ pub fn branch_and_bound_with(
         match pick_branch_var(root, &lp.x) {
             None => {
                 // Integral: candidate incumbent.
-                let mut x = lp.x.clone();
+                let mut x = lp.x;
                 for j in 0..root.num_vars {
                     if root.integer[j] {
                         x[j] = x[j].round();
@@ -237,43 +290,44 @@ pub fn branch_and_bound_with(
                 }
             }
             Some((j, v)) => {
+                let basis = Rc::new(tableau.basis());
+                let depth = node.depth + 1;
                 let mut down = node.changes.clone();
                 down.push((j, f64::NEG_INFINITY, v.floor()));
-                heap.push(Node { changes: down, bound, depth: node.depth + 1 });
-                let mut up = node.changes.clone();
+                heap.push(Node { changes: down, bound, depth, basis: Rc::clone(&basis) });
+                let mut up = node.changes;
                 up.push((j, v.ceil(), f64::INFINITY));
-                heap.push(Node { changes: up, bound, depth: node.depth + 1 });
+                heap.push(Node { changes: up, bound, depth, basis });
             }
         }
     }
 
     stats.nodes_explored = nodes;
+    stats.record_kernel(tableau.counters());
+    let status = if not_converged {
+        Status::NotConverged
+    } else if interrupted {
+        Status::Interrupted
+    } else if hit_limit {
+        Status::NodeLimit
+    } else if incumbent.is_some() {
+        Status::Optimal
+    } else {
+        Status::Infeasible
+    };
     let solution = match incumbent {
-        None => {
-            if interrupted || hit_limit {
-                Solution {
-                    status: if interrupted { Status::Interrupted } else { Status::NodeLimit },
-                    x: vec![],
-                    objective: f64::NAN,
-                    iterations: stats.simplex_iterations,
-                    nodes,
-                }
-            } else {
-                Solution { iterations: stats.simplex_iterations, nodes, ..Solution::infeasible() }
-            }
-        }
         Some((obj, x)) => Solution {
-            status: if interrupted {
-                Status::Interrupted
-            } else if hit_limit {
-                Status::NodeLimit
-            } else {
-                Status::Optimal
-            },
+            status,
             objective: sense * obj,
             x,
             iterations: stats.simplex_iterations,
             nodes,
+        },
+        None => Solution {
+            status,
+            iterations: stats.simplex_iterations,
+            nodes,
+            ..Solution::infeasible()
         },
     };
     (solution, stats)

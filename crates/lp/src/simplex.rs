@@ -1,6 +1,11 @@
-//! Bounded-variable revised simplex with a two-phase (artificial
-//! variable) start, Dantzig pricing with a Bland anti-cycling fallback,
-//! explicit dense basis inverse with periodic refactorization.
+//! Bounded-variable revised simplex as one persistent, re-solvable
+//! kernel: [`Simplex`] builds the columns of a [`Problem`] once, solves
+//! it cold (two-phase artificial start, Dantzig pricing with a Bland
+//! anti-cycling fallback) and re-solves it after bound changes from a
+//! saved [`Basis`] with a bounded dual simplex. The basis inverse is an
+//! explicit dense matrix with periodic refactorization; `ftran`, row
+//! `r` of B⁻¹, the elementary update in `pivot` and `refactorize` are
+//! the only operations that know that.
 //!
 //! The bounded-variable formulation keeps the basis dimension equal to
 //! the number of *constraints* (not variables), which is what makes the
@@ -8,29 +13,82 @@
 //! one capacity row) cheap.
 
 use crate::{Problem, Rel, Solution, Status};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-10;
+/// A sum of infeasibilities above this proves the problem infeasible;
+/// phase 1 and the dual simplex share it so both give the same verdict.
+const INFEASIBLE_TOL: f64 = 1e-6;
 /// Refactorize the basis inverse after this many pivots.
 const REFACTOR_EVERY: usize = 128;
 /// Switch to Bland's rule after this many consecutive degenerate pivots.
 const DEGENERATE_LIMIT: usize = 64;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Cold solves that ended [`Status::NotConverged`], process-wide.
+static NOT_CONVERGED: AtomicU64 = AtomicU64::new(0);
+
+/// How many cold solves in this process ended [`Status::NotConverged`]
+/// (iteration cap or a singular basis). Test suites assert it stays 0
+/// over everything the repository ships.
+pub fn not_converged_total() -> u64 {
+    NOT_CONVERGED.load(Ordering::Relaxed)
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarStatus {
-    Basic(usize),
+    Basic,
     AtLower,
     AtUpper,
     /// Nonbasic free variable (value 0).
     FreeZero,
 }
 
-struct Tableau {
+/// Where a nonbasic column rests: at a finite bound, the lower one
+/// preferred, or at zero when it has none.
+fn rest_status(lower: f64, upper: f64) -> VarStatus {
+    if lower.is_finite() {
+        VarStatus::AtLower
+    } else if upper.is_finite() {
+        VarStatus::AtUpper
+    } else {
+        VarStatus::FreeZero
+    }
+}
+
+/// A snapshot of a simplex basis, taken with [`Simplex::basis`] and
+/// handed back to [`Simplex::resolve_from`]: one byte per column
+/// (structural, slack, artificial) plus the basic columns in row order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Basis {
+    status: Vec<VarStatus>,
+    basic: Vec<usize>,
+}
+
+/// What a [`Simplex`] has done since it was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// [`Simplex::resolve_from`] calls answered from the given basis.
+    pub warm_starts: usize,
+    /// [`Simplex::resolve_from`] calls that fell back to a cold solve:
+    /// the basis was singular or the warm run did not converge.
+    pub cold_starts: usize,
+    /// Dual simplex pivots (a subset of the iterations solves report).
+    pub dual_pivots: usize,
+    /// Times B⁻¹ was recomputed from the basis columns.
+    pub refactorizations: usize,
+}
+
+/// The simplex tableau of one [`Problem`], kept between solves. Between
+/// calls it is in phase-2 form: real costs, artificials fixed at zero.
+pub struct Simplex<'a> {
+    p: &'a Problem,
     m: usize,
-    /// Total variable count: structural + slacks + artificials.
+    /// Structural column count.
+    n: usize,
+    /// Total column count: structural + slacks + artificials.
     n_total: usize,
-    n_structural: usize,
-    /// Sparse columns (row, coefficient).
+    /// Sparse columns (row, coefficient); artificial `i` is `+e_i`.
     cols: Vec<Vec<(usize, f64)>>,
     lower: Vec<f64>,
     upper: Vec<f64>,
@@ -42,15 +100,284 @@ struct Tableau {
     binv: Vec<f64>,
     /// Basic variable values, aligned with `basis`.
     xb: Vec<f64>,
+    since_refactor: usize,
+    /// Iteration cap of one primal phase or one dual run.
+    max_iter: usize,
+    counters: Counters,
 }
 
-impl Tableau {
+impl<'a> Simplex<'a> {
+    /// Build the tableau of `p` (integrality flags ignored).
+    pub fn new(p: &'a Problem) -> Simplex<'a> {
+        let m = p.constraints.len();
+        let n = p.num_vars;
+        let n_total = n + m + m;
+        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_total];
+        let mut b = vec![0.0; m];
+        for (i, c) in p.constraints.iter().enumerate() {
+            b[i] = c.rhs;
+            for &(j, a) in &c.coeffs {
+                if j >= n {
+                    // Malformed constraint; treat defensively.
+                    continue;
+                }
+                cols[j].push((i, a));
+            }
+        }
+        // Merge duplicate entries per column.
+        for col in cols.iter_mut().take(n) {
+            col.sort_by_key(|&(r, _)| r);
+            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
+            for &(r, a) in col.iter() {
+                if let Some(last) = merged.last_mut() {
+                    if last.0 == r {
+                        last.1 += a;
+                        continue;
+                    }
+                }
+                merged.push((r, a));
+            }
+            *col = merged;
+        }
+
+        let mut lower = vec![0.0; n_total];
+        let mut upper = vec![0.0; n_total];
+        lower[..n].copy_from_slice(&p.lower);
+        upper[..n].copy_from_slice(&p.upper);
+        // Slack s_i: row coefficient +1; bounds encode the relation.
+        for i in 0..m {
+            let j = n + i;
+            cols[j].push((i, 1.0));
+            (lower[j], upper[j]) = match p.constraints[i].rel {
+                Rel::Le => (0.0, f64::INFINITY),
+                Rel::Ge => (f64::NEG_INFINITY, 0.0),
+                Rel::Eq => (0.0, 0.0),
+            };
+            cols[n + m + i].push((i, 1.0));
+        }
+
+        // Until the first solve: the artificial basis, the rest nonbasic.
+        let mut status: Vec<VarStatus> =
+            (0..n + m).map(|j| rest_status(lower[j], upper[j])).collect();
+        status.resize(n_total, VarStatus::Basic);
+        let mut t = Simplex {
+            p,
+            m,
+            n,
+            n_total,
+            cols,
+            lower,
+            upper,
+            cost: vec![0.0; n_total],
+            b,
+            status,
+            basis: (n + m..n_total).collect(),
+            // Filled by the first solve, cold or warm.
+            binv: vec![0.0; m * m],
+            xb: vec![0.0; m],
+            since_refactor: 0,
+            max_iter: 20_000 + 50 * (n + m),
+            counters: Counters::default(),
+        };
+        t.install_phase2();
+        t
+    }
+
+    /// Current bounds of structural column `j`.
+    pub fn bounds(&self, j: usize) -> (f64, f64) {
+        (self.lower[j], self.upper[j])
+    }
+
+    /// Replace the bounds of structural column `j`; the next solve sees
+    /// them.
+    pub fn set_bounds(&mut self, j: usize, lower: f64, upper: f64) {
+        assert!(j < self.n, "column {j} is not structural");
+        self.lower[j] = lower;
+        self.upper[j] = upper;
+    }
+
+    /// The basis the last solve ended on.
+    pub fn basis(&self) -> Basis {
+        Basis { status: self.status.clone(), basic: self.basis.clone() }
+    }
+
+    /// What this tableau has done so far.
+    pub fn counters(&self) -> Counters {
+        self.counters
+    }
+
+    /// Solve under the current bounds from the all-artificial basis:
+    /// phase 1 drives the artificials to zero, phase 2 optimizes.
+    pub fn solve(&mut self) -> Solution {
+        let sol = self.solve_cold();
+        if sol.status == Status::NotConverged {
+            NOT_CONVERGED.fetch_add(1, Ordering::Relaxed);
+        }
+        sol
+    }
+
+    /// Solve under the current bounds starting from `from`, a basis of
+    /// this tableau: a bounded dual simplex repairs the bounds `from`
+    /// violates, the primal simplex cleans up. A singular `from` or a
+    /// run that does not converge is answered by [`Simplex::solve`]
+    /// instead, so the result is the cold one either way.
+    pub fn resolve_from(&mut self, from: &Basis) -> Solution {
+        let (status, iterations) = self.solve_warm(from);
+        if status == Status::NotConverged {
+            self.counters.cold_starts += 1;
+            let mut sol = self.solve();
+            sol.iterations += iterations;
+            return sol;
+        }
+        self.counters.warm_starts += 1;
+        self.solution(status, iterations)
+    }
+
+    /// Crossed bounds are trivially infeasible (branch-and-bound
+    /// produces these routinely).
+    fn bounds_crossed(&self) -> bool {
+        (0..self.n).any(|j| self.lower[j] > self.upper[j] + TOL)
+    }
+
+    /// Phase-2 form: real costs, artificials fixed at zero.
+    fn install_phase2(&mut self) {
+        let (n, m) = (self.n, self.m);
+        for j in n + m..self.n_total {
+            self.lower[j] = 0.0;
+            self.upper[j] = 0.0;
+            if self.status[j] != VarStatus::Basic {
+                self.status[j] = VarStatus::AtLower;
+            }
+        }
+        self.cost.fill(0.0);
+        let sign = if self.p.minimize { 1.0 } else { -1.0 };
+        for &(j, cj) in &self.p.objective {
+            if j < n {
+                self.cost[j] += sign * cj;
+            }
+        }
+    }
+
+    fn solve_cold(&mut self) -> Solution {
+        if self.bounds_crossed() {
+            return Solution::infeasible();
+        }
+        let (n, m) = (self.n, self.m);
+        // Structurals and slacks start nonbasic; the residual
+        // r = b − A x0 is what the artificials have to carry.
+        let mut resid = self.b.clone();
+        for j in 0..n + m {
+            self.status[j] = rest_status(self.lower[j], self.upper[j]);
+            let v = self.nb_value(j);
+            if v != 0.0 {
+                for &(r, a) in &self.cols[j] {
+                    resid[r] -= a * v;
+                }
+            }
+        }
+        // Phase-1 form: minimize Σ|artificial| from the artificial basis.
+        self.cost.fill(0.0);
+        for i in 0..m {
+            let j = n + m + i;
+            (self.lower[j], self.upper[j], self.cost[j]) = if resid[i] >= 0.0 {
+                (0.0, f64::INFINITY, 1.0)
+            } else {
+                (f64::NEG_INFINITY, 0.0, -1.0)
+            };
+            self.status[j] = VarStatus::Basic;
+            self.basis[i] = j;
+        }
+        self.binv.fill(0.0);
+        for i in 0..m {
+            self.binv[i * m + i] = 1.0;
+        }
+        let needs_phase1 = resid.iter().any(|v| v.abs() > TOL);
+        self.xb = resid;
+
+        let mut iterations = 0usize;
+        let mut status = Status::Optimal;
+        if needs_phase1 {
+            let (st, it) = self.optimize();
+            iterations += it;
+            let infeasibility: f64 =
+                self.basis.iter().zip(&self.xb).map(|(&j, &v)| self.cost[j] * v).sum();
+            status = match st {
+                // The phase-1 objective is bounded below by 0; this is
+                // numeric noise.
+                Status::Unbounded => Status::Infeasible,
+                Status::Optimal if infeasibility > INFEASIBLE_TOL => Status::Infeasible,
+                st => st,
+            };
+        }
+        self.install_phase2();
+        if status == Status::Optimal {
+            self.recompute_xb();
+            let (st, it) = self.optimize();
+            iterations += it;
+            status = st;
+        }
+        self.solution(status, iterations)
+    }
+
+    fn solve_warm(&mut self, from: &Basis) -> (Status, usize) {
+        assert_eq!(from.status.len(), self.n_total, "basis of another problem");
+        if self.bounds_crossed() {
+            return (Status::Infeasible, 0);
+        }
+        self.status.copy_from_slice(&from.status);
+        self.basis.copy_from_slice(&from.basic);
+        // A bound change may have taken away the bound a nonbasic
+        // column rested on, or given a free one a bound to rest on.
+        for j in 0..self.n_total {
+            let keep = match self.status[j] {
+                VarStatus::Basic => true,
+                VarStatus::AtLower => self.lower[j].is_finite(),
+                VarStatus::AtUpper => self.upper[j].is_finite(),
+                VarStatus::FreeZero => false,
+            };
+            if !keep {
+                self.status[j] = rest_status(self.lower[j], self.upper[j]);
+            }
+        }
+        if !self.refactorize() {
+            return (Status::NotConverged, 0);
+        }
+        let (status, dual_pivots) = self.dual();
+        if status != Status::Optimal {
+            return (status, dual_pivots);
+        }
+        let (status, iterations) = self.optimize();
+        (status, dual_pivots + iterations)
+    }
+
+    /// The outcome of a solve that ended with `status`: the structural
+    /// values of the current basis when that is optimal, no point
+    /// otherwise.
+    fn solution(&self, status: Status, iterations: usize) -> Solution {
+        if status != Status::Optimal {
+            return Solution { status, iterations, ..Solution::infeasible() };
+        }
+        let mut x: Vec<f64> = (0..self.n).map(|j| self.nb_value(j)).collect();
+        for (&j, &v) in self.basis.iter().zip(&self.xb) {
+            if j < self.n {
+                x[j] = v;
+            }
+        }
+        for v in x.iter_mut() {
+            if !v.is_finite() {
+                *v = 0.0;
+            }
+        }
+        let objective = self.p.objective_value(&x);
+        Solution { status, x, objective, iterations, nodes: 0 }
+    }
+
+    /// Value of a nonbasic column (0 for a basic one: read `xb`).
     fn nb_value(&self, j: usize) -> f64 {
         match self.status[j] {
             VarStatus::AtLower => self.lower[j],
             VarStatus::AtUpper => self.upper[j],
-            VarStatus::FreeZero => 0.0,
-            VarStatus::Basic(r) => self.xb[r],
+            VarStatus::FreeZero | VarStatus::Basic => 0.0,
         }
     }
 
@@ -90,6 +417,8 @@ impl Tableau {
     /// Recompute B⁻¹ by Gaussian elimination and x_B from scratch.
     /// Returns false if the basis matrix is singular.
     fn refactorize(&mut self) -> bool {
+        self.counters.refactorizations += 1;
+        self.since_refactor = 0;
         let m = self.m;
         // Build the dense basis matrix augmented with identity.
         let mut mat = vec![0.0; m * m];
@@ -148,74 +477,91 @@ impl Tableau {
     fn recompute_xb(&mut self) {
         let mut rhs = self.b.clone();
         for j in 0..self.n_total {
-            if !matches!(self.status[j], VarStatus::Basic(_)) {
-                let v = self.nb_value(j);
-                if v != 0.0 {
-                    for &(r, a) in &self.cols[j] {
-                        rhs[r] -= a * v;
-                    }
+            let v = self.nb_value(j);
+            if v != 0.0 {
+                for &(r, a) in &self.cols[j] {
+                    rhs[r] -= a * v;
                 }
             }
         }
         let m = self.m;
-        let mut xb = vec![0.0; m];
         for i in 0..m {
-            let mut s = 0.0;
-            for r in 0..m {
-                s += self.binv[i * m + r] * rhs[r];
-            }
-            xb[i] = s;
+            self.xb[i] = (0..m).map(|r| self.binv[i * m + r] * rhs[r]).sum();
         }
-        self.xb = xb;
     }
 
-    /// One simplex phase (min c'x). Returns Optimal or Unbounded.
-    fn optimize(&mut self, max_iter: usize) -> (Status, usize) {
+    /// Column `q` enters the basis at row `r` after moving by `step`
+    /// (`w` = B⁻¹·A_q); the column it replaces rests at its lower or
+    /// upper bound. Returns false if the periodic refactorization finds
+    /// the new basis singular.
+    fn pivot(&mut self, r: usize, q: usize, w: &[f64], step: f64, leaves_at_lower: bool) -> bool {
+        let m = self.m;
+        let enter_val = self.nb_value(q) + step;
+        for i in 0..m {
+            if i != r {
+                self.xb[i] -= step * w[i];
+            }
+        }
+        self.xb[r] = enter_val;
+        self.status[self.basis[r]] =
+            if leaves_at_lower { VarStatus::AtLower } else { VarStatus::AtUpper };
+        self.status[q] = VarStatus::Basic;
+        self.basis[r] = q;
+        // Elementary update of B⁻¹.
+        let pivot_row: Vec<f64> = (0..m).map(|c| self.binv[r * m + c] / w[r]).collect();
+        for i in 0..m {
+            if i != r {
+                let f = w[i];
+                if f != 0.0 {
+                    for c in 0..m {
+                        self.binv[i * m + c] -= f * pivot_row[c];
+                    }
+                }
+            }
+        }
+        self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
+        self.since_refactor += 1;
+        self.since_refactor < REFACTOR_EVERY || self.refactorize()
+    }
+
+    /// One primal simplex phase (min c'x) from a primal-feasible basis.
+    /// Returns Optimal, Unbounded or NotConverged, and its iterations.
+    fn optimize(&mut self) -> (Status, usize) {
         let mut iterations = 0usize;
         let mut degenerate_run = 0usize;
-        let mut since_refactor = 0usize;
+        // Each phase refactorizes on its own schedule, so a cold solve's
+        // arithmetic does not depend on what the tableau did before.
+        self.since_refactor = 0;
         loop {
             iterations += 1;
-            if iterations > max_iter {
-                // Treat as converged to avoid infinite loops; callers
-                // validate the solution anyway.
-                return (Status::Optimal, iterations);
+            if iterations > self.max_iter {
+                return (Status::NotConverged, iterations);
             }
             let y = self.btran_costs();
             let bland = degenerate_run > DEGENERATE_LIMIT;
 
-            // Pricing.
+            // Pricing. A column with lower == upper cannot move, so it
+            // never enters (the artificials in phase 2, branched
+            // binaries).
             let mut entering: Option<(usize, bool)> = None; // (var, increasing)
             let mut best = TOL;
             for j in 0..self.n_total {
-                let (eligible, increasing, viol) = match self.status[j] {
-                    VarStatus::Basic(_) => (false, false, 0.0),
-                    VarStatus::AtLower => {
-                        let d = self.reduced_cost(j, &y);
-                        (d < -TOL, true, -d)
-                    }
-                    VarStatus::AtUpper => {
-                        let d = self.reduced_cost(j, &y);
-                        (d > TOL, false, d)
-                    }
-                    VarStatus::FreeZero => {
-                        let d = self.reduced_cost(j, &y);
-                        if d < -TOL {
-                            (true, true, -d)
-                        } else if d > TOL {
-                            (true, false, d)
-                        } else {
-                            (false, false, 0.0)
-                        }
-                    }
+                if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                    continue;
+                }
+                let d = self.reduced_cost(j, &y);
+                let (eligible, increasing) = match self.status[j] {
+                    VarStatus::AtLower => (d < -TOL, true),
+                    VarStatus::AtUpper => (d > TOL, false),
+                    _ => (d.abs() > TOL, d < 0.0),
                 };
                 if eligible {
                     if bland {
                         entering = Some((j, increasing));
                         break;
                     }
-                    if viol > best {
-                        best = viol;
+                    if d.abs() > best {
+                        best = d.abs();
                         entering = Some((j, increasing));
                     }
                 }
@@ -256,8 +602,7 @@ impl Tableau {
             }
             // Bound flip of the entering variable itself.
             let span = self.upper[j] - self.lower[j];
-            let flip_possible = span.is_finite();
-            if flip_possible && span < t_max {
+            if span.is_finite() && span < t_max {
                 t_max = span;
                 leave = None;
             }
@@ -284,54 +629,112 @@ impl Tableau {
                     }
                 }
                 Some((r, at_lower)) => {
-                    let leaving = self.basis[r];
-                    let pivot = w[r];
-                    if pivot.abs() < PIVOT_TOL {
+                    if w[r].abs() < PIVOT_TOL {
                         // Numerically unusable pivot: refactorize and retry.
                         if !self.refactorize() {
-                            return (Status::Optimal, iterations);
+                            return (Status::NotConverged, iterations);
                         }
                         continue;
                     }
-                    // New value of the entering variable.
-                    let enter_val = self.nb_value(j) + sigma * t_max;
-                    // Update basic values.
-                    for i in 0..self.m {
-                        if i != r {
-                            self.xb[i] -= sigma * t_max * w[i];
-                        }
-                    }
-                    self.xb[r] = enter_val;
-                    // Update statuses.
-                    self.status[leaving] =
-                        if at_lower { VarStatus::AtLower } else { VarStatus::AtUpper };
-                    self.status[j] = VarStatus::Basic(r);
-                    self.basis[r] = j;
-                    // Elementary update of B⁻¹.
-                    let m = self.m;
-                    let wr = pivot;
-                    let pivot_row: Vec<f64> = (0..m).map(|c| self.binv[r * m + c] / wr).collect();
-                    for i in 0..m {
-                        if i != r {
-                            let f = w[i];
-                            if f != 0.0 {
-                                for c in 0..m {
-                                    self.binv[i * m + c] -= f * pivot_row[c];
-                                }
-                            }
-                        }
-                    }
-                    for c in 0..m {
-                        self.binv[r * m + c] = pivot_row[c];
-                    }
-                    since_refactor += 1;
-                    if since_refactor >= REFACTOR_EVERY {
-                        since_refactor = 0;
-                        if !self.refactorize() {
-                            return (Status::Optimal, iterations);
-                        }
+                    if !self.pivot(r, j, &w, sigma * t_max, at_lower) {
+                        return (Status::NotConverged, iterations);
                     }
                 }
+            }
+        }
+    }
+
+    /// Bounded dual simplex from a basis that is dual feasible (a
+    /// parent's optimum after a bound change): pivots until no basic
+    /// column violates a bound. Returns Optimal (primal feasible; the
+    /// primal simplex finishes), Infeasible or NotConverged, and its
+    /// pivots.
+    fn dual(&mut self) -> (Status, usize) {
+        let m = self.m;
+        let mut pivots = 0usize;
+        loop {
+            // Leaving row: the largest bound violation.
+            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, below-lower)
+            for i in 0..m {
+                let j = self.basis[i];
+                let below = self.lower[j] - self.xb[i];
+                let above = self.xb[i] - self.upper[j];
+                let violation = below.max(above);
+                if violation > TOL && leave.map_or(true, |(_, worst, _)| violation > worst) {
+                    leave = Some((i, violation, below > above));
+                }
+            }
+            let Some((r, violation, below)) = leave else {
+                return (Status::Optimal, pivots);
+            };
+            if pivots >= self.max_iter {
+                return (Status::NotConverged, pivots);
+            }
+            pivots += 1;
+
+            // Entering column: the dual ratio test over row r of B⁻¹N.
+            // With a = ∓α_rj, x_B[r] moves toward its violated bound
+            // when a column at its lower bound has a > 0 or one at its
+            // upper bound has a < 0; the smallest |d_j / a| keeps every
+            // reduced cost on its side. Fixed columns cannot move.
+            let y = self.btran_costs();
+            let rho = &self.binv[r * m..(r + 1) * m];
+            let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, |a|)
+            for j in 0..self.n_total {
+                if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                    continue;
+                }
+                let alpha: f64 = self.cols[j].iter().map(|&(i, a)| rho[i] * a).sum();
+                let a = if below { -alpha } else { alpha };
+                let eligible = match self.status[j] {
+                    VarStatus::AtLower => a > PIVOT_TOL,
+                    VarStatus::AtUpper => a < -PIVOT_TOL,
+                    _ => a.abs() > PIVOT_TOL,
+                };
+                if !eligible {
+                    continue;
+                }
+                // A reduced cost on the wrong side (the start was not
+                // quite dual feasible) counts as zero; the primal
+                // clean-up prices it again.
+                let ratio = self.reduced_cost(j, &y) / a;
+                let ratio = if self.status[j] == VarStatus::FreeZero {
+                    ratio.abs()
+                } else {
+                    ratio.max(0.0)
+                };
+                let better = entering.map_or(true, |(_, best, size)| {
+                    ratio < best - TOL || (ratio < best + TOL && a.abs() > size)
+                });
+                if better {
+                    entering = Some((j, ratio, a.abs()));
+                }
+            }
+            let Some((q, _, _)) = entering else {
+                // No column can move x_B[r] toward its bound: the row
+                // proves infeasibility, unless the violation is within
+                // what phase 1 would accept — then the cold solve decides.
+                let verdict = if violation > INFEASIBLE_TOL {
+                    Status::Infeasible
+                } else {
+                    Status::NotConverged
+                };
+                return (verdict, pivots);
+            };
+            let w = self.ftran(q);
+            if w[r].abs() < PIVOT_TOL {
+                // B⁻¹ has drifted (row r and column q disagree):
+                // refactorize and retry.
+                if !self.refactorize() {
+                    return (Status::NotConverged, pivots);
+                }
+                continue;
+            }
+            let leaving = self.basis[r];
+            let bound = if below { self.lower[leaving] } else { self.upper[leaving] };
+            self.counters.dual_pivots += 1;
+            if !self.pivot(r, q, &w, (self.xb[r] - bound) / w[r], below) {
+                return (Status::NotConverged, pivots);
             }
         }
     }
@@ -339,193 +742,7 @@ impl Tableau {
 
 /// Solve an LP (integrality flags ignored).
 pub fn solve_lp(p: &Problem) -> Solution {
-    let m = p.constraints.len();
-    let n = p.num_vars;
-    // Crossed bounds are trivially infeasible (branch-and-bound produces
-    // these routinely).
-    for j in 0..n {
-        if p.lower[j] > p.upper[j] + TOL {
-            return Solution::infeasible();
-        }
-    }
-    let sign = if p.minimize { 1.0 } else { -1.0 };
-
-    // Build columns: structural, slack, artificial.
-    let n_total = n + m + m;
-    let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_total];
-    let mut b = vec![0.0; m];
-    for (i, c) in p.constraints.iter().enumerate() {
-        b[i] = c.rhs;
-        for &(j, a) in &c.coeffs {
-            if j >= n {
-                // Malformed constraint; treat defensively.
-                continue;
-            }
-            cols[j].push((i, a));
-        }
-    }
-    // Merge duplicate entries per column.
-    for col in cols.iter_mut().take(n) {
-        col.sort_by_key(|&(r, _)| r);
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-        for &(r, a) in col.iter() {
-            if let Some(last) = merged.last_mut() {
-                if last.0 == r {
-                    last.1 += a;
-                    continue;
-                }
-            }
-            merged.push((r, a));
-        }
-        *col = merged;
-    }
-
-    let mut lower = vec![0.0; n_total];
-    let mut upper = vec![0.0; n_total];
-    lower[..n].copy_from_slice(&p.lower);
-    upper[..n].copy_from_slice(&p.upper);
-    // Slack s_i: row coefficient +1; bounds encode the relation.
-    for i in 0..m {
-        let j = n + i;
-        cols[j].push((i, 1.0));
-        match p.constraints[i].rel {
-            Rel::Le => {
-                lower[j] = 0.0;
-                upper[j] = f64::INFINITY;
-            }
-            Rel::Ge => {
-                lower[j] = f64::NEG_INFINITY;
-                upper[j] = 0.0;
-            }
-            Rel::Eq => {
-                lower[j] = 0.0;
-                upper[j] = 0.0;
-            }
-        }
-    }
-
-    // Initial nonbasic status: nonbasic variables must sit at a bound
-    // (or at zero when free). Prefer the lower bound when finite.
-    let nb0 = |l: f64, u: f64| -> (f64, VarStatus) {
-        if l.is_finite() {
-            (l, VarStatus::AtLower)
-        } else if u.is_finite() {
-            (u, VarStatus::AtUpper)
-        } else {
-            (0.0, VarStatus::FreeZero)
-        }
-    };
-    let mut x0 = vec![0.0; n + m];
-    let mut status = Vec::with_capacity(n_total);
-    for j in 0..(n + m) {
-        let (v, st) = nb0(lower[j], upper[j]);
-        x0[j] = v;
-        status.push(st);
-    }
-    // Residual r = b - A x0 determines the artificial columns.
-    let mut resid = b.clone();
-    for j in 0..(n + m) {
-        if x0[j] != 0.0 {
-            for &(r, a) in &cols[j] {
-                resid[r] -= a * x0[j];
-            }
-        }
-    }
-    let mut cost = vec![0.0; n_total];
-    for i in 0..m {
-        let j = n + m + i;
-        let s = if resid[i] >= 0.0 { 1.0 } else { -1.0 };
-        cols[j].push((i, s));
-        lower[j] = 0.0;
-        upper[j] = f64::INFINITY;
-        cost[j] = 1.0; // phase-1 cost
-    }
-
-    let mut basis = Vec::with_capacity(m);
-    let mut xb = Vec::with_capacity(m);
-    for i in 0..m {
-        let j = n + m + i;
-        status.push(VarStatus::Basic(i));
-        basis.push(j);
-        xb.push(resid[i].abs());
-    }
-    let mut binv = vec![0.0; m * m];
-    for i in 0..m {
-        // Artificial column is ±e_i, so B⁻¹ starts as the matching signs.
-        let s = if resid[i] >= 0.0 { 1.0 } else { -1.0 };
-        binv[i * m + i] = s;
-    }
-
-    let mut t = Tableau {
-        m,
-        n_total,
-        n_structural: n,
-        cols,
-        lower,
-        upper,
-        cost,
-        b,
-        status,
-        basis,
-        binv,
-        xb,
-    };
-
-    let max_iter = 20_000 + 50 * (n + m);
-
-    // Phase 1.
-    let mut total_iters = 0usize;
-    let needs_phase1 = t.xb.iter().any(|&v| v > TOL);
-    if needs_phase1 {
-        let (st, it) = t.optimize(max_iter);
-        total_iters += it;
-        if st == Status::Unbounded {
-            // Phase-1 objective is bounded below by 0; this is numeric noise.
-            return Solution::infeasible();
-        }
-        let p1_obj: f64 = t.basis.iter().enumerate().map(|(i, &j)| t.cost[j] * t.xb[i]).sum();
-        if p1_obj > 1e-6 {
-            return Solution::infeasible();
-        }
-    }
-    // Fix artificials at zero and install the real objective.
-    for i in 0..m {
-        let j = n + m + i;
-        t.lower[j] = 0.0;
-        t.upper[j] = 0.0;
-        t.cost[j] = 0.0;
-        if !matches!(t.status[j], VarStatus::Basic(_)) {
-            t.status[j] = VarStatus::AtLower;
-        }
-    }
-    for c in t.cost.iter_mut().take(n + m) {
-        *c = 0.0;
-    }
-    for &(j, cj) in &p.objective {
-        if j < n {
-            t.cost[j] += sign * cj;
-        }
-    }
-    t.recompute_xb();
-
-    // Phase 2.
-    let (st, it) = t.optimize(max_iter);
-    total_iters += it;
-    if st == Status::Unbounded {
-        return Solution::unbounded();
-    }
-
-    // Extract the structural solution.
-    let mut x = vec![0.0; n];
-    for j in 0..n {
-        x[j] = t.nb_value(j);
-        if !x[j].is_finite() {
-            x[j] = 0.0;
-        }
-    }
-    let _ = t.n_structural;
-    let raw_obj = p.objective_value(&x);
-    Solution { status: Status::Optimal, x, objective: raw_obj, iterations: total_iters, nodes: 0 }
+    Simplex::new(p).solve()
 }
 
 #[cfg(test)]
@@ -659,6 +876,81 @@ mod tests {
         let s = solve_lp(&p);
         assert!(s.is_optimal());
         assert_close(s.objective, 2.0);
+    }
+
+    #[test]
+    fn fixed_columns_never_enter() {
+        // max x + y, x fixed at 2, y in [0, 3]. Phase 1 brings the slack
+        // in, phase 2 flips y to its upper bound; each phase ends with
+        // the pass that finds nothing to enter. No zero-length flip of x.
+        let mut p = Problem::maximize(2);
+        p.set_bounds(0, 2.0, 2.0);
+        p.set_bounds(1, 0.0, 3.0);
+        p.set_objective(vec![(0, 1.0), (1, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Rel::Le, 10.0);
+        let s = solve_lp(&p);
+        assert!(s.is_optimal());
+        assert_close(s.objective, 5.0);
+        assert_eq!(s.iterations, 4);
+    }
+
+    /// max 3x + 5y over the classic three-row polytope (optimum 36).
+    fn classic() -> Problem {
+        let mut p = Problem::maximize(2);
+        p.set_bounds(0, 0.0, f64::INFINITY);
+        p.set_bounds(1, 0.0, f64::INFINITY);
+        p.set_objective(vec![(0, 3.0), (1, 5.0)]);
+        p.add_constraint(vec![(0, 1.0)], Rel::Le, 4.0);
+        p.add_constraint(vec![(1, 2.0)], Rel::Le, 12.0);
+        p.add_constraint(vec![(0, 3.0), (1, 2.0)], Rel::Le, 18.0);
+        p
+    }
+
+    #[test]
+    fn resolve_repairs_a_cut_with_dual_pivots() {
+        let p = classic();
+        let mut t = Simplex::new(&p);
+        assert_close(t.solve().objective, 36.0);
+        let root = t.basis();
+        // y <= 5 cuts the optimum (2, 6) off: the new one is (8/3, 5).
+        t.set_bounds(1, 0.0, 5.0);
+        let s = t.resolve_from(&root);
+        assert!(s.is_optimal());
+        assert_close(s.objective, 33.0);
+        assert_close(s.x[1], 5.0);
+        // y >= 7 leaves nothing; the same saved basis proves it.
+        t.set_bounds(1, 7.0, f64::INFINITY);
+        assert_eq!(t.resolve_from(&root).status, Status::Infeasible);
+        let c = t.counters();
+        assert_eq!((c.warm_starts, c.cold_starts), (2, 0));
+        assert_eq!(c.dual_pivots, 1, "the cut costs one pivot, the proof none");
+    }
+
+    #[test]
+    fn a_singular_basis_falls_back_to_a_cold_solve() {
+        let p = classic();
+        let mut t = Simplex::new(&p);
+        let cold = t.solve();
+        // The slack of row 0 twice: two equal columns.
+        let mut broken = t.basis();
+        broken.basic = vec![2, 2, 3];
+        let s = t.resolve_from(&broken);
+        assert!(s.is_optimal());
+        assert_close(s.objective, cold.objective);
+        assert_eq!(t.counters().cold_starts, 1);
+        assert_eq!(t.counters().warm_starts, 0);
+    }
+
+    #[test]
+    fn the_iteration_cap_is_reported_not_hidden() {
+        let p = classic();
+        let mut t = Simplex::new(&p);
+        t.max_iter = 1;
+        let before = not_converged_total();
+        let s = t.solve();
+        assert_eq!(s.status, Status::NotConverged);
+        assert!(s.x.is_empty());
+        assert!(not_converged_total() > before);
     }
 
     #[test]

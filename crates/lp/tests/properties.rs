@@ -1,8 +1,10 @@
 //! Property-based checks of the simplex and branch-and-bound against
 //! sampling and exhaustive oracles.
 
-use lp::{mip, simplex::solve_lp, Problem, Rel, Status};
+use lp::simplex::{solve_lp, Simplex};
+use lp::{mip, Problem, Rel, Solution, Status};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,6 +71,7 @@ proptest! {
                 // be interrupted.
                 prop_assert!(false, "LP reported interrupted without a callback");
             }
+            Status::NotConverged => prop_assert!(false, "simplex did not converge"),
         }
     }
 
@@ -144,4 +147,240 @@ proptest! {
             prop_assert!((lhs - rhs).abs() < 1e-6, "Ax = {} vs b = {}", lhs, rhs);
         }
     }
+}
+
+/// A random LP over the column kinds the kernel distinguishes: boxed,
+/// lower-bounded only, upper-bounded only and free columns under `<=`,
+/// `>=` and `=` rows. Free directions are paid for in the objective so
+/// most instances are bounded.
+fn mixed_lp(seed: u64, n: usize, m: usize) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Problem::minimize(n);
+    let mut objective = Vec::new();
+    for j in 0..n {
+        let c = rng.gen_range(0.5..5.0);
+        match rng.gen_range(0..4) {
+            0 => {
+                p.set_bounds(j, 0.0, 10.0);
+                objective.push((j, rng.gen_range(-5.0..5.0)));
+            }
+            1 => {
+                p.set_bounds(j, -4.0, f64::INFINITY);
+                objective.push((j, c));
+            }
+            2 => {
+                p.set_bounds(j, f64::NEG_INFINITY, 6.0);
+                objective.push((j, -c));
+            }
+            _ => objective.push((j, 0.0)),
+        }
+    }
+    p.set_objective(objective);
+    for _ in 0..m {
+        let coeffs: Vec<(usize, f64)> =
+            (0..n).map(|j| (j, rng.gen_range(-3i32..=3) as f64)).collect();
+        let rel = [Rel::Le, Rel::Ge, Rel::Eq][rng.gen_range(0..3usize)];
+        let rhs = rng.gen_range(0.0..20.0);
+        p.add_constraint(coeffs, rel, if rel == Rel::Ge { -rhs } else { rhs });
+    }
+    p
+}
+
+fn same_outcome(warm: &Solution, cold: &Solution) -> Result<(), TestCaseError> {
+    prop_assert_eq!(warm.status, cold.status);
+    if cold.status == Status::Optimal {
+        prop_assert!(
+            (warm.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+    }
+    Ok(())
+}
+
+/// The branch-and-bound this crate ran before the persistent tableau:
+/// every node is a copy of the root with its bounds tightened, solved
+/// cold. Kept as the oracle the warm-started search must agree with.
+fn cold_branch_and_bound(root: &Problem) -> Solution {
+    let sense = if root.minimize { 1.0 } else { -1.0 };
+    let root_lp = solve_lp(root);
+    if root_lp.status != Status::Optimal {
+        return root_lp;
+    }
+    let mut best: Option<Solution> = None;
+    let mut open = vec![root.clone()];
+    while let Some(sub) = open.pop() {
+        let lp = solve_lp(&sub);
+        if lp.status != Status::Optimal {
+            continue;
+        }
+        if best.as_ref().is_some_and(|b| sense * lp.objective >= sense * b.objective - 1e-9) {
+            continue;
+        }
+        let fractional = (0..root.num_vars)
+            .find(|&j| root.integer[j] && (lp.x[j] - lp.x[j].round()).abs() > 1e-6);
+        match fractional {
+            None => best = Some(lp),
+            Some(j) => {
+                let mut down = sub.clone();
+                down.tighten(j, f64::NEG_INFINITY, lp.x[j].floor());
+                let mut up = sub;
+                up.tighten(j, lp.x[j].ceil(), f64::INFINITY);
+                open.push(down);
+                open.push(up);
+            }
+        }
+    }
+    best.unwrap_or_else(Solution::infeasible)
+}
+
+fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Problem {
+    let n = values.len();
+    let mut p = Problem::maximize(n);
+    for j in 0..n {
+        p.set_bounds(j, 0.0, 1.0);
+        p.integer[j] = true;
+    }
+    p.set_objective(values.iter().copied().enumerate().collect());
+    p.add_constraint(weights.iter().copied().enumerate().collect(), Rel::Le, cap);
+    p
+}
+
+/// The knapsack family of `lp::mip`'s unit tests: no item dominates,
+/// so the tree is deep for its size.
+fn hard_knapsack(n: usize) -> Problem {
+    let values: Vec<f64> = (0..n).map(|i| (i * 7 % 13) as f64 + 1.0).collect();
+    let weights: Vec<f64> = (0..n).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
+    let cap = weights.iter().sum::<f64>() * 0.45;
+    knapsack(&values, &weights, cap)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// After any sequence of bound tightenings, re-solving from the
+    /// previous basis gives what a fresh solve of the tightened problem
+    /// gives — infeasible children included.
+    #[test]
+    fn resolve_from_matches_a_fresh_solve(seed in 0u64..100_000, n in 1usize..6, m in 1usize..5) {
+        let mut p = mixed_lp(seed, n, m);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD0A1);
+        // The tableau borrows the root; `p` is the tightened copy.
+        let root = p.clone();
+        let mut tableau = Simplex::new(&root);
+        let first = tableau.solve();
+        same_outcome(&first, &solve_lp(&root))?;
+        if first.status != Status::Optimal {
+            return Ok(());
+        }
+        let mut x = first.x;
+        for _ in 0..6 {
+            let basis = tableau.basis();
+            // Branch-style cut next to the current point, or a random
+            // squeeze that may leave the column no room at all.
+            let j = rng.gen_range(0..n);
+            let (lo, hi) = match rng.gen_range(0..3) {
+                0 => (f64::NEG_INFINITY, (x[j] - rng.gen_range(0.0..1.5)).floor()),
+                1 => ((x[j] + rng.gen_range(0.0..1.5)).ceil(), f64::INFINITY),
+                _ => (rng.gen_range(-6.0..4.0), rng.gen_range(-2.0..8.0)),
+            };
+            p.tighten(j, lo, hi);
+            tableau.set_bounds(j, p.lower[j], p.upper[j]);
+            let warm = tableau.resolve_from(&basis);
+            same_outcome(&warm, &solve_lp(&p))?;
+            if warm.status != Status::Optimal {
+                break;
+            }
+            prop_assert!(p.is_feasible(&warm.x, 1e-6), "warm optimum infeasible: {:?}", warm.x);
+            x = warm.x;
+        }
+        prop_assert_eq!(tableau.counters().cold_starts, 0, "warm re-solve fell back");
+    }
+
+    /// Warm-started branch-and-bound agrees with the cold-per-node
+    /// oracle on the exhaustive-test corpus (general integers, one row)
+    /// and on random 0/1 problems with several rows.
+    #[test]
+    fn warm_mip_matches_cold_oracle(seed in 0u64..100_000, n in 1usize..7, m in 1usize..4) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = Problem::maximize(n);
+        let binary = rng.gen_bool(0.5);
+        for j in 0..n {
+            p.set_bounds(j, 0.0, if binary { 1.0 } else { 4.0 });
+            p.integer[j] = rng.gen_bool(0.8);
+        }
+        p.set_objective((0..n).map(|j| (j, rng.gen_range(-5.0..5.0))).collect());
+        for i in 0..m {
+            let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rng.gen_range(0.5..3.0))).collect();
+            let rel = if i == 0 || rng.gen_bool(0.7) { Rel::Le } else { Rel::Ge };
+            let rhs = if rel == Rel::Le { rng.gen_range(2.0..10.0) } else { rng.gen_range(0.0..3.0) };
+            p.add_constraint(coeffs, rel, rhs);
+        }
+        let (warm, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+        same_outcome(&warm, &cold_branch_and_bound(&p))?;
+        prop_assert_eq!(stats.cold_starts, 0);
+        prop_assert_eq!(stats.warm_starts + 1, stats.nodes_explored.max(1));
+    }
+}
+
+#[test]
+fn warm_knapsack_matches_dp_oracle() {
+    let n = 40;
+    let mut rng = StdRng::seed_from_u64(7);
+    let values: Vec<f64> = (0..n).map(|_| rng.gen_range(1..100) as f64).collect();
+    let weights: Vec<usize> = (0..n).map(|_| rng.gen_range(1..100)).collect();
+    let cap = weights.iter().sum::<usize>() * 2 / 5;
+    let mut dp = vec![0.0f64; cap + 1];
+    for i in 0..n {
+        for w in (weights[i]..=cap).rev() {
+            dp[w] = dp[w].max(dp[w - weights[i]] + values[i]);
+        }
+    }
+    let weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+    let p = knapsack(&values, &weights, cap as f64);
+    let (s, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+    assert_eq!(s.status, Status::Optimal);
+    assert!((s.objective - dp[cap]).abs() < 1e-9, "bb {} vs dp {}", s.objective, dp[cap]);
+    assert!(p.is_feasible(&s.x, 1e-9));
+    assert_eq!(stats.cold_starts, 0);
+}
+
+#[test]
+fn stopped_searches_keep_their_incumbent() {
+    let p = hard_knapsack(16);
+    let full = mip::branch_and_bound(&p, mip::MipOptions::default());
+    assert_eq!(full.status, Status::Optimal);
+
+    let (s, stats) = mip::branch_and_bound_with(&p, mip::MipOptions::default(), &mut |ev| {
+        ev.incumbent.is_none()
+    });
+    assert_eq!(s.status, Status::Interrupted);
+    assert_eq!(stats.incumbents.len(), 1);
+    assert!(p.is_feasible(&s.x, 1e-9), "interrupted solve keeps the incumbent point");
+    assert!((s.objective - stats.incumbents[0].1).abs() < 1e-9);
+    assert!(s.objective <= full.objective + 1e-9);
+
+    // Enough nodes to find an incumbent, too few to finish.
+    let limit = stats.nodes_explored + 1;
+    let s = mip::branch_and_bound(&p, mip::MipOptions { node_limit: limit, gap: 1e-9 });
+    assert_eq!(s.status, Status::NodeLimit);
+    assert!(p.is_feasible(&s.x, 1e-9), "node-limited solve keeps the incumbent point");
+    assert!(s.objective <= full.objective + 1e-9);
+}
+
+#[test]
+fn a_warm_node_costs_a_few_pivots() {
+    let (s, stats) = mip::branch_and_bound_stats(&hard_knapsack(16), mip::MipOptions::default());
+    assert_eq!(s.status, Status::Optimal);
+    assert!(stats.nodes_explored > 20, "{stats:?}");
+    assert_eq!(stats.warm_starts, stats.nodes_explored - 1, "every node but the root is warm");
+    assert_eq!(stats.cold_starts, 0);
+    assert!(stats.dual_pivots > 0 && stats.dual_pivots < stats.simplex_iterations);
+    assert!(
+        stats.simplex_iterations < 10 * stats.nodes_explored,
+        "{} pivots over {} nodes",
+        stats.simplex_iterations,
+        stats.nodes_explored
+    );
 }

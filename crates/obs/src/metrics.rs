@@ -54,6 +54,10 @@ pub struct SolverAgg {
     pub iterations: u64,
     pub nodes_explored: u64,
     pub nodes_pruned: u64,
+    pub warm_starts: u64,
+    pub cold_starts: u64,
+    pub dual_pivots: u64,
+    pub refactorizations: u64,
     pub evaluations: u64,
     pub restarts: u64,
     pub presolve_cols: u64,
@@ -185,6 +189,10 @@ impl MetricsRegistry {
         agg.iterations += stats.iterations;
         agg.nodes_explored += stats.nodes_explored;
         agg.nodes_pruned += stats.nodes_pruned;
+        agg.warm_starts += stats.warm_starts;
+        agg.cold_starts += stats.cold_starts;
+        agg.dual_pivots += stats.dual_pivots;
+        agg.refactorizations += stats.refactorizations;
         agg.evaluations += stats.evaluations;
         agg.restarts += stats.restarts;
         agg.presolve_cols += stats.presolve_cols;

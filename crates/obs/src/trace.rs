@@ -66,6 +66,15 @@ pub struct SolverStats {
     pub nodes_explored: u64,
     /// Branch-and-bound nodes pruned by bound/infeasibility (MIP only).
     pub nodes_pruned: u64,
+    /// Branch-and-bound nodes re-solved from their parent's basis.
+    pub warm_starts: u64,
+    /// Nodes whose warm re-solve failed and that were solved cold
+    /// instead; above zero means numerical trouble.
+    pub cold_starts: u64,
+    /// Dual simplex pivots (a subset of `iterations`).
+    pub dual_pivots: u64,
+    /// Basis-inverse refactorizations of the simplex.
+    pub refactorizations: u64,
     /// Objective-function evaluations (derivative-free solvers).
     pub evaluations: u64,
     /// Restarts performed (multi-start heuristics).
@@ -150,6 +159,16 @@ fn render_solver(st: &SolverStats) -> String {
     if st.nodes_explored > 0 || st.nodes_pruned > 0 {
         let _ =
             write!(line, " nodes_explored={} nodes_pruned={}", st.nodes_explored, st.nodes_pruned);
+    }
+    if st.warm_starts > 0 || st.cold_starts > 0 {
+        let _ = write!(
+            line,
+            " warm_starts={} cold_starts={} dual_pivots={}",
+            st.warm_starts, st.cold_starts, st.dual_pivots
+        );
+    }
+    if st.refactorizations > 0 {
+        let _ = write!(line, " refactorizations={}", st.refactorizations);
     }
     if st.evaluations > 0 {
         let _ = write!(line, " evaluations={}", st.evaluations);

@@ -405,6 +405,8 @@ const MAX_INCUMBENTS: u32 = 4096;
 ///            has_objective:u8 [objective:f64]
 ///            nincumbents:u32 (at:u64 objective:f64)*
 ///            matrix_class:str integrality_proof:str blocks:u64
+///            warm_starts:u64 cold_starts:u64 dual_pivots:u64
+///            refactorizations:u64
 /// str     := len:u32 utf8[len]
 /// ```
 pub fn encode_trace(t: &obs::QueryTrace, out: &mut Vec<u8>) {
@@ -446,7 +448,9 @@ pub fn encode_trace(t: &obs::QueryTrace, out: &mut Vec<u8>) {
         }
         put_str(out, &st.matrix_class);
         put_str(out, &st.integrality_proof);
-        out.extend_from_slice(&st.blocks.to_le_bytes());
+        for v in [st.blocks, st.warm_starts, st.cold_starts, st.dual_pivots, st.refactorizations] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
@@ -515,12 +519,20 @@ pub fn decode_trace(r: &mut Reader<'_>) -> Result<obs::QueryTrace> {
         let matrix_class = r.string()?;
         let integrality_proof = r.string()?;
         let blocks = r.u64()?;
+        let warm_starts = r.u64()?;
+        let cold_starts = r.u64()?;
+        let dual_pivots = r.u64()?;
+        let refactorizations = r.u64()?;
         solvers.push(obs::SolverStats {
             solver,
             method,
             iterations,
             nodes_explored,
             nodes_pruned,
+            warm_starts,
+            cold_starts,
+            dual_pivots,
+            refactorizations,
             evaluations,
             restarts,
             presolve_cols,
@@ -789,6 +801,10 @@ mod tests {
                 iterations: 40,
                 nodes_explored: 7,
                 nodes_pruned: 3,
+                warm_starts: 5,
+                cold_starts: 1,
+                dual_pivots: 9,
+                refactorizations: 6,
                 evaluations: 0,
                 restarts: 0,
                 presolve_cols: 2,

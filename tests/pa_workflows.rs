@@ -138,6 +138,7 @@ fn uc2_full_pipeline() {
     // The R-style baseline solves the same shape of problem.
     let r = baselines::uc2::r_cplex(&items);
     assert_eq!(r.picks.len(), items.len());
+    assert_eq!(lp::simplex::not_converged_total(), 0, "a pipeline LP did not converge");
 }
 
 /// The paper's headline claim: an entire PA workflow — prediction and
