@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [--quick] [--json[=DIR]]
-//!           [all|table1|fig3a|fig3b|fig4a|fig4b|fig5|fig6|fig7|fig8|fig9|fig10|fig11|presolve|matrix|executor|storage|obs|summary]...
+//!           [all|table1|fig3a|fig3b|uc1scale|fig4a|fig4b|fig5|fig6|fig7|fig8|fig9|fig10|fig11|presolve|matrix|executor|storage|obs|summary]...
 //! ```
 //!
 //! With no selector, everything runs. `--quick` shrinks workloads to
@@ -29,8 +29,9 @@ fn main() {
     let mut wanted: Vec<String> = args.iter().filter(|a| !a.starts_with("--")).cloned().collect();
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = vec![
-            "table1", "fig3a", "fig3b", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "fig10", "fig11", "presolve", "matrix", "executor", "storage", "obs", "summary",
+            "table1", "fig3a", "fig3b", "uc1scale", "fig4a", "fig4b", "fig5", "fig6", "fig7",
+            "fig8", "fig9", "fig10", "fig11", "presolve", "matrix", "executor", "storage", "obs",
+            "summary",
         ]
         .into_iter()
         .map(String::from)
@@ -49,6 +50,7 @@ fn main() {
             "table1" => figures::table1(cfg),
             "fig3a" => figures::fig3a(cfg),
             "fig3b" => figures::fig3b(cfg),
+            "uc1scale" => figures::uc1_scale(cfg),
             "fig4a" => figures::fig4a(cfg),
             "fig4b" => figures::fig4b(cfg),
             "fig5" => figures::fig5(cfg),

@@ -1,8 +1,9 @@
 //! Regeneration of every figure of the paper's evaluation (§5).
 //!
 //! Each function returns a [`Figure`] — headers + rows + notes — that
-//! the `reproduce` binary prints. Sizes are scaled to what the
-//! educational dense simplex handles (documented in EXPERIMENTS.md);
+//! the `reproduce` binary prints. Sizes are scaled to what a full run
+//! with every simulated baseline finishes in minutes (documented in
+//! EXPERIMENTS.md; [`uc1_scale`] runs UC1 at the paper's);
 //! `Config::quick` shrinks them further for CI.
 
 use crate::eloc::eloc;
@@ -131,8 +132,8 @@ impl Config {
         }
     }
 
-    /// UC1 planning horizon (hours). The paper's is 288; the dense
-    /// simplex here is comfortable at 48–96.
+    /// UC1 planning horizon (hours). The paper's is 288 ([`uc1_scale`]
+    /// runs it); the figures that also run the baselines use 48.
     fn uc1_horizon(&self) -> usize {
         if self.quick {
             12
@@ -316,6 +317,46 @@ pub fn fig3b(cfg: Config) -> Figure {
         ],
         rows,
         notes: vec!["S-solvers reports the single composite SOLVESELECT under P4".into()],
+    }
+}
+
+/// The S-3SS pipeline at the paper's 288-step horizon over a growing
+/// history, up to the paper's 8737 rows: the run that says how far the
+/// UC1 scale substitution of the other figures still is from necessary.
+pub fn uc1_scale(cfg: Config) -> Figure {
+    let horizon = if cfg.quick { 24 } else { 288 };
+    let histories: &[usize] = if cfg.quick { &[96, 192] } else { &[336, 1000, 2000, 4000, 8737] };
+    let mut rows = Vec::new();
+    for &history in histories {
+        let (mut s, _) = uc1_session(history, horizon, 2026);
+        let t = run_s3ss(&mut s, Some(cfg.p3_iterations())).or_die("s3ss");
+        uc1::validate_plan(&mut s).or_die("plan");
+        rows.push(vec![
+            history.to_string(),
+            (2 * history).to_string(),
+            secs(t.p1),
+            secs(t.p2),
+            secs(t.p3),
+            secs(t.p4),
+            secs(t.total()),
+        ]);
+    }
+    Figure {
+        id: "UC1 scale".into(),
+        title: format!("S-3SS runtimes (s) per phase — horizon {horizon} h (paper: 8737 h + 288 h)"),
+        headers: vec![
+            "history (h)".into(),
+            "P2 LP rows".into(),
+            "P1".into(),
+            "P2".into(),
+            "P3".into(),
+            "P4".into(),
+            "total".into(),
+        ],
+        rows,
+        notes: vec![
+            "P2 is one L1-regression LP with two rows per history row; P4's LP has one equality row per horizon step".into(),
+        ],
     }
 }
 

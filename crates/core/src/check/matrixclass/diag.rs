@@ -21,13 +21,13 @@ pub fn matrix_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     if p.constraints.is_empty() || !p.has_integers() {
         return;
     }
-    let a = lp::matrix::analyze(p);
+    let a = m.matrix_analysis();
 
-    sd020_census(m, &a, diags);
-    sd021_sd022_tu(m, &a, diags);
-    sd023_implied(m, &a, diags);
+    sd020_census(m, a, diags);
+    sd021_sd022_tu(m, a, diags);
+    sd023_implied(m, a, diags);
     sd024_set_over_continuous(m, diags);
-    sd025_oversized_item(m, &a, diags);
+    sd025_oversized_item(m, a, diags);
 }
 
 /// Label of the rule behind LP row `i`.

@@ -87,6 +87,7 @@ pub struct CompiledModel<'a> {
     labels: Vec<String>,
     lowered: OnceLock<Lowered>,
     propagated: OnceLock<Propagated>,
+    matrix: OnceLock<lp::matrix::MatrixAnalysis>,
 }
 
 /// Describe a rule for error messages and diagnostics: its alias when
@@ -257,6 +258,7 @@ pub fn compile_model<'a>(
         labels: prob.subjectto.iter().map(|r| rule_label(r.alias.as_deref(), &r.query)).collect(),
         lowered: OnceLock::new(),
         propagated: OnceLock::new(),
+        matrix: OnceLock::new(),
     };
     // No rules at all (predictive solvers, plain fills): nothing reads
     // the symbolic environment, so it is not built.
@@ -344,6 +346,13 @@ impl CompiledModel<'_> {
             let outcome = propagate(&model);
             Propagated { model, outcome }
         })
+    }
+
+    /// Matrix classification of [`CompiledModel::lowered`], run on first
+    /// use: SD020–SD025, `EXPLAIN`'s matrix line and `solverlp`'s
+    /// matrixclass stage read the same pass.
+    pub fn matrix_analysis(&self) -> &lp::matrix::MatrixAnalysis {
+        self.matrix.get_or_init(|| lp::matrix::analyze(&self.lowered().problem))
     }
 
     fn lower(&self) -> Lowered {

@@ -97,11 +97,12 @@ impl Explanation {
 
 /// One-line matrix summary for [`Explanation::matrix`]: census, TU
 /// verdict and implied-integrality tally, comma-joined.
-fn matrix_summary(p: &lp::Problem) -> Option<String> {
+fn matrix_summary(model: &CompiledModel<'_>) -> Option<String> {
+    let p = &model.lowered().problem;
     if p.constraints.is_empty() {
         return None;
     }
-    let a = lp::matrix::analyze(p);
+    let a = model.matrix_analysis();
     let mut parts = Vec::new();
     let census = a.census_label();
     if !census.is_empty() {
@@ -243,7 +244,7 @@ pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Expl
         linear: true,
         failure: None,
         solver,
-        matrix: matrix_summary(&lowered.problem),
+        matrix: matrix_summary(&model),
     })
 }
 

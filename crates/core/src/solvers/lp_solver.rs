@@ -67,8 +67,26 @@ impl Solver for LpSolver {
             .param_text("matrixclass")
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
-        let analysis: Option<lp::matrix::MatrixAnalysis> =
-            matrixclass_on.then(|| ctx.stage("matrixclass", || lp::matrix::analyze(target)));
+        // When nothing relaxed, reduced or refuted the model's own LP,
+        // `target` is that LP (presolve only rewrites `>=` rows as `<=`,
+        // which the classification sees through) and the analyzer's pass
+        // is reused.
+        let unchanged = matches!(lp_prob, Cow::Borrowed(_))
+            && counts == Counts::default()
+            && !pre.as_ref().is_some_and(|p| p.infeasible());
+        let analysis: Option<Cow<'_, lp::matrix::MatrixAnalysis>> = matrixclass_on.then(|| {
+            ctx.stage("matrixclass", || {
+                if unchanged {
+                    Cow::Borrowed(ctx.model.matrix_analysis())
+                } else {
+                    Cow::Owned(lp::matrix::analyze(target))
+                }
+            })
+        });
+        debug_assert!(
+            !unchanged || analysis.as_deref().map_or(true, |a| *a == lp::matrix::analyze(target)),
+            "presolve without reductions changed the matrix classification"
+        );
         // `method` is what ran: branch-and-bound (shortcuts included) or
         // the simplex alone.
         let (sol, stats, method) = ctx.stage("solve-lp", || {
@@ -88,14 +106,14 @@ impl Solver for LpSolver {
                 return (sol, lp::mip::MipStats::default(), "simplex");
             }
             if target.has_integers() {
-                let (sol, stats) = solve_mip(ctx, target, analysis.as_ref(), node_limit);
+                let (sol, stats) = solve_mip(ctx, target, analysis.as_deref(), node_limit);
                 (sol, stats, "bb")
             } else {
                 let (sol, stats) = solve_relaxation(target);
                 (sol, stats, "simplex")
             }
         });
-        let (matrix_class, integrality_proof, blocks) = match &analysis {
+        let (matrix_class, integrality_proof, blocks) = match analysis.as_deref() {
             Some(a) => {
                 (a.census_label(), a.proof_label(target), lp::matrix::block_count(target) as u64)
             }

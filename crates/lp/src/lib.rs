@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod factor;
 pub mod matrix;
 pub mod mip;
 pub mod simplex;
@@ -100,11 +101,26 @@ impl Problem {
         self.num_vars - 1
     }
 
+    /// Every index must name an existing variable: a problem with a
+    /// coefficient on a column it does not have is not solved
+    /// ([`Status::NotConverged`]).
     pub fn set_objective(&mut self, coeffs: Vec<(usize, f64)>) {
+        debug_assert!(
+            coeffs.iter().all(|&(j, _)| j < self.num_vars),
+            "objective names column >= {}",
+            self.num_vars
+        );
         self.objective = coeffs;
     }
 
+    /// Every index must name an existing variable, as for
+    /// [`Problem::set_objective`].
     pub fn add_constraint(&mut self, coeffs: Vec<(usize, f64)>, rel: Rel, rhs: f64) {
+        debug_assert!(
+            coeffs.iter().all(|&(j, _)| j < self.num_vars),
+            "constraint names column >= {}",
+            self.num_vars
+        );
         self.constraints.push(Constraint::new(coeffs, rel, rhs));
     }
 
@@ -166,7 +182,8 @@ pub enum Status {
     /// any — is in the solution.
     Interrupted,
     /// The simplex hit its iteration cap or a singular basis it could
-    /// not recover from; there is no solution to report.
+    /// not recover from, or the problem names a column it does not
+    /// have; there is no solution to report.
     NotConverged,
 }
 

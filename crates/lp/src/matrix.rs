@@ -105,7 +105,7 @@ impl TuCertificate {
 }
 
 /// Result of the classification pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatrixAnalysis {
     /// Per-row class, parallel to `Problem::constraints`.
     pub row_classes: Vec<RowClass>,

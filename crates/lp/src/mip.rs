@@ -101,7 +101,7 @@ pub struct MipStats {
     pub cold_starts: usize,
     /// Dual simplex pivots, a subset of `simplex_iterations`.
     pub dual_pivots: usize,
-    /// Basis-inverse refactorizations over the whole search.
+    /// Basis factorizations over the whole search.
     pub refactorizations: usize,
     /// Incumbent trajectory: (nodes explored when found, objective in
     /// the problem's own sense).
@@ -338,7 +338,7 @@ mod tests {
     use super::*;
     use crate::Rel;
 
-    fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Solution {
+    fn knapsack_problem(values: &[f64], weights: &[f64], cap: f64) -> Problem {
         let n = values.len();
         let mut p = Problem::maximize(n);
         for j in 0..n {
@@ -347,7 +347,11 @@ mod tests {
         }
         p.set_objective(values.iter().copied().enumerate().collect());
         p.add_constraint(weights.iter().copied().enumerate().collect(), Rel::Le, cap);
-        branch_and_bound(&p, MipOptions::default())
+        p
+    }
+
+    fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Solution {
+        branch_and_bound(&knapsack_problem(values, weights, cap), MipOptions::default())
     }
 
     #[test]
@@ -474,6 +478,32 @@ mod tests {
         p.set_objective(values.into_iter().enumerate().collect());
         p.add_constraint(weights.into_iter().enumerate().collect(), Rel::Le, cap);
         p
+    }
+
+    #[test]
+    fn a_node_on_the_basis_the_tableau_holds_is_not_refactorized() {
+        // Six 60-item knapsacks (the shape of a UC2 op). A child re-solves
+        // from its parent's basis; when that is the basis the tableau
+        // stopped on, the factor is kept.
+        let mut seed = 7u64;
+        let mut next = |lo: f64, hi: f64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lo + (hi - lo) * ((seed >> 11) as f64 / (1u64 << 53) as f64)
+        };
+        for _ in 0..6 {
+            let values: Vec<f64> = (0..60).map(|_| next(5.0, 400.0)).collect();
+            let weights: Vec<f64> = (0..60).map(|_| next(0.5, 12.0)).collect();
+            let p = knapsack_problem(&values, &weights, weights.iter().sum::<f64>() * 0.4);
+            let (s, st) = branch_and_bound_stats(&p, MipOptions::default());
+            assert_eq!(s.status, Status::Optimal);
+            assert_eq!(st.warm_starts, st.nodes_explored - 1);
+            assert!(
+                st.refactorizations < st.warm_starts,
+                "{} refactorizations over {} warm starts",
+                st.refactorizations,
+                st.warm_starts
+            );
+        }
     }
 
     #[test]

@@ -2,16 +2,20 @@
 //! kernel: [`Simplex`] builds the columns of a [`Problem`] once, solves
 //! it cold (two-phase artificial start, Dantzig pricing with a Bland
 //! anti-cycling fallback) and re-solves it after bound changes from a
-//! saved [`Basis`] with a bounded dual simplex. The basis inverse is an
-//! explicit dense matrix with periodic refactorization; `ftran`, row
-//! `r` of B⁻¹, the elementary update in `pivot` and `refactorize` are
-//! the only operations that know that.
+//! saved [`Basis`] with a bounded dual simplex. The basis is held as a
+//! sparse LU factorization plus an eta file ([`crate::factor`]),
+//! refactorized when the eta file outgrows the factor; a re-solve from
+//! the basis the tableau already holds keeps the factor and recomputes
+//! only x_B. `ftran`, `btran_costs`, `btran_row`, `recompute_xb`, the
+//! update inside `pivot` and `refactorize` are the only operations that
+//! touch the factor.
 //!
 //! The bounded-variable formulation keeps the basis dimension equal to
 //! the number of *constraints* (not variables), which is what makes the
 //! knapsack-style problems of the paper's UC2 (thousands of variables,
 //! one capacity row) cheap.
 
+use crate::factor::Factor;
 use crate::{Problem, Rel, Solution, Status};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,8 +24,6 @@ const PIVOT_TOL: f64 = 1e-10;
 /// A sum of infeasibilities above this proves the problem infeasible;
 /// phase 1 and the dual simplex share it so both give the same verdict.
 const INFEASIBLE_TOL: f64 = 1e-6;
-/// Refactorize the basis inverse after this many pivots.
-const REFACTOR_EVERY: usize = 128;
 /// Switch to Bland's rule after this many consecutive degenerate pivots.
 const DEGENERATE_LIMIT: usize = 64;
 
@@ -75,7 +77,9 @@ pub struct Counters {
     pub cold_starts: usize,
     /// Dual simplex pivots (a subset of the iterations solves report).
     pub dual_pivots: usize,
-    /// Times B⁻¹ was recomputed from the basis columns.
+    /// Times the basis was factorized from its columns: at a cold
+    /// start, when a re-solve restores another basis than the one held,
+    /// and when the updates since the last time have outgrown it.
     pub refactorizations: usize,
 }
 
@@ -96,11 +100,19 @@ pub struct Simplex<'a> {
     b: Vec<f64>,
     status: Vec<VarStatus>,
     basis: Vec<usize>,
-    /// Dense row-major m×m basis inverse.
-    binv: Vec<f64>,
+    /// The factorized basis matrix; `factored` once it is that of
+    /// `basis` (from the first solve on, unless found singular).
+    factor: Factor,
+    factored: bool,
     /// Basic variable values, aligned with `basis`.
     xb: Vec<f64>,
-    since_refactor: usize,
+    /// Scratch of the iterations: the duals c_B'·B⁻¹, the entering
+    /// column B⁻¹·A_q and row r of B⁻¹.
+    y: Vec<f64>,
+    w: Vec<f64>,
+    rho: Vec<f64>,
+    /// A coefficient names a column the problem does not have.
+    malformed: bool,
     /// Iteration cap of one primal phase or one dual run.
     max_iter: usize,
     counters: Counters,
@@ -114,11 +126,14 @@ impl<'a> Simplex<'a> {
         let n_total = n + m + m;
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_total];
         let mut b = vec![0.0; m];
+        // A coefficient on a column that does not exist: the tableau is
+        // built without it and never solved.
+        let mut malformed = p.objective.iter().any(|&(j, _)| j >= n);
         for (i, c) in p.constraints.iter().enumerate() {
             b[i] = c.rhs;
             for &(j, a) in &c.coeffs {
                 if j >= n {
-                    // Malformed constraint; treat defensively.
+                    malformed = true;
                     continue;
                 }
                 cols[j].push((i, a));
@@ -172,10 +187,13 @@ impl<'a> Simplex<'a> {
             b,
             status,
             basis: (n + m..n_total).collect(),
-            // Filled by the first solve, cold or warm.
-            binv: vec![0.0; m * m],
+            factor: Factor::new(m),
+            factored: false,
             xb: vec![0.0; m],
-            since_refactor: 0,
+            y: vec![0.0; m],
+            w: vec![0.0; m],
+            rho: vec![0.0; m],
+            malformed,
             max_iter: 20_000 + 50 * (n + m),
             counters: Counters::default(),
         };
@@ -259,40 +277,36 @@ impl<'a> Simplex<'a> {
     }
 
     fn solve_cold(&mut self) -> Solution {
+        if self.malformed {
+            return self.solution(Status::NotConverged, 0);
+        }
         if self.bounds_crossed() {
             return Solution::infeasible();
         }
         let (n, m) = (self.n, self.m);
-        // Structurals and slacks start nonbasic; the residual
-        // r = b − A x0 is what the artificials have to carry.
-        let mut resid = self.b.clone();
+        // Structurals and slacks start nonbasic, the artificials basic:
+        // they carry the residual b − A x0.
         for j in 0..n + m {
             self.status[j] = rest_status(self.lower[j], self.upper[j]);
-            let v = self.nb_value(j);
-            if v != 0.0 {
-                for &(r, a) in &self.cols[j] {
-                    resid[r] -= a * v;
-                }
-            }
         }
-        // Phase-1 form: minimize Σ|artificial| from the artificial basis.
+        for i in 0..m {
+            self.status[n + m + i] = VarStatus::Basic;
+            self.basis[i] = n + m + i;
+        }
+        if !self.refactorize() {
+            return self.solution(Status::NotConverged, 0);
+        }
+        // Phase-1 form: minimize Σ|artificial|.
         self.cost.fill(0.0);
         for i in 0..m {
             let j = n + m + i;
-            (self.lower[j], self.upper[j], self.cost[j]) = if resid[i] >= 0.0 {
+            (self.lower[j], self.upper[j], self.cost[j]) = if self.xb[i] >= 0.0 {
                 (0.0, f64::INFINITY, 1.0)
             } else {
                 (f64::NEG_INFINITY, 0.0, -1.0)
             };
-            self.status[j] = VarStatus::Basic;
-            self.basis[i] = j;
         }
-        self.binv.fill(0.0);
-        for i in 0..m {
-            self.binv[i * m + i] = 1.0;
-        }
-        let needs_phase1 = resid.iter().any(|v| v.abs() > TOL);
-        self.xb = resid;
+        let needs_phase1 = self.xb.iter().any(|v| v.abs() > TOL);
 
         let mut iterations = 0usize;
         let mut status = Status::Optimal;
@@ -321,9 +335,15 @@ impl<'a> Simplex<'a> {
 
     fn solve_warm(&mut self, from: &Basis) -> (Status, usize) {
         assert_eq!(from.status.len(), self.n_total, "basis of another problem");
+        if self.malformed {
+            return (Status::NotConverged, 0);
+        }
         if self.bounds_crossed() {
             return (Status::Infeasible, 0);
         }
+        // The factor of the basis this tableau stopped on is still good
+        // if that is the basis asked for: only x_B depends on the bounds.
+        let held = self.factored && self.basis == from.basic;
         self.status.copy_from_slice(&from.status);
         self.basis.copy_from_slice(&from.basic);
         // A bound change may have taken away the bound a nonbasic
@@ -339,7 +359,9 @@ impl<'a> Simplex<'a> {
                 self.status[j] = rest_status(self.lower[j], self.upper[j]);
             }
         }
-        if !self.refactorize() {
+        if held {
+            self.recompute_xb();
+        } else if !self.refactorize() {
             return (Status::NotConverged, 0);
         }
         let (status, dual_pivots) = self.dual();
@@ -381,147 +403,79 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// w = B⁻¹ · A_j for a sparse column.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
+    /// `w` = B⁻¹ · A_j.
+    fn ftran(&mut self, j: usize) {
+        self.w.fill(0.0);
         for &(r, a) in &self.cols[j] {
-            for i in 0..self.m {
-                w[i] += self.binv[i * self.m + r] * a;
-            }
+            self.w[r] = a;
         }
-        w
+        self.factor.ftran(&mut self.w);
     }
 
-    /// y' = c_B' · B⁻¹.
-    fn btran_costs(&self) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        for (k, &bv) in self.basis.iter().enumerate() {
-            let c = self.cost[bv];
-            if c != 0.0 {
-                for i in 0..self.m {
-                    y[i] += c * self.binv[k * self.m + i];
-                }
-            }
+    /// `y`' = c_B' · B⁻¹.
+    fn btran_costs(&mut self) {
+        for (y, &j) in self.y.iter_mut().zip(&self.basis) {
+            *y = self.cost[j];
         }
-        y
+        self.factor.btran(&mut self.y);
     }
 
-    fn reduced_cost(&self, j: usize, y: &[f64]) -> f64 {
+    /// `rho` = row `r` of B⁻¹.
+    fn btran_row(&mut self, r: usize) {
+        self.rho.fill(0.0);
+        self.rho[r] = 1.0;
+        self.factor.btran(&mut self.rho);
+    }
+
+    fn reduced_cost(&self, j: usize) -> f64 {
         let mut d = self.cost[j];
         for &(r, a) in &self.cols[j] {
-            d -= y[r] * a;
+            d -= self.y[r] * a;
         }
         d
     }
 
-    /// Recompute B⁻¹ by Gaussian elimination and x_B from scratch.
-    /// Returns false if the basis matrix is singular.
+    /// Factorize the basis from its columns and recompute x_B from
+    /// scratch. Returns false if the basis matrix is singular.
     fn refactorize(&mut self) -> bool {
         self.counters.refactorizations += 1;
-        self.since_refactor = 0;
-        let m = self.m;
-        // Build the dense basis matrix augmented with identity.
-        let mut mat = vec![0.0; m * m];
-        for (k, &j) in self.basis.iter().enumerate() {
-            for &(r, a) in &self.cols[j] {
-                mat[r * m + k] = a;
-            }
+        self.factored = self.factor.factorize(&self.cols, &self.basis);
+        if self.factored {
+            self.recompute_xb();
         }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        // Gauss-Jordan with partial pivoting.
-        for col in 0..m {
-            let mut piv = col;
-            let mut best = mat[col * m + col].abs();
-            for r in (col + 1)..m {
-                let v = mat[r * m + col].abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best < 1e-12 {
-                return false;
-            }
-            if piv != col {
-                for c in 0..m {
-                    mat.swap(col * m + c, piv * m + c);
-                    inv.swap(col * m + c, piv * m + c);
-                }
-            }
-            let d = mat[col * m + col];
-            for c in 0..m {
-                mat[col * m + c] /= d;
-                inv[col * m + c] /= d;
-            }
-            for r in 0..m {
-                if r != col {
-                    let f = mat[r * m + col];
-                    if f != 0.0 {
-                        for c in 0..m {
-                            mat[r * m + c] -= f * mat[col * m + c];
-                            inv[r * m + c] -= f * inv[col * m + c];
-                        }
-                    }
-                }
-            }
-        }
-        self.binv = inv;
-        self.recompute_xb();
-        true
+        self.factored
     }
 
     /// x_B = B⁻¹ (b − A_N x_N).
     fn recompute_xb(&mut self) {
-        let mut rhs = self.b.clone();
+        self.xb.copy_from_slice(&self.b);
         for j in 0..self.n_total {
             let v = self.nb_value(j);
             if v != 0.0 {
                 for &(r, a) in &self.cols[j] {
-                    rhs[r] -= a * v;
+                    self.xb[r] -= a * v;
                 }
             }
         }
-        let m = self.m;
-        for i in 0..m {
-            self.xb[i] = (0..m).map(|r| self.binv[i * m + r] * rhs[r]).sum();
-        }
+        self.factor.ftran(&mut self.xb);
     }
 
     /// Column `q` enters the basis at row `r` after moving by `step`
     /// (`w` = B⁻¹·A_q); the column it replaces rests at its lower or
-    /// upper bound. Returns false if the periodic refactorization finds
-    /// the new basis singular.
-    fn pivot(&mut self, r: usize, q: usize, w: &[f64], step: f64, leaves_at_lower: bool) -> bool {
-        let m = self.m;
+    /// upper bound. Returns false if the updates have outgrown the
+    /// factor and refactorizing finds the new basis singular.
+    fn pivot(&mut self, r: usize, q: usize, step: f64, leaves_at_lower: bool) -> bool {
         let enter_val = self.nb_value(q) + step;
-        for i in 0..m {
-            if i != r {
-                self.xb[i] -= step * w[i];
-            }
+        for (x, &w) in self.xb.iter_mut().zip(&self.w) {
+            *x -= step * w;
         }
         self.xb[r] = enter_val;
         self.status[self.basis[r]] =
             if leaves_at_lower { VarStatus::AtLower } else { VarStatus::AtUpper };
         self.status[q] = VarStatus::Basic;
         self.basis[r] = q;
-        // Elementary update of B⁻¹.
-        let pivot_row: Vec<f64> = (0..m).map(|c| self.binv[r * m + c] / w[r]).collect();
-        for i in 0..m {
-            if i != r {
-                let f = w[i];
-                if f != 0.0 {
-                    for c in 0..m {
-                        self.binv[i * m + c] -= f * pivot_row[c];
-                    }
-                }
-            }
-        }
-        self.binv[r * m..(r + 1) * m].copy_from_slice(&pivot_row);
-        self.since_refactor += 1;
-        self.since_refactor < REFACTOR_EVERY || self.refactorize()
+        self.factor.update(r, &self.w);
+        !self.factor.wants_refactor() || self.refactorize()
     }
 
     /// One primal simplex phase (min c'x) from a primal-feasible basis.
@@ -529,15 +483,12 @@ impl<'a> Simplex<'a> {
     fn optimize(&mut self) -> (Status, usize) {
         let mut iterations = 0usize;
         let mut degenerate_run = 0usize;
-        // Each phase refactorizes on its own schedule, so a cold solve's
-        // arithmetic does not depend on what the tableau did before.
-        self.since_refactor = 0;
         loop {
             iterations += 1;
             if iterations > self.max_iter {
                 return (Status::NotConverged, iterations);
             }
-            let y = self.btran_costs();
+            self.btran_costs();
             let bland = degenerate_run > DEGENERATE_LIMIT;
 
             // Pricing. A column with lower == upper cannot move, so it
@@ -549,7 +500,7 @@ impl<'a> Simplex<'a> {
                 if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
                     continue;
                 }
-                let d = self.reduced_cost(j, &y);
+                let d = self.reduced_cost(j);
                 let (eligible, increasing) = match self.status[j] {
                     VarStatus::AtLower => (d < -TOL, true),
                     VarStatus::AtUpper => (d > TOL, false),
@@ -570,34 +521,37 @@ impl<'a> Simplex<'a> {
                 return (Status::Optimal, iterations);
             };
             let sigma = if increasing { 1.0 } else { -1.0 };
-            let w = self.ftran(j);
+            self.ftran(j);
 
             // Ratio test: how far can x_j move?
-            // x_B changes by -sigma * t * w.
+            // x_B changes by -sigma * t * w. Among ratios tied within
+            // TOL the largest pivot element wins: a tiny one would be
+            // divided by in every solve until the next refactorization.
             let mut t_max = f64::INFINITY;
             let mut leave: Option<(usize, bool)> = None; // (row, leaves-at-lower)
+            let mut size = 0.0; // |w| of the leaving row
             for i in 0..self.m {
-                let delta = -sigma * w[i];
-                if delta < -PIVOT_TOL {
-                    // Basic value decreases toward its lower bound.
-                    let lb = self.lower[self.basis[i]];
-                    if lb > f64::NEG_INFINITY {
-                        let t = (self.xb[i] - lb) / (-delta);
-                        if t < t_max - TOL || (t < t_max + TOL && leave.is_none()) {
-                            t_max = t.max(0.0);
-                            leave = Some((i, true));
-                        }
-                    }
-                } else if delta > PIVOT_TOL {
-                    // Basic value increases toward its upper bound.
-                    let ub = self.upper[self.basis[i]];
-                    if ub < f64::INFINITY {
-                        let t = (ub - self.xb[i]) / delta;
-                        if t < t_max - TOL || (t < t_max + TOL && leave.is_none()) {
-                            t_max = t.max(0.0);
-                            leave = Some((i, false));
-                        }
-                    }
+                let delta = -sigma * self.w[i];
+                if delta.abs() <= PIVOT_TOL {
+                    continue;
+                }
+                // A decreasing basic value stops at its lower bound, an
+                // increasing one at its upper.
+                let at_lower = delta < 0.0;
+                let bv = self.basis[i];
+                let room = if at_lower {
+                    self.xb[i] - self.lower[bv]
+                } else {
+                    self.upper[bv] - self.xb[i]
+                };
+                if room.is_infinite() {
+                    continue;
+                }
+                let t = room / delta.abs();
+                if t < t_max - TOL || (t < t_max + TOL && delta.abs() > size) {
+                    t_max = t_max.min(t.max(0.0));
+                    leave = Some((i, at_lower));
+                    size = delta.abs();
                 }
             }
             // Bound flip of the entering variable itself.
@@ -624,19 +578,19 @@ impl<'a> Simplex<'a> {
                         VarStatus::AtUpper => VarStatus::AtLower,
                         other => other,
                     };
-                    for i in 0..self.m {
-                        self.xb[i] -= sigma * t_max * w[i];
+                    for (x, &w) in self.xb.iter_mut().zip(&self.w) {
+                        *x -= sigma * t_max * w;
                     }
                 }
                 Some((r, at_lower)) => {
-                    if w[r].abs() < PIVOT_TOL {
+                    if self.w[r].abs() < PIVOT_TOL {
                         // Numerically unusable pivot: refactorize and retry.
                         if !self.refactorize() {
                             return (Status::NotConverged, iterations);
                         }
                         continue;
                     }
-                    if !self.pivot(r, j, &w, sigma * t_max, at_lower) {
+                    if !self.pivot(r, j, sigma * t_max, at_lower) {
                         return (Status::NotConverged, iterations);
                     }
                 }
@@ -677,14 +631,14 @@ impl<'a> Simplex<'a> {
             // when a column at its lower bound has a > 0 or one at its
             // upper bound has a < 0; the smallest |d_j / a| keeps every
             // reduced cost on its side. Fixed columns cannot move.
-            let y = self.btran_costs();
-            let rho = &self.binv[r * m..(r + 1) * m];
+            self.btran_costs();
+            self.btran_row(r);
             let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, |a|)
             for j in 0..self.n_total {
                 if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
                     continue;
                 }
-                let alpha: f64 = self.cols[j].iter().map(|&(i, a)| rho[i] * a).sum();
+                let alpha: f64 = self.cols[j].iter().map(|&(i, a)| self.rho[i] * a).sum();
                 let a = if below { -alpha } else { alpha };
                 let eligible = match self.status[j] {
                     VarStatus::AtLower => a > PIVOT_TOL,
@@ -697,7 +651,7 @@ impl<'a> Simplex<'a> {
                 // A reduced cost on the wrong side (the start was not
                 // quite dual feasible) counts as zero; the primal
                 // clean-up prices it again.
-                let ratio = self.reduced_cost(j, &y) / a;
+                let ratio = self.reduced_cost(j) / a;
                 let ratio = if self.status[j] == VarStatus::FreeZero {
                     ratio.abs()
                 } else {
@@ -721,9 +675,10 @@ impl<'a> Simplex<'a> {
                 };
                 return (verdict, pivots);
             };
-            let w = self.ftran(q);
-            if w[r].abs() < PIVOT_TOL {
-                // B⁻¹ has drifted (row r and column q disagree):
+            self.ftran(q);
+            let w_r = self.w[r];
+            if w_r.abs() < PIVOT_TOL {
+                // The factor has drifted (row r and column q disagree):
                 // refactorize and retry.
                 if !self.refactorize() {
                     return (Status::NotConverged, pivots);
@@ -733,7 +688,7 @@ impl<'a> Simplex<'a> {
             let leaving = self.basis[r];
             let bound = if below { self.lower[leaving] } else { self.upper[leaving] };
             self.counters.dual_pivots += 1;
-            if !self.pivot(r, q, &w, (self.xb[r] - bound) / w[r], below) {
+            if !self.pivot(r, q, (self.xb[r] - bound) / w_r, below) {
                 return (Status::NotConverged, pivots);
             }
         }
@@ -939,6 +894,44 @@ mod tests {
         assert_close(s.objective, cold.objective);
         assert_eq!(t.counters().cold_starts, 1);
         assert_eq!(t.counters().warm_starts, 0);
+    }
+
+    #[test]
+    fn tied_ratios_pivot_on_the_larger_element() {
+        // max x with 1e-9·x <= 1e-9 and x <= 1: both rows stop x at 1.
+        // Whichever row x enters on, the pivot element is divided by
+        // from then on; it must be the 1, not the 1e-9.
+        let mut p = Problem::maximize(1);
+        p.set_bounds(0, 0.0, f64::INFINITY);
+        p.set_objective(vec![(0, 1.0)]);
+        p.add_constraint(vec![(0, 1e-9)], Rel::Le, 1e-9);
+        p.add_constraint(vec![(0, 1.0)], Rel::Le, 1.0);
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.x[0], 1.0);
+        assert_eq!(t.basis[1], 0, "x is basic in the row where its coefficient is 1");
+    }
+
+    #[test]
+    fn a_coefficient_on_a_missing_column_is_not_solved_around() {
+        // Built field by field, as a caller in a release build could:
+        // the builders debug_assert the index range.
+        let mut p = classic();
+        p.constraints[2].coeffs.push((7, 1.0));
+        let before = not_converged_total();
+        let s = solve_lp(&p);
+        assert_eq!(s.status, Status::NotConverged);
+        assert!(s.x.is_empty());
+        assert!(not_converged_total() > before);
+
+        let mut p = classic();
+        p.objective.push((2, 1.0));
+        assert_eq!(solve_lp(&p).status, Status::NotConverged);
+        let mut t = Simplex::new(&p);
+        let basis = t.basis();
+        assert_eq!(t.resolve_from(&basis).status, Status::NotConverged);
+        assert_eq!(crate::solve(&p).status, Status::NotConverged);
     }
 
     #[test]

@@ -324,6 +324,78 @@ proptest! {
     }
 }
 
+/// A sparse LP at sizes where the basis factor has a nucleus, an eta
+/// file that fills and refactorizations in mid-solve: boxed columns,
+/// rows of one to four nonzeros (so some basis columns are singletons),
+/// two columns that appear in every row (dense basis columns, as the
+/// coefficients of an L1 regression are) and all three relations.
+fn sparse_lp(seed: u64, n: usize, m: usize) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Problem::minimize(n);
+    for j in 0..n {
+        p.set_bounds(j, 0.0, 10.0);
+    }
+    p.set_objective((0..n).map(|j| (j, rng.gen_range(-5.0..5.0))).collect());
+    // Every row holds at this point of the box, so the root is feasible.
+    let inside: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..9.0)).collect();
+    for _ in 0..m {
+        let mut coeffs: Vec<(usize, f64)> = Vec::new();
+        for _ in 0..rng.gen_range(1..=4usize) {
+            coeffs.push((rng.gen_range(0..n), rng.gen_range(-3i32..=3) as f64));
+        }
+        coeffs.push((0, rng.gen_range(0.5..2.0)));
+        coeffs.push((1, rng.gen_range(-2.0..-0.5)));
+        let at: f64 = coeffs.iter().map(|&(j, a)| a * inside[j]).sum();
+        let room = rng.gen_range(0.0..5.0);
+        match rng.gen_range(0..4) {
+            0 => p.add_constraint(coeffs, Rel::Eq, at),
+            1 => p.add_constraint(coeffs, Rel::Ge, at - room),
+            _ => p.add_constraint(coeffs, Rel::Le, at + room),
+        }
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The kernel at m up to 120: cold solves are feasible and re-solves
+    /// agree with fresh solves of the tightened problem, both from the
+    /// basis the tableau stopped on (its factor is kept, only x_B is
+    /// recomputed) and from the root's (factorized again).
+    #[test]
+    fn sparse_resolves_match_fresh_solves(seed in 0u64..100_000, n in 3usize..60, m in 1usize..=120) {
+        let mut p = sparse_lp(seed, n, m);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5BA5);
+        let root = p.clone();
+        let mut tableau = Simplex::new(&root);
+        let first = tableau.solve();
+        prop_assert_eq!(first.status, Status::Optimal, "a feasible LP over a box");
+        prop_assert!(root.is_feasible(&first.x, 1e-6), "cold optimum infeasible");
+        let root_basis = tableau.basis();
+        let mut x = first.x;
+        for round in 0..6 {
+            let from = if round % 2 == 0 { tableau.basis() } else { root_basis.clone() };
+            let j = rng.gen_range(0..n);
+            let (lo, hi) = if rng.gen_bool(0.5) {
+                (f64::NEG_INFINITY, (x[j] - rng.gen_range(0.0..1.5)).floor())
+            } else {
+                ((x[j] + rng.gen_range(0.0..1.5)).ceil(), f64::INFINITY)
+            };
+            p.tighten(j, lo, hi);
+            tableau.set_bounds(j, p.lower[j], p.upper[j]);
+            let warm = tableau.resolve_from(&from);
+            same_outcome(&warm, &solve_lp(&p))?;
+            if warm.status != Status::Optimal {
+                break;
+            }
+            prop_assert!(p.is_feasible(&warm.x, 1e-6), "warm optimum infeasible");
+            x = warm.x;
+        }
+        prop_assert_eq!(tableau.counters().cold_starts, 0, "warm re-solve fell back");
+    }
+}
+
 #[test]
 fn warm_knapsack_matches_dp_oracle() {
     let n = 40;
