@@ -197,6 +197,13 @@ fn metrics_table(metrics: &MetricsRegistry) -> Table {
     for (name, h) in metrics.stages() {
         rows.push(hist_row(&name, &h));
     }
+    // The one plain counter: a count and no latencies.
+    let pivoted = metrics.columns_pivoted();
+    if pivoted > 0 {
+        let mut row = vec![Value::text("columns_pivoted"), int(pivoted)];
+        row.resize(schema.len(), Value::Null);
+        rows.push(row);
+    }
     Table::with_rows(schema, rows)
 }
 
@@ -342,6 +349,7 @@ mod tests {
         metrics.record_stage("wal.fsync", 2_000_000);
         metrics.record_stage("wal.fsync", 4_000_000);
         metrics.record_statement_exec("SELECT ?", 1_000_000, 1, false, None, None);
+        metrics.add_columns_pivoted(3);
         let t = ObsTables::new(metrics, None, None).table("sdb_metrics").unwrap();
         assert_eq!(t.schema.columns[0].name, "name");
         let names: Vec<String> = t.rows.iter().map(|r| format!("{}", r[0])).collect();
@@ -349,6 +357,8 @@ mod tests {
         assert!(names.contains(&"wal.fsync".to_string()), "{names:?}");
         let fsync = t.rows.iter().find(|r| format!("{}", r[0]) == "wal.fsync").unwrap();
         assert_eq!(fsync[1], Value::Int(2));
+        let pivoted = t.rows.last().unwrap();
+        assert_eq!(pivoted[..3], [Value::text("columns_pivoted"), Value::Int(3), Value::Null]);
     }
 
     #[test]

@@ -205,9 +205,14 @@ impl Session {
     /// shape, plus per-solver aggregates when the statement was traced.
     fn run_recorded(&mut self, stmt: &Statement, parse_nanos: Option<u64>) -> Result<ExecResult> {
         let shape = sqlengine::statement_shape(stmt);
+        let work_before = self.db.exec_counts();
         let (out, elapsed) =
             obs::timed(|| execute_statement_timed(&mut self.db, stmt, parse_nanos));
         let nanos = elapsed.as_nanos() as u64;
+        let pivoted = self.db.exec_counts().since(&work_before).columns_pivoted;
+        if pivoted > 0 {
+            self.metrics.add_columns_pivoted(pivoted);
+        }
         // Fold per-stage latency distributions in before the group
         // commit appends its wal.append stage: the WAL histograms are
         // recorded by the storage engine itself, so recording the

@@ -266,6 +266,31 @@ fn cancel_statement_sets_the_kill_flag() {
     assert!(err.to_string().contains("no live session"), "{err}");
 }
 
+/// `columns_pivoted` in `sdb_metrics` is the session's executor counter:
+/// it moves when a read first needs a column of a table version and
+/// stands still when the read repeats.
+#[test]
+fn sdb_metrics_counts_pivoted_column_chunks() {
+    let mut s = Session::new();
+    s.execute_script("CREATE TABLE m (a INT, b INT); INSERT INTO m VALUES (1, 2), (3, 4)").unwrap();
+    // The probe scans a virtual table, which pivots columns of its own —
+    // after it has read the row.
+    let row = |s: &mut Session| -> u64 {
+        let t = s.query("SELECT count FROM sdb_metrics WHERE name = 'columns_pivoted'").unwrap();
+        t.rows.first().map_or(0, |r| r[0].as_i64().unwrap() as u64) // no row until it moves
+    };
+    let counter = |s: &Session| s.db().exec_counts().columns_pivoted;
+    let start = counter(&s);
+    assert_eq!(row(&mut s), start);
+    let before = counter(&s);
+    s.query("SELECT sum(a) FROM m WHERE b > 0").unwrap();
+    assert_eq!(counter(&s), before + 2, "one chunk each of a and b");
+    s.query("SELECT sum(a) FROM m WHERE b > 0").unwrap();
+    s.query("SELECT max(b) FROM m").unwrap();
+    assert_eq!(counter(&s), before + 2, "a repeat would mean the image is not shared");
+    assert_eq!(row(&mut s), before + 2);
+}
+
 #[test]
 fn sdb_metrics_exposes_stage_histograms_after_a_solve() {
     let mut s = Session::new();

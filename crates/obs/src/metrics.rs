@@ -84,6 +84,9 @@ struct MetricsInner {
     /// `solve/compile`, `wal.append`, ... — slash-joined stage paths
     /// from the per-query trace trees).
     stages: HashMap<String, Histogram>,
+    /// Column chunks the executor pivoted out of row storage into table
+    /// images (the sum of the sessions' `ExecCounts::columns_pivoted`).
+    columns_pivoted: u64,
 }
 
 /// Thread-safe cumulative metrics store.
@@ -164,6 +167,15 @@ impl MetricsRegistry {
             return;
         }
         inner.stages.entry(name.to_string()).or_default().record(nanos);
+    }
+
+    /// Add to the count of column chunks pivoted into table images.
+    pub fn add_columns_pivoted(&self, chunks: u64) {
+        self.lock().columns_pivoted += chunks;
+    }
+
+    pub fn columns_pivoted(&self) -> u64 {
+        self.lock().columns_pivoted
     }
 
     /// Record a whole trace tree: every stage (recursively, with
@@ -256,6 +268,7 @@ impl MetricsRegistry {
         inner.statements.clear();
         inner.solvers.clear();
         inner.stages.clear();
+        inner.columns_pivoted = 0;
     }
 }
 

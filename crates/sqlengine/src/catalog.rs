@@ -4,6 +4,7 @@
 use crate::ast::{Query, SolveStmt};
 use crate::diag::Diagnostic;
 use crate::error::{Error, Result};
+use crate::plan::StoredTable;
 use crate::table::{coerce, Row, Table, TableRef};
 use crate::types::Value;
 use std::collections::HashMap;
@@ -136,8 +137,11 @@ pub trait SolveHandler: Send + Sync {
 /// views) flows through exactly one of these commit points; replaying
 /// the sequence against an empty [`Database`] reconstructs the catalog.
 ///
-/// Mutations carry [`TableRef`]s (cheap `Arc` clones of the
-/// copy-on-write table handles), so emitting one never copies row data.
+/// Mutations carry [`TableRef`]s (cheap `Arc` clones of the table
+/// handles), so emitting one never copies row data. Whoever keeps such a
+/// handle — the durable shadow catalog does — makes the next write to
+/// that table copy it first; a table nobody else holds is written in
+/// place.
 #[derive(Debug, Clone)]
 pub enum CatalogMutation {
     /// `CREATE TABLE` / `CREATE TABLE AS` (the table may carry rows).
@@ -188,22 +192,21 @@ impl CatalogMutation {
     /// full-state level, so re-applying a suffix after a snapshot that
     /// already contains it is safe.
     pub fn apply(&self, db: &mut Database) -> Result<()> {
+        db.bump_epoch();
         match self {
-            CatalogMutation::CreateTable { name, table } => {
-                db.tables.insert(name.clone(), table.clone());
+            CatalogMutation::CreateTable { name, table }
+            | CatalogMutation::PutTable { name, table } => {
+                db.tables.insert(name.clone(), StoredTable::new(table.clone()));
             }
             CatalogMutation::DropTable { name } => {
                 db.tables.remove(name);
-            }
-            CatalogMutation::PutTable { name, table } => {
-                db.tables.insert(name.clone(), table.clone());
             }
             CatalogMutation::AppendRows { name, rows } => {
                 let t = db
                     .tables
                     .get_mut(name)
                     .ok_or_else(|| Error::catalog(format!("replay: table '{name}' missing")))?;
-                Arc::make_mut(t).rows.extend(rows.iter().cloned());
+                t.append(rows.iter().cloned());
             }
             CatalogMutation::CreateView { name, sql } => {
                 let q = crate::parser::parse_query(sql)?;
@@ -213,7 +216,6 @@ impl CatalogMutation {
                 db.views.remove(name);
             }
         }
-        db.bump_epoch();
         Ok(())
     }
 }
@@ -270,6 +272,10 @@ pub struct ExecCounts {
     /// Hash-join build sides reused from an earlier recursive step
     /// instead of being rebuilt.
     pub builds_reused: u64,
+    /// Column chunks (one column of one scan batch) pivoted out of row
+    /// storage into a table's columnar image. A scan whose columns are
+    /// already in the image pivots none.
+    pub columns_pivoted: u64,
 }
 
 impl ExecCounts {
@@ -279,6 +285,7 @@ impl ExecCounts {
             plans_built: self.plans_built - earlier.plans_built,
             recursive_steps: self.recursive_steps - earlier.recursive_steps,
             builds_reused: self.builds_reused - earlier.builds_reused,
+            columns_pivoted: self.columns_pivoted - earlier.columns_pivoted,
         }
     }
 }
@@ -286,7 +293,12 @@ impl ExecCounts {
 /// The database: named tables, views, UDFs and the solve hook.
 #[derive(Default)]
 pub struct Database {
-    tables: HashMap<String, TableRef>,
+    /// Every table with what is derived from its current rows (columnar
+    /// image, statistics). The commit points below — `create_table`,
+    /// `put_table` (with `take_table`, its first half for a rewrite),
+    /// `append_rows`, `drop_table` and [`CatalogMutation::apply`] — are
+    /// the only code that replaces or extends an entry.
+    tables: HashMap<String, StoredTable>,
     views: HashMap<String, Arc<Query>>,
     udfs: HashMap<String, ScalarUdf>,
     solve_handler: Option<Arc<dyn SolveHandler>>,
@@ -295,16 +307,11 @@ pub struct Database {
     /// Monotone counter bumped on every catalog mutation; cached plans
     /// are keyed on it so DDL and DML invalidate the plan cache.
     pub(crate) catalog_epoch: AtomicU64,
-    /// Catalog-table statistics used by the cost-based planner, keyed by
-    /// table name and stamped with the allocation identity they were
-    /// collected from (see `plan::stats`). Interior-mutable so read-only
-    /// query paths can populate it lazily.
-    pub(crate) stats_cache:
-        std::sync::Mutex<HashMap<String, ((usize, usize), Arc<crate::plan::stats::TableStats>)>>,
     /// Monotone executor work counters, read through [`ExecCounts`].
     plans_built: AtomicU64,
     recursive_steps: AtomicU64,
     builds_reused: AtomicU64,
+    columns_pivoted: AtomicU64,
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
     pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
@@ -338,9 +345,13 @@ impl Database {
         Database::default()
     }
 
-    /// Bump the catalog epoch (invalidates cached plans).
+    /// Bump the catalog epoch and drop the cached plans: keyed by an
+    /// older epoch they can never hit again, and each pins the tables it
+    /// scans. A commit point bumps *before* it touches a table, so that a
+    /// table only plans were holding is written in place.
     pub(crate) fn bump_epoch(&self) {
         self.catalog_epoch.fetch_add(1, Ordering::Relaxed);
+        self.drop_plans();
     }
 
     /// Current catalog epoch (monotone across mutations).
@@ -354,6 +365,7 @@ impl Database {
             plans_built: self.plans_built.load(Ordering::Relaxed),
             recursive_steps: self.recursive_steps.load(Ordering::Relaxed),
             builds_reused: self.builds_reused.load(Ordering::Relaxed),
+            columns_pivoted: self.columns_pivoted.load(Ordering::Relaxed),
         }
     }
 
@@ -365,6 +377,10 @@ impl Database {
     pub(crate) fn count_recursion(&self, steps: u64, builds_reused: u64) {
         self.recursive_steps.fetch_add(steps, Ordering::Relaxed);
         self.builds_reused.fetch_add(builds_reused, Ordering::Relaxed);
+    }
+
+    pub(crate) fn count_columns_pivoted(&self, chunks: u64) {
+        self.columns_pivoted.fetch_add(chunks, Ordering::Relaxed);
     }
 
     // -- session control (solver watchdog, live progress) ------------------
@@ -438,25 +454,32 @@ impl Database {
             )));
         }
         let table = Arc::new(table);
-        self.tables.insert(name.to_string(), table.clone());
         self.bump_epoch();
+        self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
         self.emit(CatalogMutation::CreateTable { name: name.to_string(), table });
         Ok(())
     }
 
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        if self.tables.remove(name).is_none() {
+        if !self.tables.contains_key(name) {
             if !if_exists {
                 return Err(Error::catalog(format!("table '{name}' does not exist")));
             }
             return Ok(());
         }
         self.bump_epoch();
+        self.tables.remove(name);
         self.emit(CatalogMutation::DropTable { name: name.to_string() });
         Ok(())
     }
 
     pub fn table(&self, name: &str) -> Result<&TableRef> {
+        self.stored_table(name).map(StoredTable::table)
+    }
+
+    /// The table with its columnar image and statistics — what a scan of
+    /// `name` reads.
+    pub(crate) fn stored_table(&self, name: &str) -> Result<&StoredTable> {
         self.tables
             .get(name)
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))
@@ -471,11 +494,8 @@ impl Database {
     /// Validation is all-or-nothing: a coercion failure leaves the
     /// table untouched (and nothing is logged).
     pub fn append_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
-        let arc = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| Error::catalog(format!("table '{name}' does not exist")))?;
-        let schema = arc.schema.clone();
+        let missing = || Error::catalog(format!("table '{name}' does not exist"));
+        let schema = &self.tables.get(name).ok_or_else(missing)?.table().schema;
         let mut coerced = Vec::with_capacity(rows.len());
         for row in rows {
             if row.len() != schema.len() {
@@ -492,8 +512,8 @@ impl Database {
             coerced.push(out);
         }
         let n = coerced.len();
-        Arc::make_mut(arc).rows.extend(coerced.iter().cloned());
         self.bump_epoch();
+        self.tables.get_mut(name).ok_or_else(missing)?.append(coerced.iter().cloned());
         self.emit(CatalogMutation::AppendRows { name: name.to_string(), rows: coerced });
         Ok(n)
     }
@@ -501,9 +521,25 @@ impl Database {
     /// Replace a table's contents wholesale.
     pub fn put_table(&mut self, name: &str, table: Table) {
         let table = Arc::new(table);
-        self.tables.insert(name.to_string(), table.clone());
         self.bump_epoch();
+        self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
+    }
+
+    /// Move `name`'s table out of the catalog for a rewrite that ends in
+    /// [`Self::put_table`] (DELETE, UPDATE): the table itself when nothing
+    /// else holds it, otherwise the shared handle to copy from. The
+    /// caller puts the rewritten table back before it returns.
+    pub(crate) fn take_table(
+        &mut self,
+        name: &str,
+    ) -> Result<std::result::Result<Table, TableRef>> {
+        self.bump_epoch();
+        let stored = self
+            .tables
+            .remove(name)
+            .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))?;
+        Ok(Arc::try_unwrap(stored.into_table()))
     }
 
     pub fn table_names(&self) -> Vec<&str> {
@@ -517,7 +553,7 @@ impl Database {
     /// row copies).
     pub fn tables_snapshot(&self) -> Vec<(String, TableRef)> {
         let mut v: Vec<(String, TableRef)> =
-            self.tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
+            self.tables.iter().map(|(n, t)| (n.clone(), t.table().clone())).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }

@@ -16,6 +16,7 @@ use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
 use crate::exec::funcs;
+use crate::plan::StoredTable;
 use crate::table::{Table, TableRef};
 use crate::types::DataType;
 use std::sync::Arc;
@@ -28,7 +29,8 @@ use std::sync::Arc;
 pub(crate) enum Relation<'a> {
     Cte(&'a TableRef),
     View(&'a Arc<Query>),
-    Table(&'a TableRef),
+    /// A catalog table, as stored (rows, columnar image, statistics).
+    Table(&'a StoredTable),
     /// A snapshot of an `sdb_*` table, taken now.
     Virtual(Table),
 }
@@ -46,7 +48,7 @@ pub(crate) fn resolve_relation<'a>(
     if let Some(q) = db.view(name) {
         return Ok(Relation::View(q));
     }
-    match db.table(name) {
+    match db.stored_table(name) {
         Ok(t) => Ok(Relation::Table(t)),
         Err(e) => db.virtual_table(name).map(Relation::Virtual).ok_or(e),
     }

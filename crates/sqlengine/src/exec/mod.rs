@@ -11,6 +11,7 @@ use crate::diag::{diagnostics_table, Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, Env, EvalCtx, Scope};
 use crate::parser;
+use crate::plan::exec::matching_rows;
 use crate::table::{coerce, Column, Schema, Table};
 use crate::types::{DataType, Value};
 use obs::{QueryTrace, Trace};
@@ -300,70 +301,75 @@ fn execute_statement_inner(
             let n = db.append_rows(table, full_rows)?;
             Ok(ExecResult::count(n))
         }
+        // UPDATE and DELETE evaluate everything that can fail — WHERE (over
+        // the table's columnar image), the new values, their coercion —
+        // against the stored rows, and only then rewrite the table: in
+        // place when nothing else holds it, as a copy otherwise.
         Statement::Update { table, assignments, where_ } => {
-            let snapshot: Table = db.table(table)?.as_ref().clone();
-            let scope = Scope::from_schema(Some(table), &snapshot.schema);
-            let binder = Binder::new(db, &scope);
-            let bound_where = where_.as_ref().map(|w| binder.bind(w)).transpose()?;
-            let bound_assign: Vec<(usize, BoundExpr)> = assignments
-                .iter()
-                .map(|(c, e)| {
-                    let idx = snapshot
-                        .schema
-                        .index_of(c)
-                        .ok_or_else(|| Error::bind(format!("no column '{c}' in '{table}'")))?;
-                    Ok((idx, binder.bind(e)?))
-                })
-                .collect::<Result<_>>()?;
-            let ctx = EvalCtx { db, ctes: &ctes };
-            let mut new_rows = snapshot.rows.clone();
-            let mut n = 0usize;
-            for row in new_rows.iter_mut() {
-                let hit = match &bound_where {
-                    None => true,
-                    Some(w) => {
-                        let env = Env { scope: &scope, row, parent: None };
-                        w.eval(&ctx, &env)?.as_bool()? == Some(true)
-                    }
-                };
-                if hit {
-                    // Evaluate all assignments against the *old* row.
-                    let env_row = row.clone();
-                    let env = Env { scope: &scope, row: &env_row, parent: None };
-                    for (idx, e) in &bound_assign {
-                        let v = e.eval(&ctx, &env)?;
-                        row[*idx] = coerce(v, &snapshot.schema.columns[*idx].ty)?;
-                    }
-                    n += 1;
+            let (cols, patches) = {
+                let stored = db.stored_table(table)?;
+                let schema = &stored.table().schema;
+                let scope = Scope::from_schema(Some(table), schema);
+                let binder = Binder::new(db, &scope);
+                let bound_where = where_.as_ref().map(|w| binder.bind(w)).transpose()?;
+                let bound_assign: Vec<(usize, BoundExpr)> = assignments
+                    .iter()
+                    .map(|(c, e)| {
+                        let idx = schema
+                            .index_of(c)
+                            .ok_or_else(|| Error::bind(format!("no column '{c}' in '{table}'")))?;
+                        Ok((idx, binder.bind(e)?))
+                    })
+                    .collect::<Result<_>>()?;
+                let ctx = EvalCtx { db, ctes: &ctes };
+                let hits = matching_rows(&ctx, stored, &scope, bound_where.as_ref())?;
+                let mut patches: Vec<(usize, Vec<Value>)> = Vec::new();
+                for (i, row) in stored.table().rows.iter().enumerate().filter(|(i, _)| hits[*i]) {
+                    // Every assignment sees the *old* row.
+                    let env = Env { scope: &scope, row, parent: None };
+                    let values = bound_assign
+                        .iter()
+                        .map(|(idx, e)| coerce(e.eval(&ctx, &env)?, &schema.columns[*idx].ty))
+                        .collect::<Result<_>>()?;
+                    patches.push((i, values));
+                }
+                (bound_assign.into_iter().map(|(idx, _)| idx).collect::<Vec<_>>(), patches)
+            };
+            let n = patches.len();
+            let mut updated = db.take_table(table)?.unwrap_or_else(|shared| (*shared).clone());
+            for (i, values) in patches {
+                for (idx, v) in cols.iter().zip(values) {
+                    updated.rows[i][*idx] = v;
                 }
             }
-            db.put_table(table, Table::with_rows(snapshot.schema, new_rows));
+            db.put_table(table, updated);
             Ok(ExecResult::count(n))
         }
         Statement::Delete { table, where_ } => {
-            let snapshot: Table = db.table(table)?.as_ref().clone();
-            let scope = Scope::from_schema(Some(table), &snapshot.schema);
-            let binder = Binder::new(db, &scope);
-            let bound_where = where_.as_ref().map(|w| binder.bind(w)).transpose()?;
-            let ctx = EvalCtx { db, ctes: &ctes };
-            let mut kept = Vec::with_capacity(snapshot.rows.len());
-            let mut n = 0usize;
-            for row in snapshot.rows {
-                let hit = match &bound_where {
-                    None => true,
-                    Some(w) => {
-                        let env = Env { scope: &scope, row: &row, parent: None };
-                        w.eval(&ctx, &env)?.as_bool()? == Some(true)
-                    }
-                };
-                if hit {
-                    n += 1;
-                } else {
-                    kept.push(row);
+            let hits = {
+                let stored = db.stored_table(table)?;
+                let scope = Scope::from_schema(Some(table), &stored.table().schema);
+                let bound_where =
+                    where_.as_ref().map(|w| Binder::new(db, &scope).bind(w)).transpose()?;
+                let ctx = EvalCtx { db, ctes: &ctes };
+                matching_rows(&ctx, stored, &scope, bound_where.as_ref())?
+            };
+            let kept = match db.take_table(table)? {
+                Ok(mut owned) => {
+                    let mut hit = hits.iter();
+                    owned.rows.retain(|_| hit.next() == Some(&false));
+                    owned
                 }
-            }
-            db.put_table(table, Table::with_rows(snapshot.schema, kept));
-            Ok(ExecResult::count(n))
+                Err(shared) => {
+                    let survivors = shared.rows.iter().zip(&hits).filter(|(_, hit)| !**hit);
+                    Table::with_rows(
+                        shared.schema.clone(),
+                        survivors.map(|(row, _)| row.clone()).collect(),
+                    )
+                }
+            };
+            db.put_table(table, kept);
+            Ok(ExecResult::count(hits.iter().filter(|hit| **hit).count()))
         }
         Statement::CreateTable { name, if_not_exists, columns, as_query } => {
             let table = match as_query {

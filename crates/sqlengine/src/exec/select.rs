@@ -620,7 +620,8 @@ fn scan_named(
     outer: Option<&Env<'_>>,
 ) -> Result<Rel> {
     let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
-        Relation::Cte(t) | Relation::Table(t) => Cow::Borrowed(t.as_ref()),
+        Relation::Cte(t) => Cow::Borrowed(t.as_ref()),
+        Relation::Table(t) => Cow::Borrowed(t.table().as_ref()),
         Relation::View(vq) => Cow::Owned(run_query(db, ctes, vq, outer)?),
         Relation::Virtual(t) => Cow::Owned(t),
     };

@@ -6,7 +6,10 @@
 //! `MODELEVAL`, named solver parameters and comparison chains.
 //!
 //! The engine is deliberately self-contained: lexer → parser → binder →
-//! executor over row-oriented in-memory tables. The SolveDB+ semantics
+//! executor over in-memory tables — row-major `Table::rows` are the
+//! source of truth, and each table version carries a lazily built
+//! columnar image of them that planned scans read
+//! ([`plan::StoredTable`]). The SolveDB+ semantics
 //! (solver framework, symbolic evaluation, model management) live in the
 //! `solvedbplus-core` crate and plug in through [`catalog::SolveHandler`].
 

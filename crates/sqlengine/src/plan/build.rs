@@ -27,6 +27,7 @@
 //! reordering: bound subqueries re-bind against the runtime scope chain
 //! at evaluation time, so the scope they see must stay syntactic.
 
+use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::stats::TableStats;
 use crate::ast::{
@@ -657,32 +658,35 @@ fn flatten_pure<'a>(
 
 /// Turn a table primary (named relation or subquery) into a scan source
 /// plus its scope and statistics. A CTE becomes a slot, re-resolved at
-/// every execution; views and subqueries are run here and their result
-/// captured, and the names they read are added to `captured`.
+/// every execution; a catalog table is scanned through the catalog's
+/// stored table, image and statistics included; views and subqueries are
+/// run here and their result captured, and the names they read are added
+/// to `captured`.
 fn materialize_primary(
     db: &Database,
     ctes: &Ctes,
     t: &AstTableRef,
     captured: &mut BTreeSet<String>,
 ) -> Result<Option<Base>> {
-    let uncached = |t: &Table| Arc::new(TableStats::collect(t));
-    // A relation computed here: the plan holds its rows.
-    let owned = |t: Table| {
-        let stats = uncached(&t);
-        (ScanSource::Table(Arc::new(t)), stats)
+    let stored = |t: StoredTable| {
+        let stats = t.stats();
+        (ScanSource::Table(t), stats)
     };
+    // A relation computed here: the plan holds its rows.
+    let owned = |t: Table| stored(StoredTable::new(Arc::new(t)));
     let (label, qualifier, alias, (source, stats)) = match t {
         AstTableRef::Named { name, alias } => {
             let resolved = match resolve_relation(db, ctes, name)? {
                 // A slot takes its estimate from this first binding.
-                Relation::Cte(t) => {
-                    (ScanSource::Slot { name: name.clone(), schema: t.schema.clone() }, uncached(t))
-                }
+                Relation::Cte(t) => (
+                    ScanSource::Slot { name: name.clone(), schema: t.schema.clone() },
+                    Arc::new(TableStats::collect(t)),
+                ),
                 Relation::View(vq) => {
                     capture_reads(db, reads_of(vq), captured);
                     owned(run_query(db, ctes, vq, None)?)
                 }
-                Relation::Table(t) => (ScanSource::Table(t.clone()), db.table_stats(name, t)),
+                Relation::Table(t) => stored(t.clone()),
                 Relation::Virtual(t) => {
                     // A snapshot taken now, outside the catalog epoch:
                     // the plan must not be cached.
@@ -701,7 +705,7 @@ fn materialize_primary(
         _ => return Ok(None),
     };
     let schema = match &source {
-        ScanSource::Table(t) => &t.schema,
+        ScanSource::Table(t) => &t.table().schema,
         ScanSource::Slot { schema, .. } => schema,
     };
     let mut scope = Scope::from_schema(qualifier.map(String::as_str), schema);

@@ -1,15 +1,17 @@
 //! Plan cache: optimized plans keyed by `(catalog epoch, bound CTE
 //! names, exact query rendering)`, in two lifetimes.
 //!
-//! Plans embed resolved [`crate::table::TableRef`] handles for catalog
-//! tables, views and FROM subqueries (`ScanSource::Table`), so a cached
-//! plan is only valid for the exact catalog state it was built against.
-//! Rather than tracking fine-grained dependencies, the key includes the
-//! catalog epoch — a monotone counter [`Database::bump_epoch`] advances
-//! on *every* catalog mutation (DDL, DML, wholesale replacement) — so
-//! any change to tables or views strands stale entries, which age out
-//! when the cache is cleared at its size bound. Table statistics are
-//! derived from table data, so the epoch also covers stats changes.
+//! Plans embed the stored tables they scan — catalog tables, and the
+//! materialized results of views and FROM subqueries
+//! (`ScanSource::Table`) — so a cached plan is only valid for the exact
+//! catalog state it was built against. Rather than tracking fine-grained
+//! dependencies, the key includes the catalog epoch — a monotone counter
+//! [`Database::bump_epoch`] advances on *every* catalog mutation (DDL,
+//! DML, wholesale replacement) — and the bump drops both maps: no entry
+//! of an older epoch can hit again, and each would pin the version of
+//! every table it scans, forcing the next write to copy the table and
+//! keeping dead copies alive. Table statistics belong to the table
+//! version a plan scans, so the epoch also covers stats changes.
 //!
 //! CTEs are not embedded: a plan scans them through *slots*
 //! (`ScanSource::Slot`) resolved at execute time, so a query under a
@@ -47,9 +49,8 @@ use crate::error::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Clear a map once it holds this many plans. Epoch-keyed entries go
-/// stale on every mutation, so a long DML-heavy session would otherwise
-/// grow the map without bound.
+/// Clear a map once it holds this many plans: a read-only session that
+/// varies its literals would otherwise grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
 /// Full plan-cache key: catalog epoch, the CTE names in scope and the
@@ -66,7 +67,8 @@ pub struct PlanCacheKey {
 /// The two plan maps of a [`Database`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    /// Plans of CTE-free queries; live until the size bound clears them.
+    /// Plans of CTE-free queries; live until the next catalog mutation
+    /// (or the size bound) clears them.
     session: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
     /// Plans of queries under a CTE environment; live until the
     /// statement ends.
@@ -146,6 +148,14 @@ impl Database {
             map.insert(key, planned.clone());
         }
         Ok(Some((planned, Some(false))))
+    }
+
+    /// The catalog changed: no cached plan can hit again.
+    pub(crate) fn drop_plans(&self) {
+        if let Ok(mut cache) = self.plan_cache.lock() {
+            cache.session.clear();
+            cache.statement.clear();
+        }
     }
 
     /// The statement is over: drop the plans of its CTE environments.

@@ -7,12 +7,12 @@
 //! [`BATCH_SIZE`] rows when produced by a scan.
 //!
 //! [`VecExpr`] is the vectorized form of a [`BoundExpr`]: column loads,
-//! constants, binary/unary operators, `IS NULL` and casts evaluate a
-//! whole batch at a time (with typed fast loops for the common numeric
-//! and text cases); any other expression — function calls, CASE,
-//! subqueries, LIKE, IN — compiles to a `Fallback` node that re-enters
-//! the row interpreter's evaluator per row, guaranteeing identical
-//! semantics. A subtree with a fallback child collapses into a fallback
+//! constants, binary/unary operators, `IS NULL`, casts, and `IN` /
+//! `BETWEEN` over constants evaluate a whole batch at a time (with typed
+//! fast loops for the common numeric and text cases); any other
+//! expression — function calls, CASE, subqueries, LIKE — compiles to a
+//! `Fallback` node that re-enters the row interpreter's evaluator per
+//! row, guaranteeing identical semantics. A subtree with a fallback child collapses into a fallback
 //! of the whole expression: mixed vector/row evaluation is never
 //! attempted.
 
@@ -214,6 +214,11 @@ impl ColumnVec {
         }
     }
 
+    /// Pivot column `c` out of row-major storage.
+    pub fn pivot(rows: &[Row], c: usize) -> ColumnVec {
+        ColumnVec::from_values(rows.iter().map(|r| r[c].clone()).collect())
+    }
+
     /// Broadcast one value to a column of length `n`.
     pub fn broadcast(v: &Value, n: usize) -> ColumnVec {
         match v {
@@ -365,26 +370,12 @@ impl Batch {
     /// Build a batch from row-major storage, optionally keeping only the
     /// columns listed in `keep` (in that order).
     pub fn from_rows(rows: &[Row], keep: Option<&[usize]>) -> Batch {
-        let len = rows.len();
-        let cols: Vec<Arc<ColumnVec>> = match keep {
-            Some(keep) => keep
-                .iter()
-                .map(|&c| {
-                    Arc::new(ColumnVec::from_values(rows.iter().map(|r| r[c].clone()).collect()))
-                })
-                .collect(),
-            None => {
-                let width = rows.first().map(|r| r.len()).unwrap_or(0);
-                (0..width)
-                    .map(|c| {
-                        Arc::new(ColumnVec::from_values(
-                            rows.iter().map(|r| r[c].clone()).collect(),
-                        ))
-                    })
-                    .collect()
-            }
+        let pivot = |c: usize| Arc::new(ColumnVec::pivot(rows, c));
+        let cols = match keep {
+            Some(keep) => keep.iter().map(|&c| pivot(c)).collect(),
+            None => (0..rows.first().map_or(0, |r| r.len())).map(pivot).collect(),
         };
-        Batch { cols, len }
+        Batch { cols, len: rows.len() }
     }
 
     /// Materialize one row.
@@ -444,6 +435,16 @@ pub enum VecExpr {
         expr: Box<VecExpr>,
         ty: crate::types::DataType,
     },
+    /// `expr [NOT] IN (list)` over a list of constants: `items` are its
+    /// non-NULL members (Int, Float, Bool or Text only), `has_null`
+    /// whether it had a NULL one.
+    InList {
+        expr: Box<VecExpr>,
+        items: Vec<Value>,
+        has_null: bool,
+        negated: bool,
+        orig: BoundExpr,
+    },
     /// Row-at-a-time re-entry into the interpreter's evaluator.
     Fallback(BoundExpr),
 }
@@ -488,6 +489,62 @@ impl VecExpr {
                     VecExpr::Cast { expr: Box::new(e), ty: ty.clone() }
                 }
             }
+            BoundExpr::InList { expr, list, negated } => {
+                let e = VecExpr::compile(expr);
+                let plain = |i: &BoundExpr| match i {
+                    BoundExpr::Const(
+                        v @ (Value::Null
+                        | Value::Int(_)
+                        | Value::Float(_)
+                        | Value::Bool(_)
+                        | Value::Text(_)),
+                    ) => Some(v.clone()),
+                    _ => None,
+                };
+                match list.iter().map(plain).collect::<Option<Vec<Value>>>() {
+                    Some(mut items) if !matches!(e, VecExpr::Fallback(_)) => {
+                        let listed = items.len();
+                        items.retain(|v| !v.is_null());
+                        VecExpr::InList {
+                            expr: Box::new(e),
+                            has_null: items.len() < listed,
+                            items,
+                            negated: *negated,
+                            orig: b.clone(),
+                        }
+                    }
+                    _ => VecExpr::Fallback(b.clone()),
+                }
+            }
+            // `e BETWEEN lo AND hi` is `e >= lo AND e <= hi` to the
+            // interpreter too (same operators, no short circuit); with
+            // constant bounds nothing but `e` is evaluated per row.
+            BoundExpr::Between { expr, low, high, negated } => {
+                let e = VecExpr::compile(expr);
+                let (lo, hi) = (VecExpr::compile(low), VecExpr::compile(high));
+                if matches!(e, VecExpr::Fallback(_))
+                    || !matches!((&lo, &hi), (VecExpr::Const(_), VecExpr::Const(_)))
+                {
+                    return VecExpr::Fallback(b.clone());
+                }
+                let cmp = |op, bound| VecExpr::BinOp {
+                    op,
+                    lhs: Box::new(e.clone()),
+                    rhs: Box::new(bound),
+                    orig: b.clone(),
+                };
+                let both = VecExpr::BinOp {
+                    op: BinOp::And,
+                    lhs: Box::new(cmp(BinOp::Ge, lo)),
+                    rhs: Box::new(cmp(BinOp::Le, hi)),
+                    orig: b.clone(),
+                };
+                if *negated {
+                    VecExpr::UnOp { op: UnOp::Not, expr: Box::new(both) }
+                } else {
+                    both
+                }
+            }
             other => VecExpr::Fallback(other.clone()),
         }
     }
@@ -517,6 +574,10 @@ impl VecExpr {
             }
             VecExpr::UnOp { op, expr } => {
                 let c = expr.eval(batch, ev)?;
+                if let (UnOp::Not, ColumnVec::Bool(vals, valid)) = (op, c.as_ref()) {
+                    let flipped = vals.iter().map(|v| !v).collect();
+                    return Ok(Arc::new(ColumnVec::Bool(flipped, valid.clone())));
+                }
                 let mut out = Vec::with_capacity(c.len());
                 for i in 0..c.len() {
                     out.push(Value::unop(*op, &c.get(i))?);
@@ -539,6 +600,19 @@ impl VecExpr {
                     out.push(c.get(i).cast(ty)?);
                 }
                 Ok(Arc::new(ColumnVec::from_values(out)))
+            }
+            VecExpr::InList { expr, items, has_null, negated, orig } => {
+                let c = expr.eval(batch, ev)?;
+                // An `Any` operand may hold custom values, whose `=` is
+                // overloaded where IN's equality is not; and a comparison
+                // that fails may sit behind an earlier match.
+                if matches!(*c, ColumnVec::Any(_)) {
+                    return eval_fallback(orig, batch, ev);
+                }
+                match in_list(&c, items, *has_null, *negated) {
+                    Ok(col) => Ok(Arc::new(col)),
+                    Err(_) => eval_fallback(orig, batch, ev),
+                }
             }
             VecExpr::Fallback(b) => eval_fallback(b, batch, ev),
         }
@@ -772,6 +846,28 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
     binop_generic(op, l, r)
 }
 
+/// `c [NOT] IN (items [, NULL])` for a typed column and non-NULL items:
+/// the Kleene OR of `c = item`, which is NULL only where `c` is, or where
+/// nothing matched and the list had a NULL.
+fn in_list(c: &ColumnVec, items: &[Value], has_null: bool, negated: bool) -> Result<ColumnVec> {
+    let n = c.len();
+    let mut hit = vec![false; n];
+    for item in items {
+        match binop_columns(BinOp::Eq, c, &ColumnVec::broadcast(item, n))? {
+            ColumnVec::Bool(eq, _) => hit.iter_mut().zip(&eq).for_each(|(h, e)| *h |= *e),
+            other => (0..n).for_each(|i| hit[i] |= matches!(other.get(i), Value::Bool(true))),
+        }
+    }
+    let mut data = Vec::with_capacity(n);
+    let mut valid = Bitmap::with_capacity(n);
+    for (i, hit) in hit.into_iter().enumerate() {
+        let known = c.is_valid(i) && (hit || !has_null);
+        data.push(known && hit != negated);
+        valid.push(known);
+    }
+    Ok(ColumnVec::Bool(data, valid))
+}
+
 /// Element-by-element application of [`Value::binop`].
 fn binop_generic(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
     let n = l.len();
@@ -829,6 +925,60 @@ mod tests {
         assert!(c.get(0).is_null());
         assert_eq!(c.get(1), Value::Bool(false));
         assert!(c.get(2).is_null());
+    }
+
+    #[test]
+    fn in_list_is_three_valued() {
+        let c = ints(&[Some(1), None, Some(3)]);
+        let cases = [
+            // (has_null, negated) -> [1, NULL, 3] IN (1 [, NULL])
+            ((false, false), [Some(true), None, Some(false)]),
+            ((false, true), [Some(false), None, Some(true)]),
+            ((true, false), [Some(true), None, None]),
+            ((true, true), [Some(false), None, None]),
+        ];
+        for ((has_null, negated), want) in cases {
+            let got = in_list(&c, &[Value::Int(1)], has_null, negated).unwrap();
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(
+                    got.get(i),
+                    w.map(Value::Bool).unwrap_or(Value::Null),
+                    "{has_null} {negated}"
+                );
+            }
+        }
+        // Int against Float compares numerically; an incomparable item
+        // is an error (the caller replays the batch row by row).
+        let got = in_list(&c, &[Value::Float(3.0)], false, false).unwrap();
+        assert_eq!(got.get(2), Value::Bool(true));
+        assert!(in_list(&c, &[Value::text("x")], false, false).is_err());
+    }
+
+    #[test]
+    fn constant_in_lists_and_between_compile_to_vector_form() {
+        let col = || Box::new(BoundExpr::Column { depth: 0, index: 0 });
+        let int = |i| BoundExpr::Const(Value::Int(i));
+        let in_list = |list| BoundExpr::InList { expr: col(), list, negated: false };
+        let between = |low, high, negated| BoundExpr::Between {
+            expr: col(),
+            low: Box::new(low),
+            high: Box::new(high),
+            negated,
+        };
+        assert!(matches!(
+            VecExpr::compile(&in_list(vec![int(1), BoundExpr::Const(Value::Null), int(2)])),
+            VecExpr::InList { has_null: true, ref items, .. } if items.len() == 2
+        ));
+        assert!(matches!(VecExpr::compile(&in_list(vec![int(1), *col()])), VecExpr::Fallback(_)));
+        assert!(matches!(
+            VecExpr::compile(&between(int(1), int(2), false)),
+            VecExpr::BinOp { op: BinOp::And, .. }
+        ));
+        assert!(matches!(
+            VecExpr::compile(&between(int(1), int(2), true)),
+            VecExpr::UnOp { op: UnOp::Not, .. }
+        ));
+        assert!(matches!(VecExpr::compile(&between(*col(), int(2), false)), VecExpr::Fallback(_)));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! recursive CTE: it rebinds one slot per step and keeps the build side
 //! of every hash join that does not depend on it.
 
+use super::build::{collect_cols, remap_cols};
 use super::columnar::{batches_to_rows, Batch, ColumnVec, VecEvalCtx, VecExpr, BATCH_SIZE};
+use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
@@ -21,6 +23,7 @@ use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{sort_keyed, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{DataType, GroupKey, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -123,7 +126,7 @@ impl Runner<'_, '_, '_> {
 
     fn run_node(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
         let span = self.trace.map(|t| t.span(&node.describe()));
-        let out = self.run_node_inner(node)?;
+        let out = self.run_node_inner(node, span.as_ref())?;
         if let Some(s) = &span {
             s.rows(out.iter().map(|b| b.len as u64).sum());
         }
@@ -151,29 +154,36 @@ impl Runner<'_, '_, '_> {
         Ok(build)
     }
 
-    fn run_node_inner(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
+    /// `span` is the node's own span, for notes.
+    fn run_node_inner(&mut self, node: &PlanNode, span: Option<&obs::Span>) -> Result<Vec<Batch>> {
         match node {
-            PlanNode::Scan { source, cols, .. } => {
-                let table: &Table = match source {
-                    ScanSource::Table(t) => t,
-                    ScanSource::Slot { name, schema } => {
-                        let t = self.ctx.ctes.get(name).ok_or_else(|| {
+            // A stored table hands out its columnar image; a slot is a
+            // new relation at every execution and is pivoted here.
+            PlanNode::Scan { source, cols, .. } => match source {
+                ScanSource::Table(stored) => {
+                    let (batches, pivoted) = stored.scan(cols.as_deref());
+                    self.ctx.db.count_columns_pivoted(pivoted);
+                    if let Some(s) = span {
+                        s.note("pivoted", pivoted);
+                    }
+                    Ok(batches)
+                }
+                ScanSource::Slot { name, schema } => {
+                    let t =
+                        self.ctx.ctes.get(name).ok_or_else(|| {
                             Error::eval(format!("plan slot '{name}' is not bound"))
                         })?;
-                        if t.schema != *schema {
-                            return Err(Error::eval(format!(
-                                "plan slot '{name}' is bound to a relation of another schema"
-                            )));
-                        }
-                        t
+                    if t.schema != *schema {
+                        return Err(Error::eval(format!(
+                            "plan slot '{name}' is bound to a relation of another schema"
+                        )));
                     }
-                };
-                Ok(table
-                    .rows
-                    .chunks(BATCH_SIZE)
-                    .map(|c| Batch::from_rows(c, cols.as_deref()))
-                    .collect())
-            }
+                    Ok(t.rows
+                        .chunks(BATCH_SIZE)
+                        .map(|c| Batch::from_rows(c, cols.as_deref()))
+                        .collect())
+                }
+            },
 
             PlanNode::Filter { input, pred, .. } => {
                 let scope = input.scope();
@@ -182,26 +192,7 @@ impl Runner<'_, '_, '_> {
                 let ve = VecExpr::compile(pred);
                 let mut out = Vec::with_capacity(batches.len());
                 for b in &batches {
-                    let col = ve.eval(b, &vctx)?;
-                    let mut sel = Vec::new();
-                    match col.as_ref() {
-                        ColumnVec::Bool(vals, bm) => {
-                            for (i, v) in vals.iter().enumerate().take(b.len) {
-                                if bm.get(i) && *v {
-                                    sel.push(i);
-                                }
-                            }
-                        }
-                        other => {
-                            // Mirror the interpreter: `as_bool` may error on
-                            // non-boolean predicate values.
-                            for i in 0..b.len {
-                                if other.get(i).as_bool()? == Some(true) {
-                                    sel.push(i);
-                                }
-                            }
-                        }
-                    }
+                    let sel = selected(ve.eval(b, &vctx)?.as_ref(), b.len)?;
                     if sel.len() == b.len {
                         out.push(b.clone());
                     } else if !sel.is_empty() {
@@ -304,6 +295,71 @@ impl Runner<'_, '_, '_> {
             }
         }
     }
+}
+
+/// The rows of a `len`-row batch whose predicate value in `col` is true.
+fn selected(col: &ColumnVec, len: usize) -> Result<Vec<usize>> {
+    let mut sel = Vec::new();
+    match col {
+        ColumnVec::Bool(vals, bm) => {
+            for (i, v) in vals.iter().enumerate().take(len) {
+                if bm.get(i) && *v {
+                    sel.push(i);
+                }
+            }
+        }
+        other => {
+            // Mirror the interpreter: `as_bool` may error on
+            // non-boolean predicate values.
+            for i in 0..len {
+                if other.get(i).as_bool()? == Some(true) {
+                    sel.push(i);
+                }
+            }
+        }
+    }
+    Ok(sel)
+}
+
+/// Per row of `stored`, whether `pred` holds (every row when there is
+/// none) — the WHERE of DELETE and UPDATE, evaluated the way a planned
+/// `Filter` over a `Scan` of the columns it reads would be. `pred` is
+/// bound against `scope`, the table's full-width scope.
+pub(crate) fn matching_rows(
+    ctx: &EvalCtx<'_>,
+    stored: &StoredTable,
+    scope: &Scope,
+    pred: Option<&BoundExpr>,
+) -> Result<Vec<bool>> {
+    let Some(pred) = pred else { return Ok(vec![true; stored.table().num_rows()]) };
+    let mut keep = Vec::new();
+    collect_cols(pred, &mut keep);
+    keep.sort_unstable();
+    keep.dedup();
+    let positions: HashMap<usize, usize> =
+        keep.iter().enumerate().map(|(pos, &c)| (c, pos)).collect();
+    // A subquery binds against the row it runs under, so a predicate
+    // with one (`remap_cols` refuses it) sees the full-width row.
+    let (pred, scope, keep) = match remap_cols(pred, &positions) {
+        Some(pruned) => {
+            let cols = keep.iter().map(|&c| scope.cols[c].clone()).collect();
+            (Cow::Owned(pruned), Cow::Owned(Scope::new(cols)), Some(keep))
+        }
+        None => (Cow::Borrowed(pred), Cow::Borrowed(scope), None),
+    };
+    let (batches, pivoted) = stored.scan(keep.as_deref());
+    ctx.db.count_columns_pivoted(pivoted);
+    let ve = VecExpr::compile(&pred);
+    let vctx = VecEvalCtx { ctx, scope: &scope };
+    let mut hits = vec![false; stored.table().num_rows()];
+    let mut base = 0;
+    for b in &batches {
+        for i in selected(ve.eval(b, &vctx)?.as_ref(), b.len)? {
+            hits[base + i] = true;
+        }
+        base += b.len;
+    }
+    Ok(hits)
 }
 
 // ---------------------------------------------------------------------------

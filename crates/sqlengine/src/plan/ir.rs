@@ -12,19 +12,22 @@
 //! the plan fingerprint recorded in `sdb_stat_statements`.
 
 use super::build::bound_has_subquery;
+use super::image::StoredTable;
 use crate::ast::{JoinKind, OrderItem};
 use crate::catalog::Ctes;
 use crate::exec::eval::{BoundExpr, Scope};
-use crate::table::{Schema, TableRef};
+use crate::table::Schema;
 use crate::types::DataType;
 use std::collections::BTreeSet;
 
 /// Where a [`PlanNode::Scan`] reads its rows.
 #[derive(Debug, Clone)]
 pub enum ScanSource {
-    /// A relation resolved at plan time: a catalog table, or the
-    /// materialized result of a view or FROM subquery.
-    Table(TableRef),
+    /// A relation resolved at plan time, with its columnar image: a
+    /// catalog table (the catalog entry's, shared by every plan over that
+    /// version), or the materialized result of a view or FROM subquery
+    /// (private to the plan, shared by its executions).
+    Table(StoredTable),
     /// A CTE *slot*: whatever relation `name` is bound to in the `Ctes`
     /// of each execution. The plan was built against `schema`; the
     /// executor rejects a binding with any other schema.

@@ -5,7 +5,8 @@
 //! projection pruning, greedy join ordering from per-table statistics —
 //! `build`/`stats`), and executed by a columnar batch executor
 //! (`columnar`/`exec`) that processes typed column vectors with null
-//! bitmaps in fixed-size batches.
+//! bitmaps in fixed-size batches. Scans take those batches from the
+//! columnar image kept with each stored table (`image`).
 //!
 //! The planner is conservative: any shape it does not understand
 //! (LATERAL, correlated outer context, set operations, SOLVE constructs
@@ -19,11 +20,13 @@ pub mod build;
 pub mod cache;
 pub mod columnar;
 pub mod exec;
+pub mod image;
 pub mod ir;
 pub mod stats;
 
 pub use build::{plan_select, relation_reads};
 pub use exec::execute;
+pub use image::StoredTable;
 pub use ir::{PlanNode, PlannedQuery};
 pub use stats::TableStats;
 

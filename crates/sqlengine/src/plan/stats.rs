@@ -1,21 +1,19 @@
 //! Per-table statistics for cost-based planning.
 //!
-//! Statistics of *catalog* tables are computed lazily the first time
-//! the planner sees the table and cached on the [`Database`] under the
-//! table's name, stamped with the allocation identity `(Arc pointer, row
-//! count)` they were collected from. Tables are copy-on-write
-//! (`Arc<Table>`), so any mutation produces a new allocation, the stamp
-//! no longer matches and the entry is recollected in place — the cache
-//! never holds more entries than the catalog has had table names.
-//! Ephemeral relations (CTE bindings, view and subquery results) are
-//! never cached: the planner collects their statistics once per plan.
-//! Statistics are advisory (they steer plan choice, never results).
+//! Statistics belong to one version of a table's rows: they are
+//! collected the first time the planner asks a [`StoredTable`] for them
+//! and live beside its columnar image, so a catalog table's statistics
+//! are shared by every plan over that version and gone with it — every
+//! write starts the next version without any. Ephemeral relations are
+//! collected once per plan: a view or subquery result through the
+//! private `StoredTable` the plan wraps around it, a CTE binding
+//! directly. Statistics are advisory (they steer plan choice, never
+//! results).
+//!
+//! [`StoredTable`]: super::image::StoredTable
 
-use crate::catalog::Database;
-use crate::table::TableRef;
 use crate::types::Value;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// How many rows to sample when estimating per-column distinct counts.
 const SAMPLE_ROWS: usize = 1024;
@@ -64,35 +62,12 @@ impl TableStats {
     }
 }
 
-impl Database {
-    /// Statistics for the catalog table `name` (currently `table`),
-    /// computed on first use and cached until the table is mutated.
-    pub(crate) fn table_stats(&self, name: &str, table: &TableRef) -> Arc<TableStats> {
-        let stamp = (Arc::as_ptr(table) as usize, table.rows.len());
-        if let Ok(cache) = self.stats_cache.lock() {
-            if let Some((s, stats)) = cache.get(name) {
-                if *s == stamp {
-                    return stats.clone();
-                }
-            }
-        }
-        let stats = Arc::new(TableStats::collect(table));
-        if let Ok(mut cache) = self.stats_cache.lock() {
-            cache.insert(name.to_string(), (stamp, stats.clone()));
-        }
-        stats
-    }
-
-    /// Number of tables with cached statistics (observability, tests).
-    pub fn stats_cache_len(&self) -> usize {
-        self.stats_cache.lock().map(|c| c.len()).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Database;
     use crate::table::Table;
+    use std::sync::Arc;
 
     #[test]
     fn collect_counts_rows_and_distincts() {
@@ -114,22 +89,28 @@ mod tests {
     }
 
     #[test]
-    fn stats_cache_invalidates_on_copy_on_write() {
+    fn statistics_belong_to_one_table_version() {
         let mut db = Database::new();
         db.create_table("t", Table::from_rows(&["a"], vec![vec![Value::Int(1)]]), false).unwrap();
-        let s1 = db.table_stats("t", db.table("t").unwrap());
+        let s1 = db.stored_table("t").unwrap().stats();
         assert_eq!(s1.row_count, 1);
+        let again = db.stored_table("t").unwrap().stats();
+        assert!(Arc::ptr_eq(&s1, &again), "collected once per version");
         db.append_rows("t", vec![vec![Value::Int(2)]]).unwrap();
-        let s2 = db.table_stats("t", db.table("t").unwrap());
-        assert_eq!(s2.row_count, 2);
-        assert_eq!(db.stats_cache_len(), 1, "the table's entry is replaced, not added to");
+        assert_eq!(db.stored_table("t").unwrap().stats().row_count, 2);
+        // An in-place DELETE + INSERT of equal count keeps the row count
+        // and may keep the allocation; the statistics are new all the same.
+        crate::exec::execute_script(&mut db, "DELETE FROM t WHERE a = 1; INSERT INTO t VALUES (2)")
+            .unwrap();
+        let s3 = db.stored_table("t").unwrap().stats();
+        assert_eq!((s3.row_count, s3.distinct[0]), (2, 1.0));
     }
 
     /// Working tables and other CTE bindings are ephemeral: a long
-    /// recursion must not push entries into the cache (it used to insert
-    /// one per step and evict the catalog tables' statistics).
+    /// recursion plans its step once and collects the statistics of each
+    /// relation once, not once per step.
     #[test]
-    fn recursion_caches_statistics_of_catalog_tables_only() {
+    fn recursion_collects_statistics_of_catalog_tables_once() {
         let mut db = Database::new();
         crate::exec::execute_script(
             &mut db,
@@ -138,6 +119,7 @@ mod tests {
                            SELECT n, 1.0 FROM g",
         )
         .unwrap();
+        let before = db.stored_table("u").unwrap().stats();
         let t = crate::exec::execute_sql(
             &mut db,
             "WITH RECURSIVE sim(step, x) AS (
@@ -150,6 +132,7 @@ mod tests {
         .into_table()
         .unwrap();
         assert_eq!(t.value(0, 0), &Value::Int(1001), "1000 recursive steps ran");
-        assert!(db.stats_cache_len() <= 1, "only `u` is a catalog table");
+        let after = db.stored_table("u").unwrap().stats();
+        assert!(Arc::ptr_eq(&before, &after), "`u` was not written: same version, same statistics");
     }
 }

@@ -251,6 +251,84 @@ fn differential_handwritten_corpus() {
     }
 }
 
+/// `IN (constants)` and `BETWEEN constants` evaluate a batch at a time;
+/// everything about them the interpreter defines — NULL operands, a NULL
+/// in the list, NOT, Int against Float, the error for an incomparable
+/// item and the match that hides it — comes out the same, as a filter
+/// and as a projected three-valued result.
+#[test]
+fn in_lists_and_between_agree_with_the_row_interpreter() {
+    let mut db = setup();
+    execute_script(
+        &mut db,
+        "CREATE TABLE nulls (x INT, y TEXT);
+         INSERT INTO nulls VALUES (NULL, NULL), (NULL, NULL);
+         CREATE TABLE stamps (at TIMESTAMP, n INT);
+         INSERT INTO stamps VALUES (timestamp '2030-01-01', 1), (timestamp '2030-01-02', 2),
+                                   (NULL, 3)",
+    )
+    .unwrap();
+    let predicates = [
+        "a IN (1, 3, 5)",
+        "a NOT IN (1, 3)",
+        "a IN (1, NULL)",
+        "a NOT IN (1, NULL)",
+        "a IN (NULL)",
+        "a NOT IN (NULL, NULL)",
+        "a IN (1.0, 2.5, 7)",
+        "d IN (1, 2.5, 12.3, 7)",
+        "d NOT IN (3, NULL, 0.1)",
+        "c IN ('red', 'blue')",
+        "c NOT IN ('red', NULL)",
+        "a + 1 IN (2, 4)",
+        "a IN (b, 3)",
+        "a IN (1, 2) AND c NOT IN ('red')",
+        "NOT (a IN (1, 2) OR b IN (7, NULL))",
+        "(a > 2) IN (true)",
+        "b BETWEEN 10 AND 30",
+        "b NOT BETWEEN 10 AND 30",
+        "b BETWEEN 10.5 AND 29.5",
+        "d BETWEEN 2 AND 7.5",
+        "d NOT BETWEEN 2 AND 7",
+        "b BETWEEN NULL AND 30",
+        "b NOT BETWEEN 10 AND NULL",
+        "b BETWEEN 30 AND 10",
+        "b BETWEEN a AND 30",
+        "a * 2 BETWEEN 4 AND 9",
+        "c BETWEEN 'b' AND 'h'",
+        "c NOT BETWEEN 'blue' AND 'green' AND a IN (0, 1, 2, 3)",
+        // An item that cannot be compared: an error, unless every row
+        // matched an earlier item first.
+        "a IN (1, 'x')",
+        "c IN ('red', 1)",
+        "a NOT IN ('x')",
+        "b BETWEEN 'x' AND 30",
+        "b BETWEEN 0 AND 'y'",
+        "c BETWEEN 1 AND 2",
+    ];
+    for p in predicates {
+        check(&mut db, &format!("SELECT a, b, c, d FROM t1 WHERE {p}"), false);
+        check(&mut db, &format!("SELECT a, b, c, d, {p} AS p FROM t1"), false);
+    }
+    for sql in [
+        // Every row matches before the incomparable item is reached.
+        "SELECT k FROM t3 WHERE k < 100 AND k IN (0, 1, 2, 3, 4, 5, 6, 7, 'x')",
+        // All-NULL columns have no typed representation.
+        "SELECT x IN (1, 2), x NOT IN (1), y IN ('a'), x BETWEEN 1 AND 2 FROM nulls",
+        "SELECT count(*) FROM nulls WHERE x IN (1, NULL) OR y NOT BETWEEN 'a' AND 'b'",
+        // Boxed values keep the interpreter's evaluation.
+        "SELECT n FROM stamps WHERE at IN (timestamp '2030-01-02', timestamp '2031-01-01')",
+        "SELECT n, at BETWEEN timestamp '2030-01-01' AND timestamp '2030-01-01' FROM stamps",
+        "SELECT n FROM stamps WHERE at IN (1, 2)",
+        // In a join's pushed-down filter and in HAVING.
+        "SELECT t1.a, t2.f FROM t1 JOIN t2 ON t1.a = t2.a \
+         WHERE t1.a IN (1, 2, 3) AND t2.f NOT BETWEEN 20 AND 60",
+        "SELECT c, sum(b) FROM t1 GROUP BY c HAVING sum(b) BETWEEN 100 AND 400 OR c IN ('red')",
+    ] {
+        check(&mut db, sql, false);
+    }
+}
+
 #[test]
 fn differential_fuzzed_selects() {
     let mut db = setup();
