@@ -737,7 +737,8 @@ pub fn fig8(cfg: Config) -> Figure {
 // ---------------------------------------------------------------------------
 
 pub fn fig9(cfg: Config) -> Figure {
-    let scales: Vec<usize> = if cfg.quick { vec![5, 10] } else { vec![10, 25, 50, 100] };
+    // Up to the paper's 2000 items.
+    let scales: Vec<usize> = if cfg.quick { vec![5, 10] } else { vec![10, 25, 50, 100, 500, 2000] };
     let months = if cfg.quick { 30 } else { 80 };
     let mut rows = Vec::new();
     for &n in &scales {

@@ -11,7 +11,8 @@
 use sqlengine::error::{Error, Result};
 use sqlengine::types::{custom, downcast, BinOp, CustomValue, UnOp, Value};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Identifier of a decision variable.
 pub type VarId = u32;
@@ -37,15 +38,34 @@ impl LinExpr {
         self.terms.is_empty()
     }
 
+    /// `a + sign·b`: one pass over the two sorted term lists, terms whose
+    /// coefficient is (or cancels to) zero dropped.
     fn merge(a: &LinExpr, b: &LinExpr, sign: f64) -> LinExpr {
-        let mut map: BTreeMap<VarId, f64> = a.terms.iter().copied().collect();
-        for &(v, c) in &b.terms {
-            *map.entry(v).or_insert(0.0) += sign * c;
+        let sorted = |e: &LinExpr| e.terms.windows(2).all(|w| w[0].0 < w[1].0);
+        debug_assert!(sorted(a) && sorted(b), "LinExpr terms must be sorted and deduplicated");
+        let mut terms = Vec::with_capacity(a.terms.len() + b.terms.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            // Which list holds the smaller next variable (an exhausted
+            // list never does).
+            let next = match (a.terms.get(i), b.terms.get(j)) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((va, _)), Some((vb, _))) => va.cmp(vb),
+            };
+            let (v, c) = match next {
+                Ordering::Less => a.terms[i],
+                Ordering::Greater => (b.terms[j].0, sign * b.terms[j].1),
+                Ordering::Equal => (a.terms[i].0, a.terms[i].1 + sign * b.terms[j].1),
+            };
+            i += usize::from(next != Ordering::Greater);
+            j += usize::from(next != Ordering::Less);
+            if c != 0.0 {
+                terms.push((v, c));
+            }
         }
-        LinExpr {
-            constant: a.constant + sign * b.constant,
-            terms: map.into_iter().filter(|(_, c)| *c != 0.0).collect(),
-        }
+        LinExpr { constant: a.constant + sign * b.constant, terms }
     }
 
     pub fn add(&self, other: &LinExpr) -> LinExpr {
@@ -81,12 +101,17 @@ impl LinExpr {
 /// Extract a linear expression from a runtime value: numbers become
 /// constants, symbolic values pass through.
 pub fn as_linexpr(v: &Value) -> Result<LinExpr> {
+    linexpr_of(v).map(Cow::into_owned)
+}
+
+/// [`as_linexpr`] without the copy of a symbolic value's expression.
+fn linexpr_of(v: &Value) -> Result<Cow<'_, LinExpr>> {
     if let Some(sym) = downcast::<SymValue>(v) {
-        return Ok(sym.0.clone());
+        return Ok(Cow::Borrowed(&sym.0));
     }
     match v {
-        Value::Int(i) => Ok(LinExpr::constant(*i as f64)),
-        Value::Float(f) => Ok(LinExpr::constant(*f)),
+        Value::Int(i) => Ok(Cow::Owned(LinExpr::constant(*i as f64))),
+        Value::Float(f) => Ok(Cow::Owned(LinExpr::constant(*f))),
         Value::Null => {
             Err(Error::solver("NULL encountered where a linear expression was expected"))
         }
@@ -146,8 +171,7 @@ impl CustomValue for SymValue {
         if other.is_null() {
             return Some(Ok(Value::Null));
         }
-        let me = &self.0;
-        let other_lin = match as_linexpr(other) {
+        let other_lin = match linexpr_of(other) {
             Ok(l) => l,
             Err(e) => {
                 return Some(Err(Error::solver(format!(
@@ -157,11 +181,11 @@ impl CustomValue for SymValue {
                 ))))
             }
         };
-        let (lhs, rhs) =
-            if self_is_lhs { (me.clone(), other_lin) } else { (other_lin, me.clone()) };
+        let (lhs, rhs): (&LinExpr, &LinExpr) =
+            if self_is_lhs { (&self.0, &other_lin) } else { (&other_lin, &self.0) };
         let result: Result<Value> = match op {
-            BinOp::Add => Ok(sym_value(lhs.add(&rhs))),
-            BinOp::Sub => Ok(sym_value(lhs.sub(&rhs))),
+            BinOp::Add => Ok(sym_value(lhs.add(rhs))),
+            BinOp::Sub => Ok(sym_value(lhs.sub(rhs))),
             BinOp::Mul => {
                 if lhs.is_constant() {
                     Ok(sym_value(rhs.scale(lhs.constant)))
@@ -186,7 +210,7 @@ impl CustomValue for SymValue {
             }
             BinOp::Pow => {
                 if rhs.is_constant() && rhs.constant == 1.0 {
-                    Ok(sym_value(lhs))
+                    Ok(sym_value(lhs.clone()))
                 } else {
                     Err(Error::non_linear(
                         "exponentiation of decision expressions is not linear (use a black-box solver)",
@@ -205,7 +229,11 @@ impl CustomValue for SymValue {
                     }
                     _ => unreachable!(),
                 };
-                Ok(constraint_value(ConstraintValue::Cmp { lhs, rel, rhs }))
+                Ok(constraint_value(ConstraintValue::Cmp {
+                    lhs: lhs.clone(),
+                    rel,
+                    rhs: rhs.clone(),
+                }))
             }
             other_op => Err(Error::solver(format!(
                 "operator {} is not defined for decision expressions",
@@ -375,9 +403,50 @@ impl CustomValue for ConstraintVal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn v(id: VarId) -> Value {
         sym_value(LinExpr::var(id))
+    }
+
+    /// The merge `LinExpr::merge` replaced: a tree insert per term.
+    fn merge_by_map(a: &LinExpr, b: &LinExpr, sign: f64) -> LinExpr {
+        let mut map: BTreeMap<VarId, f64> = a.terms.iter().copied().collect();
+        for &(v, c) in &b.terms {
+            *map.entry(v).or_insert(0.0) += sign * c;
+        }
+        LinExpr {
+            constant: a.constant + sign * b.constant,
+            terms: map.into_iter().filter(|(_, c)| *c != 0.0).collect(),
+        }
+    }
+
+    /// Sorted, deduplicated terms over few variables and few small
+    /// coefficients (zero among them), so that shared variables and
+    /// cancelling coefficients are the common case.
+    fn arb_linexpr() -> impl Strategy<Value = LinExpr> {
+        (-3i32..4, prop::collection::vec((0u32..12, -2i32..3), 0..10)).prop_map(|(k, picks)| {
+            let terms: BTreeMap<VarId, f64> =
+                picks.into_iter().map(|(v, c)| (v, c as f64 * 0.5)).collect();
+            LinExpr { constant: k as f64, terms: terms.into_iter().collect() }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_equals_the_map_merge_term_for_term(
+            a in arb_linexpr(),
+            b in arb_linexpr(),
+            sign in prop_oneof![Just(1.0f64), Just(-1.0f64)],
+        ) {
+            let (got, want) = (LinExpr::merge(&a, &b, sign), merge_by_map(&a, &b, sign));
+            prop_assert_eq!(got.constant.to_bits(), want.constant.to_bits());
+            let bits = |e: &LinExpr| e.terms.iter().map(|&(v, c)| (v, c.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::{limit_offset, resolve_relation, Relation, SelectHead};
-use crate::plan::exec::IteratedPlan;
+use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
+use crate::plan::exec::{unseen_rows, IteratedPlan};
 use crate::plan::PlannedQuery;
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{BinOp, GroupKey, Value};
@@ -98,11 +99,16 @@ fn with_ctes<'c>(
     Ok(env)
 }
 
-/// Execute a query, routing plannable top-level SELECTs through the
-/// columnar executor (`plan` module). Returns the optimized-plan
-/// fingerprint when the columnar path ran, `None` when the row
-/// interpreter handled the query. `trace`, when given, receives
-/// per-operator spans (EXPLAIN ANALYZE).
+/// Execute a query, routing plannable `SELECT` blocks through the
+/// columnar executor (`plan` module): the query's own body when it is a
+/// plain `SELECT`, otherwise the plain-`SELECT` arms of its set
+/// operation. Returns the optimized-plan fingerprint when the columnar
+/// path ran the body, `None` when the row interpreter handled (or
+/// assembled) the query. `trace`, when given, receives per-operator spans
+/// (EXPLAIN ANALYZE).
+///
+/// An `outer` chain in which no scope has a column — the subqueries of a
+/// FROM-less `SELECT` — has nothing to correlate with and counts as none.
 pub fn run_query_planned(
     db: &Database,
     ctes: &Ctes,
@@ -110,24 +116,20 @@ pub fn run_query_planned(
     outer: Option<&Env<'_>>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
+    let outer = outer.filter(|o| o.has_columns());
     let env_ctes = with_ctes(db, ctes, q, outer, None)?;
-
     if let SetExpr::Select(sel) = &q.body {
-        if outer.is_none() && !force_row_interpreter() {
-            // Planning failures (unsupported shapes) fall back to the
-            // row interpreter; execution errors are genuine and surface.
-            if let Ok(Some((planned, cache_hit))) =
-                db.plan_cached(&env_ctes, sel, &q.order_by, &q.limit, &q.offset)
-            {
-                if cache_hit.is_some() {
-                    PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
-                }
-                let t = crate::plan::execute(db, &env_ctes, &planned, trace)?;
-                return Ok((t, Some(planned.fingerprint())));
-            }
-        }
+        return run_select_planned(
+            db,
+            &env_ctes,
+            sel,
+            outer,
+            &q.order_by,
+            &q.limit,
+            &q.offset,
+            trace,
+        );
     }
-
     let span = trace.map(|tr| tr.span("row interpreter"));
     let t = run_query_rows(db, &env_ctes, q, outer)?;
     if let Some(s) = &span {
@@ -136,24 +138,109 @@ pub fn run_query_planned(
     Ok((t, None))
 }
 
+/// Run one `SELECT` block — the body of a query or an arm of a set
+/// operation — on the columnar executor when the planner takes it, else
+/// on the row interpreter. Planning failures (unsupported shapes) fall
+/// back; execution errors are genuine and surface.
+#[allow(clippy::too_many_arguments)]
+fn run_select_planned(
+    db: &Database,
+    ctes: &Ctes,
+    sel: &Select,
+    outer: Option<&Env<'_>>,
+    order_by: &[OrderItem],
+    limit: &Option<Expr>,
+    offset: &Option<Expr>,
+    trace: Option<&obs::Trace>,
+) -> Result<(Table, Option<u64>)> {
+    if outer.is_none() && !force_row_interpreter() {
+        if let Ok(Some((planned, cache_hit))) = db.plan_cached(ctes, sel, order_by, limit, offset) {
+            if cache_hit.is_some() {
+                PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
+            }
+            let t = crate::plan::execute(db, ctes, &planned, trace)?;
+            return Ok((t, Some(planned.fingerprint())));
+        }
+    }
+    let span = trace.map(|tr| tr.span("row interpreter"));
+    let t = run_select(db, ctes, sel, outer, order_by, limit, offset)?;
+    if let Some(s) = &span {
+        s.rows(t.num_rows() as u64);
+    }
+    Ok((t, None))
+}
+
 /// Render the optimized plan for `EXPLAIN SELECT` — or a one-line
 /// explanation of why the query stays on the row interpreter — after one
-/// line per recursive CTE. CTEs are materialized first (the planner
-/// takes slot schemas and estimates from their bindings).
+/// line per recursive CTE; a set operation renders each of its arms.
+/// CTEs are materialized first (the planner takes slot schemas and
+/// estimates from their bindings).
 pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<String>> {
     let mut lines = Vec::new();
     let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines))?;
     match &q.body {
         SetExpr::Select(sel) => {
-            match crate::plan::plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset) {
-                Ok(Some(p)) => lines.extend(p.explain_lines()),
-                Ok(None) => lines.push(format!("row interpreter ({OUTSIDE_PLANNER})")),
-                Err(e) => lines.push(format!("row interpreter (planning fell back: {e})")),
-            }
+            lines.extend(explain_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset));
         }
-        _ => lines.push("row interpreter (set operation or VALUES body)".to_string()),
+        body => {
+            let tail = match (q.order_by.is_empty(), q.limit.is_some() || q.offset.is_some()) {
+                (true, false) => "",
+                (false, false) => ", then ORDER BY",
+                (true, true) => ", then LIMIT/OFFSET",
+                (false, true) => ", then ORDER BY and LIMIT/OFFSET",
+            };
+            lines.push(format!("row interpreter assembles the arms below{tail}"));
+            explain_arms(db, &env_ctes, body, "", &mut lines)?;
+        }
     }
     Ok(lines)
+}
+
+/// The plan of one `SELECT` block, or why it has none.
+fn explain_select(
+    db: &Database,
+    ctes: &Ctes,
+    sel: &Select,
+    order_by: &[OrderItem],
+    limit: &Option<Expr>,
+    offset: &Option<Expr>,
+) -> Vec<String> {
+    match crate::plan::plan_select(db, ctes, sel, order_by, limit, offset) {
+        Ok(Some(p)) => p.explain_lines(),
+        Ok(None) => vec![format!("row interpreter ({OUTSIDE_PLANNER})")],
+        Err(e) => vec![format!("row interpreter (planning fell back: {e})")],
+    }
+}
+
+/// One entry per arm of a set-operation body, indented under its
+/// operator: the arm's plan, or how else it runs.
+fn explain_arms(
+    db: &Database,
+    ctes: &Ctes,
+    body: &SetExpr,
+    indent: &str,
+    lines: &mut Vec<String>,
+) -> Result<()> {
+    let inner = format!("{indent}  ");
+    let arm = match body {
+        SetExpr::SetOp { op, all, left, right } => {
+            let op = match op {
+                SetOp::Union => "UNION",
+                SetOp::Intersect => "INTERSECT",
+                SetOp::Except => "EXCEPT",
+            };
+            lines.push(format!("{indent}{op}{}", if *all { " ALL" } else { "" }));
+            explain_arms(db, ctes, left, &inner, lines)?;
+            return explain_arms(db, ctes, right, &inner, lines);
+        }
+        SetExpr::Select(sel) => explain_select(db, ctes, sel, &[], &None, &None),
+        SetExpr::Query(q) => explain_query_plan(db, ctes, q)?,
+        SetExpr::Values(_) => vec!["row interpreter (VALUES)".to_string()],
+        SetExpr::Solve(_) => vec!["solver (SOLVESELECT)".to_string()],
+    };
+    lines.push(format!("{indent}arm:"));
+    lines.extend(arm.into_iter().map(|l| format!("{inner}{l}")));
+    Ok(())
 }
 
 /// The original row-at-a-time path (CTEs already materialized into
@@ -366,10 +453,11 @@ fn plan_recursive_term(
 
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint
 /// semantics. The recursive term is planned once; every step executes
-/// that plan with only the working table rebound, keeping the build side
-/// of joins the working table does not feed. Terms the planner refuses
-/// run on the row interpreter. Also returns how the term ran, for
-/// `EXPLAIN SELECT`.
+/// that plan on the batches the step before it produced, keeping what
+/// the working table does not feed, and rows are materialized once, when
+/// the recursion ends. Terms the planner refuses run on the row
+/// interpreter, their working table bound as a CTE. Also returns how the
+/// term ran, for `EXPLAIN SELECT`.
 fn run_recursive_cte(
     db: &Database,
     ctes: &Ctes,
@@ -408,52 +496,85 @@ fn run_recursive_cte(
         return Ok((result, "no steps (empty anchor)".to_string()));
     }
 
-    let working = |rows: Vec<Row>| Arc::new(Table::with_rows(schema.clone(), rows));
-    let mut step_ctes = ctes.with(&cte.name, working(result.rows.clone()));
+    let working_table = |rows: Vec<Row>| Arc::new(Table::with_rows(schema.clone(), rows));
+    let mut step_ctes = ctes.with(&cte.name, working_table(result.rows.clone()));
     let rec_q = bare(right);
     let plan = plan_recursive_term(db, &step_ctes, &rec_q, &cte.name, outer);
-    let mut planned = plan.as_ref().map(|p| IteratedPlan::new(p, &cte.name));
+
+    // Both guards of one step: the iteration caps before it runs, the
+    // width of what it returned after.
+    let capped = |steps: usize, rows: usize| {
+        if steps <= MAX_RECURSION && rows <= MAX_RECURSION {
+            return Ok(());
+        }
+        Err(Error::eval(format!("recursive CTE '{}' exceeded the iteration limit", cte.name)))
+    };
+    let same_width = |columns: usize| {
+        if columns == schema.len() {
+            return Ok(());
+        }
+        Err(Error::eval(format!(
+            "recursive term of '{}' returns {columns} columns, expected {}",
+            cte.name,
+            schema.len()
+        )))
+    };
 
     let mut steps = 0usize;
-    let mut working_rows = result.rows.len();
-    while working_rows > 0 {
-        steps += 1;
-        if steps > MAX_RECURSION || result.rows.len() > MAX_RECURSION {
-            return Err(Error::eval(format!(
-                "recursive CTE '{}' exceeded the iteration limit",
-                cte.name
-            )));
+    let (reused, how) = match &plan {
+        Ok(term) => {
+            let mut plan = IteratedPlan::new(term, &cte.name);
+            // Only subqueries look the working table up by name.
+            let by_name = term.root.has_subquery();
+            // Every batch of the relation so far; the working table is
+            // the tail the last step added.
+            let mut batches: Vec<Batch> =
+                result.rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect();
+            let anchor = batches.len();
+            let (mut working, mut total) = (0, result.rows.len());
+            while working < batches.len() {
+                steps += 1;
+                capped(steps, total)?;
+                let mut new = plan.step(db, &step_ctes, &batches[working..])?;
+                same_width(term.visible)?;
+                if !all {
+                    new = unseen_rows(&new, schema.len(), &mut seen);
+                }
+                new.retain(|b| b.len > 0);
+                total += new.iter().map(|b| b.len).sum::<usize>();
+                if by_name && !new.is_empty() {
+                    step_ctes.insert(&cte.name, working_table(batches_to_rows(&new)));
+                }
+                working = batches.len();
+                batches.extend(new);
+            }
+            result.rows.extend(batches_to_rows(&batches[anchor..]));
+            if plan.keeps_builds() {
+                (plan.builds_reused(), "planned once, build side reused".to_string())
+            } else {
+                (0, "planned once".to_string())
+            }
         }
-        let step = match &mut planned {
-            Ok(plan) => plan.step(db, &step_ctes)?,
-            Err(_) => run_query_rows(db, &step_ctes, &rec_q, outer)?,
-        };
-        if step.num_columns() != schema.len() {
-            return Err(Error::eval(format!(
-                "recursive term of '{}' returns {} columns, expected {}",
-                cte.name,
-                step.num_columns(),
-                schema.len()
-            )));
+        Err(why) => {
+            let mut working_rows = result.rows.len();
+            while working_rows > 0 {
+                steps += 1;
+                capped(steps, result.rows.len())?;
+                let step = run_query_rows(db, &step_ctes, &rec_q, outer)?;
+                same_width(step.num_columns())?;
+                let mut new_rows = step.rows;
+                if !all {
+                    new_rows.retain(|row| {
+                        let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
+                        seen.insert(key, ()).is_none()
+                    });
+                }
+                result.rows.extend(new_rows.iter().cloned());
+                working_rows = new_rows.len();
+                step_ctes.insert(&cte.name, working_table(new_rows));
+            }
+            (0, format!("row interpreter ({why})"))
         }
-        let mut new_rows = step.rows;
-        if !all {
-            new_rows.retain(|row| {
-                let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-                seen.insert(key, ()).is_none()
-            });
-        }
-        result.rows.extend(new_rows.iter().cloned());
-        working_rows = new_rows.len();
-        step_ctes.insert(&cte.name, working(new_rows));
-    }
-
-    let (reused, how) = match &planned {
-        Ok(plan) if plan.keeps_builds() => {
-            (plan.builds_reused(), "planned once, build side reused".to_string())
-        }
-        Ok(_) => (0, "planned once".to_string()),
-        Err(why) => (0, format!("row interpreter ({why})")),
     };
     db.count_recursion(steps as u64, reused);
     Ok((result, how))
@@ -466,7 +587,9 @@ fn run_set_expr(
     outer: Option<&Env<'_>>,
 ) -> Result<Table> {
     match body {
-        SetExpr::Select(sel) => run_select(db, ctes, sel, outer, &[], &None, &None),
+        SetExpr::Select(sel) => {
+            run_select_planned(db, ctes, sel, outer, &[], &None, &None, None).map(|(t, _)| t)
+        }
         SetExpr::Solve(stmt) => {
             let handler = db.solve_handler()?;
             // Subquery position has no warnings channel; park advisory

@@ -8,7 +8,17 @@
 //!
 //! - no FROM clause, LATERAL, `USING` joins
 //! - `SOLVEMODEL` expressions or `SOLVESELECT` subqueries anywhere
-//! - correlated outer context (the caller only plans top-level queries)
+//! - a block with an outer column in reach: the caller
+//!   (`exec::select::run_query_planned`) plans a `SELECT` block wherever
+//!   it sits — a statement's body, an arm of a set operation, a subquery
+//!   — unless some scope of its outer chain has a column it could
+//!   correlate with (a subquery under a FROM-less `SELECT` has none)
+//! - the set operation itself, `VALUES`, and ORDER BY / LIMIT over a set
+//!   operation: the row interpreter assembles what the arms return
+//!
+//! Every expression an operator evaluates over batches is compiled here,
+//! with the node that owns it ([`VecExpr::compile`]); the executor
+//! compiles nothing.
 //!
 //! For a FROM clause of pure inner/cross joins the builder runs the
 //! full optimization pipeline: `WHERE` and `ON` conjuncts are pooled
@@ -27,6 +37,7 @@
 //! reordering: bound subqueries re-bind against the runtime scope chain
 //! at evaluation time, so the scope they see must stay syntactic.
 
+use super::columnar::VecExpr;
 use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::stats::TableStats;
@@ -54,18 +65,7 @@ pub fn plan_select(
     limit: &Option<Expr>,
     offset: &Option<Expr>,
 ) -> Result<Option<PlannedQuery>> {
-    // -- shape gate ---------------------------------------------------------
-    if sel.from.is_empty() {
-        return Ok(None);
-    }
-    if sel.from.iter().any(tref_unsupported) {
-        return Ok(None);
-    }
-    if select_has_solve(sel)
-        || order_by.iter().any(|o| expr_has_solve(&o.expr))
-        || limit.as_ref().is_some_and(expr_has_solve)
-        || offset.as_ref().is_some_and(expr_has_solve)
-    {
+    if outside_planner(sel, order_by, limit, offset) {
         return Ok(None);
     }
 
@@ -160,7 +160,7 @@ pub fn plan_select(
         FromShape::General { node, .. } => {
             let node = match &sel.where_ {
                 Some(w) => {
-                    let pred = syn_binder.bind(w)?;
+                    let pred = VecExpr::compile(&syn_binder.bind(w)?);
                     let est = sel_est(node.est(), 1);
                     PlanNode::Filter {
                         input: Box::new(node),
@@ -318,6 +318,7 @@ pub fn plan_select(
                 for (b, desc) in &pushed[bi] {
                     est = pred_est(b, est, &col_distinct);
                     let Some(pred) = remap_cols(b, &local) else { return Ok(None) };
+                    let pred = VecExpr::compile(&pred);
                     node =
                         PlanNode::Filter { input: Box::new(node), pred, desc: desc.clone(), est };
                 }
@@ -409,8 +410,8 @@ pub fn plan_select(
                     };
                     let Some(lk) = remap_cols(&set_pruned, &acc_map) else { return Ok(None) };
                     let Some(rk) = remap_cols(c_side, &local) else { return Ok(None) };
-                    lkeys.push(lk);
-                    rkeys.push(rk);
+                    lkeys.push(VecExpr::compile(&lk));
+                    rkeys.push(VecExpr::compile(&rk));
                     descs.push(e.desc.clone());
                     denom = denom.max(edge_distinct(set_side, c_side, &col_distinct));
                     edge_used[ei] = true;
@@ -460,9 +461,9 @@ pub fn plan_select(
                 let pred = match &map {
                     Some(m) => {
                         let Some(x) = remap_cols(b, m) else { return Ok(None) };
-                        x
+                        VecExpr::compile(&x)
                     }
-                    None => b.clone(),
+                    None => VecExpr::compile(b),
                 };
                 let est = sel_est(node.est(), 1);
                 node = PlanNode::Filter { input: Box::new(node), pred, desc: desc.clone(), est };
@@ -494,14 +495,14 @@ pub fn plan_select(
             .map(|(call, (arg, arg2))| PlanAggCall {
                 name: call.name.clone(),
                 distinct: call.distinct,
-                arg,
-                arg2,
+                arg: arg.as_ref().map(VecExpr::compile),
+                arg2: arg2.as_ref().map(VecExpr::compile),
                 desc: agg_display(call),
             })
             .collect();
         input = PlanNode::Aggregate {
             input: Box::new(input),
-            group: head.group_bound,
+            group: head.group_bound.iter().map(VecExpr::compile).collect(),
             sets: head.sets,
             aggs,
             desc: agg_desc,
@@ -510,7 +511,8 @@ pub fn plan_select(
         };
 
         // HAVING filters aggregate rows before projection.
-        if let (Some(h), Some(pred)) = (&sel.having, head.having_bound) {
+        if let (Some(h), Some(pred)) = (&sel.having, &head.having_bound) {
+            let pred = VecExpr::compile(pred);
             let est = sel_est(input.est(), 1);
             input =
                 PlanNode::Filter { input: Box::new(input), pred, desc: clip(&h.to_string()), est };
@@ -533,8 +535,7 @@ pub fn plan_select(
     }
     let proj_desc =
         clip(&head.proj.iter().map(|(_, e)| e.to_string()).collect::<Vec<_>>().join(", "));
-    let mut exprs = head.proj_bound;
-    exprs.extend(head.order_bound);
+    let exprs = head.proj_bound.iter().chain(&head.order_bound).map(VecExpr::compile).collect();
     input = PlanNode::Project {
         input: Box::new(input),
         exprs,
@@ -568,6 +569,23 @@ pub fn plan_select(
 
     db.count_plan_built();
     Ok(Some(PlannedQuery { root: input, names, static_types, visible, captured_reads }))
+}
+
+/// The shape gate: is this a `SELECT` the planner refuses on sight? Cheap
+/// (no binding, no catalog), so the plan cache asks before it renders a
+/// key.
+pub(crate) fn outside_planner(
+    sel: &Select,
+    order_by: &[OrderItem],
+    limit: &Option<Expr>,
+    offset: &Option<Expr>,
+) -> bool {
+    sel.from.is_empty()
+        || sel.from.iter().any(tref_unsupported)
+        || select_has_solve(sel)
+        || order_by.iter().any(|o| expr_has_solve(&o.expr))
+        || limit.as_ref().is_some_and(expr_has_solve)
+        || offset.as_ref().is_some_and(expr_has_solve)
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +781,11 @@ fn build_syntactic(
                         None
                     };
                     match keys {
-                        Some((lk, rk)) => (lk, rk, None, clip(&e.to_string())),
+                        Some((lk, rk)) => {
+                            let compile =
+                                |keys: &[BoundExpr]| keys.iter().map(VecExpr::compile).collect();
+                            (compile(&lk), compile(&rk), None, clip(&e.to_string()))
+                        }
                         None => {
                             let binder = Binder::new(db, &combined);
                             (vec![], vec![], Some(binder.bind(e)?), clip(&e.to_string()))

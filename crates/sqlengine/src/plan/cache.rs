@@ -42,6 +42,7 @@
 //! literal variants (unlike `sdb_stat_statements`, whose shape key
 //! masks literals to group statements).
 
+use super::build::outside_planner;
 use super::{plan_select, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
 use crate::catalog::{Ctes, Database};
@@ -119,6 +120,9 @@ impl Database {
         limit: &Option<Expr>,
         offset: &Option<Expr>,
     ) -> Result<Option<(Arc<PlannedQuery>, Option<bool>)>> {
+        if outside_planner(sel, order_by, limit, offset) {
+            return Ok(None);
+        }
         let key = self.plan_cache_key(ctes, sel, order_by, limit, offset);
         let statement_scoped = !key.ctes.is_empty();
         let hit = self

@@ -9,18 +9,21 @@
 //! [`VecExpr`] is the vectorized form of a [`BoundExpr`]: column loads,
 //! constants, binary/unary operators, `IS NULL`, casts, and `IN` /
 //! `BETWEEN` over constants evaluate a whole batch at a time (with typed
-//! fast loops for the common numeric and text cases); any other
-//! expression — function calls, CASE, subqueries, LIKE — compiles to a
-//! `Fallback` node that re-enters the row interpreter's evaluator per
-//! row, guaranteeing identical semantics. A subtree with a fallback child collapses into a fallback
-//! of the whole expression: mixed vector/row evaluation is never
-//! attempted.
+//! fast loops for the common numeric and text cases); an expression with
+//! any other part — function calls, CASE, subqueries, LIKE — compiles to
+//! a `Fallback` of the whole expression that re-enters the row
+//! interpreter's evaluator per row, guaranteeing identical semantics:
+//! mixed vector/row evaluation is never attempted. An expression is
+//! compiled once, when the plan node that owns it is built
+//! (`plan::build`); executing a plan compiles nothing.
 
+use super::build::bound_has_subquery;
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::table::Row;
 use crate::types::value::cmp_f64;
 use crate::types::{BinOp, Bitmap, UnOp, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -378,6 +381,17 @@ impl Batch {
         Batch { cols, len: rows.len() }
     }
 
+    /// The columns at `cols` (in that order; all of them for `None`),
+    /// shared with `self`.
+    pub fn select(&self, cols: Option<&[usize]>) -> Batch {
+        match cols {
+            Some(cols) => {
+                Batch { cols: cols.iter().map(|&c| self.cols[c].clone()).collect(), len: self.len }
+            }
+            None => self.clone(),
+        }
+    }
+
     /// Materialize one row.
     pub fn row_at(&self, i: usize) -> Row {
         self.cols.iter().map(|c| c.get(i)).collect()
@@ -412,16 +426,31 @@ pub struct VecEvalCtx<'a> {
     pub scope: &'a Scope,
 }
 
-/// A bound expression compiled for batch evaluation.
+/// A bound expression compiled for batch evaluation. Compiling happens
+/// where the expression's plan node is built, so a compiled expression
+/// is shared by every execution of its plan; cloning one shares the
+/// bound expressions it keeps for row-by-row evaluation.
 #[derive(Debug, Clone)]
 pub enum VecExpr {
     Col(usize),
     Const(Value),
+    /// Any binary operator but `AND` / `OR`.
     BinOp {
         op: BinOp,
         lhs: Box<VecExpr>,
         rhs: Box<VecExpr>,
-        orig: BoundExpr,
+    },
+    /// `AND` / `OR` (and the conjunction a `BETWEEN` expands to). The
+    /// interpreter short-circuits on a plain boolean left side, so the
+    /// right side may error only on rows that never evaluate it; vector
+    /// evaluation is eager, and when the right side errors `orig` — the
+    /// expression this node was compiled from — is replayed row by row
+    /// to reproduce the interpreter's exact behavior.
+    Logic {
+        op: BinOp,
+        lhs: Box<VecExpr>,
+        rhs: Box<VecExpr>,
+        orig: Arc<BoundExpr>,
     },
     UnOp {
         op: UnOp,
@@ -443,54 +472,41 @@ pub enum VecExpr {
         items: Vec<Value>,
         has_null: bool,
         negated: bool,
-        orig: BoundExpr,
+        orig: Arc<BoundExpr>,
     },
-    /// Row-at-a-time re-entry into the interpreter's evaluator.
-    Fallback(BoundExpr),
+    /// Row-at-a-time re-entry into the interpreter's evaluator. Only ever
+    /// the root of a compiled expression: one part that cannot be
+    /// vectorized sends the whole expression here.
+    Fallback(Arc<BoundExpr>),
 }
 
 impl VecExpr {
-    /// Compile a bound expression. Unsupported shapes become `Fallback`;
-    /// a fallback child collapses the whole subtree.
+    /// Compile a bound expression; one with any unsupported part becomes
+    /// a `Fallback` of the whole.
     pub fn compile(b: &BoundExpr) -> VecExpr {
-        match b {
+        VecExpr::vectorize(b).unwrap_or_else(|| VecExpr::Fallback(Arc::new(b.clone())))
+    }
+
+    /// The vector form of `b`, or `None` when some part of it has none.
+    fn vectorize(b: &BoundExpr) -> Option<VecExpr> {
+        let sub = |e: &BoundExpr| VecExpr::vectorize(e).map(Box::new);
+        Some(match b {
             BoundExpr::Column { depth: 0, index } => VecExpr::Col(*index),
             BoundExpr::Const(v) => VecExpr::Const(v.clone()),
             BoundExpr::BinOp { op, lhs, rhs } => {
-                let l = VecExpr::compile(lhs);
-                let r = VecExpr::compile(rhs);
-                if matches!(l, VecExpr::Fallback(_)) || matches!(r, VecExpr::Fallback(_)) {
-                    VecExpr::Fallback(b.clone())
+                let (op, lhs, rhs) = (*op, sub(lhs)?, sub(rhs)?);
+                if matches!(op, BinOp::And | BinOp::Or) {
+                    VecExpr::Logic { op, lhs, rhs, orig: Arc::new(b.clone()) }
                 } else {
-                    VecExpr::BinOp { op: *op, lhs: Box::new(l), rhs: Box::new(r), orig: b.clone() }
+                    VecExpr::BinOp { op, lhs, rhs }
                 }
             }
-            BoundExpr::UnOp { op, expr } => {
-                let e = VecExpr::compile(expr);
-                if matches!(e, VecExpr::Fallback(_)) {
-                    VecExpr::Fallback(b.clone())
-                } else {
-                    VecExpr::UnOp { op: *op, expr: Box::new(e) }
-                }
-            }
+            BoundExpr::UnOp { op, expr } => VecExpr::UnOp { op: *op, expr: sub(expr)? },
             BoundExpr::IsNull { expr, negated } => {
-                let e = VecExpr::compile(expr);
-                if matches!(e, VecExpr::Fallback(_)) {
-                    VecExpr::Fallback(b.clone())
-                } else {
-                    VecExpr::IsNull { expr: Box::new(e), negated: *negated }
-                }
+                VecExpr::IsNull { expr: sub(expr)?, negated: *negated }
             }
-            BoundExpr::Cast { expr, ty } => {
-                let e = VecExpr::compile(expr);
-                if matches!(e, VecExpr::Fallback(_)) {
-                    VecExpr::Fallback(b.clone())
-                } else {
-                    VecExpr::Cast { expr: Box::new(e), ty: ty.clone() }
-                }
-            }
+            BoundExpr::Cast { expr, ty } => VecExpr::Cast { expr: sub(expr)?, ty: ty.clone() },
             BoundExpr::InList { expr, list, negated } => {
-                let e = VecExpr::compile(expr);
                 let plain = |i: &BoundExpr| match i {
                     BoundExpr::Const(
                         v @ (Value::Null
@@ -501,43 +517,31 @@ impl VecExpr {
                     ) => Some(v.clone()),
                     _ => None,
                 };
-                match list.iter().map(plain).collect::<Option<Vec<Value>>>() {
-                    Some(mut items) if !matches!(e, VecExpr::Fallback(_)) => {
-                        let listed = items.len();
-                        items.retain(|v| !v.is_null());
-                        VecExpr::InList {
-                            expr: Box::new(e),
-                            has_null: items.len() < listed,
-                            items,
-                            negated: *negated,
-                            orig: b.clone(),
-                        }
-                    }
-                    _ => VecExpr::Fallback(b.clone()),
+                let mut items = list.iter().map(plain).collect::<Option<Vec<Value>>>()?;
+                let listed = items.len();
+                items.retain(|v| !v.is_null());
+                VecExpr::InList {
+                    expr: sub(expr)?,
+                    has_null: items.len() < listed,
+                    items,
+                    negated: *negated,
+                    orig: Arc::new(b.clone()),
                 }
             }
             // `e BETWEEN lo AND hi` is `e >= lo AND e <= hi` to the
             // interpreter too (same operators, no short circuit); with
             // constant bounds nothing but `e` is evaluated per row.
             BoundExpr::Between { expr, low, high, negated } => {
-                let e = VecExpr::compile(expr);
-                let (lo, hi) = (VecExpr::compile(low), VecExpr::compile(high));
-                if matches!(e, VecExpr::Fallback(_))
-                    || !matches!((&lo, &hi), (VecExpr::Const(_), VecExpr::Const(_)))
-                {
-                    return VecExpr::Fallback(b.clone());
+                let e = sub(expr)?;
+                let (lo, hi) = (sub(low)?, sub(high)?);
+                if !matches!((&*lo, &*hi), (VecExpr::Const(_), VecExpr::Const(_))) {
+                    return None;
                 }
-                let cmp = |op, bound| VecExpr::BinOp {
-                    op,
-                    lhs: Box::new(e.clone()),
-                    rhs: Box::new(bound),
-                    orig: b.clone(),
-                };
-                let both = VecExpr::BinOp {
+                let both = VecExpr::Logic {
                     op: BinOp::And,
-                    lhs: Box::new(cmp(BinOp::Ge, lo)),
-                    rhs: Box::new(cmp(BinOp::Le, hi)),
-                    orig: b.clone(),
+                    lhs: Box::new(VecExpr::BinOp { op: BinOp::Ge, lhs: e.clone(), rhs: lo }),
+                    rhs: Box::new(VecExpr::BinOp { op: BinOp::Le, lhs: e, rhs: hi }),
+                    orig: Arc::new(b.clone()),
                 };
                 if *negated {
                     VecExpr::UnOp { op: UnOp::Not, expr: Box::new(both) }
@@ -545,89 +549,94 @@ impl VecExpr {
                     both
                 }
             }
-            other => VecExpr::Fallback(other.clone()),
-        }
+            _ => return None,
+        })
     }
 
-    /// Evaluate against a batch, producing one column.
+    /// Does the expression evaluate a subquery (or a solve)? Those run
+    /// against the CTEs of the execution, so what they read is not
+    /// visible in the plan. A subquery has no vector form, so only a
+    /// `Fallback` can hold one.
+    pub(crate) fn has_subquery(&self) -> bool {
+        matches!(self, VecExpr::Fallback(b) if bound_has_subquery(b))
+    }
+
+    /// Evaluate against a batch, producing one column (the batch's own,
+    /// shared, where the expression is a plain column).
     pub fn eval(&self, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<Arc<ColumnVec>> {
         match self {
             VecExpr::Col(i) => Ok(batch.cols[*i].clone()),
-            VecExpr::Const(v) => Ok(Arc::new(ColumnVec::broadcast(v, batch.len))),
-            VecExpr::BinOp { op, lhs, rhs, orig } => {
-                let l = lhs.eval(batch, ev)?;
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    // The interpreter short-circuits AND/OR on a plain
-                    // boolean left side, so the right side may error only
-                    // on rows that never evaluate it. Vector evaluation is
-                    // eager; when the right side errors, replay the whole
-                    // expression row-by-row to reproduce the interpreter's
-                    // exact behavior.
-                    let r = match rhs.eval(batch, ev) {
-                        Ok(r) => r,
-                        Err(_) => return eval_fallback(orig, batch, ev),
-                    };
-                    return binop_columns(*op, &l, &r).map(Arc::new);
+            _ => Ok(Arc::new(self.eval_ref(batch, ev)?.into_owned())),
+        }
+    }
+
+    /// [`Self::eval`] for operands: a column of the batch is borrowed and
+    /// an intermediate result stays a plain value.
+    fn eval_ref<'b>(&self, batch: &'b Batch, ev: &VecEvalCtx<'_>) -> Result<Cow<'b, ColumnVec>> {
+        Ok(Cow::Owned(match self {
+            VecExpr::Col(i) => return Ok(Cow::Borrowed(&batch.cols[*i])),
+            VecExpr::Const(v) => ColumnVec::broadcast(v, batch.len),
+            VecExpr::BinOp { op, lhs, rhs } => {
+                let (l, r) = (lhs.eval_ref(batch, ev)?, rhs.eval_ref(batch, ev)?);
+                binop_columns(*op, &l, &r)?
+            }
+            VecExpr::Logic { op, lhs, rhs, orig } => {
+                let l = lhs.eval_ref(batch, ev)?;
+                match rhs.eval_ref(batch, ev) {
+                    Ok(r) => binop_columns(*op, &l, &r)?,
+                    Err(_) => eval_fallback(orig, batch, ev)?,
                 }
-                let r = rhs.eval(batch, ev)?;
-                binop_columns(*op, &l, &r).map(Arc::new)
             }
             VecExpr::UnOp { op, expr } => {
-                let c = expr.eval(batch, ev)?;
+                let c = expr.eval_ref(batch, ev)?;
                 if let (UnOp::Not, ColumnVec::Bool(vals, valid)) = (op, c.as_ref()) {
-                    let flipped = vals.iter().map(|v| !v).collect();
-                    return Ok(Arc::new(ColumnVec::Bool(flipped, valid.clone())));
+                    ColumnVec::Bool(vals.iter().map(|v| !v).collect(), valid.clone())
+                } else {
+                    let mut out = Vec::with_capacity(c.len());
+                    for i in 0..c.len() {
+                        out.push(Value::unop(*op, &c.get(i))?);
+                    }
+                    ColumnVec::from_values(out)
                 }
-                let mut out = Vec::with_capacity(c.len());
-                for i in 0..c.len() {
-                    out.push(Value::unop(*op, &c.get(i))?);
-                }
-                Ok(Arc::new(ColumnVec::from_values(out)))
             }
             VecExpr::IsNull { expr, negated } => {
-                let c = expr.eval(batch, ev)?;
-                let mut data = Vec::with_capacity(c.len());
-                for i in 0..c.len() {
-                    data.push(c.is_valid(i) == *negated);
-                }
-                let n = data.len();
-                Ok(Arc::new(ColumnVec::Bool(data, Bitmap::filled(n, true))))
+                let c = expr.eval_ref(batch, ev)?;
+                let data = (0..c.len()).map(|i| c.is_valid(i) == *negated).collect();
+                ColumnVec::Bool(data, Bitmap::filled(c.len(), true))
             }
             VecExpr::Cast { expr, ty } => {
-                let c = expr.eval(batch, ev)?;
+                let c = expr.eval_ref(batch, ev)?;
                 let mut out = Vec::with_capacity(c.len());
                 for i in 0..c.len() {
                     out.push(c.get(i).cast(ty)?);
                 }
-                Ok(Arc::new(ColumnVec::from_values(out)))
+                ColumnVec::from_values(out)
             }
             VecExpr::InList { expr, items, has_null, negated, orig } => {
-                let c = expr.eval(batch, ev)?;
+                let c = expr.eval_ref(batch, ev)?;
                 // An `Any` operand may hold custom values, whose `=` is
                 // overloaded where IN's equality is not; and a comparison
                 // that fails may sit behind an earlier match.
-                if matches!(*c, ColumnVec::Any(_)) {
-                    return eval_fallback(orig, batch, ev);
-                }
-                match in_list(&c, items, *has_null, *negated) {
-                    Ok(col) => Ok(Arc::new(col)),
-                    Err(_) => eval_fallback(orig, batch, ev),
+                let typed = !matches!(*c, ColumnVec::Any(_));
+                match typed.then(|| in_list(&c, items, *has_null, *negated)) {
+                    Some(Ok(col)) => col,
+                    _ => eval_fallback(orig, batch, ev)?,
                 }
             }
-            VecExpr::Fallback(b) => eval_fallback(b, batch, ev),
-        }
+            VecExpr::Fallback(b) => eval_fallback(b, batch, ev)?,
+        }))
     }
 }
 
 /// Row-at-a-time evaluation of a bound expression over a batch.
-fn eval_fallback(b: &BoundExpr, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<Arc<ColumnVec>> {
+fn eval_fallback(b: &BoundExpr, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<ColumnVec> {
     let mut out = Vec::with_capacity(batch.len);
     for i in 0..batch.len {
         let row = batch.row_at(i);
         let env = Env { scope: ev.scope, row: &row, parent: None };
         out.push(b.eval(ev.ctx, &env)?);
     }
-    Ok(Arc::new(ColumnVec::from_values(out)))
+    Ok(ColumnVec::from_values(out))
 }
 
 // ---------------------------------------------------------------------------
@@ -972,7 +981,7 @@ mod tests {
         assert!(matches!(VecExpr::compile(&in_list(vec![int(1), *col()])), VecExpr::Fallback(_)));
         assert!(matches!(
             VecExpr::compile(&between(int(1), int(2), false)),
-            VecExpr::BinOp { op: BinOp::And, .. }
+            VecExpr::Logic { op: BinOp::And, .. }
         ));
         assert!(matches!(
             VecExpr::compile(&between(int(1), int(2), true)),

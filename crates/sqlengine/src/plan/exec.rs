@@ -8,10 +8,16 @@
 //! [`BoundExpr::eval`] on materialized rows. Each operator runs under an
 //! `obs` span so `EXPLAIN ANALYZE` shows a per-operator timing tree.
 //!
+//! What an execution costs is its data, not the shape of its plan: the
+//! plan's expressions arrive compiled ([`VecExpr`], built with the plan
+//! node that owns them), and the operators share columns (`Arc` clones)
+//! wherever an output column is an input column.
+//!
 //! A plan holds CTEs as *slots* resolved at execute time, so one plan
 //! can run against many bindings. [`IteratedPlan`] is that loop for a
-//! recursive CTE: it rebinds one slot per step and keeps the build side
-//! of every hash join that does not depend on it.
+//! recursive CTE: each step reads the working table as the batches the
+//! previous step produced, and everything the working table does not
+//! feed — whole subtrees and hash-join build sides — runs once.
 
 use super::build::{collect_cols, remap_cols};
 use super::columnar::{batches_to_rows, Batch, ColumnVec, VecEvalCtx, VecExpr, BATCH_SIZE};
@@ -35,37 +41,81 @@ pub fn execute(
     planned: &PlannedQuery,
     trace: Option<&obs::Trace>,
 ) -> Result<Table> {
-    Runner { ctx: EvalCtx { db, ctes }, trace, kept: None }.run(planned)
+    Runner { ctx: EvalCtx { db, ctes }, trace, step: None }.run(planned)
 }
 
 /// One plan executed repeatedly while a single CTE slot (`rebound`) is
 /// bound to a new relation between executions — the recursive term of a
-/// `WITH RECURSIVE` over its working table. Hash-join build sides that
-/// are [invariant](PlanNode::invariant_under) under that rebinding are
-/// built by the first execution that reaches them and probed by every
-/// later one.
+/// `WITH RECURSIVE` over its working table. The working table is handed
+/// to each step as batches, and what does not depend on it is computed
+/// by the first step that reaches it and kept for every later one: the
+/// output of each largest subtree that stays the same when only that
+/// slot is rebound ([`PlanNode::reads_slot`]), and — where such a
+/// subtree is the right input of a hash join — the join's build side
+/// instead.
 pub(crate) struct IteratedPlan<'p> {
     plan: &'p PlannedQuery,
-    kept: KeptBuilds<'p>,
+    rebound: &'p str,
+    kept: Kept,
 }
 
-/// Kept build sides, keyed by the address of the join's right child in
-/// the (immutably borrowed) plan.
-struct KeptBuilds<'p> {
-    rebound: &'p str,
-    builds: HashMap<*const PlanNode, Rc<JoinBuild>>,
+/// What an [`IteratedPlan`] keeps between steps, by the address of the
+/// subtree's root in the (immutably borrowed) plan; `None` until a step
+/// has produced it. A plan keeps a handful of subtrees at most, so these
+/// are lists, searched by address.
+#[derive(Default)]
+struct Kept {
+    outputs: Vec<(*const PlanNode, Option<Vec<Batch>>)>,
+    /// Keyed by the hash join's right child.
+    builds: Vec<(*const PlanNode, Option<Rc<JoinBuild>>)>,
     reused: u64,
+}
+
+fn kept_at<'k, T>(list: &'k mut [(*const PlanNode, T)], node: &PlanNode) -> Option<&'k mut T> {
+    list.iter_mut().find(|(at, _)| std::ptr::eq(*at, node)).map(|(_, kept)| kept)
 }
 
 impl<'p> IteratedPlan<'p> {
     pub(crate) fn new(plan: &'p PlannedQuery, rebound: &'p str) -> IteratedPlan<'p> {
-        IteratedPlan { plan, kept: KeptBuilds { rebound, builds: HashMap::new(), reused: 0 } }
+        /// Register what the subtree at `node` keeps; true when nothing
+        /// in it reads `slot`, which leaves keeping it (or something
+        /// larger) to the caller.
+        fn mark(node: &PlanNode, slot: &str, kept: &mut Kept) -> bool {
+            let kids = node.children();
+            let fixed: Vec<bool> = kids.iter().map(|c| mark(c, slot, kept)).collect();
+            if !node.reads_slot(slot) && fixed.iter().all(|f| *f) {
+                return true;
+            }
+            let hash_join = matches!(node, PlanNode::Join { lkeys, .. } if !lkeys.is_empty());
+            for (i, kid) in kids.into_iter().enumerate().filter(|(i, _)| fixed[*i]) {
+                if hash_join && i == 1 {
+                    kept.builds.push((kid, None));
+                } else {
+                    kept.outputs.push((kid, None));
+                }
+            }
+            false
+        }
+        let mut kept = Kept::default();
+        if mark(&plan.root, rebound, &mut kept) {
+            kept.outputs.push((&plan.root, None));
+        }
+        IteratedPlan { plan, rebound, kept }
     }
 
-    /// Execute the plan against `ctes`, which may differ from the
-    /// previous call's only in the binding of the `rebound` slot.
-    pub(crate) fn step(&mut self, db: &Database, ctes: &Ctes) -> Result<Table> {
-        Runner { ctx: EvalCtx { db, ctes }, trace: None, kept: Some(&mut self.kept) }.run(self.plan)
+    /// Execute the plan with the `rebound` slot reading `working`.
+    /// `ctes` may differ from the previous call's only in the binding of
+    /// that name, which only subqueries look up
+    /// ([`PlanNode::has_subquery`]): they do not see `working`.
+    /// Returns the visible columns of the result.
+    pub(crate) fn step(
+        &mut self,
+        db: &Database,
+        ctes: &Ctes,
+        working: &[Batch],
+    ) -> Result<Vec<Batch>> {
+        let step = Step { rebound: self.rebound, working, kept: &mut self.kept };
+        Runner { ctx: EvalCtx { db, ctes }, trace: None, step: Some(step) }.run_batches(self.plan)
     }
 
     /// How many times a step probed a kept build side instead of
@@ -76,30 +126,37 @@ impl<'p> IteratedPlan<'p> {
 
     /// Does any join of the plan qualify for build reuse?
     pub(crate) fn keeps_builds(&self) -> bool {
-        fn any(node: &PlanNode, slot: &str) -> bool {
-            let own = matches!(node, PlanNode::Join { right, lkeys, .. }
-                if !lkeys.is_empty() && right.invariant_under(slot));
-            own || node.children().into_iter().any(|c| any(c, slot))
-        }
-        any(&self.plan.root, self.kept.rebound)
+        !self.kept.builds.is_empty()
     }
 }
 
-/// One execution of a plan.
-struct Runner<'a, 'k, 'p> {
-    ctx: EvalCtx<'a>,
-    trace: Option<&'a obs::Trace>,
-    kept: Option<&'k mut KeptBuilds<'p>>,
+/// One step of an [`IteratedPlan`], as its [`Runner`] sees it.
+struct Step<'k> {
+    rebound: &'k str,
+    working: &'k [Batch],
+    kept: &'k mut Kept,
 }
 
-impl Runner<'_, '_, '_> {
+/// One execution of a plan.
+struct Runner<'a, 'k> {
+    ctx: EvalCtx<'a>,
+    trace: Option<&'a obs::Trace>,
+    step: Option<Step<'k>>,
+}
+
+impl Runner<'_, '_> {
+    /// The visible columns of the plan's result.
+    fn run_batches(&mut self, planned: &PlannedQuery) -> Result<Vec<Batch>> {
+        let mut batches = self.run_node(&planned.root)?;
+        for b in &mut batches {
+            b.cols.truncate(planned.visible);
+        }
+        Ok(batches)
+    }
+
     fn run(&mut self, planned: &PlannedQuery) -> Result<Table> {
         let span = self.trace.map(|t| t.span("columnar executor"));
-        let batches = self.run_node(&planned.root)?;
-        let mut rows = batches_to_rows(&batches);
-        for r in &mut rows {
-            r.truncate(planned.visible);
-        }
+        let rows = batches_to_rows(&self.run_batches(planned)?);
         if let Some(s) = &span {
             s.rows(rows.len() as u64);
         }
@@ -125,31 +182,36 @@ impl Runner<'_, '_, '_> {
     }
 
     fn run_node(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
+        if let Some(Some(out)) = self.step.as_mut().and_then(|s| kept_at(&mut s.kept.outputs, node))
+        {
+            return Ok(out.clone());
+        }
         let span = self.trace.map(|t| t.span(&node.describe()));
         let out = self.run_node_inner(node, span.as_ref())?;
         if let Some(s) = &span {
             s.rows(out.iter().map(|b| b.len as u64).sum());
+        }
+        if let Some(keep) = self.step.as_mut().and_then(|s| kept_at(&mut s.kept.outputs, node)) {
+            *keep = Some(out.clone());
         }
         Ok(out)
     }
 
     /// The build side of a hash join: taken from the kept builds when an
     /// earlier step left it there, otherwise built now (and kept if the
-    /// right subtree cannot change between steps).
-    fn join_build(&mut self, right: &PlanNode, rkeys: &[BoundExpr]) -> Result<Rc<JoinBuild>> {
-        let key: *const PlanNode = right;
-        if let Some(kept) = self.kept.as_deref_mut() {
-            if let Some(build) = kept.builds.get(&key) {
-                kept.reused += 1;
-                return Ok(build.clone());
+    /// step's plan keeps this one).
+    fn join_build(&mut self, right: &PlanNode, rkeys: &[VecExpr]) -> Result<Rc<JoinBuild>> {
+        if let Some(step) = &mut self.step {
+            if let Some(Some(build)) = kept_at(&mut step.kept.builds, right) {
+                let build = build.clone();
+                step.kept.reused += 1;
+                return Ok(build);
             }
         }
         let rb = self.run_node(right)?;
         let build = Rc::new(JoinBuild::new(&self.ctx, &rb, right.scope(), rkeys)?);
-        if let Some(kept) = self.kept.as_deref_mut() {
-            if right.invariant_under(kept.rebound) {
-                kept.builds.insert(key, build.clone());
-            }
+        if let Some(keep) = self.step.as_mut().and_then(|s| kept_at(&mut s.kept.builds, right)) {
+            *keep = Some(build.clone());
         }
         Ok(build)
     }
@@ -157,8 +219,10 @@ impl Runner<'_, '_, '_> {
     /// `span` is the node's own span, for notes.
     fn run_node_inner(&mut self, node: &PlanNode, span: Option<&obs::Span>) -> Result<Vec<Batch>> {
         match node {
-            // A stored table hands out its columnar image; a slot is a
-            // new relation at every execution and is pivoted here.
+            // A stored table hands out its columnar image; the slot a
+            // step rebinds hands out the step's working batches; any
+            // other slot is whatever rows its name is bound to, pivoted
+            // here.
             PlanNode::Scan { source, cols, .. } => match source {
                 ScanSource::Table(stored) => {
                     let (batches, pivoted) = stored.scan(cols.as_deref());
@@ -169,6 +233,13 @@ impl Runner<'_, '_, '_> {
                     Ok(batches)
                 }
                 ScanSource::Slot { name, schema } => {
+                    if let Some(step) = self.step.as_ref().filter(|s| s.rebound == name) {
+                        return Ok(step
+                            .working
+                            .iter()
+                            .map(|b| b.select(cols.as_deref()))
+                            .collect());
+                    }
                     let t =
                         self.ctx.ctes.get(name).ok_or_else(|| {
                             Error::eval(format!("plan slot '{name}' is not bound"))
@@ -189,10 +260,9 @@ impl Runner<'_, '_, '_> {
                 let scope = input.scope();
                 let batches = self.run_node(input)?;
                 let vctx = VecEvalCtx { ctx: &self.ctx, scope };
-                let ve = VecExpr::compile(pred);
                 let mut out = Vec::with_capacity(batches.len());
                 for b in &batches {
-                    let sel = selected(ve.eval(b, &vctx)?.as_ref(), b.len)?;
+                    let sel = selected(pred.eval(b, &vctx)?.as_ref(), b.len)?;
                     if sel.len() == b.len {
                         out.push(b.clone());
                     } else if !sel.is_empty() {
@@ -204,13 +274,7 @@ impl Runner<'_, '_, '_> {
 
             PlanNode::Reorder { input, perm, .. } => {
                 let batches = self.run_node(input)?;
-                Ok(batches
-                    .into_iter()
-                    .map(|b| Batch {
-                        cols: perm.iter().map(|&p| b.cols[p].clone()).collect(),
-                        len: b.len,
-                    })
-                    .collect())
+                Ok(batches.iter().map(|b| b.select(Some(perm))).collect())
             }
 
             PlanNode::Join { left, right, kind, lkeys, rkeys, cond, scope, .. } => {
@@ -235,12 +299,11 @@ impl Runner<'_, '_, '_> {
                 let in_scope = input.scope();
                 let batches = self.run_node(input)?;
                 let vctx = VecEvalCtx { ctx: &self.ctx, scope: in_scope };
-                let ves: Vec<VecExpr> = exprs.iter().map(VecExpr::compile).collect();
                 batches
                     .iter()
                     .map(|b| {
                         let cols =
-                            ves.iter().map(|e| e.eval(b, &vctx)).collect::<Result<Vec<_>>>()?;
+                            exprs.iter().map(|e| e.eval(b, &vctx)).collect::<Result<Vec<_>>>()?;
                         Ok(Batch { cols, len: b.len })
                     })
                     .collect()
@@ -248,24 +311,7 @@ impl Runner<'_, '_, '_> {
 
             PlanNode::Distinct { input, visible } => {
                 let batches = self.run_node(input)?;
-                let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
-                let mut out = Vec::new();
-                for b in &batches {
-                    let mut sel = Vec::new();
-                    for i in 0..b.len {
-                        let key: Vec<GroupKey> =
-                            b.cols[..*visible].iter().map(|c| c.get(i).group_key()).collect();
-                        if seen.insert(key, ()).is_none() {
-                            sel.push(i);
-                        }
-                    }
-                    if sel.len() == b.len {
-                        out.push(b.clone());
-                    } else if !sel.is_empty() {
-                        out.push(b.gather(&sel));
-                    }
-                }
-                Ok(out)
+                Ok(unseen_rows(&batches, *visible, &mut HashMap::new()))
             }
 
             PlanNode::Sort { input, items, visible, .. } => {
@@ -295,6 +341,33 @@ impl Runner<'_, '_, '_> {
             }
         }
     }
+}
+
+/// The rows of `batches` whose first `visible` columns are not in `seen`
+/// yet, which they join: DISTINCT over one input, and the duplicate
+/// elimination of a `UNION` recursion across its steps.
+pub(crate) fn unseen_rows(
+    batches: &[Batch],
+    visible: usize,
+    seen: &mut HashMap<Vec<GroupKey>, ()>,
+) -> Vec<Batch> {
+    let mut out = Vec::new();
+    for b in batches {
+        let mut sel = Vec::new();
+        for i in 0..b.len {
+            let key: Vec<GroupKey> =
+                b.cols[..visible].iter().map(|c| c.get(i).group_key()).collect();
+            if seen.insert(key, ()).is_none() {
+                sel.push(i);
+            }
+        }
+        if sel.len() == b.len {
+            out.push(b.clone());
+        } else if !sel.is_empty() {
+            out.push(b.gather(&sel));
+        }
+    }
+    out
 }
 
 /// The rows of a `len`-row batch whose predicate value in `col` is true.
@@ -366,10 +439,10 @@ pub(crate) fn matching_rows(
 // Joins
 // ---------------------------------------------------------------------------
 
-/// Concatenate a side's batches into one batch for join processing.
-fn concat(batches: &[Batch], width: usize) -> Batch {
-    if batches.len() == 1 {
-        return batches[0].clone();
+/// A side's batches as one batch for join processing.
+fn concat(batches: &[Batch], width: usize) -> Cow<'_, Batch> {
+    if let [only] = batches {
+        return Cow::Borrowed(only);
     }
     let len: usize = batches.iter().map(|b| b.len).sum();
     let mut cols = Vec::with_capacity(width);
@@ -382,7 +455,7 @@ fn concat(batches: &[Batch], width: usize) -> Batch {
         }
         cols.push(Arc::new(ColumnVec::from_values(vals)));
     }
-    Batch { cols, len }
+    Cow::Owned(Batch { cols, len })
 }
 
 /// The build side of a hash equi-join: the right input as one batch and
@@ -398,33 +471,64 @@ impl JoinBuild {
         ctx: &EvalCtx<'_>,
         rb: &[Batch],
         rscope: &Scope,
-        rkeys: &[BoundExpr],
+        rkeys: &[VecExpr],
     ) -> Result<JoinBuild> {
-        let batch = concat(rb, rscope.cols.len());
+        let batch = concat(rb, rscope.cols.len()).into_owned();
         let rv = VecEvalCtx { ctx, scope: rscope };
         let rkey_cols: Vec<Arc<ColumnVec>> =
-            rkeys.iter().map(|k| VecExpr::compile(k).eval(&batch, &rv)).collect::<Result<_>>()?;
+            rkeys.iter().map(|k| k.eval(&batch, &rv)).collect::<Result<_>>()?;
         let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
+        let mut key = Vec::with_capacity(rkeys.len());
         for ri in 0..batch.len {
-            if let Some(key) = join_key(&rkey_cols, ri) {
-                table.entry(key).or_default().push(ri);
+            if join_key(&rkey_cols, ri, &mut key) {
+                table.entry(key.clone()).or_default().push(ri);
             }
         }
         Ok(JoinBuild { batch, table })
     }
 }
 
-/// The join key of row `i`, or `None` when any key column is NULL there.
-fn join_key(key_cols: &[Arc<ColumnVec>], i: usize) -> Option<Vec<GroupKey>> {
-    let mut key = Vec::with_capacity(key_cols.len());
+/// Put the join key of row `i` into `key`; false when a key column is
+/// NULL there.
+fn join_key(key_cols: &[Arc<ColumnVec>], i: usize, key: &mut Vec<GroupKey>) -> bool {
+    key.clear();
     for c in key_cols {
         let v = c.get(i);
         if v.is_null() {
-            return None;
+            return false;
         }
         key.push(v.group_key());
     }
-    Some(key)
+    true
+}
+
+/// The rows of a join: per output row, which row of the left and of the
+/// right input it is made of (`None` = the NULL padding of an outer
+/// join). A side whose rows all appear once, in order, shares its columns
+/// with the output; any other is gathered.
+#[derive(Default)]
+struct JoinRows {
+    left: Vec<Option<usize>>,
+    right: Vec<Option<usize>>,
+}
+
+impl JoinRows {
+    fn push(&mut self, li: Option<usize>, ri: Option<usize>) {
+        self.left.push(li);
+        self.right.push(ri);
+    }
+
+    fn batch(&self, l: &Batch, r: &Batch) -> Batch {
+        let mut cols = Vec::with_capacity(l.cols.len() + r.cols.len());
+        for (side, rows) in [(l, &self.left), (r, &self.right)] {
+            let whole =
+                rows.len() == side.len && rows.iter().enumerate().all(|(i, r)| *r == Some(i));
+            for c in &side.cols {
+                cols.push(if whole { c.clone() } else { Arc::new(c.gather_opt(rows)) });
+            }
+        }
+        Batch { cols, len: self.left.len() }
+    }
 }
 
 /// Probe a hash-join build with the left input. Together with
@@ -438,60 +542,51 @@ fn hash_probe(
     build: &JoinBuild,
     lscope: &Scope,
     kind: crate::ast::JoinKind,
-    lkeys: &[BoundExpr],
+    lkeys: &[VecExpr],
 ) -> Result<Vec<Batch>> {
     use crate::ast::JoinKind;
     let lbatch = concat(lb, lscope.cols.len());
     let rbatch = &build.batch;
     let lv = VecEvalCtx { ctx, scope: lscope };
     let lkey_cols: Vec<Arc<ColumnVec>> =
-        lkeys.iter().map(|k| VecExpr::compile(k).eval(&lbatch, &lv)).collect::<Result<_>>()?;
-    let mut li_out: Vec<Option<usize>> = Vec::new();
-    let mut ri_out: Vec<Option<usize>> = Vec::new();
+        lkeys.iter().map(|k| k.eval(&lbatch, &lv)).collect::<Result<_>>()?;
+    let mut out = JoinRows::default();
     // Only RIGHT/FULL joins need to know which right rows matched; the
     // others must not pay for the right side's size on every probe.
     let pad_right = matches!(kind, JoinKind::Right | JoinKind::Full);
     let mut right_matched = vec![false; if pad_right { rbatch.len } else { 0 }];
+    let mut key = Vec::with_capacity(lkeys.len());
     for li in 0..lbatch.len {
-        let matches = join_key(&lkey_cols, li).and_then(|key| build.table.get(&key));
+        let matches =
+            if join_key(&lkey_cols, li, &mut key) { build.table.get(key.as_slice()) } else { None };
         match matches {
             Some(ris) if !ris.is_empty() => {
                 for &ri in ris {
                     if pad_right {
                         right_matched[ri] = true;
                     }
-                    li_out.push(Some(li));
-                    ri_out.push(Some(ri));
+                    out.push(Some(li), Some(ri));
                 }
             }
             _ => {
                 if matches!(kind, JoinKind::Left | JoinKind::Full) {
-                    li_out.push(Some(li));
-                    ri_out.push(None);
+                    out.push(Some(li), None);
                 }
             }
         }
     }
     for (ri, m) in right_matched.iter().enumerate() {
         if !m {
-            li_out.push(None);
-            ri_out.push(Some(ri));
+            out.push(None, Some(ri));
         }
     }
-
-    let mut cols = Vec::with_capacity(lbatch.cols.len() + rbatch.cols.len());
-    for c in &lbatch.cols {
-        cols.push(Arc::new(c.gather_opt(&li_out)));
-    }
-    for c in &rbatch.cols {
-        cols.push(Arc::new(c.gather_opt(&ri_out)));
-    }
-    Ok(vec![Batch { cols, len: li_out.len() }])
+    Ok(vec![out.batch(&lbatch, rbatch)])
 }
 
 /// Nested-loop join for non-equi conditions and cross joins, mirroring
 /// the interpreter's `join_rels` fallback (same row order, same padding
-/// behavior).
+/// behavior). Rows are materialized only for the interpreter's evaluator
+/// to check `cond` on.
 #[allow(clippy::too_many_arguments)]
 fn loop_join(
     ctx: &EvalCtx<'_>,
@@ -504,44 +599,40 @@ fn loop_join(
     cond: Option<&BoundExpr>,
 ) -> Result<Vec<Batch>> {
     use crate::ast::JoinKind;
-    let lrows = batches_to_rows(lb);
-    let rrows = batches_to_rows(rb);
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; rrows.len()];
-    for lrow in &lrows {
+    let (lbatch, rbatch) = (concat(lb, lscope.cols.len()), concat(rb, rscope.cols.len()));
+    let cond = cond.map(|b| (b, batches_to_rows(lb), batches_to_rows(rb)));
+    let mut out = JoinRows::default();
+    let pad_right = matches!(kind, JoinKind::Right | JoinKind::Full);
+    let mut right_matched = vec![false; if pad_right { rbatch.len } else { 0 }];
+    for li in 0..lbatch.len {
         let mut matched = false;
-        for (ri, rrow) in rrows.iter().enumerate() {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            let ok = match cond {
+        for ri in 0..rbatch.len {
+            let ok = match &cond {
                 None => true,
-                Some(b) => {
+                Some((b, lrows, rrows)) => {
+                    let row: Row = lrows[li].iter().chain(&rrows[ri]).cloned().collect();
                     let env = Env { scope: combined, row: &row, parent: None };
                     b.eval(ctx, &env)?.as_bool()? == Some(true)
                 }
             };
             if ok {
                 matched = true;
-                right_matched[ri] = true;
-                rows.push(row);
+                if pad_right {
+                    right_matched[ri] = true;
+                }
+                out.push(Some(li), Some(ri));
             }
         }
         if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-            let mut row = lrow.clone();
-            row.extend(vec![Value::Null; rscope.cols.len()]);
-            rows.push(row);
+            out.push(Some(li), None);
         }
     }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, rrow) in rrows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut row = vec![Value::Null; lscope.cols.len()];
-                row.extend(rrow.iter().cloned());
-                rows.push(row);
-            }
+    for (ri, m) in right_matched.iter().enumerate() {
+        if !m {
+            out.push(None, Some(ri));
         }
     }
-    Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+    Ok(vec![out.batch(&lbatch, &rbatch)])
 }
 
 // ---------------------------------------------------------------------------
@@ -657,16 +748,13 @@ fn aggregate(
     ctx: &EvalCtx<'_>,
     batches: &[Batch],
     in_scope: &Scope,
-    group: &[BoundExpr],
+    group: &[VecExpr],
     sets: &[Vec<usize>],
     aggs: &[PlanAggCall],
 ) -> Result<Vec<Batch>> {
     let vctx = VecEvalCtx { ctx, scope: in_scope };
-    let gexprs: Vec<VecExpr> = group.iter().map(VecExpr::compile).collect();
-    let aexprs: Vec<Option<VecExpr>> =
-        aggs.iter().map(|a| a.arg.as_ref().map(VecExpr::compile)).collect();
-    let a2exprs: Vec<Option<VecExpr>> =
-        aggs.iter().map(|a| a.arg2.as_ref().map(VecExpr::compile)).collect();
+    let eval_opt =
+        |e: &Option<VecExpr>, b: &Batch| e.as_ref().map(|e| e.eval(b, &vctx)).transpose();
 
     // Evaluate group keys and aggregate arguments once per batch — they
     // are shared across all grouping sets.
@@ -674,15 +762,9 @@ fn aggregate(
     for b in batches {
         abatches.push(AggBatch {
             len: b.len,
-            group: gexprs.iter().map(|e| e.eval(b, &vctx)).collect::<Result<_>>()?,
-            args: aexprs
-                .iter()
-                .map(|e| e.as_ref().map(|e| e.eval(b, &vctx)).transpose())
-                .collect::<Result<_>>()?,
-            args2: a2exprs
-                .iter()
-                .map(|e| e.as_ref().map(|e| e.eval(b, &vctx)).transpose())
-                .collect::<Result<_>>()?,
+            group: group.iter().map(|e| e.eval(b, &vctx)).collect::<Result<_>>()?,
+            args: aggs.iter().map(|a| eval_opt(&a.arg, b)).collect::<Result<_>>()?,
+            args2: aggs.iter().map(|a| eval_opt(&a.arg2, b)).collect::<Result<_>>()?,
         });
     }
 

@@ -12,6 +12,7 @@
 //! the plan fingerprint recorded in `sdb_stat_statements`.
 
 use super::build::bound_has_subquery;
+use super::columnar::VecExpr;
 use super::image::StoredTable;
 use crate::ast::{JoinKind, OrderItem};
 use crate::catalog::Ctes;
@@ -34,23 +35,25 @@ pub enum ScanSource {
     Slot { name: String, schema: Schema },
 }
 
-/// One aggregate call in an [`PlanNode::Aggregate`], with pre-bound
-/// argument expressions (evaluated against the aggregate input scope).
+/// One aggregate call in an [`PlanNode::Aggregate`], with its argument
+/// expressions compiled (evaluated against the aggregate input scope).
 #[derive(Debug, Clone)]
 pub struct PlanAggCall {
     pub name: String,
     pub distinct: bool,
     /// `None` for `count(*)`.
-    pub arg: Option<BoundExpr>,
+    pub arg: Option<VecExpr>,
     /// Second argument (`string_agg` separator).
-    pub arg2: Option<BoundExpr>,
+    pub arg2: Option<VecExpr>,
     /// Display form for EXPLAIN / fingerprinting.
     pub desc: String,
 }
 
 /// A logical plan operator. `est` fields are output-cardinality
 /// estimates; `desc` fields are pre-rendered display fragments (the
-/// builder has the original AST at hand, the executor does not).
+/// builder has the original AST at hand, the executor does not). The
+/// expressions an operator evaluates over batches are held compiled
+/// ([`VecExpr`]): a plan is built once and may be executed many times.
 #[derive(Debug, Clone)]
 pub enum PlanNode {
     /// Scan a relation (base table, view or subquery result captured at
@@ -67,16 +70,17 @@ pub enum PlanNode {
         est: f64,
     },
     /// Keep rows where `pred` is true.
-    Filter { input: Box<PlanNode>, pred: BoundExpr, desc: String, est: f64 },
+    Filter { input: Box<PlanNode>, pred: VecExpr, desc: String, est: f64 },
     /// Join two inputs. When `lkeys`/`rkeys` are non-empty this is a
-    /// hash equi-join on those key expressions; `cond` holds any
-    /// residual (non-equi) condition evaluated on the combined row.
+    /// hash equi-join on those key expressions; otherwise a nested loop,
+    /// whose condition `cond` (if any) the interpreter's evaluator checks
+    /// on each combined row.
     Join {
         left: Box<PlanNode>,
         right: Box<PlanNode>,
         kind: JoinKind,
-        lkeys: Vec<BoundExpr>,
-        rkeys: Vec<BoundExpr>,
+        lkeys: Vec<VecExpr>,
+        rkeys: Vec<VecExpr>,
         cond: Option<BoundExpr>,
         desc: String,
         scope: Scope,
@@ -90,7 +94,7 @@ pub enum PlanNode {
     /// NULL); a plain GROUP BY is the single full set.
     Aggregate {
         input: Box<PlanNode>,
-        group: Vec<BoundExpr>,
+        group: Vec<VecExpr>,
         sets: Vec<Vec<usize>>,
         aggs: Vec<PlanAggCall>,
         desc: String,
@@ -101,7 +105,7 @@ pub enum PlanNode {
     /// list; the rest are ORDER BY keys carried alongside.
     Project {
         input: Box<PlanNode>,
-        exprs: Vec<BoundExpr>,
+        exprs: Vec<VecExpr>,
         visible: usize,
         desc: String,
         scope: Scope,
@@ -233,30 +237,42 @@ impl PlanNode {
         }
     }
 
-    /// Does this subtree produce the same rows in every execution that
-    /// rebinds only the CTE slot `slot`? True when it neither scans that
-    /// slot nor evaluates a subquery (subqueries run against the
-    /// execution's CTEs, so they may read the slot too).
-    pub(crate) fn invariant_under(&self, slot: &str) -> bool {
-        let pure = |e: &BoundExpr| !bound_has_subquery(e);
-        let own = match self {
-            PlanNode::Scan { source, .. } => {
-                !matches!(source, ScanSource::Slot { name, .. } if name == slot)
-            }
-            PlanNode::Filter { pred, .. } => pure(pred),
+    /// Does this operator itself evaluate a subquery? Subqueries run
+    /// against the execution's CTEs, so they may read relations the plan
+    /// does not show.
+    fn evaluates_subquery(&self) -> bool {
+        let sub = VecExpr::has_subquery;
+        match self {
+            PlanNode::Filter { pred, .. } => sub(pred),
             PlanNode::Join { lkeys, rkeys, cond, .. } => {
-                lkeys.iter().chain(rkeys).chain(cond).all(pure)
+                lkeys.iter().chain(rkeys).any(sub) || cond.as_ref().is_some_and(bound_has_subquery)
             }
             PlanNode::Aggregate { group, aggs, .. } => {
-                group.iter().all(pure) && aggs.iter().all(|a| a.arg.iter().chain(&a.arg2).all(pure))
+                group.iter().any(sub) || aggs.iter().any(|a| a.arg.iter().chain(&a.arg2).any(sub))
             }
-            PlanNode::Project { exprs, .. } => exprs.iter().all(pure),
-            PlanNode::Reorder { .. }
+            PlanNode::Project { exprs, .. } => exprs.iter().any(sub),
+            PlanNode::Scan { .. }
+            | PlanNode::Reorder { .. }
             | PlanNode::Distinct { .. }
             | PlanNode::Sort { .. }
-            | PlanNode::Limit { .. } => true,
-        };
-        own && self.children().into_iter().all(|c| c.invariant_under(slot))
+            | PlanNode::Limit { .. } => false,
+        }
+    }
+
+    /// Does any operator of this subtree evaluate a subquery?
+    pub(crate) fn has_subquery(&self) -> bool {
+        self.evaluates_subquery() || self.children().into_iter().any(PlanNode::has_subquery)
+    }
+
+    /// Could this operator, given the same inputs, produce other rows
+    /// once the CTE slot `slot` is rebound? True when it scans that slot
+    /// or evaluates a subquery (which may read the slot too). A subtree
+    /// in which no operator does produces the same rows in every
+    /// execution that rebinds nothing else.
+    pub(crate) fn reads_slot(&self, slot: &str) -> bool {
+        let scans = matches!(self, PlanNode::Scan { source: ScanSource::Slot { name, .. }, .. }
+            if name == slot);
+        scans || self.evaluates_subquery()
     }
 
     pub(crate) fn children(&self) -> Vec<&PlanNode> {

@@ -9,12 +9,14 @@
 //! columnar image kept with each stored table (`image`).
 //!
 //! The planner is conservative: any shape it does not understand
-//! (LATERAL, correlated outer context, set operations, SOLVE constructs
-//! in expressions, …) returns `None` from [`plan_select`] and the row
-//! interpreter in `exec::select` runs the query instead. Both paths
-//! produce identical results by construction — the executor reuses the
-//! interpreter's binder, expression evaluator (for non-vectorizable
-//! expressions), aggregate accumulators and sort comparators.
+//! (LATERAL, a block with an outer column in reach, SOLVE constructs in
+//! expressions, …) returns `None` from [`plan_select`] and the row
+//! interpreter in `exec::select` runs the block instead; set operations
+//! are assembled by the row interpreter from arms that are planned one
+//! by one. Both paths produce identical results by construction — the
+//! executor reuses the interpreter's binder, expression evaluator (for
+//! non-vectorizable expressions), aggregate accumulators and sort
+//! comparators.
 
 pub mod build;
 pub mod cache;

@@ -712,3 +712,125 @@ fn stat_statements_fingerprint_matches_explain() {
     let r = execute_sql(&mut db, "SELECT 1").unwrap();
     assert!(r.plan_fingerprint.is_none());
 }
+
+// ---------------------------------------------------------------------------
+// Nested blocks: set-operation arms and closed subqueries are planned
+// ---------------------------------------------------------------------------
+
+const SET_OPS: [&str; 6] =
+    ["UNION", "UNION ALL", "INTERSECT", "INTERSECT ALL", "EXCEPT", "EXCEPT ALL"];
+
+#[test]
+fn set_operations_agree_with_planned_from_less_and_correlated_arms() {
+    let mut db = setup();
+    for op in SET_OPS {
+        // Both arms planned; one arm FROM-less (row interpreter); three
+        // arms; an arm that is itself a parenthesized query.
+        check(&mut db, &format!("SELECT a FROM t1 WHERE b > 10 {op} SELECT a FROM t2"), false);
+        check(&mut db, &format!("SELECT a, c FROM t1 {op} SELECT 3, 'red'"), false);
+        check(&mut db, &format!("SELECT 3 {op} SELECT a FROM t1"), false);
+        check(
+            &mut db,
+            &format!("SELECT a FROM t1 {op} SELECT a FROM t2 {op} SELECT k FROM t3"),
+            false,
+        );
+        check(
+            &mut db,
+            &format!("SELECT a FROM t1 {op} (SELECT a FROM t2 ORDER BY f LIMIT 7) ORDER BY 1"),
+            true,
+        );
+        // ORDER BY + LIMIT over the set operation's output.
+        check(
+            &mut db,
+            &format!(
+                "SELECT a, b FROM t1 {op} SELECT a, f FROM t2 ORDER BY 1 DESC, 2 LIMIT 9 OFFSET 2"
+            ),
+            true,
+        );
+        // Arms inside a correlated subquery still see the outer row (and
+        // so stay on the row interpreter).
+        check(
+            &mut db,
+            &format!(
+                "SELECT a, (SELECT count(*) FROM (SELECT f FROM t2 WHERE t2.a = t1.a {op} \
+                 SELECT v FROM t3 WHERE t3.k = t1.a) u) FROM t1"
+            ),
+            false,
+        );
+        // An arm's error is the row interpreter's error.
+        check(&mut db, &format!("SELECT a FROM t1 {op} SELECT nope FROM t2"), false);
+        check(&mut db, &format!("SELECT a FROM t1 {op} SELECT a, f FROM t2"), false);
+        check(&mut db, &format!("SELECT a FROM t1 {op} SELECT 1 / (a - a) FROM t2"), false);
+    }
+}
+
+#[test]
+fn set_operation_arms_go_through_the_planner() {
+    let mut db = setup();
+    let sql = "SELECT a FROM t1 UNION ALL SELECT a FROM t2 WHERE f > 50";
+    let before = db.exec_counts();
+    let r = execute_sql(&mut db, sql).unwrap();
+    assert_eq!(db.exec_counts().since(&before).plans_built, 2, "one plan per arm");
+    // The set operation itself is assembled by the row interpreter.
+    assert!(r.plan_fingerprint.is_none());
+    assert_eq!(r.plan_cache_hit, Some(false), "the last arm planned is what the event reports");
+    let before = db.exec_counts();
+    let r = execute_sql(&mut db, sql).unwrap();
+    assert_eq!(db.exec_counts().since(&before).plans_built, 0, "both arms hit the plan cache");
+    assert_eq!(r.plan_cache_hit, Some(true));
+
+    let lines = explain_lines(&mut db, &format!("EXPLAIN {sql} EXCEPT SELECT 1 ORDER BY 1"));
+    let text = lines.join("\n");
+    assert!(
+        lines[0].starts_with("row interpreter assembles the arms below, then ORDER BY"),
+        "{text}"
+    );
+    assert_eq!(lines[1], "EXCEPT", "{text}");
+    assert_eq!(lines[2], "  UNION ALL", "{text}");
+    assert_eq!(lines.iter().filter(|l| l.trim() == "arm:").count(), 3, "{text}");
+    assert!(text.contains("Scan t1") && text.contains("Scan t2"), "{text}");
+    assert!(text.contains("    row interpreter (shape outside the planner"), "{text}");
+    assert_eq!(lines.iter().filter(|l| l.contains("plan fingerprint: ")).count(), 2, "{text}");
+}
+
+#[test]
+fn subqueries_with_no_outer_column_in_reach_are_planned() {
+    let mut db = setup();
+    // Under a FROM-less SELECT the outer chain is all empty scopes.
+    let closed = "SELECT (SELECT count(*) FROM t1 WHERE a > 2) AS n, \
+                  (SELECT max(v) FROM t3 JOIN t2 ON t2.a = t3.k) AS m";
+    check(&mut db, closed, true);
+    let before = db.exec_counts();
+    execute_sql(&mut db, closed).unwrap();
+    execute_sql(&mut db, closed).unwrap();
+    // `check` planned both subqueries already; they are served from the
+    // session's plan cache now.
+    assert_eq!(db.exec_counts().since(&before).plans_built, 0);
+    execute_sql(&mut db, "INSERT INTO t3 VALUES (1, 1)").unwrap();
+    let before = db.exec_counts();
+    execute_sql(&mut db, closed).unwrap();
+    assert_eq!(db.exec_counts().since(&before).plans_built, 2, "a new epoch plans them again");
+
+    // The whole chain is walked: two FROM-less levels down, `t1.a` is
+    // still the outer row's.
+    check(&mut db, "SELECT a, (SELECT (SELECT t1.a + 1)) FROM t1", false);
+    check(&mut db, "SELECT a, (SELECT (SELECT max(f) FROM t2 WHERE t2.a = t1.a)) FROM t1", false);
+    // Closed subqueries under a CTE environment scan the CTE as a slot,
+    // set-operation arms included.
+    check(
+        &mut db,
+        "WITH c AS (SELECT a, b FROM t1 WHERE a > 2) \
+         SELECT (SELECT count(*) FROM c), (SELECT max(b) FROM c JOIN t3 ON t3.k = c.a), \
+                (SELECT sum(x) FROM (SELECT b AS x FROM c UNION ALL SELECT v FROM t3) u)",
+        true,
+    );
+    check(
+        &mut db,
+        "WITH c AS (SELECT a FROM t1) SELECT a FROM c INTERSECT SELECT k FROM t3 ORDER BY a",
+        true,
+    );
+    // IN / EXISTS forms, and a closed subquery whose planning falls back.
+    check(&mut db, "SELECT 3 IN (SELECT a FROM t1), EXISTS (SELECT 1 FROM t2 WHERE f > 98)", true);
+    check(&mut db, "SELECT (SELECT count(*) FROM t1 JOIN t2 USING (a))", true);
+    check(&mut db, "SELECT (SELECT a FROM t1)", true); // more than one row: the same error
+}

@@ -378,3 +378,140 @@ fn recursive_term_column_count_mismatch_errors_on_both_paths() {
     sqlengine::set_force_row_interpreter(was);
     assert_eq!(planned, rows);
 }
+
+/// Run `sql` on the planner path and on the forced row interpreter; the
+/// rows (rendered, sorted) must be the same, and are returned.
+fn on_both_paths(db: &mut Database, sql: &str) -> Vec<String> {
+    let run = |db: &mut Database| {
+        let mut rows: Vec<String> = q(db, sql)
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(","))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let planned = run(db);
+    let was = sqlengine::set_force_row_interpreter(true);
+    let rows = run(db);
+    sqlengine::set_force_row_interpreter(was);
+    assert_eq!(planned, rows, "planner vs row interpreter: {sql}");
+    planned
+}
+
+#[test]
+fn recursive_working_table_grows_past_one_row_and_one_batch() {
+    // Every step doubles the working table: 1, 2, 4, … 2048 rows, so the
+    // steps hand on one row, several rows, and (past 1024) several
+    // batches — through a cross join, a hash join and a nested loop with
+    // a condition.
+    let mut db = db_with(
+        "CREATE TABLE two (b int); INSERT INTO two VALUES (0), (1);
+         CREATE TABLE pairs (k int, b int); INSERT INTO pairs VALUES (0,0), (0,1), (1,0), (1,1)",
+    );
+    for from in [
+        "r, two WHERE r.d < 11",
+        "r JOIN pairs two ON two.k = r.n % 2 WHERE r.d < 11",
+        "r LEFT JOIN two ON two.b <= r.d + 1 WHERE r.d < 11",
+    ] {
+        let sql = format!(
+            "WITH RECURSIVE r(d, n) AS (SELECT 0, 0 UNION ALL \
+             SELECT r.d + 1, r.n * 2 + two.b FROM {from}) \
+             SELECT count(*), count(DISTINCT n), sum(n), max(d) FROM r WHERE d = 11 \
+             UNION ALL SELECT count(*), count(DISTINCT n), sum(n), max(d) FROM r"
+        );
+        let got = on_both_paths(&mut db, &sql);
+        // Level 11 holds every 11-bit number once: 0..2048.
+        assert_eq!(got, ["2048,2048,2096128,11", "4095,2048,2794155,11"], "{from}");
+    }
+    // UNION: the working table is what the step found *new*, which also
+    // passes 1024 rows before the residues mod 3001 run out.
+    let got = on_both_paths(
+        &mut db,
+        "WITH RECURSIVE r(n) AS (SELECT 0 UNION SELECT (r.n * 2 + two.b) % 3001 FROM r, two) \
+         SELECT count(*), count(DISTINCT n), min(n), max(n) FROM r",
+    );
+    assert_eq!(got, ["3001,3001,0,3000"]);
+}
+
+#[test]
+fn recursive_step_with_a_null_join_key_matches_nothing() {
+    // 2 → NULL: the NULL joins the relation but its key never matches,
+    // on a hash join and on the nested loop alike.
+    let mut db = db_with(
+        "CREATE TABLE edges (src int, dst int);
+         INSERT INTO edges VALUES (1,2), (2,NULL), (2,3), (NULL,9), (3,4)",
+    );
+    for on in ["e.src = r.n", "e.src <= r.n AND e.src >= r.n"] {
+        let got = on_both_paths(
+            &mut db,
+            &format!(
+                "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT e.dst FROM r \
+                 JOIN edges e ON {on}) SELECT n FROM r"
+            ),
+        );
+        assert_eq!(got, ["1", "2", "3", "4", "NULL"], "{on}");
+    }
+}
+
+#[test]
+fn recursive_term_runs_what_the_working_table_does_not_feed_once() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let mut db = db_with("CREATE TABLE ks (k int); INSERT INTO ks VALUES (1), (2), (3)");
+    let calls = Arc::new(AtomicU64::new(0));
+    let counter = calls.clone();
+    db.register_udf(sqlengine::ScalarUdf {
+        name: "probe".into(),
+        param_names: vec!["k".into()],
+        defaults: Default::default(),
+        func: Arc::new(move |args| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(args[0].clone())
+        }),
+    });
+    // `probe(k) = 2` filters `ks` below the cross join: a subtree that is
+    // not a join's build side and does not read `r`.
+    let sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL \
+               SELECT r.n + ks.k - 1 FROM r, ks WHERE probe(ks.k) = 2 AND r.n < 5) SELECT n FROM r";
+    assert_eq!(q(&mut db, sql).num_rows(), 5);
+    assert_eq!(calls.swap(0, Ordering::Relaxed), 3, "the filter over ks ran once, not per step");
+    let was = sqlengine::set_force_row_interpreter(true);
+    assert_eq!(q(&mut db, sql).num_rows(), 5);
+    sqlengine::set_force_row_interpreter(was);
+    assert_eq!(calls.load(Ordering::Relaxed), 15, "the row interpreter runs it in all 5 steps");
+}
+
+#[test]
+fn recursive_term_never_keeps_a_subtree_that_evaluates_a_subquery() {
+    // `e LEFT JOIN ks` scans no working table, but its ON condition asks
+    // a subquery for the working table's maximum: kept from the first
+    // step it would offer k = 2 forever, and the walk would stop at 2.
+    let mut db = db_with(
+        "CREATE TABLE ks (k int); INSERT INTO ks VALUES (1), (2), (3), (4), (5);
+         CREATE TABLE e (x int); INSERT INTO e VALUES (0)",
+    );
+    let got = on_both_paths(
+        &mut db,
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL \
+         SELECT ks.k FROM r, e LEFT JOIN ks ON ks.k = (SELECT max(n) FROM r) + 1 \
+         WHERE ks.k > r.n AND r.n < 4) SELECT n FROM r",
+    );
+    assert_eq!(got, ["1", "2", "3", "4"]);
+}
+
+#[test]
+fn runaway_recursion_stops_at_the_cap_with_the_same_error_on_both_paths() {
+    // Doubling passes a million rows after 20 steps.
+    let mut db = db_with("CREATE TABLE two (b int); INSERT INTO two VALUES (0), (1)");
+    let sql = "WITH RECURSIVE r(n) AS (SELECT 0 UNION ALL SELECT r.n FROM r, two) \
+               SELECT count(*) FROM r";
+    let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
+    assert_eq!(planned, "evaluation error: recursive CTE 'r' exceeded the iteration limit");
+    let was = sqlengine::set_force_row_interpreter(true);
+    let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
+    sqlengine::set_force_row_interpreter(was);
+    assert_eq!(planned, rows);
+    // The session is still usable.
+    assert_eq!(scalar(&mut db, "SELECT count(*) FROM two"), Value::Int(2));
+}
