@@ -62,6 +62,8 @@ struct Sweep {
     planned: usize,
     script_findings: usize,
     matrix_findings: usize,
+    /// Nonzeros `EXPLAIN PRESOLVE` reports cancelled, over the sweep.
+    nonzeros_cancelled: usize,
     tolerated: Vec<String>,
     failures: Vec<String>,
 }
@@ -83,9 +85,6 @@ impl Sweep {
             Err(_) => self.failures.push(format!("{name}: {label} PANICKED")),
             Ok(Err(e)) => self.tolerated.push(format!("{name}: {label}: {e}")),
             Ok(Ok(res)) => {
-                if mode != ExplainMode::Check {
-                    return;
-                }
                 let t = match res.into_table() {
                     Ok(t) => t,
                     Err(e) => {
@@ -93,6 +92,18 @@ impl Sweep {
                         return;
                     }
                 };
+                if mode != ExplainMode::Check {
+                    // `nonzeros cancelled: K (B -> A)`
+                    self.nonzeros_cancelled += t
+                        .rows
+                        .iter()
+                        .filter_map(|row| {
+                            row[0].as_str().ok()?.strip_prefix("nonzeros cancelled: ")
+                        })
+                        .filter_map(|rest| rest.split(' ').next()?.parse::<usize>().ok())
+                        .sum::<usize>();
+                    return;
+                }
                 for row in &t.rows {
                     let (code, sev, msg) = (&row[0], &row[1], &row[2]);
                     if code.as_str().is_ok_and(|c| ("SD020".."SD026").contains(&c)) {
@@ -269,7 +280,7 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
     println!(
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
          {} EXPLAIN SELECT run(s) ({} planned), {} scriptcheck finding(s), \
-         {} matrix finding(s){}",
+         {} matrix finding(s), {} nonzero(s) cancelled by presolve{}",
         sweep.scripts,
         sweep.solves,
         sweep.explains,
@@ -277,6 +288,7 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
         sweep.planned,
         sweep.script_findings,
         sweep.matrix_findings,
+        sweep.nonzeros_cancelled,
         if persistent { " [persistent mode: sessions WAL-committed]" } else { "" }
     );
     for t in &sweep.tolerated {

@@ -888,7 +888,7 @@ pub fn fig11(cfg: Config) -> Figure {
 // ---------------------------------------------------------------------------
 
 /// Turn presolve off in a `USING solverlp.cbc()` clause.
-fn presolve_off(sql: &str) -> String {
+pub fn presolve_off(sql: &str) -> String {
     sql.replace("solverlp.cbc()", "solverlp.cbc(presolve := off)")
 }
 
@@ -900,13 +900,35 @@ fn traced_solve(s: &mut Session, sql: &str) -> (Duration, obs::SolverStats) {
     (t, st)
 }
 
-/// Presolve on/off comparison across the UC1 LP, the UC2 knapsack MIP
-/// and a bound-snapping MIP microbench: solve time, branch-and-bound
-/// nodes, the reduction counters, and the (identical) objectives.
+/// Nonzeros of the constraint rows `solverlp` hands the kernel for one
+/// solve statement: after presolve, and as lowered (`presolve := off`).
+fn kernel_nonzeros(s: &Session, sql: &str) -> [usize; 2] {
+    use solvedbplus_core::check::presolve::reduce::reduce_with;
+    let sqlengine::ast::Statement::Solve(stmt) =
+        sqlengine::parser::parse_statement(sql).or_die("solve statement")
+    else {
+        panic!("bench: not a solve statement: {sql}");
+    };
+    let ctes = sqlengine::Ctes::new();
+    let prob = solvedbplus_core::build_problem(s.db(), &ctes, &stmt).or_die("problem");
+    let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
+    let (low, propagated) = (model.lowered(), model.propagated());
+    let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
+    [pre.nonzeros.1, low.problem.constraints.iter().map(|c| c.coeffs.len()).sum()]
+}
+
+/// Presolve on/off comparison across the UC1 LP (at the figures'
+/// horizon and at the paper's 288 steps, where the recursive CDTE's
+/// dense triangle is what presolve cancels), the UC2 knapsack MIP and a
+/// bound-snapping MIP microbench: solve time, branch-and-bound nodes,
+/// the reduction counters, the nonzeros the kernel sees, and the
+/// (identical) objectives.
 pub fn presolve(cfg: Config) -> Figure {
     let mut rows = Vec::new();
-    let mut push = |workload: &str, runs: [(&str, (Duration, obs::SolverStats)); 2]| {
-        for (mode, (t, st)) in runs {
+    let mut compare = |workload: &str, s: &mut Session, sql: &str| {
+        let runs = [("on", sql.to_string()), ("off", presolve_off(sql))];
+        for ((mode, sql), nonzeros) in runs.into_iter().zip(kernel_nonzeros(s, sql)) {
+            let (t, st) = traced_solve(s, &sql);
             rows.push(vec![
                 workload.to_string(),
                 mode.to_string(),
@@ -915,26 +937,28 @@ pub fn presolve(cfg: Config) -> Figure {
                 st.presolve_cols.to_string(),
                 st.presolve_bounds.to_string(),
                 st.presolve_rows.to_string(),
+                nonzeros.to_string(),
                 st.objective.map(|o| format!("{o:.2}")).unwrap_or_else(|| "-".into()),
             ]);
         }
     };
 
-    // UC1 P4: the HVAC planning LP, run on the session prepared through
+    // UC1 P4: the HVAC planning LP, run on a session prepared through
     // P3 (the solve does not mutate its inputs, so one session serves
     // both runs).
-    {
-        let (mut s, _) = uc1_session(cfg.uc1_history(), cfg.uc1_horizon(), 41);
+    let long = if cfg.quick { 24 } else { 288 };
+    for (label, horizon) in [
+        ("UC1 HVAC plan (LP)".to_string(), cfg.uc1_horizon()),
+        (format!("UC1 HVAC plan (LP, {long} steps)"), long),
+    ] {
+        let (mut s, _) = uc1_session(cfg.uc1_history(), horizon, 41);
         s.execute_script(uc1::S_3SS_P1).or_die("UC1 P1");
         s.execute_script(uc1::S_3SS_P2).or_die("UC1 P2");
         s.execute_script(&uc1::S_3SS_P3.replace("iterations := 400", "iterations := 40"))
             .or_die("UC1 P3");
         let p4 = uc1::S_3SS_P4;
         let start = p4.find("SOLVESELECT").or_die("UC1 P4 solve statement");
-        let sql = p4[start..].trim().trim_end_matches(';').to_string();
-        let on = traced_solve(&mut s, &sql);
-        let off = traced_solve(&mut s, &presolve_off(&sql));
-        push("UC1 HVAC plan (LP)", [("on", on), ("off", off)]);
+        compare(&label, &mut s, p4[start..].trim().trim_end_matches(';'));
     }
 
     // UC2 P4: the warehouse knapsack MIP over forecast-weighted profits.
@@ -944,10 +968,7 @@ pub fn presolve(cfg: Config) -> Figure {
         let (mut s, items) = uc2_session(n, months, 7);
         let ids: Vec<i64> = items.iter().map(|i| i.item_id).collect();
         crate::uc2::prepare_uc2_profit(&mut s, &ids).or_die("UC2 P2+P3");
-        let sql = crate::uc2::p4_solve_sql();
-        let on = traced_solve(&mut s, &sql);
-        let off = traced_solve(&mut s, &presolve_off(&sql));
-        push(&format!("UC2 knapsack MIP ({n} items)"), [("on", on), ("off", off)]);
+        compare(&format!("UC2 knapsack MIP ({n} items)"), &mut s, &crate::uc2::p4_solve_sql());
     }
 
     // Bound-snapping MIP: maximize sum(x) with a per-row 2x <= 7 over
@@ -965,14 +986,13 @@ pub fn presolve(cfg: Config) -> Figure {
                    MAXIMIZE (SELECT sum(x) FROM q) \
                    SUBJECTTO (SELECT x >= 0, 2 * x <= 7 FROM q) \
                    USING solverlp.cbc()";
-        let on = traced_solve(&mut s, sql);
-        let off = traced_solve(&mut s, &presolve_off(sql));
-        push(&format!("bound-snap MIP ({n} int vars)"), [("on", on), ("off", off)]);
+        compare(&format!("bound-snap MIP ({n} int vars)"), &mut s, sql);
     }
 
     Figure {
         id: "Presolve".into(),
-        title: "Interval-presolve payoff: solve time and search size, presolve on vs off".into(),
+        title: "Presolve payoff: solve time, search size and kernel nonzeros, presolve on vs off"
+            .into(),
         headers: vec![
             "workload".into(),
             "presolve".into(),
@@ -981,11 +1001,13 @@ pub fn presolve(cfg: Config) -> Figure {
             "vars fixed".into(),
             "bounds tightened".into(),
             "rows removed".into(),
+            "nonzeros".into(),
             "objective".into(),
         ],
         rows,
         notes: vec![
             "identical objectives within each pair is the correctness check; nodes and time are the payoff".into(),
+            "nonzeros: constraint-matrix entries handed to the kernel (with presolve on, after nonzero cancellation)".into(),
         ],
     }
 }
@@ -1685,16 +1707,21 @@ mod tests {
     #[test]
     fn presolve_figure_shows_node_reduction_at_equal_objectives() {
         let f = presolve(Config::quick());
-        assert_eq!(f.rows.len(), 6);
+        assert_eq!(f.rows.len(), 8);
         // Objectives agree within each on/off pair.
         for pair in f.rows.chunks(2) {
             assert_eq!(pair[0][0], pair[1][0]);
             assert_eq!((pair[0][1].as_str(), pair[1][1].as_str()), ("on", "off"));
-            assert_eq!(pair[0][7], pair[1][7], "objective drift in {}", pair[0][0]);
+            assert_eq!(pair[0][8], pair[1][8], "objective drift in {}", pair[0][0]);
         }
+        // The recursive CDTE's triangle reaches the kernel cancelled: at
+        // 24 steps, 2 + 3 + 4 + 20·3 nonzeros instead of 2 + … + 25 (one
+        // more with presolve off: the singleton row of the first step).
+        let nonzeros: Vec<&str> = f.rows[2..4].iter().map(|r| r[7].as_str()).collect();
+        assert_eq!(nonzeros, ["69", "300"]);
         // The bound-snap MIP demonstrates the payoff: fewer B&B nodes
         // with presolve on, and nonzero reduction counters.
-        let snap = &f.rows[4..6];
+        let snap = &f.rows[6..8];
         let nodes = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
         assert!(
             nodes(&snap[0]) < nodes(&snap[1]),

@@ -89,12 +89,13 @@ fn sd002(message: String) -> Diagnostic {
 }
 
 /// Run the analyzer over a compiled model. Pure analysis: it executes
-/// no query.
+/// no query. With a trace, each pass over the atoms records a
+/// `check.*` span — the per-rule attribution of the `check` stage.
 ///
 /// A model the compiler could not evaluate at all simply yields no (or
 /// only structural) findings, and the solver reports the failure at run
 /// time.
-pub fn check_problem(model: &CompiledModel<'_>) -> Vec<Diagnostic> {
+pub fn check_problem(model: &CompiledModel<'_>, trace: Option<&obs::Trace>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let prob = model.prob;
     let solver = prob.solver.as_deref();
@@ -155,13 +156,20 @@ pub fn check_problem(model: &CompiledModel<'_>) -> Vec<Diagnostic> {
         }
     }
 
-    rules::sd004_infeasible_constants(model, &mut diags);
-    rules::sd005_duplicate_or_shadowed(model, &mut diags);
-    rules::sd001_unbounded_in_objective(model, &mut diags);
-    rules::sd003_unreferenced_columns(model, &mut diags);
-    presolve::diag::presolve_rules(model, &mut diags);
-    structure::sd019_decomposable(model, &mut diags);
-    matrixclass::diag::matrix_rules(model, &mut diags);
+    // Not `presolve` / `matrixclass`: those name the solver's stages,
+    // and stage times are summed by name over the whole tree.
+    let passes: [(&str, fn(&CompiledModel<'_>, &mut Vec<Diagnostic>)); 7] = [
+        ("check.constants", rules::sd004_infeasible_constants),
+        ("check.duplicates", rules::sd005_duplicate_or_shadowed),
+        ("check.unbounded", rules::sd001_unbounded_in_objective),
+        ("check.unreferenced", rules::sd003_unreferenced_columns),
+        ("check.propagate", presolve::diag::presolve_rules),
+        ("check.structure", structure::sd019_decomposable),
+        ("check.matrix", matrixclass::diag::matrix_rules),
+    ];
+    for (name, pass) in passes {
+        obs::trace::span_time(trace, name, || pass(model, &mut diags));
+    }
 
     diags.sort_by(|a, b| b.severity.cmp(&a.severity).then_with(|| a.code.cmp(&b.code)));
     diags
@@ -172,7 +180,7 @@ pub fn check_problem(model: &CompiledModel<'_>) -> Vec<Diagnostic> {
 /// into a problem instance.
 pub fn check_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Vec<Diagnostic>> {
     let prob = crate::problem::build_problem(db, ctes, stmt)?;
-    Ok(check_problem(&compile_model(db, ctes, &prob)))
+    Ok(check_problem(&compile_model(db, ctes, &prob), None))
 }
 
 /// Parse and check a single `SOLVESELECT` statement.

@@ -16,12 +16,23 @@
 //!   `presolve := on|off` solver parameter), with an un-crush step
 //!   mapping the reduced solution back onto the original variables.
 //!
+//! The order is propagate → reduce → cancel: the reduced problem's rows
+//! go through **nonzero cancellation** ([`cancel`]) last, which adds
+//! multiples of equality rows to other rows where that makes them
+//! sparser — it restates the dense triangle a recursive CDTE unrolls
+//! into as the recurrence it came from. It changes rows only, and only of the
+//! problem the kernel is handed: the diagnostics, the reduction log and
+//! the counts are all read before it, from the rows the user's rules
+//! lowered to.
+//!
 //! The domain is the classic box/interval abstraction: propagation only
 //! ever *shrinks* intervals using bounds implied by the constraints, so
 //! every point feasible in the original model stays inside every
 //! propagated interval (soundness — property-tested in
-//! `crates/core/tests/presolve.rs`).
+//! `crates/core/tests/presolve_properties.rs`, which also solves a
+//! family of recurrence LPs with and without the whole of presolve).
 
+pub mod cancel;
 pub mod diag;
 pub mod reduce;
 
@@ -94,6 +105,26 @@ pub struct Row {
     pub coeffs: Vec<(usize, f64)>,
     pub rel: RowRel,
     pub rhs: f64,
+}
+
+/// Bring a sparse coefficient list into the form [`Row`] promises and
+/// every pass of this module reads: ascending column order, one entry
+/// per column (duplicates summed in list order), no zeros. A list that
+/// is already in that form — every row the compiler lowers — costs one
+/// scan.
+fn sort_and_merge(coeffs: &mut Vec<(usize, f64)>) {
+    let canonical = coeffs.windows(2).all(|w| w[0].0 < w[1].0);
+    if !canonical {
+        coeffs.sort_by_key(|&(j, _)| j);
+        coeffs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+    }
+    coeffs.retain(|&(_, c)| c != 0.0);
 }
 
 /// The abstract model the fixpoint runs over.

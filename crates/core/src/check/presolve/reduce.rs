@@ -1,15 +1,16 @@
 //! Model reduction for `lp::Problem`: run the interval fixpoint, build
 //! a smaller problem (fixed variables substituted out, redundant and
-//! singleton rows removed, bounds tightened), and un-crush solutions of
-//! the reduced problem back into the original variable space.
+//! singleton rows removed, bounds tightened), cancel nonzeros among its
+//! rows ([`cancel`](super::cancel)), and un-crush solutions of the
+//! reduced problem back into the original variable space.
 
+use super::cancel::cancel_nonzeros;
 use super::{
-    propagate, Counts, DropCause, FixCause, Infeasibility, Interval, Model, Outcome, Reduction,
-    Row, RowRel,
+    propagate, sort_and_merge, Counts, DropCause, FixCause, Infeasibility, Interval, Model,
+    Outcome, Reduction, Row, RowRel,
 };
 use crate::compile::CompiledModel;
 use crate::explain::{render_row, var_name};
-use std::collections::BTreeMap;
 
 /// The result of presolving an [`lp::Problem`].
 #[derive(Debug, Clone)]
@@ -24,6 +25,9 @@ pub struct Presolved {
     pub reduced: lp::Problem,
     /// Reduced-space index → original variable index.
     pub kept: Vec<usize>,
+    /// Nonzeros of the reduced problem's rows before and after nonzero
+    /// cancellation.
+    pub nonzeros: (usize, usize),
 }
 
 impl Presolved {
@@ -33,6 +37,11 @@ impl Presolved {
 
     pub fn counts(&self) -> Counts {
         self.outcome.counts()
+    }
+
+    /// Nonzeros the cancellation step removed from the reduced rows.
+    pub fn nonzeros_cancelled(&self) -> usize {
+        self.nonzeros.0 - self.nonzeros.1
     }
 
     /// Map a reduced-space point back onto the original variables:
@@ -77,12 +86,8 @@ pub fn model_of(p: &lp::Problem) -> Model {
 }
 
 fn row_of(c: &lp::Constraint) -> Row {
-    let mut merged: BTreeMap<usize, f64> = BTreeMap::new();
-    for &(j, coef) in &c.coeffs {
-        *merged.entry(j).or_insert(0.0) += coef;
-    }
-    let (mut coeffs, mut rhs): (Vec<(usize, f64)>, f64) =
-        (merged.into_iter().filter(|&(_, coef)| coef != 0.0).collect(), c.rhs);
+    let (mut coeffs, mut rhs) = (c.coeffs.clone(), c.rhs);
+    sort_and_merge(&mut coeffs);
     let rel = match c.rel {
         lp::Rel::Le => RowRel::Le,
         lp::Rel::Eq => RowRel::Eq,
@@ -97,10 +102,12 @@ fn row_of(c: &lp::Constraint) -> Row {
     Row { coeffs, rel, rhs }
 }
 
-/// Presolve an LP/MIP: propagate intervals to a fixpoint, then build
-/// the reduced problem. Sound by construction — the feasible set is
-/// preserved (bounds only shrink to implied bounds; removed rows are
-/// implied by the surviving box), so optimal objective values match.
+/// Presolve an LP/MIP: propagate intervals to a fixpoint, build the
+/// reduced problem, cancel nonzeros among its rows. Sound by
+/// construction — the feasible set is preserved (bounds only shrink to
+/// implied bounds; removed rows are implied by the surviving box; a row
+/// changes only by a multiple of an equality row), so optimal objective
+/// values match.
 pub fn reduce(p: &lp::Problem) -> Presolved {
     let model = model_of(p);
     let outcome = propagate(&model);
@@ -119,6 +126,7 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
             outcome,
             reduced: if p.minimize { lp::Problem::minimize(0) } else { lp::Problem::maximize(0) },
             kept: vec![],
+            nonzeros: (0, 0),
         };
     }
 
@@ -174,7 +182,8 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
         r.add_constraint(coeffs, rel, rhs);
     }
 
-    Presolved { original_vars: p.num_vars, original_rows, outcome, reduced: r, kept }
+    let nonzeros = cancel_nonzeros(&mut r);
+    Presolved { original_vars: p.num_vars, original_rows, outcome, reduced: r, kept, nonzeros }
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +276,13 @@ pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
         "variables fixed: {}, bounds tightened: {}, rows removed: {}",
         c.cols_removed, c.bounds_tightened, c.rows_removed
     ));
+    if pre.nonzeros_cancelled() > 0 {
+        let (before, after) = pre.nonzeros;
+        lines.push(format!(
+            "nonzeros cancelled: {} ({before} -> {after})",
+            pre.nonzeros_cancelled()
+        ));
+    }
     if pre.reduced.num_vars == 0 {
         lines.push("all variables fixed by propagation; no solver call needed".to_string());
     }

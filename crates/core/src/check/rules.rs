@@ -7,9 +7,11 @@
 use super::TOL;
 use crate::compile::{Atom, CompiledModel};
 use crate::explain::{render_atom, var_name};
-use crate::symbolic::{LinExpr, Rel, VarId};
+use crate::symbolic::{Rel, VarId};
 use sqlengine::diag::Diagnostic;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
 
 // ---------------------------------------------------------------------------
 // SD001 — decision variable unbounded in the objective direction
@@ -26,29 +28,34 @@ pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagn
         return;
     }
     let Some(obj) = m.linear_objective() else { return };
+    // What the atoms say about each variable, gathered in one pass.
+    #[derive(Clone, Copy, Default)]
+    struct Bounded {
+        coupled: bool,
+        lower: bool,
+        upper: bool,
+    }
+    let mut bounded = vec![Bounded::default(); m.prob.num_vars()];
+    for a in &m.atoms {
+        match a.diff.terms[..] {
+            // Single-variable atom c·v + k ⋈ 0.
+            [(v, c)] if a.rel != Rel::Eq => {
+                if (a.rel == Rel::Le) == (c > 0.0) {
+                    bounded[v as usize].upper = true;
+                } else {
+                    bounded[v as usize].lower = true;
+                }
+            }
+            _ => a.diff.vars().for_each(|v| bounded[v as usize].coupled = true),
+        }
+    }
     for &(v, coef) in &obj.terms {
         if coef == 0.0 {
             continue;
         }
         // Which way does the objective push v?
         let wants_down = (m.minimize && coef > 0.0) || (!m.minimize && coef < 0.0);
-        let mut coupled = false;
-        let (mut has_lower, mut has_upper) = (false, false);
-        for a in &m.atoms {
-            let Some(&(_, c)) = a.diff.terms.iter().find(|&&(tv, _)| tv == v) else {
-                continue;
-            };
-            if a.diff.terms.len() > 1 || a.rel == Rel::Eq {
-                coupled = true;
-                break;
-            }
-            // Single-variable atom c·v + k ⋈ 0.
-            if (a.rel == Rel::Le) == (c > 0.0) {
-                has_upper = true;
-            } else {
-                has_lower = true;
-            }
-        }
+        let Bounded { coupled, lower: has_lower, upper: has_upper } = bounded[v as usize];
         if coupled {
             continue;
         }
@@ -170,34 +177,20 @@ pub fn sd004_infeasible_constants(m: &CompiledModel<'_>, diags: &mut Vec<Diagnos
 // SD005 — duplicate / shadowed constraints
 // ---------------------------------------------------------------------------
 
-/// Normalize an atom for identity comparison: `Ge` becomes `Le` by
-/// negation, `Eq` is sign-canonicalized on its first term.
-fn normalize(a: &Atom) -> (LinExpr, Rel) {
-    match a.rel {
-        Rel::Ge => (a.diff.neg(), Rel::Le),
-        Rel::Eq => {
-            if a.diff.terms.first().is_some_and(|&(_, c)| c < 0.0) {
-                (a.diff.neg(), Rel::Eq)
-            } else {
-                (a.diff.clone(), Rel::Eq)
-            }
-        }
-        Rel::Le => (a.diff.clone(), Rel::Le),
-    }
-}
-
-type AtomKey = (u8, Vec<(VarId, u64)>, u64);
-
-fn atom_key(diff: &LinExpr, rel: Rel) -> AtomKey {
-    (
-        match rel {
-            Rel::Le => 0,
-            Rel::Eq => 1,
-            Rel::Ge => 2,
-        },
-        diff.terms.iter().map(|&(v, c)| (v, c.to_bits())).collect(),
-        diff.constant.to_bits(),
-    )
+/// An atom as a stream of words on which two atoms stating the same
+/// constraint agree: `Ge` is negated into `Le`, `Eq` is negated when
+/// its first coefficient is negative. Fingerprint and comparison both
+/// read it; no normalized copy of the atom is built.
+fn identity(a: &Atom) -> impl Iterator<Item = u64> + '_ {
+    let negate = match a.rel {
+        Rel::Ge => true,
+        Rel::Eq => a.diff.terms.first().is_some_and(|&(_, c)| c < 0.0),
+        Rel::Le => false,
+    };
+    let signed = move |c: f64| if negate { -c } else { c }.to_bits();
+    std::iter::once(u64::from(a.rel == Rel::Eq))
+        .chain(a.diff.terms.iter().flat_map(move |&(v, c)| [u64::from(v), signed(c)]))
+        .chain(std::iter::once(signed(a.diff.constant)))
 }
 
 /// Exact duplicate atoms add no information (warning); a single-variable
@@ -207,16 +200,23 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
     // -- exact duplicates ---------------------------------------------------
     // First occurrences in model order, with how often each recurs.
     let mut seen: Vec<(&Atom, usize)> = Vec::new();
-    let mut index: HashMap<AtomKey, usize> = HashMap::new();
+    // Fingerprint of `identity` → the entries of `seen` that have it.
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for a in &m.atoms {
         if a.diff.is_constant() {
             continue; // SD004 territory
         }
-        let (diff, rel) = normalize(a);
-        let at = *index.entry(atom_key(&diff, rel)).or_insert_with(|| {
-            seen.push((a, 0));
-            seen.len() - 1
-        });
+        let mut fingerprint = DefaultHasher::new();
+        identity(a).for_each(|word| fingerprint.write_u64(word));
+        let bucket = buckets.entry(fingerprint.finish()).or_default();
+        let at = match bucket.iter().find(|&&i| identity(seen[i].0).eq(identity(a))) {
+            Some(&i) => i,
+            None => {
+                seen.push((a, 0));
+                bucket.push(seen.len() - 1);
+                seen.len() - 1
+            }
+        };
         seen[at].1 += 1;
     }
     for (a, n) in &seen {

@@ -18,7 +18,6 @@
 use crate::compile::{Atom, CompiledModel};
 use crate::symbolic::VarId;
 use sqlengine::diag::Diagnostic;
-use std::collections::HashMap;
 
 /// One independent block of the constraint structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +31,9 @@ pub struct Block {
 /// Partition the constraint atoms into variable-disjoint blocks.
 /// Deterministic: blocks are ordered by their smallest variable id.
 pub fn blocks(atoms: &[Atom]) -> Vec<Block> {
-    let mut uf = UnionFind::default();
+    // Variable ids are dense: the largest one bounds the table.
+    let bound = atoms.iter().flat_map(|a| a.diff.vars()).max().map_or(0, |v| v + 1);
+    let mut uf = UnionFind { parent: vec![ABSENT; bound as usize] };
     for atom in atoms {
         let mut vars = atom.diff.vars();
         if let Some(first) = vars.next() {
@@ -42,26 +43,26 @@ pub fn blocks(atoms: &[Atom]) -> Vec<Block> {
             }
         }
     }
-    // Group variables by root.
-    let var_ids: Vec<VarId> = uf.ids();
-    let mut by_root: HashMap<VarId, Block> = HashMap::new();
-    for v in var_ids {
-        let root = uf.find(v);
-        by_root.entry(root).or_insert_with(|| Block { vars: vec![], rows: 0 }).vars.push(v);
+    // Ascending ids: a block is opened by its smallest variable and
+    // collects the rest in order.
+    let mut block_of_root = vec![usize::MAX; bound as usize];
+    let mut out: Vec<Block> = Vec::new();
+    for v in 0..bound {
+        if uf.parent[v as usize] == ABSENT {
+            continue;
+        }
+        let slot = &mut block_of_root[uf.find(v) as usize];
+        if *slot == usize::MAX {
+            *slot = out.len();
+            out.push(Block { vars: vec![], rows: 0 });
+        }
+        out[*slot].vars.push(v);
     }
     for atom in atoms {
         if let Some(v) = atom.diff.vars().next() {
-            let root = uf.find(v);
-            if let Some(block) = by_root.get_mut(&root) {
-                block.rows += 1;
-            }
+            out[block_of_root[uf.find(v) as usize]].rows += 1;
         }
     }
-    let mut out: Vec<Block> = by_root.into_values().collect();
-    for b in &mut out {
-        b.vars.sort_unstable();
-    }
-    out.sort_by_key(|b| b.vars.first().copied().unwrap_or(VarId::MAX));
     out
 }
 
@@ -123,27 +124,31 @@ pub fn problem_blocks(model: &CompiledModel<'_>) -> Vec<Block> {
     blocks(&model.atoms)
 }
 
-/// Minimal path-halving union-find over sparse `VarId`s.
-#[derive(Default)]
+/// Marks an id no atom names.
+const ABSENT: VarId = VarId::MAX;
+
+/// Minimal path-halving union-find over the dense `VarId`s of one model.
 struct UnionFind {
-    parent: HashMap<VarId, VarId>,
+    parent: Vec<VarId>,
 }
 
 impl UnionFind {
     fn ensure(&mut self, v: VarId) {
-        self.parent.entry(v).or_insert(v);
+        if self.parent[v as usize] == ABSENT {
+            self.parent[v as usize] = v;
+        }
     }
 
     fn find(&mut self, v: VarId) -> VarId {
         self.ensure(v);
         let mut x = v;
         loop {
-            let p = self.parent[&x];
+            let p = self.parent[x as usize];
             if p == x {
                 break;
             }
-            let gp = self.parent[&p];
-            self.parent.insert(x, gp);
+            let gp = self.parent[p as usize];
+            self.parent[x as usize] = gp;
             x = gp;
         }
         x
@@ -152,14 +157,8 @@ impl UnionFind {
     fn union(&mut self, a: VarId, b: VarId) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra as usize] = rb;
         }
-    }
-
-    fn ids(&self) -> Vec<VarId> {
-        let mut v: Vec<VarId> = self.parent.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 }
 

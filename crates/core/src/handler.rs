@@ -54,7 +54,7 @@ impl SolveHandler for Handler {
         // result — Error-level findings predict a solver failure that
         // the solve call below reports in its own words.
         obs::trace::span_time(trace, "check", || {
-            warnings.extend(check::check_problem(&model));
+            warnings.extend(check::check_problem(&model, trace));
         });
         let control = SolveControl::from_db(db);
         let ctx = SolveContext { db, ctes, trace, control: control.as_ref(), model: &model };

@@ -50,13 +50,19 @@ impl Solver for LpSolver {
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
         let pre: Option<Presolved> = presolve_on.then(|| {
-            ctx.stage("presolve", || match &lp_prob {
+            let span = ctx.trace.map(|t| t.span("presolve"));
+            let pre = match &lp_prob {
                 Cow::Borrowed(p) => {
                     let propagated = ctx.model.propagated();
                     reduce_with(p, &propagated.model, propagated.outcome.clone())
                 }
                 Cow::Owned(relaxed) => reduce(relaxed),
-            })
+            };
+            if let Some(span) = span.filter(|_| pre.nonzeros_cancelled() > 0) {
+                let (before, after) = pre.nonzeros;
+                span.note("nonzeros", format!("{before}->{after}"));
+            }
+            pre
         });
         let counts = pre.as_ref().map(|p| p.counts()).unwrap_or_default();
         // The problem the solver sees.
@@ -67,13 +73,13 @@ impl Solver for LpSolver {
             .param_text("matrixclass")
             .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
             .unwrap_or(true);
-        // When nothing relaxed, reduced or refuted the model's own LP,
-        // `target` is that LP (presolve only rewrites `>=` rows as `<=`,
-        // which the classification sees through) and the analyzer's pass
-        // is reused.
+        // When nothing relaxed, reduced, cancelled in or refuted the
+        // model's own LP, `target` is that LP (presolve only rewrites
+        // `>=` rows as `<=`, which the classification sees through) and
+        // the analyzer's pass is reused.
         let unchanged = matches!(lp_prob, Cow::Borrowed(_))
             && counts == Counts::default()
-            && !pre.as_ref().is_some_and(|p| p.infeasible());
+            && !pre.as_ref().is_some_and(|p| p.infeasible() || p.nonzeros_cancelled() > 0);
         let analysis: Option<Cow<'_, lp::matrix::MatrixAnalysis>> = matrixclass_on.then(|| {
             ctx.stage("matrixclass", || {
                 if unchanged {

@@ -43,6 +43,21 @@ fn solve_results_carry_a_trace() {
     for expected in ["parse", "plan", "instantiate", "compile", "check", "solve", "post-process"] {
         assert!(names.iter().any(|n| n == expected), "missing stage {expected} in {names:?}");
     }
+    // The analyzer's passes, one span each, in the order they run.
+    let passes: Vec<&str> =
+        names.iter().filter_map(|n| n.strip_prefix("check.")).collect::<Vec<_>>();
+    assert_eq!(
+        passes,
+        [
+            "constants",
+            "duplicates",
+            "unbounded",
+            "unreferenced",
+            "propagate",
+            "structure",
+            "matrix"
+        ]
+    );
     // Every stage took measurable time and the tree fits in the total.
     let root_sum: u64 = trace.stages.iter().map(|s| s.nanos).sum();
     assert!(trace.stages.iter().all(|s| s.nanos >= 1));
@@ -62,9 +77,14 @@ fn explain_analyze_renders_the_stage_tree() {
     s.execute_script(SETUP).unwrap();
     let t = s.query(&format!("EXPLAIN ANALYZE {SOLVE}")).unwrap();
     let plan = text_column(&t, "plan").join("\n");
-    for expected in
-        ["query: SOLVESELECT", "-> parse:", "-> solve:", "solver solverlp", "rows out: 1"]
-    {
+    for expected in [
+        "query: SOLVESELECT",
+        "-> parse:",
+        "    -> check.propagate:",
+        "-> solve:",
+        "solver solverlp",
+        "rows out: 1",
+    ] {
         assert!(plan.contains(expected), "missing {expected:?} in:\n{plan}");
     }
     // Timings render in milliseconds with nonzero precision.

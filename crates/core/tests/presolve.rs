@@ -21,6 +21,70 @@ fn codes(diags: &[Diagnostic]) -> Vec<&str> {
 // EXPLAIN PRESOLVE
 // ---------------------------------------------------------------------------
 
+/// `x[n] = 0.9·x[n-1] + 0.5·u[n-1]` over eight steps, stated as a
+/// recursive CDTE and equated to the decision column `x`: symbolic
+/// evaluation unrolls it into a triangle (row n holds u[0..n]).
+fn recurrence_session() -> Session {
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE steps (n int, u float8, x float8);
+         INSERT INTO steps WITH RECURSIVE g(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM g WHERE n < 8)
+                           SELECT n, NULL, NULL FROM g",
+    )
+    .unwrap();
+    s
+}
+
+const RECURRENCE: &str = "SOLVESELECT t(u, x) AS (SELECT * FROM steps) \
+     WITH sim AS ( \
+       WITH RECURSIVE s(n, x) AS ( \
+         SELECT 0, 20.0 \
+         UNION ALL \
+         SELECT s.n + 1, 0.9 * s.x + 0.5 * t.u FROM s JOIN t ON t.n = s.n WHERE s.n < 8) \
+       SELECT n, x FROM s) \
+     MINIMIZE (SELECT sum(u) FROM t) \
+     SUBJECTTO (SELECT t.x = sim.x FROM sim, t WHERE t.n = sim.n), \
+               (SELECT 19 <= x <= 24, 0 <= u <= 10 FROM t) \
+     USING solverlp()";
+
+#[test]
+fn a_recurrence_is_cancelled_back_to_its_own_size() {
+    let mut s = recurrence_session();
+    let lines =
+        |t: sqlengine::Table| -> Vec<String> { t.rows.iter().map(|r| r[0].to_string()).collect() };
+    // Rows 1..=8 hold 2, 3, …, 9 entries; 2, 3, 4 and five times 3 are left.
+    let report = lines(s.query(&format!("EXPLAIN PRESOLVE {RECURRENCE}")).unwrap());
+    assert!(report.contains(&"nonzeros cancelled: 20 (44 -> 24)".to_string()), "{report:#?}");
+    let analyzed = lines(s.query(&format!("EXPLAIN ANALYZE {RECURRENCE}")).unwrap()).join("\n");
+    assert!(analyzed.contains("nonzeros=44->24"), "{analyzed}");
+
+    // The same plan either way.
+    let off = RECURRENCE.replace("solverlp()", "solverlp(presolve := off)");
+    let (on, off) = (s.query(RECURRENCE).unwrap(), s.query(&off).unwrap());
+    for col in ["u", "x"] {
+        let floats = |t: &sqlengine::Table| -> Vec<f64> {
+            t.column_values(col).unwrap().iter().map(|v| v.as_f64().unwrap()).collect()
+        };
+        for (a, b) in floats(&on).into_iter().zip(floats(&off)) {
+            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{col}: {a} vs {b}");
+        }
+    }
+}
+
+#[test]
+fn a_model_without_cancellation_prints_no_nonzeros_line() {
+    let mut s = lp_session();
+    let t = s
+        .query(
+            "EXPLAIN PRESOLVE SOLVESELECT q(x, y) AS (SELECT x, y FROM v) \
+             MAXIMIZE (SELECT sum(x + y) FROM q) \
+             SUBJECTTO (SELECT 0 <= x <= 4, 0 <= y <= 10, x + y <= 5 FROM q) \
+             USING solverlp()",
+        )
+        .unwrap();
+    assert!(t.rows.iter().all(|r| !r[0].to_string().contains("nonzeros")), "{t:?}");
+}
+
 #[test]
 fn explain_presolve_renders_a_reduction_log() {
     let mut s = lp_session();

@@ -3,11 +3,14 @@
 //! [`Histogram`] records `u64` samples (nanoseconds, by convention)
 //! into fixed-size logarithmic buckets: values below 8 are exact, and
 //! every power-of-two range above that is split into 8 linear
-//! sub-buckets, bounding the relative quantile error at 12.5%. The
-//! whole structure is a flat `[u64; 496]` plus three scalars — no
-//! allocation, O(1) record, mergeable — so it can sit inside every
-//! statement-shape and pipeline-stage entry of the metrics registry
-//! without a memory knob.
+//! sub-buckets, bounding the relative quantile error at 12.5%. Of the
+//! 496 buckets a histogram holds the contiguous range its samples have
+//! fallen into — the timings of one stage or statement shape span a few
+//! powers of two, a few dozen counters — plus four scalars: O(1)
+//! record, mergeable, and small enough to sit inside every
+//! statement-shape and pipeline-stage entry of every session's metrics
+//! registry without a memory knob (all 496 would be 4 KB per entry: a
+//! new stage name would cost every session that much).
 //!
 //! Quantiles are read back as the *upper bound* of the bucket holding
 //! the requested rank (capped at the exact observed maximum), which is
@@ -20,19 +23,18 @@ const SUBCOUNT: u64 = 1 << SUBBITS;
 /// Total buckets: 8 exact low buckets + 8 per group for msb 3..=63.
 pub const NBUCKETS: usize = (SUBCOUNT as usize) * (64 - SUBBITS as usize + 1);
 
-/// Fixed-memory mergeable histogram of `u64` samples.
-#[derive(Clone, PartialEq, Eq)]
+/// Mergeable histogram of `u64` samples, at most [`NBUCKETS`] counters.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
-    counts: [u64; NBUCKETS],
+    /// Index of the bucket `counts[0]` counts.
+    first: usize,
+    /// Counts of the buckets `first..first + counts.len()`: the range
+    /// samples have fallen into so far, both end buckets occupied (so
+    /// equal contents are equal values, whatever order they came in).
+    counts: Vec<u64>,
     count: u64,
     sum: u64,
     max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram { counts: [0; NBUCKETS], count: 0, sum: 0, max: 0 }
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -75,9 +77,30 @@ impl Histogram {
         Histogram::default()
     }
 
+    /// The counter of bucket `i`, the held range grown to include it.
+    fn slot(&mut self, i: usize) -> &mut u64 {
+        if self.counts.is_empty() {
+            self.first = i;
+        }
+        if i < self.first {
+            self.counts.splice(0..0, std::iter::repeat_n(0, self.first - i));
+            self.first = i;
+        }
+        let at = i - self.first;
+        if at >= self.counts.len() {
+            self.counts.resize(at + 1, 0);
+        }
+        &mut self.counts[at]
+    }
+
+    /// `(bucket index, count)` over the held range, ascending.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.counts.iter().enumerate().map(|(k, &c)| (self.first + k, c))
+    }
+
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
+        *self.slot(bucket_index(v)) += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
@@ -85,8 +108,8 @@ impl Histogram {
 
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
+        for (i, c) in other.buckets().filter(|&(_, c)| c > 0) {
+            *self.slot(i) += c;
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -126,7 +149,7 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, c) in self.buckets() {
             seen += c;
             if seen >= rank {
                 return bucket_bounds(i).1.min(self.max);
@@ -155,12 +178,7 @@ impl Histogram {
     /// bound order — the raw material for a Prometheus exposition
     /// (`_bucket{le=...}` series are the cumulative sums of these).
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_bounds(i).1, c))
-            .collect()
+        self.buckets().filter(|&(_, c)| c > 0).map(|(i, c)| (bucket_bounds(i).1, c)).collect()
     }
 }
 
@@ -193,11 +211,34 @@ mod tests {
         for v in 0..8 {
             h.record(v);
         }
-        for i in 0..8 {
-            assert_eq!(h.counts[i], 1, "bucket {i}");
-        }
+        assert_eq!((h.first, &h.counts), (0, &vec![1; 8]));
         assert_eq!(h.sum(), 28);
         assert_eq!(h.max(), 7);
+    }
+
+    #[test]
+    fn only_the_occupied_range_is_held() {
+        // Timings between 1 and 4 ms: 17 of the 496 counters.
+        let mut up = Histogram::new();
+        let samples = [1_000_000u64, 1_500_000, 2_200_000, 3_900_000, 4_000_000];
+        samples.iter().for_each(|&v| up.record(v));
+        assert_eq!(up.counts.len(), bucket_index(4_000_000) - bucket_index(1_000_000) + 1);
+        assert_eq!(up.counts.len(), 17);
+        // The same samples in another order, and merged from two halves,
+        // are the same value: the range grows downward as well.
+        let mut down = Histogram::new();
+        samples.iter().rev().for_each(|&v| down.record(v));
+        assert_eq!(up, down);
+        let (mut low, mut high) = (Histogram::new(), Histogram::new());
+        samples[..2].iter().for_each(|&v| low.record(v));
+        samples[2..].iter().for_each(|&v| high.record(v));
+        high.merge(&low);
+        assert_eq!(high, up);
+        // An outlier widens the range; merging an empty one does not.
+        up.record(u64::MAX);
+        assert_eq!(up.first + up.counts.len(), NBUCKETS);
+        down.merge(&Histogram::new());
+        assert_eq!(down.counts.len(), 17);
     }
 
     #[test]

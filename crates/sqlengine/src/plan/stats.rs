@@ -10,6 +10,13 @@
 //! directly. Statistics are advisory (they steer plan choice, never
 //! results).
 //!
+//! A custom value — a symbolic decision cell — has no key but its
+//! rendered text, and a column of them is as large as a model (the 288
+//! linear expressions a recursive CDTE binds hold 41 000 terms). Each
+//! one counts as one more distinct value, unrendered. GROUP BY,
+//! DISTINCT and join keys over custom values keep
+//! [`Value::group_key`] and its semantics.
+//!
 //! [`StoredTable`]: super::image::StoredTable
 
 use crate::types::Value;
@@ -37,18 +44,24 @@ impl TableStats {
         let mut distinct = Vec::with_capacity(ncols);
         for c in 0..ncols {
             let mut seen: HashSet<crate::types::GroupKey> = HashSet::new();
+            let mut custom = 0usize;
             for row in table.rows.iter().take(sample) {
-                let v: &Value = &row[c];
-                seen.insert(v.group_key());
+                match &row[c] {
+                    Value::Custom(_) => custom += 1,
+                    v => {
+                        seen.insert(v.group_key());
+                    }
+                }
             }
+            let seen = (seen.len() + custom) as f64;
             let d = if sample == 0 {
                 0.0
             } else if sample < row_count {
                 // Scale the sampled distinct count linearly, capped at the
                 // row count — crude, but stable and monotone.
-                (seen.len() as f64 * row_count as f64 / sample as f64).min(row_count as f64)
+                (seen * row_count as f64 / sample as f64).min(row_count as f64)
             } else {
-                seen.len() as f64
+                seen
             };
             distinct.push(d.max(if row_count == 0 { 0.0 } else { 1.0 }));
         }
@@ -67,6 +80,8 @@ mod tests {
     use super::*;
     use crate::catalog::Database;
     use crate::table::Table;
+    use crate::types::{custom, CustomValue};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -86,6 +101,45 @@ mod tests {
         // a: {1, 2, NULL} -> 3 distinct keys; b: {x, y} -> 2.
         assert_eq!(s.distinct[0], 3.0);
         assert_eq!(s.distinct[1], 2.0);
+    }
+
+    /// A custom value that counts how often it is rendered.
+    #[derive(Debug)]
+    struct Rendered(&'static str, Arc<AtomicUsize>);
+
+    impl CustomValue for Rendered {
+        fn type_name(&self) -> &str {
+            "rendered"
+        }
+        fn to_text(&self) -> String {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.to_string()
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn custom_cells_count_as_distinct_without_being_rendered() {
+        let renders = Arc::new(AtomicUsize::new(0));
+        let cell = |text| custom(Rendered(text, Arc::clone(&renders)));
+        let t = Table::from_rows(
+            &["sym", "mixed"],
+            vec![
+                vec![cell("x0"), Value::Int(1)],
+                vec![cell("x1"), cell("x2")],
+                vec![cell("x3"), Value::Int(1)],
+                vec![cell("x4"), Value::Null],
+            ],
+        );
+        let s = TableStats::collect(&t);
+        assert_eq!(renders.load(Ordering::Relaxed), 0, "statistics rendered a custom cell");
+        // sym: four symbolic cells; mixed: {1, NULL} and one symbolic cell.
+        assert_eq!(s.distinct, vec![4.0, 3.0]);
+        // The grouping key of a custom value is still its text.
+        assert_eq!(cell("x0").group_key(), cell("x0").group_key());
+        assert_eq!(renders.load(Ordering::Relaxed), 2);
     }
 
     #[test]

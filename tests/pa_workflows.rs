@@ -285,13 +285,22 @@ fn count_stages(stages: &[solvedbplus::obs::Stage], name: &str) -> usize {
     stages.iter().map(|s| (s.name == name) as usize + count_stages(&s.children, name)).sum()
 }
 
+/// The children of the `check` stage, every one of them a leaf named
+/// `check.<pass>`.
+fn check_passes(stages: &[solvedbplus::obs::Stage]) -> usize {
+    let check = find_stage(stages, "check").expect("check stage");
+    assert!(check.children.iter().all(|c| c.name.starts_with("check.") && c.children.is_empty()));
+    check.children.len()
+}
+
 /// One `SOLVESELECT` runs the symbolic evaluation of its rules once, by
 /// the executor's own counts (no timing). The example's P4 plan steps
 /// its simulation CDTE once per horizon row at instantiation and once
 /// more in the single symbolic pass that the analyzer and `solverlp`
 /// both read; its black-box fit, whose simulation is not linear in the
 /// parameters, gives the symbolic pass up before its first step. Either
-/// way the trace has one `compile` stage, and `check` is pure analysis.
+/// way the trace has one `compile` stage, and `check` is pure analysis:
+/// under it are its own seven passes and nothing that evaluates.
 #[test]
 fn a_solve_statement_compiles_its_rules_once() {
     use solvedbplus::core::{check, compile_model};
@@ -322,8 +331,7 @@ fn a_solve_statement_compiles_its_rules_once() {
     assert_eq!(steps, 2 * (HORIZON + 1));
     let trace = result.trace.expect("solve statements are traced");
     assert_eq!(count_stages(&trace.stages, "compile"), 1);
-    let check_stage = find_stage(&trace.stages, "check").expect("check stage");
-    assert!(check_stage.children.is_empty());
+    assert_eq!(check_passes(&trace.stages), 7);
 
     // P3 under swarmops: instantiate, the start point and every search
     // evaluation run the whole simulation; the symbolic pass stops at
@@ -336,7 +344,7 @@ fn a_solve_statement_compiles_its_rules_once() {
     let evaluations = trace.solvers[0].evaluations;
     assert_eq!(steps, (1 + 1 + evaluations) * (HISTORY + 1));
     assert_eq!(count_stages(&trace.stages, "compile"), 1);
-    assert!(find_stage(&trace.stages, "check").expect("check stage").children.is_empty());
+    assert_eq!(check_passes(&trace.stages), 7);
 
     // The analyzer, the lowering and the propagation execute nothing.
     let Statement::Solve(stmt) =
@@ -348,7 +356,7 @@ fn a_solve_statement_compiles_its_rules_once() {
     let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
     let model = compile_model(s.db(), &ctes, &prob);
     let compiled = s.db().exec_counts();
-    assert!(check::check_problem(&model).iter().all(|d| d.code == "SD019"));
+    assert!(check::check_problem(&model, None).iter().all(|d| d.code == "SD019"));
     assert!(model.propagated().outcome.infeasible.is_none());
     assert_eq!(s.db().exec_counts(), compiled);
 }
