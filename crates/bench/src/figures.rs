@@ -1251,6 +1251,14 @@ pub fn executor(cfg: Config) -> Figure {
             "hash join",
             "SELECT f.id, d.name FROM fact f JOIN dim d ON f.g = d.id WHERE f.a < 250".into(),
         ),
+        // The shape of a rule instantiation: a few dimension rows pick
+        // their share of the fact table.
+        (
+            "hash join: 20-row filtered dim ⋈ fact",
+            "SELECT d.id, count(*), sum(f.a) FROM dim d JOIN fact f ON f.g = d.id \
+             WHERE d.id BETWEEN 10 AND 29 GROUP BY d.id"
+                .into(),
+        ),
         ("aggregate", aggregate.into()),
         ("rollup", "SELECT g, sum(a) FROM fact WHERE g < 16 GROUP BY ROLLUP (g)".into()),
     ];

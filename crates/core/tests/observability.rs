@@ -309,6 +309,18 @@ fn sdb_metrics_counts_pivoted_column_chunks() {
     s.query("SELECT max(b) FROM m").unwrap();
     assert_eq!(counter(&s), before + 2, "a repeat would mean the image is not shared");
     assert_eq!(row(&mut s), before + 2);
+    // A write keeps what it did not touch: UPDATE the chunks of the
+    // columns it does not assign, DELETE the chunks in front of its
+    // first row — here none, the table is one chunk.
+    let before = counter(&s);
+    s.execute("UPDATE m SET b = 5 WHERE a = 3").unwrap();
+    s.query("SELECT sum(a) FROM m").unwrap();
+    assert_eq!(counter(&s), before, "`a` was not assigned");
+    s.query("SELECT sum(a) FROM m WHERE b > 0").unwrap();
+    assert_eq!(counter(&s), before + 1, "`b` was");
+    s.execute("DELETE FROM m WHERE a = 1").unwrap();
+    s.query("SELECT sum(a) FROM m WHERE b > 0").unwrap();
+    assert_eq!(counter(&s), before + 3, "the only chunk of both columns");
 }
 
 #[test]

@@ -295,9 +295,9 @@ impl ExecCounts {
 pub struct Database {
     /// Every table with what is derived from its current rows (columnar
     /// image, statistics). The commit points below — `create_table`,
-    /// `put_table` (with `take_table`, its first half for a rewrite),
-    /// `append_rows`, `drop_table` and [`CatalogMutation::apply`] — are
-    /// the only code that replaces or extends an entry.
+    /// `put_table`, `rewrite_table`, `append_rows`, `drop_table` and
+    /// [`CatalogMutation::apply`] — are the only code that replaces or
+    /// changes an entry.
     tables: HashMap<String, StoredTable>,
     views: HashMap<String, Arc<Query>>,
     udfs: HashMap<String, ScalarUdf>,
@@ -526,20 +526,28 @@ impl Database {
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
     }
 
-    /// Move `name`'s table out of the catalog for a rewrite that ends in
-    /// [`Self::put_table`] (DELETE, UPDATE): the table itself when nothing
-    /// else holds it, otherwise the shared handle to copy from. The
-    /// caller puts the rewritten table back before it returns.
-    pub(crate) fn take_table(
+    /// Rewrite `name`'s rows through `edit` and commit the result as
+    /// [`Self::put_table`] would — the commit point of DELETE and UPDATE.
+    /// `first_touched` and `assigned` say what `edit` leaves alone, so the
+    /// table's image survives where it can: see [`StoredTable::rewrite`].
+    pub(crate) fn rewrite_table(
         &mut self,
         name: &str,
-    ) -> Result<std::result::Result<Table, TableRef>> {
+        first_touched: usize,
+        assigned: Option<&[usize]>,
+        edit: impl FnOnce(&mut Table),
+    ) -> Result<()> {
+        // First: the plans the epoch retires hold the table too, and a
+        // table held only here is rewritten in place.
         self.bump_epoch();
         let stored = self
             .tables
-            .remove(name)
+            .get_mut(name)
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))?;
-        Ok(Arc::try_unwrap(stored.into_table()))
+        stored.rewrite(first_touched, assigned, edit);
+        let table = stored.table().clone();
+        self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
+        Ok(())
     }
 
     pub fn table_names(&self) -> Vec<&str> {

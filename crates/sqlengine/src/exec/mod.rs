@@ -343,13 +343,14 @@ fn execute_statement_inner(
                 (bound_assign.into_iter().map(|(idx, _)| idx).collect::<Vec<_>>(), patches)
             };
             let n = patches.len();
-            let mut updated = db.take_table(table)?.unwrap_or_else(|shared| (*shared).clone());
-            for (i, values) in patches {
-                for (idx, v) in cols.iter().zip(values) {
-                    updated.rows[i][*idx] = v;
+            let first = patches.first().map_or(usize::MAX, |(i, _)| *i);
+            db.rewrite_table(table, first, Some(&cols), |t| {
+                for (i, values) in patches {
+                    for (idx, v) in cols.iter().zip(values) {
+                        t.rows[i][*idx] = v;
+                    }
                 }
-            }
-            db.put_table(table, updated);
+            })?;
             Ok(ExecResult::count(n))
         }
         Statement::Delete { table, where_ } => {
@@ -361,21 +362,11 @@ fn execute_statement_inner(
                 let ctx = EvalCtx { db, ctes: &ctes };
                 matching_rows(&ctx, stored, &scope, bound_where.as_ref())?
             };
-            let kept = match db.take_table(table)? {
-                Ok(mut owned) => {
-                    let mut hit = hits.iter();
-                    owned.rows.retain(|_| hit.next() == Some(&false));
-                    owned
-                }
-                Err(shared) => {
-                    let survivors = shared.rows.iter().zip(&hits).filter(|(_, hit)| !**hit);
-                    Table::with_rows(
-                        shared.schema.clone(),
-                        survivors.map(|(row, _)| row.clone()).collect(),
-                    )
-                }
-            };
-            db.put_table(table, kept);
+            let first = hits.iter().position(|hit| *hit).unwrap_or(usize::MAX);
+            db.rewrite_table(table, first, None, |t| {
+                let mut hit = hits.iter();
+                t.rows.retain(|_| hit.next() == Some(&false));
+            })?;
             Ok(ExecResult::count(hits.iter().filter(|hit| **hit).count()))
         }
         Statement::CreateTable { name, if_not_exists, columns, as_query } => {

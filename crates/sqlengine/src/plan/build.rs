@@ -166,6 +166,7 @@ pub fn plan_select(
                         input: Box::new(node),
                         pred,
                         desc: clip(&w.to_string()),
+                        derived: false,
                         est,
                     }
                 }
@@ -201,9 +202,14 @@ pub fn plan_select(
                 bb: BoundExpr,
                 desc: String,
             }
-            let mut pushed: Vec<Vec<(BoundExpr, String)>> = vec![Vec::new(); bases.len()];
+            let mut pushed: Vec<Vec<Pushed>> = vec![Vec::new(); bases.len()];
             let mut edges: Vec<Edge> = Vec::new();
             let mut residual: Vec<(BoundExpr, String)> = Vec::new();
+            // What `derive_across_edges` reads: the pushed conjuncts that
+            // compare one bare column with constants, and the equalities
+            // between two bare columns, as written.
+            let mut comparisons: Vec<(usize, &Expr)> = Vec::new();
+            let mut equalities: Vec<[(usize, &Expr); 2]> = Vec::new();
             for c in conjuncts {
                 let b = syn_binder.bind(c)?;
                 let desc = clip(&c.to_string());
@@ -216,7 +222,10 @@ pub fn plan_select(
                 collect_cols(&b, &mut cols);
                 if !cols.is_empty() {
                     if let Some(owner) = base_of(&cols) {
-                        pushed[owner].push((b, desc));
+                        if let Some(col) = constant_comparison(&b, &syn_scope) {
+                            comparisons.push((col, c));
+                        }
+                        pushed[owner].push(Pushed { pred: b, desc, derived: false });
                         continue;
                     }
                 }
@@ -227,6 +236,14 @@ pub fn plan_select(
                     if !lc.is_empty() && !rc.is_empty() {
                         if let (Some(a), Some(bb)) = (base_of(&lc), base_of(&rc)) {
                             if a != bb {
+                                if let (
+                                    BoundExpr::Column { depth: 0, index: l },
+                                    BoundExpr::Column { depth: 0, index: r },
+                                    Expr::BinOp { lhs: le, rhs: re, .. },
+                                ) = (&**lhs, &**rhs, c)
+                                {
+                                    equalities.push([(*l, &**le), (*r, &**re)]);
+                                }
                                 edges.push(Edge {
                                     a,
                                     b: bb,
@@ -242,6 +259,15 @@ pub fn plan_select(
                 residual.push((b, desc));
             }
 
+            for (col, pred, desc) in
+                derive_across_edges(&syn_binder, &syn_scope, &comparisons, &equalities)
+            {
+                let Some(owner) = base_of(&[col]) else { continue };
+                if pushed[owner].iter().all(|p| p.desc != desc) {
+                    pushed[owner].push(Pushed { pred, desc, derived: true });
+                }
+            }
+
             // -- column pruning ---------------------------------------------
             let widths: Vec<usize> = bases.iter().map(|b| b.scope.cols.len()).collect();
             let total: usize = widths.iter().sum();
@@ -254,8 +280,8 @@ pub fn plan_select(
                     collect_cols(b, &mut cols);
                     used.extend(cols);
                 };
-                for (b, _) in pushed.iter().flatten() {
-                    add(b);
+                for p in pushed.iter().flatten() {
+                    add(&p.pred);
                 }
                 for e in &edges {
                     add(&e.ab);
@@ -315,12 +341,16 @@ pub fn plan_select(
                 // Base-local remap: syntactic index → scan output index.
                 let local: HashMap<usize, usize> =
                     kept[bi].iter().enumerate().map(|(pos, &j)| (offsets[bi] + j, pos)).collect();
-                for (b, desc) in &pushed[bi] {
-                    est = pred_est(b, est, &col_distinct);
-                    let Some(pred) = remap_cols(b, &local) else { return Ok(None) };
-                    let pred = VecExpr::compile(&pred);
-                    node =
-                        PlanNode::Filter { input: Box::new(node), pred, desc: desc.clone(), est };
+                for Pushed { pred, desc, derived } in &pushed[bi] {
+                    est = pred_est(pred, est, &col_distinct);
+                    let Some(pred) = remap_cols(pred, &local) else { return Ok(None) };
+                    node = PlanNode::Filter {
+                        input: Box::new(node),
+                        pred: VecExpr::compile(&pred),
+                        desc: desc.clone(),
+                        derived: *derived,
+                        est,
+                    };
                 }
                 nodes.push(Some(node));
                 ests.push(est);
@@ -466,7 +496,13 @@ pub fn plan_select(
                     None => VecExpr::compile(b),
                 };
                 let est = sel_est(node.est(), 1);
-                node = PlanNode::Filter { input: Box::new(node), pred, desc: desc.clone(), est };
+                node = PlanNode::Filter {
+                    input: Box::new(node),
+                    pred,
+                    desc: desc.clone(),
+                    derived: false,
+                    est,
+                };
             }
             (node, map)
         }
@@ -514,8 +550,13 @@ pub fn plan_select(
         if let (Some(h), Some(pred)) = (&sel.having, &head.having_bound) {
             let pred = VecExpr::compile(pred);
             let est = sel_est(input.est(), 1);
-            input =
-                PlanNode::Filter { input: Box::new(input), pred, desc: clip(&h.to_string()), est };
+            input = PlanNode::Filter {
+                input: Box::new(input),
+                pred,
+                desc: clip(&h.to_string()),
+                derived: false,
+                est,
+            };
         }
     }
 
@@ -595,6 +636,17 @@ pub(crate) fn outside_planner(
 enum FromShape<'a> {
     Pure { bases: Vec<Base>, offsets: Vec<usize>, syn_scope: Scope, ons: Vec<&'a Expr> },
     General { node: PlanNode, syn_scope: Scope },
+}
+
+/// A single-table conjunct on its way below the joins, onto its base's
+/// scan.
+#[derive(Clone)]
+struct Pushed {
+    pred: BoundExpr,
+    desc: String,
+    /// Copied across an equi-edge by [`derive_across_edges`], not written
+    /// in the statement.
+    derived: bool,
 }
 
 struct Base {
@@ -1085,6 +1137,115 @@ pub(crate) fn remap_cols(b: &BoundExpr, map: &HashMap<usize, usize>) -> Option<B
     })
 }
 
+/// The column a bare column reference names.
+fn bare(e: &BoundExpr) -> Option<usize> {
+    match e {
+        BoundExpr::Column { depth: 0, index } => Some(*index),
+        _ => None,
+    }
+}
+
+/// The column of a conjunct that compares one bare column with constants
+/// and nothing else — `col op c`, `c op col`, `col [NOT] BETWEEN c AND c`,
+/// `col [NOT] IN (c, …)` — provided no row can make it fail: every
+/// constant is NULL or of the type class the column is declared with.
+fn constant_comparison(b: &BoundExpr, scope: &Scope) -> Option<usize> {
+    let (col, constants): (usize, Vec<&BoundExpr>) = match b {
+        BoundExpr::BinOp { op, lhs, rhs } if op.is_comparison() => match (bare(lhs), bare(rhs)) {
+            (Some(col), None) => (col, vec![rhs]),
+            (None, Some(col)) => (col, vec![lhs]),
+            _ => return None,
+        },
+        BoundExpr::Between { expr, low, high, .. } => (bare(expr)?, vec![low, high]),
+        BoundExpr::InList { expr, list, .. } => (bare(expr)?, list.iter().collect()),
+        _ => return None,
+    };
+    let comparable = |c: &BoundExpr| {
+        let BoundExpr::Const(v) = c else { return false };
+        use DataType::*;
+        match (&scope.cols[col].ty, v.data_type()) {
+            (_, Unknown) => v.is_null(),
+            (Int | Float, Int | Float) => true,
+            (ty @ (Text | Bool | Timestamp | Interval), of) => *ty == of,
+            _ => false,
+        }
+    };
+    constants.into_iter().all(comparable).then_some(col)
+}
+
+/// Copy constant comparisons across equi-edges: rows joined on `x = y`
+/// agree on the key, so what a pushed conjunct demands of `x` holds of
+/// `y` in every joined row, and `y`'s base can be filtered by it before
+/// the join. `comparisons` are the conjuncts [`constant_comparison`]
+/// accepts, with their column; `equalities` the edges between two bare
+/// columns. Columns are linked when an edge equates two of one declared
+/// type; every comparison is copied — by renaming its column in the
+/// conjunct as written — onto each other column of its class. Returns
+/// (column, conjunct bound in `scope`, display form) per copy.
+fn derive_across_edges(
+    binder: &Binder<'_>,
+    scope: &Scope,
+    comparisons: &[(usize, &Expr)],
+    equalities: &[[(usize, &Expr); 2]],
+) -> Vec<(usize, BoundExpr, String)> {
+    // Classes as lists of (column, its name as an edge wrote it); a
+    // handful of columns at most.
+    let mut classes: Vec<Vec<(usize, &Expr)>> = Vec::new();
+    for [l, r] in equalities {
+        if scope.cols[l.0].ty != scope.cols[r.0].ty {
+            continue;
+        }
+        let class_of = |classes: &[Vec<(usize, &Expr)>], col: usize| {
+            classes.iter().position(|class| class.iter().any(|(c, _)| *c == col))
+        };
+        match (class_of(&classes, l.0), class_of(&classes, r.0)) {
+            (None, None) => classes.push(vec![*l, *r]),
+            (Some(k), None) => classes[k].push(*r),
+            (None, Some(k)) => classes[k].push(*l),
+            (Some(j), Some(k)) if j != k => {
+                let merged = classes.swap_remove(j.max(k));
+                classes[j.min(k)].extend(merged);
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    for (col, conjunct) in comparisons {
+        let Some(class) = classes.iter().find(|class| class.iter().any(|(c, _)| c == col)) else {
+            continue;
+        };
+        for (other, name) in class.iter().filter(|(c, _)| c != col) {
+            let renamed = match conjunct {
+                Expr::BinOp { op, lhs, rhs } if matches!(**lhs, Expr::Column { .. }) => {
+                    Expr::BinOp { op: *op, lhs: Box::new((*name).clone()), rhs: rhs.clone() }
+                }
+                Expr::BinOp { op, lhs, .. } => {
+                    Expr::BinOp { op: *op, lhs: lhs.clone(), rhs: Box::new((*name).clone()) }
+                }
+                Expr::Between { low, high, negated, .. } => Expr::Between {
+                    expr: Box::new((*name).clone()),
+                    low: low.clone(),
+                    high: high.clone(),
+                    negated: *negated,
+                },
+                Expr::InList { list, negated, .. } => Expr::InList {
+                    expr: Box::new((*name).clone()),
+                    list: list.clone(),
+                    negated: *negated,
+                },
+                _ => continue,
+            };
+            // The copy must be what the original is, about the other
+            // column.
+            let Ok(bound) = binder.bind(&renamed) else { continue };
+            if constant_comparison(&bound, scope) == Some(*other) {
+                out.push((*other, bound, clip(&renamed.to_string())));
+            }
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Cardinality helpers
 // ---------------------------------------------------------------------------
@@ -1098,22 +1259,32 @@ fn sel_est(input: f64, conjuncts: usize) -> f64 {
     (input / 3.0f64.powi(conjuncts as i32)).max(1.0)
 }
 
-/// Filter estimate for a pushed predicate; equality with a constant uses
-/// the column's distinct count.
+/// Filter estimate for a pushed predicate: a column that equals a
+/// constant keeps one value's share of the rows (by the column's distinct
+/// count), one that is `IN` a list of `k` constants keeps `k` values'
+/// share; anything else the generic third.
 fn pred_est(b: &BoundExpr, input: f64, col_distinct: &dyn Fn(usize) -> Option<f64>) -> f64 {
     if input <= 0.0 {
         return 0.0;
     }
-    if let BoundExpr::BinOp { op: crate::types::BinOp::Eq, lhs, rhs } = b {
-        let col = match (lhs.as_ref(), rhs.as_ref()) {
-            (BoundExpr::Column { depth: 0, index }, BoundExpr::Const(_))
-            | (BoundExpr::Const(_), BoundExpr::Column { depth: 0, index }) => Some(*index),
-            _ => None,
-        };
-        if let Some(c) = col {
-            if let Some(d) = col_distinct(c) {
-                return (input / d.max(1.0)).max(1.0);
+    let is_const = |e: &BoundExpr| matches!(e, BoundExpr::Const(_));
+    let values_kept = match b {
+        BoundExpr::BinOp { op: crate::types::BinOp::Eq, lhs, rhs } => {
+            match (bare(lhs), bare(rhs)) {
+                (Some(col), None) if is_const(rhs) => Some((col, 1)),
+                (None, Some(col)) if is_const(lhs) => Some((col, 1)),
+                _ => None,
             }
+        }
+        BoundExpr::InList { expr, list, negated: false } if list.iter().all(is_const) => {
+            let listed = |item: &&BoundExpr| !matches!(item, BoundExpr::Const(v) if v.is_null());
+            bare(expr).map(|col| (col, list.iter().filter(listed).count()))
+        }
+        _ => None,
+    };
+    if let Some((col, k)) = values_kept {
+        if let Some(d) = col_distinct(col) {
+            return (k as f64 * input / d.max(1.0)).clamp(1.0, input.max(1.0));
         }
     }
     sel_est(input, 1)

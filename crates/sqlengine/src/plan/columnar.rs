@@ -233,6 +233,41 @@ impl ColumnVec {
         }
     }
 
+    /// The columns of `parts` end to end. Parts of one typed
+    /// representation are appended slice by slice; a mix (a typed part
+    /// beside an all-NULL `Any` one) chooses its representation over the
+    /// values again.
+    pub fn concat(parts: &[&ColumnVec]) -> ColumnVec {
+        macro_rules! typed {
+            ($variant:ident) => {{
+                let n = parts.iter().map(|p| p.len()).sum();
+                let mut data = Vec::with_capacity(n);
+                let mut valid = Bitmap::with_capacity(n);
+                for p in parts {
+                    if let ColumnVec::$variant(v, b) = p {
+                        data.extend_from_slice(v);
+                        valid.extend(b);
+                    }
+                }
+                ColumnVec::$variant(data, valid)
+            }};
+        }
+        let same = |is: fn(&ColumnVec) -> bool| parts.iter().all(|p| is(p));
+        if same(|p| matches!(p, ColumnVec::Int(..))) {
+            typed!(Int)
+        } else if same(|p| matches!(p, ColumnVec::Float(..))) {
+            typed!(Float)
+        } else if same(|p| matches!(p, ColumnVec::Bool(..))) {
+            typed!(Bool)
+        } else if same(|p| matches!(p, ColumnVec::Text(..))) {
+            typed!(Text)
+        } else {
+            ColumnVec::from_values(
+                parts.iter().flat_map(|p| (0..p.len()).map(|i| p.get(i))).collect(),
+            )
+        }
+    }
+
     /// Select the slots at `idx` (in order) into a new column.
     pub fn gather(&self, idx: &[usize]) -> ColumnVec {
         match self {
@@ -576,10 +611,15 @@ impl VecExpr {
         Ok(Cow::Owned(match self {
             VecExpr::Col(i) => return Ok(Cow::Borrowed(&batch.cols[*i])),
             VecExpr::Const(v) => ColumnVec::broadcast(v, batch.len),
-            VecExpr::BinOp { op, lhs, rhs } => {
-                let (l, r) = (lhs.eval_ref(batch, ev)?, rhs.eval_ref(batch, ev)?);
-                binop_columns(*op, &l, &r)?
-            }
+            VecExpr::BinOp { op, lhs, rhs } => match (&**lhs, &**rhs) {
+                (l, VecExpr::Const(c)) if !matches!(l, VecExpr::Const(_)) => {
+                    binop_scalar(*op, &*l.eval_ref(batch, ev)?, c, false)?
+                }
+                (VecExpr::Const(c), r) if !matches!(r, VecExpr::Const(_)) => {
+                    binop_scalar(*op, &*r.eval_ref(batch, ev)?, c, true)?
+                }
+                (l, r) => binop_columns(*op, &*l.eval_ref(batch, ev)?, &*r.eval_ref(batch, ev)?)?,
+            },
             VecExpr::Logic { op, lhs, rhs, orig } => {
                 let l = lhs.eval_ref(batch, ev)?;
                 match rhs.eval_ref(batch, ev) {
@@ -723,6 +763,16 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
     // Kleene AND/OR on boolean columns.
     if matches!(op, BinOp::And | BinOp::Or) {
         if let (Bool(a, av), Bool(b, bv)) = (l, r) {
+            // No NULL on either side: two-valued logic, validity as is.
+            if av.all_set() && bv.all_set() {
+                let pairs = a.iter().zip(b);
+                let data = if op == BinOp::And {
+                    pairs.map(|(x, y)| *x & *y).collect()
+                } else {
+                    pairs.map(|(x, y)| *x | *y).collect()
+                };
+                return Ok(Bool(data, av.clone()));
+            }
             let mut data = Vec::with_capacity(n);
             let mut valid = Bitmap::with_capacity(n);
             for i in 0..n {
@@ -855,6 +905,162 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
     binop_generic(op, l, r)
 }
 
+/// `col op c` — `c op col` when `const_left` — for a constant `c`: what
+/// [`binop_columns`] makes of `col` and `c` broadcast to its length,
+/// errors included, without the broadcast. The typed kernels take the
+/// constant as a scalar, choose the operator outside the loop and hand
+/// on the column's validity a word at a time (a slot that is NULL holds
+/// whatever the loop computed from its placeholder); an `Any` column's
+/// values go through [`Value::binop`] where they lie.
+fn binop_scalar(op: BinOp, col: &ColumnVec, c: &Value, const_left: bool) -> Result<ColumnVec> {
+    use ColumnVec::*;
+    if op.is_comparison() {
+        // `c < x` is `x > c`: the constant moves to the right.
+        let op = match op {
+            BinOp::Lt if const_left => BinOp::Gt,
+            BinOp::Le if const_left => BinOp::Ge,
+            BinOp::Gt if const_left => BinOp::Lt,
+            BinOp::Ge if const_left => BinOp::Le,
+            same => same,
+        };
+        let data = match (col, c) {
+            (Int(a, _), Value::Int(c)) => Some(compare(op, a, |x| x.cmp(c))),
+            (Int(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x as f64, *c))),
+            (Float(a, _), Value::Int(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c as f64))),
+            (Float(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c))),
+            (Text(a, _), Value::Text(c)) => Some(compare(op, a, |x| x.as_ref().cmp(c.as_ref()))),
+            _ => None,
+        };
+        if let (Some(data), Int(_, valid) | Float(_, valid) | Text(_, valid)) = (data, col) {
+            return Ok(Bool(data, valid.clone()));
+        }
+    }
+    let arithmetic =
+        matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Pow);
+    match (col, c) {
+        (Int(a, valid), Value::Int(c)) if arithmetic && op != BinOp::Pow => {
+            let c = *c;
+            // In the order the operator takes them.
+            let args = |x: i64| if const_left { (c, x) } else { (x, c) };
+            let checked = |v: Option<i64>| v.ok_or("integer overflow");
+            let divided = |v: Option<i64>, by: i64| match v {
+                None if by == 0 => Err("division by zero"),
+                v => checked(v),
+            };
+            return match op {
+                BinOp::Add => int_map(a, valid, |x| checked(x.checked_add(c))),
+                BinOp::Mul => int_map(a, valid, |x| checked(x.checked_mul(c))),
+                BinOp::Sub => int_map(a, valid, |x| {
+                    let (l, r) = args(x);
+                    checked(l.checked_sub(r))
+                }),
+                BinOp::Div => int_map(a, valid, |x| {
+                    let (l, r) = args(x);
+                    divided(l.checked_div(r), r)
+                }),
+                _ => int_map(a, valid, |x| {
+                    let (l, r) = args(x);
+                    divided(l.checked_rem(r), r)
+                }),
+            };
+        }
+        (Int(a, valid), Value::Int(_) | Value::Float(_)) if arithmetic => {
+            return float_map(op, a, valid, |x| x as f64, c.as_f64()?, const_left);
+        }
+        (Float(a, valid), Value::Int(_) | Value::Float(_)) if arithmetic => {
+            return float_map(op, a, valid, |x| x, c.as_f64()?, const_left);
+        }
+        (Any(vals), _) => {
+            let mut out = Vec::with_capacity(vals.len());
+            for v in vals {
+                out.push(if const_left {
+                    Value::binop(op, c, v)?
+                } else {
+                    Value::binop(op, v, c)?
+                });
+            }
+            return Ok(ColumnVec::from_values(out));
+        }
+        _ => {}
+    }
+    let broadcast = ColumnVec::broadcast(c, col.len());
+    if const_left {
+        binop_columns(op, &broadcast, col)
+    } else {
+        binop_columns(op, col, &broadcast)
+    }
+}
+
+/// Per value, whether its ordering against the constant satisfies the
+/// comparison `op`.
+fn compare<T>(op: BinOp, vals: &[T], cmp: impl Fn(&T) -> Ordering) -> Vec<bool> {
+    match op {
+        BinOp::Eq => vals.iter().map(|x| cmp(x) == Ordering::Equal).collect(),
+        BinOp::Ne => vals.iter().map(|x| cmp(x) != Ordering::Equal).collect(),
+        BinOp::Lt => vals.iter().map(|x| cmp(x) == Ordering::Less).collect(),
+        BinOp::Le => vals.iter().map(|x| cmp(x) != Ordering::Greater).collect(),
+        BinOp::Gt => vals.iter().map(|x| cmp(x) == Ordering::Greater).collect(),
+        _ => vals.iter().map(|x| cmp(x) != Ordering::Less).collect(),
+    }
+}
+
+/// An integer column through `f`; a failure counts only where the slot
+/// is not NULL.
+fn int_map(
+    vals: &[i64],
+    valid: &Bitmap,
+    f: impl Fn(i64) -> std::result::Result<i64, &'static str>,
+) -> Result<ColumnVec> {
+    let mut data = Vec::with_capacity(vals.len());
+    for (i, &x) in vals.iter().enumerate() {
+        match f(x) {
+            Ok(v) => data.push(v),
+            Err(why) if valid.get(i) => return Err(Error::eval(why)),
+            Err(_) => data.push(0),
+        }
+    }
+    Ok(ColumnVec::Int(data, valid.clone()))
+}
+
+/// Float arithmetic of a numeric column (`to` reads a value as `f64`)
+/// with the constant `c`, in the operand order `const_left` gives.
+fn float_map<T: Copy>(
+    op: BinOp,
+    vals: &[T],
+    valid: &Bitmap,
+    to: impl Fn(T) -> f64,
+    c: f64,
+    const_left: bool,
+) -> Result<ColumnVec> {
+    let args = |x: T| if const_left { (c, to(x)) } else { (to(x), c) };
+    let data = match op {
+        BinOp::Add => float_loop(vals, args, |l, r| l + r),
+        BinOp::Sub => float_loop(vals, args, |l, r| l - r),
+        BinOp::Mul => float_loop(vals, args, |l, r| l * r),
+        BinOp::Pow => float_loop(vals, args, f64::powf),
+        _ => {
+            let by_zero = |(i, &x): (usize, &T)| args(x).1 == 0.0 && valid.get(i);
+            if vals.iter().enumerate().any(by_zero) {
+                return Err(Error::eval("division by zero"));
+            }
+            if op == BinOp::Div {
+                float_loop(vals, args, |l, r| l / r)
+            } else {
+                float_loop(vals, args, |l, r| l % r)
+            }
+        }
+    };
+    Ok(ColumnVec::Float(data, valid.clone()))
+}
+
+fn float_loop<T: Copy>(
+    vals: &[T],
+    args: impl Fn(T) -> (f64, f64),
+    f: impl Fn(f64, f64) -> f64,
+) -> Vec<f64> {
+    vals.iter().map(|&x| args(x)).map(|(l, r)| f(l, r)).collect()
+}
+
 /// `c [NOT] IN (items [, NULL])` for a typed column and non-NULL items:
 /// the Kleene OR of `c = item`, which is NULL only where `c` is, or where
 /// nothing matched and the list had a NULL.
@@ -862,7 +1068,7 @@ fn in_list(c: &ColumnVec, items: &[Value], has_null: bool, negated: bool) -> Res
     let n = c.len();
     let mut hit = vec![false; n];
     for item in items {
-        match binop_columns(BinOp::Eq, c, &ColumnVec::broadcast(item, n))? {
+        match binop_scalar(BinOp::Eq, c, item, false)? {
             ColumnVec::Bool(eq, _) => hit.iter_mut().zip(&eq).for_each(|(h, e)| *h |= *e),
             other => (0..n).for_each(|i| hit[i] |= matches!(other.get(i), Value::Bool(true))),
         }
@@ -934,6 +1140,83 @@ mod tests {
         assert!(c.get(0).is_null());
         assert_eq!(c.get(1), Value::Bool(false));
         assert!(c.get(2).is_null());
+    }
+
+    /// A column against a constant without the broadcast: the values,
+    /// NULLs and errors `binop_columns` gives for the broadcast constant,
+    /// with the constant on either side.
+    #[test]
+    fn scalar_kernels_equal_the_broadcast_form() {
+        let nan = f64::NAN;
+        let stamp = Value::Timestamp;
+        let columns = [
+            ints(&[Some(1), None, Some(-3), Some(0), Some(i64::MAX), Some(7)]),
+            ColumnVec::from_values(
+                [Some(1.5), None, Some(nan), Some(0.0), Some(-2.0), Some(1e300)]
+                    .map(|v| v.map(Value::Float).unwrap_or(Value::Null))
+                    .to_vec(),
+            ),
+            ColumnVec::from_values(vec![Value::text("a"), Value::Null, Value::text("b")]),
+            ColumnVec::from_values(vec![Value::Bool(true), Value::Null, Value::Bool(false)]),
+            ColumnVec::from_values(vec![stamp(5), Value::Null, stamp(9)]),
+            ColumnVec::from_values(vec![Value::Int(1), Value::text("x"), Value::Null]),
+            ColumnVec::from_values(vec![Value::Null, Value::Null]),
+            ints(&[]),
+        ];
+        let constants = [
+            Value::Int(2),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Float(2.5),
+            Value::Float(0.0),
+            Value::Float(nan),
+            Value::text("a"),
+            Value::Bool(true),
+            stamp(5),
+            Value::Null,
+        ];
+        use BinOp::*;
+        let ops = [Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, Pow, Concat, And, Or];
+        let render = |r: Result<ColumnVec>| match r {
+            Ok(c) => format!("{:?}", (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>()),
+            Err(e) => format!("error: {e}"),
+        };
+        for col in &columns {
+            for c in &constants {
+                let broadcast = ColumnVec::broadcast(c, col.len());
+                for op in ops {
+                    let what = format!("{col:?} {op:?} {c:?}");
+                    assert_eq!(
+                        render(binop_scalar(op, col, c, false)),
+                        render(binop_columns(op, col, &broadcast)),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        render(binop_scalar(op, col, c, true)),
+                        render(binop_columns(op, &broadcast, col)),
+                        "constant on the left: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concat_keeps_typed_parts_typed() {
+        let (a, b) = (ints(&[Some(1), None]), ints(&[None, Some(4), Some(5)]));
+        let joined = ColumnVec::concat(&[&a, &b, &ints(&[])]);
+        assert!(matches!(joined, ColumnVec::Int(..)));
+        let values: Vec<Value> = (0..joined.len()).map(|i| joined.get(i)).collect();
+        assert_eq!(values, [Value::Int(1), Value::Null, Value::Null, Value::Int(4), Value::Int(5)]);
+        // 70 + 70 rows: the second part's validity lands across a word.
+        let long = ints(&(0..70).map(|i| (i % 3 != 0).then_some(i)).collect::<Vec<_>>());
+        let twice = ColumnVec::concat(&[&long, &long]);
+        assert!((0..140).all(|i| twice.get(i) == long.get(i % 70)));
+        // An all-NULL part has no type of its own.
+        let nulls = ColumnVec::from_values(vec![Value::Null]);
+        let mixed = ColumnVec::concat(&[&nulls, &a]);
+        assert!(matches!(mixed, ColumnVec::Int(..)));
+        assert!(mixed.get(0).is_null() && mixed.get(1) == Value::Int(1));
     }
 
     #[test]

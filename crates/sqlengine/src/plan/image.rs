@@ -10,14 +10,16 @@
 //!
 //! Validity is by construction: the derived half is private to
 //! [`StoredTable`], reachable only next to the `TableRef` it was derived
-//! from, and the only mutation, [`StoredTable::append`], moves both
-//! halves to the next version together. Everything else that changes a
-//! table's rows makes a fresh `StoredTable`. The derived half holds no
+//! from, and the two mutations — [`StoredTable::append`] (INSERT) and
+//! [`StoredTable::rewrite`] (DELETE, UPDATE) — move both halves to the
+//! next version together, keeping of the image the chunks the write left
+//! as they were. Everything else that changes a table's rows makes a
+//! fresh `StoredTable`. The derived half holds no
 //! `TableRef`, so it never stands in the way of an in-place write.
 
 use super::columnar::{Batch, ColumnVec, BATCH_SIZE};
 use super::stats::TableStats;
-use crate::table::{Row, TableRef};
+use crate::table::{Row, Table, TableRef};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per source column, the chunks pivoted so far: chunk `i` mirrors rows
@@ -48,10 +50,6 @@ impl StoredTable {
 
     pub fn table(&self) -> &TableRef {
         &self.table
-    }
-
-    pub(crate) fn into_table(self) -> TableRef {
-        self.table
     }
 
     /// Planner statistics of this version, collected on first use.
@@ -100,12 +98,42 @@ impl StoredTable {
     pub(crate) fn append(&mut self, rows: impl IntoIterator<Item = Row>) {
         let whole = self.table.rows.len() / BATCH_SIZE;
         Arc::make_mut(&mut self.table).rows.extend(rows);
+        self.next_version(|_| whole);
+    }
+
+    /// Delete or patch rows through `edit` — in place when nothing else
+    /// holds the table, on a copy otherwise — none of them in front of
+    /// row `first_touched` (the row count when none is touched at all).
+    /// The next version's image starts from the chunks in front of that
+    /// row, which still mirror theirs; when `edit` only assigns to the
+    /// columns in `assigned` and keeps every row where it is (UPDATE),
+    /// the other columns keep all their chunks.
+    pub(crate) fn rewrite(
+        &mut self,
+        first_touched: usize,
+        assigned: Option<&[usize]>,
+        edit: impl FnOnce(&mut Table),
+    ) {
+        let touched = first_touched < self.table.rows.len();
+        let untouched = if touched { first_touched / BATCH_SIZE } else { usize::MAX };
+        edit(Arc::make_mut(&mut self.table));
+        self.next_version(|c| match assigned {
+            Some(assigned) if !assigned.contains(&c) => usize::MAX,
+            _ => untouched,
+        });
+    }
+
+    /// Start the derived half of the version the rows have just moved
+    /// to: of column `c`'s chunks the first `keep(c)` (those the write
+    /// left as they were), and no statistics. A derived half shared with
+    /// a reader is copied chunk list by chunk list, a unique one taken.
+    fn next_version(&mut self, keep: impl Fn(usize) -> usize) {
         let mut columns = match Arc::get_mut(&mut self.derived) {
             Some(d) => std::mem::take(d.columns.get_mut().unwrap_or_else(|p| p.into_inner())),
             None => self.derived.columns.lock().unwrap_or_else(|p| p.into_inner()).clone(),
         };
-        for chunks in &mut columns {
-            chunks.truncate(whole);
+        for (c, chunks) in columns.iter_mut().enumerate() {
+            chunks.truncate(keep(c));
         }
         self.derived = Arc::new(Derived { columns: Mutex::new(columns), stats: OnceLock::new() });
     }
@@ -114,7 +142,6 @@ impl StoredTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Table;
     use crate::types::Value;
 
     fn numbered(n: usize) -> StoredTable {
@@ -173,5 +200,43 @@ mod tests {
         assert_eq!(Arc::as_ptr(t.table()), at);
         assert_eq!(t.scan(Some(&[0])).1, 2);
         assert_eq!(t.scan(Some(&[1])).1, 3, "`b` was never scanned before");
+    }
+
+    #[test]
+    fn rewrite_keeps_the_chunks_in_front_of_the_first_touched_row() {
+        let mut t = numbered(3 * BATCH_SIZE + 5);
+        let before = t.scan(None).0;
+        let reader = t.clone();
+        // DELETE: a row of the third chunk goes, the rows behind it move.
+        let gone = 2 * BATCH_SIZE + 1;
+        t.rewrite(gone, None, |table| {
+            table.rows.remove(gone);
+        });
+        assert_eq!(reader.table().num_rows(), 3 * BATCH_SIZE + 5, "the reader's version stays");
+        let (after, pivoted) = t.scan(None);
+        assert_eq!(pivoted, 2 * 2, "chunks 2 and 3 of both columns");
+        for chunk in 0..2 {
+            assert!(Arc::ptr_eq(&after[chunk].cols[0], &before[chunk].cols[0]));
+            assert!(Arc::ptr_eq(&after[chunk].cols[1], &before[chunk].cols[1]));
+        }
+        assert_eq!(column(&after, 0)[gone], Value::Int(gone as i64 + 1));
+        assert_eq!(t.stats().row_count, 3 * BATCH_SIZE + 4, "statistics start over");
+
+        // UPDATE: `b` is assigned in the second chunk; `a` keeps every
+        // chunk, `b` the first.
+        drop(reader);
+        let at = Arc::as_ptr(t.table());
+        let patched = BATCH_SIZE + 3;
+        t.rewrite(patched, Some(&[1]), |table| table.rows[patched][1] = Value::Float(-1.0));
+        assert_eq!(Arc::as_ptr(t.table()), at, "alone, the rewrite is in place");
+        let (again, pivoted) = t.scan(None);
+        assert_eq!(pivoted, 3, "chunks 1 to 3 of `b`");
+        assert!((0..4).all(|chunk| Arc::ptr_eq(&again[chunk].cols[0], &after[chunk].cols[0])));
+        assert!(Arc::ptr_eq(&again[0].cols[1], &after[0].cols[1]));
+        assert_eq!(column(&again, 1)[patched], Value::Float(-1.0));
+
+        // A write that touches no row keeps the whole image, tail included.
+        t.rewrite(usize::MAX, None, |_| {});
+        assert_eq!(t.scan(None).1, 0);
     }
 }

@@ -69,8 +69,10 @@ pub enum PlanNode {
         scope: Scope,
         est: f64,
     },
-    /// Keep rows where `pred` is true.
-    Filter { input: Box<PlanNode>, pred: VecExpr, desc: String, est: f64 },
+    /// Keep rows where `pred` is true. A `derived` filter is not in the
+    /// statement: the planner copied it across an equi-join edge to shrink
+    /// the join's input, and it removes only rows the join would drop.
+    Filter { input: Box<PlanNode>, pred: VecExpr, desc: String, derived: bool, est: f64 },
     /// Join two inputs. When `lkeys`/`rkeys` are non-empty this is a
     /// hash equi-join on those key expressions; otherwise a nested loop,
     /// whose condition `cond` (if any) the interpreter's evaluator checks
@@ -197,7 +199,8 @@ impl PlanNode {
                 Some(c) => format!("Scan {label} cols={}/{total_cols}", c.len()),
                 None => format!("Scan {label}"),
             },
-            PlanNode::Filter { desc, .. } => format!("Filter {desc}"),
+            PlanNode::Filter { desc, derived: false, .. } => format!("Filter {desc}"),
+            PlanNode::Filter { desc, derived: true, .. } => format!("Filter {desc} [derived]"),
             PlanNode::Join { kind, lkeys, desc, .. } => {
                 let how = if lkeys.is_empty() { "NestedLoopJoin" } else { "HashJoin" };
                 let kw = match kind {
@@ -329,8 +332,8 @@ impl PlanNode {
                 }
                 out.push(')');
             }
-            PlanNode::Filter { input, desc, .. } => {
-                out.push_str("filter(");
+            PlanNode::Filter { input, desc, derived, .. } => {
+                out.push_str(if *derived { "derived(" } else { "filter(" });
                 out.push_str(desc);
                 out.push_str(")<-");
                 input.structure_into(out);

@@ -190,6 +190,24 @@ impl Bitmap {
     pub fn all_set(&self) -> bool {
         self.count_ones() == self.len
     }
+
+    /// Append every bit of `other`, a word at a time.
+    pub fn extend(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.blocks.extend_from_slice(&other.blocks);
+        } else {
+            // Bits past `len` are clear in both, so each incoming word
+            // splits across the open block and the one after it.
+            for &word in &other.blocks {
+                let open = self.blocks.len() - 1;
+                self.blocks[open] |= word << shift;
+                self.blocks.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.blocks.truncate(self.len.div_ceil(64));
+    }
 }
 
 #[cfg(test)]

@@ -398,13 +398,8 @@ impl Value {
         match self {
             Value::Null => GroupKey::Null,
             Value::Bool(b) => GroupKey::Bool(*b),
-            Value::Int(i) => GroupKey::Num((*i as f64).to_bits()),
-            Value::Float(f) => {
-                // Normalize -0.0 and NaN so equal-comparing floats hash equal.
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                let f = if f.is_nan() { f64::NAN } else { f };
-                GroupKey::Num(f.to_bits())
-            }
+            Value::Int(i) => GroupKey::Num(num_bits(*i as f64)),
+            Value::Float(f) => GroupKey::Num(num_bits(*f)),
             Value::Text(s) => GroupKey::Text(s.clone()),
             Value::Timestamp(t) => GroupKey::Ts(*t),
             Value::Interval(i) => GroupKey::Iv(*i),
@@ -427,6 +422,14 @@ fn type_err(op: BinOp, lhs: &Value, rhs: &Value) -> Error {
         lhs.data_type().sql_name(),
         rhs.data_type().sql_name()
     ))
+}
+
+/// What [`GroupKey::Num`] holds for a number: its bits with -0.0 and NaN
+/// normalized, so that floats that compare equal key equal.
+pub(crate) fn num_bits(f: f64) -> u64 {
+    let f = if f == 0.0 { 0.0 } else { f };
+    let f = if f.is_nan() { f64::NAN } else { f };
+    f.to_bits()
 }
 
 pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {

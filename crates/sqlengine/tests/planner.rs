@@ -329,6 +329,127 @@ fn in_lists_and_between_agree_with_the_row_interpreter() {
     }
 }
 
+/// The `Filter … [derived]` lines of `EXPLAIN sql`, trimmed.
+fn derived_filters(db: &mut Database, sql: &str) -> Vec<String> {
+    let is_derived = |l: &String| l.contains("[derived]");
+    let trimmed = |l: String| {
+        let from = l.find("Filter").expect("a Filter line");
+        l[from..l.find(" [derived]").unwrap()].to_string()
+    };
+    explain_lines(db, &format!("EXPLAIN {sql}"))
+        .into_iter()
+        .filter(is_derived)
+        .map(trimmed)
+        .collect()
+}
+
+/// A constant comparison on one side of an equi-edge is copied to the
+/// other side: the rows agree with the row interpreter (which derives
+/// nothing), and EXPLAIN shows exactly the copies that are safe.
+#[test]
+fn predicates_derived_across_equi_edges_agree_with_the_row_interpreter() {
+    let mut db = setup();
+    execute_script(
+        &mut db,
+        "CREATE TABLE keyed (id INT, w FLOAT8, tag TEXT);
+         INSERT INTO keyed VALUES (1, 1.0, 'red'), (2, 2.0, 'x'), (NULL, 3.0, NULL), (3, 3.5, 'y'),
+                                  (4, NULL, 'red'), (7, 7.0, 'z'), (NULL, NULL, 'x'), (5, 5.0, 'c1')",
+    )
+    .unwrap();
+    // (query, the derived filters EXPLAIN must show)
+    let corpus: &[(&str, &[&str])] = &[
+        // NULL keys on both sides never join, derived or not.
+        (
+            "SELECT t1.a, t1.b, keyed.w FROM t1 JOIN keyed ON keyed.id = t1.a WHERE t1.a < 3",
+            &["Filter (keyed.id < 3)"],
+        ),
+        (
+            "SELECT t1.a, keyed.w FROM t1, keyed WHERE t1.a = keyed.id AND keyed.id BETWEEN 2 AND 4",
+            &["Filter (t1.a BETWEEN 2 AND 4)"],
+        ),
+        (
+            "SELECT t1.a, keyed.tag FROM t1 JOIN keyed ON t1.a = keyed.id \
+             WHERE t1.a IN (1, NULL, 5) AND 4 >= keyed.id",
+            &["Filter (4 >= t1.a)", "Filter (keyed.id IN (1, NULL, 5))"],
+        ),
+        (
+            "SELECT t1.a, keyed.tag FROM t1 JOIN keyed ON t1.a = keyed.id WHERE t1.a NOT IN (1, 2)",
+            &["Filter (keyed.id NOT IN (1, 2))"],
+        ),
+        // Text keys, and a numeric constant of the other numeric type.
+        (
+            "SELECT t1.b, keyed.id FROM t1 JOIN keyed ON t1.c = keyed.tag WHERE keyed.tag >= 'red'",
+            &["Filter (t1.c >= 'red')"],
+        ),
+        (
+            "SELECT t1.a, keyed.w FROM t1 JOIN keyed ON t1.a = keyed.id WHERE keyed.id > 1.5",
+            &["Filter (t1.a > 1.5)"],
+        ),
+        // Written on both sides already: nothing to add.
+        (
+            "SELECT t1.a FROM t1 JOIN keyed ON t1.a = keyed.id WHERE t1.a < 3 AND keyed.id < 3",
+            &[],
+        ),
+        // An Int = Float edge joins 1 with 1.0 but is not derived across.
+        (
+            "SELECT t1.a, keyed.id FROM t1 JOIN keyed ON t1.a = keyed.w WHERE t1.a < 3",
+            &[],
+        ),
+        // A text constant on an Int column fails on the first row it
+        // meets; its copy would fail on rows the statement never compares.
+        ("SELECT t1.a FROM t1 JOIN keyed ON t1.a = keyed.id WHERE t1.a < 'x'", &[]),
+        (
+            "SELECT t1.a FROM t3 JOIN t1 ON t1.a = t3.k WHERE t3.k IN (1, 'x') AND t3.k < 0",
+            &["Filter (t1.a < 0)"],
+        ),
+        // Not a bare column against constants only.
+        ("SELECT t1.a FROM t1 JOIN keyed ON t1.a = keyed.id WHERE t1.a + 0 < 3", &[]),
+        ("SELECT t1.a FROM t1 JOIN keyed ON t1.a = keyed.id WHERE t1.a < t1.b", &[]),
+        ("SELECT t1.a FROM t1 JOIN keyed ON t1.a + 1 = keyed.id WHERE t1.a < 3", &[]),
+        // A chain of edges is one class: both other tables are filtered.
+        (
+            "SELECT t1.a, t2.f, t3.v FROM t1, t2, t3 WHERE t1.a = t2.a AND t2.a = t3.k AND t1.a < 5",
+            &["Filter (t2.a < 5)", "Filter (t3.k < 5)"],
+        ),
+        // Two columns of one table in the class.
+        (
+            "SELECT x.a, x.b, t3.v FROM t1 x JOIN t3 ON x.a = t3.k AND x.b = t3.k WHERE x.a >= 2",
+            &["Filter (x.b >= 2)", "Filter (t3.k >= 2)"],
+        ),
+        // Outer joins keep their syntactic shape: no predicate moves.
+        ("SELECT t1.a, keyed.w FROM t1 LEFT JOIN keyed ON t1.a = keyed.id WHERE t1.a < 3", &[]),
+        ("SELECT t1.a, keyed.w FROM t1 RIGHT JOIN keyed ON t1.a = keyed.id WHERE keyed.id < 3", &[]),
+        ("SELECT t1.a, keyed.w FROM t1 FULL JOIN keyed ON t1.a = keyed.id WHERE t1.a IS NULL", &[]),
+    ];
+    for (sql, derived) in corpus {
+        check(&mut db, sql, false);
+        let mut want: Vec<String> = derived.iter().map(|d| d.to_string()).collect();
+        let mut got = derived_filters(&mut db, sql);
+        want.sort();
+        got.sort();
+        assert_eq!(got, want, "{sql}");
+    }
+
+    // A stored value outside its column's declared type (CREATE TABLE AS
+    // keeps what the query returned): the copy cannot be evaluated, so it
+    // filters nothing, and the statement answers as it always did.
+    execute_script(
+        &mut db,
+        "CREATE TABLE loose AS SELECT k, v FROM t3 WHERE k < 0;
+         INSERT INTO loose VALUES (1, 1), (2, 2);
+         UPDATE loose SET v = 0;
+         CREATE TABLE odd AS SELECT CASE WHEN id = 3 THEN 'three' ELSE id END AS k FROM keyed",
+    )
+    .unwrap();
+    check(&mut db, "SELECT loose.k, odd.k FROM loose JOIN odd ON loose.k = odd.k", false);
+    let sql = "SELECT loose.k FROM loose JOIN odd ON loose.k = odd.k WHERE loose.k < 2";
+    assert_eq!(derived_filters(&mut db, sql), ["Filter (odd.k < 2)"]);
+    let alone = execute_sql(&mut db, "SELECT k FROM odd WHERE k < 2").expect_err("'three' < 2");
+    assert!(alone.to_string().contains("cannot compare"), "{alone}");
+    check(&mut db, sql, false);
+    assert_eq!(rows_of(&mut db, sql), [["1"]]);
+}
+
 #[test]
 fn differential_fuzzed_selects() {
     let mut db = setup();
@@ -692,6 +813,41 @@ fn explain_analyze_select_traces_operators() {
     assert!(text.contains("Scan t1"), "missing Scan span:\n{text}");
     assert!(text.contains("rows out:"), "missing row count:\n{text}");
     assert!(text.contains("plan fingerprint:"), "missing fingerprint:\n{text}");
+}
+
+/// The HashJoin span says which input the table was built over and how
+/// many rows went in on each side; a derived filter is marked in both
+/// EXPLAIN forms.
+#[test]
+fn explain_analyze_notes_the_join_build_side_and_derived_filters() {
+    let mut db = setup();
+    let analyze = |db: &mut Database, sql: &str| {
+        explain_lines(db, &format!("EXPLAIN ANALYZE {sql}")).join("\n")
+    };
+    // The planner puts the smaller input (t3, 15 rows) on the left.
+    let text = analyze(&mut db, "SELECT t3.v, t1.b FROM t1 JOIN t3 ON t1.a = t3.k");
+    assert!(text.contains("  build=left  build_rows=15  probe_rows=60"), "{text}");
+    // An outer join builds its right input whatever the sizes.
+    let text = analyze(&mut db, "SELECT t3.v, t1.b FROM t3 LEFT JOIN t1 ON t1.a = t3.k");
+    assert!(text.contains("  build=right  build_rows=60  probe_rows=15"), "{text}");
+    let text = analyze(&mut db, "SELECT t3.v FROM t1 JOIN t3 ON t1.a = t3.k WHERE t3.k = 2");
+    assert!(text.contains("-> Filter (t1.a = 2) [derived]: "), "{text}");
+}
+
+/// `IN` over `k` constants keeps `k` values' share of the rows, by the
+/// column's distinct count — not the generic third.
+#[test]
+fn in_list_estimates_use_the_distinct_count() {
+    let mut db = setup();
+    // `a` holds 0..8 and NULL: nine distinct keys in 60 rows.
+    let filter_line = |db: &mut Database, pred: &str| {
+        let lines = explain_lines(db, &format!("EXPLAIN SELECT b FROM t1 WHERE {pred}"));
+        lines.into_iter().find(|l| l.contains("Filter")).expect("a Filter line")
+    };
+    assert!(filter_line(&mut db, "a IN (1, 2)").contains("(rows≈13.3, "));
+    assert!(filter_line(&mut db, "a IN (1, NULL)").contains("(rows≈6.7, "));
+    assert!(filter_line(&mut db, "a IN (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)").contains("(rows≈60, "));
+    assert!(filter_line(&mut db, "a NOT IN (1, 2)").contains("(rows≈20, "), "the generic third");
 }
 
 #[test]

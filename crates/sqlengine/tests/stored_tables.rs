@@ -49,13 +49,19 @@ fn a_read_after_an_insert_pivots_the_tail_chunk_only() {
     execute_sql(&mut db, "INSERT INTO t VALUES (-1, 0.5, 'a'), (-2, 1.5, 'b')").unwrap();
     assert_eq!(pivoted_by(&mut db, sum), 2, "one chunk per scanned column");
     assert_eq!(pivoted_by(&mut db, sum), 0);
-    // DELETE and UPDATE read through the image too, then start a new
-    // version: the next read pivots its columns again, once.
+    // DELETE and UPDATE read through the image too, and the version they
+    // start keeps the chunks in front of the first row they touch — for a
+    // column UPDATE does not assign, every chunk.
     assert_eq!(pivoted_by(&mut db, "DELETE FROM t WHERE k = -1"), 0, "`k` is in the image");
-    assert_eq!(pivoted_by(&mut db, sum), 2 * 3);
+    assert_eq!(pivoted_by(&mut db, sum), 2, "the tail chunk of `k` and of `v`");
     assert_eq!(pivoted_by(&mut db, "UPDATE t SET note = 'x' WHERE note = 'b'"), 3);
-    assert_eq!(pivoted_by(&mut db, sum), 2 * 3);
-    assert_eq!(pivoted_by(&mut db, sum), 0);
+    assert_eq!(pivoted_by(&mut db, sum), 0, "`k` and `v` were not assigned");
+    let noted = "SELECT count(*) FROM t WHERE note = 'x'";
+    assert_eq!(pivoted_by(&mut db, noted), 1, "`note` changed in the tail chunk");
+    // A write that touches no row keeps the whole image.
+    assert_eq!(pivoted_by(&mut db, "DELETE FROM t WHERE k = -7"), 0);
+    assert_eq!(pivoted_by(&mut db, "UPDATE t SET v = 0.0 WHERE k = -7"), 0);
+    assert_eq!(pivoted_by(&mut db, sum) + pivoted_by(&mut db, noted), 0);
 }
 
 /// A view or FROM subquery is materialized into the plan, with an image
@@ -137,8 +143,7 @@ fn a_write_after_reads_is_in_place() {
     execute_sql(&mut db, "INSERT INTO t VALUES (-1, 0.0, NULL)").unwrap();
     assert_eq!(Arc::as_ptr(db.table("t").unwrap()), at, "INSERT copied the table");
     let first_row = db.table("t").unwrap().rows.as_ptr();
-    // DELETE and UPDATE hand the catalog a new `Table` around the same
-    // row storage.
+    // DELETE and UPDATE rewrite the same row storage.
     execute_sql(&mut db, "SELECT count(*) FROM t WHERE k < 0").unwrap();
     execute_sql(&mut db, "UPDATE t SET note = 'neg' WHERE k < 0").unwrap();
     assert_eq!(db.table("t").unwrap().rows.as_ptr(), first_row, "UPDATE copied the rows");
