@@ -1,10 +1,16 @@
-//! The executor axis of the configuration lattice, standing: every
-//! script the `analyze` sweep visits runs once with the planner and once
-//! under `set_force_row_interpreter(true)`, and statement by statement
-//! the two runs must agree — the same result relation, the same rows
-//! affected, the same error text, the same set of SD codes on the
-//! warnings channel — and so must every table a script leaves behind
-//! (most solves here are `CREATE TABLE … AS SOLVESELECT`).
+//! Two axes of the configuration lattice, standing: executor (planner
+//! vs `set_force_row_interpreter(true)`) × durability (ephemeral vs a
+//! session attached to a storage engine over a throwaway data dir,
+//! `FsyncPolicy::Never`). Every script the `analyze` sweep visits runs on
+//! the reference point (planner, ephemeral) and on another point, and
+//! statement by statement the two runs must agree — the same result
+//! relation, the same rows affected, the same error text, the same set
+//! of SD codes on the warnings channel — and so must every table a script
+//! leaves behind (most solves here are `CREATE TABLE … AS SOLVESELECT`).
+//! The workspace run gives each script group one of the three other
+//! points, dealt round-robin from a fixed seed so that each point gets
+//! two groups; the `#[ignore]`d test (run by the `analyze` CI job)
+//! compares all three over the whole sweep.
 //!
 //! What "the same relation" means here: the same schema names and the
 //! same rows — in order where the statement's own ORDER BY fixes one,
@@ -21,6 +27,9 @@ use sqlengine::ast::Statement;
 use sqlengine::exec::Outcome;
 use sqlengine::{set_force_row_interpreter, Row, Table, Value};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
+use storage::{FsyncPolicy, StorageEngine};
 
 /// What one statement did, as far as a client can tell.
 struct Observed {
@@ -33,10 +42,40 @@ struct Observed {
     outcome: Result<(Outcome, BTreeSet<String>), String>,
 }
 
-fn run_sweep(force_rows: bool) -> Vec<Observed> {
-    let was = set_force_row_interpreter(force_rows);
+/// One point of the lattice.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Point {
+    force_rows: bool,
+    durable: bool,
+}
+
+const REFERENCE: Point = Point { force_rows: false, durable: false };
+const OTHERS: [Point; 3] = [
+    Point { force_rows: true, durable: false },
+    Point { force_rows: false, durable: true },
+    Point { force_rows: true, durable: true },
+];
+
+/// Run the sweep with each script group (numbered in sweep order) on the
+/// point `point_of` gives it.
+fn run_sweep(point_of: &dyn Fn(usize) -> Point) -> Vec<Observed> {
+    static SWEEPS: AtomicUsize = AtomicUsize::new(0);
+    let sweep = format!("sdb-lattice-{}-{}", std::process::id(), SWEEPS.fetch_add(1, Relaxed));
+    let was = set_force_row_interpreter(false);
     let mut seen = Vec::new();
-    for_each_script(&mut |_, _| {}, &mut |s: &mut Session, name, sql| {
+    let mut dirs = Vec::new();
+    let mut prepare = |s: &mut Session, tag: &str| {
+        let point = point_of(dirs.len());
+        set_force_row_interpreter(point.force_rows);
+        let dir = std::env::temp_dir().join(format!("{sweep}-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        if point.durable {
+            let engine = StorageEngine::open(&dir, FsyncPolicy::Never).expect("open data dir");
+            s.attach_storage(Arc::new(engine)).expect("attach the prepared session");
+        }
+        dirs.push(dir);
+    };
+    for_each_script(&mut prepare, &mut |s: &mut Session, name, sql| {
         let stmts = sqlengine::parser::parse_statements(sql).expect(name);
         let mut solved = false;
         for (i, stmt) in stmts.iter().enumerate() {
@@ -59,7 +98,7 @@ fn run_sweep(force_rows: bool) -> Vec<Observed> {
                 break; // as the sweep does: the rest of the script is skipped
             }
         }
-        for (table, t) in s.db().tables_snapshot() {
+        for (table, t) in s.db().relations().tables_snapshot() {
             seen.push(Observed {
                 at: format!("{name}: table {table}"),
                 ordered: false,
@@ -70,6 +109,9 @@ fn run_sweep(force_rows: bool) -> Vec<Observed> {
     })
     .expect("sweep sessions");
     set_force_row_interpreter(was);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     seen
 }
 
@@ -105,35 +147,33 @@ fn assert_same_table(at: &str, planned: &Table, rows: &Table, ordered: bool, exa
     let (p_rows, r_rows) = (in_order(planned, ordered), in_order(rows, ordered));
     for (k, (p, r)) in p_rows.into_iter().zip(r_rows).enumerate() {
         let same = p.len() == r.len() && p.iter().zip(r).all(|(a, b)| same_value(a, b, exact));
-        assert!(same, "{at}: row {k} differs: planner {p:?} vs row interpreter {r:?}");
+        assert!(same, "{at}: row {k} differs: reference {p:?} vs other {r:?}");
     }
 }
 
-#[test]
-fn every_swept_script_agrees_between_the_planner_and_the_row_interpreter() {
-    let planned = run_sweep(false);
-    let rows = run_sweep(true);
-    assert_eq!(planned.len(), rows.len(), "statements executed");
+/// Compare a sweep against the reference sweep, statement by statement.
+fn assert_agrees(reference: &[Observed], other: &[Observed], what: &str) {
+    assert_eq!(reference.len(), other.len(), "{what}: statements executed");
     let mut tables = 0;
-    for (p, r) in planned.iter().zip(&rows) {
+    for (p, r) in reference.iter().zip(other) {
         assert_eq!(p.at, r.at);
+        let at = format!("{what}: {}", p.at);
         match (&p.outcome, &r.outcome) {
-            (Err(a), Err(b)) => assert_eq!(a, b, "{}: error text", p.at),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{at}: error text"),
             (Ok((a, a_codes)), Ok((b, b_codes))) => {
-                assert_eq!(a_codes, b_codes, "{}: SD codes", p.at);
+                assert_eq!(a_codes, b_codes, "{at}: SD codes");
                 match (a, b) {
                     (Outcome::Table(a), Outcome::Table(b)) => {
                         tables += 1;
-                        assert_same_table(&p.at, a, b, p.ordered, !p.solved);
+                        assert_same_table(&at, a, b, p.ordered, !p.solved);
                     }
-                    (Outcome::Count(a), Outcome::Count(b)) => assert_eq!(a, b, "{}", p.at),
+                    (Outcome::Count(a), Outcome::Count(b)) => assert_eq!(a, b, "{at}"),
                     (Outcome::Done, Outcome::Done) => {}
-                    _ => panic!("{}: the two executors returned different outcome kinds", p.at),
+                    _ => panic!("{at}: the two runs returned different outcome kinds"),
                 }
             }
             (a, b) => panic!(
-                "{}: planner {:?} vs row interpreter {:?}",
-                p.at,
+                "{at}: reference {:?} vs other {:?}",
                 a.as_ref().map(|_| "ok"),
                 b.as_ref().map(|_| "ok")
             ),
@@ -142,5 +182,22 @@ fn every_swept_script_agrees_between_the_planner_and_the_row_interpreter() {
     // The sweep is not vacuous: it compared result relations, and the
     // scripts did solve.
     assert!(tables >= 50, "{tables} relations compared");
-    assert!(planned.iter().filter(|o| o.solved).count() >= 22);
+    assert!(reference.iter().filter(|o| o.solved).count() >= 22);
+}
+
+#[test]
+fn every_swept_script_agrees_with_the_reference_on_a_sampled_point() {
+    const SEED: usize = 21;
+    let reference = run_sweep(&|_| REFERENCE);
+    let sampled = run_sweep(&|group| OTHERS[(group + SEED) % OTHERS.len()]);
+    assert_agrees(&reference, &sampled, "sampled");
+}
+
+#[test]
+#[ignore = "the full product, 4 sweeps: run by the analyze CI job"]
+fn every_swept_script_agrees_on_every_point() {
+    let reference = run_sweep(&|_| REFERENCE);
+    for point in OTHERS {
+        assert_agrees(&reference, &run_sweep(&|_| point), &format!("{point:?}"));
+    }
 }

@@ -21,8 +21,10 @@ use storage::{SessionHook, StorageEngine};
 /// The process-wide solver infrastructure shared by every session a
 /// server creates: the solver registry (RC3 extensibility) and the
 /// Predictive Advisor with its model cache. In the paper's terms this
-/// is the state a PostgreSQL backend shares across connections, while
-/// each [`Session`] keeps its own catalog namespace.
+/// is the state a PostgreSQL backend shares across connections — as are
+/// the relations of sessions attached to one storage engine; a
+/// [`Session`] keeps its own settings, UDF training data and plan cache
+/// (and, while ephemeral, its own relations).
 ///
 /// Cloning is cheap (two `Arc`s); a solver installed through any clone
 /// is visible to all sessions built from it.
@@ -76,12 +78,8 @@ pub struct Session {
     metrics: Arc<MetricsRegistry>,
     /// Live-session registry a server attached (for `sdb_sessions`).
     session_registry: Option<Arc<SessionRegistry>>,
-    /// Durability engine when running with a data directory; the
-    /// session group-commits its WAL batch after every statement.
-    storage: Option<Arc<StorageEngine>>,
-    /// This session's private commit buffer over the shared engine —
-    /// a group commit covers exactly this session's statement, never a
-    /// concurrent connection's mid-statement mutations.
+    /// With a data directory, this session's side of the engine's catalog:
+    /// a statement starts from its relations and group-commits its changes.
     storage_hook: Option<Arc<SessionHook>>,
     /// Training series backing the `arima_rmse(ar, i, ma)` UDF.
     arima_training: Arc<RwLock<Vec<f64>>>,
@@ -104,9 +102,10 @@ impl Session {
     }
 
     /// Create a session on top of shared solver infrastructure — the
-    /// cheap per-connection constructor used by `solvedbd`: the catalog
-    /// (tables, views, UDF training state) is private to this session,
-    /// while the solver registry and predictive model cache are shared.
+    /// cheap per-connection constructor used by `solvedbd`: settings and
+    /// UDF training state are private to this session (its relations too,
+    /// until [`Session::attach_storage`]), while the solver registry and
+    /// predictive model cache are shared.
     pub fn with_solvers(shared: &SharedSolvers) -> Session {
         let registry = shared.registry.clone();
         let advisor = shared.advisor.clone();
@@ -170,7 +169,6 @@ impl Session {
             advisor,
             metrics,
             session_registry: None,
-            storage: None,
             storage_hook: None,
             arima_training,
             hvac_training,
@@ -205,8 +203,11 @@ impl Session {
     /// shape, plus per-solver aggregates when the statement was traced.
     fn run_recorded(&mut self, stmt: &Statement, parse_nanos: Option<u64>) -> Result<ExecResult> {
         let shape = sqlengine::statement_shape(stmt);
+        if let Some(hook) = &self.storage_hook {
+            hook.begin(&mut self.db);
+        }
         let work_before = self.db.exec_counts();
-        let (out, elapsed) =
+        let (mut out, elapsed) =
             obs::timed(|| execute_statement_timed(&mut self.db, stmt, parse_nanos));
         let nanos = elapsed.as_nanos() as u64;
         let pivoted = self.db.exec_counts().since(&work_before).columns_pivoted;
@@ -217,30 +218,24 @@ impl Session {
         // commit appends its wal.append stage: the WAL histograms are
         // recorded by the storage engine itself, so recording the
         // appended stage here would double-count them.
-        if let Ok(res) = &out {
-            if let Some(tr) = &res.trace {
-                self.metrics.record_trace_stages(tr);
-            }
+        if let Ok(ExecResult { trace: Some(tr), .. }) = &out {
+            self.metrics.record_trace_stages(tr);
         }
         // Group commit: everything the statement logged goes to the WAL
         // in one write (and at most one fsync, per policy). This runs
         // even when the statement errored — partial in-memory effects
         // were already flushed to the hook and the log must mirror them.
-        // A durability failure fails the statement: the caller must not
-        // observe un-logged state as committed.
-        let mut out = out;
+        // A durability failure fails the statement, and the session moves
+        // to the engine's relations: un-logged state is never observable.
         if let Some(hook) = &self.storage_hook {
-            match hook.commit() {
-                Ok((records, commit_nanos)) => {
-                    if records > 0 {
-                        if let Ok(res) = &mut out {
-                            if let Some(tr) = &mut res.trace {
-                                tr.stages.push(StorageEngine::append_stage(records, commit_nanos));
-                            }
-                        }
-                    }
+            match (hook.commit(&mut self.db), &mut out) {
+                (Ok((records, commit_nanos)), Ok(ExecResult { trace: Some(tr), .. }))
+                    if records > 0 =>
+                {
+                    tr.stages.push(StorageEngine::append_stage(records, commit_nanos));
                 }
-                Err(e) => {
+                (Ok(_), _) => {}
+                (Err(e), _) => {
                     self.metrics.record_statement(&shape, nanos, 0, true);
                     return Err(e);
                 }
@@ -353,32 +348,28 @@ impl Session {
         self.db.set_solver_timeout_ms(ms.filter(|&v| v > 0));
     }
 
-    /// Make the session durable: hydrate the catalog from the engine's
-    /// recovered state, then register a per-session [`SessionHook`]
-    /// over the engine as the catalog's durability hook so every
-    /// subsequent mutation is WAL-logged. Hydration runs *before* the
-    /// hook attaches, so replayed history is not logged a second time.
+    /// Make the session durable: from here on every statement reads the
+    /// engine's current relations — shared with every other session
+    /// attached to it — and WAL-logs what it changes. Relations the
+    /// session already holds are committed to the engine first; if it
+    /// holds one of the names, this fails and the session stays ephemeral.
     pub fn attach_storage(&mut self, engine: Arc<StorageEngine>) -> Result<()> {
         engine.attach_metrics(self.metrics.clone());
-        engine.hydrate(&mut self.db)?;
-        let hook = Arc::new(SessionHook::new(engine.clone()));
-        self.db.set_durability_hook(hook.clone());
-        self.storage = Some(engine);
-        self.storage_hook = Some(hook);
+        self.storage_hook = Some(SessionHook::attach(engine, &mut self.db)?);
         self.rebuild_virtual_tables();
         Ok(())
     }
 
     /// The attached storage engine, if the session is durable.
     pub fn storage(&self) -> Option<&Arc<StorageEngine>> {
-        self.storage.as_ref()
+        self.storage_hook.as_ref().map(|hook| hook.engine())
     }
 
     fn rebuild_virtual_tables(&mut self) {
         self.db.set_virtual_tables(Arc::new(ObsTables::new(
             self.metrics.clone(),
             self.session_registry.clone(),
-            self.storage.clone(),
+            self.storage().cloned(),
         )));
     }
 
@@ -435,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_have_private_catalogs() {
+    fn ephemeral_sessions_have_private_relations() {
         let shared = SharedSolvers::new();
         let mut a = Session::with_solvers(&shared);
         let mut b = Session::with_solvers(&shared);

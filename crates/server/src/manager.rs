@@ -1,10 +1,13 @@
 //! Per-connection session management.
 //!
 //! Mirrors the paper's deployment model: one PostgreSQL backend per
-//! connection, all backends sharing the installed solver set. Here each
-//! connection gets its own [`Session`] (private catalog, private UDF
-//! training state) built over one process-wide [`SharedSolvers`]
-//! (solver registry + Predictive Advisor model cache).
+//! connection, all backends working on the one database and sharing the
+//! installed solver set. Per connection: a [`Session`] with its own
+//! settings, UDF training state and plan cache. Shared: one process-wide
+//! [`SharedSolvers`] (solver registry + Predictive Advisor model cache)
+//! and, with a data directory, the storage engine's relations — every
+//! statement reads the version current when it starts. Without one each
+//! connection keeps relations of its own.
 
 use obs::{SessionCounters, SessionRegistry};
 use solvedbplus_core::{Session, SharedSolvers};
@@ -23,8 +26,8 @@ pub struct SessionManager {
     /// Live per-session counters, published to every session through
     /// the `sdb_sessions` virtual table.
     sessions: Arc<SessionRegistry>,
-    /// Durability engine every new session hydrates from and commits
-    /// through (`solvedbd --data-dir`); `None` = ephemeral server.
+    /// The engine whose catalog every session reads and commits to
+    /// (`solvedbd --data-dir`); `None` = ephemeral server.
     storage: Option<Arc<StorageEngine>>,
 }
 
@@ -39,9 +42,8 @@ impl SessionManager {
         SessionManager::with_storage(shared, None)
     }
 
-    /// Build a manager whose sessions are durable: each new session is
-    /// hydrated from the engine's recovered catalog and group-commits
-    /// its statements to the engine's WAL.
+    /// Build a manager whose sessions are durable: all of them read the
+    /// engine's catalog and group-commit their statements to its WAL.
     pub fn with_storage(
         shared: SharedSolvers,
         storage: Option<Arc<StorageEngine>>,
@@ -71,9 +73,7 @@ impl SessionManager {
     }
 
     /// Open a session for a new connection. The returned handle derefs
-    /// to [`Session`] and decrements the live count when dropped. Fails
-    /// only when a durable session cannot hydrate from the recovered
-    /// catalog.
+    /// to [`Session`] and decrements the live count when dropped.
     pub fn open(self: &Arc<Self>) -> Result<SessionHandle> {
         let mut session = Session::with_solvers(&self.shared);
         session.attach_session_registry(self.sessions.clone());
@@ -184,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_are_namespaced_but_share_solvers() {
+    fn ephemeral_sessions_are_namespaced_but_share_solvers() {
         let m = Arc::new(SessionManager::new());
         let mut a = m.open().unwrap();
         let mut b = m.open().unwrap();

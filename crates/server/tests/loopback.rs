@@ -52,6 +52,16 @@ impl Drop for TestServer {
     }
 }
 
+/// One `GET` against the metrics listener: the whole response.
+fn http_get(addr: SocketAddr, path: &str) -> String {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(TEST_TIMEOUT)).unwrap();
+    write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+    let mut response = String::new();
+    s.read_to_string(&mut response).unwrap();
+    response
+}
+
 const LP_SETUP: &str = "CREATE TABLE v (x float8, y float8); INSERT INTO v VALUES (NULL, NULL)";
 const LP_SOLVE: &str = "SOLVESELECT q(x, y) AS (SELECT * FROM v) \
      MAXIMIZE (SELECT x + y FROM q) \
@@ -280,6 +290,95 @@ fn sessions_of_different_clients_are_isolated() {
         matches!(res.last(), Some(Err(sqlengine::Error::Catalog(_)))),
         "client B must not see client A's tables, got {res:?}"
     );
+    ts.stop();
+}
+
+/// With a data directory the connections work on one catalog: each sees
+/// what the other committed when its next statement starts, and a
+/// statement in flight keeps the version it started with.
+#[test]
+fn durable_connections_share_one_catalog_under_statement_snapshots() {
+    let dir = std::env::temp_dir().join(format!("sdb-loopback-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ts, metrics_addr) = TestServer::start_with(ServerConfig {
+        workers: 3,
+        data_dir: Some(dir.clone()),
+        fsync: storage::FsyncPolicy::Never,
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    });
+    let mut a = Client::connect(ts.addr).unwrap();
+    let mut b = Client::connect(ts.addr).unwrap();
+    let int = |c: &mut Client, sql: &str| c.query_scalar(sql).unwrap().as_i64().unwrap();
+
+    a.execute_script("CREATE TABLE t (x int)").unwrap();
+    assert_eq!(int(&mut b, "SELECT count(*) FROM t"), 0, "b sees a's CREATE");
+    b.execute_script("INSERT INTO t VALUES (1), (2)").unwrap();
+    assert_eq!(int(&mut a, "SELECT sum(x) FROM t"), 3, "a sees b's INSERT");
+    a.execute_script("UPDATE t SET x = 10 WHERE x = 1").unwrap();
+    assert_eq!(int(&mut b, "SELECT sum(x) FROM t"), 12, "b sees a's UPDATE");
+    b.execute_script("CREATE VIEW v AS SELECT sum(x) AS s FROM t").unwrap();
+    assert_eq!(int(&mut a, "SELECT s FROM v"), 12, "a sees b's CREATE VIEW");
+    a.execute_script("DROP VIEW v; DROP TABLE t").unwrap();
+    let gone = b.execute("SELECT * FROM t").unwrap();
+    assert!(matches!(gone.last(), Some(Err(sqlengine::Error::Catalog(_)))), "b sees a's DROP");
+
+    // In flight: a's solve evaluates `aux` on every fitness call. Once it
+    // reports progress b drops `aux`; the solve runs on to its budget as
+    // if nothing happened, and a's next statement finds the table gone.
+    a.execute_script(LONG_SOLVE_SETUP).unwrap();
+    a.execute_script("CREATE TABLE aux (k int); SET solver_timeout_ms = 1500").unwrap();
+    let mut dropped = false;
+    let results = a
+        .execute_with_progress(
+            "SOLVESELECT q(x) AS (SELECT * FROM bb) \
+             MINIMIZE (SELECT (x - 3) * (x - 3) + (SELECT count(*) FROM aux) FROM q) \
+             SUBJECTTO (SELECT x >= -10, x <= 10 FROM q) \
+             USING swarmops.pso(iterations := 100000000)",
+            &mut |_| {
+                if !std::mem::replace(&mut dropped, true) {
+                    b.execute_script("DROP TABLE aux").expect("b drops aux mid-solve");
+                }
+            },
+        )
+        .unwrap();
+    assert!(dropped, "the solve reported progress");
+    match results.last() {
+        Some(Err(sqlengine::Error::SolveTimeout(m))) => assert!(m.contains("budget"), "{m}"),
+        other => panic!("the solve should have run to its budget, got {other:?}"),
+    }
+    let gone = a.execute("SELECT count(*) FROM aux").unwrap();
+    assert!(matches!(gone.last(), Some(Err(sqlengine::Error::Catalog(_)))), "{gone:?}");
+
+    // Nothing above raced on one relation.
+    assert_eq!(int(&mut a, "SELECT commit_conflicts FROM sdb_storage"), 0);
+    assert_eq!(int(&mut b, "SELECT catalog_version FROM sdb_storage"), 10);
+    let metrics = http_get(metrics_addr.unwrap(), "/metrics");
+    assert!(metrics.contains("\nsdb_storage_catalog_version 10\n"), "{metrics}");
+    assert!(metrics.contains("\nsdb_storage_commit_conflicts 0\n"), "{metrics}");
+    ts.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `i64::MIN / -1` between columns used to unwind the worker thread;
+/// now the connection gets an ERROR frame and answers the next statement.
+#[test]
+fn integer_division_overflow_is_an_error_frame_and_the_connection_lives() {
+    let ts = TestServer::start(1);
+    let mut c = Client::connect(ts.addr).unwrap();
+    c.execute_script(
+        "CREATE TABLE edge (a int8, b int8); INSERT INTO edge VALUES (-9223372036854775808, -1)",
+    )
+    .unwrap();
+    for sql in
+        ["SELECT a / b FROM edge", "SELECT a % b FROM edge", "SELECT (SELECT a / b) FROM edge"]
+    {
+        match c.execute(sql).unwrap().last() {
+            Some(Err(sqlengine::Error::Eval(m))) => assert_eq!(m, "integer overflow", "{sql}"),
+            other => panic!("{sql}: expected an evaluation error, got {other:?}"),
+        }
+        assert_eq!(c.query_scalar("SELECT 1 + 1").unwrap(), Value::Int(2), "after {sql}");
+    }
     ts.stop();
 }
 
@@ -516,14 +615,7 @@ fn metrics_endpoint_serves_prometheus_text() {
     client.execute_script(LP_SETUP).unwrap();
     client.query(LP_SOLVE).unwrap();
 
-    let scrape = |path: &str| -> String {
-        let mut s = TcpStream::connect(metrics_addr).unwrap();
-        s.set_read_timeout(Some(TEST_TIMEOUT)).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-        let mut body = String::new();
-        s.read_to_string(&mut body).unwrap();
-        body
-    };
+    let scrape = |path: &str| http_get(metrics_addr, path);
     let response = scrape("/metrics");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("# TYPE sdb_statements_total counter"), "{response}");

@@ -135,13 +135,10 @@ pub trait SolveHandler: Send + Sync {
 /// A logical catalog mutation — the unit the durability subsystem
 /// records. Every mutation of the catalog's persistent state (tables,
 /// views) flows through exactly one of these commit points; replaying
-/// the sequence against an empty [`Database`] reconstructs the catalog.
-///
-/// Mutations carry [`TableRef`]s (cheap `Arc` clones of the table
-/// handles), so emitting one never copies row data. Whoever keeps such a
-/// handle — the durable shadow catalog does — makes the next write to
-/// that table copy it first; a table nobody else holds is written in
-/// place.
+/// the sequence against empty [`Relations`] reconstructs the catalog.
+/// Mutations carry [`TableRef`]s, so emitting one never copies row data;
+/// whoever keeps such a handle makes the next write to that table copy
+/// it first, and a table nobody else holds is written in place.
 #[derive(Debug, Clone)]
 pub enum CatalogMutation {
     /// `CREATE TABLE` / `CREATE TABLE AS` (the table may carry rows).
@@ -187,36 +184,124 @@ impl CatalogMutation {
         }
     }
 
-    /// Apply this mutation to a database (the replay side of recovery).
-    /// Applications are last-writer-wins and idempotent at the
-    /// full-state level, so re-applying a suffix after a snapshot that
-    /// already contains it is safe.
+    /// Replay this mutation into a database (see [`Relations::apply`]).
     pub fn apply(&self, db: &mut Database) -> Result<()> {
         db.bump_epoch();
-        match self {
-            CatalogMutation::CreateTable { name, table }
-            | CatalogMutation::PutTable { name, table } => {
-                db.tables.insert(name.clone(), StoredTable::new(table.clone()));
+        Arc::make_mut(&mut db.relations).apply(self, false)
+    }
+}
+
+/// The persistent half of a [`Database`]: its tables — each with what is
+/// derived from its rows (columnar image, statistics) — and its views.
+/// A storage engine holds its current version behind the same `Arc` its
+/// sessions' databases hold, and only a write copies the *maps* (never
+/// rows: entries are `Arc` handles).
+#[derive(Debug, Clone, Default)]
+pub struct Relations {
+    tables: HashMap<String, StoredTable>,
+    views: HashMap<String, Arc<Query>>,
+}
+
+impl Relations {
+    /// True when `name` is a table or a view.
+    pub fn has(&self, name: &str) -> bool {
+        self.tables.contains_key(name) || self.views.contains_key(name)
+    }
+
+    /// True when `name` is the same table handle and view here and in
+    /// `other` (or in neither): nothing was committed to it in between.
+    pub fn same_relation(&self, other: &Relations, name: &str) -> bool {
+        let table = |r: &Relations| r.tables.get(name).map(|t| Arc::as_ptr(t.table()));
+        let view = |r: &Relations| r.views.get(name).map(Arc::as_ptr);
+        table(self) == table(other) && view(self) == view(other)
+    }
+
+    /// Make `name` here what it is in `from` (handle, image, statistics).
+    pub fn install(&mut self, name: &str, from: &Relations) {
+        self.tables.remove(name);
+        self.views.remove(name);
+        self.tables.extend(from.tables.get(name).map(|t| (name.to_string(), t.clone())));
+        self.views.extend(from.views.get(name).map(|v| (name.to_string(), v.clone())));
+    }
+
+    /// Apply one mutation — the only code that turns a
+    /// [`CatalogMutation`] into a change of relations. Replay (recovery,
+    /// [`CatalogMutation::apply`]) is last-writer-wins. `strict` commits
+    /// a statement whose relation changed underneath it: appended rows
+    /// are kept beside the other writer's, while creating a name that
+    /// exists, touching one that is gone and replacing a table wholesale
+    /// are conflicts.
+    pub fn apply(&mut self, m: &CatalogMutation, strict: bool) -> Result<()> {
+        let name = m.relation();
+        let exists = || Error::catalog(format!("relation '{name}' already exists"));
+        let conflict = || {
+            Error::catalog(format!(
+                "relation '{name}' was changed by a concurrent commit; retry the statement"
+            ))
+        };
+        match m {
+            CatalogMutation::CreateTable { table, .. } => {
+                if strict && self.has(name) {
+                    return Err(exists());
+                }
+                self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
             }
-            CatalogMutation::DropTable { name } => {
-                db.tables.remove(name);
+            CatalogMutation::PutTable { table, .. } => {
+                if strict {
+                    return Err(conflict());
+                }
+                self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
             }
-            CatalogMutation::AppendRows { name, rows } => {
-                let t = db
-                    .tables
-                    .get_mut(name)
-                    .ok_or_else(|| Error::catalog(format!("replay: table '{name}' missing")))?;
+            CatalogMutation::DropTable { .. } => {
+                if self.tables.remove(name).is_none() && strict {
+                    return Err(conflict());
+                }
+            }
+            CatalogMutation::AppendRows { rows, .. } => {
+                let t = self.tables.get_mut(name).ok_or_else(|| match strict {
+                    true => conflict(),
+                    false => Error::catalog(format!("table '{name}' does not exist")),
+                })?;
+                let want = t.table().schema.len();
+                if let Some(row) = rows.iter().find(|r| r.len() != want) {
+                    return Err(Error::catalog(format!(
+                        "row has {} values, table '{name}' has {want} columns",
+                        row.len()
+                    )));
+                }
                 t.append(rows.iter().cloned());
             }
-            CatalogMutation::CreateView { name, sql } => {
+            CatalogMutation::CreateView { sql, .. } => {
+                if strict && self.has(name) {
+                    return Err(exists());
+                }
                 let q = crate::parser::parse_query(sql)?;
-                db.views.insert(name.clone(), Arc::new(q));
+                self.views.insert(name.to_string(), Arc::new(q));
             }
-            CatalogMutation::DropView { name } => {
-                db.views.remove(name);
+            CatalogMutation::DropView { .. } => {
+                if self.views.remove(name).is_none() && strict {
+                    return Err(conflict());
+                }
             }
         }
         Ok(())
+    }
+
+    /// All tables as `(name, handle)` pairs, sorted by name — what a
+    /// snapshot writes (`Arc` clones, no row copies).
+    pub fn tables_snapshot(&self) -> Vec<(String, TableRef)> {
+        let mut v: Vec<(String, TableRef)> =
+            self.tables.iter().map(|(n, t)| (n.clone(), t.table().clone())).collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
+    }
+
+    /// All views as `(name, canonical SQL)` pairs, sorted by name.
+    pub fn views_snapshot(&self) -> Vec<(String, String)> {
+        let mut v: Vec<(String, String)> =
+            self.views.iter().map(|(n, q)| (n.clone(), q.to_string())).collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
     }
 }
 
@@ -224,7 +309,7 @@ impl CatalogMutation {
 /// The catalog invokes [`DurabilityHook::record`] at every mutation
 /// commit point *after* the in-memory mutation succeeded; an attached
 /// session then calls the engine's group-commit entry point once per
-/// statement to flush the batch to the write-ahead log.
+/// statement to log the batch and publish the resulting relations.
 pub trait DurabilityHook: Send + Sync {
     /// Buffer one committed catalog mutation for the next group commit.
     fn record(&self, mutation: CatalogMutation);
@@ -232,17 +317,7 @@ pub trait DurabilityHook: Send + Sync {
     /// `CHECKPOINT`: snapshot the full database state and rotate the
     /// log. Returns a one-row status relation. `trace`, when present,
     /// receives `checkpoint` stage spans.
-    fn checkpoint(&self, db: &Database, trace: Option<&obs::Trace>) -> Result<Table>;
-
-    /// Does `name` already exist in the *durable* catalog — possibly
-    /// committed by another connection after this session hydrated its
-    /// private catalog? `CREATE TABLE` / `CREATE VIEW` consult this
-    /// before mutating, so a name conflict across connections fails
-    /// the statement instead of letting two sessions commit tables of
-    /// the same name with different schemas.
-    fn durable_relation_exists(&self, _name: &str) -> bool {
-        false
-    }
+    fn checkpoint(&self, db: &mut Database, trace: Option<&obs::Trace>) -> Result<Table>;
 }
 
 /// Provider of *virtual tables*: relations synthesized on demand
@@ -293,13 +368,12 @@ impl ExecCounts {
 /// The database: named tables, views, UDFs and the solve hook.
 #[derive(Default)]
 pub struct Database {
-    /// Every table with what is derived from its current rows (columnar
-    /// image, statistics). The commit points below — `create_table`,
-    /// `put_table`, `rewrite_table`, `append_rows`, `drop_table` and
-    /// [`CatalogMutation::apply`] — are the only code that replaces or
-    /// changes an entry.
-    tables: HashMap<String, StoredTable>,
-    views: HashMap<String, Arc<Query>>,
+    /// Tables and views. The commit points below — `create_table`,
+    /// `put_table`, `rewrite_table`, `append_rows`, `drop_table`, the view
+    /// pair, [`CatalogMutation::apply`], [`Database::adopt`] — are the only
+    /// code that changes an entry; unshared (every ephemeral session),
+    /// `Arc::make_mut` hands out the maps as they are.
+    relations: Arc<Relations>,
     udfs: HashMap<String, ScalarUdf>,
     solve_handler: Option<Arc<dyn SolveHandler>>,
     virtual_tables: Option<Arc<dyn VirtualTableProvider>>,
@@ -333,8 +407,8 @@ pub struct Database {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("tables", &self.tables.keys().collect::<Vec<_>>())
-            .field("views", &self.views.keys().collect::<Vec<_>>())
+            .field("tables", &self.relations.tables.keys().collect::<Vec<_>>())
+            .field("views", &self.relations.views.keys().collect::<Vec<_>>())
             .field("udfs", &self.udfs.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -435,41 +509,44 @@ impl Database {
 
     // -- tables ------------------------------------------------------------
 
+    /// The relations this database reads and writes.
+    pub fn relations(&self) -> &Arc<Relations> {
+        &self.relations
+    }
+
+    /// Read and write `relations` from here on (a durable session moving
+    /// to its engine's version); retires every cached plan.
+    pub fn adopt(&mut self, relations: Arc<Relations>) {
+        self.bump_epoch();
+        self.relations = relations;
+    }
+
+    fn relations_mut(&mut self) -> &mut Relations {
+        Arc::make_mut(&mut self.relations)
+    }
+
     pub fn create_table(&mut self, name: &str, table: Table, if_not_exists: bool) -> Result<()> {
-        if self.tables.contains_key(name) || self.views.contains_key(name) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(Error::catalog(format!("relation '{name}' already exists")));
-        }
-        // Not in this session's private catalog — but another
-        // connection may have committed it durably since hydration.
-        if self.durability.as_ref().is_some_and(|h| h.durable_relation_exists(name)) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(Error::catalog(format!(
-                "relation '{name}' already exists in the durable catalog \
-                 (created by another connection)"
-            )));
+        if self.relations.has(name) {
+            return match if_not_exists {
+                true => Ok(()),
+                false => Err(Error::catalog(format!("relation '{name}' already exists"))),
+            };
         }
         let table = Arc::new(table);
         self.bump_epoch();
-        self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
+        self.relations_mut().tables.insert(name.to_string(), StoredTable::new(table.clone()));
         self.emit(CatalogMutation::CreateTable { name: name.to_string(), table });
         Ok(())
     }
 
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        if !self.tables.contains_key(name) {
-            if !if_exists {
-                return Err(Error::catalog(format!("table '{name}' does not exist")));
-            }
-            return Ok(());
+        if self.relations.tables.contains_key(name) {
+            self.bump_epoch();
+            self.relations_mut().tables.remove(name);
+            self.emit(CatalogMutation::DropTable { name: name.to_string() });
+        } else if !if_exists {
+            return Err(Error::catalog(format!("table '{name}' does not exist")));
         }
-        self.bump_epoch();
-        self.tables.remove(name);
-        self.emit(CatalogMutation::DropTable { name: name.to_string() });
         Ok(())
     }
 
@@ -480,13 +557,14 @@ impl Database {
     /// The table with its columnar image and statistics — what a scan of
     /// `name` reads.
     pub(crate) fn stored_table(&self, name: &str) -> Result<&StoredTable> {
-        self.tables
+        self.relations
+            .tables
             .get(name)
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
+        self.relations.tables.contains_key(name)
     }
 
     /// Append pre-built rows to a table, coercing each value to the
@@ -495,7 +573,7 @@ impl Database {
     /// table untouched (and nothing is logged).
     pub fn append_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
         let missing = || Error::catalog(format!("table '{name}' does not exist"));
-        let schema = &self.tables.get(name).ok_or_else(missing)?.table().schema;
+        let schema = &self.relations.tables.get(name).ok_or_else(missing)?.table().schema;
         let mut coerced = Vec::with_capacity(rows.len());
         for row in rows {
             if row.len() != schema.len() {
@@ -513,7 +591,8 @@ impl Database {
         }
         let n = coerced.len();
         self.bump_epoch();
-        self.tables.get_mut(name).ok_or_else(missing)?.append(coerced.iter().cloned());
+        let stored = self.relations_mut().tables.get_mut(name).ok_or_else(missing)?;
+        stored.append(coerced.iter().cloned());
         self.emit(CatalogMutation::AppendRows { name: name.to_string(), rows: coerced });
         Ok(n)
     }
@@ -522,7 +601,7 @@ impl Database {
     pub fn put_table(&mut self, name: &str, table: Table) {
         let table = Arc::new(table);
         self.bump_epoch();
-        self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
+        self.relations_mut().tables.insert(name.to_string(), StoredTable::new(table.clone()));
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
     }
 
@@ -541,6 +620,7 @@ impl Database {
         // table held only here is rewritten in place.
         self.bump_epoch();
         let stored = self
+            .relations_mut()
             .tables
             .get_mut(name)
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))?;
@@ -551,26 +631,8 @@ impl Database {
     }
 
     pub fn table_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
+        let mut v: Vec<&str> = self.relations.tables.keys().map(|s| s.as_str()).collect();
         v.sort_unstable();
-        v
-    }
-
-    /// All tables as `(name, handle)` pairs, sorted by name — the
-    /// snapshot surface for the durability subsystem (`Arc` clones, no
-    /// row copies).
-    pub fn tables_snapshot(&self) -> Vec<(String, TableRef)> {
-        let mut v: Vec<(String, TableRef)> =
-            self.tables.iter().map(|(n, t)| (n.clone(), t.table().clone())).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// All views as `(name, canonical SQL)` pairs, sorted by name.
-    pub fn views_snapshot(&self) -> Vec<(String, String)> {
-        let mut v: Vec<(String, String)> =
-            self.views.iter().map(|(n, q)| (n.clone(), q.to_string())).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
 
@@ -585,37 +647,29 @@ impl Database {
     // -- views -------------------------------------------------------------
 
     pub fn create_view(&mut self, name: &str, query: Query, or_replace: bool) -> Result<()> {
-        if !or_replace && (self.views.contains_key(name) || self.tables.contains_key(name)) {
+        if !or_replace && self.relations.has(name) {
             return Err(Error::catalog(format!("relation '{name}' already exists")));
         }
-        if !or_replace && self.durability.as_ref().is_some_and(|h| h.durable_relation_exists(name))
-        {
-            return Err(Error::catalog(format!(
-                "relation '{name}' already exists in the durable catalog \
-                 (created by another connection)"
-            )));
-        }
         let sql = query.to_string();
-        self.views.insert(name.to_string(), Arc::new(query));
         self.bump_epoch();
+        self.relations_mut().views.insert(name.to_string(), Arc::new(query));
         self.emit(CatalogMutation::CreateView { name: name.to_string(), sql });
         Ok(())
     }
 
     pub fn drop_view(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        if self.views.remove(name).is_none() {
-            if !if_exists {
-                return Err(Error::catalog(format!("view '{name}' does not exist")));
-            }
-            return Ok(());
+        if self.relations.views.contains_key(name) {
+            self.bump_epoch();
+            self.relations_mut().views.remove(name);
+            self.emit(CatalogMutation::DropView { name: name.to_string() });
+        } else if !if_exists {
+            return Err(Error::catalog(format!("view '{name}' does not exist")));
         }
-        self.bump_epoch();
-        self.emit(CatalogMutation::DropView { name: name.to_string() });
         Ok(())
     }
 
     pub fn view(&self, name: &str) -> Option<&Arc<Query>> {
-        self.views.get(name)
+        self.relations.views.get(name)
     }
 
     // -- functions -----------------------------------------------------------
@@ -630,9 +684,7 @@ impl Database {
 
     // -- durability ----------------------------------------------------------
 
-    /// Attach the durability hook. Call *after* recovery has populated
-    /// the database — mutations applied before attachment are not
-    /// re-logged.
+    /// Attach the durability hook; mutations from here on are recorded.
     pub fn set_durability_hook(&mut self, hook: Arc<dyn DurabilityHook>) {
         self.durability = Some(hook);
     }

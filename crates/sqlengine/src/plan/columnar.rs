@@ -797,12 +797,17 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
 
     // Integer arithmetic with overflow checks (mirrors Value::binop).
     if let (Int(a, av), Int(b, bv)) = (l, r) {
+        // `None` is an overflow, or — from the two dividing forms only —
+        // a zero divisor.
         let checked = |f: fn(i64, i64) -> Option<i64>| -> Result<ColumnVec> {
             let mut data = Vec::with_capacity(n);
             let mut valid = Bitmap::with_capacity(n);
             for i in 0..n {
                 if av.get(i) && bv.get(i) {
-                    data.push(f(a[i], b[i]).ok_or_else(|| Error::eval("integer overflow"))?);
+                    data.push(f(a[i], b[i]).ok_or_else(|| {
+                        let by_zero = matches!(op, BinOp::Div | BinOp::Mod) && b[i] == 0;
+                        Error::eval(if by_zero { "division by zero" } else { "integer overflow" })
+                    })?);
                     valid.push(true);
                 } else {
                     data.push(0);
@@ -815,23 +820,8 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
             BinOp::Add => return checked(i64::checked_add),
             BinOp::Sub => return checked(i64::checked_sub),
             BinOp::Mul => return checked(i64::checked_mul),
-            BinOp::Div | BinOp::Mod => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
-                    if av.get(i) && bv.get(i) {
-                        if b[i] == 0 {
-                            return Err(Error::eval("division by zero"));
-                        }
-                        data.push(if op == BinOp::Div { a[i] / b[i] } else { a[i] % b[i] });
-                        valid.push(true);
-                    } else {
-                        data.push(0);
-                        valid.push(false);
-                    }
-                }
-                return Ok(Int(data, valid));
-            }
+            BinOp::Div => return checked(i64::checked_div),
+            BinOp::Mod => return checked(i64::checked_rem),
             _ => {}
         }
     }

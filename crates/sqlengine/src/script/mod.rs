@@ -58,7 +58,7 @@ impl CatalogSnapshot {
 
     pub fn from_db(db: &Database) -> CatalogSnapshot {
         let mut shadow = ShadowCatalog::default();
-        for (name, table) in db.tables_snapshot() {
+        for (name, table) in db.relations().tables_snapshot() {
             let schema = table
                 .schema
                 .columns
@@ -79,7 +79,7 @@ impl CatalogSnapshot {
                 },
             );
         }
-        for (name, _) in db.views_snapshot() {
+        for (name, _) in db.relations().views_snapshot() {
             let view_def = db.view(&name).cloned();
             shadow.rels.insert(
                 name,

@@ -243,13 +243,8 @@ impl Value {
                 _ => Ok(Float(lhs.as_f64()? * rhs.as_f64()?)),
             },
             BinOp::Div => match (lhs, rhs) {
-                (Int(a), Int(b)) => {
-                    if *b == 0 {
-                        Err(Error::eval("division by zero"))
-                    } else {
-                        Ok(Int(a / b))
-                    }
-                }
+                (Int(_), Int(0)) => Err(Error::eval("division by zero")),
+                (Int(a), Int(b)) => a.checked_div(*b).map(Int).ok_or_else(overflow),
                 (Interval(a), b @ (Int(_) | Float(_))) => {
                     let d = b.as_f64()?;
                     if d == 0.0 {
@@ -268,13 +263,8 @@ impl Value {
                 }
             },
             BinOp::Mod => match (lhs, rhs) {
-                (Int(a), Int(b)) => {
-                    if *b == 0 {
-                        Err(Error::eval("division by zero"))
-                    } else {
-                        Ok(Int(a % b))
-                    }
-                }
+                (Int(_), Int(0)) => Err(Error::eval("division by zero")),
+                (Int(a), Int(b)) => a.checked_rem(*b).map(Int).ok_or_else(overflow),
                 _ => {
                     let d = rhs.as_f64()?;
                     if d == 0.0 {

@@ -557,6 +557,33 @@ fn head_errors_are_the_same_message_on_both_paths() {
     }
 }
 
+/// `i64::MIN / -1` has no `i64` answer: between two columns it is the
+/// typed overflow error the constant form gives, on both executors and
+/// through a `Fallback` expression — never a panic.
+#[test]
+fn min_divided_by_minus_one_is_an_overflow_error_on_both_paths() {
+    let mut db = Database::new();
+    execute_script(
+        &mut db,
+        "CREATE TABLE edge (a int8, b int8);
+         INSERT INTO edge VALUES (7, 2), (-9223372036854775808, -1)",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT a / b FROM edge",
+        "SELECT a % b FROM edge",
+        "SELECT (SELECT a / b) FROM edge",
+        "SELECT a / -1 FROM edge",
+    ] {
+        check(&mut db, sql, false);
+        let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
+        assert_eq!(err, "evaluation error: integer overflow", "{sql}");
+    }
+    check(&mut db, "SELECT a / b, a % b FROM edge WHERE a > 0", false);
+    let err = execute_sql(&mut db, "SELECT a % (b - b) FROM edge").unwrap_err().to_string();
+    assert_eq!(err, "evaluation error: division by zero");
+}
+
 /// A column whose every value is NULL keeps its declared type on both
 /// paths — decision columns of a SOLVESELECT are such columns, and the
 /// integrality of the solver's variables is read off this type.

@@ -61,6 +61,7 @@ fn parse_all(ops: &[Op]) -> Vec<Statement> {
 /// and rows. Views are not generated, so tables are the whole state.
 fn snapshot(db: &Database) -> Vec<(String, Vec<String>, Vec<Vec<Value>>)> {
     let mut out: Vec<_> = db
+        .relations()
         .tables_snapshot()
         .into_iter()
         .map(|(name, t)| {

@@ -310,7 +310,7 @@ impl DurabilityHook for Recorder {
         self.0.lock().unwrap().push(mutation);
     }
 
-    fn checkpoint(&self, _: &Database, _: Option<&obs::Trace>) -> Result<Table, Error> {
+    fn checkpoint(&self, _: &mut Database, _: Option<&obs::Trace>) -> Result<Table, Error> {
         Err(Error::unsupported("the recorder takes no checkpoints"))
     }
 }

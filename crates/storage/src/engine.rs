@@ -1,24 +1,18 @@
-//! The storage engine: group-commit WAL appends, checkpointing, crash
-//! recovery, and the shadow catalog that hydrates new sessions.
+//! The storage engine: the one catalog of every durable session, its
+//! group-commit WAL, checkpointing and crash recovery.
 //!
-//! One [`StorageEngine`] owns a data directory holding `wal.log` plus
-//! `snapshot-<lsn>.sdb` files. Each durable session attaches its own
-//! [`SessionHook`] as the catalog's `DurabilityHook`: every committed
-//! mutation is buffered *per session*, and the session flushes its
-//! buffer through [`StorageEngine::commit_batch`] once per statement —
-//! all of (and only) that statement's records go to the log in one
-//! contiguous write (group commit), with at most one fsync as the
-//! [`FsyncPolicy`] dictates.
-//!
-//! The engine also maintains a *shadow catalog* — the durable tables
-//! and views as of the last commit — so that (a) `CHECKPOINT` can
-//! snapshot the full durable state even when the calling session's
-//! private catalog predates other sessions' writes, (b) new sessions
-//! hydrate from memory without re-reading the log, and (c) commits can
-//! be validated against the durable truth: a batch that conflicts with
-//! what another connection already committed (duplicate `CREATE
-//! TABLE`, an `INSERT` whose arity no longer matches the durable
-//! schema) is rejected as an error rather than silently merged.
+//! One [`StorageEngine`] owns a data directory (`wal.log` plus
+//! `snapshot-<lsn>.sdb` files) and the *current version* of the durable
+//! relations — tables with their columnar images and statistics, parsed
+//! views — which every attached session reads. Per connection there is
+//! only a [`SessionHook`]: the running statement's mutation buffer and
+//! the version it started from (settings, UDF training data and the plan
+//! cache stay in the session). A session adopts the current version when
+//! a statement starts and keeps it to the statement's end; at the end all
+//! of (and only) that statement's records go to the log in one contiguous
+//! write — group commit, at most one fsync as the [`FsyncPolicy`]
+//! dictates — and the version they lead to is published (`publish`
+//! below). STORAGE.md states the rules in full.
 //!
 //! A WAL append I/O failure *poisons* the engine: after a partial
 //! write the file offset is indeterminate, so appending more frames
@@ -31,11 +25,10 @@ use crate::record::Record;
 use crate::snapshot::{self, SnapshotData};
 use crate::wal::Wal;
 use obs::{QueryTrace, Stage, Trace};
-use sqlengine::catalog::{CatalogMutation, Database, DurabilityHook};
+use sqlengine::catalog::{CatalogMutation, Database, DurabilityHook, Relations};
 use sqlengine::error::{Error, Result};
-use sqlengine::table::{Table, TableRef};
+use sqlengine::table::Table;
 use sqlengine::types::Value;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -113,23 +106,22 @@ pub struct RecoveryStats {
     pub recover_nanos: u64,
 }
 
-/// Mutable engine state behind one lock: the log, the shadow catalog,
-/// and cumulative counters.
+/// Mutable engine state behind one lock: the log, the catalog, and
+/// cumulative counters.
 struct EngineInner {
     wal: Wal,
     next_lsn: u64,
     last_checkpoint_lsn: u64,
-    /// Shadow catalog: durable tables/views as of the last commit.
-    tables: HashMap<String, TableRef>,
-    views: HashMap<String, String>,
-    /// Cumulative counters (surfaced in `sdb_storage`).
+    /// The catalog: the durable relations as of the last commit.
+    current: Arc<Relations>,
+    /// Cumulative counters (surfaced in `sdb_storage`). Every commit
+    /// publishes a version, so `commits` is the catalog version too;
+    /// `conflicts` are the commits that found a relation changed underneath.
+    conflicts: u64,
     commits: u64,
     fsyncs: u64,
-    appended_records: u64,
-    appended_bytes: u64,
     wal_append_nanos: u64,
     checkpoints: u64,
-    snapshots_written: u64,
     last_snapshot_bytes: u64,
     last_fsync: Instant,
     /// Appended bytes not yet covered by an fsync.
@@ -142,32 +134,6 @@ struct EngineInner {
 }
 
 impl EngineInner {
-    /// Replay-side application (recovery): lenient, last-writer-wins.
-    /// The WAL is the authority here — commit-time validation already
-    /// kept conflicting records out of it.
-    fn apply_to_shadow(&mut self, m: &CatalogMutation) {
-        match m {
-            CatalogMutation::CreateTable { name, table }
-            | CatalogMutation::PutTable { name, table } => {
-                self.tables.insert(name.clone(), table.clone());
-            }
-            CatalogMutation::DropTable { name } => {
-                self.tables.remove(name);
-            }
-            CatalogMutation::AppendRows { name, rows } => {
-                if let Some(t) = self.tables.get_mut(name) {
-                    Arc::make_mut(t).rows.extend(rows.iter().cloned());
-                }
-            }
-            CatalogMutation::CreateView { name, sql } => {
-                self.views.insert(name.clone(), sql.clone());
-            }
-            CatalogMutation::DropView { name } => {
-                self.views.remove(name);
-            }
-        }
-    }
-
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
             Some(why) => Err(Error::eval(format!(
@@ -179,9 +145,9 @@ impl EngineInner {
     }
 
     /// Interval-policy deadline: sync the unsynced tail once the
-    /// window has expired. Called from the background flusher and from
-    /// empty commits, so the bounded-loss window holds even when the
-    /// last commits before an idle period never saw a follow-up.
+    /// window has expired. Called from the background flusher and at
+    /// every statement start, so the bounded-loss window holds even when
+    /// the last commits before an idle period never saw a follow-up.
     fn sync_if_due(&mut self, policy: FsyncPolicy) -> Result<()> {
         let FsyncPolicy::Interval(window) = policy else { return Ok(()) };
         if !self.dirty || self.last_fsync.elapsed() < window {
@@ -200,62 +166,6 @@ impl EngineInner {
             }
         }
     }
-}
-
-/// Commit-side application: validate `m` against the (scratch) durable
-/// catalog before it may reach the WAL. Conflicts with state another
-/// connection already committed surface as errors instead of silently
-/// merging rows into a table with a different schema.
-fn apply_checked(
-    tables: &mut HashMap<String, TableRef>,
-    views: &mut HashMap<String, String>,
-    m: &CatalogMutation,
-) -> Result<()> {
-    match m {
-        CatalogMutation::CreateTable { name, table } => {
-            if tables.contains_key(name) || views.contains_key(name) {
-                return Err(Error::catalog(format!(
-                    "relation '{name}' already exists in the durable catalog \
-                     (conflicting CREATE committed by another connection)"
-                )));
-            }
-            tables.insert(name.clone(), table.clone());
-        }
-        CatalogMutation::PutTable { name, table } => {
-            // Wholesale replacement: last-writer-wins by design.
-            tables.insert(name.clone(), table.clone());
-        }
-        CatalogMutation::DropTable { name } => {
-            tables.remove(name);
-        }
-        CatalogMutation::AppendRows { name, rows } => {
-            let t = tables.get_mut(name).ok_or_else(|| {
-                Error::catalog(format!(
-                    "cannot commit INSERT into '{name}' durably: the table no longer \
-                     exists in the durable catalog (dropped by another connection)"
-                ))
-            })?;
-            let want = t.schema.len();
-            for row in rows {
-                if row.len() != want {
-                    return Err(Error::catalog(format!(
-                        "cannot commit INSERT into '{name}' durably: row has {} values \
-                         but the durable table has {want} columns (schema diverged \
-                         across connections)",
-                        row.len()
-                    )));
-                }
-            }
-            Arc::make_mut(t).rows.extend(rows.iter().cloned());
-        }
-        CatalogMutation::CreateView { name, sql } => {
-            views.insert(name.clone(), sql.clone());
-        }
-        CatalogMutation::DropView { name } => {
-            views.remove(name);
-        }
-    }
-    Ok(())
 }
 
 /// The durable storage engine for one data directory.
@@ -317,8 +227,7 @@ impl StorageEngine {
         let trace = Trace::new();
         trace.set_label("RECOVER");
         let mut stats = RecoveryStats::default();
-        let mut tables: HashMap<String, TableRef> = HashMap::new();
-        let mut views: HashMap<String, String> = HashMap::new();
+        let mut relations = Relations::default();
 
         // Phase 1: newest valid snapshot.
         let snap: Option<SnapshotData> = trace.time("recover.snapshot", || {
@@ -332,11 +241,11 @@ impl StorageEngine {
             stats.snapshot_tables = snap.tables.len() as u64;
             stats.snapshot_views = snap.views.len() as u64;
             stats.snapshot_udfs = snap.udfs.clone();
-            for (name, t) in &snap.tables {
-                tables.insert(name.clone(), t.clone());
+            for (name, table) in snap.tables.iter().cloned() {
+                relations.apply(&CatalogMutation::CreateTable { name, table }, false)?;
             }
-            for (name, sql) in &snap.views {
-                views.insert(name.clone(), sql.clone());
+            for (name, sql) in snap.views.iter().cloned() {
+                relations.apply(&CatalogMutation::CreateView { name, sql }, false)?;
             }
         }
         let snapshot_lsn = stats.snapshot_lsn;
@@ -346,24 +255,6 @@ impl StorageEngine {
         let (wal, scan) = trace.time("recover.wal", || Wal::open(&dir.join("wal.log")))?;
         stats.truncated_bytes = scan.truncated_bytes;
         stats.torn_reason = scan.torn_reason.clone();
-        let mut shadow = EngineInner {
-            wal,
-            next_lsn: 1,
-            last_checkpoint_lsn: snapshot_lsn,
-            tables,
-            views,
-            commits: 0,
-            fsyncs: 0,
-            appended_records: 0,
-            appended_bytes: 0,
-            wal_append_nanos: 0,
-            checkpoints: 0,
-            snapshots_written: 0,
-            last_snapshot_bytes: 0,
-            last_fsync: Instant::now(),
-            dirty: false,
-            poisoned: None,
-        };
         let mut max_lsn = snapshot_lsn;
         for Record { lsn, mutation } in &scan.records {
             max_lsn = max_lsn.max(*lsn);
@@ -371,13 +262,27 @@ impl StorageEngine {
                 stats.skipped_records += 1;
                 continue;
             }
-            shadow.apply_to_shadow(mutation);
+            relations.apply(mutation, false)?;
             stats.replayed_records += 1;
         }
-        shadow.next_lsn = max_lsn + 1;
+        let recovered = EngineInner {
+            wal,
+            next_lsn: max_lsn + 1,
+            last_checkpoint_lsn: snapshot_lsn,
+            current: Arc::new(relations),
+            conflicts: 0,
+            commits: 0,
+            fsyncs: 0,
+            wal_append_nanos: 0,
+            checkpoints: 0,
+            last_snapshot_bytes: 0,
+            last_fsync: Instant::now(),
+            dirty: false,
+            poisoned: None,
+        };
         stats.recover_nanos = started.elapsed().as_nanos() as u64;
         let recovery_trace = trace.finish();
-        let inner = Arc::new(Mutex::new(shadow));
+        let inner = Arc::new(Mutex::new(recovered));
         let flusher = if let FsyncPolicy::Interval(window) = policy {
             let stop = Arc::new((Mutex::new(false), Condvar::new()));
             let thread_inner = Arc::clone(&inner);
@@ -427,72 +332,69 @@ impl StorageEngine {
         &self.recovery_trace
     }
 
-    /// True when `name` is a table or view in the durable (shadow)
-    /// catalog — possibly committed by another connection after this
-    /// one hydrated. The catalog consults this before `CREATE`.
-    pub fn relation_exists(&self, name: &str) -> bool {
-        let inner = lock(&self.inner);
-        inner.tables.contains_key(name) || inner.views.contains_key(name)
+    /// The current version of the durable relations.
+    pub fn current(&self) -> Arc<Relations> {
+        lock(&self.inner).current.clone()
     }
 
-    /// Populate a fresh session catalog from the shadow catalog
-    /// (`Arc` clones — no row copies). Call *before* attaching the
-    /// engine as the durability hook so hydration is not re-logged.
+    /// Make `db` read the current version (what it held is dropped).
     pub fn hydrate(&self, db: &mut Database) -> Result<()> {
-        let inner = lock(&self.inner);
-        let mut muts: Vec<CatalogMutation> = Vec::new();
-        let mut tables: Vec<(&String, &TableRef)> = inner.tables.iter().collect();
-        tables.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, t) in tables {
-            muts.push(CatalogMutation::CreateTable { name: name.clone(), table: t.clone() });
-        }
-        let mut views: Vec<(&String, &String)> = inner.views.iter().collect();
-        views.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, sql) in views {
-            muts.push(CatalogMutation::CreateView { name: name.clone(), sql: sql.clone() });
-        }
-        drop(inner);
-        for m in muts {
-            m.apply(db)?;
-        }
+        db.adopt(self.current());
         Ok(())
     }
 
-    /// Group commit: flush one statement's mutation batch as one
-    /// contiguous WAL write, fsyncing per the policy. The batch is
-    /// validated against the shadow catalog *before* anything reaches
-    /// the log — a cross-connection conflict (duplicate `CREATE
-    /// TABLE`, appends to a dropped table or against a diverged
-    /// schema) fails the commit and leaves both the WAL and the shadow
-    /// untouched. Returns `(records written, nanos spent)` for the
-    /// `wal.append` stage.
-    pub fn commit_batch(&self, batch: Vec<CatalogMutation>) -> Result<(u64, u64)> {
+    /// Statement start: the current version when it is no longer `base`;
+    /// and the interval deadline (a failure poisons, the next commit says).
+    fn moved_from(&self, base: &Arc<Relations>) -> Option<Arc<Relations>> {
+        let mut inner = lock(&self.inner);
+        if inner.poisoned.is_none() {
+            let _ = inner.sync_if_due(self.policy);
+        }
+        (!Arc::ptr_eq(&inner.current, base)).then(|| inner.current.clone())
+    }
+
+    /// Group commit: log one statement's batch as one contiguous WAL write,
+    /// fsyncing per the policy, then publish the version it leads to —
+    /// `mine`, the committing session's relations, while the current
+    /// version is still the `base` the statement started from. Otherwise
+    /// each relation of the batch is taken from `mine` if nobody committed
+    /// to it since `base`, and merged by the strict applier if somebody
+    /// did. A conflict or a failed append changes neither log nor catalog.
+    /// Returns the version and `(records, nanos)` for the `wal.append` stage.
+    fn publish(
+        &self,
+        base: &Arc<Relations>,
+        mine: &Arc<Relations>,
+        batch: Vec<CatalogMutation>,
+    ) -> Result<(Arc<Relations>, u64, u64)> {
         let mut inner = lock(&self.inner);
         inner.check_poisoned()?;
-        if batch.is_empty() {
-            // Even an effect-free statement enforces the interval
-            // deadline, so a trickle of reads still flushes the tail.
-            inner.sync_if_due(self.policy)?;
-            return Ok((0, 0));
-        }
         let started = Instant::now();
-        // Validate into a scratch copy (cheap `Arc` clones); the real
-        // shadow is swapped in only after the WAL write succeeds, so a
-        // rejected or failed batch changes nothing.
-        let mut tables = inner.tables.clone();
-        let mut views = inner.views.clone();
-        let mut lsn_batch = Vec::with_capacity(batch.len());
-        for m in batch {
-            apply_checked(&mut tables, &mut views, &m)?;
-            let lsn = inner.next_lsn + lsn_batch.len() as u64;
-            lsn_batch.push((lsn, m));
-        }
+        let next = if Arc::ptr_eq(&inner.current, base) {
+            mine.clone()
+        } else {
+            let mut merged = Relations::clone(&inner.current);
+            let mut contended = false;
+            let applied = batch.iter().try_for_each(|m| {
+                if base.same_relation(&inner.current, m.relation()) {
+                    merged.install(m.relation(), mine);
+                    return Ok(());
+                }
+                contended = true;
+                merged.apply(m, true)
+            });
+            inner.conflicts += contended as u64;
+            applied?;
+            Arc::new(merged)
+        };
+        let lsn_batch: Vec<(u64, CatalogMutation)> =
+            batch.into_iter().enumerate().map(|(i, m)| (inner.next_lsn + i as u64, m)).collect();
         let fsync = match self.policy {
             FsyncPolicy::Always => true,
             FsyncPolicy::Never => false,
             FsyncPolicy::Interval(window) => inner.last_fsync.elapsed() >= window,
         };
-        let (bytes, fsync_nanos) = match inner.wal.append(&lsn_batch, fsync) {
+        let (_, fsync_nanos) = match inner.wal.append(&lsn_batch, fsync) {
             Ok(out) => out,
             Err(e) => {
                 // A partial append leaves the file offset torn; any
@@ -511,13 +413,10 @@ impl StorageEngine {
         } else {
             inner.dirty = true;
         }
-        inner.tables = tables;
-        inner.views = views;
+        inner.current = next.clone();
         let n = lsn_batch.len() as u64;
         let nanos = started.elapsed().as_nanos() as u64;
         inner.commits += 1;
-        inner.appended_records += n;
-        inner.appended_bytes += bytes;
         inner.wal_append_nanos += nanos;
         if let Some(m) = self.metrics.get() {
             m.record_stage("wal.append", nanos);
@@ -525,10 +424,10 @@ impl StorageEngine {
                 m.record_stage("wal.fsync", fsync_nanos);
             }
         }
-        Ok((n, nanos))
+        Ok((next, n, nanos))
     }
 
-    /// `CHECKPOINT`: snapshot the shadow catalog, rotate the log,
+    /// `CHECKPOINT`: snapshot the current version, rotate the log,
     /// prune superseded snapshots. The calling [`SessionHook`] flushes
     /// its pending batch first so the snapshot's LSN covers it. `udfs`
     /// is the checkpointing session's registered-UDF list (recorded in
@@ -538,12 +437,7 @@ impl StorageEngine {
         inner.check_poisoned()?;
         let started = Instant::now();
         let last_lsn = inner.next_lsn - 1;
-        let mut tables: Vec<(String, TableRef)> =
-            inner.tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
-        tables.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut views: Vec<(String, String)> =
-            inner.views.iter().map(|(n, s)| (n.clone(), s.clone())).collect();
-        views.sort_by(|a, b| a.0.cmp(&b.0));
+        let (tables, views) = (inner.current.tables_snapshot(), inner.current.views_snapshot());
 
         let (path, bytes) = if let Some(tr) = trace {
             tr.time("checkpoint.snapshot", || {
@@ -564,7 +458,6 @@ impl StorageEngine {
         snapshot::prune_snapshots(&self.dir, last_lsn);
         inner.last_checkpoint_lsn = last_lsn;
         inner.checkpoints += 1;
-        inner.snapshots_written += 1;
         inner.last_snapshot_bytes = bytes;
         let nanos = started.elapsed().as_nanos() as u64;
         Ok(Table::from_rows(
@@ -586,7 +479,7 @@ impl StorageEngine {
     }
 
     /// Column names of the `sdb_storage` relation.
-    pub const STATUS_COLUMNS: [&'static str; 18] = [
+    pub const STATUS_COLUMNS: [&'static str; 20] = [
         "data_dir",
         "fsync_policy",
         "wal_bytes",
@@ -605,6 +498,8 @@ impl StorageEngine {
         "recovered_torn_reason",
         "recover_ms",
         "poisoned",
+        "catalog_version",
+        "commit_conflicts",
     ];
 
     /// The `sdb_storage` relation with no rows — the shape served when
@@ -644,6 +539,8 @@ impl StorageEngine {
                     Some(why) => Value::text(why),
                     None => Value::Null,
                 },
+                Value::Int(inner.commits as i64),
+                Value::Int(inner.conflicts as i64),
             ]],
         )
     }
@@ -677,21 +574,42 @@ impl Drop for StorageEngine {
     }
 }
 
-/// One session's durability hook: a private buffer of the mutations
-/// the current statement committed, flushed through the shared
-/// [`StorageEngine`] once per statement. Buffering per session (not in
-/// the engine) keeps concurrent connections from flushing each other's
-/// mid-statement mutations — a group commit covers exactly one
-/// statement's records, so a crash right after can never persist a
-/// partial statement from a concurrent session.
+/// One session's side of the shared catalog: the mutations the running
+/// statement made in memory (buffered per session, so a group commit
+/// covers exactly one statement's records, never part of a concurrent
+/// session's), and the engine version its relations derive from.
 pub struct SessionHook {
     engine: Arc<StorageEngine>,
-    pending: Mutex<Vec<CatalogMutation>>,
+    state: Mutex<HookState>,
+}
+
+struct HookState {
+    pending: Vec<CatalogMutation>,
+    base: Arc<Relations>,
 }
 
 impl SessionHook {
-    pub fn new(engine: Arc<StorageEngine>) -> SessionHook {
-        SessionHook { engine, pending: Mutex::new(Vec::new()) }
+    /// Make `db` durable over `engine`: it reads the engine's relations
+    /// from here on and records its mutations into the returned hook. What
+    /// `db` already holds is committed first (`CreateTable` / `CreateView`
+    /// records); if the engine holds one of the names, `db` stays as it was.
+    pub fn attach(engine: Arc<StorageEngine>, db: &mut Database) -> Result<Arc<SessionHook>> {
+        let mine = db.relations().clone();
+        let tables = mine.tables_snapshot().into_iter();
+        let views = mine.views_snapshot().into_iter();
+        let batch: Vec<CatalogMutation> = tables
+            .map(|(name, table)| CatalogMutation::CreateTable { name, table })
+            .chain(views.map(|(name, sql)| CatalogMutation::CreateView { name, sql }))
+            .collect();
+        let base = match batch.is_empty() {
+            true => engine.current(),
+            false => engine.publish(&Arc::default(), &mine, batch)?.0,
+        };
+        db.adopt(base.clone());
+        let state = Mutex::new(HookState { pending: Vec::new(), base });
+        let hook = Arc::new(SessionHook { engine, state });
+        db.set_durability_hook(hook.clone());
+        Ok(hook)
     }
 
     /// The shared engine this hook commits through.
@@ -699,26 +617,53 @@ impl SessionHook {
         &self.engine
     }
 
-    /// Flush this session's pending batch as one group commit.
-    pub fn commit(&self) -> Result<(u64, u64)> {
-        let batch = std::mem::take(&mut *self.pending.lock().unwrap_or_else(|e| e.into_inner()));
-        self.engine.commit_batch(batch)
+    fn state(&self) -> MutexGuard<'_, HookState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Statement start: adopt the engine's current version if it moved
+    /// (not over un-committed programmatic writes: the commit merges them).
+    pub fn begin(&self, db: &mut Database) {
+        let mut st = self.state();
+        if !st.pending.is_empty() {
+            return;
+        }
+        if let Some(current) = self.engine.moved_from(&st.base) {
+            db.adopt(current.clone());
+            st.base = current;
+        }
+    }
+
+    /// Statement end: log and publish the pending batch as one group
+    /// commit. On failure `db` moves to the engine's current version: what
+    /// was not logged is not readable either.
+    pub fn commit(&self, db: &mut Database) -> Result<(u64, u64)> {
+        let mut st = self.state();
+        if st.pending.is_empty() {
+            return Ok((0, 0));
+        }
+        let batch = std::mem::take(&mut st.pending);
+        let (published, out) = match self.engine.publish(&st.base, db.relations(), batch) {
+            Ok((next, records, nanos)) => (next, Ok((records, nanos))),
+            Err(e) => (self.engine.current(), Err(e)),
+        };
+        if !Arc::ptr_eq(&published, db.relations()) {
+            db.adopt(published.clone());
+        }
+        st.base = published;
+        out
     }
 }
 
 impl DurabilityHook for SessionHook {
     fn record(&self, mutation: CatalogMutation) {
-        self.pending.lock().unwrap_or_else(|e| e.into_inner()).push(mutation);
+        self.state().pending.push(mutation);
     }
 
-    fn checkpoint(&self, db: &Database, trace: Option<&Trace>) -> Result<Table> {
+    fn checkpoint(&self, db: &mut Database, trace: Option<&Trace>) -> Result<Table> {
         // Flush this session's buffer so the snapshot's LSN covers it.
-        self.commit()?;
+        self.commit(db)?;
         self.engine.do_checkpoint(&db.udf_names(), trace)
-    }
-
-    fn durable_relation_exists(&self, name: &str) -> bool {
-        self.engine.relation_exists(name)
     }
 }
 
@@ -726,6 +671,7 @@ impl DurabilityHook for SessionHook {
 mod tests {
     use super::*;
     use sqlengine::execute_sql;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -735,12 +681,35 @@ mod tests {
         dir
     }
 
-    fn attached_db(engine: &Arc<StorageEngine>) -> (Database, Arc<SessionHook>) {
-        let mut db = Database::new();
-        engine.hydrate(&mut db).unwrap();
-        let hook = Arc::new(SessionHook::new(engine.clone()));
-        db.set_durability_hook(hook.clone());
-        (db, hook)
+    /// A database attached to the engine, as a durable session holds one.
+    struct Conn {
+        db: Database,
+        hook: Arc<SessionHook>,
+    }
+
+    impl Conn {
+        fn open(engine: &Arc<StorageEngine>) -> Conn {
+            let mut db = Database::new();
+            let hook = SessionHook::attach(engine.clone(), &mut db).unwrap();
+            Conn { db, hook }
+        }
+
+        /// One statement the way `Session` runs it: begin, execute, commit.
+        fn run(&mut self, sql: &str) -> Result<sqlengine::ExecResult> {
+            self.hook.begin(&mut self.db);
+            let out = execute_sql(&mut self.db, sql);
+            self.hook.commit(&mut self.db)?;
+            out
+        }
+
+        fn scalar(&mut self, sql: &str) -> Value {
+            self.run(sql).unwrap().into_table().unwrap().rows[0][0].clone()
+        }
+    }
+
+    fn status(engine: &StorageEngine, column: &str) -> Value {
+        let s = engine.status_table();
+        s.rows[0][s.schema.index_of(column).unwrap()].clone()
     }
 
     #[test]
@@ -748,19 +717,17 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
-            let (mut db, hook) = attached_db(&engine);
-            execute_sql(&mut db, "CREATE TABLE t (a INT, b TEXT)").unwrap();
-            execute_sql(&mut db, "INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
-            execute_sql(&mut db, "CREATE VIEW v AS SELECT a FROM t WHERE b = 'y'").unwrap();
-            hook.commit().unwrap();
+            let mut c = Conn::open(&engine);
+            c.run("CREATE TABLE t (a INT, b TEXT)").unwrap();
+            c.run("INSERT INTO t VALUES (1, 'x'), (2, 'y')").unwrap();
+            c.run("CREATE VIEW v AS SELECT a FROM t WHERE b = 'y'").unwrap();
         }
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
         assert_eq!(engine.recovery_stats().replayed_records, 3);
-        let (mut db, _hook) = attached_db(&engine);
-        let t = execute_sql(&mut db, "SELECT * FROM v").unwrap().into_table().unwrap();
+        let mut c = Conn::open(&engine);
+        let t = c.run("SELECT * FROM v").unwrap().into_table().unwrap();
         assert_eq!(t.num_rows(), 1);
-        let t = execute_sql(&mut db, "SELECT count(*) FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.rows[0][0], Value::Int(2));
+        assert_eq!(c.scalar("SELECT count(*) FROM t"), Value::Int(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -769,23 +736,19 @@ mod tests {
         let dir = tmpdir("ckpt");
         {
             let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
-            let (mut db, hook) = attached_db(&engine);
-            execute_sql(&mut db, "CREATE TABLE t (a INT)").unwrap();
-            execute_sql(&mut db, "INSERT INTO t VALUES (1), (2), (3)").unwrap();
-            hook.commit().unwrap();
-            let status = execute_sql(&mut db, "CHECKPOINT").unwrap().into_table().unwrap();
+            let mut c = Conn::open(&engine);
+            c.run("CREATE TABLE t (a INT)").unwrap();
+            c.run("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+            let status = c.run("CHECKPOINT").unwrap().into_table().unwrap();
             assert_eq!(status.num_rows(), 1);
             // Post-checkpoint writes land in the fresh log.
-            execute_sql(&mut db, "INSERT INTO t VALUES (4)").unwrap();
-            hook.commit().unwrap();
+            c.run("INSERT INTO t VALUES (4)").unwrap();
         }
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
         let r = engine.recovery_stats();
         assert!(r.snapshot_lsn > 0, "snapshot should seed recovery");
         assert_eq!(r.replayed_records, 1, "only the post-checkpoint insert replays");
-        let (mut db, _hook) = attached_db(&engine);
-        let t = execute_sql(&mut db, "SELECT count(*) FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.rows[0][0], Value::Int(4));
+        assert_eq!(Conn::open(&engine).scalar("SELECT count(*) FROM t"), Value::Int(4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -794,7 +757,7 @@ mod tests {
         let dir = tmpdir("dml");
         {
             let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
-            let (mut db, hook) = attached_db(&engine);
+            let mut c = Conn::open(&engine);
             for sql in [
                 "CREATE TABLE t (a INT, b TEXT)",
                 "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')",
@@ -803,19 +766,17 @@ mod tests {
                 "CREATE TABLE gone (g INT)",
                 "DROP TABLE gone",
             ] {
-                execute_sql(&mut db, sql).unwrap();
-                hook.commit().unwrap();
+                c.run(sql).unwrap();
             }
         }
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
-        let (mut db, _hook) = attached_db(&engine);
-        let t =
-            execute_sql(&mut db, "SELECT a, b FROM t ORDER BY a").unwrap().into_table().unwrap();
+        let mut c = Conn::open(&engine);
+        let t = c.run("SELECT a, b FROM t ORDER BY a").unwrap().into_table().unwrap();
         assert_eq!(
             t.rows,
             vec![vec![Value::Int(2), Value::text("yy")], vec![Value::Int(3), Value::text("z")],]
         );
-        assert!(execute_sql(&mut db, "SELECT * FROM gone").is_err());
+        assert!(c.run("SELECT * FROM gone").is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -835,98 +796,139 @@ mod tests {
     fn status_table_reports_counters() {
         let dir = tmpdir("status");
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
-        let (mut db, hook) = attached_db(&engine);
-        execute_sql(&mut db, "CREATE TABLE t (a INT)").unwrap();
-        hook.commit().unwrap();
-        let s = engine.status_table();
-        assert_eq!(s.num_rows(), 1);
-        let col = |name: &str| {
-            let i = s.schema.index_of(name).unwrap();
-            s.rows[0][i].clone()
-        };
-        assert_eq!(col("commits"), Value::Int(1));
-        assert_eq!(col("fsyncs"), Value::Int(1));
-        assert_eq!(col("wal_records"), Value::Int(1));
-        assert_eq!(col("fsync_policy"), Value::text("always"));
-        assert_eq!(col("poisoned"), Value::Null);
+        let mut c = Conn::open(&engine);
+        c.run("CREATE TABLE t (a INT)").unwrap();
+        c.run("SELECT * FROM t").unwrap();
+        assert_eq!(engine.status_table().num_rows(), 1);
+        assert_eq!(status(&engine, "commits"), Value::Int(1));
+        assert_eq!(status(&engine, "fsyncs"), Value::Int(1));
+        assert_eq!(status(&engine, "wal_records"), Value::Int(1));
+        assert_eq!(status(&engine, "fsync_policy"), Value::text("always"));
+        assert_eq!(status(&engine, "poisoned"), Value::Null);
+        assert_eq!(status(&engine, "catalog_version"), Value::Int(1), "reads publish nothing");
+        assert_eq!(status(&engine, "commit_conflicts"), Value::Int(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Two connections with private catalogs share one durable truth:
-    /// a second CREATE TABLE of the same name is rejected at statement
-    /// level (stale hydration) and at commit level (race), so the
-    /// shadow catalog can never mix two sessions' schemas.
+    /// Two connections read and write one catalog: a second CREATE TABLE
+    /// of a name is rejected by the statement when it sees the first, and
+    /// by the commit when the two race — no two schemas under one name,
+    /// nothing of a rejected batch in the WAL, the first writer's schema
+    /// after a restart.
     #[test]
     fn cross_session_create_table_conflict_is_rejected() {
         let dir = tmpdir("conflict");
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
-        // Both sessions hydrate an empty catalog.
-        let (mut db1, hook1) = attached_db(&engine);
-        let (mut db2, hook2) = attached_db(&engine);
+        let (mut c1, mut c2) = (Conn::open(&engine), Conn::open(&engine));
+        c1.run("CREATE TABLE t (a INT)").unwrap();
 
-        execute_sql(&mut db1, "CREATE TABLE t (a INT)").unwrap();
-        hook1.commit().unwrap();
+        // Statement level: connection 2 sees `t` at its next statement.
+        let err = c2.run("CREATE TABLE t (b TEXT, c INT)").unwrap_err();
+        assert_eq!(err, Error::catalog("relation 't' already exists"));
+        c2.run("CREATE TABLE IF NOT EXISTS t (b TEXT, c INT)").unwrap();
+        assert_eq!(status(&engine, "wal_records"), Value::Int(1), "a refused CREATE logs nothing");
 
-        // Statement-level: session 2's private catalog has no `t`, but
-        // the durable pre-check sees session 1's committed one.
-        let err = execute_sql(&mut db2, "CREATE TABLE t (b TEXT, c INT)").unwrap_err();
-        assert!(err.to_string().contains("durable catalog"), "unexpected error: {err}");
-        // IF NOT EXISTS downgrades the durable conflict to a no-op too.
-        execute_sql(&mut db2, "CREATE TABLE IF NOT EXISTS t (b TEXT, c INT)").unwrap();
-        assert_eq!(hook2.commit().unwrap().0, 0, "nothing to commit after rejected CREATE");
+        // Commit level (the race): both statements start before either
+        // commits; the second commit is refused and leaves no trace.
+        c1.hook.begin(&mut c1.db);
+        c2.hook.begin(&mut c2.db);
+        execute_sql(&mut c1.db, "CREATE TABLE u (a INT)").unwrap();
+        execute_sql(&mut c2.db, "CREATE TABLE u (b TEXT, c INT)").unwrap();
+        c1.hook.commit(&mut c1.db).unwrap();
+        let err = c2.hook.commit(&mut c2.db).unwrap_err();
+        assert_eq!(err, Error::catalog("relation 'u' already exists"));
+        assert_eq!(status(&engine, "wal_records"), Value::Int(2));
+        assert_eq!(status(&engine, "commit_conflicts"), Value::Int(1));
+        // The loser now reads the winner's table.
+        assert_eq!(c2.db.table("u").unwrap().schema.len(), 1);
+        assert!(Arc::ptr_eq(c1.db.table("u").unwrap(), c2.db.table("u").unwrap()));
 
-        // Commit-level (the race window): a CreateTable that slipped
-        // past the pre-check still cannot reach the WAL.
-        hook2.record(CatalogMutation::CreateTable {
-            name: "t".into(),
-            table: Arc::new(Table::from_rows(&["b", "c"], Vec::new())),
-        });
-        let err = hook2.commit().unwrap_err();
-        assert!(err.to_string().contains("another connection"), "unexpected error: {err}");
-
-        // The durable schema is still session 1's, for new sessions
-        // and across a restart.
-        drop((db1, db2, hook1, hook2));
-        drop(engine);
+        drop((c1, c2, engine));
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
-        let (mut db3, _hook3) = attached_db(&engine);
-        let t = execute_sql(&mut db3, "SELECT * FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.schema.len(), 1, "durable schema must be the first CREATE's");
+        let mut c3 = Conn::open(&engine);
+        for name in ["t", "u"] {
+            let t = c3.run(&format!("SELECT * FROM {name}")).unwrap().into_table().unwrap();
+            assert_eq!(t.schema.len(), 1, "durable schema must be the first CREATE's");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An INSERT whose target was dropped (or reshaped) by another
-    /// connection errors at commit instead of corrupting the shadow.
+    /// Racing writers of one table: appends merge, while an INSERT into
+    /// a table dropped underneath and a rewrite of a table that changed
+    /// underneath fail typed — and leave the failed session on the
+    /// engine's version, the un-logged effect gone.
     #[test]
     fn append_after_cross_session_drop_is_rejected() {
         let dir = tmpdir("appendconflict");
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
-        let (mut db1, hook1) = attached_db(&engine);
-        execute_sql(&mut db1, "CREATE TABLE t (a INT)").unwrap();
-        hook1.commit().unwrap();
+        let (mut c1, mut c2) = (Conn::open(&engine), Conn::open(&engine));
+        c1.run("CREATE TABLE t (a INT)").unwrap();
+        c1.run("CREATE TABLE u (a INT)").unwrap();
 
-        // Session 2 hydrates with `t` present...
-        let (mut db2, hook2) = attached_db(&engine);
-        // ...then session 1 drops it durably.
-        execute_sql(&mut db1, "DROP TABLE t").unwrap();
-        hook1.commit().unwrap();
+        // Both start; 1 inserts and commits; 2's insert merges behind it.
+        c2.hook.begin(&mut c2.db);
+        execute_sql(&mut c2.db, "INSERT INTO u VALUES (2)").unwrap();
+        c1.run("INSERT INTO u VALUES (1)").unwrap();
+        c2.hook.commit(&mut c2.db).unwrap();
+        let rows = |c: &mut Conn| c.db.table("u").unwrap().rows.clone();
+        assert_eq!(rows(&mut c2), vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
 
-        // Session 2's private catalog still has `t`; the insert
-        // succeeds in memory but must not commit durably.
-        execute_sql(&mut db2, "INSERT INTO t VALUES (7)").unwrap();
-        let err = hook2.commit().unwrap_err();
-        assert!(err.to_string().contains("dropped by another connection"), "got: {err}");
+        // 2 deletes from the version it started with while 1 inserts.
+        c2.hook.begin(&mut c2.db);
+        execute_sql(&mut c2.db, "DELETE FROM u WHERE a = 1").unwrap();
+        c1.run("INSERT INTO u VALUES (3)").unwrap();
+        let err = c2.hook.commit(&mut c2.db).unwrap_err();
+        assert!(matches!(&err, Error::Catalog(m) if m.contains("concurrent commit")), "{err}");
+        assert_eq!(rows(&mut c2).len(), 3, "the refused DELETE is undone, 1's row visible");
+        assert_eq!(c2.run("DELETE FROM u WHERE a = 1").unwrap().row_count(), Some(1), "the retry");
 
-        // Arity divergence is likewise rejected: a raw AppendRows with
-        // the wrong width against a live durable table.
-        execute_sql(&mut db1, "CREATE TABLE u (a INT, b INT)").unwrap();
-        hook1.commit().unwrap();
-        hook2.record(CatalogMutation::AppendRows {
+        // 2 inserts into `t` while 1 drops it.
+        c2.hook.begin(&mut c2.db);
+        execute_sql(&mut c2.db, "INSERT INTO t VALUES (7)").unwrap();
+        c1.run("DROP TABLE t").unwrap();
+        let before = status(&engine, "wal_records");
+        let err = c2.hook.commit(&mut c2.db).unwrap_err();
+        assert!(matches!(&err, Error::Catalog(m) if m.contains("concurrent commit")), "{err}");
+        assert_eq!(status(&engine, "wal_records"), before, "nothing of a rejected batch is logged");
+        assert!(!c2.db.has_table("t"));
+
+        // Arity divergence: a raw AppendRows of the wrong width against a
+        // table that changed underneath.
+        c2.hook.begin(&mut c2.db);
+        c2.hook.record(CatalogMutation::AppendRows {
             name: "u".into(),
-            rows: vec![vec![Value::Int(1)]],
+            rows: vec![vec![Value::Int(1), Value::Int(2)]],
         });
-        let err = hook2.commit().unwrap_err();
+        c1.run("INSERT INTO u VALUES (4)").unwrap();
+        let err = c2.hook.commit(&mut c2.db).unwrap_err();
         assert!(err.to_string().contains("columns"), "got: {err}");
+        assert_eq!(status(&engine, "commit_conflicts"), Value::Int(4));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Tables a database holds when it attaches become durable and
+    /// shared; a name the engine already holds refuses the attach.
+    #[test]
+    fn attach_commits_what_the_database_holds() {
+        let dir = tmpdir("attach");
+        let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
+        let mut db = Database::new();
+        execute_sql(&mut db, "CREATE TABLE pre (a INT)").unwrap();
+        execute_sql(&mut db, "INSERT INTO pre VALUES (1)").unwrap();
+        execute_sql(&mut db, "CREATE VIEW pv AS SELECT a FROM pre").unwrap();
+        Conn::open(&engine).run("CREATE TABLE other (b INT)").unwrap();
+        let hook = SessionHook::attach(engine.clone(), &mut db).unwrap();
+        let mut c = Conn { db, hook };
+        assert_eq!(status(&engine, "wal_records"), Value::Int(3));
+        assert_eq!(c.scalar("SELECT count(*) FROM other"), Value::Int(0));
+        assert_eq!(Conn::open(&engine).scalar("SELECT a FROM pv"), Value::Int(1));
+
+        let mut db = Database::new();
+        execute_sql(&mut db, "CREATE TABLE pre (z TEXT)").unwrap();
+        let err = SessionHook::attach(engine.clone(), &mut db).err().unwrap();
+        assert_eq!(err, Error::catalog("relation 'pre' already exists"));
+        execute_sql(&mut db, "INSERT INTO pre VALUES ('still mine')").unwrap();
+        assert_eq!(engine.current().tables_snapshot()[1].1.num_rows(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -939,21 +941,11 @@ mod tests {
         let engine = Arc::new(
             StorageEngine::open(&dir, FsyncPolicy::Interval(Duration::from_millis(25))).unwrap(),
         );
-        let (mut db, hook) = attached_db(&engine);
-        execute_sql(&mut db, "CREATE TABLE t (a INT)").unwrap();
-        hook.commit().unwrap();
+        Conn::open(&engine).run("CREATE TABLE t (a INT)").unwrap();
         // No more commits: the flusher must sync within the window
         // (generous deadline to absorb scheduler noise).
-        let fsyncs = |engine: &StorageEngine| {
-            let s = engine.status_table();
-            let i = s.schema.index_of("fsyncs").unwrap();
-            match s.rows[0][i] {
-                Value::Int(n) => n,
-                _ => panic!("fsyncs not an int"),
-            }
-        };
         let deadline = Instant::now() + Duration::from_secs(10);
-        while fsyncs(&engine) == 0 {
+        while status(&engine, "fsyncs") == Value::Int(0) {
             assert!(Instant::now() < deadline, "flusher never synced the idle tail");
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -961,24 +953,22 @@ mod tests {
     }
 
     /// After a WAL I/O failure the engine refuses further commits and
-    /// checkpoints instead of durably persisting a log with a hole.
+    /// checkpoints instead of durably persisting a log with a hole, and
+    /// the refused row is not readable either.
     #[test]
     fn poisoned_engine_refuses_commits_and_checkpoints() {
         let dir = tmpdir("poison");
         let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Always).unwrap());
-        let (mut db, hook) = attached_db(&engine);
-        execute_sql(&mut db, "CREATE TABLE t (a INT)").unwrap();
-        hook.commit().unwrap();
+        let mut c = Conn::open(&engine);
+        c.run("CREATE TABLE t (a INT)").unwrap();
         engine.poison_for_test("simulated append failure");
 
-        execute_sql(&mut db, "INSERT INTO t VALUES (1)").unwrap();
-        let err = hook.commit().unwrap_err();
+        let err = c.run("INSERT INTO t VALUES (1)").unwrap_err();
         assert!(err.to_string().contains("poisoned"), "got: {err}");
+        assert_eq!(c.scalar("SELECT count(*) FROM t"), Value::Int(0));
         let err = engine.do_checkpoint(&[], None).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "got: {err}");
-        let s = engine.status_table();
-        let i = s.schema.index_of("poisoned").unwrap();
-        assert_eq!(s.rows[0][i], Value::text("simulated append failure"));
+        assert_eq!(status(&engine, "poisoned"), Value::text("simulated append failure"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,8 @@
 //! # storage — durability subsystem for the SolveDB+ reproduction
 //!
 //! The catalog is in-memory and copy-on-write; this crate makes it
-//! survive restarts and crashes (ROADMAP open item 2):
+//! survive restarts and crashes, and makes it *one* catalog for every
+//! session attached to the same data directory:
 //!
 //! * **Write-ahead log** ([`wal`]) — an append-only file of
 //!   length-prefixed, CRC-32-checksummed *logical* records
@@ -18,15 +19,15 @@
 //!   mid-write) is detected by checksum/length validation and
 //!   physically truncated, leaving a prefix-consistent catalog.
 //!
-//! Each durable session attaches a [`SessionHook`] (the catalog's
-//! `DurabilityHook`) over the shared [`StorageEngine`]: the hook
-//! buffers the statement's committed mutations per session and
-//! flushes them as one group-commit write, fsyncing per
-//! [`FsyncPolicy`]. Commits are validated against the engine's shadow
-//! catalog, so conflicting schema changes from concurrent connections
-//! error instead of corrupting the durable state. Everything is
-//! `std`-only (the repo vendors no I/O crates); CRC-32 is implemented
-//! in [`crc`].
+//! Shared by all sessions of a [`StorageEngine`]: the current version of
+//! the relations (tables with their columnar images and statistics,
+//! views), which a session adopts when a statement starts. Per session: a
+//! [`SessionHook`] (the catalog's `DurabilityHook`) that buffers the
+//! statement's mutations, logs them as one group-commit write, fsyncing
+//! per [`FsyncPolicy`], and publishes the version they lead to — merging
+//! appends and refusing conflicting changes to a relation another
+//! connection committed to meanwhile. Everything is `std`-only (the repo
+//! vendors no I/O crates); CRC-32 is implemented in [`crc`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -144,14 +144,14 @@ pub fn write_snapshot(dir: &Path, db: &Database, last_lsn: u64) -> Result<(PathB
     write_snapshot_parts(
         dir,
         last_lsn,
-        &db.tables_snapshot(),
-        &db.views_snapshot(),
+        &db.relations().tables_snapshot(),
+        &db.relations().views_snapshot(),
         &db.udf_names(),
     )
 }
 
 /// Atomically write a snapshot from explicit state lists (the engine's
-/// shadow catalog plus the checkpointing session's UDF names).
+/// current relations plus the checkpointing session's UDF names).
 pub fn write_snapshot_parts(
     dir: &Path,
     last_lsn: u64,
