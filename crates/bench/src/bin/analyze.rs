@@ -59,6 +59,9 @@ struct Sweep {
     solves: usize,
     explains: usize,
     selects: usize,
+    /// `SELECT` blocks the `EXPLAIN SELECT` runs showed, and how many of
+    /// them with a plan.
+    blocks: usize,
     planned: usize,
     script_findings: usize,
     matrix_findings: usize,
@@ -118,8 +121,10 @@ impl Sweep {
     }
 
     /// `EXPLAIN SELECT` over a plain query statement: the planner must
-    /// not panic, and must either print an optimized plan or name the
-    /// reason it fell back to the row interpreter.
+    /// not panic, and every `SELECT` block of the statement must show a
+    /// plan (each ends in its fingerprint line) — a line that names the
+    /// row interpreter is a block some other executor would run, and
+    /// fails the sweep.
     fn explain_select(&mut self, s: &mut Session, name: &str, q: &Query) {
         let wrapped = Statement::ExplainQuery { analyze: false, query: Box::new(q.clone()) };
         let run = catch_unwind(AssertUnwindSafe(|| s.execute_statement(&wrapped)));
@@ -132,8 +137,14 @@ impl Sweep {
                     self.failures.push(format!("{name}: EXPLAIN SELECT produced no output"));
                 }
                 Ok(t) => {
-                    if t.rows[0][0].as_str().is_ok_and(|l| !l.starts_with("row interpreter")) {
-                        self.planned += 1;
+                    let lines = || t.rows.iter().filter_map(|row| row[0].as_str().ok());
+                    let planned = lines().filter(|l| l.contains("plan fingerprint: ")).count();
+                    let refused: Vec<&str> =
+                        lines().filter(|l| l.contains("row interpreter")).collect();
+                    self.planned += planned;
+                    self.blocks += planned + refused.len();
+                    for line in refused {
+                        self.failures.push(format!("{name}: EXPLAIN SELECT: {}", line.trim()));
                     }
                 }
                 Err(e) => self.tolerated.push(format!("{name}: EXPLAIN SELECT output: {e}")),
@@ -279,13 +290,14 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
     }
     println!(
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
-         {} EXPLAIN SELECT run(s) ({} planned), {} scriptcheck finding(s), \
+         {} EXPLAIN SELECT run(s) ({}/{} block(s) planned), {} scriptcheck finding(s), \
          {} matrix finding(s), {} nonzero(s) cancelled by presolve{}",
         sweep.scripts,
         sweep.solves,
         sweep.explains,
         sweep.selects,
         sweep.planned,
+        sweep.blocks,
         sweep.script_findings,
         sweep.matrix_findings,
         sweep.nonzeros_cancelled,

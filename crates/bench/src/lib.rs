@@ -4,8 +4,7 @@
 //! metric, [`setup`] prepares sessions/datasets, [`uc1`]/[`uc2`] run the
 //! SolveDB+ pipelines from the checked-in SQL scripts, [`figures`]
 //! regenerates every figure's data series, and [`sweep`] walks the
-//! static-analysis corpus. The `reproduce` binary prints
-//! them; the Criterion benches time the hot paths.
+//! static-analysis corpus. The `reproduce` binary prints them.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

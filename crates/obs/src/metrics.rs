@@ -34,8 +34,8 @@ pub struct StatementStats {
     /// Total rows returned across calls.
     pub rows: u64,
     /// Fingerprint of the optimized logical plan from the most recent
-    /// execution that ran on the planned (columnar) executor; `None`
-    /// when every recorded call used the row interpreter.
+    /// execution whose body was one planned `SELECT` block; `None` when
+    /// no recorded call had one (set operations, solves, DML).
     pub last_plan: Option<u64>,
     /// Executions served by the plan cache.
     pub cache_hits: u64,

@@ -95,12 +95,6 @@ impl<'a> Env<'a> {
         Env { scope: &EMPTY_SCOPE, row: &EMPTY_ROW, parent: None }
     }
 
-    /// Does any scope of the chain, this one included, have a column?
-    /// One without has nothing a nested query could correlate with.
-    pub fn has_columns(&self) -> bool {
-        !self.scope.cols.is_empty() || self.parent.is_some_and(Env::has_columns)
-    }
-
     pub fn at_depth(&self, depth: usize) -> &Env<'a> {
         let mut e = self;
         for _ in 0..depth {

@@ -1,5 +1,5 @@
 //! The SELECT front end: what a query block *means*, worked out once
-//! and read by both executors.
+//! and read by the planner and by the reference interpreter alike.
 //!
 //! - [`resolve_relation`] knows which relation a name denotes;
 //! - [`SelectHead::analyze`] binds the head of a block — select list,
@@ -7,9 +7,10 @@
 //!   fixes the output names and static types;
 //! - [`limit_offset`] evaluates the LIMIT/OFFSET constants.
 //!
-//! The row interpreter (`exec::select`) and the planner (`plan::build`)
-//! differ only in how they execute the result: a row loop or `PlanNode`s.
-//! A query either of them rejects here fails with the same error.
+//! The planner (`plan::build`) and the reference interpreter
+//! (`exec::oracle`) differ only in how they execute the result:
+//! `PlanNode`s or a row loop. A query either of them rejects here fails
+//! with the same error.
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};

@@ -3,6 +3,7 @@
 pub mod eval;
 pub mod funcs;
 pub(crate) mod head;
+pub(crate) mod oracle;
 pub mod select;
 
 use crate::ast::{ExplainMode, Statement};
@@ -42,21 +43,21 @@ pub struct ExecResult {
     /// statements (and `EXPLAIN ANALYZE`). `None` for plain SQL.
     pub trace: Option<QueryTrace>,
     /// FNV-1a fingerprint of the optimized logical plan when the
-    /// columnar executor ran the statement's own body; `None` when the
-    /// row interpreter handled it — also when only nested blocks were
-    /// planned (the arms of a set operation, closed subqueries, the
-    /// queries of a solve): a statement has one fingerprint or none.
-    /// Recorded in `sdb_stat_statements`.
+    /// statement's own body is one `SELECT` block; `None` when it is
+    /// anything else — a set operation (whose arms are planned one by
+    /// one), `VALUES`, a solve (whose queries are planned), DML — or when
+    /// the thread forces the reference interpreter: a statement has one
+    /// fingerprint or none. Recorded in `sdb_stat_statements`.
     pub plan_fingerprint: Option<u64>,
-    /// Plan-cache outcome of the last `SELECT` block the statement sent
-    /// through the plan cache — its own body when that is a plannable
-    /// `SELECT` (blocks nested in it are planned before it), otherwise
-    /// the last nested block (set-operation arm, closed subquery, query
-    /// of a solve) to run: `Some(true)` = served from the cache,
-    /// `Some(false)` = planned fresh and cached, `None` = no block was
-    /// cache-eligible (row interpreter throughout, plans that captured
-    /// CTE-dependent rows, DML/DDL without a query). Feeds the hit/miss
-    /// counters in `sdb_stat_statements`, one count per statement.
+    /// Plan-cache outcome of the last `SELECT` block of the statement
+    /// to finish — its own body when that is a `SELECT` (a block reports
+    /// after the blocks nested in it have run), otherwise the last nested
+    /// block (set-operation arm, subquery, query of a solve): `Some(true)`
+    /// = served from the cache, `Some(false)` = planned fresh and cached,
+    /// `None` = no block was cache-eligible (plans that captured
+    /// CTE-dependent rows or a solve's answer, DML/DDL without a query).
+    /// Feeds the hit/miss counters in `sdb_stat_statements`, one count per
+    /// statement.
     pub plan_cache_hit: Option<bool>,
 }
 

@@ -1,16 +1,28 @@
-//! Query execution: FROM/joins (nested-loop + hash fast path), WHERE,
-//! GROUP BY/HAVING with aggregates, DISTINCT, set operations, ORDER
-//! BY/LIMIT, CTEs including `WITH RECURSIVE`, LATERAL subqueries.
+//! Query execution around the `SELECT` block: `WITH` (including `WITH
+//! RECURSIVE`), set operations, `VALUES`, a `SOLVESELECT` body, and ORDER
+//! BY / LIMIT over those — plus what a block's two executors share.
+//!
+//! A `SELECT` block itself — at any depth, under any outer row — is
+//! planned (`plan::build`, through the plan cache) and run by the
+//! columnar executor (`plan::exec`). The one exception is a thread with
+//! [`set_force_row_interpreter`] on: there every block goes to the
+//! reference interpreter (`exec::oracle`) instead, which is how the
+//! differential tests and `reproduce executor` get their second opinion.
+//! Everything else here has one implementation that both use: the
+//! assembly of set operations and `VALUES`, the recursion loop, the sort
+//! comparator, [`AggState`], the `ON` / `USING` key extraction.
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
-use crate::exec::head::{limit_offset, resolve_relation, Relation, SelectHead};
+use crate::exec::head::limit_offset;
+use crate::exec::oracle;
+use crate::plan::build::bound_has_subquery;
 use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
 use crate::plan::exec::{unseen_rows, IteratedPlan};
-use crate::plan::PlannedQuery;
+use crate::plan::plan_select;
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{BinOp, GroupKey, Value};
 use std::borrow::Cow;
@@ -21,15 +33,13 @@ use std::sync::Arc;
 /// Iteration guard for `WITH RECURSIVE`.
 const MAX_RECURSION: usize = 1_000_000;
 
-/// Why `plan_select` hands a query back (`Ok(None)`), for EXPLAIN.
-const OUTSIDE_PLANNER: &str = "shape outside the planner: no FROM, LATERAL, USING, or SOLVE";
-
 thread_local! {
     /// Advisory findings from solves in subquery position (no warnings
     /// channel reaches there); the statement layer drains this into the
     /// outer `ExecResult` so nested diagnostics are not dropped.
     static NESTED_SOLVE_WARNINGS: RefCell<Vec<Diagnostic>> = const { RefCell::new(Vec::new()) };
-    /// Bench / differential-test hook: bypass the columnar executor.
+    /// Bench / differential-test hook: run every block on the reference
+    /// interpreter.
     static FORCE_ROW: Cell<bool> = const { Cell::new(false) };
     /// Plan-cache outcome of the most recent cache-eligible query on
     /// this thread: `Some(true)` = hit, `Some(false)` = planned fresh.
@@ -55,8 +65,9 @@ pub(crate) fn park_nested_solve_warnings(warnings: Vec<Diagnostic>) {
     }
 }
 
-/// Force the row interpreter for queries run on this thread (bench and
-/// differential-test hook). Returns the previous setting.
+/// Run the `SELECT` blocks of this thread's queries on the reference row
+/// interpreter instead of planning them (bench and differential-test
+/// hook). Returns the previous setting.
 pub fn set_force_row_interpreter(on: bool) -> bool {
     FORCE_ROW.with(|f| f.replace(on))
 }
@@ -99,16 +110,12 @@ fn with_ctes<'c>(
     Ok(env)
 }
 
-/// Execute a query, routing plannable `SELECT` blocks through the
-/// columnar executor (`plan` module): the query's own body when it is a
-/// plain `SELECT`, otherwise the plain-`SELECT` arms of its set
-/// operation. Returns the optimized-plan fingerprint when the columnar
-/// path ran the body, `None` when the row interpreter handled (or
-/// assembled) the query. `trace`, when given, receives per-operator spans
+/// Execute a query: `WITH` members first, then the body — a `SELECT`
+/// block through [`run_select_planned`], anything else assembled here from
+/// what its arms return, with the query's ORDER BY and LIMIT applied to
+/// the result. Returns the optimized-plan fingerprint when the body is a
+/// planned `SELECT`. `trace`, when given, receives per-operator spans
 /// (EXPLAIN ANALYZE).
-///
-/// An `outer` chain in which no scope has a column — the subqueries of a
-/// FROM-less `SELECT` — has nothing to correlate with and counts as none.
 pub fn run_query_planned(
     db: &Database,
     ctes: &Ctes,
@@ -116,7 +123,6 @@ pub fn run_query_planned(
     outer: Option<&Env<'_>>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
-    let outer = outer.filter(|o| o.has_columns());
     let env_ctes = with_ctes(db, ctes, q, outer, None)?;
     if let SetExpr::Select(sel) = &q.body {
         return run_select_planned(
@@ -130,8 +136,27 @@ pub fn run_query_planned(
             trace,
         );
     }
-    let span = trace.map(|tr| tr.span("row interpreter"));
-    let t = run_query_rows(db, &env_ctes, q, outer)?;
+    let span = trace.map(|tr| tr.span("query body"));
+    let mut t = run_set_expr(db, &env_ctes, &q.body, outer)?;
+    // ORDER BY over set-op output binds against output columns.
+    if !q.order_by.is_empty() {
+        let scope = Scope::from_schema(None, &t.schema);
+        let ctx = EvalCtx { db, ctes: &env_ctes };
+        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.rows.len());
+        let bound: Vec<BoundExpr> = q
+            .order_by
+            .iter()
+            .map(|o| bind_order_expr(db, &o.expr, &scope, &t.schema))
+            .collect::<Result<_>>()?;
+        for row in std::mem::take(&mut t.rows) {
+            let env = Env { scope: &scope, row: &row, parent: outer };
+            let keys = bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<Vec<_>>>()?;
+            keyed.push((keys, row));
+        }
+        sort_keyed(&mut keyed, &q.order_by);
+        t.rows = keyed.into_iter().map(|(_, r)| r).collect();
+    }
+    apply_limit_offset(db, &env_ctes, &mut t, &q.limit, &q.offset)?;
     if let Some(s) = &span {
         s.rows(t.num_rows() as u64);
     }
@@ -139,9 +164,10 @@ pub fn run_query_planned(
 }
 
 /// Run one `SELECT` block — the body of a query or an arm of a set
-/// operation — on the columnar executor when the planner takes it, else
-/// on the row interpreter. Planning failures (unsupported shapes) fall
-/// back; execution errors are genuine and surface.
+/// operation, under the rows `outer` of its enclosing blocks: planned
+/// (through the plan cache) and executed by the columnar executor. A
+/// planning error is the statement's error. Only a thread that forces the
+/// reference interpreter takes the other branch.
 #[allow(clippy::too_many_arguments)]
 fn run_select_planned(
     db: &Database,
@@ -153,34 +179,35 @@ fn run_select_planned(
     offset: &Option<Expr>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
-    if outer.is_none() && !force_row_interpreter() {
-        if let Ok(Some((planned, cache_hit))) = db.plan_cached(ctes, sel, order_by, limit, offset) {
-            if cache_hit.is_some() {
-                PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
-            }
-            let t = crate::plan::execute(db, ctes, &planned, trace)?;
-            return Ok((t, Some(planned.fingerprint())));
+    if force_row_interpreter() {
+        let span = trace.map(|tr| tr.span("row interpreter"));
+        let t = oracle::run_select(db, ctes, sel, outer, order_by, limit, offset)?;
+        if let Some(s) = &span {
+            s.rows(t.num_rows() as u64);
         }
+        return Ok((t, None));
     }
-    let span = trace.map(|tr| tr.span("row interpreter"));
-    let t = run_select(db, ctes, sel, outer, order_by, limit, offset)?;
-    if let Some(s) = &span {
-        s.rows(t.num_rows() as u64);
+    let (planned, cache_hit) = db.plan_cached(ctes, sel, order_by, limit, offset, outer)?;
+    let t = crate::plan::execute(db, ctes, &planned, trace, outer)?;
+    // After the execution, whose subqueries went through the cache too:
+    // the event a statement reports is its own body's.
+    if cache_hit.is_some() {
+        PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
     }
-    Ok((t, None))
+    Ok((t, Some(planned.fingerprint())))
 }
 
-/// Render the optimized plan for `EXPLAIN SELECT` — or a one-line
-/// explanation of why the query stays on the row interpreter — after one
-/// line per recursive CTE; a set operation renders each of its arms.
-/// CTEs are materialized first (the planner takes slot schemas and
-/// estimates from their bindings).
+/// Render the optimized plan for `EXPLAIN SELECT`, after one line per
+/// recursive CTE; a set operation renders each of its arms. CTEs are
+/// materialized first (the planner takes slot schemas and estimates from
+/// their bindings).
 pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<String>> {
     let mut lines = Vec::new();
     let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines))?;
     match &q.body {
         SetExpr::Select(sel) => {
-            lines.extend(explain_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset));
+            let plan = plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset, None)?;
+            lines.extend(plan.explain_lines());
         }
         body => {
             let tail = match (q.order_by.is_empty(), q.limit.is_some() || q.offset.is_some()) {
@@ -189,31 +216,15 @@ pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<S
                 (true, true) => ", then LIMIT/OFFSET",
                 (false, true) => ", then ORDER BY and LIMIT/OFFSET",
             };
-            lines.push(format!("row interpreter assembles the arms below{tail}"));
+            lines.push(format!("assembled from the arms below{tail}"));
             explain_arms(db, &env_ctes, body, "", &mut lines)?;
         }
     }
     Ok(lines)
 }
 
-/// The plan of one `SELECT` block, or why it has none.
-fn explain_select(
-    db: &Database,
-    ctes: &Ctes,
-    sel: &Select,
-    order_by: &[OrderItem],
-    limit: &Option<Expr>,
-    offset: &Option<Expr>,
-) -> Vec<String> {
-    match crate::plan::plan_select(db, ctes, sel, order_by, limit, offset) {
-        Ok(Some(p)) => p.explain_lines(),
-        Ok(None) => vec![format!("row interpreter ({OUTSIDE_PLANNER})")],
-        Err(e) => vec![format!("row interpreter (planning fell back: {e})")],
-    }
-}
-
 /// One entry per arm of a set-operation body, indented under its
-/// operator: the arm's plan, or how else it runs.
+/// operator: the arm's plan, or what else it is.
 fn explain_arms(
     db: &Database,
     ctes: &Ctes,
@@ -233,9 +244,11 @@ fn explain_arms(
             explain_arms(db, ctes, left, &inner, lines)?;
             return explain_arms(db, ctes, right, &inner, lines);
         }
-        SetExpr::Select(sel) => explain_select(db, ctes, sel, &[], &None, &None),
+        SetExpr::Select(sel) => {
+            plan_select(db, ctes, sel, &[], &None, &None, None)?.explain_lines()
+        }
         SetExpr::Query(q) => explain_query_plan(db, ctes, q)?,
-        SetExpr::Values(_) => vec!["row interpreter (VALUES)".to_string()],
+        SetExpr::Values(_) => vec!["VALUES".to_string()],
         SetExpr::Solve(_) => vec!["solver (SOLVESELECT)".to_string()],
     };
     lines.push(format!("{indent}arm:"));
@@ -243,56 +256,11 @@ fn explain_arms(
     Ok(())
 }
 
-/// The original row-at-a-time path (CTEs already materialized into
-/// `env_ctes` by the caller).
-fn run_query_rows(
-    db: &Database,
-    env_ctes: &Ctes,
-    q: &Query,
-    outer: Option<&Env<'_>>,
-) -> Result<Table> {
-    match &q.body {
-        SetExpr::Select(sel) => {
-            run_select(db, env_ctes, sel, outer, &q.order_by, &q.limit, &q.offset)
-        }
-        body => {
-            let mut t = run_set_expr(db, env_ctes, body, outer)?;
-            // ORDER BY over set-op output binds against output columns.
-            if !q.order_by.is_empty() {
-                let scope = Scope::from_schema(None, &t.schema);
-                let ctx = EvalCtx { db, ctes: env_ctes };
-                let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.rows.len());
-                let bound: Vec<(BoundExpr, &OrderItem)> = q
-                    .order_by
-                    .iter()
-                    .map(|o| {
-                        let b = bind_order_expr(db, &o.expr, &scope, &t.schema, outer)?;
-                        Ok((b, o))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                for row in std::mem::take(&mut t.rows) {
-                    let env = Env { scope: &scope, row: &row, parent: outer };
-                    let keys = bound
-                        .iter()
-                        .map(|(b, _)| b.eval(&ctx, &env))
-                        .collect::<Result<Vec<_>>>()?;
-                    keyed.push((keys, row));
-                }
-                sort_keyed(&mut keyed, &q.order_by);
-                t.rows = keyed.into_iter().map(|(_, r)| r).collect();
-            }
-            apply_limit_offset(db, env_ctes, &mut t, &q.limit, &q.offset)?;
-            Ok(t)
-        }
-    }
-}
-
 fn bind_order_expr(
     db: &Database,
     expr: &Expr,
     scope: &Scope,
     schema: &Schema,
-    _outer: Option<&Env<'_>>,
 ) -> Result<BoundExpr> {
     // Positional reference: ORDER BY 2.
     if let Expr::Literal(Literal::Int(i)) = expr {
@@ -345,7 +313,7 @@ pub(crate) fn sort_keyed(rows: &mut [(Vec<Value>, Row)], order: &[OrderItem]) {
     });
 }
 
-fn apply_limit_offset(
+pub(super) fn apply_limit_offset(
     db: &Database,
     ctes: &Ctes,
     t: &mut Table,
@@ -421,43 +389,16 @@ pub fn query_references(q: &Query, name: &str) -> bool {
     set_refs(&q.body, name)
 }
 
-/// Plan the recursive term of CTE `name` once, against the first binding
-/// of its working table in `step_ctes`. `Err` carries the reason the row
-/// interpreter has to evaluate the term instead.
-fn plan_recursive_term(
-    db: &Database,
-    step_ctes: &Ctes,
-    term: &Query,
-    name: &str,
-    outer: Option<&Env<'_>>,
-) -> std::result::Result<Arc<PlannedQuery>, String> {
-    if outer.is_some() {
-        return Err("correlated with an outer query".to_string());
-    }
-    if force_row_interpreter() {
-        return Err("row interpreter forced".to_string());
-    }
-    let SetExpr::Select(sel) = &term.body else {
-        return Err("recursive term is not a plain SELECT".to_string());
-    };
-    match db.plan_cached(step_ctes, sel, &[], &None, &None) {
-        // Rows captured at plan time would go stale with the first step.
-        Ok(Some((p, _))) if p.captured_reads.contains(name) => {
-            Err("a FROM subquery or view reads the recursive relation".to_string())
-        }
-        Ok(Some((p, _))) => Ok(p),
-        Ok(None) => Err(OUTSIDE_PLANNER.to_string()),
-        Err(e) => Err(format!("planning fell back: {e}")),
-    }
-}
-
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint
-/// semantics. The recursive term is planned once; every step executes
-/// that plan on the batches the step before it produced, keeping what
-/// the working table does not feed, and rows are materialized once, when
-/// the recursion ends. Terms the planner refuses run on the row
-/// interpreter, their working table bound as a CTE. Also returns how the
-/// term ran, for `EXPLAIN SELECT`.
+/// semantics. A recursive term that is one `SELECT` block is planned
+/// once; every step executes that plan on the batches the step before it
+/// produced, keeping what the working table does not feed, and rows are
+/// materialized once, when the recursion ends. Any other term — a set
+/// operation, one whose plan captured rows of the working table (a FROM
+/// subquery or view over it), every term while the reference interpreter
+/// is forced — is evaluated as a query of its own in every step, its
+/// working table bound as a CTE. Also returns how the term ran, for
+/// `EXPLAIN SELECT`.
 fn run_recursive_cte(
     db: &Database,
     ctes: &Ctes,
@@ -498,8 +439,21 @@ fn run_recursive_cte(
 
     let working_table = |rows: Vec<Row>| Arc::new(Table::with_rows(schema.clone(), rows));
     let mut step_ctes = ctes.with(&cte.name, working_table(result.rows.clone()));
-    let rec_q = bare(right);
-    let plan = plan_recursive_term(db, &step_ctes, &rec_q, &cte.name, outer);
+    // The term's plan, against the first binding of its working table —
+    // or why the term is a query of its own in every step.
+    let plan = match &**right {
+        _ if force_row_interpreter() => Err("row interpreter forced"),
+        SetExpr::Select(sel) => {
+            let (plan, _) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
+            // Rows captured at plan time go stale with the first step.
+            if plan.captured_reads.contains(&cte.name) {
+                Err("a FROM subquery or view reads the recursive relation")
+            } else {
+                Ok(plan)
+            }
+        }
+        _ => Err("recursive term is not a plain SELECT"),
+    };
 
     // Both guards of one step: the iteration caps before it runs, the
     // width of what it returned after.
@@ -535,7 +489,7 @@ fn run_recursive_cte(
             while working < batches.len() {
                 steps += 1;
                 capped(steps, total)?;
-                let mut new = plan.step(db, &step_ctes, &batches[working..])?;
+                let mut new = plan.step(db, &step_ctes, &batches[working..], outer)?;
                 same_width(term.visible)?;
                 if !all {
                     new = unseen_rows(&new, schema.len(), &mut seen);
@@ -556,11 +510,12 @@ fn run_recursive_cte(
             }
         }
         Err(why) => {
+            let rec_q = bare(right);
             let mut working_rows = result.rows.len();
             while working_rows > 0 {
                 steps += 1;
                 capped(steps, result.rows.len())?;
-                let step = run_query_rows(db, &step_ctes, &rec_q, outer)?;
+                let step = run_query(db, &step_ctes, &rec_q, outer)?;
                 same_width(step.num_columns())?;
                 let mut new_rows = step.rows;
                 if !all {
@@ -573,7 +528,7 @@ fn run_recursive_cte(
                 working_rows = new_rows.len();
                 step_ctes.insert(&cte.name, working_table(new_rows));
             }
-            (0, format!("row interpreter ({why})"))
+            (0, format!("a query of its own per step ({why})"))
         }
     };
     db.count_recursion(steps as u64, reused);
@@ -725,37 +680,8 @@ fn run_values(
 }
 
 // ---------------------------------------------------------------------------
-// FROM clause
+// Shared by the planner and the reference interpreter
 // ---------------------------------------------------------------------------
-
-/// Materialized relation with its scope.
-pub struct Rel {
-    pub scope: Scope,
-    pub rows: Vec<Row>,
-}
-
-/// Scan a named relation: a copy of its rows under the FROM item's scope.
-fn scan_named(
-    db: &Database,
-    ctes: &Ctes,
-    name: &str,
-    alias: Option<&TableAlias>,
-    outer: Option<&Env<'_>>,
-) -> Result<Rel> {
-    let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
-        Relation::Cte(t) => Cow::Borrowed(t.as_ref()),
-        Relation::Table(t) => Cow::Borrowed(t.table().as_ref()),
-        Relation::View(vq) => Cow::Owned(run_query(db, ctes, vq, outer)?),
-        Relation::Virtual(t) => Cow::Owned(t),
-    };
-    let mut scope = Scope::from_schema(Some(alias.map_or(name, |a| a.name.as_str())), &t.schema);
-    apply_alias_columns(&mut scope, alias)?;
-    let rows = match t {
-        Cow::Borrowed(t) => t.rows.clone(),
-        Cow::Owned(t) => t.rows,
-    };
-    Ok(Rel { scope, rows })
-}
 
 pub(crate) fn apply_alias_columns(scope: &mut Scope, alias: Option<&TableAlias>) -> Result<()> {
     if let Some(a) = alias {
@@ -774,139 +700,6 @@ pub(crate) fn apply_alias_columns(scope: &mut Scope, alias: Option<&TableAlias>)
         }
     }
     Ok(())
-}
-
-/// Evaluate one table primary. For LATERAL subqueries `left` provides the
-/// rows already in scope; the result is produced per left row by the
-/// caller instead.
-fn eval_table_primary(
-    db: &Database,
-    ctes: &Ctes,
-    tref: &TableRef,
-    outer: Option<&Env<'_>>,
-) -> Result<Rel> {
-    match tref {
-        TableRef::Named { name, alias } => scan_named(db, ctes, name, alias.as_ref(), outer),
-        TableRef::Subquery { query, lateral: _, alias } => {
-            let t = run_query(db, ctes, query, outer)?;
-            let qualifier = alias.as_ref().map(|a| a.name.as_str());
-            let mut scope = Scope::from_schema(qualifier, &t.schema);
-            apply_alias_columns(&mut scope, alias.as_ref())?;
-            Ok(Rel { scope, rows: t.rows })
-        }
-        TableRef::Join { .. } => eval_join(db, ctes, tref, outer),
-    }
-}
-
-fn is_lateral(t: &TableRef) -> bool {
-    matches!(t, TableRef::Subquery { lateral: true, .. })
-}
-
-/// Evaluate a join tree.
-fn eval_join(db: &Database, ctes: &Ctes, tref: &TableRef, outer: Option<&Env<'_>>) -> Result<Rel> {
-    let TableRef::Join { left, right, kind, constraint } = tref else {
-        return eval_table_primary(db, ctes, tref, outer);
-    };
-    let l = eval_join(db, ctes, left, outer)?;
-
-    // LATERAL right side: evaluate per left row.
-    if is_lateral(right) {
-        let TableRef::Subquery { query, alias, .. } = right.as_ref() else { unreachable!() };
-        let qualifier = alias.as_ref().map(|a| a.name.as_str());
-        let mut right_scope: Option<Scope> = None;
-        let mut out_rows: Vec<Row> = Vec::new();
-        let mut pending: Vec<(Row, Vec<Row>)> = Vec::new();
-        for lrow in &l.rows {
-            let env = Env { scope: &l.scope, row: lrow, parent: outer };
-            let t = run_query(db, ctes, query, Some(&env))?;
-            if right_scope.is_none() {
-                let mut s = Scope::from_schema(qualifier, &t.schema);
-                apply_alias_columns(&mut s, alias.as_ref())?;
-                right_scope = Some(s);
-            }
-            pending.push((lrow.clone(), t.rows));
-        }
-        let right_scope = match right_scope {
-            Some(s) => s,
-            None => {
-                // No left rows: derive the scope by running the subquery
-                // against an all-NULL left row so the schema is known.
-                let null_row: Row = vec![Value::Null; l.scope.cols.len()];
-                let env = Env { scope: &l.scope, row: &null_row, parent: outer };
-                let t = run_query(db, ctes, query, Some(&env))?;
-                let mut s = Scope::from_schema(qualifier, &t.schema);
-                apply_alias_columns(&mut s, alias.as_ref())?;
-                s
-            }
-        };
-        let combined = l.scope.join(&right_scope);
-        let cond = bind_join_condition(db, constraint, &l.scope, &right_scope, &combined, outer)?;
-        let ctx = EvalCtx { db, ctes };
-        for (lrow, rrows) in pending {
-            let mut matched = false;
-            for rrow in &rrows {
-                let mut row = lrow.clone();
-                row.extend(rrow.iter().cloned());
-                if eval_condition(&cond, &ctx, &combined, &row, outer)? {
-                    matched = true;
-                    out_rows.push(row);
-                }
-            }
-            if !matched && matches!(kind, JoinKind::Left) {
-                let mut row = lrow.clone();
-                row.extend(vec![Value::Null; right_scope.cols.len()]);
-                out_rows.push(row);
-            }
-        }
-        if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            return Err(Error::unsupported("RIGHT/FULL JOIN LATERAL"));
-        }
-        return Ok(Rel { scope: combined, rows: out_rows });
-    }
-
-    let r = eval_join(db, ctes, right, outer)?;
-    join_rels(db, ctes, l, r, *kind, constraint, outer)
-}
-
-enum JoinCond {
-    None,
-    Expr(BoundExpr),
-}
-
-fn bind_join_condition(
-    db: &Database,
-    constraint: &JoinConstraint,
-    _left: &Scope,
-    _right: &Scope,
-    combined: &Scope,
-    outer: Option<&Env<'_>>,
-) -> Result<JoinCond> {
-    match constraint {
-        JoinConstraint::None => Ok(JoinCond::None),
-        JoinConstraint::On(e) => {
-            let binder = Binder::with_outer(db, combined, outer);
-            Ok(JoinCond::Expr(binder.bind(e)?))
-        }
-        // USING joins take the hash-join path before a condition is
-        // ever bound, so a bound USING condition is unreachable here.
-        JoinConstraint::Using(_) => Ok(JoinCond::None),
-    }
-}
-
-fn eval_condition(
-    cond: &JoinCond,
-    ctx: &EvalCtx<'_>,
-    scope: &Scope,
-    row: &Row,
-    outer: Option<&Env<'_>>,
-) -> Result<bool> {
-    match cond {
-        JoinCond::None => Ok(true),
-        JoinCond::Expr(b) => {
-            let env = Env { scope, row, parent: outer };
-            Ok(b.eval(ctx, &env)?.as_bool()? == Some(true))
-        }
-    }
 }
 
 /// Try to extract equi-join keys from an ON conjunction:
@@ -934,16 +727,17 @@ pub(crate) fn try_equi_keys(
         let Expr::BinOp { op: BinOp::Eq, lhs, rhs } = c else { return None };
         let lb = Binder::new(db, left);
         let rb = Binder::new(db, right);
-        // lhs∈left, rhs∈right — or swapped.
+        // lhs∈left, rhs∈right — or swapped. A subquery may read either
+        // side (and the outer rows): it is no key of one side.
         if let (Ok(a), Ok(b)) = (lb.bind(lhs), rb.bind(rhs)) {
-            if !bound_uses_outer(&a) && !bound_uses_outer(&b) {
+            if !bound_has_subquery(&a) && !bound_has_subquery(&b) {
                 lkeys.push(a);
                 rkeys.push(b);
                 continue;
             }
         }
         if let (Ok(a), Ok(b)) = (lb.bind(rhs), rb.bind(lhs)) {
-            if !bound_uses_outer(&a) && !bound_uses_outer(&b) {
+            if !bound_has_subquery(&a) && !bound_has_subquery(&b) {
                 lkeys.push(a);
                 rkeys.push(b);
                 continue;
@@ -954,262 +748,34 @@ pub(crate) fn try_equi_keys(
     Some((lkeys, rkeys))
 }
 
-fn bound_uses_outer(b: &BoundExpr) -> bool {
-    // Subqueries may correlate arbitrarily; treat them as outer-using.
-    match b {
-        BoundExpr::Column { depth, .. } => *depth > 0,
-        BoundExpr::Const(_) => false,
-        BoundExpr::BinOp { lhs, rhs, .. } => bound_uses_outer(lhs) || bound_uses_outer(rhs),
-        BoundExpr::UnOp { expr, .. } => bound_uses_outer(expr),
-        BoundExpr::Chain { first, rest } => {
-            bound_uses_outer(first) || rest.iter().any(|(_, e)| bound_uses_outer(e))
-        }
-        BoundExpr::Builtin { args, .. } | BoundExpr::Udf { args, .. } => {
-            args.iter().any(bound_uses_outer)
-        }
-        BoundExpr::Cast { expr, .. } => bound_uses_outer(expr),
-        BoundExpr::Case { operand, branches, else_ } => {
-            operand.as_deref().map_or(false, bound_uses_outer)
-                || branches.iter().any(|(c, r)| bound_uses_outer(c) || bound_uses_outer(r))
-                || else_.as_deref().map_or(false, bound_uses_outer)
-        }
-        BoundExpr::IsNull { expr, .. } => bound_uses_outer(expr),
-        BoundExpr::InList { expr, list, .. } => {
-            bound_uses_outer(expr) || list.iter().any(bound_uses_outer)
-        }
-        BoundExpr::Between { expr, low, high, .. } => {
-            bound_uses_outer(expr) || bound_uses_outer(low) || bound_uses_outer(high)
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            bound_uses_outer(expr) || bound_uses_outer(pattern)
-        }
-        BoundExpr::ScalarSubquery(_)
-        | BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::SolveModel(_) => true,
-    }
+/// `USING (cols)` as pairs of column indices: per name, the column of the
+/// left and of the right scope it denotes.
+pub(crate) fn using_pairs(
+    cols: &[String],
+    left: &Scope,
+    right: &Scope,
+) -> Result<Vec<(usize, usize)>> {
+    let side = |scope: &Scope, c: &String, which: &str| {
+        scope
+            .resolve(None, c)?
+            .ok_or_else(|| Error::bind(format!("USING column '{c}' not in {which} side")))
+    };
+    cols.iter().map(|c| Ok((side(left, c, "left")?, side(right, c, "right")?))).collect()
 }
 
-/// Join two materialized relations. Equi-joins (ON conjunction of
-/// equalities, or USING) take a hash-join path; everything else falls
-/// back to a nested loop.
-pub fn join_rels(
-    db: &Database,
-    ctes: &Ctes,
-    l: Rel,
-    r: Rel,
-    kind: JoinKind,
-    constraint: &JoinConstraint,
-    outer: Option<&Env<'_>>,
-) -> Result<Rel> {
-    let combined = l.scope.join(&r.scope);
-    let ctx = EvalCtx { db, ctes };
-
-    // Hash-join path.
-    let keys =
-        match constraint {
-            JoinConstraint::Using(cols) => {
-                let mut lk = Vec::new();
-                let mut rk = Vec::new();
-                for c in cols {
-                    let li = l.scope.resolve(None, c)?.ok_or_else(|| {
-                        Error::bind(format!("USING column '{c}' not in left side"))
-                    })?;
-                    let ri = r.scope.resolve(None, c)?.ok_or_else(|| {
-                        Error::bind(format!("USING column '{c}' not in right side"))
-                    })?;
-                    lk.push(BoundExpr::Column { depth: 0, index: li });
-                    rk.push(BoundExpr::Column { depth: 0, index: ri });
-                }
-                Some((lk, rk))
-            }
-            JoinConstraint::On(e) if !matches!(kind, JoinKind::Cross) => {
-                try_equi_keys(db, e, &l.scope, &r.scope)
-            }
-            _ => None,
-        };
-
-    if let Some((lkeys, rkeys)) = keys {
-        return hash_join(&ctx, l, r, combined, kind, &lkeys, &rkeys, outer);
-    }
-
-    // Nested loop.
-    let cond = bind_join_condition(db, constraint, &l.scope, &r.scope, &combined, outer)?;
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; r.rows.len()];
-    for lrow in &l.rows {
-        let mut matched = false;
-        for (ri, rrow) in r.rows.iter().enumerate() {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            if eval_condition(&cond, &ctx, &combined, &row, outer)? {
-                matched = true;
-                right_matched[ri] = true;
-                rows.push(row);
-            }
-        }
-        if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-            let mut row = lrow.clone();
-            row.extend(vec![Value::Null; r.scope.cols.len()]);
-            rows.push(row);
-        }
-    }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, rrow) in r.rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut row = vec![Value::Null; l.scope.cols.len()];
-                row.extend(rrow.iter().cloned());
-                rows.push(row);
-            }
-        }
-    }
-    Ok(Rel { scope: combined, rows })
+/// `USING (cols)` as the `ON` condition it abbreviates, bound against the
+/// joined row (left columns, then right): `l.c = r.c AND …`.
+pub(crate) fn using_condition(cols: &[String], left: &Scope, right: &Scope) -> Result<BoundExpr> {
+    let column = |index| Box::new(BoundExpr::Column { depth: 0, index });
+    let equal = |(li, ri): (usize, usize)| BoundExpr::BinOp {
+        op: BinOp::Eq,
+        lhs: column(li),
+        rhs: column(left.cols.len() + ri),
+    };
+    let both = |l, r| BoundExpr::BinOp { op: BinOp::And, lhs: Box::new(l), rhs: Box::new(r) };
+    let pairs = using_pairs(cols, left, right)?;
+    Ok(pairs.into_iter().map(equal).reduce(both).unwrap_or(BoundExpr::Const(Value::Bool(true))))
 }
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    ctx: &EvalCtx<'_>,
-    l: Rel,
-    r: Rel,
-    combined: Scope,
-    kind: JoinKind,
-    lkeys: &[BoundExpr],
-    rkeys: &[BoundExpr],
-    outer: Option<&Env<'_>>,
-) -> Result<Rel> {
-    // Build on the right side.
-    let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    let mut right_key_null = vec![false; r.rows.len()];
-    for (ri, rrow) in r.rows.iter().enumerate() {
-        let env = Env { scope: &r.scope, row: rrow, parent: outer };
-        let mut key = Vec::with_capacity(rkeys.len());
-        let mut has_null = false;
-        for k in rkeys {
-            let v = k.eval(ctx, &env)?;
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(v.group_key());
-        }
-        if has_null {
-            right_key_null[ri] = true;
-            continue; // NULL keys never match.
-        }
-        table.entry(key).or_default().push(ri);
-    }
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; r.rows.len()];
-    for lrow in &l.rows {
-        let env = Env { scope: &l.scope, row: lrow, parent: outer };
-        let mut key = Vec::with_capacity(lkeys.len());
-        let mut has_null = false;
-        for k in lkeys {
-            let v = k.eval(ctx, &env)?;
-            if v.is_null() {
-                has_null = true;
-                break;
-            }
-            key.push(v.group_key());
-        }
-        let matches = if has_null { None } else { table.get(&key) };
-        match matches {
-            Some(ris) if !ris.is_empty() => {
-                for &ri in ris {
-                    right_matched[ri] = true;
-                    let mut row = lrow.clone();
-                    row.extend(r.rows[ri].iter().cloned());
-                    rows.push(row);
-                }
-            }
-            _ => {
-                if matches!(kind, JoinKind::Left | JoinKind::Full) {
-                    let mut row = lrow.clone();
-                    row.extend(vec![Value::Null; r.scope.cols.len()]);
-                    rows.push(row);
-                }
-            }
-        }
-    }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, rrow) in r.rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut row = vec![Value::Null; l.scope.cols.len()];
-                row.extend(rrow.iter().cloned());
-                rows.push(row);
-            }
-        }
-    }
-    Ok(Rel { scope: combined, rows })
-}
-
-/// Evaluate the whole FROM clause (comma list = cross joins; LATERAL
-/// entries see previously joined columns).
-fn eval_from(
-    db: &Database,
-    ctes: &Ctes,
-    from: &[TableRef],
-    outer: Option<&Env<'_>>,
-) -> Result<Rel> {
-    if from.is_empty() {
-        // A single empty row: SELECT with no FROM produces one row.
-        return Ok(Rel { scope: Scope::default(), rows: vec![vec![]] });
-    }
-    let mut acc: Option<Rel> = None;
-    for tref in from {
-        let next = match (&acc, is_lateral(tref)) {
-            (Some(a), true) => {
-                // Comma-list LATERAL: cross apply against accumulated rows.
-                let TableRef::Subquery { query, alias, .. } = tref else { unreachable!() };
-                let qualifier = alias.as_ref().map(|x| x.name.as_str());
-                let mut right_scope: Option<Scope> = None;
-                let mut rows = Vec::new();
-                for lrow in &a.rows {
-                    let env = Env { scope: &a.scope, row: lrow, parent: outer };
-                    let t = run_query(db, ctes, query, Some(&env))?;
-                    if right_scope.is_none() {
-                        let mut s = Scope::from_schema(qualifier, &t.schema);
-                        apply_alias_columns(&mut s, alias.as_ref())?;
-                        right_scope = Some(s);
-                    }
-                    for rrow in t.rows {
-                        let mut row = lrow.clone();
-                        row.extend(rrow);
-                        rows.push(row);
-                    }
-                }
-                let rs = right_scope.unwrap_or_default();
-                Rel { scope: a.scope.join(&rs), rows }
-            }
-            _ => {
-                let rel = eval_join(db, ctes, tref, outer)?;
-                match acc {
-                    None => rel,
-                    Some(a) => {
-                        // Cross product with the accumulator.
-                        let scope = a.scope.join(&rel.scope);
-                        let mut rows =
-                            Vec::with_capacity(a.rows.len().saturating_mul(rel.rows.len()));
-                        for lrow in &a.rows {
-                            for rrow in &rel.rows {
-                                let mut row = lrow.clone();
-                                row.extend(rrow.iter().cloned());
-                                rows.push(row);
-                            }
-                        }
-                        Rel { scope, rows }
-                    }
-                }
-            }
-        };
-        acc = Some(next);
-    }
-    acc.ok_or_else(|| Error::eval("FROM list is empty"))
-}
-
-// ---------------------------------------------------------------------------
-// SELECT core
-// ---------------------------------------------------------------------------
 
 /// Aggregate accumulator.
 pub(crate) struct AggState {
@@ -1374,144 +940,4 @@ impl AggState {
             other => return Err(Error::eval(format!("unknown aggregate {other}()"))),
         })
     }
-}
-
-fn run_select(
-    db: &Database,
-    ctes: &Ctes,
-    sel: &Select,
-    outer: Option<&Env<'_>>,
-    order_by: &[OrderItem],
-    limit: &Option<Expr>,
-    offset: &Option<Expr>,
-) -> Result<Table> {
-    let ctx = EvalCtx { db, ctes };
-    let input = eval_from(db, ctes, &sel.from, outer)?;
-
-    // WHERE.
-    let mut rows = input.rows;
-    if let Some(w) = &sel.where_ {
-        let binder = Binder::with_outer(db, &input.scope, outer);
-        let bound = binder.bind(w)?;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let env = Env { scope: &input.scope, row: &row, parent: outer };
-            if bound.eval(&ctx, &env)?.as_bool()? == Some(true) {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-
-    let head = SelectHead::analyze(db, sel, order_by, &input.scope, outer)?;
-    let (out_scope, out_rows) = match &head.agg_scope {
-        Some(agg_scope) => (agg_scope, aggregate_rows(&ctx, &head, &input.scope, &rows, outer)?),
-        None => (&input.scope, rows),
-    };
-
-    // Evaluate projection (+ order keys) per row; apply HAVING.
-    let mut produced: Vec<(Vec<Value>, Row)> = Vec::with_capacity(out_rows.len());
-    for row in &out_rows {
-        let env = Env { scope: out_scope, row, parent: outer };
-        if let Some(h) = &head.having_bound {
-            if h.eval(&ctx, &env)?.as_bool()? != Some(true) {
-                continue;
-            }
-        }
-        let out: Row = head.proj_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
-        let keys: Vec<Value> =
-            head.order_bound.iter().map(|b| b.eval(&ctx, &env)).collect::<Result<_>>()?;
-        produced.push((keys, out));
-    }
-
-    // DISTINCT.
-    if sel.distinct {
-        let mut seen = HashMap::new();
-        produced.retain(|(_, row)| {
-            let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-            seen.insert(key, ()).is_none()
-        });
-    }
-
-    // ORDER BY.
-    if !order_by.is_empty() {
-        sort_keyed(&mut produced, order_by);
-    }
-
-    // Output schema: each column's type from its first non-NULL value,
-    // else the statically known one.
-    let columns = head.names.into_iter().zip(head.static_types).enumerate().map(|(i, (n, st))| {
-        let seen = produced.iter().find(|(_, row)| !row[i].is_null());
-        TColumn::new(n, seen.map_or(st, |(_, row)| row[i].data_type()))
-    });
-    let schema = Schema::new(columns.collect());
-    let mut table = Table::with_rows(schema, produced.into_iter().map(|(_, r)| r).collect());
-    apply_limit_offset(db, ctes, &mut table, limit, offset)?;
-    Ok(table)
-}
-
-/// Group `rows` (the filtered FROM output) and fold the aggregates: one
-/// output row of `head.agg_scope` per group. Plain GROUP BY is the single
-/// grouping set using every key; ROLLUP/CUBE/GROUPING SETS run one
-/// grouping pass per set with the keys outside the set masked to NULL,
-/// and the per-set outputs concatenated.
-fn aggregate_rows(
-    ctx: &EvalCtx<'_>,
-    head: &SelectHead,
-    scope: &Scope,
-    rows: &[Row],
-    outer: Option<&Env<'_>>,
-) -> Result<Vec<Row>> {
-    let nkeys = head.group_bound.len();
-    let make_states = || -> Vec<AggState> {
-        head.aggs.iter().map(|a| AggState::new(&a.name, a.distinct)).collect()
-    };
-    let mut groups: Vec<(Vec<Value>, Vec<AggState>, Option<Value>)> = Vec::new();
-    for set in &head.sets {
-        let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-        let empty_gidx = if set.is_empty() {
-            // The empty set is a global aggregate: exactly one output
-            // row even over empty input.
-            groups.push((vec![Value::Null; nkeys], make_states(), None));
-            Some(groups.len() - 1)
-        } else {
-            None
-        };
-        for row in rows {
-            let env = Env { scope, row, parent: outer };
-            let gvals: Vec<Value> =
-                head.group_bound.iter().map(|b| b.eval(ctx, &env)).collect::<Result<_>>()?;
-            let masked: Vec<Value> = (0..nkeys)
-                .map(|i| if set.contains(&i) { gvals[i].clone() } else { Value::Null })
-                .collect();
-            let gidx = match empty_gidx {
-                Some(g) => g,
-                None => {
-                    let key: Vec<GroupKey> = masked.iter().map(|v| v.group_key()).collect();
-                    *index.entry(key).or_insert_with(|| {
-                        groups.push((masked.clone(), make_states(), None));
-                        groups.len() - 1
-                    })
-                }
-            };
-            let (_, states, sep_slot) = &mut groups[gidx];
-            for (state, (arg, arg2)) in states.iter_mut().zip(&head.agg_args) {
-                let v = arg.as_ref().map(|b| b.eval(ctx, &env)).transpose()?;
-                let sep = arg2.as_ref().map(|b| b.eval(ctx, &env)).transpose()?;
-                state.update(v, sep.as_ref())?;
-                if sep.is_some() {
-                    *sep_slot = sep;
-                }
-            }
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(mut row, states, sep)| {
-            for st in states {
-                row.push(st.finish(sep.as_ref())?);
-            }
-            Ok(row)
-        })
-        .collect()
 }

@@ -1,20 +1,30 @@
 //! Plan construction and cost-based optimization.
 //!
-//! [`plan_select`] compiles a plain `SELECT` into a [`PlannedQuery`].
-//! It is deliberately conservative: any shape outside the planner's
-//! competence returns `Ok(None)` (or an error, which the caller also
-//! treats as "fall back") and the row interpreter executes the query
-//! with its original semantics. Shapes that stay on the row path:
+//! [`plan_select`] compiles a `SELECT` block into a [`PlannedQuery`] —
+//! every block, wherever it sits (a statement's body, an arm of a set
+//! operation, a subquery, the right side of a LATERAL join) and whatever
+//! it is made of. It returns a plan or the statement's error; there is no
+//! second executor to hand a block to.
 //!
-//! - no FROM clause, LATERAL, `USING` joins
-//! - `SOLVEMODEL` expressions or `SOLVESELECT` subqueries anywhere
-//! - a block with an outer column in reach: the caller
-//!   (`exec::select::run_query_planned`) plans a `SELECT` block wherever
-//!   it sits — a statement's body, an arm of a set operation, a subquery
-//!   — unless some scope of its outer chain has a column it could
-//!   correlate with (a subquery under a FROM-less `SELECT` has none)
-//! - the set operation itself, `VALUES`, and ORDER BY / LIMIT over a set
-//!   operation: the row interpreter assembles what the arms return
+//! - *The outer chain.* A block under an enclosing block's row is planned
+//!   with that row chain as `outer`: names resolve through it, and a
+//!   column found there compiles to a per-execution constant
+//!   ([`VecExpr::Outer`]), so `b.id = a.id` under a row of `a` is pushed
+//!   onto `b`'s scan like `b.id = 7`. A view or FROM subquery of such a
+//!   block may read the row too; it is scanned as [`ScanSource::Derived`]
+//!   — run again by every execution — instead of being captured.
+//! - *No FROM* is a scan of [`ScanSource::OneRow`].
+//! - *`USING (c, …)`* is the hash join on the two sides' columns of those
+//!   names (both columns stay in the output).
+//! - *LATERAL* is [`PlanNode::Apply`]: the subquery is planned once, with
+//!   the left scope as its outer scope, and executed per left row.
+//! - *SOLVE constructs* in expressions evaluate through the shared
+//!   expression evaluator; a relation that ran a solve while it was
+//!   captured marks the plan ([`PlannedQuery::captured_solve`]) so the
+//!   plan cache does not keep it.
+//!
+//! The set operation itself, `VALUES`, and ORDER BY / LIMIT over a set
+//! operation are assembled by `exec::select` from what the arms return.
 //!
 //! Every expression an operator evaluates over batches is compiled here,
 //! with the node that owns it ([`VecExpr::compile`]); the executor
@@ -29,9 +39,9 @@
 //! per-table statistics (smallest relation first, then whichever
 //! candidate minimizes the estimated intermediate size). A `Reorder`
 //! node restores the syntactic column order above the chosen join tree.
-//! Outer joins keep their syntactic structure (predicate motion across
-//! the nullable side of an outer join is unsound) and only get the
-//! vectorized executor, not the optimizer.
+//! Outer joins, `USING` and LATERAL keep their syntactic structure
+//! (predicate motion across the nullable side of an outer join is
+//! unsound) and only get the vectorized executor, not the optimizer.
 //!
 //! Expressions containing subqueries disable column pruning and join
 //! reordering: bound subqueries re-bind against the runtime scope chain
@@ -42,21 +52,24 @@ use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::stats::TableStats;
 use crate::ast::{
-    Expr, JoinConstraint, JoinKind, OrderItem, Select, SelectItem, SetExpr, TableRef as AstTableRef,
+    Expr, JoinConstraint, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableAlias,
+    TableRef as AstTableRef,
 };
 use crate::catalog::{Ctes, Database};
-use crate::error::Result;
-use crate::exec::eval::{Binder, BoundExpr, Scope, ScopeCol};
+use crate::error::{Error, Result};
+use crate::exec::eval::{Binder, BoundExpr, Env, Scope, ScopeCol};
 use crate::exec::head::{limit_offset, resolve_relation, AggCall, Relation, SelectHead};
-use crate::exec::select::{apply_alias_columns, run_query, try_equi_keys};
+use crate::exec::select::{
+    apply_alias_columns, run_query, try_equi_keys, using_condition, using_pairs,
+};
 use crate::script::rwset::{expr_reads, query_reads};
-use crate::table::Table;
-use crate::types::DataType;
+use crate::table::Schema;
+use crate::types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Compile a `SELECT` into an optimized plan, or `None` when the shape
-/// belongs on the row interpreter.
+/// Compile a `SELECT` block, under the rows `outer` of its enclosing
+/// blocks, into an optimized plan.
 pub fn plan_select(
     db: &Database,
     ctes: &Ctes,
@@ -64,36 +77,32 @@ pub fn plan_select(
     order_by: &[OrderItem],
     limit: &Option<Expr>,
     offset: &Option<Expr>,
-) -> Result<Option<PlannedQuery>> {
-    if outside_planner(sel, order_by, limit, offset) {
-        return Ok(None);
-    }
+    outer: Option<&Env<'_>>,
+) -> Result<PlannedQuery> {
+    let mut from = FromBuilder { db, ctes, outer, captured: Captured::default() };
 
     // LIMIT/OFFSET are constants of the plan. What their subqueries read
     // is captured in the plan like a FROM subquery.
-    let mut captured_reads = BTreeSet::new();
     for e in limit.iter().chain(offset) {
         let mut reads = BTreeSet::new();
         expr_reads(e, &HashSet::new(), &mut reads);
-        capture_reads(db, reads, &mut captured_reads);
+        from.captured.names(db, reads);
+        from.captured.solve |= expr_has_solve(e);
     }
     let (limit_n, offset_n) = limit_offset(db, ctes, limit, offset)?;
 
     // -- FROM clause --------------------------------------------------------
-    let pure = sel.from.iter().all(is_pure_inner);
-    let from = if pure {
+    let pure = !sel.from.is_empty() && sel.from.iter().all(is_pure_inner);
+    let shape = if pure {
         let mut bases = Vec::new();
         let mut ons: Vec<(&Expr, Scope)> = Vec::new();
         for tref in &sel.from {
-            if !flatten_pure(db, ctes, tref, &mut bases, &mut ons, &mut captured_reads)? {
-                return Ok(None);
-            }
+            from.flatten_pure(tref, &mut bases, &mut ons)?;
         }
-        // Validate ON conditions the way the interpreter would: bound
-        // against the local combined scope of their join node.
+        // Validate ON conditions against the local combined scope of
+        // their join node: a name of a later FROM item is not in reach.
         for (e, local) in &ons {
-            let binder = Binder::new(db, local);
-            binder.bind(e)?; // Err → fall back; interpreter reproduces it
+            Binder::with_outer(db, local, outer).bind(e)?;
         }
         let mut syn_scope = Scope::default();
         let mut offsets = Vec::with_capacity(bases.len());
@@ -110,12 +119,14 @@ pub fn plan_select(
     } else {
         let mut node: Option<PlanNode> = None;
         for tref in &sel.from {
-            let Some(next) = build_syntactic(db, ctes, tref, &mut captured_reads)? else {
-                return Ok(None);
-            };
-            node = Some(match node {
-                None => next,
-                Some(acc) => {
+            node = Some(match (node, tref) {
+                // Comma-list LATERAL: applied to the items before it.
+                (Some(acc), AstTableRef::Subquery { query, lateral: true, alias }) => {
+                    from.apply(acc, query, alias.as_ref(), JoinKind::Cross, &JoinConstraint::None)?
+                }
+                (None, tref) => from.build_syntactic(tref)?,
+                (Some(acc), tref) => {
+                    let next = from.build_syntactic(tref)?;
                     let scope = acc.scope().join(next.scope());
                     let est = acc.est() * next.est();
                     PlanNode::Join {
@@ -132,18 +143,26 @@ pub fn plan_select(
                 }
             });
         }
-        let Some(node) = node else { return Ok(None) };
+        let node = node.unwrap_or_else(|| PlanNode::Scan {
+            label: "(one row)".to_string(),
+            source: ScanSource::OneRow,
+            cols: None,
+            total_cols: 0,
+            scope: Scope::default(),
+            est: 1.0,
+        });
         let syn_scope = node.scope().clone();
         FromShape::General { node, syn_scope }
     };
-    let syn_scope = match &from {
+    let captured = from.captured;
+    let syn_scope = match &shape {
         FromShape::Pure { syn_scope, .. } | FromShape::General { syn_scope, .. } => {
             syn_scope.clone()
         }
     };
 
     // -- head: select list, grouping, HAVING, ORDER BY ----------------------
-    let mut head = SelectHead::analyze(db, sel, order_by, &syn_scope, None)?;
+    let mut head = SelectHead::analyze(db, sel, order_by, &syn_scope, outer)?;
 
     // Subqueries re-bind against the runtime scope at evaluation time,
     // so any subquery in any expression pins the scope to its syntactic
@@ -153,10 +172,10 @@ pub fn plan_select(
         || sel.having.as_ref().is_some_and(expr_has_subquery)
         || head.group_by.iter().any(expr_has_subquery)
         || order_by.iter().any(|o| expr_has_subquery(&o.expr));
-    let syn_binder = Binder::new(db, &syn_scope);
+    let syn_binder = Binder::with_outer(db, &syn_scope, outer);
 
     // -- conjunct classification (pure mode) --------------------------------
-    let (mut input, col_map) = match from {
+    let (mut input, col_map) = match shape {
         FromShape::General { node, .. } => {
             let node = match &sel.where_ {
                 Some(w) => {
@@ -343,10 +362,9 @@ pub fn plan_select(
                     kept[bi].iter().enumerate().map(|(pos, &j)| (offsets[bi] + j, pos)).collect();
                 for Pushed { pred, desc, derived } in &pushed[bi] {
                     est = pred_est(pred, est, &col_distinct);
-                    let Some(pred) = remap_cols(pred, &local) else { return Ok(None) };
                     node = PlanNode::Filter {
                         input: Box::new(node),
-                        pred: VecExpr::compile(&pred),
+                        pred: VecExpr::compile(&remapped(pred, &local)?),
                         desc: desc.clone(),
                         derived: *derived,
                         est,
@@ -391,7 +409,7 @@ pub fn plan_select(
                             best = Some((est, c));
                         }
                     }
-                    let Some((est, c)) = best else { return Ok(None) };
+                    let (est, c) = best.ok_or_else(|| internal("no join candidate left"))?;
                     in_set[c] = true;
                     order.push(c);
                     acc_est = est;
@@ -407,7 +425,8 @@ pub fn plan_select(
             for pos in 0..kept[first].len() {
                 acc_map.insert(pruned_offsets[first] + pos, pos);
             }
-            let Some(mut node) = nodes[first].take() else { return Ok(None) };
+            let taken = || internal("base joined twice");
+            let mut node = nodes[first].take().ok_or_else(taken)?;
             let mut acc_est = ests[first];
             let mut in_set = vec![false; nb];
             in_set[first] = true;
@@ -432,21 +451,16 @@ pub fn plan_select(
                     };
                     // Remap through pruning first, then to positions.
                     let set_pruned = match &map {
-                        Some(m) => {
-                            let Some(x) = remap_cols(set_side, m) else { return Ok(None) };
-                            x
-                        }
+                        Some(m) => remapped(set_side, m)?,
                         None => set_side.clone(),
                     };
-                    let Some(lk) = remap_cols(&set_pruned, &acc_map) else { return Ok(None) };
-                    let Some(rk) = remap_cols(c_side, &local) else { return Ok(None) };
-                    lkeys.push(VecExpr::compile(&lk));
-                    rkeys.push(VecExpr::compile(&rk));
+                    lkeys.push(VecExpr::compile(&remapped(&set_pruned, &acc_map)?));
+                    rkeys.push(VecExpr::compile(&remapped(c_side, &local)?));
                     descs.push(e.desc.clone());
                     denom = denom.max(edge_distinct(set_side, c_side, &col_distinct));
                     edge_used[ei] = true;
                 }
-                let Some(right) = nodes[c].take() else { return Ok(None) };
+                let right = nodes[c].take().ok_or_else(taken)?;
                 let est = if lkeys.is_empty() {
                     acc_est * ests[c]
                 } else {
@@ -477,8 +491,7 @@ pub fn plan_select(
             let width = pruned_scope.cols.len();
             let mut perm = Vec::with_capacity(width);
             for i in 0..width {
-                let Some(&p) = acc_map.get(&i) else { return Ok(None) };
-                perm.push(p);
+                perm.push(*acc_map.get(&i).ok_or_else(|| internal("column lost in the join"))?);
             }
             if perm.iter().enumerate().any(|(i, &p)| i != p) {
                 node =
@@ -489,10 +502,7 @@ pub fn plan_select(
             // columns.
             for (b, desc) in &residual {
                 let pred = match &map {
-                    Some(m) => {
-                        let Some(x) = remap_cols(b, m) else { return Ok(None) };
-                        VecExpr::compile(&x)
-                    }
+                    Some(m) => VecExpr::compile(&remapped(b, m)?),
                     None => VecExpr::compile(b),
                 };
                 let est = sel_est(node.est(), 1);
@@ -511,8 +521,7 @@ pub fn plan_select(
     // Remap the expressions that read the FROM output through pruning.
     if let Some(m) = &col_map {
         for b in head.input_bound_mut() {
-            let Some(x) = remap_cols(b, m) else { return Ok(None) };
-            *b = x;
+            *b = remapped(b, m)?;
         }
     }
 
@@ -609,24 +618,20 @@ pub fn plan_select(
     }
 
     db.count_plan_built();
-    Ok(Some(PlannedQuery { root: input, names, static_types, visible, captured_reads }))
+    Ok(PlannedQuery::new(input, names, static_types, captured.reads, captured.solve))
 }
 
-/// The shape gate: is this a `SELECT` the planner refuses on sight? Cheap
-/// (no binding, no catalog), so the plan cache asks before it renders a
-/// key.
-pub(crate) fn outside_planner(
-    sel: &Select,
-    order_by: &[OrderItem],
-    limit: &Option<Expr>,
-    offset: &Option<Expr>,
-) -> bool {
-    sel.from.is_empty()
-        || sel.from.iter().any(tref_unsupported)
-        || select_has_solve(sel)
-        || order_by.iter().any(|o| expr_has_solve(&o.expr))
-        || limit.as_ref().is_some_and(expr_has_solve)
-        || offset.as_ref().is_some_and(expr_has_solve)
+/// A planner invariant failed: a bug here, reported as the statement's
+/// error rather than a panic.
+fn internal(what: &str) -> Error {
+    Error::eval(format!("planner: {what}"))
+}
+
+/// `b` with its columns renumbered through `map`, which holds every one
+/// of them (subqueries pin the scope, so an expression with one is never
+/// renumbered).
+fn remapped(b: &BoundExpr, map: &HashMap<usize, usize>) -> Result<BoundExpr> {
+    remap_cols(b, map).ok_or_else(|| internal("column outside the pruned scope"))
 }
 
 // ---------------------------------------------------------------------------
@@ -671,221 +676,304 @@ fn is_pure_inner(t: &AstTableRef) -> bool {
     }
 }
 
-/// Shapes the planner refuses outright.
-fn tref_unsupported(t: &AstTableRef) -> bool {
-    match t {
-        AstTableRef::Named { .. } => false,
-        AstTableRef::Subquery { lateral, query, .. } => *lateral || query_has_solve(query),
-        AstTableRef::Join { left, right, constraint, .. } => {
-            matches!(constraint, JoinConstraint::Using(_))
-                || tref_unsupported(left)
-                || tref_unsupported(right)
-        }
-    }
+/// What the plan holds that the catalog epoch does not version.
+#[derive(Default)]
+struct Captured {
+    /// [`PlannedQuery::captured_reads`].
+    reads: BTreeSet<String>,
+    /// [`PlannedQuery::captured_solve`].
+    solve: bool,
 }
 
-/// Flatten a pure-inner tree into `bases` (syntactic order), recording
-/// each ON condition with the combined scope of its join node (for
-/// validation). Returns false on shapes that cannot be planned.
-fn flatten_pure<'a>(
-    db: &Database,
-    ctes: &Ctes,
-    t: &'a AstTableRef,
-    bases: &mut Vec<Base>,
-    ons: &mut Vec<(&'a Expr, Scope)>,
-    captured: &mut BTreeSet<String>,
-) -> Result<bool> {
-    fn go<'a>(
-        db: &Database,
-        ctes: &Ctes,
-        t: &'a AstTableRef,
-        bases: &mut Vec<Base>,
-        ons: &mut Vec<(&'a Expr, Scope)>,
-        captured: &mut BTreeSet<String>,
-    ) -> Result<Option<Scope>> {
-        match t {
-            AstTableRef::Join { left, right, constraint, .. } => {
-                let Some(ls) = go(db, ctes, left, bases, ons, captured)? else { return Ok(None) };
-                let Some(rs) = go(db, ctes, right, bases, ons, captured)? else { return Ok(None) };
-                let combined = ls.join(&rs);
-                if let JoinConstraint::On(e) = constraint {
-                    ons.push((e, combined.clone()));
+impl Captured {
+    /// The plan captures what `q` returned.
+    fn query(&mut self, db: &Database, q: &Query) {
+        self.solve |= query_has_solve(q);
+        self.names(db, reads_of(q));
+    }
+
+    /// Add the relation names in `reads`, following views into what
+    /// *they* read.
+    fn names(&mut self, db: &Database, reads: BTreeSet<String>) {
+        for name in reads {
+            if self.reads.insert(name.clone()) {
+                if let Some(vq) = db.view(&name) {
+                    self.query(db, vq);
                 }
-                Ok(Some(combined))
             }
-            primary => match materialize_primary(db, ctes, primary, captured)? {
-                Some(base) => {
-                    let scope = base.scope.clone();
-                    bases.push(base);
-                    Ok(Some(scope))
-                }
-                None => Ok(None),
-            },
         }
     }
-    Ok(go(db, ctes, t, bases, ons, captured)?.is_some())
-}
-
-/// Turn a table primary (named relation or subquery) into a scan source
-/// plus its scope and statistics. A CTE becomes a slot, re-resolved at
-/// every execution; a catalog table is scanned through the catalog's
-/// stored table, image and statistics included; views and subqueries are
-/// run here and their result captured, and the names they read are added
-/// to `captured`.
-fn materialize_primary(
-    db: &Database,
-    ctes: &Ctes,
-    t: &AstTableRef,
-    captured: &mut BTreeSet<String>,
-) -> Result<Option<Base>> {
-    let stored = |t: StoredTable| {
-        let stats = t.stats();
-        (ScanSource::Table(t), stats)
-    };
-    // A relation computed here: the plan holds its rows.
-    let owned = |t: Table| stored(StoredTable::new(Arc::new(t)));
-    let (label, qualifier, alias, (source, stats)) = match t {
-        AstTableRef::Named { name, alias } => {
-            let resolved = match resolve_relation(db, ctes, name)? {
-                // A slot takes its estimate from this first binding.
-                Relation::Cte(t) => (
-                    ScanSource::Slot { name: name.clone(), schema: t.schema.clone() },
-                    Arc::new(TableStats::collect(t)),
-                ),
-                Relation::View(vq) => {
-                    capture_reads(db, reads_of(vq), captured);
-                    owned(run_query(db, ctes, vq, None)?)
-                }
-                Relation::Table(t) => stored(t.clone()),
-                Relation::Virtual(t) => {
-                    // A snapshot taken now, outside the catalog epoch:
-                    // the plan must not be cached.
-                    captured.insert(name.clone());
-                    owned(t)
-                }
-            };
-            (name.clone(), Some(alias.as_ref().map_or(name, |a| &a.name)), alias, resolved)
-        }
-        AstTableRef::Subquery { query, lateral: false, alias } => {
-            capture_reads(db, reads_of(query), captured);
-            let label = alias.as_ref().map_or_else(|| "(subquery)".to_string(), |a| a.name.clone());
-            let qualifier = alias.as_ref().map(|a| &a.name);
-            (label, qualifier, alias, owned(run_query(db, ctes, query, None)?))
-        }
-        _ => return Ok(None),
-    };
-    let schema = match &source {
-        ScanSource::Table(t) => &t.table().schema,
-        ScanSource::Slot { schema, .. } => schema,
-    };
-    let mut scope = Scope::from_schema(qualifier.map(String::as_str), schema);
-    apply_alias_columns(&mut scope, alias.as_ref())?;
-    Ok(Some(Base { label, source, scope, stats }))
 }
 
 /// Every relation name `q` reads, following views into the names they
 /// read. Conservative: names bound by the query's own `WITH` are left
 /// out, everything else that appears as a relation is in.
-pub fn relation_reads(db: &Database, q: &crate::ast::Query) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    capture_reads(db, reads_of(q), &mut out);
-    out
+pub fn relation_reads(db: &Database, q: &Query) -> BTreeSet<String> {
+    let mut captured = Captured::default();
+    captured.names(db, reads_of(q));
+    captured.reads
 }
 
-fn reads_of(q: &crate::ast::Query) -> BTreeSet<String> {
+fn reads_of(q: &Query) -> BTreeSet<String> {
     let mut reads = BTreeSet::new();
     query_reads(q, &HashSet::new(), &mut reads);
     reads
 }
 
-/// Add the relation names in `reads` to `out`, following views into the
-/// names *they* read.
-fn capture_reads(db: &Database, reads: BTreeSet<String>, out: &mut BTreeSet<String>) {
-    for name in reads {
-        if out.insert(name.clone()) {
-            if let Some(vq) = db.view(&name) {
-                capture_reads(db, reads_of(vq), out);
+/// Builds the FROM clause of one block.
+struct FromBuilder<'a> {
+    db: &'a Database,
+    ctes: &'a Ctes,
+    outer: Option<&'a Env<'a>>,
+    captured: Captured,
+}
+
+impl FromBuilder<'_> {
+    /// Flatten a pure-inner tree into `bases` (syntactic order), recording
+    /// each ON condition with the combined scope of its join node (for
+    /// validation). Returns the tree's scope.
+    fn flatten_pure<'e>(
+        &mut self,
+        t: &'e AstTableRef,
+        bases: &mut Vec<Base>,
+        ons: &mut Vec<(&'e Expr, Scope)>,
+    ) -> Result<Scope> {
+        match t {
+            AstTableRef::Join { left, right, constraint, .. } => {
+                let combined = self
+                    .flatten_pure(left, bases, ons)?
+                    .join(&self.flatten_pure(right, bases, ons)?);
+                if let JoinConstraint::On(e) = constraint {
+                    ons.push((e, combined.clone()));
+                }
+                Ok(combined)
+            }
+            primary => {
+                let base = self.materialize_primary(primary)?;
+                let scope = base.scope.clone();
+                bases.push(base);
+                Ok(scope)
             }
         }
     }
-}
 
-/// Build a plan subtree that mirrors the syntactic join structure
-/// (used for outer joins, where reordering/pushdown are unsound).
-fn build_syntactic(
-    db: &Database,
-    ctes: &Ctes,
-    t: &AstTableRef,
-    captured: &mut BTreeSet<String>,
-) -> Result<Option<PlanNode>> {
-    match t {
-        AstTableRef::Join { left, right, kind, constraint } => {
-            let Some(l) = build_syntactic(db, ctes, left, captured)? else { return Ok(None) };
-            let Some(r) = build_syntactic(db, ctes, right, captured)? else { return Ok(None) };
-            let combined = l.scope().join(r.scope());
-            let (lkeys, rkeys, cond, desc) = match constraint {
-                JoinConstraint::Using(_) => return Ok(None),
-                JoinConstraint::None => (vec![], vec![], None, String::new()),
-                JoinConstraint::On(e) => {
-                    let keys = if !matches!(kind, JoinKind::Cross) {
-                        try_equi_keys(db, e, l.scope(), r.scope())
-                    } else {
-                        None
-                    };
-                    match keys {
-                        Some((lk, rk)) => {
-                            let compile =
-                                |keys: &[BoundExpr]| keys.iter().map(VecExpr::compile).collect();
-                            (compile(&lk), compile(&rk), None, clip(&e.to_string()))
-                        }
-                        None => {
-                            let binder = Binder::new(db, &combined);
-                            (vec![], vec![], Some(binder.bind(e)?), clip(&e.to_string()))
-                        }
-                    }
-                }
-            };
-            let (le, re) = (l.est(), r.est());
-            let mut est = if lkeys.is_empty() && cond.is_none() {
-                le * re
-            } else if lkeys.is_empty() {
-                le * re / 3.0
-            } else {
-                le * re / le.max(re).max(1.0)
-            };
-            if matches!(kind, JoinKind::Left | JoinKind::Full) {
-                est = est.max(le);
-            }
-            if matches!(kind, JoinKind::Right | JoinKind::Full) {
-                est = est.max(re);
-            }
-            Ok(Some(PlanNode::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                kind: *kind,
-                lkeys,
-                rkeys,
-                cond,
-                desc,
-                scope: combined,
-                est,
-            }))
+    /// The relation a view or FROM subquery denotes. With no outer row it
+    /// could read, the query is run here and its result captured in the
+    /// plan (what it read goes to `captured`); under one it is run here
+    /// for its schema and statistics, and again by every execution
+    /// (`shared` makes the handle the plan keeps for that).
+    fn derived(
+        &mut self,
+        query: &Query,
+        shared: impl FnOnce() -> Arc<Query>,
+    ) -> Result<(ScanSource, Arc<TableStats>, Schema)> {
+        let t = run_query(self.db, self.ctes, query, self.outer)?;
+        let schema = t.schema.clone();
+        let mut chain = std::iter::successors(self.outer, |env| env.parent);
+        if chain.any(|env| !env.scope.cols.is_empty()) {
+            let source = ScanSource::Derived { query: shared() };
+            return Ok((source, Arc::new(TableStats::collect(&t)), schema));
         }
-        primary => {
-            let Some(base) = materialize_primary(db, ctes, primary, captured)? else {
-                return Ok(None);
-            };
-            let total = base.scope.cols.len();
-            Ok(Some(PlanNode::Scan {
+        self.captured.query(self.db, query);
+        let stored = StoredTable::new(Arc::new(t));
+        let stats = stored.stats();
+        Ok((ScanSource::Table(stored), stats, schema))
+    }
+
+    /// Turn a table primary (named relation or subquery) into a scan
+    /// source plus its scope and statistics. A CTE becomes a slot,
+    /// re-resolved at every execution; a catalog table is scanned through
+    /// the catalog's stored table, image and statistics included; views
+    /// and subqueries are [`Self::derived`]. A LATERAL subquery that gets
+    /// here has nothing on its left and is an ordinary one.
+    fn materialize_primary(&mut self, t: &AstTableRef) -> Result<Base> {
+        let (label, qualifier, alias, (source, stats, schema)) = match t {
+            AstTableRef::Named { name, alias } => {
+                let resolved = match resolve_relation(self.db, self.ctes, name)? {
+                    // A slot takes its estimate from this first binding.
+                    Relation::Cte(t) => (
+                        ScanSource::Slot { name: name.clone(), schema: t.schema.clone() },
+                        Arc::new(TableStats::collect(t)),
+                        t.schema.clone(),
+                    ),
+                    Relation::View(vq) => self.derived(vq, || vq.clone())?,
+                    Relation::Table(t) => {
+                        (ScanSource::Table(t.clone()), t.stats(), t.table().schema.clone())
+                    }
+                    Relation::Virtual(t) => {
+                        // A snapshot taken now, outside the catalog epoch:
+                        // the plan must not be cached.
+                        self.captured.reads.insert(name.clone());
+                        let schema = t.schema.clone();
+                        let stored = StoredTable::new(Arc::new(t));
+                        let stats = stored.stats();
+                        (ScanSource::Table(stored), stats, schema)
+                    }
+                };
+                (name.clone(), Some(alias.as_ref().map_or(name, |a| &a.name)), alias, resolved)
+            }
+            AstTableRef::Subquery { query, alias, .. } => {
+                let label =
+                    alias.as_ref().map_or_else(|| "(subquery)".to_string(), |a| a.name.clone());
+                let qualifier = alias.as_ref().map(|a| &a.name);
+                let resolved = self.derived(query, || Arc::new((**query).clone()))?;
+                (label, qualifier, alias, resolved)
+            }
+            AstTableRef::Join { .. } => return Err(internal("a join is not a table primary")),
+        };
+        let mut scope = Scope::from_schema(qualifier.map(String::as_str), &schema);
+        apply_alias_columns(&mut scope, alias.as_ref())?;
+        Ok(Base { label, source, scope, stats })
+    }
+
+    /// Build a plan subtree that mirrors the syntactic join structure
+    /// (used for outer joins, where reordering/pushdown are unsound, and
+    /// for `USING` and LATERAL).
+    fn build_syntactic(&mut self, t: &AstTableRef) -> Result<PlanNode> {
+        let AstTableRef::Join { left, right, kind, constraint } = t else {
+            let base = self.materialize_primary(t)?;
+            return Ok(PlanNode::Scan {
                 label: base.label,
                 source: base.source,
                 cols: None,
-                total_cols: total,
+                total_cols: base.scope.cols.len(),
                 scope: base.scope,
                 est: base.stats.row_count as f64,
-            }))
+            });
+        };
+        let l = self.build_syntactic(left)?;
+        if let AstTableRef::Subquery { query, lateral: true, alias } = &**right {
+            return self.apply(l, query, alias.as_ref(), *kind, constraint);
         }
+        let r = self.build_syntactic(right)?;
+        let combined = l.scope().join(r.scope());
+        let compile = |keys: &[BoundExpr]| keys.iter().map(VecExpr::compile).collect();
+        let (lkeys, rkeys, cond, desc) = match constraint {
+            JoinConstraint::None => (vec![], vec![], None, String::new()),
+            JoinConstraint::Using(cols) => {
+                let (lk, rk): (Vec<_>, Vec<_>) = using_pairs(cols, l.scope(), r.scope())?
+                    .into_iter()
+                    .map(|(li, ri)| (VecExpr::Col(li), VecExpr::Col(ri)))
+                    .unzip();
+                (lk, rk, None, using_display(cols))
+            }
+            JoinConstraint::On(e) => {
+                let keys = if !matches!(kind, JoinKind::Cross) {
+                    try_equi_keys(self.db, e, l.scope(), r.scope())
+                } else {
+                    None
+                };
+                match keys {
+                    Some((lk, rk)) => (compile(&lk), compile(&rk), None, clip(&e.to_string())),
+                    None => {
+                        let binder = Binder::with_outer(self.db, &combined, self.outer);
+                        (vec![], vec![], Some(binder.bind(e)?), clip(&e.to_string()))
+                    }
+                }
+            }
+        };
+        let (le, re) = (l.est(), r.est());
+        let mut est = if lkeys.is_empty() && cond.is_none() {
+            le * re
+        } else if lkeys.is_empty() {
+            le * re / 3.0
+        } else {
+            le * re / le.max(re).max(1.0)
+        };
+        if matches!(kind, JoinKind::Left | JoinKind::Full) {
+            est = est.max(le);
+        }
+        if matches!(kind, JoinKind::Right | JoinKind::Full) {
+            est = est.max(re);
+        }
+        Ok(PlanNode::Join {
+            left: Box::new(l),
+            right: Box::new(r),
+            kind: *kind,
+            lkeys,
+            rkeys,
+            cond,
+            desc,
+            scope: combined,
+            est,
+        })
     }
+
+    /// `left [LEFT] JOIN LATERAL (query) alias <constraint>`, and the
+    /// comma form: the dependent join of `left` with `query`, planned once
+    /// with `left`'s scope as its outer scope. Planning reads no value of
+    /// the outer row — except to run a derived relation for its schema,
+    /// so the row it is planned under is all NULL.
+    fn apply(
+        &mut self,
+        left: PlanNode,
+        query: &Query,
+        alias: Option<&TableAlias>,
+        kind: JoinKind,
+        constraint: &JoinConstraint,
+    ) -> Result<PlanNode> {
+        if matches!(kind, JoinKind::Right | JoinKind::Full) {
+            return Err(Error::unsupported("RIGHT/FULL JOIN LATERAL"));
+        }
+        let nulls = vec![Value::Null; left.scope().cols.len()];
+        let under = Env { scope: left.scope(), row: &nulls, parent: self.outer };
+        let plan = |sel: &Select, order_by: &[OrderItem], limit, offset| {
+            plan_select(self.db, self.ctes, sel, order_by, limit, offset, Some(&under))
+        };
+        let right = match &query.body {
+            SetExpr::Select(sel) if query.with.is_empty() => {
+                plan(sel, &query.order_by, &query.limit, &query.offset)?
+            }
+            // Anything else is the derived relation of a block of its own.
+            _ => {
+                let relation = AstTableRef::Subquery {
+                    query: Box::new(query.clone()),
+                    lateral: false,
+                    alias: None,
+                };
+                let all = SelectItem::Wildcard { qualifier: None };
+                let sel = Select { projection: vec![all], from: vec![relation], ..Select::empty() };
+                plan(&sel, &[], &None, &None)?
+            }
+        };
+        self.captured.reads.extend(right.captured_reads.iter().cloned());
+        self.captured.solve |= right.captured_solve;
+
+        let qualifier = alias.map(|a| a.name.clone());
+        let column = |(name, ty): (&String, &DataType)| ScopeCol {
+            qualifier: qualifier.clone(),
+            name: name.clone(),
+            ty: ty.clone(),
+        };
+        let mut right_scope =
+            Scope::new(right.names.iter().zip(&right.static_types).map(column).collect());
+        apply_alias_columns(&mut right_scope, alias)?;
+        let scope = left.scope().join(&right_scope);
+        let (cond, desc) = match constraint {
+            JoinConstraint::None => (None, String::new()),
+            JoinConstraint::On(e) => {
+                let binder = Binder::with_outer(self.db, &scope, self.outer);
+                (Some(binder.bind(e)?), clip(&e.to_string()))
+            }
+            JoinConstraint::Using(cols) => {
+                (Some(using_condition(cols, left.scope(), &right_scope)?), using_display(cols))
+            }
+        };
+        let est = left.est() * right.root.est().max(1.0);
+        Ok(PlanNode::Apply {
+            left: Box::new(left),
+            right: Arc::new(right),
+            kind,
+            cond,
+            desc,
+            scope,
+            est,
+        })
+    }
+}
+
+fn using_display(cols: &[String]) -> String {
+    clip(&format!("USING ({})", cols.join(", ")))
 }
 
 // ---------------------------------------------------------------------------
@@ -921,7 +1009,13 @@ fn expr_has_subquery(e: &Expr) -> bool {
     let mut found = false;
     e.walk(&mut |n| {
         found = found
-            || matches!(n, Expr::ScalarSubquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. });
+            || matches!(
+                n,
+                Expr::ScalarSubquery(_)
+                    | Expr::InSubquery { .. }
+                    | Expr::Exists { .. }
+                    | Expr::SolveModel(_)
+            );
     });
     found
 }
@@ -948,7 +1042,7 @@ fn tref_has_solve(t: &AstTableRef) -> bool {
     }
 }
 
-fn query_has_solve(q: &crate::ast::Query) -> bool {
+fn query_has_solve(q: &Query) -> bool {
     fn set_expr(s: &SetExpr) -> bool {
         match s {
             SetExpr::Solve(_) => true,
@@ -1059,16 +1153,16 @@ pub(crate) fn collect_cols(b: &BoundExpr, out: &mut Vec<usize>) {
     }
 }
 
-/// Rewrite depth-0 column indices through `map`. Returns `None` when a
-/// column is missing from the map or the expression contains a subquery
-/// (those must never be remapped).
+/// Rewrite depth-0 column indices through `map`; a column of an outer
+/// row stays what it is. Returns `None` when a column is missing from the
+/// map or the expression contains a subquery (those must never be
+/// remapped).
 pub(crate) fn remap_cols(b: &BoundExpr, map: &HashMap<usize, usize>) -> Option<BoundExpr> {
     Some(match b {
         BoundExpr::Column { depth: 0, index } => {
             BoundExpr::Column { depth: 0, index: *map.get(index)? }
         }
-        BoundExpr::Column { .. } => return None,
-        BoundExpr::Const(v) => BoundExpr::Const(v.clone()),
+        BoundExpr::Column { .. } | BoundExpr::Const(_) => b.clone(),
         BoundExpr::BinOp { op, lhs, rhs } => BoundExpr::BinOp {
             op: *op,
             lhs: Box::new(remap_cols(lhs, map)?),
@@ -1267,7 +1361,9 @@ fn pred_est(b: &BoundExpr, input: f64, col_distinct: &dyn Fn(usize) -> Option<f6
     if input <= 0.0 {
         return 0.0;
     }
-    let is_const = |e: &BoundExpr| matches!(e, BoundExpr::Const(_));
+    // An outer row's column is one value per execution.
+    let is_const =
+        |e: &BoundExpr| matches!(e, BoundExpr::Const(_) | BoundExpr::Column { depth: 1.., .. });
     let values_kept = match b {
         BoundExpr::BinOp { op: crate::types::BinOp::Eq, lhs, rhs } => {
             match (bare(lhs), bare(rhs)) {

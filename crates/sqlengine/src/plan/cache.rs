@@ -1,5 +1,5 @@
 //! Plan cache: optimized plans keyed by `(catalog epoch, bound CTE
-//! names, exact query rendering)`, in two lifetimes.
+//! names, outer scope chain, exact query rendering)`, in two lifetimes.
 //!
 //! Plans embed the stored tables they scan — catalog tables, and the
 //! materialized results of views and FROM subqueries
@@ -32,6 +32,15 @@
 //! relations once and re-execute them per candidate, and lets the
 //! symbolic passes of one `SOLVESELECT` share their plans.
 //!
+//! A block under an enclosing block's row — a correlated subquery, run
+//! once per outer row — binds some of its names in that row's scope
+//! chain, so the key carries the chain's column names: the block is
+//! planned once per statement, not once per outer row. The plan holds
+//! none of the row's *values* (they are read by each execution), and a
+//! relation that might is not captured (`ScanSource::Derived`). A plan
+//! that captured a solve's answer ([`PlannedQuery::captured_solve`]) is
+//! never cached: nothing versions a solver run.
+//!
 //! The key stores the full `Debug` rendering of the query, not a hash
 //! of it: `HashMap` compares keys on lookup, so two distinct queries
 //! can never alias one cache slot — a hash-only key would silently
@@ -41,28 +50,63 @@
 //! literals into the optimized plan, so plans cannot be shared across
 //! literal variants (unlike `sdb_stat_statements`, whose shape key
 //! masks literals to group statements).
+//!
+//! Rendering is most of what a hit costs, and a block under an outer row
+//! is looked up once per row, so a statement remembers the renderings it
+//! made by the address of the `Select` they were made of. An address may
+//! be reused by another query, so it only finds the entry: the entry is
+//! used when the `Select` there *equals* the one it was rendered from.
 
-use super::build::outside_planner;
 use super::{plan_select, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
 use crate::catalog::{Ctes, Database};
 use crate::error::Result;
+use crate::exec::eval::Env;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The exact rendering of a block and the ORDER BY / LIMIT / OFFSET of
+/// the query it is the body of.
+fn render(
+    sel: &Select,
+    order_by: &[OrderItem],
+    limit: &Option<Expr>,
+    offset: &Option<Expr>,
+) -> Arc<str> {
+    format!("{sel:?}|{order_by:?}|{limit:?}|{offset:?}").into()
+}
 
 /// Clear a map once it holds this many plans: a read-only session that
 /// varies its literals would otherwise grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
-/// Full plan-cache key: catalog epoch, the CTE names in scope and the
+/// Full plan-cache key: catalog epoch, the CTE names in scope, the
+/// column names of the outer scope chain (innermost scope first) and the
 /// exact rendered query. Hash collisions between different queries land
 /// in the same bucket but fail the equality check, so a lookup can never
 /// return another query's plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
     epoch: u64,
-    ctes: Vec<String>,
-    query: String,
+    /// The bound CTE names, sorted, each followed by [`SEP`].
+    ctes: String,
+    /// Per scope of the outer chain its `qualifier.name` columns, each
+    /// followed by [`SEP`], and a `;`.
+    outer: String,
+    query: Arc<str>,
+}
+
+/// Ends a name in a rendered list; no identifier contains it.
+const SEP: char = '\u{1f}';
+
+/// A `Select` block with the query it is the body of, and the rendering
+/// of the four made for a key.
+struct Rendered {
+    sel: Select,
+    order_by: Vec<OrderItem>,
+    limit: Option<Expr>,
+    offset: Option<Expr>,
+    text: Arc<str>,
 }
 
 /// The two plan maps of a [`Database`].
@@ -74,6 +118,9 @@ pub(crate) struct PlanCache {
     /// Plans of queries under a CTE environment; live until the
     /// statement ends.
     statement: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
+    /// The renderings this statement made, by the address of the `Select`
+    /// rendered — a hint, confirmed by comparing the `Select`s.
+    rendered: HashMap<usize, Rendered>,
 }
 
 impl PlanCache {
@@ -87,8 +134,8 @@ impl PlanCache {
 }
 
 impl Database {
-    /// Cache key for a plannable SELECT under the current catalog epoch
-    /// and the CTE names `ctes` binds.
+    /// Cache key for a SELECT under the current catalog epoch, the CTE
+    /// names `ctes` binds and the scopes of the `outer` chain.
     pub(crate) fn plan_cache_key(
         &self,
         ctes: &Ctes,
@@ -96,22 +143,69 @@ impl Database {
         order_by: &[OrderItem],
         limit: &Option<Expr>,
         offset: &Option<Expr>,
+        outer: Option<&Env<'_>>,
     ) -> PlanCacheKey {
-        let mut names: Vec<String> = ctes.names().map(str::to_string).collect();
+        let mut names: Vec<&str> = ctes.names().collect();
         names.sort_unstable();
-        PlanCacheKey {
-            epoch: self.catalog_epoch(),
-            ctes: names,
-            query: format!("{sel:?}|{order_by:?}|{limit:?}|{offset:?}"),
+        let mut bound = String::new();
+        for name in names {
+            bound.push_str(name);
+            bound.push(SEP);
         }
+        let mut chain = String::new();
+        for env in std::iter::successors(outer, |env| env.parent) {
+            for c in &env.scope.cols {
+                chain.push_str(c.qualifier.as_deref().unwrap_or(""));
+                chain.push('.');
+                chain.push_str(&c.name);
+                chain.push(SEP);
+            }
+            chain.push(';');
+        }
+        // A block under neither an outer row nor a CTE environment is a
+        // statement's own: looked up once, nothing to remember.
+        let query = if outer.is_some() || !ctes.is_empty() {
+            self.rendered(sel, order_by, limit, offset)
+        } else {
+            render(sel, order_by, limit, offset)
+        };
+        PlanCacheKey { epoch: self.catalog_epoch(), ctes: bound, outer: chain, query }
     }
 
-    /// The plan for a `SELECT` under `ctes`, and whether it came from
-    /// the cache (`Some(true)`), was planned now and cached
-    /// (`Some(false)`), or was planned now but cannot be cached because
-    /// it captured rows that depend on a bound CTE or come from a
-    /// virtual table (`None`). `Ok(None)` and `Err` mean what they mean
-    /// for [`plan_select`].
+    /// [`render`], done once per statement for the `Select` at one
+    /// address.
+    fn rendered(
+        &self,
+        sel: &Select,
+        order_by: &[OrderItem],
+        limit: &Option<Expr>,
+        offset: &Option<Expr>,
+    ) -> Arc<str> {
+        let at = sel as *const Select as usize;
+        let same = |r: &Rendered| {
+            r.sel == *sel && r.order_by == order_by && r.limit == *limit && r.offset == *offset
+        };
+        let mut cache = self.plan_cache.lock().ok();
+        if let Some(r) = cache.as_ref().and_then(|c| c.rendered.get(&at)).filter(|r| same(r)) {
+            return r.text.clone();
+        }
+        let text = render(sel, order_by, limit, offset);
+        if let Some(cache) = &mut cache {
+            if cache.rendered.len() >= MAX_CACHED_PLANS {
+                cache.rendered.clear();
+            }
+            let (sel, order_by) = (sel.clone(), order_by.to_vec());
+            let (limit, offset, text) = (limit.clone(), offset.clone(), text.clone());
+            cache.rendered.insert(at, Rendered { sel, order_by, limit, offset, text });
+        }
+        text
+    }
+
+    /// The plan for a `SELECT` under `ctes` and the `outer` chain, and
+    /// whether it came from the cache (`Some(true)`), was planned now and
+    /// cached (`Some(false)`), or was planned now but cannot be cached
+    /// because it captured rows that depend on a bound CTE, come from a
+    /// virtual table or are a solve's answer (`None`).
     pub(crate) fn plan_cached(
         &self,
         ctes: &Ctes,
@@ -119,12 +213,10 @@ impl Database {
         order_by: &[OrderItem],
         limit: &Option<Expr>,
         offset: &Option<Expr>,
-    ) -> Result<Option<(Arc<PlannedQuery>, Option<bool>)>> {
-        if outside_planner(sel, order_by, limit, offset) {
-            return Ok(None);
-        }
-        let key = self.plan_cache_key(ctes, sel, order_by, limit, offset);
-        let statement_scoped = !key.ctes.is_empty();
+        outer: Option<&Env<'_>>,
+    ) -> Result<(Arc<PlannedQuery>, Option<bool>)> {
+        let key = self.plan_cache_key(ctes, sel, order_by, limit, offset, outer);
+        let statement_scoped = !ctes.is_empty();
         let hit = self
             .plan_cache
             .lock()
@@ -133,16 +225,13 @@ impl Database {
         if let Some(planned) = hit {
             // Only a plan made under a CTE environment has slots to check.
             if !statement_scoped || planned.slots_bound(ctes) {
-                return Ok(Some((planned, Some(true))));
+                return Ok((planned, Some(true)));
             }
         }
-        let Some(planned) = plan_select(self, ctes, sel, order_by, limit, offset)? else {
-            return Ok(None);
-        };
-        let planned = Arc::new(planned);
+        let planned = Arc::new(plan_select(self, ctes, sel, order_by, limit, offset, outer)?);
         let stale = |name: &String| ctes.get(name).is_some() || self.serves_virtual(name);
-        if planned.captured_reads.iter().any(stale) {
-            return Ok(Some((planned, None)));
+        if planned.captured_solve || planned.captured_reads.iter().any(stale) {
+            return Ok((planned, None));
         }
         if let Ok(mut cache) = self.plan_cache.lock() {
             let map = cache.map(statement_scoped);
@@ -151,7 +240,7 @@ impl Database {
             }
             map.insert(key, planned.clone());
         }
-        Ok(Some((planned, Some(false))))
+        Ok((planned, Some(false)))
     }
 
     /// The catalog changed: no cached plan can hit again.
@@ -159,6 +248,7 @@ impl Database {
         if let Ok(mut cache) = self.plan_cache.lock() {
             cache.session.clear();
             cache.statement.clear();
+            cache.rendered.clear();
         }
     }
 
@@ -166,6 +256,7 @@ impl Database {
     pub(crate) fn end_statement_plans(&self) {
         if let Ok(mut cache) = self.plan_cache.lock() {
             cache.statement.clear();
+            cache.rendered.clear();
         }
     }
 
@@ -197,7 +288,7 @@ mod tests {
         let stmt = crate::parser::parse_statement(sql).unwrap();
         let crate::ast::Statement::Query(q) = stmt else { panic!("expected query") };
         let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
-        db.plan_cache_key(&Ctes::new(), sel, &q.order_by, &q.limit, &q.offset)
+        db.plan_cache_key(&Ctes::new(), sel, &q.order_by, &q.limit, &q.offset, None)
     }
 
     #[test]

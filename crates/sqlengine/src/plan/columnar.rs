@@ -7,9 +7,10 @@
 //! [`BATCH_SIZE`] rows when produced by a scan.
 //!
 //! [`VecExpr`] is the vectorized form of a [`BoundExpr`]: column loads,
-//! constants, binary/unary operators, `IS NULL`, casts, and `IN` /
-//! `BETWEEN` over constants evaluate a whole batch at a time (with typed
-//! fast loops for the common numeric and text cases); an expression with
+//! constants, columns of an outer row (constants of one execution),
+//! binary/unary operators, `IS NULL`, casts, and `IN` / `BETWEEN` over
+//! constants evaluate a whole batch at a time (with typed fast loops for
+//! the common numeric and text cases); an expression with
 //! any other part — function calls, CASE, subqueries, LIKE — compiles to
 //! a `Fallback` of the whole expression that re-enters the row
 //! interpreter's evaluator per row, guaranteeing identical semantics:
@@ -454,11 +455,22 @@ pub fn batches_to_rows(batches: &[Batch]) -> Vec<Row> {
 // ---------------------------------------------------------------------------
 
 /// Context for vectorized evaluation: the interpreter's evaluation
-/// context plus the scope of the batch (needed when a fallback
-/// expression contains a subquery that correlates to the current row).
+/// context, the scope of the batch (needed when a fallback expression
+/// contains a subquery that correlates to the current row) and the rows
+/// of the enclosing blocks the execution runs under.
 pub struct VecEvalCtx<'a> {
     pub ctx: &'a EvalCtx<'a>,
     pub scope: &'a Scope,
+    pub outer: Option<&'a Env<'a>>,
+}
+
+impl<'a> VecEvalCtx<'a> {
+    /// Column `index` of the row `depth` blocks out (`depth` ≥ 1).
+    fn outer_value(&self, depth: usize, index: usize) -> Result<&'a Value> {
+        self.outer
+            .and_then(|o| o.at_depth(depth - 1).row.get(index))
+            .ok_or_else(|| Error::eval("plan executed without the outer row it was built under"))
+    }
 }
 
 /// A bound expression compiled for batch evaluation. Compiling happens
@@ -469,6 +481,12 @@ pub struct VecEvalCtx<'a> {
 pub enum VecExpr {
     Col(usize),
     Const(Value),
+    /// A column of an enclosing block's row: one value per execution,
+    /// read when the expression is evaluated and from there on a constant.
+    Outer {
+        depth: usize,
+        index: usize,
+    },
     /// Any binary operator but `AND` / `OR`.
     BinOp {
         op: BinOp,
@@ -527,6 +545,7 @@ impl VecExpr {
         let sub = |e: &BoundExpr| VecExpr::vectorize(e).map(Box::new);
         Some(match b {
             BoundExpr::Column { depth: 0, index } => VecExpr::Col(*index),
+            BoundExpr::Column { depth, index } => VecExpr::Outer { depth: *depth, index: *index },
             BoundExpr::Const(v) => VecExpr::Const(v.clone()),
             BoundExpr::BinOp { op, lhs, rhs } => {
                 let (op, lhs, rhs) = (*op, sub(lhs)?, sub(rhs)?);
@@ -569,7 +588,7 @@ impl VecExpr {
             BoundExpr::Between { expr, low, high, negated } => {
                 let e = sub(expr)?;
                 let (lo, hi) = (sub(low)?, sub(high)?);
-                if !matches!((&*lo, &*hi), (VecExpr::Const(_), VecExpr::Const(_))) {
+                if !(lo.is_scalar() && hi.is_scalar()) {
                     return None;
                 }
                 let both = VecExpr::Logic {
@@ -585,6 +604,20 @@ impl VecExpr {
                 }
             }
             _ => return None,
+        })
+    }
+
+    /// One value for the whole batch?
+    fn is_scalar(&self) -> bool {
+        matches!(self, VecExpr::Const(_) | VecExpr::Outer { .. })
+    }
+
+    /// The value of a scalar operand.
+    fn scalar<'v>(&'v self, ev: &VecEvalCtx<'v>) -> Result<Option<&'v Value>> {
+        Ok(match self {
+            VecExpr::Const(v) => Some(v),
+            VecExpr::Outer { depth, index } => Some(ev.outer_value(*depth, *index)?),
+            _ => None,
         })
     }
 
@@ -611,14 +644,13 @@ impl VecExpr {
         Ok(Cow::Owned(match self {
             VecExpr::Col(i) => return Ok(Cow::Borrowed(&batch.cols[*i])),
             VecExpr::Const(v) => ColumnVec::broadcast(v, batch.len),
-            VecExpr::BinOp { op, lhs, rhs } => match (&**lhs, &**rhs) {
-                (l, VecExpr::Const(c)) if !matches!(l, VecExpr::Const(_)) => {
-                    binop_scalar(*op, &*l.eval_ref(batch, ev)?, c, false)?
-                }
-                (VecExpr::Const(c), r) if !matches!(r, VecExpr::Const(_)) => {
-                    binop_scalar(*op, &*r.eval_ref(batch, ev)?, c, true)?
-                }
-                (l, r) => binop_columns(*op, &*l.eval_ref(batch, ev)?, &*r.eval_ref(batch, ev)?)?,
+            VecExpr::Outer { depth, index } => {
+                ColumnVec::broadcast(ev.outer_value(*depth, *index)?, batch.len)
+            }
+            VecExpr::BinOp { op, lhs, rhs } => match (lhs.scalar(ev)?, rhs.scalar(ev)?) {
+                (None, Some(c)) => binop_scalar(*op, &*lhs.eval_ref(batch, ev)?, c, false)?,
+                (Some(c), None) => binop_scalar(*op, &*rhs.eval_ref(batch, ev)?, c, true)?,
+                _ => binop_columns(*op, &*lhs.eval_ref(batch, ev)?, &*rhs.eval_ref(batch, ev)?)?,
             },
             VecExpr::Logic { op, lhs, rhs, orig } => {
                 let l = lhs.eval_ref(batch, ev)?;
@@ -673,7 +705,7 @@ fn eval_fallback(b: &BoundExpr, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<Co
     let mut out = Vec::with_capacity(batch.len);
     for i in 0..batch.len {
         let row = batch.row_at(i);
-        let env = Env { scope: ev.scope, row: &row, parent: None };
+        let env = Env { scope: ev.scope, row: &row, parent: ev.outer };
         out.push(b.eval(ev.ctx, &env)?);
     }
     Ok(ColumnVec::from_values(out))

@@ -1,13 +1,18 @@
 //! Columnar batch executor for [`PlannedQuery`] trees.
 //!
 //! Operators consume and produce [`Batch`]es of typed column vectors.
-//! Result parity with the row interpreter is maintained by construction:
-//! every operator mirrors the interpreter's algorithm (same grouping
-//! order, same hash-join output order whichever input the table is built
-//! over, same sort comparator) and
-//! non-vectorizable expressions evaluate through the interpreter's
-//! [`BoundExpr::eval`] on materialized rows. Each operator runs under an
-//! `obs` span so `EXPLAIN ANALYZE` shows a per-operator timing tree.
+//! Result parity with the reference interpreter (`exec::oracle`) is
+//! maintained by construction: every operator mirrors its algorithm (same
+//! grouping order, same hash-join output order whichever input the table
+//! is built over, same sort comparator) and non-vectorizable expressions
+//! evaluate through the shared [`BoundExpr::eval`] on materialized rows.
+//! Each operator runs under an `obs` span so `EXPLAIN ANALYZE` shows a
+//! per-operator timing tree.
+//!
+//! A block under an enclosing block's row — a correlated subquery, the
+//! right side of a dependent join — executes with that row chain as
+//! `outer`: its columns are constants of the execution, and the
+//! subqueries it evaluates in turn see it as their parent.
 //!
 //! What an execution costs is its data, not the shape of its plan: the
 //! plan's expressions arrive compiled ([`VecExpr`], built with the plan
@@ -27,7 +32,7 @@ use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
-use crate::exec::select::{sort_keyed, AggState};
+use crate::exec::select::{run_query, sort_keyed, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::value::num_bits;
 use crate::types::{DataType, GroupKey, Value};
@@ -37,14 +42,16 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Execute a planned query, producing the final result table.
+/// Execute a planned query under the rows of its enclosing blocks,
+/// producing the final result table.
 pub fn execute(
     db: &Database,
     ctes: &Ctes,
     planned: &PlannedQuery,
     trace: Option<&obs::Trace>,
+    outer: Option<&Env<'_>>,
 ) -> Result<Table> {
-    Runner { ctx: EvalCtx { db, ctes }, trace, step: None }.run(planned)
+    Runner { ctx: EvalCtx { db, ctes }, trace, step: None, outer }.run(planned)
 }
 
 /// One plan executed repeatedly while a single CTE slot (`rebound`) is
@@ -116,9 +123,11 @@ impl<'p> IteratedPlan<'p> {
         db: &Database,
         ctes: &Ctes,
         working: &[Batch],
+        outer: Option<&Env<'_>>,
     ) -> Result<Vec<Batch>> {
         let step = Step { rebound: self.rebound, working, kept: &mut self.kept };
-        Runner { ctx: EvalCtx { db, ctes }, trace: None, step: Some(step) }.run_batches(self.plan)
+        Runner { ctx: EvalCtx { db, ctes }, trace: None, step: Some(step), outer }
+            .run_batches(self.plan)
     }
 
     /// How many times a step probed a kept build side instead of
@@ -145,9 +154,16 @@ struct Runner<'a, 'k> {
     ctx: EvalCtx<'a>,
     trace: Option<&'a obs::Trace>,
     step: Option<Step<'k>>,
+    /// The rows of the enclosing blocks, innermost first.
+    outer: Option<&'a Env<'a>>,
 }
 
-impl Runner<'_, '_> {
+impl<'a> Runner<'a, '_> {
+    /// The evaluation context of expressions over rows of `scope`.
+    fn over<'s>(&'s self, scope: &'s Scope) -> VecEvalCtx<'s> {
+        VecEvalCtx { ctx: &self.ctx, scope, outer: self.outer }
+    }
+
     /// The visible columns of the plan's result.
     fn run_batches(&mut self, planned: &PlannedQuery) -> Result<Vec<Batch>> {
         let mut batches = self.run_node(&planned.root)?;
@@ -166,7 +182,7 @@ impl Runner<'_, '_> {
 
         // Output schema: infer each column's type from the first non-NULL
         // value, falling back to the statically known type (same as the
-        // row interpreter — solver variable typing depends on this).
+        // reference interpreter — solver variable typing depends on this).
         let mut schema = Schema::new(
             planned.names.iter().map(|n| TColumn::new(n.clone(), DataType::Unknown)).collect(),
         );
@@ -217,7 +233,7 @@ impl Runner<'_, '_> {
             Some(None) => {}
         }
         let rb = self.run_node(right)?;
-        let build = Rc::new(JoinBuild::new(&self.ctx, &rb, right.scope(), rkeys)?);
+        let build = Rc::new(JoinBuild::new(&self.over(right.scope()), &rb, rkeys)?);
         if let Some(keep) = self.step.as_mut().and_then(|s| kept_at(&mut s.kept.builds, right)) {
             *keep = Some(build.clone());
         }
@@ -229,9 +245,23 @@ impl Runner<'_, '_> {
         match node {
             // A stored table hands out its columnar image; the slot a
             // step rebinds hands out the step's working batches; any
-            // other slot is whatever rows its name is bound to, pivoted
-            // here.
-            PlanNode::Scan { source, cols, .. } => match source {
+            // other slot is whatever rows its name is bound to, and a
+            // derived relation what its query returns now, pivoted here.
+            PlanNode::Scan { source, cols, total_cols, .. } => match source {
+                ScanSource::OneRow => Ok(vec![Batch { cols: Vec::new(), len: 1 }]),
+                ScanSource::Derived { query } => {
+                    let t = run_query(self.ctx.db, self.ctx.ctes, query, self.outer)?;
+                    if t.num_columns() != *total_cols {
+                        return Err(Error::eval(format!(
+                            "derived relation returns {} columns, planned with {total_cols}",
+                            t.num_columns()
+                        )));
+                    }
+                    Ok(t.rows
+                        .chunks(BATCH_SIZE)
+                        .map(|c| Batch::from_rows(c, cols.as_deref()))
+                        .collect())
+                }
                 ScanSource::Table(stored) => {
                     let (batches, pivoted) = stored.scan(cols.as_deref());
                     self.ctx.db.count_columns_pivoted(pivoted);
@@ -265,9 +295,8 @@ impl Runner<'_, '_> {
             },
 
             PlanNode::Filter { input, pred, derived, .. } => {
-                let scope = input.scope();
                 let batches = self.run_node(input)?;
-                let vctx = VecEvalCtx { ctx: &self.ctx, scope };
+                let vctx = self.over(input.scope());
                 let mut out = Vec::with_capacity(batches.len());
                 for b in &batches {
                     let sel = match pred.eval(b, &vctx).and_then(|p| selected(&p, b.len)) {
@@ -297,8 +326,8 @@ impl Runner<'_, '_> {
                 let lb = self.run_node(left)?;
                 if lkeys.is_empty() {
                     let rb = self.run_node(right)?;
-                    let (ls, rs) = (left.scope(), right.scope());
-                    return loop_join(&self.ctx, &lb, &rb, ls, rs, scope, *kind, cond.as_ref());
+                    let widths = (left.scope().cols.len(), right.scope().cols.len());
+                    return loop_join(&self.over(scope), &lb, &rb, widths, *kind, cond.as_ref());
                 }
                 // The table goes over the input with fewer rows — both
                 // are in hand — except that a recursion's kept build
@@ -314,11 +343,11 @@ impl Runner<'_, '_> {
                 let build: &JoinBuild = match &kept {
                     Some(kept) => kept,
                     None if build_is_left => {
-                        built = JoinBuild::new(&self.ctx, &lb, left.scope(), lkeys)?;
+                        built = JoinBuild::new(&self.over(left.scope()), &lb, lkeys)?;
                         &built
                     }
                     None => {
-                        built = JoinBuild::new(&self.ctx, &rb, right.scope(), rkeys)?;
+                        built = JoinBuild::new(&self.over(right.scope()), &rb, rkeys)?;
                         &built
                     }
                 };
@@ -332,19 +361,51 @@ impl Runner<'_, '_> {
                     s.note("build_rows", build.batch.len);
                     s.note("probe_rows", rows(probe));
                 }
-                hash_join(&self.ctx, build, probe, probe_scope, probe_keys, *kind, build_is_left)
+                hash_join(&self.over(probe_scope), build, probe, probe_keys, *kind, build_is_left)
+            }
+
+            PlanNode::Apply { left, right, kind, cond, scope, .. } => {
+                let lb = self.run_node(left)?;
+                let pad = vec![Value::Null; right.visible];
+                let mut rows: Vec<Row> = Vec::new();
+                for lrow in batches_to_rows(&lb) {
+                    let under = Env { scope: left.scope(), row: &lrow, parent: self.outer };
+                    let mut sub = Runner {
+                        ctx: EvalCtx { db: self.ctx.db, ctes: self.ctx.ctes },
+                        trace: None,
+                        step: None,
+                        outer: Some(&under),
+                    };
+                    let mut matched = false;
+                    for rrow in batches_to_rows(&sub.run_batches(right)?) {
+                        let row: Row = lrow.iter().cloned().chain(rrow).collect();
+                        let joins = match cond {
+                            None => true,
+                            Some(cond) => {
+                                let env = Env { scope, row: &row, parent: self.outer };
+                                cond.eval(&self.ctx, &env)?.as_bool()? == Some(true)
+                            }
+                        };
+                        if joins {
+                            matched = true;
+                            rows.push(row);
+                        }
+                    }
+                    if !matched && *kind == crate::ast::JoinKind::Left {
+                        rows.push(lrow.iter().chain(&pad).cloned().collect());
+                    }
+                }
+                Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
             }
 
             PlanNode::Aggregate { input, group, sets, aggs, .. } => {
-                let in_scope = input.scope();
                 let batches = self.run_node(input)?;
-                aggregate(&self.ctx, &batches, in_scope, group, sets, aggs)
+                aggregate(&self.over(input.scope()), &batches, group, sets, aggs)
             }
 
             PlanNode::Project { input, exprs, .. } => {
-                let in_scope = input.scope();
                 let batches = self.run_node(input)?;
-                let vctx = VecEvalCtx { ctx: &self.ctx, scope: in_scope };
+                let vctx = self.over(input.scope());
                 batches
                     .iter()
                     .map(|b| {
@@ -470,7 +531,7 @@ pub(crate) fn matching_rows(
     let (batches, pivoted) = stored.scan(keep.as_deref());
     ctx.db.count_columns_pivoted(pivoted);
     let ve = VecExpr::compile(&pred);
-    let vctx = VecEvalCtx { ctx, scope: &scope };
+    let vctx = VecEvalCtx { ctx, scope: &scope, outer: None };
     let mut hits = vec![false; stored.table().num_rows()];
     let mut base = 0;
     for b in &batches {
@@ -550,12 +611,8 @@ fn generic_key(key_cols: &[Arc<ColumnVec>], i: usize, key: &mut Vec<GroupKey>) -
 }
 
 impl JoinBuild {
-    fn new(
-        ctx: &EvalCtx<'_>,
-        batches: &[Batch],
-        scope: &Scope,
-        keys: &[VecExpr],
-    ) -> Result<JoinBuild> {
+    /// Over `batches`, rows of `ev.scope`.
+    fn new(ev: &VecEvalCtx<'_>, batches: &[Batch], keys: &[VecExpr]) -> Result<JoinBuild> {
         fn link<K>(slot: Entry<'_, K, (u32, u32)>, row: u32, next: &mut [u32]) {
             match slot {
                 Entry::Occupied(mut chain) => {
@@ -568,13 +625,12 @@ impl JoinBuild {
                 }
             }
         }
-        let batch = concat(batches, scope.cols.len()).into_owned();
+        let batch = concat(batches, ev.scope.cols.len()).into_owned();
         if batch.len >= END as usize {
             return Err(Error::eval("hash join: build side too large"));
         }
-        let vctx = VecEvalCtx { ctx, scope };
         let key_cols: Vec<Arc<ColumnVec>> =
-            keys.iter().map(|k| k.eval(&batch, &vctx)).collect::<Result<_>>()?;
+            keys.iter().map(|k| k.eval(&batch, ev)).collect::<Result<_>>()?;
         let mut next = vec![END; batch.len];
         let table = match &key_cols[..] {
             [col] if matches!(**col, ColumnVec::Int(..) | ColumnVec::Float(..)) => {
@@ -669,20 +725,19 @@ impl JoinRows {
 /// `hash_join`'s, row for row: left rows in order, each with its matches
 /// in right-row order, an unmatched left row padded in place for
 /// LEFT/FULL, then the unmatched right rows in right order for
-/// RIGHT/FULL. `build_is_left` says which input `build` holds; an outer
-/// join builds its right input.
+/// RIGHT/FULL. `pv` evaluates over the probe side's rows;
+/// `build_is_left` says which input `build` holds; an outer join builds
+/// its right input.
 fn hash_join(
-    ctx: &EvalCtx<'_>,
+    pv: &VecEvalCtx<'_>,
     build: &JoinBuild,
     probe: &[Batch],
-    probe_scope: &Scope,
     probe_keys: &[VecExpr],
     kind: crate::ast::JoinKind,
     build_is_left: bool,
 ) -> Result<Vec<Batch>> {
     use crate::ast::JoinKind;
     debug_assert!(!build_is_left || matches!(kind, JoinKind::Inner));
-    let pv = VecEvalCtx { ctx, scope: probe_scope };
     let pad_probe = matches!(kind, JoinKind::Left | JoinKind::Full);
     // Only RIGHT/FULL joins need to know which build rows matched; the
     // others must not pay for the build side's size on every probe.
@@ -696,7 +751,7 @@ fn hash_join(
     let mut key = Vec::new();
     for b in probe {
         let key_cols: Vec<Arc<ColumnVec>> =
-            probe_keys.iter().map(|k| k.eval(b, &pv)).collect::<Result<_>>()?;
+            probe_keys.iter().map(|k| k.eval(b, pv)).collect::<Result<_>>()?;
         // The rows of `b` the output is made of: all of them, until the
         // first that is not makes a list of the ones before it.
         let mut sel: Option<Vec<usize>> = None;
@@ -733,7 +788,7 @@ fn hash_join(
             out.push(None, Some(row));
         }
     }
-    let kept = concat(&kept, probe_scope.cols.len());
+    let kept = concat(&kept, pv.scope.cols.len());
     if build_is_left {
         // Probed in right-row order with the left input in the table.
         std::mem::swap(&mut out.left, &mut out.right);
@@ -745,22 +800,20 @@ fn hash_join(
 }
 
 /// Nested-loop join for non-equi conditions and cross joins, mirroring
-/// the interpreter's `join_rels` fallback (same row order, same padding
-/// behavior). Rows are materialized only for the interpreter's evaluator
-/// to check `cond` on.
-#[allow(clippy::too_many_arguments)]
+/// the reference's `join_rels` nested loop (same row order, same padding
+/// behavior). Rows are materialized only for the shared evaluator to
+/// check `cond` on; `ev` evaluates over the combined row, and `widths`
+/// are the column counts of the two sides.
 fn loop_join(
-    ctx: &EvalCtx<'_>,
+    ev: &VecEvalCtx<'_>,
     lb: &[Batch],
     rb: &[Batch],
-    lscope: &Scope,
-    rscope: &Scope,
-    combined: &Scope,
+    widths: (usize, usize),
     kind: crate::ast::JoinKind,
     cond: Option<&BoundExpr>,
 ) -> Result<Vec<Batch>> {
     use crate::ast::JoinKind;
-    let (lbatch, rbatch) = (concat(lb, lscope.cols.len()), concat(rb, rscope.cols.len()));
+    let (lbatch, rbatch) = (concat(lb, widths.0), concat(rb, widths.1));
     let cond = cond.map(|b| (b, batches_to_rows(lb), batches_to_rows(rb)));
     let mut out = JoinRows::default();
     let pad_right = matches!(kind, JoinKind::Right | JoinKind::Full);
@@ -772,8 +825,8 @@ fn loop_join(
                 None => true,
                 Some((b, lrows, rrows)) => {
                     let row: Row = lrows[li].iter().chain(&rrows[ri]).cloned().collect();
-                    let env = Env { scope: combined, row: &row, parent: None };
-                    b.eval(ctx, &env)?.as_bool()? == Some(true)
+                    let env = Env { scope: ev.scope, row: &row, parent: ev.outer };
+                    b.eval(ev.ctx, &env)?.as_bool()? == Some(true)
                 }
             };
             if ok {
@@ -906,16 +959,13 @@ struct AggBatch {
 }
 
 fn aggregate(
-    ctx: &EvalCtx<'_>,
+    vctx: &VecEvalCtx<'_>,
     batches: &[Batch],
-    in_scope: &Scope,
     group: &[VecExpr],
     sets: &[Vec<usize>],
     aggs: &[PlanAggCall],
 ) -> Result<Vec<Batch>> {
-    let vctx = VecEvalCtx { ctx, scope: in_scope };
-    let eval_opt =
-        |e: &Option<VecExpr>, b: &Batch| e.as_ref().map(|e| e.eval(b, &vctx)).transpose();
+    let eval_opt = |e: &Option<VecExpr>, b: &Batch| e.as_ref().map(|e| e.eval(b, vctx)).transpose();
 
     // Evaluate group keys and aggregate arguments once per batch — they
     // are shared across all grouping sets.
@@ -923,7 +973,7 @@ fn aggregate(
     for b in batches {
         abatches.push(AggBatch {
             len: b.len,
-            group: group.iter().map(|e| e.eval(b, &vctx)).collect::<Result<_>>()?,
+            group: group.iter().map(|e| e.eval(b, vctx)).collect::<Result<_>>()?,
             args: aggs.iter().map(|a| eval_opt(&a.arg, b)).collect::<Result<_>>()?,
             args2: aggs.iter().map(|a| eval_opt(&a.arg2, b)).collect::<Result<_>>()?,
         });
@@ -1214,14 +1264,15 @@ mod tests {
         let (db, ctes) = (Database::new(), Ctes::new());
         let ctx = EvalCtx { db: &db, ctes: &ctes };
         let (ls, rs) = (scope(widths.0), scope(widths.1));
+        let over = |scope| VecEvalCtx { ctx: &ctx, scope, outer: None };
         let lkeys: Vec<VecExpr> = on.iter().map(|k| VecExpr::Col(k.0)).collect();
         let rkeys: Vec<VecExpr> = on.iter().map(|k| VecExpr::Col(k.1)).collect();
         let out = if build_is_left {
-            let build = JoinBuild::new(&ctx, left, &ls, &lkeys).unwrap();
-            hash_join(&ctx, &build, right, &rs, &rkeys, JoinKind::Inner, true)
+            let build = JoinBuild::new(&over(&ls), left, &lkeys).unwrap();
+            hash_join(&over(&rs), &build, right, &rkeys, JoinKind::Inner, true)
         } else {
-            let build = JoinBuild::new(&ctx, right, &rs, &rkeys).unwrap();
-            hash_join(&ctx, &build, left, &ls, &lkeys, JoinKind::Inner, false)
+            let build = JoinBuild::new(&over(&rs), right, &rkeys).unwrap();
+            hash_join(&over(&ls), &build, left, &lkeys, JoinKind::Inner, false)
         };
         batches_to_rows(&out.unwrap())
     }

@@ -14,12 +14,13 @@
 use super::build::bound_has_subquery;
 use super::columnar::VecExpr;
 use super::image::StoredTable;
-use crate::ast::{JoinKind, OrderItem};
+use crate::ast::{JoinKind, OrderItem, Query};
 use crate::catalog::Ctes;
 use crate::exec::eval::{BoundExpr, Scope};
 use crate::table::Schema;
 use crate::types::DataType;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Where a [`PlanNode::Scan`] reads its rows.
 #[derive(Debug, Clone)]
@@ -33,6 +34,13 @@ pub enum ScanSource {
     /// of each execution. The plan was built against `schema`; the
     /// executor rejects a binding with any other schema.
     Slot { name: String, schema: Schema },
+    /// A view or FROM subquery of a block that sits under an outer row:
+    /// it may read that row, so every execution runs it again (under the
+    /// execution's outer chain) instead of scanning rows captured when
+    /// the plan was built.
+    Derived { query: Arc<Query> },
+    /// The input of a `SELECT` without FROM: one row, no columns.
+    OneRow,
 }
 
 /// One aggregate call in an [`PlanNode::Aggregate`], with its argument
@@ -88,6 +96,20 @@ pub enum PlanNode {
         scope: Scope,
         est: f64,
     },
+    /// The dependent join of `LATERAL`: `right` — the subquery, planned
+    /// with `left`'s scope as its outer scope — is executed once per left
+    /// row, and each of its rows that passes `cond` (bound against the
+    /// combined scope) joins that left row. `kind` is `Inner`, `Cross` or
+    /// `Left`, which pads a left row nothing joined.
+    Apply {
+        left: Box<PlanNode>,
+        right: Arc<PlannedQuery>,
+        kind: JoinKind,
+        cond: Option<BoundExpr>,
+        desc: String,
+        scope: Scope,
+        est: f64,
+    },
     /// Restore the syntactic column order after join reordering:
     /// output column `i` is input column `perm[i]`.
     Reorder { input: Box<PlanNode>, perm: Vec<usize>, scope: Scope },
@@ -127,6 +149,7 @@ impl PlanNode {
         match self {
             PlanNode::Scan { scope, .. }
             | PlanNode::Join { scope, .. }
+            | PlanNode::Apply { scope, .. }
             | PlanNode::Reorder { scope, .. }
             | PlanNode::Aggregate { scope, .. }
             | PlanNode::Project { scope, .. } => scope,
@@ -143,6 +166,7 @@ impl PlanNode {
             PlanNode::Scan { est, .. }
             | PlanNode::Filter { est, .. }
             | PlanNode::Join { est, .. }
+            | PlanNode::Apply { est, .. }
             | PlanNode::Aggregate { est, .. } => *est,
             PlanNode::Reorder { input, .. }
             | PlanNode::Project { input, .. }
@@ -177,6 +201,9 @@ impl PlanNode {
                     base + left.est() + right.est() + est
                 }
             }
+            PlanNode::Apply { left, right, .. } => {
+                left.cost() + left.est().max(1.0) * right.root.cost()
+            }
             PlanNode::Reorder { input, .. } => input.cost(),
             PlanNode::Aggregate { input, sets, .. } => {
                 input.cost() + input.est() * sets.len().max(1) as f64
@@ -195,6 +222,10 @@ impl PlanNode {
     /// One-line description of this operator (no tree prefix).
     pub(crate) fn describe(&self) -> String {
         match self {
+            PlanNode::Scan { source: ScanSource::OneRow, .. } => "OneRow".to_string(),
+            PlanNode::Scan { label, source: ScanSource::Derived { .. }, .. } => {
+                format!("Scan {label} [per execution]")
+            }
             PlanNode::Scan { label, cols, total_cols, .. } => match cols {
                 Some(c) => format!("Scan {label} cols={}/{total_cols}", c.len()),
                 None => format!("Scan {label}"),
@@ -214,6 +245,14 @@ impl PlanNode {
                     format!("{how} {kw}")
                 } else {
                     format!("{how} {kw} on {desc}")
+                }
+            }
+            PlanNode::Apply { kind, desc, .. } => {
+                let kw = if *kind == JoinKind::Left { "Left" } else { "Inner" };
+                if desc.is_empty() {
+                    format!("Apply {kw}")
+                } else {
+                    format!("Apply {kw} on {desc}")
                 }
             }
             PlanNode::Reorder { perm, .. } => format!("Reorder perm={perm:?}"),
@@ -242,10 +281,14 @@ impl PlanNode {
 
     /// Does this operator itself evaluate a subquery? Subqueries run
     /// against the execution's CTEs, so they may read relations the plan
-    /// does not show.
+    /// does not show. A relation run again per execution and the right
+    /// side of a dependent join are subqueries in that sense.
     fn evaluates_subquery(&self) -> bool {
         let sub = VecExpr::has_subquery;
         match self {
+            PlanNode::Scan { source: ScanSource::Derived { .. }, .. } | PlanNode::Apply { .. } => {
+                true
+            }
             PlanNode::Filter { pred, .. } => sub(pred),
             PlanNode::Join { lkeys, rkeys, cond, .. } => {
                 lkeys.iter().chain(rkeys).any(sub) || cond.as_ref().is_some_and(bound_has_subquery)
@@ -278,6 +321,8 @@ impl PlanNode {
         scans || self.evaluates_subquery()
     }
 
+    /// The operator's inputs; for a dependent join also the root of the
+    /// plan it executes per left row.
     pub(crate) fn children(&self) -> Vec<&PlanNode> {
         match self {
             PlanNode::Scan { .. } => vec![],
@@ -289,6 +334,7 @@ impl PlanNode {
             | PlanNode::Sort { input, .. }
             | PlanNode::Limit { input, .. } => vec![input],
             PlanNode::Join { left, right, .. } => vec![left, right],
+            PlanNode::Apply { left, right, .. } => vec![left, &right.root],
         }
     }
 
@@ -344,6 +390,13 @@ impl PlanNode {
                 left.structure_into(out);
                 out.push_str(" , ");
                 right.structure_into(out);
+                out.push(']');
+            }
+            PlanNode::Apply { left, right, kind, desc, .. } => {
+                out.push_str(&format!("apply({kind:?} {desc})["));
+                left.structure_into(out);
+                out.push_str(" , ");
+                right.root.structure_into(out);
                 out.push(']');
             }
             PlanNode::Reorder { input, perm, .. } => {
@@ -402,9 +455,37 @@ pub struct PlannedQuery {
     /// the plan must not be executed again; a virtual table's rows are
     /// stale as soon as they are captured.
     pub captured_reads: BTreeSet<String>,
+    /// A view, FROM subquery or LIMIT the planner evaluated ran a solve:
+    /// the plan holds one solver run's answer, which no catalog epoch
+    /// versions, and must not be executed again either.
+    pub captured_solve: bool,
+    /// [`Self::fingerprint`], computed with the plan.
+    fingerprint: u64,
 }
 
 impl PlannedQuery {
+    pub(crate) fn new(
+        root: PlanNode,
+        names: Vec<String>,
+        static_types: Vec<DataType>,
+        captured_reads: BTreeSet<String>,
+        captured_solve: bool,
+    ) -> PlannedQuery {
+        let mut s = String::new();
+        root.structure_into(&mut s);
+        let fingerprint = super::fnv1a(s.as_bytes());
+        let visible = names.len();
+        PlannedQuery {
+            root,
+            names,
+            static_types,
+            visible,
+            captured_reads,
+            captured_solve,
+            fingerprint,
+        }
+    }
+
     /// Is every CTE slot of the plan bound in `ctes` to a relation of
     /// the schema it was planned against?
     pub fn slots_bound(&self, ctes: &Ctes) -> bool {
@@ -423,16 +504,14 @@ impl PlannedQuery {
     /// Stable structural fingerprint of the optimized plan (FNV-1a over
     /// the estimate-free plan rendering).
     pub fn fingerprint(&self) -> u64 {
-        let mut s = String::new();
-        self.root.structure_into(&mut s);
-        super::fnv1a(s.as_bytes())
+        self.fingerprint
     }
 
     /// Render the `EXPLAIN SELECT` tree, one line per operator.
     pub fn explain_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         self.root.render_into(&mut lines, "", true, true);
-        lines.push(format!("plan fingerprint: {:016x}", self.fingerprint()));
+        lines.push(format!("plan fingerprint: {:016x}", self.fingerprint));
         lines
     }
 }

@@ -1,6 +1,6 @@
 //! Planned, vectorized query execution.
 //!
-//! Plain `SELECT` queries are compiled into a small logical plan IR
+//! Every `SELECT` block is compiled into a small logical plan IR
 //! (`ir`), improved by a cost-based optimizer (predicate pushdown,
 //! projection pruning, greedy join ordering from per-table statistics —
 //! `build`/`stats`), and executed by a columnar batch executor
@@ -8,15 +8,16 @@
 //! bitmaps in fixed-size batches. Scans take those batches from the
 //! columnar image kept with each stored table (`image`).
 //!
-//! The planner is conservative: any shape it does not understand
-//! (LATERAL, a block with an outer column in reach, SOLVE constructs in
-//! expressions, …) returns `None` from [`plan_select`] and the row
-//! interpreter in `exec::select` runs the block instead; set operations
-//! are assembled by the row interpreter from arms that are planned one
-//! by one. Both paths produce identical results by construction — the
-//! executor reuses the interpreter's binder, expression evaluator (for
-//! non-vectorizable expressions), aggregate accumulators and sort
-//! comparators.
+//! [`plan_select`] is total: a block at any depth, under any outer row,
+//! with or without FROM, with `USING`, LATERAL or SOLVE constructs in it
+//! gets a plan or the statement gets its error. What is not a block —
+//! the set operation over its arms, `VALUES`, ORDER BY / LIMIT over those
+//! — is assembled in `exec::select` from arms that are planned one by
+//! one. The reference row interpreter (`exec::oracle`), which tests reach
+//! through `set_force_row_interpreter`, produces identical results by
+//! construction: both read the same front end (`exec::head`) and share
+//! the binder, the expression evaluator (for non-vectorizable
+//! expressions), the aggregate accumulators and the sort comparator.
 
 pub mod build;
 pub mod cache;

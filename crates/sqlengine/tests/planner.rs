@@ -1,18 +1,20 @@
 //! Differential tests for the planned (columnar) executor.
 //!
 //! Every query here runs twice — once through the default path, which
-//! routes plannable SELECTs through the logical plan + columnar batch
-//! executor, and once with `set_force_row_interpreter(true)`, which
-//! pins the legacy row-at-a-time interpreter. The two executions must
+//! plans every SELECT block and runs it on the columnar batch executor,
+//! and once with `set_force_row_interpreter(true)`, which pins the
+//! reference row-at-a-time interpreter. The two executions must
 //! agree on column names and types and on the multiset of result rows (the
 //! optimizer may legally reorder joins, so row order is only compared
 //! when the query carries an ORDER BY).
 //!
 //! A deterministic xorshift generator fuzzes several hundred SELECT
 //! shapes — projections, predicates, multi-way joins, grouping,
-//! HAVING, DISTINCT, ORDER BY, LIMIT/OFFSET — on top of a bank of
-//! hand-written queries covering the planner's edge shapes
-//! (ROLLUP/CUBE/GROUPING SETS, outer joins, subqueries, NULL keys).
+//! HAVING, DISTINCT, ORDER BY, LIMIT/OFFSET, correlated subqueries,
+//! LATERAL items — on top of a bank of hand-written queries covering the
+//! planner's edge shapes (ROLLUP/CUBE/GROUPING SETS, outer joins,
+//! subqueries under every kind of outer scope, LATERAL, FROM-less blocks,
+//! NULL keys).
 
 use sqlengine::{
     execute_script, execute_sql, set_force_row_interpreter, DataType, Database, Table, Value,
@@ -196,9 +198,144 @@ fn differential_handwritten_corpus() {
             "SELECT s.a, s.n FROM (SELECT a, count(*) AS n FROM t1 GROUP BY a) s WHERE s.n > 2",
             false,
         ),
+        // Correlated subqueries: NULL keys on both sides, an empty inner
+        // relation, an inner aggregate over zero rows.
+        ("SELECT a, (SELECT sum(f) FROM t2 WHERE t2.a = t1.a) FROM t1", false),
+        ("SELECT a, (SELECT count(*) FROM t2 WHERE t2.a = t1.a AND t2.f > t1.b) FROM t1", false),
+        ("SELECT a FROM t1 WHERE EXISTS (SELECT 1 FROM t3 WHERE t3.k = t1.a AND t3.v > t1.b)", false),
+        ("SELECT a, c FROM t1 WHERE NOT EXISTS (SELECT 1 FROM t2 WHERE t2.a = t1.a)", false),
+        ("SELECT a, b FROM t1 WHERE b IN (SELECT f FROM t2 WHERE t2.a = t1.a)", false),
+        ("SELECT a, b FROM t1 WHERE a NOT IN (SELECT a FROM t2 WHERE t2.f > t1.b)", false),
+        ("SELECT a, a IN (SELECT a FROM t2 WHERE t2.f < t1.b) FROM t1", false),
+        ("SELECT a, b IN (SELECT v FROM t3 WHERE t3.k = -1), (SELECT v FROM t3 WHERE k < 0) FROM t1", false),
+        ("SELECT a, (SELECT t2.e FROM t2 WHERE t2.a = t1.a) FROM t1", false), // more than one row
+        // Two levels out, through a FROM-less block and through one with rows.
+        ("SELECT (SELECT (SELECT t1.a)) FROM t1", false),
+        (
+            "SELECT a, (SELECT max((SELECT count(*) FROM t3 WHERE t3.k = t1.a AND t3.v > t2.f)) \
+             FROM t2 WHERE t2.a = t1.a) FROM t1",
+            false,
+        ),
+        // A closed subquery under a block with columns.
+        ("SELECT a FROM t1 WHERE b > (SELECT avg(f) FROM t2 WHERE e = 'x')", false),
+        ("SELECT a, b <= 0.4 * (SELECT sum(f) FROM t2 WHERE a = 3) FROM t1", false),
+        // Correlated in HAVING (two levels up), in a join's ON — pooled
+        // with WHERE, kept by an outer join, and the outer row as a
+        // constant of an inner join — and in and around an aggregate.
+        (
+            "SELECT a, (SELECT count(*) FROM t2 GROUP BY e \
+             HAVING count(*) > (SELECT count(*) FROM t3 WHERE t3.k = t1.a) ORDER BY 1 LIMIT 1) FROM t1",
+            false,
+        ),
+        (
+            "SELECT t1.a, t3.v FROM t1 JOIN t3 ON t3.k = t1.a \
+             AND t3.v > (SELECT avg(f) FROM t2 WHERE t2.a = t1.a)",
+            false,
+        ),
+        (
+            "SELECT t1.a, t3.v FROM t1 LEFT JOIN t3 ON t3.k = t1.a \
+             AND EXISTS (SELECT 1 FROM t2 WHERE t2.a = t3.k AND t2.f > t1.b)",
+            false,
+        ),
+        ("SELECT a, (SELECT count(*) FROM t2 JOIN t3 ON t3.k = t2.a AND t3.v > t1.b) FROM t1", false),
+        (
+            "SELECT a, (SELECT count(t3.k) FROM t2 LEFT JOIN t3 ON t3.k = t2.a AND t3.v > t1.b \
+             WHERE t2.a = t1.a) FROM t1",
+            false,
+        ),
+        ("SELECT a, (SELECT sum(f * t1.b) FROM t2 WHERE t2.a = t1.a) FROM t1", false),
+        ("SELECT c, sum((SELECT count(*) FROM t3 WHERE t3.k = t1.a)) FROM t1 GROUP BY c", false),
+        ("SELECT a, (SELECT sum(t1.b) FROM t3) FROM t1", false),
+        // A derived relation that reads the outer row runs per outer row.
+        (
+            "SELECT a, (SELECT sum(s.f) FROM (SELECT f FROM t2 WHERE t2.a = t1.a) s) FROM t1",
+            false,
+        ),
+        // LATERAL: inner, LEFT, comma list, no left rows, a correlated
+        // aggregate, over a CTE, bodies that are not one SELECT block,
+        // and under an outer row of its own.
+        (
+            "SELECT t3.k, x.m FROM t3 JOIN LATERAL (SELECT max(f) AS m FROM t2 WHERE t2.a = t3.k) x \
+             ON x.m > t3.v",
+            false,
+        ),
+        (
+            "SELECT t3.k, t3.v, x.f FROM t3 LEFT JOIN LATERAL \
+             (SELECT f FROM t2 WHERE t2.a = t3.k AND f > 50) x ON x.f <> t3.v",
+            false,
+        ),
+        (
+            "SELECT t3.k, x.f FROM t3, LATERAL \
+             (SELECT f FROM t2 WHERE t2.a = t3.k ORDER BY f DESC, e LIMIT 2) x",
+            false,
+        ),
+        (
+            "SELECT s.k, x.f FROM (SELECT * FROM t3 WHERE k > 100) s, \
+             LATERAL (SELECT f FROM t2 WHERE t2.a = s.k) x",
+            false,
+        ),
+        (
+            "SELECT s.k, x.f FROM (SELECT * FROM t3 WHERE k > 100) s LEFT JOIN \
+             LATERAL (SELECT f FROM t2 WHERE t2.a = s.k) x ON x.f > 0",
+            false,
+        ),
+        (
+            "SELECT t3.k, x.n, x.s FROM t3, \
+             LATERAL (SELECT count(*) AS n, sum(f) AS s FROM t2 WHERE t2.a = t3.k) x",
+            false,
+        ),
+        (
+            "WITH c AS (SELECT a, f FROM t2 WHERE f > 20) \
+             SELECT t3.k, x.f FROM t3, LATERAL (SELECT f FROM c WHERE c.a = t3.k) x",
+            false,
+        ),
+        (
+            "SELECT t3.k, x.v FROM t3, LATERAL \
+             (SELECT f AS v FROM t2 WHERE t2.a = t3.k UNION ALL SELECT t3.v) x",
+            false,
+        ),
+        (
+            "SELECT t3.k, x.n FROM t3, LATERAL \
+             (WITH m AS (SELECT t3.k * 2 AS n) SELECT n FROM m WHERE n > 6) x",
+            false,
+        ),
+        ("SELECT t3.k, x.n, y.m FROM t3, LATERAL (VALUES (t3.k + 1)) x(n), LATERAL (SELECT x.n * 2 AS m) y", false),
+        ("SELECT x.n FROM LATERAL (SELECT count(*) AS n FROM t3) x", false),
+        (
+            "SELECT a, (SELECT sum(x.f) FROM t3, LATERAL \
+             (SELECT f FROM t2 WHERE t2.a = t3.k AND t2.f > t1.b) x WHERE t3.k = t1.a) FROM t1",
+            false,
+        ),
+        // USING keeps both columns and never joins NULL keys.
+        ("SELECT * FROM t1 JOIN t2 USING (a)", false),
+        ("SELECT t1.a, t2.a, t2.f FROM t1 LEFT JOIN t2 USING (a)", false),
+        ("SELECT t1.b, t2.f FROM t1 RIGHT JOIN t2 USING (a)", false),
+        ("SELECT t1.b, t2.f FROM t1 FULL JOIN t2 USING (a) WHERE t1.b IS NULL OR t2.f > 50", false),
+        ("SELECT t1.b FROM t1 JOIN t2 USING (e)", false),
+        // No FROM: one row, unless WHERE drops it; aggregates see it.
+        ("SELECT 1 AS one, 'x' || 'y', NULL", true),
+        ("SELECT 1 WHERE false", true),
+        ("SELECT count(*), sum(2)", true),
+        ("SELECT count(*) WHERE 1 > 2", true),
+        ("SELECT DISTINCT 7 AS n ORDER BY n LIMIT 3", true),
+        ("SELECT (SELECT count(*) FROM t1), 2 + 3 AS five, EXISTS (SELECT 1 FROM t3 WHERE k > 5)", true),
+        ("SELECT *", true),
         // CTEs materialize before planning.
         (
             "WITH big AS (SELECT * FROM t1 WHERE b > 25) SELECT c, count(*) FROM big GROUP BY c",
+            false,
+        ),
+        // A recursive term that reads its working table through a FROM
+        // subquery is planned again for every step.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL \
+             SELECT s.n + 1 FROM (SELECT n FROM r) s WHERE s.n < 5) SELECT n FROM r",
+            false,
+        ),
+        // A recursion under an outer row.
+        (
+            "SELECT k, (WITH RECURSIVE r(n) AS (SELECT t3.k UNION ALL SELECT n + 1 FROM r WHERE n < 4) \
+             SELECT count(*) FROM r) FROM t3",
             false,
         ),
         // Grouping sets family.
@@ -464,12 +601,25 @@ fn differential_fuzzed_selects() {
 fn gen_select(rng: &mut Rng) -> String {
     let agg = rng.below(3) == 0;
     let join = rng.below(3) == 0;
-    let from = if join {
+    let mut from = if join {
         let kind = rng.pick(&["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"]);
         format!("t1 {kind} t2 ON t1.a = t2.a")
     } else {
         "t1".to_string()
     };
+    // A LATERAL item over the rows so far; its columns are not selected
+    // by name, but it multiplies (or, as an inner join, drops) rows. (The
+    // cast: when the result has no row to take a column's type from, the
+    // planner has the item's static types, the reference the types of
+    // the values the first left row produced.)
+    match rng.below(8) {
+        0 => from.push_str(", LATERAL (SELECT v FROM t3 WHERE t3.k = t1.a ORDER BY v LIMIT 2) l"),
+        1 => from.push_str(
+            " LEFT JOIN LATERAL (SELECT cast(max(v) AS INT) AS v FROM t3 WHERE t3.k < t1.b) l \
+             ON l.v > 10",
+        ),
+        _ => {}
+    }
     let qual = |c: &str| {
         if join && c == "a" {
             format!("t1.{c}")
@@ -498,7 +648,8 @@ fn gen_select(rng: &mut Rng) -> String {
             sql.push_str(" HAVING count(*) > 1");
         }
     } else {
-        if rng.below(4) == 0 {
+        let distinct = rng.below(4) == 0;
+        if distinct {
             sql.push_str("DISTINCT ");
         }
         let cols: Vec<String> = match rng.below(4) {
@@ -510,7 +661,9 @@ fn gen_select(rng: &mut Rng) -> String {
         sql.push_str(&cols.join(", "));
         sql.push_str(&format!(" FROM {from}"));
         add_where(&mut sql, rng, &qual);
-        if rng.below(3) == 0 {
+        // Which duplicate a DISTINCT keeps, and with it the sort key of a
+        // column that is not selected, depends on the join order.
+        if !distinct && rng.below(3) == 0 {
             // ORDER BY alone is not a total order over duplicate rows;
             // keep it to exercise Sort, but still compare multisets.
             sql.push_str(&format!(" ORDER BY {}", qual("b")));
@@ -528,7 +681,28 @@ fn add_where(sql: &mut String, rng: &mut Rng, qual: &dyn Fn(&str) -> String) {
     }
     let mut preds = Vec::new();
     for _ in 0..=rng.below(2) {
-        let p = match rng.below(6) {
+        let p = match rng.below(8) {
+            // Correlated subqueries: a scalar aggregate, EXISTS, IN.
+            6 => format!(
+                "{} {} (SELECT count(*) FROM t3 WHERE t3.k = {})",
+                qual("b"),
+                rng.pick(&["<", ">="]),
+                qual("a")
+            ),
+            7 => match rng.below(2) {
+                0 => format!(
+                    "{}EXISTS (SELECT 1 FROM t3 WHERE t3.k = {} AND t3.v > {})",
+                    rng.pick(&["", "NOT "]),
+                    qual("a"),
+                    qual("b")
+                ),
+                _ => format!(
+                    "{} {}IN (SELECT v FROM t3 WHERE t3.k <> {})",
+                    qual("b"),
+                    rng.pick(&["", "NOT "]),
+                    qual("a")
+                ),
+            },
             0 => format!("{} {} {}", qual("a"), rng.pick(&["<", ">", "=", "<>"]), rng.below(8)),
             1 => format!("{} {} {}", qual("b"), rng.pick(&["<=", ">="]), rng.below(50)),
             2 => format!("{} IS NOT NULL", qual("c")),
@@ -541,19 +715,210 @@ fn add_where(sql: &mut String, rng: &mut Rng, qual: &dyn Fn(&str) -> String) {
     sql.push_str(&format!(" WHERE {}", preds.join(rng.pick(&[" AND ", " OR "]))));
 }
 
-/// Head errors are one message whichever executor meets them (`check`),
-/// and it is the message with the position or the GROUP BY hint in it.
+/// A statement's error is one error whichever executor meets it — the
+/// planner's is not a hint to try the other one — with the kind and the
+/// text the front end gives it: the position, the GROUP BY hint, the
+/// name that does not resolve. At the top level, in a subquery and in a
+/// LATERAL item alike.
 #[test]
-fn head_errors_are_the_same_message_on_both_paths() {
+fn errors_are_the_same_kind_and_text_on_both_paths() {
     let mut db = setup();
     for (sql, needle) in [
         ("SELECT a, count(*) FROM t1", "must appear in GROUP BY or be used in an aggregate"),
-        ("SELECT a FROM t1 ORDER BY 9", "ORDER BY position 9 out of range"),
-        ("SELECT a, count(*) FROM t1 GROUP BY 9", "GROUP BY position 9 out of range"),
+        ("SELECT a FROM t1 ORDER BY 9", "binder error: ORDER BY position 9 out of range"),
+        ("SELECT a, count(*) FROM t1 GROUP BY 9", "binder error: GROUP BY position 9 out of range"),
+        ("SELECT a FROM nowhere", "catalog error: relation 'nowhere' does not exist"),
+        ("SELECT a FROM t1 JOIN nowhere n ON n.a = t1.a", "relation 'nowhere' does not exist"),
+        ("SELECT nope FROM t1", "binder error: column 'nope' does not exist"),
+        ("SELECT t1.a FROM t1 JOIN t2 ON t2.a = t3.k, t3", "column 't3.k' does not exist"),
+        ("SELECT a FROM t1 LIMIT 'many'", "evaluation error: "),
+        ("SELECT a, grouping(a) FROM t1 GROUP BY a", "grouping"),
+        ("SELECT a FROM t1, t2", "column reference 'a' is ambiguous"),
+        ("SELECT 1 FROM t1 WHERE (SELECT nope FROM t2) > 0", "column 'nope' does not exist"),
+        ("SELECT (SELECT count(*) FROM nowhere WHERE k = t1.a) FROM t1", "relation 'nowhere'"),
+        ("SELECT (SELECT sum(f) FROM t2 GROUP BY 9) FROM t1", "GROUP BY position 9 out of range"),
+        ("SELECT x.f FROM t3, LATERAL (SELECT f FROM t2 WHERE t2.a = t3.nope) x", "t3.nope"),
+        ("SELECT 1 ORDER BY 2", "ORDER BY position 2 out of range"),
     ] {
         check(&mut db, sql, true);
         let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
         assert!(err.contains(needle), "{sql}: {err}");
+        // EXPLAIN plans the statement's own block and reports what it finds.
+        let explained = execute_sql(&mut db, &format!("EXPLAIN {sql}"));
+        if !sql.contains("(SELECT") {
+            assert_eq!(explained.expect_err(sql).to_string(), err, "EXPLAIN {sql}");
+        }
+    }
+}
+
+/// `JOIN LATERAL (…) USING (cols)` joins on the named columns, like any
+/// other join (it used to return the unfiltered cross apply).
+#[test]
+fn lateral_join_using_filters_on_the_named_columns() {
+    let mut db = Database::new();
+    execute_script(
+        &mut db,
+        "CREATE TABLE a (id INT, g INT, x TEXT);
+         CREATE TABLE b (id INT, g INT, w INT);
+         INSERT INTO a VALUES (1, 1, 'p'), (2, 1, 'q'), (NULL, 2, 'r'), (3, 9, 's');
+         INSERT INTO b VALUES (1, 1, 10), (2, 2, 20), (2, 1, 21), (NULL, 2, 30), (3, 9, 40), (3, 9, 41)",
+    )
+    .unwrap();
+    let count = |db: &mut Database, sql: &str| {
+        check(db, sql, false);
+        rows_of(db, sql).len()
+    };
+    let on_id = "SELECT a.x, s.w FROM a JOIN LATERAL (SELECT id, w FROM b) s USING (id)";
+    assert_eq!(count(&mut db, on_id), 5, "1, 2 twice, 3 twice — not 4 × 6");
+    assert_eq!(count(&mut db, &on_id.replace("JOIN", "LEFT JOIN")), 6, "and the NULL id, padded");
+    let on_both = "SELECT a.x, s.w FROM a JOIN LATERAL (SELECT id, g, w FROM b) s USING (id, g)";
+    assert_eq!(count(&mut db, on_both), 4);
+    assert_eq!(count(&mut db, &on_both.replace("JOIN", "LEFT JOIN")), 5);
+    // The subquery may read the left row as well.
+    let narrowed = "SELECT a.x, s.w FROM a LEFT JOIN LATERAL \
+                    (SELECT id, w FROM b WHERE b.g = a.g) s USING (id)";
+    assert_eq!(count(&mut db, narrowed), 5);
+    // A name one side lacks is the bind error of a plain USING join.
+    for (sql, side) in [
+        ("SELECT 1 FROM a JOIN LATERAL (SELECT w FROM b) s USING (id)", "right"),
+        ("SELECT 1 FROM a JOIN LATERAL (SELECT id, w FROM b) s USING (w)", "left"),
+        ("SELECT 1 FROM a JOIN b USING (x)", "right"),
+    ] {
+        check(&mut db, sql, false);
+        let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
+        assert!(err.starts_with("binder error: USING column "), "{sql}: {err}");
+        assert!(err.ends_with(&format!("not in {side} side")), "{sql}: {err}");
+    }
+    // RIGHT / FULL are refused before a row is produced: the subquery,
+    // which would divide by zero, never runs.
+    for kind in ["RIGHT", "FULL"] {
+        let sql = format!(
+            "SELECT 1 FROM a {kind} JOIN LATERAL (SELECT 1 / (a.id - a.id) AS id) s USING (id)"
+        );
+        check(&mut db, &sql, false);
+        let err = execute_sql(&mut db, &sql).expect_err(&sql).to_string();
+        assert_eq!(err, "unsupported: RIGHT/FULL JOIN LATERAL");
+    }
+}
+
+/// `SOLVESELECT` / `SOLVEMODEL` inside a block do not take the block off
+/// the planner: the solve runs through the handler wherever it sits, on
+/// both executors, and a plan that *captured* a solve's answer (a FROM
+/// subquery, a view) is not kept — every execution solves again.
+#[test]
+fn solve_bearing_blocks_are_planned_and_captured_answers_are_not_cached() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    /// "Solves" by returning the decision relation as it is.
+    struct Echo(AtomicU64);
+    impl sqlengine::SolveHandler for Echo {
+        fn solve_select(
+            &self,
+            db: &Database,
+            stmt: &sqlengine::ast::SolveStmt,
+            ctes: &sqlengine::Ctes,
+            _warnings: &mut Vec<sqlengine::Diagnostic>,
+            _trace: Option<&obs::Trace>,
+        ) -> sqlengine::Result<Table> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            sqlengine::run_query(db, ctes, &stmt.input.query, None)
+        }
+        fn solve_model(
+            &self,
+            _db: &Database,
+            _stmt: &sqlengine::ast::SolveStmt,
+            _ctes: &sqlengine::Ctes,
+        ) -> sqlengine::Result<Value> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(Value::Int(42))
+        }
+        fn model_eval(
+            &self,
+            _db: &Database,
+            _select: &sqlengine::ast::Query,
+            _model: &sqlengine::ast::Query,
+            _ctes: &sqlengine::Ctes,
+        ) -> sqlengine::Result<Table> {
+            Err(sqlengine::Error::unsupported("MODELEVAL"))
+        }
+    }
+    let mut db = setup();
+    let solver = std::sync::Arc::new(Echo(AtomicU64::new(0)));
+    db.set_solve_handler(solver.clone());
+    let solves = || solver.0.swap(0, Ordering::Relaxed);
+    let solve = "SOLVESELECT r(v) AS (SELECT k, v FROM t3 WHERE k < 3) USING echo()";
+
+    // In a FROM subquery: captured by the plan, so the plan is dropped.
+    let from = format!("SELECT s.k, sum(s.v) FROM ({solve}) s GROUP BY s.k");
+    check(&mut db, &from, false);
+    assert_eq!(solves(), 2, "once per executor");
+    let r = execute_sql(&mut db, &from).unwrap();
+    assert!(r.plan_fingerprint.is_some(), "planned");
+    execute_sql(&mut db, &from).unwrap();
+    assert_eq!(solves(), 2, "every execution solves again");
+    let explained = explain_lines(&mut db, &format!("EXPLAIN {from}")).join("\n");
+    assert!(explained.contains("Scan s") && !explained.contains("row interpreter"), "{explained}");
+    assert_eq!(solves(), 1, "planning runs what the plan captures");
+    // Behind a view, and as a LIMIT.
+    execute_sql(&mut db, &format!("CREATE VIEW solved AS {solve}")).unwrap();
+    execute_sql(&mut db, "SELECT count(*) FROM solved").unwrap();
+    execute_sql(&mut db, "SELECT count(*) FROM solved").unwrap();
+    assert_eq!(solves(), 2);
+    let limited = "SELECT a FROM t1 ORDER BY a, b, c, d LIMIT (SOLVEMODEL m(x) AS (SELECT 1 AS x))";
+    check(&mut db, limited, true);
+    solves();
+
+    // In subquery position the solve runs when the expression does: per
+    // row here, with the plan of the block around it cached like any other.
+    let scalar = format!("SELECT k, (SELECT sum(v) FROM ({solve}) s WHERE s.k = t3.k) FROM t3");
+    check(&mut db, &scalar, false);
+    assert_eq!(solves(), 31, "15 rows on each executor, and once for the schema at plan time");
+    assert_eq!(execute_sql(&mut db, &scalar).unwrap().plan_cache_hit, Some(true));
+    assert_eq!(solves(), 15);
+    let model = "SELECT k, (SOLVEMODEL m(x) AS (SELECT 1 AS x)) FROM t3 WHERE k = 1";
+    check(&mut db, model, false);
+    let exists = format!(
+        "SELECT a FROM t1 WHERE EXISTS ({solve}) AND a IN ({})",
+        solve.replace("k, v", "k")
+    );
+    check(&mut db, &exists, false);
+}
+
+/// A block that runs once per outer row is planned once per statement:
+/// the plan cache answers for every row after the first.
+#[test]
+fn blocks_under_an_outer_row_are_planned_once() {
+    let mut db = Database::new();
+    execute_script(&mut db, "CREATE TABLE a (id INT); CREATE TABLE b (id INT, w INT)").unwrap();
+    let ids = |n: usize| (0..n).map(|i| format!("({i})")).collect::<Vec<_>>().join(",");
+    execute_sql(&mut db, &format!("INSERT INTO a VALUES {}", ids(500))).unwrap();
+    let pairs: Vec<String> = (0..8000).map(|i| format!("({}, {i})", i % 500)).collect();
+    execute_sql(&mut db, &format!("INSERT INTO b VALUES {}", pairs.join(","))).unwrap();
+    for (sql, plans) in [
+        ("SELECT a.id, (SELECT sum(w) FROM b WHERE b.id = a.id) FROM a", 2),
+        ("SELECT a.id, (SELECT sum(w) FROM b WHERE b.id = 7) FROM a", 2),
+        ("SELECT a.id, x.s FROM a, LATERAL (SELECT sum(w) AS s FROM b WHERE b.id = a.id) x", 2),
+        // The inner block of the LATERAL item is one more, not 500 more.
+        (
+            "SELECT a.id, x.s FROM a, LATERAL \
+             (SELECT (SELECT sum(w) FROM b WHERE b.id = a.id) AS s) x",
+            3,
+        ),
+    ] {
+        let before = db.exec_counts();
+        let t = execute_sql(&mut db, sql).unwrap().into_table().unwrap();
+        assert_eq!(t.num_rows(), 500, "{sql}");
+        assert_eq!(db.exec_counts().since(&before).plans_built, plans, "{sql}");
+        let before = db.exec_counts();
+        execute_sql(&mut db, sql).unwrap();
+        assert_eq!(db.exec_counts().since(&before).plans_built, 0, "second run: {sql}");
+    }
+    // The outer scope is part of what a block was planned against: the
+    // same text under another scope is another plan, not a wrong column.
+    let under = |from: &str| format!("SELECT (SELECT count(*) FROM b WHERE b.w = k) FROM {from}");
+    execute_script(&mut db, "CREATE TABLE c (j INT, k INT); INSERT INTO c VALUES (1, 2)").unwrap();
+    for from in ["(SELECT 3 AS k) s", "c", "(SELECT 3 AS j, 4 AS k) s", "c"] {
+        check(&mut db, &under(from), true);
+        assert_eq!(rows_of(&mut db, &under(from)), [["1"]]);
     }
 }
 
@@ -798,16 +1163,27 @@ fn explain_select_shows_optimized_plan() {
     assert!(lines.last().unwrap().starts_with("plan fingerprint: "), "no fingerprint:\n{plan}");
 }
 
+/// Every block has a plan to show: FROM-less, correlated, LATERAL and
+/// `USING` ones too. No line of an `EXPLAIN SELECT` names another executor.
 #[test]
-fn explain_select_falls_back_gracefully() {
+fn explain_select_shows_a_plan_for_every_block_shape() {
     let mut db = setup();
-    // SOLVE shapes stay on the row interpreter; EXPLAIN says so rather
-    // than erroring.
     let lines = explain_lines(&mut db, "EXPLAIN SELECT 1 AS one");
-    assert!(
-        lines[0].contains("row interpreter"),
-        "constant SELECT should report fallback: {lines:?}"
-    );
+    assert_eq!(lines[..2], ["Project 1 (rows≈1, cost≈2)", "└─ OneRow (rows≈1, cost≈1)"]);
+    for (sql, needle) in [
+        ("SELECT a, (SELECT sum(f) FROM t2 WHERE t2.a = t1.a) FROM t1", "Project a, (SELECT sum(f)"),
+        (
+            "SELECT t3.k, x.f FROM t3 LEFT JOIN LATERAL (SELECT f FROM t2 WHERE t2.a = t3.k) x ON x.f > 9",
+            "Apply Left on (x.f > 9)",
+        ),
+        ("SELECT t3.k, x.f FROM t3, LATERAL (SELECT f FROM t2 WHERE t2.a = t3.k) x", "Filter (t2.a = t3.k)"),
+        ("SELECT t1.b, t2.f FROM t1 LEFT JOIN t2 USING (a)", "HashJoin Left on USING (a)"),
+        ("SELECT a FROM t1 UNION SELECT 1 ORDER BY 1", "OneRow"),
+    ] {
+        let text = explain_lines(&mut db, &format!("EXPLAIN {sql}")).join("\n");
+        assert!(text.contains(needle), "{sql}:\n{text}");
+        assert!(!text.contains("row interpreter"), "{sql}:\n{text}");
+    }
 }
 
 #[test]
@@ -891,8 +1267,11 @@ fn stat_statements_fingerprint_matches_explain() {
         &format!("plan fingerprint: {fp:016x}"),
         "ExecResult fingerprint disagrees with EXPLAIN"
     );
-    // Row-interpreter shapes carry no fingerprint.
+    // A FROM-less block is planned like any other; a set operation is
+    // assembled from its arms' results and has no plan of its own.
     let r = execute_sql(&mut db, "SELECT 1").unwrap();
+    assert!(r.plan_fingerprint.is_some());
+    let r = execute_sql(&mut db, "SELECT 1 UNION SELECT 2").unwrap();
     assert!(r.plan_fingerprint.is_none());
 }
 
@@ -907,8 +1286,8 @@ const SET_OPS: [&str; 6] =
 fn set_operations_agree_with_planned_from_less_and_correlated_arms() {
     let mut db = setup();
     for op in SET_OPS {
-        // Both arms planned; one arm FROM-less (row interpreter); three
-        // arms; an arm that is itself a parenthesized query.
+        // Both arms planned; one arm FROM-less; three arms; an arm that
+        // is itself a parenthesized query.
         check(&mut db, &format!("SELECT a FROM t1 WHERE b > 10 {op} SELECT a FROM t2"), false);
         check(&mut db, &format!("SELECT a, c FROM t1 {op} SELECT 3, 'red'"), false);
         check(&mut db, &format!("SELECT 3 {op} SELECT a FROM t1"), false);
@@ -930,8 +1309,7 @@ fn set_operations_agree_with_planned_from_less_and_correlated_arms() {
             ),
             true,
         );
-        // Arms inside a correlated subquery still see the outer row (and
-        // so stay on the row interpreter).
+        // Arms inside a correlated subquery still see the outer row.
         check(
             &mut db,
             &format!(
@@ -940,7 +1318,7 @@ fn set_operations_agree_with_planned_from_less_and_correlated_arms() {
             ),
             false,
         );
-        // An arm's error is the row interpreter's error.
+        // An arm's error is the statement's error.
         check(&mut db, &format!("SELECT a FROM t1 {op} SELECT nope FROM t2"), false);
         check(&mut db, &format!("SELECT a FROM t1 {op} SELECT a, f FROM t2"), false);
         check(&mut db, &format!("SELECT a FROM t1 {op} SELECT 1 / (a - a) FROM t2"), false);
@@ -954,7 +1332,7 @@ fn set_operation_arms_go_through_the_planner() {
     let before = db.exec_counts();
     let r = execute_sql(&mut db, sql).unwrap();
     assert_eq!(db.exec_counts().since(&before).plans_built, 2, "one plan per arm");
-    // The set operation itself is assembled by the row interpreter.
+    // The set operation itself is assembled from what its arms return.
     assert!(r.plan_fingerprint.is_none());
     assert_eq!(r.plan_cache_hit, Some(false), "the last arm planned is what the event reports");
     let before = db.exec_counts();
@@ -964,35 +1342,31 @@ fn set_operation_arms_go_through_the_planner() {
 
     let lines = explain_lines(&mut db, &format!("EXPLAIN {sql} EXCEPT SELECT 1 ORDER BY 1"));
     let text = lines.join("\n");
-    assert!(
-        lines[0].starts_with("row interpreter assembles the arms below, then ORDER BY"),
-        "{text}"
-    );
+    assert_eq!(lines[0], "assembled from the arms below, then ORDER BY", "{text}");
     assert_eq!(lines[1], "EXCEPT", "{text}");
     assert_eq!(lines[2], "  UNION ALL", "{text}");
     assert_eq!(lines.iter().filter(|l| l.trim() == "arm:").count(), 3, "{text}");
     assert!(text.contains("Scan t1") && text.contains("Scan t2"), "{text}");
-    assert!(text.contains("    row interpreter (shape outside the planner"), "{text}");
-    assert_eq!(lines.iter().filter(|l| l.contains("plan fingerprint: ")).count(), 2, "{text}");
+    assert!(text.contains("    └─ OneRow"), "{text}");
+    assert_eq!(lines.iter().filter(|l| l.contains("plan fingerprint: ")).count(), 3, "{text}");
 }
 
 #[test]
-fn subqueries_with_no_outer_column_in_reach_are_planned() {
+fn closed_subqueries_are_planned_once_per_epoch() {
     let mut db = setup();
-    // Under a FROM-less SELECT the outer chain is all empty scopes.
     let closed = "SELECT (SELECT count(*) FROM t1 WHERE a > 2) AS n, \
                   (SELECT max(v) FROM t3 JOIN t2 ON t2.a = t3.k) AS m";
     check(&mut db, closed, true);
     let before = db.exec_counts();
     execute_sql(&mut db, closed).unwrap();
     execute_sql(&mut db, closed).unwrap();
-    // `check` planned both subqueries already; they are served from the
-    // session's plan cache now.
+    // `check` planned the block and both subqueries already; they are
+    // served from the session's plan cache now.
     assert_eq!(db.exec_counts().since(&before).plans_built, 0);
     execute_sql(&mut db, "INSERT INTO t3 VALUES (1, 1)").unwrap();
     let before = db.exec_counts();
     execute_sql(&mut db, closed).unwrap();
-    assert_eq!(db.exec_counts().since(&before).plans_built, 2, "a new epoch plans them again");
+    assert_eq!(db.exec_counts().since(&before).plans_built, 3, "a new epoch plans them again");
 
     // The whole chain is walked: two FROM-less levels down, `t1.a` is
     // still the outer row's.
@@ -1012,7 +1386,7 @@ fn subqueries_with_no_outer_column_in_reach_are_planned() {
         "WITH c AS (SELECT a FROM t1) SELECT a FROM c INTERSECT SELECT k FROM t3 ORDER BY a",
         true,
     );
-    // IN / EXISTS forms, and a closed subquery whose planning falls back.
+    // IN / EXISTS forms, and a closed subquery with a USING join.
     check(&mut db, "SELECT 3 IN (SELECT a FROM t1), EXISTS (SELECT 1 FROM t2 WHERE f > 98)", true);
     check(&mut db, "SELECT (SELECT count(*) FROM t1 JOIN t2 USING (a))", true);
     check(&mut db, "SELECT (SELECT a FROM t1)", true); // more than one row: the same error

@@ -240,7 +240,7 @@ fn text_escaping_round_trips() {
 
 // ---------------------------------------------------------------------------
 // Recursive CTEs: the recursive term is planned once and re-executed per
-// step; every shape must agree with the row interpreter.
+// step; every shape must agree with the reference row interpreter.
 // ---------------------------------------------------------------------------
 
 /// Run `sql` on the planner path and on the forced row interpreter and
@@ -339,14 +339,17 @@ fn recursive_name_inside_a_scalar_subquery_sees_the_working_table() {
 }
 
 #[test]
-fn recursive_name_inside_a_from_subquery_falls_back_to_rows() {
+fn recursive_name_inside_a_from_subquery_is_planned_again_every_step() {
     let mut db = graph();
     let sql = "WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM edges e \
                JOIN (SELECT n FROM reach) r ON e.src = r.n) SELECT n FROM reach";
     recursion_agrees(&mut db, sql, &[1, 2, 3, 4, 5]);
     let plan = q(&mut db, &format!("EXPLAIN {sql}"));
-    let first = plan.rows[0][0].to_string();
-    assert!(first.contains("recursive CTE reach: row interpreter"), "{first}");
+    assert_eq!(
+        plan.rows[0][0].to_string(),
+        "recursive CTE reach: a query of its own per step \
+         (a FROM subquery or view reads the recursive relation)"
+    );
     let plan = q(
         &mut db,
         "EXPLAIN WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM reach r \

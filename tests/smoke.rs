@@ -1,7 +1,8 @@
 //! One statement through every layer, so the root package's fast gate
 //! (`cargo test -q`) fails when any of them does: parser, the planned
-//! columnar executor, the row interpreter, the SELECT front end both
-//! share, a `SOLVESELECT` under `solverlp` (presolve + matrix
+//! columnar executor, the reference row interpreter the planner is
+//! tested against, the SELECT front end both share, a `SOLVESELECT`
+//! under `solverlp` (presolve + matrix
 //! classification) and under `swarmops`, a durable commit with reopen,
 //! and a loopback round trip through `solvedbd`'s server and wire code.
 
@@ -24,7 +25,8 @@ const SETUP: &str = "CREATE TABLE items (id int, grp text, w float8, v float8);
 const JOIN_GROUP: &str = "SELECT c.grp, sum(i.w) AS w, count(*) AS n \
     FROM items i JOIN caps c ON c.grp = i.grp GROUP BY c.grp ORDER BY 1";
 
-/// The heaviest item per group: LATERAL stays on the row interpreter.
+/// The heaviest item per group: a dependent join, its subquery planned
+/// once and run per group.
 const LATERAL: &str = "SELECT c.grp, top.id FROM caps c, \
     LATERAL (SELECT id FROM items i WHERE i.grp = c.grp ORDER BY w DESC LIMIT 1) top \
     ORDER BY 1";
@@ -64,8 +66,14 @@ fn one_statement_through_every_local_layer() {
     assert_eq!(t.rows[1], [Value::text("b"), Value::Float(10.0), Value::Int(3)]);
 
     let lateral = s.execute(LATERAL).unwrap();
-    assert!(lateral.plan_fingerprint.is_none(), "LATERAL runs on the row interpreter");
+    assert!(lateral.plan_fingerprint.is_some(), "LATERAL runs on the columnar executor too");
     assert_eq!(ints(&lateral.into_table().unwrap().rows, 1), [1, 4]);
+    let was = solvedbplus::sqlengine::set_force_row_interpreter(true);
+    let reference = s.execute(LATERAL);
+    solvedbplus::sqlengine::set_force_row_interpreter(was);
+    let reference = reference.unwrap();
+    assert!(reference.plan_fingerprint.is_none(), "the hook reaches the reference interpreter");
+    assert_eq!(ints(&reference.into_table().unwrap().rows, 1), [1, 4]);
 
     let solved = s.execute(KNAPSACK).unwrap();
     let trace = solved.trace.clone().expect("a solve is traced");
