@@ -10,6 +10,14 @@
 //!
 //! Exit status is the CI contract:
 //! - an analyzer **panic** fails the sweep,
+//! - a solve statement whose recursive simulation has a row pipeline
+//!   and ran **no step on it** fails the sweep (every shipped recursion
+//!   inside a solve — the P3 and P4 CDTEs, inline or from a stored model
+//!   — steps a one-row working table over kept join sides; a term that
+//!   evaluates a subquery or joins the working table to itself has no
+//!   pipeline and is not held to it; the counts are the ones `EXPLAIN
+//!   SELECT` prints for a recursive CTE, read from `exec_counts()`
+//!   because a CDTE is not a statement of its own),
 //! - an **error-severity** finding on a shipped script fails the sweep
 //!   (the examples are expected to stay clean),
 //! - execution errors in the scripts themselves are tolerated and
@@ -63,6 +71,8 @@ struct Sweep {
     /// them with a plan.
     blocks: usize,
     planned: usize,
+    /// Solve statements that stepped a recursion with a row pipeline.
+    recursions: usize,
     script_findings: usize,
     matrix_findings: usize,
     /// Nonzeros `EXPLAIN PRESOLVE` reports cancelled, over the sweep.
@@ -187,7 +197,8 @@ impl Sweep {
         };
         self.scriptcheck(s, name, &stmts);
         for (i, stmt) in stmts.iter().enumerate() {
-            for solve in solves_in_statement(stmt) {
+            let solves = solves_in_statement(stmt);
+            for solve in &solves {
                 self.solves += 1;
                 self.explain(s, name, solve, ExplainMode::Check);
                 self.explain(s, name, solve, ExplainMode::Presolve);
@@ -195,10 +206,22 @@ impl Sweep {
             for q in queries_in_statement(stmt) {
                 self.explain_select(s, name, q);
             }
+            let before = s.db().exec_counts();
             if let Err(e) = s.execute_statement(stmt) {
                 self.tolerated
                     .push(format!("{name}: statement {} failed ({e}); skipping rest", i + 1));
                 return;
+            }
+            let work = s.db().exec_counts().since(&before);
+            if !solves.is_empty() && work.spine_steps > 0 {
+                self.recursions += 1;
+                if work.row_steps == 0 {
+                    self.failures.push(format!(
+                        "{name}: statement {}: 0 of {} recursive steps on one row",
+                        i + 1,
+                        work.spine_steps
+                    ));
+                }
             }
         }
     }
@@ -290,7 +313,8 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
     }
     println!(
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
-         {} EXPLAIN SELECT run(s) ({}/{} block(s) planned), {} scriptcheck finding(s), \
+         {} EXPLAIN SELECT run(s) ({}/{} block(s) planned), \
+         {} solve(s) stepping a recursion on one row, {} scriptcheck finding(s), \
          {} matrix finding(s), {} nonzero(s) cancelled by presolve{}",
         sweep.scripts,
         sweep.solves,
@@ -298,6 +322,7 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
         sweep.selects,
         sweep.planned,
         sweep.blocks,
+        sweep.recursions,
         sweep.script_findings,
         sweep.matrix_findings,
         sweep.nonzeros_cancelled,

@@ -1249,6 +1249,10 @@ pub fn executor(cfg: Config) -> Figure {
     let inner_rows = (0..8000).map(|i| ints(&[i % 500, i])).collect();
     s.db_mut().put_table("outer500", Table::from_rows(&["id"], outer_rows));
     s.db_mut().put_table("inner8000", Table::from_rows(&["id", "w"], inner_rows));
+    // A recurrence over 336 rows of history, one step per row — the
+    // shape of UC1's simulation CDTE.
+    let chain_rows = (0..336).map(|k| vec![Value::Int(k), Value::Float(rnd(100) as f64)]).collect();
+    s.db_mut().put_table("chain336", Table::from_rows(&["k", "w"], chain_rows));
 
     let aggregate = "SELECT g, count(*), sum(a), avg(b), min(a), max(b) FROM fact GROUP BY g";
     let micro: &[(&str, String)] = &[
@@ -1276,6 +1280,17 @@ pub fn executor(cfg: Config) -> Figure {
         (
             "closed subquery under a block with columns",
             "SELECT o.id, (SELECT sum(w) FROM inner8000 i WHERE i.id = 7) FROM outer500 o".into(),
+        ),
+        (
+            "recursive CTE: 336 one-row steps over a kept build",
+            "WITH RECURSIVE r(k, x) AS (SELECT 0, 20.0 UNION ALL \
+             SELECT r.k + 1, 0.9 * r.x + 0.01 * c.w FROM r JOIN chain336 c ON c.k = r.k) \
+             SELECT k, x FROM r"
+                .into(),
+        ),
+        (
+            "ORDER BY … LIMIT 1 over 8000 rows",
+            "SELECT id, w FROM inner8000 ORDER BY w DESC LIMIT 1".into(),
         ),
     ];
     let mut rows = Vec::new();

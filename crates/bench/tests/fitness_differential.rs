@@ -1,10 +1,11 @@
 //! Differential tests for the planned evaluation paths: for every
 //! shipped black-box (`swarmops`) script the fitness of seeded candidates
 //! is bit-identical whether the planner (recursive term planned once,
-//! join builds reused, plans served from the plan cache) or the forced
-//! row interpreter evaluates it, and the symbolic compilation of P4 —
-//! which runs the same recursive simulation CDTE — yields the identical
-//! linear program on both paths.
+//! join builds reused, one-row steps on the row pipeline, plans served
+//! from the plan cache) or the forced row interpreter evaluates it, and
+//! the symbolic compilation of P4 — which runs the same recursive
+//! simulation CDTE, over symbolic values — yields the identical linear
+//! program on both paths.
 
 use bench::figures::{P3_CDTE, P3_NOCDTE, P3_SHARED, P4_CDTE, P4_NOCDTE, P4_SHARED};
 use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
@@ -70,8 +71,10 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         assert_eq!(planned, rows, "{name}");
         assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()), "{name}");
         // The planned path really is the prepared one: the simulation
-        // steps ran on kept builds and nothing was planned per candidate.
+        // steps ran on kept builds — all but the one per candidate that
+        // builds them on one row — and nothing was planned per candidate.
         assert!(work.recursive_steps > 0 && work.builds_reused > 0, "{name}: {work:?}");
+        assert_eq!(work.row_steps, work.recursive_steps - xs.len() as u64, "{name}: {work:?}");
         assert_eq!(work.plans_built, 0, "{name}: {work:?}");
     }
 }
@@ -95,7 +98,13 @@ fn p4_symbolic_compile_yields_the_identical_lp() {
             let lowered = model.lowered();
             format!("{:?}", (&lowered.problem, &lowered.used, &lowered.atom_of_row))
         };
+        let before = s.db().exec_counts();
         let planned = lp_text();
+        // Symbolic values went through the row pipeline's evaluator
+        // (`p4_nocdte` states its dynamics without a recursion).
+        let work = s.db().exec_counts().since(&before);
+        assert_eq!(work.row_steps > 0, work.recursive_steps > 0, "{name}: {work:?}");
+        assert_eq!(work.recursive_steps > 0, name != "features/p4_nocdte", "{name}");
         assert_eq!(planned, forced_rows(lp_text), "{name}");
         assert!(planned.contains("constraints"), "{name}");
     }

@@ -90,6 +90,7 @@ impl Solver for SwarmOps {
             span.note("recursive_steps", work.recursive_steps);
             span.note("plans_built", work.plans_built);
             span.note("builds_reused", work.builds_reused);
+            span.note("row_steps", work.row_steps);
         }
         ctx.report(obs::SolverStats {
             solver: "swarmops".into(),

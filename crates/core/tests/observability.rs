@@ -193,6 +193,35 @@ fn solver_stats_aggregate_across_sessions_sharing_solvers() {
     assert_eq!(t.rows[0][2], Value::Int(2));
 }
 
+/// `evals_per_s` is the black-box solvers' rate over their solve time;
+/// a solver that evaluates no fitness has none.
+#[test]
+fn solver_stats_rate_fitness_evaluations() {
+    let mut s = Session::new();
+    s.execute_script(SETUP).unwrap();
+    s.query(SOLVE).unwrap();
+    s.query(
+        "SOLVESELECT q(x) AS (SELECT x FROM vars) \
+         MINIMIZE (SELECT (x - 4.0)^2 FROM q) \
+         SUBJECTTO (SELECT 0 <= x <= 10 FROM q) \
+         USING swarmops.pso(particles := 5, iterations := 5)",
+    )
+    .unwrap();
+    let t = s
+        .query(
+            "SELECT solver, evaluations, evals_per_s, total_ms FROM sdb_solver_stats \
+             ORDER BY solver",
+        )
+        .unwrap();
+    assert_eq!(t.rows[0][0], Value::text("solverlp"));
+    assert_eq!(t.rows[0][2], Value::Null);
+    assert_eq!(t.rows[1][0], Value::text("swarmops"));
+    let number = |v: &Value| v.as_f64().unwrap();
+    let (evaluations, rate, ms) =
+        (number(&t.rows[1][1]), number(&t.rows[1][2]), number(&t.rows[1][3]));
+    assert!(evaluations > 0.0 && (rate - evaluations / (ms / 1e3)).abs() <= 1e-6 * rate, "{t:?}");
+}
+
 #[test]
 fn real_tables_shadow_virtual_ones() {
     let mut s = Session::new();

@@ -30,6 +30,13 @@ pub struct ProgressEvent {
 }
 
 impl ProgressEvent {
+    /// Fitness evaluations per second of solve time so far — what one
+    /// candidate costs, the other way up; `None` before the first one.
+    pub fn evals_per_s(&self) -> Option<f64> {
+        (self.evaluations > 0 && self.elapsed_nanos > 0)
+            .then(|| self.evaluations as f64 * 1e9 / self.elapsed_nanos as f64)
+    }
+
     /// One-line human rendering, used by the CLI status line.
     pub fn render(&self) -> String {
         let secs = self.elapsed_nanos as f64 / 1e9;
@@ -42,6 +49,9 @@ impl ProgressEvent {
         }
         if self.evaluations > 0 {
             s.push_str(&format!("  evals={}", self.evaluations));
+        }
+        if let Some(rate) = self.evals_per_s() {
+            s.push_str(&format!("  evals/s={rate:.0}"));
         }
         if let Some(inc) = self.incumbent {
             s.push_str(&format!("  incumbent={inc}"));
@@ -73,7 +83,9 @@ mod tests {
         assert!(line.contains("nodes=42"));
         assert!(line.contains("iters=900"));
         assert!(line.contains("incumbent=7.5"));
-        assert!(!line.contains("evals="));
+        assert!(!line.contains("evals"));
         assert!(!line.contains("bound="));
+        let fit = ProgressEvent { evaluations: 500, ..ev };
+        assert!(fit.render().contains("evals=500  evals/s=200"), "{}", fit.render());
     }
 }

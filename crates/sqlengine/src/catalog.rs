@@ -347,6 +347,11 @@ pub struct ExecCounts {
     /// Hash-join build sides reused from an earlier recursive step
     /// instead of being rebuilt.
     pub builds_reused: u64,
+    /// Recursive steps of terms whose plan has a row pipeline (a spine).
+    pub spine_steps: u64,
+    /// Of `spine_steps`, those that ran on it: a one-row working table
+    /// evaluated on scalars rather than on batches.
+    pub row_steps: u64,
     /// Column chunks (one column of one scan batch) pivoted out of row
     /// storage into a table's columnar image. A scan whose columns are
     /// already in the image pivots none.
@@ -360,6 +365,8 @@ impl ExecCounts {
             plans_built: self.plans_built - earlier.plans_built,
             recursive_steps: self.recursive_steps - earlier.recursive_steps,
             builds_reused: self.builds_reused - earlier.builds_reused,
+            spine_steps: self.spine_steps - earlier.spine_steps,
+            row_steps: self.row_steps - earlier.row_steps,
             columns_pivoted: self.columns_pivoted - earlier.columns_pivoted,
         }
     }
@@ -385,6 +392,8 @@ pub struct Database {
     plans_built: AtomicU64,
     recursive_steps: AtomicU64,
     builds_reused: AtomicU64,
+    spine_steps: AtomicU64,
+    row_steps: AtomicU64,
     columns_pivoted: AtomicU64,
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
@@ -439,6 +448,8 @@ impl Database {
             plans_built: self.plans_built.load(Ordering::Relaxed),
             recursive_steps: self.recursive_steps.load(Ordering::Relaxed),
             builds_reused: self.builds_reused.load(Ordering::Relaxed),
+            spine_steps: self.spine_steps.load(Ordering::Relaxed),
+            row_steps: self.row_steps.load(Ordering::Relaxed),
             columns_pivoted: self.columns_pivoted.load(Ordering::Relaxed),
         }
     }
@@ -447,9 +458,18 @@ impl Database {
         self.plans_built.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Account one finished recursive CTE: its steps and reused builds.
-    pub(crate) fn count_recursion(&self, steps: u64, builds_reused: u64) {
+    /// Account one finished recursive CTE: its steps, whether its plan
+    /// has a row pipeline and how many steps ran on it, and reused builds.
+    pub(crate) fn count_recursion(
+        &self,
+        steps: u64,
+        has_spine: bool,
+        row_steps: u64,
+        builds_reused: u64,
+    ) {
         self.recursive_steps.fetch_add(steps, Ordering::Relaxed);
+        self.spine_steps.fetch_add(if has_spine { steps } else { 0 }, Ordering::Relaxed);
+        self.row_steps.fetch_add(row_steps, Ordering::Relaxed);
         self.builds_reused.fetch_add(builds_reused, Ordering::Relaxed);
     }
 

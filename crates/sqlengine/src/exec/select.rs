@@ -9,8 +9,16 @@
 //! reference interpreter (`exec::oracle`) instead, which is how the
 //! differential tests and `reproduce executor` get their second opinion.
 //! Everything else here has one implementation that both use: the
-//! assembly of set operations and `VALUES`, the recursion loop, the sort
-//! comparator, [`AggState`], the `ON` / `USING` key extraction.
+//! assembly of set operations and `VALUES`, the recursion loop, the
+//! order of two sort keys ([`key_order`]; the planner sorts row indices
+//! by it, [`sort_keyed`] rows), [`AggState`], the `ON` / `USING` key
+//! extraction.
+//!
+//! The recursion loop ([`run_recursive_cte`]) steps a planned term three
+//! ways, chosen per step from what it can see: a one-row working table
+//! on the plan's row pipeline (`IteratedPlan::step_row`), any other on
+//! the batch operators (`IteratedPlan::step`), and a term that has no
+//! reusable plan as a query of its own.
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};
@@ -20,7 +28,7 @@ use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::limit_offset;
 use crate::exec::oracle;
 use crate::plan::build::bound_has_subquery;
-use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
+use crate::plan::columnar::{batches_to_rows, push_rows, Batch, BATCH_SIZE};
 use crate::plan::exec::{unseen_rows, IteratedPlan};
 use crate::plan::plan_select;
 use crate::table::{Column as TColumn, Row, Schema, Table};
@@ -83,19 +91,26 @@ pub fn run_query(db: &Database, ctes: &Ctes, q: &Query, outer: Option<&Env<'_>>)
 
 /// Materialize the `WITH` members of `q` in order on top of `ctes`, each
 /// seeing the ones before it. Borrows `ctes` as-is when there is nothing
-/// to add. `notes`, when given, receives one line per recursive member
-/// saying how its recursive term ran (`EXPLAIN SELECT`).
+/// to add. How the recursive term of each recursive member ran goes, one
+/// line per member, to `notes` when given (`EXPLAIN SELECT`), and onto a
+/// span of its own under `trace` (`EXPLAIN ANALYZE`).
 fn with_ctes<'c>(
     db: &Database,
     ctes: &'c Ctes,
     q: &Query,
     outer: Option<&Env<'_>>,
     mut notes: Option<&mut Vec<String>>,
+    trace: Option<&obs::Trace>,
 ) -> Result<Cow<'c, Ctes>> {
     let mut env = Cow::Borrowed(ctes);
     for cte in &q.with {
         let table = if q.recursive && query_references(&cte.query, &cte.name) {
+            let span = trace.map(|tr| tr.span(&format!("recursive CTE {}", cte.name)));
             let (table, how) = run_recursive_cte(db, &env, cte, outer)?;
+            if let Some(s) = &span {
+                s.rows(table.num_rows() as u64);
+                s.note("term", &how);
+            }
             if let Some(notes) = notes.as_deref_mut() {
                 notes.push(format!("recursive CTE {}: {how}", cte.name));
             }
@@ -123,7 +138,7 @@ pub fn run_query_planned(
     outer: Option<&Env<'_>>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
-    let env_ctes = with_ctes(db, ctes, q, outer, None)?;
+    let env_ctes = with_ctes(db, ctes, q, outer, None, trace)?;
     if let SetExpr::Select(sel) = &q.body {
         return run_select_planned(
             db,
@@ -203,7 +218,7 @@ fn run_select_planned(
 /// their bindings).
 pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<String>> {
     let mut lines = Vec::new();
-    let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines))?;
+    let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines), None)?;
     match &q.body {
         SetExpr::Select(sel) => {
             let plan = plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset, None)?;
@@ -274,42 +289,37 @@ fn bind_order_expr(
     binder.bind(expr)
 }
 
+/// `ORDER BY`'s order of two keys under one `item`: NULLs where NULLS
+/// FIRST / LAST (default: last for ASC, first for DESC) puts them, and
+/// `cmp` — [`Value::cmp_total`] of the two, neither NULL — in the item's
+/// direction.
+pub(crate) fn key_order(
+    item: &OrderItem,
+    a_null: bool,
+    b_null: bool,
+    cmp: impl FnOnce() -> std::cmp::Ordering,
+) -> std::cmp::Ordering {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let nulls_first = item.nulls_first.unwrap_or(item.desc);
+    match (a_null, b_null) {
+        (true, true) => Equal,
+        (true, false) if nulls_first => Less,
+        (true, false) => Greater,
+        (false, true) if nulls_first => Greater,
+        (false, true) => Less,
+        (false, false) if item.desc => cmp().reverse(),
+        (false, false) => cmp(),
+    }
+}
+
 pub(crate) fn sort_keyed(rows: &mut [(Vec<Value>, Row)], order: &[OrderItem]) {
     rows.sort_by(|(ka, _), (kb, _)| {
-        for (i, item) in order.iter().enumerate() {
+        let by_key = |(i, item): (usize, &OrderItem)| {
             let (a, b) = (&ka[i], &kb[i]);
-            // NULLS FIRST/LAST overrides; default: last for ASC, first for DESC.
-            let nulls_first = item.nulls_first.unwrap_or(item.desc);
-            let ord = match (a.is_null(), b.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => {
-                    if nulls_first {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                }
-                (false, true) => {
-                    if nulls_first {
-                        std::cmp::Ordering::Greater
-                    } else {
-                        std::cmp::Ordering::Less
-                    }
-                }
-                (false, false) => {
-                    let o = a.cmp_total(b);
-                    if item.desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
+            key_order(item, a.is_null(), b.is_null(), || a.cmp_total(b))
+        };
+        let unequal = order.iter().enumerate().map(by_key).find(|o| o.is_ne());
+        unequal.unwrap_or(std::cmp::Ordering::Equal)
     });
 }
 
@@ -391,14 +401,16 @@ pub fn query_references(q: &Query, name: &str) -> bool {
 
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint
 /// semantics. A recursive term that is one `SELECT` block is planned
-/// once; every step executes that plan on the batches the step before it
-/// produced, keeping what the working table does not feed, and rows are
-/// materialized once, when the recursion ends. Any other term — a set
-/// operation, one whose plan captured rows of the working table (a FROM
-/// subquery or view over it), every term while the reference interpreter
-/// is forced — is evaluated as a query of its own in every step, its
-/// working table bound as a CTE. Also returns how the term ran, for
-/// `EXPLAIN SELECT`.
+/// once; every step executes that plan on what the step before it
+/// produced, keeping what the working table does not feed: a single row
+/// on the plan's row pipeline, straight onto the result's rows; anything
+/// else as batches, which become rows once, when the next step has read
+/// them. Any other term — a set operation, one whose plan captured rows
+/// of the working table (a FROM subquery or view over it), one of another
+/// width than the anchor (an error), every term while the reference
+/// interpreter is forced — is evaluated as a query of its own in every
+/// step, its working table bound as a CTE. Also returns how the term ran,
+/// for `EXPLAIN SELECT`.
 fn run_recursive_cte(
     db: &Database,
     ctes: &Ctes,
@@ -410,28 +422,13 @@ fn run_recursive_cte(
             "recursive CTE must have the form <anchor> UNION [ALL] <recursive term>",
         ));
     };
-    let bare = |body: &SetExpr| Query {
-        with: vec![],
-        recursive: false,
-        body: body.clone(),
-        order_by: vec![],
-        limit: None,
-        offset: None,
-    };
-    let mut result = run_query(db, ctes, &bare(left), outer)?;
+    let mut result = run_set_expr(db, ctes, left, outer)?;
     rename_columns(&mut result, &cte.columns)?;
     let schema = result.schema.clone();
 
     let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
     if !all {
-        let mut deduped = Vec::new();
-        for row in std::mem::take(&mut result.rows) {
-            let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-            if seen.insert(key, ()).is_none() {
-                deduped.push(row);
-            }
-        }
-        result.rows = deduped;
+        result.rows.retain(|row| seen.insert(key_of(row), ()).is_none());
     }
     if result.rows.is_empty() {
         return Ok((result, "no steps (empty anchor)".to_string()));
@@ -448,6 +445,10 @@ fn run_recursive_cte(
             // Rows captured at plan time go stale with the first step.
             if plan.captured_reads.contains(&cte.name) {
                 Err("a FROM subquery or view reads the recursive relation")
+            } else if plan.visible != schema.len() {
+                // An error: the per-step query's to report, after any the
+                // first step raises itself, as the reference does.
+                Err("the term's width is not the anchor's")
             } else {
                 Ok(plan)
             }
@@ -456,7 +457,8 @@ fn run_recursive_cte(
     };
 
     // Both guards of one step: the iteration caps before it runs, the
-    // width of what it returned after.
+    // width of what it returned after (a planned term's is known to be the
+    // anchor's before its first step).
     let capped = |steps: usize, rows: usize| {
         if steps <= MAX_RECURSION && rows <= MAX_RECURSION {
             return Ok(());
@@ -475,42 +477,87 @@ fn run_recursive_cte(
     };
 
     let mut steps = 0usize;
-    let (reused, how) = match &plan {
+    let (has_spine, row_steps, reused, how) = match &plan {
         Ok(term) => {
             let mut plan = IteratedPlan::new(term, &cte.name);
             // Only subqueries look the working table up by name.
             let by_name = term.root.has_subquery();
-            // Every batch of the relation so far; the working table is
-            // the tail the last step added.
-            let mut batches: Vec<Batch> =
-                result.rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect();
-            let anchor = batches.len();
-            let (mut working, mut total) = (0, result.rows.len());
-            while working < batches.len() {
+            // The working table is what the last step added: the batches
+            // of a batch step, which join `result.rows` when the next
+            // step has read them — or, with none pending, the last `tail`
+            // rows of `result.rows`.
+            let mut pending: Vec<Batch> = Vec::new();
+            let mut tail = result.rows.len();
+            let mut total = tail;
+            loop {
                 steps += 1;
                 capped(steps, total)?;
-                let mut new = plan.step(db, &step_ctes, &batches[working..], outer)?;
-                same_width(term.visible)?;
-                if !all {
-                    new = unseen_rows(&new, schema.len(), &mut seen);
+                let on_one_row = match result.rows.last() {
+                    Some(row) if pending.is_empty() && tail == 1 => {
+                        plan.step_row(db, &step_ctes, row, outer)?
+                    }
+                    _ => None,
+                };
+                let added = match on_one_row {
+                    Some(new) => {
+                        let new = new.filter(|row| *all || seen.insert(key_of(row), ()).is_none());
+                        tail = usize::from(new.is_some());
+                        result.rows.extend(new);
+                        tail
+                    }
+                    None => {
+                        let from_rows: Vec<Batch>;
+                        let working = if pending.is_empty() {
+                            let rows = &result.rows[result.rows.len() - tail..];
+                            from_rows = rows
+                                .chunks(BATCH_SIZE)
+                                .map(|c| Batch::from_rows(c, None))
+                                .collect();
+                            &from_rows
+                        } else {
+                            &pending
+                        };
+                        let mut new = plan.step(db, &step_ctes, working, outer)?;
+                        if !all {
+                            new = unseen_rows(&new, schema.len(), &mut seen);
+                        }
+                        new.retain(|b| b.len > 0);
+                        if by_name && !new.is_empty() {
+                            step_ctes.insert(&cte.name, working_table(batches_to_rows(&new)));
+                        }
+                        push_rows(&pending, &mut result.rows);
+                        pending = new;
+                        let added = pending.iter().map(|b| b.len).sum();
+                        // One row is a row: the next step may read it as one.
+                        if added == 1 && plan.has_spine() {
+                            push_rows(&pending, &mut result.rows);
+                            pending.clear();
+                            tail = 1;
+                        }
+                        added
+                    }
+                };
+                if added == 0 {
+                    break;
                 }
-                new.retain(|b| b.len > 0);
-                total += new.iter().map(|b| b.len).sum::<usize>();
-                if by_name && !new.is_empty() {
-                    step_ctes.insert(&cte.name, working_table(batches_to_rows(&new)));
-                }
-                working = batches.len();
-                batches.extend(new);
+                total += added;
             }
-            result.rows.extend(batches_to_rows(&batches[anchor..]));
-            if plan.keeps_builds() {
-                (plan.builds_reused(), "planned once, build side reused".to_string())
-            } else {
-                (0, "planned once".to_string())
-            }
+            let how = format!(
+                "planned once{}, {} of {steps} steps on one row",
+                if plan.keeps_builds() { ", build side reused" } else { "" },
+                plan.row_steps()
+            );
+            (plan.has_spine(), plan.row_steps(), plan.builds_reused(), how)
         }
         Err(why) => {
-            let rec_q = bare(right);
+            let rec_q = Query {
+                with: vec![],
+                recursive: false,
+                body: (**right).clone(),
+                order_by: vec![],
+                limit: None,
+                offset: None,
+            };
             let mut working_rows = result.rows.len();
             while working_rows > 0 {
                 steps += 1;
@@ -519,20 +566,22 @@ fn run_recursive_cte(
                 same_width(step.num_columns())?;
                 let mut new_rows = step.rows;
                 if !all {
-                    new_rows.retain(|row| {
-                        let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-                        seen.insert(key, ()).is_none()
-                    });
+                    new_rows.retain(|row| seen.insert(key_of(row), ()).is_none());
                 }
                 result.rows.extend(new_rows.iter().cloned());
                 working_rows = new_rows.len();
                 step_ctes.insert(&cte.name, working_table(new_rows));
             }
-            (0, format!("a query of its own per step ({why})"))
+            (false, 0, 0, format!("a query of its own per step ({why})"))
         }
     };
-    db.count_recursion(steps as u64, reused);
+    db.count_recursion(steps as u64, has_spine, row_steps, reused);
     Ok((result, how))
+}
+
+/// A row as set operations and `UNION` recursions compare rows.
+fn key_of(row: &Row) -> Vec<GroupKey> {
+    row.iter().map(|v| v.group_key()).collect()
 }
 
 fn run_set_expr(
@@ -569,8 +618,6 @@ fn run_set_expr(
                 )));
             }
             let schema = unify_schemas(&l.schema, &r.schema)?;
-            let key_of =
-                |row: &Row| -> Vec<GroupKey> { row.iter().map(|v| v.group_key()).collect() };
             let rows = match (op, all) {
                 (SetOp::Union, true) => {
                     let mut rows = l.rows;

@@ -611,7 +611,14 @@ pub fn plan_select(
                 .collect::<Vec<_>>()
                 .join(", "),
         );
-        input = PlanNode::Sort { input: Box::new(input), items: order_by.to_vec(), visible, desc };
+        let keep = limit_n.map(|n| n.saturating_add(offset_n.unwrap_or(0)));
+        input = PlanNode::Sort {
+            input: Box::new(input),
+            items: order_by.to_vec(),
+            visible,
+            keep,
+            desc,
+        };
     }
     if limit_n.is_some() || offset_n.is_some() {
         input = PlanNode::Limit { input: Box::new(input), limit: limit_n, offset: offset_n };

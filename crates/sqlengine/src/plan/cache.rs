@@ -321,6 +321,28 @@ mod tests {
         assert_ne!(k1, k2, "plan-cache key must be literal-sensitive");
     }
 
+    /// A block executed again in place — the anchor of a recursive CTE,
+    /// once per candidate of a black-box solve — finds the rendering the
+    /// statement made of it: the same text, not an equal one. A clone of
+    /// the block is another address and renders anew.
+    #[test]
+    fn a_block_looked_up_again_in_place_is_rendered_once() {
+        let db = db_with_table();
+        let stmt = crate::parser::parse_statement("SELECT a FROM t WHERE a > 1").unwrap();
+        let crate::ast::Statement::Query(q) = stmt else { panic!("expected query") };
+        let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
+        let under_a_cte = Ctes::new().with("c", Arc::new(Table::from_rows(&["x"], vec![])));
+        let key =
+            |sel: &Select| db.plan_cache_key(&under_a_cte, sel, &[], &None, &None, None).query;
+        let first = key(sel);
+        assert!(Arc::ptr_eq(&first, &key(sel)));
+        let moved = sel.clone();
+        let again = key(&moved);
+        assert!(!Arc::ptr_eq(&first, &again) && first == again);
+        db.end_statement_plans();
+        assert!(!Arc::ptr_eq(&first, &key(sel)), "the next statement starts over");
+    }
+
     /// The key carries the full query text: distinct queries compare
     /// unequal even if they were to hash alike, so a lookup can never
     /// serve another query's plan.

@@ -110,6 +110,18 @@ impl ColumnVec {
         }
     }
 
+    /// [`Value::cmp_total`] of the slots at `i` and `j`, neither NULL,
+    /// without making values of them.
+    pub(crate) fn cmp_slots(&self, i: usize, j: usize) -> Ordering {
+        match self {
+            ColumnVec::Int(v, _) => v[i].cmp(&v[j]),
+            ColumnVec::Float(v, _) => cmp_f64(v[i], v[j]),
+            ColumnVec::Bool(v, _) => v[i].cmp(&v[j]),
+            ColumnVec::Text(v, _) => v[i].as_ref().cmp(v[j].as_ref()),
+            ColumnVec::Any(v) => v[i].cmp_total(&v[j]),
+        }
+    }
+
     /// Build a column from owned values, choosing the narrowest typed
     /// representation that fits every non-NULL value.
     pub fn from_values(values: Vec<Value>) -> ColumnVec {
@@ -441,13 +453,17 @@ impl Batch {
 
 /// Materialize a sequence of batches as rows.
 pub fn batches_to_rows(batches: &[Batch]) -> Vec<Row> {
-    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.len).sum());
-    for b in batches {
-        for i in 0..b.len {
-            rows.push(b.row_at(i));
-        }
-    }
+    let mut rows = Vec::new();
+    push_rows(batches, &mut rows);
     rows
+}
+
+/// [`batches_to_rows`] onto the end of `rows`.
+pub(crate) fn push_rows(batches: &[Batch], rows: &mut Vec<Row>) {
+    rows.reserve(batches.iter().map(|b| b.len).sum());
+    for b in batches {
+        rows.extend((0..b.len).map(|i| b.row_at(i)));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -471,6 +487,15 @@ impl<'a> VecEvalCtx<'a> {
             .and_then(|o| o.at_depth(depth - 1).row.get(index))
             .ok_or_else(|| Error::eval("plan executed without the outer row it was built under"))
     }
+}
+
+/// One row as [`VecExpr::eval_row`] reads it: the columns of the scope
+/// the expression was compiled against, wherever each of them lies.
+pub(crate) trait RowRef {
+    fn get(&self, col: usize) -> Value;
+
+    /// All of the columns, for the reference evaluator.
+    fn to_row(&self) -> Row;
 }
 
 /// A bound expression compiled for batch evaluation. Compiling happens
@@ -627,6 +652,38 @@ impl VecExpr {
     /// `Fallback` can hold one.
     pub(crate) fn has_subquery(&self) -> bool {
         matches!(self, VecExpr::Fallback(b) if bound_has_subquery(b))
+    }
+
+    /// Evaluate on one row, without a batch: the row semantics the
+    /// kernels of [`Self::eval`] mirror, taken from where they are
+    /// defined — [`Value::binop`], [`Value::unop`], [`Value::cast`], and
+    /// the reference evaluator itself for whatever [`Self::eval`] replays
+    /// or re-enters it for — so values, custom (symbolic) ones included,
+    /// and error texts are the reference's.
+    pub(crate) fn eval_row<R: RowRef + ?Sized>(
+        &self,
+        row: &R,
+        ev: &VecEvalCtx<'_>,
+    ) -> Result<Value> {
+        match self {
+            VecExpr::Col(i) => Ok(row.get(*i)),
+            VecExpr::Const(v) => Ok(v.clone()),
+            VecExpr::Outer { depth, index } => Ok(ev.outer_value(*depth, *index)?.clone()),
+            VecExpr::BinOp { op, lhs, rhs } => {
+                Value::binop(*op, &lhs.eval_row(row, ev)?, &rhs.eval_row(row, ev)?)
+            }
+            VecExpr::UnOp { op, expr } => Value::unop(*op, &expr.eval_row(row, ev)?),
+            VecExpr::IsNull { expr, negated } => {
+                Ok(Value::Bool(expr.eval_row(row, ev)?.is_null() != *negated))
+            }
+            VecExpr::Cast { expr, ty } => expr.eval_row(row, ev)?.cast(ty),
+            VecExpr::Logic { orig, .. }
+            | VecExpr::InList { orig, .. }
+            | VecExpr::Fallback(orig) => {
+                let env = Env { scope: ev.scope, row: &row.to_row(), parent: ev.outer };
+                orig.eval(ev.ctx, &env)
+            }
+        }
     }
 
     /// Evaluate against a batch, producing one column (the batch's own,
@@ -1119,6 +1176,16 @@ fn binop_generic(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
 mod tests {
     use super::*;
 
+    impl RowRef for [Value] {
+        fn get(&self, col: usize) -> Value {
+            self[col].clone()
+        }
+
+        fn to_row(&self) -> Row {
+            self.to_vec()
+        }
+    }
+
     fn ints(vals: &[Option<i64>]) -> ColumnVec {
         ColumnVec::from_values(
             vals.iter().map(|v| v.map(Value::Int).unwrap_or(Value::Null)).collect(),
@@ -1217,6 +1284,70 @@ mod tests {
                         render(binop_scalar(op, col, c, true)),
                         render(binop_columns(op, &broadcast, col)),
                         "constant on the left: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `eval_row` is `eval` over a batch of that one row: values, NULLs
+    /// and error texts, whichever kernel the batch's column types select.
+    #[test]
+    fn a_row_evaluates_to_what_its_one_row_batch_does() {
+        use crate::catalog::{Ctes, Database};
+        use crate::types::DataType;
+        let (db, ctes) = (Database::new(), Ctes::new());
+        let ctx = EvalCtx { db: &db, ctes: &ctes };
+        let scope = Scope::default();
+        let ev = VecEvalCtx { ctx: &ctx, scope: &scope, outer: None };
+        let values = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-3),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(2.5),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::text("a"),
+            Value::Timestamp(5),
+            Value::Interval(7),
+        ];
+        let col = |i| Box::new(VecExpr::Col(i));
+        use BinOp::*;
+        let mut exprs: Vec<VecExpr> = Vec::new();
+        for op in [Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, Pow, Concat] {
+            exprs.push(VecExpr::BinOp { op, lhs: col(0), rhs: col(1) });
+            // Against a constant the batch runs the scalar kernels.
+            for c in [Value::Int(2), Value::Int(-1), Value::Float(0.0), Value::Null] {
+                let c = Box::new(VecExpr::Const(c));
+                exprs.push(VecExpr::BinOp { op, lhs: col(0), rhs: c.clone() });
+                exprs.push(VecExpr::BinOp { op, lhs: c, rhs: col(1) });
+            }
+        }
+        for op in [UnOp::Not, UnOp::Neg] {
+            exprs.push(VecExpr::UnOp { op, expr: col(0) });
+        }
+        for ty in [DataType::Int, DataType::Float, DataType::Text, DataType::Bool] {
+            exprs.push(VecExpr::Cast { expr: col(1), ty });
+        }
+        exprs.push(VecExpr::IsNull { expr: col(0), negated: false });
+        exprs.push(VecExpr::IsNull { expr: col(1), negated: true });
+        let render = |r: Result<Value>| match r {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        for a in &values {
+            for b in &values {
+                let row = [a.clone(), b.clone()];
+                let batch = Batch::from_rows(&[row.to_vec()], None);
+                for e in &exprs {
+                    assert_eq!(
+                        render(e.eval_row(&row[..], &ev)),
+                        render(e.eval(&batch, &ev).map(|c| c.get(0))),
+                        "{e:?} over {row:?}"
                     );
                 }
             }

@@ -23,16 +23,22 @@
 //! can run against many bindings. [`IteratedPlan`] is that loop for a
 //! recursive CTE: each step reads the working table as the batches the
 //! previous step produced, and everything the working table does not
-//! feed — whole subtrees and hash-join build sides — runs once.
+//! feed — whole subtrees and hash-join build sides — runs once. Where
+//! the working table reaches the root through one path of row-at-a-time
+//! operators over those kept sides (the [`Spine`]), a step whose working
+//! table is a single row evaluates that path on scalars instead of on
+//! one-row batches; any other step, and any other plan, runs the batch
+//! operators.
 
-use super::build::{collect_cols, remap_cols};
-use super::columnar::{batches_to_rows, Batch, ColumnVec, VecEvalCtx, VecExpr, BATCH_SIZE};
+use super::build::{bound_has_subquery, collect_cols, remap_cols};
+use super::columnar::{batches_to_rows, Batch, ColumnVec, RowRef, VecEvalCtx, VecExpr, BATCH_SIZE};
 use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
+use crate::ast::OrderItem;
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
-use crate::exec::select::{run_query, sort_keyed, AggState};
+use crate::exec::select::{key_order, run_query, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::value::num_bits;
 use crate::types::{DataType, GroupKey, Value};
@@ -67,6 +73,9 @@ pub(crate) struct IteratedPlan<'p> {
     plan: &'p PlannedQuery,
     rebound: &'p str,
     kept: Kept,
+    /// The plan's row pipeline, when it has one.
+    spine: Option<Spine<'p>>,
+    row_steps: u64,
 }
 
 /// What an [`IteratedPlan`] keeps between steps, by the address of the
@@ -81,8 +90,16 @@ struct Kept {
     reused: u64,
 }
 
+fn kept_pos<T>(list: &[(*const PlanNode, T)], node: *const PlanNode) -> Option<usize> {
+    list.iter().position(|(at, _)| std::ptr::eq(*at, node))
+}
+
 fn kept_at<'k, T>(list: &'k mut [(*const PlanNode, T)], node: &PlanNode) -> Option<&'k mut T> {
-    list.iter_mut().find(|(at, _)| std::ptr::eq(*at, node)).map(|(_, kept)| kept)
+    kept_pos(list, node).map(|i| &mut list[i].1)
+}
+
+fn kept_ref<T>(list: &[(*const PlanNode, T)], node: *const PlanNode) -> Option<&T> {
+    kept_pos(list, node).map(|i| &list[i].1)
 }
 
 impl<'p> IteratedPlan<'p> {
@@ -110,7 +127,52 @@ impl<'p> IteratedPlan<'p> {
         if mark(&plan.root, rebound, &mut kept) {
             kept.outputs.push((&plan.root, None));
         }
-        IteratedPlan { plan, rebound, kept }
+        let spine = Spine::of(plan, rebound, &kept);
+        IteratedPlan { plan, rebound, kept, spine, row_steps: 0 }
+    }
+
+    /// [`Self::step`] over a working table of the single row `working`,
+    /// on the plan's [`Spine`]: `Some` of the row the step produced, if
+    /// it produced one. `None` when this step has to run on the batch
+    /// operators — the plan has no spine, a kept side is still to be
+    /// computed (which the batch operators do, once), or the row meets
+    /// more than one row of a kept side. A step is a pure function of
+    /// its working table, so whatever part of it ran here is simply run
+    /// again there.
+    pub(crate) fn step_row(
+        &mut self,
+        db: &Database,
+        ctes: &Ctes,
+        working: &[Value],
+        outer: Option<&Env<'_>>,
+    ) -> Result<Option<Option<Row>>> {
+        let Some(spine) = &mut self.spine else { return Ok(None) };
+        if spine.sides.is_none() {
+            match KeptSides::of(spine, &self.kept) {
+                Ok(sides) => spine.sides = sides,
+                // A kept side that is not one row stays that way.
+                Err(NotOneRow) => {
+                    self.spine = None;
+                    return Ok(None);
+                }
+            }
+        }
+        let out = spine.run(&EvalCtx { db, ctes }, working, outer)?;
+        if out.is_some() {
+            self.row_steps += 1;
+            self.kept.reused += spine.build_at.len() as u64;
+        }
+        Ok(out)
+    }
+
+    /// Can a step over a one-row working table run on scalars?
+    pub(crate) fn has_spine(&self) -> bool {
+        self.spine.is_some()
+    }
+
+    /// How many steps [`Self::step_row`] ran.
+    pub(crate) fn row_steps(&self) -> u64 {
+        self.row_steps
     }
 
     /// Execute the plan with the `rebound` slot reading `working`.
@@ -139,6 +201,261 @@ impl<'p> IteratedPlan<'p> {
     /// Does any join of the plan qualify for build reuse?
     pub(crate) fn keeps_builds(&self) -> bool {
         !self.kept.builds.is_empty()
+    }
+}
+
+/// Where a column of a row on the [`Spine`] lies.
+#[derive(Clone, Copy)]
+enum Src {
+    /// In the working row.
+    Working(usize),
+    /// In the row of the spine's `b`-th kept build that the probe matched
+    /// (NULL where a left join matched none).
+    Build(usize, usize),
+    /// In the one row of the spine's `o`-th kept output.
+    Output(usize, usize),
+}
+
+/// What one operator on the spine does to the row.
+enum Stage<'p> {
+    Filter {
+        pred: &'p VecExpr,
+        derived: bool,
+    },
+    /// A hash join probing the spine's `build`-th kept build; `pad` for a
+    /// left join.
+    Probe {
+        keys: &'p [VecExpr],
+        build: usize,
+        pad: bool,
+    },
+    /// A keyless join with a one-row kept output, when it has a condition.
+    Cross {
+        cond: &'p BoundExpr,
+    },
+}
+
+/// The *spine* of a recursive term's plan: the single path from the root
+/// `Project` to the one scan of the rebound slot, when every operator on
+/// it maps a row to at most one row given the kept sides — `Filter`,
+/// `Reorder`, an inner or left hash join whose right input is a kept
+/// build, an inner or cross keyless join whose other input is a kept
+/// output — and none of them evaluates a subquery. Compiled to `stages`,
+/// bottom-up, it is the plan's batch operators specialised to a working
+/// table of one row: nothing is gathered, no column is made, and only the
+/// columns an expression names are read.
+struct Spine<'p> {
+    /// Per operator below the root: what it does, the scope of the rows
+    /// it reads and where each column of that scope lies.
+    stages: Vec<(Stage<'p>, &'p Scope, Vec<Src>)>,
+    /// The root's expressions, over the same.
+    project: (&'p [VecExpr], &'p Scope, Vec<Src>),
+    visible: usize,
+    /// The right children of the probed hash joins and the kept-output
+    /// inputs of the keyless ones, as [`Src`] numbers them.
+    build_at: Vec<*const PlanNode>,
+    output_at: Vec<*const PlanNode>,
+    /// What `build_at` / `output_at` hold, once the batch operators have
+    /// computed every one of them.
+    sides: Option<KeptSides>,
+    /// Per kept build, the row this step's probe matched.
+    matched: Vec<Option<usize>>,
+    /// Scratch for a probe key.
+    key: Vec<GroupKey>,
+}
+
+struct KeptSides {
+    builds: Vec<Rc<JoinBuild>>,
+    /// One batch of one row each.
+    outputs: Vec<Batch>,
+}
+
+/// A kept output on the spine is not a single row.
+struct NotOneRow;
+
+impl KeptSides {
+    /// The kept sides of `spine`, `None` while `kept` lacks one of them.
+    fn of(spine: &Spine<'_>, kept: &Kept) -> std::result::Result<Option<KeptSides>, NotOneRow> {
+        let builds: Option<Vec<_>> =
+            spine.build_at.iter().map(|at| kept_ref(&kept.builds, *at)?.clone()).collect();
+        let outputs: Option<Vec<Vec<Batch>>> =
+            spine.output_at.iter().map(|at| kept_ref(&kept.outputs, *at)?.clone()).collect();
+        let (Some(builds), Some(outputs)) = (builds, outputs) else { return Ok(None) };
+        let one_row = |mut batches: Vec<Batch>| match (batches.pop(), batches.is_empty()) {
+            (Some(only), true) if only.len == 1 => Ok(only),
+            _ => Err(NotOneRow),
+        };
+        let outputs = outputs.into_iter().map(one_row).collect::<std::result::Result<_, _>>()?;
+        Ok(Some(KeptSides { builds, outputs }))
+    }
+}
+
+/// A row on the spine: `layout` over the working row and the kept rows
+/// it has met.
+struct SpineRow<'a> {
+    layout: &'a [Src],
+    working: &'a [Value],
+    sides: &'a KeptSides,
+    matched: &'a [Option<usize>],
+}
+
+impl RowRef for SpineRow<'_> {
+    fn get(&self, col: usize) -> Value {
+        match self.layout[col] {
+            Src::Working(c) => self.working[c].clone(),
+            Src::Build(b, c) => match self.matched[b] {
+                Some(at) => self.sides.builds[b].batch.cols[c].get(at),
+                None => Value::Null,
+            },
+            Src::Output(o, c) => self.sides.outputs[o].cols[c].get(0),
+        }
+    }
+
+    fn to_row(&self) -> Row {
+        (0..self.layout.len()).map(|c| self.get(c)).collect()
+    }
+}
+
+impl<'p> Spine<'p> {
+    fn of(plan: &'p PlannedQuery, slot: &str, kept: &Kept) -> Option<Spine<'p>> {
+        let PlanNode::Project { input, exprs, .. } = &plan.root else { return None };
+        if exprs.iter().any(VecExpr::has_subquery) {
+            return None;
+        }
+        let mut spine = Spine {
+            stages: Vec::new(),
+            project: (exprs, input.scope(), Vec::new()),
+            visible: plan.visible,
+            build_at: Vec::new(),
+            output_at: Vec::new(),
+            sides: None,
+            matched: Vec::new(),
+            key: Vec::new(),
+        };
+        spine.project.2 = spine.compile(input, slot, kept)?;
+        spine.matched = vec![None; spine.build_at.len()];
+        Some(spine)
+    }
+
+    /// Append the stages of the subtree at `node`; where its output
+    /// columns lie after them. `None` when the subtree is no spine.
+    fn compile(&mut self, node: &'p PlanNode, slot: &str, kept: &Kept) -> Option<Vec<Src>> {
+        use crate::ast::JoinKind;
+        let columns = |node: &PlanNode| 0..node.scope().cols.len();
+        match node {
+            PlanNode::Scan { source: ScanSource::Slot { name, .. }, cols, total_cols, .. }
+                if name == slot =>
+            {
+                Some(match cols {
+                    Some(cols) => cols.iter().map(|&c| Src::Working(c)).collect(),
+                    None => (0..*total_cols).map(Src::Working).collect(),
+                })
+            }
+            PlanNode::Filter { input, pred, derived, .. } if !pred.has_subquery() => {
+                let layout = self.compile(input, slot, kept)?;
+                let stage = Stage::Filter { pred, derived: *derived };
+                self.stages.push((stage, input.scope(), layout.clone()));
+                Some(layout)
+            }
+            PlanNode::Reorder { input, perm, .. } => {
+                let layout = self.compile(input, slot, kept)?;
+                Some(perm.iter().map(|&p| layout[p]).collect())
+            }
+            PlanNode::Join { left, right, kind, lkeys, .. }
+                if !lkeys.is_empty()
+                    && matches!(kind, JoinKind::Inner | JoinKind::Left)
+                    && kept_ref(&kept.builds, &**right).is_some()
+                    && !lkeys.iter().any(VecExpr::has_subquery) =>
+            {
+                let layout = self.compile(left, slot, kept)?;
+                let build = self.build_at.len();
+                self.build_at.push(&**right);
+                let stage = Stage::Probe { keys: lkeys, build, pad: *kind == JoinKind::Left };
+                self.stages.push((stage, left.scope(), layout.clone()));
+                Some(
+                    layout
+                        .into_iter()
+                        .chain(columns(right).map(|c| Src::Build(build, c)))
+                        .collect(),
+                )
+            }
+            PlanNode::Join { left, right, kind, lkeys, cond, scope, .. }
+                if lkeys.is_empty()
+                    && matches!(kind, JoinKind::Inner | JoinKind::Cross)
+                    && !cond.as_ref().is_some_and(bound_has_subquery) =>
+            {
+                let other_is_right = kept_ref(&kept.outputs, &**right).is_some();
+                let (inner, other) = if other_is_right { (left, right) } else { (right, left) };
+                kept_ref(&kept.outputs, &**other)?;
+                let inner = self.compile(inner, slot, kept)?;
+                let output = self.output_at.len();
+                self.output_at.push(&**other);
+                let other = columns(other).map(|c| Src::Output(output, c));
+                let layout: Vec<Src> = if other_is_right {
+                    inner.into_iter().chain(other).collect()
+                } else {
+                    other.chain(inner).collect()
+                };
+                if let Some(cond) = cond {
+                    self.stages.push((Stage::Cross { cond }, scope, layout.clone()));
+                }
+                Some(layout)
+            }
+            _ => None,
+        }
+    }
+
+    /// The step over the one-row working table `working`: the row it
+    /// produces, if any; `None` when the kept sides are not all there
+    /// yet or a probe meets more than one build row.
+    fn run(
+        &mut self,
+        ctx: &EvalCtx<'_>,
+        working: &[Value],
+        outer: Option<&Env<'_>>,
+    ) -> Result<Option<Option<Row>>> {
+        let Some(sides) = &self.sides else { return Ok(None) };
+        for (stage, scope, layout) in &self.stages {
+            let ev = VecEvalCtx { ctx, scope, outer };
+            let row = SpineRow { layout, working, sides, matched: &self.matched };
+            match stage {
+                Stage::Filter { pred, derived } => {
+                    let holds =
+                        pred.eval_row(&row, &ev).and_then(|v| Ok(v.as_bool()? == Some(true)));
+                    match holds {
+                        Ok(true) => {}
+                        // What the batch `Filter` does with a derived
+                        // predicate it cannot evaluate.
+                        Err(_) if *derived => {}
+                        Ok(false) => return Ok(Some(None)),
+                        Err(e) => return Err(e),
+                    }
+                }
+                Stage::Probe { keys, build, pad } => {
+                    let table = &sides.builds[*build];
+                    let first = table.first_match_of_row(keys, &row, &ev, &mut self.key)?;
+                    if first == END && !pad {
+                        return Ok(Some(None));
+                    }
+                    if first != END && table.next[first as usize] != END {
+                        return Ok(None);
+                    }
+                    self.matched[*build] = (first != END).then_some(first as usize);
+                }
+                Stage::Cross { cond } => {
+                    let env = Env { scope, row: &row.to_row(), parent: outer };
+                    if cond.eval(ctx, &env)?.as_bool()? != Some(true) {
+                        return Ok(Some(None));
+                    }
+                }
+            }
+        }
+        let (exprs, scope, layout) = &self.project;
+        let ev = VecEvalCtx { ctx, scope, outer };
+        let row = SpineRow { layout, working, sides, matched: &self.matched };
+        let mut out: Row = exprs.iter().map(|e| e.eval_row(&row, &ev)).collect::<Result<_>>()?;
+        out.truncate(self.visible);
+        Ok(Some(Some(out)))
     }
 }
 
@@ -421,33 +738,61 @@ impl<'a> Runner<'a, '_> {
                 Ok(unseen_rows(&batches, *visible, &mut HashMap::new()))
             }
 
-            PlanNode::Sort { input, items, visible, .. } => {
+            PlanNode::Sort { input, items, visible, keep, .. } => {
                 let batches = self.run_node(input)?;
-                let rows = batches_to_rows(&batches);
-                let mut keyed: Vec<(Vec<Value>, Row)> =
-                    rows.into_iter().map(|r| (r[*visible..].to_vec(), r)).collect();
-                sort_keyed(&mut keyed, items);
-                let rows: Vec<Row> = keyed.into_iter().map(|(_, r)| r).collect();
-                Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+                let all = concat(&batches, input.scope().cols.len());
+                let rows = sorted_rows(&all.cols[*visible..], items, all.len, *keep);
+                Ok(if rows.is_empty() { Vec::new() } else { vec![all.gather(&rows)] })
             }
 
             PlanNode::Limit { input, limit, offset } => {
-                let batches = self.run_node(input)?;
-                let mut rows = batches_to_rows(&batches);
-                if let Some(o) = offset {
-                    if *o >= rows.len() {
-                        rows.clear();
-                    } else {
-                        rows.drain(..*o);
+                let (mut skip, mut take) = (offset.unwrap_or(0), limit.unwrap_or(usize::MAX));
+                let mut out = Vec::new();
+                for b in self.run_node(input)? {
+                    let from = skip.min(b.len);
+                    let to = b.len.min(from.saturating_add(take));
+                    skip -= from;
+                    take -= to - from;
+                    if (from, to) == (0, b.len) {
+                        out.push(b);
+                    } else if from < to {
+                        out.push(b.gather(&(from..to).collect::<Vec<_>>()));
                     }
                 }
-                if let Some(l) = limit {
-                    rows.truncate(*l);
-                }
-                Ok(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect())
+                Ok(out)
             }
         }
     }
+}
+
+/// The rows `0..len` in the order `ORDER BY items` gives them by the key
+/// columns `keys` — rows of equal keys in input order, which is the order
+/// the stable `sort_keyed` leaves them in — or only the first `keep` of
+/// that order, found without sorting the rest.
+fn sorted_rows(
+    keys: &[Arc<ColumnVec>],
+    items: &[OrderItem],
+    len: usize,
+    keep: Option<usize>,
+) -> Vec<usize> {
+    let by_keys = |a: &usize, b: &usize| {
+        let by_key = |(col, item): (&Arc<ColumnVec>, &OrderItem)| {
+            key_order(item, !col.is_valid(*a), !col.is_valid(*b), || col.cmp_slots(*a, *b))
+        };
+        let unequal = keys.iter().zip(items).map(by_key).find(|o| o.is_ne());
+        unequal.unwrap_or_else(|| a.cmp(b))
+    };
+    let keep = keep.unwrap_or(len).min(len);
+    if keep == 1 {
+        return (0..len).min_by(by_keys).into_iter().collect();
+    }
+    let mut rows: Vec<usize> = (0..len).collect();
+    if 0 < keep && keep < len {
+        rows.select_nth_unstable_by(keep - 1, by_keys);
+    }
+    rows.truncate(keep);
+    rows.sort_unstable_by(by_keys);
+    rows
 }
 
 /// The rows of `batches` whose first `visible` columns are not in `seen`
@@ -666,6 +1011,32 @@ impl JoinBuild {
             }
         };
         chain.map_or(END, |(first, _)| *first)
+    }
+
+    /// [`Self::first_match`] for the one probe row `row`, whose key is
+    /// what `keys` evaluate to on it: every key is evaluated (an error in
+    /// a later one is not hidden by a NULL before it), as over a batch.
+    fn first_match_of_row(
+        &self,
+        keys: &[VecExpr],
+        row: &impl RowRef,
+        ev: &VecEvalCtx<'_>,
+        key: &mut Vec<GroupKey>,
+    ) -> Result<u32> {
+        key.clear();
+        let mut null = false;
+        for k in keys {
+            let v = k.eval_row(row, ev)?;
+            null |= v.is_null();
+            key.push(v.group_key());
+        }
+        let chain = match (&self.table, &key[..]) {
+            _ if null => None,
+            (KeyTable::Num(table), [GroupKey::Num(bits)]) => table.get(bits),
+            (KeyTable::Num(_), _) => None,
+            (KeyTable::Generic(table), key) => table.get(key),
+        };
+        Ok(chain.map_or(END, |(first, _)| *first))
     }
 }
 

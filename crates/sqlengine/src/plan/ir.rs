@@ -137,8 +137,16 @@ pub enum PlanNode {
     /// SELECT DISTINCT over the first `visible` columns.
     Distinct { input: Box<PlanNode>, visible: usize },
     /// Sort by the key columns `visible..` produced by the Project
-    /// below, using the direction/null-order of `items`.
-    Sort { input: Box<PlanNode>, items: Vec<OrderItem>, visible: usize, desc: String },
+    /// below, using the direction/null-order of `items`. `keep` is the
+    /// `offset + limit` of a `Limit` directly above: the rows past it are
+    /// never read, so they need not be produced.
+    Sort {
+        input: Box<PlanNode>,
+        items: Vec<OrderItem>,
+        visible: usize,
+        keep: Option<usize>,
+        desc: String,
+    },
     /// LIMIT/OFFSET with plan-time-constant values.
     Limit { input: Box<PlanNode>, limit: Option<usize>, offset: Option<usize> },
 }

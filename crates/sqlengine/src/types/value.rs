@@ -315,7 +315,7 @@ impl Value {
             return Ok(Null);
         }
         match (op, v) {
-            (UnOp::Neg, Int(i)) => Ok(Int(-i)),
+            (UnOp::Neg, Int(i)) => i.checked_neg().map(Int).ok_or_else(overflow),
             (UnOp::Neg, Float(f)) => Ok(Float(-f)),
             (UnOp::Neg, Interval(i)) => Ok(Interval(-i)),
             (UnOp::Not, Bool(b)) => Ok(Bool(!b)),

@@ -17,7 +17,8 @@
 //! NULL keys).
 
 use sqlengine::{
-    execute_script, execute_sql, set_force_row_interpreter, DataType, Database, Table, Value,
+    execute_script, execute_sql, set_force_row_interpreter, DataType, Database, ExecCounts, Table,
+    Value,
 };
 
 fn setup() -> Database {
@@ -162,6 +163,25 @@ fn differential_handwritten_corpus() {
         ("SELECT a, b FROM t1 ORDER BY b DESC NULLS FIRST, a, c", true),
         ("SELECT a FROM t1 ORDER BY a LIMIT 7", true),
         ("SELECT a FROM t1 ORDER BY a LIMIT 5 OFFSET 3", true),
+        // Sort under Limit keeps what Limit takes: rows of equal keys stay
+        // in input order, whichever of them the cut falls between.
+        ("SELECT a, b, c FROM t1 ORDER BY a LIMIT 7", true),
+        ("SELECT a, b FROM t1 ORDER BY a DESC LIMIT 9 OFFSET 2", true),
+        ("SELECT a, c FROM t1 ORDER BY c NULLS FIRST, a DESC NULLS LAST LIMIT 11", true),
+        ("SELECT a, c FROM t1 ORDER BY c DESC NULLS LAST, a NULLS FIRST LIMIT 11 OFFSET 40", true),
+        ("SELECT a, b, d FROM t1 ORDER BY a, d DESC LIMIT 13 OFFSET 5", true),
+        ("SELECT a, b FROM t1 ORDER BY a % 3, b DESC LIMIT 8", true),
+        ("SELECT a, b FROM t1 ORDER BY CASE WHEN b > 25 THEN a ELSE d END, c LIMIT 10", true),
+        ("SELECT a, d FROM t1 ORDER BY d LIMIT 1", true),
+        ("SELECT a, d FROM t1 ORDER BY d DESC LIMIT 1 OFFSET 1", true),
+        ("SELECT a, b FROM t1 ORDER BY a LIMIT 0", true),
+        ("SELECT a, b FROM t1 ORDER BY a LIMIT 60", true),
+        ("SELECT a, b FROM t1 ORDER BY a LIMIT 100 OFFSET 59", true),
+        ("SELECT a, b FROM t1 ORDER BY a LIMIT 3 OFFSET 60", true),
+        ("SELECT a, b FROM t1 ORDER BY a OFFSET 100", true),
+        ("SELECT a, b FROM t1 ORDER BY a OFFSET 55", true),
+        ("SELECT a, b FROM t1 LIMIT 4 OFFSET 58", true),
+        ("SELECT a, b FROM t1 WHERE a > 99 ORDER BY a LIMIT 2", true),
         ("SELECT count(*) FROM t1", true),
         ("SELECT count(a), count(*), sum(b), min(d), max(d) FROM t1", true),
         ("SELECT avg(b), avg(d) FROM t1", true),
@@ -666,9 +686,16 @@ fn gen_select(rng: &mut Rng) -> String {
         if !distinct && rng.below(3) == 0 {
             // ORDER BY alone is not a total order over duplicate rows;
             // keep it to exercise Sort, but still compare multisets.
-            sql.push_str(&format!(" ORDER BY {}", qual("b")));
-            if rng.below(2) == 0 {
-                sql.push_str(&format!(" LIMIT {} OFFSET {}", 40 + rng.below(60), rng.below(4)));
+            let order = rng.pick(&["", " DESC", " NULLS FIRST", " DESC NULLS LAST"]);
+            sql.push_str(&format!(" ORDER BY {}{order}", qual("b")));
+            // A cut among rows of equal `b` takes the first of them in
+            // input order — a join's output order included.
+            match rng.below(4) {
+                0 => sql.push_str(&format!(" LIMIT {} OFFSET {}", rng.below(30), rng.below(6))),
+                1 => {
+                    sql.push_str(&format!(" LIMIT {} OFFSET {}", 40 + rng.below(60), rng.below(4)))
+                }
+                _ => {}
             }
         }
     }
@@ -713,6 +740,34 @@ fn add_where(sql: &mut String, rng: &mut Rng, qual: &dyn Fn(&str) -> String) {
         preds.push(p);
     }
     sql.push_str(&format!(" WHERE {}", preds.join(rng.pick(&[" AND ", " OR "]))));
+}
+
+/// `Limit` slices batches and `Sort` selects among all of them: cuts at,
+/// across and past the 1024-row batch boundary of a stored table.
+#[test]
+fn sort_and_limit_cut_across_batches() {
+    let mut db = Database::new();
+    execute_sql(
+        &mut db,
+        "CREATE TABLE big AS WITH RECURSIVE g(i) AS (SELECT 0 UNION ALL SELECT i + 1 FROM g \
+         WHERE i < 2499) SELECT i, i % 7 AS k, CASE WHEN i % 5 = 0 THEN NULL ELSE i % 3 END AS z FROM g",
+    )
+    .unwrap();
+    for tail in [
+        "LIMIT 5 OFFSET 1020",
+        "LIMIT 1024",
+        "LIMIT 1500 OFFSET 1000",
+        "LIMIT 10 OFFSET 2495",
+        "OFFSET 2048",
+        "ORDER BY k LIMIT 10 OFFSET 1100",
+        "ORDER BY k DESC, i LIMIT 3",
+        "ORDER BY z NULLS FIRST, k DESC LIMIT 600 OFFSET 450",
+        "ORDER BY z DESC LIMIT 1",
+        "ORDER BY z, k LIMIT 2600",
+        "ORDER BY k",
+    ] {
+        check(&mut db, &format!("SELECT i, k, z FROM big {tail}"), true);
+    }
 }
 
 /// A statement's error is one error whichever executor meets it — the
@@ -1390,4 +1445,211 @@ fn closed_subqueries_are_planned_once_per_epoch() {
     check(&mut db, "SELECT 3 IN (SELECT a FROM t1), EXISTS (SELECT 1 FROM t2 WHERE f > 98)", true);
     check(&mut db, "SELECT (SELECT count(*) FROM t1 JOIN t2 USING (a))", true);
     check(&mut db, "SELECT (SELECT a FROM t1)", true); // more than one row: the same error
+}
+
+// ---------------------------------------------------------------------------
+// Recursion: the row pipeline, the batch operators and the reference
+// ---------------------------------------------------------------------------
+
+/// The result of `sql` on the planner (rows sorted, or the error's text),
+/// checked against the reference interpreter by [`check`], and the
+/// executor's work counters for it.
+fn recursion(db: &mut Database, sql: &str) -> (Result<Vec<String>, String>, ExecCounts) {
+    check(db, sql, false);
+    let before = db.exec_counts();
+    let got = execute_sql(db, sql).map(|r| {
+        let mut rows = row_keys(&r.into_table().unwrap());
+        rows.sort();
+        rows
+    });
+    (got.map_err(|e| e.to_string()), db.exec_counts().since(&before))
+}
+
+/// A recursive step over a one-row working table runs on scalars where
+/// the term's plan has a spine; it is the same function as the batch
+/// operators and as the reference interpreter. Every recursion below
+/// takes its anchor from `{a}` and runs three ways: over `one` (a single
+/// row — the row pipeline wherever the plan allows it), over `two` (the
+/// same row twice — under UNION ALL the working table never is one row,
+/// so every step runs on batches and every row comes out twice), and
+/// both of them on the reference, with equal rows or the same error.
+#[test]
+fn one_row_steps_are_the_same_function_three_ways() {
+    let mut db = Database::new();
+    execute_script(
+        &mut db,
+        "CREATE TABLE one (v INT); INSERT INTO one VALUES (1);
+         CREATE TABLE two (v INT); INSERT INTO two VALUES (1), (1);
+         -- A chain k -> n: 3 has two edges (to the same node), 5 leads to
+         -- NULL, a NULL key matches nothing, 6 is absent.
+         CREATE TABLE e (k INT, n INT, w FLOAT8);
+         INSERT INTO e VALUES (1,2,0.5), (2,3,1.5), (3,4,2.5), (3,4,2.5), (4,5,3.5),
+                              (5,NULL,4.5), (NULL,9,9.5);
+         -- The chain keyed by a FLOAT8 column, without the double edge; it ends at 4.
+         CREATE TABLE ef (k FLOAT8, n INT);
+         INSERT INTO ef VALUES (1.0,2), (2.0,3), (3.0,4), (4.5,5);
+         -- And by two columns, one of them text.
+         CREATE TABLE et (k TEXT, g INT, n TEXT);
+         INSERT INTO et VALUES ('1',0,'2'), ('2',0,'3'), ('3',0,NULL), ('2',1,'9');
+         CREATE TABLE lim (hi INT); INSERT INTO lim VALUES (4);",
+    )
+    .unwrap();
+    // (recursion, how many of its steps over `one` run on one row:
+    // `Some(n)` exactly, `None` for none — the plan has no spine.)
+    let cases: &[(&str, Option<u64>)] = &[
+        // Inner probe with 1, 2 and 0 matches. 1 builds `e`, 2 runs on
+        // one row, 3 meets two edges: from there on two rows per step.
+        (
+            "WITH RECURSIVE r(k, acc) AS (SELECT v, 0.0 FROM {a} UNION ALL \
+             SELECT e.n, r.acc + e.w FROM r JOIN e ON e.k = r.k) SELECT k, acc FROM r",
+            Some(1),
+        ),
+        // UNION folds the two 4s into one: the step over 3 falls back to
+        // the batch operators and 4, 5 and NULL run on one row again.
+        (
+            "WITH RECURSIVE r(k) AS (SELECT v FROM {a} UNION \
+             SELECT e.n FROM r JOIN e ON e.k = r.k) SELECT k FROM r",
+            Some(4),
+        ),
+        // LEFT probe: Int keys against a Float column (`4` meets no
+        // `4.5`), then the padded NULL key, until the filter ends it.
+        (
+            "WITH RECURSIVE r(k, acc) AS (SELECT v, 0 FROM {a} UNION ALL \
+             SELECT ef.n, r.acc + coalesce(ef.n, 100) FROM r LEFT JOIN ef ON ef.k = r.k \
+             WHERE r.acc < 250) SELECT k, acc FROM r",
+            Some(6),
+        ),
+        // LEFT probe with two matches, folded by UNION.
+        (
+            "WITH RECURSIVE r(k) AS (SELECT v FROM {a} UNION \
+             SELECT e.n FROM r LEFT JOIN e ON e.k = r.k WHERE r.k IS NOT NULL) SELECT k FROM r",
+            Some(4),
+        ),
+        // Float keys against an Int column: `2.0` meets `2`.
+        (
+            "WITH RECURSIVE r(k) AS (SELECT v FROM {a} UNION \
+             SELECT e.n * 1.0 FROM r JOIN e ON e.k = r.k) SELECT k FROM r",
+            Some(4),
+        ),
+        // A two-column key with text in it, and a NULL that ends the walk.
+        (
+            "WITH RECURSIVE r(k) AS (SELECT cast(v AS TEXT) FROM {a} UNION ALL \
+             SELECT et.n FROM r JOIN et ON et.k = r.k AND et.g = length(r.k) - 1) SELECT k FROM r",
+            Some(3),
+        ),
+        // No join at all: every step runs on one row, the filter ends it.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT n + 1 FROM r WHERE n < 5) SELECT n FROM r",
+            Some(5),
+        ),
+        // … with what the kernels replay or re-enter the reference for.
+        (
+            "WITH RECURSIVE r(n, s) AS (SELECT v, 'x' FROM {a} UNION ALL \
+             SELECT n + 1, CASE WHEN n % 2 = 0 THEN s || 'e' ELSE upper(s) END FROM r \
+             WHERE n < 9 AND n IN (1, 2, 3, 4) AND NOT n BETWEEN 7 AND 8) SELECT n, s FROM r",
+            Some(5),
+        ),
+        // UNION reaches its fixpoint through the rows seen: 1 2 3 0 (1).
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION SELECT (n + 1) % 4 FROM r) \
+             SELECT n FROM r",
+            Some(4),
+        ),
+        // A predicate the planner derives for the working table's side.
+        (
+            "WITH RECURSIVE r(k) AS (SELECT v FROM {a} UNION ALL \
+             SELECT ef.n FROM r JOIN ef ON ef.k = r.k WHERE ef.k < 3) SELECT k FROM r",
+            Some(2),
+        ),
+        // A keyless join with a condition over a one-row kept output.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT r.n + 1 FROM r JOIN lim ON lim.hi > r.n) SELECT n FROM r",
+            Some(3),
+        ),
+        // … and over one of two rows: fan-out, so batches throughout.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT r.n + 1 FROM r, two t WHERE t.v + r.n < 4) SELECT n FROM r",
+            Some(0),
+        ),
+        // Under an outer row, which the filter reads.
+        (
+            "SELECT hi, (WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT ef.n FROM r JOIN ef ON ef.k = r.n WHERE r.n < lim.hi - 1) \
+             SELECT sum(n) FROM r) FROM lim",
+            Some(2),
+        ),
+        // A step that fails at step 3, on one row (a recursion that
+        // does not finish counts nothing): division by zero …
+        (
+            "WITH RECURSIVE r(n, q) AS (SELECT v, 0 FROM {a} UNION ALL \
+             SELECT ef.n, 100 / (ef.n - 4) FROM r JOIN ef ON ef.k = r.n) SELECT n, q FROM r",
+            Some(0),
+        ),
+        // … and integer overflow.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT n * 3037000500 FROM r WHERE n < 4000000000) SELECT n FROM r",
+            Some(0),
+        ),
+        // A subquery in the term: no spine.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION ALL \
+             SELECT n + 1 FROM r WHERE n < (SELECT max(hi) FROM lim)) SELECT n FROM r",
+            None,
+        ),
+        // The working table on both sides of a join: no spine.
+        (
+            "WITH RECURSIVE r(n) AS (SELECT v FROM {a} UNION \
+             SELECT x.n + y.n FROM r x JOIN r y ON x.n = y.n WHERE x.n < 20) SELECT n FROM r",
+            None,
+        ),
+    ];
+    let mut unused_pipelines = 0;
+    for (sql, on_one_row) in cases {
+        let (one, work) = recursion(&mut db, &sql.replace("{a}", "one"));
+        assert_eq!(work.row_steps, on_one_row.unwrap_or(0), "{sql}");
+        // Steps of a plan with a row pipeline are counted as such, whether
+        // or not they ran on it.
+        match on_one_row {
+            None => assert_eq!(work.spine_steps, 0, "{sql}"),
+            Some(0) => {}
+            Some(_) => assert_eq!(work.spine_steps, work.recursive_steps, "{sql}"),
+        }
+        let (two, work) = recursion(&mut db, &sql.replace("{a}", "two"));
+        match (&one, &two) {
+            // The recursion's rows aggregated: each checked on its own.
+            _ if sql.starts_with("SELECT") => {}
+            (Ok(one), Ok(two)) if sql.contains("UNION ALL") => {
+                assert_eq!(work.row_steps, 0, "two rows are batches: {sql}");
+                assert!(work.spine_steps == 0 || on_one_row.is_some(), "{sql}");
+                unused_pipelines += usize::from(work.spine_steps > 0);
+                let twice: Vec<String> = one.iter().flat_map(|r| [r.clone(), r.clone()]).collect();
+                assert_eq!(*two, twice, "{sql}");
+            }
+            // UNION folds the anchor into one row; an error is the same error.
+            _ => assert_eq!(one, two, "{sql}"),
+        }
+        // The session answers whatever the recursion came to.
+        assert_eq!(recursion(&mut db, "SELECT v FROM one").0, Ok(vec!["i1".to_string()]));
+    }
+    assert!(unused_pipelines > 0, "no recursion had a pipeline and a two-row working table");
+    let failed =
+        |db: &mut Database, sql: &str| recursion(db, &sql.replace("{a}", "one")).0.unwrap_err();
+    assert_eq!(failed(&mut db, cases[13].0), "evaluation error: division by zero");
+    assert_eq!(failed(&mut db, cases[14].0), "evaluation error: integer overflow");
+}
+
+/// The step counter caps a recursion that runs on one row, with the
+/// error `sql_semantics.rs` pins for both executors on the row cap.
+#[test]
+fn the_iteration_cap_holds_on_the_row_pipeline() {
+    let mut db = Database::new();
+    let sql =
+        "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r) SELECT count(*) FROM r";
+    let err = execute_sql(&mut db, sql).unwrap_err().to_string();
+    assert_eq!(err, "evaluation error: recursive CTE 'r' exceeded the iteration limit");
+    assert_eq!(row_keys(&execute_sql(&mut db, "SELECT 1").unwrap().into_table().unwrap()), ["i1"]);
 }

@@ -355,7 +355,23 @@ fn recursive_name_inside_a_from_subquery_is_planned_again_every_step() {
         "EXPLAIN WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM reach r \
          JOIN edges e ON e.src = r.n) SELECT n FROM reach",
     );
-    assert_eq!(plan.rows[0][0].to_string(), "recursive CTE reach: planned once, build side reused");
+    // 1 builds `edges`; {2, 3} is two rows; 4 meets two edges; 5 meets none.
+    assert_eq!(
+        plan.rows[0][0].to_string(),
+        "recursive CTE reach: planned once, build side reused, 1 of 4 steps on one row"
+    );
+    // EXPLAIN ANALYZE says the same on the recursion's span.
+    let traced = q(
+        &mut db,
+        "EXPLAIN ANALYZE WITH RECURSIVE reach(n) AS (SELECT 1 UNION SELECT e.dst FROM reach r \
+         JOIN edges e ON e.src = r.n) SELECT n FROM reach",
+    );
+    let span = traced.rows.iter().map(|r| r[0].to_string()).find(|l| l.contains("recursive CTE"));
+    let span = span.expect("a span for the recursion");
+    assert!(
+        span.contains("rows=5  term=planned once, build side reused, 1 of 4 steps on one row"),
+        "{span}"
+    );
 }
 
 #[test]
@@ -369,17 +385,48 @@ fn recursive_cte_with_an_empty_anchor_is_empty() {
     );
 }
 
+/// A term wider or narrower than its anchor is the same typed error on
+/// both executors, whatever the first step would have run on — one row,
+/// batches (a join to build, a two-row anchor), `UNION`'s dedup — and an
+/// error the first step raises itself comes first.
 #[test]
 fn recursive_term_column_count_mismatch_errors_on_both_paths() {
-    let mut db = Database::new();
-    let sql = "WITH RECURSIVE t(n) AS (SELECT 1 UNION ALL SELECT n + 1, n FROM t WHERE n < 3) \
-               SELECT count(*) FROM t";
-    let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
-    assert!(planned.contains("returns 2 columns, expected 1"), "{planned}");
-    let was = sqlengine::set_force_row_interpreter(true);
-    let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
-    sqlengine::set_force_row_interpreter(was);
-    assert_eq!(planned, rows);
+    let mut db = graph();
+    let cases = [
+        (
+            "WITH RECURSIVE t(n) AS (SELECT 1 UNION ALL SELECT n + 1, n FROM t WHERE n < 3) \
+             SELECT count(*) FROM t",
+            "returns 2 columns, expected 1",
+        ),
+        (
+            "WITH RECURSIVE r(a, b) AS (SELECT 1, 2 UNION SELECT r.a + 1 FROM r \
+             JOIN edges e ON e.src = r.a) SELECT a FROM r",
+            "returns 1 columns, expected 2",
+        ),
+        (
+            "WITH RECURSIVE r(a, b) AS (SELECT src, dst FROM edges UNION SELECT a + 1 FROM r \
+             WHERE a < 3) SELECT a FROM r",
+            "returns 1 columns, expected 2",
+        ),
+        (
+            "WITH RECURSIVE r(a, b) AS (SELECT 1, 2 UNION ALL SELECT a + 1 FROM r WHERE a < 3) \
+             SELECT a FROM r",
+            "returns 1 columns, expected 2",
+        ),
+        (
+            "WITH RECURSIVE r(a, b) AS (SELECT 1, 2 UNION SELECT 1 / (a - 1) FROM r) \
+             SELECT a FROM r",
+            "division by zero",
+        ),
+    ];
+    for (sql, want) in cases {
+        let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
+        assert!(planned.contains(want), "{sql}: {planned}");
+        let was = sqlengine::set_force_row_interpreter(true);
+        let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
+        sqlengine::set_force_row_interpreter(was);
+        assert_eq!(planned, rows, "{sql}");
+    }
 }
 
 /// Run `sql` on the planner path and on the forced row interpreter; the

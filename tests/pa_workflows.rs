@@ -248,15 +248,21 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
 /// (no timing): per evaluation the simulation takes one recursive step
 /// per history row on a kept join build, and builds no plan at all —
 /// the statement as a whole builds the same number of plans at 100 and
-/// at 400 history rows.
+/// at 400 history rows, and at 10 and at 40 iterations. The example's
+/// model reads its parameters through scalar subqueries in the recursive
+/// term, and a term that evaluates a subquery is stepped on batches.
 #[test]
 fn fitness_plans_do_not_grow_with_history() {
-    let counts_at = |history: usize| {
+    let counts_at = |history: usize, iterations: usize| {
         let mut s = fitting_session(history);
-        let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
+        let sql = energy_planning::FIT_SQL
+            .replace("iterations := 2500", &format!("iterations := {iterations}"));
         let before = s.db().exec_counts();
         let result = s.execute(&sql).unwrap();
-        let statement_plans = s.db().exec_counts().since(&before).plans_built;
+        let work = s.db().exec_counts().since(&before);
+        // No row pipeline to hold the statement to (`analyze`'s gate).
+        assert_eq!((work.spine_steps, work.row_steps), (0, 0));
+        let statement_plans = work.plans_built;
         let trace = result.trace.expect("solve statements are traced");
         let search = find_stage(&trace.stages, "search").expect("search stage");
         let note = |key: &str| -> u64 {
@@ -268,9 +274,11 @@ fn fitness_plans_do_not_grow_with_history() {
         assert_eq!(note("plans_built"), 0, "history {history}");
         assert_eq!(note("recursive_steps"), evaluations * (history as u64 + 1));
         assert_eq!(note("builds_reused"), evaluations * history as u64);
+        assert_eq!(note("row_steps"), 0);
         statement_plans
     };
-    assert_eq!(counts_at(100), counts_at(400));
+    assert_eq!(counts_at(100, 10), counts_at(400, 10));
+    assert_eq!(counts_at(100, 10), counts_at(100, 40));
 }
 
 /// The first stage of that name anywhere in a stage tree.
