@@ -331,9 +331,11 @@ pub fn uc1_scale(cfg: Config) -> Figure {
         let (mut s, _) = uc1_session(history, horizon, 2026);
         let t = run_s3ss(&mut s, Some(cfg.p3_iterations())).or_die("s3ss");
         uc1::validate_plan(&mut s).or_die("plan");
+        let p2_pivots = uc1::p2_pivots(&mut s).or_die("P2 pivots");
         rows.push(vec![
             history.to_string(),
             (2 * history).to_string(),
+            p2_pivots.to_string(),
             secs(t.p1),
             secs(t.p2),
             secs(t.p3),
@@ -347,6 +349,7 @@ pub fn uc1_scale(cfg: Config) -> Figure {
         headers: vec![
             "history (h)".into(),
             "P2 LP rows".into(),
+            "P2 pivots".into(),
             "P1".into(),
             "P2".into(),
             "P3".into(),
@@ -356,6 +359,7 @@ pub fn uc1_scale(cfg: Config) -> Figure {
         rows,
         notes: vec![
             "P2 is one L1-regression LP with two rows per history row; P4's LP has one equality row per horizon step".into(),
+            "P2 pivots: simplex iterations of that LP, read from the script's SOLVESELECT run again outside the phase times".into(),
         ],
     }
 }

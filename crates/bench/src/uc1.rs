@@ -43,6 +43,18 @@ pub fn run_s3ss(s: &mut Session, p3_iterations: Option<usize>) -> Result<PhaseTi
     Ok(PhaseTimes { p1, p2, p3, p4 })
 }
 
+/// Simplex pivots of P2's regression LP over the session's `hist`: the
+/// script's `SOLVESELECT` run again on its own (a solve inside `CREATE
+/// TABLE … AS` reports no telemetry), outside any phase time. The crash
+/// is deterministic, so this is the count the phase paid.
+pub fn p2_pivots(s: &mut Session) -> Result<u64> {
+    let stmts = sqlengine::parser::parse_statements(S_3SS_P2)?;
+    let solve = stmts.iter().flat_map(crate::sweep::solves_in_statement).next();
+    let solve = solve.ok_or_else(|| sqlengine::error::Error::eval("P2 has no SOLVESELECT"))?;
+    let r = s.execute_statement(&sqlengine::ast::Statement::Solve(solve.clone()))?;
+    Ok(r.trace.iter().flat_map(|t| &t.solvers).map(|st| st.iterations).sum())
+}
+
 /// S-shared: same pipeline, but P3/P4 reuse the stored LTI model.
 /// Model installation counts into P3 (the paper splits the shared model
 /// evenly between its users; attributing it to P3 keeps the comparison

@@ -95,7 +95,8 @@ impl Solver for LpSolver {
         );
         // `method` is what ran: branch-and-bound (shortcuts included) or
         // the simplex alone.
-        let (sol, stats, method) = ctx.stage("solve-lp", || {
+        let span = ctx.trace.map(|t| t.span("solve-lp"));
+        let (sol, stats, method) = (|| {
             if pre.as_ref().is_some_and(|p| p.infeasible()) {
                 return (lp::Solution::infeasible(), lp::mip::MipStats::default(), "simplex");
             }
@@ -118,7 +119,12 @@ impl Solver for LpSolver {
                 let (sol, stats) = solve_relaxation(target);
                 (sol, stats, "simplex")
             }
-        });
+        })();
+        // How the (root) LP's cold solve started, when the kernel ran.
+        if let Some(span) = span.filter(|_| stats.refactorizations > 0) {
+            span.note("start", stats.start);
+            span.note("phase1_pivots", stats.start.phase1_pivots);
+        }
         let (matrix_class, integrality_proof, blocks) = match analysis.as_deref() {
             Some(a) => {
                 (a.census_label(), a.proof_label(target), lp::matrix::block_count(target) as u64)

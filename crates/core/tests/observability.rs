@@ -96,6 +96,43 @@ fn explain_analyze_renders_the_stage_tree() {
 }
 
 #[test]
+fn solve_lp_says_how_the_simplex_started() {
+    // The P2 script of UC1 (paper §4.1) over six hours: free
+    // coefficients and errors, two rows per hour.
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE hist (outtemp float8, hr float8, pvsupply float8);
+         INSERT INTO hist VALUES (1, 0, 0), (2, 5, 2), (5, 9, 7), (4, 12, 9), (2, 15, 4), (1, 20, 0)",
+    )
+    .unwrap();
+    let t = s
+        .query(
+            "EXPLAIN ANALYZE SOLVESELECT p(b0, b1, b2) AS                (SELECT NULL::float8 AS b0, NULL::float8 AS b1, NULL::float8 AS b2)              WITH e(err) AS (SELECT outtemp, hr, pvsupply, NULL::float8 AS err FROM hist)              MINIMIZE (SELECT sum(err) FROM e)              SUBJECTTO (SELECT -1*err <= (b0 + b1*outtemp + b2*hr - pvsupply) <= err FROM e, p)              USING solverlp.cbc()",
+        )
+        .unwrap();
+    let plan = text_column(&t, "plan");
+    let line = plan.iter().find(|l| l.contains("-> solve-lp:")).expect("a solve-lp stage");
+    // `start=S structural/L slack/A artificial  phase1_pivots=P` over 12
+    // rows: the six free error columns at least start basic, and fewer
+    // rows than all need an artificial.
+    let note = line.split("start=").nth(1).unwrap_or_else(|| panic!("no start note: {line}"));
+    let (start, phase1_pivots) = note.split_once("  phase1_pivots=").expect("phase1_pivots");
+    let counts: Vec<(usize, &str)> = start
+        .split('/')
+        .map(|part| part.split_once(' ').expect("count and kind"))
+        .map(|(count, kind)| (count.parse().expect("a count"), kind))
+        .collect();
+    let [(structural, "structural"), (slack, "slack"), (artificial, "artificial")] = counts[..]
+    else {
+        panic!("start note: {note}");
+    };
+    assert_eq!(structural + slack + artificial, 12, "{note}");
+    assert!(structural >= 6 && artificial < 12, "{note}");
+    let phase1_pivots: usize = phase1_pivots.trim().parse().expect("a pivot count");
+    assert_eq!(phase1_pivots > 0, artificial > 0, "{note}");
+}
+
+#[test]
 fn mip_solves_report_branch_and_bound_telemetry() {
     let mut s = Session::new();
     s.execute_script(

@@ -136,6 +136,8 @@ pub(crate) struct Factor {
     nucleus: Vec<usize>,
     touched: Vec<usize>,
     marked: Vec<bool>,
+    /// Positions the last factorization found no pivot for.
+    rejected: Vec<usize>,
 }
 
 impl Factor {
@@ -165,12 +167,15 @@ impl Factor {
             nucleus: Vec::new(),
             touched: Vec::new(),
             marked: vec![false; m],
+            rejected: Vec::new(),
         }
     }
 
     /// Factorize the basis whose position k holds `cols[basis[k]]`
     /// (sparse (row, coefficient), rows distinct) and empty the eta file.
-    /// Returns false — leaving the factor unusable — if it is singular.
+    /// Returns false if it is singular: the columns that found no pivot
+    /// were passed over, and the factor is unusable until
+    /// [`Factor::replace_rejected`] puts unit columns in their place.
     pub(crate) fn factorize(&mut self, cols: &[Vec<(usize, f64)>], basis: &[usize]) -> bool {
         let m = self.m;
         self.prow.clear();
@@ -182,6 +187,7 @@ impl Factor {
         self.eta.clear();
         self.eta_pos.clear();
         self.eta_pivot.clear();
+        self.rejected.clear();
 
         // Counts, and the pattern by row.
         self.row_count.fill(0);
@@ -212,7 +218,8 @@ impl Factor {
         self.row_stack.clear();
         self.col_stack.clear();
         // An empty row or column is found when the singletons run out
-        // of entries to pivot on.
+        // of entries to pivot on: the column is rejected, the row left
+        // without a pivot.
         self.col_stack.extend((0..m).filter(|&k| self.col_count[k] <= 1));
         self.row_stack.extend((0..m).filter(|&i| self.row_count[i] <= 1));
 
@@ -224,12 +231,12 @@ impl Factor {
                     continue;
                 }
                 let col = &cols[basis[k]];
-                let Some(&(i, a)) = col.iter().find(|&&(i, _)| !self.row_done[i]) else {
-                    return false;
+                let active = col.iter().find(|&&(i, _)| !self.row_done[i]);
+                let Some(&(i, a)) = active.filter(|&&(_, a)| a.abs() >= SINGULAR_TOL) else {
+                    self.reject(col, k);
+                    continue;
                 };
-                if !self.pivot_singleton(col, i, k, a) {
-                    return false;
-                }
+                self.pivot_singleton(col, i, k, a);
                 // Row i leaves the active part of every other column.
                 for p in self.row_start[i]..self.row_start[i + 1] {
                     let k2 = self.row_cols[p];
@@ -246,15 +253,15 @@ impl Factor {
                 }
                 let row = &self.row_cols[self.row_start[i]..self.row_start[i + 1]];
                 let Some(&k) = row.iter().find(|&&k| !self.col_done[k]) else {
-                    return false;
+                    continue;
                 };
                 let col = &cols[basis[k]];
-                let Some(&(_, a)) = col.iter().find(|&&(r, _)| r == i) else {
-                    return false;
+                let entry = col.iter().find(|&&(r, _)| r == i);
+                let Some(&(_, a)) = entry.filter(|&&(_, a)| a.abs() >= SINGULAR_TOL) else {
+                    self.reject(col, k);
+                    continue;
                 };
-                if !self.pivot_singleton(col, i, k, a) {
-                    return false;
-                }
+                self.pivot_singleton(col, i, k, a);
                 // Column k leaves the active part of every other row.
                 for &(i2, _) in col {
                     if !self.row_done[i2] {
@@ -278,21 +285,49 @@ impl Factor {
             for n in 0..self.nucleus.len() {
                 let k = self.nucleus[n];
                 if !self.eliminate(&cols[basis[k]], k) {
-                    return false;
+                    self.rejected.push(k);
                 }
             }
         }
-        debug_assert_eq!(self.prow.len(), m);
-        true
+        debug_assert_eq!(self.prow.len() + self.rejected.len(), m);
+        self.rejected.is_empty()
+    }
+
+    /// Pass over the column at position `k` in the singleton phase: it
+    /// leaves the active part of every row.
+    fn reject(&mut self, col: &[(usize, f64)], k: usize) {
+        self.col_done[k] = true;
+        self.rejected.push(k);
+        for &(i, _) in col {
+            if !self.row_done[i] {
+                self.row_count[i] -= 1;
+                if self.row_count[i] <= 1 {
+                    self.row_stack.push(i);
+                }
+            }
+        }
+    }
+
+    /// After a [`Factor::factorize`] that returned false: complete the
+    /// factor as that of the basis with, at every position found without
+    /// a pivot, the unit column of a row no column pivoted on. Returns
+    /// those (position, row) pairs; the caller's basis must follow them.
+    pub(crate) fn replace_rejected(&mut self) -> Vec<(usize, usize)> {
+        let unpivoted = (0..self.m).filter(|&i| !self.row_done[i]);
+        let pairs: Vec<(usize, usize)> = self.rejected.drain(..).zip(unpivoted).collect();
+        // A unit column of an unpivoted row is untouched by the L etas
+        // and has nothing in a pivoted row: an empty U column, no eta.
+        for &(k, i) in &pairs {
+            self.close_pivot(i, k, 1.0);
+        }
+        debug_assert_eq!(self.prow.len(), self.m);
+        pairs
     }
 
     /// Record the singleton pivot (row i, position k, element a) of
     /// `col`: its entries in pivoted rows go to U, those in other active
     /// rows (none for a column singleton) are eliminated by an L eta.
-    fn pivot_singleton(&mut self, col: &[(usize, f64)], i: usize, k: usize, a: f64) -> bool {
-        if a.abs() < SINGULAR_TOL {
-            return false;
-        }
+    fn pivot_singleton(&mut self, col: &[(usize, f64)], i: usize, k: usize, a: f64) {
         for &(r, v) in col {
             if self.row_done[r] {
                 self.u.push_entry(r, v);
@@ -301,7 +336,6 @@ impl Factor {
             }
         }
         self.close_pivot(i, k, a);
-        true
     }
 
     /// Close the U column and L eta just pushed as those of the pivot
@@ -703,6 +737,38 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A basis with repeated and emptied columns is reported
+        /// singular, and `replace_rejected` leaves the factor of the
+        /// basis it describes: unit columns at the positions it names.
+        /// (How well conditioned that basis is, is the caller's to check:
+        /// the rows left over are the ones the pivot order left.)
+        #[test]
+        fn rejected_columns_give_way_to_unit_columns(seed in 0u64..1_000_000, m in 2usize..=80, spoiled in 1usize..6) {
+            let mut cols = random_basis(seed, m, false, 0);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5BAD);
+            for _ in 0..spoiled {
+                let (k, from) = (rng.gen_range(0..m), rng.gen_range(0..m));
+                cols[k] = if rng.gen_bool(0.2) { Vec::new() } else { cols[from].clone() };
+            }
+            let mut basis: Vec<usize> = (0..m).collect();
+            let mut f = Factor::new(m);
+            let regular = f.factorize(&cols, &basis);
+            prop_assert_eq!(regular, dense_inverse(&cols, &basis).is_some());
+            if !regular {
+                let pairs = f.replace_rejected();
+                prop_assert!(!pairs.is_empty());
+                for (k, i) in pairs {
+                    basis[k] = cols.len();
+                    cols.push(vec![(i, 1.0)]);
+                }
+            }
+            assert_inverts(&mut f, &cols, &basis, &mut rng)?;
+        }
+    }
+
     #[test]
     fn the_corpus_reaches_every_kind_of_pivot() {
         let m = 60;
@@ -726,6 +792,12 @@ mod tests {
         let cols: Columns = vec![vec![(0, 1.0)], vec![(0, 1.0)], vec![(1, 1.0)]];
         assert!(!Factor::new(3).factorize(&cols, &[0, 0, 2]));
         assert!(!Factor::new(3).factorize(&cols, &[0, 1, 2]), "row 2 is empty");
+        // The twin gives way to the unit column of the row left over.
+        let mut f = Factor::new(3);
+        assert!(!f.factorize(&cols, &[0, 1, 2]));
+        let replaced = f.replace_rejected();
+        assert_eq!(replaced.len(), 1);
+        assert!(replaced[0].0 < 2 && replaced[0].1 == 2, "{replaced:?}");
         // An empty column.
         let cols: Columns = vec![vec![(0, 1.0), (1, 2.0)], vec![]];
         assert!(!Factor::new(2).factorize(&cols, &[0, 1]));

@@ -6,7 +6,7 @@
 //! from its parent's basis. This replaces the CBC/GLPK MIP solvers used
 //! by the paper's `solverlp`.
 
-use crate::simplex::{Basis, Counters, Simplex};
+use crate::simplex::{Basis, Counters, Simplex, Start};
 use crate::{Problem, Solution, Status};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -103,6 +103,9 @@ pub struct MipStats {
     pub dual_pivots: usize,
     /// Basis factorizations over the whole search.
     pub refactorizations: usize,
+    /// How the most recent cold solve (the root, unless a node fell
+    /// back to one) started.
+    pub start: Start,
     /// Incumbent trajectory: (nodes explored when found, objective in
     /// the problem's own sense).
     pub incumbents: Vec<(usize, f64)>,
@@ -115,6 +118,7 @@ impl MipStats {
         self.cold_starts = c.cold_starts;
         self.dual_pivots = c.dual_pivots;
         self.refactorizations = c.refactorizations;
+        self.start = c.start;
     }
 }
 

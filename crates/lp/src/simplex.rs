@@ -1,8 +1,20 @@
 //! Bounded-variable revised simplex as one persistent, re-solvable
 //! kernel: [`Simplex`] builds the columns of a [`Problem`] once, solves
-//! it cold (two-phase artificial start, Dantzig pricing with a Bland
+//! it cold (crash basis, two phases, Dantzig pricing with a Bland
 //! anti-cycling fallback) and re-solves it after bound changes from a
-//! saved [`Basis`] with a bounded dual simplex. The basis is held as a
+//! saved [`Basis`] with a bounded dual simplex.
+//!
+//! A cold solve starts from a *crash basis*: the free structural columns
+//! — basic in any non-degenerate optimum, and never blocking a ratio
+//! test — go into the basis first, longest first, each on the row where
+//! its value leaves its other rows least infeasible; the basis is
+//! factorized and every column the factor finds no pivot for gives its
+//! place to a unit column; each row left takes its slack when the
+//! slack's value is within its bounds and an artificial otherwise.
+//! Phase 1 runs only when an artificial is basic; with no free column
+//! and no slack that fits this is the textbook all-artificial start.
+//!
+//! The basis is held as a
 //! sparse LU factorization plus an eta file ([`crate::factor`]),
 //! refactorized when the eta file outgrows the factor; a re-solve from
 //! the basis the tableau already holds keeps the factor and recomputes
@@ -17,7 +29,8 @@
 
 use crate::factor::Factor;
 use crate::{Problem, Rel, Solution, Status};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as Atomic};
 
 const TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-10;
@@ -26,6 +39,9 @@ const PIVOT_TOL: f64 = 1e-10;
 const INFEASIBLE_TOL: f64 = 1e-6;
 /// Switch to Bland's rule after this many consecutive degenerate pivots.
 const DEGENERATE_LIMIT: usize = 64;
+/// The crash puts a free column on a row only where its coefficient is
+/// at least this share of the column's largest.
+const CRASH_THRESHOLD: f64 = 0.1;
 
 /// Cold solves that ended [`Status::NotConverged`], process-wide.
 static NOT_CONVERGED: AtomicU64 = AtomicU64::new(0);
@@ -34,7 +50,7 @@ static NOT_CONVERGED: AtomicU64 = AtomicU64::new(0);
 /// (iteration cap or a singular basis). Test suites assert it stays 0
 /// over everything the repository ships.
 pub fn not_converged_total() -> u64 {
-    NOT_CONVERGED.load(Ordering::Relaxed)
+    NOT_CONVERGED.load(Atomic::Relaxed)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +83,27 @@ pub struct Basis {
     basic: Vec<usize>,
 }
 
+/// The basis a cold solve started from, and what phase 1 made of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Start {
+    /// Free structural columns the crash made basic (and the factor
+    /// kept).
+    pub structural: usize,
+    /// Rows that started on their slack: its value was within bounds.
+    pub slack: usize,
+    /// Rows that started on an artificial; phase 1 ran if there was one.
+    pub artificial: usize,
+    /// Iterations of phase 1.
+    pub phase1_pivots: usize,
+}
+
+impl std::fmt::Display for Start {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Start { structural, slack, artificial, .. } = self;
+        write!(f, "{structural} structural/{slack} slack/{artificial} artificial")
+    }
+}
+
 /// What a [`Simplex`] has done since it was built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -81,6 +118,8 @@ pub struct Counters {
     /// start, when a re-solve restores another basis than the one held,
     /// and when the updates since the last time have outgrown it.
     pub refactorizations: usize,
+    /// How the most recent cold solve started.
+    pub start: Start,
 }
 
 /// The simplex tableau of one [`Problem`], kept between solves. Between
@@ -224,12 +263,12 @@ impl<'a> Simplex<'a> {
         self.counters
     }
 
-    /// Solve under the current bounds from the all-artificial basis:
-    /// phase 1 drives the artificials to zero, phase 2 optimizes.
+    /// Solve under the current bounds from a crash basis: phase 1
+    /// drives the artificials it needed to zero, phase 2 optimizes.
     pub fn solve(&mut self) -> Solution {
         let sol = self.solve_cold();
         if sol.status == Status::NotConverged {
-            NOT_CONVERGED.fetch_add(1, Ordering::Relaxed);
+            NOT_CONVERGED.fetch_add(1, Atomic::Relaxed);
         }
         sol
     }
@@ -284,35 +323,58 @@ impl<'a> Simplex<'a> {
             return Solution::infeasible();
         }
         let (n, m) = (self.n, self.m);
-        // Structurals and slacks start nonbasic, the artificials basic:
-        // they carry the residual b − A x0.
+        // Every column at rest, the artificials out of the problem, and
+        // each row on its unit column; then the crash.
         for j in 0..n + m {
             self.status[j] = rest_status(self.lower[j], self.upper[j]);
         }
+        for j in n + m..self.n_total {
+            self.status[j] = VarStatus::AtLower;
+            (self.lower[j], self.upper[j]) = (0.0, 0.0);
+        }
         for i in 0..m {
-            self.status[n + m + i] = VarStatus::Basic;
-            self.basis[i] = n + m + i;
+            self.basis[i] = n + i;
         }
-        if !self.refactorize() {
-            return self.solution(Status::NotConverged, 0);
+        self.crash_free_columns();
+        self.install_basis();
+        if !self.crash_is_sound() {
+            for i in 0..m {
+                self.basis[i] = n + i;
+            }
+            self.install_basis();
         }
-        // Phase-1 form: minimize Σ|artificial|.
+        // A unit column is the row's slack if that is within its bounds
+        // at the value the row needs, else its artificial in phase-1
+        // form: minimize Σ|artificial|. The slack rests at 0 either way,
+        // so x_B stands.
         self.cost.fill(0.0);
+        let mut start = Start::default();
         for i in 0..m {
-            let j = n + m + i;
-            (self.lower[j], self.upper[j], self.cost[j]) = if self.xb[i] >= 0.0 {
-                (0.0, f64::INFINITY, 1.0)
+            let (j, v) = (self.basis[i], self.xb[i]);
+            if j < n {
+                start.structural += 1;
+            } else if v >= self.lower[j] - TOL && v <= self.upper[j] + TOL {
+                start.slack += 1;
             } else {
-                (f64::NEG_INFINITY, 0.0, -1.0)
-            };
+                start.artificial += 1;
+                self.status[j] = rest_status(self.lower[j], self.upper[j]);
+                let art = j + m;
+                self.status[art] = VarStatus::Basic;
+                self.basis[i] = art;
+                (self.lower[art], self.upper[art], self.cost[art]) = if v >= 0.0 {
+                    (0.0, f64::INFINITY, 1.0)
+                } else {
+                    (f64::NEG_INFINITY, 0.0, -1.0)
+                };
+            }
         }
-        let needs_phase1 = self.xb.iter().any(|v| v.abs() > TOL);
 
         let mut iterations = 0usize;
         let mut status = Status::Optimal;
-        if needs_phase1 {
+        if start.artificial > 0 {
             let (st, it) = self.optimize();
             iterations += it;
+            start.phase1_pivots = it;
             let infeasibility: f64 =
                 self.basis.iter().zip(&self.xb).map(|(&j, &v)| self.cost[j] * v).sum();
             status = match st {
@@ -323,6 +385,7 @@ impl<'a> Simplex<'a> {
                 st => st,
             };
         }
+        self.counters.start = start;
         self.install_phase2();
         if status == Status::Optimal {
             self.recompute_xb();
@@ -331,6 +394,160 @@ impl<'a> Simplex<'a> {
             status = st;
         }
         self.solution(status, iterations)
+    }
+
+    /// Factorize `basis` as the crash has it so far and compute x_B with
+    /// every other column at rest. A column the factor finds no pivot
+    /// for gives its place to the unit column of a row left without one,
+    /// so a crash cannot leave a singular basis behind.
+    fn install_basis(&mut self) {
+        let (n, m) = (self.n, self.m);
+        self.counters.refactorizations += 1;
+        if !self.factor.factorize(&self.cols, &self.basis) {
+            for (k, i) in self.factor.replace_rejected() {
+                self.basis[k] = n + i;
+            }
+        }
+        self.factored = true;
+        for j in 0..n + m {
+            self.status[j] = rest_status(self.lower[j], self.upper[j]);
+        }
+        for &j in &self.basis {
+            self.status[j] = VarStatus::Basic;
+        }
+        self.recompute_xb();
+    }
+
+    /// Whether x_B solves B·x_B = b − A_N·x_N to working accuracy: a
+    /// basis with crash columns can be regular to the factor and yet so
+    /// badly conditioned that its solves are noise. The unit basis that
+    /// replaces it then is the start a crash-less kernel would take.
+    fn crash_is_sound(&self) -> bool {
+        if self.basis.iter().all(|&j| j >= self.n) {
+            return true;
+        }
+        let mut residual = vec![0.0; self.m];
+        self.structural_residual(&mut residual);
+        for (&j, &v) in self.basis.iter().zip(&self.xb) {
+            if j >= self.n {
+                residual[j - self.n] -= v;
+            }
+        }
+        let scale = self.b.iter().fold(1.0, |s: f64, b| s.max(b.abs()));
+        residual.iter().all(|r| r.abs() <= INFEASIBLE_TOL * scale)
+    }
+
+    /// `out` = b − A·x over the structural columns: the basic ones at
+    /// x_B, the others where they rest.
+    fn structural_residual(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.b);
+        let at_rest = (0..self.n).map(|j| (j, self.nb_value(j)));
+        let basic = self.basis.iter().zip(&self.xb).map(|(&j, &v)| (j, v));
+        for (j, v) in at_rest.chain(basic.filter(|&(j, _)| j < self.n)) {
+            if v != 0.0 {
+                for &(r, a) in &self.cols[j] {
+                    out[r] -= a * v;
+                }
+            }
+        }
+    }
+
+    /// The crash: every free structural column that finds a row goes
+    /// into `basis` at that row's position, longest column first — a
+    /// column of many rows is valued while those rows are still open, a
+    /// column of few then absorbs what is left of them — and the running
+    /// residual b − A·x moves with each. A column with an entry in a
+    /// taken row moves that row off the value its own column gave it, so
+    /// the running residual is no longer the basis's; before the first
+    /// column that has no such entry, it is made exact again, once, by
+    /// factorizing what is placed.
+    fn crash_free_columns(&mut self) {
+        let (n, m) = (self.n, self.m);
+        let is_free =
+            |j: usize| self.lower[j] == f64::NEG_INFINITY && self.upper[j] == f64::INFINITY;
+        let mut free: Vec<usize> =
+            (0..n).filter(|&j| is_free(j) && !self.cols[j].is_empty()).collect();
+        if free.is_empty() {
+            return;
+        }
+        free.sort_by_key(|&j| std::cmp::Reverse(self.cols[j].len()));
+        let mut residual = vec![0.0; m];
+        self.structural_residual(&mut residual);
+        let mut taken = vec![false; m];
+        let mut points = Vec::new();
+        let (mut stale, mut refreshed) = (false, false);
+        for j in free {
+            let coupled = self.cols[j].iter().any(|&(r, _)| taken[r]);
+            if stale && !refreshed && !coupled {
+                self.install_basis();
+                self.structural_residual(&mut residual);
+                for (taken, &basic) in taken.iter_mut().zip(&self.basis) {
+                    *taken = basic < n;
+                }
+                refreshed = true;
+            }
+            let Some((v, r)) = self.crash_row(j, &residual, &taken, &mut points) else {
+                continue;
+            };
+            taken[r] = true;
+            self.basis[r] = j;
+            stale |= coupled && v != 0.0;
+            for &(i, a) in &self.cols[j] {
+                residual[i] -= a * v;
+            }
+        }
+    }
+
+    /// The value and row the crash gives free column `j`. With the other
+    /// columns held where they are, the infeasibility of the column's
+    /// untaken rows is a convex piecewise-linear function of its value;
+    /// each breakpoint is the value at which one row is tight, i.e. the
+    /// column basic on that row. The answer is the breakpoint of least
+    /// infeasibility among the rows where the coefficient is within
+    /// [`CRASH_THRESHOLD`] of the column's largest (ties: the smaller
+    /// value, then the lower row); `None` if no untaken row is.
+    /// `points` is scratch: (breakpoint, row, coefficient).
+    fn crash_row(
+        &self,
+        j: usize,
+        residual: &[f64],
+        taken: &[bool],
+        points: &mut Vec<(f64, usize, f64)>,
+    ) -> Option<(f64, usize)> {
+        let col = &self.cols[j];
+        let largest = col.iter().fold(0.0, |l: f64, &(_, a)| l.max(a.abs()));
+        points.clear();
+        let open = col.iter().filter(|&&(r, a)| !taken[r] && a.abs() > PIVOT_TOL);
+        points.extend(open.map(|&(r, a)| (residual[r] / a, r, a)).filter(|p| p.0.is_finite()));
+        // Finite, so comparable; -0.0 and 0.0 tie and go by row.
+        points.sort_by(|p, q| p.0.partial_cmp(&q.0).unwrap_or(Ordering::Equal).then(p.1.cmp(&q.1)));
+        // What a row adds to the infeasibility per unit of the column's
+        // value below and above its breakpoint: the slack's bounds say
+        // which sign of the row's residual is allowed.
+        let weights = |r: usize, a: f64| {
+            let slack = self.n + r;
+            let (nonneg, nonpos) = (self.lower[slack] == 0.0, self.upper[slack] == 0.0);
+            let below = (nonneg && a < 0.0) || (nonpos && a > 0.0);
+            let above = (nonneg && a > 0.0) || (nonpos && a < 0.0);
+            (if below { a.abs() } else { 0.0 }, if above { a.abs() } else { 0.0 })
+        };
+        let mut slope: f64 = -points.iter().map(|&(_, r, a)| weights(r, a).0).sum::<f64>();
+        // Relative to the infeasibility at the first breakpoint.
+        let mut infeasibility = 0.0;
+        let mut at = points.first()?.0;
+        let mut best: Option<(f64, f64, usize)> = None; // (infeasibility, value, row)
+        for &(v, r, a) in points.iter() {
+            infeasibility += slope * (v - at);
+            at = v;
+            let (below, above) = weights(r, a);
+            slope += below + above;
+            if a.abs() >= CRASH_THRESHOLD * largest
+                && best.map_or(true, |(least, _, _)| infeasibility < least)
+            {
+                best = Some((infeasibility, v, r));
+            }
+        }
+        best.map(|(_, v, r)| (v, r))
     }
 
     fn solve_warm(&mut self, from: &Basis) -> (Status, usize) {
@@ -709,6 +926,14 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
     }
 
+    /// Held by the tests that read or move [`not_converged_total`]: the
+    /// counter is the process's and tests run side by side.
+    static NOT_CONVERGED_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn not_converged_lock() -> std::sync::MutexGuard<'static, ()> {
+        NOT_CONVERGED_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn simple_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic)
@@ -835,9 +1060,10 @@ mod tests {
 
     #[test]
     fn fixed_columns_never_enter() {
-        // max x + y, x fixed at 2, y in [0, 3]. Phase 1 brings the slack
-        // in, phase 2 flips y to its upper bound; each phase ends with
-        // the pass that finds nothing to enter. No zero-length flip of x.
+        // max x + y, x fixed at 2, y in [0, 3]. The slack starts basic
+        // (8 is within its bounds), so there is no phase 1; phase 2 flips
+        // y to its upper bound and ends with the pass that finds nothing
+        // to enter. No zero-length flip of x.
         let mut p = Problem::maximize(2);
         p.set_bounds(0, 2.0, 2.0);
         p.set_bounds(1, 0.0, 3.0);
@@ -846,7 +1072,114 @@ mod tests {
         let s = solve_lp(&p);
         assert!(s.is_optimal());
         assert_close(s.objective, 5.0);
-        assert_eq!(s.iterations, 4);
+        assert_eq!(s.iterations, 2);
+    }
+
+    #[test]
+    fn rows_start_on_their_slack_where_it_fits() {
+        // x, y in [0, 10]: x + y <= 8 holds at the origin (slack 8),
+        // x + y >= 2 does not (slack 2 above its upper bound 0) and
+        // x - y = 1 does not either. Two artificials, one phase 1.
+        let mut p = Problem::minimize(2);
+        p.set_bounds(0, 0.0, 10.0);
+        p.set_bounds(1, 0.0, 10.0);
+        p.set_objective(vec![(0, 1.0), (1, 2.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Rel::Le, 8.0);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Rel::Ge, 2.0);
+        p.add_constraint(vec![(0, 1.0), (1, -1.0)], Rel::Eq, 1.0);
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.objective, 2.5); // (1.5, 0.5)
+        let start = t.counters().start;
+        assert_eq!((start.structural, start.slack, start.artificial), (0, 1, 2));
+        assert!(start.phase1_pivots > 0);
+        assert_eq!(start.to_string(), "0 structural/1 slack/2 artificial");
+        // No free column and no slack that fits: every row on its
+        // artificial, the textbook start.
+        p.constraints.remove(0);
+        let mut t = Simplex::new(&p);
+        assert_close(t.solve().objective, 2.5);
+        let start = t.counters().start;
+        assert_eq!((start.structural, start.slack, start.artificial), (0, 0, 2));
+    }
+
+    #[test]
+    fn free_columns_start_basic_on_the_row_that_suits_the_others() {
+        // min e with -e <= x - 4 <= e and x in [0, 1]: at x = 0 the free
+        // column e is basic on the row that makes it +4, where its other
+        // row holds too (on the other it would be -4 and need an
+        // artificial). One pivot brings x to 1.
+        let mut p = Problem::minimize(2);
+        p.set_bounds(0, 0.0, 1.0);
+        p.set_objective(vec![(1, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, -1.0)], Rel::Le, 4.0);
+        p.add_constraint(vec![(0, -1.0), (1, -1.0)], Rel::Le, -4.0);
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.objective, 3.0);
+        let start = t.counters().start;
+        assert_eq!((start.structural, start.slack, start.artificial), (1, 1, 0));
+        assert_eq!(t.basis[1], 1, "e starts on the second row and stays");
+        assert_eq!(s.iterations, 2, "the flip of x and the pass that finds nothing");
+        // The check a crash basis has to pass: x_B solves its system.
+        assert!(t.crash_is_sound());
+        t.xb[1] += 1e-3;
+        assert!(!t.crash_is_sound());
+    }
+
+    #[test]
+    fn a_crash_column_the_factor_rejects_gives_way_to_a_unit_column() {
+        // Two equal free columns: the crash puts one on each row, the
+        // factor finds no pivot for the second and the row's unit column
+        // takes its place. min u + v with 1 <= u + v <= 4.
+        let mut p = Problem::minimize(2);
+        p.set_objective(vec![(0, 1.0), (1, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Rel::Le, 4.0);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Rel::Ge, 1.0);
+        let _counter = not_converged_lock();
+        let before = not_converged_total();
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.objective, 1.0);
+        let start = t.counters().start;
+        assert_eq!(start.structural, 1, "one of the twins was evicted: {start:?}");
+        assert_eq!(start.structural + start.slack + start.artificial, 2);
+        assert_eq!(not_converged_total(), before);
+    }
+
+    #[test]
+    fn the_papers_exact_fit_listing_is_solved_from_its_crash() {
+        // crates/core/tests/solveselect.rs::paper_lr_fitting_with_cdte as
+        // the kernel sees it: pv = 3·out + 2·month + 5 exactly, eight
+        // points whose regressor rows are close to collinear, the three
+        // coefficients and the eight errors free. Whatever three rows
+        // the crash gives the dense columns, a basis comes out of it.
+        let months = [1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0, 12.0];
+        let mut p = Problem::minimize(3 + months.len());
+        p.set_objective((0..months.len()).map(|i| (3 + i, 1.0)).collect());
+        for (i, month) in months.iter().enumerate() {
+            let out = 5.0 + 3.0 * i as f64;
+            let pv = 3.0 * out + 2.0 * month + 5.0;
+            let fit = |s: f64| vec![(0, s * out), (1, s * month), (2, s), (3 + i, -1.0)];
+            p.add_constraint(fit(-1.0), Rel::Le, -pv);
+            p.add_constraint(fit(1.0), Rel::Le, pv);
+        }
+        let _counter = not_converged_lock();
+        let before = not_converged_total();
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert_eq!(s.status, Status::Optimal);
+        assert_close(s.objective, 0.0);
+        for (got, want) in s.x.iter().zip([3.0, 2.0, 5.0]) {
+            assert!((got - want).abs() < 1e-5, "{got} vs {want}");
+        }
+        let start = t.counters().start;
+        assert_eq!(start.structural + start.slack + start.artificial, 16);
+        assert!(start.structural >= 8 && start.artificial < 16, "{start:?}");
+        assert_eq!(not_converged_total(), before);
     }
 
     /// max 3x + 5y over the classic three-row polytope (optimum 36).
@@ -919,6 +1252,7 @@ mod tests {
         // the builders debug_assert the index range.
         let mut p = classic();
         p.constraints[2].coeffs.push((7, 1.0));
+        let _counter = not_converged_lock();
         let before = not_converged_total();
         let s = solve_lp(&p);
         assert_eq!(s.status, Status::NotConverged);
@@ -939,6 +1273,7 @@ mod tests {
         let p = classic();
         let mut t = Simplex::new(&p);
         t.max_iter = 1;
+        let _counter = not_converged_lock();
         let before = not_converged_total();
         let s = t.solve();
         assert_eq!(s.status, Status::NotConverged);

@@ -396,6 +396,168 @@ proptest! {
     }
 }
 
+/// A least-absolute-deviation fit stated as the LP of the paper's §4.1:
+/// k free coefficients, one free error column per point with cost 1,
+/// and `−eᵢ ≤ xᵢ·b − yᵢ ≤ eᵢ` as two `<=` rows per point — free columns
+/// with a cost, which the crash makes basic before the first pivot.
+fn lad_lp(x: &[Vec<f64>], y: &[f64]) -> Problem {
+    let (n, k) = (x.len(), x[0].len());
+    let mut p = Problem::minimize(k + n);
+    p.set_objective((0..n).map(|i| (k + i, 1.0)).collect());
+    for i in 0..n {
+        let fit = |sign: f64| -> Vec<(usize, f64)> {
+            let mut row: Vec<(usize, f64)> = (0..k).map(|j| (j, sign * x[i][j])).collect();
+            row.push((k + i, -1.0));
+            row
+        };
+        p.add_constraint(fit(-1.0), Rel::Le, -y[i]);
+        p.add_constraint(fit(1.0), Rel::Le, y[i]);
+    }
+    p
+}
+
+/// k ≤ 3 regressors (the first constant) at n ≤ 9 points, the first k
+/// of them in general position so the fit is determined; later points
+/// may repeat an earlier one (collinear rows: a crash basis the factor
+/// has to repair). A third of the targets are an exact fit, a sixth all
+/// zero (the night hours of a PV series), the rest noise.
+fn lad_instance(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let k = rng.gen_range(1..=3usize);
+    let n = rng.gen_range(k..=9usize);
+    let mut x: Vec<Vec<f64>> = Vec::new();
+    for i in 0..n {
+        if i >= k && rng.gen_bool(0.25) {
+            let earlier = x[rng.gen_range(0..i)].clone();
+            x.push(earlier);
+        } else {
+            x.push((0..k).map(|j| if j == 0 { 1.0 } else { rng.gen_range(-4.0..4.0) }).collect());
+        }
+    }
+    let truth: Vec<f64> = (0..k).map(|_| rng.gen_range(-3.0..3.0)).collect();
+    let y = match rng.gen_range(0..6) {
+        0 | 1 => x.iter().map(|xi| xi.iter().zip(&truth).map(|(a, b)| a * b).sum()).collect(),
+        2 => vec![0.0; n],
+        _ => (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect(),
+    };
+    (x, y)
+}
+
+/// Solve the k×k system `a·b = rhs` (k ≤ 3) by Gaussian elimination
+/// with partial pivoting; `None` when singular.
+fn solve_square(mut a: Vec<Vec<f64>>, mut rhs: Vec<f64>) -> Option<Vec<f64>> {
+    let k = rhs.len();
+    for c in 0..k {
+        let pivot = (c..k).max_by(|&p, &q| a[p][c].abs().total_cmp(&a[q][c].abs()))?;
+        if a[pivot][c].abs() < 1e-9 {
+            return None;
+        }
+        a.swap(c, pivot);
+        rhs.swap(c, pivot);
+        for r in 0..k {
+            if r != c {
+                let f = a[r][c] / a[c][c];
+                for cc in 0..k {
+                    a[r][cc] -= f * a[c][cc];
+                }
+                rhs[r] -= f * rhs[c];
+            }
+        }
+    }
+    Some((0..k).map(|c| rhs[c] / a[c][c]).collect())
+}
+
+/// The least sum of absolute deviations, independently of any simplex:
+/// an optimal fit interpolates k points with independent regressors, so
+/// it is the best of the fits through all C(n, k) subsets.
+fn lad_oracle(x: &[Vec<f64>], y: &[f64]) -> f64 {
+    let (n, k) = (x.len(), x[0].len());
+    let mut best = f64::INFINITY;
+    for mask in 0u32..1 << n {
+        if mask.count_ones() as usize != k {
+            continue;
+        }
+        let subset: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+        let rows = subset.iter().map(|&i| x[i].clone()).collect();
+        if let Some(b) = solve_square(rows, subset.iter().map(|&i| y[i]).collect()) {
+            let fit = |xi: &Vec<f64>| xi.iter().zip(&b).map(|(a, b)| a * b).sum::<f64>();
+            best = best.min(x.iter().zip(y).map(|(xi, yi)| (fit(xi) - yi).abs()).sum());
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Free columns with a cost: the LAD optimum is the oracle's, a
+    /// crossed pair of rows makes it infeasible, a costed free column
+    /// that no row holds back makes it unbounded.
+    #[test]
+    fn lad_fits_match_the_subset_oracle(seed in 0u64..100_000) {
+        let (x, y) = lad_instance(seed);
+        let (n, k) = (x.len(), x[0].len());
+        let p = lad_lp(&x, &y);
+        let mut tableau = Simplex::new(&p);
+        let sol = tableau.solve();
+        prop_assert_eq!(sol.status, Status::Optimal);
+        prop_assert!(p.is_feasible(&sol.x, 1e-6), "optimum infeasible");
+        let want = lad_oracle(&x, &y);
+        prop_assert!(
+            (sol.objective - want).abs() <= 1e-9 * (1.0 + want.abs()),
+            "simplex {} vs subsets {}", sol.objective, want
+        );
+        let start = tableau.counters().start;
+        prop_assert_eq!(start.structural + start.slack + start.artificial, 2 * n);
+        prop_assert!(start.structural >= n, "the error columns start basic: {:?}", start);
+
+        // The intercept below 3 and above 5.
+        let mut crossed = p.clone();
+        crossed.add_constraint(vec![(0, 1.0)], Rel::Le, 3.0);
+        crossed.add_constraint(vec![(0, 1.0)], Rel::Ge, 5.0);
+        prop_assert_eq!(solve_lp(&crossed).status, Status::Infeasible);
+
+        // One more free column that is paid for going down: in no row,
+        // or only in a row that stops it going up.
+        let mut open = p.clone();
+        let z = open.add_var(f64::NEG_INFINITY, f64::INFINITY, false);
+        open.objective.push((z, 1.0));
+        if seed % 2 == 0 {
+            open.add_constraint(vec![(z, 1.0), (k, 1.0)], Rel::Le, 7.0);
+        }
+        prop_assert_eq!(solve_lp(&open).status, Status::Unbounded);
+    }
+
+    /// The crash is a function of the problem: a second tableau, and the
+    /// same tableau solved again, start from the same basis, take the
+    /// same iterations and stop on the same basis.
+    #[test]
+    fn the_same_problem_starts_from_the_same_basis(seed in 0u64..100_000, lad in 0u8..2) {
+        let p = if lad == 0 {
+            let (x, y) = lad_instance(seed);
+            lad_lp(&x, &y)
+        } else {
+            mixed_lp(seed, 5, 4)
+        };
+        let mut first = Simplex::new(&p);
+        let a = first.solve();
+        let (a_start, a_basis) = (first.counters().start, first.basis());
+        let mut second = Simplex::new(&p);
+        let b = second.solve();
+        prop_assert_eq!((a.status, a.iterations), (b.status, b.iterations));
+        prop_assert_eq!(a_start, second.counters().start);
+        prop_assert_eq!(&a_basis, &second.basis());
+        let again = first.solve();
+        prop_assert_eq!((a.status, a.iterations), (again.status, again.iterations));
+        prop_assert_eq!(a_start, first.counters().start);
+        prop_assert_eq!(&a_basis, &first.basis());
+        if a.status == Status::Optimal {
+            prop_assert_eq!(&a.x, &b.x);
+            prop_assert_eq!(&a.x, &again.x);
+        }
+    }
+}
+
 #[test]
 fn warm_knapsack_matches_dp_oracle() {
     let n = 40;
