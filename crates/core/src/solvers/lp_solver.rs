@@ -120,10 +120,18 @@ impl Solver for LpSolver {
                 (sol, stats, "simplex")
             }
         })();
-        // How the (root) LP's cold solve started, when the kernel ran.
-        if let Some(span) = span.filter(|_| stats.refactorizations > 0) {
-            span.note("start", stats.start);
-            span.note("phase1_pivots", stats.start.phase1_pivots);
+        // How the (root) LP's cold solve started, when the kernel ran, and
+        // what the incumbent bought, when the search branched. The span
+        // closes with this block.
+        if let Some(span) = span {
+            if stats.refactorizations > 0 {
+                span.note("start", stats.start);
+                span.note("phase1_pivots", stats.start.phase1_pivots);
+            }
+            if stats.nodes_explored > 0 {
+                span.note("fixed", stats.fixed);
+                span.note("rounded_incumbents", stats.rounded_incumbents);
+            }
         }
         let (matrix_class, integrality_proof, blocks) = match analysis.as_deref() {
             Some(a) => {

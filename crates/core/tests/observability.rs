@@ -133,6 +133,47 @@ fn solve_lp_says_how_the_simplex_started() {
 }
 
 #[test]
+fn solve_lp_says_what_the_incumbent_bought() {
+    // UC2 P4 (benchmark/sql/uc2_p4_knapsack.sql) over one warehouse of
+    // 60 seeded items: rounding finds an incumbent at the root, and
+    // reduced-cost fixing against it tightens bounds.
+    let mut state = 7u64;
+    let mut next = |lo: f64, hi: f64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+    };
+    let rows: Vec<String> =
+        (0..60).map(|i| format!("(1, {i}, {}, {})", next(5.0, 400.0), next(0.5, 12.0))).collect();
+    let mut s = Session::new();
+    s.execute_script(&format!(
+        "CREATE TABLE stock (warehouse_id int, item_id int, v float8, volume float8);
+         INSERT INTO stock VALUES {}",
+        rows.join(", ")
+    ))
+    .unwrap();
+    let t = s
+        .query(
+            "EXPLAIN ANALYZE SOLVESELECT p(pick) AS \
+               (SELECT item_id, v, volume, NULL::int AS pick FROM stock WHERE warehouse_id = 1) \
+             MAXIMIZE (SELECT sum(v * pick) FROM p) \
+             SUBJECTTO (SELECT sum(volume * pick) \
+                          <= 0.4 * (SELECT sum(volume) FROM stock WHERE warehouse_id = 1) FROM p), \
+                       (SELECT 0 <= pick <= 1 FROM p) \
+             USING solverlp.cbc()",
+        )
+        .unwrap();
+    let plan = text_column(&t, "plan");
+    let line = plan.iter().find(|l| l.contains("-> solve-lp:")).expect("a solve-lp stage");
+    let count = |key: &str| -> usize {
+        let value = line.split(&format!("  {key}=")).nth(1);
+        let value = value.and_then(|v| v.split_whitespace().next());
+        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key}= in {line}"))
+    };
+    assert!(count("fixed") > 0, "{line}");
+    assert!(count("rounded_incumbents") >= 1, "{line}");
+}
+
+#[test]
 fn mip_solves_report_branch_and_bound_telemetry() {
     let mut s = Session::new();
     s.execute_script(
@@ -285,8 +326,10 @@ fn sdb_sessions_is_empty_without_a_server() {
 
 /// A knapsack hard enough that branch-and-bound reaches its progress
 /// points many times before closing the gap: value = weight + 10, so
-/// the relaxation bound barely separates the items (≈ 15 600 nodes at
-/// n = 44; uncorrelated values close in a few dozen, inside any budget).
+/// the relaxation bound barely separates the items (at n = 44 ≈ 2 600
+/// nodes, ≈ 8 ms in release, with rounding and reduced-cost fixing;
+/// 15 600 without; uncorrelated values close in a few dozen, inside any
+/// budget).
 fn hard_knapsack_setup(s: &mut Session, n: usize) {
     s.execute("CREATE TABLE items (id int, value float8, weight float8, pick int)").unwrap();
     let rows: Vec<String> = (0..n)

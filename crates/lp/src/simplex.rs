@@ -150,6 +150,9 @@ pub struct Simplex<'a> {
     y: Vec<f64>,
     w: Vec<f64>,
     rho: Vec<f64>,
+    /// What [`Simplex::reduced_costs`] hands out, one per structural
+    /// column.
+    dj: Vec<f64>,
     /// A coefficient names a column the problem does not have.
     malformed: bool,
     /// Iteration cap of one primal phase or one dual run.
@@ -232,6 +235,7 @@ impl<'a> Simplex<'a> {
             y: vec![0.0; m],
             w: vec![0.0; m],
             rho: vec![0.0; m],
+            dj: vec![0.0; n],
             malformed,
             max_iter: 20_000 + 50 * (n + m),
             counters: Counters::default(),
@@ -261,6 +265,20 @@ impl<'a> Simplex<'a> {
     /// What this tableau has done so far.
     pub fn counters(&self) -> Counters {
         self.counters
+    }
+
+    /// The reduced costs of the structural columns at the basis the last
+    /// solve ended on, in the tableau's minimization sense (a
+    /// maximization's costs negated); 0 for a basic column. Meaningful
+    /// after an optimal solve. One `btran_costs`, into a buffer the
+    /// tableau owns.
+    pub fn reduced_costs(&mut self) -> &[f64] {
+        self.btran_costs();
+        for j in 0..self.n {
+            let d = if self.status[j] == VarStatus::Basic { 0.0 } else { self.reduced_cost(j) };
+            self.dj[j] = d;
+        }
+        &self.dj
     }
 
     /// Solve under the current bounds from a crash basis: phase 1
@@ -1212,6 +1230,26 @@ mod tests {
         let c = t.counters();
         assert_eq!((c.warm_starts, c.cold_starts), (2, 0));
         assert_eq!(c.dual_pivots, 1, "the cut costs one pivot, the proof none");
+    }
+
+    #[test]
+    fn reduced_costs_are_in_minimization_sense_and_zero_when_basic() {
+        // max 60a + 100b + 120c, 10a + 20b + 30c <= 50, all in [0, 1]:
+        // a and b at their upper bounds, c basic at 2/3, the row's dual
+        // the density of c (4). Minimizing −60a − 100b − 120c: d_a =
+        // −60 + 4·10, d_b = −100 + 4·20.
+        let mut p = Problem::maximize(3);
+        for j in 0..3 {
+            p.set_bounds(j, 0.0, 1.0);
+        }
+        p.set_objective(vec![(0, 60.0), (1, 100.0), (2, 120.0)]);
+        p.add_constraint(vec![(0, 10.0), (1, 20.0), (2, 30.0)], Rel::Le, 50.0);
+        let mut t = Simplex::new(&p);
+        assert_close(t.solve().objective, 240.0);
+        let d = t.reduced_costs();
+        assert_close(d[0], -20.0);
+        assert_close(d[1], -20.0);
+        assert_eq!(d[2], 0.0);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! What the LP kernel answered before its basis was stored as a sparse
 //! LU factor, pinned: every objective below was produced by the
-//! dense-inverse kernel of the parent commit on inputs this file
-//! generates itself (its own LCG, so no other crate's generator can move
-//! them). A kernel change must reproduce each to 1e-9 relative.
+//! dense-inverse kernel of commit b4c8fcf on inputs this file generates
+//! itself (its own LCG, so no other crate's generator can move them). A
+//! kernel change must reproduce each to 1e-9 relative. The node counts
+//! are the search's, not the kernel's: those of the branch-and-bound
+//! with simple rounding and reduced-cost fixing (PR 25; the dense-inverse
+//! search without them explored 69 / 83 / 641 / 141 / 57 / 525).
 
 use lp::simplex::solve_lp;
 use lp::{mip, Problem, Rel, Status};
@@ -129,7 +132,8 @@ fn measured() -> Vec<Row> {
     out
 }
 
-/// The parent kernel's answers (commit b4c8fcf, dense B⁻¹).
+/// The dense-B⁻¹ kernel's objectives (commit b4c8fcf) and the nodes of
+/// the search with rounding and fixing (PR 25).
 const PINNED: &[(&str, f64, usize)] = &[
     ("l1/60/1", 2707.4665750793233, 0),
     ("l1/60/2", 2924.4039698973547, 0),
@@ -145,12 +149,12 @@ const PINNED: &[(&str, f64, usize)] = &[
     ("l1/336/3", 17550.451696361943, 0),
     ("plan/48/1", 29772.20128654311, 0),
     ("plan/96/2", 59979.720720913356, 0),
-    ("knapsack/60/1", 9151.09243168098, 69),
-    ("knapsack/60/2", 7619.0627548503835, 83),
-    ("knapsack/60/3", 7853.872287589069, 641),
-    ("knapsack/60/4", 8549.711754699885, 141),
-    ("knapsack/60/5", 8293.006576712134, 57),
-    ("knapsack/60/6", 9840.93702892759, 525),
+    ("knapsack/60/1", 9151.09243168098, 13),
+    ("knapsack/60/2", 7619.0627548503835, 7),
+    ("knapsack/60/3", 7853.872287589069, 161),
+    ("knapsack/60/4", 8549.711754699885, 61),
+    ("knapsack/60/5", 8293.006576712134, 5),
+    ("knapsack/60/6", 9840.93702892759, 87),
 ];
 
 #[test]

@@ -90,35 +90,9 @@ proptest! {
         let cap = rng.gen_range(2.0..10.0);
         p.add_constraint(coeffs.clone(), Rel::Le, cap);
 
-        // Exhaustive oracle over the 5^n lattice.
-        let mut best: Option<f64> = None;
-        let mut idx = vec![0usize; n];
-        loop {
-            let x: Vec<f64> = idx.iter().map(|&v| v as f64).collect();
-            if p.is_feasible(&x, 1e-9) {
-                let v = p.objective_value(&x);
-                best = Some(best.map_or(v, |b: f64| b.max(v)));
-            }
-            // Increment the mixed-radix counter.
-            let mut k = 0;
-            loop {
-                if k == n {
-                    break;
-                }
-                idx[k] += 1;
-                if idx[k] <= 4 {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-            if k == n {
-                break;
-            }
-        }
-
         let sol = mip::branch_and_bound(&p, mip::MipOptions::default());
-        match best {
+        // Exhaustive oracle over the 5^n lattice.
+        match lattice_oracle(&p, usize::MAX).expect("at most 125 points") {
             None => prop_assert_eq!(sol.status, Status::Infeasible),
             Some(b) => {
                 prop_assert_eq!(sol.status, Status::Optimal);
@@ -297,30 +271,197 @@ proptest! {
         }
         prop_assert_eq!(tableau.counters().cold_starts, 0, "warm re-solve fell back");
     }
+}
 
-    /// Warm-started branch-and-bound agrees with the cold-per-node
-    /// oracle on the exhaustive-test corpus (general integers, one row)
-    /// and on random 0/1 problems with several rows.
-    #[test]
-    fn warm_mip_matches_cold_oracle(seed in 0u64..100_000, n in 1usize..7, m in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = Problem::maximize(n);
-        let binary = rng.gen_bool(0.5);
+/// A random MIP over every column and row kind rounding and fixing tell
+/// apart: 0/1 and general integer columns (ranges up to 6, lower bounds
+/// down to −3), continuous columns, coefficients of both signs (or, in
+/// a third of the instances, none negative: knapsack-like rows that
+/// leave rounding a free direction) and `<=`, `>=` and `=` rows (an `=`
+/// row locks its columns both ways). Most rows hold at one lattice point
+/// of the box, so most instances are feasible; the others get a random
+/// right-hand side. Coefficients are integers and right-hand sides
+/// multiples of ½: a lattice point meets a row exactly or misses it by
+/// ½ or more, so no tolerance can tell the oracles apart.
+fn mixed_mip(seed: u64, n: usize, m: usize) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Problem::minimize(n);
+    p.minimize = rng.gen_bool(0.5);
+    let mut inside = Vec::with_capacity(n);
+    for j in 0..n {
+        let lower = rng.gen_range(-3i32..=1);
+        let width = if rng.gen_bool(0.4) { 1 } else { rng.gen_range(2i32..=6) };
+        p.set_bounds(j, lower as f64, (lower + width) as f64);
+        p.integer[j] = rng.gen_bool(0.8);
+        inside.push((lower + rng.gen_range(0..=width)) as f64);
+    }
+    p.set_objective((0..n).map(|j| (j, rng.gen_range(-5.0..5.0))).collect());
+    let smallest = if rng.gen_bool(0.33) { 0 } else { -3 };
+    for _ in 0..m {
+        let mut coeffs: Vec<(usize, f64)> = Vec::new();
         for j in 0..n {
-            p.set_bounds(j, 0.0, if binary { 1.0 } else { 4.0 });
-            p.integer[j] = rng.gen_bool(0.8);
+            if rng.gen_bool(0.7) {
+                coeffs.push((j, rng.gen_range(smallest..=3) as f64));
+            }
         }
-        p.set_objective((0..n).map(|j| (j, rng.gen_range(-5.0..5.0))).collect());
-        for i in 0..m {
-            let coeffs: Vec<(usize, f64)> = (0..n).map(|j| (j, rng.gen_range(0.5..3.0))).collect();
-            let rel = if i == 0 || rng.gen_bool(0.7) { Rel::Le } else { Rel::Ge };
-            let rhs = if rel == Rel::Le { rng.gen_range(2.0..10.0) } else { rng.gen_range(0.0..3.0) };
-            p.add_constraint(coeffs, rel, rhs);
+        let rel = [Rel::Le, Rel::Le, Rel::Ge, Rel::Eq][rng.gen_range(0..4usize)];
+        let at: f64 = coeffs.iter().map(|&(j, a)| a * inside[j]).sum();
+        let room = 0.5 * rng.gen_range(0..=6) as f64;
+        let rhs = match rel {
+            _ if rng.gen_bool(0.15) => 0.5 * rng.gen_range(-12..=12) as f64,
+            Rel::Le => at + room,
+            Rel::Ge => at - room,
+            Rel::Eq => at,
+        };
+        p.add_constraint(coeffs, rel, rhs);
+    }
+    p
+}
+
+/// The best objective over the integer lattice of `p`'s box, found
+/// without branching: every assignment of the integer columns, with the
+/// continuous ones (if any) optimized by an LP with those fixed.
+/// `Some(None)`: no feasible point; `None`: more than `limit` points.
+fn lattice_oracle(p: &Problem, limit: usize) -> Option<Option<f64>> {
+    let ints: Vec<usize> = (0..p.num_vars).filter(|&j| p.integer[j]).collect();
+    let continuous = ints.len() < p.num_vars;
+    let widths: Vec<usize> = ints.iter().map(|&j| (p.upper[j] - p.lower[j]) as usize + 1).collect();
+    let points = widths.iter().try_fold(1usize, |acc, &w| acc.checked_mul(w))?;
+    if points > limit {
+        return None;
+    }
+    let sense = if p.minimize { 1.0 } else { -1.0 };
+    let mut best: Option<f64> = None;
+    let mut fixed = p.clone();
+    fixed.integer.fill(false);
+    let mut x = vec![0.0; p.num_vars];
+    let mut digits = vec![0usize; ints.len()];
+    for _ in 0..points {
+        for (k, &j) in ints.iter().enumerate() {
+            x[j] = p.lower[j] + digits[k] as f64;
+            fixed.set_bounds(j, x[j], x[j]);
         }
+        let value = if continuous {
+            let lp = solve_lp(&fixed);
+            (lp.status == Status::Optimal).then_some(lp.objective)
+        } else {
+            p.is_feasible(&x, 1e-9).then(|| p.objective_value(&x))
+        };
+        if let Some(v) = value {
+            best = Some(best.map_or(v, |b| if sense * v < sense * b { v } else { b }));
+        }
+        // Next assignment: a mixed-radix counter.
+        for (digit, &width) in digits.iter_mut().zip(&widths) {
+            *digit += 1;
+            if *digit < width {
+                break;
+            }
+            *digit = 0;
+        }
+    }
+    Some(best)
+}
+
+/// Cases of the widened MIP property: 256 in the workspace run, what
+/// `PROPTEST_CASES` says where it is set (the `analyze` CI job runs
+/// 20 000).
+fn mip_cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(mip_cases()))]
+
+    /// Warm-started branch-and-bound, with its rounding and its
+    /// reduced-cost fixing, agrees on status and objective with the
+    /// cold-per-node oracle (neither heuristic) and, where the box is
+    /// small enough to enumerate, with the lattice.
+    #[test]
+    fn warm_mip_matches_cold_oracle(seed in 0u64..1_000_000, n in 1usize..7, m in 1usize..4) {
+        let p = mixed_mip(seed, n, m);
         let (warm, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
         same_outcome(&warm, &cold_branch_and_bound(&p))?;
+        let limit = if p.integer.iter().all(|&b| b) { 4096 } else { 256 };
+        match lattice_oracle(&p, limit) {
+            None => {}
+            Some(None) => prop_assert_eq!(warm.status, Status::Infeasible),
+            Some(Some(best)) => {
+                prop_assert_eq!(warm.status, Status::Optimal);
+                prop_assert!(
+                    (warm.objective - best).abs() <= 1e-9 * (1.0 + best.abs()),
+                    "bb {} vs lattice {}", warm.objective, best
+                );
+            }
+        }
+        if warm.status == Status::Optimal {
+            prop_assert!(p.is_feasible(&warm.x, 1e-6), "optimum infeasible: {:?}", warm.x);
+        }
         prop_assert_eq!(stats.cold_starts, 0);
         prop_assert_eq!(stats.warm_starts + 1, stats.nodes_explored.max(1));
+    }
+}
+
+/// The mixed corpus reaches what the property is there to check: trees,
+/// rounded incumbents and fixings.
+#[test]
+fn the_mixed_corpus_rounds_and_fixes() {
+    let (mut rounded, mut fixed, mut searched) = (0, 0, 0);
+    for seed in 0..400 {
+        let p = mixed_mip(seed, 1 + (seed % 6) as usize, 1 + (seed % 3) as usize);
+        let (_, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+        rounded += stats.rounded_incumbents;
+        fixed += stats.fixed;
+        searched += usize::from(stats.nodes_explored > 1);
+    }
+    assert!(searched > 40 && rounded > 20 && fixed > 20, "{searched} {rounded} {fixed}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// 0/1 knapsacks of 30–60 items with integer weights against the
+    /// dynamic program over capacities.
+    #[test]
+    fn knapsacks_match_the_dp_oracle(seed in 0u64..1_000_000, n in 30usize..=60) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..400.0)).collect();
+        let weights: Vec<usize> = (0..n).map(|_| rng.gen_range(1..=40)).collect();
+        let cap = weights.iter().sum::<usize>() * rng.gen_range(2usize..=6) / 10;
+        let mut dp = vec![0.0f64; cap + 1];
+        for i in 0..n {
+            for w in (weights[i]..=cap).rev() {
+                dp[w] = dp[w].max(dp[w - weights[i]] + values[i]);
+            }
+        }
+        let weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let p = knapsack(&values, &weights, cap as f64);
+        let (s, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+        prop_assert_eq!(s.status, Status::Optimal);
+        prop_assert!(
+            (s.objective - dp[cap]).abs() <= 1e-9 * (1.0 + dp[cap]),
+            "bb {} vs dp {}", s.objective, dp[cap]
+        );
+        prop_assert!(p.is_feasible(&s.x, 1e-9));
+        prop_assert_eq!(stats.cold_starts, 0);
+    }
+
+    /// The search is a function of the problem: solved twice, the same
+    /// nodes, incumbents, fixings and point.
+    #[test]
+    fn the_same_mip_is_searched_the_same_way(seed in 0u64..1_000_000, knapsack_like in 0u8..2) {
+        let p = if knapsack_like == 0 {
+            mixed_mip(seed, 6, 3)
+        } else {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values: Vec<f64> = (0..40).map(|_| rng.gen_range(1.0..400.0)).collect();
+            let weights: Vec<f64> = (0..40).map(|_| rng.gen_range(0.5..12.0)).collect();
+            knapsack(&values, &weights, weights.iter().sum::<f64>() * 0.4)
+        };
+        let (a, a_stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+        let (b, b_stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
+        prop_assert_eq!(&a_stats, &b_stats);
+        prop_assert_eq!((a.status, a.nodes, a.iterations), (b.status, b.nodes, b.iterations));
+        prop_assert_eq!(&a.x, &b.x);
     }
 }
 
@@ -603,9 +744,21 @@ fn stopped_searches_keep_their_incumbent() {
     assert!(s.objective <= full.objective + 1e-9);
 }
 
+/// A strongly correlated knapsack (value = weight + 10, the watchdog
+/// tests' family): the relaxation bound barely separates the items, so
+/// reduced-cost fixing reaches little and the tree stays deep.
+fn correlated_knapsack(n: usize) -> Problem {
+    let weights: Vec<f64> = (0..n).map(|i| ((i * 37) % 61 + 20) as f64).collect();
+    let values: Vec<f64> = weights.iter().map(|w| w + 10.0).collect();
+    let cap = (weights.iter().sum::<f64>() * 0.5).floor();
+    knapsack(&values, &weights, cap)
+}
+
 #[test]
 fn a_warm_node_costs_a_few_pivots() {
-    let (s, stats) = mip::branch_and_bound_stats(&hard_knapsack(16), mip::MipOptions::default());
+    // hard_knapsack(16) closes in 7 nodes once rounding and fixing run.
+    let p = correlated_knapsack(16);
+    let (s, stats) = mip::branch_and_bound_stats(&p, mip::MipOptions::default());
     assert_eq!(s.status, Status::Optimal);
     assert!(stats.nodes_explored > 20, "{stats:?}");
     assert_eq!(stats.warm_starts, stats.nodes_explored - 1, "every node but the root is warm");
