@@ -133,6 +133,40 @@ fn solve_lp_says_how_the_simplex_started() {
 }
 
 #[test]
+fn the_fitness_join_says_it_keys_on_time() {
+    // The objective of UC1 P3 (`s_3ss_p3.sql`) at fixed parameters: the
+    // simulated series joined back to the history on `time`, a lone
+    // timestamp key.
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE hist (time timestamp, outtemp float8, hload float8, intemp float8);
+         INSERT INTO hist VALUES ('2017-07-02 07:00', 5, 100, 21),
+           ('2017-07-02 08:00', 6, 250, 20.5), ('2017-07-02 09:00', 6, 150, 21);
+         CREATE TABLE t (a1 float8, b1 float8, b2 float8);
+         INSERT INTO t VALUES (0.5, 0.05, 0.0005)",
+    )
+    .unwrap();
+    let t = s
+        .query(
+            "EXPLAIN ANALYZE WITH sim AS (
+               WITH RECURSIVE s(time, x, intemp) AS (
+                 SELECT (SELECT min(time) FROM hist) AS time,
+                        (SELECT intemp FROM hist ORDER BY time LIMIT 1) AS x,
+                        (SELECT intemp FROM hist ORDER BY time LIMIT 1) AS intemp
+                 UNION ALL
+                 SELECT s.time + interval '1 hour', t.a1 * s.x + t.b1 * n.outtemp + t.b2 * n.hload,
+                        n.intemp
+                 FROM s JOIN hist n ON n.time = s.time, t)
+               SELECT time, x, intemp FROM s)
+             SELECT sum((sim.x - h.intemp)^2) FROM sim, hist h WHERE sim.time = h.time",
+        )
+        .unwrap();
+    let plan = text_column(&t, "plan");
+    let join = plan.iter().find(|l| l.contains("HashJoin")).expect("a hash join");
+    assert!(join.contains("  keys=ts  "), "{}", plan.join("\n"));
+}
+
+#[test]
 fn solve_lp_says_what_the_incumbent_bought() {
     // UC2 P4 (benchmark/sql/uc2_p4_knapsack.sql) over one warehouse of
     // 60 seeded items: rounding finds an incumbent at the root, and

@@ -22,7 +22,7 @@ use super::build::bound_has_subquery;
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::table::Row;
-use crate::types::value::cmp_f64;
+use crate::types::value::{cmp_f64, time_arith, Word};
 use crate::types::{BinOp, Bitmap, UnOp, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -44,15 +44,54 @@ pub enum ColumnVec {
     Float(Vec<f64>, Bitmap),
     Bool(Vec<bool>, Bitmap),
     Text(Vec<Arc<str>>, Bitmap),
-    /// Mixed or non-primitive values (timestamps, intervals, bit
-    /// strings, custom solver values) stay boxed.
+    /// Timestamps: microseconds since the Unix epoch.
+    Ts(Vec<i64>, Bitmap),
+    /// Intervals: microseconds.
+    Iv(Vec<i64>, Bitmap),
+    /// Mixed or non-primitive values (bit strings, custom solver values)
+    /// stay boxed.
     Any(Vec<Value>),
+}
+
+/// `$typed` over the data `$v` and validity `$b` of a typed column, its
+/// `(data, validity)` result in the column's own variant; `$any` over the
+/// values `$a` of an `Any` one.
+macro_rules! retyped {
+    ($col:expr, |$v:ident, $b:ident| $typed:expr, |$a:ident| $any:expr) => {
+        match $col {
+            ColumnVec::Int($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Int(data, valid)
+            }
+            ColumnVec::Float($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Float(data, valid)
+            }
+            ColumnVec::Bool($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Bool(data, valid)
+            }
+            ColumnVec::Text($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Text(data, valid)
+            }
+            ColumnVec::Ts($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Ts(data, valid)
+            }
+            ColumnVec::Iv($v, $b) => {
+                let (data, valid) = $typed;
+                ColumnVec::Iv(data, valid)
+            }
+            ColumnVec::Any($a) => $any,
+        }
+    };
 }
 
 impl ColumnVec {
     pub fn len(&self) -> usize {
         match self {
-            ColumnVec::Int(v, _) => v.len(),
+            ColumnVec::Int(v, _) | ColumnVec::Ts(v, _) | ColumnVec::Iv(v, _) => v.len(),
             ColumnVec::Float(v, _) => v.len(),
             ColumnVec::Bool(v, _) => v.len(),
             ColumnVec::Text(v, _) => v.len(),
@@ -64,49 +103,60 @@ impl ColumnVec {
         self.len() == 0
     }
 
-    /// Is the slot at `i` non-NULL?
-    pub fn is_valid(&self, i: usize) -> bool {
+    /// The validity of a typed column; `None` for `Any`.
+    fn validity(&self) -> Option<&Bitmap> {
         match self {
             ColumnVec::Int(_, b)
             | ColumnVec::Float(_, b)
             | ColumnVec::Bool(_, b)
-            | ColumnVec::Text(_, b) => b.get(i),
+            | ColumnVec::Text(_, b)
+            | ColumnVec::Ts(_, b)
+            | ColumnVec::Iv(_, b) => Some(b),
+            ColumnVec::Any(_) => None,
+        }
+    }
+
+    /// Is the slot at `i` non-NULL?
+    pub fn is_valid(&self, i: usize) -> bool {
+        match self {
             ColumnVec::Any(v) => !v[i].is_null(),
+            typed => typed.validity().is_some_and(|b| b.get(i)),
         }
     }
 
     /// Read one slot back as a [`Value`].
     pub fn get(&self, i: usize) -> Value {
+        if !self.is_valid(i) {
+            return Value::Null;
+        }
         match self {
-            ColumnVec::Int(v, b) => {
-                if b.get(i) {
-                    Value::Int(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            ColumnVec::Float(v, b) => {
-                if b.get(i) {
-                    Value::Float(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            ColumnVec::Bool(v, b) => {
-                if b.get(i) {
-                    Value::Bool(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            ColumnVec::Text(v, b) => {
-                if b.get(i) {
-                    Value::Text(v[i].clone())
-                } else {
-                    Value::Null
-                }
-            }
+            ColumnVec::Int(v, _) => Value::Int(v[i]),
+            ColumnVec::Float(v, _) => Value::Float(v[i]),
+            ColumnVec::Bool(v, _) => Value::Bool(v[i]),
+            ColumnVec::Text(v, _) => Value::Text(v[i].clone()),
+            ColumnVec::Ts(v, _) => Value::Timestamp(v[i]),
+            ColumnVec::Iv(v, _) => Value::Interval(v[i]),
             ColumnVec::Any(v) => v[i].clone(),
+        }
+    }
+
+    /// The kind, values and validity of a column that holds one `i64`
+    /// per slot.
+    pub(crate) fn words(&self) -> Option<(Word, &[i64], &Bitmap)> {
+        match self {
+            ColumnVec::Int(v, b) => Some((Word::Int, v, b)),
+            ColumnVec::Ts(v, b) => Some((Word::Ts, v, b)),
+            ColumnVec::Iv(v, b) => Some((Word::Iv, v, b)),
+            _ => None,
+        }
+    }
+
+    /// The column of `kind` over `data` and `valid`.
+    pub(crate) fn of_words(kind: Word, data: Vec<i64>, valid: Bitmap) -> ColumnVec {
+        match kind {
+            Word::Int => ColumnVec::Int(data, valid),
+            Word::Ts => ColumnVec::Ts(data, valid),
+            Word::Iv => ColumnVec::Iv(data, valid),
         }
     }
 
@@ -114,7 +164,7 @@ impl ColumnVec {
     /// without making values of them.
     pub(crate) fn cmp_slots(&self, i: usize, j: usize) -> Ordering {
         match self {
-            ColumnVec::Int(v, _) => v[i].cmp(&v[j]),
+            ColumnVec::Int(v, _) | ColumnVec::Ts(v, _) | ColumnVec::Iv(v, _) => v[i].cmp(&v[j]),
             ColumnVec::Float(v, _) => cmp_f64(v[i], v[j]),
             ColumnVec::Bool(v, _) => v[i].cmp(&v[j]),
             ColumnVec::Text(v, _) => v[i].as_ref().cmp(v[j].as_ref()),
@@ -122,111 +172,55 @@ impl ColumnVec {
         }
     }
 
-    /// Build a column from owned values, choosing the narrowest typed
-    /// representation that fits every non-NULL value.
+    /// Build a column from owned values, choosing the typed
+    /// representation of their kind when every non-NULL value is of one.
     pub fn from_values(values: Vec<Value>) -> ColumnVec {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Kind {
-            Unknown,
-            Int,
-            Float,
-            Bool,
-            Text,
-            Mixed,
+        let mut present = values.iter().filter(|v| !v.is_null());
+        // All-NULL columns stay Any so they read back as NULL without
+        // inventing a type.
+        let Some(first) = present.next() else { return ColumnVec::Any(values) };
+        let kind = std::mem::discriminant(first);
+        let typed = matches!(
+            first,
+            Value::Int(_)
+                | Value::Float(_)
+                | Value::Bool(_)
+                | Value::Text(_)
+                | Value::Timestamp(_)
+                | Value::Interval(_)
+        );
+        if !typed || present.any(|v| std::mem::discriminant(v) != kind) {
+            return ColumnVec::Any(values);
         }
-        let mut kind = Kind::Unknown;
-        for v in &values {
-            let k = match v {
-                Value::Null => continue,
-                Value::Int(_) => Kind::Int,
-                Value::Float(_) => Kind::Float,
-                Value::Bool(_) => Kind::Bool,
-                Value::Text(_) => Kind::Text,
-                _ => Kind::Mixed,
-            };
-            kind = match (kind, k) {
-                (Kind::Unknown, k) => k,
-                (a, b) if a == b => a,
-                _ => Kind::Mixed,
-            };
-            if kind == Kind::Mixed {
-                break;
-            }
+        /// The values of `$value`s as a `$variant` column, `$fill` under
+        /// each NULL.
+        macro_rules! typed {
+            ($variant:ident, $value:ident, $fill:expr) => {{
+                // Pushed, not collected: collecting `values` in place would
+                // keep their allocation, several times the column's size.
+                let mut data = Vec::with_capacity(values.len());
+                let mut valid = Bitmap::with_capacity(values.len());
+                for v in values {
+                    valid.push(!v.is_null());
+                    data.push(match v {
+                        Value::$value(x) => x,
+                        _ => $fill,
+                    });
+                }
+                ColumnVec::$variant(data, valid)
+            }};
         }
-        let n = values.len();
-        match kind {
-            Kind::Int => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for v in values {
-                    match v {
-                        Value::Int(i) => {
-                            data.push(i);
-                            valid.push(true);
-                        }
-                        _ => {
-                            data.push(0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Int(data, valid)
-            }
-            Kind::Float => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for v in values {
-                    match v {
-                        Value::Float(f) => {
-                            data.push(f);
-                            valid.push(true);
-                        }
-                        _ => {
-                            data.push(0.0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Float(data, valid)
-            }
-            Kind::Bool => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for v in values {
-                    match v {
-                        Value::Bool(b) => {
-                            data.push(b);
-                            valid.push(true);
-                        }
-                        _ => {
-                            data.push(false);
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Bool(data, valid)
-            }
-            Kind::Text => {
+        match first {
+            Value::Int(_) => typed!(Int, Int, 0),
+            Value::Float(_) => typed!(Float, Float, 0.0),
+            Value::Bool(_) => typed!(Bool, Bool, false),
+            Value::Text(_) => {
                 let empty: Arc<str> = Arc::from("");
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for v in values {
-                    match v {
-                        Value::Text(s) => {
-                            data.push(s);
-                            valid.push(true);
-                        }
-                        _ => {
-                            data.push(empty.clone());
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Text(data, valid)
+                typed!(Text, Text, empty.clone())
             }
-            // All-NULL columns stay Any so they read back as NULL without
-            // inventing a type.
-            Kind::Unknown | Kind::Mixed => ColumnVec::Any(values),
+            Value::Timestamp(_) => typed!(Ts, Timestamp, 0),
+            Value::Interval(_) => typed!(Iv, Interval, 0),
+            _ => ColumnVec::Any(values),
         }
     }
 
@@ -237,11 +231,14 @@ impl ColumnVec {
 
     /// Broadcast one value to a column of length `n`.
     pub fn broadcast(v: &Value, n: usize) -> ColumnVec {
+        let all = || Bitmap::filled(n, true);
         match v {
-            Value::Int(i) => ColumnVec::Int(vec![*i; n], Bitmap::filled(n, true)),
-            Value::Float(f) => ColumnVec::Float(vec![*f; n], Bitmap::filled(n, true)),
-            Value::Bool(b) => ColumnVec::Bool(vec![*b; n], Bitmap::filled(n, true)),
-            Value::Text(s) => ColumnVec::Text(vec![s.clone(); n], Bitmap::filled(n, true)),
+            Value::Int(i) => ColumnVec::Int(vec![*i; n], all()),
+            Value::Float(f) => ColumnVec::Float(vec![*f; n], all()),
+            Value::Bool(b) => ColumnVec::Bool(vec![*b; n], all()),
+            Value::Text(s) => ColumnVec::Text(vec![s.clone(); n], all()),
+            Value::Timestamp(t) => ColumnVec::Ts(vec![*t; n], all()),
+            Value::Interval(i) => ColumnVec::Iv(vec![*i; n], all()),
             other => ColumnVec::Any(vec![other.clone(); n]),
         }
     }
@@ -274,6 +271,10 @@ impl ColumnVec {
             typed!(Bool)
         } else if same(|p| matches!(p, ColumnVec::Text(..))) {
             typed!(Text)
+        } else if same(|p| matches!(p, ColumnVec::Ts(..))) {
+            typed!(Ts)
+        } else if same(|p| matches!(p, ColumnVec::Iv(..))) {
+            typed!(Iv)
         } else {
             ColumnVec::from_values(
                 parts.iter().flat_map(|p| (0..p.len()).map(|i| p.get(i))).collect(),
@@ -283,126 +284,50 @@ impl ColumnVec {
 
     /// Select the slots at `idx` (in order) into a new column.
     pub fn gather(&self, idx: &[usize]) -> ColumnVec {
-        match self {
-            ColumnVec::Int(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    data.push(v[i]);
+        fn pick<T: Clone>(v: &[T], b: &Bitmap, idx: &[usize]) -> (Vec<T>, Bitmap) {
+            let mut valid = Bitmap::with_capacity(idx.len());
+            let data = idx
+                .iter()
+                .map(|&i| {
                     valid.push(b.get(i));
-                }
-                ColumnVec::Int(data, valid)
-            }
-            ColumnVec::Float(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    data.push(v[i]);
-                    valid.push(b.get(i));
-                }
-                ColumnVec::Float(data, valid)
-            }
-            ColumnVec::Bool(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    data.push(v[i]);
-                    valid.push(b.get(i));
-                }
-                ColumnVec::Bool(data, valid)
-            }
-            ColumnVec::Text(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    data.push(v[i].clone());
-                    valid.push(b.get(i));
-                }
-                ColumnVec::Text(data, valid)
-            }
-            ColumnVec::Any(v) => ColumnVec::Any(idx.iter().map(|&i| v[i].clone()).collect()),
+                    v[i].clone()
+                })
+                .collect();
+            (data, valid)
         }
+        retyped!(self, |v, b| pick(v, b, idx), |v| ColumnVec::Any(
+            idx.iter().map(|&i| v[i].clone()).collect()
+        ))
     }
 
     /// Gather with optional indices: `None` produces NULL (outer-join
-    /// padding).
+    /// padding). Padding introduces NULLs whatever the source type, so a
+    /// typed column keeps its representation with invalid slots.
     pub fn gather_opt(&self, idx: &[Option<usize>]) -> ColumnVec {
-        // Padding introduces NULLs regardless of the source type, so the
-        // typed variants keep their representation with invalid slots.
-        match self {
-            ColumnVec::Int(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            data.push(v[i]);
-                            valid.push(b.get(i));
-                        }
-                        None => {
-                            data.push(0);
-                            valid.push(false);
-                        }
+        fn pick<T: Clone + Default>(
+            v: &[T],
+            b: &Bitmap,
+            idx: &[Option<usize>],
+        ) -> (Vec<T>, Bitmap) {
+            let mut valid = Bitmap::with_capacity(idx.len());
+            let data = idx
+                .iter()
+                .map(|i| match *i {
+                    Some(i) => {
+                        valid.push(b.get(i));
+                        v[i].clone()
                     }
-                }
-                ColumnVec::Int(data, valid)
-            }
-            ColumnVec::Float(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            data.push(v[i]);
-                            valid.push(b.get(i));
-                        }
-                        None => {
-                            data.push(0.0);
-                            valid.push(false);
-                        }
+                    None => {
+                        valid.push(false);
+                        T::default()
                     }
-                }
-                ColumnVec::Float(data, valid)
-            }
-            ColumnVec::Bool(v, b) => {
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            data.push(v[i]);
-                            valid.push(b.get(i));
-                        }
-                        None => {
-                            data.push(false);
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Bool(data, valid)
-            }
-            ColumnVec::Text(v, b) => {
-                let empty: Arc<str> = Arc::from("");
-                let mut data = Vec::with_capacity(idx.len());
-                let mut valid = Bitmap::with_capacity(idx.len());
-                for &i in idx {
-                    match i {
-                        Some(i) => {
-                            data.push(v[i].clone());
-                            valid.push(b.get(i));
-                        }
-                        None => {
-                            data.push(empty.clone());
-                            valid.push(false);
-                        }
-                    }
-                }
-                ColumnVec::Text(data, valid)
-            }
-            ColumnVec::Any(v) => ColumnVec::Any(
-                idx.iter().map(|&i| i.map(|i| v[i].clone()).unwrap_or(Value::Null)).collect(),
-            ),
+                })
+                .collect();
+            (data, valid)
         }
+        retyped!(self, |v, b| pick(v, b, idx), |v| ColumnVec::Any(
+            idx.iter().map(|i| i.map_or(Value::Null, |i| v[i].clone())).collect()
+        ))
     }
 }
 
@@ -792,58 +717,42 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
     let n = l.len();
     debug_assert_eq!(n, r.len());
 
-    // Comparisons on matching primitive columns.
+    // Comparisons on columns of one kind (or of two numeric kinds).
     if op.is_comparison() {
-        match (l, r) {
-            (Int(a, av), Int(b, bv)) => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
+        /// Per row of two columns with validities `av` and `bv`, whether
+        /// the ordering `cmp` gives the row satisfies `op`.
+        fn pairs(
+            op: BinOp,
+            av: &Bitmap,
+            bv: &Bitmap,
+            n: usize,
+            cmp: impl Fn(usize) -> Ordering,
+        ) -> ColumnVec {
+            let mut valid = Bitmap::with_capacity(n);
+            let data = (0..n)
+                .map(|i| {
                     let ok = av.get(i) && bv.get(i);
-                    data.push(ok && ord_matches(op, a[i].cmp(&b[i])));
                     valid.push(ok);
-                }
-                return Ok(Bool(data, valid));
+                    ok && ord_matches(op, cmp(i))
+                })
+                .collect();
+            Bool(data, valid)
+        }
+        match (l, r) {
+            (Int(a, av), Int(b, bv)) | (Ts(a, av), Ts(b, bv)) | (Iv(a, av), Iv(b, bv)) => {
+                return Ok(pairs(op, av, bv, n, |i| a[i].cmp(&b[i])));
             }
             (Float(a, av), Float(b, bv)) => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
-                    let ok = av.get(i) && bv.get(i);
-                    data.push(ok && ord_matches(op, cmp_f64(a[i], b[i])));
-                    valid.push(ok);
-                }
-                return Ok(Bool(data, valid));
+                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i], b[i])));
             }
             (Int(a, av), Float(b, bv)) => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
-                    let ok = av.get(i) && bv.get(i);
-                    data.push(ok && ord_matches(op, cmp_f64(a[i] as f64, b[i])));
-                    valid.push(ok);
-                }
-                return Ok(Bool(data, valid));
+                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i] as f64, b[i])));
             }
             (Float(a, av), Int(b, bv)) => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
-                    let ok = av.get(i) && bv.get(i);
-                    data.push(ok && ord_matches(op, cmp_f64(a[i], b[i] as f64)));
-                    valid.push(ok);
-                }
-                return Ok(Bool(data, valid));
+                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i], b[i] as f64)));
             }
             (Text(a, av), Text(b, bv)) => {
-                let mut data = Vec::with_capacity(n);
-                let mut valid = Bitmap::with_capacity(n);
-                for i in 0..n {
-                    let ok = av.get(i) && bv.get(i);
-                    data.push(ok && ord_matches(op, a[i].as_ref().cmp(b[i].as_ref())));
-                    valid.push(ok);
-                }
-                return Ok(Bool(data, valid));
+                return Ok(pairs(op, av, bv, n, |i| a[i].as_ref().cmp(b[i].as_ref())));
             }
             _ => {}
         }
@@ -884,34 +793,35 @@ fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
         return binop_generic(op, l, r);
     }
 
-    // Integer arithmetic with overflow checks (mirrors Value::binop).
-    if let (Int(a, av), Int(b, bv)) = (l, r) {
-        // `None` is an overflow, or — from the two dividing forms only —
-        // a zero divisor.
-        let checked = |f: fn(i64, i64) -> Option<i64>| -> Result<ColumnVec> {
+    // Integer, timestamp and interval arithmetic with overflow checks
+    // (mirrors Value::binop).
+    if let (Some((lk, a, av)), Some((rk, b, bv))) = (l.words(), r.words()) {
+        let int: Option<fn(i64, i64) -> Option<i64>> = match (lk, rk, op) {
+            (Word::Int, Word::Int, BinOp::Add) => Some(i64::checked_add),
+            (Word::Int, Word::Int, BinOp::Sub) => Some(i64::checked_sub),
+            (Word::Int, Word::Int, BinOp::Mul) => Some(i64::checked_mul),
+            (Word::Int, Word::Int, BinOp::Div) => Some(i64::checked_div),
+            (Word::Int, Word::Int, BinOp::Mod) => Some(i64::checked_rem),
+            _ => None,
+        };
+        if let Some((f, kind)) = int.map(|f| (f, Word::Int)).or_else(|| time_arith(op, lk, rk)) {
             let mut data = Vec::with_capacity(n);
             let mut valid = Bitmap::with_capacity(n);
             for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    data.push(f(a[i], b[i]).ok_or_else(|| {
+                let ok = av.get(i) && bv.get(i);
+                // `None` is an overflow, or — from the two dividing forms
+                // only — a zero divisor.
+                data.push(if ok {
+                    f(a[i], b[i]).ok_or_else(|| {
                         let by_zero = matches!(op, BinOp::Div | BinOp::Mod) && b[i] == 0;
-                        Error::eval(if by_zero { "division by zero" } else { "integer overflow" })
-                    })?);
-                    valid.push(true);
+                        Error::eval(if by_zero { "division by zero" } else { kind.overflow() })
+                    })?
                 } else {
-                    data.push(0);
-                    valid.push(false);
-                }
+                    0
+                });
+                valid.push(ok);
             }
-            Ok(Int(data, valid))
-        };
-        match op {
-            BinOp::Add => return checked(i64::checked_add),
-            BinOp::Sub => return checked(i64::checked_sub),
-            BinOp::Mul => return checked(i64::checked_mul),
-            BinOp::Div => return checked(i64::checked_div),
-            BinOp::Mod => return checked(i64::checked_rem),
-            _ => {}
+            return Ok(ColumnVec::of_words(kind, data, valid));
         }
     }
 
@@ -1003,15 +913,27 @@ fn binop_scalar(op: BinOp, col: &ColumnVec, c: &Value, const_left: bool) -> Resu
             same => same,
         };
         let data = match (col, c) {
-            (Int(a, _), Value::Int(c)) => Some(compare(op, a, |x| x.cmp(c))),
+            (Int(a, _), Value::Int(c))
+            | (Ts(a, _), Value::Timestamp(c))
+            | (Iv(a, _), Value::Interval(c)) => Some(compare(op, a, |x| x.cmp(c))),
             (Int(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x as f64, *c))),
             (Float(a, _), Value::Int(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c as f64))),
             (Float(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c))),
             (Text(a, _), Value::Text(c)) => Some(compare(op, a, |x| x.as_ref().cmp(c.as_ref()))),
             _ => None,
         };
-        if let (Some(data), Int(_, valid) | Float(_, valid) | Text(_, valid)) = (data, col) {
+        if let (Some(data), Some(valid)) = (data, col.validity()) {
             return Ok(Bool(data, valid.clone()));
+        }
+    }
+    if let (Some((ck, a, valid)), Some((k, c))) = (col.words(), c.word()) {
+        let kinds = if const_left { (k, ck) } else { (ck, k) };
+        if let Some((f, kind)) = time_arith(op, kinds.0, kinds.1) {
+            return int_map(kind, a, valid, |x| {
+                // In the order the operator takes them.
+                let (l, r) = if const_left { (c, x) } else { (x, c) };
+                f(l, r).ok_or(kind.overflow())
+            });
         }
     }
     let arithmetic =
@@ -1027,17 +949,17 @@ fn binop_scalar(op: BinOp, col: &ColumnVec, c: &Value, const_left: bool) -> Resu
                 v => checked(v),
             };
             return match op {
-                BinOp::Add => int_map(a, valid, |x| checked(x.checked_add(c))),
-                BinOp::Mul => int_map(a, valid, |x| checked(x.checked_mul(c))),
-                BinOp::Sub => int_map(a, valid, |x| {
+                BinOp::Add => int_map(Word::Int, a, valid, |x| checked(x.checked_add(c))),
+                BinOp::Mul => int_map(Word::Int, a, valid, |x| checked(x.checked_mul(c))),
+                BinOp::Sub => int_map(Word::Int, a, valid, |x| {
                     let (l, r) = args(x);
                     checked(l.checked_sub(r))
                 }),
-                BinOp::Div => int_map(a, valid, |x| {
+                BinOp::Div => int_map(Word::Int, a, valid, |x| {
                     let (l, r) = args(x);
                     divided(l.checked_div(r), r)
                 }),
-                _ => int_map(a, valid, |x| {
+                _ => int_map(Word::Int, a, valid, |x| {
                     let (l, r) = args(x);
                     divided(l.checked_rem(r), r)
                 }),
@@ -1083,9 +1005,10 @@ fn compare<T>(op: BinOp, vals: &[T], cmp: impl Fn(&T) -> Ordering) -> Vec<bool> 
     }
 }
 
-/// An integer column through `f`; a failure counts only where the slot
-/// is not NULL.
+/// A column of `i64`s through `f`, to a column of `kind`; a failure
+/// counts only where the slot is not NULL.
 fn int_map(
+    kind: Word,
     vals: &[i64],
     valid: &Bitmap,
     f: impl Fn(i64) -> std::result::Result<i64, &'static str>,
@@ -1098,7 +1021,7 @@ fn int_map(
             Err(_) => data.push(0),
         }
     }
-    Ok(ColumnVec::Int(data, valid.clone()))
+    Ok(ColumnVec::of_words(kind, data, valid.clone()))
 }
 
 /// Float arithmetic of a numeric column (`to` reads a value as `f64`)
@@ -1200,6 +1123,14 @@ mod tests {
         assert!(c.get(1).is_null());
         let mixed = ColumnVec::from_values(vec![Value::Int(1), Value::text("x")]);
         assert!(matches!(mixed, ColumnVec::Any(_)));
+        let stamps = ColumnVec::from_values(vec![Value::Null, Value::Timestamp(-1)]);
+        assert!(matches!(stamps, ColumnVec::Ts(..)));
+        assert_eq!((stamps.get(0), stamps.get(1)), (Value::Null, Value::Timestamp(-1)));
+        let spans = ColumnVec::from_values(vec![Value::Interval(3)]);
+        assert!(matches!(spans, ColumnVec::Iv(..)));
+        // Timestamps beside intervals are two kinds.
+        let both = ColumnVec::from_values(vec![Value::Timestamp(3), Value::Interval(3)]);
+        assert!(matches!(both, ColumnVec::Any(_)));
     }
 
     #[test]
@@ -1237,7 +1168,7 @@ mod tests {
     #[test]
     fn scalar_kernels_equal_the_broadcast_form() {
         let nan = f64::NAN;
-        let stamp = Value::Timestamp;
+        let (stamp, span) = (Value::Timestamp, Value::Interval);
         let columns = [
             ints(&[Some(1), None, Some(-3), Some(0), Some(i64::MAX), Some(7)]),
             ColumnVec::from_values(
@@ -1247,7 +1178,8 @@ mod tests {
             ),
             ColumnVec::from_values(vec![Value::text("a"), Value::Null, Value::text("b")]),
             ColumnVec::from_values(vec![Value::Bool(true), Value::Null, Value::Bool(false)]),
-            ColumnVec::from_values(vec![stamp(5), Value::Null, stamp(9)]),
+            ColumnVec::from_values(vec![stamp(5), Value::Null, stamp(9), stamp(i64::MAX)]),
+            ColumnVec::from_values(vec![span(7), Value::Null, span(i64::MIN), span(-2)]),
             ColumnVec::from_values(vec![Value::Int(1), Value::text("x"), Value::Null]),
             ColumnVec::from_values(vec![Value::Null, Value::Null]),
             ints(&[]),
@@ -1262,6 +1194,10 @@ mod tests {
             Value::text("a"),
             Value::Bool(true),
             stamp(5),
+            stamp(i64::MIN),
+            span(7),
+            span(i64::MAX),
+            span(-1),
             Value::Null,
         ];
         use BinOp::*;
@@ -1313,7 +1249,9 @@ mod tests {
             Value::Bool(false),
             Value::text("a"),
             Value::Timestamp(5),
+            Value::Timestamp(i64::MAX),
             Value::Interval(7),
+            Value::Interval(i64::MIN),
         ];
         let col = |i| Box::new(VecExpr::Col(i));
         use BinOp::*;
@@ -1321,7 +1259,14 @@ mod tests {
         for op in [Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, Pow, Concat] {
             exprs.push(VecExpr::BinOp { op, lhs: col(0), rhs: col(1) });
             // Against a constant the batch runs the scalar kernels.
-            for c in [Value::Int(2), Value::Int(-1), Value::Float(0.0), Value::Null] {
+            for c in [
+                Value::Int(2),
+                Value::Int(-1),
+                Value::Float(0.0),
+                Value::Timestamp(-3),
+                Value::Interval(i64::MAX),
+                Value::Null,
+            ] {
                 let c = Box::new(VecExpr::Const(c));
                 exprs.push(VecExpr::BinOp { op, lhs: col(0), rhs: c.clone() });
                 exprs.push(VecExpr::BinOp { op, lhs: c, rhs: col(1) });

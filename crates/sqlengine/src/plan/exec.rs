@@ -40,8 +40,8 @@ use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{key_order, run_query, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
-use crate::types::value::num_bits;
-use crate::types::{DataType, GroupKey, Value};
+use crate::types::value::{exact_f64, exact_i64, num_bits, Word};
+use crate::types::{Bitmap, DataType, GroupKey, Value};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -675,6 +675,7 @@ impl<'a> Runner<'a, '_> {
                 };
                 if let Some(s) = span {
                     s.note("build", if build_is_left { "left" } else { "right" });
+                    s.note("keys", build.keys(lkeys.len()));
                     s.note("build_rows", build.batch.len);
                     s.note("probe_rows", rows(probe));
                 }
@@ -921,23 +922,73 @@ struct JoinBuild {
 
 /// Per join key, the first and the last build row of its chain.
 enum KeyTable {
-    /// A single key column that is `Int` or `Float` on the build side:
-    /// keyed by the bits [`GroupKey::Num`] holds, under which `1` and
-    /// `1.0` meet.
-    Num(HashMap<u64, (u32, u32)>),
+    /// A single key column of fixed width on the build side: keyed by a
+    /// `u64` in the key space of the column's kind.
+    Fixed(KeyKind, HashMap<u64, (u32, u32)>),
+    /// Several key columns, or one of text, booleans, bit strings or
+    /// custom values.
     Generic(HashMap<Vec<GroupKey>, (u32, u32)>),
 }
 
-/// The key of row `i` of a lone key column as a [`KeyTable::Num`] holds
-/// it; `None` for NULL and for a value that no number equals.
-fn num_key(col: &ColumnVec, i: usize) -> Option<u64> {
-    match col {
-        ColumnVec::Int(v, valid) => valid.get(i).then(|| num_bits(v[i] as f64)),
-        ColumnVec::Float(v, valid) => valid.get(i).then(|| num_bits(v[i])),
-        other => match other.get(i).group_key() {
-            GroupKey::Num(bits) => Some(bits),
+/// The kind of a [`KeyTable::Fixed`]'s build column, and with it how a
+/// value is keyed: a probe value meets exactly the build values whose
+/// [`GroupKey`] equals its own, so `1` meets `1.0`, an integer beyond
+/// 2^53 only itself, and a value of another kind (`ts = 5`) nothing.
+#[derive(Clone, Copy)]
+enum KeyKind {
+    /// Keyed by the integer itself.
+    Int,
+    /// Keyed by the bits [`GroupKey::Num`] holds.
+    Float,
+    /// Keyed by the microseconds.
+    Ts,
+    Iv,
+}
+
+impl KeyKind {
+    fn of(col: &ColumnVec) -> Option<KeyKind> {
+        match col {
+            ColumnVec::Int(..) => Some(KeyKind::Int),
+            ColumnVec::Float(..) => Some(KeyKind::Float),
+            ColumnVec::Ts(..) => Some(KeyKind::Ts),
+            ColumnVec::Iv(..) => Some(KeyKind::Iv),
             _ => None,
-        },
+        }
+    }
+
+    /// The key `v` meets its equals under in a table of this kind; `None`
+    /// for NULL and for a value no build value of the kind equals.
+    fn key(self, v: &Value) -> Option<u64> {
+        match (self, v) {
+            (KeyKind::Int, Value::Int(i))
+            | (KeyKind::Ts, Value::Timestamp(i))
+            | (KeyKind::Iv, Value::Interval(i)) => Some(*i as u64),
+            (KeyKind::Int, Value::Float(f)) => exact_i64(*f).map(|i| i as u64),
+            (KeyKind::Float, Value::Float(f)) => Some(num_bits(*f)),
+            (KeyKind::Float, Value::Int(i)) => exact_f64(*i).map(num_bits),
+            _ => None,
+        }
+    }
+
+    /// [`Self::key`] of row `i` of `col`, read in place where the column
+    /// is of the table's own kind.
+    fn key_at(self, col: &ColumnVec, i: usize) -> Option<u64> {
+        match (self, col) {
+            (KeyKind::Int, ColumnVec::Int(v, valid))
+            | (KeyKind::Ts, ColumnVec::Ts(v, valid))
+            | (KeyKind::Iv, ColumnVec::Iv(v, valid)) => valid.get(i).then(|| v[i] as u64),
+            (KeyKind::Float, ColumnVec::Float(v, valid)) => valid.get(i).then(|| num_bits(v[i])),
+            _ => self.key(&col.get(i)),
+        }
+    }
+
+    /// What `EXPLAIN ANALYZE` calls the table.
+    fn name(self) -> &'static str {
+        match self {
+            KeyKind::Int | KeyKind::Float => "num",
+            KeyKind::Ts => "ts",
+            KeyKind::Iv => "iv",
+        }
     }
 }
 
@@ -977,18 +1028,22 @@ impl JoinBuild {
         let key_cols: Vec<Arc<ColumnVec>> =
             keys.iter().map(|k| k.eval(&batch, ev)).collect::<Result<_>>()?;
         let mut next = vec![END; batch.len];
-        let table = match &key_cols[..] {
-            [col] if matches!(**col, ColumnVec::Int(..) | ColumnVec::Float(..)) => {
-                let mut table = HashMap::new();
+        let fixed = match &key_cols[..] {
+            [col] => KeyKind::of(col).map(|kind| (kind, col)),
+            _ => None,
+        };
+        let table = match fixed {
+            Some((kind, col)) => {
+                let mut table = HashMap::with_capacity(batch.len);
                 for row in 0..batch.len {
-                    if let Some(key) = num_key(col, row) {
+                    if let Some(key) = kind.key_at(col, row) {
                         link(table.entry(key), row as u32, &mut next);
                     }
                 }
-                KeyTable::Num(table)
+                KeyTable::Fixed(kind, table)
             }
-            _ => {
-                let mut table = HashMap::new();
+            None => {
+                let mut table = HashMap::with_capacity(batch.len);
                 let mut key = Vec::with_capacity(keys.len());
                 for row in 0..batch.len {
                     if generic_key(&key_cols, row, &mut key) {
@@ -1001,11 +1056,24 @@ impl JoinBuild {
         Ok(JoinBuild { batch, table, next })
     }
 
+    /// What `EXPLAIN ANALYZE` calls the key table: `num`, `ts`, `iv`
+    /// for a lone key of that kind, `multi` for several key columns and
+    /// `generic` for a lone key of any other kind.
+    fn keys(&self, columns: usize) -> &'static str {
+        match &self.table {
+            KeyTable::Fixed(kind, _) => kind.name(),
+            KeyTable::Generic(_) if columns > 1 => "multi",
+            KeyTable::Generic(_) => "generic",
+        }
+    }
+
     /// The first build row whose key equals that of row `i` of the
     /// probe-side `key_cols` ([`END`] when none does); `key` is scratch.
     fn first_match(&self, key_cols: &[Arc<ColumnVec>], i: usize, key: &mut Vec<GroupKey>) -> u32 {
         let chain = match &self.table {
-            KeyTable::Num(table) => num_key(&key_cols[0], i).and_then(|k| table.get(&k)),
+            KeyTable::Fixed(kind, table) => {
+                kind.key_at(&key_cols[0], i).and_then(|k| table.get(&k))
+            }
             KeyTable::Generic(table) => {
                 generic_key(key_cols, i, key).then(|| table.get(key.as_slice())).flatten()
             }
@@ -1023,18 +1091,21 @@ impl JoinBuild {
         ev: &VecEvalCtx<'_>,
         key: &mut Vec<GroupKey>,
     ) -> Result<u32> {
-        key.clear();
-        let mut null = false;
-        for k in keys {
-            let v = k.eval_row(row, ev)?;
-            null |= v.is_null();
-            key.push(v.group_key());
-        }
-        let chain = match (&self.table, &key[..]) {
-            _ if null => None,
-            (KeyTable::Num(table), [GroupKey::Num(bits)]) => table.get(bits),
-            (KeyTable::Num(_), _) => None,
-            (KeyTable::Generic(table), key) => table.get(key),
+        let chain = match &self.table {
+            // A table keyed by one column is probed by one.
+            KeyTable::Fixed(kind, table) => {
+                kind.key(&keys[0].eval_row(row, ev)?).and_then(|k| table.get(&k))
+            }
+            KeyTable::Generic(table) => {
+                key.clear();
+                let mut null = false;
+                for k in keys {
+                    let v = k.eval_row(row, ev)?;
+                    null |= v.is_null();
+                    key.push(v.group_key());
+                }
+                (!null).then(|| table.get(key.as_slice())).flatten()
+            }
         };
         Ok(chain.map_or(END, |(first, _)| *first))
     }
@@ -1249,8 +1320,9 @@ enum Acc {
         sum: f64,
         n: i64,
     },
-    MinInt(Option<i64>),
-    MaxInt(Option<i64>),
+    /// `min` / `max` over a column of one `i64` kind.
+    Min(Word, Option<i64>),
+    Max(Word, Option<i64>),
     General(Box<AggState>),
 }
 
@@ -1262,8 +1334,8 @@ enum AccKind {
     SumFloat,
     AvgInt,
     AvgFloat,
-    MinInt,
-    MaxInt,
+    Min(Word),
+    Max(Word),
     General,
 }
 
@@ -1276,8 +1348,8 @@ impl Acc {
             AccKind::SumFloat => Acc::SumFloat { sum: 0.0, seen: false },
             AccKind::AvgInt => Acc::AvgInt { sum: 0, n: 0 },
             AccKind::AvgFloat => Acc::AvgFloat { sum: 0.0, n: 0 },
-            AccKind::MinInt => Acc::MinInt(None),
-            AccKind::MaxInt => Acc::MaxInt(None),
+            AccKind::Min(kind) => Acc::Min(kind, None),
+            AccKind::Max(kind) => Acc::Max(kind, None),
             AccKind::General => Acc::General(Box::new(AggState::new(&call.name, call.distinct))),
         }
     }
@@ -1315,7 +1387,7 @@ impl Acc {
                     Value::Float(sum / n as f64)
                 }
             }
-            Acc::MinInt(v) | Acc::MaxInt(v) => v.map(Value::Int).unwrap_or(Value::Null),
+            Acc::Min(kind, v) | Acc::Max(kind, v) => v.map_or(Value::Null, |v| kind.value(v)),
             Acc::General(state) => state.finish(sep)?,
         })
     }
@@ -1376,32 +1448,23 @@ fn aggregate(
             }
             continue;
         }
-        // Typed fast path: plain GROUP BY over one uniformly-Int column
-        // keys by i64 directly, skipping per-row key allocation.
-        let int_cols: Option<Vec<(&[i64], &crate::types::Bitmap)>> =
-            if group.len() == 1 && set.len() == 1 {
-                abatches
-                    .iter()
-                    .map(|b| match b.group[0].as_ref() {
-                        ColumnVec::Int(v, bm) => Some((v.as_slice(), bm)),
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                None
-            };
-        if let Some(cols) = int_cols {
+        // Typed fast path: plain GROUP BY over one column of one `i64`
+        // kind keys by the `i64` directly, skipping per-row key
+        // allocation.
+        let words = (group.len() == 1 && set.len() == 1)
+            .then(|| uniform_words(abatches.iter().map(|b| Some(&*b.group[0]))))
+            .flatten();
+        if let Some((kind, cols)) = words {
             let mut iindex: HashMap<i64, usize> = HashMap::new();
             let mut null_gidx: Option<usize> = None;
-            for (bi, bc) in abatches.iter().enumerate() {
-                let (vals, valid) = cols[bi];
+            for (bc, (vals, valid)) in abatches.iter().zip(cols) {
                 for i in 0..bc.len {
                     let gidx = if valid.get(i) {
                         match iindex.get(&vals[i]) {
                             Some(&g) => g,
                             None => {
                                 iindex.insert(vals[i], groups.len());
-                                groups.push((vec![Value::Int(vals[i])], make_accs(), None));
+                                groups.push((vec![kind.value(vals[i])], make_accs(), None));
                                 groups.len() - 1
                             }
                         }
@@ -1502,19 +1565,35 @@ fn acc_kind(call: &PlanAggCall, si: usize, abatches: &[AggBatch]) -> AccKind {
         return AccKind::CountCol;
     }
     // Uniform column type across all batches?
-    let all_int =
-        abatches.iter().all(|b| matches!(b.args[si].as_deref(), Some(ColumnVec::Int(..))));
+    let words = uniform_words(abatches.iter().map(|b| b.args[si].as_deref())).map(|(kind, _)| kind);
+    let all_int = words == Some(Word::Int);
     let all_float =
         abatches.iter().all(|b| matches!(b.args[si].as_deref(), Some(ColumnVec::Float(..))));
-    match (call.name.as_str(), all_int, all_float) {
-        ("sum", true, _) => AccKind::SumInt,
-        ("sum", _, true) => AccKind::SumFloat,
-        ("avg", true, _) => AccKind::AvgInt,
-        ("avg", _, true) => AccKind::AvgFloat,
-        ("min", true, _) => AccKind::MinInt,
-        ("max", true, _) => AccKind::MaxInt,
+    match (call.name.as_str(), all_int, all_float, words) {
+        ("sum", true, _, _) => AccKind::SumInt,
+        ("sum", _, true, _) => AccKind::SumFloat,
+        ("avg", true, _, _) => AccKind::AvgInt,
+        ("avg", _, true, _) => AccKind::AvgFloat,
+        ("min", _, _, Some(kind)) => AccKind::Min(kind),
+        ("max", _, _, Some(kind)) => AccKind::Max(kind),
         _ => AccKind::General,
     }
+}
+
+/// The values and validity of each of `cols`, and the kind they all
+/// hold one `i64` per slot of — if they are of one such kind and there is
+/// at least one of them.
+type WordCols<'c> = (Word, Vec<(&'c [i64], &'c Bitmap)>);
+
+fn uniform_words<'c>(cols: impl Iterator<Item = Option<&'c ColumnVec>>) -> Option<WordCols<'c>> {
+    let mut kind = None;
+    let cols = cols
+        .map(|c| {
+            let (k, vals, valid) = c?.words()?;
+            (*kind.get_or_insert(k) == k).then_some((vals, valid))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((kind?, cols))
 }
 
 fn update_acc(
@@ -1564,15 +1643,15 @@ fn update_acc(
                 }
             }
         }
-        Acc::MinInt(m) => {
-            if let Some(ColumnVec::Int(vals, bm)) = col.as_deref() {
+        Acc::Min(_, m) => {
+            if let Some((_, vals, bm)) = col.as_deref().and_then(ColumnVec::words) {
                 if bm.get(i) {
                     *m = Some(m.map_or(vals[i], |p| p.min(vals[i])));
                 }
             }
         }
-        Acc::MaxInt(m) => {
-            if let Some(ColumnVec::Int(vals, bm)) = col.as_deref() {
+        Acc::Max(_, m) => {
+            if let Some((_, vals, bm)) = col.as_deref().and_then(ColumnVec::words) {
                 if bm.get(i) {
                     *m = Some(m.map_or(vals[i], |p| p.max(vals[i])));
                 }
@@ -1679,16 +1758,30 @@ mod tests {
         let float = |k| Value::Float(k as f64);
         let halves = |k| Value::Float(k as f64 + 0.5 * (k % 2) as f64);
         let text = |k| Value::text(format!("k{k}"));
+        let stamp = |k| Value::Timestamp(k as i64);
+        let span = |k| Value::Interval(k as i64);
+        // Above 2^53: the odd ones are held by no f64.
+        let big = |k| Value::Int((1 << 53) + k as i64);
+        let big_float = |k| Value::Float(((1u64 << 53) + k) as f64);
         type Render = fn(u64) -> Value;
         // (left key renders, right key renders): one- and two-column
-        // keys, Int against Int, Float and Text, a column of both kinds.
-        let cases: [(&[Render], &[Render]); 6] = [
+        // keys, Int against Int, Float and Text, a column of both kinds,
+        // timestamps and intervals against their own kind and others.
+        let cases: [(&[Render], &[Render]); 14] = [
             (&[int], &[int]),
             (&[int], &[float]),
+            (&[int], &[halves]),
             (&[float], &[halves]),
             (&[text], &[text]),
             (&[int, text], &[int, text]),
             (&[int, int], &[float, int]),
+            (&[stamp], &[stamp]),
+            (&[span], &[span]),
+            (&[stamp], &[span]),
+            (&[span], &[int]),
+            (&[big], &[big]),
+            (&[big], &[big_float]),
+            (&[stamp, int], &[stamp, float]),
         ];
         for (lk, rk) in cases {
             for round in 0..40 {

@@ -180,13 +180,15 @@ pub fn parse_interval(s: &str) -> Result<i64> {
 /// Render an interval as a compact unit string.
 pub fn format_interval(us: i64) -> String {
     let neg = us < 0;
-    let mut rem = us.abs();
-    let days = rem / MICROS_PER_DAY;
-    rem %= MICROS_PER_DAY;
-    let hours = rem / MICROS_PER_HOUR;
-    rem %= MICROS_PER_HOUR;
-    let mins = rem / MICROS_PER_MIN;
-    rem %= MICROS_PER_MIN;
+    // Unsigned: `i64::MIN` has no positive counterpart.
+    let mut rem = us.unsigned_abs();
+    let unit = |u: i64| u as u64;
+    let days = rem / unit(MICROS_PER_DAY);
+    rem %= unit(MICROS_PER_DAY);
+    let hours = rem / unit(MICROS_PER_HOUR);
+    rem %= unit(MICROS_PER_HOUR);
+    let mins = rem / unit(MICROS_PER_MIN);
+    rem %= unit(MICROS_PER_MIN);
     let secs = rem as f64 / 1e6;
     let mut out = String::new();
     if neg {
@@ -209,7 +211,7 @@ pub fn format_interval(us: i64) -> String {
     }
     if secs != 0.0 || (days == 0 && hours == 0 && mins == 0) {
         if secs.fract() == 0.0 {
-            push(format!("{} seconds", secs as i64));
+            push(format!("{} seconds", secs as u64));
         } else {
             push(format!("{secs} seconds"));
         }

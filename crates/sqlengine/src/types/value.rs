@@ -218,18 +218,21 @@ impl Value {
             return Ok(Null);
         }
 
+        if let (Some((l, a)), Some((r, b))) = (lhs.word(), rhs.word()) {
+            if let Some((f, kind)) = time_arith(op, l, r) {
+                return f(a, b)
+                    .map(|us| kind.value(us))
+                    .ok_or_else(|| Error::eval(kind.overflow()));
+            }
+        }
+
         match op {
             BinOp::Add => match (lhs, rhs) {
                 (Int(a), Int(b)) => Ok(Int(a.checked_add(*b).ok_or_else(overflow)?)),
-                (Timestamp(t), Interval(i)) | (Interval(i), Timestamp(t)) => Ok(Timestamp(t + i)),
-                (Interval(a), Interval(b)) => Ok(Interval(a + b)),
                 _ => Ok(Float(lhs.as_f64()? + rhs.as_f64()?)),
             },
             BinOp::Sub => match (lhs, rhs) {
                 (Int(a), Int(b)) => Ok(Int(a.checked_sub(*b).ok_or_else(overflow)?)),
-                (Timestamp(t), Interval(i)) => Ok(Timestamp(t - i)),
-                (Timestamp(a), Timestamp(b)) => Ok(Interval(a - b)),
-                (Interval(a), Interval(b)) => Ok(Interval(a - b)),
                 _ => Ok(Float(lhs.as_f64()? - rhs.as_f64()?)),
             },
             BinOp::Mul => match (lhs, rhs) {
@@ -317,7 +320,9 @@ impl Value {
         match (op, v) {
             (UnOp::Neg, Int(i)) => i.checked_neg().map(Int).ok_or_else(overflow),
             (UnOp::Neg, Float(f)) => Ok(Float(-f)),
-            (UnOp::Neg, Interval(i)) => Ok(Interval(-i)),
+            (UnOp::Neg, Interval(i)) => {
+                i.checked_neg().map(Interval).ok_or_else(|| Error::eval(Word::Iv.overflow()))
+            }
             (UnOp::Not, Bool(b)) => Ok(Bool(!b)),
             (UnOp::BitNot, Bits(b)) => Ok(Bits(b.not())),
             (UnOp::BitNot, Int(i)) => Ok(Int(!i)),
@@ -382,13 +387,29 @@ impl Value {
         })
     }
 
+    /// The kind and microsecond (or integer) count of a value that is one
+    /// `i64` underneath.
+    pub(crate) fn word(&self) -> Option<(Word, i64)> {
+        match self {
+            Value::Int(i) => Some((Word::Int, *i)),
+            Value::Timestamp(t) => Some((Word::Ts, *t)),
+            Value::Interval(i) => Some((Word::Iv, *i)),
+            _ => None,
+        }
+    }
+
     /// A hashable key for grouping / hash joins / DISTINCT.
-    /// Numeric values that compare equal hash equal (1 = 1.0).
+    /// Numeric values that compare equal hash equal (1 = 1.0). An
+    /// integer that no `f64` holds exactly keys as itself, so integers
+    /// above 2^53 stay apart as `=` keeps them apart — though `=` still
+    /// compares such an integer with a float as two `f64`s.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
             Value::Bool(b) => GroupKey::Bool(*b),
-            Value::Int(i) => GroupKey::Num(num_bits(*i as f64)),
+            Value::Int(i) => {
+                exact_f64(*i).map_or(GroupKey::Int(*i), |f| GroupKey::Num(num_bits(f)))
+            }
             Value::Float(f) => GroupKey::Num(num_bits(*f)),
             Value::Text(s) => GroupKey::Text(s.clone()),
             Value::Timestamp(t) => GroupKey::Ts(*t),
@@ -412,6 +433,67 @@ fn type_err(op: BinOp, lhs: &Value, rhs: &Value) -> Error {
         lhs.data_type().sql_name(),
         rhs.data_type().sql_name()
     ))
+}
+
+/// The kinds of value that are one `i64` underneath, and so the kinds of
+/// column that hold a `Vec<i64>`: integers, timestamps and intervals
+/// (both in microseconds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Word {
+    Int,
+    Ts,
+    Iv,
+}
+
+impl Word {
+    pub(crate) fn value(self, v: i64) -> Value {
+        match self {
+            Word::Int => Value::Int(v),
+            Word::Ts => Value::Timestamp(v),
+            Word::Iv => Value::Interval(v),
+        }
+    }
+
+    /// What an operation whose result of this kind leaves `i64` fails
+    /// with.
+    pub(crate) fn overflow(self) -> &'static str {
+        match self {
+            Word::Int => "integer overflow",
+            Word::Ts => "timestamp out of range",
+            Word::Iv => "interval out of range",
+        }
+    }
+}
+
+/// A checked operation on two `i64`s and the kind of its result.
+pub(crate) type WordOp = (fn(i64, i64) -> Option<i64>, Word);
+
+/// The arithmetic of timestamps and intervals that stays in microseconds
+/// — `ts ± iv`, `iv + ts`, `ts − ts`, `iv ± iv` — as the checked
+/// operation on the two counts and the kind of its result; `None` for
+/// any other operator or pair of kinds.
+pub(crate) fn time_arith(op: BinOp, lhs: Word, rhs: Word) -> Option<WordOp> {
+    use Word::{Iv, Ts};
+    match (op, lhs, rhs) {
+        (BinOp::Add, Ts, Iv) | (BinOp::Add, Iv, Ts) => Some((i64::checked_add, Ts)),
+        (BinOp::Add, Iv, Iv) => Some((i64::checked_add, Iv)),
+        (BinOp::Sub, Ts, Iv) => Some((i64::checked_sub, Ts)),
+        (BinOp::Sub, Ts, Ts) | (BinOp::Sub, Iv, Iv) => Some((i64::checked_sub, Iv)),
+        _ => None,
+    }
+}
+
+/// `i` as the `f64` that holds it exactly, if one does.
+pub(crate) fn exact_f64(i: i64) -> Option<f64> {
+    let f = i as f64;
+    // 2^63 converts back to i64::MAX, which it is not.
+    (f < 9_223_372_036_854_775_808.0 && f as i64 == i).then_some(f)
+}
+
+/// The integer a float holds exactly, if it holds one of `i64`'s.
+pub(crate) fn exact_i64(f: f64) -> Option<i64> {
+    (f.fract() == 0.0 && (-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&f))
+        .then_some(f as i64)
 }
 
 /// What [`GroupKey::Num`] holds for a number: its bits with -0.0 and NaN
@@ -440,6 +522,8 @@ pub enum GroupKey {
     Null,
     Bool(bool),
     Num(u64),
+    /// An integer no `f64` holds exactly.
+    Int(i64),
     Text(Arc<str>),
     Ts(i64),
     Iv(i64),
@@ -625,6 +709,17 @@ mod tests {
         assert_eq!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
         assert_ne!(Value::Int(1).group_key(), Value::Float(1.5).group_key());
         assert_eq!(Value::Float(0.0).group_key(), Value::Float(-0.0).group_key());
+        // Above 2^53 an integer no f64 holds keys as itself.
+        let two_53 = 9_007_199_254_740_992_i64;
+        assert_eq!(Value::Int(two_53).group_key(), Value::Float(two_53 as f64).group_key());
+        assert_ne!(Value::Int(two_53 + 1).group_key(), Value::Int(two_53).group_key());
+        assert_eq!(Value::Int(two_53 + 1).group_key(), GroupKey::Int(two_53 + 1));
+        // i64::MAX converts to 2^63, which converts back to i64::MAX.
+        assert_eq!(exact_f64(i64::MAX), None);
+        assert_eq!(exact_f64(i64::MIN), Some(-(2f64.powi(63))));
+        assert_eq!(exact_i64(2f64.powi(63)), None);
+        assert_eq!(exact_i64(-0.0), Some(0));
+        assert_eq!(exact_i64(0.5), None);
     }
 
     #[test]
@@ -653,5 +748,14 @@ mod tests {
     fn overflow_detected() {
         assert!(b(BinOp::Add, i64::MAX, 1i64).is_err());
         assert!(b(BinOp::Mul, i64::MAX, 2i64).is_err());
+        let (late, long) = (Value::Timestamp(i64::MAX), Value::Interval(i64::MIN));
+        let stamp_error = Err(Error::eval("timestamp out of range"));
+        assert_eq!(Value::binop(BinOp::Add, &late, &Value::Interval(1)), stamp_error);
+        assert_eq!(Value::binop(BinOp::Add, &Value::Interval(1), &late), stamp_error);
+        let span_error = Err(Error::eval("interval out of range"));
+        assert_eq!(Value::binop(BinOp::Sub, &Value::Timestamp(-1), &late), Ok(long.clone()));
+        assert_eq!(Value::binop(BinOp::Sub, &Value::Timestamp(-2), &late), span_error);
+        assert_eq!(Value::unop(UnOp::Neg, &long), span_error);
+        assert_eq!(long.to_string(), "-106751991 days 4 hours 54.775808 seconds");
     }
 }

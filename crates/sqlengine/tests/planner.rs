@@ -1284,10 +1284,15 @@ fn explain_analyze_notes_the_join_build_side_and_derived_filters() {
     };
     // The planner puts the smaller input (t3, 15 rows) on the left.
     let text = analyze(&mut db, "SELECT t3.v, t1.b FROM t1 JOIN t3 ON t1.a = t3.k");
-    assert!(text.contains("  build=left  build_rows=15  probe_rows=60"), "{text}");
+    assert!(text.contains("  build=left  keys=num  build_rows=15  probe_rows=60"), "{text}");
     // An outer join builds its right input whatever the sizes.
     let text = analyze(&mut db, "SELECT t3.v, t1.b FROM t3 LEFT JOIN t1 ON t1.a = t3.k");
-    assert!(text.contains("  build=right  build_rows=60  probe_rows=15"), "{text}");
+    assert!(text.contains("  build=right  keys=num  build_rows=60  probe_rows=15"), "{text}");
+    // Which key table: several columns, or one of text.
+    let text = analyze(&mut db, "SELECT t1.b FROM t1 JOIN t2 ON t1.a = t2.a AND t1.c = t2.e");
+    assert!(text.contains("  keys=multi  "), "{text}");
+    let text = analyze(&mut db, "SELECT t1.b FROM t1 JOIN t2 ON t1.c = t2.e");
+    assert!(text.contains("  keys=generic  "), "{text}");
     let text = analyze(&mut db, "SELECT t3.v FROM t1 JOIN t3 ON t1.a = t3.k WHERE t3.k = 2");
     assert!(text.contains("-> Filter (t1.a = 2) [derived]: "), "{text}");
 }

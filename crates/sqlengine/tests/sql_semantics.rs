@@ -127,6 +127,40 @@ fn cross_type_numeric_grouping() {
     assert_eq!(t.value(0, 1), &Value::Int(2));
 }
 
+/// Two integers above 2^53 that round to one `f64`: `=` compares `i64`s
+/// exactly, and so must everything that keys a value — DISTINCT, UNION,
+/// count(DISTINCT), the hash join and GROUP BY — on the planner and on
+/// the reference, which share the grouping key. The expected values are
+/// written out because the two executors once shared the bug too.
+///
+/// An integer against a *float* still compares as two `f64`s, as it did
+/// before: both rows equal `9007199254740992.0`.
+#[test]
+fn integers_beyond_2_pow_53_key_as_themselves() {
+    let mut db = db_with(
+        "CREATE TABLE a (k int8); INSERT INTO a VALUES (9007199254740992), (9007199254740993)",
+    );
+    for reference in [false, true] {
+        let was = sqlengine::set_force_row_interpreter(reference);
+        let rows = |db: &mut Database, sql: &str| q(db, sql).num_rows();
+        let count = |db: &mut Database, sql: &str| scalar(db, sql);
+        assert_eq!(
+            count(&mut db, "SELECT count(*) FROM a WHERE k = 9007199254740993"),
+            Value::Int(1)
+        );
+        assert_eq!(rows(&mut db, "SELECT DISTINCT k FROM a"), 2);
+        assert_eq!(rows(&mut db, "SELECT k FROM a UNION SELECT k FROM a"), 2);
+        assert_eq!(count(&mut db, "SELECT count(DISTINCT k) FROM a"), Value::Int(2));
+        assert_eq!(count(&mut db, "SELECT count(*) FROM a x JOIN a y ON x.k = y.k"), Value::Int(2));
+        assert_eq!(rows(&mut db, "SELECT k, count(*) FROM a GROUP BY k"), 2);
+        assert_eq!(
+            count(&mut db, "SELECT count(*) FROM a WHERE k = 9007199254740992.0"),
+            Value::Int(2)
+        );
+        sqlengine::set_force_row_interpreter(was);
+    }
+}
+
 #[test]
 fn self_join_aliases() {
     let mut db = db_with("CREATE TABLE t (x int); INSERT INTO t VALUES (1), (2), (3)");
