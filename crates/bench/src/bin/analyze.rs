@@ -1,11 +1,12 @@
 //! Static-analysis sweep over the checked-in benchmark scripts.
 //!
 //! Every `SOLVESELECT` in every script — top level, inside CTAS/INSERT,
-//! or nested in a FROM subquery — is run through `EXPLAIN CHECK` and
-//! `EXPLAIN PRESOLVE` in a session prepared the same way the benchmarks
-//! prepare it (each script executes after being analyzed, so later
-//! scripts see the tables earlier ones create). Every plain SELECT
-//! statement is additionally run through `EXPLAIN SELECT`, exercising
+//! or nested anywhere in a query (`rwset::solves`) — is run through
+//! `EXPLAIN CHECK` and `EXPLAIN PRESOLVE` in a session prepared the same
+//! way the benchmarks prepare it (each script executes after being
+//! analyzed, so later scripts see the tables earlier ones create). Every
+//! query a statement carries (`Statement::queries`; not an EXPLAIN's or
+//! MODELEVAL's) is additionally run through `EXPLAIN SELECT`, exercising
 //! the logical planner over the shipped scripts.
 //!
 //! Exit status is the CI contract:
@@ -37,29 +38,17 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use bench::sweep::{for_each_script, solves_in_statement};
+use bench::sweep::for_each_script;
 use bench::OrDie;
 use solvedbplus_core::Session;
 use sqlengine::ast::{ExplainMode, Query, SolveStmt, Statement};
 use sqlengine::diag::Severity;
 use sqlengine::parser;
-use sqlengine::script::{analyze_script, CatalogSnapshot};
+use sqlengine::script::{analyze_script, rwset, CatalogSnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use storage::{FsyncPolicy, StorageEngine};
-
-/// The queries the planner sees: top-level SELECTs plus the sources of
-/// INSERT … SELECT, CTAS and CREATE VIEW (model instantiation shapes).
-fn queries_in_statement(stmt: &Statement) -> Vec<&Query> {
-    match stmt {
-        Statement::Query(q) => vec![q],
-        Statement::Insert { source, .. } => vec![source],
-        Statement::CreateTable { as_query: Some(q), .. } => vec![q],
-        Statement::CreateView { query, .. } => vec![query],
-        _ => vec![],
-    }
-}
 
 #[derive(Default)]
 struct Sweep {
@@ -197,14 +186,18 @@ impl Sweep {
         };
         self.scriptcheck(s, name, &stmts);
         for (i, stmt) in stmts.iter().enumerate() {
-            let solves = solves_in_statement(stmt);
+            let solves = rwset::solves(stmt);
             for solve in &solves {
                 self.solves += 1;
                 self.explain(s, name, solve, ExplainMode::Check);
                 self.explain(s, name, solve, ExplainMode::Presolve);
             }
-            for q in queries_in_statement(stmt) {
-                self.explain_select(s, name, q);
+            // An EXPLAIN explains its query itself, and MODELEVAL's select
+            // reads the relations of a model.
+            if !matches!(stmt, Statement::ExplainQuery { .. } | Statement::ModelEval { .. }) {
+                for q in stmt.queries() {
+                    self.explain_select(s, name, q);
+                }
             }
             let before = s.db().exec_counts();
             if let Err(e) = s.execute_statement(stmt) {

@@ -1,62 +1,11 @@
 //! The corpus of the static-analysis sweep, shared by the `analyze`
 //! binary and the golden model-report test: which scripts are visited,
-//! on which prepared sessions, and how the `SOLVESELECT`s inside a
-//! statement are found.
+//! and on which prepared sessions. The solves inside a statement are the
+//! engine's own answer (`sqlengine::script::rwset::solves`).
 
 use crate::setup::{feature_session, uc1_session, uc2_session};
 use crate::{figures, uc1, uc2};
 use solvedbplus_core::Session;
-use sqlengine::ast::{Query, SetExpr, SolveStmt, Statement, TableRef};
-
-/// Collect every `SOLVESELECT` reachable from a statement.
-pub fn solves_in_statement(stmt: &Statement) -> Vec<&SolveStmt> {
-    let mut out = Vec::new();
-    match stmt {
-        Statement::Solve(s) => out.push(s),
-        Statement::Explain { stmt, .. } => out.push(stmt),
-        Statement::Query(q) => solves_in_query(q, &mut out),
-        Statement::Insert { source, .. } => solves_in_query(source, &mut out),
-        Statement::CreateTable { as_query: Some(q), .. } => solves_in_query(q, &mut out),
-        Statement::CreateView { query, .. } => solves_in_query(query, &mut out),
-        _ => {}
-    }
-    out
-}
-
-pub fn solves_in_query<'a>(q: &'a Query, out: &mut Vec<&'a SolveStmt>) {
-    for cte in &q.with {
-        solves_in_query(&cte.query, out);
-    }
-    solves_in_set_expr(&q.body, out);
-}
-
-fn solves_in_set_expr<'a>(e: &'a SetExpr, out: &mut Vec<&'a SolveStmt>) {
-    match e {
-        SetExpr::Solve(s) => out.push(s),
-        SetExpr::Query(q) => solves_in_query(q, out),
-        SetExpr::SetOp { left, right, .. } => {
-            solves_in_set_expr(left, out);
-            solves_in_set_expr(right, out);
-        }
-        SetExpr::Select(sel) => {
-            for t in &sel.from {
-                solves_in_table_ref(t, out);
-            }
-        }
-        SetExpr::Values(_) => {}
-    }
-}
-
-fn solves_in_table_ref<'a>(t: &'a TableRef, out: &mut Vec<&'a SolveStmt>) {
-    match t {
-        TableRef::Named { .. } => {}
-        TableRef::Subquery { query, .. } => solves_in_query(query, out),
-        TableRef::Join { left, right, .. } => {
-            solves_in_table_ref(left, out);
-            solves_in_table_ref(right, out);
-        }
-    }
-}
 
 /// Walk the sweep's corpus: the checked-in benchmark scripts and the
 /// models of the runnable examples, each group on a session prepared

@@ -49,7 +49,7 @@ pub fn run_s3ss(s: &mut Session, p3_iterations: Option<usize>) -> Result<PhaseTi
 /// is deterministic, so this is the count the phase paid.
 pub fn p2_pivots(s: &mut Session) -> Result<u64> {
     let stmts = sqlengine::parser::parse_statements(S_3SS_P2)?;
-    let solve = stmts.iter().flat_map(crate::sweep::solves_in_statement).next();
+    let solve = stmts.iter().flat_map(sqlengine::script::rwset::solves).next();
     let solve = solve.ok_or_else(|| sqlengine::error::Error::eval("P2 has no SOLVESELECT"))?;
     let r = s.execute_statement(&sqlengine::ast::Statement::Solve(solve.clone()))?;
     Ok(r.trace.iter().flat_map(|t| &t.solvers).map(|st| st.iterations).sum())

@@ -21,10 +21,11 @@
 //! and models — `fitness_differential.rs` — so even those agree exactly;
 //! the tolerance is the contract, not an observed difference.)
 
-use bench::sweep::{for_each_script, solves_in_statement};
+use bench::sweep::for_each_script;
 use solvedbplus_core::Session;
 use sqlengine::ast::Statement;
 use sqlengine::exec::Outcome;
+use sqlengine::script::rwset::solves;
 use sqlengine::{set_force_row_interpreter, Row, Table, Value};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -79,7 +80,7 @@ fn run_sweep(point_of: &dyn Fn(usize) -> Point) -> Vec<Observed> {
         let stmts = sqlengine::parser::parse_statements(sql).expect(name);
         let mut solved = false;
         for (i, stmt) in stmts.iter().enumerate() {
-            solved |= !solves_in_statement(stmt).is_empty();
+            solved |= !solves(stmt).is_empty();
             let outcome = match s.execute_statement(stmt) {
                 Ok(r) => {
                     let codes = r.warnings.iter().map(|d| d.code.clone()).collect();

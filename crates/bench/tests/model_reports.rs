@@ -9,9 +9,10 @@
 //! rendering in `$CARGO_TARGET_TMPDIR/model_reports.txt`; review the
 //! diff and copy it over the golden file.
 
-use bench::sweep::{for_each_script, solves_in_statement};
+use bench::sweep::for_each_script;
 use solvedbplus_core::Session;
 use sqlengine::ast::{ExplainMode, Statement};
+use sqlengine::script::rwset::solves;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/model_reports.txt");
@@ -22,7 +23,7 @@ fn render_script(s: &mut Session, name: &str, sql: &str, out: &mut String) {
     let stmts = sqlengine::parser::parse_statements(sql).expect(name);
     let mut k = 0;
     for stmt in &stmts {
-        for solve in solves_in_statement(stmt) {
+        for solve in solves(stmt) {
             k += 1;
             for (label, mode) in [
                 ("EXPLAIN", ExplainMode::Plan),

@@ -117,62 +117,100 @@ impl Expr {
         Expr::Literal(Literal::Int(v))
     }
 
-    /// Walk the expression tree, visiting every node (pre-order).
+    /// Walk the expression tree, visiting every node (pre-order). The
+    /// query of a subquery and a `SOLVEMODEL` value are not expression
+    /// nodes: [`Node::walk`] reaches those.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.walk_with(f, &mut |_| {});
+    }
+
+    /// [`Self::walk`], handing `nested` the query or solve a node holds.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    fn walk_with<'a>(&'a self, f: &mut impl FnMut(&'a Expr), nested: &mut impl FnMut(Node<'a>)) {
         f(self);
         match self {
             Expr::BinOp { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
+                lhs.walk_with(f, nested);
+                rhs.walk_with(f, nested);
             }
-            Expr::UnOp { expr, .. } => expr.walk(f),
+            Expr::UnOp { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                expr.walk_with(f, nested)
+            }
             Expr::Chain { first, rest } => {
-                first.walk(f);
-                for (_, e) in rest {
-                    e.walk(f);
-                }
+                first.walk_with(f, nested);
+                rest.iter().for_each(|(_, e)| e.walk_with(f, nested));
             }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.value.walk(f);
-                }
-            }
-            Expr::Cast { expr, .. } => expr.walk(f),
+            Expr::Func { args, .. } => args.iter().for_each(|a| a.value.walk_with(f, nested)),
             Expr::Case { operand, branches, else_ } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
+                operand.iter().for_each(|o| o.walk_with(f, nested));
                 for (c, r) in branches {
-                    c.walk(f);
-                    r.walk(f);
+                    c.walk_with(f, nested);
+                    r.walk_with(f, nested);
                 }
-                if let Some(e) = else_ {
-                    e.walk(f);
-                }
+                else_.iter().for_each(|e| e.walk_with(f, nested));
             }
-            Expr::IsNull { expr, .. } => expr.walk(f),
             Expr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
+                expr.walk_with(f, nested);
+                list.iter().for_each(|e| e.walk_with(f, nested));
             }
-            Expr::InSubquery { expr, .. } => expr.walk(f),
+            Expr::InSubquery { expr, query, .. } => {
+                nested(Node::Query(query));
+                expr.walk_with(f, nested);
+            }
+            Expr::Exists { query, .. } | Expr::ScalarSubquery(query) => nested(Node::Query(query)),
+            Expr::SolveModel(s) => nested(Node::Solve(s)),
             Expr::Between { expr, low, high, .. } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                expr.walk_with(f, nested);
+                low.walk_with(f, nested);
+                high.walk_with(f, nested);
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
+                expr.walk_with(f, nested);
+                pattern.walk_with(f, nested);
             }
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Wildcard { .. } => {}
+        }
+    }
+
+    /// This node with every child [`Self::walk`] visits replaced by
+    /// `f(child)`; the query of a subquery and a `SOLVEMODEL` value are
+    /// kept as they are.
+    pub(crate) fn map_children(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut out = self.clone();
+        for c in out.children_mut() {
+            *c = f(c);
+        }
+        out
+    }
+
+    /// The children [`Self::walk`] visits, mutably.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::UnOp { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => vec![expr],
+            Expr::BinOp { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Like { expr, pattern, .. } => vec![expr, pattern],
+            Expr::Between { expr, low, high, .. } => vec![expr, low, high],
+            Expr::Chain { first, rest } => {
+                std::iter::once(&mut **first).chain(rest.iter_mut().map(|(_, e)| e)).collect()
+            }
+            Expr::Func { args, .. } => args.iter_mut().map(|a| &mut a.value).collect(),
+            Expr::InList { expr, list, .. } => std::iter::once(&mut **expr).chain(list).collect(),
+            Expr::Case { operand, branches, else_ } => operand
+                .as_deref_mut()
+                .into_iter()
+                .chain(branches.iter_mut().flat_map(|(c, r)| [c, r]))
+                .chain(else_.as_deref_mut())
+                .collect(),
             Expr::Literal(_)
             | Expr::Column { .. }
             | Expr::Wildcard { .. }
             | Expr::Exists { .. }
             | Expr::ScalarSubquery(_)
-            | Expr::SolveModel(_) => {}
+            | Expr::SolveModel(_) => vec![],
         }
     }
 }
@@ -493,6 +531,203 @@ pub enum Statement {
     Cancel {
         session: u64,
     },
+}
+
+// ---------------------------------------------------------------------------
+// Traversal
+// ---------------------------------------------------------------------------
+
+/// What [`Node::walk`] reaches.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// A statement's query, a WITH member, a parenthesised arm, a FROM or
+    /// expression subquery, or a member of a solve.
+    Query(&'a Query),
+    /// A `SOLVESELECT` body or statement, or a `SOLVEMODEL` value.
+    Solve(&'a SolveStmt),
+    /// A relation named in a FROM clause. `bound` when a name in scope at
+    /// that point binds it: a WITH member seen by the clause (a plain
+    /// member sees the members before it, a `WITH RECURSIVE` member all of
+    /// them), or an alias of an enclosing solve (input, CDTE, INLINE),
+    /// which is bound across the whole solve. Binding too much can only
+    /// hide a read, never invent one.
+    Relation { name: &'a str, bound: bool },
+    /// An expression a clause holds; its nodes are [`Expr::walk`]'s.
+    Expr(&'a Expr),
+}
+
+impl<'a> Node<'a> {
+    /// Visit this node and everything under it, pre-order, in every
+    /// clause: every nested query, every solve with its input, INLINEs,
+    /// CDTEs, objective, rules and `USING` parameters, every relation
+    /// reference and every expression. `f` returns whether to enter the
+    /// node it is given (a relation has nothing to enter). This is the one
+    /// place that knows which children the statement trees have.
+    pub fn walk(self, f: impl FnMut(Node<'a>) -> bool) {
+        Walker { f, bound: Vec::new() }.node(self);
+    }
+}
+
+impl Statement {
+    /// The queries the statement carries: its body, an INSERT source, a
+    /// CTAS or view definition, an explained query, MODELEVAL's two.
+    pub fn queries(&self) -> impl Iterator<Item = &Query> {
+        self.roots().into_iter().filter_map(|n| if let Node::Query(q) = n { Some(q) } else { None })
+    }
+
+    /// [`Node::walk`] over everything the statement carries.
+    pub fn walk<'a>(&'a self, f: impl FnMut(Node<'a>) -> bool) {
+        let mut w = Walker { f, bound: Vec::new() };
+        for root in self.roots() {
+            w.node(root);
+        }
+    }
+
+    /// What the statement carries: its [`queries`](Self::queries), its
+    /// solve, the expressions of an UPDATE or DELETE.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    fn roots(&self) -> Vec<Node<'_>> {
+        match self {
+            Statement::Query(q)
+            | Statement::Insert { source: q, .. }
+            | Statement::CreateView { query: q, .. } => vec![Node::Query(q)],
+            Statement::ExplainQuery { query, .. } => vec![Node::Query(query)],
+            Statement::CreateTable { as_query, .. } => as_query.iter().map(Node::Query).collect(),
+            Statement::ModelEval { select, model } => vec![Node::Query(select), Node::Query(model)],
+            Statement::Solve(s) => vec![Node::Solve(s)],
+            Statement::Explain { stmt, .. } => vec![Node::Solve(stmt)],
+            Statement::Update { assignments, where_, .. } => {
+                assignments.iter().map(|(_, e)| e).chain(where_).map(Node::Expr).collect()
+            }
+            Statement::Delete { where_, .. } => where_.iter().map(Node::Expr).collect(),
+            Statement::ExplainScript { .. }
+            | Statement::DropTable { .. }
+            | Statement::DropView { .. }
+            | Statement::Checkpoint
+            | Statement::Set { .. }
+            | Statement::Cancel { .. } => vec![],
+        }
+    }
+}
+
+/// The state of one walk: the visitor and the names bound at the current
+/// point, innermost last (a stack, so entering a query allocates nothing).
+struct Walker<'a, F> {
+    f: F,
+    bound: Vec<&'a str>,
+}
+
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+impl<'a, F: FnMut(Node<'a>) -> bool> Walker<'a, F> {
+    fn node(&mut self, n: Node<'a>) {
+        match n {
+            Node::Query(q) => self.query(q),
+            Node::Solve(s) => self.solve(s),
+            Node::Expr(e) => self.expr(e),
+            Node::Relation { .. } => {
+                (self.f)(n);
+            }
+        }
+    }
+
+    fn query(&mut self, q: &'a Query) {
+        if !(self.f)(Node::Query(q)) {
+            return;
+        }
+        let Query { with, recursive, body, order_by, limit, offset } = q;
+        let mark = self.bound.len();
+        if *recursive {
+            self.bound.extend(with.iter().map(|c| c.name.as_str()));
+        }
+        for cte in with {
+            self.query(&cte.query);
+            self.bound.push(&cte.name);
+        }
+        self.set_expr(body);
+        for e in order_by.iter().map(|o| &o.expr).chain(limit).chain(offset) {
+            self.expr(e);
+        }
+        self.bound.truncate(mark);
+    }
+
+    fn set_expr(&mut self, body: &'a SetExpr) {
+        match body {
+            SetExpr::Select(s) => self.select(s),
+            SetExpr::Solve(s) => self.solve(s),
+            SetExpr::Query(q) => self.query(q),
+            SetExpr::SetOp { left, right, .. } => {
+                self.set_expr(left);
+                self.set_expr(right);
+            }
+            SetExpr::Values(rows) => rows.iter().flatten().for_each(|e| self.expr(e)),
+        }
+    }
+
+    fn select(&mut self, s: &'a Select) {
+        let Select { distinct: _, projection, from, where_, group_by, grouping_sets: _, having } =
+            s;
+        for item in projection {
+            match item {
+                SelectItem::Expr { expr, .. } => self.expr(expr),
+                SelectItem::Wildcard { .. } => {}
+            }
+        }
+        for t in from {
+            self.table_ref(t);
+        }
+        for e in where_.iter().chain(group_by).chain(having) {
+            self.expr(e);
+        }
+    }
+
+    fn table_ref(&mut self, t: &'a TableRef) {
+        match t {
+            TableRef::Named { name, .. } => {
+                let bound = self.bound.contains(&name.as_str());
+                (self.f)(Node::Relation { name, bound });
+            }
+            TableRef::Subquery { query, .. } => self.query(query),
+            TableRef::Join { left, right, constraint, .. } => {
+                self.table_ref(left);
+                self.table_ref(right);
+                match constraint {
+                    JoinConstraint::On(e) => self.expr(e),
+                    JoinConstraint::Using(_) | JoinConstraint::None => {}
+                }
+            }
+        }
+    }
+
+    fn solve(&mut self, s: &'a SolveStmt) {
+        if !(self.f)(Node::Solve(s)) {
+            return;
+        }
+        let SolveStmt { kind: _, input, inlines, ctes, minimize, maximize, subjectto, using } = s;
+        let mark = self.bound.len();
+        let aliases = std::iter::once(&input.alias)
+            .chain(ctes.iter().map(|c| &c.alias))
+            .chain(inlines.iter().map(|i| &i.alias));
+        self.bound.extend(aliases.flatten().map(String::as_str));
+        let members = std::iter::once(&input.query)
+            .chain(inlines.iter().map(|i| &i.query))
+            .chain(ctes.iter().map(|c| &c.query))
+            .chain(minimize)
+            .chain(maximize)
+            .chain(subjectto.iter().map(|r| &r.query));
+        for q in members {
+            self.query(q);
+        }
+        for (_, e) in using.iter().flat_map(|u| &u.params) {
+            self.expr(e);
+        }
+        self.bound.truncate(mark);
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        if (self.f)(Node::Expr(e)) {
+            e.walk_with(&mut |_| {}, &mut |n| self.node(n));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1040,6 +1275,135 @@ mod tests {
         let mut count = 0;
         e.walk(&mut |_| count += 1);
         assert_eq!(count, 5);
+    }
+
+    /// Every clause kind, each carrying one reference to `hit` and one
+    /// solve: the walk reaches both exactly once.
+    #[test]
+    fn the_walk_reaches_every_clause_once() {
+        const SOLVE: &str = "SOLVESELECT s(x) AS (SELECT 1 AS x) USING solverlp()";
+        let both = format!("SELECT count(*) FROM hit, ({SOLVE}) z");
+        let value = format!("({both})");
+        let solve_with = |clause: &str| format!("SOLVESELECT s(x) AS (SELECT 1 AS x) {clause}");
+        let statements = [
+            format!("SELECT {value}"),
+            both.clone(),
+            format!("SELECT * FROM ({both}) q"),
+            format!("SELECT * FROM one, LATERAL ({both}) q"),
+            format!("SELECT * FROM one a JOIN one b ON {value} > 0"),
+            format!("SELECT 1 FROM one WHERE {value} > 0"),
+            format!("SELECT 1 FROM one WHERE EXISTS ({both})"),
+            format!("SELECT 1 FROM one WHERE 1 IN ({both})"),
+            format!("SELECT 1 FROM one GROUP BY {value}"),
+            format!("SELECT 1 FROM one HAVING {value} > 0"),
+            format!("SELECT 1 FROM one ORDER BY {value}"),
+            format!("SELECT 1 FROM one LIMIT {value}"),
+            format!("SELECT 1 FROM one OFFSET {value}"),
+            format!("WITH w AS ({both}) SELECT * FROM w"),
+            format!("WITH RECURSIVE w AS ({both}) SELECT * FROM w"),
+            format!("SELECT 1 UNION ({both})"),
+            format!("VALUES ({value})"),
+            "SELECT (SOLVEMODEL s(x) AS (SELECT * FROM hit) USING solverlp())".to_string(),
+            "SOLVESELECT s(x) AS (SELECT * FROM hit) USING solverlp()".to_string(),
+            solve_with("INLINE m AS (SELECT * FROM hit) USING solverlp()"),
+            solve_with("WITH c AS (SELECT * FROM hit) USING solverlp()"),
+            solve_with("MINIMIZE (SELECT count(*) FROM hit) USING solverlp()"),
+            solve_with("MAXIMIZE (SELECT count(*) FROM hit) USING solverlp()"),
+            solve_with("SUBJECTTO (SELECT x >= 0 FROM hit) USING solverlp()"),
+            solve_with("USING solverlp(p := (SELECT count(*) FROM hit))"),
+            format!("INSERT INTO out {both}"),
+            format!("CREATE TABLE out AS {both}"),
+            format!("CREATE VIEW out AS {both}"),
+            format!("UPDATE out SET x = {value}"),
+            format!("UPDATE out SET x = 1 WHERE x < {value}"),
+            format!("DELETE FROM out WHERE x < {value}"),
+            format!("MODELEVAL ({both}) IN (SELECT m FROM models)"),
+            "EXPLAIN SOLVESELECT s(x) AS (SELECT * FROM hit) USING solverlp()".to_string(),
+            format!("EXPLAIN {both}"),
+        ];
+        for sql in &statements {
+            let stmt = crate::parser::parse_statement(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let (mut hits, mut solves) = (0, 0);
+            stmt.walk(|n| {
+                match n {
+                    Node::Relation { name: "hit", bound } => {
+                        assert!(!bound, "{sql}");
+                        hits += 1;
+                    }
+                    Node::Solve(_) => solves += 1,
+                    Node::Relation { .. } | Node::Query(_) | Node::Expr(_) => {}
+                }
+                true
+            });
+            assert_eq!((hits, solves), (1, 1), "{sql}");
+        }
+    }
+
+    /// The names the walk reports unbound.
+    fn unbound(sql: &str) -> Vec<String> {
+        let stmt = crate::parser::parse_statement(sql).unwrap();
+        let mut names = Vec::new();
+        stmt.walk(|n| {
+            if let Node::Relation { name, bound: false } = n {
+                names.push(name.to_string());
+            }
+            true
+        });
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn bound_names_are_hidden_where_they_are_in_scope() {
+        // The binding the script analyzer's read sets are built on.
+        assert_eq!(
+            unbound("WITH c AS (SELECT * FROM t) SELECT * FROM c JOIN u ON c.x = u.x"),
+            ["t", "u"]
+        );
+        let solve = "SOLVESELECT t(x) AS (SELECT * FROM input) \
+                     WITH u(y) AS (SELECT * FROM aux) \
+                     MINIMIZE (SELECT sum(x) FROM t) \
+                     SUBJECTTO (SELECT x >= y FROM t, u) \
+                     USING solverlp()";
+        assert_eq!(unbound(solve), ["aux", "input"]);
+        // A plain member sees the members before it; a recursive one all.
+        assert_eq!(unbound("WITH a AS (SELECT * FROM b), b AS (SELECT * FROM a) SELECT 1"), ["b"]);
+        let recursive = "WITH RECURSIVE a AS (SELECT * FROM b), b AS (SELECT * FROM a) SELECT 1";
+        assert!(unbound(recursive).is_empty());
+        // A binding ends with its query.
+        assert_eq!(unbound("SELECT * FROM (WITH w AS (SELECT 1) SELECT * FROM w) q, w"), ["w"]);
+        assert_eq!(unbound(&format!("SELECT * FROM ({solve}) z, t")), ["aux", "input", "t"]);
+    }
+
+    #[test]
+    fn a_walk_enters_only_what_the_visitor_accepts() {
+        let stmt = crate::parser::parse_statement(
+            "SELECT (SOLVEMODEL s(x) AS (SELECT * FROM inside) USING solverlp()) FROM outside",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        stmt.walk(|n| match n {
+            Node::Relation { name, .. } => {
+                seen.push(name);
+                true
+            }
+            Node::Solve(_) => false,
+            Node::Query(_) | Node::Expr(_) => true,
+        });
+        assert_eq!(seen, ["outside"]);
+    }
+
+    #[test]
+    fn map_children_rebuilds_what_walk_visits() {
+        fn upper(e: &Expr) -> Expr {
+            match e {
+                Expr::Column { name, .. } => Expr::col(&name.to_uppercase()),
+                other => other.map_children(upper),
+            }
+        }
+        let e = crate::parser::parse_expr("f(a, b) + (c IN (SELECT c FROM t))").unwrap();
+        // The operand of IN is a child; the subquery is not.
+        assert_eq!(upper(&e).to_string(), "(f(\"A\", \"B\") + (\"C\" IN (SELECT c FROM t)))");
     }
 
     #[test]

@@ -194,6 +194,87 @@ pub enum BoundExpr {
     SolveModel(Arc<SolveStmt>),
 }
 
+impl BoundExpr {
+    /// The expressions this one evaluates directly, in order. The query of
+    /// a subquery and a `SOLVEMODEL` value are not among them: they bind
+    /// when they run.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub(crate) fn children(&self) -> Vec<&BoundExpr> {
+        match self {
+            BoundExpr::Const(_)
+            | BoundExpr::Column { .. }
+            | BoundExpr::ScalarSubquery(_)
+            | BoundExpr::Exists { .. }
+            | BoundExpr::SolveModel(_) => vec![],
+            BoundExpr::UnOp { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSubquery { expr, .. } => vec![expr],
+            BoundExpr::BinOp { lhs, rhs, .. } => vec![lhs, rhs],
+            BoundExpr::Like { expr, pattern, .. } => vec![expr, pattern],
+            BoundExpr::Between { expr, low, high, .. } => vec![expr, low, high],
+            BoundExpr::Chain { first, rest } => {
+                std::iter::once(&**first).chain(rest.iter().map(|(_, e)| e)).collect()
+            }
+            BoundExpr::Builtin { args, .. } | BoundExpr::Udf { args, .. } => args.iter().collect(),
+            BoundExpr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            BoundExpr::Case { operand, branches, else_ } => operand
+                .as_deref()
+                .into_iter()
+                .chain(branches.iter().flat_map(|(c, r)| [c, r]))
+                .chain(else_.as_deref())
+                .collect(),
+        }
+    }
+
+    /// This node with every one of its [`children`](Self::children)
+    /// replaced by `map(child)`, or `None` when `map` refuses one.
+    pub(crate) fn try_map_children(
+        &self,
+        mut map: impl FnMut(&BoundExpr) -> Option<BoundExpr>,
+    ) -> Option<BoundExpr> {
+        let mut out = self.clone();
+        for c in out.children_mut() {
+            *c = map(c)?;
+        }
+        Some(out)
+    }
+
+    /// [`Self::children`], mutably.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    fn children_mut(&mut self) -> Vec<&mut BoundExpr> {
+        match self {
+            BoundExpr::Const(_)
+            | BoundExpr::Column { .. }
+            | BoundExpr::ScalarSubquery(_)
+            | BoundExpr::Exists { .. }
+            | BoundExpr::SolveModel(_) => vec![],
+            BoundExpr::UnOp { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSubquery { expr, .. } => vec![expr],
+            BoundExpr::BinOp { lhs, rhs, .. } => vec![lhs, rhs],
+            BoundExpr::Like { expr, pattern, .. } => vec![expr, pattern],
+            BoundExpr::Between { expr, low, high, .. } => vec![expr, low, high],
+            BoundExpr::Chain { first, rest } => {
+                std::iter::once(&mut **first).chain(rest.iter_mut().map(|(_, e)| e)).collect()
+            }
+            BoundExpr::Builtin { args, .. } | BoundExpr::Udf { args, .. } => {
+                args.iter_mut().collect()
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                std::iter::once(&mut **expr).chain(list).collect()
+            }
+            BoundExpr::Case { operand, branches, else_ } => operand
+                .as_deref_mut()
+                .into_iter()
+                .chain(branches.iter_mut().flat_map(|(c, r)| [c, r]))
+                .chain(else_.as_deref_mut())
+                .collect(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Binder
 // ---------------------------------------------------------------------------

@@ -298,64 +298,7 @@ fn rewrite_agg(e: &Expr, group_by: &[Expr], aggs: &[AggCall]) -> Expr {
     if let Some(i) = as_agg_call(e).and_then(|call| aggs.iter().position(|a| *a == call)) {
         return Expr::Column { qualifier: None, name: format!("#a{i}") };
     }
-    // Recurse structurally.
-    match e {
-        Expr::BinOp { op, lhs, rhs } => Expr::BinOp {
-            op: *op,
-            lhs: Box::new(rewrite_agg(lhs, group_by, aggs)),
-            rhs: Box::new(rewrite_agg(rhs, group_by, aggs)),
-        },
-        Expr::UnOp { op, expr } => {
-            Expr::UnOp { op: *op, expr: Box::new(rewrite_agg(expr, group_by, aggs)) }
-        }
-        Expr::Chain { first, rest } => Expr::Chain {
-            first: Box::new(rewrite_agg(first, group_by, aggs)),
-            rest: rest.iter().map(|(op, x)| (*op, rewrite_agg(x, group_by, aggs))).collect(),
-        },
-        Expr::Func { name, args, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| FuncArg {
-                    name: a.name.clone(),
-                    value: rewrite_agg(&a.value, group_by, aggs),
-                })
-                .collect(),
-            distinct: *distinct,
-        },
-        Expr::Cast { expr, ty } => {
-            Expr::Cast { expr: Box::new(rewrite_agg(expr, group_by, aggs)), ty: ty.clone() }
-        }
-        Expr::Case { operand, branches, else_ } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(rewrite_agg(o, group_by, aggs))),
-            branches: branches
-                .iter()
-                .map(|(c, r)| (rewrite_agg(c, group_by, aggs), rewrite_agg(r, group_by, aggs)))
-                .collect(),
-            else_: else_.as_ref().map(|x| Box::new(rewrite_agg(x, group_by, aggs))),
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(rewrite_agg(expr, group_by, aggs)), negated: *negated }
-        }
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            list: list.iter().map(|x| rewrite_agg(x, group_by, aggs)).collect(),
-            negated: *negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            low: Box::new(rewrite_agg(low, group_by, aggs)),
-            high: Box::new(rewrite_agg(high, group_by, aggs)),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated, case_insensitive } => Expr::Like {
-            expr: Box::new(rewrite_agg(expr, group_by, aggs)),
-            pattern: Box::new(rewrite_agg(pattern, group_by, aggs)),
-            negated: *negated,
-            case_insensitive: *case_insensitive,
-        },
-        other => other.clone(),
-    }
+    e.map_children(|c| rewrite_agg(c, group_by, aggs))
 }
 
 /// Expand `SELECT *` / `t.*` items into positional column references

@@ -357,46 +357,16 @@ fn rename_columns(t: &mut Table, names: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// Does a query reference a relation named `name` (for recursive-CTE
-/// detection)? Conservative: scans FROM clauses and nested queries.
+/// Does `q` read a relation named `name` that nothing inside it binds —
+/// in any clause, at any depth? A `WITH RECURSIVE` member whose query does
+/// is recursive.
 pub fn query_references(q: &Query, name: &str) -> bool {
-    fn set_refs(s: &SetExpr, name: &str) -> bool {
-        match s {
-            SetExpr::Select(sel) => {
-                sel.from.iter().any(|t| table_refs(t, name))
-                    || sel.where_.as_ref().map_or(false, |e| expr_refs(e, name))
-                    || sel.projection.iter().any(|p| match p {
-                        SelectItem::Expr { expr, .. } => expr_refs(expr, name),
-                        _ => false,
-                    })
-            }
-            SetExpr::Query(q) => query_references(q, name),
-            SetExpr::SetOp { left, right, .. } => set_refs(left, name) || set_refs(right, name),
-            SetExpr::Values(_) => false,
-            // SOLVESELECT bodies are opaque here (conservatively false:
-            // recursive CTEs over solve bodies are unsupported anyway).
-            SetExpr::Solve(_) => false,
-        }
-    }
-    fn table_refs(t: &TableRef, name: &str) -> bool {
-        match t {
-            TableRef::Named { name: n, .. } => n == name,
-            TableRef::Subquery { query, .. } => query_references(query, name),
-            TableRef::Join { left, right, .. } => table_refs(left, name) || table_refs(right, name),
-        }
-    }
-    fn expr_refs(e: &Expr, name: &str) -> bool {
-        let mut found = false;
-        e.walk(&mut |node| match node {
-            Expr::ScalarSubquery(q) => found |= query_references(q, name),
-            Expr::InSubquery { query, .. } => found |= query_references(query, name),
-            Expr::Exists { query, .. } => found |= query_references(query, name),
-            _ => {}
-        });
-        found
-    }
-    // CTEs of q may shadow `name`; ignore that nicety (conservative).
-    set_refs(&q.body, name)
+    let mut found = false;
+    Node::Query(q).walk(|n| {
+        found |= matches!(n, Node::Relation { name: r, bound: false } if r == name);
+        !found
+    });
+    found
 }
 
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint

@@ -52,8 +52,8 @@ use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::stats::TableStats;
 use crate::ast::{
-    Expr, JoinConstraint, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableAlias,
-    TableRef as AstTableRef,
+    Expr, JoinConstraint, JoinKind, Node, OrderItem, Query, Select, SelectItem, SetExpr,
+    TableAlias, TableRef as AstTableRef,
 };
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
@@ -62,7 +62,6 @@ use crate::exec::head::{limit_offset, resolve_relation, AggCall, Relation, Selec
 use crate::exec::select::{
     apply_alias_columns, run_query, try_equi_keys, using_condition, using_pairs,
 };
-use crate::script::rwset::{expr_reads, query_reads};
 use crate::table::Schema;
 use crate::types::{DataType, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -84,10 +83,7 @@ pub fn plan_select(
     // LIMIT/OFFSET are constants of the plan. What their subqueries read
     // is captured in the plan like a FROM subquery.
     for e in limit.iter().chain(offset) {
-        let mut reads = BTreeSet::new();
-        expr_reads(e, &HashSet::new(), &mut reads);
-        from.captured.names(db, reads);
-        from.captured.solve |= expr_has_solve(e);
+        from.captured.node(db, Node::Expr(e));
     }
     let (limit_n, offset_n) = limit_offset(db, ctes, limit, offset)?;
 
@@ -693,10 +689,21 @@ struct Captured {
 }
 
 impl Captured {
-    /// The plan captures what `q` returned.
-    fn query(&mut self, db: &Database, q: &Query) {
-        self.solve |= query_has_solve(q);
-        self.names(db, reads_of(q));
+    /// The plan captures what `root` evaluated to: the relations it reads
+    /// and whether it runs a solve.
+    fn node(&mut self, db: &Database, root: Node<'_>) {
+        let mut reads = BTreeSet::new();
+        root.walk(|n| {
+            match n {
+                Node::Solve(_) => self.solve = true,
+                Node::Relation { name, bound: false } => {
+                    reads.insert(name.to_string());
+                }
+                Node::Query(_) | Node::Relation { .. } | Node::Expr(_) => {}
+            }
+            true
+        });
+        self.names(db, reads);
     }
 
     /// Add the relation names in `reads`, following views into what
@@ -705,7 +712,7 @@ impl Captured {
         for name in reads {
             if self.reads.insert(name.clone()) {
                 if let Some(vq) = db.view(&name) {
-                    self.query(db, vq);
+                    self.node(db, Node::Query(vq));
                 }
             }
         }
@@ -717,14 +724,8 @@ impl Captured {
 /// out, everything else that appears as a relation is in.
 pub fn relation_reads(db: &Database, q: &Query) -> BTreeSet<String> {
     let mut captured = Captured::default();
-    captured.names(db, reads_of(q));
+    captured.node(db, Node::Query(q));
     captured.reads
-}
-
-fn reads_of(q: &Query) -> BTreeSet<String> {
-    let mut reads = BTreeSet::new();
-    query_reads(q, &HashSet::new(), &mut reads);
-    reads
 }
 
 /// Builds the FROM clause of one block.
@@ -781,7 +782,7 @@ impl FromBuilder<'_> {
             let source = ScanSource::Derived { query: shared() };
             return Ok((source, Arc::new(TableStats::collect(&t)), schema));
         }
-        self.captured.query(self.db, query);
+        self.captured.node(self.db, Node::Query(query));
         let stored = StoredTable::new(Arc::new(t));
         let stats = stored.stats();
         Ok((ScanSource::Table(stored), stats, schema))
@@ -996,22 +997,6 @@ fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-fn expr_has_solve(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |n| {
-        found = found
-            || matches!(n, Expr::SolveModel(_))
-            || match n {
-                Expr::ScalarSubquery(q) => query_has_solve(q),
-                Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-                    query_has_solve(query)
-                }
-                _ => false,
-            };
-    });
-    found
-}
-
 fn expr_has_subquery(e: &Expr) -> bool {
     let mut found = false;
     e.walk(&mut |n| {
@@ -1027,136 +1012,31 @@ fn expr_has_subquery(e: &Expr) -> bool {
     found
 }
 
-fn select_has_solve(sel: &Select) -> bool {
-    sel.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr_has_solve(expr),
-        SelectItem::Wildcard { .. } => false,
-    }) || sel.where_.as_ref().is_some_and(expr_has_solve)
-        || sel.having.as_ref().is_some_and(expr_has_solve)
-        || sel.group_by.iter().any(expr_has_solve)
-        || sel.from.iter().any(tref_has_solve)
-}
-
-fn tref_has_solve(t: &AstTableRef) -> bool {
-    match t {
-        AstTableRef::Named { .. } => false,
-        AstTableRef::Subquery { query, .. } => query_has_solve(query),
-        AstTableRef::Join { left, right, constraint, .. } => {
-            tref_has_solve(left)
-                || tref_has_solve(right)
-                || matches!(constraint, JoinConstraint::On(e) if expr_has_solve(e))
-        }
-    }
-}
-
-fn query_has_solve(q: &Query) -> bool {
-    fn set_expr(s: &SetExpr) -> bool {
-        match s {
-            SetExpr::Solve(_) => true,
-            SetExpr::Select(sel) => select_has_solve(sel),
-            SetExpr::Query(q) => query_has_solve(q),
-            SetExpr::SetOp { left, right, .. } => set_expr(left) || set_expr(right),
-            SetExpr::Values(rows) => rows.iter().flatten().any(expr_has_solve),
-        }
-    }
-    q.with.iter().any(|c| query_has_solve(&c.query))
-        || set_expr(&q.body)
-        || q.order_by.iter().any(|o| expr_has_solve(&o.expr))
-        || q.limit.as_ref().is_some_and(expr_has_solve)
-        || q.offset.as_ref().is_some_and(expr_has_solve)
+/// Is this node a subquery (or solve)? Such a node binds its query
+/// against the runtime scope chain when it runs.
+fn is_subquery(b: &BoundExpr) -> bool {
+    matches!(
+        b,
+        BoundExpr::ScalarSubquery(_)
+            | BoundExpr::InSubquery { .. }
+            | BoundExpr::Exists { .. }
+            | BoundExpr::SolveModel(_)
+    )
 }
 
 /// Does a bound expression contain a subquery (or solve) node? Such
-/// expressions bind their subqueries against the runtime scope chain at
-/// evaluation time and therefore must not be index-remapped.
+/// expressions must not be index-remapped.
 pub(crate) fn bound_has_subquery(b: &BoundExpr) -> bool {
-    match b {
-        BoundExpr::ScalarSubquery(_)
-        | BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::SolveModel(_) => true,
-        BoundExpr::Const(_) | BoundExpr::Column { .. } => false,
-        BoundExpr::BinOp { lhs, rhs, .. } => bound_has_subquery(lhs) || bound_has_subquery(rhs),
-        BoundExpr::UnOp { expr, .. } => bound_has_subquery(expr),
-        BoundExpr::Chain { first, rest } => {
-            bound_has_subquery(first) || rest.iter().any(|(_, e)| bound_has_subquery(e))
-        }
-        BoundExpr::Builtin { args, .. } | BoundExpr::Udf { args, .. } => {
-            args.iter().any(bound_has_subquery)
-        }
-        BoundExpr::Cast { expr, .. } => bound_has_subquery(expr),
-        BoundExpr::Case { operand, branches, else_ } => {
-            operand.as_deref().is_some_and(bound_has_subquery)
-                || branches.iter().any(|(c, r)| bound_has_subquery(c) || bound_has_subquery(r))
-                || else_.as_deref().is_some_and(bound_has_subquery)
-        }
-        BoundExpr::IsNull { expr, .. } => bound_has_subquery(expr),
-        BoundExpr::InList { expr, list, .. } => {
-            bound_has_subquery(expr) || list.iter().any(bound_has_subquery)
-        }
-        BoundExpr::Between { expr, low, high, .. } => {
-            bound_has_subquery(expr) || bound_has_subquery(low) || bound_has_subquery(high)
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            bound_has_subquery(expr) || bound_has_subquery(pattern)
-        }
-    }
+    is_subquery(b) || b.children().into_iter().any(bound_has_subquery)
 }
 
 /// Collect all depth-0 column indices referenced by a bound expression.
 pub(crate) fn collect_cols(b: &BoundExpr, out: &mut Vec<usize>) {
-    match b {
-        BoundExpr::Column { depth: 0, index } => out.push(*index),
-        BoundExpr::Column { .. } | BoundExpr::Const(_) => {}
-        BoundExpr::BinOp { lhs, rhs, .. } => {
-            collect_cols(lhs, out);
-            collect_cols(rhs, out);
-        }
-        BoundExpr::UnOp { expr, .. } => collect_cols(expr, out),
-        BoundExpr::Chain { first, rest } => {
-            collect_cols(first, out);
-            for (_, e) in rest {
-                collect_cols(e, out);
-            }
-        }
-        BoundExpr::Builtin { args, .. } | BoundExpr::Udf { args, .. } => {
-            for a in args {
-                collect_cols(a, out);
-            }
-        }
-        BoundExpr::Cast { expr, .. } => collect_cols(expr, out),
-        BoundExpr::Case { operand, branches, else_ } => {
-            if let Some(o) = operand {
-                collect_cols(o, out);
-            }
-            for (c, r) in branches {
-                collect_cols(c, out);
-                collect_cols(r, out);
-            }
-            if let Some(e) = else_ {
-                collect_cols(e, out);
-            }
-        }
-        BoundExpr::IsNull { expr, .. } => collect_cols(expr, out),
-        BoundExpr::InList { expr, list, .. } => {
-            collect_cols(expr, out);
-            for e in list {
-                collect_cols(e, out);
-            }
-        }
-        BoundExpr::Between { expr, low, high, .. } => {
-            collect_cols(expr, out);
-            collect_cols(low, out);
-            collect_cols(high, out);
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            collect_cols(expr, out);
-            collect_cols(pattern, out);
-        }
-        BoundExpr::ScalarSubquery(_)
-        | BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::SolveModel(_) => {}
+    if let BoundExpr::Column { depth: 0, index } = b {
+        out.push(*index);
+    }
+    for c in b.children() {
+        collect_cols(c, out);
     }
 }
 
@@ -1165,77 +1045,13 @@ pub(crate) fn collect_cols(b: &BoundExpr, out: &mut Vec<usize>) {
 /// map or the expression contains a subquery (those must never be
 /// remapped).
 pub(crate) fn remap_cols(b: &BoundExpr, map: &HashMap<usize, usize>) -> Option<BoundExpr> {
-    Some(match b {
+    match b {
         BoundExpr::Column { depth: 0, index } => {
-            BoundExpr::Column { depth: 0, index: *map.get(index)? }
+            Some(BoundExpr::Column { depth: 0, index: *map.get(index)? })
         }
-        BoundExpr::Column { .. } | BoundExpr::Const(_) => b.clone(),
-        BoundExpr::BinOp { op, lhs, rhs } => BoundExpr::BinOp {
-            op: *op,
-            lhs: Box::new(remap_cols(lhs, map)?),
-            rhs: Box::new(remap_cols(rhs, map)?),
-        },
-        BoundExpr::UnOp { op, expr } => {
-            BoundExpr::UnOp { op: *op, expr: Box::new(remap_cols(expr, map)?) }
-        }
-        BoundExpr::Chain { first, rest } => BoundExpr::Chain {
-            first: Box::new(remap_cols(first, map)?),
-            rest: rest
-                .iter()
-                .map(|(op, e)| remap_cols(e, map).map(|e| (*op, e)))
-                .collect::<Option<Vec<_>>>()?,
-        },
-        BoundExpr::Builtin { f, args } => BoundExpr::Builtin {
-            f,
-            args: args.iter().map(|a| remap_cols(a, map)).collect::<Option<Vec<_>>>()?,
-        },
-        BoundExpr::Udf { udf, args } => BoundExpr::Udf {
-            udf: udf.clone(),
-            args: args.iter().map(|a| remap_cols(a, map)).collect::<Option<Vec<_>>>()?,
-        },
-        BoundExpr::Cast { expr, ty } => {
-            BoundExpr::Cast { expr: Box::new(remap_cols(expr, map)?), ty: ty.clone() }
-        }
-        BoundExpr::Case { operand, branches, else_ } => BoundExpr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(remap_cols(o, map)?)),
-                None => None,
-            },
-            branches: branches
-                .iter()
-                .map(|(c, r)| Some((remap_cols(c, map)?, remap_cols(r, map)?)))
-                .collect::<Option<Vec<_>>>()?,
-            else_: match else_ {
-                Some(e) => Some(Box::new(remap_cols(e, map)?)),
-                None => None,
-            },
-        },
-        BoundExpr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(remap_cols(expr, map)?), negated: *negated }
-        }
-        BoundExpr::InList { expr, list, negated } => BoundExpr::InList {
-            expr: Box::new(remap_cols(expr, map)?),
-            list: list.iter().map(|e| remap_cols(e, map)).collect::<Option<Vec<_>>>()?,
-            negated: *negated,
-        },
-        BoundExpr::Between { expr, low, high, negated } => BoundExpr::Between {
-            expr: Box::new(remap_cols(expr, map)?),
-            low: Box::new(remap_cols(low, map)?),
-            high: Box::new(remap_cols(high, map)?),
-            negated: *negated,
-        },
-        BoundExpr::Like { expr, pattern, negated, case_insensitive, compiled } => BoundExpr::Like {
-            expr: Box::new(remap_cols(expr, map)?),
-            pattern: Box::new(remap_cols(pattern, map)?),
-            negated: *negated,
-            case_insensitive: *case_insensitive,
-            compiled: compiled.clone(),
-        },
-        BoundExpr::ScalarSubquery(_)
-        | BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::SolveModel(_) => return None,
-    })
+        _ if is_subquery(b) => None,
+        _ => b.try_map_children(|c| remap_cols(c, map)),
+    }
 }
 
 /// The column a bare column reference names.

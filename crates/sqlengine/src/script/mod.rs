@@ -441,9 +441,7 @@ impl Checker<'_> {
         visited.insert(view.to_string());
         let mut queue: Vec<Arc<crate::ast::Query>> = rel.view_def.iter().cloned().collect();
         while let Some(def) = queue.pop() {
-            let mut bases = BTreeSet::new();
-            rwset::query_reads(&def, &HashSet::new(), &mut bases);
-            for base in bases {
+            for base in rwset::view_reads(&def) {
                 if !visited.insert(base.clone()) {
                     continue;
                 }

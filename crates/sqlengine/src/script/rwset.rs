@@ -1,8 +1,7 @@
-//! Per-statement read/write set extraction.
+//! The relation footprint of one statement.
 //!
 //! The whole-script analyzer reasons about statements purely through the
-//! relation names they touch. This module walks a [`Statement`] and
-//! collects four sets:
+//! relation names they touch. [`statement_rwset`] collects five sets:
 //!
 //! * `reads` — relations the statement consumes when it executes,
 //! * `lazy_reads` — relations a `CREATE VIEW` definition references
@@ -13,15 +12,16 @@
 //! * `creates` / `drops` — relations brought into or removed from the
 //!   catalog.
 //!
-//! Names bound locally — CTEs, solve aliases (`D₁..D_N`, `INLINE`
-//! aliases), subquery aliases — are excluded via a scope set that is
-//! deliberately over-approximate (every alias of a solve statement is
-//! visible in all of its queries): binding too much can at worst hide a
-//! read, never invent one, so the cross-statement checks stay free of
-//! false positives.
+//! [`executed_solves`] lists the solves the statement runs (SD018) and
+//! [`statement_kind`] labels it. All three read the statement through
+//! [`Statement::walk`]: a relation is read when the walk reports it
+//! unbound, so names bound locally — WITH members, solve aliases — stay
+//! out, with the walk's deliberately over-approximate solve rule (binding
+//! too much can at worst hide a read, never invent one, so the
+//! cross-statement checks stay free of false positives).
 
-use crate::ast::{Expr, Query, SetExpr, SolveStmt, Statement, TableRef};
-use std::collections::{BTreeSet, HashSet};
+use crate::ast::{Node, Query, SolveKind, SolveStmt, Statement};
+use std::collections::BTreeSet;
 
 /// The relation footprint of one statement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -61,13 +61,8 @@ impl RwSet {
 /// Short display label for a statement ("CREATE TABLE", "SOLVESELECT", ...).
 pub fn statement_kind(stmt: &Statement) -> &'static str {
     match stmt {
-        Statement::Query(q) => {
-            if contains_solve(&q.body) {
-                "SOLVESELECT"
-            } else {
-                "SELECT"
-            }
-        }
+        Statement::Query(_) if !executed_solves(stmt).is_empty() => "SOLVESELECT",
+        Statement::Query(_) => "SELECT",
         Statement::Solve(_) => "SOLVESELECT",
         Statement::Explain { .. } | Statement::ExplainQuery { .. } => "EXPLAIN",
         Statement::ExplainScript { .. } => "EXPLAIN SCRIPT",
@@ -86,224 +81,86 @@ pub fn statement_kind(stmt: &Statement) -> &'static str {
     }
 }
 
-fn contains_solve(body: &SetExpr) -> bool {
-    match body {
-        SetExpr::Solve(_) => true,
-        SetExpr::Query(q) => contains_solve(&q.body),
-        SetExpr::SetOp { left, right, .. } => contains_solve(left) || contains_solve(right),
-        SetExpr::Select(_) | SetExpr::Values(_) => false,
-    }
-}
-
 /// Compute the relation footprint of a statement.
 pub fn statement_rwset(stmt: &Statement) -> RwSet {
     let mut rw = RwSet::default();
-    let bound = HashSet::new();
     match stmt {
-        Statement::Query(q) => query_reads(q, &bound, &mut rw.reads),
-        Statement::ExplainQuery { query, .. } => query_reads(query, &bound, &mut rw.reads),
-        Statement::Solve(s) => solve_reads(s, &bound, &mut rw.reads),
-        Statement::Explain { stmt, .. } => solve_reads(stmt, &bound, &mut rw.reads),
-        Statement::ExplainScript { .. } => {}
-        Statement::ModelEval { select, model } => {
-            query_reads(select, &bound, &mut rw.reads);
-            query_reads(model, &bound, &mut rw.reads);
-        }
-        Statement::Insert { table, source, .. } => {
+        Statement::Insert { table, .. } => {
             rw.writes.insert(table.clone());
-            query_reads(source, &bound, &mut rw.reads);
         }
-        Statement::Update { table, assignments, where_ } => {
+        Statement::Update { table, .. } | Statement::Delete { table, .. } => {
             rw.writes.insert(table.clone());
             rw.reads.insert(table.clone());
-            for (_, e) in assignments {
-                expr_reads(e, &bound, &mut rw.reads);
-            }
-            if let Some(w) = where_ {
-                expr_reads(w, &bound, &mut rw.reads);
-            }
         }
-        Statement::Delete { table, where_ } => {
-            rw.writes.insert(table.clone());
-            rw.reads.insert(table.clone());
-            if let Some(w) = where_ {
-                expr_reads(w, &bound, &mut rw.reads);
-            }
-        }
-        Statement::CreateTable { name, as_query, .. } => {
+        Statement::CreateTable { name, .. } | Statement::CreateView { name, .. } => {
             rw.creates.insert(name.clone());
-            if let Some(q) = as_query {
-                query_reads(q, &bound, &mut rw.reads);
-            }
         }
-        Statement::CreateView { name, query, .. } => {
-            rw.creates.insert(name.clone());
-            query_reads(query, &bound, &mut rw.lazy_reads);
-        }
-        Statement::DropTable { name, .. } => {
+        Statement::DropTable { name, .. } | Statement::DropView { name, .. } => {
             rw.drops.insert(name.clone());
         }
-        Statement::DropView { name, .. } => {
-            rw.drops.insert(name.clone());
-        }
-        Statement::Checkpoint => {}
-        // Session-control statements touch no relations.
-        Statement::Set { .. } | Statement::Cancel { .. } => {}
+        _ => {}
     }
+    let reads = match stmt {
+        Statement::CreateView { .. } => &mut rw.lazy_reads,
+        _ => &mut rw.reads,
+    };
+    stmt.walk(unbound_into(reads));
     rw
 }
 
-/// Collect every `SOLVESELECT`/`SOLVEMODEL` that this statement would
-/// *execute* (not merely package as a model value), paired with a short
-/// context label. Used by the statically-empty-input check (SD018).
-pub fn executed_solves(stmt: &Statement) -> Vec<&SolveStmt> {
-    let mut out = Vec::new();
-    match stmt {
-        Statement::Solve(s) => out.push(s),
-        Statement::Query(q) => body_solves(&q.body, &mut out),
-        Statement::Insert { source, .. } => body_solves(&source.body, &mut out),
-        Statement::CreateTable { as_query: Some(q), .. } => body_solves(&q.body, &mut out),
-        _ => {}
+/// Every relation a stored view definition reads.
+pub(crate) fn view_reads(def: &Query) -> BTreeSet<String> {
+    let mut reads = BTreeSet::new();
+    Node::Query(def).walk(unbound_into(&mut reads));
+    reads
+}
+
+/// A walk visitor that adds every relation it is shown unbound to `reads`.
+fn unbound_into(reads: &mut BTreeSet<String>) -> impl FnMut(Node<'_>) -> bool + '_ {
+    |n| {
+        if let Node::Relation { name, bound: false } = n {
+            reads.insert(name.to_string());
+        }
+        true
     }
+}
+
+/// Every solve the statement carries outside a `SOLVEMODEL` value, in
+/// syntax order: each `SOLVESELECT`, wherever it sits — the body, a FROM
+/// subquery, a WITH member, an expression's subquery, a member of another
+/// solve — and the statement's own solve whatever its keyword (a
+/// `SOLVEMODEL` statement is solved too). A `SOLVEMODEL` value is
+/// packaged, not run, and so is everything inside it.
+pub fn solves(stmt: &Statement) -> Vec<&SolveStmt> {
+    let own = match stmt {
+        Statement::Solve(s) => Some(s),
+        Statement::Explain { stmt, .. } => Some(&**stmt),
+        _ => None,
+    };
+    let mut out = Vec::new();
+    stmt.walk(|n| match n {
+        Node::Solve(s)
+            if s.kind == SolveKind::Select || own.is_some_and(|o| std::ptr::eq(o, s)) =>
+        {
+            out.push(s);
+            true
+        }
+        Node::Solve(_) => false,
+        Node::Query(_) | Node::Relation { .. } | Node::Expr(_) => true,
+    });
     out
 }
 
-fn body_solves<'a>(body: &'a SetExpr, out: &mut Vec<&'a SolveStmt>) {
-    match body {
-        SetExpr::Solve(s) => out.push(s),
-        SetExpr::Query(q) => body_solves(&q.body, out),
-        SetExpr::SetOp { left, right, .. } => {
-            body_solves(left, out);
-            body_solves(right, out);
-        }
-        SetExpr::Select(_) | SetExpr::Values(_) => {}
+/// The [`solves`] this statement runs when it executes: none for a view
+/// definition (it runs when the view is read) or an `EXPLAIN`. Used by the
+/// statically-empty-input check (SD018).
+pub fn executed_solves(stmt: &Statement) -> Vec<&SolveStmt> {
+    match stmt {
+        Statement::CreateView { .. }
+        | Statement::Explain { .. }
+        | Statement::ExplainQuery { .. } => Vec::new(),
+        _ => solves(stmt),
     }
-}
-
-/// Relation names read by a query, excluding names in `bound`.
-pub fn query_reads(q: &Query, bound: &HashSet<String>, out: &mut BTreeSet<String>) {
-    let mut b = bound.clone();
-    if q.recursive {
-        for cte in &q.with {
-            b.insert(cte.name.clone());
-        }
-    }
-    for cte in &q.with {
-        query_reads(&cte.query, &b, out);
-        b.insert(cte.name.clone());
-    }
-    body_reads(&q.body, &b, out);
-    for o in &q.order_by {
-        expr_reads(&o.expr, &b, out);
-    }
-    if let Some(l) = &q.limit {
-        expr_reads(l, &b, out);
-    }
-    if let Some(o) = &q.offset {
-        expr_reads(o, &b, out);
-    }
-}
-
-fn body_reads(body: &SetExpr, bound: &HashSet<String>, out: &mut BTreeSet<String>) {
-    match body {
-        SetExpr::Select(s) => {
-            for t in &s.from {
-                tableref_reads(t, bound, out);
-            }
-            for item in &s.projection {
-                if let crate::ast::SelectItem::Expr { expr, .. } = item {
-                    expr_reads(expr, bound, out);
-                }
-            }
-            if let Some(w) = &s.where_ {
-                expr_reads(w, bound, out);
-            }
-            for g in &s.group_by {
-                expr_reads(g, bound, out);
-            }
-            if let Some(h) = &s.having {
-                expr_reads(h, bound, out);
-            }
-        }
-        SetExpr::Solve(s) => solve_reads(s, bound, out),
-        SetExpr::Query(q) => query_reads(q, bound, out),
-        SetExpr::SetOp { left, right, .. } => {
-            body_reads(left, bound, out);
-            body_reads(right, bound, out);
-        }
-        SetExpr::Values(rows) => {
-            for row in rows {
-                for e in row {
-                    expr_reads(e, bound, out);
-                }
-            }
-        }
-    }
-}
-
-fn tableref_reads(t: &TableRef, bound: &HashSet<String>, out: &mut BTreeSet<String>) {
-    match t {
-        TableRef::Named { name, .. } => {
-            if !bound.contains(name) {
-                out.insert(name.clone());
-            }
-        }
-        TableRef::Subquery { query, .. } => query_reads(query, bound, out),
-        TableRef::Join { left, right, constraint, .. } => {
-            tableref_reads(left, bound, out);
-            tableref_reads(right, bound, out);
-            if let crate::ast::JoinConstraint::On(e) = constraint {
-                expr_reads(e, bound, out);
-            }
-        }
-    }
-}
-
-/// Reads of a solve statement. All aliases (input, CDTEs, inlines) are
-/// bound across every sub-query — over-approximate on purpose.
-pub fn solve_reads(s: &SolveStmt, bound: &HashSet<String>, out: &mut BTreeSet<String>) {
-    let mut b = bound.clone();
-    for a in std::iter::once(&s.input.alias)
-        .chain(s.ctes.iter().map(|c| &c.alias))
-        .chain(s.inlines.iter().map(|i| &i.alias))
-        .flatten()
-    {
-        b.insert(a.clone());
-    }
-    query_reads(&s.input.query, &b, out);
-    for inl in &s.inlines {
-        query_reads(&inl.query, &b, out);
-    }
-    for cte in &s.ctes {
-        query_reads(&cte.query, &b, out);
-    }
-    if let Some(m) = &s.minimize {
-        query_reads(m, &b, out);
-    }
-    if let Some(m) = &s.maximize {
-        query_reads(m, &b, out);
-    }
-    for rule in &s.subjectto {
-        query_reads(&rule.query, &b, out);
-    }
-    if let Some(u) = &s.using {
-        for (_, e) in &u.params {
-            expr_reads(e, &b, out);
-        }
-    }
-}
-
-/// Reads hidden in expression-level subqueries (`IN (SELECT ...)`,
-/// `EXISTS`, scalar subqueries, `SOLVEMODEL` values).
-pub fn expr_reads(e: &Expr, bound: &HashSet<String>, out: &mut BTreeSet<String>) {
-    e.walk(&mut |n| match n {
-        Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-            query_reads(query, bound, out)
-        }
-        Expr::ScalarSubquery(q) => query_reads(q, bound, out),
-        Expr::SolveModel(s) => solve_reads(s, bound, out),
-        _ => {}
-    });
 }
 
 #[cfg(test)]
@@ -360,6 +217,23 @@ mod tests {
         let c = rw("SELECT * FROM u");
         assert!(!a.independent(&b) && !b.independent(&a));
         assert!(a.independent(&c) && c.independent(&a));
+    }
+
+    #[test]
+    fn solves_are_found_at_any_depth_but_not_inside_a_model_value() {
+        let solve = "SOLVESELECT q(x) AS (SELECT * FROM v) USING solverlp()";
+        let model = "SOLVEMODEL q(x) AS (SELECT * FROM (SOLVESELECT r(y) AS (SELECT 1 AS y) \
+                     USING solverlp()) z) USING solverlp()";
+        let sql = format!("SELECT (SELECT count(*) FROM ({solve}) s), ({model}) FROM v");
+        let stmt = parse_statement(&sql).expect("parse");
+        assert_eq!(solves(&stmt).len(), 1);
+        assert_eq!(statement_kind(&stmt), "SOLVESELECT");
+        // A view definition and an EXPLAIN carry their solves, but run none.
+        let view = parse_statement(&format!("CREATE VIEW w AS SELECT * FROM ({solve}) s")).unwrap();
+        assert_eq!((solves(&view).len(), executed_solves(&view).len()), (1, 0));
+        // A SOLVEMODEL statement is solved like a SOLVESELECT.
+        let top = parse_statement(model).unwrap();
+        assert_eq!(executed_solves(&top).len(), 2);
     }
 
     #[test]

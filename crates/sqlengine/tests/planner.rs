@@ -10,7 +10,8 @@
 //!
 //! A deterministic xorshift generator fuzzes several hundred SELECT
 //! shapes — projections, predicates, multi-way joins, grouping,
-//! HAVING, DISTINCT, ORDER BY, LIMIT/OFFSET, correlated subqueries,
+//! HAVING, a group key or an aggregate as the operand of `IN
+//! (subquery)`, DISTINCT, ORDER BY, LIMIT/OFFSET, correlated subqueries,
 //! LATERAL items — on top of a bank of hand-written queries covering the
 //! planner's edge shapes (ROLLUP/CUBE/GROUPING SETS, outer joins,
 //! subqueries under every kind of outer scope, LATERAL, FROM-less blocks,
@@ -611,11 +612,19 @@ fn predicates_derived_across_equi_edges_agree_with_the_row_interpreter() {
 fn differential_fuzzed_selects() {
     let mut db = setup();
     let mut rng = Rng::new(0xDEADBEEF);
+    let mut grouped_in = 0;
     for _ in 0..220 {
         let sql = gen_select(&mut rng);
         // Generated queries never carry a total order: compare multisets.
         check(&mut db, &sql, false);
+        // Both executors failing alike would pass `check`: a grouped
+        // operand of IN (subquery) must also run.
+        if sql.contains("GROUP BY") && sql.contains("IN (SELECT") {
+            execute_sql(&mut db, &sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+            grouped_in += 1;
+        }
     }
+    assert!(grouped_in >= 20, "{grouped_in} grouped queries with IN (subquery)");
 }
 
 fn gen_select(rng: &mut Rng) -> String {
@@ -657,16 +666,31 @@ fn gen_select(rng: &mut Rng) -> String {
             3 => format!("min({})", qual("b")),
             _ => format!("count(DISTINCT {})", qual("b")),
         };
-        sql.push_str(&format!("{g}, {call} FROM {from}"));
+        // The group key or the aggregate as the operand of [NOT] IN
+        // (subquery), in the select list or in HAVING.
+        let keys = if g == "c" { "SELECT e FROM t2" } else { "SELECT k FROM t3 WHERE v < 20" };
+        let in_subquery = |rng: &mut Rng, operand: &str, list: &str| {
+            format!("{operand} {}IN ({list})", rng.pick(&["", "NOT "]))
+        };
+        let item = match rng.below(4) {
+            0 => format!(", {}", in_subquery(rng, &g, keys)),
+            1 => format!(", {}", in_subquery(rng, &call, "SELECT v FROM t3")),
+            _ => String::new(),
+        };
+        let having = match rng.below(6) {
+            0 | 1 => " HAVING count(*) > 1".to_string(),
+            2 => format!(" HAVING {}", in_subquery(rng, &g, keys)),
+            3 => format!(" HAVING {}", in_subquery(rng, &call, "SELECT v FROM t3")),
+            _ => String::new(),
+        };
+        sql.push_str(&format!("{g}, {call}{item} FROM {from}"));
         add_where(&mut sql, rng, &qual);
         match rng.below(4) {
             0 => sql.push_str(&format!(" GROUP BY ROLLUP ({g})")),
             1 => sql.push_str(&format!(" GROUP BY CUBE ({g})")),
             _ => sql.push_str(&format!(" GROUP BY {g}")),
         }
-        if rng.below(3) == 0 {
-            sql.push_str(" HAVING count(*) > 1");
-        }
+        sql.push_str(&having);
     } else {
         let distinct = rng.below(4) == 0;
         if distinct {
@@ -1657,4 +1681,35 @@ fn the_iteration_cap_holds_on_the_row_pipeline() {
     let err = execute_sql(&mut db, sql).unwrap_err().to_string();
     assert_eq!(err, "evaluation error: recursive CTE 'r' exceeded the iteration limit");
     assert_eq!(row_keys(&execute_sql(&mut db, "SELECT 1").unwrap().into_table().unwrap()), ["i1"]);
+}
+
+/// A recursive term is recursive wherever it names itself: in a JOIN …
+/// ON, in HAVING, under a WITH of its own — not only in FROM, WHERE or
+/// the select list. A catalog table of the same name is never read.
+#[test]
+fn a_recursive_term_names_itself_in_any_clause() {
+    let mut db = Database::new();
+    execute_script(
+        &mut db,
+        "CREATE TABLE t (k INT); INSERT INTO t VALUES (1), (2), (3), (11);
+         CREATE TABLE r (n INT); INSERT INTO r VALUES (2);",
+    )
+    .unwrap();
+    let term = |rest: &str| {
+        format!(
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT t.k + 10 FROM t {rest}) \
+             SELECT n FROM r ORDER BY n"
+        )
+    };
+    let where_form = term("WHERE t.k IN (SELECT n FROM r)");
+    assert_eq!(rows_of(&mut db, &where_form), [["1"], ["11"], ["21"]]);
+    for rest in [
+        "JOIN (SELECT 1 AS one) o ON t.k IN (SELECT n FROM r)",
+        "GROUP BY t.k HAVING t.k IN (SELECT n FROM r)",
+        "WHERE t.k IN (WITH w AS (SELECT n FROM r) SELECT n FROM w)",
+    ] {
+        let sql = term(rest);
+        check(&mut db, &sql, true);
+        assert_eq!(rows_of(&mut db, &sql), rows_of(&mut db, &where_form), "{sql}");
+    }
 }

@@ -234,6 +234,40 @@ fn in_subquery_with_all_nulls() {
     assert!(scalar(&mut db, "SELECT 1 NOT IN (SELECT x FROM t)").is_null());
 }
 
+/// A group key or an aggregate is an operand like any other, `IN
+/// (subquery)` included: in HAVING and in the select list, on both
+/// executors.
+#[test]
+fn grouped_operands_of_in_subquery() {
+    let mut db = db_with(
+        "CREATE TABLE t (g int, k int, x int);
+         INSERT INTO t VALUES (1, 1, 1), (1, 2, 2), (2, 2, 4), (2, 3, NULL)",
+    );
+    let cases: [(&str, &[&str]); 5] = [
+        ("SELECT k FROM t GROUP BY k HAVING k IN (SELECT 2)", &["2"]),
+        ("SELECT k FROM t GROUP BY k HAVING k NOT IN (SELECT 2) ORDER BY k", &["1", "3"]),
+        ("SELECT g FROM t GROUP BY g HAVING sum(x) IN (SELECT 3)", &["1"]),
+        ("SELECT g, sum(x) IN (SELECT 3) FROM t GROUP BY g ORDER BY g", &["1 true", "2 false"]),
+        (
+            "SELECT g, max(k) NOT IN (SELECT k FROM t WHERE x IS NULL) FROM t GROUP BY g ORDER BY g",
+            &["1 true", "2 false"],
+        ),
+    ];
+    for reference in [false, true] {
+        let was = sqlengine::set_force_row_interpreter(reference);
+        for (sql, expected) in cases {
+            let t = q(&mut db, sql);
+            let rows: Vec<String> = t
+                .rows
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" "))
+                .collect();
+            assert_eq!(rows, expected, "{sql} (reference: {reference})");
+        }
+        sqlengine::set_force_row_interpreter(was);
+    }
+}
+
 #[test]
 fn recursive_cte_iteration_cap_errors_cleanly() {
     let mut db = Database::new();

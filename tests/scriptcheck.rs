@@ -135,3 +135,23 @@ fn explain_script_runs_end_to_end() {
         t.rows.iter().any(|row| row[1].as_str() == Ok("SD013") && row[2].as_str() == Ok("error"));
     assert!(has_sd013, "expected an SD013 error row in {t}");
 }
+
+/// SD018 sees a solve wherever the statement runs it: directly, in a FROM
+/// subquery, in a CTE, and as the source of an INSERT. A `SOLVEMODEL`
+/// value over the same empty input is packaged, not run: it stays silent.
+#[test]
+fn sd018_fires_for_a_solve_at_any_depth() {
+    let model = "q(x) AS (SELECT * FROM v) MINIMIZE (SELECT sum(x) FROM q) USING solverlp()";
+    let sql = format!(
+        "CREATE TABLE v (x float8);
+         CREATE TABLE a AS SOLVESELECT {model};
+         CREATE TABLE b AS SELECT * FROM (SOLVESELECT {model}) s;
+         CREATE TABLE c AS WITH w AS (SOLVESELECT {model}) SELECT * FROM w;
+         INSERT INTO a SELECT * FROM (SOLVESELECT {model}) s;
+         CREATE TABLE m AS SELECT (SOLVEMODEL {model}) AS model"
+    );
+    let analysis = Session::new().check_script(&sql).unwrap();
+    let sd018: Vec<usize> =
+        analysis.diagnostics.iter().filter(|d| d.diag.code == "SD018").map(|d| d.stmt).collect();
+    assert_eq!(sd018, [1, 2, 3, 4], "{:?}", analysis.diagnostics);
+}
