@@ -30,12 +30,12 @@ use crate::exec::oracle;
 use crate::plan::build::bound_has_subquery;
 use crate::plan::columnar::{batches_to_rows, push_rows, Batch, BATCH_SIZE};
 use crate::plan::exec::{unseen_rows, IteratedPlan};
+use crate::plan::keys::KeyIndex;
 use crate::plan::plan_select;
 use crate::table::{Column as TColumn, Row, Schema, Table};
-use crate::types::{BinOp, GroupKey, Value};
+use crate::types::{BinOp, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Iteration guard for `WITH RECURSIVE`.
@@ -396,9 +396,9 @@ fn run_recursive_cte(
     rename_columns(&mut result, &cte.columns)?;
     let schema = result.schema.clone();
 
-    let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
+    let mut seen = KeyIndex::default();
     if !all {
-        result.rows.retain(|row| seen.insert(key_of(row), ()).is_none());
+        result.rows.retain(|row| seen.is_new(row.as_slice()));
     }
     if result.rows.is_empty() {
         return Ok((result, "no steps (empty anchor)".to_string()));
@@ -470,7 +470,7 @@ fn run_recursive_cte(
                 };
                 let added = match on_one_row {
                     Some(new) => {
-                        let new = new.filter(|row| *all || seen.insert(key_of(row), ()).is_none());
+                        let new = new.filter(|row| *all || seen.is_new(row.as_slice()));
                         tail = usize::from(new.is_some());
                         result.rows.extend(new);
                         tail
@@ -536,7 +536,7 @@ fn run_recursive_cte(
                 same_width(step.num_columns())?;
                 let mut new_rows = step.rows;
                 if !all {
-                    new_rows.retain(|row| seen.insert(key_of(row), ()).is_none());
+                    new_rows.retain(|row| seen.is_new(row.as_slice()));
                 }
                 result.rows.extend(new_rows.iter().cloned());
                 working_rows = new_rows.len();
@@ -547,11 +547,6 @@ fn run_recursive_cte(
     };
     db.count_recursion(steps as u64, has_spine, row_steps, reused);
     Ok((result, how))
-}
-
-/// A row as set operations and `UNION` recursions compare rows.
-fn key_of(row: &Row) -> Vec<GroupKey> {
-    row.iter().map(|v| v.group_key()).collect()
 }
 
 fn run_set_expr(
@@ -588,70 +583,52 @@ fn run_set_expr(
                 )));
             }
             let schema = unify_schemas(&l.schema, &r.schema)?;
-            let rows = match (op, all) {
-                (SetOp::Union, true) => {
-                    let mut rows = l.rows;
-                    rows.extend(r.rows);
-                    rows
-                }
-                (SetOp::Union, false) => {
-                    let mut seen = HashMap::new();
-                    let mut rows = Vec::new();
-                    for row in l.rows.into_iter().chain(r.rows) {
-                        if seen.insert(key_of(&row), ()).is_none() {
-                            rows.push(row);
-                        }
-                    }
-                    rows
-                }
-                (SetOp::Intersect, all) => {
-                    let mut counts: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-                    for row in &r.rows {
-                        *counts.entry(key_of(row)).or_insert(0) += 1;
-                    }
-                    let mut rows = Vec::new();
-                    let mut emitted: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-                    for row in l.rows {
-                        let k = key_of(&row);
-                        let avail = counts.get(&k).copied().unwrap_or(0);
-                        let used = emitted.entry(k).or_insert(0);
-                        let cap = if *all { avail } else { avail.min(1) };
-                        if *used < cap {
-                            *used += 1;
-                            rows.push(row);
-                        }
-                    }
-                    rows
-                }
-                (SetOp::Except, all) => {
-                    let mut counts: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-                    for row in &r.rows {
-                        *counts.entry(key_of(row)).or_insert(0) += 1;
-                    }
-                    let mut rows = Vec::new();
-                    let mut emitted: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-                    for row in l.rows {
-                        let k = key_of(&row);
-                        let removed = counts.get(&k).copied().unwrap_or(0);
-                        let e = emitted.entry(k).or_insert(0);
-                        if *all {
-                            // multiset difference
-                            if *e < removed {
-                                *e += 1;
-                            } else {
-                                rows.push(row);
-                            }
-                        } else if removed == 0 && *e == 0 {
-                            *e += 1;
-                            rows.push(row);
-                        }
-                    }
-                    rows
-                }
-            };
-            Ok(Table::with_rows(schema, rows))
+            Ok(Table::with_rows(schema, set_rows(*op, *all, l.rows, r.rows)))
         }
     }
+}
+
+/// The rows of `left op [ALL] right`: the left rows the operation keeps,
+/// in order — for `UNION`, of the left rows followed by the right ones.
+fn set_rows(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {
+    let right = match op {
+        SetOp::Union => {
+            left.extend(right);
+            if all {
+                return left;
+            }
+            Vec::new()
+        }
+        SetOp::Intersect | SetOp::Except => right,
+    };
+    // Per key: the right rows that have it, and the left rows before
+    // this one that did.
+    let mut index = KeyIndex::default();
+    let mut counts: Vec<[usize; 2]> = Vec::new();
+    let mut count = |row: &Row, side: usize| {
+        let id = index.insert(row.as_slice()) as usize;
+        if id == counts.len() {
+            counts.push([0, 0]);
+        }
+        let before = counts[id];
+        counts[id][side] += 1;
+        before
+    };
+    for row in &right {
+        count(row, 0);
+    }
+    left.into_iter()
+        .filter(|row| {
+            let [theirs, met] = count(row, 1);
+            match (op, all) {
+                (SetOp::Intersect, true) => met < theirs,
+                (SetOp::Intersect, false) => met == 0 && theirs > 0,
+                (SetOp::Except, true) => met >= theirs,
+                // A `UNION` keeps the first row of each key.
+                (SetOp::Except | SetOp::Union, _) => met == 0 && theirs == 0,
+            }
+        })
+        .collect()
 }
 
 fn unify_schemas(l: &Schema, r: &Schema) -> Result<Schema> {
@@ -798,7 +775,7 @@ pub(crate) fn using_condition(cols: &[String], left: &Scope, right: &Scope) -> R
 pub(crate) struct AggState {
     kind: String,
     distinct: bool,
-    seen: std::collections::HashSet<GroupKey>,
+    seen: KeyIndex,
     count: i64,
     sum: Option<Value>,
     min: Option<Value>,
@@ -835,7 +812,7 @@ impl AggState {
             (_, None) => {}
             (_, Some(v)) if v.is_null() => {}
             (kind, Some(v)) => {
-                if self.distinct && !self.seen.insert(v.group_key()) {
+                if self.distinct && !self.seen.is_new(std::slice::from_ref(&v)) {
                     return Ok(());
                 }
                 match kind {

@@ -136,43 +136,25 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             '\'' => {
-                let (s, next) = lex_string(input, i)?;
+                let (s, next) = lex_quoted(input, i, "string literal")?;
                 out.push(Token::Str(s));
                 i = next;
             }
             'b' | 'B' if i + 1 < n && bytes[i + 1] == b'\'' => {
-                let (s, next) = lex_string(input, i + 1)?;
+                let (s, next) = lex_quoted(input, i + 1, "string literal")?;
                 out.push(Token::BitStr(s));
                 i = next;
             }
             'e' | 'E' if i + 1 < n && bytes[i + 1] == b'\'' => {
                 // Treat e'...' like a plain string (no backslash escapes needed here).
-                let (s, next) = lex_string(input, i + 1)?;
+                let (s, next) = lex_quoted(input, i + 1, "string literal")?;
                 out.push(Token::Str(s));
                 i = next;
             }
             '"' => {
-                let mut j = i + 1;
-                let mut s = String::new();
-                loop {
-                    if j >= n {
-                        return Err(Error::lex("unterminated quoted identifier"));
-                    }
-                    if bytes[j] == b'"' {
-                        if j + 1 < n && bytes[j + 1] == b'"' {
-                            s.push('"');
-                            j += 2;
-                        } else {
-                            j += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[j] as char);
-                        j += 1;
-                    }
-                }
+                let (s, next) = lex_quoted(input, i, "quoted identifier")?;
                 out.push(Token::QuotedIdent(s));
-                i = j;
+                i = next;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -306,43 +288,24 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Ok(out)
 }
 
-fn lex_string(input: &str, start_quote: usize) -> Result<(String, usize)> {
-    let bytes = input.as_bytes();
-    let n = bytes.len();
-    debug_assert_eq!(bytes[start_quote], b'\'');
-    let mut j = start_quote + 1;
+/// The text between the quote at byte `start` and its closing quote — a
+/// doubled quote stands for one — and the byte after the closing quote.
+/// `what` names the token when there is no closing quote.
+fn lex_quoted(input: &str, start: usize, what: &str) -> Result<(String, usize)> {
+    let quote = &input[start..start + 1];
     let mut s = String::new();
+    let mut from = start + 1;
     loop {
-        if j >= n {
-            return Err(Error::lex("unterminated string literal"));
+        let Some(len) = input[from..].find(quote) else {
+            return Err(Error::lex(format!("unterminated {what}")));
+        };
+        s.push_str(&input[from..from + len]);
+        let after = from + len + 1;
+        if !input[after..].starts_with(quote) {
+            return Ok((s, after));
         }
-        if bytes[j] == b'\'' {
-            if j + 1 < n && bytes[j + 1] == b'\'' {
-                s.push('\'');
-                j += 2;
-            } else {
-                j += 1;
-                break;
-            }
-        } else {
-            // Strings are ASCII in all our workloads, but pass UTF-8 through.
-            let ch_len = utf8_len(bytes[j]);
-            s.push_str(&input[j..j + ch_len]);
-            j += ch_len;
-        }
-    }
-    Ok((s, j))
-}
-
-fn utf8_len(b: u8) -> usize {
-    if b < 0x80 {
-        1
-    } else if b >> 5 == 0b110 {
-        2
-    } else if b >> 4 == 0b1110 {
-        3
-    } else {
-        4
+        s.push_str(quote);
+        from = after + 1;
     }
 }
 
@@ -417,6 +380,16 @@ mod tests {
     fn quoted_idents_preserve_case() {
         assert_eq!(toks(r#""MiXeD""#), vec![Token::QuotedIdent("MiXeD".into())]);
         assert_eq!(toks(r#""a""b""#), vec![Token::QuotedIdent("a\"b".into())]);
+    }
+
+    #[test]
+    fn quoted_text_keeps_its_characters() {
+        assert_eq!(
+            toks(r#""café" "naïve""x""#),
+            vec![Token::QuotedIdent("café".into()), Token::QuotedIdent("naïve\"x".into())]
+        );
+        assert_eq!(toks("'Zürich ''δ'''"), vec![Token::Str("Zürich 'δ'".into())]);
+        assert!(tokenize(r#""open"#).is_err());
     }
 
     #[test]

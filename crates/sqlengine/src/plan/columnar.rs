@@ -374,6 +374,16 @@ impl Batch {
     pub fn gather(&self, idx: &[usize]) -> Batch {
         Batch { cols: self.cols.iter().map(|c| Arc::new(c.gather(idx))).collect(), len: idx.len() }
     }
+
+    /// [`Self::gather`] of the ascending rows `sel`: the batch itself when
+    /// that is all of them, no batch when it is none.
+    pub(crate) fn keep(&self, sel: &[usize]) -> Option<Batch> {
+        match sel.len() {
+            0 => None,
+            n if n == self.len => Some(self.clone()),
+            _ => Some(self.gather(sel)),
+        }
+    }
 }
 
 /// Materialize a sequence of batches as rows.

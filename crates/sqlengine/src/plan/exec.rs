@@ -34,16 +34,16 @@ use super::build::{bound_has_subquery, collect_cols, remap_cols};
 use super::columnar::{batches_to_rows, Batch, ColumnVec, RowRef, VecEvalCtx, VecExpr, BATCH_SIZE};
 use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
+use super::keys::{Key, KeyIndex, Slot};
 use crate::ast::OrderItem;
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{key_order, run_query, AggState};
 use crate::table::{Column as TColumn, Row, Schema, Table};
-use crate::types::value::{exact_f64, exact_i64, num_bits, Word};
-use crate::types::{Bitmap, DataType, GroupKey, Value};
+use crate::types::value::Word;
+use crate::types::{DataType, GroupKey, Value};
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -261,7 +261,7 @@ struct Spine<'p> {
     /// Per kept build, the row this step's probe matched.
     matched: Vec<Option<usize>>,
     /// Scratch for a probe key.
-    key: Vec<GroupKey>,
+    key: (Vec<Value>, Vec<GroupKey>),
 }
 
 struct KeptSides {
@@ -330,7 +330,7 @@ impl<'p> Spine<'p> {
             output_at: Vec::new(),
             sides: None,
             matched: Vec::new(),
-            key: Vec::new(),
+            key: Default::default(),
         };
         spine.project.2 = spine.compile(input, slot, kept)?;
         spine.matched = vec![None; spine.build_at.len()];
@@ -433,7 +433,14 @@ impl<'p> Spine<'p> {
                 }
                 Stage::Probe { keys, build, pad } => {
                     let table = &sides.builds[*build];
-                    let first = table.first_match_of_row(keys, &row, &ev, &mut self.key)?;
+                    // Every key is evaluated — an error in a later one is
+                    // not hidden by a NULL before it — as over a batch.
+                    let (values, scratch) = &mut self.key;
+                    values.clear();
+                    for k in keys.iter() {
+                        values.push(k.eval_row(&row, &ev)?);
+                    }
+                    let first = table.first_match(values.as_slice(), scratch);
                     if first == END && !pad {
                         return Ok(Some(None));
                     }
@@ -625,11 +632,7 @@ impl<'a> Runner<'a, '_> {
                         Err(_) if *derived => (0..b.len).collect(),
                         Err(e) => return Err(e),
                     };
-                    if sel.len() == b.len {
-                        out.push(b.clone());
-                    } else if !sel.is_empty() {
-                        out.push(b.gather(&sel));
-                    }
+                    out.extend(b.keep(&sel));
                 }
                 Ok(out)
             }
@@ -675,7 +678,7 @@ impl<'a> Runner<'a, '_> {
                 };
                 if let Some(s) = span {
                     s.note("build", if build_is_left { "left" } else { "right" });
-                    s.note("keys", build.keys(lkeys.len()));
+                    s.note("keys", build.index.label(lkeys.len()));
                     s.note("build_rows", build.batch.len);
                     s.note("probe_rows", rows(probe));
                 }
@@ -718,7 +721,7 @@ impl<'a> Runner<'a, '_> {
 
             PlanNode::Aggregate { input, group, sets, aggs, .. } => {
                 let batches = self.run_node(input)?;
-                aggregate(&self.over(input.scope()), &batches, group, sets, aggs)
+                aggregate(&self.over(input.scope()), &batches, group, sets, aggs, span)
             }
 
             PlanNode::Project { input, exprs, .. } => {
@@ -736,7 +739,12 @@ impl<'a> Runner<'a, '_> {
 
             PlanNode::Distinct { input, visible } => {
                 let batches = self.run_node(input)?;
-                Ok(unseen_rows(&batches, *visible, &mut HashMap::new()))
+                let mut seen = KeyIndex::default();
+                let out = unseen_rows(&batches, *visible, &mut seen);
+                if let Some(s) = span {
+                    s.note("keys", seen.label(*visible));
+                }
+                Ok(out)
             }
 
             PlanNode::Sort { input, items, visible, keep, .. } => {
@@ -799,28 +807,11 @@ fn sorted_rows(
 /// The rows of `batches` whose first `visible` columns are not in `seen`
 /// yet, which they join: DISTINCT over one input, and the duplicate
 /// elimination of a `UNION` recursion across its steps.
-pub(crate) fn unseen_rows(
-    batches: &[Batch],
-    visible: usize,
-    seen: &mut HashMap<Vec<GroupKey>, ()>,
-) -> Vec<Batch> {
-    let mut out = Vec::new();
-    for b in batches {
-        let mut sel = Vec::new();
-        for i in 0..b.len {
-            let key: Vec<GroupKey> =
-                b.cols[..visible].iter().map(|c| c.get(i).group_key()).collect();
-            if seen.insert(key, ()).is_none() {
-                sel.push(i);
-            }
-        }
-        if sel.len() == b.len {
-            out.push(b.clone());
-        } else if !sel.is_empty() {
-            out.push(b.gather(&sel));
-        }
-    }
-    out
+pub(crate) fn unseen_rows(batches: &[Batch], visible: usize, seen: &mut KeyIndex) -> Vec<Batch> {
+    let mut unseen = |b: &Batch| -> Vec<usize> {
+        (0..b.len).filter(|&i| seen.is_new(Slot(&b.cols[..visible], i))).collect()
+    };
+    batches.iter().filter_map(|b| b.keep(&unseen(b))).collect()
 }
 
 /// The rows of a `len`-row batch whose predicate value in `col` is true.
@@ -915,199 +906,47 @@ const END: u32 = u32::MAX;
 /// those rows are in no chain but stay pad-eligible).
 struct JoinBuild {
     batch: Batch,
-    table: KeyTable,
+    /// The keys of the chained rows: none with a NULL, so a probe key
+    /// with one finds nothing.
+    index: KeyIndex,
+    /// Per key id, the first and the last build row of its chain.
+    chains: Vec<(u32, u32)>,
     /// Per build row, the next row of the same key.
     next: Vec<u32>,
-}
-
-/// Per join key, the first and the last build row of its chain.
-enum KeyTable {
-    /// A single key column of fixed width on the build side: keyed by a
-    /// `u64` in the key space of the column's kind.
-    Fixed(KeyKind, HashMap<u64, (u32, u32)>),
-    /// Several key columns, or one of text, booleans, bit strings or
-    /// custom values.
-    Generic(HashMap<Vec<GroupKey>, (u32, u32)>),
-}
-
-/// The kind of a [`KeyTable::Fixed`]'s build column, and with it how a
-/// value is keyed: a probe value meets exactly the build values whose
-/// [`GroupKey`] equals its own, so `1` meets `1.0`, an integer beyond
-/// 2^53 only itself, and a value of another kind (`ts = 5`) nothing.
-#[derive(Clone, Copy)]
-enum KeyKind {
-    /// Keyed by the integer itself.
-    Int,
-    /// Keyed by the bits [`GroupKey::Num`] holds.
-    Float,
-    /// Keyed by the microseconds.
-    Ts,
-    Iv,
-}
-
-impl KeyKind {
-    fn of(col: &ColumnVec) -> Option<KeyKind> {
-        match col {
-            ColumnVec::Int(..) => Some(KeyKind::Int),
-            ColumnVec::Float(..) => Some(KeyKind::Float),
-            ColumnVec::Ts(..) => Some(KeyKind::Ts),
-            ColumnVec::Iv(..) => Some(KeyKind::Iv),
-            _ => None,
-        }
-    }
-
-    /// The key `v` meets its equals under in a table of this kind; `None`
-    /// for NULL and for a value no build value of the kind equals.
-    fn key(self, v: &Value) -> Option<u64> {
-        match (self, v) {
-            (KeyKind::Int, Value::Int(i))
-            | (KeyKind::Ts, Value::Timestamp(i))
-            | (KeyKind::Iv, Value::Interval(i)) => Some(*i as u64),
-            (KeyKind::Int, Value::Float(f)) => exact_i64(*f).map(|i| i as u64),
-            (KeyKind::Float, Value::Float(f)) => Some(num_bits(*f)),
-            (KeyKind::Float, Value::Int(i)) => exact_f64(*i).map(num_bits),
-            _ => None,
-        }
-    }
-
-    /// [`Self::key`] of row `i` of `col`, read in place where the column
-    /// is of the table's own kind.
-    fn key_at(self, col: &ColumnVec, i: usize) -> Option<u64> {
-        match (self, col) {
-            (KeyKind::Int, ColumnVec::Int(v, valid))
-            | (KeyKind::Ts, ColumnVec::Ts(v, valid))
-            | (KeyKind::Iv, ColumnVec::Iv(v, valid)) => valid.get(i).then(|| v[i] as u64),
-            (KeyKind::Float, ColumnVec::Float(v, valid)) => valid.get(i).then(|| num_bits(v[i])),
-            _ => self.key(&col.get(i)),
-        }
-    }
-
-    /// What `EXPLAIN ANALYZE` calls the table.
-    fn name(self) -> &'static str {
-        match self {
-            KeyKind::Int | KeyKind::Float => "num",
-            KeyKind::Ts => "ts",
-            KeyKind::Iv => "iv",
-        }
-    }
-}
-
-/// Put the join key of row `i` into `key`; false when a key column is
-/// NULL there.
-fn generic_key(key_cols: &[Arc<ColumnVec>], i: usize, key: &mut Vec<GroupKey>) -> bool {
-    key.clear();
-    for c in key_cols {
-        let v = c.get(i);
-        if v.is_null() {
-            return false;
-        }
-        key.push(v.group_key());
-    }
-    true
 }
 
 impl JoinBuild {
     /// Over `batches`, rows of `ev.scope`.
     fn new(ev: &VecEvalCtx<'_>, batches: &[Batch], keys: &[VecExpr]) -> Result<JoinBuild> {
-        fn link<K>(slot: Entry<'_, K, (u32, u32)>, row: u32, next: &mut [u32]) {
-            match slot {
-                Entry::Occupied(mut chain) => {
-                    let (_, last) = chain.get_mut();
-                    next[*last as usize] = row;
-                    *last = row;
-                }
-                Entry::Vacant(unseen) => {
-                    unseen.insert((row, row));
-                }
-            }
-        }
         let batch = concat(batches, ev.scope.cols.len()).into_owned();
         if batch.len >= END as usize {
             return Err(Error::eval("hash join: build side too large"));
         }
         let key_cols: Vec<Arc<ColumnVec>> =
             keys.iter().map(|k| k.eval(&batch, ev)).collect::<Result<_>>()?;
+        let mut index = KeyIndex::for_columns(&key_cols, batch.len);
+        let mut chains: Vec<(u32, u32)> = Vec::with_capacity(batch.len);
         let mut next = vec![END; batch.len];
-        let fixed = match &key_cols[..] {
-            [col] => KeyKind::of(col).map(|kind| (kind, col)),
-            _ => None,
-        };
-        let table = match fixed {
-            Some((kind, col)) => {
-                let mut table = HashMap::with_capacity(batch.len);
-                for row in 0..batch.len {
-                    if let Some(key) = kind.key_at(col, row) {
-                        link(table.entry(key), row as u32, &mut next);
-                    }
-                }
-                KeyTable::Fixed(kind, table)
+        for row in 0..batch.len {
+            if !key_cols.iter().all(|c| c.is_valid(row)) {
+                continue;
             }
-            None => {
-                let mut table = HashMap::with_capacity(batch.len);
-                let mut key = Vec::with_capacity(keys.len());
-                for row in 0..batch.len {
-                    if generic_key(&key_cols, row, &mut key) {
-                        link(table.entry(key.clone()), row as u32, &mut next);
-                    }
+            let id = index.insert(Slot(&key_cols, row)) as usize;
+            match chains.get_mut(id) {
+                Some((_, last)) => {
+                    next[*last as usize] = row as u32;
+                    *last = row as u32;
                 }
-                KeyTable::Generic(table)
+                None => chains.push((row as u32, row as u32)),
             }
-        };
-        Ok(JoinBuild { batch, table, next })
-    }
-
-    /// What `EXPLAIN ANALYZE` calls the key table: `num`, `ts`, `iv`
-    /// for a lone key of that kind, `multi` for several key columns and
-    /// `generic` for a lone key of any other kind.
-    fn keys(&self, columns: usize) -> &'static str {
-        match &self.table {
-            KeyTable::Fixed(kind, _) => kind.name(),
-            KeyTable::Generic(_) if columns > 1 => "multi",
-            KeyTable::Generic(_) => "generic",
         }
+        Ok(JoinBuild { batch, index, chains, next })
     }
 
-    /// The first build row whose key equals that of row `i` of the
-    /// probe-side `key_cols` ([`END`] when none does); `key` is scratch.
-    fn first_match(&self, key_cols: &[Arc<ColumnVec>], i: usize, key: &mut Vec<GroupKey>) -> u32 {
-        let chain = match &self.table {
-            KeyTable::Fixed(kind, table) => {
-                kind.key_at(&key_cols[0], i).and_then(|k| table.get(&k))
-            }
-            KeyTable::Generic(table) => {
-                generic_key(key_cols, i, key).then(|| table.get(key.as_slice())).flatten()
-            }
-        };
-        chain.map_or(END, |(first, _)| *first)
-    }
-
-    /// [`Self::first_match`] for the one probe row `row`, whose key is
-    /// what `keys` evaluate to on it: every key is evaluated (an error in
-    /// a later one is not hidden by a NULL before it), as over a batch.
-    fn first_match_of_row(
-        &self,
-        keys: &[VecExpr],
-        row: &impl RowRef,
-        ev: &VecEvalCtx<'_>,
-        key: &mut Vec<GroupKey>,
-    ) -> Result<u32> {
-        let chain = match &self.table {
-            // A table keyed by one column is probed by one.
-            KeyTable::Fixed(kind, table) => {
-                kind.key(&keys[0].eval_row(row, ev)?).and_then(|k| table.get(&k))
-            }
-            KeyTable::Generic(table) => {
-                key.clear();
-                let mut null = false;
-                for k in keys {
-                    let v = k.eval_row(row, ev)?;
-                    null |= v.is_null();
-                    key.push(v.group_key());
-                }
-                (!null).then(|| table.get(key.as_slice())).flatten()
-            }
-        };
-        Ok(chain.map_or(END, |(first, _)| *first))
+    /// The first build row whose key equals `key` ([`END`] when none
+    /// does); `scratch` is scratch.
+    fn first_match(&self, key: impl Key, scratch: &mut Vec<GroupKey>) -> u32 {
+        self.index.get(key, scratch).map_or(END, |id| self.chains[id as usize].0)
     }
 }
 
@@ -1198,7 +1037,7 @@ fn hash_join(
         // first that is not makes a list of the ones before it.
         let mut sel: Option<Vec<usize>> = None;
         for i in 0..b.len {
-            let mut row = build.first_match(&key_cols, i, &mut key);
+            let mut row = build.first_match(Slot(&key_cols, i), &mut key);
             if row == END && !pad_probe {
                 sel.get_or_insert_with(|| (0..i).collect());
                 continue;
@@ -1219,11 +1058,10 @@ fn hash_join(
             }
         }
         kept_rows += sel.as_ref().map_or(b.len, Vec::len);
-        match sel {
-            None => kept.push(b.clone()),
-            Some(sel) if sel.is_empty() => {}
-            Some(sel) => kept.push(b.gather(&sel)),
-        }
+        kept.extend(match sel {
+            None => Some(b.clone()),
+            Some(sel) => b.keep(&sel),
+        });
     }
     for (row, matched) in build_matched.iter().enumerate() {
         if !matched {
@@ -1407,6 +1245,7 @@ fn aggregate(
     group: &[VecExpr],
     sets: &[Vec<usize>],
     aggs: &[PlanAggCall],
+    span: Option<&obs::Span>,
 ) -> Result<Vec<Batch>> {
     let eval_opt = |e: &Option<VecExpr>, b: &Batch| e.as_ref().map(|e| e.eval(b, vctx)).transpose();
 
@@ -1430,110 +1269,50 @@ fn aggregate(
         || -> Vec<Acc> { kinds.iter().zip(aggs).map(|(k, a)| Acc::new(*k, a)).collect() };
 
     // Group rows: same order as the interpreter — grouping sets outer,
-    // input rows inner, groups created on first encounter; the empty set
-    // contributes exactly one (global) group even over empty input.
-    let mut groups: Vec<(Vec<Value>, Vec<Acc>, Option<Value>)> = Vec::new();
+    // input rows inner, groups created on first encounter. A set keys the
+    // rows by its own columns; the empty set's key has none, and its one
+    // group exists even over empty input.
+    let mut groups: Vec<Group> = Vec::new();
+    let mut labels = Vec::with_capacity(sets.len());
     for set in sets {
-        let empty_gidx = if set.is_empty() {
-            groups.push((vec![Value::Null; group.len()], make_accs(), None));
-            Some(groups.len() - 1)
-        } else {
-            None
+        let (base, mut index) = (groups.len(), KeyIndex::default());
+        let mut group_of = |groups: &mut Vec<Group>, cols: &[Arc<ColumnVec>], i: usize| {
+            let g = base + index.insert(Slot(cols, i)) as usize;
+            if g == groups.len() {
+                let mut key = vec![Value::Null; group.len()];
+                for (&k, col) in set.iter().zip(cols) {
+                    key[k] = col.get(i);
+                }
+                groups.push((key, make_accs(), None));
+            }
+            g
         };
-        if let Some(g) = empty_gidx {
-            for bc in &abatches {
-                for i in 0..bc.len {
-                    bump_group(&mut groups, g, bc, i)?;
-                }
-            }
-            continue;
+        if set.is_empty() {
+            group_of(&mut groups, &[], 0);
         }
-        // Typed fast path: plain GROUP BY over one column of one `i64`
-        // kind keys by the `i64` directly, skipping per-row key
-        // allocation.
-        let words = (group.len() == 1 && set.len() == 1)
-            .then(|| uniform_words(abatches.iter().map(|b| Some(&*b.group[0]))))
-            .flatten();
-        if let Some((kind, cols)) = words {
-            let mut iindex: HashMap<i64, usize> = HashMap::new();
-            let mut null_gidx: Option<usize> = None;
-            for (bc, (vals, valid)) in abatches.iter().zip(cols) {
-                for i in 0..bc.len {
-                    let gidx = if valid.get(i) {
-                        match iindex.get(&vals[i]) {
-                            Some(&g) => g,
-                            None => {
-                                iindex.insert(vals[i], groups.len());
-                                groups.push((vec![kind.value(vals[i])], make_accs(), None));
-                                groups.len() - 1
-                            }
-                        }
-                    } else {
-                        match null_gidx {
-                            Some(g) => g,
-                            None => {
-                                groups.push((vec![Value::Null], make_accs(), None));
-                                null_gidx = Some(groups.len() - 1);
-                                groups.len() - 1
-                            }
-                        }
-                    };
-                    bump_group(&mut groups, gidx, bc, i)?;
-                }
-            }
-            continue;
-        }
-        let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-        let mut keybuf: Vec<GroupKey> = Vec::with_capacity(group.len());
         for bc in &abatches {
+            let cols: Vec<Arc<ColumnVec>> = set.iter().map(|&k| bc.group[k].clone()).collect();
             for i in 0..bc.len {
-                keybuf.clear();
-                for k in 0..group.len() {
-                    if set.contains(&k) {
-                        keybuf.push(bc.group[k].get(i).group_key());
-                    } else {
-                        keybuf.push(Value::Null.group_key());
-                    }
-                }
-                let gidx = match index.get(keybuf.as_slice()) {
-                    Some(&g) => g,
-                    None => {
-                        let masked: Vec<Value> =
-                            (0..group.len())
-                                .map(|k| {
-                                    if set.contains(&k) {
-                                        bc.group[k].get(i)
-                                    } else {
-                                        Value::Null
-                                    }
-                                })
-                                .collect();
-                        index.insert(std::mem::take(&mut keybuf), groups.len());
-                        groups.push((masked, make_accs(), None));
-                        groups.len() - 1
-                    }
-                };
-                bump_group(&mut groups, gidx, bc, i)?;
+                let g = group_of(&mut groups, &cols, i);
+                bump_group(&mut groups, g, bc, i)?;
             }
         }
+        labels.push(index.label(set.len()));
+    }
+    if let Some(s) = span {
+        s.note("keys", labels.join(","));
     }
 
-    fn bump_group(
-        groups: &mut [(Vec<Value>, Vec<Acc>, Option<Value>)],
-        gidx: usize,
-        bc: &AggBatch,
-        i: usize,
-    ) -> Result<()> {
+    /// A group's key values, accumulators and `string_agg` separator.
+    type Group = (Vec<Value>, Vec<Acc>, Option<Value>);
+
+    fn bump_group(groups: &mut [Group], gidx: usize, bc: &AggBatch, i: usize) -> Result<()> {
         let (_, accs, sep_slot) = &mut groups[gidx];
         for (si, acc) in accs.iter_mut().enumerate() {
-            let sep = match &bc.args2[si] {
-                None => None,
-                Some(c) => {
-                    let s = c.get(i);
-                    *sep_slot = Some(s.clone());
-                    Some(s)
-                }
-            };
+            let sep = bc.args2[si].as_ref().map(|c| c.get(i));
+            if sep.is_some() {
+                sep_slot.clone_from(&sep);
+            }
             update_acc(acc, &bc.args[si], i, sep)?;
         }
         Ok(())
@@ -1564,8 +1343,10 @@ fn acc_kind(call: &PlanAggCall, si: usize, abatches: &[AggBatch]) -> AccKind {
     if call.name == "count" {
         return AccKind::CountCol;
     }
-    // Uniform column type across all batches?
-    let words = uniform_words(abatches.iter().map(|b| b.args[si].as_deref())).map(|(kind, _)| kind);
+    // The kind of `i64` every batch's argument column holds, if one does.
+    let word = |b: &AggBatch| b.args[si].as_deref().and_then(ColumnVec::words).map(|(w, ..)| w);
+    let first = abatches.first().and_then(word);
+    let words = first.filter(|_| abatches.iter().all(|b| word(b) == first));
     let all_int = words == Some(Word::Int);
     let all_float =
         abatches.iter().all(|b| matches!(b.args[si].as_deref(), Some(ColumnVec::Float(..))));
@@ -1578,22 +1359,6 @@ fn acc_kind(call: &PlanAggCall, si: usize, abatches: &[AggBatch]) -> AccKind {
         ("max", _, _, Some(kind)) => AccKind::Max(kind),
         _ => AccKind::General,
     }
-}
-
-/// The values and validity of each of `cols`, and the kind they all
-/// hold one `i64` per slot of — if they are of one such kind and there is
-/// at least one of them.
-type WordCols<'c> = (Word, Vec<(&'c [i64], &'c Bitmap)>);
-
-fn uniform_words<'c>(cols: impl Iterator<Item = Option<&'c ColumnVec>>) -> Option<WordCols<'c>> {
-    let mut kind = None;
-    let cols = cols
-        .map(|c| {
-            let (k, vals, valid) = c?.words()?;
-            (*kind.get_or_insert(k) == k).then_some((vals, valid))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some((kind?, cols))
 }
 
 fn update_acc(

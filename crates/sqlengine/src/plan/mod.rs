@@ -25,6 +25,7 @@ pub mod columnar;
 pub mod exec;
 pub mod image;
 pub mod ir;
+pub(crate) mod keys;
 pub mod stats;
 
 pub use build::{plan_select, relation_reads};

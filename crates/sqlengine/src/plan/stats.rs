@@ -19,8 +19,8 @@
 //!
 //! [`StoredTable`]: super::image::StoredTable
 
+use super::keys::KeyIndex;
 use crate::types::Value;
-use std::collections::HashSet;
 
 /// How many rows to sample when estimating per-column distinct counts.
 const SAMPLE_ROWS: usize = 1024;
@@ -43,14 +43,12 @@ impl TableStats {
         let ncols = table.schema.len();
         let mut distinct = Vec::with_capacity(ncols);
         for c in 0..ncols {
-            let mut seen: HashSet<crate::types::GroupKey> = HashSet::new();
+            let mut seen = KeyIndex::default();
             let mut custom = 0usize;
             for row in table.rows.iter().take(sample) {
                 match &row[c] {
                     Value::Custom(_) => custom += 1,
-                    v => {
-                        seen.insert(v.group_key());
-                    }
+                    v => _ = seen.insert(std::slice::from_ref(v)),
                 }
             }
             let seen = (seen.len() + custom) as f64;

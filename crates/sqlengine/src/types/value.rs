@@ -9,7 +9,6 @@ use crate::types::ops::{BinOp, UnOp};
 use crate::types::timeval;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A runtime value. `Text` uses `Arc<str>` so rows clone cheaply.
@@ -528,12 +527,6 @@ pub enum GroupKey {
     Ts(i64),
     Iv(i64),
     Bits(BitString),
-}
-
-impl Hash for Value {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.group_key().hash(state)
-    }
 }
 
 impl PartialEq for Value {

@@ -18,8 +18,8 @@
 //! NULL keys).
 
 use sqlengine::{
-    execute_script, execute_sql, set_force_row_interpreter, DataType, Database, ExecCounts, Table,
-    Value,
+    execute_script, execute_sql, set_force_row_interpreter, Column, DataType, Database, ExecCounts,
+    Schema, Table, Value,
 };
 
 fn setup() -> Database {
@@ -1208,6 +1208,71 @@ fn rollup_respects_having_and_order() {
     }
 }
 
+/// A key column may change representation from one batch to the next:
+/// `m`'s 3000 rows span three batches, and its key columns hold integers
+/// in the first 1500 rows and floats after them (the batch in between is
+/// of both). `k` is `g % 3`; `x` is too, except for `2^53 + 1` (an
+/// integer, row 0), `2^53` (a float, row 2500), `-0.0` (row 2501) and
+/// NULL (rows 1 and 2502) — which leaves keys 0, 1, 2 with 999, 998 and
+/// 999 rows. `d` keys `x` by an integer and by a float column. Every
+/// operator that keys a row counts `1` and `1.0`, and `-0.0` and `0.0`,
+/// as one key, and `2^53 + 1` as no float's, on both executors.
+#[test]
+fn keys_that_change_kind_across_batches_count_once() {
+    let (two_53, mut db) = (1i64 << 53, Database::new());
+    let value = |g: i64, v: i64| if g < 1500 { Value::Int(v) } else { Value::Float(v as f64) };
+    let x = |g: i64| match g {
+        0 => Value::Int(two_53 + 1),
+        2500 => Value::Float(two_53 as f64),
+        2501 => Value::Float(-0.0),
+        1 | 2502 => Value::Null,
+        _ => value(g, g % 3),
+    };
+    let rows = (0..3000).map(|g| vec![Value::Int(g), value(g, g % 3), x(g)]).collect();
+    let cols = [("g", DataType::Int), ("k", DataType::Unknown), ("x", DataType::Unknown)];
+    let schema = Schema::new(cols.iter().map(|(n, ty)| Column::new(*n, ty.clone())).collect());
+    db.create_table("m", Table::with_rows(schema, rows), false).unwrap();
+    execute_script(
+        &mut db,
+        "CREATE TABLE d (i INT8, f FLOAT8);
+         INSERT INTO d VALUES (0, -0.0), (1, 1.0), (2, 2.0),
+           (9007199254740992, 9007199254740992.0), (9007199254740993, NULL);",
+    )
+    .unwrap();
+    assert_both_executors(
+        &mut db,
+        "SELECT count(*) FROM m GROUP BY k",
+        &[&["1000"], &["1000"], &["1000"]],
+    );
+    assert_both_executors(
+        &mut db,
+        "SELECT count(*) FROM m GROUP BY x",
+        &[&["999"], &["998"], &["999"], &["1"], &["1"], &["2"]],
+    );
+    for (sql, count) in [
+        ("SELECT count(*) FROM (SELECT DISTINCT x FROM m) s", "6"),
+        ("SELECT count(*) FROM m JOIN d ON m.x = d.i", "2998"),
+        ("SELECT count(*) FROM m JOIN d ON m.x = d.f", "2997"),
+        ("SELECT count(*) FROM (SELECT x FROM m UNION SELECT f FROM d) s", "6"),
+        ("SELECT count(*) FROM (SELECT x FROM m INTERSECT SELECT i FROM d) s", "5"),
+        ("SELECT count(*) FROM (SELECT x FROM m INTERSECT ALL SELECT f FROM d) s", "5"),
+        ("SELECT count(*) FROM (SELECT x FROM m EXCEPT SELECT i FROM d) s", "1"),
+        ("SELECT count(*) FROM (SELECT x FROM m EXCEPT ALL SELECT i FROM d) s", "2995"),
+        (
+            "WITH RECURSIVE r(v) AS (SELECT x FROM m UNION \
+             SELECT m.x FROM m JOIN r ON m.x = r.v) SELECT count(*) FROM r",
+            "6",
+        ),
+        (
+            "WITH RECURSIVE r(v) AS (SELECT 0.0 UNION \
+             SELECT m.x FROM r JOIN m ON m.x = r.v + 1) SELECT count(*) FROM r",
+            "3",
+        ),
+    ] {
+        assert_both_executors(&mut db, sql, &[&[count]]);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN SELECT snapshots.
 
@@ -1295,6 +1360,17 @@ fn explain_analyze_select_traces_operators() {
     assert!(text.contains("Scan t1"), "missing Scan span:\n{text}");
     assert!(text.contains("rows out:"), "missing row count:\n{text}");
     assert!(text.contains("plan fingerprint:"), "missing fingerprint:\n{text}");
+    // Grouping and DISTINCT name their key index as the join does; a
+    // ROLLUP one per grouping set, the grand total's of no columns.
+    let line = |db: &mut Database, sql: &str, op: &str| {
+        let lines = explain_lines(db, &format!("EXPLAIN ANALYZE {sql}"));
+        lines.into_iter().find(|l| l.contains(op)).expect("the operator's span")
+    };
+    assert!(text.lines().any(|l| l.contains("Aggregate") && l.ends_with("  keys=generic")));
+    let distinct = line(&mut db, "SELECT DISTINCT a FROM t1", "Distinct");
+    assert!(distinct.ends_with("  keys=num"), "{distinct}");
+    let rollup = line(&mut db, "SELECT a, c, count(*) FROM t1 GROUP BY ROLLUP (a, c)", "Aggregate");
+    assert!(rollup.ends_with("  keys=multi,num,none"), "{rollup}");
 }
 
 /// The HashJoin span says which input the table was built over and how

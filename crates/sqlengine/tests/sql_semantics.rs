@@ -306,6 +306,14 @@ fn text_escaping_round_trips() {
     assert_eq!(scalar(&mut db, "SELECT s FROM t"), Value::text("it's 'quoted'"));
 }
 
+#[test]
+fn quoted_identifiers_keep_non_ascii_characters() {
+    let mut db = db_with(r#"CREATE TABLE "naïve"(x int)"#);
+    let t = q(&mut db, r#"SELECT 1 AS "café" FROM "naïve""#);
+    assert_eq!(t.schema.names(), ["café"]);
+    assert!(db.table("naïve").is_ok());
+}
+
 // ---------------------------------------------------------------------------
 // Recursive CTEs: the recursive term is planned once and re-executed per
 // step; every shape must agree with the reference row interpreter.

@@ -3,13 +3,13 @@
 //!
 //! A planned scan reads a timestamp or interval column as a typed `i64`
 //! column, so comparisons, arithmetic, joins, grouping, sorting and
-//! `min` / `max` over one run their own kernels and key tables; the
+//! `min` / `max` over one run their own kernels and key indexes; the
 //! reference evaluates every value through `Value`. Each case draws two
 //! tables from a seed — values on an hourly grid (so joins and recursive
 //! steps meet), values next to `i64::MIN` / `MAX` (so arithmetic
-//! overflows), NULLs, and a column of mixed kinds — and runs every query
-//! below on both executors: the same columns, types and rows, or the same
-//! error text.
+//! overflows), NULLs, a float column and a column of mixed kinds — and
+//! runs every query below on both executors: the same columns, types and
+//! rows, or the same error text.
 //!
 //! The workspace run takes a sample of seeds; `PROPTEST_CASES` sets how
 //! many (the `analyze` CI job runs 20 000).
@@ -58,8 +58,9 @@ fn maybe(rng: &mut Rng, make: impl FnOnce(&mut Rng) -> Value) -> Value {
     }
 }
 
-/// `t(id, a, b, x, y, n, m)` or `u(…)`: two timestamp columns, two
-/// interval columns, an integer and a column whose kind varies by row.
+/// `t(id, a, b, x, y, n, m, f)` or `u(…)`: two timestamp columns, two
+/// interval columns, an integer, a column whose kind varies by row and a
+/// float (`-0.0` and `0.0` among its values).
 fn table(rng: &mut Rng, rows: usize) -> Table {
     use DataType::*;
     let columns = [
@@ -70,6 +71,7 @@ fn table(rng: &mut Rng, rows: usize) -> Table {
         ("y", Interval),
         ("n", Int),
         ("m", Unknown),
+        ("f", Float),
     ];
     let schema = Schema::new(columns.iter().map(|(n, ty)| Column::new(*n, ty.clone())).collect());
     let rows = (0..rows as i64)
@@ -87,6 +89,7 @@ fn table(rng: &mut Rng, rows: usize) -> Table {
                     2 => Value::Timestamp(BASE + r.below(3) as i64 * HOUR),
                     _ => Value::Interval(r.below(3) as i64 * HOUR),
                 }),
+                maybe(rng, |r| Value::Float(r.pick(&[-0.0, 0.0, 0.5, 1.0, 2.0, 2.5]))),
             ]
         })
         .collect();
@@ -139,8 +142,9 @@ const COMPARISONS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
 /// own (an executor may evaluate expressions of a row in another order,
 /// so which of two overflows it meets first is not part of the answer);
 /// joins on a lone key of each kind, on mismatched kinds and on a key
-/// with a timestamp among its columns; grouping, sorting, DISTINCT and
-/// `min` / `max`; and a recursion that steps a timestamp through a join.
+/// with a timestamp among its columns; grouping, sorting, DISTINCT, the
+/// set operations and `min` / `max`; and a recursion that steps a
+/// timestamp through a join.
 fn queries() -> Vec<(String, bool)> {
     let ts = "timestamp '2017-07-02 02:00'";
     let iv = "interval '2 hours'";
@@ -190,6 +194,9 @@ fn queries() -> Vec<(String, bool)> {
         "t.a = u.m",
         "t.x = u.m",
         "t.m = u.m",
+        "t.f = u.f",
+        "t.n = u.f",
+        "t.f = u.m",
         "t.a = u.a AND t.n = u.n",
         "t.x = u.y AND t.a = u.b",
     ] {
@@ -207,15 +214,18 @@ fn queries() -> Vec<(String, bool)> {
         add(format!("SELECT {agg} FROM t"));
         add(format!("SELECT n, {agg} FROM t GROUP BY n"));
     }
-    for group in ["a", "x", "m", "a, x", "ROLLUP (a, n)"] {
+    for group in ["a", "x", "m", "f", "a, x", "ROLLUP (a, n)"] {
         add(format!("SELECT count(*), min(b), max(y) FROM t GROUP BY {group}"));
     }
     add("SELECT a, x, count(*) FROM t GROUP BY a, x".into());
-    for cols in ["a", "x", "a, x", "m", "a, n"] {
+    for cols in ["a", "x", "a, x", "m", "f", "a, n"] {
         add(format!("SELECT DISTINCT {cols} FROM t"));
     }
-    add("SELECT a FROM t UNION SELECT b FROM u".into());
-    add("SELECT x FROM t UNION SELECT a FROM u".into());
+    for op in ["UNION", "INTERSECT", "INTERSECT ALL", "EXCEPT", "EXCEPT ALL"] {
+        for (l, r) in [("a", "b"), ("x", "a"), ("f", "n"), ("m", "f")] {
+            add(format!("SELECT {l} FROM t {op} SELECT {r} FROM u"));
+        }
+    }
     for order in ["a, id", "x DESC, id", "b DESC, a, id", "m, id"] {
         out.push((format!("SELECT id, a, x FROM t ORDER BY {order}"), true));
         out.push((format!("SELECT id, a FROM t ORDER BY {order} LIMIT 3"), true));
