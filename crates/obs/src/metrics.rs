@@ -107,25 +107,13 @@ impl MetricsRegistry {
 
     /// Record one statement execution under its canonical shape.
     pub fn record_statement(&self, shape: &str, nanos: u64, rows: u64, errored: bool) {
-        self.record_statement_plan(shape, nanos, rows, errored, None);
+        self.record_statement_exec(shape, nanos, rows, errored, None, None);
     }
 
     /// Record one statement execution, noting the optimized-plan
-    /// fingerprint when the planned executor ran it.
-    pub fn record_statement_plan(
-        &self,
-        shape: &str,
-        nanos: u64,
-        rows: u64,
-        errored: bool,
-        plan: Option<u64>,
-    ) {
-        self.record_statement_exec(shape, nanos, rows, errored, plan, None);
-    }
-
-    /// Record one statement execution including its plan-cache outcome
-    /// (`Some(true)` = hit, `Some(false)` = planned fresh, `None` = not
-    /// cache-eligible).
+    /// fingerprint when the planned executor ran it and its plan-cache
+    /// outcome (`Some(true)` = hit, `Some(false)` = planned fresh, `None`
+    /// = not cache-eligible).
     pub fn record_statement_exec(
         &self,
         shape: &str,

@@ -107,6 +107,12 @@ impl<'a> Env<'a> {
         }
         e
     }
+
+    /// The scopes of the chain `env`, innermost first: what a block under
+    /// its rows binds names against.
+    pub fn scopes<'s>(env: Option<&'s Env<'s>>) -> Vec<&'s Scope> {
+        std::iter::successors(env, |e| e.parent).map(|e| e.scope).collect()
+    }
 }
 
 /// Everything evaluation needs besides the row: catalog and CTEs.
@@ -292,18 +298,11 @@ impl<'a> Binder<'a> {
         Binder { db, scopes: vec![scope] }
     }
 
-    /// Binder whose outer scopes mirror an environment chain.
-    pub fn with_outer(
-        db: &'a Database,
-        scope: &'a Scope,
-        outer: Option<&'a Env<'a>>,
-    ) -> Binder<'a> {
+    /// Binder under the scopes `outer` of the enclosing blocks, innermost
+    /// first.
+    pub fn with_outer(db: &'a Database, scope: &'a Scope, outer: &[&'a Scope]) -> Binder<'a> {
         let mut scopes = vec![scope];
-        let mut cur = outer;
-        while let Some(e) = cur {
-            scopes.push(e.scope);
-            cur = e.parent;
-        }
+        scopes.extend_from_slice(outer);
         Binder { db, scopes }
     }
 
@@ -870,7 +869,7 @@ mod tests {
             Scope::new(vec![ScopeCol { qualifier: None, name: "b".into(), ty: DataType::Int }]);
         let outer_row = vec![Value::Int(42)];
         let outer_env = Env { scope: &outer_scope, row: &outer_row, parent: None };
-        let binder = Binder::with_outer(&db, &inner, Some(&outer_env));
+        let binder = Binder::with_outer(&db, &inner, &[&outer_scope]);
         let bound = binder.bind(&parse_expr("a + b").unwrap()).unwrap();
         let ctes = Ctes::new();
         let ctx = EvalCtx { db: &db, ctes: &ctes };

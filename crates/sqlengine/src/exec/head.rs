@@ -5,6 +5,8 @@
 //! - [`SelectHead::analyze`] binds the head of a block — select list,
 //!   GROUP BY, aggregates, HAVING, ORDER BY — against its FROM scope and
 //!   fixes the output names and static types;
+//! - [`query_schema`] gives any query's output names and types under an
+//!   outer scope chain without running it;
 //! - [`limit_offset`] evaluates the LIMIT/OFFSET constants.
 //!
 //! The planner (`plan::build`) and the reference interpreter
@@ -17,9 +19,14 @@ use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
 use crate::exec::funcs;
+use crate::exec::select::{
+    apply_alias_columns, bind_order_expr, query_references, recursive_parts, rename_columns,
+    unify_schemas, using_pairs,
+};
 use crate::plan::StoredTable;
-use crate::table::{Table, TableRef};
+use crate::table::{Column, Schema, Table};
 use crate::types::DataType;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -28,7 +35,7 @@ use std::sync::Arc;
 
 /// What a relation name in a FROM clause denotes.
 pub(crate) enum Relation<'a> {
-    Cte(&'a TableRef),
+    Cte(&'a Arc<Table>),
     View(&'a Arc<Query>),
     /// A catalog table, as stored (rows, columnar image, statistics).
     Table(&'a StoredTable),
@@ -119,12 +126,11 @@ pub(crate) struct SelectHead {
     pub(crate) proj_bound: Vec<BoundExpr>,
     pub(crate) having_bound: Option<BoundExpr>,
     pub(crate) order_bound: Vec<BoundExpr>,
-    /// Output column names, and the type each column has when every
-    /// value in it is NULL (a direct column reference or an explicit
-    /// cast) — decision columns stay typed through this, and
-    /// integrality of solver variables depends on it.
-    pub(crate) names: Vec<String>,
-    pub(crate) static_types: Vec<DataType>,
+    /// The static output schema: column names, and the type each column
+    /// has when every value in it is NULL (a direct column reference, an
+    /// explicit cast or a non-NULL literal) — decision columns stay typed
+    /// through this, and integrality of solver variables depends on it.
+    pub(crate) schema: Schema,
 }
 
 impl SelectHead {
@@ -135,7 +141,7 @@ impl SelectHead {
         sel: &Select,
         order_by: &[OrderItem],
         input: &Scope,
-        outer: Option<&Env<'_>>,
+        outer: &[&Scope],
     ) -> Result<SelectHead> {
         let proj = expand_projection(sel, input)?;
         let group_by = resolve_group_by(&sel.group_by, &proj, input)?;
@@ -222,12 +228,11 @@ impl SelectHead {
             })
             .collect::<Result<_>>()?;
 
-        let names = proj
-            .iter()
-            .enumerate()
-            .map(|(i, (n, _))| n.clone().unwrap_or_else(|| format!("column{}", i + 1)))
-            .collect();
-        let static_types = proj_bound.iter().map(|b| static_type(b, out_scope)).collect();
+        let columns = proj.iter().zip(&proj_bound).enumerate().map(|(i, ((name, _), b))| {
+            let name = name.clone().unwrap_or_else(|| format!("column{}", i + 1));
+            Column::new(name, static_type(b, out_scope))
+        });
+        let schema = Schema::new(columns.collect());
         let sets = match &sel.grouping_sets {
             Some(s) => s.clone(),
             None => vec![(0..group_by.len()).collect()],
@@ -243,8 +248,7 @@ impl SelectHead {
             proj_bound,
             having_bound,
             order_bound,
-            names,
-            static_types,
+            schema,
         })
     }
 
@@ -261,6 +265,119 @@ impl SelectHead {
             .chain(proj)
             .chain(order)
     }
+}
+
+/// The names and types of what `q` returns under the scopes `outer` of
+/// its enclosing blocks (innermost first), found without running it: the
+/// schema, on both executors, of a relation that may read an outer row.
+/// Every name binds as it will when `q` runs, so a name error is raised
+/// here; nothing is evaluated. A block has its head's static
+/// `schema`; a set operation unifies its arms' schemas, `VALUES`
+/// has columns `column{i}` typed by its first row, a `WITH` member is
+/// bound as an empty table of its schema (a recursive one of its
+/// anchor's), and a `SOLVESELECT` returns its input relation.
+pub(crate) fn query_schema(
+    db: &Database,
+    ctes: &Ctes,
+    q: &Query,
+    outer: &[&Scope],
+) -> Result<Schema> {
+    fn body(
+        db: &Database,
+        ctes: &Ctes,
+        set: &SetExpr,
+        order_by: &[OrderItem],
+        outer: &[&Scope],
+    ) -> Result<Schema> {
+        match set {
+            SetExpr::Select(sel) => {
+                let mut input = Scope::default();
+                for t in &sel.from {
+                    input = input.join(&item(db, ctes, t, &input, outer)?);
+                }
+                if let Some(w) = &sel.where_ {
+                    Binder::with_outer(db, &input, outer).bind(w)?;
+                }
+                Ok(SelectHead::analyze(db, sel, order_by, &input, outer)?.schema)
+            }
+            SetExpr::Query(q) => query_schema(db, ctes, q, outer),
+            SetExpr::Solve(stmt) => query_schema(db, ctes, &stmt.input.query, &[]),
+            SetExpr::SetOp { left, right, .. } => unify_schemas(
+                &body(db, ctes, left, &[], outer)?,
+                &body(db, ctes, right, &[], outer)?,
+            ),
+            SetExpr::Values(rows) => {
+                let none = Scope::default();
+                let binder = Binder::with_outer(db, &none, outer);
+                let bound: Vec<_> =
+                    rows.iter().flatten().map(|e| binder.bind(e)).collect::<Result<_>>()?;
+                let first = bound.iter().take(rows.first().map_or(0, Vec::len));
+                let column =
+                    |(i, b)| Column::new(format!("column{}", i + 1), static_type(b, &none));
+                Ok(Schema::new(first.enumerate().map(column).collect()))
+            }
+        }
+    }
+
+    /// The scope of the FROM item `t`; a LATERAL subquery in it reads
+    /// `on_left`, the scope of what it is joined to.
+    fn item(
+        db: &Database,
+        ctes: &Ctes,
+        t: &TableRef,
+        on_left: &Scope,
+        outer: &[&Scope],
+    ) -> Result<Scope> {
+        let (qualifier, alias, schema) = match t {
+            TableRef::Named { name, alias } => {
+                let schema = match resolve_relation(db, ctes, name)? {
+                    Relation::Cte(t) => t.schema.clone(),
+                    Relation::View(vq) => query_schema(db, ctes, vq, outer)?,
+                    Relation::Table(t) => t.table().schema.clone(),
+                    Relation::Virtual(t) => t.schema,
+                };
+                (Some(alias.as_ref().map_or(name, |a| &a.name)), alias, schema)
+            }
+            TableRef::Subquery { query, lateral, alias } => {
+                let lateral = lateral.then_some(on_left);
+                let under: Vec<&Scope> = lateral.into_iter().chain(outer.iter().copied()).collect();
+                (alias.as_ref().map(|a| &a.name), alias, query_schema(db, ctes, query, &under)?)
+            }
+            TableRef::Join { left, right, constraint, .. } => {
+                let l = item(db, ctes, left, &Scope::default(), outer)?;
+                let r = item(db, ctes, right, &l, outer)?;
+                let both = l.join(&r);
+                match constraint {
+                    JoinConstraint::On(e) => _ = Binder::with_outer(db, &both, outer).bind(e)?,
+                    JoinConstraint::Using(cols) => _ = using_pairs(cols, &l, &r)?,
+                    JoinConstraint::None => {}
+                }
+                return Ok(both);
+            }
+        };
+        let mut scope = Scope::from_schema(qualifier.map(String::as_str), &schema);
+        apply_alias_columns(&mut scope, alias.as_ref())?;
+        Ok(scope)
+    }
+
+    let mut bound = Cow::Borrowed(ctes);
+    for cte in &q.with {
+        let mut member = Table::new(if q.recursive && query_references(&cte.query, &cte.name) {
+            body(db, &bound, recursive_parts(cte)?.1, &[], outer)?
+        } else {
+            query_schema(db, &bound, &cte.query, outer)?
+        });
+        rename_columns(&mut member, &cte.columns)?;
+        bound.to_mut().insert(&cte.name, Arc::new(member));
+    }
+    let schema = body(db, &bound, &q.body, &q.order_by, outer)?;
+    if !matches!(q.body, SetExpr::Select(_)) {
+        let scope = Scope::from_schema(None, &schema);
+        for o in &q.order_by {
+            bind_order_expr(db, &o.expr, &scope, &schema)?;
+        }
+    }
+    Ok(schema)
 }
 
 /// `e` as an aggregate call, when it is one.

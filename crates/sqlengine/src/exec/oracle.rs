@@ -21,12 +21,12 @@ use crate::ast::*;
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
-use crate::exec::head::{resolve_relation, Relation, SelectHead};
+use crate::exec::head::{query_schema, resolve_relation, Relation, SelectHead};
 use crate::exec::select::{
     apply_alias_columns, apply_limit_offset, run_query, sort_keyed, try_equi_keys, using_condition,
     using_pairs, AggState,
 };
-use crate::table::{Column as TColumn, Row, Schema, Table};
+use crate::table::{Row, Table};
 use crate::types::{GroupKey, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -45,19 +45,43 @@ fn scan_named(
     alias: Option<&TableAlias>,
     outer: Option<&Env<'_>>,
 ) -> Result<Rel> {
+    let qualifier = Some(alias.map_or(name, |a| a.name.as_str()));
     let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
         Relation::Cte(t) => Cow::Borrowed(t.as_ref()),
         Relation::Table(t) => Cow::Borrowed(t.table().as_ref()),
-        Relation::View(vq) => Cow::Owned(run_query(db, ctes, vq, outer)?),
+        Relation::View(vq) => return derived(db, ctes, vq, qualifier, alias, outer),
         Relation::Virtual(t) => Cow::Owned(t),
     };
-    let mut scope = Scope::from_schema(Some(alias.map_or(name, |a| a.name.as_str())), &t.schema);
+    let mut scope = Scope::from_schema(qualifier, &t.schema);
     apply_alias_columns(&mut scope, alias)?;
     let rows = match t {
         Cow::Borrowed(t) => t.rows.clone(),
         Cow::Owned(t) => t.rows,
     };
     Ok(Rel { scope, rows })
+}
+
+/// A view or FROM subquery, run. Under an outer scope with a column it
+/// may read, its scope is [`query_schema`]'s, as on the planner; under
+/// none, its run's.
+fn derived(
+    db: &Database,
+    ctes: &Ctes,
+    query: &Query,
+    qualifier: Option<&str>,
+    alias: Option<&TableAlias>,
+    outer: Option<&Env<'_>>,
+) -> Result<Rel> {
+    let scopes = Env::scopes(outer);
+    let fixed = if scopes.iter().any(|scope| !scope.cols.is_empty()) {
+        Some(query_schema(db, ctes, query, &scopes)?)
+    } else {
+        None
+    };
+    let t = run_query(db, ctes, query, outer)?;
+    let mut scope = Scope::from_schema(qualifier, fixed.as_ref().unwrap_or(&t.schema));
+    apply_alias_columns(&mut scope, alias)?;
+    Ok(Rel { scope, rows: t.rows })
 }
 
 /// Evaluate one table primary. For LATERAL subqueries `left` provides the
@@ -72,11 +96,8 @@ fn eval_table_primary(
     match tref {
         TableRef::Named { name, alias } => scan_named(db, ctes, name, alias.as_ref(), outer),
         TableRef::Subquery { query, lateral: _, alias } => {
-            let t = run_query(db, ctes, query, outer)?;
             let qualifier = alias.as_ref().map(|a| a.name.as_str());
-            let mut scope = Scope::from_schema(qualifier, &t.schema);
-            apply_alias_columns(&mut scope, alias.as_ref())?;
-            Ok(Rel { scope, rows: t.rows })
+            derived(db, ctes, query, qualifier, alias.as_ref(), outer)
         }
         TableRef::Join { .. } => eval_join(db, ctes, tref, outer),
     }
@@ -100,7 +121,9 @@ fn eval_join(db: &Database, ctes: &Ctes, tref: &TableRef, outer: Option<&Env<'_>
 }
 
 /// `l [LEFT] JOIN LATERAL right` (and the comma form, a cross join):
-/// the subquery `right` evaluated per row of `l`.
+/// the subquery `right` evaluated per row of `l`, under the scope
+/// [`query_schema`] gives it with `l`'s scope innermost, whether or not
+/// `l` has a row.
 fn lateral_join(
     db: &Database,
     ctes: &Ctes,
@@ -114,41 +137,20 @@ fn lateral_join(
         return Err(Error::unsupported("RIGHT/FULL JOIN LATERAL"));
     }
     let TableRef::Subquery { query, alias, .. } = right else { unreachable!() };
-    let qualifier = alias.as_ref().map(|a| a.name.as_str());
-    let mut right_scope: Option<Scope> = None;
-    let mut out_rows: Vec<Row> = Vec::new();
-    let mut pending: Vec<(Row, Vec<Row>)> = Vec::new();
-    for lrow in &l.rows {
-        let env = Env { scope: &l.scope, row: lrow, parent: outer };
-        let t = run_query(db, ctes, query, Some(&env))?;
-        if right_scope.is_none() {
-            let mut s = Scope::from_schema(qualifier, &t.schema);
-            apply_alias_columns(&mut s, alias.as_ref())?;
-            right_scope = Some(s);
-        }
-        pending.push((lrow.clone(), t.rows));
-    }
-    let right_scope = match right_scope {
-        Some(s) => s,
-        None => {
-            // No left rows: derive the scope by running the subquery
-            // against an all-NULL left row so the schema is known.
-            let null_row: Row = vec![Value::Null; l.scope.cols.len()];
-            let env = Env { scope: &l.scope, row: &null_row, parent: outer };
-            let t = run_query(db, ctes, query, Some(&env))?;
-            let mut s = Scope::from_schema(qualifier, &t.schema);
-            apply_alias_columns(&mut s, alias.as_ref())?;
-            s
-        }
-    };
+    let under: Vec<&Scope> = std::iter::once(&l.scope).chain(Env::scopes(outer)).collect();
+    let schema = query_schema(db, ctes, query, &under)?;
+    let mut right_scope = Scope::from_schema(alias.as_ref().map(|a| a.name.as_str()), &schema);
+    apply_alias_columns(&mut right_scope, alias.as_ref())?;
     let combined = l.scope.join(&right_scope);
     let cond = bind_join_condition(db, constraint, &l.scope, &right_scope, &combined, outer)?;
     let ctx = EvalCtx { db, ctes };
-    for (lrow, rrows) in pending {
+    let mut out_rows: Vec<Row> = Vec::new();
+    for lrow in &l.rows {
+        let env = Env { scope: &l.scope, row: lrow, parent: outer };
         let mut matched = false;
-        for rrow in &rrows {
+        for rrow in run_query(db, ctes, query, Some(&env))?.rows {
             let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
+            row.extend(rrow);
             if eval_condition(&cond, &ctx, &combined, &row, outer)? {
                 matched = true;
                 out_rows.push(row);
@@ -179,7 +181,7 @@ fn bind_join_condition(
     match constraint {
         JoinConstraint::None => Ok(JoinCond::None),
         JoinConstraint::On(e) => {
-            let binder = Binder::with_outer(db, combined, outer);
+            let binder = Binder::with_outer(db, combined, &Env::scopes(outer));
             Ok(JoinCond::Expr(binder.bind(e)?))
         }
         // Only a LATERAL join gets here with USING; a plain one takes the
@@ -403,11 +405,12 @@ pub(super) fn run_select(
 ) -> Result<Table> {
     let ctx = EvalCtx { db, ctes };
     let input = eval_from(db, ctes, &sel.from, outer)?;
+    let scopes = Env::scopes(outer);
 
     // WHERE.
     let mut rows = input.rows;
     if let Some(w) = &sel.where_ {
-        let binder = Binder::with_outer(db, &input.scope, outer);
+        let binder = Binder::with_outer(db, &input.scope, &scopes);
         let bound = binder.bind(w)?;
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
@@ -419,7 +422,7 @@ pub(super) fn run_select(
         rows = kept;
     }
 
-    let head = SelectHead::analyze(db, sel, order_by, &input.scope, outer)?;
+    let head = SelectHead::analyze(db, sel, order_by, &input.scope, &scopes)?;
     let (out_scope, out_rows) = match &head.agg_scope {
         Some(agg_scope) => (agg_scope, aggregate_rows(&ctx, &head, &input.scope, &rows, outer)?),
         None => (&input.scope, rows),
@@ -454,16 +457,10 @@ pub(super) fn run_select(
         sort_keyed(&mut produced, order_by);
     }
 
-    // Output schema: each column's type from its first non-NULL value,
-    // else the statically known one.
-    let columns = head.names.into_iter().zip(head.static_types).enumerate().map(|(i, (n, st))| {
-        let seen = produced.iter().find(|(_, row)| !row[i].is_null());
-        TColumn::new(n, seen.map_or(st, |(_, row)| row[i].data_type()))
-    });
-    let schema = Schema::new(columns.collect());
-    let mut table = Table::with_rows(schema, produced.into_iter().map(|(_, r)| r).collect());
+    // The result is typed by the rows LIMIT / OFFSET keep, as planned.
+    let mut table = Table::with_rows(head.schema, produced.into_iter().map(|(_, r)| r).collect());
     apply_limit_offset(db, ctes, &mut table, limit, offset)?;
-    Ok(table)
+    Ok(Table { schema: table.schema.typed_by(&table.rows), rows: table.rows })
 }
 
 /// Group `rows` (the filtered FROM output) and fold the aggregates: one

@@ -221,7 +221,7 @@ pub fn explain_query_plan(db: &Database, ctes: &Ctes, q: &Query) -> Result<Vec<S
     let env_ctes = with_ctes(db, ctes, q, None, Some(&mut lines), None)?;
     match &q.body {
         SetExpr::Select(sel) => {
-            let plan = plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset, None)?;
+            let plan = plan_select(db, &env_ctes, sel, &q.order_by, &q.limit, &q.offset, &[])?;
             lines.extend(plan.explain_lines());
         }
         body => {
@@ -259,9 +259,7 @@ fn explain_arms(
             explain_arms(db, ctes, left, &inner, lines)?;
             return explain_arms(db, ctes, right, &inner, lines);
         }
-        SetExpr::Select(sel) => {
-            plan_select(db, ctes, sel, &[], &None, &None, None)?.explain_lines()
-        }
+        SetExpr::Select(sel) => plan_select(db, ctes, sel, &[], &None, &None, &[])?.explain_lines(),
         SetExpr::Query(q) => explain_query_plan(db, ctes, q)?,
         SetExpr::Values(_) => vec!["VALUES".to_string()],
         SetExpr::Solve(_) => vec!["solver (SOLVESELECT)".to_string()],
@@ -271,7 +269,7 @@ fn explain_arms(
     Ok(())
 }
 
-fn bind_order_expr(
+pub(crate) fn bind_order_expr(
     db: &Database,
     expr: &Expr,
     scope: &Scope,
@@ -340,7 +338,7 @@ pub(super) fn apply_limit_offset(
     Ok(())
 }
 
-fn rename_columns(t: &mut Table, names: &[String]) -> Result<()> {
+pub(crate) fn rename_columns(t: &mut Table, names: &[String]) -> Result<()> {
     if names.is_empty() {
         return Ok(());
     }
@@ -369,6 +367,17 @@ pub fn query_references(q: &Query, name: &str) -> bool {
     found
 }
 
+/// The `UNION ALL` flag, the anchor and the recursive term of a recursive
+/// `WITH` member.
+pub(crate) fn recursive_parts(cte: &Cte) -> Result<(bool, &SetExpr, &SetExpr)> {
+    let SetExpr::SetOp { op: SetOp::Union, all, left, right } = &cte.query.body else {
+        return Err(Error::unsupported(
+            "recursive CTE must have the form <anchor> UNION [ALL] <recursive term>",
+        ));
+    };
+    Ok((*all, left, right))
+}
+
 /// Execute a recursive CTE per the SQL standard's iterate-to-fixpoint
 /// semantics. A recursive term that is one `SELECT` block is planned
 /// once; every step executes that plan on what the step before it
@@ -387,11 +396,7 @@ fn run_recursive_cte(
     cte: &Cte,
     outer: Option<&Env<'_>>,
 ) -> Result<(Table, String)> {
-    let SetExpr::SetOp { op: SetOp::Union, all, left, right } = &cte.query.body else {
-        return Err(Error::unsupported(
-            "recursive CTE must have the form <anchor> UNION [ALL] <recursive term>",
-        ));
-    };
+    let (all, left, right) = recursive_parts(cte)?;
     let mut result = run_set_expr(db, ctes, left, outer)?;
     rename_columns(&mut result, &cte.columns)?;
     let schema = result.schema.clone();
@@ -408,7 +413,7 @@ fn run_recursive_cte(
     let mut step_ctes = ctes.with(&cte.name, working_table(result.rows.clone()));
     // The term's plan, against the first binding of its working table —
     // or why the term is a query of its own in every step.
-    let plan = match &**right {
+    let plan = match right {
         _ if force_row_interpreter() => Err("row interpreter forced"),
         SetExpr::Select(sel) => {
             let (plan, _) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
@@ -470,7 +475,7 @@ fn run_recursive_cte(
                 };
                 let added = match on_one_row {
                     Some(new) => {
-                        let new = new.filter(|row| *all || seen.is_new(row.as_slice()));
+                        let new = new.filter(|row| all || seen.is_new(row.as_slice()));
                         tail = usize::from(new.is_some());
                         result.rows.extend(new);
                         tail
@@ -523,7 +528,7 @@ fn run_recursive_cte(
             let rec_q = Query {
                 with: vec![],
                 recursive: false,
-                body: (**right).clone(),
+                body: right.clone(),
                 order_by: vec![],
                 limit: None,
                 offset: None,
@@ -575,13 +580,6 @@ fn run_set_expr(
         SetExpr::SetOp { op, all, left, right } => {
             let l = run_set_expr(db, ctes, left, outer)?;
             let r = run_set_expr(db, ctes, right, outer)?;
-            if l.num_columns() != r.num_columns() {
-                return Err(Error::eval(format!(
-                    "set operation column mismatch: {} vs {}",
-                    l.num_columns(),
-                    r.num_columns()
-                )));
-            }
             let schema = unify_schemas(&l.schema, &r.schema)?;
             Ok(Table::with_rows(schema, set_rows(*op, *all, l.rows, r.rows)))
         }
@@ -631,7 +629,15 @@ fn set_rows(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -> Vec<Ro
         .collect()
 }
 
-fn unify_schemas(l: &Schema, r: &Schema) -> Result<Schema> {
+/// The schema of a set operation over arms of schemas `l` and `r`.
+pub(crate) fn unify_schemas(l: &Schema, r: &Schema) -> Result<Schema> {
+    if l.len() != r.len() {
+        return Err(Error::eval(format!(
+            "set operation column mismatch: {} vs {}",
+            l.len(),
+            r.len()
+        )));
+    }
     let mut cols = Vec::with_capacity(l.len());
     for (a, b) in l.columns.iter().zip(&r.columns) {
         cols.push(TColumn::new(a.name.clone(), a.ty.unify(&b.ty)?));
@@ -648,24 +654,15 @@ fn run_values(
     let ncols = rows.first().map(|r| r.len()).unwrap_or(0);
     let scope = Scope::default();
     let ctx = EvalCtx { db, ctes };
+    let scopes = Env::scopes(outer);
+    let binder = Binder::with_outer(db, &scope, &scopes);
+    let env = Env { scope: &scope, row: &[], parent: outer };
     let mut out_rows = Vec::with_capacity(rows.len());
     for row in rows {
         if row.len() != ncols {
             return Err(Error::eval("VALUES rows must all have the same arity"));
         }
-        let binder = match outer {
-            Some(o) => Binder::with_outer(db, &scope, Some(o)),
-            None => Binder::new(db, &scope),
-        };
-        let mut vals = Vec::with_capacity(row.len());
-        for e in row {
-            let b = binder.bind(e)?;
-            let env = match outer {
-                Some(o) => Env { scope: &scope, row: &[], parent: Some(o) },
-                None => Env::empty(),
-            };
-            vals.push(b.eval(&ctx, &env)?);
-        }
+        let vals = row.iter().map(|e| binder.bind(e)?.eval(&ctx, &env)).collect::<Result<_>>()?;
         out_rows.push(vals);
     }
     let names: Vec<String> = (1..=ncols).map(|i| format!("column{i}")).collect();

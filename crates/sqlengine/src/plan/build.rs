@@ -7,12 +7,13 @@
 //! second executor to hand a block to.
 //!
 //! - *The outer chain.* A block under an enclosing block's row is planned
-//!   with that row chain as `outer`: names resolve through it, and a
-//!   column found there compiles to a per-execution constant
-//!   ([`VecExpr::Outer`]), so `b.id = a.id` under a row of `a` is pushed
-//!   onto `b`'s scan like `b.id = 7`. A view or FROM subquery of such a
-//!   block may read the row too; it is scanned as [`ScanSource::Derived`]
-//!   — run again by every execution — instead of being captured.
+//!   under the scopes of that row chain as `outer`, and no row: names
+//!   resolve through them, and a column found there compiles to a
+//!   per-execution constant ([`VecExpr::Outer`]), so `b.id = a.id` under a
+//!   row of `a` is pushed onto `b`'s scan like `b.id = 7`. A view or FROM
+//!   subquery of such a block may read the row too; it is scanned as
+//!   [`ScanSource::Derived`] — run by every execution, never while
+//!   planning, with [`query_schema`]'s schema — instead of being captured.
 //! - *No FROM* is a scan of [`ScanSource::OneRow`].
 //! - *`USING (c, …)`* is the hash join on the two sides' columns of those
 //!   names (both columns stay in the output).
@@ -57,18 +58,20 @@ use crate::ast::{
 };
 use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
-use crate::exec::eval::{Binder, BoundExpr, Env, Scope, ScopeCol};
-use crate::exec::head::{limit_offset, resolve_relation, AggCall, Relation, SelectHead};
+use crate::exec::eval::{Binder, BoundExpr, Scope, ScopeCol};
+use crate::exec::head::{
+    limit_offset, query_schema, resolve_relation, AggCall, Relation, SelectHead,
+};
 use crate::exec::select::{
     apply_alias_columns, run_query, try_equi_keys, using_condition, using_pairs,
 };
 use crate::table::Schema;
-use crate::types::{DataType, Value};
+use crate::types::DataType;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Compile a `SELECT` block, under the rows `outer` of its enclosing
-/// blocks, into an optimized plan.
+/// Compile a `SELECT` block, under the scopes `outer` of its enclosing
+/// blocks (innermost first), into an optimized plan.
 pub fn plan_select(
     db: &Database,
     ctes: &Ctes,
@@ -76,7 +79,7 @@ pub fn plan_select(
     order_by: &[OrderItem],
     limit: &Option<Expr>,
     offset: &Option<Expr>,
-    outer: Option<&Env<'_>>,
+    outer: &[&Scope],
 ) -> Result<PlannedQuery> {
     let mut from = FromBuilder { db, ctes, outer, captured: Captured::default() };
 
@@ -566,12 +569,8 @@ pub fn plan_select(
     }
 
     // Project (visible columns + ORDER BY keys).
-    let (names, static_types, visible) = (head.names, head.static_types, head.proj.len());
-    let mut out_cols: Vec<ScopeCol> = names
-        .iter()
-        .zip(static_types.iter())
-        .map(|(n, t)| ScopeCol { qualifier: None, name: n.clone(), ty: t.clone() })
-        .collect();
+    let visible = head.proj.len();
+    let mut out_cols = Scope::from_schema(None, &head.schema).cols;
     for i in 0..head.order_bound.len() {
         out_cols.push(ScopeCol {
             qualifier: None,
@@ -621,7 +620,7 @@ pub fn plan_select(
     }
 
     db.count_plan_built();
-    Ok(PlannedQuery::new(input, names, static_types, captured.reads, captured.solve))
+    Ok(PlannedQuery::new(input, head.schema, captured.reads, captured.solve))
 }
 
 /// A planner invariant failed: a bug here, reported as the statement's
@@ -732,7 +731,7 @@ pub fn relation_reads(db: &Database, q: &Query) -> BTreeSet<String> {
 struct FromBuilder<'a> {
     db: &'a Database,
     ctes: &'a Ctes,
-    outer: Option<&'a Env<'a>>,
+    outer: &'a [&'a Scope],
     captured: Captured,
 }
 
@@ -765,23 +764,24 @@ impl FromBuilder<'_> {
         }
     }
 
-    /// The relation a view or FROM subquery denotes. With no outer row it
-    /// could read, the query is run here and its result captured in the
-    /// plan (what it read goes to `captured`); under one it is run here
-    /// for its schema and statistics, and again by every execution
-    /// (`shared` makes the handle the plan keeps for that).
+    /// The relation a view or FROM subquery denotes. With no outer
+    /// column it could read, the query is run here and its result
+    /// captured in the plan (what it read goes to `captured`). Under one
+    /// it is run by every execution (`shared` makes the handle the plan
+    /// keeps for that) and nothing runs here: its schema is
+    /// [`query_schema`]'s, and it is estimated at one row.
     fn derived(
         &mut self,
         query: &Query,
         shared: impl FnOnce() -> Arc<Query>,
     ) -> Result<(ScanSource, Arc<TableStats>, Schema)> {
-        let t = run_query(self.db, self.ctes, query, self.outer)?;
-        let schema = t.schema.clone();
-        let mut chain = std::iter::successors(self.outer, |env| env.parent);
-        if chain.any(|env| !env.scope.cols.is_empty()) {
-            let source = ScanSource::Derived { query: shared() };
-            return Ok((source, Arc::new(TableStats::collect(&t)), schema));
+        if self.outer.iter().any(|scope| !scope.cols.is_empty()) {
+            let schema = query_schema(self.db, self.ctes, query, self.outer)?;
+            let stats = TableStats { row_count: 1, distinct: Vec::new() };
+            return Ok((ScanSource::Derived { query: shared() }, Arc::new(stats), schema));
         }
+        let t = run_query(self.db, self.ctes, query, None)?;
+        let schema = t.schema.clone();
         self.captured.node(self.db, Node::Query(query));
         let stored = StoredTable::new(Arc::new(t));
         let stats = stored.stats();
@@ -909,9 +909,10 @@ impl FromBuilder<'_> {
 
     /// `left [LEFT] JOIN LATERAL (query) alias <constraint>`, and the
     /// comma form: the dependent join of `left` with `query`, planned once
-    /// with `left`'s scope as its outer scope. Planning reads no value of
-    /// the outer row — except to run a derived relation for its schema,
-    /// so the row it is planned under is all NULL.
+    /// with `left`'s scope as its innermost outer scope. The right side's
+    /// names and types are the plan's, which are [`query_schema`]'s for
+    /// `query` under that chain: a body that is not one `SELECT` is
+    /// planned as a derived relation.
     fn apply(
         &mut self,
         left: PlanNode,
@@ -923,10 +924,10 @@ impl FromBuilder<'_> {
         if matches!(kind, JoinKind::Right | JoinKind::Full) {
             return Err(Error::unsupported("RIGHT/FULL JOIN LATERAL"));
         }
-        let nulls = vec![Value::Null; left.scope().cols.len()];
-        let under = Env { scope: left.scope(), row: &nulls, parent: self.outer };
+        let under: Vec<&Scope> =
+            std::iter::once(left.scope()).chain(self.outer.iter().copied()).collect();
         let plan = |sel: &Select, order_by: &[OrderItem], limit, offset| {
-            plan_select(self.db, self.ctes, sel, order_by, limit, offset, Some(&under))
+            plan_select(self.db, self.ctes, sel, order_by, limit, offset, &under)
         };
         let right = match &query.body {
             SetExpr::Select(sel) if query.with.is_empty() => {
@@ -947,14 +948,7 @@ impl FromBuilder<'_> {
         self.captured.reads.extend(right.captured_reads.iter().cloned());
         self.captured.solve |= right.captured_solve;
 
-        let qualifier = alias.map(|a| a.name.clone());
-        let column = |(name, ty): (&String, &DataType)| ScopeCol {
-            qualifier: qualifier.clone(),
-            name: name.clone(),
-            ty: ty.clone(),
-        };
-        let mut right_scope =
-            Scope::new(right.names.iter().zip(&right.static_types).map(column).collect());
+        let mut right_scope = Scope::from_schema(alias.map(|a| a.name.as_str()), &right.schema);
         apply_alias_columns(&mut right_scope, alias)?;
         let scope = left.scope().join(&right_scope);
         let (cond, desc) = match constraint {

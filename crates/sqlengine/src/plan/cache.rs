@@ -228,7 +228,8 @@ impl Database {
                 return Ok((planned, Some(true)));
             }
         }
-        let planned = Arc::new(plan_select(self, ctes, sel, order_by, limit, offset, outer)?);
+        let scopes = Env::scopes(outer);
+        let planned = Arc::new(plan_select(self, ctes, sel, order_by, limit, offset, &scopes)?);
         let stale = |name: &String| ctes.get(name).is_some() || self.serves_virtual(name);
         if planned.captured_solve || planned.captured_reads.iter().any(stale) {
             return Ok((planned, None));

@@ -40,9 +40,9 @@ use crate::catalog::{Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{key_order, run_query, AggState};
-use crate::table::{Column as TColumn, Row, Schema, Table};
+use crate::table::{Row, Table};
 use crate::types::value::Word;
-use crate::types::{DataType, GroupKey, Value};
+use crate::types::{GroupKey, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -504,24 +504,7 @@ impl<'a> Runner<'a, '_> {
             s.rows(rows.len() as u64);
         }
 
-        // Output schema: infer each column's type from the first non-NULL
-        // value, falling back to the statically known type (same as the
-        // reference interpreter — solver variable typing depends on this).
-        let mut schema = Schema::new(
-            planned.names.iter().map(|n| TColumn::new(n.clone(), DataType::Unknown)).collect(),
-        );
-        for (i, col) in schema.columns.iter_mut().enumerate() {
-            for row in &rows {
-                if !row[i].is_null() {
-                    col.ty = row[i].data_type();
-                    break;
-                }
-            }
-            if col.ty == DataType::Unknown {
-                col.ty = planned.static_types[i].clone();
-            }
-        }
-        Ok(Table::with_rows(schema, rows))
+        Ok(Table::with_rows(planned.schema.clone().typed_by(&rows), rows))
     }
 
     fn run_node(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
@@ -1435,6 +1418,7 @@ mod tests {
     use super::*;
     use crate::ast::JoinKind;
     use crate::exec::eval::ScopeCol;
+    use crate::types::DataType;
 
     /// xorshift64*, so the corpus repeats.
     struct Rng(u64);

@@ -18,7 +18,6 @@ use crate::ast::{JoinKind, OrderItem, Query};
 use crate::catalog::Ctes;
 use crate::exec::eval::{BoundExpr, Scope};
 use crate::table::Schema;
-use crate::types::DataType;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -35,9 +34,10 @@ pub enum ScanSource {
     /// executor rejects a binding with any other schema.
     Slot { name: String, schema: Schema },
     /// A view or FROM subquery of a block that sits under an outer row:
-    /// it may read that row, so every execution runs it again (under the
+    /// it may read that row, so every execution runs it (under the
     /// execution's outer chain) instead of scanning rows captured when
-    /// the plan was built.
+    /// the plan was built. Planning does not run it: its scope is the
+    /// static `exec::head::query_schema`.
     Derived { query: Arc<Query> },
     /// The input of a `SELECT` without FROM: one row, no columns.
     OneRow,
@@ -448,11 +448,9 @@ fn fmt_est(v: f64) -> String {
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     pub root: PlanNode,
-    /// Output column names (the SELECT list).
-    pub names: Vec<String>,
-    /// Statically inferred output types, used when a column has no
-    /// non-NULL value to sniff a type from.
-    pub static_types: Vec<DataType>,
+    /// The static output schema (the SELECT list's names and static
+    /// types); a result column with no non-NULL value keeps its type.
+    pub schema: Schema,
     /// Number of visible output columns (ORDER BY keys beyond this are
     /// dropped from the final table).
     pub visible: usize,
@@ -474,24 +472,15 @@ pub struct PlannedQuery {
 impl PlannedQuery {
     pub(crate) fn new(
         root: PlanNode,
-        names: Vec<String>,
-        static_types: Vec<DataType>,
+        schema: Schema,
         captured_reads: BTreeSet<String>,
         captured_solve: bool,
     ) -> PlannedQuery {
         let mut s = String::new();
         root.structure_into(&mut s);
         let fingerprint = super::fnv1a(s.as_bytes());
-        let visible = names.len();
-        PlannedQuery {
-            root,
-            names,
-            static_types,
-            visible,
-            captured_reads,
-            captured_solve,
-            fingerprint,
-        }
+        let visible = schema.len();
+        PlannedQuery { root, schema, visible, captured_reads, captured_solve, fingerprint }
     }
 
     /// Is every CTE slot of the plan bound in `ctes` to a relation of

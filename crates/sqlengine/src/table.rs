@@ -49,6 +49,20 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
+
+    /// This schema with each column typed by its first non-NULL value in
+    /// `rows`; a column with none keeps the type it has here. A query
+    /// result is typed this way on both executors, from its static types,
+    /// so a column of NULLs stays typed (solver variable integrality is
+    /// read off it).
+    pub fn typed_by(mut self, rows: &[Row]) -> Schema {
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            if let Some(v) = rows.iter().filter_map(|r| r.get(i)).find(|v| !v.is_null()) {
+                col.ty = v.data_type();
+            }
+        }
+        self
+    }
 }
 
 /// A row of values.
@@ -75,19 +89,7 @@ impl Table {
     /// Build a table from column names and rows of convertible values —
     /// a test/datagen convenience.
     pub fn from_rows(names: &[&str], rows: Vec<Row>) -> Table {
-        let mut schema = Schema::from_names(names);
-        // Infer column types from the first non-null value per column.
-        for (i, col) in schema.columns.iter_mut().enumerate() {
-            for row in &rows {
-                if let Some(v) = row.get(i) {
-                    if !v.is_null() {
-                        col.ty = v.data_type();
-                        break;
-                    }
-                }
-            }
-        }
-        Table { schema, rows }
+        Table { schema: Schema::from_names(names).typed_by(&rows), rows }
     }
 
     pub fn num_rows(&self) -> usize {

@@ -147,6 +147,7 @@ fn check(db: &mut Database, sql: &str, ordered: bool) {
 #[test]
 fn differential_handwritten_corpus() {
     let mut db = setup();
+    execute_sql(&mut db, "CREATE TABLE e (a INT)").unwrap();
     // (sql, has total order) — the bank covers planner edge shapes.
     let corpus: &[(&str, bool)] = &[
         ("SELECT * FROM t1", false),
@@ -322,6 +323,18 @@ fn differential_handwritten_corpus() {
         ),
         ("SELECT t3.k, x.n, y.m FROM t3, LATERAL (VALUES (t3.k + 1)) x(n), LATERAL (SELECT x.n * 2 AS m) y", false),
         ("SELECT x.n FROM LATERAL (SELECT count(*) AS n FROM t3) x", false),
+        // A body's schema is learned without running it: over an empty
+        // left side the body never runs, and no row the body does not
+        // meet can make it fail. The two types of `l.v` agree.
+        (LATERAL_COALESCE, false),
+        (LATERAL_DIVIDE, false),
+        (LATERAL_DIVIDE_DERIVED, false),
+        (
+            "SELECT t1.a, l.v FROM t1 LEFT JOIN LATERAL \
+             (SELECT max(v) AS v FROM t3 WHERE t3.k < t1.b) l ON l.v > 100",
+            false,
+        ),
+        ("SELECT e.a, l.v FROM e LEFT JOIN LATERAL (SELECT max(v) AS v FROM t3) l ON true", false),
         (
             "SELECT a, (SELECT sum(x.f) FROM t3, LATERAL \
              (SELECT f FROM t2 WHERE t2.a = t3.k AND t2.f > t1.b) x WHERE t3.k = t1.a) FROM t1",
@@ -407,7 +420,17 @@ fn differential_handwritten_corpus() {
     for (sql, ordered) in corpus {
         check(&mut db, sql, *ordered);
     }
+    assert_eq!(rows_of(&mut db, LATERAL_COALESCE).len(), 15, "no row of t3 divides by zero");
+    for sql in [LATERAL_DIVIDE, LATERAL_DIVIDE_DERIVED] {
+        assert!(rows_of(&mut db, sql).is_empty(), "the body never runs: {sql}");
+    }
 }
+
+const LATERAL_COALESCE: &str = "SELECT t3.k, x.* FROM t3, \
+     LATERAL (SELECT * FROM (SELECT 10 / coalesce(t3.k + 1, 0) AS z) s) x";
+const LATERAL_DIVIDE: &str = "SELECT e.a, x.* FROM e, LATERAL (SELECT 1 / 0 AS z) x";
+const LATERAL_DIVIDE_DERIVED: &str =
+    "SELECT e.a, x.* FROM e, LATERAL (SELECT * FROM (SELECT 1 / 0 AS z) s) x";
 
 /// `IN (constants)` and `BETWEEN constants` evaluate a batch at a time;
 /// everything about them the interpreter defines — NULL operands, a NULL
@@ -637,15 +660,17 @@ fn gen_select(rng: &mut Rng) -> String {
         "t1".to_string()
     };
     // A LATERAL item over the rows so far; its columns are not selected
-    // by name, but it multiplies (or, as an inner join, drops) rows. (The
-    // cast: when the result has no row to take a column's type from, the
-    // planner has the item's static types, the reference the types of
-    // the values the first left row produced.)
+    // by name, but it multiplies (or, as an inner join, drops) rows.
     match rng.below(8) {
         0 => from.push_str(", LATERAL (SELECT v FROM t3 WHERE t3.k = t1.a ORDER BY v LIMIT 2) l"),
         1 => from.push_str(
-            " LEFT JOIN LATERAL (SELECT cast(max(v) AS INT) AS v FROM t3 WHERE t3.k < t1.b) l \
-             ON l.v > 10",
+            " LEFT JOIN LATERAL (SELECT max(v) AS v FROM t3 WHERE t3.k < t1.b) l ON l.v > 10",
+        ),
+        2 => from.push_str(
+            ", LATERAL (SELECT s.v FROM (SELECT v FROM t3 WHERE t3.k = t1.a) s WHERE s.v > t1.b) l",
+        ),
+        3 => from.push_str(
+            ", LATERAL (SELECT v FROM t3 WHERE t3.k = t1.a UNION SELECT t1.b WHERE t1.b > 40) l",
         ),
         _ => {}
     }
@@ -950,9 +975,15 @@ fn solve_bearing_blocks_are_planned_and_captured_answers_are_not_cached() {
     // row here, with the plan of the block around it cached like any other.
     let scalar = format!("SELECT k, (SELECT sum(v) FROM ({solve}) s WHERE s.k = t3.k) FROM t3");
     check(&mut db, &scalar, false);
-    assert_eq!(solves(), 31, "15 rows on each executor, and once for the schema at plan time");
+    assert_eq!(solves(), 30, "15 rows on each executor");
     assert_eq!(execute_sql(&mut db, &scalar).unwrap().plan_cache_hit, Some(true));
     assert_eq!(solves(), 15);
+    // In a FROM subquery of a LATERAL body: once per left row.
+    let lateral = format!(
+        "SELECT t3.k, x.n FROM t3, LATERAL (SELECT count(*) AS n FROM ({solve}) s WHERE s.k = t3.k) x"
+    );
+    check(&mut db, &lateral, false);
+    assert_eq!(solves(), 30, "15 rows on each executor");
     let model = "SELECT k, (SOLVEMODEL m(x) AS (SELECT 1 AS x)) FROM t3 WHERE k = 1";
     check(&mut db, model, false);
     let exists = format!(
