@@ -9,9 +9,7 @@ use crate::compile::{Atom, CompiledModel};
 use crate::explain::{render_atom, var_name};
 use crate::symbolic::{Rel, VarId};
 use sqlengine::diag::Diagnostic;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hasher;
 
 // ---------------------------------------------------------------------------
 // SD001 — decision variable unbounded in the objective direction
@@ -193,6 +191,12 @@ fn identity(a: &Atom) -> impl Iterator<Item = u64> + '_ {
         .chain(std::iter::once(signed(a.diff.constant)))
 }
 
+/// The fingerprint of an atom's [`identity`]: a multiply-rotate fold of
+/// its words (FxHash's step).
+fn fingerprint(a: &Atom) -> u64 {
+    identity(a).fold(0, |h, w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95))
+}
+
 /// Exact duplicate atoms add no information (warning); a single-variable
 /// bound strictly dominated by a tighter bound on the same side is
 /// shadowed (note).
@@ -200,24 +204,28 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
     // -- exact duplicates ---------------------------------------------------
     // First occurrences in model order, with how often each recurs.
     let mut seen: Vec<(&Atom, usize)> = Vec::new();
-    // Fingerprint of `identity` → the entries of `seen` that have it.
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    // Fingerprint → the latest entry of `seen` that has it; `next[i]` is
+    // the entry before `i` with the same fingerprint.
+    let mut latest: HashMap<u64, usize> = HashMap::with_capacity(m.atoms.len());
+    let mut next: Vec<Option<usize>> = Vec::new();
     for a in &m.atoms {
         if a.diff.is_constant() {
             continue; // SD004 territory
         }
-        let mut fingerprint = DefaultHasher::new();
-        identity(a).for_each(|word| fingerprint.write_u64(word));
-        let bucket = buckets.entry(fingerprint.finish()).or_default();
-        let at = match bucket.iter().find(|&&i| identity(seen[i].0).eq(identity(a))) {
-            Some(&i) => i,
-            None => {
-                seen.push((a, 0));
-                bucket.push(seen.len() - 1);
-                seen.len() - 1
+        let f = fingerprint(a);
+        let mut at = latest.get(&f).copied();
+        while let Some(i) = at {
+            if identity(seen[i].0).eq(identity(a)) {
+                break;
             }
-        };
-        seen[at].1 += 1;
+            at = next[i];
+        }
+        let i = at.unwrap_or_else(|| {
+            next.push(latest.insert(f, seen.len()));
+            seen.push((a, 0));
+            seen.len() - 1
+        });
+        seen[i].1 += 1;
     }
     for (a, n) in &seen {
         if *n > 1 {
@@ -237,32 +245,33 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
 
     // -- shadowed single-variable bounds ------------------------------------
     // c·v + k ⋈ 0  ⇒  v ⋈' -k/c, an upper bound when (⋈ is <=) == (c > 0).
-    let mut bounds: HashMap<(VarId, bool), Vec<f64>> = HashMap::new();
-    for a in &m.atoms {
-        if a.rel == Rel::Eq || a.diff.terms.len() != 1 {
-            continue;
-        }
-        let (v, c) = a.diff.terms[0];
-        let bound = -a.diff.constant / c;
-        let upper = (a.rel == Rel::Le) == (c > 0.0);
-        bounds.entry((v, upper)).or_default().push(bound);
-    }
+    let mut bounds: Vec<(VarId, bool, f64)> = m
+        .atoms
+        .iter()
+        .filter(|a| a.rel != Rel::Eq && a.diff.terms.len() == 1)
+        .map(|a| {
+            let (v, c) = a.diff.terms[0];
+            (v, (a.rel == Rel::Le) == (c > 0.0), -a.diff.constant / c)
+        })
+        .collect();
+    bounds.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+    // Each (variable, side) is a run of the sorted list, and a bound that
+    // appears twice is one note.
     let mut shadowed: Vec<(VarId, bool, f64, f64)> = Vec::new();
-    for (&(v, upper), bs) in &bounds {
+    for run in bounds.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (v, upper, _) = run[0];
         let binding = if upper {
-            bs.iter().cloned().fold(f64::INFINITY, f64::min)
+            run.iter().map(|b| b.2).fold(f64::INFINITY, f64::min)
         } else {
-            bs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+            run.iter().map(|b| b.2).fold(f64::NEG_INFINITY, f64::max)
         };
-        for &b in bs {
+        for &(_, _, b) in run {
             let slack = if upper { b - binding } else { binding - b };
-            if slack > TOL {
+            if slack > TOL && shadowed.last().is_none_or(|s| (s.0, s.1, s.2) != (v, upper, b)) {
                 shadowed.push((v, upper, b, binding));
             }
         }
     }
-    shadowed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    shadowed.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1 && a.2 == b.2);
     for (v, upper, loose, tight) in shadowed {
         let name = var_name(m.prob, v);
         let op = if upper { "<=" } else { ">=" };

@@ -14,11 +14,11 @@ use crate::check::presolve::reduce::model_of;
 use crate::check::presolve::{propagate, Model, Outcome};
 use crate::problem::{check_cardinality, ProblemInstance};
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
-use sqlengine::ast::{NamedRule, Query};
+use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, TableRef};
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
 use sqlengine::exec::run_query;
-use sqlengine::types::{downcast, Value};
+use sqlengine::types::{downcast, BinOp, Value};
 use std::sync::{Arc, OnceLock};
 
 /// Why a rule did not compile.
@@ -84,7 +84,11 @@ pub struct CompiledModel<'a> {
     pub rules: Vec<Compiled<Vec<ConstraintValue>>>,
     /// The atoms of every rule that compiled.
     pub atoms: Vec<Atom>,
-    labels: Vec<String>,
+    /// How many SUBJECTTO rules were of the box shape, read as bounds
+    /// without running their query (see [`box_cells`]).
+    pub bounds: usize,
+    /// [`rule_label`] of each SUBJECTTO rule, rendered on first read.
+    labels: Vec<OnceLock<String>>,
     lowered: OnceLock<Lowered>,
     propagated: OnceLock<Propagated>,
     matrix: OnceLock<lp::matrix::MatrixAnalysis>,
@@ -122,7 +126,9 @@ pub(crate) fn both_objectives(prob: &ProblemInstance) -> Error {
 
 /// Re-run every decision relation in order with symbolic variables in
 /// its decision cells, so derived relations (e.g. a recursive simulation
-/// CDTE) carry linear expressions — the symbolic pass of §4.1. Lenient:
+/// CDTE) carry linear expressions — the symbolic pass of §4.1. The input
+/// relation reads only `base`, where it was instantiated, and is taken as
+/// it was instantiated rather than run again. Lenient:
 /// a derived relation that cannot be expressed symbolically (a
 /// simulation that is nonlinear in the decision variables, say) stays
 /// out of the environment and is returned with the kind of its failure;
@@ -135,8 +141,8 @@ fn symbolic_env(
 ) -> Result<(Ctes, Vec<(String, FailureKind)>)> {
     let mut env = base.clone();
     let mut skipped = Vec::new();
-    for rel in &prob.relations {
-        let mut table = if rel.dec_cols.is_empty() && rel.alias.is_none() {
+    for (ri, rel) in prob.relations.iter().enumerate() {
+        let mut table = if ri == 0 || (rel.dec_cols.is_empty() && rel.alias.is_none()) {
             rel.table.clone()
         } else {
             match run_query(db, &env, &rel.query, None) {
@@ -240,6 +246,100 @@ fn compile_rule(
     Ok(out)
 }
 
+/// One operand of a box rule's comparison: a constant, or the `k`-th
+/// decision column of the row.
+#[derive(Clone, Copy)]
+enum Operand {
+    Const(f64),
+    Column(usize),
+}
+
+/// The constraint cells of a SUBJECTTO rule of the *box shape*, read off
+/// the decision relation's variable ids without running the rule:
+/// `SELECT a ⋈ b [⋈ c …], … FROM d` over one un-aliased decision relation
+/// `d` and nothing else (no WHERE, GROUP BY, HAVING, DISTINCT, ORDER BY,
+/// LIMIT or WITH), each operand a numeric literal or a decision column of
+/// `d`, `⋈` one of `<= < >= > =`, and no comparison between two
+/// constants. The cells are the ones evaluation yields, in its order: row
+/// by row of `d`, item by item, a chain as the left-nested `AND` of its
+/// comparisons. `None` for any other rule, which runs its query.
+fn box_cells(
+    prob: &ProblemInstance,
+    env: &Ctes,
+    query: &Query,
+    skipped: &[(String, FailureKind)],
+) -> Option<Vec<ConstraintValue>> {
+    let SetExpr::Select(sel) = &query.body else { return None };
+    let [TableRef::Named { name, alias: None }] = &sel.from[..] else { return None };
+    let bare = query.with.is_empty()
+        && query.order_by.is_empty()
+        && query.limit.is_none()
+        && query.offset.is_none()
+        && !sel.distinct
+        && sel.where_.is_none()
+        && sel.group_by.is_empty()
+        && sel.grouping_sets.is_none()
+        && sel.having.is_none();
+    // A decision relation whose symbolic pass failed is not `d` in the
+    // environment: the rule must run to fail the way it fails.
+    if !bare || skipped.iter().any(|(a, _)| a == name) {
+        return None;
+    }
+    let rel = prob.relations.iter().rev().find(|r| r.alias.as_deref() == Some(name))?;
+    let schema = &env.get(name)?.schema;
+    let operand = |e: &Expr| match e {
+        Expr::Literal(Literal::Int(i)) => Some(Operand::Const(*i as f64)),
+        Expr::Literal(Literal::Float(x)) => Some(Operand::Const(*x)),
+        Expr::Column { qualifier, name: col } if qualifier.as_ref().is_none_or(|q| q == name) => {
+            let mut named = schema.columns.iter().enumerate().filter(|(_, c)| &c.name == col);
+            let (c, _) = named.next()?;
+            if named.next().is_some() {
+                return None; // ambiguous
+            }
+            rel.dec_cols.iter().position(|&d| d == c).map(Operand::Column)
+        }
+        _ => None,
+    };
+    // Each item as the list of its comparisons.
+    let mut items = Vec::with_capacity(sel.projection.len());
+    for item in &sel.projection {
+        let SelectItem::Expr { expr, .. } = item else { return None };
+        let (first, rest): (&Expr, Vec<(BinOp, &Expr)>) = match expr {
+            Expr::BinOp { op, lhs, rhs } => (lhs, vec![(*op, rhs)]),
+            Expr::Chain { first, rest } => (first, rest.iter().map(|(op, e)| (*op, e)).collect()),
+            _ => return None,
+        };
+        let mut prev = operand(first)?;
+        let mut cmps = Vec::with_capacity(rest.len());
+        for (op, e) in rest {
+            let next = operand(e)?;
+            if matches!((prev, next), (Operand::Const(_), Operand::Const(_))) {
+                return None;
+            }
+            cmps.push((prev, Rel::of(op)?, next));
+            prev = next;
+        }
+        items.push(cmps);
+    }
+    let lin = |o: Operand, ids: &[VarId]| match o {
+        Operand::Const(c) => LinExpr::constant(c),
+        Operand::Column(k) => LinExpr::var(ids[k]),
+    };
+    let mut cells = Vec::with_capacity(rel.vars.len() * items.len());
+    for ids in &rel.vars {
+        for cmps in &items {
+            let mut cmps = cmps.iter().map(|&(l, rel, r)| ConstraintValue::Cmp {
+                lhs: lin(l, ids),
+                rel,
+                rhs: lin(r, ids),
+            });
+            let first = cmps.next()?;
+            cells.push(cmps.fold(first, |all, c| ConstraintValue::And(vec![all, c])));
+        }
+    }
+    Some(cells)
+}
+
 /// Compile the rules of a problem instance: one symbolic pass over the
 /// decision relations, then the objective and each SUBJECTTO rule
 /// evaluated on its own, so one defective rule does not hide the
@@ -255,7 +355,8 @@ pub fn compile_model<'a>(
         objective: None,
         rules: Vec::new(),
         atoms: Vec::new(),
-        labels: prob.subjectto.iter().map(|r| rule_label(r.alias.as_deref(), &r.query)).collect(),
+        bounds: 0,
+        labels: prob.subjectto.iter().map(|_| OnceLock::new()).collect(),
         lowered: OnceLock::new(),
         propagated: OnceLock::new(),
         matrix: OnceLock::new(),
@@ -289,7 +390,13 @@ pub fn compile_model<'a>(
         ),
     };
     for (ri, rule) in prob.subjectto.iter().enumerate() {
-        let compiled = compile_rule(db, &env, rule, &skipped);
+        let compiled = match box_cells(prob, &env, &rule.query, &skipped) {
+            Some(cells) => {
+                model.bounds += 1;
+                Ok(cells)
+            }
+            None => compile_rule(db, &env, rule, &skipped),
+        };
         for c in compiled.iter().flatten() {
             for (l, rel, r) in c.atoms() {
                 model.atoms.push(Atom { diff: l.sub(r), rel, rule: ri });
@@ -301,9 +408,11 @@ pub fn compile_model<'a>(
 }
 
 impl CompiledModel<'_> {
-    /// Label of SUBJECTTO rule `i` (see [`rule_label`]).
+    /// Label of SUBJECTTO rule `i` (see [`rule_label`]), rendered the
+    /// first time it is read.
     pub fn rule_label(&self, i: usize) -> &str {
-        &self.labels[i]
+        let rule = &self.prob.subjectto[i];
+        self.labels[i].get_or_init(|| rule_label(rule.alias.as_deref(), &rule.query))
     }
 
     /// The objective, when it compiled to a linear expression.

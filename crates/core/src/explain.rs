@@ -122,38 +122,48 @@ fn matrix_summary(model: &CompiledModel<'_>) -> Option<String> {
 }
 
 pub(crate) fn var_name(prob: &ProblemInstance, v: VarId) -> String {
-    let info = &prob.vars[v as usize];
-    let rel = &prob.relations[info.rel];
-    format!(
-        "{}[{}].{}",
-        rel.alias.as_deref().unwrap_or("input"),
-        info.row,
-        rel.table.schema.columns[info.col].name
-    )
+    let mut name = String::new();
+    write_var_name(&mut name, prob, v);
+    name
 }
 
-/// The terms `c*name`, with unit coefficients elided.
-fn render_terms(prob: &ProblemInstance, terms: impl Iterator<Item = (VarId, f64)>) -> Vec<String> {
-    terms
-        .map(|(v, c)| {
-            let name = var_name(prob, v);
-            if c == 1.0 {
-                name
-            } else if c == -1.0 {
-                format!("-{name}")
-            } else {
-                format!("{c}*{name}")
-            }
-        })
-        .collect()
+fn write_var_name(out: &mut String, prob: &ProblemInstance, v: VarId) {
+    let info = &prob.vars[v as usize];
+    let rel = &prob.relations[info.rel];
+    let alias = rel.alias.as_deref().unwrap_or("input");
+    _ = write!(out, "{alias}[{}].{}", info.row, rel.table.schema.columns[info.col].name);
+}
+
+/// The terms `c*name` joined by ` + `, with unit coefficients elided,
+/// written onto `out`.
+fn write_terms(
+    out: &mut String,
+    prob: &ProblemInstance,
+    terms: impl Iterator<Item = (VarId, f64)>,
+) {
+    for (i, (v, c)) in terms.enumerate() {
+        if i > 0 {
+            out.push_str(" + ");
+        }
+        if c == -1.0 {
+            out.push('-');
+        } else if c != 1.0 {
+            _ = write!(out, "{c}*");
+        }
+        write_var_name(out, prob, v);
+    }
 }
 
 pub(crate) fn render_linexpr(prob: &ProblemInstance, e: &LinExpr) -> String {
-    let mut parts = render_terms(prob, e.terms.iter().copied());
-    if e.constant != 0.0 || parts.is_empty() {
-        parts.push(format!("{}", e.constant));
+    let mut out = String::new();
+    write_terms(&mut out, prob, e.terms.iter().copied());
+    if e.constant != 0.0 || e.terms.is_empty() {
+        if !e.terms.is_empty() {
+            out.push_str(" + ");
+        }
+        _ = write!(out, "{}", e.constant);
     }
-    parts.join(" + ")
+    out
 }
 
 /// Render an atom `diff ⋈ 0` back into readable form.
@@ -168,7 +178,10 @@ pub(crate) fn render_row(
     op: impl std::fmt::Display,
     rhs: f64,
 ) -> String {
-    format!("{} {op} {rhs}", render_terms(prob, terms).join(" + "))
+    let mut out = String::new();
+    write_terms(&mut out, prob, terms);
+    _ = write!(out, " {op} {rhs}");
+    out
 }
 
 /// Render row `i` of the model's linear program.

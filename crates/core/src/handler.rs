@@ -48,7 +48,14 @@ impl SolveHandler for Handler {
         };
         // The one symbolic evaluation of the rules; the analyzer and
         // the solver both read its result.
-        let model = obs::trace::span_time(trace, "compile", || compile_model(db, ctes, &prob));
+        let model = {
+            let span = trace.map(|t| t.span("compile"));
+            let model = compile_model(db, ctes, &prob);
+            if let Some(s) = &span {
+                s.note("bounds", model.bounds);
+            }
+            model
+        };
         // Pre-solve static analysis. All findings go into the sink; the
         // executor keeps only advisory (Warning/Note) severities on the
         // result — Error-level findings predict a solver failure that

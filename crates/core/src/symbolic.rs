@@ -218,16 +218,10 @@ impl CustomValue for SymValue {
                 }
             }
             op if op.is_comparison() => {
-                let rel = match op {
-                    BinOp::Le | BinOp::Lt => Rel::Le,
-                    BinOp::Ge | BinOp::Gt => Rel::Ge,
-                    BinOp::Eq => Rel::Eq,
-                    BinOp::Ne => {
-                        return Some(Err(Error::non_linear(
-                            "'<>' constraints are not representable in a linear program",
-                        )))
-                    }
-                    _ => unreachable!(),
+                let Some(rel) = Rel::of(op) else {
+                    return Some(Err(Error::non_linear(
+                        "'<>' constraints are not representable in a linear program",
+                    )));
                 };
                 Ok(constraint_value(ConstraintValue::Cmp {
                     lhs: lhs.clone(),
@@ -269,6 +263,20 @@ pub enum Rel {
     Le,
     Eq,
     Ge,
+}
+
+impl Rel {
+    /// The relation a comparison operator states between two linear
+    /// expressions (a strict one as its closure); `None` for `<>` and for
+    /// operators that compare nothing.
+    pub fn of(op: BinOp) -> Option<Rel> {
+        match op {
+            BinOp::Le | BinOp::Lt => Some(Rel::Le),
+            BinOp::Ge | BinOp::Gt => Some(Rel::Ge),
+            BinOp::Eq => Some(Rel::Eq),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for Rel {

@@ -281,6 +281,35 @@ fn sd005_notes_a_shadowed_bound() {
 }
 
 #[test]
+fn sd005_notes_a_repeated_loose_bound_once() {
+    let s = lp_session();
+    let diags = s
+        .check(
+            "SOLVESELECT q(x) AS (SELECT x FROM v) \
+             MAXIMIZE (SELECT x FROM q) \
+             SUBJECTTO (SELECT x <= 5, x <= 7, x <= 5, x <= 1 FROM q) \
+             USING solverlp()",
+        )
+        .unwrap();
+    let notes: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.code == "SD005" && d.severity == Severity::Note)
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(
+        notes,
+        [
+            "bound 'q[0].x <= 5' is shadowed by the tighter 'q[0].x <= 1'",
+            "bound 'q[0].x <= 7' is shadowed by the tighter 'q[0].x <= 1'"
+        ]
+    );
+    // The repeat itself is the duplicate warning's.
+    let d = find(&diags, "SD005").expect("SD005 expected");
+    assert_eq!(d.severity, Severity::Warning);
+    assert!(d.message.contains("2 times"), "message: {}", d.message);
+}
+
+#[test]
 fn sd005_stays_silent_for_distinct_constraints() {
     let s = lp_session();
     let diags = s

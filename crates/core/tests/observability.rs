@@ -197,6 +197,9 @@ fn solve_lp_says_what_the_incumbent_bought() {
         )
         .unwrap();
     let plan = text_column(&t, "plan");
+    // The box rule `0 <= pick <= 1` is read as bounds without running.
+    let compile = plan.iter().find(|l| l.contains("-> compile:")).expect("a compile stage");
+    assert!(compile.ends_with("  bounds=1"), "{compile}");
     let line = plan.iter().find(|l| l.contains("-> solve-lp:")).expect("a solve-lp stage");
     let count = |key: &str| -> usize {
         let value = line.split(&format!("  {key}=")).nth(1);

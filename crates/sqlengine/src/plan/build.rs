@@ -51,7 +51,7 @@
 use super::columnar::VecExpr;
 use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
-use super::stats::TableStats;
+use super::stats::Described;
 use crate::ast::{
     Expr, JoinConstraint, JoinKind, Node, OrderItem, Query, Select, SelectItem, SetExpr,
     TableAlias, TableRef as AstTableRef,
@@ -347,7 +347,7 @@ pub fn plan_select(
                 let scope =
                     Scope::new(kept[bi].iter().map(|&j| base.scope.cols[j].clone()).collect());
                 let full = kept[bi].len() == widths[bi];
-                let mut est = base.stats.row_count as f64;
+                let mut est = base.stats.row_count();
                 let mut node = PlanNode::Scan {
                     label: base.label.clone(),
                     source: base.source.clone(),
@@ -660,7 +660,7 @@ struct Base {
     label: String,
     source: ScanSource,
     scope: Scope,
-    stats: Arc<TableStats>,
+    stats: Described,
 }
 
 /// Is this FROM element a tree of inner/cross joins over plain
@@ -774,17 +774,16 @@ impl FromBuilder<'_> {
         &mut self,
         query: &Query,
         shared: impl FnOnce() -> Arc<Query>,
-    ) -> Result<(ScanSource, Arc<TableStats>, Schema)> {
+    ) -> Result<(ScanSource, Described, Schema)> {
         if self.outer.iter().any(|scope| !scope.cols.is_empty()) {
             let schema = query_schema(self.db, self.ctes, query, self.outer)?;
-            let stats = TableStats { row_count: 1, distinct: Vec::new() };
-            return Ok((ScanSource::Derived { query: shared() }, Arc::new(stats), schema));
+            return Ok((ScanSource::Derived { query: shared() }, Described::one_row(), schema));
         }
         let t = run_query(self.db, self.ctes, query, None)?;
         let schema = t.schema.clone();
         self.captured.node(self.db, Node::Query(query));
         let stored = StoredTable::new(Arc::new(t));
-        let stats = stored.stats();
+        let stats = Described::stored(&stored);
         Ok((ScanSource::Table(stored), stats, schema))
     }
 
@@ -801,12 +800,13 @@ impl FromBuilder<'_> {
                     // A slot takes its estimate from this first binding.
                     Relation::Cte(t) => (
                         ScanSource::Slot { name: name.clone(), schema: t.schema.clone() },
-                        Arc::new(TableStats::collect(t)),
+                        Described::rows(t),
                         t.schema.clone(),
                     ),
                     Relation::View(vq) => self.derived(vq, || vq.clone())?,
                     Relation::Table(t) => {
-                        (ScanSource::Table(t.clone()), t.stats(), t.table().schema.clone())
+                        let stats = Described::stored(t);
+                        (ScanSource::Table(t.clone()), stats, t.table().schema.clone())
                     }
                     Relation::Virtual(t) => {
                         // A snapshot taken now, outside the catalog epoch:
@@ -814,7 +814,7 @@ impl FromBuilder<'_> {
                         self.captured.reads.insert(name.clone());
                         let schema = t.schema.clone();
                         let stored = StoredTable::new(Arc::new(t));
-                        let stats = stored.stats();
+                        let stats = Described::stored(&stored);
                         (ScanSource::Table(stored), stats, schema)
                     }
                 };
@@ -846,7 +846,7 @@ impl FromBuilder<'_> {
                 cols: None,
                 total_cols: base.scope.cols.len(),
                 scope: base.scope,
-                est: base.stats.row_count as f64,
+                est: base.stats.row_count(),
             });
         };
         let l = self.build_syntactic(left)?;

@@ -52,9 +52,11 @@ impl StoredTable {
         &self.table
     }
 
-    /// Planner statistics of this version, collected on first use.
+    /// Planner statistics of this version, made on first use (see
+    /// [`TableStats`]: a column's distinct count waits for its first
+    /// reader).
     pub fn stats(&self) -> Arc<TableStats> {
-        self.derived.stats.get_or_init(|| Arc::new(TableStats::collect(&self.table))).clone()
+        self.derived.stats.get_or_init(|| Arc::new(TableStats::new(&self.table))).clone()
     }
 
     /// The table as scan batches of the source columns in `keep` (all of

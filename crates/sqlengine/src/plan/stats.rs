@@ -1,14 +1,19 @@
 //! Per-table statistics for cost-based planning.
 //!
-//! Statistics belong to one version of a table's rows: they are
-//! collected the first time the planner asks a [`StoredTable`] for them
-//! and live beside its columnar image, so a catalog table's statistics
-//! are shared by every plan over that version and gone with it — every
-//! write starts the next version without any. Ephemeral relations are
-//! collected once per plan: a view or subquery result through the
-//! private `StoredTable` the plan wraps around it, a CTE binding
-//! directly. Statistics are advisory (they steer plan choice, never
-//! results).
+//! Statistics belong to one version of a table's rows: the row count is
+//! taken when the planner first asks a [`StoredTable`] for them, and they
+//! live beside its columnar image, so a catalog table's statistics are
+//! shared by every plan over that version and gone with it — every write
+//! starts the next version without any. Ephemeral relations get theirs
+//! once per plan: a view or subquery result through the private
+//! `StoredTable` the plan wraps around it, a CTE binding directly.
+//! Statistics are advisory (they steer plan choice, never results).
+//!
+//! A column's distinct count is estimated the first time an estimate
+//! reads it — only a pushed predicate or a join edge does — from the
+//! rows the statistics describe, which the reader passes in: the
+//! statistics hold no `TableRef`, so they never stand in the way of an
+//! in-place write. Most scans are read by no estimate and count nothing.
 //!
 //! A custom value — a symbolic decision cell — has no key but its
 //! rendered text, and a column of them is as large as a model (the 288
@@ -19,58 +24,119 @@
 //!
 //! [`StoredTable`]: super::image::StoredTable
 
+use super::image::StoredTable;
 use super::keys::KeyIndex;
+use crate::table::{Table, TableRef};
 use crate::types::Value;
+use std::sync::{Arc, OnceLock};
 
 /// How many rows to sample when estimating per-column distinct counts.
 const SAMPLE_ROWS: usize = 1024;
 
-/// Summary statistics for one table.
-#[derive(Debug, Clone)]
+/// Summary statistics for one table version.
+#[derive(Debug)]
 pub struct TableStats {
-    /// Exact row count at collection time.
+    /// Exact row count of the version.
     pub row_count: usize,
-    /// Estimated distinct values per column (sampled; ≥ 1.0 for
-    /// non-empty tables).
-    pub distinct: Vec<f64>,
+    /// Estimated distinct values per column, each on first read.
+    distinct: Vec<OnceLock<f64>>,
 }
 
 impl TableStats {
-    /// Collect statistics by scanning at most [`SAMPLE_ROWS`] rows.
-    pub fn collect(table: &crate::table::Table) -> TableStats {
-        let row_count = table.rows.len();
-        let sample = row_count.min(SAMPLE_ROWS);
-        let ncols = table.schema.len();
-        let mut distinct = Vec::with_capacity(ncols);
-        for c in 0..ncols {
-            let mut seen = KeyIndex::default();
-            let mut custom = 0usize;
-            for row in table.rows.iter().take(sample) {
-                match &row[c] {
-                    Value::Custom(_) => custom += 1,
-                    v => _ = seen.insert(std::slice::from_ref(v)),
-                }
-            }
-            let seen = (seen.len() + custom) as f64;
-            let d = if sample == 0 {
-                0.0
-            } else if sample < row_count {
-                // Scale the sampled distinct count linearly, capped at the
-                // row count — crude, but stable and monotone.
-                (seen * row_count as f64 / sample as f64).min(row_count as f64)
-            } else {
-                seen
-            };
-            distinct.push(d.max(if row_count == 0 { 0.0 } else { 1.0 }));
+    /// Statistics of `table`: its row count now, a column's distinct
+    /// count when [`Self::distinct_of`] first reads it.
+    pub fn new(table: &Table) -> TableStats {
+        TableStats {
+            row_count: table.rows.len(),
+            distinct: (0..table.schema.len()).map(|_| OnceLock::new()).collect(),
         }
-        TableStats { row_count, distinct }
     }
 
-    /// Distinct estimate for a column, defaulting to a third of the rows
-    /// when the column is out of range (synthetic relations).
-    pub fn distinct_of(&self, col: usize) -> f64 {
-        self.distinct.get(col).copied().unwrap_or_else(|| (self.row_count as f64 / 3.0).max(1.0))
+    /// Distinct estimate for column `col` of `table`, the rows these
+    /// statistics describe (sampled; ≥ 1.0 for non-empty tables),
+    /// estimated on first read. A column out of range (synthetic
+    /// relations) defaults to a third of the rows.
+    pub fn distinct_of(&self, table: &Table, col: usize) -> f64 {
+        match self.distinct.get(col) {
+            Some(d) => *d.get_or_init(|| {
+                debug_assert_eq!(table.rows.len(), self.row_count, "statistics of another version");
+                distinct_count(table, col)
+            }),
+            None => self.a_third(),
+        }
     }
+
+    fn a_third(&self) -> f64 {
+        (self.row_count as f64 / 3.0).max(1.0)
+    }
+
+    /// How many columns have had their distinct count estimated.
+    #[cfg(test)]
+    fn estimated(&self) -> usize {
+        self.distinct.iter().filter(|d| d.get().is_some()).count()
+    }
+}
+
+/// A relation's statistics next to the rows they describe, as a plan
+/// build reads them.
+pub(crate) struct Described {
+    stats: Arc<TableStats>,
+    /// `None` for a relation estimated at one row and not read.
+    rows: Option<TableRef>,
+}
+
+impl Described {
+    /// A stored table's statistics, shared by every plan of its version.
+    pub(crate) fn stored(t: &StoredTable) -> Described {
+        Described { stats: t.stats(), rows: Some(t.table().clone()) }
+    }
+
+    /// Statistics of `rows` for one plan (a CTE binding).
+    pub(crate) fn rows(rows: &TableRef) -> Described {
+        Described { stats: Arc::new(TableStats::new(rows)), rows: Some(rows.clone()) }
+    }
+
+    /// A relation that is estimated at one row and not read.
+    pub(crate) fn one_row() -> Described {
+        Described { stats: Arc::new(TableStats { row_count: 1, distinct: Vec::new() }), rows: None }
+    }
+
+    pub(crate) fn row_count(&self) -> f64 {
+        self.stats.row_count as f64
+    }
+
+    pub(crate) fn distinct_of(&self, col: usize) -> f64 {
+        match &self.rows {
+            Some(rows) => self.stats.distinct_of(rows, col),
+            None => self.stats.a_third(),
+        }
+    }
+}
+
+/// The distinct values of column `c` among at most [`SAMPLE_ROWS`] rows,
+/// scaled to the whole table.
+fn distinct_count(table: &Table, c: usize) -> f64 {
+    let row_count = table.rows.len();
+    let sample = row_count.min(SAMPLE_ROWS);
+    let mut seen = KeyIndex::default();
+    let mut custom = 0usize;
+    for row in table.rows.iter().take(sample) {
+        match &row[c] {
+            Value::Custom(_) => custom += 1,
+            v => _ = seen.insert(std::slice::from_ref(v)),
+        }
+    }
+    let seen = (seen.len() + custom) as f64;
+    let d = if sample == 0 {
+        0.0
+    } else if sample < row_count {
+        // Scale the sampled distinct count linearly, capped at the row
+        // count — crude, but stable and monotone.
+        (seen * row_count as f64 / sample as f64).min(row_count as f64)
+    } else {
+        seen
+    };
+    d.max(if row_count == 0 { 0.0 } else { 1.0 })
 }
 
 #[cfg(test)]
@@ -80,7 +146,6 @@ mod tests {
     use crate::table::Table;
     use crate::types::{custom, CustomValue};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn collect_counts_rows_and_distincts() {
@@ -93,12 +158,16 @@ mod tests {
                 vec![Value::Null, Value::text("x")],
             ],
         );
-        let s = TableStats::collect(&t);
+        let s = TableStats::new(&t);
         assert_eq!(s.row_count, 4);
-        assert_eq!(s.distinct.len(), 2);
+        assert_eq!(s.estimated(), 0, "distinct counts wait for a reader");
         // a: {1, 2, NULL} -> 3 distinct keys; b: {x, y} -> 2.
-        assert_eq!(s.distinct[0], 3.0);
-        assert_eq!(s.distinct[1], 2.0);
+        assert_eq!(s.distinct_of(&t, 0), 3.0);
+        assert_eq!(s.estimated(), 1);
+        assert_eq!(s.distinct_of(&t, 1), 2.0);
+        // Out of range: a third of the rows.
+        assert_eq!(s.distinct_of(&t, 2), 4.0 / 3.0);
+        assert_eq!(s.estimated(), 2);
     }
 
     /// A custom value that counts how often it is rendered.
@@ -131,10 +200,10 @@ mod tests {
                 vec![cell("x4"), Value::Null],
             ],
         );
-        let s = TableStats::collect(&t);
-        assert_eq!(renders.load(Ordering::Relaxed), 0, "statistics rendered a custom cell");
+        let s = TableStats::new(&t);
         // sym: four symbolic cells; mixed: {1, NULL} and one symbolic cell.
-        assert_eq!(s.distinct, vec![4.0, 3.0]);
+        assert_eq!((s.distinct_of(&t, 0), s.distinct_of(&t, 1)), (4.0, 3.0));
+        assert_eq!(renders.load(Ordering::Relaxed), 0, "statistics rendered a custom cell");
         // The grouping key of a custom value is still its text.
         assert_eq!(cell("x0").group_key(), cell("x0").group_key());
         assert_eq!(renders.load(Ordering::Relaxed), 2);
@@ -154,8 +223,32 @@ mod tests {
         // and may keep the allocation; the statistics are new all the same.
         crate::exec::execute_script(&mut db, "DELETE FROM t WHERE a = 1; INSERT INTO t VALUES (2)")
             .unwrap();
-        let s3 = db.stored_table("t").unwrap().stats();
-        assert_eq!((s3.row_count, s3.distinct[0]), (2, 1.0));
+        let stored = db.stored_table("t").unwrap();
+        let s3 = stored.stats();
+        assert_eq!((s3.row_count, s3.distinct_of(stored.table(), 0)), (2, 1.0));
+    }
+
+    /// Only a pushed predicate or a join edge reads a distinct count, and
+    /// only of the columns it names.
+    #[test]
+    fn distinct_counts_are_estimated_for_the_columns_an_estimate_reads() {
+        let mut db = Database::new();
+        crate::exec::execute_script(
+            &mut db,
+            "CREATE TABLE t (a int, b int, c text);
+             INSERT INTO t VALUES (1, 2, 'x'), (1, 3, 'y'), (2, 3, 'z');
+             CREATE TABLE u (b int, d int);
+             INSERT INTO u VALUES (3, 4)",
+        )
+        .unwrap();
+        let estimated =
+            |db: &Database, name: &str| db.stored_table(name).unwrap().stats().estimated();
+        crate::exec::execute_sql(&mut db, "SELECT sum(a), count(*) FROM t GROUP BY c").unwrap();
+        assert_eq!(estimated(&db, "t"), 0, "no estimate read a column");
+        crate::exec::execute_sql(&mut db, "SELECT c FROM t WHERE a = 1").unwrap();
+        assert_eq!(estimated(&db, "t"), 1, "the filtered column");
+        crate::exec::execute_sql(&mut db, "SELECT t.c, u.d FROM t JOIN u ON u.b = t.b").unwrap();
+        assert_eq!((estimated(&db, "t"), estimated(&db, "u")), (2, 1), "the join keys");
     }
 
     /// Working tables and other CTE bindings are ephemeral: a long

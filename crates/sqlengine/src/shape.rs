@@ -8,26 +8,26 @@
 
 use crate::ast::Statement;
 use crate::lexer::{tokenize, Token};
+use std::fmt::Write;
 
 /// Canonical shape of a statement: the AST's display form, re-lexed
-/// with literal tokens replaced by `?`.
+/// and written token by token, space-separated, into one string, with
+/// literal tokens replaced by `?`.
 pub fn statement_shape(stmt: &Statement) -> String {
     let canonical = stmt.to_string();
-    match tokenize(&canonical) {
-        Ok(tokens) => tokens
-            .iter()
-            .filter(|t| !matches!(t, Token::Eof))
-            .map(|t| match t {
-                Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::BitStr(_) => {
-                    "?".to_string()
-                }
-                other => other.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join(" "),
-        // The canonical form should always lex; fall back to it verbatim.
-        Err(_) => canonical,
+    // The canonical form should always lex; fall back to it verbatim.
+    let Ok(tokens) = tokenize(&canonical) else { return canonical };
+    let mut shape = String::with_capacity(canonical.len());
+    for (i, t) in tokens.iter().filter(|t| !matches!(t, Token::Eof)).enumerate() {
+        if i > 0 {
+            shape.push(' ');
+        }
+        match t {
+            Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::BitStr(_) => shape.push('?'),
+            other => _ = write!(shape, "{other}"),
+        }
     }
+    shape
 }
 
 #[cfg(test)]
@@ -37,6 +37,39 @@ mod tests {
 
     fn shape_of(sql: &str) -> String {
         statement_shape(&parse_statement(sql).unwrap())
+    }
+
+    /// The shape as a `String` per token, joined.
+    fn joined(stmt: &Statement) -> String {
+        let canonical = stmt.to_string();
+        tokenize(&canonical)
+            .unwrap()
+            .iter()
+            .filter(|t| !matches!(t, Token::Eof))
+            .map(|t| match t {
+                Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::BitStr(_) => {
+                    "?".to_string()
+                }
+                other => other.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn the_shape_is_the_tokens_joined_by_spaces() {
+        for sql in [
+            "SELECT 1",
+            "SELECT \"Quoted\".x, 'it''s', b'0101', -2.5e3, x::float8 FROM \"Quoted\" WHERE y <> 3",
+            "INSERT INTO t (a, b) VALUES (1, 'x'), (NULL, interval '1 hour')",
+            "WITH RECURSIVE r(k) AS (SELECT 1 UNION ALL SELECT k + 1 FROM r WHERE k < 5) \
+             SELECT k, k % 2, k || 'a' FROM r ORDER BY k DESC LIMIT 3",
+            "SOLVESELECT q(x) AS (SELECT * FROM v) MAXIMIZE (SELECT x FROM q) \
+             SUBJECTTO (SELECT 0 <= x <= 4 FROM q) USING solverlp.cbc(n := 2)",
+        ] {
+            let stmt = parse_statement(sql).unwrap();
+            assert_eq!(statement_shape(&stmt), joined(&stmt), "{sql}");
+        }
     }
 
     #[test]
