@@ -925,8 +925,8 @@ fn kernel_nonzeros(s: &Session, sql: &str) -> [usize; 2] {
 /// horizon and at the paper's 288 steps, where the recursive CDTE's
 /// dense triangle is what presolve cancels), the UC2 knapsack MIP and a
 /// bound-snapping MIP microbench: solve time, branch-and-bound nodes,
-/// the reduction counters, the nonzeros the kernel sees, and the
-/// (identical) objectives.
+/// simplex pivots, the reduction counters, the nonzeros the kernel sees,
+/// and the (identical) objectives.
 pub fn presolve(cfg: Config) -> Figure {
     let mut rows = Vec::new();
     let mut compare = |workload: &str, s: &mut Session, sql: &str| {
@@ -938,6 +938,7 @@ pub fn presolve(cfg: Config) -> Figure {
                 mode.to_string(),
                 secs(t),
                 st.nodes_explored.to_string(),
+                st.iterations.to_string(),
                 st.presolve_cols.to_string(),
                 st.presolve_bounds.to_string(),
                 st.presolve_rows.to_string(),
@@ -1002,6 +1003,7 @@ pub fn presolve(cfg: Config) -> Figure {
             "presolve".into(),
             "solve (s)".into(),
             "B&B nodes".into(),
+            "pivots".into(),
             "vars fixed".into(),
             "bounds tightened".into(),
             "rows removed".into(),
@@ -1012,6 +1014,7 @@ pub fn presolve(cfg: Config) -> Figure {
         notes: vec![
             "identical objectives within each pair is the correctness check; nodes and time are the payoff".into(),
             "nonzeros: constraint-matrix entries handed to the kernel (with presolve on, after nonzero cancellation)".into(),
+            "pivots: simplex iterations, over every node of a search".into(),
         ],
     }
 }
@@ -1757,13 +1760,19 @@ mod tests {
         for pair in f.rows.chunks(2) {
             assert_eq!(pair[0][0], pair[1][0]);
             assert_eq!((pair[0][1].as_str(), pair[1][1].as_str()), ("on", "off"));
-            assert_eq!(pair[0][8], pair[1][8], "objective drift in {}", pair[0][0]);
+            assert_eq!(pair[0][9], pair[1][9], "objective drift in {}", pair[0][0]);
         }
         // The recursive CDTE's triangle reaches the kernel cancelled: at
         // 24 steps, 2 + 3 + 4 + 20·3 nonzeros instead of 2 + … + 25 (one
         // more with presolve off: the singleton row of the first step).
-        let nonzeros: Vec<&str> = f.rows[2..4].iter().map(|r| r[7].as_str()).collect();
+        let nonzeros: Vec<&str> = f.rows[2..4].iter().map(|r| r[8].as_str()).collect();
         assert_eq!(nonzeros, ["69", "300"]);
+        // Each cancelled row is carried by its load, a column singleton,
+        // from the crash on: a tenth of the pivots at most (the CI gate).
+        for pair in f.rows[..4].chunks(2) {
+            let pivots = |r: &Vec<String>| -> u64 { r[4].parse().unwrap() };
+            assert!(10 * pivots(&pair[0]) <= pivots(&pair[1]), "{pair:?}");
+        }
         // The bound-snap MIP demonstrates the payoff: fewer B&B nodes
         // with presolve on, and nonzero reduction counters.
         let snap = &f.rows[6..8];
@@ -1774,7 +1783,7 @@ mod tests {
             snap[0][3],
             snap[1][3]
         );
-        assert!(snap[0][5].parse::<u64>().unwrap() > 0, "bounds tightened should be counted");
+        assert!(snap[0][6].parse::<u64>().unwrap() > 0, "bounds tightened should be counted");
     }
 
     #[test]

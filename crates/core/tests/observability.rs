@@ -111,25 +111,114 @@ fn solve_lp_says_how_the_simplex_started() {
         )
         .unwrap();
     let plan = text_column(&t, "plan");
-    let line = plan.iter().find(|l| l.contains("-> solve-lp:")).expect("a solve-lp stage");
-    // `start=S structural/L slack/A artificial  phase1_pivots=P` over 12
-    // rows: the six free error columns at least start basic, and fewer
-    // rows than all need an artificial.
-    let note = line.split("start=").nth(1).unwrap_or_else(|| panic!("no start note: {line}"));
+    // `start=S structural/C singleton/L slack/A artificial
+    // phase1_pivots=P` over 12 rows: the six free error columns at least
+    // start basic, no column is a singleton, and fewer rows than all
+    // need an artificial.
+    let note = start_note(&plan);
     let (start, phase1_pivots) = note.split_once("  phase1_pivots=").expect("phase1_pivots");
     let counts: Vec<(usize, &str)> = start
         .split('/')
         .map(|part| part.split_once(' ').expect("count and kind"))
         .map(|(count, kind)| (count.parse().expect("a count"), kind))
         .collect();
-    let [(structural, "structural"), (slack, "slack"), (artificial, "artificial")] = counts[..]
+    let [(structural, "structural"), (singleton, "singleton"), (slack, "slack"), (artificial, "artificial")] =
+        counts[..]
     else {
         panic!("start note: {note}");
     };
-    assert_eq!(structural + slack + artificial, 12, "{note}");
+    assert_eq!(structural + singleton + slack + artificial, 12, "{note}");
+    assert_eq!(singleton, 0, "{note}");
     assert!(structural >= 6 && artificial < 12, "{note}");
     let phase1_pivots: usize = phase1_pivots.trim().parse().expect("a pivot count");
     assert_eq!(phase1_pivots > 0, artificial > 0, "{note}");
+}
+
+/// The `start=` note of the `solve-lp` line of an `EXPLAIN ANALYZE`.
+fn start_note(plan: &[String]) -> String {
+    let line = plan.iter().find(|l| l.contains("-> solve-lp:")).expect("a solve-lp stage");
+    let note = line.split("start=").nth(1).unwrap_or_else(|| panic!("no start note: {line}"));
+    note.trim().to_string()
+}
+
+/// The inputs of UC1 P4 over a cold 24-hour horizon: the last known
+/// indoor temperature, the outdoor forecast, the PV forecast and the
+/// HVAC model's parameters.
+fn hvac_plan_session() -> Session {
+    let mut s = Session::new();
+    let hour = |k: usize| format!("'2017-01-02 {k:02}:00'");
+    let horizon: Vec<String> = (0..24)
+        .map(|k| format!("({}, {}, NULL, NULL)", hour(k), 2.0 + 4.0 * (k as f64 / 4.0).sin()))
+        .collect();
+    let pv: Vec<String> = (0..24)
+        .map(|k| format!("({}, {})", hour(k), (3000.0 * ((k as f64 - 6.0) / 4.0).sin()).max(0.0)))
+        .collect();
+    s.execute_script(&format!(
+        "CREATE TABLE hist (time timestamp, intemp float8);
+         INSERT INTO hist VALUES ('2017-01-01 23:00', 21.5);
+         CREATE TABLE horizon (time timestamp, outtemp float8, intemp float8, hload float8);
+         INSERT INTO horizon VALUES {};
+         CREATE TABLE pv_forecast (time timestamp, pvsupply float8);
+         INSERT INTO pv_forecast VALUES {};
+         CREATE TABLE hvac_pars (a1 float8, b1 float8, b2 float8);
+         INSERT INTO hvac_pars VALUES (0.9, 0.08, 0.00045)",
+        horizon.join(", "),
+        pv.join(", ")
+    ))
+    .unwrap();
+    s
+}
+
+/// UC1 P4 as `benchmark/sql/s_3ss_p4.sql` states it (paper §4.4): the
+/// dynamics a recursive CDTE, the temperature in [20, 25] and the load
+/// in [0, 17 000].
+const HVAC_PLAN: &str = "SOLVESELECT t(hload, intemp) AS
+  (SELECT h.time, h.outtemp, h.intemp, h.hload, f.pvsupply
+   FROM horizon h JOIN pv_forecast f ON f.time = h.time)
+WITH sim AS (
+  WITH RECURSIVE s(time, x) AS (
+    SELECT (SELECT min(time) FROM t) AS time,
+           (SELECT intemp FROM hist ORDER BY time DESC LIMIT 1) AS x
+    UNION ALL
+    SELECT s.time + interval '1 hour',
+           hvac_pars.a1 * s.x + hvac_pars.b1 * n.outtemp + hvac_pars.b2 * n.hload
+    FROM s JOIN t n ON n.time = s.time, hvac_pars)
+  SELECT time, x FROM s)
+MINIMIZE (SELECT sum((hload - pvsupply) * 0.12) FROM t)
+SUBJECTTO (SELECT t.intemp = sim.x FROM sim, t WHERE t.time = sim.time),
+          (SELECT 20 <= intemp <= 25, 0 <= hload <= 17000 FROM t)
+USING solverlp.cbc()";
+
+#[test]
+fn the_hvac_plan_starts_on_its_load_singletons() {
+    // Presolve fixes the first hour's temperature and cancels the dense
+    // triangle the recursion unrolls to back into one row per hour,
+    // `intemp_k − a1·intemp_{k−1} − b2·hload_{k−1} = b1·out`, in which
+    // `hload_{k−1}` is a column singleton: 21 rows start on a load, the
+    // last hour's row (whose load is in no row) on an artificial.
+    let mut s = hvac_plan_session();
+    let on = s.query(&format!("EXPLAIN ANALYZE {HVAC_PLAN}")).unwrap();
+    let on = start_note(&text_column(&on, "plan"));
+    assert_eq!(on, "0 structural/21 singleton/1 slack/1 artificial  phase1_pivots=2");
+    // Without presolve every hour's row holds the whole triangle; each
+    // temperature is a singleton of its row, but at zero load it runs
+    // below 20. Only the first hour's, the known 21.5, fits: the payoff
+    // is the cancellation's.
+    let off =
+        s.query(&format!("EXPLAIN ANALYZE {}", HVAC_PLAN.replace("cbc()", "cbc(presolve := off)")));
+    let off = start_note(&text_column(&off.unwrap(), "plan"));
+    assert_eq!(off, "0 structural/1 singleton/0 slack/23 artificial  phase1_pivots=31");
+    // The same plan either way.
+    let total_load = |s: &mut Session, sql: &str| {
+        let t = s.query(sql).unwrap();
+        let rows = t.column_values("hload").unwrap();
+        rows.iter().map(|v| v.as_f64().unwrap()).sum::<f64>()
+    };
+    let (load_on, load_off) = (
+        total_load(&mut s, HVAC_PLAN),
+        total_load(&mut s, &HVAC_PLAN.replace("cbc()", "cbc(presolve := off)")),
+    );
+    assert!((load_on - load_off).abs() <= 1e-9 * load_on.abs().max(1.0), "{load_on} vs {load_off}");
 }
 
 #[test]

@@ -4,15 +4,28 @@
 //! anti-cycling fallback) and re-solves it after bound changes from a
 //! saved [`Basis`] with a bounded dual simplex.
 //!
-//! A cold solve starts from a *crash basis*: the free structural columns
-//! — basic in any non-degenerate optimum, and never blocking a ratio
-//! test — go into the basis first, longest first, each on the row where
-//! its value leaves its other rows least infeasible; the basis is
-//! factorized and every column the factor finds no pivot for gives its
-//! place to a unit column; each row left takes its slack when the
-//! slack's value is within its bounds and an artificial otherwise.
-//! Phase 1 runs only when an artificial is basic; with no free column
-//! and no slack that fits this is the textbook all-artificial start.
+//! A cold solve starts from a *crash basis*, tier by tier (Bixby's
+//! order, *Implementing the Simplex Method: The Initial Basis*, 1992):
+//!
+//! 1. the free structural columns — basic in any non-degenerate optimum,
+//!    and never blocking a ratio test — go into the basis first, longest
+//!    first, each on the row where its value leaves its other rows least
+//!    infeasible; the basis is factorized and every column the factor
+//!    finds no pivot for gives its place to a unit column;
+//! 2. a row left on its unit column keeps its slack when the slack's
+//!    value is within its bounds;
+//! 3. a row whose slack does not fit takes a bounded *column singleton*
+//!    of that row (one nonzero, the row's) when the value that carries
+//!    the row is within the column's bounds, the largest coefficient
+//!    first. Swapping `e_i` for `a·e_i` rescales one basis column, so
+//!    the basis stays regular and no other basic value moves; no
+//!    threshold relative to the row's other coefficients is wanted (an
+//!    HVAC step row holds its load at 7e-4 beside a 1);
+//! 4. every row left takes an artificial.
+//!
+//! Phase 1 runs only when an artificial is basic; with no free column,
+//! no slack and no singleton that fits this is the textbook
+//! all-artificial start.
 //!
 //! The basis is held as a
 //! sparse LU factorization plus an eta file ([`crate::factor`]),
@@ -89,6 +102,9 @@ pub struct Start {
     /// Free structural columns the crash made basic (and the factor
     /// kept).
     pub structural: usize,
+    /// Rows whose slack did not fit that started on a bounded column
+    /// singleton of the row instead.
+    pub singleton: usize,
     /// Rows that started on their slack: its value was within bounds.
     pub slack: usize,
     /// Rows that started on an artificial; phase 1 ran if there was one.
@@ -99,8 +115,11 @@ pub struct Start {
 
 impl std::fmt::Display for Start {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let Start { structural, slack, artificial, .. } = self;
-        write!(f, "{structural} structural/{slack} slack/{artificial} artificial")
+        let Start { structural, singleton, slack, artificial, .. } = self;
+        write!(
+            f,
+            "{structural} structural/{singleton} singleton/{slack} slack/{artificial} artificial"
+        )
     }
 }
 
@@ -340,53 +359,7 @@ impl<'a> Simplex<'a> {
         if self.bounds_crossed() {
             return Solution::infeasible();
         }
-        let (n, m) = (self.n, self.m);
-        // Every column at rest, the artificials out of the problem, and
-        // each row on its unit column; then the crash.
-        for j in 0..n + m {
-            self.status[j] = rest_status(self.lower[j], self.upper[j]);
-        }
-        for j in n + m..self.n_total {
-            self.status[j] = VarStatus::AtLower;
-            (self.lower[j], self.upper[j]) = (0.0, 0.0);
-        }
-        for i in 0..m {
-            self.basis[i] = n + i;
-        }
-        self.crash_free_columns();
-        self.install_basis();
-        if !self.crash_is_sound() {
-            for i in 0..m {
-                self.basis[i] = n + i;
-            }
-            self.install_basis();
-        }
-        // A unit column is the row's slack if that is within its bounds
-        // at the value the row needs, else its artificial in phase-1
-        // form: minimize Σ|artificial|. The slack rests at 0 either way,
-        // so x_B stands.
-        self.cost.fill(0.0);
-        let mut start = Start::default();
-        for i in 0..m {
-            let (j, v) = (self.basis[i], self.xb[i]);
-            if j < n {
-                start.structural += 1;
-            } else if v >= self.lower[j] - TOL && v <= self.upper[j] + TOL {
-                start.slack += 1;
-            } else {
-                start.artificial += 1;
-                self.status[j] = rest_status(self.lower[j], self.upper[j]);
-                let art = j + m;
-                self.status[art] = VarStatus::Basic;
-                self.basis[i] = art;
-                (self.lower[art], self.upper[art], self.cost[art]) = if v >= 0.0 {
-                    (0.0, f64::INFINITY, 1.0)
-                } else {
-                    (f64::NEG_INFINITY, 0.0, -1.0)
-                };
-            }
-        }
-
+        let mut start = self.crash();
         let mut iterations = 0usize;
         let mut status = Status::Optimal;
         if start.artificial > 0 {
@@ -412,6 +385,63 @@ impl<'a> Simplex<'a> {
             status = st;
         }
         self.solution(status, iterations)
+    }
+
+    /// Install the crash basis tier by tier (the module header): free
+    /// columns, slacks that fit, singletons that fit, and artificials in
+    /// phase-1 form on the rows left, with x_B computed. Says how many
+    /// rows each tier took.
+    fn crash(&mut self) -> Start {
+        let (n, m) = (self.n, self.m);
+        // Every column at rest, the artificials out of the problem, and
+        // each row on its unit column; then the crash.
+        for j in 0..n + m {
+            self.status[j] = rest_status(self.lower[j], self.upper[j]);
+        }
+        for j in n + m..self.n_total {
+            self.status[j] = VarStatus::AtLower;
+            (self.lower[j], self.upper[j]) = (0.0, 0.0);
+        }
+        for i in 0..m {
+            self.basis[i] = n + i;
+        }
+        self.crash_free_columns();
+        self.install_basis();
+        if !self.crash_is_sound() {
+            for i in 0..m {
+                self.basis[i] = n + i;
+            }
+            self.install_basis();
+        }
+        self.crash_singletons();
+        // A unit column is the row's slack if that is within its bounds
+        // at the value the row needs, else its artificial in phase-1
+        // form: minimize Σ|artificial|. The slack rests at 0 either way,
+        // so x_B stands.
+        self.cost.fill(0.0);
+        let mut start = Start::default();
+        for i in 0..m {
+            let (j, v) = (self.basis[i], self.xb[i]);
+            if j < n && self.is_free(j) {
+                start.structural += 1;
+            } else if j < n {
+                start.singleton += 1;
+            } else if self.fits(j, v) {
+                start.slack += 1;
+            } else {
+                start.artificial += 1;
+                self.status[j] = rest_status(self.lower[j], self.upper[j]);
+                let art = j + m;
+                self.status[art] = VarStatus::Basic;
+                self.basis[i] = art;
+                (self.lower[art], self.upper[art], self.cost[art]) = if v >= 0.0 {
+                    (0.0, f64::INFINITY, 1.0)
+                } else {
+                    (f64::NEG_INFINITY, 0.0, -1.0)
+                };
+            }
+        }
+        start
     }
 
     /// Factorize `basis` as the crash has it so far and compute x_B with
@@ -470,6 +500,70 @@ impl<'a> Simplex<'a> {
         }
     }
 
+    /// Whether column `j` has no finite bound.
+    fn is_free(&self, j: usize) -> bool {
+        self.lower[j] == f64::NEG_INFINITY && self.upper[j] == f64::INFINITY
+    }
+
+    /// Whether column `j` is within its bounds at value `v`.
+    fn fits(&self, j: usize, v: f64) -> bool {
+        v >= self.lower[j] - TOL && v <= self.upper[j] + TOL
+    }
+
+    /// The crash's singleton tier: a row still on its unit column whose
+    /// slack does not fit its value v takes a bounded column singleton
+    /// `a·e_i` (one nonzero, not free, `lower < upper`, `|a|` above
+    /// [`PIVOT_TOL`]) whose value `rest + v / a` is within its bounds;
+    /// the largest `|a|` wins, ties the lower column. The slack rests at
+    /// 0 and every other basic value stays where it is. Undone when the
+    /// new basis fails [`Simplex::crash_is_sound`].
+    fn crash_singletons(&mut self) {
+        let (n, m) = (self.n, self.m);
+        // Where row i's unit column is basic, if its slack does not fit.
+        let mut open: Vec<Option<usize>> = vec![None; m];
+        for (k, &j) in self.basis.iter().enumerate() {
+            if j >= n && !self.fits(j, self.xb[k]) {
+                open[j - n] = Some(k);
+            }
+        }
+        if open.iter().all(Option::is_none) {
+            return;
+        }
+        let mut take: Vec<Option<(usize, f64)>> = vec![None; m]; // (column, |a|) by position
+        for j in 0..n {
+            if self.lower[j] >= self.upper[j] || self.is_free(j) {
+                continue;
+            }
+            let mut nonzeros = self.cols[j].iter().filter(|&&(_, a)| a != 0.0);
+            let (Some(&(i, a)), None) = (nonzeros.next(), nonzeros.next()) else {
+                continue;
+            };
+            let Some(k) = open[i] else {
+                continue;
+            };
+            if a.abs() > PIVOT_TOL
+                && self.fits(j, self.nb_value(j) + self.xb[k] / a)
+                && take[k].map_or(true, |(_, size)| a.abs() > size)
+            {
+                take[k] = Some((j, a.abs()));
+            }
+        }
+        if take.iter().all(Option::is_none) {
+            return;
+        }
+        let before = self.basis.clone();
+        for (slot, take) in self.basis.iter_mut().zip(take) {
+            if let Some((j, _)) = take {
+                *slot = j;
+            }
+        }
+        self.install_basis();
+        if !self.crash_is_sound() {
+            self.basis.copy_from_slice(&before);
+            self.install_basis();
+        }
+    }
+
     /// The crash: every free structural column that finds a row goes
     /// into `basis` at that row's position, longest column first — a
     /// column of many rows is valued while those rows are still open, a
@@ -481,10 +575,8 @@ impl<'a> Simplex<'a> {
     /// factorizing what is placed.
     fn crash_free_columns(&mut self) {
         let (n, m) = (self.n, self.m);
-        let is_free =
-            |j: usize| self.lower[j] == f64::NEG_INFINITY && self.upper[j] == f64::INFINITY;
         let mut free: Vec<usize> =
-            (0..n).filter(|&j| is_free(j) && !self.cols[j].is_empty()).collect();
+            (0..n).filter(|&j| self.is_free(j) && !self.cols[j].is_empty()).collect();
         if free.is_empty() {
             return;
         }
@@ -1112,7 +1204,7 @@ mod tests {
         let start = t.counters().start;
         assert_eq!((start.structural, start.slack, start.artificial), (0, 1, 2));
         assert!(start.phase1_pivots > 0);
-        assert_eq!(start.to_string(), "0 structural/1 slack/2 artificial");
+        assert_eq!(start.to_string(), "0 structural/0 singleton/1 slack/2 artificial");
         // No free column and no slack that fits: every row on its
         // artificial, the textbook start.
         p.constraints.remove(0);
@@ -1198,6 +1290,121 @@ mod tests {
         assert_eq!(start.structural + start.slack + start.artificial, 16);
         assert!(start.structural >= 8 && start.artificial < 16, "{start:?}");
         assert_eq!(not_converged_total(), before);
+    }
+
+    /// max x subject to `x + 2u = 8` and `x + w <= 30`, x in [0, 20], w
+    /// in [0, 5] and u in `[0, u_max]`: u is a column singleton of the
+    /// equality row, whose slack (fixed at 0) cannot hold its 8.
+    fn singleton_row(u_max: f64) -> Problem {
+        let mut p = Problem::maximize(3);
+        p.set_bounds(0, 0.0, 20.0);
+        p.set_bounds(1, 0.0, u_max);
+        p.set_bounds(2, 0.0, 5.0);
+        p.set_objective(vec![(0, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 2.0)], Rel::Eq, 8.0);
+        p.add_constraint(vec![(0, 1.0), (2, 1.0)], Rel::Le, 30.0);
+        p
+    }
+
+    fn start_counts(t: &Simplex) -> (usize, usize, usize, usize) {
+        let s = t.counters().start;
+        (s.structural, s.singleton, s.slack, s.artificial)
+    }
+
+    #[test]
+    fn a_fitting_singleton_starts_basic_and_phase_1_does_not_run() {
+        // u = 8 / 2 = 4 is within [0, 10]: the row starts on u. Row 1
+        // keeps its slack (30 fits); w, its singleton, is not wanted.
+        let p = singleton_row(10.0);
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.objective, 8.0);
+        assert_eq!(start_counts(&t), (0, 1, 1, 0));
+        assert_eq!(t.counters().start.phase1_pivots, 0);
+        assert_eq!(t.counters().start.to_string(), "0 structural/1 singleton/1 slack/0 artificial");
+        // One pivot brings x in for u, one pass finds nothing more.
+        assert_eq!(s.iterations, 2);
+    }
+
+    #[test]
+    fn a_singleton_whose_value_leaves_its_bounds_is_passed_over() {
+        // u would be 4 but stops at 3: the row goes to an artificial.
+        let p = singleton_row(3.0);
+        let mut t = Simplex::new(&p);
+        let s = t.solve();
+        assert!(s.is_optimal());
+        assert_close(s.objective, 8.0);
+        assert_eq!(start_counts(&t), (0, 0, 1, 1));
+        assert!(t.counters().start.phase1_pivots > 0);
+    }
+
+    #[test]
+    fn a_slack_that_fits_keeps_its_row_beside_a_singleton() {
+        // `x + 2u <= 8` holds at the origin: the slack starts basic.
+        let mut p = singleton_row(10.0);
+        p.constraints[0].rel = Rel::Le;
+        let mut t = Simplex::new(&p);
+        assert_close(t.solve().objective, 8.0);
+        assert_eq!(start_counts(&t), (0, 0, 2, 0));
+    }
+
+    #[test]
+    fn of_two_fitting_singletons_the_larger_coefficient_wins() {
+        // `x + 2u + 5v = 10`: u would be 5, v 2; v has the larger |a|.
+        let mut p = Problem::minimize(3);
+        for j in 0..3 {
+            p.set_bounds(j, 0.0, 10.0);
+        }
+        p.set_objective(vec![(0, 1.0), (1, 1.0), (2, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 2.0), (2, 5.0)], Rel::Eq, 10.0);
+        p.add_constraint(vec![(0, 1.0)], Rel::Le, 10.0);
+        let mut t = Simplex::new(&p);
+        assert_eq!(t.crash().singleton, 1);
+        assert_eq!(t.basis[0], 2);
+        assert_close(t.xb[0], 2.0);
+        // Equal |a|: the lower column (v = 10 / 2 = 5 fits as u does).
+        p.constraints[0].coeffs[2].1 = 2.0;
+        let mut t = Simplex::new(&p);
+        assert_eq!(t.crash().singleton, 1);
+        assert_eq!(t.basis[0], 1);
+        assert_close(t.solve().objective, 5.0);
+    }
+
+    #[test]
+    fn a_fixed_column_is_never_taken() {
+        // u fixed at 4 in `x + 10u = 40 + 2e-9`: the row is 2e-9 off,
+        // beyond the slack's tolerance; u at 4 + 2e-10 would be within
+        // its own. A fixed column cannot move, so the row goes to an
+        // artificial; the same column with room [4, 5] carries it. (x is
+        // in a second row: no singleton.)
+        let mut p = Problem::minimize(2);
+        p.set_bounds(0, 0.0, 1.0);
+        p.set_bounds(1, 4.0, 4.0);
+        p.set_objective(vec![(0, 1.0)]);
+        p.add_constraint(vec![(0, 1.0), (1, 10.0)], Rel::Eq, 40.0 + 2e-9);
+        p.add_constraint(vec![(0, 1.0)], Rel::Le, 5.0);
+        let mut t = Simplex::new(&p);
+        assert_eq!(t.crash().artificial, 1);
+        p.set_bounds(1, 4.0, 5.0);
+        let mut t = Simplex::new(&p);
+        assert_eq!(t.crash().singleton, 1);
+        assert_eq!(t.basis[0], 1);
+    }
+
+    #[test]
+    fn a_column_whose_second_entry_merges_to_zero_is_a_singleton() {
+        // u's entries in row 1, +1 and -1, merge to an explicit 0.0.
+        let mut p = singleton_row(10.0);
+        p.constraints[1].coeffs.extend([(1, 1.0), (1, -1.0)]);
+        let mut t = Simplex::new(&p);
+        assert_eq!(t.cols[1].len(), 2);
+        let start = t.crash();
+        assert_eq!((start.singleton, start.artificial), (1, 0));
+        assert_eq!(t.basis[0], 1);
+        assert_close(t.xb[0], 4.0);
+        assert!(t.crash_is_sound());
+        assert_close(t.solve().objective, 8.0);
     }
 
     /// max 3x + 5y over the classic three-row polytope (optimum 36).

@@ -362,15 +362,15 @@ fn lattice_oracle(p: &Problem, limit: usize) -> Option<Option<f64>> {
     Some(best)
 }
 
-/// Cases of the widened MIP property: 256 in the workspace run, what
-/// `PROPTEST_CASES` says where it is set (the `analyze` CI job runs
-/// 20 000).
-fn mip_cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
+/// Cases of a property the `analyze` CI job widens: `workspace` in the
+/// workspace run, what `PROPTEST_CASES` says where it is set (the job
+/// runs 20 000).
+fn widened_cases(workspace: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(workspace)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(mip_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(widened_cases(256)))]
 
     /// Warm-started branch-and-bound, with its rounding and its
     /// reduced-cost fixing, agrees on status and objective with the
@@ -770,4 +770,118 @@ fn a_warm_node_costs_a_few_pivots() {
         stats.simplex_iterations,
         stats.nodes_explored
     );
+}
+
+/// A controlled recurrence `x_n = a·x_{n−1} + b·u_n + c`, n = 1..=N,
+/// from a known x_0: every state in one band, every control in
+/// `[0, u_max]` with `|b|·u_max` between 1 and 20 (the HVAC plan's
+/// `b2 = 7e-4` beside a load of up to 17 000), a cost on each. The band
+/// binds now and then and now and then leaves no feasible plan.
+struct Recurrence {
+    a: f64,
+    b: f64,
+    c: f64,
+    x0: f64,
+    band: (f64, f64),
+    u_max: f64,
+    x_cost: Vec<f64>,
+    u_cost: Vec<f64>,
+}
+
+fn recurrence(seed: u64) -> Recurrence {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let steps = rng.gen_range(2..=30usize);
+    let b = 10f64.powf(rng.gen_range(-4.0..1.0)) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    let lo = rng.gen_range(-5.0..10.0);
+    Recurrence {
+        a: rng.gen_range(0.05..0.99),
+        b,
+        c: rng.gen_range(-3.0..3.0),
+        x0: rng.gen_range(0.0..10.0),
+        band: (lo, lo + rng.gen_range(0.5..10.0)),
+        u_max: rng.gen_range(1.0..20.0) / b.abs(),
+        x_cost: (0..steps).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        u_cost: (0..steps).map(|_| rng.gen_range(0.0..1.0) * b.abs()).collect(),
+    }
+}
+
+/// Columns x_1..x_N then u_1..u_N, in the band and the box, at their
+/// costs; no rows yet.
+fn recurrence_columns(r: &Recurrence) -> Problem {
+    let steps = r.x_cost.len();
+    let mut p = Problem::minimize(2 * steps);
+    for n in 0..steps {
+        p.set_bounds(n, r.band.0, r.band.1);
+        p.set_bounds(steps + n, 0.0, r.u_max);
+    }
+    let costs = r.x_cost.iter().chain(&r.u_cost);
+    p.set_objective(costs.enumerate().map(|(j, &c)| (j, c)).collect());
+    p
+}
+
+/// Over explicit state: row n is `x_n − a·x_{n−1} − b·u_n = c` (x_0 a
+/// constant on row 1), a staircase in which every u_n is a column
+/// singleton.
+fn staircase(r: &Recurrence) -> Problem {
+    let steps = r.x_cost.len();
+    let mut p = recurrence_columns(r);
+    for n in 0..steps {
+        let mut row = vec![(n, 1.0), (steps + n, -r.b)];
+        let mut rhs = r.c;
+        if n == 0 {
+            rhs += r.a * r.x0;
+        } else {
+            row.push((n - 1, -r.a));
+        }
+        p.add_constraint(row, Rel::Eq, rhs);
+    }
+    p
+}
+
+/// Unrolled: row n is `x_n − Σ_{k≤n} a^{n−k}·b·u_k = a^n·x_0 +
+/// Σ_{k≤n} a^{n−k}·c`, the dense triangle a recursive CDTE lowers to,
+/// in which x_n is the singleton.
+fn triangle(r: &Recurrence) -> Problem {
+    let steps = r.x_cost.len();
+    let mut p = recurrence_columns(r);
+    for n in 0..steps {
+        let mut row = vec![(n, 1.0)];
+        let mut rhs = r.a.powi(n as i32 + 1) * r.x0;
+        for k in 0..=n {
+            let decay = r.a.powi((n - k) as i32);
+            row.push((steps + k, -decay * r.b));
+            rhs += decay * r.c;
+        }
+        p.add_constraint(row, Rel::Eq, rhs);
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(widened_cases(512)))]
+
+    /// The same recurrence as a staircase and as a triangle is the same
+    /// LP: the same verdict, and objectives equal to 1e-9 relative. The
+    /// staircase's rows start on the singletons that fit; the triangle's
+    /// on the states whose uncontrolled run stays in the band.
+    #[test]
+    fn staircase_and_triangle_agree(seed in 0u64..1_000_000) {
+        let r = recurrence(seed);
+        let (stairs, dense) = (staircase(&r), triangle(&r));
+        let mut tableau = Simplex::new(&stairs);
+        let s = tableau.solve();
+        let t = solve_lp(&dense);
+        prop_assert_eq!(s.status, t.status);
+        prop_assert!(s.status == Status::Optimal || s.status == Status::Infeasible, "{:?}", s.status);
+        let start = tableau.counters().start;
+        prop_assert_eq!(start.structural + start.singleton + start.slack + start.artificial, r.x_cost.len());
+        if s.status == Status::Optimal {
+            prop_assert!(stairs.is_feasible(&s.x, 1e-6) && dense.is_feasible(&t.x, 1e-6));
+            let scale = s.objective.abs().max(t.objective.abs()).max(1.0);
+            prop_assert!(
+                (s.objective - t.objective).abs() <= 1e-9 * scale,
+                "staircase {} vs triangle {}", s.objective, t.objective
+            );
+        }
+    }
 }
