@@ -153,7 +153,7 @@ impl Solver for HvacScheduler {
         let (hload, _) = p4_direct(&task, (fit.a1, fit.b1, fit.b2), &pv, x0);
 
         // Output: fill the horizon cells; simulate intemp for reporting.
-        let mut out = t.clone();
+        let mut out = Table::clone(t);
         let model = ssmodel::Lti::hvac(fit.a1, fit.b1, fit.b2);
         let mut x = x0;
         for (k, &r) in plan.iter().enumerate() {

@@ -12,14 +12,14 @@
 
 use crate::check::presolve::reduce::model_of;
 use crate::check::presolve::{propagate, Model, Outcome};
-use crate::problem::{check_cardinality, ProblemInstance};
+use crate::problem::ProblemInstance;
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, TableRef};
 use sqlengine::catalog::{Ctes, Database};
-use sqlengine::error::{Error, Result};
+use sqlengine::error::Error;
 use sqlengine::exec::run_query;
 use sqlengine::types::{downcast, BinOp, Value};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Why a rule did not compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,68 +124,14 @@ pub(crate) fn both_objectives(prob: &ProblemInstance) -> Error {
     ))
 }
 
-/// Re-run every decision relation in order with symbolic variables in
-/// its decision cells, so derived relations (e.g. a recursive simulation
-/// CDTE) carry linear expressions — the symbolic pass of §4.1. The input
-/// relation reads only `base`, where it was instantiated, and is taken as
-/// it was instantiated rather than run again. Lenient:
-/// a derived relation that cannot be expressed symbolically (a
-/// simulation that is nonlinear in the decision variables, say) stays
-/// out of the environment and is returned with the kind of its failure;
-/// rules that read it fail the same way, rules that don't are
-/// unaffected.
-fn symbolic_env(
-    db: &Database,
-    base: &Ctes,
-    prob: &ProblemInstance,
-) -> Result<(Ctes, Vec<(String, FailureKind)>)> {
-    let mut env = base.clone();
-    let mut skipped = Vec::new();
-    for (ri, rel) in prob.relations.iter().enumerate() {
-        let mut table = if ri == 0 || (rel.dec_cols.is_empty() && rel.alias.is_none()) {
-            rel.table.clone()
-        } else {
-            match run_query(db, &env, &rel.query, None) {
-                Ok(t) => t,
-                Err(e) => {
-                    if let Some(a) = &rel.alias {
-                        skipped.push((a.clone(), failure_kind(db, &rel.query, &e, &skipped)));
-                    }
-                    continue;
-                }
-            }
-        };
-        check_cardinality(rel, &table)?;
-        for (row, ids) in rel.vars.iter().enumerate() {
-            for (&col, &id) in rel.dec_cols.iter().zip(ids) {
-                table.rows[row][col] = sym_value(LinExpr::var(id));
-            }
-        }
-        if let Some(a) = &rel.alias {
-            env.insert(a, Arc::new(table));
-        }
-    }
-    Ok((env, skipped))
-}
-
 /// The failure of a rule (or derived relation) whose query did not
-/// evaluate: non-linear when the engine said so, or when the query reads
-/// a relation that is itself missing from the symbolic environment for
-/// that reason.
-fn failure_kind(
-    db: &Database,
-    query: &Query,
-    e: &Error,
-    skipped: &[(String, FailureKind)],
-) -> FailureKind {
+/// evaluate: non-linear when the engine said so, else the kind of the
+/// failed relation it reads (`read`), if any.
+fn failure_kind(e: &Error, read: impl FnOnce() -> Option<FailureKind>) -> FailureKind {
     if matches!(e, Error::NonLinear(_)) {
         return FailureKind::NonLinear;
     }
-    if skipped.is_empty() {
-        return FailureKind::Other;
-    }
-    let reads = sqlengine::plan::relation_reads(db, query);
-    skipped.iter().find(|(a, _)| reads.contains(a)).map_or(FailureKind::Other, |&(_, kind)| kind)
+    read().unwrap_or(FailureKind::Other)
 }
 
 fn query_failure(
@@ -196,10 +142,11 @@ fn query_failure(
     e: Error,
     skipped: &[(String, FailureKind)],
 ) -> RuleFailure {
-    RuleFailure {
-        kind: failure_kind(db, query, &e, skipped),
-        error: rule_error(clause, alias, query, e),
-    }
+    let read = || {
+        let reads = (!skipped.is_empty()).then(|| sqlengine::plan::relation_reads(db, query))?;
+        skipped.iter().find(|(a, _)| reads.contains(a)).map(|&(_, kind)| kind)
+    };
+    RuleFailure { kind: failure_kind(&e, read), error: rule_error(clause, alias, query, e) }
 }
 
 /// Evaluate one SUBJECTTO rule, collecting its constraint cells.
@@ -366,7 +313,11 @@ pub fn compile_model<'a>(
     if prob.minimize.is_none() && prob.maximize.is_none() && prob.subjectto.is_empty() {
         return model;
     }
-    let (env, skipped) = match symbolic_env(db, base, prob) {
+    // The symbolic pass of §4.1: the decision relations bound with
+    // symbolic variables in their decision cells, so derived relations
+    // (e.g. a recursive simulation CDTE) carry linear expressions.
+    let symbolic = |id| sym_value(LinExpr::var(id));
+    let (env, failed) = match prob.bind(db, base, Some(&symbolic)) {
         Ok(v) => v,
         Err(e) => {
             // An unstable decision relation fails every rule alike.
@@ -376,6 +327,18 @@ pub fn compile_model<'a>(
             return model;
         }
     };
+    // Lenient: a derived relation that cannot be expressed symbolically
+    // (a simulation that is nonlinear in the decision variables, say)
+    // stays out of the environment with the kind of its failure; rules
+    // that read it fail the same way, rules that don't are unaffected.
+    let mut skipped: Vec<(String, FailureKind)> = Vec::new();
+    let mut kinds = vec![None; prob.relations.len()];
+    for (ri, e) in failed {
+        let rel = &prob.relations[ri];
+        let kind = failure_kind(&e, || rel.inputs.iter().find_map(|&j| kinds[j]));
+        kinds[ri] = Some(kind);
+        skipped.extend(rel.alias.clone().map(|a| (a, kind)));
+    }
     let clause = if model.minimize { "MINIMIZE" } else { "MAXIMIZE" };
     model.objective = match (&prob.minimize, &prob.maximize) {
         (None, None) => None,

@@ -5,15 +5,15 @@ use crate::check;
 use crate::compile::compile_model;
 use crate::explain;
 use crate::model::{expect_model, ModelValue};
-use crate::problem::{build_problem, build_problem_traced, initial_env};
+use crate::problem::{build_problem, build_problem_traced};
 use crate::solver::{SolveContext, SolveControl, SolverRegistry};
-use sqlengine::ast::{Query, SolveKind, SolveStmt};
+use sqlengine::ast::{ExplainMode, Query, SolveKind, SolveStmt};
 use sqlengine::catalog::{Ctes, Database, SolveHandler};
-use sqlengine::diag::Diagnostic;
+use sqlengine::diag::{diagnostics_table, Diagnostic};
 use sqlengine::error::{Error, Result};
-use sqlengine::exec::run_query;
-use sqlengine::table::{Column, Schema, Table};
-use sqlengine::types::{custom, DataType, Value};
+use sqlengine::exec::{plan_table, run_query};
+use sqlengine::table::Table;
+use sqlengine::types::{custom, Value};
 use std::sync::Arc;
 
 /// SolveDB+'s implementation of the engine's [`SolveHandler`] hook.
@@ -80,23 +80,24 @@ impl SolveHandler for Handler {
         out
     }
 
-    fn explain_solve(&self, db: &Database, stmt: &SolveStmt, ctes: &Ctes) -> Result<Table> {
-        let e = explain::explain_stmt(db, ctes, stmt)?;
-        let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
-        let rows = e.render().lines().map(|l| vec![Value::text(l)]).collect();
-        Ok(Table::with_rows(schema, rows))
-    }
-
-    fn check_solve(&self, db: &Database, stmt: &SolveStmt, ctes: &Ctes) -> Result<Vec<Diagnostic>> {
-        check::check_stmt(db, ctes, stmt)
-    }
-
-    fn presolve_solve(&self, db: &Database, stmt: &SolveStmt, ctes: &Ctes) -> Result<Table> {
-        let prob = build_problem(db, ctes, stmt)?;
-        let lines = check::presolve::reduce::explain_presolve(&compile_model(db, ctes, &prob));
-        let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
-        let rows = lines.into_iter().map(|l| vec![Value::text(&l)]).collect();
-        Ok(Table::with_rows(schema, rows))
+    fn explain(
+        &self,
+        db: &Database,
+        stmt: &SolveStmt,
+        ctes: &Ctes,
+        mode: ExplainMode,
+    ) -> Result<Table> {
+        match mode {
+            ExplainMode::Check => Ok(diagnostics_table(&check::check_stmt(db, ctes, stmt)?)),
+            ExplainMode::Presolve => {
+                let prob = build_problem(db, ctes, stmt)?;
+                let model = compile_model(db, ctes, &prob);
+                Ok(plan_table(check::presolve::reduce::explain_presolve(&model)))
+            }
+            ExplainMode::Plan | ExplainMode::Analyze => {
+                Ok(plan_table(explain::explain_stmt(db, ctes, stmt)?.render().lines()))
+            }
+        }
     }
 
     fn solve_model(&self, _db: &Database, stmt: &SolveStmt, _ctes: &Ctes) -> Result<Value> {
@@ -115,9 +116,9 @@ impl SolveHandler for Handler {
         ctes: &Ctes,
     ) -> Result<Table> {
         let mv = expect_model(&run_query(db, ctes, model, None)?.scalar()?)?;
-        // Turn the model's relations into CTEs (materialized with their
-        // initial values) and evaluate the SELECT in that context.
+        // Turn the model's relations into CTEs (as instantiated, with
+        // their initial values) and evaluate the SELECT in that context.
         let prob = build_problem(db, ctes, &mv.stmt)?;
-        run_query(db, &initial_env(ctes, &prob), select, None)
+        run_query(db, &prob.bind(db, ctes, None)?.0, select, None)
     }
 }

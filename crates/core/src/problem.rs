@@ -5,6 +5,12 @@
 //! the scoping rules of §4.1, decision-variable creation, output
 //! assembly, and the prepared candidate evaluation used by black-box
 //! solvers. (The symbolic compilation of the rules is [`crate::compile`].)
+//!
+//! Each decision relation runs once, at instantiation, and its table is
+//! shared from then on. The symbolic pass, every black-box fitness
+//! evaluation and `MODELEVAL` read the model through one call,
+//! [`ProblemInstance::bind`], which re-runs only the relations an
+//! assignment reaches and writes the decision cells.
 
 use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
@@ -34,6 +40,17 @@ pub struct VarInfo {
     pub integer: bool,
 }
 
+impl VarInfo {
+    /// The cell holding the value `v` of this variable (rounded when integer).
+    pub fn cell(&self, v: f64) -> Value {
+        if self.integer {
+            Value::Int(v.round() as i64)
+        } else {
+            Value::Float(v)
+        }
+    }
+}
+
 /// A materialized decision relation D_i.
 #[derive(Debug, Clone)]
 pub struct DecRelInst {
@@ -41,10 +58,15 @@ pub struct DecRelInst {
     pub query: Query,
     /// Decision column indexes within the table schema.
     pub dec_cols: Vec<usize>,
-    /// Materialized table with initial values.
-    pub table: Table,
+    /// Materialized table with initial values, shared by every binding
+    /// that does not write into it.
+    pub table: Arc<Table>,
     /// Variable ids, `vars[row][k]` for the k-th decision column.
     pub vars: Vec<Vec<VarId>>,
+    /// The earlier relations this one reads (possibly through a view)
+    /// that an assignment changes: they hold decision cells or have
+    /// inputs themselves. A binding re-runs a relation that has any.
+    pub inputs: Vec<usize>,
 }
 
 /// A fully built problem instance: materialized relations, rules,
@@ -73,8 +95,24 @@ impl ProblemInstance {
         self.params.get(name).map(|v| v.as_f64())
     }
 
+    /// Fetch a solver parameter as a count: a non-negative integer.
     pub fn param_usize(&self, name: &str) -> Option<Result<usize>> {
-        self.params.get(name).map(|v| Ok(v.as_i64()?.max(0) as usize))
+        self.params.get(name).map(|v| {
+            v.as_i64().ok().and_then(|n| usize::try_from(n).ok()).ok_or_else(|| {
+                Error::solver(format!("parameter '{name}' must be a non-negative integer, got {v}"))
+            })
+        })
+    }
+
+    /// Fetch an on/off solver parameter: `on`, `off`, `true`, `false`, `1`
+    /// or `0` in any case; `default` when it is not given.
+    pub fn param_switch(&self, name: &str, default: bool) -> Result<bool> {
+        let Some(v) = self.param_text(name) else { return Ok(default) };
+        match v.to_ascii_lowercase().as_str() {
+            "on" | "true" | "1" => Ok(true),
+            "off" | "false" | "0" => Ok(false),
+            _ => Err(Error::solver(format!("parameter '{name}' must be on or off, got '{v}'"))),
+        }
     }
 
     pub fn param_text(&self, name: &str) -> Option<String> {
@@ -265,7 +303,7 @@ pub fn build_problem_traced(
     let specs: Vec<DecRel> =
         std::iter::once(stmt.input.clone()).chain(stmt.ctes.iter().cloned()).collect();
     for (ri, spec) in specs.iter().enumerate() {
-        let table = run_query(db, &env, &spec.query, None)?;
+        let table = Arc::new(run_query(db, &env, &spec.query, None)?);
         let dec_cols = resolve_dec_cols(&table, &spec.dec_cols, spec.alias.as_deref())?;
         let mut rel_vars: Vec<Vec<VarId>> = Vec::with_capacity(table.num_rows());
         for (row_idx, row) in table.rows.iter().enumerate() {
@@ -283,8 +321,19 @@ pub fn build_problem_traced(
             }
             rel_vars.push(ids);
         }
+        // Only a relation after one an assignment changes can have inputs
+        // (the input relation reads only `ctes`).
+        let changes = |r: &DecRelInst| !r.dec_cols.is_empty() || !r.inputs.is_empty();
+        let reads = if relations.iter().any(changes) {
+            sqlengine::plan::relation_reads(db, &spec.query)
+        } else {
+            Default::default()
+        };
+        let read = |r: &DecRelInst| r.alias.as_ref().is_some_and(|a| reads.contains(a));
+        let inputs =
+            (0..relations.len()).filter(|&j| changes(&relations[j]) && read(&relations[j]));
         if let Some(a) = &spec.alias {
-            env.insert(a, Arc::new(table.clone()));
+            env.insert(a, table.clone());
         }
         relations.push(DecRelInst {
             alias: spec.alias.clone(),
@@ -292,6 +341,7 @@ pub fn build_problem_traced(
             dec_cols,
             table,
             vars: rel_vars,
+            inputs: inputs.collect(),
         });
     }
 
@@ -313,23 +363,53 @@ pub fn build_problem_traced(
     })
 }
 
-/// The CTE environment exposing every decision relation under its alias
-/// with the values it was instantiated with (what `MODELEVAL` reads).
-pub fn initial_env(base: &Ctes, prob: &ProblemInstance) -> Ctes {
-    let mut env = base.clone();
-    for rel in &prob.relations {
-        if let Some(a) = &rel.alias {
-            env.insert(a, Arc::new(rel.table.clone()));
+impl ProblemInstance {
+    /// Bind the decision relations under one assignment: `base` plus each
+    /// aliased relation, in order, with `cell(id)` in each decision cell.
+    /// A relation with [`DecRelInst::inputs`] is re-run in the environment
+    /// built so far and must keep its row count; the others are taken as
+    /// instantiated, copied only to write cells. With no `cell` nothing is
+    /// re-run or written. A re-run relation whose query fails is left out
+    /// and returned, in order, with its error.
+    pub fn bind(
+        &self,
+        db: &Database,
+        base: &Ctes,
+        cell: Option<&dyn Fn(VarId) -> Value>,
+    ) -> Result<(Ctes, Vec<(usize, Error)>)> {
+        let mut env = base.clone();
+        let mut failed = Vec::new();
+        for (ri, rel) in self.relations.iter().enumerate() {
+            let rerun = cell.is_some() && !rel.inputs.is_empty();
+            let mut table = match rerun.then(|| run_query(db, &env, &rel.query, None)) {
+                None => rel.table.clone(),
+                Some(Ok(t)) => Arc::new(check_cardinality(rel, t)?),
+                Some(Err(e)) => {
+                    failed.push((ri, e));
+                    continue;
+                }
+            };
+            if let Some(cell) = cell.filter(|_| !rel.dec_cols.is_empty()) {
+                let rows = &mut Arc::make_mut(&mut table).rows;
+                for (row, ids) in rows.iter_mut().zip(&rel.vars) {
+                    for (&col, &id) in rel.dec_cols.iter().zip(ids) {
+                        row[col] = cell(id);
+                    }
+                }
+            }
+            if let Some(a) = &rel.alias {
+                env.insert(a, table);
+            }
         }
+        Ok((env, failed))
     }
-    env
 }
 
 /// Decision relations must keep the row count they were instantiated
 /// with: variables are addressed by row.
-pub(crate) fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
+fn check_cardinality(rel: &DecRelInst, table: Table) -> Result<Table> {
     if table.num_rows() == rel.table.num_rows() {
-        return Ok(());
+        return Ok(table);
     }
     Err(Error::solver(format!(
         "relation {} changed cardinality during solving ({} vs {} rows); \
@@ -350,18 +430,15 @@ pub(crate) fn check_cardinality(rel: &DecRelInst, table: &Table) -> Result<()> {
 /// untouched, as §4.3 specifies.
 pub fn apply_solution(prob: &ProblemInstance, assignment: &dyn Fn(VarId) -> Option<f64>) -> Table {
     let rel = &prob.relations[0];
-    let mut out = rel.table.clone();
+    let mut out = Table::clone(&rel.table);
     for (row_idx, ids) in rel.vars.iter().enumerate() {
         for (k, &id) in ids.iter().enumerate() {
             if let Some(v) = assignment(id) {
                 let col = rel.dec_cols[k];
-                let info = &prob.vars[id as usize];
-                out.rows[row_idx][col] =
-                    if info.integer { Value::Int(v.round() as i64) } else { Value::Float(v) };
+                out.rows[row_idx][col] = prob.vars[id as usize].cell(v);
                 // Column type may have been Unknown (all NULL); fix it up.
                 if out.schema.columns[col].ty == DataType::Unknown {
-                    out.schema.columns[col].ty =
-                        if info.integer { DataType::Int } else { DataType::Float };
+                    out.schema.columns[col].ty = out.rows[row_idx][col].data_type();
                 }
             }
         }
@@ -386,14 +463,8 @@ pub struct BlackboxProblem<'a> {
     /// Starting point from initial values (midpoint of bounds when NULL).
     pub start: Vec<f64>,
     prob: &'a ProblemInstance,
-    /// The base environment plus every relation no candidate can change
-    /// (no decision cells, reads none that has), bound once.
-    fixed: Ctes,
-    /// The other relations in instantiation order: index into
-    /// `prob.relations`, and whether its query is re-run per candidate
-    /// (it reads a relation a candidate changes) or only its own
-    /// decision cells are patched.
-    chain: Vec<(usize, bool)>,
+    /// The environment the relations are bound into.
+    base: Ctes,
 }
 
 /// Build the black-box formulation: the compiled SUBJECTTO rules are
@@ -478,24 +549,8 @@ pub fn build_blackbox<'a>(
         }
     };
 
-    // Split the relations into those a candidate can change — they hold
-    // decision cells, or read (possibly through a view) one that does —
-    // and the rest, which are bound once.
-    let mut fixed = base.clone();
-    let mut chain = Vec::new();
-    let mut changing: Vec<&str> = Vec::new();
-    for (ri, rel) in prob.relations.iter().enumerate() {
-        let reads = sqlengine::plan::relation_reads(db, &rel.query);
-        let rerun = changing.iter().any(|a| reads.contains(*a));
-        if rerun || !rel.dec_cols.is_empty() {
-            chain.push((ri, rerun));
-            changing.extend(rel.alias.as_deref());
-        } else if let Some(a) = &rel.alias {
-            fixed.insert(a, Arc::new(rel.table.clone()));
-        }
-    }
-
-    let bb = BlackboxProblem { space, penalties, objective, minimize, start, prob, fixed, chain };
+    let base = base.clone();
+    let bb = BlackboxProblem { space, penalties, objective, minimize, start, prob, base };
     bb.evaluate(db, &bb.start)?;
     Ok(bb)
 }
@@ -511,37 +566,17 @@ impl BlackboxProblem<'_> {
         self.evaluate(db, x).unwrap_or(f64::INFINITY)
     }
 
-    /// Evaluate a candidate: bind the relations it changes — re-running
-    /// those downstream of a decision cell, so derived relations (e.g. a
-    /// recursive simulation CDTE) see the candidate's values — then run
-    /// the objective query and add the penalties (§5.3).
+    /// Evaluate a candidate: bind the decision relations to its values
+    /// ([`ProblemInstance::bind`]), so derived relations (e.g. a
+    /// recursive simulation CDTE) see them, then run the objective query
+    /// and add the penalties (§5.3).
     pub fn evaluate(&self, db: &Database, x: &[f64]) -> Result<f64> {
-        let mut env = self.fixed.clone();
-        for &(ri, rerun) in &self.chain {
-            let rel = &self.prob.relations[ri];
-            let mut table = if rerun {
-                let t = run_query(db, &env, &rel.query, None).map_err(|e| {
-                    let name = rel.alias.as_deref().unwrap_or("<input>");
-                    Error::solver(format!("in relation {name}: {e}"))
-                })?;
-                check_cardinality(rel, &t)?;
-                t
-            } else {
-                rel.table.clone()
-            };
-            for (row, ids) in rel.vars.iter().enumerate() {
-                for (&col, &id) in rel.dec_cols.iter().zip(ids) {
-                    let raw = x[id as usize];
-                    table.rows[row][col] = if self.prob.vars[id as usize].integer {
-                        Value::Int(raw.round() as i64)
-                    } else {
-                        Value::Float(raw)
-                    };
-                }
-            }
-            if let Some(a) = &rel.alias {
-                env.insert(a, Arc::new(table));
-            }
+        let prob = self.prob;
+        let cell = |id: VarId| prob.vars[id as usize].cell(x[id as usize]);
+        let (env, failed) = prob.bind(db, &self.base, Some(&cell))?;
+        if let Some((ri, e)) = failed.into_iter().next() {
+            let name = prob.relations[ri].alias.as_deref().unwrap_or("<input>");
+            return Err(Error::solver(format!("in relation {name}: {e}")));
         }
         let clause = if self.minimize { "MINIMIZE" } else { "MAXIMIZE" };
         let raw = run_query(db, &env, &self.objective, None)

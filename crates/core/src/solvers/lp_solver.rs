@@ -36,19 +36,13 @@ impl Solver for LpSolver {
         if prob.method.as_deref() == Some("simplex") && lp_prob.has_integers() {
             lp_prob.to_mut().integer.iter_mut().for_each(|b| *b = false);
         }
-        let node_limit = match prob.param_usize("node_limit") {
-            Some(Ok(limit)) => Some(limit),
-            _ => None,
-        };
+        let node_limit = prob.param_usize("node_limit").transpose()?;
         // Interval-propagation presolve (on by default; `presolve := off`
         // disables it). Shrinks the problem the simplex/B&B actually
         // sees; the solution is un-crushed back to the full variable
         // space before post-processing. The fixpoint over the model's
         // own LP is the one the analyzer already read.
-        let presolve_on = prob
-            .param_text("presolve")
-            .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
-            .unwrap_or(true);
+        let presolve_on = prob.param_switch("presolve", true)?;
         let pre: Option<Presolved> = presolve_on.then(|| {
             let span = ctx.trace.map(|t| t.span("presolve"));
             let pre = match &lp_prob {
@@ -69,10 +63,7 @@ impl Solver for LpSolver {
         let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
         // Matrix classification (on by default; `matrixclass := off`
         // disables it): classify rows and look for an integrality proof.
-        let matrixclass_on = prob
-            .param_text("matrixclass")
-            .map(|v| !matches!(v.to_ascii_lowercase().as_str(), "off" | "false" | "0"))
-            .unwrap_or(true);
+        let matrixclass_on = prob.param_switch("matrixclass", true)?;
         // When nothing relaxed, reduced, cancelled in or refuted the
         // model's own LP, `target` is that LP (presolve only rewrites
         // `>=` rows as `<=`, which the classification sees through) and
@@ -154,7 +145,7 @@ impl Solver for LpSolver {
             // instead of a result table.
             return Err(ctx.abort_error(&incumbents));
         }
-        ctx.stage("post-process", || finish(prob, sol, &lowered.used))
+        ctx.stage("post-process", || finish(prob, sol, &lowered.used, node_limit))
     }
 }
 
@@ -263,10 +254,11 @@ fn telemetry(
     method: &str,
     counts: Counts,
 ) -> obs::SolverStats {
-    // Interrupted solves carry an objective only when an incumbent was
-    // found before the watchdog fired.
-    let objective = (matches!(sol.status, lp::Status::Optimal | lp::Status::NodeLimit)
-        || (sol.status == lp::Status::Interrupted && !sol.x.is_empty()))
+    // Node-limited and interrupted solves carry an objective only when
+    // an incumbent was found before the search stopped.
+    let objective = (sol.status == lp::Status::Optimal
+        || (matches!(sol.status, lp::Status::NodeLimit | lp::Status::Interrupted)
+            && !sol.x.is_empty()))
     .then_some(sol.objective);
     obs::SolverStats {
         solver: "solverlp".into(),
@@ -291,8 +283,13 @@ fn finish(
     prob: &ProblemInstance,
     sol: lp::Solution,
     used: &[crate::symbolic::VarId],
+    node_limit: Option<usize>,
 ) -> Result<Table> {
     match sol.status {
+        lp::Status::NodeLimit if sol.x.is_empty() => Err(Error::solver(format!(
+            "node limit of {} reached before a feasible point was found",
+            node_limit.unwrap_or(lp::mip::MipOptions::default().node_limit)
+        ))),
         lp::Status::Optimal | lp::Status::NodeLimit => {
             let assignment: HashMap<u32, f64> =
                 used.iter().enumerate().map(|(i, &v)| (v, sol.x[i])).collect();

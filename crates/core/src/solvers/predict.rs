@@ -129,7 +129,7 @@ pub fn prepare(prob: &ProblemInstance) -> Result<PredictTask> {
 /// P2.4 Predicting: fill horizon cells with forecasts and return the
 /// output relation (a view over the input — no user tables change).
 fn fill_output(prob: &ProblemInstance, task: &PredictTask, forecasts: &[Vec<f64>]) -> Table {
-    let mut out = prob.relations[0].table.clone();
+    let mut out = Table::clone(&prob.relations[0].table);
     for (t, f) in task.targets.iter().zip(forecasts) {
         for (k, &row) in t.fill_rows.iter().enumerate() {
             if let Some(&v) = f.get(k) {

@@ -165,3 +165,183 @@ fn cdte_rewrite_equivalence_randomized() {
         assert!((a1 - slope).abs() < 0.2, "seed {seed}: slope {a1} vs {slope}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// One binding: relations no assignment reaches are not re-run
+// ---------------------------------------------------------------------------
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545F4914F6CDD1D) % n
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+}
+
+/// `pars` with 1–3 rows: `a` (float) and `b` (int) hold the input's
+/// initial values, NULL or not, `w` is data. `vw1`..`vw3` read the
+/// statement's relations `r1`..`r3` (a view body resolves against the
+/// statement's relations where it is read).
+fn binding_database(rng: &mut Rng) -> sqlengine::Database {
+    let rows: Vec<String> = (0..1 + rng.below(3))
+        .map(|i| {
+            let a = rng.pick(&["NULL", "1.5", "-2"]);
+            let b = rng.pick(&["NULL", "3", "0"]);
+            let w = rng.pick(&["2.5", "-1", "0", "4"]);
+            format!("({i}, {a}, {b}, {w})")
+        })
+        .collect();
+    let mut db = sqlengine::Database::new();
+    sqlengine::execute_script(
+        &mut db,
+        &format!(
+            "CREATE TABLE pars (id int, a float8, b int, w float8);
+             INSERT INTO pars VALUES {};
+             CREATE VIEW vw1 AS SELECT id, v FROM r1;
+             CREATE VIEW vw2 AS SELECT id, v FROM r2;
+             CREATE VIEW vw3 AS SELECT id, v FROM r3",
+            rows.join(", ")
+        ),
+    )
+    .unwrap();
+    db
+}
+
+/// A random `SOLVESELECT` over 2–4 relations, each with columns `id` and
+/// `v` (and a decision column `e` on some): the input `p`, with or
+/// without decision cells, then `r1`.. drawn from fresh decision cells,
+/// data, a linear read of an earlier relation (directly or through its
+/// view), a non-linear one, one whose row count follows the decision
+/// values, and decision cells over a read. An objective and one to three
+/// rules over random relations.
+fn binding_statement(rng: &mut Rng) -> String {
+    let mut rels: Vec<(String, bool)> = Vec::new(); // (alias, has `e`)
+    let input = match rng.below(3) {
+        0 => "p(v) AS (SELECT id, a AS v, w FROM pars)",
+        1 => "p(v) AS (SELECT id, b AS v, w FROM pars)",
+        _ => "p AS (SELECT id, w AS v, w FROM pars)",
+    };
+    let boxed = !input.starts_with("p AS");
+    rels.push(("p".into(), false));
+    let mut ctes = Vec::new();
+    for i in 1..2 + rng.below(3) as usize {
+        let alias = format!("r{i}");
+        let j = rng.below(i as u64) as usize;
+        let (earlier, _) = &rels[j];
+        let from = if j > 0 && rng.below(3) == 0 { format!("vw{j}") } else { earlier.clone() };
+        let (head, body, e) = match rng.below(7) {
+            0 => (format!("{alias}(v)"), "SELECT id, NULL::float8 AS v FROM pars".into(), false),
+            1 => (alias.clone(), "SELECT id, w * 2.0 AS v FROM pars".into(), false),
+            2 | 3 => (alias.clone(), format!("SELECT id, 2.0 * v + 1.0 AS v FROM {from}"), false),
+            4 => (alias.clone(), format!("SELECT id, v * v AS v FROM {from}"), false),
+            5 => (alias.clone(), format!("SELECT id, v FROM {from} WHERE v > 0"), false),
+            _ => (
+                format!("{alias}(e)"),
+                format!("SELECT id, v, NULL::float8 AS e FROM {from}"),
+                true,
+            ),
+        };
+        ctes.push(format!("{head} AS ({body})"));
+        rels.push((alias, e));
+    }
+    let (k, ke) = rels[rng.below(rels.len() as u64) as usize].clone();
+    let sense = rng.pick(&["MINIMIZE", "MAXIMIZE"]);
+    let objective =
+        if ke { format!("SELECT sum(e) FROM {k}") } else { format!("SELECT sum(v) FROM {k}") };
+    let mut rules = Vec::new();
+    if boxed {
+        rules.push("(SELECT -4 <= v <= 4 FROM p)".to_string());
+    }
+    for _ in 0..1 + rng.below(2) {
+        let (k, ke) = rels[rng.below(rels.len() as u64) as usize].clone();
+        rules.push(match rng.below(3) {
+            0 if ke => format!("(SELECT -1 * e <= v - 1.0 <= e FROM {k})"),
+            0 | 1 => format!("(SELECT v >= -10 FROM {k})"),
+            _ => format!("(SELECT sum(v) <= 50 FROM {k})"),
+        });
+    }
+    format!(
+        "SOLVESELECT {input} WITH {} {sense} ({objective}) SUBJECTTO {} USING swarmops.pso()",
+        ctes.join(", "),
+        rules.join(", ")
+    )
+}
+
+/// The reference binding: every relation after the input is re-run. Its
+/// inputs are the earlier relations it reads, found by name, plus the
+/// input relation — never re-run, so it never fails and lends no failure
+/// kind, but it makes every binding re-run the relation.
+fn rerun_every_relation(
+    db: &sqlengine::Database,
+    prob: &solvedbplus_core::ProblemInstance,
+) -> solvedbplus_core::ProblemInstance {
+    let mut every = prob.clone();
+    for ri in 1..every.relations.len() {
+        let reads = sqlengine::plan::relation_reads(db, &every.relations[ri].query);
+        let mut inputs = vec![0];
+        inputs.extend(
+            (1..ri)
+                .filter(|&j| every.relations[j].alias.as_ref().is_some_and(|a| reads.contains(a))),
+        );
+        every.relations[ri].inputs = inputs;
+    }
+    every
+}
+
+/// What a compiled model is, to compare: objective, rules (failure kinds
+/// and error texts included), atoms and the rules read as bounds; then
+/// the black-box fitness at `points`, bit for bit, or why the black-box
+/// formulation failed.
+fn bound_outcome(
+    db: &sqlengine::Database,
+    prob: &solvedbplus_core::ProblemInstance,
+    points: &[Vec<f64>],
+) -> (String, Result<Vec<u64>, String>) {
+    use solvedbplus_core::compile::compile_model;
+    use solvedbplus_core::problem::build_blackbox;
+    let ctes = sqlengine::Ctes::new();
+    let m = compile_model(db, &ctes, prob);
+    let atoms: Vec<_> = m.atoms.iter().map(|a| (&a.diff, a.rel, a.rule)).collect();
+    let model = format!("{:?}\n{:?}\n{atoms:?}\n{}", m.objective, m.rules, m.bounds);
+    let fitness = build_blackbox(db, &ctes, &m)
+        .map(|bb| points.iter().map(|x| bb.fitness(db, x).to_bits()).collect())
+        .map_err(|e| e.to_string());
+    (model, fitness)
+}
+
+fn binding_cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(binding_cases()))]
+
+    /// `compile_model` and the black-box fitness read the same model
+    /// whether a binding re-runs only the relations an assignment reaches
+    /// or every relation after the input. The workspace run takes 64
+    /// cases; `PROPTEST_CASES` sets how many where it is set (the
+    /// vendored proptest does not read it; the `analyze` CI job runs
+    /// 20 000).
+    #[test]
+    fn binding_reruns_only_what_an_assignment_reaches(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed | 1);
+        let db = binding_database(&mut rng);
+        let sql = binding_statement(&mut rng);
+        let sqlengine::ast::Statement::Solve(stmt) = sqlengine::parser::parse_statement(&sql).unwrap() else {
+            panic!("not a solve statement: {sql}");
+        };
+        let prob = solvedbplus_core::build_problem(&db, &sqlengine::Ctes::new(), &stmt).unwrap();
+        let points: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..prob.num_vars()).map(|_| rng.below(81) as f64 / 10.0 - 4.0).collect())
+            .collect();
+        let every = rerun_every_relation(&db, &prob);
+        prop_assert_eq!(bound_outcome(&db, &prob, &points), bound_outcome(&db, &every, &points), "{}", sql);
+    }
+}

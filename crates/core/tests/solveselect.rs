@@ -616,3 +616,142 @@ fn swarmops_later_candidates_may_score_infinity() {
     let x = t.value_by_name(0, "x").unwrap().as_f64().unwrap();
     assert!((0.3..0.4).contains(&x), "x = {x}");
 }
+
+// ---------------------------------------------------------------------------
+// Solver parameters: a bad value is a typed error, never a panic
+// ---------------------------------------------------------------------------
+
+/// A node limit the search reaches before any incumbent, a negative or a
+/// malformed one, and a misspelt switch each end the statement in a
+/// solver error naming the parameter; the session answers the next
+/// statement.
+#[test]
+fn bad_solver_parameters_are_typed_errors() {
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE items (id int, value float8, weight float8, pick int);
+         INSERT INTO items VALUES (1, 60, 10, NULL), (2, 100, 20, NULL),
+                                  (3, 120, 30, NULL), (4, 70, 15, NULL)",
+    )
+    .unwrap();
+    let knapsack = |params: &str| {
+        format!(
+            "SOLVESELECT it(pick) AS (SELECT * FROM items) \
+             MAXIMIZE (SELECT sum(value * pick) FROM it) \
+             SUBJECTTO (SELECT sum(weight * pick) <= 50 FROM it), \
+                       (SELECT 0 <= pick <= 1 FROM it) \
+             USING solverlp({params})"
+        )
+    };
+    for (params, says) in [
+        ("node_limit := 0, presolve := off, matrixclass := off", "node limit of 0 reached"),
+        ("node_limit := -3", "parameter 'node_limit' must be a non-negative integer, got -3"),
+        ("node_limit := 'ten'", "parameter 'node_limit' must be a non-negative integer, got ten"),
+        ("presolve := offf", "parameter 'presolve' must be on or off, got 'offf'"),
+        ("matrixclass := maybe", "parameter 'matrixclass' must be on or off, got 'maybe'"),
+    ] {
+        let err = s.query(&knapsack(params)).unwrap_err();
+        assert!(matches!(err, sqlengine::Error::Solver(_)), "{params}: {err:?}");
+        assert!(err.to_string().contains(says), "{params}: {err}");
+        assert_eq!(s.query_scalar("SELECT count(*) FROM items").unwrap(), Value::Int(4));
+    }
+    // The switches take on/off, true/false and 1/0 in any case.
+    for params in ["presolve := OFF", "presolve := true", "matrixclass := 0", "presolve := 'On'"] {
+        let t = s.query(&knapsack(params)).unwrap();
+        assert_eq!(floats(&t, "pick"), [1.0, 1.0, 0.0, 1.0], "{params}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One binding: how often each decision relation's query runs
+// ---------------------------------------------------------------------------
+
+/// A session with `one (k)` holding one row, `vars (x)` one NULL row and
+/// `probe(v)`, the identity, counting its calls: over the one row of
+/// `one`, a call is a run of the query that applies it.
+fn probed() -> (Session, std::sync::Arc<std::sync::atomic::AtomicU64>) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE one (k float8); INSERT INTO one VALUES (2);
+         CREATE TABLE vars (x float8); INSERT INTO vars VALUES (NULL)",
+    )
+    .unwrap();
+    let calls = Arc::new(AtomicU64::new(0));
+    let counter = calls.clone();
+    s.db_mut().register_udf(sqlengine::ScalarUdf {
+        name: "probe".into(),
+        param_names: vec!["v".into()],
+        defaults: Default::default(),
+        func: Arc::new(move |args| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(args[0].clone())
+        }),
+    });
+    (s, calls)
+}
+
+/// A note of the first stage named `name` in a statement's trace.
+fn stage_note(stages: &[obs::Stage], name: &str, key: &str) -> Option<String> {
+    stages.iter().find_map(|st| {
+        let here = (st.name == name)
+            .then(|| st.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()))
+            .flatten();
+        here.or_else(|| stage_note(&st.children, name, key))
+    })
+}
+
+#[test]
+fn a_relation_no_assignment_reaches_runs_once() {
+    use std::sync::atomic::Ordering;
+    let (mut s, calls) = probed();
+    // `c` reads no decision relation: instantiated once, and the symbolic
+    // pass takes its rows as they are.
+    let t = s
+        .query(
+            "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+             WITH c AS (SELECT probe(k) AS k FROM one) \
+             MINIMIZE (SELECT x FROM v) \
+             SUBJECTTO (SELECT x >= k FROM v, c) USING solverlp()",
+        )
+        .unwrap();
+    assert_eq!(floats(&t, "x"), [2.0]);
+    assert_eq!(calls.swap(0, Ordering::Relaxed), 1);
+    // A MODELEVAL binds nothing: every relation runs once.
+    s.execute_script(
+        "CREATE TABLE model (m model);
+         INSERT INTO model SELECT (SOLVEMODEL v(x) AS (SELECT probe(k) AS x FROM one) \
+           WITH d AS (SELECT probe(x) + 1.0 AS y FROM v))",
+    )
+    .unwrap();
+    let y = s.query_scalar("MODELEVAL (SELECT y FROM d) IN (SELECT m FROM model)").unwrap();
+    assert_eq!(y, Value::Float(3.0));
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+}
+
+#[test]
+fn a_relation_an_assignment_reaches_runs_once_per_binding() {
+    use std::sync::atomic::Ordering;
+    let (mut s, calls) = probed();
+    let sql = |using: &str| {
+        format!(
+            "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+             WITH d AS (SELECT probe(x) AS y FROM v) \
+             MINIMIZE (SELECT y FROM d) \
+             SUBJECTTO (SELECT 1 <= x <= 3 FROM v) USING {using}"
+        )
+    };
+    // Instantiation, then the symbolic pass.
+    let t = s.query(&sql("solverlp()")).unwrap();
+    assert_eq!(floats(&t, "x"), [1.0]);
+    assert_eq!(calls.swap(0, Ordering::Relaxed), 2);
+    // Instantiation, the symbolic pass, the start point the black-box
+    // formulation checks, then every evaluation of the search.
+    let r = s.execute(&sql("swarmops.sa(iterations := 25, seed := 7)")).unwrap();
+    let trace = r.trace.expect("a solve is traced");
+    let evaluations: u64 =
+        stage_note(&trace.stages, "search", "evaluations").unwrap().parse().unwrap();
+    assert!(evaluations >= 25, "{evaluations}");
+    assert_eq!(calls.load(Ordering::Relaxed), 3 + evaluations);
+}

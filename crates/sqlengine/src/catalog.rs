@@ -1,7 +1,7 @@
 //! The database catalog: tables, views, user-defined functions, and the
 //! hook through which the SolveDB+ layer plugs into query execution.
 
-use crate::ast::{Query, SolveStmt};
+use crate::ast::{ExplainMode, Query, SolveStmt};
 use crate::diag::Diagnostic;
 use crate::error::{Error, Result};
 use crate::plan::StoredTable;
@@ -94,29 +94,21 @@ pub trait SolveHandler: Send + Sync {
         trace: Option<&obs::Trace>,
     ) -> Result<Table>;
 
-    /// `EXPLAIN SOLVESELECT ...`: describe the compiled problem (one
-    /// text column, one row per plan line) without solving it.
-    fn explain_solve(&self, _db: &Database, _stmt: &SolveStmt, _ctes: &Ctes) -> Result<Table> {
-        Err(Error::unsupported("EXPLAIN SOLVESELECT requires the SolveDB+ solve handler"))
-    }
-
-    /// `EXPLAIN CHECK SOLVESELECT ...`: run the pre-solve static
-    /// analyzer and return all findings (every severity) without
-    /// solving.
-    fn check_solve(
+    /// `EXPLAIN [CHECK | PRESOLVE] SOLVESELECT ...`, without solving:
+    /// describe the compiled problem ([`ExplainMode::Plan`]), return the
+    /// pre-solve static analyzer's findings of every severity
+    /// ([`ExplainMode::Check`]), or run interval propagation over the
+    /// compiled model and return the reduction log
+    /// ([`ExplainMode::Presolve`]). `EXPLAIN ANALYZE` executes the solve
+    /// through [`SolveHandler::solve_select`] instead.
+    fn explain(
         &self,
         _db: &Database,
         _stmt: &SolveStmt,
         _ctes: &Ctes,
-    ) -> Result<Vec<Diagnostic>> {
-        Err(Error::unsupported("EXPLAIN CHECK requires the SolveDB+ solve handler"))
-    }
-
-    /// `EXPLAIN PRESOLVE SOLVESELECT ...`: run interval propagation
-    /// over the compiled model and return the reduction log (one text
-    /// column, one row per line) without solving.
-    fn presolve_solve(&self, _db: &Database, _stmt: &SolveStmt, _ctes: &Ctes) -> Result<Table> {
-        Err(Error::unsupported("EXPLAIN PRESOLVE requires the SolveDB+ solve handler"))
+        _mode: ExplainMode,
+    ) -> Result<Table> {
+        Err(Error::unsupported("EXPLAIN of a solve requires the SolveDB+ solve handler"))
     }
 
     /// Evaluate a `SOLVEMODEL`, returning a model value.

@@ -8,7 +8,7 @@ pub mod select;
 
 use crate::ast::{ExplainMode, Statement};
 use crate::catalog::{Ctes, Database};
-use crate::diag::{diagnostics_table, Diagnostic, Severity};
+use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, Env, EvalCtx, Scope};
 use crate::parser;
@@ -168,6 +168,12 @@ pub fn execute_statement_timed(
     Ok(result)
 }
 
+/// The result of an `EXPLAIN`: one text column `plan`, one row per line.
+pub fn plan_table<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> Table {
+    let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
+    Table::with_rows(schema, lines.into_iter().map(|l| vec![Value::text(l.as_ref())]).collect())
+}
+
 fn execute_statement_inner(
     db: &mut Database,
     stmt: &Statement,
@@ -183,10 +189,7 @@ fn execute_statement_inner(
             Ok(result)
         }
         Statement::ExplainQuery { analyze: false, query } => {
-            let lines = select::explain_query_plan(db, &ctes, query)?;
-            let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
-            let rows = lines.into_iter().map(|l| vec![Value::text(&l)]).collect();
-            Ok(ExecResult::table(Table::with_rows(schema, rows)))
+            Ok(ExecResult::table(plan_table(select::explain_query_plan(db, &ctes, query)?)))
         }
         Statement::ExplainQuery { analyze: true, query } => {
             // Execute the query, recording the per-operator stage tree,
@@ -200,14 +203,12 @@ fn execute_statement_inner(
             let (t, fp) = select::run_query_planned(db, &ctes, query, None, Some(&trace))?;
             let rows_out = t.num_rows();
             let qt = trace.finish();
-            let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
             let mut lines = qt.render();
             lines.push(format!("rows out: {rows_out}"));
             if let Some(f) = fp {
                 lines.push(format!("plan fingerprint: {f:016x}"));
             }
-            let rows = lines.into_iter().map(|l| vec![Value::text(&l)]).collect();
-            let mut result = ExecResult::table(Table::with_rows(schema, rows)).with_trace(qt);
+            let mut result = ExecResult::table(plan_table(lines)).with_trace(qt);
             result.plan_fingerprint = fp;
             Ok(result)
         }
@@ -229,12 +230,8 @@ fn execute_statement_inner(
         Statement::Explain { mode, stmt } => {
             let handler = db.solve_handler()?;
             match mode {
-                ExplainMode::Check => {
-                    Ok(ExecResult::table(diagnostics_table(&handler.check_solve(db, stmt, &ctes)?)))
-                }
-                ExplainMode::Plan => Ok(ExecResult::table(handler.explain_solve(db, stmt, &ctes)?)),
-                ExplainMode::Presolve => {
-                    Ok(ExecResult::table(handler.presolve_solve(db, stmt, &ctes)?))
+                ExplainMode::Plan | ExplainMode::Check | ExplainMode::Presolve => {
+                    Ok(ExecResult::table(handler.explain(db, stmt, &ctes, *mode)?))
                 }
                 ExplainMode::Analyze => {
                     // Actually execute the solve, recording the stage
@@ -249,13 +246,9 @@ fn execute_statement_inner(
                     warnings.retain(|d| d.severity <= Severity::Warning);
                     let rows_out = solved?.num_rows();
                     let qt = trace.finish();
-                    let schema = Schema::new(vec![Column::new("plan", DataType::Text)]);
                     let mut lines = qt.render();
                     lines.push(format!("rows out: {rows_out}"));
-                    let rows = lines.into_iter().map(|l| vec![Value::text(&l)]).collect();
-                    Ok(ExecResult::table(Table::with_rows(schema, rows))
-                        .with_warnings(warnings)
-                        .with_trace(qt))
+                    Ok(ExecResult::table(plan_table(lines)).with_warnings(warnings).with_trace(qt))
                 }
             }
         }

@@ -23,7 +23,7 @@ impl Solver for GreedyScheduler {
         let pick = t.schema.index_of("pick").expect("pick column");
         let mut order: Vec<usize> = (0..t.num_rows()).collect();
         order.sort_by(|&a, &b| t.rows[a][finish].cmp_total(&t.rows[b][finish]));
-        let mut out = t.clone();
+        let mut out = Table::clone(t);
         let mut cursor = f64::NEG_INFINITY;
         for r in order {
             let s = t.rows[r][start].as_f64().unwrap_or(0.0);
