@@ -1214,11 +1214,11 @@ fn race_executors(s: &mut Session, sql: &str) -> (usize, Duration, Duration) {
         }
         (t.unwrap_or_else(|e| panic!("executor bench query failed ({e}): {sql}")), d)
     };
-    let prev = sqlengine::set_force_row_interpreter(true);
+    let prev = s.db_mut().set_force_row_interpreter(true);
     let (row_t, row_d) = best(s, sql);
-    sqlengine::set_force_row_interpreter(false);
+    s.db_mut().set_force_row_interpreter(false);
     let (col_t, col_d) = best(s, sql);
-    sqlengine::set_force_row_interpreter(prev);
+    s.db_mut().set_force_row_interpreter(prev);
     assert_eq!(canon(&row_t), canon(&col_t), "row and columnar executors disagree on: {sql}");
     (col_t.num_rows(), row_d, col_d)
 }

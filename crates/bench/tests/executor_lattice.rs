@@ -26,7 +26,7 @@ use solvedbplus_core::Session;
 use sqlengine::ast::Statement;
 use sqlengine::exec::Outcome;
 use sqlengine::script::rwset::solves;
-use sqlengine::{set_force_row_interpreter, Row, Table, Value};
+use sqlengine::{Row, Table, Value};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -62,12 +62,11 @@ const OTHERS: [Point; 3] = [
 fn run_sweep(point_of: &dyn Fn(usize) -> Point) -> Vec<Observed> {
     static SWEEPS: AtomicUsize = AtomicUsize::new(0);
     let sweep = format!("sdb-lattice-{}-{}", std::process::id(), SWEEPS.fetch_add(1, Relaxed));
-    let was = set_force_row_interpreter(false);
     let mut seen = Vec::new();
     let mut dirs = Vec::new();
     let mut prepare = |s: &mut Session, tag: &str| {
         let point = point_of(dirs.len());
-        set_force_row_interpreter(point.force_rows);
+        s.db_mut().set_force_row_interpreter(point.force_rows);
         let dir = std::env::temp_dir().join(format!("{sweep}-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         if point.durable {
@@ -109,7 +108,6 @@ fn run_sweep(point_of: &dyn Fn(usize) -> Point) -> Vec<Observed> {
         }
     })
     .expect("sweep sessions");
-    set_force_row_interpreter(was);
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -12,7 +12,7 @@ use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
 use solvedbplus_core::problem::{build_blackbox, build_problem};
 use solvedbplus_core::{compile_model, Session};
 use sqlengine::ast::{SolveStmt, Statement};
-use sqlengine::{set_force_row_interpreter, Ctes};
+use sqlengine::{Ctes, Database};
 
 /// The script's `SOLVESELECT`, without any `CREATE TABLE … AS` around it.
 fn solve_stmt(script: &str) -> SolveStmt {
@@ -27,11 +27,12 @@ fn solve_stmt(script: &str) -> SolveStmt {
     }
 }
 
-/// Run `f` with the row interpreter forced, restoring the setting.
-fn forced_rows<T>(f: impl FnOnce() -> T) -> T {
-    let was = set_force_row_interpreter(true);
-    let out = f();
-    set_force_row_interpreter(was);
+/// Run `f` on the session's database with the row interpreter forced,
+/// restoring the setting.
+fn forced_rows<T>(s: &mut Session, f: impl FnOnce(&Database) -> T) -> T {
+    let was = s.db_mut().set_force_row_interpreter(true);
+    let out = f(s.db());
+    s.db_mut().set_force_row_interpreter(was);
     out
 }
 
@@ -49,7 +50,7 @@ fn candidates(lower: &[f64], upper: &[f64], count: usize) -> Vec<Vec<f64>> {
 
 #[test]
 fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
-    let s: Session = bench::setup::feature_session().expect("feature session");
+    let mut s: Session = bench::setup::feature_session().expect("feature session");
     let ctes = Ctes::new();
     for (name, script) in [
         ("uc1/s_3ss_p3", S_3SS_P3),
@@ -67,7 +68,7 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         let planned: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
         let work = s.db().exec_counts().since(&before);
         let rows: Vec<u64> =
-            forced_rows(|| xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect());
+            forced_rows(&mut s, |db| xs.iter().map(|x| bb.fitness(db, x).to_bits()).collect());
         assert_eq!(planned, rows, "{name}");
         assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()), "{name}");
         // The planned path really is the prepared one: the simulation
@@ -81,7 +82,7 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
 
 #[test]
 fn p4_symbolic_compile_yields_the_identical_lp() {
-    let s: Session = bench::setup::feature_session().expect("feature session");
+    let mut s: Session = bench::setup::feature_session().expect("feature session");
     let ctes = Ctes::new();
     for (name, script) in [
         ("uc1/s_3ss_p4", S_3SS_P4),
@@ -91,21 +92,21 @@ fn p4_symbolic_compile_yields_the_identical_lp() {
         ("features/p4_shared", P4_SHARED),
     ] {
         let stmt = solve_stmt(script);
-        let lp_text = || {
-            let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
-            let model = compile_model(s.db(), &ctes, &prob);
+        let lp_text = |db: &Database| {
+            let prob = build_problem(db, &ctes, &stmt).expect(name);
+            let model = compile_model(db, &ctes, &prob);
             assert!(model.first_failure().is_none(), "{name}");
             let lowered = model.lowered();
             format!("{:?}", (&lowered.problem, &lowered.used, &lowered.atom_of_row))
         };
         let before = s.db().exec_counts();
-        let planned = lp_text();
+        let planned = lp_text(s.db());
         // Symbolic values went through the row pipeline's evaluator
         // (`p4_nocdte` states its dynamics without a recursion).
         let work = s.db().exec_counts().since(&before);
         assert_eq!(work.row_steps > 0, work.recursive_steps > 0, "{name}: {work:?}");
         assert_eq!(work.recursive_steps > 0, name != "features/p4_nocdte", "{name}");
-        assert_eq!(planned, forced_rows(lp_text), "{name}");
+        assert_eq!(planned, forced_rows(&mut s, lp_text), "{name}");
         assert!(planned.contains("constraints"), "{name}");
     }
 }

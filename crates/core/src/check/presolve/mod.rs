@@ -68,11 +68,6 @@ impl Interval {
         Interval { lo: v, hi: v }
     }
 
-    /// Intersect with another interval.
-    pub fn meet(self, other: Interval) -> Interval {
-        Interval { lo: self.lo.max(other.lo), hi: self.hi.min(other.hi) }
-    }
-
     pub fn is_empty(self) -> bool {
         self.lo > self.hi + FEAS * (1.0 + self.hi.abs())
     }

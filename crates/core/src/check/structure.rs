@@ -7,7 +7,7 @@
 //! that can be solved in isolation, and (for a separable objective,
 //! which every linear objective is) the solutions concatenate into the
 //! global optimum. This is exactly the decomposition a partitioned
-//! parallel solver consumes (ROADMAP item 1), surfaced today as the
+//! parallel solver consumes (ROADMAP item 2), surfaced today as the
 //! informational diagnostic SD019.
 //!
 //! The detection is a union-find over the coefficient matrix: for each

@@ -9,7 +9,7 @@ use crate::problem::{build_problem, build_problem_traced};
 use crate::solver::{SolveContext, SolveControl, SolverRegistry};
 use sqlengine::ast::{ExplainMode, Query, SolveKind, SolveStmt};
 use sqlengine::catalog::{Ctes, Database, SolveHandler};
-use sqlengine::diag::{diagnostics_table, Diagnostic};
+use sqlengine::diag::diagnostics_table;
 use sqlengine::error::{Error, Result};
 use sqlengine::exec::{plan_table, run_query};
 use sqlengine::table::Table;
@@ -33,7 +33,6 @@ impl SolveHandler for Handler {
         db: &Database,
         stmt: &SolveStmt,
         ctes: &Ctes,
-        warnings: &mut Vec<Diagnostic>,
         trace: Option<&obs::Trace>,
     ) -> Result<Table> {
         let using = stmt
@@ -56,12 +55,12 @@ impl SolveHandler for Handler {
             }
             model
         };
-        // Pre-solve static analysis. All findings go into the sink; the
-        // executor keeps only advisory (Warning/Note) severities on the
-        // result — Error-level findings predict a solver failure that
-        // the solve call below reports in its own words.
+        // Pre-solve static analysis. All findings go to the statement;
+        // its result keeps only advisory (Warning/Note) severities —
+        // Error-level findings predict a solver failure that the solve
+        // call below reports in its own words.
         obs::trace::span_time(trace, "check", || {
-            warnings.extend(check::check_problem(&model, trace));
+            db.add_findings(check::check_problem(&model, trace))
         });
         let control = SolveControl::from_db(db);
         let ctx = SolveContext { db, ctes, trace, control: control.as_ref(), model: &model };

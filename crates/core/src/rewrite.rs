@@ -195,7 +195,7 @@ pub fn solve_via_rewrite(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result
     let handler = db.solve_handler()?;
     let rw = rewrite_cdtes(db, ctes, stmt)?;
     let env = ctes.with(COMBINED, Arc::new(rw.combined));
-    let solved = handler.solve_select(db, &rw.stmt, &env, &mut Vec::new(), None)?;
+    let solved = handler.solve_select(db, &rw.stmt, &env, None)?;
 
     // Project the combined output back to the original input relation.
     let orig_alias = stmt

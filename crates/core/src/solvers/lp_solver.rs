@@ -154,42 +154,32 @@ impl Solver for LpSolver {
 const SHORTCUT_INT_TOL: f64 = 1e-6;
 
 /// Solve the integer problem, acting on the matrix-classification
-/// proofs when available:
-///
-/// - **Full certificate** (TU over integral data, or every declared
-///   integer provably implied): solve the LP relaxation only. The
-///   solution's integrality is *verified* before acceptance — the
-///   certificate decides when to try the shortcut, never whether to
-///   trust its result — so an unsound claim falls back to full
-///   branch-and-bound instead of producing a wrong answer.
-/// - **Partial implied integrality**: relax the provably-implied
-///   integer declarations so branch-and-bound never branches on them
-///   (shrinking the tree), verify, same fallback.
+/// proof when available: relax the integer declarations it proves
+/// implied (all of them under a TU certificate over integral data), so
+/// branch-and-bound never branches on them — with none left it stops at
+/// its root, one LP. The solution's integrality is *verified* before
+/// acceptance — the proof decides when to try the shortcut, never
+/// whether to trust its result — so an unsound claim falls back to full
+/// branch-and-bound instead of producing a wrong answer.
 fn solve_mip(
     ctx: &SolveContext<'_>,
     target: &lp::Problem,
     analysis: Option<&lp::matrix::MatrixAnalysis>,
     node_limit: Option<usize>,
 ) -> (lp::Solution, lp::mip::MipStats) {
-    if let Some(a) = analysis {
+    if let Some(a) = analysis.filter(|a| !a.relaxable.is_empty()) {
         let declared: Vec<usize> = (0..target.num_vars).filter(|&j| target.integer[j]).collect();
-        let full_proof = a.exactness_proof().is_some()
-            || (!declared.is_empty() && declared.iter().all(|&j| a.implied_integral[j]));
-        if full_proof {
-            let (mut sol, mut stats) = solve_relaxation(target);
-            if accept_integral(target, &mut sol, &declared) {
+        let mut relaxed = target.clone();
+        for &j in &a.relaxable {
+            relaxed.integer[j] = false;
+        }
+        let (mut sol, mut stats) = branch_and_bound(ctx, &relaxed, node_limit);
+        if sol.status != lp::Status::Optimal || accept_integral(target, &mut sol, &declared) {
+            if !relaxed.has_integers() && sol.status == lp::Status::Optimal {
+                // The one LP's solution, snapped, is the incumbent.
                 stats.incumbents = vec![(0, sol.objective)];
-                return (sol, stats);
             }
-        } else if !a.relaxable.is_empty() {
-            let mut relaxed = target.clone();
-            for &j in &a.relaxable {
-                relaxed.integer[j] = false;
-            }
-            let (mut sol, stats) = branch_and_bound(ctx, &relaxed, node_limit);
-            if sol.status != lp::Status::Optimal || accept_integral(target, &mut sol, &declared) {
-                return (sol, stats);
-            }
+            return (sol, stats);
         }
     }
     branch_and_bound(ctx, target, node_limit)

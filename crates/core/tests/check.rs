@@ -7,6 +7,7 @@
 use solvedbplus_core::Session;
 use sqlengine::diag::{Diagnostic, Severity};
 use sqlengine::Outcome;
+use std::sync::{Arc, Mutex};
 
 /// A session with one NULL-filled decision table `v (x, y)`.
 fn lp_session() -> Session {
@@ -450,6 +451,82 @@ fn nested_solve_warnings_reach_the_outer_result() {
     // The drain is per statement: the next statement starts clean.
     let r = s.execute("SELECT 1").unwrap();
     assert!(r.warnings.is_empty());
+}
+
+/// Solves on a worker thread, as a statement that solved its groups in
+/// parallel would: there it first runs the solve's input relation, noting
+/// whether the block was planned, then the solve itself.
+struct OnAWorker {
+    solver: Arc<dyn sqlengine::SolveHandler>,
+    planned: Mutex<Vec<bool>>,
+}
+
+impl sqlengine::SolveHandler for OnAWorker {
+    fn solve_select(
+        &self,
+        db: &sqlengine::Database,
+        stmt: &sqlengine::ast::SolveStmt,
+        ctes: &sqlengine::Ctes,
+        _trace: Option<&obs::Trace>,
+    ) -> sqlengine::Result<sqlengine::Table> {
+        let on_the_worker = || {
+            let input = &stmt.input.query;
+            let (_, fingerprint) =
+                sqlengine::exec::select::run_query_planned(db, ctes, input, None, None)?;
+            self.planned.lock().unwrap().push(fingerprint.is_some());
+            self.solver.solve_select(db, stmt, ctes, None)
+        };
+        std::thread::scope(|scope| scope.spawn(on_the_worker).join().unwrap())
+    }
+
+    fn solve_model(
+        &self,
+        db: &sqlengine::Database,
+        stmt: &sqlengine::ast::SolveStmt,
+        ctes: &sqlengine::Ctes,
+    ) -> sqlengine::Result<sqlengine::Value> {
+        self.solver.solve_model(db, stmt, ctes)
+    }
+
+    fn model_eval(
+        &self,
+        db: &sqlengine::Database,
+        select: &sqlengine::ast::Query,
+        model: &sqlengine::ast::Query,
+        ctes: &sqlengine::Ctes,
+    ) -> sqlengine::Result<sqlengine::Table> {
+        self.solver.model_eval(db, select, model, ctes)
+    }
+}
+
+#[test]
+fn statement_state_follows_the_database_onto_a_worker_thread() {
+    let mut s = lp_session();
+    let solver = s.db().solve_handler().unwrap();
+    let worker = Arc::new(OnAWorker { solver, planned: Default::default() });
+    s.db_mut().set_solve_handler(worker.clone());
+    let sql = "SELECT count(*) FROM ( \
+                 SOLVESELECT q(x) AS (SELECT x FROM v) \
+                 MAXIMIZE (SELECT x FROM q) \
+                 SUBJECTTO (SELECT x <= 10, x <= 20, x >= 0 FROM q) \
+                 USING solverlp()) sub";
+    for reference in [false, true] {
+        s.db_mut().set_force_row_interpreter(reference);
+        let r = s.execute(sql).unwrap();
+        // The worker's block ran on the executor the database chose.
+        assert_eq!(std::mem::take(&mut *worker.planned.lock().unwrap()), [!reference]);
+        // The nested solve's finding, made on the worker, is the statement's.
+        assert!(find(&r.warnings, "SD005").is_some(), "reference: {reference}");
+        assert!(s.execute("SELECT 1").unwrap().warnings.is_empty());
+    }
+    // A query run outside any statement leaves its solve's findings to
+    // no statement: the next one does not report them.
+    let sqlengine::ast::Statement::Query(q) = sqlengine::parser::parse_statement(sql).unwrap()
+    else {
+        panic!("not a query: {sql}");
+    };
+    sqlengine::run_query(s.db(), &sqlengine::Ctes::new(), &q, None).unwrap();
+    assert!(s.execute("SELECT 1").unwrap().warnings.is_empty());
 }
 
 #[test]

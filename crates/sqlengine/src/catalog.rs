@@ -2,14 +2,14 @@
 //! hook through which the SolveDB+ layer plugs into query execution.
 
 use crate::ast::{ExplainMode, Query, SolveStmt};
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::plan::StoredTable;
 use crate::table::{coerce, Row, Table, TableRef};
 use crate::types::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A scalar user-defined function. `param_names` enables named-argument
 /// notation (`f(a := 1)`); positional arguments map in declaration order.
@@ -77,20 +77,20 @@ pub trait SolveHandler: Send + Sync {
     /// Execute a `SOLVESELECT`, returning the output relation.
     ///
     /// Before solving, the handler may run its pre-solve static
-    /// analyzer and push advisory findings into `warnings`; the
-    /// executor attaches `Warning`/`Note`-severity entries to the
-    /// statement's [`crate::exec::ExecResult`].
+    /// analyzer and hand the findings to [`Database::add_findings`]: the
+    /// statement the solve runs in — as its body or in a subquery, on the
+    /// statement's thread or another — carries the `Warning`/`Note`-severity
+    /// ones on its [`crate::exec::ExecResult::warnings`].
     ///
     /// When `trace` is present the handler records its stage tree
     /// (plan → rewrite → instantiate → solve → ...) and solver
-    /// telemetry into it; `None` skips instrumentation (nested solves,
-    /// handlers that predate tracing).
+    /// telemetry into it; a solve in a subquery gets `None` and records
+    /// nothing.
     fn solve_select(
         &self,
         db: &Database,
         stmt: &SolveStmt,
         ctes: &Ctes,
-        warnings: &mut Vec<Diagnostic>,
         trace: Option<&obs::Trace>,
     ) -> Result<Table>;
 
@@ -390,6 +390,11 @@ pub struct Database {
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
     pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
+    /// Analyzer findings of the solves the current statement ran, in the
+    /// order they were found; [`Database::end_statement`] hands them over.
+    findings: Mutex<Vec<Diagnostic>>,
+    /// Run every `SELECT` block on the reference row interpreter.
+    force_row_interpreter: bool,
     /// Per-session solver wall-clock budget in milliseconds
     /// (`SET solver_timeout_ms`); `None` = unlimited.
     solver_timeout_ms: Option<u64>,
@@ -469,7 +474,35 @@ impl Database {
         self.columns_pivoted.fetch_add(chunks, Ordering::Relaxed);
     }
 
+    /// Record a solve's analyzer findings for the statement running it.
+    pub fn add_findings(&self, findings: impl IntoIterator<Item = Diagnostic>) {
+        self.findings.lock().unwrap_or_else(PoisonError::into_inner).extend(findings);
+    }
+
+    /// The statement is over: drop the plans of its CTE environments and
+    /// return what its result reports — the plan-cache event of its last
+    /// block and the advisory (`Warning`/`Note`) findings of its solves.
+    pub(crate) fn end_statement(&self) -> (Option<bool>, Vec<Diagnostic>) {
+        let event = self.plan_cache.lock().ok().and_then(|mut c| c.end_statement());
+        let mut findings =
+            std::mem::take(&mut *self.findings.lock().unwrap_or_else(PoisonError::into_inner));
+        findings.retain(|d| d.severity <= Severity::Warning);
+        (event, findings)
+    }
+
     // -- session control (solver watchdog, live progress) ------------------
+
+    /// Run every `SELECT` block of this database's statements — on any
+    /// thread — on the reference row interpreter instead of planning it:
+    /// the differential tests and `reproduce executor` compare the two.
+    /// Returns the previous setting.
+    pub fn set_force_row_interpreter(&mut self, on: bool) -> bool {
+        std::mem::replace(&mut self.force_row_interpreter, on)
+    }
+
+    pub(crate) fn force_row_interpreter(&self) -> bool {
+        self.force_row_interpreter
+    }
 
     /// Set the session's solver wall-clock budget (`None` = unlimited).
     pub fn set_solver_timeout_ms(&mut self, ms: Option<u64>) {

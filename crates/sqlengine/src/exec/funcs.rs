@@ -39,7 +39,9 @@ static BUILTINS: &[BuiltinFn] = &[
         max_args: 1,
         strict: true,
         f: |a| match &a[0] {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => {
+                i.checked_abs().map(Value::Int).ok_or_else(|| Error::eval("integer overflow"))
+            }
             v => Ok(Value::Float(v.as_f64()?.abs())),
         },
     },
@@ -54,8 +56,9 @@ static BUILTINS: &[BuiltinFn] = &[
         f: |a| {
             let x = a[0].as_f64()?;
             if a.len() == 2 {
-                let digits = a[1].as_i64()?;
-                let scale = 10f64.powi(digits as i32);
+                let digits = i32::try_from(a[1].as_i64()?)
+                    .map_err(|_| Error::eval("round: number of digits out of range"))?;
+                let scale = 10f64.powi(digits);
                 Ok(Value::Float((x * scale).round() / scale))
             } else {
                 Ok(Value::Float(x.round()))
@@ -487,6 +490,19 @@ mod tests {
         assert_eq!(call_named("sqrt", &[Value::Float(9.0)]).unwrap(), Value::Float(3.0));
         assert!(call_named("sqrt", &[Value::Float(-1.0)]).is_err());
         assert!(call_named("ln", &[Value::Float(0.0)]).is_err());
+    }
+
+    #[test]
+    fn results_out_of_range_are_errors() {
+        let err = |name: &str, args: &[Value]| call_named(name, args).unwrap_err().to_string();
+        assert_eq!(err("abs", &[Value::Int(i64::MIN)]), "evaluation error: integer overflow");
+        assert_eq!(call_named("abs", &[Value::Int(-i64::MAX)]).unwrap(), Value::Int(i64::MAX));
+        let digits = |d: i64| call_named("round", &[Value::Float(1.55), Value::Int(d)]);
+        assert_eq!(digits(-1).unwrap(), Value::Float(0.0));
+        for d in [4_294_967_297, i32::MAX as i64 + 1, i32::MIN as i64 - 1] {
+            let e = digits(d).unwrap_err().to_string();
+            assert_eq!(e, "evaluation error: round: number of digits out of range");
+        }
     }
 
     #[test]

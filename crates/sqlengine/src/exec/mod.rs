@@ -8,7 +8,7 @@ pub mod select;
 
 use crate::ast::{ExplainMode, Statement};
 use crate::catalog::{Ctes, Database};
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, Env, EvalCtx, Scope};
 use crate::parser;
@@ -46,7 +46,7 @@ pub struct ExecResult {
     /// statement's own body is one `SELECT` block; `None` when it is
     /// anything else — a set operation (whose arms are planned one by
     /// one), `VALUES`, a solve (whose queries are planned), DML — or when
-    /// the thread forces the reference interpreter: a statement has one
+    /// the database forces the reference interpreter: a statement has one
     /// fingerprint or none. Recorded in `sdb_stat_statements`.
     pub plan_fingerprint: Option<u64>,
     /// Plan-cache outcome of the last `SELECT` block of the statement
@@ -149,22 +149,14 @@ pub fn execute_statement_timed(
     stmt: &Statement,
     parse_nanos: Option<u64>,
 ) -> Result<ExecResult> {
-    let ctes = Ctes::new();
-    // Discard diagnostics parked by an earlier statement that errored
-    // before its drain point — they do not belong to this statement;
-    // likewise any stale plan-cache event.
-    drop(select::take_nested_solve_warnings());
-    let _ = select::take_plan_cache_event();
-    let inner = execute_statement_inner(db, stmt, parse_nanos, &ctes);
-    db.end_statement_plans();
+    // Whatever a call outside any statement left in the statement scope
+    // does not belong to this one.
+    db.end_statement();
+    let inner = execute_statement_inner(db, stmt, parse_nanos);
+    let (plan_cache_hit, findings) = db.end_statement();
     let mut result = inner?;
-    result.plan_cache_hit = select::take_plan_cache_event();
-    // Solves executed in subquery position have no warnings channel of
-    // their own; they park advisory findings thread-locally and the
-    // statement layer attaches them here so they are not dropped.
-    let mut nested = select::take_nested_solve_warnings();
-    nested.retain(|d| d.severity <= Severity::Warning);
-    result.warnings.extend(nested);
+    result.plan_cache_hit = plan_cache_hit;
+    result.warnings = findings;
     Ok(result)
 }
 
@@ -178,9 +170,8 @@ fn execute_statement_inner(
     db: &mut Database,
     stmt: &Statement,
     parse_nanos: Option<u64>,
-    ctes: &Ctes,
 ) -> Result<ExecResult> {
-    let ctes = ctes.clone();
+    let ctes = Ctes::new();
     match stmt {
         Statement::Query(q) => {
             let (t, fp) = select::run_query_planned(db, &ctes, q, None, None)?;
@@ -219,13 +210,8 @@ fn execute_statement_inner(
             if let Some(n) = parse_nanos {
                 trace.record("parse", n);
             }
-            let mut warnings = Vec::new();
-            let t = handler.solve_select(db, s, &ctes, &mut warnings, Some(&trace))?;
-            // The warnings channel carries advisory findings only; a
-            // handler that pushed an Error-level diagnostic and still
-            // returned Ok gets it downgraded to the advisory channel.
-            warnings.retain(|d| d.severity <= Severity::Warning);
-            Ok(ExecResult::table(t).with_warnings(warnings).with_trace(trace.finish()))
+            let t = handler.solve_select(db, s, &ctes, Some(&trace))?;
+            Ok(ExecResult::table(t).with_trace(trace.finish()))
         }
         Statement::Explain { mode, stmt } => {
             let handler = db.solve_handler()?;
@@ -241,14 +227,11 @@ fn execute_statement_inner(
                     if let Some(n) = parse_nanos {
                         trace.record("parse", n);
                     }
-                    let mut warnings = Vec::new();
-                    let solved = handler.solve_select(db, stmt, &ctes, &mut warnings, Some(&trace));
-                    warnings.retain(|d| d.severity <= Severity::Warning);
-                    let rows_out = solved?.num_rows();
+                    let rows_out = handler.solve_select(db, stmt, &ctes, Some(&trace))?.num_rows();
                     let qt = trace.finish();
                     let mut lines = qt.render();
                     lines.push(format!("rows out: {rows_out}"));
-                    Ok(ExecResult::table(plan_table(lines)).with_warnings(warnings).with_trace(qt))
+                    Ok(ExecResult::table(plan_table(lines)).with_trace(qt))
                 }
             }
         }

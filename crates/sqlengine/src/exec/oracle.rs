@@ -5,17 +5,17 @@
 //! grouping and projection per row — kept as the oracle the planner is
 //! tested against (`tests/planner.rs`, `executor_lattice.rs`,
 //! `fitness_differential.rs`, `reproduce executor`). No statement
-//! reaches it unless `set_force_row_interpreter(true)` is in force on the
-//! thread: [`run_select`] has one caller, that branch of
-//! `select::run_select_planned`.
+//! reaches it unless `Database::set_force_row_interpreter(true)` is in
+//! force on the database it runs against: [`run_select`] has one caller,
+//! that branch of `select::run_select_planned`.
 //!
 //! It shares everything that gives a block its meaning with the planner:
 //! the front end (`exec::head`), the expression evaluator (`exec::eval`),
 //! the aggregate accumulators, the sort comparator, the `ON` / `USING`
 //! key extraction and LIMIT (`exec::select`). Queries nested in the block
 //! — subqueries, FROM subqueries, views — go back through
-//! `select::run_query`, and so stay on this interpreter while the hook is
-//! set.
+//! `select::run_query`, and so stay on this interpreter while the switch
+//! is on.
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};

@@ -4,10 +4,11 @@
 //!
 //! A `SELECT` block itself — at any depth, under any outer row — is
 //! planned (`plan::build`, through the plan cache) and run by the
-//! columnar executor (`plan::exec`). The one exception is a thread with
-//! [`set_force_row_interpreter`] on: there every block goes to the
-//! reference interpreter (`exec::oracle`) instead, which is how the
-//! differential tests and `reproduce executor` get their second opinion.
+//! columnar executor (`plan::exec`). The one exception is a database with
+//! [`Database::set_force_row_interpreter`] on: there every block, on
+//! whichever thread runs it, goes to the reference interpreter
+//! (`exec::oracle`) instead, which is how the differential tests and
+//! `reproduce executor` get their second opinion.
 //! Everything else here has one implementation that both use: the
 //! assembly of set operations and `VALUES`, the recursion loop, the
 //! order of two sort keys ([`key_order`]; the planner sorts row indices
@@ -22,7 +23,6 @@
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};
-use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::limit_offset;
@@ -35,54 +35,10 @@ use crate::plan::plan_select;
 use crate::table::{Column as TColumn, Row, Schema, Table};
 use crate::types::{BinOp, Value};
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Iteration guard for `WITH RECURSIVE`.
 const MAX_RECURSION: usize = 1_000_000;
-
-thread_local! {
-    /// Advisory findings from solves in subquery position (no warnings
-    /// channel reaches there); the statement layer drains this into the
-    /// outer `ExecResult` so nested diagnostics are not dropped.
-    static NESTED_SOLVE_WARNINGS: RefCell<Vec<Diagnostic>> = const { RefCell::new(Vec::new()) };
-    /// Bench / differential-test hook: run every block on the reference
-    /// interpreter.
-    static FORCE_ROW: Cell<bool> = const { Cell::new(false) };
-    /// Plan-cache outcome of the most recent cache-eligible query on
-    /// this thread: `Some(true)` = hit, `Some(false)` = planned fresh.
-    /// The statement layer drains this into `ExecResult`.
-    static PLAN_CACHE_EVENT: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Drain the plan-cache hit/miss event recorded by the most recent
-/// cache-eligible query on this thread.
-pub fn take_plan_cache_event() -> Option<bool> {
-    PLAN_CACHE_EVENT.with(|c| c.take())
-}
-
-/// Drain advisory diagnostics parked by solves executed in subquery
-/// position since the last drain (thread-local).
-pub fn take_nested_solve_warnings() -> Vec<Diagnostic> {
-    NESTED_SOLVE_WARNINGS.with(|w| std::mem::take(&mut *w.borrow_mut()))
-}
-
-pub(crate) fn park_nested_solve_warnings(warnings: Vec<Diagnostic>) {
-    if !warnings.is_empty() {
-        NESTED_SOLVE_WARNINGS.with(|w| w.borrow_mut().extend(warnings));
-    }
-}
-
-/// Run the `SELECT` blocks of this thread's queries on the reference row
-/// interpreter instead of planning them (bench and differential-test
-/// hook). Returns the previous setting.
-pub fn set_force_row_interpreter(on: bool) -> bool {
-    FORCE_ROW.with(|f| f.replace(on))
-}
-
-pub(crate) fn force_row_interpreter() -> bool {
-    FORCE_ROW.with(|f| f.get())
-}
 
 /// Execute a query and materialize the result.
 pub fn run_query(db: &Database, ctes: &Ctes, q: &Query, outer: Option<&Env<'_>>) -> Result<Table> {
@@ -181,8 +137,8 @@ pub fn run_query_planned(
 /// Run one `SELECT` block — the body of a query or an arm of a set
 /// operation, under the rows `outer` of its enclosing blocks: planned
 /// (through the plan cache) and executed by the columnar executor. A
-/// planning error is the statement's error. Only a thread that forces the
-/// reference interpreter takes the other branch.
+/// planning error is the statement's error. Only a database that forces
+/// the reference interpreter takes the other branch.
 #[allow(clippy::too_many_arguments)]
 fn run_select_planned(
     db: &Database,
@@ -194,7 +150,7 @@ fn run_select_planned(
     offset: &Option<Expr>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
-    if force_row_interpreter() {
+    if db.force_row_interpreter() {
         let span = trace.map(|tr| tr.span("row interpreter"));
         let t = oracle::run_select(db, ctes, sel, outer, order_by, limit, offset)?;
         if let Some(s) = &span {
@@ -206,8 +162,8 @@ fn run_select_planned(
     let t = crate::plan::execute(db, ctes, &planned, trace, outer)?;
     // After the execution, whose subqueries went through the cache too:
     // the event a statement reports is its own body's.
-    if cache_hit.is_some() {
-        PLAN_CACHE_EVENT.with(|c| c.set(cache_hit));
+    if let Some(hit) = cache_hit {
+        db.note_plan_cache_event(hit);
     }
     Ok((t, Some(planned.fingerprint())))
 }
@@ -414,7 +370,7 @@ fn run_recursive_cte(
     // The term's plan, against the first binding of its working table —
     // or why the term is a query of its own in every step.
     let plan = match right {
-        _ if force_row_interpreter() => Err("row interpreter forced"),
+        _ if db.force_row_interpreter() => Err("row interpreter forced"),
         SetExpr::Select(sel) => {
             let (plan, _) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
             // Rows captured at plan time go stale with the first step.
@@ -564,17 +520,7 @@ fn run_set_expr(
         SetExpr::Select(sel) => {
             run_select_planned(db, ctes, sel, outer, &[], &None, &None, None).map(|(t, _)| t)
         }
-        SetExpr::Solve(stmt) => {
-            let handler = db.solve_handler()?;
-            // Subquery position has no warnings channel; park advisory
-            // findings in the thread-local drained by the statement
-            // layer so they reach the outer ExecResult.
-            let mut warnings = Vec::new();
-            let t = handler.solve_select(db, stmt, ctes, &mut warnings, None)?;
-            warnings.retain(|d| d.severity <= Severity::Warning);
-            park_nested_solve_warnings(warnings);
-            Ok(t)
-        }
+        SetExpr::Solve(stmt) => db.solve_handler()?.solve_select(db, stmt, ctes, None),
         SetExpr::Query(q) => run_query(db, ctes, q, outer),
         SetExpr::Values(rows) => run_values(db, ctes, rows, outer),
         SetExpr::SetOp { op, all, left, right } => {

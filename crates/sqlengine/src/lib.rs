@@ -36,7 +36,6 @@ pub use catalog::{
 };
 pub use diag::{Diagnostic, Severity};
 pub use error::{Error, Result};
-pub use exec::select::set_force_row_interpreter;
 pub use exec::{
     execute_script, execute_sql, execute_statement, execute_statement_timed, run_query, ExecResult,
     Outcome,

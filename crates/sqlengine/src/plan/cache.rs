@@ -27,7 +27,7 @@
 //! catalog epoch moving. A CTE environment belongs to one statement, and
 //! so do these plans: they sit in a map of their own that the statement
 //! layer empties when the statement ends
-//! ([`Database::end_statement_plans`]). Within the statement they are
+//! ([`Database::end_statement`]). Within the statement they are
 //! what lets a black-box solver plan its objective and simulation
 //! relations once and re-execute them per candidate, and lets the
 //! symbolic passes of one `SOLVESELECT` share their plans.
@@ -121,6 +121,9 @@ pub(crate) struct PlanCache {
     /// The renderings this statement made, by the address of the `Select`
     /// rendered — a hint, confirmed by comparing the `Select`s.
     rendered: HashMap<usize, Rendered>,
+    /// Plan-cache outcome of this statement's last cache-eligible block
+    /// to finish: `Some(true)` = hit, `Some(false)` = planned fresh.
+    event: Option<bool>,
 }
 
 impl PlanCache {
@@ -130,6 +133,14 @@ impl PlanCache {
         } else {
             &mut self.session
         }
+    }
+
+    /// The statement is over: drop its plans and renderings, and return
+    /// its event.
+    pub(crate) fn end_statement(&mut self) -> Option<bool> {
+        self.statement.clear();
+        self.rendered.clear();
+        self.event.take()
     }
 }
 
@@ -253,11 +264,11 @@ impl Database {
         }
     }
 
-    /// The statement is over: drop the plans of its CTE environments.
-    pub(crate) fn end_statement_plans(&self) {
+    /// A block of the current statement finished on a plan the cache
+    /// served (`hit`) or planned and kept.
+    pub(crate) fn note_plan_cache_event(&self, hit: bool) {
         if let Ok(mut cache) = self.plan_cache.lock() {
-            cache.statement.clear();
-            cache.rendered.clear();
+            cache.event = Some(hit);
         }
     }
 
@@ -340,7 +351,7 @@ mod tests {
         let moved = sel.clone();
         let again = key(&moved);
         assert!(!Arc::ptr_eq(&first, &again) && first == again);
-        db.end_statement_plans();
+        db.end_statement();
         assert!(!Arc::ptr_eq(&first, &key(sel)), "the next statement starts over");
     }
 

@@ -14,10 +14,11 @@
 //! the set operation over its arms, `VALUES`, ORDER BY / LIMIT over those
 //! — is assembled in `exec::select` from arms that are planned one by
 //! one. The reference row interpreter (`exec::oracle`), which tests reach
-//! through `set_force_row_interpreter`, produces identical results by
-//! construction: both read the same front end (`exec::head`) and share
-//! the binder, the expression evaluator (for non-vectorizable
-//! expressions), the aggregate accumulators and the sort comparator.
+//! through the database's switch `Database::set_force_row_interpreter`,
+//! produces identical results by construction: both read the same front
+//! end (`exec::head`) and share the binder, the expression evaluator (for
+//! non-vectorizable expressions), the aggregate accumulators and the sort
+//! comparator.
 
 pub mod build;
 pub mod cache;

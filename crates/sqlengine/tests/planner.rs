@@ -2,7 +2,7 @@
 //!
 //! Every query here runs twice — once through the default path, which
 //! plans every SELECT block and runs it on the columnar batch executor,
-//! and once with `set_force_row_interpreter(true)`, which pins the
+//! and once with `db.set_force_row_interpreter(true)`, which pins the
 //! reference row-at-a-time interpreter. The two executions must
 //! agree on column names and types and on the multiset of result rows (the
 //! optimizer may legally reorder joins, so row order is only compared
@@ -18,8 +18,7 @@
 //! NULL keys).
 
 use sqlengine::{
-    execute_script, execute_sql, set_force_row_interpreter, Column, DataType, Database, ExecCounts,
-    Schema, Table, Value,
+    execute_script, execute_sql, Column, DataType, Database, ExecCounts, Schema, Table, Value,
 };
 
 fn setup() -> Database {
@@ -119,9 +118,9 @@ fn row_keys(t: &Table) -> Vec<String> {
 /// exact row sequence; otherwise the sorted multiset.
 fn check(db: &mut Database, sql: &str, ordered: bool) {
     let planned = execute_sql(db, sql).map(|r| r.into_table().unwrap());
-    let prev = set_force_row_interpreter(true);
+    let prev = db.set_force_row_interpreter(true);
     let row = execute_sql(db, sql).map(|r| r.into_table().unwrap());
-    set_force_row_interpreter(prev);
+    db.set_force_row_interpreter(prev);
     match (planned, row) {
         (Ok(p), Ok(r)) => {
             assert_eq!(p.schema.names(), r.schema.names(), "column names differ for: {sql}");
@@ -920,7 +919,6 @@ fn solve_bearing_blocks_are_planned_and_captured_answers_are_not_cached() {
             db: &Database,
             stmt: &sqlengine::ast::SolveStmt,
             ctes: &sqlengine::Ctes,
-            _warnings: &mut Vec<sqlengine::Diagnostic>,
             _trace: Option<&obs::Trace>,
         ) -> sqlengine::Result<Table> {
             self.0.fetch_add(1, Ordering::Relaxed);
@@ -1049,6 +1047,8 @@ fn min_divided_by_minus_one_is_an_overflow_error_on_both_paths() {
         "SELECT a % b FROM edge",
         "SELECT (SELECT a / b) FROM edge",
         "SELECT a / -1 FROM edge",
+        "SELECT abs(a) FROM edge",
+        "SELECT abs(-9223372036854775807 - 1)",
     ] {
         check(&mut db, sql, false);
         let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
@@ -1057,6 +1057,19 @@ fn min_divided_by_minus_one_is_an_overflow_error_on_both_paths() {
     check(&mut db, "SELECT a / b, a % b FROM edge WHERE a > 0", false);
     let err = execute_sql(&mut db, "SELECT a % (b - b) FROM edge").unwrap_err().to_string();
     assert_eq!(err, "evaluation error: division by zero");
+}
+
+/// `round(x, digits)` takes `digits` as a 32-bit integer: a wider one is
+/// an error, not a round to its low 32 bits.
+#[test]
+fn round_refuses_digits_beyond_32_bits_on_both_paths() {
+    let mut db = setup();
+    check(&mut db, "SELECT round(d, 1), round(d, -1) FROM t1", false);
+    for sql in ["SELECT round(1.55, 4294967297)", "SELECT round(d, -2147483649) FROM t1"] {
+        check(&mut db, sql, false);
+        let err = execute_sql(&mut db, sql).expect_err(sql).to_string();
+        assert_eq!(err, "evaluation error: round: number of digits out of range", "{sql}");
+    }
 }
 
 /// A column whose every value is NULL keeps its declared type on both
@@ -1141,9 +1154,9 @@ fn rows_of(db: &mut Database, sql: &str) -> Vec<Vec<String>> {
 
 fn assert_both_executors(db: &mut Database, sql: &str, expected: &[&[&str]]) {
     for force_row in [false, true] {
-        let prev = set_force_row_interpreter(force_row);
+        let prev = db.set_force_row_interpreter(force_row);
         let mut got = rows_of(db, sql);
-        set_force_row_interpreter(prev);
+        db.set_force_row_interpreter(prev);
         let mut want: Vec<Vec<String>> =
             expected.iter().map(|r| r.iter().map(|s| s.to_string()).collect()).collect();
         got.sort();
@@ -1226,9 +1239,9 @@ fn rollup_respects_having_and_order() {
     let sql = "SELECT region, sum(amount) AS s FROM sales GROUP BY ROLLUP (region) \
                HAVING sum(amount) > 70 ORDER BY s";
     for force_row in [false, true] {
-        let prev = set_force_row_interpreter(force_row);
+        let prev = db.set_force_row_interpreter(force_row);
         let got = rows_of(&mut db, sql);
-        set_force_row_interpreter(prev);
+        db.set_force_row_interpreter(prev);
         assert_eq!(
             got,
             vec![

@@ -141,7 +141,7 @@ fn integers_beyond_2_pow_53_key_as_themselves() {
         "CREATE TABLE a (k int8); INSERT INTO a VALUES (9007199254740992), (9007199254740993)",
     );
     for reference in [false, true] {
-        let was = sqlengine::set_force_row_interpreter(reference);
+        let was = db.set_force_row_interpreter(reference);
         let rows = |db: &mut Database, sql: &str| q(db, sql).num_rows();
         let count = |db: &mut Database, sql: &str| scalar(db, sql);
         assert_eq!(
@@ -157,7 +157,7 @@ fn integers_beyond_2_pow_53_key_as_themselves() {
             count(&mut db, "SELECT count(*) FROM a WHERE k = 9007199254740992.0"),
             Value::Int(2)
         );
-        sqlengine::set_force_row_interpreter(was);
+        db.set_force_row_interpreter(was);
     }
 }
 
@@ -254,7 +254,7 @@ fn grouped_operands_of_in_subquery() {
         ),
     ];
     for reference in [false, true] {
-        let was = sqlengine::set_force_row_interpreter(reference);
+        let was = db.set_force_row_interpreter(reference);
         for (sql, expected) in cases {
             let t = q(&mut db, sql);
             let rows: Vec<String> = t
@@ -264,7 +264,7 @@ fn grouped_operands_of_in_subquery() {
                 .collect();
             assert_eq!(rows, expected, "{sql} (reference: {reference})");
         }
-        sqlengine::set_force_row_interpreter(was);
+        db.set_force_row_interpreter(was);
     }
 }
 
@@ -331,9 +331,9 @@ fn recursion_agrees(db: &mut Database, sql: &str, expected: &[i64]) -> u64 {
     let before = db.exec_counts();
     assert_eq!(run(db), expected, "planned: {sql}");
     let reused = db.exec_counts().since(&before).builds_reused;
-    let was = sqlengine::set_force_row_interpreter(true);
+    let was = db.set_force_row_interpreter(true);
     let rows = run(db);
-    sqlengine::set_force_row_interpreter(was);
+    db.set_force_row_interpreter(was);
     assert_eq!(rows, expected, "row interpreter: {sql}");
     reused
 }
@@ -498,9 +498,9 @@ fn recursive_term_column_count_mismatch_errors_on_both_paths() {
     for (sql, want) in cases {
         let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
         assert!(planned.contains(want), "{sql}: {planned}");
-        let was = sqlengine::set_force_row_interpreter(true);
+        let was = db.set_force_row_interpreter(true);
         let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
-        sqlengine::set_force_row_interpreter(was);
+        db.set_force_row_interpreter(was);
         assert_eq!(planned, rows, "{sql}");
     }
 }
@@ -518,9 +518,9 @@ fn on_both_paths(db: &mut Database, sql: &str) -> Vec<String> {
         rows
     };
     let planned = run(db);
-    let was = sqlengine::set_force_row_interpreter(true);
+    let was = db.set_force_row_interpreter(true);
     let rows = run(db);
-    sqlengine::set_force_row_interpreter(was);
+    db.set_force_row_interpreter(was);
     assert_eq!(planned, rows, "planner vs row interpreter: {sql}");
     planned
 }
@@ -602,9 +602,9 @@ fn recursive_term_runs_what_the_working_table_does_not_feed_once() {
                SELECT r.n + ks.k - 1 FROM r, ks WHERE probe(ks.k) = 2 AND r.n < 5) SELECT n FROM r";
     assert_eq!(q(&mut db, sql).num_rows(), 5);
     assert_eq!(calls.swap(0, Ordering::Relaxed), 3, "the filter over ks ran once, not per step");
-    let was = sqlengine::set_force_row_interpreter(true);
+    let was = db.set_force_row_interpreter(true);
     assert_eq!(q(&mut db, sql).num_rows(), 5);
-    sqlengine::set_force_row_interpreter(was);
+    db.set_force_row_interpreter(was);
     assert_eq!(calls.load(Ordering::Relaxed), 15, "the row interpreter runs it in all 5 steps");
 }
 
@@ -634,9 +634,9 @@ fn runaway_recursion_stops_at_the_cap_with_the_same_error_on_both_paths() {
                SELECT count(*) FROM r";
     let planned = execute_sql(&mut db, sql).unwrap_err().to_string();
     assert_eq!(planned, "evaluation error: recursive CTE 'r' exceeded the iteration limit");
-    let was = sqlengine::set_force_row_interpreter(true);
+    let was = db.set_force_row_interpreter(true);
     let rows = execute_sql(&mut db, sql).unwrap_err().to_string();
-    sqlengine::set_force_row_interpreter(was);
+    db.set_force_row_interpreter(was);
     assert_eq!(planned, rows);
     // The session is still usable.
     assert_eq!(scalar(&mut db, "SELECT count(*) FROM two"), Value::Int(2));

@@ -36,9 +36,9 @@ fn a_repeated_read_pivots_nothing() {
     assert_eq!(pivoted_by(&mut db, "SELECT * FROM t WHERE k = 7"), 4, "`note` was missing");
     assert_eq!(pivoted_by(&mut db, "SELECT count(*) FROM t"), 0, "keeps no column");
     // The row interpreter reads `Table::rows` and leaves the image alone.
-    let prev = sqlengine::set_force_row_interpreter(true);
+    let prev = db.set_force_row_interpreter(true);
     assert_eq!(pivoted_by(&mut db, sum), 0);
-    sqlengine::set_force_row_interpreter(prev);
+    db.set_force_row_interpreter(prev);
 }
 
 #[test]

@@ -16,9 +16,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sqlengine::{
-    execute_sql, set_force_row_interpreter, Column, DataType, Database, Schema, Table, Value,
-};
+use sqlengine::{execute_sql, Column, DataType, Database, Schema, Table, Value};
 
 const HOUR: i64 = 3_600_000_000;
 /// 2017-07-02 00:00, in microseconds since the Unix epoch.
@@ -112,9 +110,9 @@ fn run(
     sql: &str,
     reference: bool,
 ) -> Result<(Vec<String>, Vec<String>), String> {
-    let was = set_force_row_interpreter(reference);
+    let was = db.set_force_row_interpreter(reference);
     let out = execute_sql(db, sql).map(|r| r.into_table().expect("a query"));
-    set_force_row_interpreter(was);
+    db.set_force_row_interpreter(was);
     let t = out.map_err(|e| e.to_string())?;
     let head = t.schema.columns.iter().map(|c| format!("{} {:?}", c.name, c.ty)).collect();
     let rows = t.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -271,9 +269,8 @@ proptest! {
         );
         let after = |reference: bool| {
             let mut db = database(seed);
-            let was = set_force_row_interpreter(reference);
+            db.set_force_row_interpreter(reference);
             let deleted = execute_sql(&mut db, &delete).map(|_| ()).map_err(|e| e.to_string());
-            set_force_row_interpreter(was);
             (deleted, run(&mut db, "SELECT * FROM t", false))
         };
         prop_assert_eq!(after(false), after(true), "{}", delete);

@@ -19,8 +19,7 @@
 use proptest::prelude::*;
 use sqlengine::table::{Column, Schema};
 use sqlengine::{
-    execute_sql, set_force_row_interpreter, CatalogMutation, DataType, Database, DurabilityHook,
-    Error, Row, Table, Value,
+    execute_sql, CatalogMutation, DataType, Database, DurabilityHook, Error, Row, Table, Value,
 };
 use std::sync::{Arc, Mutex};
 
@@ -357,9 +356,9 @@ impl Harness {
     /// What the row interpreter reports for a SELECT over the same
     /// expression — it evaluates it row by row like the DML loop did.
     fn interpreter_error_of(&mut self, select: &str) -> String {
-        let prev = set_force_row_interpreter(true);
+        let prev = self.db.set_force_row_interpreter(true);
         let e = self.error_of(select);
-        set_force_row_interpreter(prev);
+        self.db.set_force_row_interpreter(prev);
         e
     }
 
@@ -498,9 +497,9 @@ impl Harness {
         for sql in &corpus {
             let planned = execute_sql(&mut self.db, sql).unwrap();
             assert!(planned.plan_fingerprint.is_some(), "not planned: {sql}");
-            let prev = set_force_row_interpreter(true);
+            let prev = self.db.set_force_row_interpreter(true);
             let rows = execute_sql(&mut self.db, sql).unwrap();
-            set_force_row_interpreter(prev);
+            self.db.set_force_row_interpreter(prev);
             let sorted = |t: Table| {
                 let mut keys: Vec<String> = t.rows.iter().map(|r| format!("{r:?}")).collect();
                 keys.sort();

@@ -215,9 +215,9 @@ fn fitting_session(history: usize) -> Session {
 #[test]
 fn example_fitness_is_bit_identical_to_the_row_interpreter() {
     use solvedbplus::core::problem::build_blackbox;
-    use solvedbplus::sqlengine::{self, ast::Statement, set_force_row_interpreter};
+    use solvedbplus::sqlengine::{self, ast::Statement};
 
-    let s = fitting_session(48);
+    let mut s = fitting_session(48);
     let Statement::Solve(stmt) =
         sqlengine::parser::parse_statement(energy_planning::FIT_SQL).unwrap()
     else {
@@ -237,9 +237,8 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
         })
         .collect();
     let planned: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
-    let was = set_force_row_interpreter(true);
+    s.db_mut().set_force_row_interpreter(true);
     let rows: Vec<u64> = xs.iter().map(|x| bb.fitness(s.db(), x).to_bits()).collect();
-    set_force_row_interpreter(was);
     assert_eq!(planned, rows);
     assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()));
 }

@@ -68,9 +68,9 @@ fn one_statement_through_every_local_layer() {
     let lateral = s.execute(LATERAL).unwrap();
     assert!(lateral.plan_fingerprint.is_some(), "LATERAL runs on the columnar executor too");
     assert_eq!(ints(&lateral.into_table().unwrap().rows, 1), [1, 4]);
-    let was = solvedbplus::sqlengine::set_force_row_interpreter(true);
+    let was = s.db_mut().set_force_row_interpreter(true);
     let reference = s.execute(LATERAL);
-    solvedbplus::sqlengine::set_force_row_interpreter(was);
+    s.db_mut().set_force_row_interpreter(was);
     let reference = reference.unwrap();
     assert!(reference.plan_fingerprint.is_none(), "the hook reaches the reference interpreter");
     assert_eq!(ints(&reference.into_table().unwrap().rows, 1), [1, 4]);
