@@ -64,8 +64,9 @@ struct Sweep {
     recursions: usize,
     script_findings: usize,
     matrix_findings: usize,
-    /// Nonzeros `EXPLAIN PRESOLVE` reports cancelled, over the sweep.
-    nonzeros_cancelled: usize,
+    /// The solves whose `EXPLAIN PRESOLVE` substitutes columns out, with
+    /// its line.
+    substituting: Vec<String>,
     tolerated: Vec<String>,
     failures: Vec<String>,
 }
@@ -95,15 +96,9 @@ impl Sweep {
                     }
                 };
                 if mode != ExplainMode::Check {
-                    // `nonzeros cancelled: K (B -> A)`
-                    self.nonzeros_cancelled += t
-                        .rows
-                        .iter()
-                        .filter_map(|row| {
-                            row[0].as_str().ok()?.strip_prefix("nonzeros cancelled: ")
-                        })
-                        .filter_map(|rest| rest.split(' ').next()?.parse::<usize>().ok())
-                        .sum::<usize>();
+                    let lines = t.rows.iter().filter_map(|row| row[0].as_str().ok());
+                    let substituted = lines.filter(|l| l.starts_with("columns substituted: "));
+                    self.substituting.extend(substituted.map(|l| format!("{name}: {l}")));
                     return;
                 }
                 for row in &t.rows {
@@ -308,7 +303,7 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
          {} EXPLAIN SELECT run(s) ({}/{} block(s) planned), \
          {} solve(s) stepping a recursion on one row, {} scriptcheck finding(s), \
-         {} matrix finding(s), {} nonzero(s) cancelled by presolve{}",
+         {} matrix finding(s), {} solve(s) substituting columns in presolve{}",
         sweep.scripts,
         sweep.solves,
         sweep.explains,
@@ -318,9 +313,12 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
         sweep.recursions,
         sweep.script_findings,
         sweep.matrix_findings,
-        sweep.nonzeros_cancelled,
+        sweep.substituting.len(),
         if persistent { " [persistent mode: sessions WAL-committed]" } else { "" }
     );
+    for s in &sweep.substituting {
+        println!("  substitutes: {s}");
+    }
     for t in &sweep.tolerated {
         println!("  tolerated: {t}");
     }

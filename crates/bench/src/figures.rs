@@ -904,9 +904,10 @@ fn traced_solve(s: &mut Session, sql: &str) -> (Duration, obs::SolverStats) {
     (t, st)
 }
 
-/// Nonzeros of the constraint rows `solverlp` hands the kernel for one
-/// solve statement: after presolve, and as lowered (`presolve := off`).
-fn kernel_nonzeros(s: &Session, sql: &str) -> [usize; 2] {
+/// The nonzeros of each row of the constraint matrix `solverlp` hands
+/// the kernel for one solve statement: after presolve, and as lowered
+/// (`presolve := off`).
+pub fn kernel_rows(s: &Session, sql: &str) -> [Vec<usize>; 2] {
     use solvedbplus_core::check::presolve::reduce::reduce_with;
     let sqlengine::ast::Statement::Solve(stmt) =
         sqlengine::parser::parse_statement(sql).or_die("solve statement")
@@ -918,20 +919,21 @@ fn kernel_nonzeros(s: &Session, sql: &str) -> [usize; 2] {
     let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
     let (low, propagated) = (model.lowered(), model.propagated());
     let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
-    [pre.nonzeros.1, low.problem.constraints.iter().map(|c| c.coeffs.len()).sum()]
+    let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs.len()).collect();
+    [rows(&pre.reduced), rows(&low.problem)]
 }
 
 /// Presolve on/off comparison across the UC1 LP (at the figures'
-/// horizon and at the paper's 288 steps, where the recursive CDTE's
-/// dense triangle is what presolve cancels), the UC2 knapsack MIP and a
+/// horizon and at the paper's 288 steps, where presolve substitutes the
+/// recursive CDTE's auxiliary columns out), the UC2 knapsack MIP and a
 /// bound-snapping MIP microbench: solve time, branch-and-bound nodes,
-/// simplex pivots, the reduction counters, the nonzeros the kernel sees,
-/// and the (identical) objectives.
+/// simplex pivots, the reduction counters, the rows and nonzeros the
+/// kernel sees, and the (identical) objectives.
 pub fn presolve(cfg: Config) -> Figure {
     let mut rows = Vec::new();
     let mut compare = |workload: &str, s: &mut Session, sql: &str| {
         let runs = [("on", sql.to_string()), ("off", presolve_off(sql))];
-        for ((mode, sql), nonzeros) in runs.into_iter().zip(kernel_nonzeros(s, sql)) {
+        for ((mode, sql), kernel) in runs.into_iter().zip(kernel_rows(s, sql)) {
             let (t, st) = traced_solve(s, &sql);
             rows.push(vec![
                 workload.to_string(),
@@ -942,7 +944,8 @@ pub fn presolve(cfg: Config) -> Figure {
                 st.presolve_cols.to_string(),
                 st.presolve_bounds.to_string(),
                 st.presolve_rows.to_string(),
-                nonzeros.to_string(),
+                kernel.len().to_string(),
+                kernel.iter().sum::<usize>().to_string(),
                 st.objective.map(|o| format!("{o:.2}")).unwrap_or_else(|| "-".into()),
             ]);
         }
@@ -1007,13 +1010,14 @@ pub fn presolve(cfg: Config) -> Figure {
             "vars fixed".into(),
             "bounds tightened".into(),
             "rows removed".into(),
+            "rows".into(),
             "nonzeros".into(),
             "objective".into(),
         ],
         rows,
         notes: vec![
             "identical objectives within each pair is the correctness check; nodes and time are the payoff".into(),
-            "nonzeros: constraint-matrix entries handed to the kernel (with presolve on, after nonzero cancellation)".into(),
+            "rows, nonzeros: the constraint matrix handed to the kernel (with presolve on, after substitution)".into(),
             "pivots: simplex iterations, over every node of a search".into(),
         ],
     }
@@ -1760,18 +1764,21 @@ mod tests {
         for pair in f.rows.chunks(2) {
             assert_eq!(pair[0][0], pair[1][0]);
             assert_eq!((pair[0][1].as_str(), pair[1][1].as_str()), ("on", "off"));
-            assert_eq!(pair[0][9], pair[1][9], "objective drift in {}", pair[0][0]);
+            assert_eq!(pair[0][10], pair[1][10], "objective drift in {}", pair[0][0]);
         }
-        // The recursive CDTE's triangle reaches the kernel cancelled: at
-        // 24 steps, 2 + 3 + 4 + 20·3 nonzeros instead of 2 + … + 25 (one
-        // more with presolve off: the singleton row of the first step).
-        let nonzeros: Vec<&str> = f.rows[2..4].iter().map(|r| r[8].as_str()).collect();
-        assert_eq!(nonzeros, ["69", "300"]);
-        // Each cancelled row is carried by its load, a column singleton,
-        // from the crash on: a tenth of the pivots at most (the CI gate).
-        for pair in f.rows[..4].chunks(2) {
-            let pivots = |r: &Vec<String>| -> u64 { r[4].parse().unwrap() };
-            assert!(10 * pivots(&pair[0]) <= pivots(&pair[1]), "{pair:?}");
+        // The recursive CDTE reaches the kernel as a staircase: at 24
+        // steps one row per step after the first, 2 + 22·3 nonzeros.
+        // Without presolve its auxiliary columns stay, each with its
+        // definition (2 + 22·3 nonzeros) beside its two-entry `intemp`
+        // row (1 + 23·2).
+        let matrix: Vec<(&str, &str)> =
+            f.rows[2..4].iter().map(|r| (r[8].as_str(), r[9].as_str())).collect();
+        assert_eq!(matrix, [("23", "68"), ("47", "115")]);
+        // Each presolved row is carried by its load, a column singleton,
+        // from the crash on: three pivots at most (the CI gate).
+        for on in [&f.rows[0], &f.rows[2]] {
+            let count = |i: usize| -> u64 { on[i].parse().unwrap() };
+            assert!(count(4) <= 3 && count(9) <= 3 * count(8), "{on:?}");
         }
         // The bound-snap MIP demonstrates the payoff: fewer B&B nodes
         // with presolve on, and nonzero reduction counters.

@@ -1,14 +1,31 @@
-//! Presolve — interval propagation, reduction, nonzero cancellation —
-//! changes how a model reaches the kernel, never its answer: every P4
-//! script of the sweep (the three-step script, the shared-model one and
-//! the three feature variants; all but `p4_nocdte` state the dynamics as
-//! a recursive CDTE, whose rows the cancellation rewrites) yields the
-//! same plan with presolve on and with `presolve := off`.
+//! Presolve — interval propagation and reduction, the substitution of
+//! free columns among it — changes how a model reaches the kernel, never
+//! its answer: every P4 script of the sweep (the three-step script, the
+//! shared-model one and the three feature variants; all but `p4_nocdte`
+//! state the dynamics as a recursive CDTE, which compiles to one
+//! auxiliary column per step) yields the same plan with presolve on and
+//! with `presolve := off`, and reaches the kernel as a staircase either
+//! way.
 
-use bench::figures::presolve_off;
+use bench::figures::{kernel_rows, presolve_off};
 use bench::sweep::for_each_script;
-use solvedbplus_core::Session;
-use sqlengine::Table;
+use solvedbplus_core::{build_problem, compile_model, Session};
+use sqlengine::ast::Statement;
+use sqlengine::{Ctes, Table};
+
+/// For a solve statement: the terms of its compiled model — the rows'
+/// atoms and the auxiliary columns' definitions — per row of its input
+/// relation (one per step of the dynamics).
+fn terms_per_step(s: &Session, solve: &str) -> f64 {
+    let Statement::Solve(stmt) = sqlengine::parser::parse_statement(solve).unwrap() else {
+        panic!("not a solve statement: {solve}");
+    };
+    let prob = build_problem(s.db(), &Ctes::new(), &stmt).unwrap();
+    let model = compile_model(s.db(), &Ctes::new(), &prob);
+    let rows = model.atoms.iter().map(|a| &a.diff).filter(|d| d.terms.len() > 1);
+    let terms: usize = rows.chain(model.aux.iter().map(|a| &a.def)).map(|e| e.terms.len()).sum();
+    terms as f64 / prob.relations[0].table.num_rows() as f64
+}
 
 /// The plan a P4 script leaves: its own result relation when the
 /// script ends in a bare `SOLVESELECT`, the `plan` table it creates
@@ -23,7 +40,6 @@ fn plan_of(s: &mut Session, name: &str, sql: &str) -> Table {
 #[test]
 fn p4_plans_are_the_same_with_presolve_on_and_off() {
     let mut compared = Vec::new();
-    let mut cancelled = 0;
     for_each_script(&mut |_, _| {}, &mut |s: &mut Session, name, sql| {
         if !name.contains("p4") {
             s.execute_script(sql).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -45,11 +61,16 @@ fn p4_plans_are_the_same_with_presolve_on_and_off() {
                 );
             }
         }
+        // A step of the dynamics is at most four terms of the model —
+        // `intemp_k = x_k` and `x_k = a1·x_{k−1} + b2·hload_{k−1} + c`
+        // for a CDTE — and at most three nonzeros of a kernel row.
         let solve = &sql[sql.find("SOLVESELECT").expect(name)..];
-        let report = s.query(&format!("EXPLAIN PRESOLVE {}", solve.trim().trim_end_matches(';')));
-        let report = report.expect(name).column_values("plan").expect("plan column");
-        cancelled +=
-            report.iter().filter(|l| l.to_string().starts_with("nonzeros cancelled")).count();
+        let solve = solve.trim().trim_end_matches(';');
+        let terms = terms_per_step(s, solve);
+        assert!(terms <= 4.0, "{name}: {terms} terms per step");
+        for rows in kernel_rows(s, solve) {
+            assert!(rows.iter().all(|&n| n <= 3), "{name}: kernel rows of {rows:?} nonzeros");
+        }
         compared.push(name.to_string());
     })
     .expect("sweep sessions");
@@ -63,7 +84,5 @@ fn p4_plans_are_the_same_with_presolve_on_and_off() {
             "features/p4_shared.sql"
         ]
     );
-    // Every variant but the one that states the recurrence row by row.
-    assert_eq!(cancelled, 4);
     assert_eq!(lp::simplex::not_converged_total(), 0, "a P4 solve did not converge");
 }

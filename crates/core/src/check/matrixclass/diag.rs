@@ -118,12 +118,8 @@ fn sd023_implied(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diag
     if a.exactness_proof().is_some() || a.relaxable.is_empty() {
         return;
     }
-    let names: Vec<String> = a
-        .relaxable
-        .iter()
-        .take(MAX_PER_CODE)
-        .map(|&j| var_name(m.prob, m.lowered().used[j]))
-        .collect();
+    let names: Vec<String> =
+        a.relaxable.iter().take(MAX_PER_CODE).map(|&j| var_name(m, m.lowered().used[j])).collect();
     let declared = m.lowered().problem.integer.iter().filter(|&&b| b).count();
     let all = a.relaxable.len() == declared;
     diags.push(
@@ -151,13 +147,20 @@ fn sd023_implied(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diag
 
 /// SD024 — an all-ones row with right-hand side 1 over at least one
 /// non-binary variable: the set-partitioning shape only means "pick
-/// one" when the variables are binary.
+/// one" when the variables are binary. A row through an auxiliary
+/// column (a definition such as `aux + b = 1` for a step's `1 − b`, or
+/// a rule over a step's cell) states part of an expression, not a
+/// shape, as in [`CompiledModel::matrix_analysis`].
 fn sd024_set_over_continuous(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
-    let p = &m.lowered().problem;
+    let low = m.lowered();
+    let p = &low.problem;
     let is_binary = |j: usize| p.integer[j] && p.lower[j] == 0.0 && p.upper[j] == 1.0;
     let mut found: Vec<String> = Vec::new();
     for (i, c) in p.constraints.iter().enumerate() {
         if c.coeffs.len() < 2 || c.rhs != 1.0 {
+            continue;
+        }
+        if c.coeffs.iter().any(|&(j, _)| j >= low.decisions) {
             continue;
         }
         if !c.coeffs.iter().all(|&(_, a)| a == 1.0) {
@@ -196,7 +199,7 @@ fn sd025_oversized_item(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut V
             if w > c.rhs && p.lower[j] >= 0.0 {
                 found.push(format!(
                     "{} in '{}' (rule {}): weight {w} exceeds capacity {}",
-                    var_name(m.prob, m.lowered().used[j]),
+                    var_name(m, m.lowered().used[j]),
                     render_lp_row(m, i),
                     row_rule(m, i),
                     c.rhs

@@ -10,7 +10,7 @@
 //! never be retracted by more constraints.
 
 use super::super::{capped, LINEAR_SOLVERS, MAX_PER_CODE};
-use super::{Infeasibility, Interval, Row, RowRel};
+use super::{Activity, Infeasibility, RowRel};
 use crate::compile::CompiledModel;
 use crate::explain::{render_atom, render_lp_row, var_name};
 use crate::symbolic::Rel;
@@ -33,12 +33,7 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
         format!("'{}' (rule {rule})", render_lp_row(m, i))
     };
 
-    let (mut min_abs, mut max_abs) = (f64::INFINITY, 0.0f64);
     for a in &m.atoms {
-        for &(_, c) in &a.diff.terms {
-            min_abs = min_abs.min(c.abs());
-            max_abs = max_abs.max(c.abs());
-        }
         // Constant atoms: violated ones are SD004's; satisfied ones add
         // nothing and are worth a note.
         if a.diff.is_constant() {
@@ -54,7 +49,7 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
                         format!(
                             "constraint in rule {} is trivially satisfied: {}",
                             m.rule_label(a.rule),
-                            render_atom(m.prob, a)
+                            render_atom(m, a)
                         ),
                     )
                     .with_detail(
@@ -67,7 +62,13 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     }
 
     // SD012 — pathological coefficient range (linear solvers factor the
-    // matrix; ranges this wide destroy pivot accuracy).
+    // matrix, its rows — atoms and auxiliary definitions; ranges this
+    // wide destroy pivot accuracy).
+    let (mut min_abs, mut max_abs) = (f64::INFINITY, 0.0f64);
+    for &(_, c) in low.problem.constraints.iter().flat_map(|c| &c.coeffs) {
+        min_abs = min_abs.min(c.abs());
+        max_abs = max_abs.max(c.abs());
+    }
     let linear_solver = m.prob.solver.as_deref().is_some_and(|s| LINEAR_SOLVERS.contains(&s));
     if linear_solver && min_abs > 0.0 && max_abs / min_abs > COEFF_RATIO_LIMIT {
         let orders = (max_abs / min_abs).log10().round();
@@ -97,10 +98,13 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     let propagated = m.propagated();
     let declared = &propagated.model.intervals;
     for (i, row) in propagated.model.rows.iter().enumerate() {
-        if row.coeffs.is_empty() {
-            continue; // a constant atom, handled above
+        // A constant atom (handled above), or an auxiliary definition (no
+        // constraint the user wrote).
+        if row.coeffs.is_empty() || i >= low.atom_of_row.len() {
+            continue;
         }
-        let (minact, maxact) = declared_activity(row, declared);
+        let act = Activity::of(row, declared);
+        let (minact, maxact) = (act.min(), act.max());
         let tol = super::FEAS * (1.0 + row.rhs.abs());
         if let [(j, c)] = row.coeffs[..] {
             // Only singleton *equalities* are rows (inequalities are
@@ -144,16 +148,23 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
             {
                 return;
             }
-            Infeasibility::RowActivity { row, minact, maxact } => format!(
-                "constraint {} cannot be satisfied: its activity stays within \
-                 [{minact}, {maxact}] under the propagated variable bounds",
-                row_label(*row)
-            ),
-            Infeasibility::EmptyBounds { var } => format!(
+            Infeasibility::RowActivity { row, minact, maxact } if *row < low.atom_of_row.len() => {
+                format!(
+                    "constraint {} cannot be satisfied: its activity stays within \
+                     [{minact}, {maxact}] under the propagated variable bounds",
+                    row_label(*row)
+                )
+            }
+            Infeasibility::EmptyBounds { var } if *var < low.decisions => format!(
                 "bound propagation empties the domain of {}: the constraints imply \
                  contradictory lower and upper bounds",
-                var_name(m.prob, low.used[*var])
+                var_name(m, low.used[*var])
             ),
+            // An auxiliary definition or column: no constraint or cell the
+            // user wrote.
+            _ => "a step of a recursive relation cannot be satisfied under the propagated \
+                  variable bounds"
+                .to_string(),
         };
         diags.push(
             Diagnostic::error("SD008", "interval propagation proves the model infeasible")
@@ -166,14 +177,14 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
 
     // SD009 — the constraints fully determine every decision variable:
     // the model solves, but there is no decision left to make.
-    let every_variable = low.used.len() == m.prob.num_vars();
-    if every_variable && !out.fixed.is_empty() && out.fixed.iter().all(Option::is_some) {
-        let values: Vec<String> = out
-            .fixed
+    let decisions = &out.fixed[..low.decisions];
+    let every_variable = low.decisions == m.prob.num_vars();
+    if every_variable && !decisions.is_empty() && decisions.iter().all(Option::is_some) {
+        let values: Vec<String> = decisions
             .iter()
             .enumerate()
             .take(MAX_PER_CODE)
-            .filter_map(|(j, f)| f.map(|x| format!("{} = {x}", var_name(m.prob, low.used[j]))))
+            .filter_map(|(j, f)| f.map(|x| format!("{} = {x}", var_name(m, low.used[j]))))
             .collect();
         diags.push(
             Diagnostic::warning(
@@ -184,7 +195,7 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
                 "bound propagation alone determines the unique feasible assignment \
                  ({}{}); the objective cannot influence the outcome",
                 values.join(", "),
-                if out.fixed.len() > MAX_PER_CODE { ", ..." } else { "" }
+                if decisions.len() > MAX_PER_CODE { ", ..." } else { "" }
             )),
         );
     }
@@ -215,18 +226,4 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
                  the constraint adds nothing",
         )
     });
-}
-
-/// Activity range of a row under a set of intervals. Lows only ever
-/// accumulate finite values or `-inf` (and highs `+inf`), so the sums
-/// never produce NaN.
-fn declared_activity(row: &Row, iv: &[Interval]) -> (f64, f64) {
-    let (mut lo, mut hi) = (0.0f64, 0.0f64);
-    for &(j, c) in &row.coeffs {
-        let (a, b) =
-            if c >= 0.0 { (c * iv[j].lo, c * iv[j].hi) } else { (c * iv[j].hi, c * iv[j].lo) };
-        lo += a;
-        hi += b;
-    }
-    (lo, hi)
 }

@@ -16,14 +16,14 @@
 //!   `presolve := on|off` solver parameter), with an un-crush step
 //!   mapping the reduced solution back onto the original variables.
 //!
-//! The order is propagate → reduce → cancel: the reduced problem's rows
-//! go through **nonzero cancellation** ([`cancel`]) last, which adds
-//! multiples of equality rows to other rows where that makes them
-//! sparser — it restates the dense triangle a recursive CDTE unrolls
-//! into as the recurrence it came from. It changes rows only, and only of the
-//! problem the kernel is handed: the diagnostics, the reduction log and
-//! the counts are all read before it, from the rows the user's rules
-//! lowered to.
+//! The order is propagate → reduce: the reduced problem is built from
+//! the fixpoint, and its last step, **doubleton-equality substitution**,
+//! takes each free continuous column out through an equality of two
+//! entries — the auxiliary columns a recursive CDTE is compiled to
+//! leave the kernel that way, which then sees the recurrence as the
+//! staircase it is. It changes only the problem the kernel is handed:
+//! the diagnostics, the reduction log and the counts are all read
+//! before it, from the rows the user's rules lowered to.
 //!
 //! The domain is the classic box/interval abstraction: propagation only
 //! ever *shrinks* intervals using bounds implied by the constraints, so
@@ -32,7 +32,6 @@
 //! `crates/core/tests/presolve_properties.rs`, which also solves a
 //! family of recurrence LPs with and without the whole of presolve).
 
-pub mod cancel;
 pub mod diag;
 pub mod reduce;
 

@@ -1,33 +1,39 @@
 //! Model reduction for `lp::Problem`: run the interval fixpoint, build
 //! a smaller problem (fixed variables substituted out, redundant and
-//! singleton rows removed, bounds tightened), cancel nonzeros among its
-//! rows ([`cancel`](super::cancel)), and un-crush solutions of the
-//! reduced problem back into the original variable space.
+//! singleton rows removed, bounds tightened, free columns substituted
+//! out of two-entry equalities), and un-crush solutions of the reduced
+//! problem back into the original variable space.
 
-use super::cancel::cancel_nonzeros;
 use super::{
-    propagate, sort_and_merge, Counts, DropCause, FixCause, Infeasibility, Interval, Model,
+    contrib, propagate, sort_and_merge, DropCause, FixCause, Infeasibility, Interval, Model,
     Outcome, Reduction, Row, RowRel,
 };
 use crate::compile::CompiledModel;
 use crate::explain::{render_row, var_name};
 
+/// A column substituted out of the reduced problem through the equality
+/// `a·col + b·other = rhs` (original column indices).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Substitution {
+    pub col: usize,
+    pub a: f64,
+    pub other: usize,
+    pub b: f64,
+    pub rhs: f64,
+}
+
 /// The result of presolving an [`lp::Problem`].
 #[derive(Debug, Clone)]
 pub struct Presolved {
-    /// Variable count of the original problem.
-    pub original_vars: usize,
-    /// Row count of the original problem (after coefficient merging).
-    pub original_rows: usize,
-    /// The fixpoint outcome: intervals, fixings, reduction log.
+    /// The fixpoint outcome over the original problem: intervals and
+    /// fixings per variable, liveness per row, the reduction log.
     pub outcome: Outcome,
     /// The reduced problem (empty when the model is proven infeasible).
     pub reduced: lp::Problem,
     /// Reduced-space index → original variable index.
     pub kept: Vec<usize>,
-    /// Nonzeros of the reduced problem's rows before and after nonzero
-    /// cancellation.
-    pub nonzeros: (usize, usize),
+    /// The columns substituted out, in the order they were.
+    pub substituted: Vec<Substitution>,
 }
 
 impl Presolved {
@@ -35,20 +41,11 @@ impl Presolved {
         self.outcome.infeasible.is_some()
     }
 
-    pub fn counts(&self) -> Counts {
-        self.outcome.counts()
-    }
-
-    /// Nonzeros the cancellation step removed from the reduced rows.
-    pub fn nonzeros_cancelled(&self) -> usize {
-        self.nonzeros.0 - self.nonzeros.1
-    }
-
     /// Map a reduced-space point back onto the original variables:
     /// kept variables take the solved value, fixed variables their
-    /// propagated value.
+    /// propagated value, substituted ones their equality's, last first.
     pub fn uncrush(&self, x: &[f64]) -> Vec<f64> {
-        let mut full = vec![0.0; self.original_vars];
+        let mut full = vec![0.0; self.outcome.fixed.len()];
         for (j, f) in self.outcome.fixed.iter().enumerate() {
             if let Some(v) = f {
                 full[j] = *v;
@@ -57,21 +54,35 @@ impl Presolved {
         for (new, &old) in self.kept.iter().enumerate() {
             full[old] = x[new];
         }
+        for s in self.substituted.iter().rev() {
+            full[s.col] = (s.rhs - s.b * full[s.other]) / s.a;
+        }
         full
     }
 
-    /// Un-crush a whole solution. The objective needs no adjustment:
-    /// fixed variables' objective contributions were folded into the
-    /// reduced problem's `objective_constant`.
-    pub fn uncrush_solution(&self, sol: lp::Solution) -> lp::Solution {
+    /// Un-crush a whole solution and [read it out](read_out) against
+    /// `stated`, the problem presolved. The objective needs no
+    /// adjustment: removed variables' contributions were folded in.
+    pub fn uncrush_solution(&self, stated: &lp::Problem, sol: lp::Solution) -> lp::Solution {
         if sol.x.len() != self.kept.len() {
             // Infeasible/unbounded outcomes (and node-limited runs with
             // no incumbent) carry no point to map back.
             return sol;
         }
         let x = self.uncrush(&sol.x);
-        lp::Solution { x, ..sol }
+        read_out(stated, lp::Solution { x, ..sol })
     }
+}
+
+/// The last check before an `Optimal` solution leaves the solver: a
+/// point that misses a row or bound of `stated` (the problem as
+/// lowered) by more than 1e-6 is no optimum, whatever the kernel says,
+/// and reads out as `NotConverged`. Integrality is branch-and-bound's.
+pub fn read_out(stated: &lp::Problem, mut sol: lp::Solution) -> lp::Solution {
+    if sol.status == lp::Status::Optimal && !stated.holds(&sol.x, 1e-6) {
+        sol.status = lp::Status::NotConverged;
+    }
+    sol
 }
 
 /// Normalize an `lp::Problem` into the abstract [`Model`]: bounds
@@ -103,11 +114,11 @@ fn row_of(c: &lp::Constraint) -> Row {
 }
 
 /// Presolve an LP/MIP: propagate intervals to a fixpoint, build the
-/// reduced problem, cancel nonzeros among its rows. Sound by
-/// construction — the feasible set is preserved (bounds only shrink to
-/// implied bounds; removed rows are implied by the surviving box; a row
-/// changes only by a multiple of an equality row), so optimal objective
-/// values match.
+/// reduced problem, substitute free columns out of two-entry
+/// equalities. Sound by construction — the feasible set is preserved
+/// (bounds only shrink to implied bounds; removed rows are implied by
+/// the surviving box; a row changes only by a multiple of an equality
+/// row), so optimal objective values match.
 pub fn reduce(p: &lp::Problem) -> Presolved {
     let model = model_of(p);
     let outcome = propagate(&model);
@@ -117,49 +128,25 @@ pub fn reduce(p: &lp::Problem) -> Presolved {
 /// [`reduce`], given `model_of(p)` and the fixpoint already reached
 /// over it.
 pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolved {
-    let original_rows = model.rows.len();
-
     if outcome.infeasible.is_some() {
         return Presolved {
-            original_vars: p.num_vars,
-            original_rows,
             outcome,
             reduced: if p.minimize { lp::Problem::minimize(0) } else { lp::Problem::maximize(0) },
             kept: vec![],
-            nonzeros: (0, 0),
+            substituted: vec![],
         };
     }
 
-    let kept: Vec<usize> = (0..p.num_vars).filter(|&j| outcome.fixed[j].is_none()).collect();
-    let mut remap = vec![usize::MAX; p.num_vars];
-    for (new, &old) in kept.iter().enumerate() {
-        remap[old] = new;
-    }
-
-    let mut r = if p.minimize {
-        lp::Problem::minimize(kept.len())
-    } else {
-        lp::Problem::maximize(kept.len())
-    };
-    for (new, &old) in kept.iter().enumerate() {
-        r.lower[new] = outcome.intervals[old].lo;
-        r.upper[new] = outcome.intervals[old].hi;
-        r.integer[new] = p.integer[old];
-    }
-
-    // Objective: fixed variables contribute constants.
+    // Fixed variables substituted out, over the original columns.
     let mut constant = p.objective_constant;
     let mut objective = Vec::new();
     for &(j, c) in &p.objective {
         match outcome.fixed[j] {
             Some(v) => constant += c * v,
-            None => objective.push((remap[j], c)),
+            None => objective.push((j, c)),
         }
     }
-    r.objective_constant = constant;
-    r.set_objective(objective);
-
-    // Surviving rows with fixed variables substituted out.
+    let mut rows: Vec<Option<Row>> = Vec::new();
     for (ri, row) in model.rows.iter().enumerate() {
         if !outcome.live[ri] {
             continue;
@@ -169,21 +156,128 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
         for &(j, c) in &row.coeffs {
             match outcome.fixed[j] {
                 Some(v) => rhs -= c * v,
-                None => coeffs.push((remap[j], c)),
+                None => coeffs.push((j, c)),
             }
         }
-        if coeffs.is_empty() {
-            continue; // fully substituted; propagation proved it holds
+        // Fully substituted rows are gone: propagation proved they hold.
+        if !coeffs.is_empty() {
+            rows.push(Some(Row { coeffs, rel: row.rel, rhs }));
         }
-        let rel = match row.rel {
+    }
+    let mut intervals = outcome.intervals.clone();
+    let substituted =
+        substitute_doubletons(p, &mut rows, &mut objective, &mut constant, &mut intervals);
+
+    let mut gone = vec![false; p.num_vars];
+    substituted.iter().for_each(|s| gone[s.col] = true);
+    let kept: Vec<usize> =
+        (0..p.num_vars).filter(|&j| outcome.fixed[j].is_none() && !gone[j]).collect();
+    let mut remap = vec![usize::MAX; p.num_vars];
+    for (new, &old) in kept.iter().enumerate() {
+        remap[old] = new;
+    }
+    let mut r = if p.minimize {
+        lp::Problem::minimize(kept.len())
+    } else {
+        lp::Problem::maximize(kept.len())
+    };
+    for (new, &old) in kept.iter().enumerate() {
+        r.lower[new] = intervals[old].lo;
+        r.upper[new] = intervals[old].hi;
+        r.integer[new] = p.integer[old];
+    }
+    r.objective_constant = constant;
+    r.set_objective(objective.into_iter().map(|(j, c)| (remap[j], c)).collect());
+    for Row { mut coeffs, rel, rhs } in rows.into_iter().flatten() {
+        coeffs.iter_mut().for_each(|t| t.0 = remap[t.0]);
+        let rel = match rel {
             RowRel::Le => lp::Rel::Le,
             RowRel::Eq => lp::Rel::Eq,
         };
         r.add_constraint(coeffs, rel, rhs);
     }
+    Presolved { outcome, reduced: r, kept, substituted }
+}
 
-    let nonzeros = cancel_nonzeros(&mut r);
-    Presolved { original_vars: p.num_vars, original_rows, outcome, reduced: r, kept, nonzeros }
+/// Largest `|b/a|` a substitution may scale another row's entry by.
+const MAX_SCALE: f64 = 1e3;
+
+/// Doubleton-equality aggregation, one pass over the rows in order: an
+/// equality `a·x + b·y = rhs` whose column x is continuous with no
+/// finite bound in `stated` (a recursion's auxiliary column, typically;
+/// the larger `|a|` when both qualify) substitutes `x = (rhs − b·y)/a`
+/// into every other row and the objective, and goes, with x. x's
+/// interval moves onto y: rows propagation dropped as implied may have
+/// read it.
+fn substitute_doubletons(
+    stated: &lp::Problem,
+    rows: &mut [Option<Row>],
+    objective: &mut Vec<(usize, f64)>,
+    constant: &mut f64,
+    intervals: &mut [Interval],
+) -> Vec<Substitution> {
+    let free = |j: usize| {
+        !stated.integer[j] && stated.lower[j].is_infinite() && stated.upper[j].is_infinite()
+    };
+    let doubleton = |row: &Option<Row>| match row {
+        Some(Row { coeffs, rel: RowRel::Eq, rhs }) if coeffs.len() == 2 => {
+            Some((coeffs[0].0, coeffs[0].1, coeffs[1].0, coeffs[1].1, *rhs))
+        }
+        _ => None,
+    };
+    if !rows.iter().filter_map(doubleton).any(|(j0, _, j1, _, _)| free(j0) || free(j1)) {
+        return Vec::new();
+    }
+    // The rows each column is in; a list may keep rows the column has
+    // since left, skipped when met.
+    let mut holding: Vec<Vec<usize>> = vec![Vec::new(); stated.num_vars];
+    for (i, row) in rows.iter().enumerate() {
+        row.iter().flat_map(|r| &r.coeffs).for_each(|&(j, _)| holding[j].push(i));
+    }
+    let mut out = Vec::new();
+    for i in 0..rows.len() {
+        let Some((j0, c0, j1, c1, rhs)) = doubleton(&rows[i]) else { continue };
+        let Some((x, a, y, b)) = [(j0, c0, j1, c1), (j1, c1, j0, c0)]
+            .into_iter()
+            .filter(|&(x, a, _, b)| free(x) && (b / a).abs() <= MAX_SCALE)
+            .max_by(|p, q| p.1.abs().total_cmp(&q.1.abs()))
+        else {
+            continue;
+        };
+        rows[i] = None;
+        // y = rhs/b − (a/b)·x over x's interval.
+        let (lo, hi) = contrib(-a / b, intervals[x]);
+        let y_iv = &mut intervals[y];
+        (y_iv.lo, y_iv.hi) = (y_iv.lo.max(rhs / b + lo), y_iv.hi.min(rhs / b + hi));
+        // Every other row holding x: row − (e/a)·(a·x + b·y = rhs).
+        for k in std::mem::take(&mut holding[x]) {
+            let Some(row) = &mut rows[k] else { continue };
+            let Ok(at) = row.coeffs.binary_search_by_key(&x, |&(j, _)| j) else { continue };
+            let e = row.coeffs.remove(at).1;
+            row.rhs -= e * rhs / a;
+            match row.coeffs.binary_search_by_key(&y, |&(j, _)| j) {
+                // An entry the fill cancels to rounding is zero: no
+                // 1e-17 entry reaches the kernel.
+                Ok(at) => {
+                    let (old, new) = (row.coeffs[at].1, row.coeffs[at].1 - e * b / a);
+                    row.coeffs[at].1 = if new.abs() <= 1e-12 * old.abs() { 0.0 } else { new };
+                }
+                Err(at) => {
+                    row.coeffs.insert(at, (y, -e * b / a));
+                    holding[y].push(k);
+                }
+            }
+            row.coeffs.retain(|&(_, c)| c != 0.0);
+        }
+        let e: f64 = objective.iter().filter(|&&(j, _)| j == x).map(|&(_, c)| c).sum();
+        objective.retain(|&(j, _)| j != x);
+        if e != 0.0 {
+            *constant += e * rhs / a;
+            objective.push((y, -e * b / a));
+        }
+        out.push(Substitution { col: x, a, other: y, b, rhs });
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +301,7 @@ pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
     let low = m.lowered();
     let propagated = m.propagated();
     let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
-    let name = |j: usize| var_name(m.prob, low.used[j]);
+    let name = |j: usize| var_name(m, low.used[j]);
     // A normalized engine row back in `alias[row].col` terms.
     let row = |i: usize| {
         let r = &propagated.model.rows[i];
@@ -215,7 +309,7 @@ pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
             RowRel::Le => "<=",
             RowRel::Eq => "=",
         };
-        render_row(m.prob, r.coeffs.iter().map(|&(j, c)| (low.used[j], c)), op, r.rhs)
+        render_row(m, r.coeffs.iter().map(|&(j, c)| (low.used[j], c)), op, r.rhs)
     };
 
     let mut lines = Vec::new();
@@ -235,53 +329,46 @@ pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
 
     lines.push(format!(
         "presolve: {} vars, {} rows -> {} vars, {} rows",
-        pre.original_vars,
-        pre.original_rows,
+        pre.outcome.fixed.len(),
+        pre.outcome.live.len(),
         pre.reduced.num_vars,
         pre.reduced.constraints.len()
     ));
-    let mut entries = Vec::new();
-    for r in &pre.outcome.log {
-        entries.push(match r {
-            Reduction::Tightened { var, upper, old, new } => {
-                let side = if *upper { "upper" } else { "lower" };
-                format!("  tightened {}: {side} {old} -> {new}", name(*var))
-            }
-            Reduction::Fixed { var, value, cause } => {
-                let why = match cause {
-                    FixCause::Propagation => "bound propagation",
-                    FixCause::Forcing => "forcing row",
-                    FixCause::SingletonRow => "singleton equality",
-                };
-                format!("  fixed {} = {value} ({why})", name(*var))
-            }
-            Reduction::RowDropped { row: i, cause } => {
-                let why = match cause {
-                    DropCause::Redundant => "redundant",
-                    DropCause::Forcing => "forcing",
-                    DropCause::Singleton => "singleton",
-                    DropCause::Empty => "empty",
-                };
-                format!("  removed row '{}' ({why})", row(*i))
-            }
-        });
-    }
-    let extra = entries.len().saturating_sub(MAX_LOG_LINES);
-    lines.extend(entries.into_iter().take(MAX_LOG_LINES));
+    let log = &pre.outcome.log;
+    lines.extend(log.iter().take(MAX_LOG_LINES).map(|r| match r {
+        Reduction::Tightened { var, upper, old, new } => {
+            let side = if *upper { "upper" } else { "lower" };
+            format!("  tightened {}: {side} {old} -> {new}", name(*var))
+        }
+        Reduction::Fixed { var, value, cause } => {
+            let why = match cause {
+                FixCause::Propagation => "bound propagation",
+                FixCause::Forcing => "forcing row",
+                FixCause::SingletonRow => "singleton equality",
+            };
+            format!("  fixed {} = {value} ({why})", name(*var))
+        }
+        Reduction::RowDropped { row: i, cause } => {
+            let why = match cause {
+                DropCause::Redundant => "redundant",
+                DropCause::Forcing => "forcing",
+                DropCause::Singleton => "singleton",
+                DropCause::Empty => "empty",
+            };
+            format!("  removed row '{}' ({why})", row(*i))
+        }
+    }));
+    let extra = log.len().saturating_sub(MAX_LOG_LINES);
     if extra > 0 {
         lines.push(format!("  ... and {extra} more reductions"));
     }
-    let c = pre.counts();
+    let c = pre.outcome.counts();
     lines.push(format!(
         "variables fixed: {}, bounds tightened: {}, rows removed: {}",
         c.cols_removed, c.bounds_tightened, c.rows_removed
     ));
-    if pre.nonzeros_cancelled() > 0 {
-        let (before, after) = pre.nonzeros;
-        lines.push(format!(
-            "nonzeros cancelled: {} ({before} -> {after})",
-            pre.nonzeros_cancelled()
-        ));
+    if !pre.substituted.is_empty() {
+        lines.push(format!("columns substituted: {}", pre.substituted.len()));
     }
     if pre.reduced.num_vars == 0 {
         lines.push("all variables fixed by propagation; no solver call needed".to_string());
@@ -310,7 +397,7 @@ mod tests {
         assert_eq!(pre.reduced.num_vars, 1); // x fixed at 2
         let reduced_sol = lp::solve(&pre.reduced);
         assert_eq!(reduced_sol.status, lp::Status::Optimal);
-        let full = pre.uncrush_solution(reduced_sol.clone());
+        let full = pre.uncrush_solution(&p, reduced_sol.clone());
         assert!((full.objective - 5.0).abs() < 1e-6);
         assert!((full.x[0] - 2.0).abs() < 1e-6);
         assert!((full.x[1] - 3.0).abs() < 1e-6);
@@ -372,9 +459,127 @@ mod tests {
         p.add_constraint(vec![(0, 1.0)], lp::Rel::Eq, 1.0);
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], lp::Rel::Le, 10.0);
         let pre = reduce(&p);
-        let c = pre.counts();
+        let c = pre.outcome.counts();
         assert_eq!(c.cols_removed, 1);
         assert_eq!(c.rows_removed, 2);
+    }
+
+    /// `min x + y` over `y − 2·s = 1`, `s + x >= 3` and `x − y <= 4`,
+    /// with `x, y` in [0, 10] and `s` as `column` declares it. The LP
+    /// optimum is x = 3.5, y = 0, s = −0.5.
+    fn doubleton(column: impl FnOnce(&mut lp::Problem)) -> lp::Problem {
+        let mut p = lp::Problem::minimize(3);
+        p.set_objective(vec![(0, 1.0), (1, 1.0)]);
+        p.tighten(0, 0.0, 10.0);
+        p.tighten(1, 0.0, 10.0);
+        p.lower[2] = f64::NEG_INFINITY;
+        column(&mut p);
+        p.add_constraint(vec![(1, 1.0), (2, -2.0)], lp::Rel::Eq, 1.0);
+        p.add_constraint(vec![(2, 1.0), (0, 1.0)], lp::Rel::Ge, 3.0);
+        p.add_constraint(vec![(0, 1.0), (1, -1.0)], lp::Rel::Le, 4.0);
+        p
+    }
+
+    #[test]
+    fn a_free_column_is_substituted_out_and_uncrushed() {
+        let p = doubleton(|_| {});
+        let pre = reduce(&p);
+        assert_eq!(pre.substituted, [Substitution { col: 2, a: -2.0, other: 1, b: 1.0, rhs: 1.0 }]);
+        // s = (y − 1)/2 in `−x − s <= −3`: `−x − 0.5·y <= −3.5`.
+        assert_eq!((pre.kept.as_slice(), pre.reduced.constraints.len()), (&[0, 1][..], 2));
+        let row = &pre.reduced.constraints[0];
+        assert_eq!(row.coeffs, [(0, -1.0), (1, -0.5)]);
+        assert_eq!((row.rel, row.rhs), (lp::Rel::Le, -3.5));
+        let sol = pre.uncrush_solution(&p, lp::solve(&pre.reduced));
+        assert_eq!(sol.status, lp::Status::Optimal);
+        assert!((sol.objective - 3.5).abs() < 1e-9, "{sol:?}");
+        assert!((sol.x[2] + 0.5).abs() < 1e-9, "s un-crushed from its row: {:?}", sol.x);
+    }
+
+    /// Presolved, solved (by branch-and-bound) and un-crushed, with no
+    /// column substituted out.
+    fn solved_as_stated(p: &lp::Problem) -> lp::Solution {
+        let pre = reduce(p);
+        assert!(pre.substituted.is_empty(), "{:?}", pre.substituted);
+        assert_eq!(pre.reduced.num_vars, 3);
+        let (sol, _) = lp::mip::branch_and_bound_stats(&pre.reduced, Default::default());
+        pre.uncrush_solution(p, sol)
+    }
+
+    #[test]
+    fn a_bounded_column_is_not_substituted() {
+        let sol = solved_as_stated(&doubleton(|p| p.upper[2] = 100.0));
+        assert!((sol.objective - 3.5).abs() < 1e-9, "{sol:?}");
+    }
+
+    #[test]
+    fn an_integer_column_is_not_substituted() {
+        // The integer s is 0 at best: x = 3, y = 1.
+        let sol = solved_as_stated(&doubleton(|p| p.integer[2] = true));
+        assert!((sol.objective - 4.0).abs() < 1e-9, "{sol:?}");
+    }
+
+    /// `max w` over `w` in [0, 10] and a chain `z_k = z_{k−1} + 1`
+    /// (`z_0 = w`) of free columns, rows in chain order, with `z_20 <=
+    /// 25` stated first: propagation carries that bound back one link a
+    /// pass and stops short of `w`, so only the intervals the
+    /// substituted columns leave on `w` hold it at 5.
+    #[test]
+    fn a_substituted_column_leaves_its_interval_on_the_other() {
+        let mut p = lp::Problem::maximize(21);
+        p.set_objective(vec![(0, 1.0)]);
+        p.tighten(0, 0.0, 10.0);
+        for k in 1..=20 {
+            p.lower[k] = f64::NEG_INFINITY;
+        }
+        p.add_constraint(vec![(20, 1.0)], lp::Rel::Le, 25.0);
+        for k in 1..=20 {
+            p.add_constraint(vec![(k, 1.0), (k - 1, -1.0)], lp::Rel::Eq, 1.0);
+        }
+        let pre = reduce(&p);
+        assert!(pre.outcome.intervals[0].hi > 5.0, "propagation reached w");
+        assert_eq!(pre.substituted.len(), 20);
+        assert_eq!(pre.reduced.upper, [5.0]);
+        let sol = pre.uncrush_solution(&p, lp::solve(&pre.reduced));
+        assert_eq!(sol.status, lp::Status::Optimal);
+        assert!((sol.objective - 5.0).abs() < 1e-9, "{sol:?}");
+        assert!((sol.x[20] - 25.0).abs() < 1e-9, "{:?}", sol.x);
+    }
+
+    /// `3·z − 3·0.1·w = 3` substituted into `z − 0.1·w + v <= 5`: the
+    /// fill on `w` cancels its entry up to a rounding of 1.4e-17, which
+    /// does not reach the kernel.
+    #[test]
+    fn a_fill_that_cancels_to_rounding_leaves_no_entry() {
+        let mut p = lp::Problem::maximize(3);
+        p.set_objective(vec![(1, 1.0), (2, 1.0)]);
+        p.tighten(1, 0.0, 10.0);
+        p.tighten(2, 0.0, 10.0);
+        p.lower[0] = f64::NEG_INFINITY;
+        p.add_constraint(vec![(0, 3.0), (1, -3.0 * 0.1)], lp::Rel::Eq, 3.0);
+        p.add_constraint(vec![(0, 1.0), (1, -0.1), (2, 1.0)], lp::Rel::Le, 5.0);
+        assert_ne!(3.0 * 0.1 / 3.0, 0.1, "the fill is not exact");
+        let pre = reduce(&p);
+        assert_eq!(pre.substituted.len(), 1);
+        let row = &pre.reduced.constraints[0];
+        assert_eq!((row.coeffs.as_slice(), row.rhs), (&[(1, 1.0)][..], 4.0));
+    }
+
+    #[test]
+    fn a_point_off_the_stated_rows_reads_out_as_not_converged() {
+        let p = doubleton(|_| {});
+        let at = |x: Vec<f64>| lp::Solution {
+            status: lp::Status::Optimal,
+            x,
+            objective: 3.5,
+            iterations: 0,
+            nodes: 0,
+        };
+        assert_eq!(read_out(&p, at(vec![3.5, 0.0, -0.5])).status, lp::Status::Optimal);
+        assert_eq!(read_out(&p, at(vec![3.5, 0.0, -0.5 + 1e-5])).status, lp::Status::NotConverged);
+        assert_eq!(read_out(&p, at(vec![3.5, -1e-5, -0.5])).status, lp::Status::NotConverged);
+        let infeasible = lp::Solution { status: lp::Status::Infeasible, ..at(vec![]) };
+        assert_eq!(read_out(&p, infeasible).status, lp::Status::Infeasible);
     }
 
     #[test]

@@ -17,48 +17,29 @@ use std::collections::{BTreeMap, HashMap};
 
 /// A variable with a nonzero objective coefficient whose improving
 /// direction no constraint bounds makes the LP unbounded. The analysis
-/// is exact for variables that appear only in single-variable
-/// inequality atoms; any appearance in a multi-variable or equality
-/// atom disables the check for that variable (the coupling may bound
-/// it indirectly).
+/// reads the LP the atoms lower to: it is exact for variables that
+/// appear only in its bounds (single-variable inequality atoms); any
+/// appearance in a row — a multi-variable or equality atom, an
+/// auxiliary column's definition — disables the check for that
+/// variable (the coupling may bound it indirectly).
 pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
-    if !m.complete() {
+    if !m.complete() || m.linear_objective().is_none() {
         return;
     }
-    let Some(obj) = m.linear_objective() else { return };
-    // What the atoms say about each variable, gathered in one pass.
-    #[derive(Clone, Copy, Default)]
-    struct Bounded {
-        coupled: bool,
-        lower: bool,
-        upper: bool,
-    }
-    let mut bounded = vec![Bounded::default(); m.prob.num_vars()];
-    for a in &m.atoms {
-        match a.diff.terms[..] {
-            // Single-variable atom c·v + k ⋈ 0.
-            [(v, c)] if a.rel != Rel::Eq => {
-                if (a.rel == Rel::Le) == (c > 0.0) {
-                    bounded[v as usize].upper = true;
-                } else {
-                    bounded[v as usize].lower = true;
-                }
-            }
-            _ => a.diff.vars().for_each(|v| bounded[v as usize].coupled = true),
-        }
-    }
-    for &(v, coef) in &obj.terms {
-        if coef == 0.0 {
+    let low = m.lowered();
+    let p = &low.problem;
+    let mut coupled = vec![false; p.num_vars];
+    p.constraints.iter().flat_map(|c| &c.coeffs).for_each(|&(j, _)| coupled[j] = true);
+    for &(j, coef) in &p.objective {
+        if coef == 0.0 || coupled[j] {
             continue;
         }
-        // Which way does the objective push v?
+        // Which way does the objective push the variable?
         let wants_down = (m.minimize && coef > 0.0) || (!m.minimize && coef < 0.0);
-        let Bounded { coupled, lower: has_lower, upper: has_upper } = bounded[v as usize];
-        if coupled {
-            continue;
-        }
+        let (has_lower, has_upper) = (p.lower[j].is_finite(), p.upper[j].is_finite());
+        let v = low.used[j];
         if if wants_down { !has_lower } else { !has_upper } {
-            let name = var_name(m.prob, v);
+            let name = var_name(m, v);
             let sense = if m.minimize { "minimized" } else { "maximized" };
             let dir = if wants_down { "below" } else { "above" };
             diags.push(
@@ -88,16 +69,8 @@ pub fn sd003_unreferenced_columns(m: &CompiledModel<'_>, diags: &mut Vec<Diagnos
         return;
     }
     let mut used = vec![false; m.prob.num_vars()];
-    if let Some(obj) = m.linear_objective() {
-        for v in obj.vars() {
-            used[v as usize] = true;
-        }
-    }
-    for a in &m.atoms {
-        for v in a.diff.vars() {
-            used[v as usize] = true;
-        }
-    }
+    let low = m.lowered();
+    low.used[..low.decisions].iter().for_each(|&v| used[v as usize] = true);
     // A column counts as referenced if any of its row-variables is.
     let mut referenced: BTreeMap<(usize, usize), bool> = BTreeMap::new();
     for (i, info) in m.prob.vars.iter().enumerate() {
@@ -159,7 +132,7 @@ pub fn sd004_infeasible_constants(m: &CompiledModel<'_>, diags: &mut Vec<Diagnos
                     format!(
                         "constraint in rule {} is trivially infeasible: {}",
                         m.rule_label(a.rule),
-                        render_atom(m.prob, a)
+                        render_atom(m, a)
                     ),
                 )
                 .with_detail(
@@ -232,7 +205,7 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
             diags.push(
                 Diagnostic::warning(
                     "SD005",
-                    format!("constraint '{}' appears {n} times", render_atom(m.prob, a)),
+                    format!("constraint '{}' appears {n} times", render_atom(m, a)),
                 )
                 .with_detail(format!(
                     "first occurrence in rule {}; duplicates add no information and \
@@ -248,7 +221,7 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
     let mut bounds: Vec<(VarId, bool, f64)> = m
         .atoms
         .iter()
-        .filter(|a| a.rel != Rel::Eq && a.diff.terms.len() == 1)
+        .filter(|a| a.rel != Rel::Eq && matches!(a.diff.terms[..], [(v, _)] if !m.is_aux(v)))
         .map(|a| {
             let (v, c) = a.diff.terms[0];
             (v, (a.rel == Rel::Le) == (c > 0.0), -a.diff.constant / c)
@@ -273,7 +246,7 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagno
         }
     }
     for (v, upper, loose, tight) in shadowed {
-        let name = var_name(m.prob, v);
+        let name = var_name(m, v);
         let op = if upper { "<=" } else { ">=" };
         diags.push(
             Diagnostic::note(

@@ -15,7 +15,7 @@
 //! resulting components among *constrained* variables (variables no
 //! rule references are SD003's business, not a "block").
 
-use crate::compile::{Atom, CompiledModel};
+use crate::compile::{Atom, AuxColumn, CompiledModel};
 use crate::symbolic::VarId;
 use sqlengine::diag::Diagnostic;
 
@@ -28,19 +28,22 @@ pub struct Block {
     pub rows: usize,
 }
 
-/// Partition the constraint atoms into variable-disjoint blocks.
-/// Deterministic: blocks are ordered by their smallest variable id.
-pub fn blocks(atoms: &[Atom]) -> Vec<Block> {
-    // Variable ids are dense: the largest one bounds the table.
+/// Partition the constraint atoms into variable-disjoint blocks. Ids
+/// from `first` on are auxiliary columns, `aux[k]` defining `first + k`:
+/// one an atom reaches ties together the variables of its definition,
+/// and is in no block's variables. Deterministic: blocks are ordered by
+/// their smallest variable id.
+pub fn blocks(atoms: &[Atom], first: VarId, aux: &[AuxColumn]) -> Vec<Block> {
+    // Variable ids are dense: the largest one bounds the table (a
+    // definition reads only smaller ones).
     let bound = atoms.iter().flat_map(|a| a.diff.vars()).max().map_or(0, |v| v + 1);
     let mut uf = UnionFind { parent: vec![ABSENT; bound as usize] };
     for atom in atoms {
-        let mut vars = atom.diff.vars();
-        if let Some(first) = vars.next() {
-            uf.ensure(first);
-            for v in vars {
-                uf.union(first, v);
-            }
+        uf.join(atom.diff.vars());
+    }
+    for v in (first..bound).rev() {
+        if uf.parent[v as usize] != ABSENT {
+            uf.join(std::iter::once(v).chain(aux[(v - first) as usize].def.vars()));
         }
     }
     // Ascending ids: a block is opened by its smallest variable and
@@ -48,7 +51,7 @@ pub fn blocks(atoms: &[Atom]) -> Vec<Block> {
     let mut block_of_root = vec![usize::MAX; bound as usize];
     let mut out: Vec<Block> = Vec::new();
     for v in 0..bound {
-        if uf.parent[v as usize] == ABSENT {
+        if uf.parent[v as usize] == ABSENT || v >= first {
             continue;
         }
         let slot = &mut block_of_root[uf.find(v) as usize];
@@ -83,7 +86,7 @@ pub fn sd019_decomposable(model: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>
     if !has_coupling {
         return;
     }
-    let blocks = blocks(&model.atoms);
+    let blocks = blocks(&model.atoms, model.prob.num_vars() as VarId, &model.aux);
     if blocks.len() < 2 {
         return;
     }
@@ -121,7 +124,7 @@ pub fn problem_blocks(model: &CompiledModel<'_>) -> Vec<Block> {
     if model.rule_failure().is_some() {
         return Vec::new();
     }
-    blocks(&model.atoms)
+    blocks(&model.atoms, model.prob.num_vars() as VarId, &model.aux)
 }
 
 /// Marks an id no atom names.
@@ -154,6 +157,14 @@ impl UnionFind {
         x
     }
 
+    /// Put `vars` in one set.
+    fn join(&mut self, mut vars: impl Iterator<Item = VarId>) {
+        if let Some(first) = vars.next() {
+            self.ensure(first);
+            vars.for_each(|v| self.union(first, v));
+        }
+    }
+
     fn union(&mut self, a: VarId, b: VarId) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
@@ -175,7 +186,7 @@ mod tests {
     fn disjoint_rows_make_two_blocks() {
         let atoms =
             vec![atom(&[(0, 1.0), (1, 1.0)]), atom(&[(2, 1.0), (3, 1.0)]), atom(&[(1, 2.0)])];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].vars, vec![0, 1]);
         assert_eq!(b[0].rows, 2);
@@ -190,7 +201,7 @@ mod tests {
             atom(&[(2, 1.0), (3, 1.0)]),
             atom(&[(1, 1.0), (2, 1.0)]), // couples the two
         ];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].vars, vec![0, 1, 2, 3]);
         assert_eq!(b[0].rows, 3);
@@ -199,16 +210,16 @@ mod tests {
     #[test]
     fn constant_atoms_are_ignored() {
         let atoms = vec![atom(&[]), atom(&[(5, 1.0)])];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].rows, 1);
     }
 
     #[test]
     fn empty_atom_list_yields_no_blocks() {
-        assert!(blocks(&[]).is_empty());
+        assert!(blocks(&[], VarId::MAX, &[]).is_empty());
         // All-constant atoms are equivalent to no atoms at all.
-        assert!(blocks(&[atom(&[]), atom(&[])]).is_empty());
+        assert!(blocks(&[atom(&[]), atom(&[])], VarId::MAX, &[]).is_empty());
     }
 
     #[test]
@@ -216,7 +227,7 @@ mod tests {
         // One variable referenced by several rows: one block, every row
         // attributed to it.
         let atoms = vec![atom(&[(7, 1.0)]), atom(&[(7, -2.0)]), atom(&[(7, 0.5)])];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].vars, vec![7]);
         assert_eq!(b[0].rows, 3);
@@ -232,7 +243,7 @@ mod tests {
             atom(&[(0, 1.0), (1, 1.0)]),
             atom(&[(2, 1.0), (4, 1.0)]),
         ];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].vars, vec![0, 1, 2, 3, 4]);
         assert_eq!(b[0].rows, 4);
@@ -241,7 +252,7 @@ mod tests {
     #[test]
     fn blocks_are_ordered_by_smallest_variable() {
         let atoms = vec![atom(&[(9, 1.0), (8, 1.0)]), atom(&[(1, 1.0), (5, 1.0)])];
-        let b = blocks(&atoms);
+        let b = blocks(&atoms, VarId::MAX, &[]);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].vars, vec![1, 5]);
         assert_eq!(b[1].vars, vec![8, 9]);

@@ -15,11 +15,11 @@ use crate::check::presolve::{propagate, Model, Outcome};
 use crate::problem::ProblemInstance;
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, TableRef};
-use sqlengine::catalog::{Ctes, Database};
+use sqlengine::catalog::{Ctes, Database, StepCell, StepHook};
 use sqlengine::error::Error;
 use sqlengine::exec::run_query;
 use sqlengine::types::{downcast, BinOp, Value};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Why a rule did not compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,15 +53,29 @@ pub struct Atom {
     pub rule: usize,
 }
 
+/// A cell a recursive CTE's step emitted in the symbolic pass, given a
+/// column of its own ([`CompiledModel::aux`]): `def`, over decision
+/// variables and earlier auxiliary columns, named `cte[row].column`.
+#[derive(Debug, Clone)]
+pub struct AuxColumn {
+    pub def: LinExpr,
+    pub name: String,
+}
+
 /// The model as a linear program. Only variables that appear in the
-/// objective or a constraint become LP columns (the unbound-variable
-/// pruning of §4.3); single-variable comparisons with a constant side
-/// become bounds rather than rows.
+/// objective or a constraint, or in the definition of an auxiliary
+/// column one does, become LP columns (the unbound-variable pruning of
+/// §4.3); single-variable comparisons with a constant side become
+/// bounds rather than rows.
 pub struct Lowered {
     pub problem: lp::Problem,
-    /// `used[j]` is the decision variable behind LP column `j`.
+    /// `used[j]` is the variable behind LP column `j`: the first
+    /// `decisions` are decision variables, the rest auxiliary columns.
     pub used: Vec<VarId>,
-    /// `atom_of_row[i]` indexes the atom behind LP row `i`.
+    pub decisions: usize,
+    /// `atom_of_row[i]` indexes the atom behind LP row `i`. The rows past
+    /// its end define the auxiliary columns, `column = definition`, one
+    /// each in column order.
     pub atom_of_row: Vec<usize>,
 }
 
@@ -84,6 +98,11 @@ pub struct CompiledModel<'a> {
     pub rules: Vec<Compiled<Vec<ConstraintValue>>>,
     /// The atoms of every rule that compiled.
     pub atoms: Vec<Atom>,
+    /// Auxiliary columns, `aux[k]` variable `prob.num_vars() + k`: each
+    /// symbolic cell but a bare `1·v` a recursive CTE's step emits, so a
+    /// step carries O(1) terms — the staircase a modeller states by hand.
+    /// Not decision columns: never in the output, named by no finding.
+    pub aux: Vec<AuxColumn>,
     /// How many SUBJECTTO rules were of the box shape, read as bounds
     /// without running their query (see [`box_cells`]).
     pub bounds: usize,
@@ -287,6 +306,22 @@ fn box_cells(
     Some(cells)
 }
 
+/// The step hook of one symbolic pass: a symbolic cell a recursive step
+/// emits, unless it is a bare `1·v`, becomes the next auxiliary column
+/// (numbered from `first`), defined by the cell, and the cell `1·column`.
+fn aux_hook(first: VarId, columns: Arc<Mutex<Vec<AuxColumn>>>) -> StepHook {
+    Arc::new(move |at: &StepCell<'_>, v: &Value| {
+        let cell = &downcast::<crate::symbolic::SymValue>(v)?.0;
+        if cell.constant == 0.0 && matches!(cell.terms[..], [(_, c)] if c == 1.0) {
+            return None;
+        }
+        let mut columns = columns.lock().unwrap_or_else(PoisonError::into_inner);
+        let name = format!("{}[{}].{}", at.cte, at.row, at.column);
+        columns.push(AuxColumn { def: cell.clone(), name });
+        Some(sym_value(LinExpr::var(first + columns.len() as VarId - 1)))
+    })
+}
+
 /// Compile the rules of a problem instance: one symbolic pass over the
 /// decision relations, then the objective and each SUBJECTTO rule
 /// evaluated on its own, so one defective rule does not hide the
@@ -302,6 +337,7 @@ pub fn compile_model<'a>(
         objective: None,
         rules: Vec::new(),
         atoms: Vec::new(),
+        aux: Vec::new(),
         bounds: 0,
         labels: prob.subjectto.iter().map(|_| OnceLock::new()).collect(),
         lowered: OnceLock::new(),
@@ -317,7 +353,9 @@ pub fn compile_model<'a>(
     // symbolic variables in their decision cells, so derived relations
     // (e.g. a recursive simulation CDTE) carry linear expressions.
     let symbolic = |id| sym_value(LinExpr::var(id));
-    let (env, failed) = match prob.bind(db, base, Some(&symbolic)) {
+    let aux = Arc::new(Mutex::new(Vec::new()));
+    let base = base.with_step_hook(aux_hook(prob.num_vars() as VarId, aux.clone()));
+    let (env, failed) = match prob.bind(db, &base, Some(&symbolic)) {
         Ok(v) => v,
         Err(e) => {
             // An unstable decision relation fails every rule alike.
@@ -367,10 +405,16 @@ pub fn compile_model<'a>(
         }
         model.rules.push(compiled);
     }
+    model.aux = std::mem::take(&mut aux.lock().unwrap_or_else(PoisonError::into_inner));
     model
 }
 
 impl CompiledModel<'_> {
+    /// Variable `v` is an auxiliary column.
+    pub fn is_aux(&self, v: VarId) -> bool {
+        v as usize >= self.prob.num_vars()
+    }
+
     /// Label of SUBJECTTO rule `i` (see [`rule_label`]), rendered the
     /// first time it is read.
     pub fn rule_label(&self, i: usize) -> &str {
@@ -422,23 +466,66 @@ impl CompiledModel<'_> {
 
     /// Matrix classification of [`CompiledModel::lowered`], run on first
     /// use: SD020–SD025, `EXPLAIN`'s matrix line and `solverlp`'s
-    /// matrixclass stage read the same pass.
+    /// matrixclass stage read the same pass. A row through an auxiliary
+    /// column is `General`: it states part of an expression, not a shape.
     pub fn matrix_analysis(&self) -> &lp::matrix::MatrixAnalysis {
-        self.matrix.get_or_init(|| lp::matrix::analyze(&self.lowered().problem))
+        self.matrix.get_or_init(|| {
+            let low = self.lowered();
+            let mut a = lp::matrix::analyze(&low.problem);
+            for (class, c) in a.row_classes.iter_mut().zip(&low.problem.constraints) {
+                if c.coeffs.iter().any(|&(j, _)| j >= low.decisions) {
+                    *class = lp::matrix::RowClass::General;
+                }
+            }
+            a
+        })
+    }
+
+    /// `e` with every auxiliary column replaced by its definition, by the
+    /// evaluator's float operations (a definition scaled by the column's
+    /// coefficient, added in column order; a step's own constant comes
+    /// first in its sum, which changes no sum of two), so it
+    /// renders as the cell did before it was a column. Quadratic in the
+    /// recursion it reaches: the renderers call it only for what they
+    /// print.
+    pub fn expand(&self, e: &LinExpr) -> LinExpr {
+        let n = self.prob.num_vars();
+        let substitute = |e: &LinExpr, expanded: &[LinExpr]| {
+            let at = e.terms.partition_point(|&(v, _)| (v as usize) < n);
+            let mut out = LinExpr { constant: e.constant, terms: e.terms[..at].to_vec() };
+            for &(v, c) in &e.terms[at..] {
+                out = out.add(&expanded[v as usize - n].scale(c));
+            }
+            out
+        };
+        // A definition reads only earlier columns: expand them in column
+        // order, up to the last one `e` reads.
+        let last = e.terms.last().map_or(0, |&(v, _)| (v as usize + 1).saturating_sub(n));
+        let mut expanded = Vec::with_capacity(last);
+        for aux in &self.aux[..last] {
+            expanded.push(substitute(&aux.def, &expanded));
+        }
+        substitute(e, &expanded)
     }
 
     fn lower(&self) -> Lowered {
         let prob = self.prob;
+        let n = prob.num_vars();
         let objective = self.linear_objective();
-        let mut referenced = vec![false; prob.num_vars()];
+        let mut reached = vec![false; n + self.aux.len()];
         for e in objective.into_iter().chain(self.atoms.iter().map(|a| &a.diff)) {
-            for v in e.vars() {
-                referenced[v as usize] = true;
+            e.vars().for_each(|v| reached[v as usize] = true);
+        }
+        // A definition reads only earlier columns: one sweep down.
+        for (k, aux) in self.aux.iter().enumerate().rev() {
+            if reached[n + k] {
+                aux.def.vars().for_each(|v| reached[v as usize] = true);
             }
         }
         let used: Vec<VarId> =
-            (0..prob.num_vars() as VarId).filter(|&v| referenced[v as usize]).collect();
-        let mut index = vec![usize::MAX; prob.num_vars()];
+            (0..reached.len() as VarId).filter(|&v| reached[v as usize]).collect();
+        let decisions = used.partition_point(|&v| (v as usize) < n);
+        let mut index = vec![usize::MAX; reached.len()];
         for (j, &v) in used.iter().enumerate() {
             index[v as usize] = j;
         }
@@ -449,7 +536,7 @@ impl CompiledModel<'_> {
         } else {
             lp::Problem::maximize(used.len())
         };
-        for (j, &v) in used.iter().enumerate() {
+        for (j, &v) in used[..decisions].iter().enumerate() {
             p.integer[j] = prob.vars[v as usize].integer;
         }
         if let Some(obj) = objective {
@@ -480,7 +567,15 @@ impl CompiledModel<'_> {
                 }
             }
         }
-        Lowered { problem: p, used, atom_of_row }
+        // Definitions, `column − terms = constant`.
+        for (j, &v) in used.iter().enumerate().skip(decisions) {
+            let def = &self.aux[v as usize - n].def;
+            let mut coeffs: Vec<(usize, f64)> =
+                def.terms.iter().map(|&(u, c)| (index[u as usize], -c)).collect();
+            coeffs.push((j, 1.0));
+            p.add_constraint(coeffs, lp::Rel::Eq, def.constant);
+        }
+        Lowered { problem: p, used, decisions, atom_of_row }
     }
 }
 

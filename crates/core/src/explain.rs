@@ -4,7 +4,7 @@
 //! PA-pipeline analogue of `EXPLAIN`.
 
 use crate::compile::{compile_model, Atom, CompiledModel, FailureKind};
-use crate::problem::{build_problem, ProblemInstance};
+use crate::problem::build_problem;
 use crate::symbolic::{LinExpr, VarId};
 use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::catalog::{Ctes, Database};
@@ -24,9 +24,9 @@ pub struct Explanation {
     /// Rendered objective, when linear.
     pub objective: Option<String>,
     pub minimize: bool,
-    /// All rendered constraints when linear. [`Explanation::render`]
-    /// caps how many it prints; the full list stays available here.
+    /// The first [`MAX_RENDERED`] constraints, rendered, when linear.
     pub constraints: Vec<String>,
+    /// How many constraints there are in all.
     pub constraint_count: usize,
     /// Whether the rules compile to a linear program.
     pub linear: bool,
@@ -42,8 +42,8 @@ pub struct Explanation {
     pub matrix: Option<String>,
 }
 
-/// How many constraints [`Explanation::render`] prints before eliding
-/// the rest with a `... and N more` line.
+/// How many constraints an [`Explanation`] renders; [`Explanation::render`]
+/// elides the rest with a `... and N more` line.
 const MAX_RENDERED: usize = 20;
 
 impl Explanation {
@@ -79,11 +79,12 @@ impl Explanation {
         if let Some(f) = &self.failure {
             let _ = writeln!(s, "  {f}");
         }
-        for c in self.constraints.iter().take(MAX_RENDERED) {
+        for c in &self.constraints {
             let _ = writeln!(s, "  {c}");
         }
-        if self.constraints.len() > MAX_RENDERED {
-            let _ = writeln!(s, "  ... and {} more", self.constraints.len() - MAX_RENDERED);
+        if self.linear && self.constraint_count > self.constraints.len() {
+            let _ =
+                writeln!(s, "  ... and {} more", self.constraint_count - self.constraints.len());
         }
         if let Some(mx) = &self.matrix {
             let _ = writeln!(s, "matrix: {mx}");
@@ -121,14 +122,20 @@ fn matrix_summary(model: &CompiledModel<'_>) -> Option<String> {
     Some(parts.join(", "))
 }
 
-pub(crate) fn var_name(prob: &ProblemInstance, v: VarId) -> String {
+/// The name of variable `v`: `alias[row].column` of its decision cell,
+/// or, for an auxiliary column, of the recursive relation's cell it was.
+pub(crate) fn var_name(m: &CompiledModel<'_>, v: VarId) -> String {
     let mut name = String::new();
-    write_var_name(&mut name, prob, v);
+    write_var_name(&mut name, m, v);
     name
 }
 
-fn write_var_name(out: &mut String, prob: &ProblemInstance, v: VarId) {
-    let info = &prob.vars[v as usize];
+fn write_var_name(out: &mut String, m: &CompiledModel<'_>, v: VarId) {
+    let prob = m.prob;
+    let Some(info) = prob.vars.get(v as usize) else {
+        out.push_str(&m.aux[v as usize - prob.num_vars()].name);
+        return;
+    };
     let rel = &prob.relations[info.rel];
     let alias = rel.alias.as_deref().unwrap_or("input");
     _ = write!(out, "{alias}[{}].{}", info.row, rel.table.schema.columns[info.col].name);
@@ -136,11 +143,7 @@ fn write_var_name(out: &mut String, prob: &ProblemInstance, v: VarId) {
 
 /// The terms `c*name` joined by ` + `, with unit coefficients elided,
 /// written onto `out`.
-fn write_terms(
-    out: &mut String,
-    prob: &ProblemInstance,
-    terms: impl Iterator<Item = (VarId, f64)>,
-) {
+fn write_terms(out: &mut String, m: &CompiledModel<'_>, terms: impl Iterator<Item = (VarId, f64)>) {
     for (i, (v, c)) in terms.enumerate() {
         if i > 0 {
             out.push_str(" + ");
@@ -150,13 +153,15 @@ fn write_terms(
         } else if c != 1.0 {
             _ = write!(out, "{c}*");
         }
-        write_var_name(out, prob, v);
+        write_var_name(out, m, v);
     }
 }
 
-pub(crate) fn render_linexpr(prob: &ProblemInstance, e: &LinExpr) -> String {
+/// Render `e` in decision variables, auxiliary columns expanded.
+pub(crate) fn render_linexpr(m: &CompiledModel<'_>, e: &LinExpr) -> String {
+    let e = m.expand(e);
     let mut out = String::new();
-    write_terms(&mut out, prob, e.terms.iter().copied());
+    write_terms(&mut out, m, e.terms.iter().copied());
     if e.constant != 0.0 || e.terms.is_empty() {
         if !e.terms.is_empty() {
             out.push_str(" + ");
@@ -167,28 +172,31 @@ pub(crate) fn render_linexpr(prob: &ProblemInstance, e: &LinExpr) -> String {
 }
 
 /// Render an atom `diff ⋈ 0` back into readable form.
-pub(crate) fn render_atom(prob: &ProblemInstance, a: &Atom) -> String {
-    format!("{} {} 0", render_linexpr(prob, &a.diff), a.rel)
+pub(crate) fn render_atom(m: &CompiledModel<'_>, a: &Atom) -> String {
+    format!("{} {} 0", render_linexpr(m, &a.diff), a.rel)
 }
 
-/// Render a row `c*name + … ⋈ rhs`.
+/// Render a row `c*name + … ⋈ rhs` as it is, auxiliary columns by name.
 pub(crate) fn render_row(
-    prob: &ProblemInstance,
+    m: &CompiledModel<'_>,
     terms: impl Iterator<Item = (VarId, f64)>,
     op: impl std::fmt::Display,
     rhs: f64,
 ) -> String {
     let mut out = String::new();
-    write_terms(&mut out, prob, terms);
+    write_terms(&mut out, m, terms);
     _ = write!(out, " {op} {rhs}");
     out
 }
 
-/// Render row `i` of the model's linear program.
+/// Render row `i` of the model's linear program in decision variables,
+/// auxiliary columns expanded.
 pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
     let low = m.lowered();
     let c = &low.problem.constraints[i];
-    render_row(m.prob, c.coeffs.iter().map(|&(j, a)| (low.used[j], a)), c.rel, c.rhs)
+    let terms = c.coeffs.iter().map(|&(j, a)| (low.used[j], a)).collect();
+    let row = m.expand(&LinExpr { constant: 0.0, terms });
+    render_row(m, row.terms.into_iter(), c.rel, c.rhs)
 }
 
 /// Compile (but do not solve) a `SOLVESELECT`, reporting its structure.
@@ -233,26 +241,22 @@ pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Expl
             matrix: None,
         });
     }
-    let constraints: Vec<String> = model
-        .rules
-        .iter()
-        .flatten()
-        .flatten()
-        .flat_map(|c| c.atoms())
+    let atoms = || model.rules.iter().flatten().flatten().flat_map(|c| c.atoms());
+    let constraints: Vec<String> = atoms()
+        .take(MAX_RENDERED)
         .map(|(l, rel, r)| {
-            format!("{} {rel} {}", render_linexpr(&prob, l), render_linexpr(&prob, r))
+            format!("{} {rel} {}", render_linexpr(&model, l), render_linexpr(&model, r))
         })
         .collect();
-    let lowered = model.lowered();
     Ok(Explanation {
         relations,
         variables: prob.num_vars(),
-        used_variables: lowered.used.len(),
+        used_variables: model.lowered().decisions,
         objective: Some(
-            model.linear_objective().map_or_else(|| "0".to_string(), |o| render_linexpr(&prob, o)),
+            model.linear_objective().map_or_else(|| "0".to_string(), |o| render_linexpr(&model, o)),
         ),
         minimize: model.minimize,
-        constraint_count: constraints.len(),
+        constraint_count: atoms().count(),
         constraints,
         linear: true,
         failure: None,

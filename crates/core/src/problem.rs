@@ -14,7 +14,7 @@
 
 use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
-use crate::symbolic::{ConstraintValue, Rel, VarId};
+use crate::symbolic::{ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{
     Cte, DecCols, DecRel, Expr, NamedRule, Query, Select, SelectItem, SolveStmt, TableRef,
 };
@@ -458,6 +458,9 @@ pub struct BlackboxProblem<'a> {
     pub space: globalopt::SearchSpace,
     /// Linear constraints not representable as bounds (penalized).
     pub penalties: Vec<ConstraintValue>,
+    /// The definitions of the auxiliary columns the penalties may read
+    /// ([`CompiledModel::aux`]), valued after the decision variables.
+    aux: Vec<LinExpr>,
     pub objective: Query,
     pub minimize: bool,
     /// Starting point from initial values (midpoint of bounds when NULL).
@@ -495,7 +498,7 @@ pub fn build_blackbox<'a>(
         let mut boundable = true;
         for (l, rel, r) in c.atoms() {
             let diff = l.sub(r);
-            if diff.terms.len() == 1 && rel != Rel::Eq {
+            if matches!(diff.terms[..], [(v, _)] if !model.is_aux(v)) && rel != Rel::Eq {
                 as_bounds.push((diff.terms[0], rel, -diff.constant));
             } else {
                 boundable = false;
@@ -550,7 +553,8 @@ pub fn build_blackbox<'a>(
     };
 
     let base = base.clone();
-    let bb = BlackboxProblem { space, penalties, objective, minimize, start, prob, base };
+    let aux = model.aux.iter().map(|a| a.def.clone()).collect();
+    let bb = BlackboxProblem { space, penalties, aux, objective, minimize, start, prob, base };
     bb.evaluate(db, &bb.start)?;
     Ok(bb)
 }
@@ -584,7 +588,12 @@ impl BlackboxProblem<'_> {
             .and_then(|v| v.as_f64())
             .map_err(|e| rule_error(clause, None, &self.objective, e))?;
         let mut fitness = if self.minimize { raw } else { -raw };
-        let getter = |v: VarId| x[v as usize];
+        let mut values = x.to_vec();
+        for def in &self.aux {
+            let v = def.eval(&|v| values[v as usize]);
+            values.push(v);
+        }
+        let getter = |v: VarId| values[v as usize];
         for p in &self.penalties {
             fitness += PENALTY_WEIGHT * p.violation(&getter);
         }

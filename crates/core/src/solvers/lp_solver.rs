@@ -2,7 +2,7 @@
 //! solverlp.cbc()`), backed by this repository's simplex and
 //! branch-and-bound instead of CBC/GLPK.
 
-use crate::check::presolve::reduce::{reduce, reduce_with, Presolved};
+use crate::check::presolve::reduce::{read_out, reduce, reduce_with, Presolved};
 use crate::check::presolve::Counts;
 use crate::problem::{apply_solution, ProblemInstance};
 use crate::solver::{SolveContext, Solver};
@@ -44,33 +44,30 @@ impl Solver for LpSolver {
         // own LP is the one the analyzer already read.
         let presolve_on = prob.param_switch("presolve", true)?;
         let pre: Option<Presolved> = presolve_on.then(|| {
-            let span = ctx.trace.map(|t| t.span("presolve"));
-            let pre = match &lp_prob {
+            let _span = ctx.trace.map(|t| t.span("presolve"));
+            match &lp_prob {
                 Cow::Borrowed(p) => {
                     let propagated = ctx.model.propagated();
                     reduce_with(p, &propagated.model, propagated.outcome.clone())
                 }
                 Cow::Owned(relaxed) => reduce(relaxed),
-            };
-            if let Some(span) = span.filter(|_| pre.nonzeros_cancelled() > 0) {
-                let (before, after) = pre.nonzeros;
-                span.note("nonzeros", format!("{before}->{after}"));
             }
-            pre
         });
-        let counts = pre.as_ref().map(|p| p.counts()).unwrap_or_default();
+        let counts = pre.as_ref().map(|p| p.outcome.counts()).unwrap_or_default();
         // The problem the solver sees.
         let target: &lp::Problem = pre.as_ref().map_or(&lp_prob, |p| &p.reduced);
         // Matrix classification (on by default; `matrixclass := off`
         // disables it): classify rows and look for an integrality proof.
         let matrixclass_on = prob.param_switch("matrixclass", true)?;
-        // When nothing relaxed, reduced, cancelled in or refuted the
+        // When nothing relaxed, reduced, substituted in or refuted the
         // model's own LP, `target` is that LP (presolve only rewrites
         // `>=` rows as `<=`, which the classification sees through) and
-        // the analyzer's pass is reused.
+        // the analyzer's pass is reused — unless it left the rows through
+        // auxiliary columns unclassified.
         let unchanged = matches!(lp_prob, Cow::Borrowed(_))
             && counts == Counts::default()
-            && !pre.as_ref().is_some_and(|p| p.infeasible() || p.nonzeros_cancelled() > 0);
+            && lowered.decisions == lowered.used.len()
+            && !pre.as_ref().is_some_and(|p| p.infeasible() || !p.substituted.is_empty());
         let analysis: Option<Cow<'_, lp::matrix::MatrixAnalysis>> = matrixclass_on.then(|| {
             ctx.stage("matrixclass", || {
                 if unchanged {
@@ -131,8 +128,8 @@ impl Solver for LpSolver {
             None => (String::new(), String::new(), 0),
         };
         let sol = match &pre {
-            Some(p) => p.uncrush_solution(sol),
-            None => sol,
+            Some(p) => p.uncrush_solution(&lp_prob, sol),
+            None => read_out(&lp_prob, sol),
         };
         let mut tele = telemetry(&sol, &stats, method, counts);
         tele.matrix_class = matrix_class;
@@ -145,7 +142,8 @@ impl Solver for LpSolver {
             // instead of a result table.
             return Err(ctx.abort_error(&incumbents));
         }
-        ctx.stage("post-process", || finish(prob, sol, &lowered.used, node_limit))
+        let decisions = &lowered.used[..lowered.decisions];
+        ctx.stage("post-process", || finish(prob, sol, decisions, node_limit))
     }
 }
 

@@ -191,23 +191,24 @@ USING solverlp.cbc()";
 
 #[test]
 fn the_hvac_plan_starts_on_its_load_singletons() {
-    // Presolve fixes the first hour's temperature and cancels the dense
-    // triangle the recursion unrolls to back into one row per hour,
+    // The recursion compiles to one auxiliary column per hour; presolve
+    // fixes the first hour's temperature and substitutes each column out
+    // through its `intemp_k = x_k` row, leaving one row per hour,
     // `intemp_k − a1·intemp_{k−1} − b2·hload_{k−1} = b1·out`, in which
-    // `hload_{k−1}` is a column singleton: 21 rows start on a load, the
-    // last hour's row (whose load is in no row) on an artificial.
+    // `hload_{k−1}` is a column singleton: every row starts on a load
+    // but the one a slack fits.
     let mut s = hvac_plan_session();
     let on = s.query(&format!("EXPLAIN ANALYZE {HVAC_PLAN}")).unwrap();
     let on = start_note(&text_column(&on, "plan"));
-    assert_eq!(on, "0 structural/21 singleton/1 slack/1 artificial  phase1_pivots=2");
-    // Without presolve every hour's row holds the whole triangle; each
-    // temperature is a singleton of its row, but at zero load it runs
-    // below 20. Only the first hour's, the known 21.5, fits: the payoff
-    // is the cancellation's.
+    assert_eq!(on, "0 structural/22 singleton/1 slack/0 artificial  phase1_pivots=0");
+    // Without presolve the auxiliary columns stay: free, they start
+    // basic in their definitions, and each `intemp_k = x_k` row, whose
+    // temperature at zero load runs below 20, starts on an artificial
+    // but the first hour's, the known 21.5.
     let off =
         s.query(&format!("EXPLAIN ANALYZE {}", HVAC_PLAN.replace("cbc()", "cbc(presolve := off)")));
     let off = start_note(&text_column(&off.unwrap(), "plan"));
-    assert_eq!(off, "0 structural/1 singleton/0 slack/23 artificial  phase1_pivots=31");
+    assert_eq!(off, "23 structural/1 singleton/0 slack/23 artificial  phase1_pivots=31");
     // The same plan either way.
     let total_load = |s: &mut Session, sql: &str| {
         let t = s.query(sql).unwrap();

@@ -146,11 +146,15 @@ impl Problem {
 
     /// Check feasibility of a point within `tol`.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
+        let integral = |j: usize| !self.integer[j] || (x[j] - x[j].round()).abs() <= tol;
+        (0..self.num_vars).all(integral) && self.holds(x, tol)
+    }
+
+    /// Whether a point satisfies the bounds and rows within `tol`,
+    /// integrality aside.
+    pub fn holds(&self, x: &[f64], tol: f64) -> bool {
         for j in 0..self.num_vars {
             if x[j] < self.lower[j] - tol || x[j] > self.upper[j] + tol {
-                return false;
-            }
-            if self.integer[j] && (x[j] - x[j].round()).abs() > tol {
                 return false;
             }
         }

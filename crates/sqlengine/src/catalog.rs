@@ -31,15 +31,49 @@ impl std::fmt::Debug for ScalarUdf {
     }
 }
 
+/// Where a cell that a step of a recursive CTE emits lands: the
+/// relation's name, its row and its column.
+pub struct StepCell<'a> {
+    pub cte: &'a str,
+    pub row: usize,
+    pub column: &'a str,
+}
+
+/// A rewrite of the cells holding a custom value that each step of a
+/// recursive CTE emits, applied before the next step reads them:
+/// `Some(v)` replaces the cell. The SolveDB+ layer's symbolic pass sets
+/// one on the environment it binds; nothing else does.
+pub type StepHook = Arc<dyn Fn(&StepCell<'_>, &Value) -> Option<Value> + Send + Sync>;
+
 /// CTE environment threaded through execution: names visible as
 /// relations beyond the catalog (WITH members, SOLVESELECT decision
-/// relations, inlined model relations).
-#[derive(Debug, Clone, Default)]
+/// relations, inlined model relations), and the [`StepHook`] of a
+/// symbolic pass.
+#[derive(Clone, Default)]
 pub struct Ctes {
     map: HashMap<String, TableRef>,
+    step_hook: Option<StepHook>,
+}
+
+impl std::fmt::Debug for Ctes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ctes")
+            .field("map", &self.map)
+            .field("step_hook", &self.step_hook.is_some())
+            .finish()
+    }
 }
 
 impl Ctes {
+    /// This environment with `hook` rewriting what recursive steps emit.
+    pub fn with_step_hook(&self, hook: StepHook) -> Ctes {
+        Ctes { map: self.map.clone(), step_hook: Some(hook) }
+    }
+
+    pub fn step_hook(&self) -> Option<&StepHook> {
+        self.step_hook.as_ref()
+    }
+
     pub fn new() -> Ctes {
         Ctes::default()
     }

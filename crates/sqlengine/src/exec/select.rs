@@ -22,13 +22,13 @@
 //! reusable plan as a query of its own.
 
 use crate::ast::*;
-use crate::catalog::{Ctes, Database};
+use crate::catalog::{Ctes, Database, StepCell, StepHook};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::limit_offset;
 use crate::exec::oracle;
 use crate::plan::build::bound_has_subquery;
-use crate::plan::columnar::{batches_to_rows, push_rows, Batch, BATCH_SIZE};
+use crate::plan::columnar::{batches_to_rows, push_rows, Batch, ColumnVec, BATCH_SIZE};
 use crate::plan::exec::{unseen_rows, IteratedPlan};
 use crate::plan::keys::KeyIndex;
 use crate::plan::plan_select;
@@ -407,6 +407,15 @@ fn run_recursive_cte(
         )))
     };
 
+    // What a step emits goes through the environment's step hook, if it
+    // has one, before anything reads it; `first` is the relation's row
+    // the step's first new row becomes.
+    let hook = |first: usize, step: Step<'_>| {
+        if let Some(hook) = ctes.step_hook() {
+            step.through(hook, &cte.name, &schema, first);
+        }
+    };
+
     let mut steps = 0usize;
     let (has_spine, row_steps, reused, how) = match &plan {
         Ok(term) => {
@@ -431,7 +440,9 @@ fn run_recursive_cte(
                 };
                 let added = match on_one_row {
                     Some(new) => {
-                        let new = new.filter(|row| all || seen.is_new(row.as_slice()));
+                        let mut new = new.filter(|row| all || seen.is_new(row.as_slice()));
+                        let first = result.rows.len();
+                        hook(first, Step::Rows(new.as_mut_slice()));
                         tail = usize::from(new.is_some());
                         result.rows.extend(new);
                         tail
@@ -453,6 +464,9 @@ fn run_recursive_cte(
                             new = unseen_rows(&new, schema.len(), &mut seen);
                         }
                         new.retain(|b| b.len > 0);
+                        let first =
+                            result.rows.len() + pending.iter().map(|b| b.len).sum::<usize>();
+                        hook(first, Step::Batches(&mut new));
                         if by_name && !new.is_empty() {
                             step_ctes.insert(&cte.name, working_table(batches_to_rows(&new)));
                         }
@@ -499,6 +513,7 @@ fn run_recursive_cte(
                 if !all {
                     new_rows.retain(|row| seen.is_new(row.as_slice()));
                 }
+                hook(result.rows.len(), Step::Rows(&mut new_rows));
                 result.rows.extend(new_rows.iter().cloned());
                 working_rows = new_rows.len();
                 step_ctes.insert(&cte.name, working_table(new_rows));
@@ -508,6 +523,48 @@ fn run_recursive_cte(
     };
     db.count_recursion(steps as u64, has_spine, row_steps, reused);
     Ok((result, how))
+}
+
+/// The new rows of one recursive step, as rows or as batches.
+enum Step<'a> {
+    Rows(&'a mut [Row]),
+    Batches(&'a mut [Batch]),
+}
+
+impl Step<'_> {
+    /// Replace each custom cell the hook rewrites; the first row is row
+    /// `first` of recursive relation `cte`.
+    fn through(self, hook: &StepHook, cte: &str, schema: &Schema, first: usize) {
+        let cell = |row: usize, col: usize, value: &mut Value| {
+            if !matches!(value, Value::Custom(_)) {
+                return;
+            }
+            let at = StepCell { cte, row, column: &schema.columns[col].name };
+            if let Some(v) = hook(&at, value) {
+                *value = v;
+            }
+        };
+        match self {
+            Step::Rows(rows) => {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    row.iter_mut().enumerate().for_each(|(c, v)| cell(first + i, c, v));
+                }
+            }
+            Step::Batches(batches) => {
+                let mut first = first;
+                for b in batches {
+                    for (c, col) in b.cols.iter_mut().enumerate() {
+                        // Only a boxed column holds a custom value.
+                        if let ColumnVec::Any(_) = **col {
+                            let ColumnVec::Any(values) = Arc::make_mut(col) else { continue };
+                            values.iter_mut().enumerate().for_each(|(i, v)| cell(first + i, c, v));
+                        }
+                    }
+                    first += b.len;
+                }
+            }
+        }
+    }
 }
 
 fn run_set_expr(

@@ -17,8 +17,10 @@
 //! subqueries under every kind of outer scope, LATERAL, FROM-less blocks,
 //! NULL keys).
 
+use sqlengine::types::{custom, downcast, CustomValue};
 use sqlengine::{
-    execute_script, execute_sql, Column, DataType, Database, ExecCounts, Schema, Table, Value,
+    execute_script, execute_sql, Column, Ctes, DataType, Database, ExecCounts, Schema, StepCell,
+    StepHook, Table, Value,
 };
 
 fn setup() -> Database {
@@ -1801,6 +1803,63 @@ fn the_iteration_cap_holds_on_the_row_pipeline() {
     let err = execute_sql(&mut db, sql).unwrap_err().to_string();
     assert_eq!(err, "evaluation error: recursive CTE 'r' exceeded the iteration limit");
     assert_eq!(row_keys(&execute_sql(&mut db, "SELECT 1").unwrap().into_table().unwrap()), ["i1"]);
+}
+
+/// A custom value for [`a_step_hook_rewrites_what_each_step_emits_on_every_path`].
+#[derive(Debug)]
+struct Tag(i64);
+
+impl CustomValue for Tag {
+    fn type_name(&self) -> &str {
+        "tag"
+    }
+    fn to_text(&self) -> String {
+        self.0.to_string()
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// An environment's step hook sees every custom cell each step of a
+/// recursion emits, at its row of the relation, and the next step reads
+/// what it returned — on the row pipeline (one working row), on the
+/// batch operators (two) and on the reference interpreter. Here the
+/// hook adds 1000 × the row to the tag `x`, which the term passes on.
+#[test]
+fn a_step_hook_rewrites_what_each_step_emits_on_every_path() {
+    let mut db = Database::new();
+    for (name, rows) in [("one", 1), ("two", 2)] {
+        let table = Table::from_rows(&["n", "x"], vec![vec![Value::Int(1), custom(Tag(1))]; rows]);
+        db.create_table(name, table, false).unwrap();
+    }
+    let hook: StepHook = std::sync::Arc::new(|at: &StepCell<'_>, v: &Value| {
+        assert_eq!((at.cte, at.column), ("r", "x"), "only custom cells");
+        let tag = downcast::<Tag>(v).unwrap();
+        Some(custom(Tag(tag.0 + 1000 * at.row as i64)))
+    });
+    let ctes = Ctes::new().with_step_hook(hook);
+    let run = |db: &Database, t: &str| {
+        let sql = format!(
+            "WITH RECURSIVE r(n, x) AS (SELECT n, x FROM {t} UNION ALL \
+             SELECT n + 1, x FROM r WHERE n < 3) SELECT n, x FROM r"
+        );
+        let q = sqlengine::parser::parse_query(&sql).unwrap();
+        let t = sqlengine::run_query(db, &ctes, &q, None).unwrap();
+        let mut rows: Vec<String> = t.rows.iter().map(|r| format!("{}|{}", r[0], r[1])).collect();
+        rows.sort();
+        rows
+    };
+    for reference in [false, true] {
+        let prev = db.set_force_row_interpreter(reference);
+        assert_eq!(run(&db, "one"), ["1|1", "2|1001", "3|3001"], "reference: {reference}");
+        assert_eq!(
+            run(&db, "two"),
+            ["1|1", "1|1", "2|2001", "2|3001", "3|6001", "3|8001"],
+            "reference: {reference}"
+        );
+        db.set_force_row_interpreter(prev);
+    }
 }
 
 /// A recursive term is recursive wherever it names itself: in a JOIN …
