@@ -79,7 +79,7 @@ impl Solver for HvacScheduler {
 
     fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
         let rel = &prob.relations[0];
-        let t = &rel.table;
+        let t = rel.table()?;
         let col = |n: &str| -> Result<usize> {
             t.schema
                 .index_of(n)

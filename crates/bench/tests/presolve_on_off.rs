@@ -24,7 +24,7 @@ fn terms_per_step(s: &Session, solve: &str) -> f64 {
     let model = compile_model(s.db(), &Ctes::new(), &prob);
     let rows = model.atoms.iter().map(|a| &a.diff).filter(|d| d.terms.len() > 1);
     let terms: usize = rows.chain(model.aux.iter().map(|a| &a.def)).map(|e| e.terms.len()).sum();
-    terms as f64 / prob.relations[0].table.num_rows() as f64
+    terms as f64 / prob.relations[0].table().unwrap().num_rows() as f64
 }
 
 /// The plan a P4 script leaves: its own result relation when the

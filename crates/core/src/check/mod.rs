@@ -180,6 +180,7 @@ pub fn check_problem(model: &CompiledModel<'_>, trace: Option<&obs::Trace>) -> V
 /// into a problem instance.
 pub fn check_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Vec<Diagnostic>> {
     let prob = crate::problem::build_problem(db, ctes, stmt)?;
+    prob.instantiate_all(db, ctes)?;
     Ok(check_problem(&compile_model(db, ctes, &prob), None))
 }
 

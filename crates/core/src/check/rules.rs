@@ -80,7 +80,8 @@ pub fn sd003_unreferenced_columns(m: &CompiledModel<'_>, diags: &mut Vec<Diagnos
     let mut per_rel: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     for (&(rel, col), &hit) in &referenced {
         if !hit {
-            let name = m.prob.relations[rel].table.schema.columns[col].name.clone();
+            let table = m.prob.relations[rel].table();
+            let name = table.map_or_else(|_| String::new(), |t| t.schema.columns[col].name.clone());
             per_rel.entry(rel).or_default().push(name);
         }
     }

@@ -106,6 +106,9 @@ pub struct CompiledModel<'a> {
     /// How many SUBJECTTO rules were of the box shape, read as bounds
     /// without running their query (see [`box_cells`]).
     pub bounds: usize,
+    /// Per decision relation, why the symbolic pass left it out (its
+    /// query failed); `None` when it was bound.
+    pub unbound: Vec<Option<FailureKind>>,
     /// [`rule_label`] of each SUBJECTTO rule, rendered on first read.
     labels: Vec<OnceLock<String>>,
     lowered: OnceLock<Lowered>,
@@ -339,6 +342,7 @@ pub fn compile_model<'a>(
         atoms: Vec::new(),
         aux: Vec::new(),
         bounds: 0,
+        unbound: Vec::new(),
         labels: prob.subjectto.iter().map(|_| OnceLock::new()).collect(),
         lowered: OnceLock::new(),
         propagated: OnceLock::new(),
@@ -370,7 +374,8 @@ pub fn compile_model<'a>(
     // stays out of the environment with the kind of its failure; rules
     // that read it fail the same way, rules that don't are unaffected.
     let mut skipped: Vec<(String, FailureKind)> = Vec::new();
-    let mut kinds = vec![None; prob.relations.len()];
+    let kinds = &mut model.unbound;
+    kinds.resize(prob.relations.len(), None);
     for (ri, e) in failed {
         let rel = &prob.relations[ri];
         let kind = failure_kind(&e, || rel.inputs.iter().find_map(|&j| kinds[j]));

@@ -138,7 +138,8 @@ fn write_var_name(out: &mut String, m: &CompiledModel<'_>, v: VarId) {
     };
     let rel = &prob.relations[info.rel];
     let alias = rel.alias.as_deref().unwrap_or("input");
-    _ = write!(out, "{alias}[{}].{}", info.row, rel.table.schema.columns[info.col].name);
+    let column = rel.table().map_or("", |t| t.schema.columns[info.col].name.as_str());
+    _ = write!(out, "{alias}[{}].{column}", info.row);
 }
 
 /// The terms `c*name` joined by ` + `, with unit coefficients elided,
@@ -202,21 +203,21 @@ pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
 /// Compile (but do not solve) a `SOLVESELECT`, reporting its structure.
 pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Explanation> {
     let prob = build_problem(db, ctes, stmt)?;
-    let model = compile_model(db, ctes, &prob);
-    let relations = prob
-        .relations
-        .iter()
-        .map(|r| {
+    // The listing reads every relation as instantiated.
+    let relations = (0..prob.relations.len())
+        .map(|ri| {
+            let (r, table) = (&prob.relations[ri], prob.instantiated(db, ctes, ri)?);
             let dec: Vec<&str> =
-                r.dec_cols.iter().map(|&c| r.table.schema.columns[c].name.as_str()).collect();
-            format!(
+                r.dec_cols.iter().map(|&c| table.schema.columns[c].name.as_str()).collect();
+            Ok(format!(
                 "{} — {} rows, decision columns: [{}]",
                 r.alias.as_deref().unwrap_or("<input>"),
-                r.table.num_rows(),
+                table.num_rows(),
                 dec.join(", ")
-            )
+            ))
         })
-        .collect();
+        .collect::<Result<_>>()?;
+    let model = compile_model(db, ctes, &prob);
     let solver = stmt.using.as_ref().map(|u| {
         let mut s = u.solver.clone();
         if let Some(m) = &u.method {

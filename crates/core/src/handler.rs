@@ -2,7 +2,7 @@
 //! `MODELEVAL` from query execution into the solver framework.
 
 use crate::check;
-use crate::compile::compile_model;
+use crate::compile::{compile_model, FailureKind};
 use crate::explain;
 use crate::model::{expect_model, ModelValue};
 use crate::problem::{build_problem, build_problem_traced};
@@ -55,6 +55,14 @@ impl SolveHandler for Handler {
             }
             model
         };
+        // A deferred relation has not run as instantiated. Where that run
+        // may fail — the symbolic pass failed on a relation for a reason
+        // other than non-linearity, or the solve fails — it runs before
+        // the statement reports, so it fails the way it did when every
+        // relation ran up front.
+        if model.unbound.iter().flatten().any(|&k| k != FailureKind::NonLinear) {
+            prob.instantiate_all(db, ctes)?;
+        }
         // Pre-solve static analysis. All findings go to the statement;
         // its result keeps only advisory (Warning/Note) severities —
         // Error-level findings predict a solver failure that the solve
@@ -72,7 +80,10 @@ impl SolveHandler for Handler {
             }
             s
         });
-        let out = solver.solve(&ctx, &prob);
+        let out = solver.solve(&ctx, &prob).or_else(|e| {
+            prob.instantiate_all(db, ctes)?;
+            Err(e)
+        });
         if let (Some(s), Ok(t)) = (span, &out) {
             s.rows(t.num_rows() as u64);
         }
@@ -90,6 +101,7 @@ impl SolveHandler for Handler {
             ExplainMode::Check => Ok(diagnostics_table(&check::check_stmt(db, ctes, stmt)?)),
             ExplainMode::Presolve => {
                 let prob = build_problem(db, ctes, stmt)?;
+                prob.instantiate_all(db, ctes)?;
                 let model = compile_model(db, ctes, &prob);
                 Ok(plan_table(check::presolve::reduce::explain_presolve(&model)))
             }

@@ -10,7 +10,11 @@
 //! shared from then on. The symbolic pass, every black-box fitness
 //! evaluation and `MODELEVAL` read the model through one call,
 //! [`ProblemInstance::bind`], which re-runs only the relations an
-//! assignment reaches and writes the decision cells.
+//! assignment reaches and writes the decision cells. A relation that a
+//! binding always re-runs and that has no decision cells of its own (a
+//! simulation over the decision relations, say) is *deferred*: it runs
+//! as instantiated only when something reads that table
+//! ([`ProblemInstance::instantiated`]).
 
 use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
@@ -24,7 +28,7 @@ use sqlengine::exec::run_query;
 use sqlengine::table::Table;
 use sqlengine::types::{DataType, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One decision variable's placement and metadata.
 #[derive(Debug, Clone)]
@@ -59,14 +63,30 @@ pub struct DecRelInst {
     /// Decision column indexes within the table schema.
     pub dec_cols: Vec<usize>,
     /// Materialized table with initial values, shared by every binding
-    /// that does not write into it.
-    pub table: Arc<Table>,
+    /// that does not write into it; unset while the relation is deferred
+    /// ([`DecRelInst::table`]).
+    table: OnceLock<Arc<Table>>,
+    /// The row count every re-run must keep ([`check_cardinality`]).
+    rows: OnceLock<usize>,
     /// Variable ids, `vars[row][k]` for the k-th decision column.
     pub vars: Vec<Vec<VarId>>,
     /// The earlier relations this one reads (possibly through a view)
     /// that an assignment changes: they hold decision cells or have
     /// inputs themselves. A binding re-runs a relation that has any.
     pub inputs: Vec<usize>,
+}
+
+impl DecRelInst {
+    /// The relation as instantiated. The input relation and every
+    /// relation with decision columns are run by [`build_problem`]; a
+    /// deferred relation is an error here until
+    /// [`ProblemInstance::instantiated`] has run it.
+    pub fn table(&self) -> Result<&Arc<Table>> {
+        self.table.get().ok_or_else(|| {
+            let name = self.alias.as_deref().unwrap_or("<input>");
+            Error::solver(format!("relation {name} is deferred and has not been instantiated"))
+        })
+    }
 }
 
 /// A fully built problem instance: materialized relations, rules,
@@ -83,6 +103,13 @@ pub struct ProblemInstance {
     pub solver: Option<String>,
     pub method: Option<String>,
 }
+
+// A problem instance can be shared across threads: what is filled in
+// on first read is a `OnceLock`, never a `RefCell`.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<ProblemInstance>();
+};
 
 impl ProblemInstance {
     /// Number of decision variables.
@@ -295,82 +322,134 @@ pub fn build_problem_traced(
     }
 
     // Materialize D₁..D_N in order; each sees the previously materialized
-    // relations (scope rule of §4.1).
+    // relations (scope rule of §4.1). A relation without decision columns
+    // that reads one an assignment changes is deferred: every binding
+    // re-runs it, and the table as instantiated is run only when something
+    // reads it.
     let inst_span = trace.map(|t| t.span("instantiate"));
-    let mut env = ctes.clone();
-    let mut relations: Vec<DecRelInst> = Vec::new();
-    let mut vars: Vec<VarInfo> = Vec::new();
-    let specs: Vec<DecRel> =
-        std::iter::once(stmt.input.clone()).chain(stmt.ctes.iter().cloned()).collect();
-    for (ri, spec) in specs.iter().enumerate() {
-        let table = Arc::new(run_query(db, &env, &spec.query, None)?);
-        let dec_cols = resolve_dec_cols(&table, &spec.dec_cols, spec.alias.as_deref())?;
+    let mut prob = ProblemInstance {
+        relations: Vec::new(),
+        minimize: stmt.minimize.clone(),
+        maximize: stmt.maximize.clone(),
+        subjectto: stmt.subjectto.clone(),
+        vars: Vec::new(),
+        params,
+        solver,
+        method,
+    };
+    let specs = std::iter::once(&stmt.input).chain(&stmt.ctes);
+    for (ri, spec) in specs.enumerate() {
+        // Only a relation after one an assignment changes can have inputs
+        // (the input relation reads only `ctes`).
+        let changes = |r: &DecRelInst| !r.dec_cols.is_empty() || !r.inputs.is_empty();
+        let reads = if prob.relations.iter().any(changes) {
+            sqlengine::plan::relation_reads(db, &spec.query)
+        } else {
+            Default::default()
+        };
+        let read = |r: &DecRelInst| r.alias.as_ref().is_some_and(|a| reads.contains(a));
+        let inputs: Vec<usize> =
+            (0..ri).filter(|&j| changes(&prob.relations[j]) && read(&prob.relations[j])).collect();
+        let deferred = matches!(spec.dec_cols, DecCols::None) && !inputs.is_empty();
+        prob.relations.push(DecRelInst {
+            alias: spec.alias.clone(),
+            query: spec.query.clone(),
+            dec_cols: vec![],
+            table: OnceLock::new(),
+            rows: OnceLock::new(),
+            vars: vec![],
+            inputs,
+        });
+        if deferred {
+            continue;
+        }
+        let decisions = prob.instantiated(db, ctes, ri).and_then(|table| {
+            let dec_cols = resolve_dec_cols(table, &spec.dec_cols, spec.alias.as_deref())?;
+            Ok((table.clone(), dec_cols))
+        });
+        let (table, dec_cols) = match decisions {
+            Ok(d) => d,
+            Err(e) => {
+                // Fail as if every earlier relation had run first.
+                prob.relations.pop();
+                prob.instantiate_all(db, ctes)?;
+                return Err(e);
+            }
+        };
         let mut rel_vars: Vec<Vec<VarId>> = Vec::with_capacity(table.num_rows());
         for (row_idx, row) in table.rows.iter().enumerate() {
             let mut ids = Vec::with_capacity(dec_cols.len());
             for &c in &dec_cols {
-                let id = vars.len() as VarId;
+                let id = prob.vars.len() as VarId;
                 let cell = &row[c];
                 let initial = match cell {
                     Value::Null => None,
                     v => v.as_f64().ok(),
                 };
                 let integer = table.schema.columns[c].ty == DataType::Int;
-                vars.push(VarInfo { rel: ri, row: row_idx, col: c, initial, integer });
+                prob.vars.push(VarInfo { rel: ri, row: row_idx, col: c, initial, integer });
                 ids.push(id);
             }
             rel_vars.push(ids);
         }
-        // Only a relation after one an assignment changes can have inputs
-        // (the input relation reads only `ctes`).
-        let changes = |r: &DecRelInst| !r.dec_cols.is_empty() || !r.inputs.is_empty();
-        let reads = if relations.iter().any(changes) {
-            sqlengine::plan::relation_reads(db, &spec.query)
-        } else {
-            Default::default()
-        };
-        let read = |r: &DecRelInst| r.alias.as_ref().is_some_and(|a| reads.contains(a));
-        let inputs =
-            (0..relations.len()).filter(|&j| changes(&relations[j]) && read(&relations[j]));
-        if let Some(a) = &spec.alias {
-            env.insert(a, table.clone());
-        }
-        relations.push(DecRelInst {
-            alias: spec.alias.clone(),
-            query: spec.query.clone(),
-            dec_cols,
-            table,
-            vars: rel_vars,
-            inputs: inputs.collect(),
-        });
+        let rel = &mut prob.relations[ri];
+        rel.dec_cols = dec_cols;
+        rel.vars = rel_vars;
     }
 
     if let Some(s) = inst_span {
-        s.rows(relations.iter().map(|r| r.table.num_rows() as u64).sum());
-        s.note("relations", relations.len());
-        s.note("vars", vars.len());
+        let run = prob.relations.iter().filter_map(|r| r.table.get());
+        s.rows(run.map(|t| t.num_rows() as u64).sum());
+        s.note("relations", prob.relations.len());
+        s.note("vars", prob.vars.len());
     }
-
-    Ok(ProblemInstance {
-        relations,
-        minimize: stmt.minimize.clone(),
-        maximize: stmt.maximize.clone(),
-        subjectto: stmt.subjectto.clone(),
-        vars,
-        params,
-        solver,
-        method,
-    })
+    Ok(prob)
 }
 
 impl ProblemInstance {
+    /// Relation `ri` as instantiated, with the initial values in its
+    /// decision cells. A deferred relation runs here, once, the first time
+    /// it is read: in `base` (the environment the problem was built in)
+    /// and the earlier relations, each as instantiated.
+    pub fn instantiated(&self, db: &Database, base: &Ctes, ri: usize) -> Result<&Arc<Table>> {
+        let rel = &self.relations[ri];
+        if let Some(table) = rel.table.get() {
+            return Ok(table);
+        }
+        // The earlier relations in scope; a deferred one only when this
+        // one reads it (it then is one of its inputs).
+        let mut env = base.clone();
+        for (j, earlier) in self.relations[..ri].iter().enumerate() {
+            let Some(a) = &earlier.alias else { continue };
+            let table = match earlier.table.get() {
+                Some(t) => t.clone(),
+                None if rel.inputs.contains(&j) => self.instantiated(db, base, j)?.clone(),
+                None => continue,
+            };
+            env.insert(a, table);
+        }
+        let table = Arc::new(run_query(db, &env, &rel.query, None)?);
+        rel.rows.get_or_init(|| table.num_rows());
+        Ok(rel.table.get_or_init(|| table))
+    }
+
+    /// Instantiate every relation still deferred, in order, failing with
+    /// the first that fails. A statement that fails calls it before it
+    /// reports, so it fails the way it would with every relation run up
+    /// front.
+    pub fn instantiate_all(&self, db: &Database, base: &Ctes) -> Result<()> {
+        (0..self.relations.len()).try_for_each(|ri| self.instantiated(db, base, ri).map(drop))
+    }
+
     /// Bind the decision relations under one assignment: `base` plus each
     /// aliased relation, in order, with `cell(id)` in each decision cell.
     /// A relation with [`DecRelInst::inputs`] is re-run in the environment
     /// built so far and must keep its row count; the others are taken as
     /// instantiated, copied only to write cells. With no `cell` nothing is
-    /// re-run or written. A re-run relation whose query fails is left out
-    /// and returned, in order, with its error.
+    /// re-run or written: every relation is read as instantiated, and the
+    /// first that fails to instantiate is the error. A re-run relation
+    /// whose query fails is left out and returned, in order, with its
+    /// error.
     pub fn bind(
         &self,
         db: &Database,
@@ -382,7 +461,7 @@ impl ProblemInstance {
         for (ri, rel) in self.relations.iter().enumerate() {
             let rerun = cell.is_some() && !rel.inputs.is_empty();
             let mut table = match rerun.then(|| run_query(db, &env, &rel.query, None)) {
-                None => rel.table.clone(),
+                None => self.instantiated(db, base, ri)?.clone(),
                 Some(Ok(t)) => Arc::new(check_cardinality(rel, t)?),
                 Some(Err(e)) => {
                     failed.push((ri, e));
@@ -405,10 +484,12 @@ impl ProblemInstance {
     }
 }
 
-/// Decision relations must keep the row count they were instantiated
-/// with: variables are addressed by row.
+/// Variables are addressed by row, so a re-run relation must keep its row
+/// count: the one it was instantiated with, or, for a deferred relation
+/// not instantiated before, the one its first successful re-run had.
 fn check_cardinality(rel: &DecRelInst, table: Table) -> Result<Table> {
-    if table.num_rows() == rel.table.num_rows() {
+    let rows = *rel.rows.get_or_init(|| table.num_rows());
+    if table.num_rows() == rows {
         return Ok(table);
     }
     Err(Error::solver(format!(
@@ -416,7 +497,7 @@ fn check_cardinality(rel: &DecRelInst, table: Table) -> Result<Table> {
          decision relations must be stable",
         rel.alias.as_deref().unwrap_or("<input>"),
         table.num_rows(),
-        rel.table.num_rows()
+        rows
     )))
 }
 
@@ -428,9 +509,12 @@ fn check_cardinality(rel: &DecRelInst, table: Table) -> Result<Table> {
 /// cells filled in. Variables without an assigned value keep their
 /// original cell (NULL or the initial value) — pruned variables stay
 /// untouched, as §4.3 specifies.
-pub fn apply_solution(prob: &ProblemInstance, assignment: &dyn Fn(VarId) -> Option<f64>) -> Table {
+pub fn apply_solution(
+    prob: &ProblemInstance,
+    assignment: &dyn Fn(VarId) -> Option<f64>,
+) -> Result<Table> {
     let rel = &prob.relations[0];
-    let mut out = Table::clone(&rel.table);
+    let mut out = Table::clone(rel.table()?);
     for (row_idx, ids) in rel.vars.iter().enumerate() {
         for (k, &id) in ids.iter().enumerate() {
             if let Some(v) = assignment(id) {
@@ -443,7 +527,7 @@ pub fn apply_solution(prob: &ProblemInstance, assignment: &dyn Fn(VarId) -> Opti
             }
         }
     }
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +749,8 @@ mod tests {
              WITH b(y) AS (SELECT x + 1.0 AS y FROM a) USING s()",
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        assert_eq!(prob.relations[1].table.value(0, 0), &Value::Float(2.0));
+        let b = prob.instantiated(&db, &Ctes::new(), 1).unwrap();
+        assert_eq!(b.value(0, 0), &Value::Float(2.0));
     }
 
     #[test]
@@ -766,7 +851,7 @@ mod tests {
         let db = test_db();
         let stmt = solve_stmt("SOLVESELECT p(potemp, pmonth) AS (SELECT * FROM pars) USING s()");
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let out = apply_solution(&prob, &|v| if v == 0 { Some(7.5) } else { None });
+        let out = apply_solution(&prob, &|v| if v == 0 { Some(7.5) } else { None }).unwrap();
         assert_eq!(out.value(0, 0), &Value::Float(7.5));
         assert!(out.value(0, 1).is_null()); // unassigned stays NULL
     }
@@ -786,7 +871,11 @@ mod tests {
         let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         // With x = -1 the dependent relation b loses its row.
         let err = bb.evaluate(&db, &[-1.0]).unwrap_err();
-        assert!(err.to_string().contains("cardinality"));
+        assert_eq!(
+            err.to_string(),
+            "solver error: relation b changed cardinality during solving (0 vs 1 rows); \
+             decision relations must be stable"
+        );
         assert_eq!(bb.fitness(&db, &[-1.0]), f64::INFINITY);
     }
 }

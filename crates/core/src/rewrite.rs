@@ -56,14 +56,14 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
     };
 
     // Decision-bearing relations, in order.
-    let mut dec_rels: Vec<(usize, String)> = Vec::new(); // (relation idx, alias)
-    for (i, rel) in prob.relations.iter().enumerate() {
+    let mut dec_rels = Vec::new(); // (relation, alias, table)
+    for rel in &prob.relations {
         if !rel.dec_cols.is_empty() {
             let alias = rel
                 .alias
                 .clone()
                 .ok_or_else(|| Error::solver("the CDTE rewrite requires aliased relations"))?;
-            dec_rels.push((i, alias));
+            dec_rels.push((rel, alias, rel.table()?));
         }
     }
     if dec_rels.len() < 2 {
@@ -80,9 +80,9 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
     // decision relation, plus c_mask.
     let mut columns: Vec<Column> = Vec::new();
     let mut col_offsets: Vec<usize> = Vec::new();
-    for &(ri, ref alias) in &dec_rels {
+    for (_, alias, t) in &dec_rels {
         col_offsets.push(columns.len());
-        for c in &prob.relations[ri].table.schema.columns {
+        for c in &t.schema.columns {
             columns.push(Column::new(format!("{alias}__{}", c.name), c.ty.clone()));
         }
     }
@@ -91,14 +91,12 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
 
     // Row-align: row r of the combined table carries row r of each
     // relation that is long enough; the mask records membership.
-    let max_rows =
-        dec_rels.iter().map(|&(ri, _)| prob.relations[ri].table.num_rows()).max().unwrap_or(0);
+    let max_rows = dec_rels.iter().map(|(_, _, t)| t.num_rows()).max().unwrap_or(0);
     let mut rows = Vec::with_capacity(max_rows);
     for r in 0..max_rows {
         let mut row: Vec<Value> = vec![Value::Null; columns.len()];
         let mut mask = 0u64;
-        for (k, &(ri, _)) in dec_rels.iter().enumerate() {
-            let t = &prob.relations[ri].table;
+        for (k, (_, _, t)) in dec_rels.iter().enumerate() {
             if r < t.num_rows() {
                 mask |= 1u64 << (width - 1 - k as u8);
                 for (ci, v) in t.rows[r].iter().enumerate() {
@@ -113,10 +111,9 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
 
     // Decision columns of the combined relation.
     let mut dec_col_names = Vec::new();
-    for &(ri, ref alias) in &dec_rels {
-        let rel = &prob.relations[ri];
+    for (rel, alias, t) in &dec_rels {
         for &c in &rel.dec_cols {
-            dec_col_names.push(format!("{alias}__{}", rel.table.schema.columns[c].name));
+            dec_col_names.push(format!("{alias}__{}", t.schema.columns[c].name));
         }
     }
 
@@ -138,13 +135,11 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
         }),
     };
     let mut new_ctes: Vec<DecRel> = Vec::new();
-    for (k, &(ri, ref alias)) in dec_rels.iter().enumerate() {
-        let rel = &prob.relations[ri];
+    for (k, (_, alias, t)) in dec_rels.iter().enumerate() {
         let mask = BitString::single(width, k as u8)?;
         let zero = BitString::new(width, 0)?;
         // SELECT l.<alias>__c AS c, ... FROM l WHERE (c_mask & b'mask') <> b'0..0'
-        let projection: Vec<SelectItem> = rel
-            .table
+        let projection: Vec<SelectItem> = t
             .schema
             .columns
             .iter()
@@ -234,8 +229,9 @@ pub fn solve_via_rewrite(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result
 
     let mut schema_cols = Vec::new();
     for (_, name) in &keep {
-        let orig_idx = prob.relations[0].table.schema.index_of(name).unwrap_or(0);
-        schema_cols.push(prob.relations[0].table.schema.columns[orig_idx].clone());
+        let input = &prob.relations[0].table()?.schema;
+        let orig_idx = input.index_of(name).unwrap_or(0);
+        schema_cols.push(input.columns[orig_idx].clone());
     }
     let mut rows = Vec::new();
     for row in &solved.rows {

@@ -256,7 +256,7 @@ mod tests {
             vec!["fast", "slow"]
         }
         fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
-            Ok(Table::clone(&prob.relations[0].table))
+            Ok(Table::clone(prob.relations[0].table()?))
         }
     }
 

@@ -281,7 +281,7 @@ fn finish(
         lp::Status::Optimal | lp::Status::NodeLimit => {
             let assignment: HashMap<u32, f64> =
                 used.iter().enumerate().map(|(i, &v)| (v, sol.x[i])).collect();
-            Ok(apply_solution(prob, &|v| assignment.get(&v).copied()))
+            apply_solution(prob, &|v| assignment.get(&v).copied())
         }
         lp::Status::Infeasible => Err(Error::solver("the problem is infeasible")),
         lp::Status::Unbounded => Err(Error::solver("the problem is unbounded")),

@@ -47,7 +47,7 @@ pub struct TargetSeries {
 /// decision columns into training history and horizon (step P2.1).
 pub fn prepare(prob: &ProblemInstance) -> Result<PredictTask> {
     let rel = &prob.relations[0];
-    let table = &rel.table;
+    let table = rel.table()?;
     if rel.dec_cols.is_empty() {
         return Err(Error::solver("predictive solvers need at least one decision column"));
     }
@@ -128,8 +128,12 @@ pub fn prepare(prob: &ProblemInstance) -> Result<PredictTask> {
 
 /// P2.4 Predicting: fill horizon cells with forecasts and return the
 /// output relation (a view over the input — no user tables change).
-fn fill_output(prob: &ProblemInstance, task: &PredictTask, forecasts: &[Vec<f64>]) -> Table {
-    let mut out = Table::clone(&prob.relations[0].table);
+fn fill_output(
+    prob: &ProblemInstance,
+    task: &PredictTask,
+    forecasts: &[Vec<f64>],
+) -> Result<Table> {
+    let mut out = Table::clone(prob.relations[0].table()?);
     for (t, f) in task.targets.iter().zip(forecasts) {
         for (k, &row) in t.fill_rows.iter().enumerate() {
             if let Some(&v) = f.get(k) {
@@ -140,7 +144,7 @@ fn fill_output(prob: &ProblemInstance, task: &PredictTask, forecasts: &[Vec<f64>
             }
         }
     }
-    out
+    Ok(out)
 }
 
 fn forecast_each(
@@ -159,7 +163,7 @@ fn forecast_each(
             .map_err(|e| Error::solver(format!("forecasting '{}': {e}", t.name)))?;
         all.push(f);
     }
-    Ok(fill_output(prob, task, &all))
+    fill_output(prob, task, &all)
 }
 
 // ---------------------------------------------------------------------------

@@ -106,6 +106,6 @@ impl Solver for SwarmOps {
             return Err(ctx.abort_error(trajectory.as_slice()));
         }
         let x = result.x;
-        ctx.stage("post-process", || Ok(apply_solution(prob, &|v| Some(x[v as usize]))))
+        ctx.stage("post-process", || apply_solution(prob, &|v| Some(x[v as usize])))
     }
 }

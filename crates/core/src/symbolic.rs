@@ -9,6 +9,7 @@
 //! which the rule collector turns into LP rows.
 
 use sqlengine::error::{Error, Result};
+use sqlengine::types::custom::add_in_order;
 use sqlengine::types::{custom, downcast, BinOp, CustomValue, UnOp, Value};
 use std::any::Any;
 use std::borrow::Cow;
@@ -245,6 +246,39 @@ impl CustomValue for SymValue {
                 op.symbol()
             )))),
         }
+    }
+
+    /// The pairwise fold's sum in one pass: the constants added in order;
+    /// every term taken, stably sorted by variable, and each variable's
+    /// coefficients added in input order, zeros dropped at the end. That
+    /// is the fold bit for bit: it adds the same numbers in the same order
+    /// per variable, and where the fold drops a coefficient that cancelled
+    /// to zero and restarts from the next, adding that one to zero is
+    /// exact. Values other than numbers and linear expressions (or a lone
+    /// value) take the fold, errors included.
+    fn sum(&self, values: &[Value]) -> Result<Value> {
+        let mut constant: Option<f64> = None;
+        let mut terms = Vec::new();
+        for v in values {
+            let (c, t) = match (v, downcast::<SymValue>(v)) {
+                (Value::Int(i), _) => (*i as f64, &[][..]),
+                (Value::Float(f), _) => (*f, &[][..]),
+                (_, Some(s)) if values.len() > 1 => (s.0.constant, &s.0.terms[..]),
+                _ => return add_in_order(values),
+            };
+            constant = Some(constant.map_or(c, |sum| sum + c));
+            terms.extend_from_slice(t);
+        }
+        terms.sort_by_key(|&(v, _)| v);
+        let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
+        for (v, c) in terms {
+            match merged.last_mut() {
+                Some((u, sum)) if *u == v => *sum += c,
+                _ => merged.push((v, c)),
+            }
+        }
+        merged.retain(|&(_, c)| c != 0.0);
+        Ok(sym_value(LinExpr { constant: constant.unwrap_or(0.0), terms: merged }))
     }
 
     fn cast(&self, type_name: &str) -> Option<Result<Value>> {

@@ -498,7 +498,7 @@ fn user_installed_solver_is_callable() {
             "answer42"
         }
         fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> SqlResult<Table> {
-            Ok(solvedbplus_core::problem::apply_solution(prob, &|_| Some(42.0)))
+            solvedbplus_core::problem::apply_solution(prob, &|_| Some(42.0))
         }
     }
 
@@ -742,16 +742,139 @@ fn a_relation_an_assignment_reaches_runs_once_per_binding() {
              SUBJECTTO (SELECT 1 <= x <= 3 FROM v) USING {using}"
         )
     };
-    // Instantiation, then the symbolic pass.
+    // `d` has no decision column and every binding re-runs it: it is
+    // deferred, and nothing reads it as instantiated. The symbolic pass
+    // is its one run.
     let t = s.query(&sql("solverlp()")).unwrap();
     assert_eq!(floats(&t, "x"), [1.0]);
-    assert_eq!(calls.swap(0, Ordering::Relaxed), 2);
-    // Instantiation, the symbolic pass, the start point the black-box
-    // formulation checks, then every evaluation of the search.
+    assert_eq!(calls.swap(0, Ordering::Relaxed), 1);
+    // The symbolic pass, the start point the black-box formulation
+    // checks, then every evaluation of the search.
     let r = s.execute(&sql("swarmops.sa(iterations := 25, seed := 7)")).unwrap();
     let trace = r.trace.expect("a solve is traced");
     let evaluations: u64 =
         stage_note(&trace.stages, "search", "evaluations").unwrap().parse().unwrap();
     assert!(evaluations >= 25, "{evaluations}");
-    assert_eq!(calls.load(Ordering::Relaxed), 3 + evaluations);
+    assert_eq!(calls.load(Ordering::Relaxed), 2 + evaluations);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred relations: run as instantiated only when something reads them
+// ---------------------------------------------------------------------------
+
+/// A decision relation reads `d`, which is deferred: `d` runs as
+/// instantiated for it, once, and once more in the symbolic pass.
+#[test]
+fn a_later_decision_relation_reads_a_deferred_one() {
+    use std::sync::atomic::Ordering;
+    let (mut s, calls) = probed();
+    let t = s
+        .query(
+            "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+             WITH d AS (SELECT probe(x) AS y, k FROM v, one), \
+                  w(z) AS (SELECT y, k, NULL::float8 AS z FROM d) \
+             MINIMIZE (SELECT sum(z) FROM w) \
+             SUBJECTTO (SELECT z >= k FROM w), (SELECT 1 <= x <= 3 FROM v) USING solverlp()",
+        )
+        .unwrap();
+    assert_eq!(t.num_rows(), 1);
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+}
+
+/// `MODELEVAL` reads every relation as instantiated, a deferred one (a
+/// recursion over the decision relation, and an aggregate over that)
+/// included: the values every relation run up front gave.
+#[test]
+fn modeleval_reads_a_deferred_relation_as_instantiated() {
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE one (k float8); INSERT INTO one VALUES (2);
+         CREATE TABLE model (m model);
+         INSERT INTO model SELECT (SOLVEMODEL v(x) AS (SELECT k AS x FROM one) \
+           WITH s AS (WITH RECURSIVE r(i, acc) AS (SELECT 0, 0.5 UNION ALL \
+             SELECT i + 1, acc * 1.5 + x FROM r, v WHERE i < 4) SELECT i, acc FROM r), \
+           w AS (SELECT sum(acc) AS total, count(*) AS n FROM s))",
+    )
+    .unwrap();
+    let t =
+        s.query("MODELEVAL (SELECT i, acc FROM s ORDER BY i) IN (SELECT m FROM model)").unwrap();
+    assert_eq!(floats(&t, "acc"), [0.5, 2.75, 6.125, 11.1875, 18.78125]);
+    let t = s.query("MODELEVAL (SELECT total, n FROM w) IN (SELECT m FROM model)").unwrap();
+    assert_eq!(t.rows, [[Value::Float(39.34375), Value::Int(5)]]);
+}
+
+/// A statement that fails runs its deferred relations as instantiated
+/// before it reports, so a relation that cannot run fails it with the
+/// text it failed with when every relation ran up front: read by a rule
+/// or not, under `solverlp` and under a black-box solver, before a later
+/// relation that fails too, in `EXPLAIN`, `EXPLAIN CHECK`, `EXPLAIN
+/// PRESOLVE` and `MODELEVAL`.
+#[test]
+fn a_deferred_relation_that_cannot_run_fails_the_statement_as_before() {
+    let (mut s, _) = probed();
+    s.execute_script(
+        "CREATE TABLE model (m model);
+         INSERT INTO model SELECT (SOLVEMODEL v(x) AS (SELECT k AS x FROM one) \
+           WITH d AS (SELECT nosuch AS y FROM v))",
+    )
+    .unwrap();
+    let solve = |with: &str, objective: &str, using: &str| {
+        format!(
+            "SOLVESELECT v(x) AS (SELECT * FROM vars) WITH d AS (SELECT nosuch AS y FROM v){with} \
+             MINIMIZE ({objective}) SUBJECTTO (SELECT 1 <= x <= 3 FROM v) USING {using}"
+        )
+    };
+    let sa = "swarmops.sa(iterations := 25, seed := 7)";
+    let read = "SELECT sum(y) FROM d";
+    let unread = "SELECT x FROM v";
+    for sql in [
+        solve("", read, "solverlp()"),
+        solve("", unread, "solverlp()"),
+        solve("", read, sa),
+        solve("", unread, sa),
+        solve(", e(z) AS (SELECT nothere, NULL::float8 AS z FROM one)", unread, "solverlp()"),
+        solve(", e AS (SELECT nothere FROM one)", unread, sa),
+        solve(", e(z) AS (SELECT y, NULL::float8 AS z FROM d)", unread, "solverlp()"),
+        format!("EXPLAIN {}", solve("", read, "solverlp()")),
+        format!("EXPLAIN CHECK {}", solve("", unread, "solverlp()")),
+        format!("EXPLAIN PRESOLVE {}", solve("", unread, "solverlp()")),
+        "MODELEVAL (SELECT x FROM v) IN (SELECT m FROM model)".to_string(),
+    ] {
+        let err = s.query(&sql).unwrap_err();
+        assert_eq!(err.to_string(), "binder error: column 'nosuch' does not exist", "{sql}");
+    }
+}
+
+/// A deferred relation runs as instantiated only when something reads
+/// it: one whose run over the NULL decision cells fails, but whose every
+/// binding runs, no longer fails a solve that does not fail on its own.
+/// `EXPLAIN` lists it, so it runs there and fails.
+#[test]
+fn a_deferred_relation_no_one_reads_is_not_run_as_instantiated() {
+    let (mut s, _) = probed();
+    let sql = "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+               WITH d AS (SELECT CASE WHEN x IS NULL THEN 1 / 0 ELSE x END AS y FROM v) \
+               MINIMIZE (SELECT sum(y) FROM d) SUBJECTTO (SELECT 1 <= x <= 3 FROM v) \
+               USING solverlp()";
+    assert_eq!(floats(&s.query(sql).unwrap(), "x"), [1.0]);
+    let err = s.query(&format!("EXPLAIN {sql}")).unwrap_err();
+    assert_eq!(err.to_string(), "evaluation error: division by zero");
+}
+
+/// A deferred relation whose row count follows the candidate: its first
+/// run fixes the count (here the start point's, the count it was
+/// instantiated with), later candidates that change it score ∞, and the
+/// search ends where it did when the relation ran up front.
+#[test]
+fn a_deferred_relation_keeps_the_row_count_of_its_first_run() {
+    let mut s = Session::new();
+    let t = s
+        .query(
+            "SOLVESELECT v(x) AS (SELECT 1.0::float8 AS x) \
+             WITH d AS (SELECT x FROM v WHERE x > 0) \
+             MINIMIZE (SELECT sum(x) FROM d) SUBJECTTO (SELECT -1 <= x <= 1 FROM v) \
+             USING swarmops.sa(iterations := 25, seed := 7)",
+        )
+        .unwrap();
+    assert_eq!(floats(&t, "x"), [0.5244605609467498]);
 }

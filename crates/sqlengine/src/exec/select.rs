@@ -777,7 +777,12 @@ pub(crate) struct AggState {
     distinct: bool,
     seen: KeyIndex,
     count: i64,
+    /// The running `sum` / `avg` total, until the first custom value.
     sum: Option<Value>,
+    /// From the first custom value on: the total so far, then every value
+    /// since, added once at [`AggState::finish`] by
+    /// [`CustomValue::sum`](crate::types::CustomValue::sum).
+    addends: Vec<Value>,
     min: Option<Value>,
     max: Option<Value>,
     // Welford for variance.
@@ -796,6 +801,7 @@ impl AggState {
             seen: Default::default(),
             count: 0,
             sum: None,
+            addends: Vec::new(),
             min: None,
             max: None,
             n: 0.0,
@@ -819,10 +825,15 @@ impl AggState {
                     "count" => self.count += 1,
                     "sum" | "avg" => {
                         self.count += 1;
-                        self.sum = Some(match self.sum.take() {
-                            None => v,
-                            Some(s) => Value::binop(BinOp::Add, &s, &v)?,
-                        });
+                        if !self.addends.is_empty() || matches!(v, Value::Custom(_)) {
+                            self.addends.extend(self.sum.take());
+                            self.addends.push(v);
+                        } else {
+                            self.sum = Some(match self.sum.take() {
+                                None => v,
+                                Some(s) => Value::binop(BinOp::Add, &s, &v)?,
+                            });
+                        }
                     }
                     "min" => {
                         self.min = Some(match self.min.take() {
@@ -875,7 +886,14 @@ impl AggState {
         Ok(())
     }
 
-    pub(crate) fn finish(self, sep: Option<&Value>) -> Result<Value> {
+    pub(crate) fn finish(mut self, sep: Option<&Value>) -> Result<Value> {
+        let custom = self.addends.iter().find_map(|v| match v {
+            Value::Custom(c) => Some(c),
+            _ => None,
+        });
+        if let Some(c) = custom {
+            self.sum = Some(c.sum(&self.addends)?);
+        }
         Ok(match &self.kind[..] {
             "count" => Value::Int(self.count),
             "sum" => self.sum.unwrap_or(Value::Null),

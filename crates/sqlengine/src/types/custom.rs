@@ -47,6 +47,22 @@ pub trait CustomValue: fmt::Debug + Send + Sync {
     fn cast(&self, _type_name: &str) -> Option<Result<Value>> {
         None
     }
+
+    /// What `sum` over `values` returns — `self` is the first custom value
+    /// among them, NULLs are gone: the values added left to right with
+    /// `+`. A type that can add many values at once overrides it with
+    /// something faster that returns the same value.
+    fn sum(&self, values: &[Value]) -> Result<Value> {
+        add_in_order(values)
+    }
+}
+
+/// `values` added left to right with `+`: `((v₀ + v₁) + v₂) + …`; NULL
+/// when there are none.
+pub fn add_in_order(values: &[Value]) -> Result<Value> {
+    let mut values = values.iter();
+    let first = values.next().cloned().unwrap_or(Value::Null);
+    values.try_fold(first, |sum, v| Value::binop(BinOp::Add, &sum, v))
 }
 
 /// Convenience: wrap a custom value.

@@ -17,7 +17,7 @@ impl Solver for GreedyScheduler {
 
     fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> sqlengine::Result<Table> {
         let rel = &prob.relations[0];
-        let t = &rel.table;
+        let t = rel.table()?;
         let start = t.schema.index_of("start_at").expect("start_at column");
         let finish = t.schema.index_of("finish_at").expect("finish_at column");
         let pick = t.schema.index_of("pick").expect("pick column");

@@ -302,10 +302,11 @@ fn check_passes(stages: &[solvedbplus::obs::Stage]) -> usize {
 
 /// One `SOLVESELECT` runs the symbolic evaluation of its rules once, by
 /// the executor's own counts (no timing). The example's P4 plan steps
-/// its simulation CDTE once per horizon row at instantiation and once
-/// more in the single symbolic pass that the analyzer and `solverlp`
-/// both read; its black-box fit, whose simulation is not linear in the
-/// parameters, gives the symbolic pass up before its first step. Either
+/// its simulation CDTE once per horizon row, in the single symbolic pass
+/// that the analyzer and `solverlp` both read: the simulation is
+/// deferred, never run over the NULL cells. Its black-box fit, whose
+/// simulation is not linear in the parameters, gives the symbolic pass
+/// up before its first step. Either
 /// way the trace has one `compile` stage, and `check` is pure analysis:
 /// under it are its own seven passes and nothing that evaluates.
 #[test]
@@ -331,25 +332,27 @@ fn a_solve_statement_compiles_its_rules_once() {
     .unwrap();
     s.execute(energy_planning::MODEL_SQL).unwrap();
 
-    // P4 under solverlp: instantiate + one symbolic pass.
+    // P4 under solverlp: one symbolic pass. The simulation has no
+    // decision column and nothing reads it as instantiated: deferred, it
+    // never runs over the NULL cells.
     let before = s.db().exec_counts();
     let result = s.execute(energy_planning::PLAN_SQL).unwrap();
     let steps = s.db().exec_counts().since(&before).recursive_steps;
-    assert_eq!(steps, 2 * (HORIZON + 1));
+    assert_eq!(steps, HORIZON + 1);
     let trace = result.trace.expect("solve statements are traced");
     assert_eq!(count_stages(&trace.stages, "compile"), 1);
     assert_eq!(check_passes(&trace.stages), 7);
 
-    // P3 under swarmops: instantiate, the start point and every search
-    // evaluation run the whole simulation; the symbolic pass stops at
-    // the first product of two decision expressions, before a step.
+    // P3 under swarmops: the start point and every search evaluation run
+    // the whole simulation; the symbolic pass stops at the first product
+    // of two decision expressions, before a step.
     let sql = energy_planning::FIT_SQL.replace("iterations := 2500", "iterations := 10");
     let before = s.db().exec_counts();
     let result = s.execute(&sql).unwrap();
     let steps = s.db().exec_counts().since(&before).recursive_steps;
     let trace = result.trace.expect("solve statements are traced");
     let evaluations = trace.solvers[0].evaluations;
-    assert_eq!(steps, (1 + 1 + evaluations) * (HISTORY + 1));
+    assert_eq!(steps, (1 + evaluations) * (HISTORY + 1));
     assert_eq!(count_stages(&trace.stages, "compile"), 1);
     assert_eq!(check_passes(&trace.stages), 7);
 
