@@ -26,7 +26,7 @@ pub const CAPACITY_FRACTION: f64 = 0.4;
 
 /// ARIMA order grid used by the R-style baseline (the paper trains about
 /// 100 models per item in R).
-fn order_grid() -> Vec<(usize, usize, usize)> {
+pub fn order_grid() -> Vec<(usize, usize, usize)> {
     let mut g = Vec::new();
     for p in 0..=4 {
         for d in 0..=3 {

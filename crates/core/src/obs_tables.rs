@@ -121,6 +121,7 @@ fn solver_stats(metrics: &MetricsRegistry) -> Table {
         Column::new("dual_pivots", DataType::Int),
         Column::new("refactorizations", DataType::Int),
         Column::new("evaluations", DataType::Int),
+        Column::new("distinct_evaluations", DataType::Int),
         Column::new("evals_per_s", DataType::Float),
         Column::new("restarts", DataType::Int),
         Column::new("presolve_cols", DataType::Int),
@@ -149,6 +150,7 @@ fn solver_stats(metrics: &MetricsRegistry) -> Table {
                 int(a.dual_pivots),
                 int(a.refactorizations),
                 int(a.evaluations),
+                int(a.distinct_evaluations),
                 if a.evaluations > 0 && a.total_nanos > 0 {
                     Value::Float(a.evaluations as f64 * 1e9 / a.total_nanos as f64)
                 } else {

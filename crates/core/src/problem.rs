@@ -20,7 +20,7 @@ use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
 use crate::symbolic::{ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{
-    Cte, DecCols, DecRel, Expr, NamedRule, Query, Select, SelectItem, SolveStmt, TableRef,
+    Cte, DecCols, DecRel, Expr, NamedRule, Node, Query, Select, SelectItem, SolveStmt, TableRef,
 };
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
@@ -549,6 +549,10 @@ pub struct BlackboxProblem<'a> {
     pub minimize: bool,
     /// Starting point from initial values (midpoint of bounds when NULL).
     pub start: Vec<f64>,
+    /// Whether a candidate always scores the same within the statement:
+    /// nothing an evaluation runs calls a registered UDF, which may not
+    /// ([`calls_udf`]).
+    pub(crate) pure: bool,
     prob: &'a ProblemInstance,
     /// The environment the relations are bound into.
     base: Ctes,
@@ -636,11 +640,37 @@ pub fn build_blackbox<'a>(
         }
     };
 
+    // An evaluation runs the relations a binding re-runs and the objective.
+    let rerun = prob.relations.iter().filter(|r| !r.inputs.is_empty()).map(|r| &r.query);
+    let pure = !std::iter::once(&objective).chain(rerun).any(|q| calls_udf(db, q));
     let base = base.clone();
     let aux = model.aux.iter().map(|a| a.def.clone()).collect();
-    let bb = BlackboxProblem { space, penalties, aux, objective, minimize, start, prob, base };
+    let bb =
+        BlackboxProblem { space, penalties, aux, objective, minimize, start, pure, prob, base };
     bb.evaluate(db, &bb.start)?;
     Ok(bb)
+}
+
+/// Whether running `q` can call a registered UDF: `q` itself, or a view
+/// it reads (through other views too).
+fn calls_udf(db: &Database, q: &Query) -> bool {
+    let direct = |q: &Query| {
+        let mut found = false;
+        Node::Query(q).walk(|n| {
+            if let Node::Expr(e) = n {
+                e.walk(&mut |e| {
+                    found |= matches!(e, Expr::Func { name, .. } if db.udf(name).is_some())
+                });
+            }
+            !found
+        });
+        found
+    };
+    direct(q)
+        || sqlengine::plan::relation_reads(db, q)
+            .iter()
+            .filter_map(|v| db.view(v))
+            .any(|v| direct(v))
 }
 
 /// Penalty weight applied per unit of constraint violation in black-box

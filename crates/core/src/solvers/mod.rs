@@ -6,5 +6,7 @@ mod predict;
 mod swarmops;
 
 pub use lp_solver::LpSolver;
-pub use predict::{prepare, search_arima_order, ArimaSolver, LrSolver, PredictiveAdvisor};
+pub use predict::{
+    prepare, search_arima_order, ArimaSolver, LrSolver, OrderSearch, PredictiveAdvisor,
+};
 pub use swarmops::SwarmOps;

@@ -194,6 +194,7 @@ impl Solver for LrSolver {
             solver: "lr_solver".into(),
             method: "lr".into(),
             evaluations: task.targets.len() as u64,
+            distinct_evaluations: task.targets.len() as u64,
             ..obs::SolverStats::default()
         });
         out
@@ -210,15 +211,22 @@ impl Solver for LrSolver {
 #[derive(Debug, Default)]
 pub struct ArimaSolver;
 
-/// PSO order search matching the paper's setting (10 particles × 10
-/// iterations over integer orders in [0,5]).
-pub fn search_arima_order(y: &[f64], seed: u64) -> (usize, usize, usize) {
-    search_arima_order_stats(y, seed).0
+/// What an order search found and what it spent.
+#[derive(Debug, Clone, Copy)]
+pub struct OrderSearch {
+    pub order: (usize, usize, usize),
+    /// The in-sample RMSE of `order`; infinite when no order searched fits.
+    pub rmse: f64,
+    /// RMSE evaluations requested, repeats of an order included.
+    pub evaluations: usize,
+    /// Orders actually fitted: the search scores each order once.
+    pub distinct: usize,
 }
 
-/// [`search_arima_order`] plus the number of RMSE evaluations the
-/// search spent — the telemetry the solver reports.
-pub fn search_arima_order_stats(y: &[f64], seed: u64) -> ((usize, usize, usize), usize) {
+/// PSO order search matching the paper's setting (10 particles × 10
+/// iterations over integer orders in [0,5]), with the order's RMSE and
+/// the evaluations it spent — the telemetry the solver reports.
+pub fn search_arima_order(y: &[f64], seed: u64) -> OrderSearch {
     let space =
         SearchSpace::continuous(vec![0.0; 3], vec![5.0, 2.0, 5.0]).with_integrality(vec![true; 3]);
     let r = pso(
@@ -226,7 +234,12 @@ pub fn search_arima_order_stats(y: &[f64], seed: u64) -> ((usize, usize, usize),
         &space,
         PsoOptions { particles: 10, iterations: 10, seed, ..Default::default() },
     );
-    ((r.x[0] as usize, r.x[1] as usize, r.x[2] as usize), r.evaluations)
+    OrderSearch {
+        order: (r.x[0] as usize, r.x[1] as usize, r.x[2] as usize),
+        rmse: r.value,
+        evaluations: r.evaluations,
+        distinct: r.distinct,
+    }
 }
 
 impl Solver for ArimaSolver {
@@ -251,35 +264,44 @@ impl Solver for ArimaSolver {
             (None, None, None) => None,
         };
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0xA41A) as u64;
-        let search_evals = std::cell::Cell::new(0u64);
+        let (mut evaluations, mut distinct) = (0, 0);
         let out = ctx.stage("fit-predict", || {
             forecast_each(prob, &task, |t| {
-                let (p, d, q) = match fixed {
-                    Some(o) => o,
+                // The searched order comes with its RMSE; a fixed one is
+                // fitted here.
+                let (first, rmse) = match fixed {
+                    Some((p, d, q)) => ((p, d, q), arima_rmse(&t.y, p, d, q)),
                     None => {
-                        let (order, evals) = search_arima_order_stats(&t.y, seed);
-                        search_evals.set(search_evals.get() + evals as u64);
-                        order
+                        let s = search_arima_order(&t.y, seed);
+                        evaluations += s.evaluations as u64;
+                        distinct += s.distinct as u64;
+                        (s.order, s.rmse)
                     }
                 };
                 // Fall back to simpler orders when the series is too short
                 // for the requested/search-selected one.
-                for (p, d, q) in [(p, d, q), (1, 0, 0), (0, 1, 0), (0, 0, 0)] {
-                    if arima_rmse(&t.y, p, d, q).is_finite() {
-                        return Ok(Box::new(Arima::new(p, d, q)) as Box<dyn Forecaster>);
-                    }
+                let order = if rmse.is_finite() {
+                    Some(first)
+                } else {
+                    [(1, 0, 0), (0, 1, 0), (0, 0, 0)]
+                        .into_iter()
+                        .find(|&(p, d, q)| arima_rmse(&t.y, p, d, q).is_finite())
+                };
+                match order {
+                    Some((p, d, q)) => Ok(Box::new(Arima::new(p, d, q)) as Box<dyn Forecaster>),
+                    None => Err(Error::solver(format!(
+                        "series '{}' is too short for any ARIMA order ({} points)",
+                        t.name,
+                        t.y.len()
+                    ))),
                 }
-                Err(Error::solver(format!(
-                    "series '{}' is too short for any ARIMA order ({} points)",
-                    t.name,
-                    t.y.len()
-                )))
             })
         });
         ctx.report(obs::SolverStats {
             solver: "arima_solver".into(),
             method: if fixed.is_some() { "fixed".into() } else { "auto".into() },
-            evaluations: search_evals.get(),
+            evaluations,
+            distinct_evaluations: distinct,
             ..obs::SolverStats::default()
         });
         out
@@ -432,6 +454,7 @@ impl Solver for PredictiveAdvisor {
             solver: "predictive_solver".into(),
             method: "advisor".into(),
             evaluations: validations.get(),
+            distinct_evaluations: validations.get(),
             // Cache hits this invocation, reported as avoided restarts.
             restarts: (self.cache_hits() - hits_before) as u64,
             ..obs::SolverStats::default()

@@ -6,17 +6,36 @@
 //! candidate's values and re-evaluates the `MINIMIZE`/`MAXIMIZE` query —
 //! exactly the per-iteration cost the paper measures in Fig. 4(b).
 
-use crate::problem::{apply_solution, build_blackbox, ProblemInstance};
+use crate::problem::{apply_solution, build_blackbox, BlackboxProblem, ProblemInstance};
 use crate::solver::{SolveContext, Solver};
 use globalopt::{
-    differential_evolution_with, pso_with, sa_from_with, DeOptions, PsoOptions, SaOptions,
+    differential_evolution_with, pso_with, sa_from_with, DeOptions, Fitness, PsoOptions, SaOptions,
     SearchProgress,
 };
+use sqlengine::catalog::Database;
 use sqlengine::error::Result;
 use sqlengine::table::Table;
 
 #[derive(Debug, Default)]
 pub struct SwarmOps;
+
+/// The statement's fitness as a search scores it. It is deterministic
+/// within the statement's snapshot, so an all-integer search scores each
+/// point once, unless an evaluation can call a registered UDF.
+struct StatementFitness<'a> {
+    bb: &'a BlackboxProblem<'a>,
+    db: &'a Database,
+}
+
+impl Fitness for StatementFitness<'_> {
+    fn score(&mut self, x: &[f64]) -> f64 {
+        self.bb.fitness(self.db, x)
+    }
+
+    fn is_pure(&self) -> bool {
+        self.bb.pure
+    }
+}
 
 impl Solver for SwarmOps {
     fn name(&self) -> &str {
@@ -29,7 +48,7 @@ impl Solver for SwarmOps {
 
     fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
         let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, ctx.model))?;
-        let fitness = |x: &[f64]| bb.fitness(ctx.db, x);
+        let fitness = StatementFitness { bb: &bb, db: ctx.db };
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0x5001_7EDB) as u64;
         let method = prob.method.as_deref().unwrap_or("pso");
         let search = ctx.trace.map(|t| t.span("search"));
@@ -87,6 +106,7 @@ impl Solver for SwarmOps {
         if let Some(span) = search {
             let work = ctx.db.exec_counts().since(&work_before);
             span.note("evaluations", result.evaluations);
+            span.note("distinct", result.distinct);
             span.note("recursive_steps", work.recursive_steps);
             span.note("plans_built", work.plans_built);
             span.note("builds_reused", work.builds_reused);
@@ -97,6 +117,7 @@ impl Solver for SwarmOps {
             method: method.into(),
             iterations: result.iterations as u64,
             evaluations: result.evaluations as u64,
+            distinct_evaluations: result.distinct as u64,
             objective: Some(result.value),
             ..obs::SolverStats::default()
         });

@@ -666,16 +666,18 @@ fn bad_solver_parameters_are_typed_errors() {
 // One binding: how often each decision relation's query runs
 // ---------------------------------------------------------------------------
 
-/// A session with `one (k)` holding one row, `vars (x)` one NULL row and
-/// `probe(v)`, the identity, counting its calls: over the one row of
-/// `one`, a call is a run of the query that applies it.
+/// A session with `one (k)` holding one row, `vars (x)` and `ivars (x, z)`
+/// (integers) one NULL row each, and `probe(v)`, the identity, counting its
+/// calls: over the one row of `one`, a call is a run of the query that
+/// applies it.
 fn probed() -> (Session, std::sync::Arc<std::sync::atomic::AtomicU64>) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     let mut s = Session::new();
     s.execute_script(
         "CREATE TABLE one (k float8); INSERT INTO one VALUES (2);
-         CREATE TABLE vars (x float8); INSERT INTO vars VALUES (NULL)",
+         CREATE TABLE vars (x float8); INSERT INTO vars VALUES (NULL);
+         CREATE TABLE ivars (x int, z int); INSERT INTO ivars VALUES (NULL, NULL)",
     )
     .unwrap();
     let calls = Arc::new(AtomicU64::new(0));
@@ -756,6 +758,70 @@ fn a_relation_an_assignment_reaches_runs_once_per_binding() {
         stage_note(&trace.stages, "search", "evaluations").unwrap().parse().unwrap();
     assert!(evaluations >= 25, "{evaluations}");
     assert_eq!(calls.load(Ordering::Relaxed), 2 + evaluations);
+}
+
+/// The same over an integer decision column under PSO: the search asks
+/// for the three points of the box over and over, but a fitness that
+/// calls a registered UDF may answer differently each time, so every
+/// evaluation runs it.
+#[test]
+fn a_search_that_reaches_a_udf_scores_every_request() {
+    use std::sync::atomic::Ordering;
+    let (mut s, calls) = probed();
+    let mut r = s
+        .execute(
+            "SOLVESELECT v(x) AS (SELECT x FROM ivars) \
+             WITH d AS (SELECT probe(x) AS y FROM v) \
+             MINIMIZE (SELECT y FROM d) \
+             SUBJECTTO (SELECT 1 <= x <= 3 FROM v) USING swarmops.pso(seed := 7)",
+        )
+        .unwrap();
+    let trace = r.trace.take().expect("a solve is traced");
+    let note = |key| -> u64 { stage_note(&trace.stages, "search", key).unwrap().parse().unwrap() };
+    let evaluations = note("evaluations");
+    assert_eq!(evaluations, 110);
+    assert_eq!(note("distinct"), evaluations);
+    assert_eq!(calls.load(Ordering::Relaxed), 2 + evaluations);
+    assert_eq!(r.into_table().unwrap().rows[0][0], Value::Int(1));
+
+    // The objective reaches the UDF through a view.
+    s.execute_script("CREATE VIEW pk AS SELECT probe(k) AS k FROM one").unwrap();
+    let r = s
+        .execute(
+            "SOLVESELECT v(x) AS (SELECT x FROM ivars) MINIMIZE (SELECT x * k FROM v, pk) \
+             SUBJECTTO (SELECT 1 <= x <= 3 FROM v) USING swarmops.pso(seed := 7)",
+        )
+        .unwrap();
+    let st = &r.trace.expect("a solve is traced").solvers[0];
+    assert_eq!((st.evaluations, st.distinct_evaluations), (110, 110));
+}
+
+/// A pure fitness over integer decision columns is scored once per point:
+/// fewer calls than requests, and the answer of the search that scores
+/// every request (the same objective through the counting UDF).
+#[test]
+fn an_integer_search_scores_each_point_once() {
+    let (mut s, _) = probed();
+    let sql = |objective: &str| {
+        format!(
+            "SOLVESELECT v(x, z) AS (SELECT * FROM ivars) \
+             MINIMIZE (SELECT {objective} FROM v) \
+             SUBJECTTO (SELECT 0 <= x <= 5, 0 <= z <= 5 FROM v) USING swarmops.pso(seed := 7)"
+        )
+    };
+    let run = |s: &mut Session, objective: &str| {
+        let mut r = s.execute(&sql(objective)).unwrap();
+        let st = r.trace.take().expect("a solve is traced").solvers[0].clone();
+        let row = r.into_table().unwrap().rows[0].clone();
+        (row, st.objective.map(f64::to_bits), st.evaluations, st.distinct_evaluations)
+    };
+    let objective = "(x - 2) * (x - 2) + abs(z - 4) * 1.5 + x * z * 0.01";
+    let (row, value, evaluations, distinct) = run(&mut s, objective);
+    let every = run(&mut s, &format!("probe({objective})"));
+    assert_eq!(evaluations, 110);
+    assert!(distinct < evaluations, "{distinct} of {evaluations}");
+    assert_eq!(every.3, every.2);
+    assert_eq!((row, value, evaluations), (every.0, every.1, every.2));
 }
 
 // ---------------------------------------------------------------------------

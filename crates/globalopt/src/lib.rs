@@ -8,12 +8,19 @@
 //! All methods minimize a black-box function over a box; dimensions can
 //! be marked integral (the paper's ARIMA order search uses integer
 //! parameters in `[0, 5]`). Runs are deterministic given a seed.
+//!
+//! On a space that is integral in every dimension a search scores each
+//! repaired point at most once: the fitness is taken to be a function of
+//! its point ([`Fitness::is_pure`]), so a point seen before gets the
+//! value it got then. That changes no random draw and no step of the
+//! search; only the calls into the fitness go down.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Index of the smallest value under IEEE total order (empty → 0).
 fn argmin(vals: &[f64]) -> usize {
@@ -94,9 +101,78 @@ fn finite(v: f64, default: f64) -> f64 {
 pub struct OptResult {
     pub x: Vec<f64>,
     pub value: f64,
+    /// Evaluations the search asked for, repeats of a point included.
     pub evaluations: usize,
+    /// Calls actually made into the fitness: `evaluations` less the
+    /// points an integral search had scored already.
+    pub distinct: usize,
     /// Outer iterations (generations / annealing steps) actually run.
     pub iterations: usize,
+}
+
+/// A black-box objective to minimize. Every `FnMut(&[f64]) -> f64` is
+/// one, and a pure one.
+pub trait Fitness {
+    /// The objective at `x`; NaN counts as +∞.
+    fn score(&mut self, x: &[f64]) -> f64;
+
+    /// Whether the same point always scores the same. On an all-integer
+    /// space a search calls a pure fitness once per point.
+    fn is_pure(&self) -> bool {
+        true
+    }
+}
+
+impl<F: FnMut(&[f64]) -> f64> Fitness for F {
+    fn score(&mut self, x: &[f64]) -> f64 {
+        self(x)
+    }
+}
+
+/// The fitness as every search calls it: NaN scores +∞, each request is
+/// counted, and on an all-integer space a pure fitness is scored once per
+/// point, keyed by the point's coordinates (`-0.0` and `0.0` are one
+/// integer).
+struct Evaluator<F> {
+    f: F,
+    requested: usize,
+    distinct: usize,
+    memo: Option<HashMap<Vec<u64>, f64>>,
+    key: Vec<u64>,
+}
+
+impl<F: Fitness> Evaluator<F> {
+    fn new(f: F, space: &SearchSpace) -> Self {
+        let integral = space.integer.iter().all(|&i| i);
+        let memo = (integral && f.is_pure()).then(HashMap::new);
+        Evaluator { f, requested: 0, distinct: 0, memo, key: Vec::new() }
+    }
+
+    fn score(&mut self, x: &[f64]) -> f64 {
+        self.requested += 1;
+        if let Some(memo) = &self.memo {
+            self.key.clear();
+            self.key.extend(x.iter().map(|v| (v + 0.0).to_bits()));
+            if let Some(&v) = memo.get(self.key.as_slice()) {
+                return v;
+            }
+        }
+        self.distinct += 1;
+        let v = self.f.score(x);
+        let v = if v.is_nan() { f64::INFINITY } else { v };
+        if let Some(memo) = &mut self.memo {
+            memo.insert(self.key.clone(), v);
+        }
+        v
+    }
+
+    fn progress(&self, iteration: usize, best: f64) -> SearchProgress {
+        SearchProgress { iteration, evaluations: self.requested, best }
+    }
+
+    fn result(&self, x: Vec<f64>, value: f64, iterations: usize) -> OptResult {
+        OptResult { x, value, evaluations: self.requested, distinct: self.distinct, iterations }
+    }
 }
 
 /// Point-in-time snapshot of a running search, handed to the progress
@@ -108,7 +184,7 @@ pub struct OptResult {
 pub struct SearchProgress {
     /// Outer iterations completed so far (1-based at first callback).
     pub iteration: usize,
-    /// Objective evaluations so far.
+    /// Objective evaluations requested so far, repeats included.
     pub evaluations: usize,
     /// Best objective value found so far (minimization sense).
     pub best: f64,
@@ -152,30 +228,21 @@ pub fn pso(f: impl FnMut(&[f64]) -> f64, space: &SearchSpace, opts: PsoOptions) 
 /// [`pso`] with a per-iteration progress callback (see
 /// [`SearchProgress`]).
 pub fn pso_with(
-    mut f: impl FnMut(&[f64]) -> f64,
+    f: impl Fitness,
     space: &SearchSpace,
     opts: PsoOptions,
     on_progress: &mut dyn FnMut(&SearchProgress) -> bool,
 ) -> OptResult {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let n = space.dim();
-    let mut evaluations = 0usize;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let v = f(x);
-        if v.is_nan() {
-            f64::INFINITY
-        } else {
-            v
-        }
-    };
+    let mut evals = Evaluator::new(f, space);
 
     let mut pos: Vec<Vec<f64>> = (0..opts.particles).map(|_| space.sample(&mut rng)).collect();
     let mut vel: Vec<Vec<f64>> = (0..opts.particles)
         .map(|_| (0..n).map(|i| (rng.gen::<f64>() - 0.5) * 0.1 * space.span(i)).collect())
         .collect();
     let mut pbest = pos.clone();
-    let mut pbest_val: Vec<f64> = pos.iter().map(|x| eval(x, &mut evaluations)).collect();
+    let mut pbest_val: Vec<f64> = pos.iter().map(|x| evals.score(x)).collect();
     let gbest_idx = argmin(&pbest_val);
     let mut gbest = pbest[gbest_idx].clone();
     let mut gbest_val = pbest_val[gbest_idx];
@@ -193,7 +260,7 @@ pub fn pso_with(
                 pos[p][i] += vel[p][i];
             }
             space.repair(&mut pos[p]);
-            let v = eval(&pos[p], &mut evaluations);
+            let v = evals.score(&pos[p]);
             if v < pbest_val[p] {
                 pbest_val[p] = v;
                 pbest[p] = pos[p].clone();
@@ -203,11 +270,11 @@ pub fn pso_with(
                 }
             }
         }
-        if !on_progress(&SearchProgress { iteration: ran, evaluations, best: gbest_val }) {
+        if !on_progress(&evals.progress(ran, gbest_val)) {
             break;
         }
     }
-    OptResult { x: gbest, value: gbest_val, evaluations, iterations: ran }
+    evals.result(gbest, gbest_val, ran)
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +333,7 @@ pub fn sa_from(
 /// steps — a step is one objective evaluation, far cheaper than a
 /// PSO/DE generation.
 pub fn sa_from_with(
-    mut f: impl FnMut(&[f64]) -> f64,
+    f: impl Fitness,
     space: &SearchSpace,
     opts: SaOptions,
     mut x: Vec<f64>,
@@ -275,17 +342,8 @@ pub fn sa_from_with(
     let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(1));
     space.repair(&mut x);
     let n = space.dim();
-    let mut evaluations = 0usize;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let v = f(x);
-        if v.is_nan() {
-            f64::INFINITY
-        } else {
-            v
-        }
-    };
-    let mut cur_val = eval(&x, &mut evaluations);
+    let mut evals = Evaluator::new(f, space);
+    let mut cur_val = evals.score(&x);
     let mut best = x.clone();
     let mut best_val = cur_val;
     let scale = if cur_val.is_finite() { cur_val.abs().max(1.0) } else { 1.0 };
@@ -305,7 +363,7 @@ pub fn sa_from_with(
                 if space.integer[i] { delta.signum() * delta.abs().ceil().max(1.0) } else { delta };
         }
         space.repair(&mut cand);
-        let cand_val = eval(&cand, &mut evaluations);
+        let cand_val = evals.score(&cand);
         let accept = cand_val < cur_val || {
             let d = (cand_val - cur_val) / temp.max(1e-12);
             rng.gen::<f64>() < (-d).exp()
@@ -322,13 +380,11 @@ pub fn sa_from_with(
         // `u64::is_multiple_of` would read better but needs Rust 1.87;
         // the workspace MSRV is 1.75.
         #[allow(clippy::manual_is_multiple_of)]
-        if ran % 64 == 0
-            && !on_progress(&SearchProgress { iteration: ran, evaluations, best: best_val })
-        {
+        if ran % 64 == 0 && !on_progress(&evals.progress(ran, best_val)) {
             break;
         }
     }
-    OptResult { x: best, value: best_val, evaluations, iterations: ran }
+    evals.result(best, best_val, ran)
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +420,7 @@ pub fn differential_evolution(
 /// [`differential_evolution`] with a per-generation progress callback
 /// (see [`SearchProgress`]).
 pub fn differential_evolution_with(
-    mut f: impl FnMut(&[f64]) -> f64,
+    f: impl Fitness,
     space: &SearchSpace,
     opts: DeOptions,
     on_progress: &mut dyn FnMut(&SearchProgress) -> bool,
@@ -372,19 +428,10 @@ pub fn differential_evolution_with(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let n = space.dim();
     let np = opts.population.max(4);
-    let mut evaluations = 0usize;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let v = f(x);
-        if v.is_nan() {
-            f64::INFINITY
-        } else {
-            v
-        }
-    };
+    let mut evals = Evaluator::new(f, space);
 
     let mut pop: Vec<Vec<f64>> = (0..np).map(|_| space.sample(&mut rng)).collect();
-    let mut vals: Vec<f64> = pop.iter().map(|x| eval(x, &mut evaluations)).collect();
+    let mut vals: Vec<f64> = pop.iter().map(|x| evals.score(x)).collect();
 
     let mut ran = 0usize;
     for it in 0..opts.iterations {
@@ -406,19 +453,18 @@ pub fn differential_evolution_with(
                 }
             }
             space.repair(&mut trial);
-            let tv = eval(&trial, &mut evaluations);
+            let tv = evals.score(&trial);
             if tv <= vals[i] {
                 pop[i] = trial;
                 vals[i] = tv;
             }
         }
-        if !on_progress(&SearchProgress { iteration: ran, evaluations, best: vals[argmin(&vals)] })
-        {
+        if !on_progress(&evals.progress(ran, vals[argmin(&vals)])) {
             break;
         }
     }
     let bi = argmin(&vals);
-    OptResult { x: pop[bi].clone(), value: vals[bi], evaluations, iterations: ran }
+    evals.result(pop[bi].clone(), vals[bi], ran)
 }
 
 #[cfg(test)]

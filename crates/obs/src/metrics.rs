@@ -59,6 +59,7 @@ pub struct SolverAgg {
     pub dual_pivots: u64,
     pub refactorizations: u64,
     pub evaluations: u64,
+    pub distinct_evaluations: u64,
     pub restarts: u64,
     pub presolve_cols: u64,
     pub presolve_rows: u64,
@@ -194,6 +195,7 @@ impl MetricsRegistry {
         agg.dual_pivots += stats.dual_pivots;
         agg.refactorizations += stats.refactorizations;
         agg.evaluations += stats.evaluations;
+        agg.distinct_evaluations += stats.distinct_evaluations;
         agg.restarts += stats.restarts;
         agg.presolve_cols += stats.presolve_cols;
         agg.presolve_rows += stats.presolve_rows;

@@ -75,8 +75,12 @@ pub struct SolverStats {
     pub dual_pivots: u64,
     /// Basis-inverse refactorizations of the simplex.
     pub refactorizations: u64,
-    /// Objective-function evaluations (derivative-free solvers).
+    /// Objective-function evaluations a search requested (derivative-free
+    /// solvers), a point scored before counted again.
     pub evaluations: u64,
+    /// Of `evaluations`, the calls actually made into the objective: an
+    /// all-integer search scores each point once.
+    pub distinct_evaluations: u64,
     /// Restarts performed (multi-start heuristics).
     pub restarts: u64,
     /// Decision variables removed (fixed) by the presolve pass.
@@ -172,6 +176,9 @@ fn render_solver(st: &SolverStats) -> String {
     }
     if st.evaluations > 0 {
         let _ = write!(line, " evaluations={}", st.evaluations);
+        if st.distinct_evaluations != st.evaluations {
+            let _ = write!(line, " distinct={}", st.distinct_evaluations);
+        }
     }
     if st.restarts > 0 {
         let _ = write!(line, " restarts={}", st.restarts);

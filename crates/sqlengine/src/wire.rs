@@ -406,7 +406,7 @@ const MAX_INCUMBENTS: u32 = 4096;
 ///            nincumbents:u32 (at:u64 objective:f64)*
 ///            matrix_class:str integrality_proof:str blocks:u64
 ///            warm_starts:u64 cold_starts:u64 dual_pivots:u64
-///            refactorizations:u64
+///            refactorizations:u64 distinct_evaluations:u64
 /// str     := len:u32 utf8[len]
 /// ```
 pub fn encode_trace(t: &obs::QueryTrace, out: &mut Vec<u8>) {
@@ -448,7 +448,14 @@ pub fn encode_trace(t: &obs::QueryTrace, out: &mut Vec<u8>) {
         }
         put_str(out, &st.matrix_class);
         put_str(out, &st.integrality_proof);
-        for v in [st.blocks, st.warm_starts, st.cold_starts, st.dual_pivots, st.refactorizations] {
+        for v in [
+            st.blocks,
+            st.warm_starts,
+            st.cold_starts,
+            st.dual_pivots,
+            st.refactorizations,
+            st.distinct_evaluations,
+        ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
@@ -523,6 +530,7 @@ pub fn decode_trace(r: &mut Reader<'_>) -> Result<obs::QueryTrace> {
         let cold_starts = r.u64()?;
         let dual_pivots = r.u64()?;
         let refactorizations = r.u64()?;
+        let distinct_evaluations = r.u64()?;
         solvers.push(obs::SolverStats {
             solver,
             method,
@@ -534,6 +542,7 @@ pub fn decode_trace(r: &mut Reader<'_>) -> Result<obs::QueryTrace> {
             dual_pivots,
             refactorizations,
             evaluations,
+            distinct_evaluations,
             restarts,
             presolve_cols,
             presolve_rows,
@@ -795,27 +804,39 @@ mod tests {
                     children: vec![obs::Stage::leaf("compile", 1_000_000)],
                 },
             ],
-            solvers: vec![obs::SolverStats {
-                solver: "solverlp".into(),
-                method: "mip".into(),
-                iterations: 40,
-                nodes_explored: 7,
-                nodes_pruned: 3,
-                warm_starts: 5,
-                cold_starts: 1,
-                dual_pivots: 9,
-                refactorizations: 6,
-                evaluations: 0,
-                restarts: 0,
-                presolve_cols: 2,
-                presolve_rows: 1,
-                presolve_bounds: 3,
-                objective: Some(6.5),
-                incumbents: vec![(1, 4.0), (5, 6.5)],
-                matrix_class: "setpart:3 knapsack:1".into(),
-                integrality_proof: "implied".into(),
-                blocks: 2,
-            }],
+            solvers: vec![
+                obs::SolverStats {
+                    solver: "solverlp".into(),
+                    method: "mip".into(),
+                    iterations: 40,
+                    nodes_explored: 7,
+                    nodes_pruned: 3,
+                    warm_starts: 5,
+                    cold_starts: 1,
+                    dual_pivots: 9,
+                    refactorizations: 6,
+                    evaluations: 0,
+                    distinct_evaluations: 0,
+                    restarts: 0,
+                    presolve_cols: 2,
+                    presolve_rows: 1,
+                    presolve_bounds: 3,
+                    objective: Some(6.5),
+                    incumbents: vec![(1, 4.0), (5, 6.5)],
+                    matrix_class: "setpart:3 knapsack:1".into(),
+                    integrality_proof: "implied".into(),
+                    blocks: 2,
+                },
+                obs::SolverStats {
+                    solver: "swarmops".into(),
+                    method: "pso".into(),
+                    iterations: 10,
+                    evaluations: 110,
+                    distinct_evaluations: 23,
+                    objective: Some(1.5),
+                    ..obs::SolverStats::default()
+                },
+            ],
         }
     }
 
