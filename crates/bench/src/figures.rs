@@ -492,6 +492,7 @@ pub fn fig4b(cfg: Config) -> Figure {
             format!("{fminsearch_per_iter:.6}"),
             format!("{sdb_per_iter:.6}"),
             format!("{ssest_per_iter:.6}"),
+            format!("{:.2}", sdb_per_iter / fminsearch_per_iter.max(1e-12)),
         ]);
     }
     Figure {
@@ -502,6 +503,7 @@ pub fn fig4b(cfg: Config) -> Figure {
             "Matlab/YALMIP (fminsearch)".into(),
             "SolveDB+ (simulated annealing)".into(),
             "reference native impl (ssest)".into(),
+            "SolveDB+/interpreted".into(),
         ],
         rows,
         notes: vec![

@@ -5,7 +5,8 @@
 //! from the plan cache) or the forced row interpreter evaluates it, and
 //! the symbolic compilation of P4 — which runs the same recursive
 //! simulation CDTE, over symbolic values — yields the identical linear
-//! program on both paths.
+//! program on both paths. The planned path answers closed subqueries from
+//! what their sites kept; the reference interpreter runs every one.
 
 use bench::figures::{P3_CDTE, P3_NOCDTE, P3_SHARED, P4_CDTE, P4_NOCDTE, P4_SHARED};
 use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
@@ -69,6 +70,8 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         let work = s.db().exec_counts().since(&before);
         let rows: Vec<u64> =
             forced_rows(&mut s, |db| xs.iter().map(|x| bb.fitness(db, x).to_bits()).collect());
+        // The reference interpreter kept no subquery result.
+        assert_eq!(s.db().exec_counts().since(&before).subqueries_reused, work.subqueries_reused);
         assert_eq!(planned, rows, "{name}");
         assert!(planned.iter().all(|b| f64::from_bits(*b).is_finite()), "{name}");
         // The planned path really is the prepared one: the simulation
@@ -77,6 +80,12 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         assert!(work.recursive_steps > 0 && work.builds_reused > 0, "{name}: {work:?}");
         assert_eq!(work.row_steps, work.recursive_steps - xs.len() as u64, "{name}: {work:?}");
         assert_eq!(work.plans_built, 0, "{name}: {work:?}");
+        // Every simulation anchors on closed subqueries. The planned path
+        // answers them from what their sites kept — except in a shared
+        // model, whose prologue (`data AS (SELECT * FROM m_data)`) binds
+        // what they read anew in every evaluation.
+        let kept = !name.contains("shared");
+        assert_eq!(work.subqueries_reused, if kept { 3 * xs.len() as u64 } else { 0 }, "{name}");
     }
 }
 

@@ -255,7 +255,7 @@ fn box_cells(
         return None;
     }
     let rel = prob.relations.iter().rev().find(|r| r.alias.as_deref() == Some(name))?;
-    let schema = &env.get(name)?.schema;
+    let schema = env.get(name)?.schema();
     let operand = |e: &Expr| match e {
         Expr::Literal(Literal::Int(i)) => Some(Operand::Const(*i as f64)),
         Expr::Literal(Literal::Float(x)) => Some(Operand::Const(*x)),

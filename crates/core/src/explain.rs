@@ -208,7 +208,7 @@ pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Expl
         .map(|ri| {
             let (r, table) = (&prob.relations[ri], prob.instantiated(db, ctes, ri)?);
             let dec: Vec<&str> =
-                r.dec_cols.iter().map(|&c| table.schema.columns[c].name.as_str()).collect();
+                r.dec_cols.iter().map(|&c| table.schema().columns[c].name.as_str()).collect();
             Ok(format!(
                 "{} — {} rows, decision columns: [{}]",
                 r.alias.as_deref().unwrap_or("<input>"),

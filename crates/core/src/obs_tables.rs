@@ -205,10 +205,13 @@ fn metrics_table(metrics: &MetricsRegistry) -> Table {
     for (name, h) in metrics.stages() {
         rows.push(hist_row(&name, &h));
     }
-    // The one plain counter: a count and no latencies.
-    let pivoted = metrics.columns_pivoted();
-    if pivoted > 0 {
-        let mut row = vec![Value::text("columns_pivoted"), int(pivoted)];
+    // The plain counters: a count and no latencies, once they move.
+    let counters = [
+        ("columns_pivoted", metrics.columns_pivoted()),
+        ("subqueries_reused", metrics.subqueries_reused()),
+    ];
+    for (name, count) in counters.into_iter().filter(|(_, count)| *count > 0) {
+        let mut row = vec![Value::text(name), int(count)];
         row.resize(schema.len(), Value::Null);
         rows.push(row);
     }
@@ -358,6 +361,7 @@ mod tests {
         metrics.record_stage("wal.fsync", 4_000_000);
         metrics.record_statement_exec("SELECT ?", 1_000_000, 1, false, None, None);
         metrics.add_columns_pivoted(3);
+        metrics.add_subqueries_reused(5);
         let t = ObsTables::new(metrics, None, None).table("sdb_metrics").unwrap();
         assert_eq!(t.schema.columns[0].name, "name");
         let names: Vec<String> = t.rows.iter().map(|r| format!("{}", r[0])).collect();
@@ -365,8 +369,10 @@ mod tests {
         assert!(names.contains(&"wal.fsync".to_string()), "{names:?}");
         let fsync = t.rows.iter().find(|r| format!("{}", r[0]) == "wal.fsync").unwrap();
         assert_eq!(fsync[1], Value::Int(2));
-        let pivoted = t.rows.last().unwrap();
+        let pivoted = &t.rows[t.rows.len() - 2];
         assert_eq!(pivoted[..3], [Value::text("columns_pivoted"), Value::Int(3), Value::Null]);
+        let reused = t.rows.last().unwrap();
+        assert_eq!(reused[..3], [Value::text("subqueries_reused"), Value::Int(5), Value::Null]);
     }
 
     #[test]

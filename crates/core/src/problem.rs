@@ -22,10 +22,10 @@ use crate::symbolic::{ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{
     Cte, DecCols, DecRel, Expr, NamedRule, Node, Query, Select, SelectItem, SolveStmt, TableRef,
 };
-use sqlengine::catalog::{Ctes, Database};
+use sqlengine::catalog::{Binding, Ctes, Database};
 use sqlengine::error::{Error, Result};
-use sqlengine::exec::run_query;
-use sqlengine::table::Table;
+use sqlengine::exec::{run_query, run_query_bound};
+use sqlengine::table::{Schema, Table};
 use sqlengine::types::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -62,10 +62,10 @@ pub struct DecRelInst {
     pub query: Query,
     /// Decision column indexes within the table schema.
     pub dec_cols: Vec<usize>,
-    /// Materialized table with initial values, shared by every binding
-    /// that does not write into it; unset while the relation is deferred
-    /// ([`DecRelInst::table`]).
-    table: OnceLock<Arc<Table>>,
+    /// The relation with its initial values, in the form its query
+    /// produced it, shared by every binding that does not write into it;
+    /// unset while the relation is deferred ([`DecRelInst::table`]).
+    table: OnceLock<Arc<Binding>>,
     /// The row count every re-run must keep ([`check_cardinality`]).
     rows: OnceLock<usize>,
     /// Variable ids, `vars[row][k]` for the k-th decision column.
@@ -77,12 +77,13 @@ pub struct DecRelInst {
 }
 
 impl DecRelInst {
-    /// The relation as instantiated. The input relation and every
-    /// relation with decision columns are run by [`build_problem`]; a
-    /// deferred relation is an error here until
-    /// [`ProblemInstance::instantiated`] has run it.
+    /// The relation as instantiated, as rows (pivoted once, the first
+    /// time they are asked for). The input relation and every relation
+    /// with decision columns are run by [`build_problem`]; a deferred
+    /// relation is an error here until [`ProblemInstance::instantiated`]
+    /// has run it.
     pub fn table(&self) -> Result<&Arc<Table>> {
-        self.table.get().ok_or_else(|| {
+        self.table.get().map(|b| b.table()).ok_or_else(|| {
             let name = self.alias.as_deref().unwrap_or("<input>");
             Error::solver(format!("relation {name} is deferred and has not been instantiated"))
         })
@@ -252,14 +253,14 @@ pub fn inline_models(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Sol
 // Problem construction
 // ---------------------------------------------------------------------------
 
-fn resolve_dec_cols(table: &Table, spec: &DecCols, alias: Option<&str>) -> Result<Vec<usize>> {
+fn resolve_dec_cols(schema: &Schema, spec: &DecCols, alias: Option<&str>) -> Result<Vec<usize>> {
     match spec {
         DecCols::None => Ok(vec![]),
-        DecCols::Star => Ok((0..table.schema.len()).collect()),
+        DecCols::Star => Ok((0..schema.len()).collect()),
         DecCols::List(names) => names
             .iter()
             .map(|n| {
-                table.schema.index_of(n).ok_or_else(|| {
+                schema.index_of(n).ok_or_else(|| {
                     Error::solver(format!(
                         "decision column '{n}' not found in relation {}",
                         alias.unwrap_or("<input>")
@@ -363,11 +364,11 @@ pub fn build_problem_traced(
         if deferred {
             continue;
         }
-        let decisions = prob.instantiated(db, ctes, ri).and_then(|table| {
-            let dec_cols = resolve_dec_cols(table, &spec.dec_cols, spec.alias.as_deref())?;
-            Ok((table.clone(), dec_cols))
+        let decisions = prob.instantiated(db, ctes, ri).and_then(|bound| {
+            let dec_cols = resolve_dec_cols(bound.schema(), &spec.dec_cols, spec.alias.as_deref())?;
+            Ok((bound.clone(), dec_cols))
         });
-        let (table, dec_cols) = match decisions {
+        let (bound, dec_cols) = match decisions {
             Ok(d) => d,
             Err(e) => {
                 // Fail as if every earlier relation had run first.
@@ -376,8 +377,10 @@ pub fn build_problem_traced(
                 return Err(e);
             }
         };
-        let mut rel_vars: Vec<Vec<VarId>> = Vec::with_capacity(table.num_rows());
-        for (row_idx, row) in table.rows.iter().enumerate() {
+        // Only a relation with decision columns is read as rows here.
+        let mut rel_vars: Vec<Vec<VarId>> = vec![Vec::new(); bound.num_rows()];
+        let rows = if dec_cols.is_empty() { &[][..] } else { &bound.table().rows[..] };
+        for (row_idx, row) in rows.iter().enumerate() {
             let mut ids = Vec::with_capacity(dec_cols.len());
             for &c in &dec_cols {
                 let id = prob.vars.len() as VarId;
@@ -386,11 +389,11 @@ pub fn build_problem_traced(
                     Value::Null => None,
                     v => v.as_f64().ok(),
                 };
-                let integer = table.schema.columns[c].ty == DataType::Int;
+                let integer = bound.schema().columns[c].ty == DataType::Int;
                 prob.vars.push(VarInfo { rel: ri, row: row_idx, col: c, initial, integer });
                 ids.push(id);
             }
-            rel_vars.push(ids);
+            rel_vars[row_idx] = ids;
         }
         let rel = &mut prob.relations[ri];
         rel.dec_cols = dec_cols;
@@ -411,26 +414,26 @@ impl ProblemInstance {
     /// decision cells. A deferred relation runs here, once, the first time
     /// it is read: in `base` (the environment the problem was built in)
     /// and the earlier relations, each as instantiated.
-    pub fn instantiated(&self, db: &Database, base: &Ctes, ri: usize) -> Result<&Arc<Table>> {
+    pub fn instantiated(&self, db: &Database, base: &Ctes, ri: usize) -> Result<&Arc<Binding>> {
         let rel = &self.relations[ri];
-        if let Some(table) = rel.table.get() {
-            return Ok(table);
+        if let Some(bound) = rel.table.get() {
+            return Ok(bound);
         }
         // The earlier relations in scope; a deferred one only when this
         // one reads it (it then is one of its inputs).
         let mut env = base.clone();
         for (j, earlier) in self.relations[..ri].iter().enumerate() {
             let Some(a) = &earlier.alias else { continue };
-            let table = match earlier.table.get() {
-                Some(t) => t.clone(),
+            let bound = match earlier.table.get() {
+                Some(b) => b.clone(),
                 None if rel.inputs.contains(&j) => self.instantiated(db, base, j)?.clone(),
                 None => continue,
             };
-            env.insert(a, table);
+            env.bind(a, bound);
         }
-        let table = Arc::new(run_query(db, &env, &rel.query, None)?);
-        rel.rows.get_or_init(|| table.num_rows());
-        Ok(rel.table.get_or_init(|| table))
+        let bound = Arc::new(run_query_bound(db, &env, &rel.query, None)?);
+        rel.rows.get_or_init(|| bound.num_rows());
+        Ok(rel.table.get_or_init(|| bound))
     }
 
     /// Instantiate every relation still deferred, in order, failing with
@@ -460,24 +463,26 @@ impl ProblemInstance {
         let mut failed = Vec::new();
         for (ri, rel) in self.relations.iter().enumerate() {
             let rerun = cell.is_some() && !rel.inputs.is_empty();
-            let mut table = match rerun.then(|| run_query(db, &env, &rel.query, None)) {
+            let mut bound = match rerun.then(|| run_query_bound(db, &env, &rel.query, None)) {
                 None => self.instantiated(db, base, ri)?.clone(),
-                Some(Ok(t)) => Arc::new(check_cardinality(rel, t)?),
+                Some(Ok(b)) => Arc::new(check_cardinality(rel, b)?),
                 Some(Err(e)) => {
                     failed.push((ri, e));
                     continue;
                 }
             };
             if let Some(cell) = cell.filter(|_| !rel.dec_cols.is_empty()) {
-                let rows = &mut Arc::make_mut(&mut table).rows;
-                for (row, ids) in rows.iter_mut().zip(&rel.vars) {
+                let mut table = Arc::try_unwrap(bound)
+                    .map_or_else(|shared| Table::clone(shared.table()), Binding::into_table);
+                for (row, ids) in table.rows.iter_mut().zip(&rel.vars) {
                     for (&col, &id) in rel.dec_cols.iter().zip(ids) {
                         row[col] = cell(id);
                     }
                 }
+                bound = Arc::new(Binding::rows(Arc::new(table)));
             }
             if let Some(a) = &rel.alias {
-                env.insert(a, table);
+                env.bind(a, bound);
             }
         }
         Ok((env, failed))
@@ -487,7 +492,7 @@ impl ProblemInstance {
 /// Variables are addressed by row, so a re-run relation must keep its row
 /// count: the one it was instantiated with, or, for a deferred relation
 /// not instantiated before, the one its first successful re-run had.
-fn check_cardinality(rel: &DecRelInst, table: Table) -> Result<Table> {
+fn check_cardinality(rel: &DecRelInst, table: Binding) -> Result<Binding> {
     let rows = *rel.rows.get_or_init(|| table.num_rows());
     if table.num_rows() == rows {
         return Ok(table);
@@ -780,7 +785,7 @@ mod tests {
         );
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
         let b = prob.instantiated(&db, &Ctes::new(), 1).unwrap();
-        assert_eq!(b.value(0, 0), &Value::Float(2.0));
+        assert_eq!(b.table().value(0, 0), &Value::Float(2.0));
     }
 
     #[test]

@@ -210,9 +210,12 @@ impl Session {
         let (mut out, elapsed) =
             obs::timed(|| execute_statement_timed(&mut self.db, stmt, parse_nanos));
         let nanos = elapsed.as_nanos() as u64;
-        let pivoted = self.db.exec_counts().since(&work_before).columns_pivoted;
-        if pivoted > 0 {
-            self.metrics.add_columns_pivoted(pivoted);
+        let work = self.db.exec_counts().since(&work_before);
+        if work.columns_pivoted > 0 {
+            self.metrics.add_columns_pivoted(work.columns_pivoted);
+        }
+        if work.subqueries_reused > 0 {
+            self.metrics.add_subqueries_reused(work.subqueries_reused);
         }
         // Fold per-stage latency distributions in before the group
         // commit appends its wal.append stage: the WAL histograms are

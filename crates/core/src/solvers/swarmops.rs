@@ -111,6 +111,7 @@ impl Solver for SwarmOps {
             span.note("plans_built", work.plans_built);
             span.note("builds_reused", work.builds_reused);
             span.note("row_steps", work.row_steps);
+            span.note("subqueries_reused", work.subqueries_reused);
         }
         ctx.report(obs::SolverStats {
             solver: "swarmops".into(),

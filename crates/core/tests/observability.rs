@@ -559,6 +559,37 @@ fn sdb_metrics_counts_pivoted_column_chunks() {
     assert_eq!(counter(&s), before + 3, "the only chunk of both columns");
 }
 
+/// `subqueries_reused` is a note on a black-box solve's `search` line and
+/// a row of `sdb_metrics`: the subquery executions the session answered
+/// from a kept result. A closed subquery in the objective runs at the
+/// start point and is kept for every evaluation of the search.
+#[test]
+fn kept_subquery_results_are_counted_on_search_and_in_sdb_metrics() {
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE v0 (x float8); INSERT INTO v0 VALUES (NULL);
+         CREATE TABLE k (k float8); INSERT INTO k VALUES (2), (4)",
+    )
+    .unwrap();
+    let solve = "SOLVESELECT v(x) AS (SELECT * FROM v0) \
+                 MINIMIZE (SELECT abs(x - (SELECT max(k) FROM k)) FROM v) \
+                 SUBJECTTO (SELECT 0 <= x <= 9 FROM v) \
+                 USING swarmops.sa(iterations := 20, seed := 3)";
+    let t = s.query(&format!("EXPLAIN ANALYZE {solve}")).unwrap();
+    let lines = text_column(&t, "plan");
+    let search = lines.iter().find(|l| l.contains("-> search:")).expect("a search line");
+    assert!(
+        search.contains("evaluations=21") && search.contains("subqueries_reused=21"),
+        "{search}"
+    );
+    let before = s.db().exec_counts().subqueries_reused;
+    s.query(solve).unwrap();
+    let counted = s.db().exec_counts().subqueries_reused;
+    assert_eq!(counted - before, 21);
+    let t = s.query("SELECT count FROM sdb_metrics WHERE name = 'subqueries_reused'").unwrap();
+    assert_eq!(t.rows[0][0], Value::Int(counted as i64));
+}
+
 #[test]
 fn sdb_metrics_exposes_stage_histograms_after_a_solve() {
     let mut s = Session::new();

@@ -944,3 +944,120 @@ fn a_deferred_relation_keeps_the_row_count_of_its_first_run() {
         .unwrap();
     assert_eq!(floats(&t, "x"), [0.5244605609467498]);
 }
+
+// ---------------------------------------------------------------------------
+// Subqueries that read no outer row: re-run only when what they read changes
+// ---------------------------------------------------------------------------
+
+/// A solve's `search` note `key`, and its result.
+fn searched(s: &mut Session, sql: &str, key: &str) -> (u64, Table) {
+    let mut r = s.execute(sql).unwrap();
+    let trace = r.trace.take().expect("a solve is traced");
+    let note = stage_note(&trace.stages, "search", key).unwrap().parse().unwrap();
+    (note, r.into_table().unwrap())
+}
+
+/// A closed subquery in a recursive term reads the decision relation,
+/// which every evaluation rebinds: it runs in the first step of each
+/// recursion and is kept for the other eight. The anchor's reads only the
+/// catalog: it runs in the start-point evaluation, before the search, and
+/// is kept from then on. The answer is the one the reference interpreter,
+/// which keeps nothing, gives.
+#[test]
+fn a_closed_subquery_in_a_recursive_term_runs_once_per_recursion() {
+    let (mut s, _) = probed();
+    let sql = "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+         WITH sim AS (WITH RECURSIVE r(k, y) AS ( \
+             SELECT 1, (SELECT k FROM one) \
+             UNION ALL SELECT k + 1, y + (SELECT x FROM v) FROM r WHERE k < 10) \
+           SELECT k, y FROM r) \
+         MINIMIZE (SELECT sum((y - 11.0) * (y - 11.0)) FROM sim) \
+         SUBJECTTO (SELECT 0 <= x <= 3 FROM v) \
+         USING swarmops.sa(iterations := 30, seed := 7)";
+    let (reused, planned) = searched(&mut s, sql, "subqueries_reused");
+    let (evaluations, _) = searched(&mut s, sql, "evaluations");
+    assert_eq!(reused, evaluations * (8 + 1));
+    s.db_mut().set_force_row_interpreter(true);
+    let (none, reference) = searched(&mut s, sql, "subqueries_reused");
+    assert_eq!(none, 0);
+    assert_eq!(floats(&planned, "x"), floats(&reference, "x"));
+}
+
+/// These re-run in every evaluation: a subquery that reads the outer row,
+/// one over a relation the evaluation rebinds, one over a virtual `sdb_*`
+/// table and one that calls a registered UDF — that one as often as the
+/// reference interpreter, which keeps nothing, calls it. Each answer is
+/// the reference interpreter's.
+#[test]
+fn subqueries_whose_answer_can_change_rerun_every_time() {
+    use std::sync::atomic::Ordering;
+    let (mut s, calls) = probed();
+    let sql = |objective: &str| {
+        format!(
+            "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+             WITH d AS (SELECT x * 2 AS y FROM v) \
+             MINIMIZE (SELECT {objective} FROM v) \
+             SUBJECTTO (SELECT 1 <= x <= 3 FROM v) \
+             USING swarmops.sa(iterations := 30, seed := 7)"
+        )
+    };
+    for objective in [
+        "x + (SELECT count(*) FROM one WHERE k <= v.x)",
+        "x + (SELECT y FROM d)",
+        "x + (SELECT count(*) * 0 FROM sdb_metrics)",
+        "x + (SELECT probe(k) FROM one)",
+    ] {
+        calls.store(0, Ordering::Relaxed);
+        let (reused, planned) = searched(&mut s, &sql(objective), "subqueries_reused");
+        let planned_calls = calls.swap(0, Ordering::Relaxed);
+        assert_eq!(reused, 0, "{objective}");
+        s.db_mut().set_force_row_interpreter(true);
+        let (_, reference) = searched(&mut s, &sql(objective), "subqueries_reused");
+        s.db_mut().set_force_row_interpreter(false);
+        assert_eq!(planned, reference, "{objective}");
+        assert_eq!(planned_calls, calls.load(Ordering::Relaxed), "{objective}");
+    }
+}
+
+/// A kept result belongs to its statement: an INSERT between two
+/// statements is seen by the second, through the same text.
+#[test]
+fn a_write_between_two_statements_is_seen_by_the_second() {
+    let (mut s, _) = probed();
+    let sql = "SOLVESELECT v(x) AS (SELECT * FROM vars) \
+         MINIMIZE (SELECT abs(x - (SELECT max(k) FROM one)) FROM v) \
+         SUBJECTTO (SELECT 0 <= x <= 9 FROM v) \
+         USING swarmops.sa(iterations := 400, seed := 7)";
+    let (reused, before) = searched(&mut s, sql, "subqueries_reused");
+    assert!(reused > 0);
+    s.execute("INSERT INTO one VALUES (5)").unwrap();
+    let (_, after) = searched(&mut s, sql, "subqueries_reused");
+    let (before, after) = (floats(&before, "x")[0], floats(&after, "x")[0]);
+    assert!((before - 2.0).abs() < 0.5 && (after - 5.0).abs() < 0.5, "{before} then {after}");
+    let t = s.query("SELECT (SELECT max(k) FROM one) AS m FROM vars").unwrap();
+    assert_eq!(floats(&t, "m"), [5.0]);
+}
+
+/// Nothing is kept under the symbolic pass's step hook: a closed subquery
+/// that steps a recursion over decision cells gives each cell its steps
+/// emit an auxiliary column of its own, once per rule row, as on the
+/// reference interpreter (nine columns, not five).
+#[test]
+fn a_symbolic_pass_keeps_no_subquery_result() {
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE vars3 (x float8); INSERT INTO vars3 VALUES (NULL), (NULL), (NULL)",
+    )
+    .unwrap();
+    let sql = "EXPLAIN PRESOLVE SOLVESELECT v(x) AS (SELECT * FROM vars3) \
+         WITH w AS (SELECT x AS z FROM v) \
+         MINIMIZE (SELECT sum(x) FROM v) \
+         SUBJECTTO (SELECT x >= (WITH RECURSIVE r(k, y) AS (SELECT 1, 1.0 UNION ALL \
+             SELECT k + 1, y + 0.01 * (SELECT sum(z) FROM w) FROM r WHERE k < 3) \
+           SELECT y FROM r WHERE k = 3) FROM v), (SELECT 0 <= x <= 5 FROM v) \
+         USING solverlp()";
+    let planned = s.query(sql).unwrap();
+    assert_eq!(planned.rows[0][0], Value::text("presolve: 9 vars, 9 rows -> 9 vars, 9 rows"));
+    s.db_mut().set_force_row_interpreter(true);
+    assert_eq!(planned, s.query(sql).unwrap());
+}

@@ -88,6 +88,9 @@ struct MetricsInner {
     /// Column chunks the executor pivoted out of row storage into table
     /// images (the sum of the sessions' `ExecCounts::columns_pivoted`).
     columns_pivoted: u64,
+    /// Subquery executions answered by the result their site kept (the
+    /// sum of the sessions' `ExecCounts::subqueries_reused`).
+    subqueries_reused: u64,
 }
 
 /// Thread-safe cumulative metrics store.
@@ -165,6 +168,15 @@ impl MetricsRegistry {
 
     pub fn columns_pivoted(&self) -> u64 {
         self.lock().columns_pivoted
+    }
+
+    /// Add to the count of subquery executions a kept result answered.
+    pub fn add_subqueries_reused(&self, executions: u64) {
+        self.lock().subqueries_reused += executions;
+    }
+
+    pub fn subqueries_reused(&self) -> u64 {
+        self.lock().subqueries_reused
     }
 
     /// Record a whole trace tree: every stage (recursively, with
@@ -259,6 +271,7 @@ impl MetricsRegistry {
         inner.solvers.clear();
         inner.stages.clear();
         inner.columns_pivoted = 0;
+        inner.subqueries_reused = 0;
     }
 }
 

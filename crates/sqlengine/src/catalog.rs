@@ -4,12 +4,13 @@
 use crate::ast::{ExplainMode, Query, SolveStmt};
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
+use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
 use crate::plan::StoredTable;
-use crate::table::{coerce, Row, Table, TableRef};
+use crate::table::{coerce, Row, Schema, Table, TableRef};
 use crate::types::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A scalar user-defined function. `param_names` enables named-argument
 /// notation (`f(a := 1)`); positional arguments map in declaration order.
@@ -45,13 +46,97 @@ pub struct StepCell<'a> {
 /// one on the environment it binds; nothing else does.
 pub type StepHook = Arc<dyn Fn(&StepCell<'_>, &Value) -> Option<Value> + Send + Sync>;
 
+/// The relation a CTE name is bound to, in the form its producer made
+/// it: rows, or the batches a planned body returned. A planned scan takes
+/// the batches as they are ([`Binding::scan`]); they become rows once,
+/// when a row reader first asks ([`Binding::table`]), and are dropped
+/// then — a binding holds one form, never both.
+pub struct Binding {
+    schema: Schema,
+    len: usize,
+    /// Until a row reader asks: the batches, when the binding was made of
+    /// batches.
+    batches: Mutex<Option<Vec<Batch>>>,
+    rows: OnceLock<TableRef>,
+}
+
+impl std::fmt::Debug for Binding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let form = if self.rows.get().is_some() { "rows" } else { "batches" };
+        f.debug_struct("Binding")
+            .field("schema", &self.schema)
+            .field("len", &self.len)
+            .field("form", &form)
+            .finish()
+    }
+}
+
+impl Binding {
+    /// A binding of `table`'s rows.
+    pub fn rows(table: TableRef) -> Binding {
+        let (schema, len) = (table.schema.clone(), table.num_rows());
+        Binding { schema, len, batches: Mutex::new(None), rows: OnceLock::from(table) }
+    }
+
+    /// A binding of `batches`, rows of `schema`.
+    pub(crate) fn batches(schema: Schema, batches: Vec<Batch>) -> Binding {
+        let len = batches.iter().map(|b| b.len).sum();
+        Binding { schema, len, batches: Mutex::new(Some(batches)), rows: OnceLock::new() }
+    }
+
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    pub fn num_rows(&self) -> usize {
+        self.len
+    }
+
+    /// The relation as rows, pivoted out of its batches the first time.
+    pub fn table(&self) -> &TableRef {
+        self.rows.get_or_init(|| {
+            let batches = self.batches.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let rows = batches_to_rows(&batches.unwrap_or_default());
+            Arc::new(Table::with_rows(self.schema.clone(), rows))
+        })
+    }
+
+    /// The relation as a table of its own: its rows, copied only when
+    /// another reader shares them.
+    pub fn into_table(self) -> Table {
+        let table = self.table().clone();
+        drop(self);
+        Arc::try_unwrap(table).unwrap_or_else(|shared| Table::clone(&shared))
+    }
+
+    /// The columns `cols` (all of them for `None`) as batches: shared
+    /// with the batches the binding holds, or pivoted from its rows.
+    pub(crate) fn scan(&self, cols: Option<&[usize]>) -> Vec<Batch> {
+        let held = self.batches.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(batches) = held.as_ref() {
+            return batches.iter().map(|b| b.select(cols)).collect();
+        }
+        drop(held);
+        self.table().rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, cols)).collect()
+    }
+
+    /// Rename the leading columns (a CTE's column list).
+    pub(crate) fn rename(&mut self, names: &[String]) -> Result<()> {
+        self.schema.rename(names)?;
+        if let Some(t) = self.rows.get_mut() {
+            Arc::make_mut(t).schema.rename(names)?;
+        }
+        Ok(())
+    }
+}
+
 /// CTE environment threaded through execution: names visible as
 /// relations beyond the catalog (WITH members, SOLVESELECT decision
 /// relations, inlined model relations), and the [`StepHook`] of a
 /// symbolic pass.
 #[derive(Clone, Default)]
 pub struct Ctes {
-    map: HashMap<String, TableRef>,
+    map: HashMap<String, Arc<Binding>>,
     step_hook: Option<StepHook>,
 }
 
@@ -78,18 +163,25 @@ impl Ctes {
         Ctes::default()
     }
 
-    pub fn get(&self, name: &str) -> Option<&TableRef> {
+    pub fn get(&self, name: &str) -> Option<&Arc<Binding>> {
         self.map.get(name)
     }
 
+    /// This environment with `name` bound to `table`'s rows.
     pub fn with(&self, name: &str, table: TableRef) -> Ctes {
         let mut next = self.clone();
-        next.map.insert(name.to_string(), table);
+        next.insert(name, table);
         next
     }
 
+    /// Bind `name` to `table`'s rows.
     pub fn insert(&mut self, name: &str, table: TableRef) {
-        self.map.insert(name.to_string(), table);
+        self.bind(name, Arc::new(Binding::rows(table)));
+    }
+
+    /// Bind `name` to `binding`, in whichever form it holds.
+    pub fn bind(&mut self, name: &str, binding: Arc<Binding>) {
+        self.map.insert(name.to_string(), binding);
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
@@ -382,6 +474,9 @@ pub struct ExecCounts {
     /// storage into a table's columnar image. A scan whose columns are
     /// already in the image pivots none.
     pub columns_pivoted: u64,
+    /// Executions of a subquery that returned the result its site kept
+    /// from an earlier run over the same relations instead of running.
+    pub subqueries_reused: u64,
 }
 
 impl ExecCounts {
@@ -394,6 +489,7 @@ impl ExecCounts {
             spine_steps: self.spine_steps - earlier.spine_steps,
             row_steps: self.row_steps - earlier.row_steps,
             columns_pivoted: self.columns_pivoted - earlier.columns_pivoted,
+            subqueries_reused: self.subqueries_reused - earlier.subqueries_reused,
         }
     }
 }
@@ -421,6 +517,7 @@ pub struct Database {
     spine_steps: AtomicU64,
     row_steps: AtomicU64,
     columns_pivoted: AtomicU64,
+    subqueries_reused: AtomicU64,
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
     pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
@@ -482,6 +579,7 @@ impl Database {
             spine_steps: self.spine_steps.load(Ordering::Relaxed),
             row_steps: self.row_steps.load(Ordering::Relaxed),
             columns_pivoted: self.columns_pivoted.load(Ordering::Relaxed),
+            subqueries_reused: self.subqueries_reused.load(Ordering::Relaxed),
         }
     }
 
@@ -508,14 +606,19 @@ impl Database {
         self.columns_pivoted.fetch_add(chunks, Ordering::Relaxed);
     }
 
+    pub(crate) fn count_subquery_reused(&self) {
+        self.subqueries_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record a solve's analyzer findings for the statement running it.
     pub fn add_findings(&self, findings: impl IntoIterator<Item = Diagnostic>) {
         self.findings.lock().unwrap_or_else(PoisonError::into_inner).extend(findings);
     }
 
     /// The statement is over: drop the plans of its CTE environments and
-    /// return what its result reports — the plan-cache event of its last
-    /// block and the advisory (`Warning`/`Note`) findings of its solves.
+    /// the results its subquery sites kept, and return what its result
+    /// reports — the plan-cache event of its last block and the advisory
+    /// (`Warning`/`Note`) findings of its solves.
     pub(crate) fn end_statement(&self) -> (Option<bool>, Vec<Diagnostic>) {
         let event = self.plan_cache.lock().ok().and_then(|mut c| c.end_statement());
         let mut findings =
@@ -631,6 +734,11 @@ impl Database {
 
     pub fn table(&self, name: &str) -> Result<&TableRef> {
         self.stored_table(name).map(StoredTable::table)
+    }
+
+    /// [`Self::table`] without the error of a name that is none.
+    pub(crate) fn table_if_any(&self, name: &str) -> Option<&TableRef> {
+        self.relations.tables.get(name).map(StoredTable::table)
     }
 
     /// The table with its columnar image and statistics — what a scan of
@@ -814,7 +922,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Schema;
 
     #[test]
     fn create_and_drop_tables() {

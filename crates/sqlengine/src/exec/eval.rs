@@ -9,7 +9,7 @@ use crate::ast::{Expr, FuncArg, Literal, Query, SolveStmt};
 use crate::catalog::{Ctes, Database, ScalarUdf};
 use crate::error::{Error, Result};
 use crate::exec::funcs::{self, BuiltinFn};
-use crate::exec::select::run_query;
+use crate::exec::subquery::run_subquery;
 use crate::types::{BinOp, BitString, DataType, UnOp, Value};
 use std::sync::Arc;
 
@@ -633,16 +633,13 @@ impl BoundExpr {
                 };
                 Ok(Value::Bool(m != *negated))
             }
-            BoundExpr::ScalarSubquery(q) => {
-                let t = run_query(ctx.db, ctx.ctes, q, Some(env))?;
-                t.scalar()
-            }
+            BoundExpr::ScalarSubquery(q) => run_subquery(ctx, q, Some(env))?.scalar(),
             BoundExpr::InSubquery { expr, query, negated } => {
                 let v = expr.eval(ctx, env)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                let t = run_query(ctx.db, ctx.ctes, query, Some(env))?;
+                let t = run_subquery(ctx, query, Some(env))?;
                 if t.num_columns() != 1 {
                     return Err(Error::eval("IN subquery must return a single column"));
                 }
@@ -661,7 +658,7 @@ impl BoundExpr {
                 }
             }
             BoundExpr::Exists { query, negated } => {
-                let t = run_query(ctx.db, ctx.ctes, query, Some(env))?;
+                let t = run_subquery(ctx, query, Some(env))?;
                 Ok(Value::Bool((t.num_rows() > 0) != *negated))
             }
             BoundExpr::SolveModel(stmt) => {

@@ -15,13 +15,13 @@
 //! with the same error.
 
 use crate::ast::*;
-use crate::catalog::{Ctes, Database};
+use crate::catalog::{Binding, Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope, ScopeCol};
 use crate::exec::funcs;
 use crate::exec::select::{
-    apply_alias_columns, bind_order_expr, query_references, recursive_parts, rename_columns,
-    unify_schemas, using_pairs,
+    apply_alias_columns, bind_order_expr, query_references, recursive_parts, unify_schemas,
+    using_pairs,
 };
 use crate::plan::StoredTable;
 use crate::table::{Column, Schema, Table};
@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// What a relation name in a FROM clause denotes.
 pub(crate) enum Relation<'a> {
-    Cte(&'a Arc<Table>),
+    Cte(&'a Arc<Binding>),
     View(&'a Arc<Query>),
     /// A catalog table, as stored (rows, columnar image, statistics).
     Table(&'a StoredTable),
@@ -331,7 +331,7 @@ pub(crate) fn query_schema(
         let (qualifier, alias, schema) = match t {
             TableRef::Named { name, alias } => {
                 let schema = match resolve_relation(db, ctes, name)? {
-                    Relation::Cte(t) => t.schema.clone(),
+                    Relation::Cte(t) => t.schema().clone(),
                     Relation::View(vq) => query_schema(db, ctes, vq, outer)?,
                     Relation::Table(t) => t.table().schema.clone(),
                     Relation::Virtual(t) => t.schema,
@@ -367,7 +367,7 @@ pub(crate) fn query_schema(
         } else {
             query_schema(db, &bound, &cte.query, outer)?
         });
-        rename_columns(&mut member, &cte.columns)?;
+        member.schema.rename(&cte.columns)?;
         bound.to_mut().insert(&cte.name, Arc::new(member));
     }
     let schema = body(db, &bound, &q.body, &q.order_by, outer)?;

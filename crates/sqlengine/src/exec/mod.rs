@@ -5,6 +5,7 @@ pub mod funcs;
 pub(crate) mod head;
 pub(crate) mod oracle;
 pub mod select;
+pub(crate) mod subquery;
 
 use crate::ast::{ExplainMode, Statement};
 use crate::catalog::{Ctes, Database};
@@ -18,7 +19,7 @@ use crate::types::{DataType, Value};
 use obs::{QueryTrace, Trace};
 
 pub use eval::{BoundExpr, ScopeCol};
-pub use select::run_query;
+pub use select::{run_query, run_query_bound};
 
 /// What a statement produced.
 #[derive(Debug)]

@@ -47,7 +47,7 @@ fn scan_named(
 ) -> Result<Rel> {
     let qualifier = Some(alias.map_or(name, |a| a.name.as_str()));
     let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
-        Relation::Cte(t) => Cow::Borrowed(t.as_ref()),
+        Relation::Cte(t) => Cow::Borrowed(t.table().as_ref()),
         Relation::Table(t) => Cow::Borrowed(t.table().as_ref()),
         Relation::View(vq) => return derived(db, ctes, vq, qualifier, alias, outer),
         Relation::Virtual(t) => Cow::Owned(t),

@@ -22,13 +22,13 @@
 //! reusable plan as a query of its own.
 
 use crate::ast::*;
-use crate::catalog::{Ctes, Database, StepCell, StepHook};
+use crate::catalog::{Binding, Ctes, Database, StepCell, StepHook};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::limit_offset;
 use crate::exec::oracle;
 use crate::plan::build::bound_has_subquery;
-use crate::plan::columnar::{batches_to_rows, push_rows, Batch, ColumnVec, BATCH_SIZE};
+use crate::plan::columnar::{push_rows, Batch, ColumnVec, BATCH_SIZE};
 use crate::plan::exec::{unseen_rows, IteratedPlan};
 use crate::plan::keys::KeyIndex;
 use crate::plan::plan_select;
@@ -42,7 +42,19 @@ const MAX_RECURSION: usize = 1_000_000;
 
 /// Execute a query and materialize the result.
 pub fn run_query(db: &Database, ctes: &Ctes, q: &Query, outer: Option<&Env<'_>>) -> Result<Table> {
-    run_query_planned(db, ctes, q, outer, None).map(|(t, _)| t)
+    run_query_bound(db, ctes, q, outer).map(Binding::into_table)
+}
+
+/// Execute a query into what a CTE name is bound to: the batches of a
+/// planned `SELECT` body as the executor returned them, any other body's
+/// rows.
+pub fn run_query_bound(
+    db: &Database,
+    ctes: &Ctes,
+    q: &Query,
+    outer: Option<&Env<'_>>,
+) -> Result<Binding> {
+    query_bound(db, ctes, q, outer, None).map(|(b, _)| b)
 }
 
 /// Materialize the `WITH` members of `q` in order on top of `ctes`, each
@@ -60,7 +72,7 @@ fn with_ctes<'c>(
 ) -> Result<Cow<'c, Ctes>> {
     let mut env = Cow::Borrowed(ctes);
     for cte in &q.with {
-        let table = if q.recursive && query_references(&cte.query, &cte.name) {
+        let bound = if q.recursive && query_references(&cte.query, &cte.name) {
             let span = trace.map(|tr| tr.span(&format!("recursive CTE {}", cte.name)));
             let (table, how) = run_recursive_cte(db, &env, cte, outer)?;
             if let Some(s) = &span {
@@ -70,13 +82,13 @@ fn with_ctes<'c>(
             if let Some(notes) = notes.as_deref_mut() {
                 notes.push(format!("recursive CTE {}: {how}", cte.name));
             }
-            table
+            Binding::rows(Arc::new(table))
         } else {
-            let mut t = run_query(db, &env, &cte.query, outer)?;
-            rename_columns(&mut t, &cte.columns)?;
-            t
+            let mut bound = run_query_bound(db, &env, &cte.query, outer)?;
+            bound.rename(&cte.columns)?;
+            bound
         };
-        env.to_mut().insert(&cte.name, Arc::new(table));
+        env.to_mut().bind(&cte.name, Arc::new(bound));
     }
     Ok(env)
 }
@@ -94,6 +106,17 @@ pub fn run_query_planned(
     outer: Option<&Env<'_>>,
     trace: Option<&obs::Trace>,
 ) -> Result<(Table, Option<u64>)> {
+    query_bound(db, ctes, q, outer, trace).map(|(b, fingerprint)| (b.into_table(), fingerprint))
+}
+
+/// [`run_query_planned`], the result in the form its body produced.
+fn query_bound(
+    db: &Database,
+    ctes: &Ctes,
+    q: &Query,
+    outer: Option<&Env<'_>>,
+    trace: Option<&obs::Trace>,
+) -> Result<(Binding, Option<u64>)> {
     let env_ctes = with_ctes(db, ctes, q, outer, None, trace)?;
     if let SetExpr::Select(sel) = &q.body {
         return run_select_planned(
@@ -131,7 +154,7 @@ pub fn run_query_planned(
     if let Some(s) = &span {
         s.rows(t.num_rows() as u64);
     }
-    Ok((t, None))
+    Ok((Binding::rows(Arc::new(t)), None))
 }
 
 /// Run one `SELECT` block — the body of a query or an arm of a set
@@ -149,14 +172,14 @@ fn run_select_planned(
     limit: &Option<Expr>,
     offset: &Option<Expr>,
     trace: Option<&obs::Trace>,
-) -> Result<(Table, Option<u64>)> {
+) -> Result<(Binding, Option<u64>)> {
     if db.force_row_interpreter() {
         let span = trace.map(|tr| tr.span("row interpreter"));
         let t = oracle::run_select(db, ctes, sel, outer, order_by, limit, offset)?;
         if let Some(s) = &span {
             s.rows(t.num_rows() as u64);
         }
-        return Ok((t, None));
+        return Ok((Binding::rows(Arc::new(t)), None));
     }
     let (planned, cache_hit) = db.plan_cached(ctes, sel, order_by, limit, offset, outer)?;
     let t = crate::plan::execute(db, ctes, &planned, trace, outer)?;
@@ -294,23 +317,6 @@ pub(super) fn apply_limit_offset(
     Ok(())
 }
 
-pub(crate) fn rename_columns(t: &mut Table, names: &[String]) -> Result<()> {
-    if names.is_empty() {
-        return Ok(());
-    }
-    if names.len() > t.schema.len() {
-        return Err(Error::bind(format!(
-            "column alias list has {} entries but result has {} columns",
-            names.len(),
-            t.schema.len()
-        )));
-    }
-    for (i, n) in names.iter().enumerate() {
-        t.schema.columns[i].name = n.clone();
-    }
-    Ok(())
-}
-
 /// Does `q` read a relation named `name` that nothing inside it binds —
 /// in any clause, at any depth? A `WITH RECURSIVE` member whose query does
 /// is recursive.
@@ -354,7 +360,7 @@ fn run_recursive_cte(
 ) -> Result<(Table, String)> {
     let (all, left, right) = recursive_parts(cte)?;
     let mut result = run_set_expr(db, ctes, left, outer)?;
-    rename_columns(&mut result, &cte.columns)?;
+    result.schema.rename(&cte.columns)?;
     let schema = result.schema.clone();
 
     let mut seen = KeyIndex::default();
@@ -468,7 +474,8 @@ fn run_recursive_cte(
                             result.rows.len() + pending.iter().map(|b| b.len).sum::<usize>();
                         hook(first, Step::Batches(&mut new));
                         if by_name && !new.is_empty() {
-                            step_ctes.insert(&cte.name, working_table(batches_to_rows(&new)));
+                            let working = Binding::batches(schema.clone(), new.clone());
+                            step_ctes.bind(&cte.name, Arc::new(working));
                         }
                         push_rows(&pending, &mut result.rows);
                         pending = new;
@@ -574,9 +581,8 @@ fn run_set_expr(
     outer: Option<&Env<'_>>,
 ) -> Result<Table> {
     match body {
-        SetExpr::Select(sel) => {
-            run_select_planned(db, ctes, sel, outer, &[], &None, &None, None).map(|(t, _)| t)
-        }
+        SetExpr::Select(sel) => run_select_planned(db, ctes, sel, outer, &[], &None, &None, None)
+            .map(|(b, _)| b.into_table()),
         SetExpr::Solve(stmt) => db.solve_handler()?.solve_select(db, stmt, ctes, None),
         SetExpr::Query(q) => run_query(db, ctes, q, outer),
         SetExpr::Values(rows) => run_values(db, ctes, rows, outer),

@@ -31,8 +31,8 @@ pub mod types;
 pub mod wire;
 
 pub use catalog::{
-    CatalogMutation, Ctes, Database, DurabilityHook, ExecCounts, ScalarUdf, SolveHandler, StepCell,
-    StepHook, VirtualTableProvider,
+    Binding, CatalogMutation, Ctes, Database, DurabilityHook, ExecCounts, ScalarUdf, SolveHandler,
+    StepCell, StepHook, VirtualTableProvider,
 };
 pub use diag::{Diagnostic, Severity};
 pub use error::{Error, Result};

@@ -799,9 +799,9 @@ impl FromBuilder<'_> {
                 let resolved = match resolve_relation(self.db, self.ctes, name)? {
                     // A slot takes its estimate from this first binding.
                     Relation::Cte(t) => (
-                        ScanSource::Slot { name: name.clone(), schema: t.schema.clone() },
-                        Described::rows(t),
-                        t.schema.clone(),
+                        ScanSource::Slot { name: name.clone(), schema: t.schema().clone() },
+                        Described::rows(t.table()),
+                        t.schema().clone(),
                     ),
                     Relation::View(vq) => self.derived(vq, || vq.clone())?,
                     Relation::Table(t) => {

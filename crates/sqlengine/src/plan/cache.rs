@@ -62,8 +62,9 @@ use crate::ast::{Expr, OrderItem, Select};
 use crate::catalog::{Ctes, Database};
 use crate::error::Result;
 use crate::exec::eval::Env;
+use crate::exec::subquery::KeptSubquery;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 /// The exact rendering of a block and the ORDER BY / LIMIT / OFFSET of
 /// the query it is the body of.
@@ -124,6 +125,9 @@ pub(crate) struct PlanCache {
     /// Plan-cache outcome of this statement's last cache-eligible block
     /// to finish: `Some(true)` = hit, `Some(false)` = planned fresh.
     event: Option<bool>,
+    /// This statement's subquery sites and their kept results, by the
+    /// address of the site's `Query` (`exec::subquery`).
+    subqueries: HashMap<usize, KeptSubquery>,
 }
 
 impl PlanCache {
@@ -140,6 +144,7 @@ impl PlanCache {
     pub(crate) fn end_statement(&mut self) -> Option<bool> {
         self.statement.clear();
         self.rendered.clear();
+        self.subqueries.clear();
         self.event.take()
     }
 }
@@ -255,13 +260,35 @@ impl Database {
         Ok((planned, Some(false)))
     }
 
-    /// The catalog changed: no cached plan can hit again.
+    /// The catalog changed: no cached plan can hit again, and no kept
+    /// subquery result holds a table a write could otherwise make in place.
     pub(crate) fn drop_plans(&self) {
         if let Ok(mut cache) = self.plan_cache.lock() {
             cache.session.clear();
             cache.statement.clear();
             cache.rendered.clear();
+            cache.subqueries.clear();
         }
+    }
+
+    /// `f` of the entry of the subquery site at `site`, if the statement
+    /// has one.
+    pub(crate) fn with_kept_subquery<T>(
+        &self,
+        site: usize,
+        f: impl FnOnce(Option<&mut KeptSubquery>) -> T,
+    ) -> T {
+        let mut cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        f(cache.subqueries.get_mut(&site))
+    }
+
+    /// Enter the subquery site at `site` for the rest of the statement.
+    pub(crate) fn keep_subquery(&self, site: usize, kept: KeptSubquery) {
+        let mut cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if cache.subqueries.len() >= MAX_CACHED_PLANS {
+            cache.subqueries.clear();
+        }
+        cache.subqueries.insert(site, kept);
     }
 
     /// A block of the current statement finished on a plan the cache

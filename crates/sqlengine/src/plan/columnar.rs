@@ -175,42 +175,38 @@ impl ColumnVec {
     /// Build a column from owned values, choosing the typed
     /// representation of their kind when every non-NULL value is of one.
     pub fn from_values(values: Vec<Value>) -> ColumnVec {
-        let mut present = values.iter().filter(|v| !v.is_null());
-        // All-NULL columns stay Any so they read back as NULL without
-        // inventing a type.
-        let Some(first) = present.next() else { return ColumnVec::Any(values) };
-        let kind = std::mem::discriminant(first);
-        let typed = matches!(
-            first,
-            Value::Int(_)
-                | Value::Float(_)
-                | Value::Bool(_)
-                | Value::Text(_)
-                | Value::Timestamp(_)
-                | Value::Interval(_)
-        );
-        if !typed || present.any(|v| std::mem::discriminant(v) != kind) {
-            return ColumnVec::Any(values);
-        }
-        /// The values of `$value`s as a `$variant` column, `$fill` under
-        /// each NULL.
+        ColumnVec::typed(values.iter(), values.len()).unwrap_or(ColumnVec::Any(values))
+    }
+
+    /// Pivot column `c` out of row-major storage: [`Self::from_values`]
+    /// of its values, read where they lie.
+    pub fn pivot(rows: &[Row], c: usize) -> ColumnVec {
+        let column = rows.iter().map(|r| &r[c]);
+        ColumnVec::typed(column.clone(), rows.len())
+            .unwrap_or_else(|| ColumnVec::Any(column.cloned().collect()))
+    }
+
+    /// The `n` values as a column of their kind, `None` when they are
+    /// not all NULL or of one typed kind. All-NULL columns stay `Any` so
+    /// they read back as NULL without inventing a type.
+    fn typed<'v>(values: impl Iterator<Item = &'v Value> + Clone, n: usize) -> Option<ColumnVec> {
+        /// The values as a `$variant` column, `$fill` under each NULL.
         macro_rules! typed {
             ($variant:ident, $value:ident, $fill:expr) => {{
-                // Pushed, not collected: collecting `values` in place would
-                // keep their allocation, several times the column's size.
-                let mut data = Vec::with_capacity(values.len());
-                let mut valid = Bitmap::with_capacity(values.len());
+                let mut data = Vec::with_capacity(n);
+                let mut valid = Bitmap::with_capacity(n);
                 for v in values {
+                    match v {
+                        Value::$value(x) => data.push(x.clone()),
+                        Value::Null => data.push($fill),
+                        _ => return None,
+                    }
                     valid.push(!v.is_null());
-                    data.push(match v {
-                        Value::$value(x) => x,
-                        _ => $fill,
-                    });
                 }
-                ColumnVec::$variant(data, valid)
+                Some(ColumnVec::$variant(data, valid))
             }};
         }
-        match first {
+        match values.clone().find(|v| !v.is_null())? {
             Value::Int(_) => typed!(Int, Int, 0),
             Value::Float(_) => typed!(Float, Float, 0.0),
             Value::Bool(_) => typed!(Bool, Bool, false),
@@ -220,13 +216,8 @@ impl ColumnVec {
             }
             Value::Timestamp(_) => typed!(Ts, Timestamp, 0),
             Value::Interval(_) => typed!(Iv, Interval, 0),
-            _ => ColumnVec::Any(values),
+            _ => None,
         }
-    }
-
-    /// Pivot column `c` out of row-major storage.
-    pub fn pivot(rows: &[Row], c: usize) -> ColumnVec {
-        ColumnVec::from_values(rows.iter().map(|r| r[c].clone()).collect())
     }
 
     /// Broadcast one value to a column of length `n`.

@@ -36,11 +36,12 @@ use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::keys::{Key, KeyIndex, Slot};
 use crate::ast::OrderItem;
-use crate::catalog::{Ctes, Database};
+use crate::catalog::{Binding, Ctes, Database};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
-use crate::exec::select::{key_order, run_query, AggState};
-use crate::table::{Row, Table};
+use crate::exec::select::{key_order, AggState};
+use crate::exec::subquery::run_subquery;
+use crate::table::{Row, Schema};
 use crate::types::value::Word;
 use crate::types::{GroupKey, Value};
 use std::borrow::Cow;
@@ -49,14 +50,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// Execute a planned query under the rows of its enclosing blocks,
-/// producing the final result table.
+/// producing the result as the batches the executor made.
 pub fn execute(
     db: &Database,
     ctes: &Ctes,
     planned: &PlannedQuery,
     trace: Option<&obs::Trace>,
     outer: Option<&Env<'_>>,
-) -> Result<Table> {
+) -> Result<Binding> {
     Runner { ctx: EvalCtx { db, ctes }, trace, step: None, outer }.run(planned)
 }
 
@@ -497,14 +498,13 @@ impl<'a> Runner<'a, '_> {
         Ok(batches)
     }
 
-    fn run(&mut self, planned: &PlannedQuery) -> Result<Table> {
+    fn run(&mut self, planned: &PlannedQuery) -> Result<Binding> {
         let span = self.trace.map(|t| t.span("columnar executor"));
-        let rows = batches_to_rows(&self.run_batches(planned)?);
+        let batches = self.run_batches(planned)?;
         if let Some(s) = &span {
-            s.rows(rows.len() as u64);
+            s.rows(batches.iter().map(|b| b.len as u64).sum());
         }
-
-        Ok(Table::with_rows(planned.schema.clone().typed_by(&rows), rows))
+        Ok(Binding::batches(typed_by(planned.schema.clone(), &batches), batches))
     }
 
     fn run_node(&mut self, node: &PlanNode) -> Result<Vec<Batch>> {
@@ -557,7 +557,7 @@ impl<'a> Runner<'a, '_> {
             PlanNode::Scan { source, cols, total_cols, .. } => match source {
                 ScanSource::OneRow => Ok(vec![Batch { cols: Vec::new(), len: 1 }]),
                 ScanSource::Derived { query } => {
-                    let t = run_query(self.ctx.db, self.ctx.ctes, query, self.outer)?;
+                    let t = run_subquery(&self.ctx, query, self.outer)?;
                     if t.num_columns() != *total_cols {
                         return Err(Error::eval(format!(
                             "derived relation returns {} columns, planned with {total_cols}",
@@ -585,19 +585,16 @@ impl<'a> Runner<'a, '_> {
                             .map(|b| b.select(cols.as_deref()))
                             .collect());
                     }
-                    let t =
+                    let bound =
                         self.ctx.ctes.get(name).ok_or_else(|| {
                             Error::eval(format!("plan slot '{name}' is not bound"))
                         })?;
-                    if t.schema != *schema {
+                    if bound.schema() != schema {
                         return Err(Error::eval(format!(
                             "plan slot '{name}' is bound to a relation of another schema"
                         )));
                     }
-                    Ok(t.rows
-                        .chunks(BATCH_SIZE)
-                        .map(|c| Batch::from_rows(c, cols.as_deref()))
-                        .collect())
+                    Ok(bound.scan(cols.as_deref()))
                 }
             },
 
@@ -755,6 +752,18 @@ impl<'a> Runner<'a, '_> {
             }
         }
     }
+}
+
+/// `schema` with each column typed by its first non-NULL value in
+/// `batches` — [`Schema::typed_by`] over the rows they hold.
+fn typed_by(mut schema: Schema, batches: &[Batch]) -> Schema {
+    for (i, col) in schema.columns.iter_mut().enumerate() {
+        let mut values = batches.iter().flat_map(|b| (0..b.len).map(move |r| b.cols[i].get(r)));
+        if let Some(v) = values.find(|v| !v.is_null()) {
+            col.ty = v.data_type();
+        }
+    }
+    schema
 }
 
 /// The rows `0..len` in the order `ORDER BY items` gives them by the key

@@ -489,7 +489,7 @@ impl PlannedQuery {
         fn bound(node: &PlanNode, ctes: &Ctes) -> bool {
             let own = match node {
                 PlanNode::Scan { source: ScanSource::Slot { name, schema }, .. } => {
-                    ctes.get(name).is_some_and(|t| t.schema == *schema)
+                    ctes.get(name).is_some_and(|t| t.schema() == schema)
                 }
                 _ => true,
             };

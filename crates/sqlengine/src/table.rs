@@ -50,6 +50,21 @@ impl Schema {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
+    /// Rename the leading columns to `names` (a CTE's column list).
+    pub(crate) fn rename(&mut self, names: &[String]) -> Result<()> {
+        if names.len() > self.len() {
+            return Err(Error::bind(format!(
+                "column alias list has {} entries but result has {} columns",
+                names.len(),
+                self.len()
+            )));
+        }
+        for (col, name) in self.columns.iter_mut().zip(names) {
+            col.name = name.clone();
+        }
+        Ok(())
+    }
+
     /// This schema with each column typed by its first non-NULL value in
     /// `rows`; a column with none keeps the type it has here. A query
     /// result is typed this way on both executors, from its static types,

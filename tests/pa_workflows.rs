@@ -249,7 +249,8 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
 /// the statement as a whole builds the same number of plans at 100 and
 /// at 400 history rows, and at 10 and at 40 iterations. The example's
 /// model reads its parameters through scalar subqueries in the recursive
-/// term, and a term that evaluates a subquery is stepped on batches.
+/// term, and a term that evaluates a subquery is stepped on batches; each
+/// of those subqueries runs once per recursion, not once per step.
 #[test]
 fn fitness_plans_do_not_grow_with_history() {
     let counts_at = |history: usize, iterations: usize| {
@@ -274,6 +275,10 @@ fn fitness_plans_do_not_grow_with_history() {
         assert_eq!(note("recursive_steps"), evaluations * (history as u64 + 1));
         assert_eq!(note("builds_reused"), evaluations * history as u64);
         assert_eq!(note("row_steps"), 0);
+        // The term's three parameter subqueries read `pars`, which each
+        // evaluation binds anew: they run in the first step that reaches
+        // them and are kept for the other `history - 1`.
+        assert_eq!(note("subqueries_reused"), evaluations * 3 * (history as u64 - 1));
         statement_plans
     };
     assert_eq!(counts_at(100, 10), counts_at(400, 10));
