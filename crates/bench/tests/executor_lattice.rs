@@ -103,7 +103,7 @@ fn run_sweep(point_of: &dyn Fn(usize) -> Point) -> Vec<Observed> {
                 at: format!("{name}: table {table}"),
                 ordered: false,
                 solved,
-                outcome: Ok((Outcome::Table(t.as_ref().clone()), BTreeSet::new())),
+                outcome: Ok((Outcome::Table(Table::clone(t.table())), BTreeSet::new())),
             });
         }
     })

@@ -209,6 +209,7 @@ fn metrics_table(metrics: &MetricsRegistry) -> Table {
     let counters = [
         ("columns_pivoted", metrics.columns_pivoted()),
         ("subqueries_reused", metrics.subqueries_reused()),
+        ("rows_copied", metrics.rows_copied()),
     ];
     for (name, count) in counters.into_iter().filter(|(_, count)| *count > 0) {
         let mut row = vec![Value::text(name), int(count)];
@@ -362,6 +363,7 @@ mod tests {
         metrics.record_statement_exec("SELECT ?", 1_000_000, 1, false, None, None);
         metrics.add_columns_pivoted(3);
         metrics.add_subqueries_reused(5);
+        metrics.add_rows_copied(7);
         let t = ObsTables::new(metrics, None, None).table("sdb_metrics").unwrap();
         assert_eq!(t.schema.columns[0].name, "name");
         let names: Vec<String> = t.rows.iter().map(|r| format!("{}", r[0])).collect();
@@ -369,10 +371,12 @@ mod tests {
         assert!(names.contains(&"wal.fsync".to_string()), "{names:?}");
         let fsync = t.rows.iter().find(|r| format!("{}", r[0]) == "wal.fsync").unwrap();
         assert_eq!(fsync[1], Value::Int(2));
-        let pivoted = &t.rows[t.rows.len() - 2];
+        let pivoted = &t.rows[t.rows.len() - 3];
         assert_eq!(pivoted[..3], [Value::text("columns_pivoted"), Value::Int(3), Value::Null]);
-        let reused = t.rows.last().unwrap();
+        let reused = &t.rows[t.rows.len() - 2];
         assert_eq!(reused[..3], [Value::text("subqueries_reused"), Value::Int(5), Value::Null]);
+        let copied = t.rows.last().unwrap();
+        assert_eq!(copied[..3], [Value::text("rows_copied"), Value::Int(7), Value::Null]);
     }
 
     #[test]

@@ -217,6 +217,9 @@ impl Session {
         if work.subqueries_reused > 0 {
             self.metrics.add_subqueries_reused(work.subqueries_reused);
         }
+        if work.rows_copied > 0 {
+            self.metrics.add_rows_copied(work.rows_copied);
+        }
         // Fold per-stage latency distributions in before the group
         // commit appends its wal.append stage: the WAL histograms are
         // recorded by the storage engine itself, so recording the

@@ -91,6 +91,9 @@ struct MetricsInner {
     /// Subquery executions answered by the result their site kept (the
     /// sum of the sessions' `ExecCounts::subqueries_reused`).
     subqueries_reused: u64,
+    /// Rows catalog writes copied because another table version shared
+    /// them (the sum of the sessions' `ExecCounts::rows_copied`).
+    rows_copied: u64,
 }
 
 /// Thread-safe cumulative metrics store.
@@ -177,6 +180,16 @@ impl MetricsRegistry {
 
     pub fn subqueries_reused(&self) -> u64 {
         self.lock().subqueries_reused
+    }
+
+    /// Add to the count of rows catalog writes copied from a shared
+    /// table version.
+    pub fn add_rows_copied(&self, rows: u64) {
+        self.lock().rows_copied += rows;
+    }
+
+    pub fn rows_copied(&self) -> u64 {
+        self.lock().rows_copied
     }
 
     /// Record a whole trace tree: every stage (recursively, with
@@ -272,6 +285,7 @@ impl MetricsRegistry {
         inner.stages.clear();
         inner.columns_pivoted = 0;
         inner.subqueries_reused = 0;
+        inner.rows_copied = 0;
     }
 }
 

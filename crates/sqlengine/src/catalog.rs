@@ -5,7 +5,7 @@ use crate::ast::{ExplainMode, Query, SolveStmt};
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
 use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
-use crate::plan::StoredTable;
+use crate::plan::{Rewrite, StoredTable};
 use crate::table::{coerce, Row, Schema, Table, TableRef};
 use crate::types::Value;
 use std::collections::HashMap;
@@ -254,15 +254,16 @@ pub trait SolveHandler: Send + Sync {
 /// records. Every mutation of the catalog's persistent state (tables,
 /// views) flows through exactly one of these commit points; replaying
 /// the sequence against empty [`Relations`] reconstructs the catalog.
-/// Mutations carry [`TableRef`]s, so emitting one never copies row data;
-/// whoever keeps such a handle makes the next write to that table copy
-/// it first, and a table nobody else holds is written in place.
+/// Mutations carry [`StoredTable`]s, so emitting one never copies row
+/// data; whoever keeps such a version makes the next write to that table
+/// copy the chunks it writes first, and a version nobody else holds is
+/// written in place.
 #[derive(Debug, Clone)]
 pub enum CatalogMutation {
     /// `CREATE TABLE` / `CREATE TABLE AS` (the table may carry rows).
     CreateTable {
         name: String,
-        table: TableRef,
+        table: StoredTable,
     },
     DropTable {
         name: String,
@@ -271,7 +272,7 @@ pub enum CatalogMutation {
     /// materialization, programmatic `put_table`).
     PutTable {
         name: String,
-        table: TableRef,
+        table: StoredTable,
     },
     /// Rows appended by `INSERT` (already coerced to column types).
     AppendRows {
@@ -305,15 +306,18 @@ impl CatalogMutation {
     /// Replay this mutation into a database (see [`Relations::apply`]).
     pub fn apply(&self, db: &mut Database) -> Result<()> {
         db.bump_epoch();
-        Arc::make_mut(&mut db.relations).apply(self, false)
+        let copied = Arc::make_mut(&mut db.relations).apply(self, false)?;
+        db.count_rows_copied(copied);
+        Ok(())
     }
 }
 
 /// The persistent half of a [`Database`]: its tables — each with what is
 /// derived from its rows (columnar image, statistics) — and its views.
 /// A storage engine holds its current version behind the same `Arc` its
-/// sessions' databases hold, and only a write copies the *maps* (never
-/// rows: entries are `Arc` handles).
+/// sessions' databases hold, and a write copies the *maps* (entries are
+/// `Arc` handles) and, of the table it writes, the chunk list and the
+/// chunks it changes (see [`StoredTable`]).
 #[derive(Debug, Clone, Default)]
 pub struct Relations {
     tables: HashMap<String, StoredTable>,
@@ -326,12 +330,12 @@ impl Relations {
         self.tables.contains_key(name) || self.views.contains_key(name)
     }
 
-    /// True when `name` is the same table handle and view here and in
+    /// True when `name` is the same table version and view here and in
     /// `other` (or in neither): nothing was committed to it in between.
     pub fn same_relation(&self, other: &Relations, name: &str) -> bool {
-        let table = |r: &Relations| r.tables.get(name).map(|t| Arc::as_ptr(t.table()));
+        let table = StoredTable::same_versions(self.tables.get(name), other.tables.get(name));
         let view = |r: &Relations| r.views.get(name).map(Arc::as_ptr);
-        table(self) == table(other) && view(self) == view(other)
+        table && view(self) == view(other)
     }
 
     /// Make `name` here what it is in `from` (handle, image, statistics).
@@ -348,8 +352,9 @@ impl Relations {
     /// a statement whose relation changed underneath it: appended rows
     /// are kept beside the other writer's, while creating a name that
     /// exists, touching one that is gone and replacing a table wholesale
-    /// are conflicts.
-    pub fn apply(&mut self, m: &CatalogMutation, strict: bool) -> Result<()> {
+    /// are conflicts. Returns the rows the mutation copied because
+    /// another version shared them.
+    pub fn apply(&mut self, m: &CatalogMutation, strict: bool) -> Result<u64> {
         let name = m.relation();
         let exists = || Error::catalog(format!("relation '{name}' already exists"));
         let conflict = || {
@@ -362,13 +367,13 @@ impl Relations {
                 if strict && self.has(name) {
                     return Err(exists());
                 }
-                self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
+                self.tables.insert(name.to_string(), table.clone());
             }
             CatalogMutation::PutTable { table, .. } => {
                 if strict {
                     return Err(conflict());
                 }
-                self.tables.insert(name.to_string(), StoredTable::new(table.clone()));
+                self.tables.insert(name.to_string(), table.clone());
             }
             CatalogMutation::DropTable { .. } => {
                 if self.tables.remove(name).is_none() && strict {
@@ -380,14 +385,14 @@ impl Relations {
                     true => conflict(),
                     false => Error::catalog(format!("table '{name}' does not exist")),
                 })?;
-                let want = t.table().schema.len();
+                let want = t.schema().len();
                 if let Some(row) = rows.iter().find(|r| r.len() != want) {
                     return Err(Error::catalog(format!(
                         "row has {} values, table '{name}' has {want} columns",
                         row.len()
                     )));
                 }
-                t.append(rows.iter().cloned());
+                return Ok(t.append(rows.iter().cloned()));
             }
             CatalogMutation::CreateView { sql, .. } => {
                 if strict && self.has(name) {
@@ -402,14 +407,14 @@ impl Relations {
                 }
             }
         }
-        Ok(())
+        Ok(0)
     }
 
-    /// All tables as `(name, handle)` pairs, sorted by name — what a
+    /// All tables as `(name, version)` pairs, sorted by name — what a
     /// snapshot writes (`Arc` clones, no row copies).
-    pub fn tables_snapshot(&self) -> Vec<(String, TableRef)> {
-        let mut v: Vec<(String, TableRef)> =
-            self.tables.iter().map(|(n, t)| (n.clone(), t.table().clone())).collect();
+    pub fn tables_snapshot(&self) -> Vec<(String, StoredTable)> {
+        let mut v: Vec<(String, StoredTable)> =
+            self.tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -477,6 +482,10 @@ pub struct ExecCounts {
     /// Executions of a subquery that returned the result its site kept
     /// from an earlier run over the same relations instead of running.
     pub subqueries_reused: u64,
+    /// Rows a catalog write copied because another table version shared
+    /// the chunk they are in (see [`StoredTable`]). Zero for a write to a
+    /// version nobody else holds.
+    pub rows_copied: u64,
 }
 
 impl ExecCounts {
@@ -490,6 +499,7 @@ impl ExecCounts {
             row_steps: self.row_steps - earlier.row_steps,
             columns_pivoted: self.columns_pivoted - earlier.columns_pivoted,
             subqueries_reused: self.subqueries_reused - earlier.subqueries_reused,
+            rows_copied: self.rows_copied - earlier.rows_copied,
         }
     }
 }
@@ -518,6 +528,7 @@ pub struct Database {
     row_steps: AtomicU64,
     columns_pivoted: AtomicU64,
     subqueries_reused: AtomicU64,
+    rows_copied: AtomicU64,
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
     pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
@@ -580,6 +591,7 @@ impl Database {
             row_steps: self.row_steps.load(Ordering::Relaxed),
             columns_pivoted: self.columns_pivoted.load(Ordering::Relaxed),
             subqueries_reused: self.subqueries_reused.load(Ordering::Relaxed),
+            rows_copied: self.rows_copied.load(Ordering::Relaxed),
         }
     }
 
@@ -608,6 +620,10 @@ impl Database {
 
     pub(crate) fn count_subquery_reused(&self) {
         self.subqueries_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count_rows_copied(&self, rows: u64) {
+        self.rows_copied.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Record a solve's analyzer findings for the statement running it.
@@ -714,9 +730,9 @@ impl Database {
                 false => Err(Error::catalog(format!("relation '{name}' already exists"))),
             };
         }
-        let table = Arc::new(table);
+        let table = StoredTable::new(table);
         self.bump_epoch();
-        self.relations_mut().tables.insert(name.to_string(), StoredTable::new(table.clone()));
+        self.relations_mut().tables.insert(name.to_string(), table.clone());
         self.emit(CatalogMutation::CreateTable { name: name.to_string(), table });
         Ok(())
     }
@@ -732,18 +748,21 @@ impl Database {
         Ok(())
     }
 
+    /// The table `name` as one contiguous [`Table`], assembled once per
+    /// version ([`StoredTable::table`]): for callers outside a statement.
     pub fn table(&self, name: &str) -> Result<&TableRef> {
         self.stored_table(name).map(StoredTable::table)
     }
 
-    /// [`Self::table`] without the error of a name that is none.
-    pub(crate) fn table_if_any(&self, name: &str) -> Option<&TableRef> {
-        self.relations.tables.get(name).map(StoredTable::table)
+    /// [`Self::stored_table`] without the error of a name that is none.
+    pub(crate) fn stored_table_if_any(&self, name: &str) -> Option<&StoredTable> {
+        self.relations.tables.get(name)
     }
 
-    /// The table with its columnar image and statistics — what a scan of
-    /// `name` reads.
-    pub(crate) fn stored_table(&self, name: &str) -> Result<&StoredTable> {
+    /// The current version of table `name`, with its columnar image and
+    /// statistics — what a scan of `name` reads. A clone of it is a
+    /// reader's version: the catalog's next write leaves it as it is.
+    pub fn stored_table(&self, name: &str) -> Result<&StoredTable> {
         self.relations
             .tables
             .get(name)
@@ -760,7 +779,7 @@ impl Database {
     /// table untouched (and nothing is logged).
     pub fn append_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize> {
         let missing = || Error::catalog(format!("table '{name}' does not exist"));
-        let schema = &self.relations.tables.get(name).ok_or_else(missing)?.table().schema;
+        let schema = self.relations.tables.get(name).ok_or_else(missing)?.schema();
         let mut coerced = Vec::with_capacity(rows.len());
         for row in rows {
             if row.len() != schema.len() {
@@ -779,30 +798,25 @@ impl Database {
         let n = coerced.len();
         self.bump_epoch();
         let stored = self.relations_mut().tables.get_mut(name).ok_or_else(missing)?;
-        stored.append(coerced.iter().cloned());
+        let copied = stored.append(coerced.iter().cloned());
+        self.count_rows_copied(copied);
         self.emit(CatalogMutation::AppendRows { name: name.to_string(), rows: coerced });
         Ok(n)
     }
 
     /// Replace a table's contents wholesale.
     pub fn put_table(&mut self, name: &str, table: Table) {
-        let table = Arc::new(table);
+        let table = StoredTable::new(table);
         self.bump_epoch();
-        self.relations_mut().tables.insert(name.to_string(), StoredTable::new(table.clone()));
+        self.relations_mut().tables.insert(name.to_string(), table.clone());
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
     }
 
     /// Rewrite `name`'s rows through `edit` and commit the result as
     /// [`Self::put_table`] would — the commit point of DELETE and UPDATE.
-    /// `first_touched` and `assigned` say what `edit` leaves alone, so the
-    /// table's image survives where it can: see [`StoredTable::rewrite`].
-    pub(crate) fn rewrite_table(
-        &mut self,
-        name: &str,
-        first_touched: usize,
-        assigned: Option<&[usize]>,
-        edit: impl FnOnce(&mut Table),
-    ) -> Result<()> {
+    /// The table's chunks and image survive where `edit` leaves them
+    /// alone: see [`StoredTable::rewrite`].
+    pub(crate) fn rewrite_table(&mut self, name: &str, edit: Rewrite) -> Result<()> {
         // First: the plans the epoch retires hold the table too, and a
         // table held only here is rewritten in place.
         self.bump_epoch();
@@ -811,8 +825,9 @@ impl Database {
             .tables
             .get_mut(name)
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))?;
-        stored.rewrite(first_touched, assigned, edit);
-        let table = stored.table().clone();
+        let copied = stored.rewrite(edit);
+        let table = stored.clone();
+        self.count_rows_copied(copied);
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
         Ok(())
     }

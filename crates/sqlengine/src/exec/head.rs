@@ -333,7 +333,7 @@ pub(crate) fn query_schema(
                 let schema = match resolve_relation(db, ctes, name)? {
                     Relation::Cte(t) => t.schema().clone(),
                     Relation::View(vq) => query_schema(db, ctes, vq, outer)?,
-                    Relation::Table(t) => t.table().schema.clone(),
+                    Relation::Table(t) => t.schema().clone(),
                     Relation::Virtual(t) => t.schema,
                 };
                 (Some(alias.as_ref().map_or(name, |a| &a.name)), alias, schema)

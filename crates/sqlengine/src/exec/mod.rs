@@ -14,6 +14,7 @@ use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, Env, EvalCtx, Scope};
 use crate::parser;
 use crate::plan::exec::matching_rows;
+use crate::plan::Rewrite;
 use crate::table::{coerce, Column, Schema, Table};
 use crate::types::{DataType, Value};
 use obs::{QueryTrace, Trace};
@@ -249,7 +250,7 @@ fn execute_statement_inner(
         }
         Statement::Insert { table, columns, source } => {
             let src = run_query(db, &ctes, source, None)?;
-            let target_schema = db.table(table)?.schema.clone();
+            let target_schema = db.stored_table(table)?.schema().clone();
             // Map source columns to target positions.
             let positions: Vec<usize> = if columns.is_empty() {
                 if src.num_columns() > target_schema.len() {
@@ -293,7 +294,7 @@ fn execute_statement_inner(
         Statement::Update { table, assignments, where_ } => {
             let (cols, patches) = {
                 let stored = db.stored_table(table)?;
-                let schema = &stored.table().schema;
+                let schema = stored.schema();
                 let scope = Scope::from_schema(Some(table), schema);
                 let binder = Binder::new(db, &scope);
                 let bound_where = where_.as_ref().map(|w| binder.bind(w)).transpose()?;
@@ -309,7 +310,7 @@ fn execute_statement_inner(
                 let ctx = EvalCtx { db, ctes: &ctes };
                 let hits = matching_rows(&ctx, stored, &scope, bound_where.as_ref())?;
                 let mut patches: Vec<(usize, Vec<Value>)> = Vec::new();
-                for (i, row) in stored.table().rows.iter().enumerate().filter(|(i, _)| hits[*i]) {
+                for (i, row) in stored.rows().enumerate().filter(|(i, _)| hits[*i]) {
                     // Every assignment sees the *old* row.
                     let env = Env { scope: &scope, row, parent: None };
                     let values = bound_assign
@@ -321,31 +322,21 @@ fn execute_statement_inner(
                 (bound_assign.into_iter().map(|(idx, _)| idx).collect::<Vec<_>>(), patches)
             };
             let n = patches.len();
-            let first = patches.first().map_or(usize::MAX, |(i, _)| *i);
-            db.rewrite_table(table, first, Some(&cols), |t| {
-                for (i, values) in patches {
-                    for (idx, v) in cols.iter().zip(values) {
-                        t.rows[i][*idx] = v;
-                    }
-                }
-            })?;
+            db.rewrite_table(table, Rewrite::Update { columns: cols, patches })?;
             Ok(ExecResult::count(n))
         }
         Statement::Delete { table, where_ } => {
             let hits = {
                 let stored = db.stored_table(table)?;
-                let scope = Scope::from_schema(Some(table), &stored.table().schema);
+                let scope = Scope::from_schema(Some(table), stored.schema());
                 let bound_where =
                     where_.as_ref().map(|w| Binder::new(db, &scope).bind(w)).transpose()?;
                 let ctx = EvalCtx { db, ctes: &ctes };
                 matching_rows(&ctx, stored, &scope, bound_where.as_ref())?
             };
-            let first = hits.iter().position(|hit| *hit).unwrap_or(usize::MAX);
-            db.rewrite_table(table, first, None, |t| {
-                let mut hit = hits.iter();
-                t.rows.retain(|_| hit.next() == Some(&false));
-            })?;
-            Ok(ExecResult::count(hits.iter().filter(|hit| **hit).count()))
+            let n = hits.iter().filter(|hit| **hit).count();
+            db.rewrite_table(table, Rewrite::Delete(hits))?;
+            Ok(ExecResult::count(n))
         }
         Statement::CreateTable { name, if_not_exists, columns, as_query } => {
             let table = match as_query {

@@ -28,7 +28,6 @@ use crate::exec::select::{
 };
 use crate::table::{Row, Table};
 use crate::types::{GroupKey, Value};
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Materialized relation with its scope.
@@ -46,18 +45,14 @@ fn scan_named(
     outer: Option<&Env<'_>>,
 ) -> Result<Rel> {
     let qualifier = Some(alias.map_or(name, |a| a.name.as_str()));
-    let t: Cow<'_, Table> = match resolve_relation(db, ctes, name)? {
-        Relation::Cte(t) => Cow::Borrowed(t.table().as_ref()),
-        Relation::Table(t) => Cow::Borrowed(t.table().as_ref()),
+    let (schema, rows) = match resolve_relation(db, ctes, name)? {
+        Relation::Cte(t) => (t.schema().clone(), t.table().rows.clone()),
+        Relation::Table(t) => (t.schema().clone(), t.rows().cloned().collect()),
         Relation::View(vq) => return derived(db, ctes, vq, qualifier, alias, outer),
-        Relation::Virtual(t) => Cow::Owned(t),
+        Relation::Virtual(t) => (t.schema, t.rows),
     };
-    let mut scope = Scope::from_schema(qualifier, &t.schema);
+    let mut scope = Scope::from_schema(qualifier, &schema);
     apply_alias_columns(&mut scope, alias)?;
-    let rows = match t {
-        Cow::Borrowed(t) => t.rows.clone(),
-        Cow::Owned(t) => t.rows,
-    };
     Ok(Rel { scope, rows })
 }
 

@@ -28,7 +28,8 @@ use crate::error::Result;
 use crate::exec::eval::{Env, EvalCtx};
 use crate::exec::select::run_query;
 use crate::plan::relation_reads;
-use crate::table::{Table, TableRef};
+use crate::plan::StoredTable;
+use crate::table::Table;
 use std::sync::Arc;
 
 /// One subquery site of the statement, by the address of its `Query`.
@@ -61,11 +62,11 @@ struct Closed {
 }
 
 /// What one relation name resolved to: the CTE binding, the view and the
-/// catalog table of that name, compared by address.
+/// catalog table version of that name, compared by address.
 struct Resolved {
     cte: Option<Arc<Binding>>,
     view: Option<Arc<Query>>,
-    table: Option<TableRef>,
+    table: Option<StoredTable>,
 }
 
 impl Resolved {
@@ -73,7 +74,7 @@ impl Resolved {
         Resolved {
             cte: ctx.ctes.get(name).cloned(),
             view: ctx.db.view(name).cloned(),
-            table: ctx.db.table_if_any(name).cloned(),
+            table: ctx.db.stored_table_if_any(name).cloned(),
         }
     }
 
@@ -85,9 +86,8 @@ impl Resolved {
                 _ => false,
             }
         }
-        same(&self.cte, &other.cte)
-            && same(&self.view, &other.view)
-            && same(&self.table, &other.table)
+        let table = StoredTable::same_versions(self.table.as_ref(), other.table.as_ref());
+        same(&self.cte, &other.cte) && same(&self.view, &other.view) && table
     }
 }
 

@@ -782,7 +782,7 @@ impl FromBuilder<'_> {
         let t = run_query(self.db, self.ctes, query, None)?;
         let schema = t.schema.clone();
         self.captured.node(self.db, Node::Query(query));
-        let stored = StoredTable::new(Arc::new(t));
+        let stored = StoredTable::new(t);
         let stats = Described::stored(&stored);
         Ok((ScanSource::Table(stored), stats, schema))
     }
@@ -806,14 +806,14 @@ impl FromBuilder<'_> {
                     Relation::View(vq) => self.derived(vq, || vq.clone())?,
                     Relation::Table(t) => {
                         let stats = Described::stored(t);
-                        (ScanSource::Table(t.clone()), stats, t.table().schema.clone())
+                        (ScanSource::Table(t.clone()), stats, t.schema().clone())
                     }
                     Relation::Virtual(t) => {
                         // A snapshot taken now, outside the catalog epoch:
                         // the plan must not be cached.
                         self.captured.reads.insert(name.clone());
                         let schema = t.schema.clone();
-                        let stored = StoredTable::new(Arc::new(t));
+                        let stored = StoredTable::new(t);
                         let stats = Described::stored(&stored);
                         (ScanSource::Table(stored), stats, schema)
                     }

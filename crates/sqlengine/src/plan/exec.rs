@@ -841,7 +841,7 @@ pub(crate) fn matching_rows(
     scope: &Scope,
     pred: Option<&BoundExpr>,
 ) -> Result<Vec<bool>> {
-    let Some(pred) = pred else { return Ok(vec![true; stored.table().num_rows()]) };
+    let Some(pred) = pred else { return Ok(vec![true; stored.num_rows()]) };
     let mut keep = Vec::new();
     collect_cols(pred, &mut keep);
     keep.sort_unstable();
@@ -861,7 +861,7 @@ pub(crate) fn matching_rows(
     ctx.db.count_columns_pivoted(pivoted);
     let ve = VecExpr::compile(&pred);
     let vctx = VecEvalCtx { ctx, scope: &scope, outer: None };
-    let mut hits = vec![false; stored.table().num_rows()];
+    let mut hits = vec![false; stored.num_rows()];
     let mut base = 0;
     for b in &batches {
         for i in selected(ve.eval(b, &vctx)?.as_ref(), b.len)? {

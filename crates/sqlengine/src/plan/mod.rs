@@ -31,7 +31,7 @@ pub mod stats;
 
 pub use build::{plan_select, relation_reads};
 pub use exec::execute;
-pub use image::StoredTable;
+pub use image::{Rewrite, RowChunk, StoredTable};
 pub use ir::{PlanNode, PlannedQuery};
 pub use stats::TableStats;
 

@@ -11,9 +11,10 @@
 //!
 //! A column's distinct count is estimated the first time an estimate
 //! reads it — only a pushed predicate or a join edge does — from the
-//! rows the statistics describe, which the reader passes in: the
-//! statistics hold no `TableRef`, so they never stand in the way of an
-//! in-place write. Most scans are read by no estimate and count nothing.
+//! first [`SAMPLE_ROWS`] rows of the version, which the reader passes in
+//! (a stored table's first chunk): the statistics hold no rows, so they
+//! never stand in the way of an in-place write. Most scans are read by no
+//! estimate and count nothing.
 //!
 //! A custom value — a symbolic decision cell — has no key but its
 //! rendered text, and a column of them is as large as a model (the 288
@@ -24,14 +25,16 @@
 //!
 //! [`StoredTable`]: super::image::StoredTable
 
+use super::columnar::BATCH_SIZE;
 use super::image::StoredTable;
 use super::keys::KeyIndex;
-use crate::table::{Table, TableRef};
+use crate::table::{Row, TableRef};
 use crate::types::Value;
 use std::sync::{Arc, OnceLock};
 
-/// How many rows to sample when estimating per-column distinct counts.
-const SAMPLE_ROWS: usize = 1024;
+/// How many rows to sample when estimating per-column distinct counts:
+/// the first, a stored table's first chunk.
+const SAMPLE_ROWS: usize = BATCH_SIZE;
 
 /// Summary statistics for one table version.
 #[derive(Debug)]
@@ -43,24 +46,28 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Statistics of `table`: its row count now, a column's distinct
-    /// count when [`Self::distinct_of`] first reads it.
-    pub fn new(table: &Table) -> TableStats {
-        TableStats {
-            row_count: table.rows.len(),
-            distinct: (0..table.schema.len()).map(|_| OnceLock::new()).collect(),
-        }
+    /// Statistics of a version of `row_count` rows and `columns`
+    /// columns: a column's distinct count is counted when
+    /// [`Self::distinct_of`] first reads it.
+    pub fn new(row_count: usize, columns: usize) -> TableStats {
+        TableStats { row_count, distinct: (0..columns).map(|_| OnceLock::new()).collect() }
     }
 
-    /// Distinct estimate for column `col` of `table`, the rows these
-    /// statistics describe (sampled; ≥ 1.0 for non-empty tables),
-    /// estimated on first read. A column out of range (synthetic
-    /// relations) defaults to a third of the rows.
-    pub fn distinct_of(&self, table: &Table, col: usize) -> f64 {
+    /// Distinct estimate for column `col`, from `sample`, the first
+    /// [`SAMPLE_ROWS`] rows (or all of them) of the version these
+    /// statistics describe (≥ 1.0 for non-empty tables), estimated on
+    /// first read. A column out of range (synthetic relations) defaults
+    /// to a third of the rows.
+    pub fn distinct_of(&self, sample: &[Row], col: usize) -> f64 {
         match self.distinct.get(col) {
             Some(d) => *d.get_or_init(|| {
-                debug_assert_eq!(table.rows.len(), self.row_count, "statistics of another version");
-                distinct_count(table, col)
+                let sample = &sample[..sample.len().min(SAMPLE_ROWS)];
+                debug_assert_eq!(
+                    sample.len(),
+                    self.row_count.min(SAMPLE_ROWS),
+                    "statistics of another version"
+                );
+                distinct_count(sample, self.row_count, col)
             }),
             None => self.a_third(),
         }
@@ -77,28 +84,32 @@ impl TableStats {
     }
 }
 
-/// A relation's statistics next to the rows they describe, as a plan
+/// A relation's statistics next to the rows they sample, as a plan
 /// build reads them.
 pub(crate) struct Described {
     stats: Arc<TableStats>,
-    /// `None` for a relation estimated at one row and not read.
-    rows: Option<TableRef>,
+    /// The table holding the first rows: a stored table's first chunk, a
+    /// CTE binding's rows; `None` for a relation estimated at one row and
+    /// not read.
+    sample: Option<TableRef>,
 }
 
 impl Described {
     /// A stored table's statistics, shared by every plan of its version.
     pub(crate) fn stored(t: &StoredTable) -> Described {
-        Described { stats: t.stats(), rows: Some(t.table().clone()) }
+        let first = t.chunks().first().cloned().unwrap_or_default();
+        Described { stats: t.stats(), sample: Some(first) }
     }
 
     /// Statistics of `rows` for one plan (a CTE binding).
     pub(crate) fn rows(rows: &TableRef) -> Described {
-        Described { stats: Arc::new(TableStats::new(rows)), rows: Some(rows.clone()) }
+        let stats = Arc::new(TableStats::new(rows.num_rows(), rows.num_columns()));
+        Described { stats, sample: Some(rows.clone()) }
     }
 
     /// A relation that is estimated at one row and not read.
     pub(crate) fn one_row() -> Described {
-        Described { stats: Arc::new(TableStats { row_count: 1, distinct: Vec::new() }), rows: None }
+        Described { stats: Arc::new(TableStats::new(1, 0)), sample: None }
     }
 
     pub(crate) fn row_count(&self) -> f64 {
@@ -106,26 +117,25 @@ impl Described {
     }
 
     pub(crate) fn distinct_of(&self, col: usize) -> f64 {
-        match &self.rows {
-            Some(rows) => self.stats.distinct_of(rows, col),
+        match &self.sample {
+            Some(t) => self.stats.distinct_of(&t.rows, col),
             None => self.stats.a_third(),
         }
     }
 }
 
-/// The distinct values of column `c` among at most [`SAMPLE_ROWS`] rows,
-/// scaled to the whole table.
-fn distinct_count(table: &Table, c: usize) -> f64 {
-    let row_count = table.rows.len();
-    let sample = row_count.min(SAMPLE_ROWS);
+/// The distinct values of column `c` among the `sample` rows, scaled to
+/// the table's `row_count`.
+fn distinct_count(sample: &[Row], row_count: usize, c: usize) -> f64 {
     let mut seen = KeyIndex::default();
     let mut custom = 0usize;
-    for row in table.rows.iter().take(sample) {
+    for row in sample {
         match &row[c] {
             Value::Custom(_) => custom += 1,
             v => _ = seen.insert(std::slice::from_ref(v)),
         }
     }
+    let sample = sample.len();
     let seen = (seen.len() + custom) as f64;
     let d = if sample == 0 {
         0.0
@@ -158,15 +168,15 @@ mod tests {
                 vec![Value::Null, Value::text("x")],
             ],
         );
-        let s = TableStats::new(&t);
+        let s = TableStats::new(t.num_rows(), t.num_columns());
         assert_eq!(s.row_count, 4);
         assert_eq!(s.estimated(), 0, "distinct counts wait for a reader");
         // a: {1, 2, NULL} -> 3 distinct keys; b: {x, y} -> 2.
-        assert_eq!(s.distinct_of(&t, 0), 3.0);
+        assert_eq!(s.distinct_of(&t.rows, 0), 3.0);
         assert_eq!(s.estimated(), 1);
-        assert_eq!(s.distinct_of(&t, 1), 2.0);
+        assert_eq!(s.distinct_of(&t.rows, 1), 2.0);
         // Out of range: a third of the rows.
-        assert_eq!(s.distinct_of(&t, 2), 4.0 / 3.0);
+        assert_eq!(s.distinct_of(&t.rows, 2), 4.0 / 3.0);
         assert_eq!(s.estimated(), 2);
     }
 
@@ -200,9 +210,9 @@ mod tests {
                 vec![cell("x4"), Value::Null],
             ],
         );
-        let s = TableStats::new(&t);
+        let s = TableStats::new(t.num_rows(), t.num_columns());
         // sym: four symbolic cells; mixed: {1, NULL} and one symbolic cell.
-        assert_eq!((s.distinct_of(&t, 0), s.distinct_of(&t, 1)), (4.0, 3.0));
+        assert_eq!((s.distinct_of(&t.rows, 0), s.distinct_of(&t.rows, 1)), (4.0, 3.0));
         assert_eq!(renders.load(Ordering::Relaxed), 0, "statistics rendered a custom cell");
         // The grouping key of a custom value is still its text.
         assert_eq!(cell("x0").group_key(), cell("x0").group_key());
@@ -225,7 +235,7 @@ mod tests {
             .unwrap();
         let stored = db.stored_table("t").unwrap();
         let s3 = stored.stats();
-        assert_eq!((s3.row_count, s3.distinct_of(stored.table(), 0)), (2, 1.0));
+        assert_eq!((s3.row_count, s3.distinct_of(&stored.chunks()[0].rows, 0)), (2, 1.0));
     }
 
     /// Only a pushed predicate or a join edge reads a distinct count, and

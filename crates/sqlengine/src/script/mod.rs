@@ -60,7 +60,7 @@ impl CatalogSnapshot {
         let mut shadow = ShadowCatalog::default();
         for (name, table) in db.relations().tables_snapshot() {
             let schema = table
-                .schema
+                .schema()
                 .columns
                 .iter()
                 .map(|c| shadow::DerivedCol { name: Some(c.name.clone()), ty: Some(c.ty.clone()) })

@@ -36,7 +36,7 @@
 
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
-use crate::table::{Column, Schema, Table};
+use crate::table::{Column, Row, Schema, Table};
 use crate::types::{BitString, DataType, Value};
 
 /// Upper bound for a single length-prefixed string (64 MiB).
@@ -286,10 +286,20 @@ pub fn decode_schema(r: &mut Reader<'_>) -> Result<Schema> {
 
 /// Encode a whole table (schema + rows) into a fresh buffer.
 pub fn encode_table(table: &Table) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + table.num_rows() * table.num_columns() * 9);
-    encode_schema(&table.schema, &mut out);
-    out.extend_from_slice(&(table.num_rows() as u32).to_le_bytes());
-    for row in &table.rows {
+    encode_rows(&table.schema, table.num_rows(), &table.rows)
+}
+
+/// Encode a table given as its schema and its `nrows` rows, in order —
+/// the bytes [`encode_table`] writes for the same table.
+pub fn encode_rows<'a>(
+    schema: &Schema,
+    nrows: usize,
+    rows: impl IntoIterator<Item = &'a Row>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + nrows * schema.len() * 9);
+    encode_schema(schema, &mut out);
+    out.extend_from_slice(&(nrows as u32).to_le_bytes());
+    for row in rows {
         for v in row {
             encode_value(v, &mut out);
         }

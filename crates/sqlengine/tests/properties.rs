@@ -1,12 +1,14 @@
 //! Property-based tests for the engine: pretty-printer round-trips,
-//! evaluator algebra, LIKE matching, and set-operation laws.
+//! evaluator algebra, LIKE matching, set-operation laws, and table
+//! versions that share row chunks.
 
 use proptest::prelude::*;
 use sqlengine::ast::{Expr, Literal};
 use sqlengine::exec::eval::like_match;
 use sqlengine::parser::{parse_expr, parse_query};
+use sqlengine::plan::{Rewrite, StoredTable};
 use sqlengine::types::BinOp;
-use sqlengine::{execute_script, execute_sql, Database, Value};
+use sqlengine::{execute_script, execute_sql, Database, Row, Table, Value};
 
 // ---------------------------------------------------------------------------
 // Expression generation
@@ -185,5 +187,133 @@ proptest! {
         let q1 = parse_query(&sql).unwrap();
         let q2 = parse_query(&q1.to_string()).unwrap();
         prop_assert_eq!(q1, q2);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked table versions
+// ---------------------------------------------------------------------------
+
+/// One write to a stored table, or a reader taking its version.
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// Append this many rows.
+    Append(usize),
+    /// Delete the rows whose key is `r` modulo `m`.
+    DeleteWhere(i64, i64),
+    /// Set column `c` of the rows whose key is `r` modulo `m` to `v`.
+    UpdateWhere(i64, i64, usize, i64),
+    /// Pivot column `c` into the image.
+    Scan(usize),
+    /// Keep a clone of the current version.
+    Read,
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0usize..4).prop_map(TableOp::Append),
+        (1000usize..1100).prop_map(TableOp::Append),
+        (0usize..2600).prop_map(TableOp::Append),
+        (1i64..40, 0i64..40).prop_map(|(m, r)| TableOp::DeleteWhere(m, r % m)),
+        (1i64..40, 0i64..40, 1usize..3, -9i64..9).prop_map(|(m, r, c, v)| TableOp::UpdateWhere(
+            m,
+            r % m,
+            c,
+            v
+        )),
+        (0usize..3).prop_map(TableOp::Scan),
+        Just(TableOp::Read),
+        Just(TableOp::Read),
+    ]
+}
+
+/// `StoredTable`'s rows through its columnar image.
+fn imaged(t: &StoredTable) -> Vec<Row> {
+    let (batches, _) = t.scan(None);
+    batches
+        .iter()
+        .flat_map(|b| (0..b.len).map(move |i| b.cols.iter().map(|c| c.get(i)).collect()))
+        .collect()
+}
+
+/// True when `row`'s key is `r` modulo `m`.
+fn hit(row: &Row, m: i64, r: i64) -> bool {
+    row[0].as_i64().is_ok_and(|k| k.rem_euclid(m) == r)
+}
+
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Random appends, deletes and updates, with readers keeping the
+    /// version of the moment: every kept version reads back as the plain
+    /// rows it had — through its chunks and through its columnar image —
+    /// whatever was written after it, and the chunks stay aligned.
+    #[test]
+    fn every_kept_version_reads_as_its_model(
+        ops in prop::collection::vec(arb_table_op(), 1..14),
+        chunked in any::<bool>(),
+    ) {
+        let empty = Table::from_rows(&["k", "v", "w"], Vec::new());
+        let mut t = if chunked { StoredTable::chunked(empty) } else { StoredTable::new(empty) };
+        let mut model: Vec<Row> = Vec::new();
+        let mut readers: Vec<(StoredTable, Vec<Row>)> = Vec::new();
+        let mut next_key = 0i64;
+        for op in &ops {
+            match *op {
+                TableOp::Append(n) => {
+                    let rows: Vec<Row> = (next_key..next_key + n as i64)
+                        .map(|k| vec![Value::Int(k), Value::Float(k as f64 / 2.0), Value::Null])
+                        .collect();
+                    next_key += n as i64;
+                    let lone = t.chunks().len() == 1 && t.num_rows() > 1024;
+                    let before = t.num_rows() as u64;
+                    let copied = t.append(rows.clone());
+                    // Only a shared lone chunk longer than one chunk is
+                    // copied whole; otherwise at most the last chunk.
+                    prop_assert!(
+                        copied < 1024 || (lone && copied == before),
+                        "an append copied {} of {} rows", copied, before
+                    );
+                    model.extend(rows);
+                }
+                TableOp::DeleteWhere(m, r) => {
+                    let hits = model.iter().map(|row| hit(row, m, r)).collect();
+                    t.rewrite(Rewrite::Delete(hits));
+                    model.retain(|row| !hit(row, m, r));
+                }
+                TableOp::UpdateWhere(m, r, c, v) => {
+                    let patches: Vec<(usize, Vec<Value>)> = model
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, row)| hit(row, m, r))
+                        .map(|(i, _)| (i, vec![Value::Int(v)]))
+                        .collect();
+                    for (i, _) in &patches {
+                        model[*i][c] = Value::Int(v);
+                    }
+                    t.rewrite(Rewrite::Update { columns: vec![c], patches });
+                }
+                TableOp::Scan(c) => {
+                    t.scan(Some(&[c]));
+                }
+                TableOp::Read => readers.push((t.clone(), model.clone())),
+            }
+        }
+        readers.push((t, model));
+        for (i, (version, model)) in readers.iter().enumerate() {
+            prop_assert_eq!(version.num_rows(), model.len(), "reader {}", i);
+            let lens: Vec<usize> = version.chunks().iter().map(|c| c.num_rows()).collect();
+            if lens.len() > 1 {
+                let (last, full) = lens.split_last().unwrap();
+                prop_assert!(full.iter().all(|n| *n == 1024), "reader {}: {:?}", i, lens);
+                prop_assert!(*last > 0, "reader {}: an empty last chunk", i);
+            }
+            prop_assert!(version.rows().eq(model.iter()), "reader {}: rows differ", i);
+            prop_assert!(&imaged(version) == model, "reader {}: image differs", i);
+        }
     }
 }

@@ -66,12 +66,12 @@ fn snapshot(db: &Database) -> Vec<(String, Vec<String>, Vec<Vec<Value>>)> {
         .into_iter()
         .map(|(name, t)| {
             let cols = t
-                .schema
+                .schema()
                 .columns
                 .iter()
                 .map(|c| format!("{} {}", c.name, c.ty.sql_name()))
                 .collect();
-            (name, cols, t.rows.clone())
+            (name, cols, t.rows().cloned().collect())
         })
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));

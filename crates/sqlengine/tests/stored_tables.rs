@@ -1,7 +1,8 @@
 //! Program counts for the per-version columnar image and the plan cache:
 //! what a read pivots, what a write keeps, and what stale plans may pin.
 
-use sqlengine::{execute_script, execute_sql, Database, Table, Value};
+use sqlengine::plan::StoredTable;
+use sqlengine::{execute_script, execute_sql, Database, Row, Table, Value};
 use std::sync::{Arc, Weak};
 
 /// Rows per scan chunk (`plan::columnar::BATCH_SIZE`).
@@ -11,8 +12,23 @@ const CHUNK: u64 = 1024;
 fn db_with(rows: i64) -> Database {
     let mut db = Database::new();
     execute_sql(&mut db, "CREATE TABLE t (k INT, v FLOAT8, note TEXT)").unwrap();
-    let data = (0..rows).map(|i| vec![Value::Int(i), Value::Float(i as f64 / 4.0), Value::Null]);
-    db.append_rows("t", data.collect()).unwrap();
+    db.append_rows("t", made(rows)).unwrap();
+    db
+}
+
+/// [`db_with`], filled while another version of `t` was held: its rows
+/// are in chunks of `CHUNK` rows, as those of a table on a data
+/// directory are (a table written alone keeps one chunk of any length).
+fn chunked_db_with(rows: i64) -> Database {
+    let mut db = Database::new();
+    execute_sql(&mut db, "CREATE TABLE t (k INT, v FLOAT8, note TEXT)").unwrap();
+    let reader = db.stored_table("t").unwrap().clone();
+    db.append_rows("t", made(rows)).unwrap();
+    drop(reader);
+    assert_eq!(
+        db.stored_table("t").unwrap().chunks().len(),
+        (rows as u64).div_ceil(CHUNK) as usize
+    );
     db
 }
 
@@ -133,22 +149,133 @@ fn stale_plans_pin_neither_the_map_nor_dead_table_versions() {
     assert_eq!(db.table("t").unwrap().num_rows(), 2 * CHUNK as usize + 101);
 }
 
+/// Rows the catalog writes of `sql` copied because another version
+/// shared them.
+fn copied_by(db: &mut Database, sql: &str) -> u64 {
+    let before = db.exec_counts();
+    execute_sql(db, sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+    db.exec_counts().since(&before).rows_copied
+}
+
+/// The addresses of `t`'s row chunks.
+fn chunk_ptrs(db: &Database) -> Vec<*const Table> {
+    db.stored_table("t").unwrap().chunks().iter().map(Arc::as_ptr).collect()
+}
+
 #[test]
 fn a_write_after_reads_is_in_place() {
     let mut db = db_with(CHUNK as i64);
     for lit in 0..4 {
         execute_sql(&mut db, &format!("SELECT sum(v) FROM t WHERE k > {lit}")).unwrap();
     }
-    let at = Arc::as_ptr(db.table("t").unwrap());
-    execute_sql(&mut db, "INSERT INTO t VALUES (-1, 0.0, NULL)").unwrap();
-    assert_eq!(Arc::as_ptr(db.table("t").unwrap()), at, "INSERT copied the table");
-    let first_row = db.table("t").unwrap().rows.as_ptr();
-    // DELETE and UPDATE rewrite the same row storage.
+    let before = chunk_ptrs(&db);
+    assert_eq!(copied_by(&mut db, "INSERT INTO t VALUES (-1, 0.0, NULL)"), 0);
+    let inserted = chunk_ptrs(&db);
+    assert_eq!(inserted, before, "INSERT copied the table");
+    let first_row = |db: &Database| db.stored_table("t").unwrap().chunks()[0].rows.as_ptr();
+    let row_buffer = first_row(&db);
+    // DELETE and UPDATE rewrite the same chunks and the same row storage.
     execute_sql(&mut db, "SELECT count(*) FROM t WHERE k < 0").unwrap();
-    execute_sql(&mut db, "UPDATE t SET note = 'neg' WHERE k < 0").unwrap();
-    assert_eq!(db.table("t").unwrap().rows.as_ptr(), first_row, "UPDATE copied the rows");
+    assert_eq!(copied_by(&mut db, "UPDATE t SET note = 'neg' WHERE k < 0"), 0);
+    assert_eq!(chunk_ptrs(&db), inserted, "UPDATE copied a chunk");
+    assert_eq!(first_row(&db), row_buffer, "UPDATE copied the rows");
     execute_sql(&mut db, "SELECT count(*) FROM t WHERE note = 'neg'").unwrap();
-    execute_sql(&mut db, "DELETE FROM t WHERE note = 'neg'").unwrap();
-    assert_eq!(db.table("t").unwrap().rows.as_ptr(), first_row, "DELETE copied the rows");
-    assert_eq!(db.table("t").unwrap().num_rows(), CHUNK as usize);
+    assert_eq!(copied_by(&mut db, "DELETE FROM t WHERE note = 'neg'"), 0);
+    assert_eq!(chunk_ptrs(&db), before, "DELETE copied the table");
+    assert_eq!(first_row(&db), row_buffer, "DELETE copied the rows");
+    assert_eq!(db.stored_table("t").unwrap().num_rows(), CHUNK as usize);
+}
+
+/// `t`'s rows `0..n` as [`db_with`] made them.
+fn made(n: i64) -> Vec<Row> {
+    (0..n).map(|i| vec![Value::Int(i), Value::Float(i as f64 / 4.0), Value::Null]).collect()
+}
+
+/// `t`'s rows through its columnar image.
+fn imaged(t: &StoredTable) -> Vec<Row> {
+    let (batches, _) = t.scan(None);
+    batches
+        .iter()
+        .flat_map(|b| (0..b.len).map(move |i| b.cols.iter().map(|c| c.get(i)).collect()))
+        .collect()
+}
+
+/// An INSERT into a table another version holds copies at most the
+/// chunk it lands in, never the table; the other version reads as it
+/// was, and consecutive versions share every whole chunk.
+#[test]
+fn appends_to_a_shared_table_copy_one_chunk() {
+    const ROWS: i64 = 100_000;
+    let mut db = chunked_db_with(ROWS);
+    let first = db.stored_table("t").unwrap().clone();
+    let mut readers = vec![first.clone()];
+    for i in 0..100 {
+        let copied = copied_by(&mut db, &format!("INSERT INTO t VALUES ({}, 0.5, 'new')", -i));
+        let tail = (ROWS + i) as u64 % CHUNK;
+        assert_eq!(copied, tail, "insert {i} copied the shared tail chunk and nothing else");
+        assert!(copied <= CHUNK);
+        let now = db.stored_table("t").unwrap().clone();
+        let prev = readers.last().unwrap();
+        let full = prev.num_rows() / CHUNK as usize;
+        assert_eq!(now.chunks().len(), full + 1);
+        for (a, b) in prev.chunks()[..full].iter().zip(now.chunks()) {
+            assert!(Arc::ptr_eq(a, b), "insert {i} copied a whole chunk");
+        }
+        readers.push(now);
+    }
+    assert_eq!(first.rows().cloned().collect::<Vec<_>>(), made(ROWS));
+    assert_eq!(imaged(&first), made(ROWS));
+    for (i, reader) in readers.iter().enumerate() {
+        assert_eq!(reader.num_rows(), ROWS as usize + i);
+    }
+    assert_eq!(db.stored_table("t").unwrap().rows().last().unwrap()[0], Value::Int(-99));
+}
+
+/// A DELETE copies the shared chunks from its first touched one on, an
+/// UPDATE the shared chunks it patches; the chunks in front stay shared.
+#[test]
+fn a_rewrite_of_a_shared_table_copies_from_its_first_touched_chunk() {
+    let n = 5 * CHUNK as i64;
+    let mut db = chunked_db_with(n);
+    let reader = db.stored_table("t").unwrap().clone();
+    let gone = 2 * CHUNK as i64 + 7;
+    let copied = copied_by(&mut db, &format!("DELETE FROM t WHERE k = {gone}"));
+    assert_eq!(copied, 3 * CHUNK - 1, "chunks 2, 3 and 4 but the deleted row");
+    let t = db.stored_table("t").unwrap().clone();
+    assert!((0..2).all(|c| Arc::ptr_eq(&reader.chunks()[c], &t.chunks()[c])));
+    assert!((2..5).all(|c| !Arc::ptr_eq(&reader.chunks()[c], &t.chunks()[c])));
+    assert_eq!(t.chunks().iter().map(|c| c.num_rows() as u64).sum::<u64>(), 5 * CHUNK - 1);
+
+    let patched = 3 * CHUNK as i64 + 1;
+    let copied = copied_by(&mut db, &format!("UPDATE t SET note = 'x' WHERE k = {patched}"));
+    assert_eq!(copied, CHUNK, "the one chunk the row is in");
+    let u = db.stored_table("t").unwrap();
+    let shared: Vec<bool> = (0..5).map(|c| Arc::ptr_eq(&t.chunks()[c], &u.chunks()[c])).collect();
+    assert_eq!(shared, [true, true, true, false, true]);
+    assert_eq!(reader.rows().cloned().collect::<Vec<_>>(), made(n), "the reader's version");
+    let mut want = made(n);
+    want.remove(gone as usize);
+    want[patched as usize - 1][2] = Value::text("x");
+    assert_eq!(u.rows().cloned().collect::<Vec<_>>(), want);
+    assert_eq!(imaged(u), want);
+}
+
+/// Dropping a superseded version frees the chunks it alone held and
+/// nothing another version still holds.
+#[test]
+fn a_superseded_version_frees_only_its_own_chunks() {
+    let mut db = chunked_db_with(3 * CHUNK as i64 + 10);
+    let old = db.stored_table("t").unwrap().clone();
+    let weak: Vec<Weak<Table>> = old.chunks().iter().map(Arc::downgrade).collect();
+    execute_sql(&mut db, "INSERT INTO t VALUES (-1, 0.0, NULL)").unwrap();
+    drop(old);
+    let alive: Vec<bool> = weak.iter().map(|w| w.upgrade().is_some()).collect();
+    assert_eq!(alive, [true, true, true, false], "the copied tail went with its version");
+
+    let old = db.stored_table("t").unwrap().clone();
+    let weak: Vec<Weak<Table>> = old.chunks().iter().map(Arc::downgrade).collect();
+    execute_sql(&mut db, &format!("DELETE FROM t WHERE k = {}", CHUNK + 2)).unwrap();
+    drop(old);
+    let alive: Vec<bool> = weak.iter().map(|w| w.upgrade().is_some()).collect();
+    assert_eq!(alive, [true, false, false, false], "chunks 1 on were re-chunked");
 }

@@ -236,15 +236,15 @@ impl StorageEngine {
             stats.rejected_snapshots = rejected;
             s
         });
-        if let Some(snap) = &snap {
+        if let Some(snap) = snap {
             stats.snapshot_lsn = snap.last_lsn;
             stats.snapshot_tables = snap.tables.len() as u64;
             stats.snapshot_views = snap.views.len() as u64;
-            stats.snapshot_udfs = snap.udfs.clone();
-            for (name, table) in snap.tables.iter().cloned() {
+            stats.snapshot_udfs = snap.udfs;
+            for (name, table) in snap.tables {
                 relations.apply(&CatalogMutation::CreateTable { name, table }, false)?;
             }
-            for (name, sql) in snap.views.iter().cloned() {
+            for (name, sql) in snap.views {
                 relations.apply(&CatalogMutation::CreateView { name, sql }, false)?;
             }
         }
@@ -381,7 +381,8 @@ impl StorageEngine {
                     return Ok(());
                 }
                 contended = true;
-                merged.apply(m, true)
+                // A merge's copies are no session's write: not counted.
+                merged.apply(m, true).map(drop)
             });
             inner.conflicts += contended as u64;
             applied?;

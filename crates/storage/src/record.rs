@@ -22,9 +22,9 @@
 use crate::crc::crc32;
 use sqlengine::catalog::CatalogMutation;
 use sqlengine::error::{Error, Result};
+use sqlengine::plan::StoredTable;
 use sqlengine::table::Row;
 use sqlengine::wire::{self, Reader};
-use std::sync::Arc;
 
 /// Upper bound for one record body (64 MiB) — rejects absurd length
 /// prefixes before any allocation.
@@ -61,7 +61,7 @@ pub fn encode_record(lsn: u64, mutation: &CatalogMutation, out: &mut Vec<u8>) {
         CatalogMutation::CreateTable { name, table } => {
             body.push(kind::CREATE_TABLE);
             wire::put_str(&mut body, name);
-            body.extend_from_slice(&wire::encode_table(table));
+            body.extend_from_slice(&encode_stored(table));
         }
         CatalogMutation::DropTable { name } => {
             body.push(kind::DROP_TABLE);
@@ -70,7 +70,7 @@ pub fn encode_record(lsn: u64, mutation: &CatalogMutation, out: &mut Vec<u8>) {
         CatalogMutation::PutTable { name, table } => {
             body.push(kind::PUT_TABLE);
             wire::put_str(&mut body, name);
-            body.extend_from_slice(&wire::encode_table(table));
+            body.extend_from_slice(&encode_stored(table));
         }
         CatalogMutation::AppendRows { name, rows } => {
             body.push(kind::APPEND_ROWS);
@@ -98,6 +98,11 @@ pub fn encode_record(lsn: u64, mutation: &CatalogMutation, out: &mut Vec<u8>) {
     out.extend_from_slice(&body);
 }
 
+/// A table version in the wire table encoding, read chunk by chunk.
+pub(crate) fn encode_stored(table: &StoredTable) -> Vec<u8> {
+    wire::encode_rows(table.schema(), table.num_rows(), table.rows())
+}
+
 /// Decode one record body (after the frame header was validated).
 pub fn decode_body(body: &[u8]) -> Result<Record> {
     let mut r = Reader::new(body);
@@ -107,12 +112,12 @@ pub fn decode_body(body: &[u8]) -> Result<Record> {
     let mutation = match kind {
         kind::CREATE_TABLE => {
             let table = wire::decode_table_from(&mut r)?;
-            CatalogMutation::CreateTable { name, table: Arc::new(table) }
+            CatalogMutation::CreateTable { name, table: StoredTable::chunked(table) }
         }
         kind::DROP_TABLE => CatalogMutation::DropTable { name },
         kind::PUT_TABLE => {
             let table = wire::decode_table_from(&mut r)?;
-            CatalogMutation::PutTable { name, table: Arc::new(table) }
+            CatalogMutation::PutTable { name, table: StoredTable::chunked(table) }
         }
         kind::APPEND_ROWS => {
             let nrows = r.u32()?;
@@ -194,7 +199,7 @@ mod tests {
     use sqlengine::types::Value;
 
     fn sample_mutations() -> Vec<CatalogMutation> {
-        let t = Arc::new(Table::from_rows(
+        let t = StoredTable::new(Table::from_rows(
             &["a", "b"],
             vec![vec![Value::Int(1), Value::text("x")], vec![Value::Null, Value::Float(0.5)]],
         ));

@@ -24,12 +24,11 @@
 use crate::crc::crc32;
 use sqlengine::catalog::Database;
 use sqlengine::error::{Error, Result};
-use sqlengine::table::TableRef;
+use sqlengine::plan::StoredTable;
 use sqlengine::wire::{self, Reader};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SDBSNP01";
 
@@ -49,7 +48,7 @@ fn io_err(ctx: &str, e: std::io::Error) -> Error {
 pub struct SnapshotData {
     /// LSN of the last WAL record the snapshot covers.
     pub last_lsn: u64,
-    pub tables: Vec<(String, TableRef)>,
+    pub tables: Vec<(String, StoredTable)>,
     /// Views as `(name, canonical SQL)`.
     pub views: Vec<(String, String)>,
     /// UDF names registered when the snapshot was taken.
@@ -66,7 +65,7 @@ pub fn snapshot_file_name(last_lsn: u64) -> String {
 
 fn encode(
     last_lsn: u64,
-    tables: &[(String, TableRef)],
+    tables: &[(String, StoredTable)],
     views: &[(String, String)],
     udfs: &[String],
 ) -> Vec<u8> {
@@ -75,7 +74,7 @@ fn encode(
     body.extend_from_slice(&(tables.len() as u32).to_le_bytes());
     for (name, table) in tables {
         wire::put_str(&mut body, name);
-        body.extend_from_slice(&wire::encode_table(table));
+        body.extend_from_slice(&crate::record::encode_stored(table));
     }
     body.extend_from_slice(&(views.len() as u32).to_le_bytes());
     for (name, sql) in views {
@@ -112,7 +111,7 @@ fn decode(bytes: &[u8], path: &Path) -> Result<SnapshotData> {
     for _ in 0..ntables {
         let name = r.string()?;
         let table = wire::decode_table_from(&mut r)?;
-        tables.push((name, Arc::new(table)));
+        tables.push((name, StoredTable::chunked(table)));
     }
     let nviews = r.u32()?;
     if nviews > MAX_RELATIONS {
@@ -155,7 +154,7 @@ pub fn write_snapshot(dir: &Path, db: &Database, last_lsn: u64) -> Result<(PathB
 pub fn write_snapshot_parts(
     dir: &Path,
     last_lsn: u64,
-    tables: &[(String, TableRef)],
+    tables: &[(String, StoredTable)],
     views: &[(String, String)],
     udfs: &[String],
 ) -> Result<(PathBuf, u64)> {

@@ -154,9 +154,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlengine::plan::StoredTable;
     use sqlengine::table::Table;
     use sqlengine::types::Value;
-    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sdb-wal-test-{tag}-{}", std::process::id()));
@@ -204,7 +204,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
             wal.append(&mutations(4), true).unwrap();
-            let t = Arc::new(Table::from_rows(&["x"], vec![vec![Value::Int(9)]]));
+            let t = StoredTable::new(Table::from_rows(&["x"], vec![vec![Value::Int(9)]]));
             wal.append(&[(5, CatalogMutation::PutTable { name: "t".into(), table: t })], true)
                 .unwrap();
         }

@@ -373,6 +373,63 @@ fn a_fresh_connection_reuses_the_image_another_connection_pivoted() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// One connection appends single rows to a 20 000-row table while a
+/// second reads between the appends: every read sees exactly the rows
+/// committed before it, an INSERT copies at most the chunk it lands in
+/// (the reader's version holds the rest), and every row survives reopen.
+/// Recovery keeps the chunks too: a table whose replayed appends began
+/// below one chunk still copies one chunk on its first INSERT after the
+/// restart, not the table.
+#[test]
+fn appends_beside_a_reader_copy_one_chunk_and_lose_nothing() {
+    const BASE: i64 = 20_000;
+    const INSERTS: i64 = 200;
+    let dir = tmp_dir("shared-append");
+    let small: Vec<String> = (0..300).map(|i| format!("({i})")).collect();
+    let small = format!("INSERT INTO u VALUES {}", small.join(","));
+    {
+        let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
+        let (mut a, mut b) = (durable_session(&engine), durable_session(&engine));
+        let values: Vec<String> = (0..BASE).map(|i| format!("({i})")).collect();
+        a.execute_script(&format!(
+            "CREATE TABLE t (x int8); INSERT INTO t VALUES {}",
+            values.join(",")
+        ))
+        .unwrap();
+        let mut total = 0;
+        for i in 0..INSERTS {
+            let n = BASE + i;
+            assert_eq!(ints(&mut b, "SELECT count(*) FROM t"), [n], "before insert {i}");
+            assert_eq!(ints(&mut b, "SELECT sum(x) FROM t"), [n * (n - 1) / 2]);
+            let before = a.db().exec_counts();
+            a.execute(&format!("INSERT INTO t VALUES ({n})")).unwrap();
+            let copied = a.db().exec_counts().since(&before).rows_copied;
+            assert!(copied <= 1024, "insert {i} copied {copied} rows");
+            assert_eq!(copied, n as u64 % 1024, "insert {i}: the shared last chunk only");
+            total += copied as i64;
+        }
+        assert_eq!(ints(&mut b, "SELECT max(x) FROM t"), [BASE + INSERTS - 1]);
+        let metric = "SELECT count FROM sdb_metrics WHERE name = 'rows_copied'";
+        assert_eq!(ints(&mut a, metric), [total], "the session's sum, in sdb_metrics");
+        a.execute("CREATE TABLE u (x int8)").unwrap();
+        for _ in 0..10 {
+            a.execute(&small).unwrap();
+        }
+    }
+    let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
+    let (mut s, mut r) = (durable_session(&engine), durable_session(&engine));
+    let n = BASE + INSERTS;
+    assert_eq!(ints(&mut s, "SELECT count(*) FROM t"), [n]);
+    assert_eq!(ints(&mut s, "SELECT sum(x) FROM t"), [n * (n - 1) / 2]);
+    assert_eq!(ints(&mut r, "SELECT count(*) FROM u"), [3000]);
+    let before = s.db().exec_counts();
+    s.execute("INSERT INTO u VALUES (-1)").unwrap();
+    let copied = s.db().exec_counts().since(&before).rows_copied;
+    assert_eq!(copied, 3000 % 1024, "the first INSERT after reopen copied {copied} rows");
+    assert_eq!(ints(&mut r, "SELECT count(*) FROM u"), [3001]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The statements `tests/data/pr20_datadir` was written with — by the
 /// commit before the one-catalog engine (`solvedb --data-dir`).
 const PR20_STMTS: &[&str] = &[
