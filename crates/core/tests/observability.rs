@@ -353,9 +353,9 @@ fn stat_statements_aggregates_by_shape() {
     assert!(again.rows.len() >= stats.rows.len());
 }
 
-/// A plan that scanned a virtual table holds a snapshot the catalog
-/// epoch knows nothing about, so it is never cached: the same text read
-/// again within one epoch sees the statements run in between.
+/// A plan that scanned a virtual table holds a snapshot no `ReadSet`
+/// versions, so it is never cached: the same text read again with no
+/// catalog change in between sees the statements run in between.
 #[test]
 fn virtual_table_reads_are_not_served_from_a_cached_plan() {
     let mut s = Session::new();
@@ -363,7 +363,7 @@ fn virtual_table_reads_are_not_served_from_a_cached_plan() {
     s.execute("CREATE VIEW calls_seen AS SELECT sum(calls) AS n FROM sdb_stat_statements").unwrap();
     for read in ["SELECT sum(calls) FROM sdb_stat_statements", "SELECT n FROM calls_seen"] {
         let before = s.query_scalar(read).unwrap().as_i64().unwrap();
-        s.query("SELECT x FROM t").unwrap(); // no catalog change: same epoch
+        s.query("SELECT x FROM t").unwrap(); // no catalog change
         let after = s.query_scalar(read).unwrap().as_i64().unwrap();
         assert!(after > before, "{read}: {before} then {after}");
     }

@@ -305,7 +305,7 @@ impl CatalogMutation {
 
     /// Replay this mutation into a database (see [`Relations::apply`]).
     pub fn apply(&self, db: &mut Database) -> Result<()> {
-        db.bump_epoch();
+        db.writing(self.relation());
         let copied = Arc::make_mut(&mut db.relations).apply(self, false)?;
         db.count_rows_copied(copied);
         Ok(())
@@ -330,12 +330,13 @@ impl Relations {
         self.tables.contains_key(name) || self.views.contains_key(name)
     }
 
-    /// True when `name` is the same table version and view here and in
-    /// `other` (or in neither): nothing was committed to it in between.
-    pub fn same_relation(&self, other: &Relations, name: &str) -> bool {
-        let table = StoredTable::same_versions(self.tables.get(name), other.tables.get(name));
-        let view = |r: &Relations| r.views.get(name).map(Arc::as_ptr);
-        table && view(self) == view(other)
+    /// What `name` resolves to under `ctes`: a CTE binding shadows the
+    /// catalog (`exec::head::resolve_relation`).
+    fn resolve(&self, ctes: &Ctes, name: &str) -> Read {
+        match ctes.get(name) {
+            Some(binding) => Read::Cte(binding.clone()),
+            None => Read::Catalog(self.views.get(name).cloned(), self.tables.get(name).cloned()),
+        }
     }
 
     /// Make `name` here what it is in `from` (handle, image, statistics).
@@ -428,6 +429,49 @@ impl Relations {
     }
 }
 
+/// What one relation name resolved to: a CTE binding, or the view and
+/// the table version the catalog holds under it (neither for a virtual
+/// table or no relation).
+#[derive(Debug, Clone)]
+enum Read {
+    Cte(Arc<Binding>),
+    Catalog(Option<Arc<Query>>, Option<StoredTable>),
+}
+
+/// What a plan, a kept subquery result or a merge read: each relation name
+/// with the `Arc` it resolved to. It holds while every name still resolves
+/// to the same `Arc` — nothing was committed to the name or bound over it
+/// since. It keeps what it names alive, so no address it compares can be
+/// reused in between; whoever keeps one drops it before a write to a name
+/// it holds, so that the write finds the table unshared.
+#[derive(Debug, Clone, Default)]
+pub struct ReadSet(Vec<(Read, String)>);
+
+impl ReadSet {
+    /// `names` as `relations` under `ctes` resolve them now.
+    pub fn of(relations: &Relations, ctes: &Ctes, names: impl IntoIterator<Item = String>) -> Self {
+        ReadSet(names.into_iter().map(|name| (relations.resolve(ctes, &name), name)).collect())
+    }
+
+    /// True while every name resolves in `relations` under `ctes` to what
+    /// it resolved to when the set was made.
+    pub fn still_valid(&self, relations: &Relations, ctes: &Ctes) -> bool {
+        self.0.iter().all(|(read, name)| match (read, &relations.resolve(ctes, name)) {
+            (Read::Cte(a), Read::Cte(b)) => Arc::ptr_eq(a, b),
+            (Read::Catalog(v, t), Read::Catalog(w, u)) => {
+                v.as_ref().map(Arc::as_ptr) == w.as_ref().map(Arc::as_ptr)
+                    && StoredTable::same_versions(t.as_ref(), u.as_ref())
+            }
+            _ => false,
+        })
+    }
+
+    /// The relation names read.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(_, name)| name.as_str())
+    }
+}
+
 /// Hook implemented by the durability subsystem (`crates/storage`).
 /// The catalog invokes [`DurabilityHook::record`] at every mutation
 /// commit point *after* the in-memory mutation succeeded; an attached
@@ -517,9 +561,6 @@ pub struct Database {
     solve_handler: Option<Arc<dyn SolveHandler>>,
     virtual_tables: Option<Arc<dyn VirtualTableProvider>>,
     durability: Option<Arc<dyn DurabilityHook>>,
-    /// Monotone counter bumped on every catalog mutation; cached plans
-    /// are keyed on it so DDL and DML invalidate the plan cache.
-    pub(crate) catalog_epoch: AtomicU64,
     /// Monotone executor work counters, read through [`ExecCounts`].
     plans_built: AtomicU64,
     recursive_steps: AtomicU64,
@@ -567,18 +608,11 @@ impl Database {
         Database::default()
     }
 
-    /// Bump the catalog epoch and drop the cached plans: keyed by an
-    /// older epoch they can never hit again, and each pins the tables it
-    /// scans. A commit point bumps *before* it touches a table, so that a
-    /// table only plans were holding is written in place.
-    pub(crate) fn bump_epoch(&self) {
-        self.catalog_epoch.fetch_add(1, Ordering::Relaxed);
-        self.drop_plans();
-    }
-
-    /// Current catalog epoch (monotone across mutations).
-    pub fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch.load(Ordering::Relaxed)
+    /// A commit point is about to write `name`: drop the cached plans and
+    /// kept subquery results that read it *first*, so that a table only
+    /// they were holding is written in place.
+    fn writing(&self, name: &str) {
+        self.retain_reads(|reads| !reads.names().any(|n| n == name));
     }
 
     /// Read the executor work counters.
@@ -713,9 +747,10 @@ impl Database {
     }
 
     /// Read and write `relations` from here on (a durable session moving
-    /// to its engine's version); retires every cached plan.
+    /// to its engine's version); keeps the cached plans and kept subquery
+    /// results whose [`ReadSet`] `relations` still holds, and only those.
     pub fn adopt(&mut self, relations: Arc<Relations>) {
-        self.bump_epoch();
+        self.retain_reads(|reads| reads.still_valid(&relations, &Ctes::new()));
         self.relations = relations;
     }
 
@@ -731,7 +766,7 @@ impl Database {
             };
         }
         let table = StoredTable::new(table);
-        self.bump_epoch();
+        self.writing(name);
         self.relations_mut().tables.insert(name.to_string(), table.clone());
         self.emit(CatalogMutation::CreateTable { name: name.to_string(), table });
         Ok(())
@@ -739,7 +774,7 @@ impl Database {
 
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
         if self.relations.tables.contains_key(name) {
-            self.bump_epoch();
+            self.writing(name);
             self.relations_mut().tables.remove(name);
             self.emit(CatalogMutation::DropTable { name: name.to_string() });
         } else if !if_exists {
@@ -752,11 +787,6 @@ impl Database {
     /// version ([`StoredTable::table`]): for callers outside a statement.
     pub fn table(&self, name: &str) -> Result<&TableRef> {
         self.stored_table(name).map(StoredTable::table)
-    }
-
-    /// [`Self::stored_table`] without the error of a name that is none.
-    pub(crate) fn stored_table_if_any(&self, name: &str) -> Option<&StoredTable> {
-        self.relations.tables.get(name)
     }
 
     /// The current version of table `name`, with its columnar image and
@@ -796,7 +826,7 @@ impl Database {
             coerced.push(out);
         }
         let n = coerced.len();
-        self.bump_epoch();
+        self.writing(name);
         let stored = self.relations_mut().tables.get_mut(name).ok_or_else(missing)?;
         let copied = stored.append(coerced.iter().cloned());
         self.count_rows_copied(copied);
@@ -807,7 +837,7 @@ impl Database {
     /// Replace a table's contents wholesale.
     pub fn put_table(&mut self, name: &str, table: Table) {
         let table = StoredTable::new(table);
-        self.bump_epoch();
+        self.writing(name);
         self.relations_mut().tables.insert(name.to_string(), table.clone());
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
     }
@@ -817,9 +847,7 @@ impl Database {
     /// The table's chunks and image survive where `edit` leaves them
     /// alone: see [`StoredTable::rewrite`].
     pub(crate) fn rewrite_table(&mut self, name: &str, edit: Rewrite) -> Result<()> {
-        // First: the plans the epoch retires hold the table too, and a
-        // table held only here is rewritten in place.
-        self.bump_epoch();
+        self.writing(name);
         let stored = self
             .relations_mut()
             .tables
@@ -853,7 +881,7 @@ impl Database {
             return Err(Error::catalog(format!("relation '{name}' already exists")));
         }
         let sql = query.to_string();
-        self.bump_epoch();
+        self.writing(name);
         self.relations_mut().views.insert(name.to_string(), Arc::new(query));
         self.emit(CatalogMutation::CreateView { name: name.to_string(), sql });
         Ok(())
@@ -861,7 +889,7 @@ impl Database {
 
     pub fn drop_view(&mut self, name: &str, if_exists: bool) -> Result<()> {
         if self.relations.views.contains_key(name) {
-            self.bump_epoch();
+            self.writing(name);
             self.relations_mut().views.remove(name);
             self.emit(CatalogMutation::DropView { name: name.to_string() });
         } else if !if_exists {

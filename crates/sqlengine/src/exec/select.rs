@@ -380,7 +380,7 @@ fn run_recursive_cte(
         SetExpr::Select(sel) => {
             let (plan, _) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
             // Rows captured at plan time go stale with the first step.
-            if plan.captured_reads.contains(&cte.name) {
+            if plan.reads.names().any(|name| name == cte.name) {
                 Err("a FROM subquery or view reads the recursive relation")
             } else if plan.visible != schema.len() {
                 // An error: the per-step query's to report, after any the

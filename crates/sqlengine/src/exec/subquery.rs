@@ -5,12 +5,12 @@
 //! subquery, or a FROM subquery a plan re-runs — goes through
 //! [`run_subquery`]. A site is the `Query` a bound expression or plan node
 //! holds; the statement keeps, per site, its last result together with the
-//! `Arc`s of what each relation name it reads resolved to: the CTE
-//! binding, the view, the catalog table. The entry holds those `Arc`s and
-//! the site's own, so no address it compares can be reused while it
+//! [`ReadSet`] of what it read: each relation name with the CTE binding,
+//! view or catalog table version it resolved to. The entry holds that and
+//! the site's own `Arc`, so no address it compares can be reused while it
 //! exists. The next execution under an outer chain none of whose columns
-//! the subquery could name, and with every name resolving to the same
-//! `Arc`s, returns the kept result instead of running.
+//! the subquery could name, and while the `ReadSet` still holds, returns
+//! the kept result instead of running.
 //!
 //! A site is never kept when what it runs is not a function of the
 //! relations it reads: it scans a virtual `sdb_*` table (telemetry moves
@@ -19,16 +19,16 @@
 //! kept under a symbolic pass's step hook (the hook has effects of its
 //! own), nor on the reference row interpreter, which stays the plain
 //! definition the executor is compared against. The entries live in the
-//! statement state next to the statement's plans: a catalog commit point
-//! drops them with the plans, and so does [`Database::end_statement`].
+//! statement state next to the statement's plans: a commit point drops
+//! the results whose `ReadSet` names what it writes, as it drops such
+//! plans, and [`Database::end_statement`] drops them all.
 
 use crate::ast::{Expr, Node, Query};
-use crate::catalog::{Binding, Database};
+use crate::catalog::{Database, ReadSet};
 use crate::error::Result;
 use crate::exec::eval::{Env, EvalCtx};
 use crate::exec::select::run_query;
 use crate::plan::relation_reads;
-use crate::plan::StoredTable;
 use crate::table::Table;
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ enum Lookup {
     /// The kept result still holds.
     Kept(Arc<Table>),
     /// Run the query and keep what it returns, with what it read.
-    Miss(Vec<Resolved>),
+    Miss,
 }
 
 /// What decides whether a kept result still holds.
@@ -57,37 +57,14 @@ struct Closed {
     columns: Vec<(Option<String>, String)>,
     /// The relation names it reads, views followed.
     names: Vec<String>,
-    /// The last result and what each name resolved to when it ran.
-    last: Option<(Vec<Resolved>, Arc<Table>)>,
+    /// The last result and what it read.
+    last: Option<(ReadSet, Arc<Table>)>,
 }
 
-/// What one relation name resolved to: the CTE binding, the view and the
-/// catalog table version of that name, compared by address.
-struct Resolved {
-    cte: Option<Arc<Binding>>,
-    view: Option<Arc<Query>>,
-    table: Option<StoredTable>,
-}
-
-impl Resolved {
-    fn of(ctx: &EvalCtx<'_>, name: &str) -> Resolved {
-        Resolved {
-            cte: ctx.ctes.get(name).cloned(),
-            view: ctx.db.view(name).cloned(),
-            table: ctx.db.stored_table_if_any(name).cloned(),
-        }
-    }
-
-    fn same(&self, other: &Resolved) -> bool {
-        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-        }
-        let table = StoredTable::same_versions(self.table.as_ref(), other.table.as_ref());
-        same(&self.cte, &other.cte) && same(&self.view, &other.view) && table
+impl KeptSubquery {
+    /// What the kept result read, when the site holds one.
+    pub(crate) fn reads(&self) -> Option<&ReadSet> {
+        self.closed.as_ref()?.last.as_ref().map(|(reads, _)| reads)
     }
 }
 
@@ -134,12 +111,11 @@ impl Closed {
         if self.reads_outer(outer) {
             return Lookup::Run;
         }
-        let reads: Vec<Resolved> = self.names.iter().map(|n| Resolved::of(ctx, n)).collect();
         match &self.last {
-            Some((seen, table)) if seen.iter().zip(&reads).all(|(a, b)| a.same(b)) => {
+            Some((reads, table)) if reads.still_valid(ctx.db.relations(), ctx.ctes) => {
                 Lookup::Kept(table.clone())
             }
-            _ => Lookup::Miss(reads),
+            _ => Lookup::Miss,
         }
     }
 }
@@ -172,10 +148,11 @@ pub(crate) fn run_subquery(
             db.count_subquery_reused();
             Ok(table)
         }
-        Lookup::Miss(reads) => {
+        Lookup::Miss => {
             let table = run()?;
             db.with_kept_subquery(site, |kept| {
                 if let Some(closed) = kept.and_then(|k| k.closed.as_mut()) {
+                    let reads = ReadSet::of(db.relations(), ctx.ctes, closed.names.iter().cloned());
                     closed.last = Some((reads, table.clone()));
                 }
             });

@@ -56,7 +56,7 @@ use crate::ast::{
     Expr, JoinConstraint, JoinKind, Node, OrderItem, Query, Select, SelectItem, SetExpr,
     TableAlias, TableRef as AstTableRef,
 };
-use crate::catalog::{Ctes, Database};
+use crate::catalog::{Ctes, Database, ReadSet};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Scope, ScopeCol};
 use crate::exec::head::{
@@ -620,7 +620,8 @@ pub fn plan_select(
     }
 
     db.count_plan_built();
-    Ok(PlannedQuery::new(input, head.schema, captured.reads, captured.solve))
+    let reads = ReadSet::of(db.relations(), ctes, captured.reads);
+    Ok(PlannedQuery::new(input, head.schema, reads, captured.solve))
 }
 
 /// A planner invariant failed: a bug here, reported as the statement's
@@ -678,10 +679,10 @@ fn is_pure_inner(t: &AstTableRef) -> bool {
     }
 }
 
-/// What the plan holds that the catalog epoch does not version.
+/// What the plan read and holds, as planning finds it.
 #[derive(Default)]
 struct Captured {
-    /// [`PlannedQuery::captured_reads`].
+    /// The names of [`PlannedQuery::reads`].
     reads: BTreeSet<String>,
     /// [`PlannedQuery::captured_solve`].
     solve: bool,
@@ -769,7 +770,9 @@ impl FromBuilder<'_> {
     /// captured in the plan (what it read goes to `captured`). Under one
     /// it is run by every execution (`shared` makes the handle the plan
     /// keeps for that) and nothing runs here: its schema is
-    /// [`query_schema`]'s, and it is estimated at one row.
+    /// [`query_schema`]'s, and it is estimated at one row. That schema is
+    /// the plan's, so what the query reads outside the CTEs goes to
+    /// `captured` too.
     fn derived(
         &mut self,
         query: &Query,
@@ -777,6 +780,8 @@ impl FromBuilder<'_> {
     ) -> Result<(ScanSource, Described, Schema)> {
         if self.outer.iter().any(|scope| !scope.cols.is_empty()) {
             let schema = query_schema(self.db, self.ctes, query, self.outer)?;
+            let reads = relation_reads(self.db, query).into_iter();
+            self.captured.reads.extend(reads.filter(|name| self.ctes.get(name).is_none()));
             return Ok((ScanSource::Derived { query: shared() }, Described::one_row(), schema));
         }
         let t = run_query(self.db, self.ctes, query, None)?;
@@ -789,14 +794,19 @@ impl FromBuilder<'_> {
 
     /// Turn a table primary (named relation or subquery) into a scan
     /// source plus its scope and statistics. A CTE becomes a slot,
-    /// re-resolved at every execution; a catalog table is scanned through
+    /// re-resolved at every execution; any other name is read by the plan
+    /// (`captured`). A catalog table is scanned through
     /// the catalog's stored table, image and statistics included; views
     /// and subqueries are [`Self::derived`]. A LATERAL subquery that gets
     /// here has nothing on its left and is an ordinary one.
     fn materialize_primary(&mut self, t: &AstTableRef) -> Result<Base> {
         let (label, qualifier, alias, (source, stats, schema)) = match t {
             AstTableRef::Named { name, alias } => {
-                let resolved = match resolve_relation(self.db, self.ctes, name)? {
+                let relation = resolve_relation(self.db, self.ctes, name)?;
+                if !matches!(relation, Relation::Cte(_)) {
+                    self.captured.reads.insert(name.clone());
+                }
+                let resolved = match relation {
                     // A slot takes its estimate from this first binding.
                     Relation::Cte(t) => (
                         ScanSource::Slot { name: name.clone(), schema: t.schema().clone() },
@@ -809,9 +819,8 @@ impl FromBuilder<'_> {
                         (ScanSource::Table(t.clone()), stats, t.schema().clone())
                     }
                     Relation::Virtual(t) => {
-                        // A snapshot taken now, outside the catalog epoch:
-                        // the plan must not be cached.
-                        self.captured.reads.insert(name.clone());
+                        // A snapshot taken now, which no `ReadSet`
+                        // versions: the plan must not be cached.
                         let schema = t.schema.clone();
                         let stored = StoredTable::new(t);
                         let stats = Described::stored(&stored);
@@ -875,7 +884,7 @@ impl FromBuilder<'_> {
                     Some((lk, rk)) => (compile(&lk), compile(&rk), None, clip(&e.to_string())),
                     None => {
                         let binder = Binder::with_outer(self.db, &combined, self.outer);
-                        (vec![], vec![], Some(binder.bind(e)?), clip(&e.to_string()))
+                        (vec![], vec![], Some(Box::new(binder.bind(e)?)), clip(&e.to_string()))
                     }
                 }
             }
@@ -945,7 +954,7 @@ impl FromBuilder<'_> {
                 plan(&sel, &[], &None, &None)?
             }
         };
-        self.captured.reads.extend(right.captured_reads.iter().cloned());
+        self.captured.reads.extend(right.reads.names().map(String::from));
         self.captured.solve |= right.captured_solve;
 
         let mut right_scope = Scope::from_schema(alias.map(|a| a.name.as_str()), &right.schema);
@@ -955,10 +964,11 @@ impl FromBuilder<'_> {
             JoinConstraint::None => (None, String::new()),
             JoinConstraint::On(e) => {
                 let binder = Binder::with_outer(self.db, &scope, self.outer);
-                (Some(binder.bind(e)?), clip(&e.to_string()))
+                (Some(Box::new(binder.bind(e)?)), clip(&e.to_string()))
             }
             JoinConstraint::Using(cols) => {
-                (Some(using_condition(cols, left.scope(), &right_scope)?), using_display(cols))
+                let cond = using_condition(cols, left.scope(), &right_scope)?;
+                (Some(Box::new(cond)), using_display(cols))
             }
         };
         let est = left.est() * right.root.est().max(1.0);

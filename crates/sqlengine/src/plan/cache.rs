@@ -1,17 +1,22 @@
-//! Plan cache: optimized plans keyed by `(catalog epoch, bound CTE
-//! names, outer scope chain, exact query rendering)`, in two lifetimes.
+//! Plan cache: optimized plans keyed by `(bound CTE names, outer scope
+//! chain, exact query rendering)`, in two lifetimes.
 //!
 //! Plans embed the stored tables they scan — catalog tables, and the
 //! materialized results of views and FROM subqueries
-//! (`ScanSource::Table`) — so a cached plan is only valid for the exact
-//! catalog state it was built against. Rather than tracking fine-grained
-//! dependencies, the key includes the catalog epoch — a monotone counter
-//! [`Database::bump_epoch`] advances on *every* catalog mutation (DDL,
-//! DML, wholesale replacement) — and the bump drops both maps: no entry
-//! of an older epoch can hit again, and each would pin the version of
-//! every table it scans, forcing the next write to copy the table and
-//! keeping dead copies alive. Table statistics belong to the table
-//! version a plan scans, so the epoch also covers stats changes.
+//! (`ScanSource::Table`) — so a cached plan is only valid while the
+//! relations it read are the ones it was built against. A plan carries
+//! them as its [`ReadSet`] ([`PlannedQuery::reads`]): every name it
+//! scans, views followed, and every name a view or FROM subquery it
+//! captured or re-runs reads, each with the table version or view it
+//! resolved to. A lookup serves a plan only while its `ReadSet` still
+//! holds. A commit point that writes a name first drops every entry whose
+//! `ReadSet` names it, and [`Database::adopt`] keeps only the entries the
+//! adopted relations still hold: an entry left behind could never hit
+//! again, and would pin the version of every table it scans, forcing the
+//! next write to copy the table and keeping dead copies alive. A write to
+//! a relation the plan does not read leaves it cached. Table statistics
+//! belong to the table version a plan scans, so the `ReadSet` also covers
+//! stats changes.
 //!
 //! CTEs are not embedded: a plan scans them through *slots*
 //! (`ScanSource::Slot`) resolved at execute time, so a query under a
@@ -23,8 +28,8 @@
 //! captured rows read from a bound CTE (a FROM subquery or view over
 //! it) is never cached. Neither is a plan that scanned a *virtual*
 //! table (`sdb_stat_statements`, `sdb_metrics`, …), directly or through
-//! a view: its rows are a snapshot of telemetry that moves without the
-//! catalog epoch moving. A CTE environment belongs to one statement, and
+//! a view: its rows are a snapshot of telemetry that moves without any
+//! relation changing. A CTE environment belongs to one statement, and
 //! so do these plans: they sit in a map of their own that the statement
 //! layer empties when the statement ends
 //! ([`Database::end_statement`]). Within the statement they are
@@ -59,7 +64,7 @@
 
 use super::{plan_select, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
-use crate::catalog::{Ctes, Database};
+use crate::catalog::{Ctes, Database, ReadSet};
 use crate::error::Result;
 use crate::exec::eval::Env;
 use crate::exec::subquery::KeptSubquery;
@@ -81,14 +86,13 @@ fn render(
 /// varies its literals would otherwise grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
-/// Full plan-cache key: catalog epoch, the CTE names in scope, the
-/// column names of the outer scope chain (innermost scope first) and the
-/// exact rendered query. Hash collisions between different queries land
-/// in the same bucket but fail the equality check, so a lookup can never
-/// return another query's plan.
+/// Full plan-cache key: the CTE names in scope, the column names of the
+/// outer scope chain (innermost scope first) and the exact rendered
+/// query. Hash collisions between different queries land in the same
+/// bucket but fail the equality check, so a lookup can never return
+/// another query's plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
-    epoch: u64,
     /// The bound CTE names, sorted, each followed by [`SEP`].
     ctes: String,
     /// Per scope of the outer chain its `qualifier.name` columns, each
@@ -113,8 +117,8 @@ struct Rendered {
 /// The two plan maps of a [`Database`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    /// Plans of CTE-free queries; live until the next catalog mutation
-    /// (or the size bound) clears them.
+    /// Plans of CTE-free queries; live until a write to a relation they
+    /// read (or the size bound) drops them.
     session: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
     /// Plans of queries under a CTE environment; live until the
     /// statement ends.
@@ -140,18 +144,17 @@ impl PlanCache {
     }
 
     /// The statement is over: drop its plans and renderings, and return
-    /// its event.
+    /// its event. The maps go with their capacity: between statements a
+    /// session holds only its session plans.
     pub(crate) fn end_statement(&mut self) -> Option<bool> {
-        self.statement.clear();
-        self.rendered.clear();
-        self.subqueries.clear();
+        (self.statement, self.rendered, self.subqueries) = Default::default();
         self.event.take()
     }
 }
 
 impl Database {
-    /// Cache key for a SELECT under the current catalog epoch, the CTE
-    /// names `ctes` binds and the scopes of the `outer` chain.
+    /// Cache key for a SELECT under the CTE names `ctes` binds and the
+    /// scopes of the `outer` chain.
     pub(crate) fn plan_cache_key(
         &self,
         ctes: &Ctes,
@@ -185,7 +188,7 @@ impl Database {
         } else {
             render(sel, order_by, limit, offset)
         };
-        PlanCacheKey { epoch: self.catalog_epoch(), ctes: bound, outer: chain, query }
+        PlanCacheKey { ctes: bound, outer: chain, query }
     }
 
     /// [`render`], done once per statement for the `Select` at one
@@ -240,14 +243,15 @@ impl Database {
             .and_then(|mut c| c.map(statement_scoped).get(&key).cloned());
         if let Some(planned) = hit {
             // Only a plan made under a CTE environment has slots to check.
-            if !statement_scoped || planned.slots_bound(ctes) {
+            let slots = !statement_scoped || planned.slots_bound(ctes);
+            if slots && planned.reads.still_valid(self.relations(), ctes) {
                 return Ok((planned, Some(true)));
             }
         }
         let scopes = Env::scopes(outer);
         let planned = Arc::new(plan_select(self, ctes, sel, order_by, limit, offset, &scopes)?);
-        let stale = |name: &String| ctes.get(name).is_some() || self.serves_virtual(name);
-        if planned.captured_solve || planned.captured_reads.iter().any(stale) {
+        let stale = |name: &str| ctes.get(name).is_some() || self.serves_virtual(name);
+        if planned.captured_solve || planned.reads.names().any(stale) {
             return Ok((planned, None));
         }
         if let Ok(mut cache) = self.plan_cache.lock() {
@@ -260,15 +264,14 @@ impl Database {
         Ok((planned, Some(false)))
     }
 
-    /// The catalog changed: no cached plan can hit again, and no kept
-    /// subquery result holds a table a write could otherwise make in place.
-    pub(crate) fn drop_plans(&self) {
-        if let Ok(mut cache) = self.plan_cache.lock() {
-            cache.session.clear();
-            cache.statement.clear();
-            cache.rendered.clear();
-            cache.subqueries.clear();
-        }
+    /// Keep the cached plans and kept subquery results whose [`ReadSet`]
+    /// `keep` accepts, and drop the rest.
+    pub(crate) fn retain_reads(&self, keep: impl Fn(&ReadSet) -> bool) {
+        let mut cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = &mut *cache;
+        cache.session.retain(|_, planned| keep(&planned.reads));
+        cache.statement.retain(|_, planned| keep(&planned.reads));
+        cache.subqueries.retain(|_, kept| kept.reads().is_none_or(&keep));
     }
 
     /// `f` of the entry of the subquery site at `site`, if the statement
@@ -314,12 +317,10 @@ mod tests {
 
     fn db_with_table() -> Database {
         let mut db = Database::new();
-        db.create_table(
-            "t",
-            Table::from_rows(&["a"], vec![vec![Value::Int(1)], vec![Value::Int(2)]]),
-            false,
-        )
-        .unwrap();
+        for name in ["t", "u"] {
+            let rows = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+            db.create_table(name, Table::from_rows(&["a"], rows), false).unwrap();
+        }
         db
     }
 
@@ -340,16 +341,41 @@ mod tests {
         assert_eq!(db.plan_cache_len(), n, "repeat execution should not add entries");
     }
 
+    /// A write to `u` keeps the plan that reads only `t`; a write to `t`
+    /// retires it. Each read returns the rows committed before it.
     #[test]
     fn mutation_invalidates_cached_plan() {
         let mut db = db_with_table();
-        execute_sql(&mut db, "SELECT a FROM t").unwrap();
-        let epoch = db.catalog_epoch();
+        let read = |db: &mut Database| {
+            let r = execute_sql(db, "SELECT a FROM t").unwrap();
+            (r.plan_cache_hit, r.into_table().unwrap().num_rows())
+        };
+        assert_eq!(read(&mut db), (Some(false), 2));
+        execute_sql(&mut db, "INSERT INTO u VALUES (3)").unwrap();
+        assert_eq!(read(&mut db), (Some(true), 2), "a write to u keeps the plan on t");
         execute_sql(&mut db, "INSERT INTO t VALUES (3)").unwrap();
-        assert!(db.catalog_epoch() > epoch, "DML must advance the epoch");
-        // Same SQL now keys differently; results reflect the new row.
-        let t = execute_sql(&mut db, "SELECT a FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.num_rows(), 3);
+        assert_eq!(read(&mut db), (Some(false), 3), "a write to t retires it");
+    }
+
+    /// A FROM subquery under an outer row is run by each execution, but
+    /// its columns are the plan's: a write to what it reads retires the
+    /// plan, which would otherwise expect `u`'s old columns.
+    #[test]
+    fn a_write_to_what_a_rerun_subquery_reads_retires_the_plan() {
+        let mut db = db_with_table();
+        let sql = "SELECT t.a, s.n FROM t, LATERAL \
+                   (SELECT count(*) AS n FROM (SELECT * FROM u) b WHERE b.a = t.a) s ORDER BY 1";
+        let read = |db: &mut Database| {
+            let r = execute_sql(db, sql).unwrap();
+            (r.plan_cache_hit, format!("{:?}", r.into_table().unwrap().rows))
+        };
+        let counts =
+            |n1: i64, n2: i64| format!("{:?}", [[1, n1], [2, n2]].map(|r| r.map(Value::Int)));
+        assert_eq!(read(&mut db), (Some(false), counts(1, 1)));
+        assert_eq!(read(&mut db), (Some(true), counts(1, 1)));
+        let recreate = "DROP TABLE u; CREATE TABLE u (z int8, a int8); INSERT INTO u VALUES (2, 1)";
+        crate::exec::execute_script(&mut db, recreate).unwrap();
+        assert_eq!(read(&mut db), (Some(false), counts(1, 0)));
     }
 
     #[test]
@@ -385,16 +411,17 @@ mod tests {
     /// The key carries the full query text: distinct queries compare
     /// unequal even if they were to hash alike, so a lookup can never
     /// serve another query's plan.
+    /// What the plan read is its `ReadSet`'s to check, not the key's: a
+    /// write to `t` leaves the key of a read of `t` as it was.
     #[test]
     fn key_stores_full_query_material() {
-        let db = db_with_table();
+        let mut db = db_with_table();
         let k1 = key_for(&db, "SELECT a FROM t");
         let k1_again = key_for(&db, "SELECT a FROM t");
-        assert_eq!(k1, k1_again, "same query, same epoch: identical key");
+        assert_eq!(k1, k1_again, "same query: identical key");
         let k2 = key_for(&db, "SELECT a FROM t ORDER BY a");
         assert_ne!(k1, k2);
-        db.bump_epoch();
-        let k3 = key_for(&db, "SELECT a FROM t");
-        assert_ne!(k1, k3, "epoch changes must change the key");
+        execute_sql(&mut db, "INSERT INTO t VALUES (3)").unwrap();
+        assert_eq!(k1, key_for(&db, "SELECT a FROM t"), "a write leaves the key as it is");
     }
 }

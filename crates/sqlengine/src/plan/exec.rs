@@ -383,7 +383,7 @@ impl<'p> Spine<'p> {
             PlanNode::Join { left, right, kind, lkeys, cond, scope, .. }
                 if lkeys.is_empty()
                     && matches!(kind, JoinKind::Inner | JoinKind::Cross)
-                    && !cond.as_ref().is_some_and(bound_has_subquery) =>
+                    && !cond.as_deref().is_some_and(bound_has_subquery) =>
             {
                 let other_is_right = kept_ref(&kept.outputs, &**right).is_some();
                 let (inner, other) = if other_is_right { (left, right) } else { (right, left) };
@@ -627,7 +627,7 @@ impl<'a> Runner<'a, '_> {
                 if lkeys.is_empty() {
                     let rb = self.run_node(right)?;
                     let widths = (left.scope().cols.len(), right.scope().cols.len());
-                    return loop_join(&self.over(scope), &lb, &rb, widths, *kind, cond.as_ref());
+                    return loop_join(&self.over(scope), &lb, &rb, widths, *kind, cond.as_deref());
                 }
                 // The table goes over the input with fewer rows — both
                 // are in hand — except that a recursion's kept build

@@ -15,10 +15,9 @@ use super::build::bound_has_subquery;
 use super::columnar::VecExpr;
 use super::image::StoredTable;
 use crate::ast::{JoinKind, OrderItem, Query};
-use crate::catalog::Ctes;
+use crate::catalog::{Ctes, ReadSet};
 use crate::exec::eval::{BoundExpr, Scope};
 use crate::table::Schema;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Where a [`PlanNode::Scan`] reads its rows.
@@ -84,14 +83,15 @@ pub enum PlanNode {
     /// Join two inputs. When `lkeys`/`rkeys` are non-empty this is a
     /// hash equi-join on those key expressions; otherwise a nested loop,
     /// whose condition `cond` (if any) the interpreter's evaluator checks
-    /// on each combined row.
+    /// on each combined row. `cond` is boxed, here and in `Apply`: inline
+    /// it would make every node of every cached plan as large as a join.
     Join {
         left: Box<PlanNode>,
         right: Box<PlanNode>,
         kind: JoinKind,
         lkeys: Vec<VecExpr>,
         rkeys: Vec<VecExpr>,
-        cond: Option<BoundExpr>,
+        cond: Option<Box<BoundExpr>>,
         desc: String,
         scope: Scope,
         est: f64,
@@ -105,7 +105,7 @@ pub enum PlanNode {
         left: Box<PlanNode>,
         right: Arc<PlannedQuery>,
         kind: JoinKind,
-        cond: Option<BoundExpr>,
+        cond: Option<Box<BoundExpr>>,
         desc: String,
         scope: Scope,
         est: f64,
@@ -299,7 +299,8 @@ impl PlanNode {
             }
             PlanNode::Filter { pred, .. } => sub(pred),
             PlanNode::Join { lkeys, rkeys, cond, .. } => {
-                lkeys.iter().chain(rkeys).any(sub) || cond.as_ref().is_some_and(bound_has_subquery)
+                lkeys.iter().chain(rkeys).any(sub)
+                    || cond.as_deref().is_some_and(bound_has_subquery)
             }
             PlanNode::Aggregate { group, aggs, .. } => {
                 group.iter().any(sub) || aggs.iter().any(|a| a.arg.iter().chain(&a.arg2).any(sub))
@@ -454,15 +455,16 @@ pub struct PlannedQuery {
     /// Number of visible output columns (ORDER BY keys beyond this are
     /// dropped from the final table).
     pub visible: usize,
-    /// Every relation name read (transitively through views) by the
-    /// views and FROM subqueries the planner materialized into
-    /// [`ScanSource::Table`] scans, and every virtual table scanned.
-    /// Rebinding one of these names makes the captured rows stale, so
-    /// the plan must not be executed again; a virtual table's rows are
-    /// stale as soon as they are captured.
-    pub captured_reads: BTreeSet<String>,
+    /// What the plan read: every relation it scans other than a CTE slot
+    /// (views and virtual tables included), and every name read
+    /// (transitively through views) by the views and FROM subqueries it
+    /// materialized into [`ScanSource::Table`] scans or re-runs as
+    /// [`ScanSource::Derived`] (CTE names left out of the latter). The plan
+    /// is valid while the set holds; a captured read of a bound CTE, or a
+    /// virtual table's rows, are stale as soon as they are captured.
+    pub reads: ReadSet,
     /// A view, FROM subquery or LIMIT the planner evaluated ran a solve:
-    /// the plan holds one solver run's answer, which no catalog epoch
+    /// the plan holds one solver run's answer, which no [`ReadSet`]
     /// versions, and must not be executed again either.
     pub captured_solve: bool,
     /// [`Self::fingerprint`], computed with the plan.
@@ -473,14 +475,14 @@ impl PlannedQuery {
     pub(crate) fn new(
         root: PlanNode,
         schema: Schema,
-        captured_reads: BTreeSet<String>,
+        reads: ReadSet,
         captured_solve: bool,
     ) -> PlannedQuery {
         let mut s = String::new();
         root.structure_into(&mut s);
         let fingerprint = super::fnv1a(s.as_bytes());
         let visible = schema.len();
-        PlannedQuery { root, schema, visible, captured_reads, captured_solve, fingerprint }
+        PlannedQuery { root, schema, visible, reads, captured_solve, fingerprint }
     }
 
     /// Is every CTE slot of the plan bound in `ctes` to a relation of

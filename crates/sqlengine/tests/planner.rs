@@ -1558,7 +1558,7 @@ fn set_operation_arms_go_through_the_planner() {
 }
 
 #[test]
-fn closed_subqueries_are_planned_once_per_epoch() {
+fn closed_subqueries_replan_only_the_block_a_write_reaches() {
     let mut db = setup();
     let closed = "SELECT (SELECT count(*) FROM t1 WHERE a > 2) AS n, \
                   (SELECT max(v) FROM t3 JOIN t2 ON t2.a = t3.k) AS m";
@@ -1569,10 +1569,23 @@ fn closed_subqueries_are_planned_once_per_epoch() {
     // `check` planned the block and both subqueries already; they are
     // served from the session's plan cache now.
     assert_eq!(db.exec_counts().since(&before).plans_built, 0);
-    execute_sql(&mut db, "INSERT INTO t3 VALUES (1, 1)").unwrap();
-    let before = db.exec_counts();
-    execute_sql(&mut db, closed).unwrap();
-    assert_eq!(db.exec_counts().since(&before).plans_built, 3, "a new epoch plans them again");
+    // A write re-plans the blocks that read what it wrote, and only them:
+    // the FROM-less outer block reads no table, the first subquery `t1`,
+    // the second `t3` and `t2`.
+    for (writes, replanned) in [
+        (&["INSERT INTO t3 VALUES (1, 1)"][..], 1),
+        (&["INSERT INTO t2 VALUES (1, 'x', 5)"][..], 1),
+        (&["INSERT INTO t1 VALUES (9, 9, 'x', 1.0)"][..], 1),
+        (&["DELETE FROM t1 WHERE a = 9", "DELETE FROM t3 WHERE k = 1"][..], 2),
+        (&["CREATE TABLE t4 (x INT)", "INSERT INTO t4 VALUES (1)"][..], 0),
+    ] {
+        for w in writes {
+            execute_sql(&mut db, w).unwrap();
+        }
+        let before = db.exec_counts();
+        check(&mut db, closed, true);
+        assert_eq!(db.exec_counts().since(&before).plans_built, replanned, "after {writes:?}");
+    }
 
     // The whole chain is walked: two FROM-less levels down, `t1.a` is
     // still the outer row's.

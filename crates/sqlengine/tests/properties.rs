@@ -1,6 +1,7 @@
 //! Property-based tests for the engine: pretty-printer round-trips,
-//! evaluator algebra, LIKE matching, set-operation laws, and table
-//! versions that share row chunks.
+//! evaluator algebra, LIKE matching, set-operation laws, table versions
+//! that share row chunks, and the plans and subquery results two sessions
+//! over one catalog keep across each other's writes.
 
 use proptest::prelude::*;
 use sqlengine::ast::{Expr, Literal};
@@ -9,6 +10,7 @@ use sqlengine::parser::{parse_expr, parse_query};
 use sqlengine::plan::{Rewrite, StoredTable};
 use sqlengine::types::BinOp;
 use sqlengine::{execute_script, execute_sql, Database, Row, Table, Value};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Expression generation
@@ -315,5 +317,107 @@ proptest! {
             prop_assert!(version.rows().eq(model.iter()), "reader {}: rows differ", i);
             prop_assert!(&imaged(version) == model, "reader {}: image differs", i);
         }
+    }
+
+    /// Two sessions read and write one catalog, each adopting the other's
+    /// writes before its next statement: every read returns what the same
+    /// query returns on a fresh database over the same relations, and no
+    /// session keeps a cached plan its relations no longer hold (a write
+    /// drops the plans that read what it writes before it writes).
+    #[test]
+    fn cached_reads_agree_with_a_fresh_database(
+        steps in prop::collection::vec((0..2usize, arb_session_statement()), 1..24),
+    ) {
+        let mut dbs = [Database::new(), Database::new()];
+        execute_script(&mut dbs[0], SESSIONS_SETUP).unwrap();
+        let mut latest = dbs[0].relations().clone();
+        for (i, (who, (sql, write))) in steps.iter().enumerate() {
+            let db = &mut dbs[*who];
+            if !Arc::ptr_eq(db.relations(), &latest) {
+                db.adopt(latest.clone());
+            }
+            let got = outcome(db, sql);
+            if *write {
+                latest = db.relations().clone();
+            } else {
+                let mut fresh = Database::new();
+                fresh.adopt(latest.clone());
+                prop_assert_eq!(&got, &outcome(&mut fresh, sql), "step {}: {}", i, sql);
+            }
+            let cached = db.plan_cache_len();
+            let relations = db.relations().clone();
+            db.adopt(relations);
+            let stale = "a stale plan outlived";
+            prop_assert_eq!(db.plan_cache_len(), cached, "step {}: {} {}", i, stale, sql);
+        }
+    }
+}
+
+/// Three tables and a view over them, for two sessions to share.
+const SESSIONS_SETUP: &str = "
+    CREATE TABLE t0 (k int8, x int8); INSERT INTO t0 VALUES (1, 1), (2, 5), (3, 2);
+    CREATE TABLE t1 (k int8, x int8); INSERT INTO t1 VALUES (1, 3), (3, 3);
+    CREATE TABLE t2 (k int8, x int8); INSERT INTO t2 VALUES (2, 2);
+    CREATE VIEW v AS SELECT k, x FROM t1";
+
+/// The reads the sessions repeat (`{i}` and `{j}` name tables): plain,
+/// through the view, FROM subqueries captured and re-run per outer row,
+/// closed scalar subqueries (kept across the outer rows) and correlated
+/// ones, and a CTE.
+const SESSION_READS: &[&str] = &[
+    "SELECT * FROM t{i} ORDER BY 1, 2",
+    "SELECT * FROM v ORDER BY 1, 2",
+    "SELECT s.k, s.n FROM (SELECT k, count(*) AS n FROM t{i} GROUP BY k) s ORDER BY 1",
+    "SELECT count(*) FROM (SELECT * FROM v WHERE x > 1) s",
+    "SELECT a.k, (SELECT count(*) FROM t{j}), (SELECT max(x) FROM v) FROM t{i} a \
+     ORDER BY 1, 2, 3",
+    "SELECT count(*), sum(x) FROM t{i} WHERE k IN (SELECT k FROM t{j})",
+    "SELECT a.k, (SELECT count(*) FROM t{j} b WHERE b.k = a.k) FROM t{i} a ORDER BY 1, 2",
+    "SELECT a.k, s.n FROM t{i} a, LATERAL (SELECT count(*) AS n FROM v WHERE v.k = a.k) s \
+     ORDER BY 1, 2",
+    "SELECT a.k, s.n FROM t{i} a, \
+     LATERAL (SELECT count(*) AS n FROM (SELECT * FROM t{j}) b WHERE b.k = a.k) s ORDER BY 1, 2",
+    "WITH c AS (SELECT k FROM t{i}) SELECT count(*) FROM c JOIN t{j} ON c.k = t{j}.k",
+];
+
+/// A statement of one session, and whether it writes: DDL (a table may
+/// come back with its columns swapped) or DML, or one of
+/// [`SESSION_READS`].
+fn arb_session_statement() -> impl Strategy<Value = (String, bool)> {
+    let t = || 0..3usize;
+    let write = prop_oneof![
+        (t(), any::<bool>()).prop_map(|(i, swapped)| match swapped {
+            true => format!("CREATE TABLE t{i} (x int8, k int8)"),
+            false => format!("CREATE TABLE t{i} (k int8, x int8)"),
+        }),
+        t().prop_map(|i| format!("DROP TABLE t{i}")),
+        (t(), t(), 0..3usize).prop_map(|(i, j, shape)| match shape {
+            0 => format!("CREATE OR REPLACE VIEW v AS SELECT * FROM t{i}"),
+            1 => format!("CREATE OR REPLACE VIEW v AS SELECT k, x + k AS x, 1 AS y FROM t{i}"),
+            _ => format!(
+                "CREATE OR REPLACE VIEW v AS SELECT a.k, b.x FROM t{i} a JOIN t{j} b ON a.k = b.k"
+            ),
+        }),
+        (t(), 0..4i64, 0..4i64)
+            .prop_map(|(i, k, x)| format!("INSERT INTO t{i} VALUES ({k}, {x}), ({k}, {x} + 1)")),
+        (t(), 0..4i64, 1..3i64)
+            .prop_map(|(i, k, d)| format!("UPDATE t{i} SET x = x + {d} WHERE k = {k}")),
+        (t(), 0..4i64).prop_map(|(i, k)| format!("DELETE FROM t{i} WHERE k = {k}")),
+    ];
+    let read = (0..SESSION_READS.len(), t(), t()).prop_map(|(r, i, j)| {
+        SESSION_READS[r].replace("{i}", &i.to_string()).replace("{j}", &j.to_string())
+    });
+    // Two writes to three reads.
+    (0..5, write, read).prop_map(|(pick, write, read)| match pick < 2 {
+        true => (write, true),
+        false => (read, false),
+    })
+}
+
+/// What `sql` returns on `db`: its column names and rows, or its error.
+fn outcome(db: &mut Database, sql: &str) -> String {
+    match execute_sql(db, sql).and_then(|r| r.into_table()) {
+        Ok(t) => format!("{:?} {:?}", t.schema.names(), t.rows),
+        Err(e) => format!("error: {e}"),
     }
 }

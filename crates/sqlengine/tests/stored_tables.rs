@@ -109,10 +109,10 @@ fn explain_analyze_notes_what_each_scan_pivoted() {
     assert!(scan_line(&mut db).ends_with("pivoted=0"));
 }
 
-/// 100 rounds of INSERT + DELETE + 8 reads that differ in a literal.
-/// Before plans were dropped with the epoch that keyed them, the map grew
-/// to its size bound and every stale plan kept the table version it had
-/// scanned alive.
+/// 100 rounds of INSERT + DELETE + 8 reads that differ in a literal. A
+/// write drops the plans that read the table it writes: were they kept,
+/// the map would grow to its size bound and every stale plan would keep
+/// the table version it had scanned alive.
 #[test]
 fn stale_plans_pin_neither_the_map_nor_dead_table_versions() {
     let mut db = db_with(2 * CHUNK as i64 + 100);

@@ -25,7 +25,7 @@ use crate::record::Record;
 use crate::snapshot::{self, SnapshotData};
 use crate::wal::Wal;
 use obs::{QueryTrace, Stage, Trace};
-use sqlengine::catalog::{CatalogMutation, Database, DurabilityHook, Relations};
+use sqlengine::catalog::{CatalogMutation, Ctes, Database, DurabilityHook, ReadSet, Relations};
 use sqlengine::error::{Error, Result};
 use sqlengine::table::Table;
 use sqlengine::types::Value;
@@ -375,8 +375,10 @@ impl StorageEngine {
         } else {
             let mut merged = Relations::clone(&inner.current);
             let mut contended = false;
+            let none = Ctes::new();
             let applied = batch.iter().try_for_each(|m| {
-                if base.same_relation(&inner.current, m.relation()) {
+                let read = ReadSet::of(base, &none, [m.relation().to_string()]);
+                if read.still_valid(&inner.current, &none) {
                     merged.install(m.relation(), mine);
                     return Ok(());
                 }

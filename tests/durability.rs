@@ -430,6 +430,39 @@ fn appends_beside_a_reader_copy_one_chunk_and_lose_nothing() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A read on `s`: whether its plan came from the plan cache, and the
+/// first column of its rows.
+fn read(s: &mut Session, sql: &str) -> (Option<bool>, Vec<i64>) {
+    let r = s.execute(sql).unwrap();
+    let hit = r.plan_cache_hit;
+    (hit, r.into_table().unwrap().rows.iter().map(|r| r[0].as_i64().unwrap()).collect())
+}
+
+/// Connection A keeps its plan for a read of `items` across B's commit
+/// to `events`, a table the plan does not read, and reads B's row of
+/// `events`; B's commit to `items` retires the plan, and A's next read of
+/// `items` plans again and sees the row.
+#[test]
+fn a_commit_retires_only_the_cached_plans_that_read_what_it_wrote() {
+    let dir = tmp_dir("read-set");
+    let engine = Arc::new(StorageEngine::open(&dir, FsyncPolicy::Never).unwrap());
+    let (mut a, mut b) = (durable_session(&engine), durable_session(&engine));
+    a.execute_script(
+        "CREATE TABLE items (id int8); INSERT INTO items VALUES (1), (2);
+         CREATE TABLE events (id int8)",
+    )
+    .unwrap();
+    let items = "SELECT id FROM items ORDER BY id";
+    assert_eq!(read(&mut a, items), (Some(false), vec![1, 2]));
+    assert_eq!(read(&mut a, items), (Some(true), vec![1, 2]));
+    b.execute("INSERT INTO events VALUES (7)").unwrap();
+    assert_eq!(read(&mut a, items), (Some(true), vec![1, 2]), "kept across a commit to events");
+    assert_eq!(read(&mut a, "SELECT id FROM events").1, [7], "A reads B's row");
+    b.execute("INSERT INTO items VALUES (3)").unwrap();
+    assert_eq!(read(&mut a, items), (Some(false), vec![1, 2, 3]), "retired by a commit to items");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The statements `tests/data/pr20_datadir` was written with — by the
 /// commit before the one-catalog engine (`solvedb --data-dir`).
 const PR20_STMTS: &[&str] = &[
