@@ -876,9 +876,14 @@ impl Database {
 
     // -- views -------------------------------------------------------------
 
+    /// `OR REPLACE` replaces a view, never a table: a view and a table
+    /// under one name would split reads (the view) from writes (the table).
     pub fn create_view(&mut self, name: &str, query: Query, or_replace: bool) -> Result<()> {
         if !or_replace && self.relations.has(name) {
             return Err(Error::catalog(format!("relation '{name}' already exists")));
+        }
+        if self.relations.tables.contains_key(name) {
+            return Err(Error::catalog(format!("relation '{name}' is not a view")));
         }
         let sql = query.to_string();
         self.writing(name);

@@ -7,7 +7,7 @@ pub(crate) mod oracle;
 pub mod select;
 pub(crate) mod subquery;
 
-use crate::ast::{ExplainMode, Statement};
+use crate::ast::{ColumnDef, ExplainMode, Statement};
 use crate::catalog::{Ctes, Database};
 use crate::diag::Diagnostic;
 use crate::error::{Error, Result};
@@ -160,6 +160,11 @@ pub fn execute_statement_timed(
     result.plan_cache_hit = plan_cache_hit;
     result.warnings = findings;
     Ok(result)
+}
+
+/// The schema `CREATE TABLE` declares.
+pub(crate) fn declared_schema(columns: &[ColumnDef]) -> Schema {
+    Schema::new(columns.iter().map(|c| Column::new(&c.name, c.ty.clone())).collect())
 }
 
 /// The result of an `EXPLAIN`: one text column `plan`, one row per line.
@@ -341,9 +346,7 @@ fn execute_statement_inner(
         Statement::CreateTable { name, if_not_exists, columns, as_query } => {
             let table = match as_query {
                 Some(q) => run_query(db, &ctes, q, None)?,
-                None => Table::new(Schema::new(
-                    columns.iter().map(|c| Column::new(c.name.clone(), c.ty.clone())).collect(),
-                )),
+                None => Table::new(declared_schema(columns)),
             };
             db.create_table(name, table, *if_not_exists)?;
             Ok(ExecResult::done())

@@ -26,7 +26,7 @@
 pub mod rwset;
 pub mod shadow;
 
-use crate::ast::{SolveStmt, Statement, TableRef};
+use crate::ast::{Query, SolveStmt, Statement, TableRef};
 use crate::catalog::Database;
 use crate::diag::{Diagnostic, Severity};
 use crate::error::Result;
@@ -34,21 +34,19 @@ use crate::parser;
 use crate::table::{Column, Schema, Table};
 use crate::types::{DataType, Value};
 use rwset::RwSet;
-use shadow::{DerivedRel, RelKind, RowEstimate, ShadowCatalog};
+use shadow::{RelKind, RowEstimate, ShadowCatalog};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Catalog snapshot
 // ---------------------------------------------------------------------------
 
-/// The catalog state a script is analyzed against: relation names and
-/// (for tables) schemas + current row counts. `empty()` models batch
+/// The catalog a script is analyzed against. `empty()` models batch
 /// linting of a standalone script; `from_db` models `EXPLAIN SCRIPT`
-/// inside a live session.
-#[derive(Debug, Clone, Default)]
+/// inside a live session: its relations (shared, not copied) and UDFs.
+#[derive(Debug, Default)]
 pub struct CatalogSnapshot {
-    shadow: ShadowCatalog,
+    db: Database,
 }
 
 impl CatalogSnapshot {
@@ -57,46 +55,19 @@ impl CatalogSnapshot {
     }
 
     pub fn from_db(db: &Database) -> CatalogSnapshot {
-        let mut shadow = ShadowCatalog::default();
-        for (name, table) in db.relations().tables_snapshot() {
-            let schema = table
-                .schema()
-                .columns
-                .iter()
-                .map(|c| shadow::DerivedCol { name: Some(c.name.clone()), ty: Some(c.ty.clone()) })
-                .collect();
-            shadow.rels.insert(
-                name,
-                DerivedRel {
-                    kind: RelKind::Table,
-                    schema: Some(schema),
-                    rows: RowEstimate::Known(table.num_rows()),
-                    created_at: None,
-                    dropped_at: None,
-                    ever_read: false,
-                    view_def: None,
-                    ranges: None,
-                },
-            );
-        }
-        for (name, _) in db.relations().views_snapshot() {
-            let view_def = db.view(&name).cloned();
-            shadow.rels.insert(
-                name,
-                DerivedRel {
-                    kind: RelKind::View,
-                    schema: None,
-                    rows: RowEstimate::Unknown,
-                    created_at: None,
-                    dropped_at: None,
-                    ever_read: false,
-                    view_def,
-                    ranges: None,
-                },
-            );
-        }
-        CatalogSnapshot { shadow }
+        CatalogSnapshot { db: fork(db) }
     }
+}
+
+/// A database over `db`'s relations (shared until it writes them) and
+/// UDFs: what it does to them reaches neither `db` nor its session.
+fn fork(db: &Database) -> Database {
+    let mut fork = Database::new();
+    fork.adopt(db.relations().clone());
+    for udf in db.udf_names().iter().filter_map(|name| db.udf(name)) {
+        fork.register_udf(udf.clone());
+    }
+    fork
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +270,7 @@ pub fn analyze_script(stmts: &[Statement], base: &CatalogSnapshot) -> ScriptAnal
 
     let diagnostics = {
         let mut checker = Checker {
-            shadow: base.shadow.clone(),
+            shadow: ShadowCatalog::new(fork(&base.db)),
             statements: &statements,
             diagnostics: Vec::new(),
         };
@@ -381,8 +352,8 @@ impl Checker<'_> {
 
     /// Resolve a use (read or write) of `name` at statement `idx`,
     /// emitting SD013/SD014 when the derived state proves it invalid.
-    /// Returns the resolved entry when the relation is usable here.
-    fn resolve_use(&mut self, idx: usize, name: &str, verb: &str) -> Option<DerivedRel> {
+    /// Returns whether the relation is usable here.
+    fn resolve_use(&mut self, idx: usize, name: &str, verb: &str) -> bool {
         match self.shadow.get(name) {
             Some(rel) if rel.is_dropped() => {
                 let dropped_at = rel.dropped_at.unwrap_or(idx);
@@ -400,16 +371,13 @@ impl Checker<'_> {
                         "move this statement before the DROP, or recreate the relation first",
                     ),
                 );
-                None
+                false
             }
-            Some(rel) => {
-                let rel = rel.clone();
+            Some(_) => {
                 self.shadow.mark_read(name);
                 // Reading a view touches its base relations too.
-                if rel.kind == RelKind::View {
-                    self.resolve_view_bases(idx, name, &rel);
-                }
-                Some(rel)
+                self.resolve_view_bases(idx, name);
+                true
             }
             None => {
                 if let Some(created) = self.created_later(idx, name) {
@@ -425,21 +393,22 @@ impl Checker<'_> {
                         )
                         .with_detail("reorder the script so the CREATE runs first"),
                     );
-                    None
+                    false
                 } else {
                     // External: assumed present in the session catalog.
                     self.shadow.mark_read(name);
-                    self.shadow.get(name).cloned()
+                    true
                 }
             }
         }
     }
 
-    /// Transitively validate the base relations of a view being read.
-    fn resolve_view_bases(&mut self, idx: usize, view: &str, rel: &DerivedRel) {
+    /// Transitively validate the base relations of `view`, when it is a
+    /// view being read.
+    fn resolve_view_bases(&mut self, idx: usize, view: &str) {
         let mut visited = HashSet::new();
         visited.insert(view.to_string());
-        let mut queue: Vec<Arc<crate::ast::Query>> = rel.view_def.iter().cloned().collect();
+        let mut queue: Vec<_> = self.shadow.db.view(view).cloned().into_iter().collect();
         while let Some(def) = queue.pop() {
             for base in rwset::view_reads(&def) {
                 if !visited.insert(base.clone()) {
@@ -465,10 +434,9 @@ impl Checker<'_> {
                             ),
                         );
                     }
-                    Some(b) => {
-                        let next = b.view_def.clone();
+                    Some(_) => {
+                        queue.extend(self.shadow.db.view(&base).cloned());
                         self.shadow.mark_read(&base);
-                        queue.extend(next);
                     }
                     None => {
                         if let Some(created) = self.created_later(idx, &base) {
@@ -503,98 +471,94 @@ impl Checker<'_> {
 
         match stmt {
             Statement::Insert { table, columns, source } => {
-                if let Some(rel) = self.resolve_use(idx, table, "inserts into") {
-                    self.check_insert(idx, table, columns, source, &rel);
+                if self.resolve_use(idx, table, "inserts into") {
+                    self.check_insert(idx, table, columns, source);
                 }
             }
             Statement::Update { table, assignments, .. } => {
-                // The target was already resolved through `reads`.
-                if let Some(rel) = self.shadow.get(table).filter(|r| !r.is_dropped()).cloned() {
-                    if let Some(names) = rel.column_names() {
-                        for (col, _) in assignments {
-                            if !names.contains(&col.as_str()) {
-                                self.push(
-                                    idx,
-                                    Diagnostic::error(
-                                        "SD015",
-                                        format!(
-                                            "UPDATE sets column '{col}', but the derived schema \
-                                             of '{table}' has no such column"
-                                        ),
-                                    )
-                                    .with_detail(format!("columns: {}", names.join(", "))),
-                                );
-                            }
+                // The target was already resolved through `reads`; a
+                // dropped one has no schema.
+                if let Some(schema) = self.shadow.schema(table) {
+                    let names = schema.names();
+                    for (col, _) in assignments {
+                        if !names.contains(&col.as_str()) {
+                            self.push(
+                                idx,
+                                Diagnostic::error(
+                                    "SD015",
+                                    format!(
+                                        "UPDATE sets column '{col}', but the derived schema \
+                                         of '{table}' has no such column"
+                                    ),
+                                )
+                                .with_detail(format!("columns: {}", names.join(", "))),
+                            );
                         }
                     }
                 }
             }
             Statement::Delete { .. } => {} // target covered via reads
-            Statement::CreateTable { name, if_not_exists, .. } => {
-                if !if_not_exists {
-                    if let Some(rel) = self.shadow.get(name) {
-                        if !rel.is_dropped() && rel.kind != RelKind::External {
-                            let origin = match rel.created_at {
-                                Some(c) => format!("created by statement {}", c + 1),
-                                None => "already present in the catalog".to_string(),
-                            };
-                            self.push(
-                                idx,
-                                Diagnostic::error(
-                                    "SD015",
-                                    format!(
-                                        "CREATE TABLE '{name}' conflicts with the derived \
-                                         catalog: the relation is {origin}"
-                                    ),
-                                )
-                                .with_detail(
-                                    "add IF NOT EXISTS, DROP the old relation first, \
-                                     or pick another name",
-                                ),
-                            );
-                        }
-                    }
-                }
+            Statement::CreateTable { name, if_not_exists: false, .. }
+                if self.shadow.exists(name) =>
+            {
+                self.push(
+                    idx,
+                    Diagnostic::error(
+                        "SD015",
+                        format!(
+                            "CREATE TABLE '{name}' conflicts with the derived catalog: the \
+                             relation is {}",
+                            self.origin(name)
+                        ),
+                    )
+                    .with_detail(
+                        "add IF NOT EXISTS, DROP the old relation first, or pick another name",
+                    ),
+                );
             }
-            Statement::CreateView { name, or_replace, .. } => {
-                if let Some(rel) = self.shadow.get(name) {
-                    if !rel.is_dropped() && rel.kind != RelKind::External {
-                        if *or_replace {
-                            if rel.created_at.is_some() && !rel.ever_read {
-                                self.push(
-                                    idx,
-                                    Diagnostic::warning(
-                                        "SD016",
-                                        format!(
-                                            "view '{name}' (created by statement {}) is replaced \
-                                             before ever being read",
-                                            rel.created_at.map_or(0, |c| c + 1)
-                                        ),
-                                    )
-                                    .with_detail(
-                                        "the earlier definition is dead; \
-                                         remove it or read it before replacing",
-                                    ),
-                                );
-                            }
-                        } else {
-                            let origin = match rel.created_at {
-                                Some(c) => format!("created by statement {}", c + 1),
-                                None => "already present in the catalog".to_string(),
-                            };
-                            self.push(
-                                idx,
-                                Diagnostic::error(
-                                    "SD015",
-                                    format!(
-                                        "CREATE VIEW '{name}' conflicts with the derived \
-                                         catalog: the relation is {origin}"
-                                    ),
-                                )
-                                .with_detail("use CREATE OR REPLACE VIEW, or DROP it first"),
-                            );
-                        }
-                    }
+            Statement::CreateView { name, or_replace, .. } if self.shadow.exists(name) => {
+                let unread = self.shadow.get(name).filter(|r| !r.ever_read);
+                if !or_replace {
+                    self.push(
+                        idx,
+                        Diagnostic::error(
+                            "SD015",
+                            format!(
+                                "CREATE VIEW '{name}' conflicts with the derived catalog: the \
+                                 relation is {}",
+                                self.origin(name)
+                            ),
+                        )
+                        .with_detail("use CREATE OR REPLACE VIEW, or DROP it first"),
+                    );
+                } else if self.shadow.kind(name) == RelKind::Table {
+                    self.push(
+                        idx,
+                        Diagnostic::error(
+                            "SD015",
+                            format!(
+                                "CREATE OR REPLACE VIEW '{name}' would replace a table (the \
+                                 relation is {}), but only a view can be replaced",
+                                self.origin(name)
+                            ),
+                        )
+                        .with_detail("DROP TABLE it first, or pick another name"),
+                    );
+                } else if let Some(c) = unread.and_then(|r| r.created_at) {
+                    self.push(
+                        idx,
+                        Diagnostic::warning(
+                            "SD016",
+                            format!(
+                                "view '{name}' (created by statement {}) is replaced before \
+                                 ever being read",
+                                c + 1
+                            ),
+                        )
+                        .with_detail(
+                            "the earlier definition is dead; remove it or read it before replacing",
+                        ),
+                    );
                 }
             }
             Statement::DropTable { name, if_exists } | Statement::DropView { name, if_exists } => {
@@ -646,60 +610,48 @@ impl Checker<'_> {
         }
     }
 
-    fn check_insert(
-        &mut self,
-        idx: usize,
-        table: &str,
-        columns: &[String],
-        source: &crate::ast::Query,
-        rel: &DerivedRel,
-    ) {
-        let Some(schema) = rel.schema.as_ref() else { return };
-        // Column-name check (only when every schema name is known).
-        if let Some(names) = rel.column_names() {
-            for col in columns {
-                if !names.contains(&col.as_str()) {
-                    self.push(
-                        idx,
-                        Diagnostic::error(
-                            "SD015",
-                            format!(
-                                "INSERT targets column '{col}', but the derived schema of \
-                                 '{table}' has no such column"
-                            ),
-                        )
-                        .with_detail(format!("columns: {}", names.join(", "))),
-                    );
-                }
-            }
+    /// Where the live relation `name` comes from, for a message.
+    fn origin(&self, name: &str) -> String {
+        match self.shadow.get(name).and_then(|r| r.created_at) {
+            Some(c) => format!("created by statement {}", c + 1),
+            None => "already present in the catalog".to_string(),
         }
-        // Arity check: source width vs target width (or column list).
-        let expected = if columns.is_empty() { schema.len() } else { columns.len() };
-        let provided = shadow::derive_schema(source, &self.shadow).map(|cols| cols.len());
-        if let Some(provided) = provided {
-            if provided != expected {
-                let target = if columns.is_empty() {
-                    format!("'{table}' has {expected} column(s)")
-                } else {
-                    format!("the column list names {expected} column(s)")
-                };
-                self.push(
-                    idx,
-                    Diagnostic::error(
-                        "SD015",
-                        format!("INSERT provides {provided} value(s) per row, but {target}"),
-                    )
-                    .with_detail(format!(
-                        "derived schema of '{table}': {}",
-                        schema
-                            .iter()
-                            .map(|c| c.name.as_deref().unwrap_or("?").to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )),
-                );
-            }
+    }
+
+    /// SD015 over an INSERT, as the engine runs it: every listed column
+    /// exists; with a column list the values match it exactly, without
+    /// one there are at most as many values as columns (the rest pad with
+    /// NULL).
+    fn check_insert(&mut self, idx: usize, table: &str, columns: &[String], source: &Query) {
+        let Some(schema) = self.shadow.schema(table) else { return };
+        let names = schema.names();
+        for col in columns.iter().filter(|c| !names.contains(&c.as_str())) {
+            self.push(
+                idx,
+                Diagnostic::error(
+                    "SD015",
+                    format!(
+                        "INSERT targets column '{col}', but the derived schema of '{table}' \
+                         has no such column"
+                    ),
+                )
+                .with_detail(format!("columns: {}", names.join(", "))),
+            );
         }
+        let Some(provided) = self.shadow.query_schema(source).map(|s| s.len()) else { return };
+        let target = match columns.len() {
+            0 if provided > names.len() => format!("'{table}' has {} column(s)", names.len()),
+            n if n > 0 && provided != n => format!("the column list names {n} column(s)"),
+            _ => return,
+        };
+        self.push(
+            idx,
+            Diagnostic::error(
+                "SD015",
+                format!("INSERT provides {provided} value(s) per row, but {target}"),
+            )
+            .with_detail(format!("derived schema of '{table}': {}", names.join(", "))),
+        );
     }
 
     /// SD018 over one executed solve: the input relation is statically
@@ -734,7 +686,7 @@ impl Checker<'_> {
             return;
         }
         if let Some(where_) = &sel.where_ {
-            if let Some(reason) = shadow::where_provably_empty(where_, rel) {
+            if let Some(reason) = shadow::where_provably_empty(where_, &rel) {
                 self.push(
                     idx,
                     Diagnostic::warning(
@@ -754,13 +706,9 @@ impl Checker<'_> {
     fn finish(&mut self, _n: usize) {
         let mut dead: Vec<(usize, String)> = self
             .shadow
-            .rels
-            .iter()
-            .filter(|(_, rel)| {
-                rel.kind == RelKind::Table
-                    && rel.created_at.is_some()
-                    && !rel.ever_read
-                    && !rel.is_dropped()
+            .touched()
+            .filter(|(name, rel)| {
+                !rel.ever_read && !rel.is_dropped() && self.shadow.kind(name) == RelKind::Table
             })
             .filter_map(|(name, rel)| rel.created_at.map(|c| (c, name.clone())))
             .collect();
@@ -865,10 +813,28 @@ mod tests {
 
     #[test]
     fn sd015_insert_arity_and_unknown_column() {
-        let a = analyze("CREATE TABLE t (x int4, y int4); INSERT INTO t VALUES (1)");
+        let a = analyze("CREATE TABLE t (x int4, y int4); INSERT INTO t VALUES (1, 2, 3)");
         assert_eq!(codes(&a)[0], (1, "SD015".to_string()));
+        // Fewer values than columns: the engine pads with NULL.
+        let pad = analyze("CREATE TABLE t (x int4, y int4); INSERT INTO t VALUES (1)");
+        assert!(!pad.has_errors(), "got: {:?}", codes(&pad));
+        // A column list must match the values exactly.
+        let list = analyze("CREATE TABLE t (x int4, y int4); INSERT INTO t (x, y) VALUES (1)");
+        assert_eq!(codes(&list)[0], (1, "SD015".to_string()));
         let b = analyze("CREATE TABLE t (x int4); INSERT INTO t (z) VALUES (1)");
         assert!(codes(&b).iter().any(|(i, c)| *i == 1 && c == "SD015"), "got: {:?}", codes(&b));
+    }
+
+    #[test]
+    fn sd015_view_over_a_table() {
+        let a = analyze("CREATE TABLE t (a int4); CREATE OR REPLACE VIEW t AS SELECT 42 AS b");
+        assert_eq!(codes(&a)[0], (1, "SD015".to_string()));
+        // The table stays: an INSERT into it is checked against its columns.
+        let b = analyze(
+            "CREATE TABLE t (a int4); CREATE OR REPLACE VIEW t AS SELECT 42 AS b; \
+             INSERT INTO t (b) VALUES (5)",
+        );
+        assert!(codes(&b).contains(&(2, "SD015".to_string())), "got: {:?}", codes(&b));
     }
 
     #[test]

@@ -1,19 +1,28 @@
 //! The statically derived catalog state ("shadow catalog").
 //!
-//! As the script analyzer steps through statements it maintains, per
-//! relation name, what is *statically known* about that relation at that
-//! point: whether it exists, its (possibly partial) schema, a row-count
-//! estimate, and — where every inserted value was a numeric literal —
-//! per-column value intervals in the spirit of the presolve interval
-//! domain. Everything here is conservative: `None`/`Unknown` means
-//! "cannot tell", and downstream checks stay silent rather than guess.
+//! As the script analyzer steps through statements it keeps the catalog
+//! the script builds: a [`Database`] that starts as the session's
+//! relations and takes each statement's DDL through the engine's own
+//! commit points (a created table is an empty table of its schema). Every
+//! schema is the engine's binder's (`exec::head::query_schema`); a query
+//! that does not bind — it reads a name only the session knows, say —
+//! leaves the schema unknown. Beside it, per relation name, is what that
+//! catalog cannot say: where the script created or dropped it, whether a
+//! statement read it, a row-count estimate, and — where every inserted
+//! value was a numeric literal — per-column value intervals in the spirit
+//! of the presolve interval domain. Everything here is conservative:
+//! `None`/`Unknown` means "cannot tell", and downstream checks stay silent
+//! rather than guess.
 
-use crate::ast::{Expr, Literal, Query, Select, SelectItem, SetExpr, Statement, TableRef};
-use crate::types::{BinOp, DataType};
+use crate::ast::{Expr, Literal, Query, SetExpr, Statement};
+use crate::catalog::{Ctes, Database};
+use crate::exec::declared_schema;
+use crate::exec::head::query_schema;
+use crate::table::{Schema, Table};
+use crate::types::BinOp;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// What kind of relation a shadow entry describes.
+/// What kind of relation a name is at one script point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelKind {
     Table,
@@ -21,13 +30,6 @@ pub enum RelKind {
     /// A name the script reads but never creates: assumed to exist in
     /// the session catalog at run time (never diagnosed).
     External,
-}
-
-/// One column of a derived schema. Either component may be unknown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DerivedCol {
-    pub name: Option<String>,
-    pub ty: Option<DataType>,
 }
 
 /// Statically derived row count.
@@ -48,11 +50,9 @@ pub struct ColRange {
     pub nullable: bool,
 }
 
-/// Everything statically known about one relation at one script point.
+/// What the catalog cannot say about one relation at one script point.
 #[derive(Debug, Clone)]
 pub struct DerivedRel {
-    pub kind: RelKind,
-    pub schema: Option<Vec<DerivedCol>>,
     pub rows: RowEstimate,
     /// Statement index (0-based) that created it; `None` = pre-existing.
     pub created_at: Option<usize>,
@@ -60,158 +60,190 @@ pub struct DerivedRel {
     pub dropped_at: Option<usize>,
     /// Set once any later statement reads it (directly or through a view).
     pub ever_read: bool,
-    /// For views: the stored defining query.
-    pub view_def: Option<Arc<Query>>,
     /// Literal-derived per-column intervals; `None` = intervals lost.
     pub ranges: Option<HashMap<String, ColRange>>,
 }
 
 impl DerivedRel {
-    pub fn external() -> DerivedRel {
-        DerivedRel {
-            kind: RelKind::External,
-            schema: None,
-            rows: RowEstimate::Unknown,
-            created_at: None,
-            dropped_at: None,
-            ever_read: false,
-            view_def: None,
-            ranges: None,
-        }
+    /// A relation no statement has touched yet: the session table's row
+    /// count, if it is one.
+    fn untouched(db: &Database, name: &str) -> DerivedRel {
+        let rows = db
+            .stored_table(name)
+            .map_or(RowEstimate::Unknown, |t| RowEstimate::Known(t.num_rows()));
+        DerivedRel { rows, created_at: None, dropped_at: None, ever_read: false, ranges: None }
     }
 
     pub fn is_dropped(&self) -> bool {
         self.dropped_at.is_some()
     }
-
-    /// Column names, when the whole schema is known by name.
-    pub fn column_names(&self) -> Option<Vec<&str>> {
-        let schema = self.schema.as_ref()?;
-        schema.iter().map(|c| c.name.as_deref()).collect()
-    }
 }
 
-/// The shadow catalog: name → derived state. Plain map plus the handful
-/// of transition helpers the checks need.
-#[derive(Debug, Clone, Default)]
+/// The shadow catalog: the catalog the script builds, plus the derived
+/// state of every name a statement has touched.
+#[derive(Debug, Default)]
 pub struct ShadowCatalog {
-    pub rels: HashMap<String, DerivedRel>,
+    pub(crate) db: Database,
+    rels: HashMap<String, DerivedRel>,
 }
 
 impl ShadowCatalog {
-    pub fn get(&self, name: &str) -> Option<&DerivedRel> {
-        self.rels.get(name)
+    pub fn new(db: Database) -> ShadowCatalog {
+        ShadowCatalog { db, rels: HashMap::new() }
     }
 
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut DerivedRel> {
-        self.rels.get_mut(name)
+    /// What is known of `name`; `None` when neither a statement nor the
+    /// catalog has met it.
+    pub fn get(&self, name: &str) -> Option<DerivedRel> {
+        match self.rels.get(name) {
+            Some(rel) => Some(rel.clone()),
+            None => self.db.relations().has(name).then(|| DerivedRel::untouched(&self.db, name)),
+        }
+    }
+
+    /// The derived state of every name a statement has touched.
+    pub fn touched(&self) -> impl Iterator<Item = (&String, &DerivedRel)> {
+        self.rels.iter()
+    }
+
+    fn entry(&mut self, name: &str) -> &mut DerivedRel {
+        let db = &self.db;
+        self.rels.entry(name.to_string()).or_insert_with(|| DerivedRel::untouched(db, name))
+    }
+
+    fn known_mut(&mut self, name: &str) -> Option<&mut DerivedRel> {
+        let known = self.rels.contains_key(name) || self.db.relations().has(name);
+        known.then(|| self.entry(name))
     }
 
     /// Record a read of `name`, materializing an external entry for
     /// never-created names.
     pub fn mark_read(&mut self, name: &str) {
-        self.rels.entry(name.to_string()).or_insert_with(DerivedRel::external).ever_read = true;
+        self.entry(name).ever_read = true;
+    }
+
+    /// What `name` is here. A table the script created from a query that
+    /// did not bind is not in the catalog, but it is a table.
+    pub fn kind(&self, name: &str) -> RelKind {
+        if self.db.view(name).is_some() {
+            RelKind::View
+        } else if self.db.has_table(name)
+            || self.rels.get(name).is_some_and(|r| r.created_at.is_some())
+        {
+            RelKind::Table
+        } else {
+            RelKind::External
+        }
+    }
+
+    fn dropped(&self, name: &str) -> bool {
+        self.rels.get(name).is_some_and(DerivedRel::is_dropped)
+    }
+
+    /// True when `name` is a live table or view here (an external name is
+    /// only assumed to exist).
+    pub fn exists(&self, name: &str) -> bool {
+        self.kind(name) != RelKind::External && !self.dropped(name)
+    }
+
+    /// What `q` returns, as the engine binds it here; `None` when it does
+    /// not bind.
+    pub fn query_schema(&self, q: &Query) -> Option<Schema> {
+        query_schema(&self.db, &Ctes::new(), q, &[]).ok()
+    }
+
+    /// The schema of table or view `name`, when it is known.
+    pub fn schema(&self, name: &str) -> Option<Schema> {
+        match self.db.view(name) {
+            Some(q) => self.query_schema(q),
+            None => self.db.stored_table(name).ok().map(|t| t.schema().clone()),
+        }
     }
 
     /// Apply the catalog effects of `stmt` (index `idx`) to the shadow
-    /// state. Diagnostics never happen here — this is pure transition.
+    /// state: a statement the engine would refuse changes nothing.
+    /// Diagnostics never happen here — this is pure transition.
     pub fn apply(&mut self, idx: usize, stmt: &Statement) {
         match stmt {
-            Statement::CreateTable { name, if_not_exists, columns, as_query } => {
-                if *if_not_exists
-                    && self
-                        .rels
-                        .get(name)
-                        .is_some_and(|r| !r.is_dropped() && r.kind != RelKind::External)
-                {
-                    return; // no-op create; keep the known state
+            Statement::CreateTable { name, columns, as_query, .. } => {
+                if self.exists(name) {
+                    return; // IF NOT EXISTS is a no-op, a plain duplicate fails
                 }
                 let (schema, rows) = match as_query {
-                    None => (
-                        Some(
-                            columns
-                                .iter()
-                                .map(|c| DerivedCol {
-                                    name: Some(c.name.clone()),
-                                    ty: Some(c.ty.clone()),
-                                })
-                                .collect(),
-                        ),
-                        RowEstimate::Known(0),
-                    ),
-                    Some(q) => (
-                        derive_schema(q, self),
-                        insert_row_count(q).map_or(RowEstimate::Unknown, RowEstimate::Known),
-                    ),
+                    None => (Some(declared_schema(columns)), Some(0)),
+                    Some(q) => (self.query_schema(q), insert_row_count(q)),
                 };
+                if let Some(schema) = schema {
+                    let _ = self.db.create_table(name, Table::new(schema), false);
+                }
                 self.rels.insert(
                     name.clone(),
                     DerivedRel {
-                        kind: RelKind::Table,
-                        schema,
-                        rows,
+                        rows: rows.map_or(RowEstimate::Unknown, RowEstimate::Known),
                         created_at: Some(idx),
                         dropped_at: None,
                         ever_read: false,
-                        view_def: None,
                         ranges: Some(HashMap::new()),
                     },
                 );
             }
-            Statement::CreateView { name, query, .. } => {
-                self.rels.insert(
-                    name.clone(),
-                    DerivedRel {
-                        kind: RelKind::View,
-                        schema: derive_schema(query, self),
-                        rows: RowEstimate::Unknown,
-                        created_at: Some(idx),
-                        dropped_at: None,
-                        ever_read: false,
-                        view_def: Some(Arc::new(query.clone())),
-                        ranges: None,
-                    },
-                );
+            Statement::CreateView { name, query, or_replace } => {
+                if self.db.create_view(name, query.clone(), *or_replace).is_ok() {
+                    self.rels.insert(
+                        name.clone(),
+                        DerivedRel {
+                            rows: RowEstimate::Unknown,
+                            created_at: Some(idx),
+                            dropped_at: None,
+                            ever_read: false,
+                            ranges: None,
+                        },
+                    );
+                }
             }
             Statement::DropTable { name, .. } | Statement::DropView { name, .. } => {
-                if let Some(rel) = self.rels.get_mut(name) {
-                    rel.dropped_at = Some(idx);
-                } else {
-                    // Dropping an external relation: remember it is gone.
-                    let mut rel = DerivedRel::external();
-                    rel.dropped_at = Some(idx);
-                    self.rels.insert(name.clone(), rel);
+                let view = matches!(stmt, Statement::DropView { .. });
+                let kind = self.kind(name);
+                // Dropping twice, or a table as a view, drops nothing.
+                if self.dropped(name)
+                    || (kind != RelKind::External && (kind == RelKind::View) != view)
+                {
+                    return;
                 }
+                let _ = match view {
+                    true => self.db.drop_view(name, true),
+                    false => self.db.drop_table(name, true),
+                };
+                self.entry(name).dropped_at = Some(idx);
             }
             Statement::Insert { table, columns, source } => {
                 let added = insert_row_count(source);
                 let literal_rows = literal_values_rows(source);
-                if let Some(rel) = self.rels.get_mut(table) {
+                let schema = self.schema(table);
+                if let Some(rel) = self.known_mut(table) {
                     rel.rows = match (rel.rows, added) {
                         (RowEstimate::Known(n), Some(m)) => RowEstimate::Known(n + m),
                         _ => RowEstimate::Unknown,
                     };
                     // Interval update: only full-width literal inserts
                     // keep the ranges sound; anything else drops them.
-                    match (&literal_rows, columns.is_empty(), &rel.schema) {
+                    match (&literal_rows, columns.is_empty(), schema) {
                         (Some(rows), true, Some(schema)) => {
-                            merge_literal_ranges(rel, rows, schema.clone())
+                            merge_literal_ranges(rel, rows, &schema)
                         }
                         _ => rel.ranges = None,
                     }
                 }
             }
             Statement::Update { table, assignments, .. } => {
-                if let Some(rel) = self.rels.get_mut(table) {
-                    if let Some(ranges) = rel.ranges.as_mut() {
-                        for (col, _) in assignments {
-                            ranges.remove(col);
-                        }
+                if let Some(ranges) = self.known_mut(table).and_then(|r| r.ranges.as_mut()) {
+                    for (col, _) in assignments {
+                        ranges.remove(col);
                     }
                 }
             }
             Statement::Delete { table, where_ } => {
-                if let Some(rel) = self.rels.get_mut(table) {
+                if let Some(rel) = self.known_mut(table) {
                     match where_ {
                         None => {
                             rel.rows = RowEstimate::Known(0);
@@ -228,14 +260,13 @@ impl ShadowCatalog {
     }
 }
 
-fn merge_literal_ranges(rel: &mut DerivedRel, rows: &[Vec<Literal>], schema: Vec<DerivedCol>) {
+fn merge_literal_ranges(rel: &mut DerivedRel, rows: &[Vec<Literal>], schema: &Schema) {
     let Some(ranges) = rel.ranges.as_mut() else { return };
     if rows.iter().any(|r| r.len() != schema.len()) {
-        rel.ranges = None; // arity mismatch: SD015 territory, intervals moot
+        rel.ranges = None; // fewer values pad with NULL, more are SD015: either way, give up
         return;
     }
-    for (ci, col) in schema.iter().enumerate() {
-        let Some(name) = col.name.clone() else { continue };
+    for (ci, col) in schema.columns.iter().enumerate() {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut nullable = false;
@@ -255,10 +286,10 @@ fn merge_literal_ranges(rel: &mut DerivedRel, rows: &[Vec<Literal>], schema: Vec
             }
         }
         if !numeric {
-            ranges.remove(&name);
+            ranges.remove(&col.name);
             continue;
         }
-        let entry = ranges.entry(name).or_insert(ColRange { lo, hi, nullable });
+        let entry = ranges.entry(col.name.clone()).or_insert(ColRange { lo, hi, nullable });
         entry.lo = entry.lo.min(lo);
         entry.hi = entry.hi.max(hi);
         entry.nullable |= nullable;
@@ -311,84 +342,6 @@ fn literal_values_rows(q: &Query) -> Option<Vec<Vec<Literal>>> {
                 .collect()
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Schema derivation
-// ---------------------------------------------------------------------------
-
-/// Best-effort schema of a query against the shadow catalog. `None`
-/// means even the arity is unknown (e.g. an unresolvable wildcard).
-pub fn derive_schema(q: &Query, shadow: &ShadowCatalog) -> Option<Vec<DerivedCol>> {
-    // CTE names shadow catalog names inside this query; treat any query
-    // with CTEs as opaque rather than resolve a second scope level.
-    if !q.with.is_empty() {
-        return derive_body_schema(&q.body, &ShadowCatalog::default());
-    }
-    derive_body_schema(&q.body, shadow)
-}
-
-fn derive_body_schema(body: &SetExpr, shadow: &ShadowCatalog) -> Option<Vec<DerivedCol>> {
-    match body {
-        SetExpr::Values(rows) => {
-            let first = rows.first()?;
-            Some(first.iter().map(|e| DerivedCol { name: None, ty: literal_type(e) }).collect())
-        }
-        SetExpr::Query(q) => derive_schema(q, shadow),
-        SetExpr::SetOp { left, .. } => derive_body_schema(left, shadow),
-        SetExpr::Solve(s) => derive_schema(&s.input.query, shadow),
-        SetExpr::Select(s) => derive_select_schema(s, shadow),
-    }
-}
-
-fn derive_select_schema(s: &Select, shadow: &ShadowCatalog) -> Option<Vec<DerivedCol>> {
-    // Source schema: only resolved for a single plain named source.
-    let source = match s.from.as_slice() {
-        [TableRef::Named { name, .. }] => {
-            shadow.get(name).filter(|r| !r.is_dropped()).and_then(|r| r.schema.clone())
-        }
-        _ => None,
-    };
-    let mut out = Vec::new();
-    for item in &s.projection {
-        match item {
-            SelectItem::Wildcard { .. } => match (&source, s.from.len()) {
-                (Some(cols), 1) => out.extend(cols.iter().cloned()),
-                _ => return None, // unresolvable wildcard: arity unknown
-            },
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().or_else(|| match expr {
-                    Expr::Column { name, .. } => Some(name.clone()),
-                    Expr::Func { name, .. } => Some(name.clone()),
-                    _ => None,
-                });
-                let ty = expr_type(expr, source.as_deref());
-                out.push(DerivedCol { name, ty });
-            }
-        }
-    }
-    Some(out)
-}
-
-fn literal_type(e: &Expr) -> Option<DataType> {
-    match e {
-        Expr::Literal(Literal::Int(_)) => Some(DataType::Int),
-        Expr::Literal(Literal::Float(_)) => Some(DataType::Float),
-        Expr::Literal(Literal::Bool(_)) => Some(DataType::Bool),
-        Expr::Literal(Literal::Str(_)) => Some(DataType::Text),
-        _ => None,
-    }
-}
-
-fn expr_type(e: &Expr, source: Option<&[DerivedCol]>) -> Option<DataType> {
-    match e {
-        Expr::Cast { ty, .. } => Some(ty.clone()),
-        Expr::Column { name, .. } => source?
-            .iter()
-            .find(|c| c.name.as_deref() == Some(name.as_str()))
-            .and_then(|c| c.ty.clone()),
-        _ => literal_type(e),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -482,6 +435,7 @@ fn numeric_literal(e: &Expr) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::parser::parse_statement;
+    use crate::types::DataType;
 
     fn apply_all(sql: &str) -> ShadowCatalog {
         let mut shadow = ShadowCatalog::default();
@@ -530,25 +484,33 @@ mod tests {
             let SetExpr::Select(sel) = q.body else { panic!("select") };
             sel.where_.clone().expect("where")
         };
-        assert!(where_provably_empty(&pred("x < 0"), rel).is_some());
-        assert!(where_provably_empty(&pred("x > 5"), rel).is_some());
-        assert!(where_provably_empty(&pred("x = 3 AND x < 99"), rel).is_none());
-        assert!(where_provably_empty(&pred("x = 7"), rel).is_some());
-        assert!(where_provably_empty(&pred("0 > x"), rel).is_some());
-        assert!(where_provably_empty(&pred("x >= 1"), rel).is_none());
+        assert!(where_provably_empty(&pred("x < 0"), &rel).is_some());
+        assert!(where_provably_empty(&pred("x > 5"), &rel).is_some());
+        assert!(where_provably_empty(&pred("x = 3 AND x < 99"), &rel).is_none());
+        assert!(where_provably_empty(&pred("x = 7"), &rel).is_some());
+        assert!(where_provably_empty(&pred("0 > x"), &rel).is_some());
+        assert!(where_provably_empty(&pred("x >= 1"), &rel).is_none());
     }
 
     #[test]
     fn ctas_schema_derived_from_named_source() {
         let s = apply_all(
             "CREATE TABLE base (a int4, b text); \
-             CREATE TABLE derived AS SELECT a, b AS label, 1.5 AS w FROM base",
+             CREATE TABLE derived AS SELECT a, b AS label, 1.5 AS w FROM base; \
+             CREATE TABLE c (a int4, y float8); \
+             CREATE TABLE joined AS SELECT * FROM base JOIN c USING (a); \
+             CREATE TABLE w AS WITH m AS (SELECT * FROM c) SELECT * FROM m; \
+             CREATE TABLE ext AS SELECT * FROM not_in_the_script",
         );
-        let rel = s.get("derived").expect("derived");
-        let schema = rel.schema.as_ref().expect("schema");
-        let names: Vec<_> = schema.iter().map(|c| c.name.as_deref()).collect();
-        assert_eq!(names, [Some("a"), Some("label"), Some("w")]);
-        assert_eq!(schema[0].ty, Some(DataType::Int));
-        assert_eq!(schema[2].ty, Some(DataType::Float));
+        let schema = s.schema("derived").expect("schema");
+        assert_eq!(schema.names(), ["a", "label", "w"]);
+        assert_eq!(schema.columns[0].ty, DataType::Int);
+        assert_eq!(schema.columns[2].ty, DataType::Float);
+        // `*` over USING keeps both key columns, as the engine returns them.
+        assert_eq!(s.schema("joined").expect("joined").names(), ["a", "b", "a", "y"]);
+        assert_eq!(s.schema("w").expect("w").names(), ["a", "y"]);
+        // A query that does not bind: a table of unknown schema.
+        assert!(s.schema("ext").is_none());
+        assert_eq!(s.kind("ext"), RelKind::Table);
     }
 }

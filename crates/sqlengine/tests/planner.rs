@@ -1128,7 +1128,14 @@ fn relation_names_resolve_in_one_order_on_both_paths() {
     assert_eq!(z(&mut db, &under_cte), [["cte"]]);
     execute_sql(&mut db, "CREATE TABLE sdb_fake AS SELECT 'table' AS z").unwrap();
     assert_eq!(z(&mut db, scan), [["table"]]);
-    execute_sql(&mut db, "CREATE OR REPLACE VIEW sdb_fake AS SELECT 'view' AS z").unwrap();
+    // SQL refuses a view over a table; replaying a log, last writer wins,
+    // can still leave both under one name.
+    let view = "CREATE OR REPLACE VIEW sdb_fake AS SELECT 'view' AS z";
+    assert!(execute_sql(&mut db, view).is_err());
+    let sql = "SELECT 'view' AS z".to_string();
+    sqlengine::catalog::CatalogMutation::CreateView { name: "sdb_fake".into(), sql }
+        .apply(&mut db)
+        .unwrap();
     assert_eq!(z(&mut db, scan), [["view"]]);
     assert_eq!(z(&mut db, &under_cte), [["cte"]]);
 }

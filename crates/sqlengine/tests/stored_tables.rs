@@ -279,3 +279,20 @@ fn a_superseded_version_frees_only_its_own_chunks() {
     let alive: Vec<bool> = weak.iter().map(|w| w.upgrade().is_some()).collect();
     assert_eq!(alive, [true, false, false, false], "chunks 1 on were re-chunked");
 }
+
+/// `CREATE OR REPLACE VIEW` over a table is refused: otherwise reads of
+/// the name would see the view while INSERTs wrote the hidden table.
+#[test]
+fn a_view_never_replaces_a_table() {
+    let mut db = Database::new();
+    execute_script(&mut db, "CREATE TABLE t (a INT); INSERT INTO t VALUES (1)").unwrap();
+    let err = execute_sql(&mut db, "CREATE OR REPLACE VIEW t AS SELECT 42 AS b").unwrap_err();
+    assert_eq!(err.to_string(), "catalog error: relation 't' is not a view");
+    assert!(db.view("t").is_none());
+    execute_sql(&mut db, "INSERT INTO t VALUES (5)").unwrap();
+    let t = execute_sql(&mut db, "SELECT a FROM t ORDER BY a").unwrap().into_table().unwrap();
+    assert_eq!(t.rows, [vec![Value::Int(1)], vec![Value::Int(5)]]);
+    // A view still replaces a view.
+    execute_sql(&mut db, "CREATE VIEW v AS SELECT 1 AS b").unwrap();
+    execute_sql(&mut db, "CREATE OR REPLACE VIEW v AS SELECT 2 AS b").unwrap();
+}

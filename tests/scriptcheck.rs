@@ -1,9 +1,10 @@
 //! End-to-end contract of the whole-script analyzer over the checked-in
 //! corpora: every `tests/scripts/bad/*.sql` file declares the SD codes
-//! it must trigger in a leading `-- expect:` line and must carry at
-//! least one error-level finding; `tests/scripts/good/*.sql` must lint
-//! clean; and the decomposable model fires SD019 with provably disjoint
-//! blocks.
+//! it must trigger in a leading `-- expect:` line, must carry at least
+//! one error-level finding, and fails when run at a statement carrying
+//! a finding; `tests/scripts/good/*.sql` must lint clean and run to
+//! the end; and the decomposable model fires SD019 with provably
+//! disjoint blocks.
 
 use solvedbplus::core::{build_problem, check, compile_model};
 use solvedbplus::sqlengine::ast::Statement;
@@ -39,6 +40,17 @@ fn expected_codes(sql: &str) -> BTreeSet<String> {
     codes
 }
 
+/// Runs `sql` statement by statement in a fresh session: the index of
+/// the first statement that fails, with its error.
+fn first_failure(sql: &str) -> Option<(usize, String)> {
+    let mut session = Session::new();
+    let stmts = parser::parse_statements(sql).expect("corpus scripts parse");
+    stmts
+        .iter()
+        .enumerate()
+        .find_map(|(i, stmt)| session.execute_statement(stmt).err().map(|e| (i, e.to_string())))
+}
+
 #[test]
 fn bad_corpus_flags_every_expected_code() {
     for path in sql_files(&corpus_dir("bad")) {
@@ -58,6 +70,17 @@ fn bad_corpus_flags_every_expected_code() {
             "{}: bad-corpus scripts must carry an error-level finding, got {found:?}",
             path.display()
         );
+        // The analyzer agrees with the engine: the run stops at a
+        // statement the analyzer flagged.
+        let (stmt, err) = first_failure(&sql)
+            .unwrap_or_else(|| panic!("{}: flagged, but runs to the end", path.display()));
+        assert!(
+            analysis.diagnostics.iter().any(|d| d.stmt == stmt),
+            "{}: statement {} fails ({err}) without a finding: {:?}",
+            path.display(),
+            stmt + 1,
+            analysis.diagnostics
+        );
     }
 }
 
@@ -71,6 +94,9 @@ fn good_corpus_lints_clean() {
             .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
         assert_eq!(analysis.error_count(), 0, "{}: {:?}", path.display(), analysis.diagnostics);
         assert_eq!(analysis.warning_count(), 0, "{}: {:?}", path.display(), analysis.diagnostics);
+        if let Some((stmt, err)) = first_failure(&sql) {
+            panic!("{}: lints clean, but statement {} fails: {err}", path.display(), stmt + 1);
+        }
     }
 }
 
