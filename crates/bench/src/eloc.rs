@@ -1,5 +1,5 @@
 //! Effective Lines of Code (eLOC) — the implementation-size metric of
-//! the paper's evaluation (Morozoff [24]): lines that carry program
+//! the paper's evaluation (Morozoff \[24\]): lines that carry program
 //! logic, excluding blanks, comments and lone block delimiters.
 
 /// Count effective lines in a source string. Handles SQL (`--`),

@@ -3,7 +3,7 @@
 //! SolveDB+'s pitch (paper §2) is that keeping the whole prescriptive
 //! pipeline inside the DBMS makes problems *inspectable*. This module is
 //! the layer that makes them *checkable*: it runs over a compiled
-//! [`ProblemInstance`] before any solver is invoked and emits structured
+//! [`ProblemInstance`](crate::problem::ProblemInstance) before any solver is invoked and emits structured
 //! [`Diagnostic`]s with stable `SD0xx` codes (catalogued in
 //! `DIAGNOSTICS.md` at the repository root):
 //!

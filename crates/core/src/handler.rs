@@ -45,6 +45,12 @@ impl SolveHandler for Handler {
             SolverRegistry::check_method(solver.as_ref(), &using.method)?;
             (solver, build_problem_traced(db, ctes, stmt, trace)?)
         };
+        // An input relation with decision columns and no rows leaves no
+        // variables: the solve is a no-op whatever the solver (SD018),
+        // and its output is that relation, empty.
+        if prob.num_vars() == 0 && !prob.relations[0].dec_cols.is_empty() {
+            return Ok(Table::clone(prob.relations[0].table()?));
+        }
         // The one symbolic evaluation of the rules; the analyzer and
         // the solver both read its result.
         let model = {

@@ -224,7 +224,7 @@ pub struct OrderSearch {
 }
 
 /// PSO order search matching the paper's setting (10 particles × 10
-/// iterations over integer orders in [0,5]), with the order's RMSE and
+/// iterations over integer orders in \[0,5\]), with the order's RMSE and
 /// the evaluations it spent — the telemetry the solver reports.
 pub fn search_arima_order(y: &[f64], seed: u64) -> OrderSearch {
     let space =

@@ -84,6 +84,26 @@ fn infeasible_problem_reports_error() {
     assert!(err.to_string().contains("infeasible"));
 }
 
+/// An empty input relation leaves no decision variables: every solver
+/// returns it, empty, as SD018 says ("the solve is a no-op").
+#[test]
+fn a_solve_over_an_empty_input_returns_no_rows() {
+    let mut s = Session::new();
+    s.execute_script("CREATE TABLE e (x float8)").unwrap();
+    for (objective, using) in [
+        ("MINIMIZE (SELECT sum(x) FROM s)", "solverlp()"),
+        ("", "solverlp()"),
+        ("MINIMIZE (SELECT sum(x) FROM s)", "swarmops.pso(particles := 4, iterations := 2)"),
+    ] {
+        let sql = format!(
+            "SOLVESELECT s(x) AS (SELECT * FROM e) {objective} \
+             SUBJECTTO (SELECT 0 <= x <= 1 FROM s) USING {using}"
+        );
+        let t = s.query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!((t.num_rows(), t.schema.names()), (0, vec!["x"]), "{sql}");
+    }
+}
+
 #[test]
 fn unknown_solver_lists_available() {
     let mut s = Session::new();

@@ -10,7 +10,7 @@ use std::fmt;
 // ---------------------------------------------------------------------------
 
 /// Literal values as written in SQL source.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Literal {
     Null,
     Bool(bool),
@@ -25,15 +25,48 @@ pub enum Literal {
     Timestamp(String),
 }
 
+/// A float literal is compared and hashed by its bits: `0.0` and `-0.0`
+/// are two literals, as they are two texts (a plan folds either).
+impl PartialEq for Literal {
+    fn eq(&self, other: &Literal) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for Literal {}
+
+impl std::hash::Hash for Literal {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bits().hash(state)
+    }
+}
+
+impl Literal {
+    /// What `Eq` and `Hash` see: the variant, its number (a float's
+    /// bits) and its text.
+    fn bits(&self) -> (std::mem::Discriminant<Literal>, u64, &str) {
+        let (n, text) = match self {
+            Literal::Null => (0, ""),
+            Literal::Bool(b) => (*b as u64, ""),
+            Literal::Int(i) => (*i as u64, ""),
+            Literal::Float(x) => (x.to_bits(), ""),
+            Literal::Str(s) | Literal::BitStr(s) | Literal::Interval(s) | Literal::Timestamp(s) => {
+                (0, s.as_str())
+            }
+        };
+        (std::mem::discriminant(self), n, text)
+    }
+}
+
 /// Argument to a function call; SolveDB+ supports named notation
 /// (`arima_rmse(ar := 2, ...)`) used throughout the paper.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FuncArg {
     pub name: Option<String>,
     pub value: Expr,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     Literal(Literal),
     /// `t.col` or `col`.
@@ -219,7 +252,7 @@ impl Expr {
 // Queries
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     pub with: Vec<Cte>,
     pub recursive: bool,
@@ -243,21 +276,21 @@ impl Query {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cte {
     pub name: String,
     pub columns: Vec<String>,
     pub query: Query,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOp {
     Union,
     Intersect,
     Except,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SetExpr {
     Select(Box<Select>),
     /// A `SOLVESELECT` used as a query body — the output relation is a
@@ -275,13 +308,13 @@ pub enum SetExpr {
     Values(Vec<Vec<Expr>>),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SelectItem {
     Expr { expr: Expr, alias: Option<String> },
     Wildcard { qualifier: Option<String> },
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Select {
     pub distinct: bool,
     pub projection: Vec<SelectItem>,
@@ -310,13 +343,13 @@ impl Select {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableAlias {
     pub name: String,
     pub columns: Vec<String>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     Inner,
     Left,
@@ -325,21 +358,21 @@ pub enum JoinKind {
     Cross,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JoinConstraint {
     On(Expr),
     Using(Vec<String>),
     None,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TableRef {
     Named { name: String, alias: Option<TableAlias> },
     Subquery { query: Box<Query>, lateral: bool, alias: Option<TableAlias> },
     Join { left: Box<TableRef>, right: Box<TableRef>, kind: JoinKind, constraint: JoinConstraint },
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderItem {
     pub expr: Expr,
     pub desc: bool,
@@ -352,7 +385,7 @@ pub struct OrderItem {
 // ---------------------------------------------------------------------------
 
 /// Decision-column specification attached to a relation alias.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DecCols {
     /// No decision columns (plain CTE semantics).
     None,
@@ -370,7 +403,7 @@ impl DecCols {
 
 /// A relation D_i of the problem model: alias, decision columns and the
 /// defining query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecRel {
     pub alias: Option<String>,
     pub dec_cols: DecCols,
@@ -378,28 +411,28 @@ pub struct DecRel {
 }
 
 /// `INLINE alias AS (select)` — embeds a shared model (Algorithm 2).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InlineSpec {
     pub alias: Option<String>,
     pub query: Query,
 }
 
 /// A rule relation R_i (`SUBJECTTO` member).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedRule {
     pub alias: Option<String>,
     pub query: Query,
 }
 
 /// `USING solver[.method](name := expr, ...)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SolverCall {
     pub solver: String,
     pub method: Option<String>,
     pub params: Vec<(Option<String>, Expr)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveKind {
     /// `SOLVESELECT` — solve and return the output relation.
     Select,
@@ -409,7 +442,7 @@ pub enum SolveKind {
 
 /// The full `SOLVESELECT`/`SOLVEMODEL` problem specification: the 4-tuple
 /// (D, R, s, m) of §4.1 in AST form.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SolveStmt {
     pub kind: SolveKind,
     /// D₁, the input relation.

@@ -793,10 +793,12 @@ impl Database {
     /// statistics — what a scan of `name` reads. A clone of it is a
     /// reader's version: the catalog's next write leaves it as it is.
     pub fn stored_table(&self, name: &str) -> Result<&StoredTable> {
-        self.relations
-            .tables
-            .get(name)
-            .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))
+        self.relations.tables.get(name).ok_or_else(|| {
+            match self.relations.views.contains_key(name) {
+                true => Error::catalog(format!("relation '{name}' is a view")),
+                false => Error::catalog(format!("relation '{name}' does not exist")),
+            }
+        })
     }
 
     pub fn has_table(&self, name: &str) -> bool {

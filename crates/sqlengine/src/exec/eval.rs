@@ -289,7 +289,7 @@ impl BoundExpr {
 /// `scopes[0]`). Outer scopes come from enclosing queries (correlation).
 pub struct Binder<'a> {
     pub db: &'a Database,
-    /// scopes[0] = innermost.
+    /// `scopes[0]` = innermost.
     pub scopes: Vec<&'a Scope>,
 }
 

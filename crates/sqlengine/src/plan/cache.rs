@@ -1,5 +1,5 @@
-//! Plan cache: optimized plans keyed by `(bound CTE names, outer scope
-//! chain, exact query rendering)`, in two lifetimes.
+//! Plan cache: optimized plans keyed by the query they were planned
+//! from, in two lifetimes.
 //!
 //! Plans embed the stored tables they scan — catalog tables, and the
 //! materialized results of views and FROM subqueries
@@ -46,86 +46,108 @@
 //! that captured a solve's answer ([`PlannedQuery::captured_solve`]) is
 //! never cached: nothing versions a solver run.
 //!
-//! The key stores the full `Debug` rendering of the query, not a hash
-//! of it: `HashMap` compares keys on lookup, so two distinct queries
-//! can never alias one cache slot — a hash-only key would silently
-//! execute the wrong plan on a 64-bit collision. The rendering is
-//! literal-sensitive: `SELECT a FROM t WHERE b = 1` and `... b = 2`
-//! cache separately. That is deliberate — constant folding bakes
-//! literals into the optimized plan, so plans cannot be shared across
-//! literal variants (unlike `sdb_stat_statements`, whose shape key
-//! masks literals to group statements).
-//!
-//! Rendering is most of what a hit costs, and a block under an outer row
-//! is looked up once per row, so a statement remembers the renderings it
-//! made by the address of the `Select` they were made of. An address may
-//! be reused by another query, so it only finds the entry: the entry is
-//! used when the `Select` there *equals* the one it was rendered from.
+//! The key is the query itself (`PlanKey`): an entry owns the block,
+//! the ORDER BY / LIMIT / OFFSET of its query, the bound CTE names and
+//! the outer chain's column names, and a lookup borrows them. The map
+//! hashes a lookup's parts once and serves an entry only when its parts
+//! *equal* them, so two distinct queries that hash alike never share a
+//! plan. Equality is exact down to the literals — a float by its bits —
+//! so `SELECT a FROM t WHERE b = 1` and `... b = 2` cache separately.
+//! That is deliberate: constant folding bakes literals into the
+//! optimized plan, so plans cannot be shared across literal variants
+//! (unlike `sdb_stat_statements`, whose shape key masks literals to group
+//! statements).
 
 use super::{plan_select, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
 use crate::catalog::{Ctes, Database, ReadSet};
 use crate::error::Result;
-use crate::exec::eval::Env;
+use crate::exec::eval::{Env, ScopeCol};
 use crate::exec::subquery::KeptSubquery;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError};
-
-/// The exact rendering of a block and the ORDER BY / LIMIT / OFFSET of
-/// the query it is the body of.
-fn render(
-    sel: &Select,
-    order_by: &[OrderItem],
-    limit: &Option<Expr>,
-    offset: &Option<Expr>,
-) -> Arc<str> {
-    format!("{sel:?}|{order_by:?}|{limit:?}|{offset:?}").into()
-}
 
 /// Clear a map once it holds this many plans: a read-only session that
 /// varies its literals would otherwise grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
-/// Full plan-cache key: the CTE names in scope, the column names of the
-/// outer scope chain (innermost scope first) and the exact rendered
-/// query. Hash collisions between different queries land in the same
-/// bucket but fail the equality check, so a lookup can never return
-/// another query's plan.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanCacheKey {
-    /// The bound CTE names, sorted, each followed by [`SEP`].
-    ctes: String,
-    /// Per scope of the outer chain its `qualifier.name` columns, each
-    /// followed by [`SEP`], and a `;`.
-    outer: String,
-    query: Arc<str>,
+/// What a plan was planned from: the CTE names in scope (sorted), the
+/// `(qualifier, name)` of every column of the outer scope chain (per
+/// scope, innermost first), and the block with the ORDER BY, LIMIT and
+/// OFFSET of the query it is the body of. A lookup borrows every part;
+/// an entry owns them.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey<'a> {
+    ctes: Vec<Cow<'a, str>>,
+    outer: Vec<Vec<Column<'a>>>,
+    sel: Cow<'a, Select>,
+    order_by: Cow<'a, [OrderItem]>,
+    limit: Cow<'a, Option<Expr>>,
+    offset: Cow<'a, Option<Expr>>,
 }
 
-/// Ends a name in a rendered list; no identifier contains it.
-const SEP: char = '\u{1f}';
+/// A column of an outer scope: its qualifier and name.
+type Column<'a> = (Option<Cow<'a, str>>, Cow<'a, str>);
 
-/// A `Select` block with the query it is the body of, and the rendering
-/// of the four made for a key.
-struct Rendered {
-    sel: Select,
-    order_by: Vec<OrderItem>,
-    limit: Option<Expr>,
-    offset: Option<Expr>,
-    text: Arc<str>,
+impl<'a> PlanKey<'a> {
+    /// The key of a SELECT under the CTE names `ctes` binds and the
+    /// scopes of the `outer` chain, borrowing every part.
+    pub(crate) fn new(
+        ctes: &'a Ctes,
+        sel: &'a Select,
+        order_by: &'a [OrderItem],
+        limit: &'a Option<Expr>,
+        offset: &'a Option<Expr>,
+        outer: Option<&'a Env<'_>>,
+    ) -> PlanKey<'a> {
+        let mut names: Vec<Cow<str>> = ctes.names().map(Cow::Borrowed).collect();
+        names.sort_unstable();
+        let column =
+            |c: &'a ScopeCol| (c.qualifier.as_deref().map(Cow::Borrowed), c.name[..].into());
+        PlanKey {
+            ctes: names,
+            outer: std::iter::successors(outer, |env| env.parent)
+                .map(|env| env.scope.cols.iter().map(column).collect())
+                .collect(),
+            sel: Cow::Borrowed(sel),
+            order_by: Cow::Borrowed(order_by),
+            limit: Cow::Borrowed(limit),
+            offset: Cow::Borrowed(offset),
+        }
+    }
+
+    /// This key with every part owned, for an entry.
+    fn into_owned(self) -> PlanKey<'static> {
+        let scope =
+            |cols: Vec<Column>| cols.into_iter().map(|(q, n)| (q.map(own), own(n))).collect();
+        PlanKey {
+            ctes: self.ctes.into_iter().map(own).collect(),
+            outer: self.outer.into_iter().map(scope).collect(),
+            sel: own(self.sel),
+            order_by: own(self.order_by),
+            limit: own(self.limit),
+            offset: own(self.offset),
+        }
+    }
 }
+
+/// `part`, owned.
+fn own<T: ToOwned + ?Sized + 'static>(part: Cow<'_, T>) -> Cow<'static, T> {
+    Cow::Owned(part.into_owned())
+}
+
+type PlanMap = HashMap<PlanKey<'static>, Arc<PlannedQuery>>;
 
 /// The two plan maps of a [`Database`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
     /// Plans of CTE-free queries; live until a write to a relation they
     /// read (or the size bound) drops them.
-    session: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
+    session: PlanMap,
     /// Plans of queries under a CTE environment; live until the
     /// statement ends.
-    statement: HashMap<PlanCacheKey, Arc<PlannedQuery>>,
-    /// The renderings this statement made, by the address of the `Select`
-    /// rendered — a hint, confirmed by comparing the `Select`s.
-    rendered: HashMap<usize, Rendered>,
+    statement: PlanMap,
     /// Plan-cache outcome of this statement's last cache-eligible block
     /// to finish: `Some(true)` = hit, `Some(false)` = planned fresh.
     event: Option<bool>,
@@ -135,7 +157,7 @@ pub(crate) struct PlanCache {
 }
 
 impl PlanCache {
-    fn map(&mut self, statement_scoped: bool) -> &mut HashMap<PlanCacheKey, Arc<PlannedQuery>> {
+    fn map(&mut self, statement_scoped: bool) -> &mut PlanMap {
         if statement_scoped {
             &mut self.statement
         } else {
@@ -143,83 +165,16 @@ impl PlanCache {
         }
     }
 
-    /// The statement is over: drop its plans and renderings, and return
-    /// its event. The maps go with their capacity: between statements a
-    /// session holds only its session plans.
+    /// The statement is over: drop its plans and kept subqueries, and
+    /// return its event. The maps go with their capacity: between
+    /// statements a session holds only its session plans.
     pub(crate) fn end_statement(&mut self) -> Option<bool> {
-        (self.statement, self.rendered, self.subqueries) = Default::default();
+        (self.statement, self.subqueries) = Default::default();
         self.event.take()
     }
 }
 
 impl Database {
-    /// Cache key for a SELECT under the CTE names `ctes` binds and the
-    /// scopes of the `outer` chain.
-    pub(crate) fn plan_cache_key(
-        &self,
-        ctes: &Ctes,
-        sel: &Select,
-        order_by: &[OrderItem],
-        limit: &Option<Expr>,
-        offset: &Option<Expr>,
-        outer: Option<&Env<'_>>,
-    ) -> PlanCacheKey {
-        let mut names: Vec<&str> = ctes.names().collect();
-        names.sort_unstable();
-        let mut bound = String::new();
-        for name in names {
-            bound.push_str(name);
-            bound.push(SEP);
-        }
-        let mut chain = String::new();
-        for env in std::iter::successors(outer, |env| env.parent) {
-            for c in &env.scope.cols {
-                chain.push_str(c.qualifier.as_deref().unwrap_or(""));
-                chain.push('.');
-                chain.push_str(&c.name);
-                chain.push(SEP);
-            }
-            chain.push(';');
-        }
-        // A block under neither an outer row nor a CTE environment is a
-        // statement's own: looked up once, nothing to remember.
-        let query = if outer.is_some() || !ctes.is_empty() {
-            self.rendered(sel, order_by, limit, offset)
-        } else {
-            render(sel, order_by, limit, offset)
-        };
-        PlanCacheKey { ctes: bound, outer: chain, query }
-    }
-
-    /// [`render`], done once per statement for the `Select` at one
-    /// address.
-    fn rendered(
-        &self,
-        sel: &Select,
-        order_by: &[OrderItem],
-        limit: &Option<Expr>,
-        offset: &Option<Expr>,
-    ) -> Arc<str> {
-        let at = sel as *const Select as usize;
-        let same = |r: &Rendered| {
-            r.sel == *sel && r.order_by == order_by && r.limit == *limit && r.offset == *offset
-        };
-        let mut cache = self.plan_cache.lock().ok();
-        if let Some(r) = cache.as_ref().and_then(|c| c.rendered.get(&at)).filter(|r| same(r)) {
-            return r.text.clone();
-        }
-        let text = render(sel, order_by, limit, offset);
-        if let Some(cache) = &mut cache {
-            if cache.rendered.len() >= MAX_CACHED_PLANS {
-                cache.rendered.clear();
-            }
-            let (sel, order_by) = (sel.clone(), order_by.to_vec());
-            let (limit, offset, text) = (limit.clone(), offset.clone(), text.clone());
-            cache.rendered.insert(at, Rendered { sel, order_by, limit, offset, text });
-        }
-        text
-    }
-
     /// The plan for a `SELECT` under `ctes` and the `outer` chain, and
     /// whether it came from the cache (`Some(true)`), was planned now and
     /// cached (`Some(false)`), or was planned now but cannot be cached
@@ -234,7 +189,7 @@ impl Database {
         offset: &Option<Expr>,
         outer: Option<&Env<'_>>,
     ) -> Result<(Arc<PlannedQuery>, Option<bool>)> {
-        let key = self.plan_cache_key(ctes, sel, order_by, limit, offset, outer);
+        let key = PlanKey::new(ctes, sel, order_by, limit, offset, outer);
         let statement_scoped = !ctes.is_empty();
         let hit = self
             .plan_cache
@@ -259,7 +214,7 @@ impl Database {
             if map.len() >= MAX_CACHED_PLANS {
                 map.clear();
             }
-            map.insert(key, planned.clone());
+            map.insert(key.into_owned(), planned.clone());
         }
         Ok((planned, Some(false)))
     }
@@ -311,9 +266,11 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Query;
+    use crate::exec::eval::{Scope, ScopeCol};
     use crate::exec::execute_sql;
     use crate::table::Table;
-    use crate::types::Value;
+    use crate::types::{DataType, Value};
 
     fn db_with_table() -> Database {
         let mut db = Database::new();
@@ -324,11 +281,23 @@ mod tests {
         db
     }
 
-    fn key_for(db: &Database, sql: &str) -> PlanCacheKey {
+    fn query(sql: &str) -> Query {
         let stmt = crate::parser::parse_statement(sql).unwrap();
         let crate::ast::Statement::Query(q) = stmt else { panic!("expected query") };
+        q
+    }
+
+    fn key_for(sql: &str) -> PlanKey<'static> {
+        let q = query(sql);
         let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
-        db.plan_cache_key(&Ctes::new(), sel, &q.order_by, &q.limit, &q.offset, None)
+        PlanKey::new(&Ctes::new(), sel, &q.order_by, &q.limit, &q.offset, None).into_owned()
+    }
+
+    /// Whether the cache served `sql`'s block under `ctes` and `outer`.
+    fn hit(db: &Database, sql: &str, ctes: &Ctes, outer: Option<&Env<'_>>) -> Option<bool> {
+        let q = query(sql);
+        let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
+        db.plan_cached(ctes, sel, &q.order_by, &q.limit, &q.offset, outer).unwrap().1
     }
 
     #[test]
@@ -380,48 +349,74 @@ mod tests {
 
     #[test]
     fn literal_variants_cache_separately() {
-        let db = db_with_table();
-        let k1 = key_for(&db, "SELECT a FROM t WHERE a = 1");
-        let k2 = key_for(&db, "SELECT a FROM t WHERE a = 2");
+        let k1 = key_for("SELECT a FROM t WHERE a = 1");
+        let k2 = key_for("SELECT a FROM t WHERE a = 2");
         assert_ne!(k1, k2, "plan-cache key must be literal-sensitive");
     }
 
-    /// A block executed again in place — the anchor of a recursive CTE,
-    /// once per candidate of a black-box solve — finds the rendering the
-    /// statement made of it: the same text, not an equal one. A clone of
-    /// the block is another address and renders anew.
-    #[test]
-    fn a_block_looked_up_again_in_place_is_rendered_once() {
-        let db = db_with_table();
-        let stmt = crate::parser::parse_statement("SELECT a FROM t WHERE a > 1").unwrap();
-        let crate::ast::Statement::Query(q) = stmt else { panic!("expected query") };
-        let crate::ast::SetExpr::Select(sel) = &q.body else { panic!("expected select") };
-        let under_a_cte = Ctes::new().with("c", Arc::new(Table::from_rows(&["x"], vec![])));
-        let key =
-            |sel: &Select| db.plan_cache_key(&under_a_cte, sel, &[], &None, &None, None).query;
-        let first = key(sel);
-        assert!(Arc::ptr_eq(&first, &key(sel)));
-        let moved = sel.clone();
-        let again = key(&moved);
-        assert!(!Arc::ptr_eq(&first, &again) && first == again);
-        db.end_statement();
-        assert!(!Arc::ptr_eq(&first, &key(sel)), "the next statement starts over");
-    }
-
-    /// The key carries the full query text: distinct queries compare
-    /// unequal even if they were to hash alike, so a lookup can never
-    /// serve another query's plan.
-    /// What the plan read is its `ReadSet`'s to check, not the key's: a
+    /// The key carries the full query: distinct queries compare unequal
+    /// even if they were to hash alike, so a lookup can never serve
+    /// another query's plan. What the plan read is its `ReadSet`'s to check, not the key's: a
     /// write to `t` leaves the key of a read of `t` as it was.
     #[test]
     fn key_stores_full_query_material() {
         let mut db = db_with_table();
-        let k1 = key_for(&db, "SELECT a FROM t");
-        let k1_again = key_for(&db, "SELECT a FROM t");
+        let k1 = key_for("SELECT a FROM t");
+        let k1_again = key_for("SELECT a FROM t");
         assert_eq!(k1, k1_again, "same query: identical key");
-        let k2 = key_for(&db, "SELECT a FROM t ORDER BY a");
+        let k2 = key_for("SELECT a FROM t ORDER BY a");
         assert_ne!(k1, k2);
         execute_sql(&mut db, "INSERT INTO t VALUES (3)").unwrap();
-        assert_eq!(k1, key_for(&db, "SELECT a FROM t"), "a write leaves the key as it is");
+        assert_eq!(k1, key_for("SELECT a FROM t"), "a write leaves the key as it is");
+    }
+
+    /// `-0.0` and `0.0` are two literals: each block plans its own, and
+    /// each returns its own zero.
+    #[test]
+    fn a_negative_zero_literal_is_a_key_of_its_own() {
+        let mut db = db_with_table();
+        let mut zero = |sql| {
+            let r = execute_sql(&mut db, sql).unwrap();
+            let hit = r.plan_cache_hit;
+            let t = r.into_table().unwrap();
+            let Value::Float(z) = t.rows[0][0] else { panic!("expected a float") };
+            (hit, z.to_bits())
+        };
+        let (first, negative) = zero("SELECT -0.0 AS z");
+        let (second, positive) = zero("SELECT 0.0 AS z");
+        assert_eq!((first, second), (Some(false), Some(false)), "the second lookup must miss");
+        assert_eq!((negative, positive), ((-0.0f64).to_bits(), 0.0f64.to_bits()));
+    }
+
+    /// Which names resolve to a CTE is part of the plan: the same block
+    /// under other bound names is planned anew.
+    #[test]
+    fn blocks_under_other_cte_names_share_no_entry() {
+        let db = db_with_table();
+        let under = |name| Ctes::new().with(name, Arc::new(Table::from_rows(&["x"], vec![])));
+        let (c, d) = (under("c"), under("d"));
+        let sql = "SELECT a FROM t";
+        assert_eq!(hit(&db, sql, &c, None), Some(false));
+        assert_eq!(hit(&db, sql, &d, None), Some(false), "other CTE names must miss");
+        assert_eq!(hit(&db, sql, &c, None), Some(true));
+    }
+
+    /// A block under an outer row binds names in the outer chain: one
+    /// other column name there is another key.
+    #[test]
+    fn blocks_under_other_outer_columns_share_no_entry() {
+        let db = db_with_table();
+        let scope = |name: &str| {
+            let col =
+                ScopeCol { qualifier: Some("o".into()), name: name.into(), ty: DataType::Int };
+            Scope::new(vec![col])
+        };
+        let (x, y) = (scope("x"), scope("y"));
+        let row = [Value::Int(1)];
+        let env = |scope| Env { scope, row: &row, parent: None };
+        let sql = "SELECT a FROM t WHERE a = 1";
+        assert_eq!(hit(&db, sql, &Ctes::new(), Some(&env(&x))), Some(false));
+        assert_eq!(hit(&db, sql, &Ctes::new(), Some(&env(&y))), Some(false), "o.y must miss");
+        assert_eq!(hit(&db, sql, &Ctes::new(), Some(&env(&x))), Some(true));
     }
 }

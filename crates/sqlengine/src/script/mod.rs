@@ -468,6 +468,9 @@ impl Checker<'_> {
         for name in &reads {
             self.resolve_use(idx, name, "reads");
         }
+        if !self.check_kind(idx, stmt) {
+            return;
+        }
 
         match stmt {
             Statement::Insert { table, columns, source } => {
@@ -478,73 +481,29 @@ impl Checker<'_> {
             Statement::Update { table, assignments, .. } => {
                 // The target was already resolved through `reads`; a
                 // dropped one has no schema.
-                if let Some(schema) = self.shadow.schema(table) {
-                    let names = schema.names();
-                    for (col, _) in assignments {
-                        if !names.contains(&col.as_str()) {
-                            self.push(
-                                idx,
-                                Diagnostic::error(
-                                    "SD015",
-                                    format!(
-                                        "UPDATE sets column '{col}', but the derived schema \
-                                         of '{table}' has no such column"
-                                    ),
-                                )
-                                .with_detail(format!("columns: {}", names.join(", "))),
-                            );
-                        }
-                    }
-                }
+                self.check_columns(idx, "UPDATE sets", table, assignments.iter().map(|(c, _)| c));
             }
             Statement::Delete { .. } => {} // target covered via reads
             Statement::CreateTable { name, if_not_exists: false, .. }
+            | Statement::CreateView { name, or_replace: false, .. }
                 if self.shadow.exists(name) =>
             {
-                self.push(
-                    idx,
-                    Diagnostic::error(
-                        "SD015",
-                        format!(
-                            "CREATE TABLE '{name}' conflicts with the derived catalog: the \
-                             relation is {}",
-                            self.origin(name)
-                        ),
-                    )
-                    .with_detail(
+                let (what, fix) = match stmt {
+                    Statement::CreateTable { .. } => (
+                        "CREATE TABLE",
                         "add IF NOT EXISTS, DROP the old relation first, or pick another name",
                     ),
+                    _ => ("CREATE VIEW", "use CREATE OR REPLACE VIEW, or DROP it first"),
+                };
+                let origin = self.origin(name);
+                let message = format!(
+                    "{what} '{name}' conflicts with the derived catalog: the relation is {origin}"
                 );
+                self.push(idx, Diagnostic::error("SD015", message).with_detail(fix));
             }
-            Statement::CreateView { name, or_replace, .. } if self.shadow.exists(name) => {
+            Statement::CreateView { name, or_replace: true, .. } if self.shadow.exists(name) => {
                 let unread = self.shadow.get(name).filter(|r| !r.ever_read);
-                if !or_replace {
-                    self.push(
-                        idx,
-                        Diagnostic::error(
-                            "SD015",
-                            format!(
-                                "CREATE VIEW '{name}' conflicts with the derived catalog: the \
-                                 relation is {}",
-                                self.origin(name)
-                            ),
-                        )
-                        .with_detail("use CREATE OR REPLACE VIEW, or DROP it first"),
-                    );
-                } else if self.shadow.kind(name) == RelKind::Table {
-                    self.push(
-                        idx,
-                        Diagnostic::error(
-                            "SD015",
-                            format!(
-                                "CREATE OR REPLACE VIEW '{name}' would replace a table (the \
-                                 relation is {}), but only a view can be replaced",
-                                self.origin(name)
-                            ),
-                        )
-                        .with_detail("DROP TABLE it first, or pick another name"),
-                    );
-                } else if let Some(c) = unread.and_then(|r| r.created_at) {
+                if let Some(c) = unread.and_then(|r| r.created_at) {
                     self.push(
                         idx,
                         Diagnostic::warning(
@@ -610,6 +569,36 @@ impl Checker<'_> {
         }
     }
 
+    /// SD015 over a statement the engine refuses because its target is a
+    /// relation of the other kind: rows into a view, DROP TABLE of a view,
+    /// DROP VIEW of a table, a view replacing a table. Returns whether the
+    /// kind fits.
+    fn check_kind(&mut self, idx: usize, stmt: &Statement) -> bool {
+        use RelKind::{Table, View};
+        let (what, name, want) = match stmt {
+            Statement::Insert { table, .. } => ("INSERT INTO", table, Table),
+            Statement::Update { table, .. } => ("UPDATE", table, Table),
+            Statement::Delete { table, .. } => ("DELETE FROM", table, Table),
+            Statement::DropTable { name, if_exists: false } => ("DROP TABLE", name, Table),
+            Statement::DropView { name, if_exists: false } => ("DROP VIEW", name, View),
+            Statement::CreateView { name, or_replace: true, .. } => {
+                ("CREATE OR REPLACE VIEW", name, View)
+            }
+            _ => return true,
+        };
+        let kind = self.shadow.kind(name);
+        if kind == want || !self.shadow.exists(name) {
+            return true;
+        }
+        let (is, detail) = match kind {
+            View => ("a view", "a view takes no rows, and DROP VIEW drops it"),
+            _ => ("a table", "DROP TABLE drops a table, and no view replaces it"),
+        };
+        let message = format!("{what} '{name}', but '{name}' is {is} ({})", self.origin(name));
+        self.push(idx, Diagnostic::error("SD015", message).with_detail(detail));
+        false
+    }
+
     /// Where the live relation `name` comes from, for a message.
     fn origin(&self, name: &str) -> String {
         match self.shadow.get(name).and_then(|r| r.created_at) {
@@ -618,26 +607,42 @@ impl Checker<'_> {
         }
     }
 
-    /// SD015 over an INSERT, as the engine runs it: every listed column
-    /// exists; with a column list the values match it exactly, without
-    /// one there are at most as many values as columns (the rest pad with
-    /// NULL).
-    fn check_insert(&mut self, idx: usize, table: &str, columns: &[String], source: &Query) {
-        let Some(schema) = self.shadow.schema(table) else { return };
+    /// SD015 for each of `cols` the derived schema of `table` lacks (`what`
+    /// the statement does with it); the schema, when it is known.
+    fn check_columns<'c>(
+        &mut self,
+        idx: usize,
+        what: &str,
+        table: &str,
+        cols: impl IntoIterator<Item = &'c String>,
+    ) -> Option<Schema> {
+        let schema = self.shadow.schema(table)?;
         let names = schema.names();
-        for col in columns.iter().filter(|c| !names.contains(&c.as_str())) {
+        for col in cols.into_iter().filter(|c| !names.contains(&c.as_str())) {
             self.push(
                 idx,
                 Diagnostic::error(
                     "SD015",
                     format!(
-                        "INSERT targets column '{col}', but the derived schema of '{table}' \
-                         has no such column"
+                        "{what} column '{col}', but the derived schema of '{table}' has no such \
+                         column"
                     ),
                 )
                 .with_detail(format!("columns: {}", names.join(", "))),
             );
         }
+        Some(schema)
+    }
+
+    /// SD015 over an INSERT, as the engine runs it: every listed column
+    /// exists; with a column list the values match it exactly, without
+    /// one there are at most as many values as columns (the rest pad with
+    /// NULL).
+    fn check_insert(&mut self, idx: usize, table: &str, columns: &[String], source: &Query) {
+        let Some(schema) = self.check_columns(idx, "INSERT targets", table, columns) else {
+            return;
+        };
+        let names = schema.names();
         let Some(provided) = self.shadow.query_schema(source).map(|s| s.len()) else { return };
         let target = match columns.len() {
             0 if provided > names.len() => format!("'{table}' has {} column(s)", names.len()),

@@ -378,7 +378,14 @@ const SESSION_READS: &[&str] = &[
     "SELECT a.k, s.n FROM t{i} a, \
      LATERAL (SELECT count(*) AS n FROM (SELECT * FROM t{j}) b WHERE b.k = a.k) s ORDER BY 1, 2",
     "WITH c AS (SELECT k FROM t{i}) SELECT count(*) FROM c JOIN t{j} ON c.k = t{j}.k",
+    "SELECT {l} AS c, count(*) FROM t{i}",
+    "SELECT k, x + {l} AS y FROM t{i} WHERE k IN (SELECT k FROM t{j} WHERE x > {l}) ORDER BY 1, 2",
 ];
+
+/// The literals a read of [`SESSION_READS`] puts in for `{l}`: pairs that
+/// differ only in how the literal is written, each of which a cached plan
+/// must tell apart.
+const LITERALS: &[&str] = &["1", "1.0", "-0.0", "0.0", "'a'", "'a '"];
 
 /// A statement of one session, and whether it writes: DDL (a table may
 /// come back with its columns swapped) or DML, or one of
@@ -404,8 +411,9 @@ fn arb_session_statement() -> impl Strategy<Value = (String, bool)> {
             .prop_map(|(i, k, d)| format!("UPDATE t{i} SET x = x + {d} WHERE k = {k}")),
         (t(), 0..4i64).prop_map(|(i, k)| format!("DELETE FROM t{i} WHERE k = {k}")),
     ];
-    let read = (0..SESSION_READS.len(), t(), t()).prop_map(|(r, i, j)| {
-        SESSION_READS[r].replace("{i}", &i.to_string()).replace("{j}", &j.to_string())
+    let read = (0..SESSION_READS.len(), t(), t(), 0..LITERALS.len()).prop_map(|(r, i, j, l)| {
+        let read = SESSION_READS[r].replace("{i}", &i.to_string());
+        read.replace("{j}", &j.to_string()).replace("{l}", LITERALS[l])
     });
     // Two writes to three reads.
     (0..5, write, read).prop_map(|(pick, write, read)| match pick < 2 {

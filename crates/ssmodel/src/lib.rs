@@ -63,7 +63,7 @@ impl Lti {
 
     /// Simulate from initial state `x0` over inputs `u` (one row per
     /// step, each of length `nu`). Returns (states, outputs); `states[k]`
-    /// is x[k] (before applying input k), matching the paper's
+    /// is `x[k]` (before applying input k), matching the paper's
     /// recursive-CTE listing, with one trailing post-horizon state.
     pub fn simulate(&self, x0: &[f64], u: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         assert_eq!(x0.len(), self.nx, "x0 dimension mismatch");
