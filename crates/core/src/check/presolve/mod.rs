@@ -578,7 +578,7 @@ impl Engine {
 /// fixings, surviving rows and the reduction log. Each pass visits the
 /// live rows in order and skips a row none of whose variables moved
 /// since its last visit began (such a visit is a no-op); the fixpoint
-/// ends after a pass that changed nothing, or after [`MAX_PASSES`].
+/// ends after a pass that changed nothing, or after `MAX_PASSES`.
 pub fn propagate(model: &Model) -> Outcome {
     let mut eng = Engine::new(model);
     let mut passes = 0;

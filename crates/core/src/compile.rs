@@ -104,7 +104,7 @@ pub struct CompiledModel<'a> {
     /// Not decision columns: never in the output, named by no finding.
     pub aux: Vec<AuxColumn>,
     /// How many SUBJECTTO rules were of the box shape, read as bounds
-    /// without running their query (see [`box_cells`]).
+    /// without running their query (see `box_cells`).
     pub bounds: usize,
     /// Per decision relation, why the symbolic pass left it out (its
     /// query failed); `None` when it was bound.

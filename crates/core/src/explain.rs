@@ -24,7 +24,7 @@ pub struct Explanation {
     /// Rendered objective, when linear.
     pub objective: Option<String>,
     pub minimize: bool,
-    /// The first [`MAX_RENDERED`] constraints, rendered, when linear.
+    /// The first `MAX_RENDERED` constraints, rendered, when linear.
     pub constraints: Vec<String>,
     /// How many constraints there are in all.
     pub constraint_count: usize,

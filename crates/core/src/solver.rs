@@ -102,7 +102,7 @@ impl SolveControl {
     }
 
     /// Offer one progress snapshot. The event reaches the sink at most
-    /// once per [`PROGRESS_MIN_INTERVAL`]; `elapsed_nanos` is filled in
+    /// once per `PROGRESS_MIN_INTERVAL`; `elapsed_nanos` is filled in
     /// here. Returns `true` while the solve may continue.
     pub fn tick(&self, mut ev: obs::ProgressEvent) -> bool {
         if let Some(sink) = &self.sink {

@@ -1,6 +1,7 @@
-//! The simplex basis as a sparse LU factorization plus a product-form
-//! eta file: B₀ = L·U for the basis last factorized, and one eta matrix
-//! per column exchanged since, B = B₀·E₁·…·E_k.
+//! The simplex basis as a sparse LU factorization kept current by
+//! Forrest–Tomlin updates: B = L·R₁⁻¹·…·R_k⁻¹·U, where L·U factorized
+//! the basis last built from its columns and each of the k columns
+//! exchanged since rewrote one column of U and left one row eta Rₑ.
 //!
 //! Rows are constraint indices, columns are basis positions. A
 //! factorization is a sequence of m pivots (row pₖ, position qₖ):
@@ -19,20 +20,54 @@
 //! Simplex bases are mostly slacks and near-triangular, so the nucleus is
 //! small and the factors have about as many nonzeros as the basis itself.
 //! L is kept as column etas in pivot order, U by column with the diagonal
-//! apart, so FTRAN scatters and BTRAN gathers.
+//! apart and, for the updates and [`Factor::btran_unit`], by row as well.
+//! FTRAN scatters and BTRAN gathers; the R file sits between them, after
+//! L in FTRAN and, in reverse, before it in BTRAN.
+//!
+//! **The update** (Forrest and Tomlin, *Updated triangular factors of the
+//! basis to maintain sparsity in the product form simplex method*, 1972).
+//! FTRAN of an entering column keeps the vector it holds after L and the
+//! R file, the *spike*: the column the entering variable would have in U.
+//! Exchanging basis position r puts the spike in U in place of the column
+//! that pivoted at r, on row ρ, and moves that pivot to the end of the
+//! pivot order. The entries row ρ holds in the columns pivoted after it
+//! would then lie below the diagonal, so they are eliminated, in pivot
+//! order, with the rows those columns pivoted on, found through U's row
+//! index; the multipliers are the row eta R, ρ ← ρ − Σ fₛ·prowₛ. Only row
+//! ρ of U changes, and its new diagonal is the spike's ρ entry after R.
+//! In exact arithmetic that is w_r times the old diagonal (w = B⁻¹a_q,
+//! the ratio test's column); where the two disagree beyond
+//! [`STABILITY_TOL`] the update is refused and the basis is factorized
+//! again.
+//!
+//! A spike has the sparsity of the entering column after L, so U grows by
+//! about what the fresh factor holds per column, where a product-form eta
+//! per exchange held all of B⁻¹a_q — which the three dense coefficient
+//! columns of an L1 fit make dense. The row etas are the part that grows:
+//! row ρ always meets the dense columns, the rows those pivot on meet the
+//! spikes that touched them, and so on, so on an L1 fit a row eta holds
+//! about one entry per earlier update. [`R_FILL`] bounds the R file
+//! against the factor, [`UPDATE_CAP`] the number of updates.
+
+use std::ops::Index;
 
 /// A pivot smaller than this makes the basis singular.
 const SINGULAR_TOL: f64 = 1e-12;
 /// Nucleus pivots are at least this share of their column's largest
 /// eligible entry.
 const THRESHOLD: f64 = 0.1;
-/// Refactorize once the eta file holds this many times the nonzeros of
-/// the fresh factor: from there on a solve spends more on the updates
-/// than on the factor they update.
-const ETA_GROWTH: usize = 2;
-/// Refactorize after this many updates whatever their size: every eta
+/// Refactorize after this many updates whatever their size: every update
 /// compounds the rounding error of the ones before it.
-const ETA_CAP: usize = 64;
+const UPDATE_CAP: usize = 64;
+/// Refactorize once the R file holds this share of the nonzeros of the
+/// factor it updates. Where every spike meets the rows of the basis's
+/// dense columns, a row eta eliminates every spike before it and the R
+/// file grows with the square of the updates; on the L1 fits at m = 240
+/// half the fresh factor is reached after about thirty.
+const R_FILL: f64 = 0.5;
+/// An update is refused when its new diagonal differs from w_r times the
+/// old one by more than this share: the row elimination cancelled.
+const STABILITY_TOL: f64 = 1e-8;
 
 /// A list of sparse vectors in one arena: vector `e` is
 /// `idx[start[e]..start[e + 1]]` with the matching `val`.
@@ -56,10 +91,6 @@ impl SparseVecs {
 
     fn len(&self) -> usize {
         self.start.len() - 1
-    }
-
-    fn nnz(&self) -> usize {
-        self.idx.len()
     }
 
     fn push_entry(&mut self, i: usize, v: f64) {
@@ -98,29 +129,123 @@ impl SparseVecs {
     }
 }
 
+/// Sparse columns in one arena: column j is the (row, coefficient) pairs
+/// `entries[start[j]..start[j + 1]]`, rows distinct.
+pub(crate) struct Cols {
+    pub(crate) start: Vec<usize>,
+    pub(crate) entries: Vec<(usize, f64)>,
+}
+
+impl Index<usize> for Cols {
+    type Output = [(usize, f64)];
+
+    fn index(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// The columns of U, one arena segment per slot: slot s's entries are
+/// `idx[begin[s]..end[s]]` with the matching `val`. Entries never move, so
+/// an arena index names an entry for as long as it lives: an update
+/// zeroes the entries it removes and writes the column it puts in at the
+/// end of the arena. The next factorization starts over.
+struct Columns {
+    begin: Vec<usize>,
+    end: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+}
+
+impl Columns {
+    fn new() -> Columns {
+        Columns { begin: Vec::new(), end: Vec::new(), idx: Vec::new(), val: Vec::new() }
+    }
+
+    fn clear(&mut self) {
+        self.begin.clear();
+        self.end.clear();
+        self.idx.clear();
+        self.val.clear();
+    }
+
+    fn push_entry(&mut self, i: usize, v: f64) {
+        self.idx.push(i);
+        self.val.push(v);
+    }
+
+    /// Close the column the last `push_entry` calls built as that of the
+    /// next slot.
+    fn finish(&mut self) {
+        self.begin.push(self.end.last().copied().unwrap_or(0));
+        self.end.push(self.idx.len());
+    }
+
+    /// Whether arena entry q is a nonzero of slot s's column.
+    #[inline]
+    fn live(&self, s: usize, q: usize) -> bool {
+        self.begin[s] <= q && q < self.end[s] && self.val[q] != 0.0
+    }
+
+    /// x ← x − t·(column s).
+    #[inline]
+    fn scatter(&self, s: usize, t: f64, x: &mut [f64]) {
+        let (lo, hi) = (self.begin[s], self.end[s]);
+        for (&i, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
+            x[i] -= v * t;
+        }
+    }
+
+    /// (column s)·x.
+    #[inline]
+    fn dot(&self, s: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.begin[s], self.end[s]);
+        self.idx[lo..hi].iter().zip(&self.val[lo..hi]).map(|(&i, &v)| v * x[i]).sum()
+    }
+}
+
 /// A factorized basis. All buffers are sized once and reused, so neither
 /// a solve nor a refactorization allocates in the steady state.
 pub(crate) struct Factor {
     m: usize,
-    /// Pivot k eliminated row `prow[k]` with the column at basis
-    /// position `pcol[k]`; `diag[k]` is the pivot element.
+    /// Slot s pivots row `prow[s]` with the column at basis position
+    /// `pcol[s]`; `inv_diag[s]` is the reciprocal of the pivot element, so
+    /// that the solves multiply. A factorization numbers the slots in its
+    /// pivot order. An update keeps every slot's row and position and
+    /// changes one slot's column and its place in `order`, the slots in
+    /// pivot order; `at[s]` is slot s's index there. `slot[k]` is the
+    /// slot of basis position k.
     prow: Vec<usize>,
     pcol: Vec<usize>,
-    diag: Vec<f64>,
-    /// Column k of U above its diagonal: entries in rows pivoted before k.
-    u: SparseVecs,
+    inv_diag: Vec<f64>,
+    order: Vec<usize>,
+    at: Vec<usize>,
+    slot: Vec<usize>,
+    /// The column of U of each slot above its diagonal: entries in rows
+    /// pivoted before it.
+    u: Columns,
+    /// U by row: row i's entries as (slot, arena index) pairs, kept by
+    /// the updates. A pair whose entry no longer lives is passed over.
+    u_rows: Vec<Vec<(usize, usize)>>,
     /// The L etas in pivot order: eta e subtracts `l`ₑ times the value at
     /// row `l_row[e]` from the rows below.
     l: SparseVecs,
     l_row: Vec<usize>,
-    /// The eta file: update e replaced basis position `eta_pos[e]`; the
-    /// entering column was `eta_pivot[e]` there and `eta`ₑ elsewhere, in
-    /// the coordinates of the basis before it.
-    eta: SparseVecs,
-    eta_pos: Vec<usize>,
-    eta_pivot: Vec<f64>,
-    /// Row-indexed scratch of the solves and of the nucleus elimination.
+    /// The R file, one row eta per update in update order: eta e
+    /// subtracts `r`ₑ·x from row `r_row[e]`.
+    r: SparseVecs,
+    r_row: Vec<usize>,
+    /// Updates since the last factorization.
+    updates: usize,
+    /// Nonzeros of L and U as factorized, and one per pivot.
+    fresh_nnz: usize,
+    /// The right-hand side of the last [`Factor::ftran_spike`] after L
+    /// and the R file.
+    spike: Vec<f64>,
+    /// Row-indexed scratch of the solves and the nucleus elimination.
     work: Vec<f64>,
+    /// Slot-indexed scratch of [`Factor::btran_unit`] and
+    /// [`Factor::update`], zero between calls.
+    acc: Vec<f64>,
 
     // Factorization scratch.
     row_count: Vec<usize>,
@@ -148,14 +273,21 @@ impl Factor {
             m,
             prow: Vec::with_capacity(m),
             pcol: Vec::with_capacity(m),
-            diag: Vec::with_capacity(m),
-            u: SparseVecs::new(),
+            inv_diag: Vec::with_capacity(m),
+            order: Vec::with_capacity(m),
+            at: vec![0; m],
+            slot: vec![0; m],
+            u: Columns::new(),
+            u_rows: vec![Vec::new(); m],
             l: SparseVecs::new(),
             l_row: Vec::new(),
-            eta: SparseVecs::new(),
-            eta_pos: Vec::new(),
-            eta_pivot: Vec::new(),
+            r: SparseVecs::new(),
+            r_row: Vec::new(),
+            updates: 0,
+            fresh_nnz: 0,
+            spike: vec![0.0; m],
             work: vec![0.0; m],
+            acc: vec![0.0; m],
             row_count: vec![0; m],
             col_count: vec![0; m],
             row_done: vec![false; m],
@@ -172,28 +304,32 @@ impl Factor {
     }
 
     /// Factorize the basis whose position k holds `cols[basis[k]]`
-    /// (sparse (row, coefficient), rows distinct) and empty the eta file.
+    /// (sparse (row, coefficient), rows distinct) and empty the R file.
     /// Returns false if it is singular: the columns that found no pivot
     /// were passed over, and the factor is unusable until
     /// [`Factor::replace_rejected`] puts unit columns in their place.
-    pub(crate) fn factorize(&mut self, cols: &[Vec<(usize, f64)>], basis: &[usize]) -> bool {
+    pub(crate) fn factorize<C>(&mut self, cols: &C, basis: &[usize]) -> bool
+    where
+        C: Index<usize> + ?Sized,
+        C::Output: AsRef<[(usize, f64)]>,
+    {
         let m = self.m;
         self.prow.clear();
         self.pcol.clear();
-        self.diag.clear();
+        self.inv_diag.clear();
         self.u.clear();
         self.l.clear();
         self.l_row.clear();
-        self.eta.clear();
-        self.eta_pos.clear();
-        self.eta_pivot.clear();
+        self.r.clear();
+        self.r_row.clear();
+        self.updates = 0;
         self.rejected.clear();
 
         // Counts, and the pattern by row.
         self.row_count.fill(0);
         for (k, &j) in basis.iter().enumerate() {
-            self.col_count[k] = cols[j].len();
-            for &(i, _) in &cols[j] {
+            self.col_count[k] = cols[j].as_ref().len();
+            for &(i, _) in cols[j].as_ref() {
                 self.row_count[i] += 1;
             }
         }
@@ -204,7 +340,7 @@ impl Factor {
         self.row_cols.resize(self.row_start[m], 0);
         // Each row fills from its end, counting `row_count` down to 0.
         for (k, &j) in basis.iter().enumerate() {
-            for &(i, _) in &cols[j] {
+            for &(i, _) in cols[j].as_ref() {
                 self.row_count[i] -= 1;
                 self.row_cols[self.row_start[i] + self.row_count[i]] = k;
             }
@@ -230,7 +366,7 @@ impl Factor {
                 if self.col_done[k] {
                     continue;
                 }
-                let col = &cols[basis[k]];
+                let col = cols[basis[k]].as_ref();
                 let active = col.iter().find(|&&(i, _)| !self.row_done[i]);
                 let Some(&(i, a)) = active.filter(|&&(_, a)| a.abs() >= SINGULAR_TOL) else {
                     self.reject(col, k);
@@ -255,7 +391,7 @@ impl Factor {
                 let Some(&k) = row.iter().find(|&&k| !self.col_done[k]) else {
                     continue;
                 };
-                let col = &cols[basis[k]];
+                let col = cols[basis[k]].as_ref();
                 let entry = col.iter().find(|&&(r, _)| r == i);
                 let Some(&(_, a)) = entry.filter(|&&(_, a)| a.abs() >= SINGULAR_TOL) else {
                     self.reject(col, k);
@@ -279,18 +415,41 @@ impl Factor {
         self.nucleus.clear();
         self.nucleus.extend((0..m).filter(|&k| !self.col_done[k]));
         if !self.nucleus.is_empty() {
-            self.nucleus.sort_by_key(|&k| self.col_count[k]);
+            self.nucleus.sort_unstable_by_key(|&k| (self.col_count[k], k));
             // The solves leave `work` as they finished with it.
             self.work.fill(0.0);
             for n in 0..self.nucleus.len() {
                 let k = self.nucleus[n];
-                if !self.eliminate(&cols[basis[k]], k) {
+                if !self.eliminate(cols[basis[k]].as_ref(), k) {
                     self.rejected.push(k);
                 }
             }
         }
         debug_assert_eq!(self.prow.len() + self.rejected.len(), m);
+        if self.rejected.is_empty() {
+            self.index_slots();
+        }
         self.rejected.is_empty()
+    }
+
+    /// Once every position has its pivot: the slots in pivot order, the
+    /// slot of each position and row, and U by row.
+    fn index_slots(&mut self) {
+        self.fresh_nnz = self.m + self.l.idx.len() + self.u.idx.len();
+        self.order.clear();
+        self.order.extend(0..self.m);
+        for s in 0..self.m {
+            self.at[s] = s;
+            self.slot[self.pcol[s]] = s;
+        }
+        for row in &mut self.u_rows {
+            row.clear();
+        }
+        for s in 0..self.m {
+            for q in self.u.begin[s]..self.u.end[s] {
+                self.u_rows[self.u.idx[q]].push((s, q));
+            }
+        }
     }
 
     /// Pass over the column at position `k` in the singleton phase: it
@@ -321,6 +480,7 @@ impl Factor {
             self.close_pivot(i, k, 1.0);
         }
         debug_assert_eq!(self.prow.len(), self.m);
+        self.index_slots();
         pairs
     }
 
@@ -347,7 +507,7 @@ impl Factor {
         }
         self.prow.push(i);
         self.pcol.push(k);
-        self.diag.push(a);
+        self.inv_diag.push(1.0 / a);
         self.row_done[i] = true;
         self.col_done[k] = true;
     }
@@ -420,6 +580,16 @@ impl Factor {
 
     /// x ← B⁻¹·x: in, a vector indexed by row; out, by basis position.
     pub(crate) fn ftran(&mut self, x: &mut [f64]) {
+        self.forward(x, false);
+    }
+
+    /// The same for the column about to enter the basis: keeps its spike
+    /// for the [`Factor::update`] that follows.
+    pub(crate) fn ftran_spike(&mut self, x: &mut [f64]) {
+        self.forward(x, true);
+    }
+
+    fn forward(&mut self, x: &mut [f64], keep_spike: bool) {
         let work = &mut self.work[..];
         work.copy_from_slice(x);
         for (e, &r) in self.l_row.iter().enumerate() {
@@ -428,59 +598,143 @@ impl Factor {
                 self.l.scatter(e, t, work);
             }
         }
-        for k in (0..self.m).rev() {
-            let t = work[self.prow[k]];
+        for (e, &r) in self.r_row.iter().enumerate() {
+            work[r] -= self.r.dot(e, work);
+        }
+        if keep_spike {
+            self.spike.copy_from_slice(work);
+        }
+        for &s in self.order.iter().rev() {
+            let t = work[self.prow[s]];
             if t == 0.0 {
-                x[self.pcol[k]] = 0.0;
+                x[self.pcol[s]] = 0.0;
                 continue;
             }
-            let xk = t / self.diag[k];
-            x[self.pcol[k]] = xk;
-            self.u.scatter(k, xk, work);
-        }
-        for (e, &r) in self.eta_pos.iter().enumerate() {
-            if x[r] != 0.0 {
-                let xr = x[r] / self.eta_pivot[e];
-                x[r] = xr;
-                self.eta.scatter(e, xr, x);
-            }
+            let xs = t * self.inv_diag[s];
+            x[self.pcol[s]] = xs;
+            self.u.scatter(s, xs, work);
         }
     }
 
     /// x' ← x'·B⁻¹: in, a vector indexed by basis position; out, by row.
     pub(crate) fn btran(&mut self, x: &mut [f64]) {
-        for (e, &r) in self.eta_pos.iter().enumerate().rev() {
-            let rest = self.eta.dot(e, x);
-            x[r] = (x[r] - rest) / self.eta_pivot[e];
-        }
         let work = &mut self.work[..];
-        for k in 0..self.m {
-            let z = (x[self.pcol[k]] - self.u.dot(k, work)) / self.diag[k];
-            work[self.prow[k]] = z;
-        }
-        for (e, &r) in self.l_row.iter().enumerate().rev() {
-            let below = self.l.dot(e, work);
-            work[r] -= below;
+        for &s in &self.order {
+            work[self.prow[s]] = (x[self.pcol[s]] - self.u.dot(s, work)) * self.inv_diag[s];
         }
         x.copy_from_slice(work);
+        self.r_and_l_transposed(x);
     }
 
-    /// The column whose FTRAN is `w` replaces basis position `r`.
-    pub(crate) fn update(&mut self, r: usize, w: &[f64]) {
-        for (i, &v) in w.iter().enumerate() {
-            if v != 0.0 && i != r {
-                self.eta.push_entry(i, v);
+    /// The BTRAN steps after U: the R file, last update first, then L.
+    fn r_and_l_transposed(&self, x: &mut [f64]) {
+        for (e, &r) in self.r_row.iter().enumerate().rev() {
+            let t = x[r];
+            if t != 0.0 {
+                self.r.scatter(e, t, x);
             }
         }
-        self.eta.finish();
-        self.eta_pos.push(r);
-        self.eta_pivot.push(w[r]);
+        for (e, &r) in self.l_row.iter().enumerate().rev() {
+            x[r] -= self.l.dot(e, x);
+        }
     }
 
-    /// Whether the eta file has outgrown the factor it updates.
-    pub(crate) fn wants_refactor(&self) -> bool {
-        let fresh = self.m + self.l.nnz() + self.u.nnz();
-        self.eta_pos.len() >= ETA_CAP || self.eta.nnz() > ETA_GROWTH * fresh
+    /// Whether the factor has taken no update since it was factorized.
+    pub(crate) fn fresh(&self) -> bool {
+        self.updates == 0
+    }
+
+    /// Whether the next exchange is to factorize the new basis from its
+    /// columns instead of updating: at the update cap, or once the R file
+    /// has grown past [`R_FILL`].
+    pub(crate) fn full(&self) -> bool {
+        self.updates + 1 >= UPDATE_CAP || self.r.idx.len() as f64 > R_FILL * self.fresh_nnz as f64
+    }
+
+    /// x' ← e_r'·B⁻¹, row r of the inverse for basis position r: in, `x`
+    /// all zero; out, by row. U is solved along its rows from r's pivot
+    /// on, so only the pivots the answer reaches cost anything beyond a
+    /// test for zero.
+    pub(crate) fn btran_unit(&mut self, r: usize, x: &mut [f64]) {
+        let z = &mut self.acc;
+        let first = self.slot[r];
+        z[first] = 1.0;
+        for &s in &self.order[self.at[first]..] {
+            let t = std::mem::take(&mut z[s]);
+            if t == 0.0 {
+                continue;
+            }
+            let zs = t * self.inv_diag[s];
+            x[self.prow[s]] = zs;
+            for &(t2, q) in &self.u_rows[self.prow[s]] {
+                if self.u.live(t2, q) {
+                    z[t2] -= self.u.val[q] * zs;
+                }
+            }
+        }
+        self.r_and_l_transposed(x);
+    }
+
+    /// The column of the last [`Factor::ftran_spike`], whose solve put
+    /// `w_r` at position r, replaces basis position r (the module header).
+    /// Returns false when the new diagonal fails the stability test; the
+    /// factor is then unusable until [`Factor::factorize`].
+    pub(crate) fn update(&mut self, r: usize, w_r: f64) -> bool {
+        let s = self.slot[r];
+        let rho = self.prow[s];
+        let from = self.at[s];
+        // Row ρ leaves U: its entries, by slot, are eliminated in pivot
+        // order, each with the row its slot pivots on, which adds that
+        // row's entries further right.
+        let row = &mut self.acc;
+        for &(t, q) in &self.u_rows[rho] {
+            if self.u.live(t, q) {
+                row[t] += self.u.val[q];
+                self.u.val[q] = 0.0;
+            }
+        }
+        self.u_rows[rho].clear();
+        let mut diag = self.spike[rho];
+        for &t in &self.order[from + 1..] {
+            let v = std::mem::take(&mut row[t]);
+            if v == 0.0 {
+                continue;
+            }
+            let f = v * self.inv_diag[t];
+            let i = self.prow[t];
+            self.r.push_entry(i, f);
+            diag -= f * self.spike[i];
+            for &(t2, q) in &self.u_rows[i] {
+                if self.u.live(t2, q) {
+                    row[t2] -= f * self.u.val[q];
+                }
+            }
+        }
+        if self.r.finish_nonempty() {
+            self.r_row.push(rho);
+        }
+        let want = w_r / self.inv_diag[s];
+        let stable =
+            diag.abs() >= SINGULAR_TOL && (diag - want).abs() <= STABILITY_TOL * want.abs();
+        if !stable {
+            return false;
+        }
+        self.u.begin[s] = self.u.idx.len();
+        for (i, &v) in self.spike.iter().enumerate() {
+            if v != 0.0 && i != rho {
+                self.u_rows[i].push((s, self.u.idx.len()));
+                self.u.push_entry(i, v);
+            }
+        }
+        self.u.end[s] = self.u.idx.len();
+        self.inv_diag[s] = 1.0 / diag;
+        self.order.remove(from);
+        self.order.push(s);
+        for p in from..self.m {
+            self.at[self.order[p]] = p;
+        }
+        self.updates += 1;
+        true
     }
 }
 
@@ -671,6 +925,83 @@ mod tests {
         Ok(())
     }
 
+    /// Both solves of `f` agree with the dense inverse of the basis, to
+    /// 1e-9 of the size of the answer.
+    fn assert_matches_oracle(
+        f: &mut Factor,
+        cols: &Columns,
+        basis: &[usize],
+        rng: &mut StdRng,
+    ) -> Result<(), TestCaseError> {
+        let m = basis.len();
+        let Some(inv) = dense_inverse(cols, basis) else {
+            return Err(TestCaseError::fail("the exchanged basis is singular"));
+        };
+        let a: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let mut w = a.clone();
+        f.ftran(&mut w);
+        let want: Vec<f64> = (0..m).map(|i| (0..m).map(|r| inv[i * m + r] * a[r]).sum()).collect();
+        for (got, want) in w.iter().zip(&want) {
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * (1.0 + norm(&w)),
+                "ftran {} vs {}",
+                got,
+                want
+            );
+        }
+        let mut y = a.clone();
+        f.btran(&mut y);
+        let want: Vec<f64> = (0..m).map(|r| (0..m).map(|i| a[i] * inv[i * m + r]).sum()).collect();
+        for (got, want) in y.iter().zip(&want) {
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * (1.0 + norm(&y)),
+                "btran {} vs {}",
+                got,
+                want
+            );
+        }
+        // Row k of the inverse, solved along the rows of U.
+        let k = rng.gen_range(0..m);
+        let mut row = vec![0.0; m];
+        f.btran_unit(k, &mut row);
+        for (got, want) in row.iter().zip(&inv[k * m..(k + 1) * m]) {
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * (1.0 + norm(&row)),
+                "btran_unit {} vs {}",
+                got,
+                want
+            );
+        }
+        Ok(())
+    }
+
+    /// Draw a column and `ftran_spike` it into `w`. If it can leave on
+    /// its largest element (as a ratio test that prefers large pivots
+    /// tends to) and that is not small, append it to `cols`, put it in
+    /// `basis` there and return the position.
+    fn exchange(
+        f: &mut Factor,
+        cols: &mut Columns,
+        basis: &mut [usize],
+        rng: &mut StdRng,
+        dense: f64,
+        w: &mut [f64],
+    ) -> Option<usize> {
+        let a = random_column(rng, basis.len(), dense);
+        w.fill(0.0);
+        for &(i, x) in &a {
+            w[i] = x;
+        }
+        f.ftran_spike(w);
+        let r = (0..w.len()).fold(0, |best, i| if w[i].abs() > w[best].abs() { i } else { best });
+        if w[r].abs() < 1e-3 {
+            return None;
+        }
+        basis[r] = cols.len();
+        cols.push(a);
+        Some(r)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -697,43 +1028,75 @@ mod tests {
             }
         }
 
-        /// After k column exchanges through the eta file the solves
-        /// still invert the (new) basis, and refactorizing it from its
-        /// columns gives the same x_B.
+        /// Exchanges up to the update cap, none refused, track the
+        /// basis: after every one both solves agree with the dense
+        /// inverse of the basis it made. The exchange at the cap is
+        /// factorized from the columns and agrees with the oracle too.
         #[test]
-        fn eta_updates_track_the_basis(seed in 0u64..1_000_000, m in 1usize..=120, k in 1usize..40) {
-            let cols = random_basis(seed, m, false, k);
+        fn updates_track_the_basis_up_to_the_cap(seed in 0u64..1_000_000, m in 1usize..=40) {
+            let mut cols = random_basis(seed, m, false, 0);
             let mut basis: Vec<usize> = (0..m).collect();
             let mut f = Factor::new(m);
             prop_assert!(f.factorize(&cols, &basis));
             let mut rng = StdRng::seed_from_u64(seed ^ 0xE7A);
+            let dense = [0.05, 0.2][(seed % 2) as usize];
             let mut w = vec![0.0; m];
-            for q in m..m + k {
-                w.fill(0.0);
-                for &(r, a) in &cols[q] {
-                    w[r] = a;
-                }
-                f.ftran(&mut w);
-                // Leave on the largest element, as a ratio test that
-                // breaks ties by size tends to.
-                let r = (0..m).fold(0, |best, i| if w[i].abs() > w[best].abs() { i } else { best });
-                if w[r].abs() < 1e-3 {
-                    continue;
-                }
-                f.update(r, &w);
-                basis[r] = q;
+            let mut updates = 0;
+            while !f.full() {
+                let r = exchange(&mut f, &mut cols, &mut basis, &mut rng, dense, &mut w);
+                let Some(r) = r else { continue };
+                prop_assert!(f.update(r, w[r]), "update {} refused", updates + 1);
+                updates += 1;
+                assert_matches_oracle(&mut f, &cols, &basis, &mut rng)?;
             }
-            assert_inverts(&mut f, &cols, &basis, &mut rng)?;
+            prop_assert!(updates == UPDATE_CAP - 1 || f.r.idx.len() as f64 > R_FILL * f.fresh_nnz as f64);
+            while exchange(&mut f, &mut cols, &mut basis, &mut rng, dense, &mut w).is_none() {}
 
             let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let mut updated = b.clone();
-            f.ftran(&mut updated);
+            let mut fresh = b.clone();
+            let inv = dense_inverse(&cols, &basis).expect("regular");
             prop_assert!(f.factorize(&cols, &basis), "exchanged basis reported singular");
-            let mut fresh = b;
             f.ftran(&mut fresh);
-            for (u, v) in updated.iter().zip(&fresh) {
-                prop_assert!((u - v).abs() <= 1e-9 * (1.0 + norm(&fresh)), "x_B {} vs {}", u, v);
+            for i in 0..m {
+                let dense: f64 = (0..m).map(|k| inv[i * m + k] * b[k]).sum();
+                prop_assert!((fresh[i] - dense).abs() <= 1e-9 * (1.0 + norm(&fresh)), "x_B {} vs {}", fresh[i], dense);
             }
+        }
+
+        /// An exchange that leaves the basis singular but for rounding —
+        /// the entering column is B·v with v_r = 0 — is refused by the
+        /// stability test, after any number of good updates; the basis it
+        /// would have made is reported singular when factorized, so no
+        /// solve is answered from it.
+        #[test]
+        fn a_near_singular_exchange_is_refused(seed in 0u64..1_000_000, m in 2usize..=40, good in 0usize..20) {
+            let mut cols = random_basis(seed, m, false, 0);
+            let mut basis: Vec<usize> = (0..m).collect();
+            let mut f = Factor::new(m);
+            prop_assert!(f.factorize(&cols, &basis));
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x51A6);
+            let mut w = vec![0.0; m];
+            let mut done = 0;
+            while done < good {
+                if let Some(r) = exchange(&mut f, &mut cols, &mut basis, &mut rng, 0.1, &mut w) {
+                    prop_assert!(f.update(r, w[r]));
+                    done += 1;
+                }
+            }
+            let r = rng.gen_range(0..m);
+            let v: Vec<f64> = (0..m).map(|k| if k == r { 0.0 } else { rng.gen_range(-2.0..2.0) }).collect();
+            let a = times(&cols, &basis, &v);
+            let a: Vec<(usize, f64)> = a.iter().enumerate().filter(|e| *e.1 != 0.0).map(|(i, &x)| (i, x)).collect();
+            w.fill(0.0);
+            for &(i, x) in &a {
+                w[i] = x;
+            }
+            f.ftran_spike(&mut w);
+            prop_assert!(!f.fresh() || good == 0);
+            prop_assert!(!f.update(r, w[r]), "w_r = {} accepted", w[r]);
+            basis[r] = cols.len();
+            cols.push(a);
+            prop_assert!(!f.factorize(&cols, &basis), "a singular basis factorized");
         }
     }
 
@@ -826,39 +1189,38 @@ mod tests {
     }
 
     #[test]
-    fn the_eta_file_is_bounded_by_the_factor_it_updates() {
-        // Identity basis, dense entering columns: each update adds m − 1
-        // nonzeros to the eta file against a fresh factor of m.
+    fn dense_exchanges_keep_the_factor_sparse_to_the_cap() {
+        // Identity basis, dense entering columns: a product-form eta would
+        // add m − 1 nonzeros a pivot. Here row ρ of U has an entry only in
+        // the spikes pivoted after it, so an R eta holds at most the
+        // number of exchanges before it, and every update is accepted
+        // until the cap.
         let m = 50;
         let mut cols: Columns = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        for u in 0..8 {
+        for u in 0..UPDATE_CAP {
             cols.push((0..m).map(|i| (i, 1.0 + ((7 * i + 13 * u) % 11) as f64)).collect());
         }
-        let basis: Vec<usize> = (0..m).collect();
+        let mut basis: Vec<usize> = (0..m).collect();
         let mut f = Factor::new(m);
         assert!(f.factorize(&cols, &basis));
+        let mut rng = StdRng::seed_from_u64(7);
         let mut w = vec![0.0; m];
-        let mut updates = 0;
-        while !f.wants_refactor() {
+        let mut u = 0;
+        while !f.full() {
             w.fill(0.0);
-            for &(r, a) in &cols[m + updates] {
+            for &(r, a) in &cols[m + u] {
                 w[r] = a;
             }
-            f.ftran(&mut w);
-            f.update(updates, &w);
-            updates += 1;
+            f.ftran_spike(&mut w);
+            let r = (0..m).fold(0, |best, i| if w[i].abs() > w[best].abs() { i } else { best });
+            assert!(f.update(r, w[r]), "update {u} refused");
+            basis[r] = m + u;
+            assert_eq!(f.r_row.len(), f.r.len());
+            let last = f.r.len().checked_sub(1).map_or(0, |e| f.r.start[e + 1] - f.r.start[e]);
+            assert!(last <= u, "an R eta of {last} entries after {u} exchanges");
+            assert_inverts(&mut f, &cols, &basis, &mut rng).expect("inverts");
+            u += 1;
         }
-        assert_eq!(updates, 3, "dense updates against an identity factor");
-        // Singleton updates never outgrow it; the cap ends them.
-        assert!(f.factorize(&cols, &basis));
-        let mut updates = 0;
-        while !f.wants_refactor() {
-            w.fill(0.0);
-            w[updates % m] = 2.0;
-            f.ftran(&mut w);
-            f.update(updates % m, &w);
-            updates += 1;
-        }
-        assert_eq!(updates, ETA_CAP);
+        assert!(u == UPDATE_CAP - 1 || f.r.idx.len() as f64 > R_FILL * f.fresh_nnz as f64, "{u}");
     }
 }

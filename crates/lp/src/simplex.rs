@@ -27,26 +27,38 @@
 //! no slack and no singleton that fits this is the textbook
 //! all-artificial start.
 //!
-//! The basis is held as a
-//! sparse LU factorization plus an eta file ([`crate::factor`]),
-//! refactorized when the eta file outgrows the factor; a re-solve from
-//! the basis the tableau already holds keeps the factor and recomputes
-//! only x_B. `ftran`, `btran_costs`, `btran_row`, `recompute_xb`, the
-//! update inside `pivot` and `refactorize` are the only operations that
-//! touch the factor.
+//! The basis is held as a sparse LU factorization kept current by
+//! Forrest–Tomlin updates (`factor.rs`), refactorized at an update cap,
+//! when the updates' row etas have grown to half the factor, or when an
+//! update fails its stability test; a re-solve from the basis the tableau
+//! already holds keeps the factor and recomputes only x_B. `ftran`,
+//! `btran_costs`, `btran_row`, `recompute_xb`, the update inside `pivot`
+//! and `refactorize` are the only operations that touch the factor.
+//!
+//! The primal simplex prices from reduced costs it carries through its
+//! updates: an exchange on row r moves them by a multiple of ρ_r·A, ρ_r
+//! the row of B⁻¹, which the row index of U yields sparsely. A fresh
+//! pricing from the duals starts each phase, follows every
+//! factorization and confirms every optimum. Both ratio tests are Harris's two passes over elements above
+//! a tolerance relative to the largest: the longest step with the bounds
+//! (or the reduced costs) relaxed by `TOL`, then the largest element
+//! among the rows (or columns) that block within it.
 //!
 //! The bounded-variable formulation keeps the basis dimension equal to
 //! the number of *constraints* (not variables), which is what makes the
 //! knapsack-style problems of the paper's UC2 (thousands of variables,
 //! one capacity row) cheap.
 
-use crate::factor::Factor;
+use crate::factor::{Cols, Factor};
 use crate::{Problem, Rel, Solution, Status};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as Atomic};
 
 const TOL: f64 = 1e-9;
+/// No ratio test pivots on an element below this, nor below
+/// [`RELATIVE_PIVOT`] times the largest element it could pivot on.
 const PIVOT_TOL: f64 = 1e-10;
+const RELATIVE_PIVOT: f64 = 1e-9;
 /// A sum of infeasibilities above this proves the problem infeasible;
 /// phase 1 and the dual simplex share it so both give the same verdict.
 const INFEASIBLE_TOL: f64 = 1e-6;
@@ -85,6 +97,26 @@ fn rest_status(lower: f64, upper: f64) -> VarStatus {
     } else {
         VarStatus::FreeZero
     }
+}
+
+/// What [`Simplex::pivot`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pivot {
+    /// The entering column is basic and the factor updated.
+    Updated,
+    /// The entering column is basic and the new basis factorized.
+    Rebuilt,
+    /// The factor refused the update: the basis is as it was, factorized
+    /// again.
+    Refused,
+    /// The new basis had to be factorized and is singular.
+    Singular,
+}
+
+/// The smallest element a ratio test may pivot on, when `largest` is the
+/// largest it could.
+fn pivot_tol(largest: f64) -> f64 {
+    PIVOT_TOL.max(RELATIVE_PIVOT * largest)
 }
 
 /// A snapshot of a simplex basis, taken with [`Simplex::basis`] and
@@ -135,7 +167,7 @@ pub struct Counters {
     pub dual_pivots: usize,
     /// Times the basis was factorized from its columns: at a cold
     /// start, when a re-solve restores another basis than the one held,
-    /// and when the updates since the last time have outgrown it.
+    /// and when the updates since then call for it (`factor.rs`).
     pub refactorizations: usize,
     /// How the most recent cold solve started.
     pub start: Start,
@@ -150,8 +182,9 @@ pub struct Simplex<'a> {
     n: usize,
     /// Total column count: structural + slacks + artificials.
     n_total: usize,
-    /// Sparse columns (row, coefficient); artificial `i` is `+e_i`.
-    cols: Vec<Vec<(usize, f64)>>,
+    /// Sparse columns (row, coefficient) in ascending row order: the
+    /// structural ones, slack `i` and artificial `i`, both `+e_i`.
+    cols: Cols,
     lower: Vec<f64>,
     upper: Vec<f64>,
     cost: Vec<f64>,
@@ -172,6 +205,14 @@ pub struct Simplex<'a> {
     /// What [`Simplex::reduced_costs`] hands out, one per structural
     /// column.
     dj: Vec<f64>,
+    /// The reduced cost of every column, kept by the primal simplex.
+    dj_all: Vec<f64>,
+    /// Scratch of the primal ratio test: (row, room, −σ·w) of the rows
+    /// that blocked within the relaxed step as pass 1 found them.
+    blocking: Vec<(usize, f64, f64)>,
+    /// Scratch of the dual ratio test: (column, |d_j|, |α_rj|) of every
+    /// column that could enter.
+    candidates: Vec<(usize, f64, f64)>,
     /// A coefficient names a column the problem does not have.
     malformed: bool,
     /// Iteration cap of one primal phase or one dual run.
@@ -185,36 +226,55 @@ impl<'a> Simplex<'a> {
         let m = p.constraints.len();
         let n = p.num_vars;
         let n_total = n + m + m;
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_total];
-        let mut b = vec![0.0; m];
         // A coefficient on a column that does not exist: the tableau is
         // built without it and never solved.
         let mut malformed = p.objective.iter().any(|&(j, _)| j >= n);
+        // The structural columns, counted and then filled row by row, so
+        // each is in row order with a row's duplicates side by side.
+        let mut start = vec![0; n_total + 1];
+        for c in &p.constraints {
+            for &(j, _) in &c.coeffs {
+                match j < n {
+                    true => start[j + 1] += 1,
+                    false => malformed = true,
+                }
+            }
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut entries = vec![(0, 0.0); start[n]];
+        let mut fill = start[..n].to_vec();
         for (i, c) in p.constraints.iter().enumerate() {
-            b[i] = c.rhs;
-            for &(j, a) in &c.coeffs {
-                if j >= n {
-                    malformed = true;
-                    continue;
-                }
-                cols[j].push((i, a));
+            for &(j, a) in c.coeffs.iter().filter(|&&(j, _)| j < n) {
+                entries[fill[j]] = (i, a);
+                fill[j] += 1;
             }
         }
-        // Merge duplicate entries per column.
-        for col in cols.iter_mut().take(n) {
-            col.sort_by_key(|&(r, _)| r);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-            for &(r, a) in col.iter() {
-                if let Some(last) = merged.last_mut() {
-                    if last.0 == r {
-                        last.1 += a;
-                        continue;
-                    }
+        // Merge duplicate entries per column, closing the gaps they leave.
+        let mut kept = 0;
+        for j in 0..n {
+            let (lo, hi) = (start[j], start[j + 1]);
+            start[j] = kept;
+            for e in lo..hi {
+                let (r, a) = entries[e];
+                if kept > start[j] && entries[kept - 1].0 == r {
+                    entries[kept - 1].1 += a;
+                } else {
+                    entries[kept] = (r, a);
+                    kept += 1;
                 }
-                merged.push((r, a));
             }
-            *col = merged;
         }
+        entries.truncate(kept);
+        // Slack i, then artificial i: +e_i.
+        for j in n..n_total {
+            entries.push(((j - n) % m, 1.0));
+            start[j + 1] = entries.len();
+        }
+        start[n] = kept;
+        let cols = Cols { start, entries };
+        let b: Vec<f64> = p.constraints.iter().map(|c| c.rhs).collect();
 
         let mut lower = vec![0.0; n_total];
         let mut upper = vec![0.0; n_total];
@@ -222,14 +282,11 @@ impl<'a> Simplex<'a> {
         upper[..n].copy_from_slice(&p.upper);
         // Slack s_i: row coefficient +1; bounds encode the relation.
         for i in 0..m {
-            let j = n + i;
-            cols[j].push((i, 1.0));
-            (lower[j], upper[j]) = match p.constraints[i].rel {
+            (lower[n + i], upper[n + i]) = match p.constraints[i].rel {
                 Rel::Le => (0.0, f64::INFINITY),
                 Rel::Ge => (f64::NEG_INFINITY, 0.0),
                 Rel::Eq => (0.0, 0.0),
             };
-            cols[n + m + i].push((i, 1.0));
         }
 
         // Until the first solve: the artificial basis, the rest nonbasic.
@@ -255,6 +312,9 @@ impl<'a> Simplex<'a> {
             w: vec![0.0; m],
             rho: vec![0.0; m],
             dj: vec![0.0; n],
+            dj_all: vec![0.0; n_total],
+            blocking: Vec::new(),
+            candidates: Vec::new(),
             malformed,
             max_iter: 20_000 + 50 * (n + m),
             counters: Counters::default(),
@@ -630,7 +690,9 @@ impl<'a> Simplex<'a> {
         let open = col.iter().filter(|&&(r, a)| !taken[r] && a.abs() > PIVOT_TOL);
         points.extend(open.map(|&(r, a)| (residual[r] / a, r, a)).filter(|p| p.0.is_finite()));
         // Finite, so comparable; -0.0 and 0.0 tie and go by row.
-        points.sort_by(|p, q| p.0.partial_cmp(&q.0).unwrap_or(Ordering::Equal).then(p.1.cmp(&q.1)));
+        points.sort_unstable_by(|p, q| {
+            p.0.partial_cmp(&q.0).unwrap_or(Ordering::Equal).then(p.1.cmp(&q.1))
+        });
         // What a row adds to the infeasibility per unit of the column's
         // value below and above its breakpoint: the slack's bounds say
         // which sign of the row's residual is allowed.
@@ -730,13 +792,13 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// `w` = B⁻¹ · A_j.
+    /// `w` = B⁻¹ · A_j, for a column that may enter the basis next.
     fn ftran(&mut self, j: usize) {
         self.w.fill(0.0);
         for &(r, a) in &self.cols[j] {
             self.w[r] = a;
         }
-        self.factor.ftran(&mut self.w);
+        self.factor.ftran_spike(&mut self.w);
     }
 
     /// `y`' = c_B' · B⁻¹.
@@ -750,8 +812,7 @@ impl<'a> Simplex<'a> {
     /// `rho` = row `r` of B⁻¹.
     fn btran_row(&mut self, r: usize) {
         self.rho.fill(0.0);
-        self.rho[r] = 1.0;
-        self.factor.btran(&mut self.rho);
+        self.factor.btran_unit(r, &mut self.rho);
     }
 
     fn reduced_cost(&self, j: usize) -> f64 {
@@ -788,10 +849,21 @@ impl<'a> Simplex<'a> {
     }
 
     /// Column `q` enters the basis at row `r` after moving by `step`
-    /// (`w` = B⁻¹·A_q); the column it replaces rests at its lower or
-    /// upper bound. Returns false if the updates have outgrown the
-    /// factor and refactorizing finds the new basis singular.
-    fn pivot(&mut self, r: usize, q: usize, step: f64, leaves_at_lower: bool) -> bool {
+    /// (`w` = B⁻¹·A_q, the last [`Simplex::ftran`]); the column it
+    /// replaces rests at its lower or upper bound. At the update cap the
+    /// new basis is factorized from its columns. An update the factor
+    /// refuses after others says their rounding error has grown: the
+    /// basis as it was is factorized again and nothing moves.
+    fn pivot(&mut self, r: usize, q: usize, step: f64, leaves_at_lower: bool) -> Pivot {
+        let updated = if self.factor.full() {
+            false
+        } else if self.factor.update(r, self.w[r]) {
+            true
+        } else if !self.factor.fresh() {
+            return if self.refactorize() { Pivot::Refused } else { Pivot::Singular };
+        } else {
+            false
+        };
         let enter_val = self.nb_value(q) + step;
         for (x, &w) in self.xb.iter_mut().zip(&self.w) {
             *x -= step * w;
@@ -801,8 +873,88 @@ impl<'a> Simplex<'a> {
             if leaves_at_lower { VarStatus::AtLower } else { VarStatus::AtUpper };
         self.status[q] = VarStatus::Basic;
         self.basis[r] = q;
-        self.factor.update(r, &self.w);
-        !self.factor.wants_refactor() || self.refactorize()
+        if updated {
+            Pivot::Updated
+        } else if self.refactorize() {
+            Pivot::Rebuilt
+        } else {
+            Pivot::Singular
+        }
+    }
+
+    /// The reduced cost of every column from fresh duals (0 for a basic
+    /// one), into `dj_all`.
+    fn price(&mut self) {
+        self.btran_costs();
+        for j in 0..self.n_total {
+            self.dj_all[j] =
+                if self.status[j] == VarStatus::Basic { 0.0 } else { self.reduced_cost(j) };
+        }
+    }
+
+    /// Dantzig's entering column over `dj_all`, or under Bland's rule the
+    /// first eligible one: (column, whether it increases). A column with
+    /// lower == upper cannot move, so it never enters (the artificials in
+    /// phase 2, branched binaries).
+    fn entering(&self, bland: bool) -> Option<(usize, bool)> {
+        let mut entering = None;
+        let mut best = TOL;
+        for (j, &d) in self.dj_all.iter().enumerate() {
+            // Only a reduced cost above the best so far can win.
+            if d.abs() <= best
+                || self.status[j] == VarStatus::Basic
+                || self.lower[j] == self.upper[j]
+            {
+                continue;
+            }
+            let (eligible, increasing) = match self.status[j] {
+                VarStatus::AtLower => (d < -TOL, true),
+                VarStatus::AtUpper => (d > TOL, false),
+                _ => (d.abs() > TOL, d < 0.0),
+            };
+            if eligible {
+                if bland {
+                    return Some((j, increasing));
+                }
+                best = d.abs();
+                entering = Some((j, increasing));
+            }
+        }
+        entering
+    }
+
+    /// After column `q` entered: d_j ← d_j − θ·(ρ·a_j) over the columns
+    /// with an entry in a row where `rho`, row r of the old inverse, is
+    /// nonzero — ρ_r is as sparse as the rows the pivot moved.
+    fn carry_reduced_costs(&mut self, theta: f64, q: usize) {
+        let (n, m) = (self.n, self.m);
+        for i in 0..m {
+            let t = theta * self.rho[i];
+            if t == 0.0 {
+                continue;
+            }
+            for &(j, a) in &self.p.constraints[i].coeffs {
+                if j < n {
+                    self.dj_all[j] -= t * a;
+                }
+            }
+            self.dj_all[n + i] -= t;
+            self.dj_all[n + m + i] -= t;
+        }
+        self.dj_all[q] = 0.0;
+    }
+
+    /// How far basic row i is from the bound it moves toward when it
+    /// moves by `delta` per unit step: the lower one if `delta` < 0.
+    #[inline]
+    fn room(&self, i: usize, delta: f64) -> f64 {
+        let bv = self.basis[i];
+        let (down, up) = (self.xb[i] - self.lower[bv], self.upper[bv] - self.xb[i]);
+        if delta < 0.0 {
+            down
+        } else {
+            up
+        }
     }
 
     /// One primal simplex phase (min c'x) from a primal-feasible basis.
@@ -810,39 +962,23 @@ impl<'a> Simplex<'a> {
     fn optimize(&mut self) -> (Status, usize) {
         let mut iterations = 0usize;
         let mut degenerate_run = 0usize;
+        // The reduced costs are priced from the duals at the start and
+        // after every factorization, and carried through the pivots in
+        // between; `carried` says they were.
+        let mut carried = false;
+        self.price();
         loop {
             iterations += 1;
             if iterations > self.max_iter {
                 return (Status::NotConverged, iterations);
             }
-            self.btran_costs();
             let bland = degenerate_run > DEGENERATE_LIMIT;
-
-            // Pricing. A column with lower == upper cannot move, so it
-            // never enters (the artificials in phase 2, branched
-            // binaries).
-            let mut entering: Option<(usize, bool)> = None; // (var, increasing)
-            let mut best = TOL;
-            for j in 0..self.n_total {
-                if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
-                    continue;
-                }
-                let d = self.reduced_cost(j);
-                let (eligible, increasing) = match self.status[j] {
-                    VarStatus::AtLower => (d < -TOL, true),
-                    VarStatus::AtUpper => (d > TOL, false),
-                    _ => (d.abs() > TOL, d < 0.0),
-                };
-                if eligible {
-                    if bland {
-                        entering = Some((j, increasing));
-                        break;
-                    }
-                    if d.abs() > best {
-                        best = d.abs();
-                        entering = Some((j, increasing));
-                    }
-                }
+            let mut entering = self.entering(bland);
+            if entering.is_none() && carried {
+                // Optimal on carried reduced costs: confirm on fresh ones.
+                self.price();
+                carried = false;
+                entering = self.entering(bland);
             }
             let Some((j, increasing)) = entering else {
                 return (Status::Optimal, iterations);
@@ -850,35 +986,44 @@ impl<'a> Simplex<'a> {
             let sigma = if increasing { 1.0 } else { -1.0 };
             self.ftran(j);
 
-            // Ratio test: how far can x_j move?
-            // x_B changes by -sigma * t * w. Among ratios tied within
-            // TOL the largest pivot element wins: a tiny one would be
-            // divided by in every solve until the next refactorization.
-            let mut t_max = f64::INFINITY;
-            let mut leave: Option<(usize, bool)> = None; // (row, leaves-at-lower)
-            let mut size = 0.0; // |w| of the leaving row
+            // Ratio test: how far can x_j move? x_B changes by −σ·t·w.
+            // Harris's two passes: the first finds the longest step with
+            // every bound relaxed by TOL, the second takes, among the rows
+            // that block within it, the largest element — it is divided
+            // by in every solve until the next refactorization, and a
+            // tiny one that merely blocked first poisons them all.
+            // The relaxed step only shrinks as pass 1 goes, so a row that
+            // does not block within it when visited never will: pass 2 runs
+            // over the rows that did, kept in `blocking`.
+            let tol =
+                pivot_tol(self.w.iter().fold(0.0, |l, v| if v.abs() > l { v.abs() } else { l }));
+            let mut relaxed = f64::INFINITY;
+            self.blocking.clear();
             for i in 0..self.m {
                 let delta = -sigma * self.w[i];
-                if delta.abs() <= PIVOT_TOL {
+                let size = delta.abs();
+                if size <= tol {
                     continue;
                 }
-                // A decreasing basic value stops at its lower bound, an
-                // increasing one at its upper.
-                let at_lower = delta < 0.0;
-                let bv = self.basis[i];
-                let room = if at_lower {
-                    self.xb[i] - self.lower[bv]
-                } else {
-                    self.upper[bv] - self.xb[i]
-                };
-                if room.is_infinite() {
-                    continue;
+                let room = self.room(i, delta);
+                if room < f64::INFINITY {
+                    relaxed = relaxed.min((room + TOL) / size);
+                    if room <= relaxed * size {
+                        self.blocking.push((i, room, delta));
+                    }
                 }
-                let t = room / delta.abs();
-                if t < t_max - TOL || (t < t_max + TOL && delta.abs() > size) {
-                    t_max = t_max.min(t.max(0.0));
-                    leave = Some((i, at_lower));
-                    size = delta.abs();
+            }
+            let mut t_max = f64::INFINITY;
+            let mut leave: Option<(usize, bool)> = None; // (row, leaves-at-lower)
+            let mut largest = 0.0; // |w| of the leaving row
+            for &(i, room, delta) in &self.blocking {
+                let size = delta.abs();
+                if room <= relaxed * size && size > largest {
+                    t_max = (room / size).max(0.0);
+                    // A decreasing basic value stops at its lower bound, an
+                    // increasing one at its upper.
+                    leave = Some((i, delta < 0.0));
+                    largest = size;
                 }
             }
             // Bound flip of the entering variable itself.
@@ -910,15 +1055,22 @@ impl<'a> Simplex<'a> {
                     }
                 }
                 Some((r, at_lower)) => {
-                    if self.w[r].abs() < PIVOT_TOL {
-                        // Numerically unusable pivot: refactorize and retry.
-                        if !self.refactorize() {
-                            return (Status::NotConverged, iterations);
-                        }
-                        continue;
+                    // Row r of the inverse before the exchange carries the
+                    // reduced costs through an update: d ← d − (d_j / w_r)·ρ_r·A.
+                    if !self.factor.full() {
+                        self.btran_row(r);
                     }
-                    if !self.pivot(r, j, sigma * t_max, at_lower) {
-                        return (Status::NotConverged, iterations);
+                    let theta = self.dj_all[j] / self.w[r];
+                    match self.pivot(r, j, sigma * t_max, at_lower) {
+                        Pivot::Updated => {
+                            self.carry_reduced_costs(theta, j);
+                            carried = true;
+                        }
+                        Pivot::Rebuilt | Pivot::Refused => {
+                            self.price();
+                            carried = false;
+                        }
+                        Pivot::Singular => return (Status::NotConverged, iterations),
                     }
                 }
             }
@@ -957,41 +1109,51 @@ impl<'a> Simplex<'a> {
             // With a = ∓α_rj, x_B[r] moves toward its violated bound
             // when a column at its lower bound has a > 0 or one at its
             // upper bound has a < 0; the smallest |d_j / a| keeps every
-            // reduced cost on its side. Fixed columns cannot move.
+            // reduced cost on its side. Fixed columns cannot move. The
+            // same two passes as the primal test: the longest step with
+            // every reduced cost relaxed by TOL, then the largest |a|
+            // among the columns that block within it.
             self.btran_costs();
             self.btran_row(r);
-            let mut entering: Option<(usize, f64, f64)> = None; // (var, ratio, |a|)
+            self.candidates.clear();
+            let mut largest: f64 = 0.0;
             for j in 0..self.n_total {
                 if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
                     continue;
                 }
                 let alpha: f64 = self.cols[j].iter().map(|&(i, a)| self.rho[i] * a).sum();
+                largest = largest.max(alpha.abs());
                 let a = if below { -alpha } else { alpha };
                 let eligible = match self.status[j] {
-                    VarStatus::AtLower => a > PIVOT_TOL,
-                    VarStatus::AtUpper => a < -PIVOT_TOL,
-                    _ => a.abs() > PIVOT_TOL,
+                    VarStatus::AtLower => a > 0.0,
+                    VarStatus::AtUpper => a < 0.0,
+                    _ => a != 0.0,
                 };
                 if !eligible {
                     continue;
                 }
-                // A reduced cost on the wrong side (the start was not
-                // quite dual feasible) counts as zero; the primal
-                // clean-up prices it again.
-                let ratio = self.reduced_cost(j) / a;
-                let ratio = if self.status[j] == VarStatus::FreeZero {
-                    ratio.abs()
+                // |d_j| on the side of its bound; a reduced cost on the
+                // wrong side (the start was not quite dual feasible)
+                // counts as zero, and the primal clean-up prices it again.
+                let d = self.reduced_cost(j);
+                let d = if self.status[j] == VarStatus::FreeZero {
+                    d.abs()
                 } else {
-                    ratio.max(0.0)
+                    (d * a.signum()).max(0.0)
                 };
-                let better = entering.map_or(true, |(_, best, size)| {
-                    ratio < best - TOL || (ratio < best + TOL && a.abs() > size)
-                });
-                if better {
-                    entering = Some((j, ratio, a.abs()));
+                self.candidates.push((j, d, a.abs()));
+            }
+            let tol = pivot_tol(largest);
+            let candidates = self.candidates.iter().filter(|c| c.2 > tol);
+            let relaxed =
+                candidates.clone().fold(f64::INFINITY, |t, &(_, d, a)| t.min((d + TOL) / a));
+            let mut entering: Option<(usize, f64)> = None; // (var, |a|)
+            for &(j, d, a) in candidates {
+                if d / a <= relaxed && entering.map_or(true, |(_, size)| a > size) {
+                    entering = Some((j, a));
                 }
             }
-            let Some((q, _, _)) = entering else {
+            let Some((q, _)) = entering else {
                 // No column can move x_B[r] toward its bound: the row
                 // proves infeasibility, unless the violation is within
                 // what phase 1 would accept — then the cold solve decides.
@@ -1014,9 +1176,10 @@ impl<'a> Simplex<'a> {
             }
             let leaving = self.basis[r];
             let bound = if below { self.lower[leaving] } else { self.upper[leaving] };
-            self.counters.dual_pivots += 1;
-            if !self.pivot(r, q, (self.xb[r] - bound) / w_r, below) {
-                return (Status::NotConverged, pivots);
+            match self.pivot(r, q, (self.xb[r] - bound) / w_r, below) {
+                Pivot::Updated | Pivot::Rebuilt => self.counters.dual_pivots += 1,
+                Pivot::Refused => {}
+                Pivot::Singular => return (Status::NotConverged, pivots),
             }
         }
     }
@@ -1524,6 +1687,53 @@ mod tests {
         assert_eq!(s.status, Status::NotConverged);
         assert!(s.x.is_empty());
         assert!(not_converged_total() > before);
+    }
+
+    /// UC1 P2 as the kernel sees it at the benchmark's size: an L1
+    /// regression of a PV series on temperature and hour over `points`
+    /// hours (2·points rows), `b0 + b1·out + b2·hour` free, one free error
+    /// per point. The three coefficient columns are dense and stay basic.
+    fn l1_fit(points: usize, seed: u64) -> Problem {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = Problem::minimize(3 + points);
+        p.set_objective((0..points).map(|i| (3 + i, 1.0)).collect());
+        for i in 0..points {
+            let hour = (i % 24) as f64;
+            let day = (i / 24) as f64;
+            let out = 10.0 - 12.0 * ((day + 10.0) * std::f64::consts::TAU / 365.0).cos()
+                + 4.0 * ((hour - 14.0) * std::f64::consts::TAU / 24.0).cos()
+                + rng.gen_range(-1.5..1.5);
+            let sun = (-((hour - 12.5) / 3.5f64).powi(2)).exp();
+            let pv = 420.0 * sun * (0.6 + 0.4 * rng.gen::<f64>());
+            let pv = if (6.0..20.0).contains(&hour) { pv } else { 0.0 };
+            let fit = |s: f64| vec![(0, 1.0), (1, out), (2, hour), (3 + i, s)];
+            p.add_constraint(fit(-1.0), Rel::Le, pv);
+            p.add_constraint(fit(1.0), Rel::Ge, pv);
+        }
+        p
+    }
+
+    #[test]
+    fn the_l1_fit_refactorizes_rarely() {
+        // A product-form eta per pivot made every eta dense here and asked
+        // for a factorization every nine pivots. The crash factorizes
+        // twice; after it the Forrest–Tomlin updates run until the R file
+        // reaches half the factor.
+        for seed in 1..=6 {
+            let p = l1_fit(120, seed);
+            let mut t = Simplex::new(&p);
+            let s = t.solve();
+            assert!(s.is_optimal());
+            let c = t.counters();
+            assert!(
+                c.refactorizations <= 2 + s.iterations / 20,
+                "seed {seed}: {} refactorizations over {} pivots",
+                c.refactorizations,
+                s.iterations
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub type StepHook = Arc<dyn Fn(&StepCell<'_>, &Value) -> Option<Value> + Send + 
 
 /// The relation a CTE name is bound to, in the form its producer made
 /// it: rows, or the batches a planned body returned. A planned scan takes
-/// the batches as they are ([`Binding::scan`]); they become rows once,
+/// the batches as they are (`Binding::scan`); they become rows once,
 /// when a row reader first asks ([`Binding::table`]), and are dropped
 /// then — a binding holds one form, never both.
 pub struct Binding {
@@ -777,6 +777,8 @@ impl Database {
             self.writing(name);
             self.relations_mut().tables.remove(name);
             self.emit(CatalogMutation::DropTable { name: name.to_string() });
+        } else if self.relations.views.contains_key(name) && !if_exists {
+            return Err(Error::catalog(format!("relation '{name}' is a view")));
         } else if !if_exists {
             return Err(Error::catalog(format!("table '{name}' does not exist")));
         }
@@ -899,6 +901,8 @@ impl Database {
             self.writing(name);
             self.relations_mut().views.remove(name);
             self.emit(CatalogMutation::DropView { name: name.to_string() });
+        } else if self.relations.tables.contains_key(name) && !if_exists {
+            return Err(Error::catalog(format!("relation '{name}' is not a view")));
         } else if !if_exists {
             return Err(Error::catalog(format!("view '{name}' does not exist")));
         }

@@ -11,11 +11,11 @@
 //! `reproduce executor` get their second opinion.
 //! Everything else here has one implementation that both use: the
 //! assembly of set operations and `VALUES`, the recursion loop, the
-//! order of two sort keys ([`key_order`]; the planner sorts row indices
-//! by it, [`sort_keyed`] rows), [`AggState`], the `ON` / `USING` key
+//! order of two sort keys (`key_order`; the planner sorts row indices
+//! by it, `sort_keyed` rows), `AggState`, the `ON` / `USING` key
 //! extraction.
 //!
-//! The recursion loop ([`run_recursive_cte`]) steps a planned term three
+//! The recursion loop (`run_recursive_cte`) steps a planned term three
 //! ways, chosen per step from what it can see: a one-row working table
 //! on the plan's row pipeline (`IteratedPlan::step_row`), any other on
 //! the batch operators (`IteratedPlan::step`), and a term that has no
@@ -94,7 +94,7 @@ fn with_ctes<'c>(
 }
 
 /// Execute a query: `WITH` members first, then the body — a `SELECT`
-/// block through [`run_select_planned`], anything else assembled here from
+/// block through `run_select_planned`, anything else assembled here from
 /// what its arms return, with the query's ORDER BY and LIMIT applied to
 /// the result. Returns the optimized-plan fingerprint when the body is a
 /// planned `SELECT`. `trace`, when given, receives per-operator spans

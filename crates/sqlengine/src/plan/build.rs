@@ -13,7 +13,7 @@
 //!   row of `a` is pushed onto `b`'s scan like `b.id = 7`. A view or FROM
 //!   subquery of such a block may read the row too; it is scanned as
 //!   [`ScanSource::Derived`] — run by every execution, never while
-//!   planning, with [`query_schema`]'s schema — instead of being captured.
+//!   planning, with `query_schema`'s schema — instead of being captured.
 //! - *No FROM* is a scan of [`ScanSource::OneRow`].
 //! - *`USING (c, …)`* is the hash join on the two sides' columns of those
 //!   names (both columns stay in the output).

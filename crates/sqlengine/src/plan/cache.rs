@@ -32,7 +32,7 @@
 //! relation changing. A CTE environment belongs to one statement, and
 //! so do these plans: they sit in a map of their own that the statement
 //! layer empties when the statement ends
-//! ([`Database::end_statement`]). Within the statement they are
+//! (`Database::end_statement`). Within the statement they are
 //! what lets a black-box solver plan its objective and simulation
 //! relations once and re-execute them per candidate, and lets the
 //! symbolic passes of one `SOLVESELECT` share their plans.

@@ -20,12 +20,12 @@
 //! wherever an output column is an input column.
 //!
 //! A plan holds CTEs as *slots* resolved at execute time, so one plan
-//! can run against many bindings. [`IteratedPlan`] is that loop for a
+//! can run against many bindings. `IteratedPlan` is that loop for a
 //! recursive CTE: each step reads the working table as the batches the
 //! previous step produced, and everything the working table does not
 //! feed — whole subtrees and hash-join build sides — runs once. Where
 //! the working table reaches the root through one path of row-at-a-time
-//! operators over those kept sides (the [`Spine`]), a step whose working
+//! operators over those kept sides (the `Spine`), a step whose working
 //! table is a single row evaluates that path on scalars instead of on
 //! one-row batches; any other step, and any other plan, runs the batch
 //! operators.

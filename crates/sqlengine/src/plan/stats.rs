@@ -11,7 +11,7 @@
 //!
 //! A column's distinct count is estimated the first time an estimate
 //! reads it — only a pushed predicate or a join edge does — from the
-//! first [`SAMPLE_ROWS`] rows of the version, which the reader passes in
+//! first `SAMPLE_ROWS` rows of the version, which the reader passes in
 //! (a stored table's first chunk): the statistics hold no rows, so they
 //! never stand in the way of an in-place write. Most scans are read by no
 //! estimate and count nothing.
@@ -54,7 +54,7 @@ impl TableStats {
     }
 
     /// Distinct estimate for column `col`, from `sample`, the first
-    /// [`SAMPLE_ROWS`] rows (or all of them) of the version these
+    /// `SAMPLE_ROWS` rows (or all of them) of the version these
     /// statistics describe (≥ 1.0 for non-empty tables), estimated on
     /// first read. A column out of range (synthetic relations) defaults
     /// to a third of the rows.

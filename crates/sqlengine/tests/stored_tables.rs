@@ -296,3 +296,38 @@ fn a_view_never_replaces_a_table() {
     execute_sql(&mut db, "CREATE VIEW v AS SELECT 1 AS b").unwrap();
     execute_sql(&mut db, "CREATE OR REPLACE VIEW v AS SELECT 2 AS b").unwrap();
 }
+
+/// DROP TABLE of a view and DROP VIEW of a table name the kind that is
+/// there, as `stored_table` and `create_view` do; with IF EXISTS neither
+/// does anything. The bad-corpus scripts stop at that statement with that
+/// text.
+#[test]
+fn dropping_the_wrong_kind_of_relation_says_which_kind_it_is() {
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scripts/bad/");
+    for (script, stmt, text) in [
+        ("drop_table_of_view.sql", "DROP TABLE v", "relation 'v' is a view"),
+        ("drop_view_of_table.sql", "DROP VIEW t", "relation 't' is not a view"),
+    ] {
+        let sql = std::fs::read_to_string(format!("{bad}{script}")).unwrap();
+        let mut db = Database::new();
+        let mut failed = None;
+        for st in sql.split(';').map(str::trim).filter(|s| !s.is_empty()) {
+            let body: String = st
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("--"))
+                .collect::<Vec<_>>()
+                .join("\n");
+            if let Err(e) = execute_sql(&mut db, &body) {
+                failed = Some((body, e.to_string()));
+                break;
+            }
+        }
+        let (body, err) = failed.unwrap_or_else(|| panic!("{script} runs to the end"));
+        assert_eq!(body, stmt, "{script}");
+        assert_eq!(err, format!("catalog error: {text}"), "{script}");
+    }
+    let mut db = Database::new();
+    execute_script(&mut db, "CREATE VIEW v AS SELECT 1 AS a; CREATE TABLE t (a INT)").unwrap();
+    execute_script(&mut db, "DROP TABLE IF EXISTS v; DROP VIEW IF EXISTS t").unwrap();
+    assert!(db.view("v").is_some() && db.has_table("t"));
+}
