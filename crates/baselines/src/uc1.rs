@@ -204,7 +204,7 @@ pub fn p4_symbolic_mpt(
     outer.minimize(SymExpr::sum(obj).add(SymExpr::constant(p1.objective_constant)));
     for c in &p1.constraints {
         let lhs = SymExpr::sum(
-            c.coeffs.iter().map(|&(j, v)| SymExpr::var(order1[j].clone()).scale(v)).collect(),
+            c.coeffs().iter().map(|&(j, v)| SymExpr::var(order1[j].clone()).scale(v)).collect(),
         );
         outer.constrain(lhs, c.rel, SymExpr::constant(c.rhs));
     }

@@ -937,9 +937,9 @@ pub fn kernel_rows(s: &Session, sql: &str) -> [Vec<usize>; 2] {
     let ctes = sqlengine::Ctes::new();
     let prob = solvedbplus_core::build_problem(s.db(), &ctes, &stmt).or_die("problem");
     let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
-    let (low, propagated) = (model.lowered(), model.propagated());
-    let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
-    let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs.len()).collect();
+    let low = model.lowered();
+    let pre = reduce_with(&low.problem, model.propagated().clone());
+    let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs().len()).collect();
     [rows(&pre.reduced), rows(&low.problem)]
 }
 

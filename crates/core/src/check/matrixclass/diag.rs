@@ -157,16 +157,17 @@ fn sd024_set_over_continuous(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>)
     let is_binary = |j: usize| p.integer[j] && p.lower[j] == 0.0 && p.upper[j] == 1.0;
     let mut found: Vec<String> = Vec::new();
     for (i, c) in p.constraints.iter().enumerate() {
-        if c.coeffs.len() < 2 || c.rhs != 1.0 {
+        let terms = c.coeffs();
+        if terms.len() < 2 || c.rhs != 1.0 {
             continue;
         }
-        if c.coeffs.iter().any(|&(j, _)| j >= low.decisions) {
+        if terms.iter().any(|&(j, _)| j >= low.decisions) {
             continue;
         }
-        if !c.coeffs.iter().all(|&(_, a)| a == 1.0) {
+        if !terms.iter().all(|&(_, a)| a == 1.0) {
             continue;
         }
-        if c.coeffs.iter().all(|&(j, _)| is_binary(j)) {
+        if terms.iter().all(|&(j, _)| is_binary(j)) {
             continue; // the genuine set row; SD020 counted it
         }
         found.push(format!("'{}' (rule {})", render_lp_row(m, i), row_rule(m, i)));
@@ -193,7 +194,7 @@ fn sd025_oversized_item(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut V
         if a.row_classes.get(i) != Some(&RowClass::Knapsack) {
             continue;
         }
-        for &(j, w) in &c.coeffs {
+        for &(j, w) in c.coeffs() {
             // Nonnegative variable with weight above capacity: any
             // positive value violates the row on its own.
             if w > c.rhs && p.lower[j] >= 0.0 {

@@ -10,7 +10,7 @@
 //! never be retracted by more constraints.
 
 use super::super::{capped, LINEAR_SOLVERS, MAX_PER_CODE};
-use super::{Activity, Infeasibility, RowRel};
+use super::{intervals_of, Activity, Infeasibility, Row};
 use crate::compile::CompiledModel;
 use crate::explain::{render_atom, render_lp_row, var_name};
 use crate::symbolic::Rel;
@@ -65,7 +65,7 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     // matrix, its rows — atoms and auxiliary definitions; ranges this
     // wide destroy pivot accuracy).
     let (mut min_abs, mut max_abs) = (f64::INFINITY, 0.0f64);
-    for &(_, c) in low.problem.constraints.iter().flat_map(|c| &c.coeffs) {
+    for &(_, c) in low.problem.constraints.iter().flat_map(|c| c.coeffs()) {
         min_abs = min_abs.min(c.abs());
         max_abs = max_abs.max(c.abs());
     }
@@ -95,37 +95,36 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
     let mut forcing: Vec<String> = Vec::new();
     let mut redundant: Vec<String> = Vec::new();
     let mut noop_singleton: Vec<String> = Vec::new();
-    let propagated = m.propagated();
-    let declared = &propagated.model.intervals;
-    for (i, row) in propagated.model.rows.iter().enumerate() {
+    let declared = intervals_of(&low.problem);
+    for (i, row) in low.problem.constraints.iter().map(Row::of).enumerate() {
         // A constant atom (handled above), or an auxiliary definition (no
         // constraint the user wrote).
-        if row.coeffs.is_empty() || i >= low.atom_of_row.len() {
+        if row.is_empty() || i >= low.atom_of_row.len() {
             continue;
         }
-        let act = Activity::of(row, declared);
+        let act = Activity::of(row, &declared);
         let (minact, maxact) = (act.min(), act.max());
         let tol = super::FEAS * (1.0 + row.rhs.abs());
-        if let [(j, c)] = row.coeffs[..] {
+        if let Some((j, c)) = row.single() {
             // Only singleton *equalities* are rows (inequalities are
             // declared bounds). Pinning a cell is idiomatic — flag just
             // the no-op case where the declared bounds already say the
             // same thing.
             let iv = declared[j];
-            if row.rel == RowRel::Eq && iv.is_point() && (iv.lo - row.rhs / c).abs() <= tol {
+            if row.eq && iv.is_point() && (iv.lo - row.rhs / c).abs() <= tol {
                 noop_singleton.push(row_label(i));
             }
             continue;
         }
-        match row.rel {
-            RowRel::Le => {
+        match row.eq {
+            false => {
                 if maxact <= row.rhs + tol {
                     redundant.push(row_label(i));
                 } else if minact.is_finite() && minact >= row.rhs - tol {
                     forcing.push(row_label(i));
                 }
             }
-            RowRel::Eq => {
+            true => {
                 let pinned_lo = minact.is_finite() && (minact - row.rhs).abs() <= tol;
                 let pinned_hi = maxact.is_finite() && (maxact - row.rhs).abs() <= tol;
                 if pinned_lo && pinned_hi {
@@ -137,14 +136,14 @@ pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
         }
     }
 
-    let out = &propagated.outcome;
+    let out = m.propagated();
 
     // SD008 — propagation proves the model infeasible.
     if let Some(inf) = &out.infeasible {
         let detail = match inf {
             // A violated constant row is SD004's finding, already made.
             Infeasibility::RowActivity { row, .. }
-                if propagated.model.rows[*row].coeffs.is_empty() =>
+                if low.problem.constraints[*row].coeffs().is_empty() =>
             {
                 return;
             }

@@ -1,10 +1,14 @@
 //! Abstract-interpretation presolve over compiled models.
 //!
 //! The analyzer of this module runs a fixpoint *interval analysis* over
-//! a linear model: every variable carries an interval (its known
-//! bounds), and constraint rows repeatedly tighten those intervals via
-//! activity-based bound propagation until nothing improves. The
-//! reduction log the fixpoint leaves behind powers two consumers:
+//! the [`lp::Problem`] a model lowers to, as it is: every variable
+//! carries an interval (its declared bounds to start with), and the
+//! problem's own rows, read in place through [`Row`] (a `>=` row through
+//! a sign of −1, as a `<=` row), repeatedly tighten those intervals via
+//! activity-based bound propagation until nothing improves. No pass of
+//! this module copies the rows to read them; the reducer rewrites only
+//! the live ones it hands on. The reduction log the fixpoint leaves
+//! behind powers two consumers:
 //!
 //! - **diagnostics** ([`diag`]): SD008–SD012 findings rendered through
 //!   `EXPLAIN CHECK` — propagation-proven infeasibility, implied-fixed
@@ -85,48 +89,47 @@ impl Interval {
     }
 }
 
-/// Row sense after normalization (`>=` rows are negated into `<=`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowRel {
-    Le,
-    Eq,
-}
-
-/// One linear row `sum(coeffs) ⋈ rhs` with merged, nonzero
-/// coefficients.
-#[derive(Debug, Clone)]
-pub struct Row {
-    pub coeffs: Vec<(usize, f64)>,
-    pub rel: RowRel,
+/// Row `i` of an [`lp::Problem`] as every pass of this module reads it:
+/// a `>=` row through a sign of −1, as the `<=` row it negates to. The
+/// negation is exact in floating point, so the view needs no copy of
+/// the row, and the coefficients are the row's canonical ones
+/// ([`lp::Constraint`]): ascending columns, one entry each, no zeros.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    coeffs: &'a [(usize, f64)],
+    sign: f64,
+    /// `=` (else `<=`).
+    pub eq: bool,
     pub rhs: f64,
 }
 
-/// Bring a sparse coefficient list into the form [`Row`] promises and
-/// every pass of this module reads: ascending column order, one entry
-/// per column (duplicates summed in list order), no zeros. A list that
-/// is already in that form — every row the compiler lowers — costs one
-/// scan.
-fn sort_and_merge(coeffs: &mut Vec<(usize, f64)>) {
-    let canonical = coeffs.windows(2).all(|w| w[0].0 < w[1].0);
-    if !canonical {
-        coeffs.sort_by_key(|&(j, _)| j);
-        coeffs.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 += later.1;
-            }
-            same
-        });
+impl<'a> Row<'a> {
+    pub fn of(c: &'a lp::Constraint) -> Row<'a> {
+        let sign = if c.rel == lp::Rel::Ge { -1.0 } else { 1.0 };
+        Row { coeffs: c.coeffs(), sign, eq: c.rel == lp::Rel::Eq, rhs: sign * c.rhs }
     }
-    coeffs.retain(|&(_, c)| c != 0.0);
+
+    /// The `(column, coefficient)` terms, signed.
+    pub fn terms(self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        self.coeffs.iter().map(move |&(j, c)| (j, self.sign * c))
+    }
+
+    /// The one term of a singleton row, signed.
+    pub fn single(self) -> Option<(usize, f64)> {
+        match self.coeffs {
+            &[(j, c)] => Some((j, self.sign * c)),
+            _ => None,
+        }
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.coeffs.is_empty()
+    }
 }
 
-/// The abstract model the fixpoint runs over.
-#[derive(Debug, Clone, Default)]
-pub struct Model {
-    pub intervals: Vec<Interval>,
-    pub integer: Vec<bool>,
-    pub rows: Vec<Row>,
+/// The declared bounds of `p` as intervals.
+pub fn intervals_of(p: &lp::Problem) -> Vec<Interval> {
+    (0..p.num_vars).map(|j| Interval::new(p.lower[j], p.upper[j])).collect()
 }
 
 /// Why a variable got fixed.
@@ -236,9 +239,9 @@ struct Activity {
 }
 
 impl Activity {
-    fn of(row: &Row, iv: &[Interval]) -> Activity {
+    fn of(row: Row, iv: &[Interval]) -> Activity {
         let mut a = Activity { min_fin: 0.0, max_fin: 0.0, min_inf: 0, max_inf: 0 };
-        for &(j, c) in &row.coeffs {
+        for (j, c) in row.terms() {
             let (lo, hi) = contrib(c, iv[j]);
             if lo == f64::NEG_INFINITY {
                 a.min_inf += 1;
@@ -292,9 +295,9 @@ impl Activity {
 }
 
 /// The propagation state while the fixpoint runs.
-struct Engine {
+struct Engine<'a> {
     iv: Vec<Interval>,
-    integer: Vec<bool>,
+    integer: &'a [bool],
     live: Vec<bool>,
     /// Variables whose fixing has already been logged (or that entered
     /// the analysis already fixed, which is not a reduction).
@@ -310,22 +313,23 @@ struct Engine {
     visited: Vec<u64>,
 }
 
-impl Engine {
-    /// The state before the first pass: the model's intervals, the
-    /// variables it fixed itself noted, integer bounds snapped inward.
-    fn new(model: &Model) -> Engine {
-        let n = model.intervals.len();
+impl<'a> Engine<'a> {
+    /// The state before the first pass: the problem's bounds as
+    /// intervals, the variables it fixed itself noted, integer bounds
+    /// snapped inward.
+    fn new(p: &'a lp::Problem) -> Engine<'a> {
+        let n = p.num_vars;
         let mut eng = Engine {
-            iv: model.intervals.clone(),
-            integer: model.integer.clone(),
-            live: vec![true; model.rows.len()],
+            iv: intervals_of(p),
+            integer: &p.integer,
+            live: vec![true; p.constraints.len()],
             fix_noted: vec![false; n],
             log: Vec::new(),
             infeasible: None,
             changed: false,
             visits: 0,
             written: vec![0; n],
-            visited: vec![0; model.rows.len()],
+            visited: vec![0; p.constraints.len()],
         };
         // Variables that enter as points were fixed by the caller, not by
         // this analysis; don't log them as reductions.
@@ -373,7 +377,7 @@ impl Engine {
     /// Row ri was visited, and none of its variables has been written
     /// since that visit began: a visit now would read the intervals the
     /// last one read and, as that one did, change nothing.
-    fn is_clean(&self, ri: usize, row: &Row) -> bool {
+    fn is_clean(&self, ri: usize, row: Row) -> bool {
         let since = self.visited[ri];
         since != 0 && row.coeffs.iter().all(|&(j, _)| self.written[j] < since)
     }
@@ -446,50 +450,46 @@ impl Engine {
     }
 
     /// One propagation visit of a live row.
-    fn visit(&mut self, ri: usize, row: &Row) {
+    fn visit(&mut self, ri: usize, row: Row) {
         self.visits += 1;
         self.visited[ri] = self.visits;
         // Structural degenerate shapes first.
-        match row.coeffs.len() {
-            0 => {
-                let sat = match row.rel {
-                    RowRel::Le => 0.0 <= row.rhs + Self::feas_tol(row.rhs),
-                    RowRel::Eq => row.rhs.abs() <= Self::feas_tol(row.rhs),
-                };
-                if sat {
-                    self.drop_row(ri, DropCause::Empty);
-                } else {
-                    self.infeasible.get_or_insert(Infeasibility::RowActivity {
-                        row: ri,
-                        minact: 0.0,
-                        maxact: 0.0,
-                    });
-                }
-                return;
+        if row.is_empty() {
+            let sat = match row.eq {
+                false => 0.0 <= row.rhs + Self::feas_tol(row.rhs),
+                true => row.rhs.abs() <= Self::feas_tol(row.rhs),
+            };
+            if sat {
+                self.drop_row(ri, DropCause::Empty);
+            } else {
+                self.infeasible.get_or_insert(Infeasibility::RowActivity {
+                    row: ri,
+                    minact: 0.0,
+                    maxact: 0.0,
+                });
             }
-            1 => {
-                let (j, c) = row.coeffs[0];
-                let b = row.rhs / c;
-                match row.rel {
-                    RowRel::Le if c > 0.0 => self.tighten_upper(j, b, FixCause::Propagation),
-                    RowRel::Le => self.tighten_lower(j, b, FixCause::Propagation),
-                    RowRel::Eq => {
-                        if !self.iv[j].contains(b, Self::feas_tol(b)) {
-                            self.infeasible.get_or_insert(Infeasibility::EmptyBounds { var: j });
-                            return;
-                        }
-                        self.stamp(j);
-                        self.iv[j] = Interval::point(b);
-                        self.changed = true;
-                        self.note_fix(j, FixCause::SingletonRow);
+            return;
+        }
+        if let Some((j, c)) = row.single() {
+            let b = row.rhs / c;
+            match row.eq {
+                false if c > 0.0 => self.tighten_upper(j, b, FixCause::Propagation),
+                false => self.tighten_lower(j, b, FixCause::Propagation),
+                true => {
+                    if !self.iv[j].contains(b, Self::feas_tol(b)) {
+                        self.infeasible.get_or_insert(Infeasibility::EmptyBounds { var: j });
+                        return;
                     }
+                    self.stamp(j);
+                    self.iv[j] = Interval::point(b);
+                    self.changed = true;
+                    self.note_fix(j, FixCause::SingletonRow);
                 }
-                if self.infeasible.is_none() {
-                    self.drop_row(ri, DropCause::Singleton);
-                }
-                return;
             }
-            _ => {}
+            if self.infeasible.is_none() {
+                self.drop_row(ri, DropCause::Singleton);
+            }
+            return;
         }
 
         let act = Activity::of(row, &self.iv);
@@ -497,8 +497,8 @@ impl Engine {
         let ftol = Self::feas_tol(row.rhs);
 
         // Classify the whole row.
-        match row.rel {
-            RowRel::Le => {
+        match row.eq {
+            false => {
                 if minact > row.rhs + ftol {
                     self.infeasible.get_or_insert(Infeasibility::RowActivity {
                         row: ri,
@@ -514,7 +514,7 @@ impl Engine {
                 if minact.is_finite() && minact >= row.rhs - ftol {
                     // Forcing: the row holds only with every term at its
                     // activity-minimizing bound.
-                    for &(j, c) in &row.coeffs {
+                    for (j, c) in row.terms() {
                         let v = if c > 0.0 { self.iv[j].lo } else { self.iv[j].hi };
                         self.stamp(j);
                         self.iv[j] = Interval::point(v);
@@ -524,7 +524,7 @@ impl Engine {
                     return;
                 }
             }
-            RowRel::Eq => {
+            true => {
                 if minact > row.rhs + ftol || maxact < row.rhs - ftol {
                     self.infeasible.get_or_insert(Infeasibility::RowActivity {
                         row: ri,
@@ -547,7 +547,7 @@ impl Engine {
 
         // Residual-activity bound tightening: for each term,
         // c·x_j ⋈ rhs − activity(others).
-        for &(j, c) in &row.coeffs {
+        for (j, c) in row.terms() {
             let (own_min, own_max) = contrib(c, self.iv[j]);
             if let Some(res_min) = act.residual_min(own_min) {
                 let b = (row.rhs - res_min) / c;
@@ -557,7 +557,7 @@ impl Engine {
                     self.tighten_lower(j, b, FixCause::Propagation);
                 }
             }
-            if row.rel == RowRel::Eq {
+            if row.eq {
                 if let Some(res_max) = act.residual_max(own_max) {
                     let b = (row.rhs - res_max) / c;
                     if c > 0.0 {
@@ -574,17 +574,18 @@ impl Engine {
     }
 }
 
-/// Run the interval fixpoint over a model, producing final intervals,
-/// fixings, surviving rows and the reduction log. Each pass visits the
-/// live rows in order and skips a row none of whose variables moved
-/// since its last visit began (such a visit is a no-op); the fixpoint
-/// ends after a pass that changed nothing, or after `MAX_PASSES`.
-pub fn propagate(model: &Model) -> Outcome {
-    let mut eng = Engine::new(model);
+/// Run the interval fixpoint over a problem's rows and bounds, producing
+/// final intervals, fixings, surviving rows and the reduction log. Each
+/// pass visits the live rows in order and skips a row none of whose
+/// variables moved since its last visit began (such a visit is a
+/// no-op); the fixpoint ends after a pass that changed nothing, or
+/// after `MAX_PASSES`.
+pub fn propagate(p: &lp::Problem) -> Outcome {
+    let mut eng = Engine::new(p);
     let mut passes = 0;
     while eng.infeasible.is_none() && passes < MAX_PASSES {
         eng.changed = false;
-        for (ri, row) in model.rows.iter().enumerate() {
+        for (ri, row) in p.constraints.iter().map(Row::of).enumerate() {
             if !eng.live[ri] || eng.is_clean(ri, row) {
                 continue;
             }
@@ -608,17 +609,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn model(intervals: Vec<Interval>, rows: Vec<Row>) -> Model {
-        let n = intervals.len();
-        Model { intervals, integer: vec![false; n], rows }
+    fn model(intervals: Vec<Interval>, rows: Vec<lp::Constraint>) -> lp::Problem {
+        let mut p = lp::Problem::minimize(intervals.len());
+        for (j, iv) in intervals.into_iter().enumerate() {
+            p.set_bounds(j, iv.lo, iv.hi);
+        }
+        p.constraints = rows;
+        p
     }
 
-    fn le(coeffs: Vec<(usize, f64)>, rhs: f64) -> Row {
-        Row { coeffs, rel: RowRel::Le, rhs }
+    fn le(coeffs: Vec<(usize, f64)>, rhs: f64) -> lp::Constraint {
+        lp::Constraint::new(coeffs, lp::Rel::Le, rhs)
     }
 
-    fn eq(coeffs: Vec<(usize, f64)>, rhs: f64) -> Row {
-        Row { coeffs, rel: RowRel::Eq, rhs }
+    fn eq(coeffs: Vec<(usize, f64)>, rhs: f64) -> lp::Constraint {
+        lp::Constraint::new(coeffs, lp::Rel::Eq, rhs)
     }
 
     #[test]
@@ -749,6 +754,15 @@ mod tests {
     }
 
     #[test]
+    fn a_ge_row_reads_as_the_le_row_it_negates_to() {
+        let c = lp::Constraint::new(vec![(0, 1.0), (0, 1.0), (1, 0.0)], lp::Rel::Ge, 4.0);
+        let row = Row::of(&c);
+        assert!(!row.eq);
+        assert_eq!(row.terms().collect::<Vec<_>>(), [(0, -2.0)]);
+        assert_eq!(row.rhs, -4.0);
+    }
+
+    #[test]
     fn counts_aggregate_the_log() {
         let m = model(
             vec![Interval::new(0.0, 10.0), Interval::new(0.0, 1.0)],
@@ -762,12 +776,12 @@ mod tests {
 
     /// The fixpoint [`propagate`] replaced: every live row visited on
     /// every pass.
-    fn propagate_every_row(model: &Model) -> Outcome {
-        let mut eng = Engine::new(model);
+    fn propagate_every_row(p: &lp::Problem) -> Outcome {
+        let mut eng = Engine::new(p);
         let mut passes = 0;
         while eng.infeasible.is_none() && passes < MAX_PASSES {
             eng.changed = false;
-            for (ri, row) in model.rows.iter().enumerate() {
+            for (ri, row) in p.constraints.iter().map(Row::of).enumerate() {
                 if !eng.live[ri] {
                     continue;
                 }
@@ -789,7 +803,7 @@ mod tests {
     /// singleton and longer, a fifth of them forcing (the right-hand side
     /// at the least activity the box allows), chained through shared
     /// variables so that propagation runs several passes.
-    fn random_model(seed: u64) -> Model {
+    fn random_model(seed: u64) -> lp::Problem {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(1..=8usize);
         let mut intervals = Vec::with_capacity(n);
@@ -831,16 +845,18 @@ mod tests {
                     (j, c)
                 })
                 .collect();
-            let rel = if rng.gen_bool(0.6) { RowRel::Le } else { RowRel::Eq };
+            let rel = if rng.gen_bool(0.6) { lp::Rel::Le } else { lp::Rel::Eq };
             let min_activity: f64 = coeffs.iter().map(|&(j, c)| contrib(c, intervals[j]).0).sum();
             let rhs = if rng.gen_bool(0.2) && min_activity.is_finite() {
                 min_activity
             } else {
                 rng.gen_range(-15..=15) as f64 / 2.0
             };
-            rows.push(Row { coeffs, rel, rhs });
+            rows.push(lp::Constraint::new(coeffs, rel, rhs));
         }
-        Model { intervals, integer, rows }
+        let mut p = model(intervals, rows);
+        p.integer = integer;
+        p
     }
 
     proptest! {

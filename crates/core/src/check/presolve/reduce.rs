@@ -1,12 +1,14 @@
-//! Model reduction for `lp::Problem`: run the interval fixpoint, build
-//! a smaller problem (fixed variables substituted out, redundant and
-//! singleton rows removed, bounds tightened, free columns substituted
-//! out of two-entry equalities), and un-crush solutions of the reduced
-//! problem back into the original variable space.
+//! Model reduction for `lp::Problem`: run the interval fixpoint over the
+//! problem's own rows, build a smaller problem from its outcome (fixed
+//! variables substituted out, redundant and singleton rows removed,
+//! bounds tightened, free columns substituted out of two-entry
+//! equalities), and un-crush solutions of the reduced problem back into
+//! the original variable space. The only rows this module copies are the
+//! live ones it rewrites (`Working`), which become the reduced
+//! problem's.
 
 use super::{
-    contrib, propagate, sort_and_merge, DropCause, FixCause, Infeasibility, Interval, Model,
-    Outcome, Reduction, Row, RowRel,
+    contrib, propagate, DropCause, FixCause, Infeasibility, Interval, Outcome, Reduction, Row,
 };
 use crate::compile::CompiledModel;
 use crate::explain::{render_row, var_name};
@@ -85,32 +87,14 @@ pub fn read_out(stated: &lp::Problem, mut sol: lp::Solution) -> lp::Solution {
     sol
 }
 
-/// Normalize an `lp::Problem` into the abstract [`Model`]: bounds
-/// become intervals, `>=` rows are negated into `<=`, duplicate
-/// coefficients are merged and zeros dropped. Rows keep their original
-/// index so the reduction log stays renderable against the input.
-pub fn model_of(p: &lp::Problem) -> Model {
-    let intervals =
-        (0..p.num_vars).map(|j| Interval::new(p.lower[j], p.upper[j])).collect::<Vec<_>>();
-    let rows = p.constraints.iter().map(row_of).collect();
-    Model { intervals, integer: p.integer.clone(), rows }
-}
-
-fn row_of(c: &lp::Constraint) -> Row {
-    let (mut coeffs, mut rhs) = (c.coeffs.clone(), c.rhs);
-    sort_and_merge(&mut coeffs);
-    let rel = match c.rel {
-        lp::Rel::Le => RowRel::Le,
-        lp::Rel::Eq => RowRel::Eq,
-        lp::Rel::Ge => {
-            for t in &mut coeffs {
-                t.1 = -t.1;
-            }
-            rhs = -rhs;
-            RowRel::Le
-        }
-    };
-    Row { coeffs, rel, rhs }
+/// A live row as the reducer rewrites it: fixed columns substituted
+/// out, then doubletons; a `>=` row as the `<=` row [`Row`] reads it as.
+/// Canonical throughout, as the reduced problem's rows are.
+#[derive(Debug)]
+struct Working {
+    coeffs: Vec<(usize, f64)>,
+    rel: lp::Rel,
+    rhs: f64,
 }
 
 /// Presolve an LP/MIP: propagate intervals to a fixpoint, build the
@@ -120,14 +104,11 @@ fn row_of(c: &lp::Constraint) -> Row {
 /// the surviving box; a row changes only by a multiple of an equality
 /// row), so optimal objective values match.
 pub fn reduce(p: &lp::Problem) -> Presolved {
-    let model = model_of(p);
-    let outcome = propagate(&model);
-    reduce_with(p, &model, outcome)
+    reduce_with(p, propagate(p))
 }
 
-/// [`reduce`], given `model_of(p)` and the fixpoint already reached
-/// over it.
-pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolved {
+/// [`reduce`], given the fixpoint [`propagate`] already reached over `p`.
+pub fn reduce_with(p: &lp::Problem, outcome: Outcome) -> Presolved {
     if outcome.infeasible.is_some() {
         return Presolved {
             outcome,
@@ -146,14 +127,14 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
             None => objective.push((j, c)),
         }
     }
-    let mut rows: Vec<Option<Row>> = Vec::new();
-    for (ri, row) in model.rows.iter().enumerate() {
+    let mut rows: Vec<Option<Working>> = Vec::new();
+    for (ri, row) in p.constraints.iter().map(Row::of).enumerate() {
         if !outcome.live[ri] {
             continue;
         }
-        let mut coeffs = Vec::with_capacity(row.coeffs.len());
+        let mut coeffs = Vec::new();
         let mut rhs = row.rhs;
-        for &(j, c) in &row.coeffs {
+        for (j, c) in row.terms() {
             match outcome.fixed[j] {
                 Some(v) => rhs -= c * v,
                 None => coeffs.push((j, c)),
@@ -161,7 +142,8 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
         }
         // Fully substituted rows are gone: propagation proved they hold.
         if !coeffs.is_empty() {
-            rows.push(Some(Row { coeffs, rel: row.rel, rhs }));
+            let rel = if row.eq { lp::Rel::Eq } else { lp::Rel::Le };
+            rows.push(Some(Working { coeffs, rel, rhs }));
         }
     }
     let mut intervals = outcome.intervals.clone();
@@ -188,12 +170,8 @@ pub fn reduce_with(p: &lp::Problem, model: &Model, outcome: Outcome) -> Presolve
     }
     r.objective_constant = constant;
     r.set_objective(objective.into_iter().map(|(j, c)| (remap[j], c)).collect());
-    for Row { mut coeffs, rel, rhs } in rows.into_iter().flatten() {
+    for Working { mut coeffs, rel, rhs } in rows.into_iter().flatten() {
         coeffs.iter_mut().for_each(|t| t.0 = remap[t.0]);
-        let rel = match rel {
-            RowRel::Le => lp::Rel::Le,
-            RowRel::Eq => lp::Rel::Eq,
-        };
         r.add_constraint(coeffs, rel, rhs);
     }
     Presolved { outcome, reduced: r, kept, substituted }
@@ -211,7 +189,7 @@ const MAX_SCALE: f64 = 1e3;
 /// read it.
 fn substitute_doubletons(
     stated: &lp::Problem,
-    rows: &mut [Option<Row>],
+    rows: &mut [Option<Working>],
     objective: &mut Vec<(usize, f64)>,
     constant: &mut f64,
     intervals: &mut [Interval],
@@ -219,8 +197,8 @@ fn substitute_doubletons(
     let free = |j: usize| {
         !stated.integer[j] && stated.lower[j].is_infinite() && stated.upper[j].is_infinite()
     };
-    let doubleton = |row: &Option<Row>| match row {
-        Some(Row { coeffs, rel: RowRel::Eq, rhs }) if coeffs.len() == 2 => {
+    let doubleton = |row: &Option<Working>| match row {
+        Some(Working { coeffs, rel: lp::Rel::Eq, rhs }) if coeffs.len() == 2 => {
             Some((coeffs[0].0, coeffs[0].1, coeffs[1].0, coeffs[1].1, *rhs))
         }
         _ => None,
@@ -299,17 +277,13 @@ pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
         )];
     }
     let low = m.lowered();
-    let propagated = m.propagated();
-    let pre = reduce_with(&low.problem, &propagated.model, propagated.outcome.clone());
+    let pre = reduce_with(&low.problem, m.propagated().clone());
     let name = |j: usize| var_name(m, low.used[j]);
-    // A normalized engine row back in `alias[row].col` terms.
+    // A row as the engine reads it, back in `alias[row].col` terms.
     let row = |i: usize| {
-        let r = &propagated.model.rows[i];
-        let op = match r.rel {
-            RowRel::Le => "<=",
-            RowRel::Eq => "=",
-        };
-        render_row(m, r.coeffs.iter().map(|&(j, c)| (low.used[j], c)), op, r.rhs)
+        let r = Row::of(&low.problem.constraints[i]);
+        let op = if r.eq { "=" } else { "<=" };
+        render_row(m, r.terms().map(|(j, c)| (low.used[j], c)), op, r.rhs)
     };
 
     let mut lines = Vec::new();
@@ -488,7 +462,7 @@ mod tests {
         // s = (y − 1)/2 in `−x − s <= −3`: `−x − 0.5·y <= −3.5`.
         assert_eq!((pre.kept.as_slice(), pre.reduced.constraints.len()), (&[0, 1][..], 2));
         let row = &pre.reduced.constraints[0];
-        assert_eq!(row.coeffs, [(0, -1.0), (1, -0.5)]);
+        assert_eq!(row.coeffs(), [(0, -1.0), (1, -0.5)]);
         assert_eq!((row.rel, row.rhs), (lp::Rel::Le, -3.5));
         let sol = pre.uncrush_solution(&p, lp::solve(&pre.reduced));
         assert_eq!(sol.status, lp::Status::Optimal);
@@ -562,7 +536,7 @@ mod tests {
         let pre = reduce(&p);
         assert_eq!(pre.substituted.len(), 1);
         let row = &pre.reduced.constraints[0];
-        assert_eq!((row.coeffs.as_slice(), row.rhs), (&[(1, 1.0)][..], 4.0));
+        assert_eq!((row.coeffs(), row.rhs), (&[(1, 1.0)][..], 4.0));
     }
 
     #[test]
@@ -580,14 +554,5 @@ mod tests {
         assert_eq!(read_out(&p, at(vec![3.5, -1e-5, -0.5])).status, lp::Status::NotConverged);
         let infeasible = lp::Solution { status: lp::Status::Infeasible, ..at(vec![]) };
         assert_eq!(read_out(&p, infeasible).status, lp::Status::Infeasible);
-    }
-
-    #[test]
-    fn ge_rows_normalize_and_duplicate_coefficients_merge() {
-        let c = lp::Constraint::new(vec![(0, 1.0), (0, 1.0), (1, 0.0)], lp::Rel::Ge, 4.0);
-        let row = row_of(&c);
-        assert_eq!(row.rel, RowRel::Le);
-        assert_eq!(row.coeffs, vec![(0, -2.0)]);
-        assert_eq!(row.rhs, -4.0);
     }
 }

@@ -29,7 +29,7 @@ pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagn
     let low = m.lowered();
     let p = &low.problem;
     let mut coupled = vec![false; p.num_vars];
-    p.constraints.iter().flat_map(|c| &c.coeffs).for_each(|&(j, _)| coupled[j] = true);
+    p.constraints.iter().flat_map(|c| c.coeffs()).for_each(|&(j, _)| coupled[j] = true);
     for &(j, coef) in &p.objective {
         if coef == 0.0 || coupled[j] {
             continue;

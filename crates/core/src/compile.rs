@@ -10,8 +10,7 @@
 //! *lenient* ones (the analyzer, the explainers) work on whatever did
 //! compile and say what did not.
 
-use crate::check::presolve::reduce::model_of;
-use crate::check::presolve::{propagate, Model, Outcome};
+use crate::check::presolve::{propagate, Outcome};
 use crate::problem::ProblemInstance;
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
 use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, TableRef};
@@ -79,13 +78,6 @@ pub struct Lowered {
     pub atom_of_row: Vec<usize>,
 }
 
-/// Interval propagation over the lowered (unreduced) problem: the
-/// presolve engine's view of it and the fixpoint it reaches.
-pub struct Propagated {
-    pub model: Model,
-    pub outcome: Outcome,
-}
-
 /// The rules of one problem instance, compiled once.
 pub struct CompiledModel<'a> {
     pub prob: &'a ProblemInstance,
@@ -112,7 +104,7 @@ pub struct CompiledModel<'a> {
     /// [`rule_label`] of each SUBJECTTO rule, rendered on first read.
     labels: Vec<OnceLock<String>>,
     lowered: OnceLock<Lowered>,
-    propagated: OnceLock<Propagated>,
+    propagated: OnceLock<Outcome>,
     matrix: OnceLock<lp::matrix::MatrixAnalysis>,
 }
 
@@ -461,12 +453,8 @@ impl CompiledModel<'_> {
     /// Interval propagation over [`CompiledModel::lowered`], run on first
     /// use: the analyzer's SD008–SD011 and `solverlp`'s presolve read
     /// the same fixpoint.
-    pub fn propagated(&self) -> &Propagated {
-        self.propagated.get_or_init(|| {
-            let model = model_of(&self.lowered().problem);
-            let outcome = propagate(&model);
-            Propagated { model, outcome }
-        })
+    pub fn propagated(&self) -> &Outcome {
+        self.propagated.get_or_init(|| propagate(&self.lowered().problem))
     }
 
     /// Matrix classification of [`CompiledModel::lowered`], run on first
@@ -478,7 +466,7 @@ impl CompiledModel<'_> {
             let low = self.lowered();
             let mut a = lp::matrix::analyze(&low.problem);
             for (class, c) in a.row_classes.iter_mut().zip(&low.problem.constraints) {
-                if c.coeffs.iter().any(|&(j, _)| j >= low.decisions) {
+                if c.coeffs().iter().any(|&(j, _)| j >= low.decisions) {
                     *class = lp::matrix::RowClass::General;
                 }
             }

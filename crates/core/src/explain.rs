@@ -195,7 +195,7 @@ pub(crate) fn render_row(
 pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
     let low = m.lowered();
     let c = &low.problem.constraints[i];
-    let terms = c.coeffs.iter().map(|&(j, a)| (low.used[j], a)).collect();
+    let terms = c.coeffs().iter().map(|&(j, a)| (low.used[j], a)).collect();
     let row = m.expand(&LinExpr { constant: 0.0, terms });
     render_row(m, row.terms.into_iter(), c.rel, c.rhs)
 }

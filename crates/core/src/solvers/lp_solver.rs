@@ -46,10 +46,7 @@ impl Solver for LpSolver {
         let pre: Option<Presolved> = presolve_on.then(|| {
             let _span = ctx.trace.map(|t| t.span("presolve"));
             match &lp_prob {
-                Cow::Borrowed(p) => {
-                    let propagated = ctx.model.propagated();
-                    reduce_with(p, &propagated.model, propagated.outcome.clone())
-                }
+                Cow::Borrowed(p) => reduce_with(p, ctx.model.propagated().clone()),
                 Cow::Owned(relaxed) => reduce(relaxed),
             }
         });

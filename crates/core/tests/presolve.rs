@@ -98,7 +98,7 @@ fn kernel_rows(s: &Session, sql: &str) -> [Vec<usize>; 2] {
     let prob = solvedbplus_core::build_problem(s.db(), &ctes, &stmt).unwrap();
     let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
     let lowered = &model.lowered().problem;
-    let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs.len()).collect();
+    let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs().len()).collect();
     [rows(&reduce(lowered).reduced), rows(lowered)]
 }
 

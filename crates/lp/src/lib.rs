@@ -36,19 +36,41 @@ impl fmt::Display for Rel {
     }
 }
 
-/// A linear constraint `sum(coeffs) rel rhs`. Coefficients are sparse
-/// `(variable, coefficient)` pairs; duplicate variables are allowed and
-/// summed.
+/// A linear constraint `sum(coeffs) rel rhs`, its coefficients sparse
+/// `(variable, coefficient)` pairs in one canonical form: column indices
+/// strictly ascending, one entry per column (duplicates summed in the
+/// order they were given), no zero entries. [`Constraint::new`] puts
+/// them in that form and nothing else can write them, so every pass —
+/// presolve, the matrix classification, the simplex tableau, the
+/// search's rounding — reads a row as it is.
 #[derive(Debug, Clone)]
 pub struct Constraint {
-    pub coeffs: Vec<(usize, f64)>,
+    coeffs: Vec<(usize, f64)>,
     pub rel: Rel,
     pub rhs: f64,
 }
 
 impl Constraint {
-    pub fn new(coeffs: Vec<(usize, f64)>, rel: Rel, rhs: f64) -> Constraint {
+    /// A list already in canonical form — every row the SQL compiler
+    /// lowers — costs one scan.
+    pub fn new(mut coeffs: Vec<(usize, f64)>, rel: Rel, rhs: f64) -> Constraint {
+        if !coeffs.windows(2).all(|w| w[0].0 < w[1].0) {
+            coeffs.sort_by_key(|&(j, _)| j);
+            coeffs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+        }
+        coeffs.retain(|&(_, a)| a != 0.0);
         Constraint { coeffs, rel, rhs }
+    }
+
+    /// The coefficients, in canonical form.
+    pub fn coeffs(&self) -> &[(usize, f64)] {
+        &self.coeffs
     }
 }
 
@@ -114,7 +136,8 @@ impl Problem {
     }
 
     /// Every index must name an existing variable, as for
-    /// [`Problem::set_objective`].
+    /// [`Problem::set_objective`]; the row is stored in canonical form
+    /// ([`Constraint::new`]).
     pub fn add_constraint(&mut self, coeffs: Vec<(usize, f64)>, rel: Rel, rhs: f64) {
         debug_assert!(
             coeffs.iter().all(|&(j, _)| j < self.num_vars),
@@ -159,7 +182,7 @@ impl Problem {
             }
         }
         for c in &self.constraints {
-            let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * x[j]).sum();
+            let lhs: f64 = c.coeffs().iter().map(|&(j, a)| a * x[j]).sum();
             let ok = match c.rel {
                 Rel::Le => lhs <= c.rhs + tol,
                 Rel::Ge => lhs >= c.rhs - tol,

@@ -196,36 +196,21 @@ fn flip(rel: Rel) -> Rel {
     }
 }
 
-/// Merge duplicate variables and drop zero coefficients, preserving
-/// ascending variable order.
-fn merged(c: &Constraint) -> Vec<(usize, f64)> {
-    let mut terms: Vec<(usize, f64)> = c.coeffs.clone();
-    terms.sort_unstable_by_key(|&(j, _)| j);
-    let mut out: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
-    for (j, a) in terms {
-        match out.last_mut() {
-            Some((pj, pa)) if *pj == j => *pa += a,
-            _ => out.push((j, a)),
-        }
-    }
-    out.retain(|&(_, a)| a != 0.0);
-    out
-}
-
-/// Classify one row. `terms` is the merged, sorted coefficient list.
-fn classify_row(p: &Problem, terms: &[(usize, f64)], rel: Rel, rhs: f64) -> RowClass {
+/// Classify one row, its terms as they are stored (canonical).
+fn classify_row(p: &Problem, c: &Constraint) -> RowClass {
+    let terms = c.coeffs();
     if terms.is_empty() {
         return RowClass::General;
     }
     // An all-negative row is a negated row (presolve folds Ge into Le
-    // that way); flip it back — multiplying a row by -1 changes neither
-    // its feasible set nor its combinatorial class.
-    if terms.iter().all(|&(_, a)| a < 0.0) {
-        let flipped: Vec<(usize, f64)> = terms.iter().map(|&(j, a)| (j, -a)).collect();
-        return classify_row(p, &flipped, flip(rel), -rhs);
-    }
+    // that way); read it flipped back — multiplying a row by -1 changes
+    // neither its feasible set nor its combinatorial class.
+    let (rel, rhs, sign) = match terms.iter().all(|&(_, a)| a < 0.0) {
+        true => (flip(c.rel), -c.rhs, -1.0),
+        false => (c.rel, c.rhs, 1.0),
+    };
     let all_binary = terms.iter().all(|&(j, _)| is_binary(p, j));
-    let all_ones = terms.iter().all(|&(_, a)| a == 1.0);
+    let all_ones = terms.iter().all(|&(_, a)| sign * a == 1.0);
     let all_pm1 = terms.iter().all(|&(_, a)| a == 1.0 || a == -1.0);
 
     if all_binary && all_ones && terms.len() >= 2 {
@@ -250,7 +235,7 @@ fn classify_row(p: &Problem, terms: &[(usize, f64)], rel: Rel, rhs: f64) -> RowC
     if all_pm1 && rel == Rel::Eq && terms.len() >= 2 {
         return RowClass::FlowBalance;
     }
-    let all_pos = terms.iter().all(|&(_, a)| a > 0.0);
+    let all_pos = terms.iter().all(|&(_, a)| sign * a > 0.0);
     let all_int_vars = terms.iter().all(|&(j, _)| p.integer[j]);
     // Unit weights only disqualify a knapsack/cover when the variables
     // are binary (there the all-ones shapes are the set classes above).
@@ -270,16 +255,16 @@ fn classify_row(p: &Problem, terms: &[(usize, f64)], rel: Rel, rhs: f64) -> RowC
 /// of the *used* column list (columns referenced by at least one row,
 /// in index order). Box bounds live outside the row matrix and — being
 /// identity rows — never break total unimodularity.
-fn interval_certificate(rows: &[Vec<(usize, f64)>]) -> bool {
-    if rows.iter().all(|r| r.is_empty()) {
+fn interval_certificate(rows: &[Constraint]) -> bool {
+    if rows.iter().all(|r| r.coeffs().is_empty()) {
         return false;
     }
     // Rank of each used column among the used columns.
-    let mut used: Vec<usize> = rows.iter().flatten().map(|&(j, _)| j).collect();
+    let mut used: Vec<usize> = rows.iter().flat_map(Constraint::coeffs).map(|&(j, _)| j).collect();
     used.sort_unstable();
     used.dedup();
     let rank = |j: usize| used.binary_search(&j).unwrap_or(usize::MAX);
-    for r in rows {
+    for r in rows.iter().map(Constraint::coeffs) {
         // All-ones or all-minus-ones: a negated interval row is still an
         // interval row (row negation preserves total unimodularity).
         if r.iter().any(|&(_, a)| a != 1.0) && r.iter().any(|&(_, a)| a != -1.0) {
@@ -299,13 +284,13 @@ fn interval_certificate(rows: &[Vec<(usize, f64)>]) -> bool {
 /// per column, and the rows 2-color such that a column's two same-sign
 /// entries land in different parts and opposite-sign entries in the
 /// same part. Implemented as a parity union-find over rows.
-fn network_certificate(rows: &[Vec<(usize, f64)>], num_vars: usize) -> bool {
-    if rows.iter().all(|r| r.is_empty()) {
+fn network_certificate(rows: &[Constraint], num_vars: usize) -> bool {
+    if rows.iter().all(|r| r.coeffs().is_empty()) {
         return false;
     }
     let mut col_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_vars];
     for (i, r) in rows.iter().enumerate() {
-        for &(j, a) in r {
+        for &(j, a) in r.coeffs() {
             if a != 1.0 && a != -1.0 {
                 return false;
             }
@@ -352,14 +337,15 @@ fn network_certificate(rows: &[Vec<(usize, f64)>], num_vars: usize) -> bool {
 /// other variable integer-declared and not itself already relaxed. Such
 /// a variable is integral in any solution where the kept integers are,
 /// so branch-and-bound never needs to branch on it.
-fn relaxable_integers(p: &Problem, rows: &[(Vec<(usize, f64)>, Rel, f64)]) -> Vec<usize> {
+fn relaxable_integers(p: &Problem) -> Vec<usize> {
     let mut relaxed = vec![false; p.num_vars];
     loop {
         let mut progressed = false;
-        for (terms, rel, rhs) in rows {
-            if *rel != Rel::Eq || !is_integral(*rhs) {
+        for c in &p.constraints {
+            if c.rel != Rel::Eq || !is_integral(c.rhs) {
                 continue;
             }
+            let terms = c.coeffs();
             // A row proves one variable at a time; find a candidate.
             for &(j, a) in terms {
                 if !p.integer[j] || relaxed[j] || (a != 1.0 && a != -1.0) {
@@ -399,8 +385,8 @@ pub fn block_count(p: &Problem) -> usize {
     let mut used = vec![false; p.num_vars];
     for c in &p.constraints {
         let mut first: Option<usize> = None;
-        for &(j, a) in &c.coeffs {
-            if a == 0.0 || j >= p.num_vars {
+        for &(j, _) in c.coeffs() {
+            if j >= p.num_vars {
                 continue;
             }
             used[j] = true;
@@ -424,15 +410,10 @@ pub fn block_count(p: &Problem) -> usize {
 
 /// Run the classification pass over a problem.
 pub fn analyze(p: &Problem) -> MatrixAnalysis {
-    // Normalize every row once: merged sorted terms, Ge folded into Le
-    // only where a check wants it (classification keeps the raw rel).
-    let rows: Vec<(Vec<(usize, f64)>, Rel, f64)> =
-        p.constraints.iter().map(|c| (merged(c), c.rel, c.rhs)).collect();
+    let rows = &p.constraints;
+    let row_classes: Vec<RowClass> = rows.iter().map(|c| classify_row(p, c)).collect();
 
-    let row_classes: Vec<RowClass> =
-        rows.iter().map(|(t, rel, rhs)| classify_row(p, t, *rel, *rhs)).collect();
-
-    let integral_data = rows.iter().all(|(_, _, rhs)| is_integral(*rhs))
+    let integral_data = rows.iter().all(|c| is_integral(c.rhs))
         && (0..p.num_vars).all(|j| {
             (p.lower[j].is_infinite() || is_integral(p.lower[j]))
                 && (p.upper[j].is_infinite() || is_integral(p.upper[j]))
@@ -440,10 +421,9 @@ pub fn analyze(p: &Problem) -> MatrixAnalysis {
 
     // TU recognizers run on the coefficient lists only (relations and
     // rhs don't affect unimodularity of the matrix).
-    let coeff_rows: Vec<Vec<(usize, f64)>> = rows.iter().map(|(t, _, _)| t.clone()).collect();
-    let tu = if interval_certificate(&coeff_rows) {
+    let tu = if interval_certificate(rows) {
         Some(TuCertificate::Interval)
-    } else if network_certificate(&coeff_rows, p.num_vars) {
+    } else if network_certificate(rows, p.num_vars) {
         Some(TuCertificate::Network)
     } else {
         None
@@ -456,10 +436,8 @@ pub fn analyze(p: &Problem) -> MatrixAnalysis {
         // Column never referenced by a row, integral (or infinite)
         // bounds: a vertex solver leaves it at a bound.
         let mut in_rows = vec![false; p.num_vars];
-        for (t, _, _) in &rows {
-            for &(j, _) in t {
-                in_rows[j] = true;
-            }
+        for &(j, _) in rows.iter().flat_map(Constraint::coeffs) {
+            in_rows[j] = true;
         }
         for j in 0..p.num_vars {
             if !in_rows[j]
@@ -469,7 +447,7 @@ pub fn analyze(p: &Problem) -> MatrixAnalysis {
                 implied_integral[j] = true;
             }
         }
-        for j in relaxable_integers(p, &rows) {
+        for j in relaxable_integers(p) {
             implied_integral[j] = true;
         }
     }
@@ -638,7 +616,7 @@ mod tests {
     fn duplicate_coefficients_merge_before_classification() {
         let mut p = binary_problem(2);
         // 0.5 x0 + 0.5 x0 + x1 = 1 is an all-ones set-partitioning row.
-        p.constraints.push(Constraint::new(vec![(0, 0.5), (0, 0.5), (1, 1.0)], Rel::Eq, 1.0));
+        p.add_constraint(vec![(0, 0.5), (0, 0.5), (1, 1.0)], Rel::Eq, 1.0);
         let a = analyze(&p);
         assert_eq!(a.row_classes, vec![RowClass::SetPartitioning]);
     }

@@ -137,7 +137,7 @@ impl Rounding {
         let n = p.num_vars;
         let (mut down, mut up) = (vec![true; n], vec![true; n]);
         for c in &p.constraints {
-            for &(j, a) in c.coeffs.iter().filter(|&&(_, a)| a != 0.0) {
+            for &(j, a) in c.coeffs() {
                 let (locks_down, locks_up) = match c.rel {
                     Rel::Le => (a < 0.0, a > 0.0),
                     Rel::Ge => (a > 0.0, a < 0.0),
@@ -740,6 +740,16 @@ mod tests {
         assert_eq!(out, [0.0, 1.0, 2.0, 1.0, 3.0]);
         // A fractional column locked both ways ends the attempt.
         assert!(!r.round(&p, &[0.0, 0.0, 1.0, 1.5, 0.0], &mut out));
+    }
+
+    #[test]
+    fn entries_that_cancel_lock_nothing() {
+        // x0 + x1 - x0 <= 4 is x1 <= 4: x0 is in no row and free both ways.
+        let mut p = Problem::maximize(2);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0), (0, -1.0)], Rel::Le, 4.0);
+        let r = Rounding::new(&p, -1.0);
+        assert_eq!(r.down, [true, true]);
+        assert_eq!(r.up, [true, false]);
     }
 
     #[test]

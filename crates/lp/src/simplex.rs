@@ -229,11 +229,11 @@ impl<'a> Simplex<'a> {
         // A coefficient on a column that does not exist: the tableau is
         // built without it and never solved.
         let mut malformed = p.objective.iter().any(|&(j, _)| j >= n);
-        // The structural columns, counted and then filled row by row, so
-        // each is in row order with a row's duplicates side by side.
+        // The structural columns, counted and then filled row by row:
+        // each in row order, one entry per row (the rows are canonical).
         let mut start = vec![0; n_total + 1];
         for c in &p.constraints {
-            for &(j, _) in &c.coeffs {
+            for &(j, _) in c.coeffs() {
                 match j < n {
                     true => start[j + 1] += 1,
                     false => malformed = true,
@@ -246,33 +246,16 @@ impl<'a> Simplex<'a> {
         let mut entries = vec![(0, 0.0); start[n]];
         let mut fill = start[..n].to_vec();
         for (i, c) in p.constraints.iter().enumerate() {
-            for &(j, a) in c.coeffs.iter().filter(|&&(j, _)| j < n) {
+            for &(j, a) in c.coeffs().iter().filter(|&&(j, _)| j < n) {
                 entries[fill[j]] = (i, a);
                 fill[j] += 1;
             }
         }
-        // Merge duplicate entries per column, closing the gaps they leave.
-        let mut kept = 0;
-        for j in 0..n {
-            let (lo, hi) = (start[j], start[j + 1]);
-            start[j] = kept;
-            for e in lo..hi {
-                let (r, a) = entries[e];
-                if kept > start[j] && entries[kept - 1].0 == r {
-                    entries[kept - 1].1 += a;
-                } else {
-                    entries[kept] = (r, a);
-                    kept += 1;
-                }
-            }
-        }
-        entries.truncate(kept);
         // Slack i, then artificial i: +e_i.
         for j in n..n_total {
             entries.push(((j - n) % m, 1.0));
             start[j + 1] = entries.len();
         }
-        start[n] = kept;
         let cols = Cols { start, entries };
         let b: Vec<f64> = p.constraints.iter().map(|c| c.rhs).collect();
 
@@ -594,8 +577,7 @@ impl<'a> Simplex<'a> {
             if self.lower[j] >= self.upper[j] || self.is_free(j) {
                 continue;
             }
-            let mut nonzeros = self.cols[j].iter().filter(|&&(_, a)| a != 0.0);
-            let (Some(&(i, a)), None) = (nonzeros.next(), nonzeros.next()) else {
+            let [(i, a)] = self.cols[j][..] else {
                 continue;
             };
             let Some(k) = open[i] else {
@@ -933,7 +915,7 @@ impl<'a> Simplex<'a> {
             if t == 0.0 {
                 continue;
             }
-            for &(j, a) in &self.p.constraints[i].coeffs {
+            for &(j, a) in self.p.constraints[i].coeffs() {
                 if j < n {
                     self.dj_all[j] -= t * a;
                 }
@@ -1193,7 +1175,7 @@ pub fn solve_lp(p: &Problem) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Problem;
+    use crate::{Constraint, Problem};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -1527,7 +1509,7 @@ mod tests {
         assert_eq!(t.basis[0], 2);
         assert_close(t.xb[0], 2.0);
         // Equal |a|: the lower column (v = 10 / 2 = 5 fits as u does).
-        p.constraints[0].coeffs[2].1 = 2.0;
+        p.constraints[0] = Constraint::new(vec![(0, 1.0), (1, 2.0), (2, 2.0)], Rel::Eq, 10.0);
         let mut t = Simplex::new(&p);
         assert_eq!(t.crash().singleton, 1);
         assert_eq!(t.basis[0], 1);
@@ -1557,11 +1539,12 @@ mod tests {
 
     #[test]
     fn a_column_whose_second_entry_merges_to_zero_is_a_singleton() {
-        // u's entries in row 1, +1 and -1, merge to an explicit 0.0.
+        // u's entries in row 1, +1 and -1, cancel: the row holds none.
         let mut p = singleton_row(10.0);
-        p.constraints[1].coeffs.extend([(1, 1.0), (1, -1.0)]);
+        p.constraints[1] =
+            Constraint::new(vec![(0, 1.0), (2, 1.0), (1, 1.0), (1, -1.0)], Rel::Le, 30.0);
         let mut t = Simplex::new(&p);
-        assert_eq!(t.cols[1].len(), 2);
+        assert_eq!(t.cols[1].len(), 1);
         let start = t.crash();
         assert_eq!((start.singleton, start.artificial), (1, 0));
         assert_eq!(t.basis[0], 1);
@@ -1656,10 +1639,12 @@ mod tests {
 
     #[test]
     fn a_coefficient_on_a_missing_column_is_not_solved_around() {
-        // Built field by field, as a caller in a release build could:
+        // Built from its parts, as a caller in a release build could:
         // the builders debug_assert the index range.
         let mut p = classic();
-        p.constraints[2].coeffs.push((7, 1.0));
+        let c = &p.constraints[2];
+        let coeffs = [c.coeffs(), &[(7, 1.0)]].concat();
+        p.constraints[2] = Constraint::new(coeffs, c.rel, c.rhs);
         let _counter = not_converged_lock();
         let before = not_converged_total();
         let s = solve_lp(&p);

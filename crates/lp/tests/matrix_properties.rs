@@ -4,9 +4,9 @@
 //! - every claimed total-unimodularity certificate is re-verified by
 //!   enumerating ALL square submatrices and computing their exact
 //!   integer determinants (the definition of TU);
-//! - every claimed row class is re-checked against the raw constraint
-//!   coefficients, independently of the classifier's own
-//!   normalization;
+//! - every claimed row class is re-checked against the constraint's
+//!   coefficients, independently of the classifier's reading of a
+//!   negated row;
 //! - every claimed implied-integral relaxation is validated end to end:
 //!   branch-and-bound on the relaxed problem must produce the same
 //!   objective as on the original, with the declared integer variables
@@ -26,7 +26,7 @@ fn dense_int_matrix(p: &Problem) -> Option<Vec<Vec<i64>>> {
     let mut m = Vec::with_capacity(p.constraints.len());
     for c in &p.constraints {
         let mut row = vec![0.0f64; p.num_vars];
-        for &(j, a) in &c.coeffs {
+        for &(j, a) in c.coeffs() {
             row[j] += a;
         }
         let mut irow = Vec::with_capacity(p.num_vars);
@@ -150,8 +150,8 @@ fn random_problem(seed: u64, n: usize, m: usize) -> Problem {
             // Anything.
             _ => vars.iter().map(|&j| (j, rng.gen_range(-4i32..=4) as f64)).collect(),
         };
-        // Occasionally split a coefficient into duplicate entries to
-        // exercise the classifier's merging.
+        // Occasionally split a coefficient into duplicate entries that
+        // the row's canonical form merges back.
         if rng.gen_bool(0.2) {
             if let Some(&(j, a)) = coeffs.first() {
                 coeffs[0] = (j, a / 2.0);
@@ -162,15 +162,6 @@ fn random_problem(seed: u64, n: usize, m: usize) -> Problem {
         p.add_constraint(coeffs, rel, rhs);
     }
     p
-}
-
-/// Merged (deduplicated, zero-dropped) view of a row's coefficients.
-fn merged(p: &Problem, i: usize) -> Vec<(usize, f64)> {
-    let mut dense = vec![0.0f64; p.num_vars];
-    for &(j, a) in &p.constraints[i].coeffs {
-        dense[j] += a;
-    }
-    dense.iter().enumerate().filter(|&(_, &a)| a != 0.0).map(|(j, &a)| (j, a)).collect()
 }
 
 fn is_binary(p: &Problem, j: usize) -> bool {
@@ -198,16 +189,16 @@ proptest! {
         }
     }
 
-    /// Row-class claims hold against the raw coefficients: each class's
-    /// defining invariants are re-checked from the constraint as
-    /// written, independent of the classifier's normalization.
+    /// Row-class claims hold against the row's coefficients: each
+    /// class's defining invariants are re-checked from the constraint as
+    /// stored, independent of the classifier's reading of it.
     #[test]
     fn row_classes_are_sound(seed in 0u64..20_000, n in 2usize..6, m in 1usize..6) {
         let p = random_problem(seed, n, m);
         let a = matrix::analyze(&p);
         prop_assert_eq!(a.row_classes.len(), p.constraints.len());
         for (i, &class) in a.row_classes.iter().enumerate() {
-            let mut terms = merged(&p, i);
+            let mut terms = p.constraints[i].coeffs().to_vec();
             let mut rel = p.constraints[i].rel;
             let mut rhs = p.constraints[i].rhs;
             // The classifier's single normalization, applied here too:

@@ -2,7 +2,7 @@
 //! sampling and exhaustive oracles.
 
 use lp::simplex::{solve_lp, Simplex};
-use lp::{mip, Problem, Rel, Solution, Status};
+use lp::{mip, Constraint, Problem, Rel, Solution, Status};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -882,6 +882,41 @@ proptest! {
                 (s.objective - t.objective).abs() <= 1e-9 * scale,
                 "staircase {} vs triangle {}", s.objective, t.objective
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Constraint::new` brings any coefficient list — any order, with
+    /// duplicates and zeros — into canonical form: columns strictly
+    /// ascending, no zero entry, and each column's entry its entries
+    /// summed in list order (to the bit; fractional entries make the
+    /// order show).
+    #[test]
+    fn constraints_are_canonical(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let list: Vec<(usize, f64)> = (0..rng.gen_range(0..12))
+            .map(|_| {
+                let a = match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => rng.gen_range(-3.0..3.0),
+                    _ => rng.gen_range(-2i32..=2) as f64,
+                };
+                (rng.gen_range(0..6), a)
+            })
+            .collect();
+        let c = Constraint::new(list.clone(), Rel::Le, 1.0);
+        let got = c.coeffs();
+        prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not ascending: {:?}", got);
+        prop_assert!(got.iter().all(|&(_, a)| a != 0.0), "a zero entry: {:?}", got);
+        for j in 0..6 {
+            let mut entries = list.iter().filter(|&&(k, _)| k == j).map(|&(_, a)| a);
+            let sum = entries.next().map(|first| entries.fold(first, |s, a| s + a));
+            let want = sum.filter(|&s| s != 0.0).map(f64::to_bits);
+            let have = got.iter().find(|&&(k, _)| k == j).map(|&(_, a)| a.to_bits());
+            prop_assert_eq!(have, want, "column {} of {:?}", j, list);
         }
     }
 }

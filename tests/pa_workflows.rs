@@ -372,6 +372,6 @@ fn a_solve_statement_compiles_its_rules_once() {
     let model = compile_model(s.db(), &ctes, &prob);
     let compiled = s.db().exec_counts();
     assert!(check::check_problem(&model, None).iter().all(|d| d.code == "SD019"));
-    assert!(model.propagated().outcome.infeasible.is_none());
+    assert!(model.propagated().infeasible.is_none());
     assert_eq!(s.db().exec_counts(), compiled);
 }
