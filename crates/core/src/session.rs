@@ -403,10 +403,18 @@ mod tests {
 
     #[test]
     fn session_is_send() {
-        // solvedbd moves each connection's Session into a worker thread.
+        // solvedbd moves each connection's Session into a worker thread;
+        // a solve on a worker shares the rest and owns its trace.
         fn assert_send<T: Send>() {}
+        fn assert_send_sync<T: Send + Sync>() {}
         assert_send::<Session>();
         assert_send::<SharedSolvers>();
+        assert_send::<obs::Trace>();
+        assert_send_sync::<Database>();
+        assert_send_sync::<crate::problem::ProblemInstance>();
+        assert_send_sync::<sqlengine::catalog::Ctes>();
+        assert_send_sync::<crate::compile::CompiledModel<'_>>();
+        assert_send_sync::<crate::solver::SolveControl>();
     }
 
     #[test]

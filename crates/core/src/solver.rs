@@ -119,11 +119,12 @@ impl SolveControl {
 }
 
 /// Execution context handed to solvers: catalog access plus the CTE
-/// environment the `SOLVESELECT` ran under, the query trace (when the
-/// statement is being instrumented) into which solvers record
-/// sub-stages and [`obs::SolverStats`] telemetry, the optional
-/// watchdog ([`SolveControl`]) solvers poll at progress points, and
-/// the statement's rules as compiled once before the solver was called.
+/// environment the `SOLVESELECT` ran under, the trace of the thread the
+/// solve runs on (when instrumented; a worker's own, which the
+/// statement's trace [adopts](obs::Trace::adopt)) into which solvers
+/// record sub-stages and [`obs::SolverStats`] telemetry, the optional
+/// watchdog ([`SolveControl`]) solvers poll at progress points, and the
+/// statement's rules as compiled once before the solver was called.
 pub struct SolveContext<'a> {
     pub db: &'a Database,
     pub ctes: &'a Ctes,

@@ -601,3 +601,99 @@ fn sdb_metrics_exposes_stage_histograms_after_a_solve() {
         assert!(names.iter().any(|n| n == expected), "missing {expected} in {names:?}");
     }
 }
+
+/// Every duration in a trace set to zero, so two recordings of the same
+/// work compare equal.
+fn untimed(mut trace: obs::QueryTrace) -> obs::QueryTrace {
+    fn zero(stages: &mut [Stage]) {
+        for s in stages {
+            s.nanos = 0;
+            zero(&mut s.children);
+        }
+    }
+    trace.total_nanos = 0;
+    zero(&mut trace.stages);
+    trace
+}
+
+/// Two UC2-style knapsacks over different item sets, solved on two
+/// worker threads over one shared catalog, each into a trace of its own:
+/// adopted in key order inside the parent's open span, they read as the
+/// same two solves run in sequence under one trace.
+#[test]
+fn worker_traces_adopted_in_key_order_equal_the_sequential_trace() {
+    use obs::Trace;
+    use sqlengine::ast::Statement;
+    use sqlengine::catalog::Ctes;
+
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE items (grp int, id int, value float8, weight float8, pick int);
+         INSERT INTO items VALUES
+           (1, 1, 60, 10, NULL), (1, 2, 100, 20, NULL), (1, 3, 120, 30, NULL),
+           (2, 4, 30, 15, NULL), (2, 5, 45, 25, NULL), (2, 6, 70, 35, NULL),
+           (2, 7, 20, 5, NULL)",
+    )
+    .unwrap();
+    let solves: Vec<_> = [1, 2]
+        .map(|grp| {
+            let sql = format!(
+                "SOLVESELECT it(pick) AS (SELECT * FROM items WHERE grp = {grp}) \
+                 MAXIMIZE (SELECT sum(value * pick) FROM it) \
+                 SUBJECTTO (SELECT sum(weight * pick) <= 50 FROM it), \
+                           (SELECT 0 <= pick <= 1 FROM it) \
+                 USING solverlp.cbc()"
+            );
+            match sqlengine::parser::parse_statement(&sql).unwrap() {
+                Statement::Solve(st) => st,
+                other => panic!("not a solve: {other:?}"),
+            }
+        })
+        .into();
+    let db = s.db();
+    let handler = db.solve_handler().unwrap();
+    let ctes = Ctes::new();
+    // One warm-up run of each, so both forms meet the same cached plans.
+    for st in &solves {
+        handler.solve_select(db, st, &ctes, Some(&Trace::new("warm-up"))).unwrap();
+    }
+
+    let sequential = Trace::new("partitioned");
+    {
+        let _span = sequential.span("partition");
+        for st in &solves {
+            handler.solve_select(db, st, &ctes, Some(&sequential)).unwrap();
+        }
+    }
+    let sequential = sequential.finish();
+
+    let threaded = Trace::new("partitioned");
+    {
+        let _span = threaded.span("partition");
+        let workers: Vec<Trace> = std::thread::scope(|scope| {
+            let running: Vec<_> = solves
+                .iter()
+                .map(|st| {
+                    let (handler, ctes) = (&handler, &ctes);
+                    scope.spawn(move || {
+                        let trace = Trace::new("worker");
+                        handler.solve_select(db, st, ctes, Some(&trace)).unwrap();
+                        trace
+                    })
+                })
+                .collect();
+            running.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for trace in workers {
+            threaded.adopt(trace);
+        }
+    }
+    let threaded = threaded.finish();
+
+    let objectives: Vec<_> = threaded.solvers.iter().map(|st| st.objective).collect();
+    assert_eq!(objectives, [Some(220.0), Some(100.0)]);
+    assert_eq!(threaded.stages.len(), 1);
+    let roots: Vec<&str> = threaded.stages[0].children.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(roots, ["plan", "compile", "check", "solve", "plan", "compile", "check", "solve"]);
+    assert_eq!(untimed(threaded), untimed(sequential));
+}

@@ -8,7 +8,9 @@
 //!   stages (parse → plan → rewrite → instantiate → solve →
 //!   post-process) plus per-solver telemetry, and freezes into a
 //!   plain-data [`QueryTrace`] that can be rendered, shipped over the
-//!   wire, or aggregated.
+//!   wire, or aggregated. A trace is `Send`: work on another thread
+//!   records into its own and the statement's trace
+//!   [adopts](Trace::adopt) it.
 //! * **Solver telemetry** — [`SolverStats`]: simplex iterations, MIP
 //!   branch-and-bound nodes explored/pruned with the incumbent
 //!   trajectory, and evaluation/restart counts for the derivative-free

@@ -276,17 +276,6 @@ impl MetricsRegistry {
         }
         pooled
     }
-
-    /// Drop all accumulated data (used by tests).
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.statements.clear();
-        inner.solvers.clear();
-        inner.stages.clear();
-        inner.columns_pivoted = 0;
-        inner.subqueries_reused = 0;
-        inner.rows_copied = 0;
-    }
 }
 
 /// Live counters for one server session. Atomics so the I/O path can
@@ -507,13 +496,11 @@ mod tests {
         assert_eq!(stages[0].0, "parse");
         assert_eq!(stages[1].0, "solve");
         assert_eq!(stages[1].1.count(), 2);
-        m.reset();
-        assert!(m.stages().is_empty());
     }
 
     #[test]
     fn trace_stages_record_recursively_with_paths() {
-        let t = crate::Trace::new();
+        let t = crate::Trace::new("");
         {
             let _outer = t.span("solve");
             t.record("compile", 42);

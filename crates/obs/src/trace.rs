@@ -1,16 +1,17 @@
 //! Per-query stage tracing.
 //!
-//! A [`Trace`] is a cheap, single-threaded span recorder: code opens
-//! nested [`Span`] guards (closed on drop), annotates them with row
-//! counts or notes, and reports [`SolverStats`] from inside a solve.
-//! [`Trace::finish`] freezes the recording into a [`QueryTrace`] — a
-//! plain tree of [`Stage`]s plus the solver telemetry — which is what
-//! travels to clients, renders in `EXPLAIN ANALYZE`, and feeds the
-//! metrics registry.
+//! A [`Trace`] is a cheap span recorder owned by the thread that
+//! records into it: code opens nested [`Span`] guards (closed on drop),
+//! annotates them with row counts or notes, and reports [`SolverStats`]
+//! from inside a solve. Work moved to another thread records into a
+//! trace of its own, which the statement's trace takes in with
+//! [`Trace::adopt`]. [`Trace::finish`] freezes the recording into a
+//! [`QueryTrace`] — a plain tree of [`Stage`]s plus the solver
+//! telemetry — which is what travels to clients, renders in
+//! `EXPLAIN ANALYZE`, and feeds the metrics registry.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// One timed stage in the query lifecycle, possibly with children.
@@ -34,16 +35,6 @@ impl Stage {
     /// A leaf stage with a pre-measured duration.
     pub fn leaf(name: &str, nanos: u64) -> Stage {
         Stage { name: name.to_string(), nanos: nanos.max(1), ..Stage::default() }
-    }
-
-    /// Total number of stages in this subtree (self included).
-    pub fn count(&self) -> usize {
-        1 + self.children.iter().map(Stage::count).sum::<usize>()
-    }
-
-    /// Depth of this subtree (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(Stage::depth).max().unwrap_or(0)
     }
 }
 
@@ -216,7 +207,7 @@ struct OpenStage {
     started: Instant,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TraceInner {
     /// Completed root-level stages.
     done: Vec<Stage>,
@@ -225,51 +216,61 @@ struct TraceInner {
     solvers: Vec<SolverStats>,
 }
 
-/// A live span recorder for one statement execution.
-///
-/// Single-threaded by design (interior mutability via `RefCell`): a
-/// statement executes on one thread, and the trace is frozen into a
-/// [`QueryTrace`] before crossing any thread or wire boundary.
-#[derive(Debug)]
-pub struct Trace {
-    started: Instant,
-    label: RefCell<String>,
-    inner: Rc<RefCell<TraceInner>>,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Trace {
-    pub fn new() -> Trace {
-        Trace {
-            started: Instant::now(),
-            label: RefCell::new(String::new()),
-            inner: Rc::new(RefCell::new(TraceInner {
-                done: Vec::new(),
-                open: Vec::new(),
-                solvers: Vec::new(),
-            })),
+impl TraceInner {
+    /// Place a finished stage under the innermost open stage, or at the
+    /// root when none is open.
+    fn push(&mut self, stage: Stage) {
+        match self.open.last_mut() {
+            Some(open) => open.stage.children.push(stage),
+            None => self.done.push(stage),
         }
     }
 
-    /// Set the human label for the traced statement.
-    pub fn set_label(&self, label: &str) {
-        *self.label.borrow_mut() = label.to_string();
+    /// Close the innermost open stage as of now.
+    fn close_top(&mut self) {
+        if let Some(mut top) = self.open.pop() {
+            top.stage.nanos = (top.started.elapsed().as_nanos() as u64).max(1);
+            self.push(top.stage);
+        }
+    }
+
+    /// The recording with every open stage closed as of now.
+    fn closed(mut self) -> TraceInner {
+        while !self.open.is_empty() {
+            self.close_top();
+        }
+        self
+    }
+}
+
+/// A live span recorder for one statement execution, or for one
+/// worker's share of it. It is `Send` but not `Sync`: a worker records
+/// into a trace of its own and hands it back, and the statement's trace
+/// [adopts](Trace::adopt) it in an order the caller fixes, so the tree
+/// never depends on scheduling.
+#[derive(Debug)]
+pub struct Trace {
+    started: Instant,
+    label: String,
+    inner: RefCell<TraceInner>,
+}
+
+impl Trace {
+    /// Start recording a statement; `label` names it in the rendered
+    /// trace and the metrics registry.
+    pub fn new(label: &str) -> Trace {
+        Trace { started: Instant::now(), label: label.to_string(), inner: RefCell::default() }
     }
 
     /// Open a named span; it closes (and records its duration) when the
     /// returned guard drops. Spans opened while another is open become
     /// its children.
-    pub fn span(&self, name: &str) -> Span {
+    pub fn span(&self, name: &str) -> Span<'_> {
         self.inner.borrow_mut().open.push(OpenStage {
             stage: Stage { name: name.to_string(), ..Stage::default() },
             started: Instant::now(),
         });
-        Span { inner: Rc::clone(&self.inner), closed: false }
+        Span { trace: self }
     }
 
     /// Time a closure under a named span.
@@ -281,17 +282,23 @@ impl Trace {
     /// Record a pre-measured leaf stage (e.g. parse time captured
     /// before the trace existed).
     pub fn record(&self, name: &str, nanos: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let stage = Stage::leaf(name, nanos);
-        match inner.open.last_mut() {
-            Some(open) => open.stage.children.push(stage),
-            None => inner.done.push(stage),
-        }
+        self.inner.borrow_mut().push(Stage::leaf(name, nanos));
     }
 
     /// Report telemetry from a solver invocation.
     pub fn solver(&self, stats: SolverStats) {
         self.inner.borrow_mut().solvers.push(stats);
+    }
+
+    /// Fold a worker's trace into this one: its open spans close as
+    /// [`finish`](Trace::finish) closes them, its root stages go under
+    /// the innermost open span (or become roots), its solver telemetry
+    /// is appended, and its label and total are dropped.
+    pub fn adopt(&self, child: Trace) {
+        let child = child.inner.into_inner().closed();
+        let mut inner = self.inner.borrow_mut();
+        child.done.into_iter().for_each(|stage| inner.push(stage));
+        inner.solvers.extend(child.solvers);
     }
 
     /// Freeze the trace. Any still-open spans are closed as of now.
@@ -300,60 +307,43 @@ impl Trace {
     /// (e.g. parse time) never exceed it.
     pub fn finish(self) -> QueryTrace {
         let total = self.started.elapsed();
-        let mut inner = self.inner.borrow_mut();
-        while !inner.open.is_empty() {
-            close_top(&mut inner);
-        }
-        let stages = std::mem::take(&mut inner.done);
-        let root_sum: u64 = stages.iter().map(|s| s.nanos).sum();
+        let inner = self.inner.into_inner().closed();
+        let root_sum: u64 = inner.done.iter().map(|s| s.nanos).sum();
         QueryTrace {
-            label: self.label.borrow().clone(),
+            label: self.label,
             total_nanos: (total.as_nanos() as u64).max(root_sum).max(1),
-            stages,
-            solvers: std::mem::take(&mut inner.solvers),
+            stages: inner.done,
+            solvers: inner.solvers,
         }
     }
 }
 
-fn close_top(inner: &mut TraceInner) {
-    if let Some(mut top) = inner.open.pop() {
-        top.stage.nanos = (top.started.elapsed().as_nanos() as u64).max(1);
-        match inner.open.last_mut() {
-            Some(parent) => parent.stage.children.push(top.stage),
-            None => inner.done.push(top.stage),
-        }
-    }
-}
-
-/// Guard for an open stage; closing happens on drop.
+/// Guard for an open stage of the trace that opened it; closing
+/// happens on drop.
 #[derive(Debug)]
-pub struct Span {
-    inner: Rc<RefCell<TraceInner>>,
-    closed: bool,
+pub struct Span<'a> {
+    trace: &'a Trace,
 }
 
-impl Span {
+impl Span<'_> {
     /// Annotate the innermost open stage with a row count.
     pub fn rows(&self, rows: u64) {
-        if let Some(open) = self.inner.borrow_mut().open.last_mut() {
+        if let Some(open) = self.trace.inner.borrow_mut().open.last_mut() {
             open.stage.rows = Some(rows);
         }
     }
 
     /// Attach a key/value note to the innermost open stage.
     pub fn note(&self, key: &str, value: impl ToString) {
-        if let Some(open) = self.inner.borrow_mut().open.last_mut() {
+        if let Some(open) = self.trace.inner.borrow_mut().open.last_mut() {
             open.stage.meta.push((key.to_string(), value.to_string()));
         }
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            close_top(&mut self.inner.borrow_mut());
-        }
+        self.trace.inner.borrow_mut().close_top();
     }
 }
 
@@ -380,8 +370,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_close_in_order() {
-        let t = Trace::new();
-        t.set_label("demo");
+        let t = Trace::new("demo");
         {
             let outer = t.span("solve");
             outer.note("solver", "solverlp");
@@ -406,9 +395,59 @@ mod tests {
         assert!(qt.total_nanos >= solve.nanos);
     }
 
+    /// A worker's trace, as a solve on another thread leaves it.
+    fn worker(stage: &str, solver: &str) -> Trace {
+        let t = Trace::new("worker");
+        t.time(stage, || {});
+        t.solver(SolverStats { solver: solver.into(), ..SolverStats::default() });
+        t
+    }
+
+    #[test]
+    fn adopted_traces_land_under_the_open_span() {
+        let t = Trace::new("parent");
+        {
+            let _p = t.span("partition");
+            t.adopt(worker("solve", "a"));
+        }
+        t.adopt(worker("tail", "b"));
+        let qt = t.finish();
+        assert_eq!(qt.label, "parent");
+        let names: Vec<&str> = qt.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["partition", "tail"]);
+        assert_eq!(qt.stages[0].children.len(), 1);
+        assert_eq!(qt.stages[0].children[0].name, "solve");
+        assert!(qt.stages[1].children.is_empty());
+    }
+
+    #[test]
+    fn adopted_solver_stats_follow_adopt_order() {
+        let t = Trace::new("");
+        t.solver(SolverStats { solver: "own".into(), ..SolverStats::default() });
+        let (first, second) = (worker("solve", "first"), worker("solve", "second"));
+        t.adopt(second);
+        t.adopt(first);
+        let solvers: Vec<String> = t.finish().solvers.into_iter().map(|s| s.solver).collect();
+        assert_eq!(solvers, ["own", "second", "first"]);
+    }
+
+    #[test]
+    fn an_unclosed_child_span_adopts_as_if_finished() {
+        let child = Trace::new("");
+        std::mem::forget(child.span("outer"));
+        child.record("inner", 5);
+        let t = Trace::new("");
+        t.adopt(child);
+        let qt = t.finish();
+        assert_eq!(qt.stages.len(), 1);
+        assert_eq!(qt.stages[0].name, "outer");
+        assert!(qt.stages[0].nanos >= 1);
+        assert_eq!(qt.stages[0].children, [Stage::leaf("inner", 5)]);
+    }
+
     #[test]
     fn durations_are_never_zero() {
-        let t = Trace::new();
+        let t = Trace::new("");
         t.time("parse", || {});
         t.record("plan", 0);
         let qt = t.finish();
@@ -418,7 +457,7 @@ mod tests {
 
     #[test]
     fn unclosed_spans_are_closed_by_finish() {
-        let t = Trace::new();
+        let t = Trace::new("");
         let s = t.span("outer");
         std::mem::forget(s); // simulate a path that never drops the guard
         let qt = t.finish();
@@ -428,7 +467,7 @@ mod tests {
 
     #[test]
     fn children_sum_within_parent() {
-        let t = Trace::new();
+        let t = Trace::new("");
         {
             let _p = t.span("parent");
             t.time("a", || std::thread::sleep(Duration::from_millis(1)));
@@ -443,8 +482,7 @@ mod tests {
 
     #[test]
     fn render_includes_stages_and_solver_stats() {
-        let t = Trace::new();
-        t.set_label("SOLVESELECT");
+        let t = Trace::new("SOLVESELECT");
         t.record("parse", 1_000_000);
         t.solver(SolverStats {
             solver: "solverlp".into(),
@@ -474,7 +512,7 @@ mod tests {
     #[test]
     fn span_time_without_trace_still_runs() {
         assert_eq!(span_time(None, "x", || 7), 7);
-        let t = Trace::new();
+        let t = Trace::new("");
         assert_eq!(span_time(Some(&t), "x", || 7), 7);
         assert_eq!(t.finish().stages.len(), 1);
     }

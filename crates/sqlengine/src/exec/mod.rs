@@ -173,6 +173,24 @@ pub fn plan_table<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> Table {
     Table::with_rows(schema, lines.into_iter().map(|l| vec![Value::text(l.as_ref())]).collect())
 }
 
+/// A statement's trace, opening with the parse time measured before it
+/// existed.
+fn statement_trace(label: &str, parse_nanos: Option<u64>) -> Trace {
+    let trace = Trace::new(label);
+    if let Some(n) = parse_nanos {
+        trace.record("parse", n);
+    }
+    trace
+}
+
+/// The body of an `EXPLAIN ANALYZE`: the rendered trace, then the rows
+/// the statement returned.
+fn analyze_lines(qt: &QueryTrace, rows_out: usize) -> Vec<String> {
+    let mut lines = qt.render();
+    lines.push(format!("rows out: {rows_out}"));
+    lines
+}
+
 fn execute_statement_inner(
     db: &mut Database,
     stmt: &Statement,
@@ -193,16 +211,10 @@ fn execute_statement_inner(
             // Execute the query, recording the per-operator stage tree,
             // and return the rendered tree (mirrors EXPLAIN ANALYZE for
             // solve statements).
-            let trace = Trace::new();
-            trace.set_label("SELECT");
-            if let Some(n) = parse_nanos {
-                trace.record("parse", n);
-            }
+            let trace = statement_trace("SELECT", parse_nanos);
             let (t, fp) = select::run_query_planned(db, &ctes, query, None, Some(&trace))?;
-            let rows_out = t.num_rows();
             let qt = trace.finish();
-            let mut lines = qt.render();
-            lines.push(format!("rows out: {rows_out}"));
+            let mut lines = analyze_lines(&qt, t.num_rows());
             if let Some(f) = fp {
                 lines.push(format!("plan fingerprint: {f:016x}"));
             }
@@ -212,11 +224,7 @@ fn execute_statement_inner(
         }
         Statement::Solve(s) => {
             let handler = db.solve_handler()?;
-            let trace = Trace::new();
-            trace.set_label("SOLVESELECT");
-            if let Some(n) = parse_nanos {
-                trace.record("parse", n);
-            }
+            let trace = statement_trace("SOLVESELECT", parse_nanos);
             let t = handler.solve_select(db, s, &ctes, Some(&trace))?;
             Ok(ExecResult::table(t).with_trace(trace.finish()))
         }
@@ -229,16 +237,10 @@ fn execute_statement_inner(
                 ExplainMode::Analyze => {
                     // Actually execute the solve, recording the stage
                     // tree, and return the rendered tree as the result.
-                    let trace = Trace::new();
-                    trace.set_label("SOLVESELECT");
-                    if let Some(n) = parse_nanos {
-                        trace.record("parse", n);
-                    }
+                    let trace = statement_trace("SOLVESELECT", parse_nanos);
                     let rows_out = handler.solve_select(db, stmt, &ctes, Some(&trace))?.num_rows();
                     let qt = trace.finish();
-                    let mut lines = qt.render();
-                    lines.push(format!("rows out: {rows_out}"));
-                    Ok(ExecResult::table(plan_table(lines)).with_trace(qt))
+                    Ok(ExecResult::table(plan_table(analyze_lines(&qt, rows_out))).with_trace(qt))
                 }
             }
         }
@@ -364,11 +366,7 @@ fn execute_statement_inner(
             Ok(ExecResult::done())
         }
         Statement::Checkpoint => {
-            let trace = Trace::new();
-            trace.set_label("CHECKPOINT");
-            if let Some(n) = parse_nanos {
-                trace.record("parse", n);
-            }
+            let trace = statement_trace("CHECKPOINT", parse_nanos);
             let t = db.checkpoint(Some(&trace))?;
             Ok(ExecResult::table(t).with_trace(trace.finish()))
         }

@@ -44,6 +44,7 @@ use crate::exec::subquery::run_subquery;
 use crate::table::{Row, Schema};
 use crate::types::value::Word;
 use crate::types::{GroupKey, Value};
+use obs::Span;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -548,7 +549,7 @@ impl<'a> Runner<'a, '_> {
     }
 
     /// `span` is the node's own span, for notes.
-    fn run_node_inner(&mut self, node: &PlanNode, span: Option<&obs::Span>) -> Result<Vec<Batch>> {
+    fn run_node_inner(&mut self, node: &PlanNode, span: Option<&Span<'_>>) -> Result<Vec<Batch>> {
         match node {
             // A stored table hands out its columnar image; the slot a
             // step rebinds hands out the step's working batches; any
@@ -1237,7 +1238,7 @@ fn aggregate(
     group: &[VecExpr],
     sets: &[Vec<usize>],
     aggs: &[PlanAggCall],
-    span: Option<&obs::Span>,
+    span: Option<&Span<'_>>,
 ) -> Result<Vec<Batch>> {
     let eval_opt = |e: &Option<VecExpr>, b: &Batch| e.as_ref().map(|e| e.eval(b, vctx)).transpose();
 

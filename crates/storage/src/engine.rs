@@ -224,8 +224,7 @@ impl StorageEngine {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::eval(format!("storage: create data dir: {e}")))?;
         let started = Instant::now();
-        let trace = Trace::new();
-        trace.set_label("RECOVER");
+        let trace = Trace::new("RECOVER");
         let mut stats = RecoveryStats::default();
         let mut relations = Relations::default();
 
