@@ -21,6 +21,9 @@
 //!   because a CDTE is not a statement of its own),
 //! - an **error-severity** finding on a shipped script fails the sweep
 //!   (the examples are expected to stay clean),
+//! - a top-level `SOLVESELECT` that runs must carry as its warnings the
+//!   `Warning`/`Note` findings `check_stmt` made on it beforehand, the
+//!   same (code, severity, message) entries in the same order,
 //! - execution errors in the scripts themselves are tolerated and
 //!   reported (some solves only compile mid-pipeline).
 //!
@@ -40,9 +43,9 @@
 
 use bench::sweep::for_each_script;
 use bench::OrDie;
-use solvedbplus_core::Session;
+use solvedbplus_core::{check_stmt, Session};
 use sqlengine::ast::{ExplainMode, Query, SolveStmt, Statement};
-use sqlengine::diag::Severity;
+use sqlengine::diag::{Diagnostic, Severity};
 use sqlengine::parser;
 use sqlengine::script::{analyze_script, rwset, CatalogSnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,6 +65,8 @@ struct Sweep {
     planned: usize,
     /// Solve statements that stepped a recursion with a row pipeline.
     recursions: usize,
+    /// Top-level solves that ran, their warnings held to `check_stmt`.
+    cross_checked: usize,
     script_findings: usize,
     matrix_findings: usize,
     /// The solves whose `EXPLAIN PRESOLVE` substitutes columns out, with
@@ -194,13 +199,36 @@ impl Sweep {
                     self.explain_select(s, name, q);
                 }
             }
+            let checked = match stmt {
+                Statement::Solve(solve) => Some(check_stmt(s.db(), &Default::default(), solve)),
+                _ => None,
+            };
             let before = s.db().exec_counts();
-            if let Err(e) = s.execute_statement(stmt) {
-                self.tolerated
-                    .push(format!("{name}: statement {} failed ({e}); skipping rest", i + 1));
-                return;
-            }
+            let ran = match s.execute_statement(stmt) {
+                Ok(ran) => ran,
+                Err(e) => {
+                    self.tolerated
+                        .push(format!("{name}: statement {} failed ({e}); skipping rest", i + 1));
+                    return;
+                }
+            };
             let work = s.db().exec_counts().since(&before);
+            // A top-level solve that ran reports what `check_stmt` found
+            // in it beforehand: its Warning/Note findings, in order.
+            if let Some(checked) = checked {
+                self.cross_checked += 1;
+                let key = |d: &Diagnostic| (d.code.clone(), d.severity, d.message.clone());
+                let advisory = checked.map(|diags| {
+                    diags.iter().filter(|d| d.severity <= Severity::Warning).map(key).collect()
+                });
+                let reported: Vec<_> = ran.warnings.iter().map(key).collect();
+                if advisory.as_ref().ok() != Some(&reported) {
+                    self.failures.push(format!(
+                        "{name}: statement {}: check_stmt {advisory:?}, the solve {reported:?}",
+                        i + 1
+                    ));
+                }
+            }
             if !solves.is_empty() && work.spine_steps > 0 {
                 self.recursions += 1;
                 if work.row_steps == 0 {
@@ -302,7 +330,8 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
     println!(
         "analyze: {} script(s), {} solve statement(s), {} EXPLAIN run(s), \
          {} EXPLAIN SELECT run(s) ({}/{} block(s) planned), \
-         {} solve(s) stepping a recursion on one row, {} scriptcheck finding(s), \
+         {} solve(s) stepping a recursion on one row, \
+         {} solve(s) reporting what check_stmt finds, {} scriptcheck finding(s), \
          {} matrix finding(s), {} solve(s) substituting columns in presolve{}",
         sweep.scripts,
         sweep.solves,
@@ -311,6 +340,7 @@ fn verdict(sweep: &mut Sweep, persistent: bool) -> i32 {
         sweep.planned,
         sweep.blocks,
         sweep.recursions,
+        sweep.cross_checked,
         sweep.script_findings,
         sweep.matrix_findings,
         sweep.substituting.len(),

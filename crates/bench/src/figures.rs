@@ -935,8 +935,7 @@ pub fn kernel_rows(s: &Session, sql: &str) -> [Vec<usize>; 2] {
         panic!("bench: not a solve statement: {sql}");
     };
     let ctes = sqlengine::Ctes::new();
-    let prob = solvedbplus_core::build_problem(s.db(), &ctes, &stmt).or_die("problem");
-    let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
+    let model = solvedbplus_core::prepare(s.db(), &ctes, &stmt, None).or_die("problem");
     let low = model.lowered();
     let pre = reduce_with(&low.problem, model.propagated().clone());
     let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs().len()).collect();

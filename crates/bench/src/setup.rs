@@ -5,7 +5,6 @@ use crate::OrDie;
 use baselines::uc1::{p4_direct, Uc1Task};
 use datagen::EnergyRow;
 use forecast::{Forecaster, LinearRegression};
-use solvedbplus_core::problem::ProblemInstance;
 use solvedbplus_core::{Session, SolveContext, Solver};
 use sqlengine::error::{Error, Result};
 use sqlengine::types::timeval;
@@ -77,7 +76,8 @@ impl Solver for HvacScheduler {
         "hvac_scheduler"
     }
 
-    fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         let rel = &prob.relations[0];
         let t = rel.table()?;
         let col = |n: &str| -> Result<usize> {

@@ -10,8 +10,8 @@
 
 use bench::figures::{P3_CDTE, P3_NOCDTE, P3_SHARED, P4_CDTE, P4_NOCDTE, P4_SHARED};
 use bench::uc1::{S_3SS_P3, S_3SS_P4, S_SHARED_P3, S_SHARED_P4};
-use solvedbplus_core::problem::{build_blackbox, build_problem};
-use solvedbplus_core::{compile_model, Session};
+use solvedbplus_core::problem::build_blackbox;
+use solvedbplus_core::{prepare, Session};
 use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::{Ctes, Database};
 
@@ -61,8 +61,7 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         ("features/p3_shared", P3_SHARED),
     ] {
         let stmt = solve_stmt(script);
-        let prob = build_problem(s.db(), &ctes, &stmt).expect(name);
-        let model = compile_model(s.db(), &ctes, &prob);
+        let model = prepare(s.db(), &ctes, &stmt, None).expect(name);
         let bb = build_blackbox(s.db(), &ctes, &model).expect(name);
         let xs = candidates(&bb.space.lower, &bb.space.upper, 24);
         let before = s.db().exec_counts();
@@ -102,8 +101,7 @@ fn p4_symbolic_compile_yields_the_identical_lp() {
     ] {
         let stmt = solve_stmt(script);
         let lp_text = |db: &Database| {
-            let prob = build_problem(db, &ctes, &stmt).expect(name);
-            let model = compile_model(db, &ctes, &prob);
+            let model = prepare(db, &ctes, &stmt, None).expect(name);
             assert!(model.first_failure().is_none(), "{name}");
             let lowered = model.lowered();
             format!("{:?}", (&lowered.problem, &lowered.used, &lowered.atom_of_row))

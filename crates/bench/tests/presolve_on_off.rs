@@ -9,7 +9,7 @@
 
 use bench::figures::{kernel_rows, presolve_off};
 use bench::sweep::for_each_script;
-use solvedbplus_core::{build_problem, compile_model, Session};
+use solvedbplus_core::{prepare, Session};
 use sqlengine::ast::Statement;
 use sqlengine::{Ctes, Table};
 
@@ -20,11 +20,10 @@ fn terms_per_step(s: &Session, solve: &str) -> f64 {
     let Statement::Solve(stmt) = sqlengine::parser::parse_statement(solve).unwrap() else {
         panic!("not a solve statement: {solve}");
     };
-    let prob = build_problem(s.db(), &Ctes::new(), &stmt).unwrap();
-    let model = compile_model(s.db(), &Ctes::new(), &prob);
+    let model = prepare(s.db(), &Ctes::new(), &stmt, None).unwrap();
     let rows = model.atoms.iter().map(|a| &a.diff).filter(|d| d.terms.len() > 1);
     let terms: usize = rows.chain(model.aux.iter().map(|a| &a.def)).map(|e| e.terms.len()).sum();
-    terms as f64 / prob.relations[0].table().unwrap().num_rows() as f64
+    terms as f64 / model.prob.relations[0].table().unwrap().num_rows() as f64
 }
 
 /// The plan a P4 script leaves: its own result relation when the

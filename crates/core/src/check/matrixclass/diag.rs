@@ -10,7 +10,7 @@ use sqlengine::diag::Diagnostic;
 /// SD020 (row-class census + matrix summary), SD021/SD022 (total
 /// unimodularity), SD023 (implied integrality), SD024 (set row over
 /// non-binary variables) and SD025 (knapsack item over capacity).
-pub fn matrix_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn matrix_rules(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     if !m.complete() || m.atoms.is_empty() {
         return;
     }
@@ -31,14 +31,14 @@ pub fn matrix_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
 }
 
 /// Label of the rule behind LP row `i`.
-fn row_rule<'a>(m: &'a CompiledModel<'_>, i: usize) -> &'a str {
+fn row_rule(m: &CompiledModel, i: usize) -> &str {
     m.rule_label(m.atoms[m.lowered().atom_of_row[i]].rule)
 }
 
 /// SD020 — the census note. Its detail is the full matrix summary
 /// (`EXPLAIN CHECK`'s matrix-summary section): per-class counts with an
 /// example row each, the TU verdict, and the implied-integrality tally.
-fn sd020_census(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
+fn sd020_census(m: &CompiledModel, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     let census = a.census();
     if census.is_empty() {
         return;
@@ -82,7 +82,7 @@ fn sd020_census(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagn
 }
 
 /// SD021/SD022 — whole-matrix total unimodularity.
-fn sd021_sd022_tu(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
+fn sd021_sd022_tu(m: &CompiledModel, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     let Some(tu) = a.tu else { return };
     let (code, shape) = match tu {
         TuCertificate::Interval => ("SD021", "an interval matrix (consecutive ones in every row)"),
@@ -114,7 +114,7 @@ fn sd021_sd022_tu(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Dia
 
 /// SD023 — per-variable implied integrality (the partial case; a full
 /// TU proof is SD021/SD022's story).
-fn sd023_implied(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
+fn sd023_implied(m: &CompiledModel, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     if a.exactness_proof().is_some() || a.relaxable.is_empty() {
         return;
     }
@@ -151,7 +151,7 @@ fn sd023_implied(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diag
 /// column (a definition such as `aux + b = 1` for a step's `1 − b`, or
 /// a rule over a step's cell) states part of an expression, not a
 /// shape, as in [`CompiledModel::matrix_analysis`].
-fn sd024_set_over_continuous(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+fn sd024_set_over_continuous(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     let low = m.lowered();
     let p = &low.problem;
     let is_binary = |j: usize| p.integer[j] && p.lower[j] == 0.0 && p.upper[j] == 1.0;
@@ -187,7 +187,7 @@ fn sd024_set_over_continuous(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>)
 
 /// SD025 — a knapsack item whose weight alone exceeds the capacity is
 /// unselectable; the row silently forces it to zero.
-fn sd025_oversized_item(m: &CompiledModel<'_>, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
+fn sd025_oversized_item(m: &CompiledModel, a: &MatrixAnalysis, diags: &mut Vec<Diagnostic>) {
     let p = &m.lowered().problem;
     let mut found: Vec<String> = Vec::new();
     for (i, c) in p.constraints.iter().enumerate() {

@@ -45,12 +45,11 @@ pub mod presolve;
 pub mod rules;
 pub mod structure;
 
-use crate::compile::{both_objectives, compile_model, CompiledModel, FailureKind, RuleFailure};
-use sqlengine::ast::{SolveStmt, Statement};
+use crate::compile::{both_objectives, prepare, CompiledModel, FailureKind, RuleFailure};
+use sqlengine::ast::SolveStmt;
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::diag::{Diagnostic, Severity};
-use sqlengine::error::{Error, Result};
-use sqlengine::parser;
+use sqlengine::error::Result;
 
 /// Solvers whose rule system must compile to a *linear* program.
 const LINEAR_SOLVERS: &[&str] = &["solverlp"];
@@ -95,9 +94,9 @@ fn sd002(message: String) -> Diagnostic {
 /// A model the compiler could not evaluate at all simply yields no (or
 /// only structural) findings, and the solver reports the failure at run
 /// time.
-pub fn check_problem(model: &CompiledModel<'_>, trace: Option<&obs::Trace>) -> Vec<Diagnostic> {
+pub fn check_problem(model: &CompiledModel, trace: Option<&obs::Trace>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let prob = model.prob;
+    let prob = &model.prob;
     let solver = prob.solver.as_deref();
     let linear_solver = solver.is_some_and(|s| LINEAR_SOLVERS.contains(&s));
     let clause = if model.minimize { "MINIMIZE" } else { "MAXIMIZE" };
@@ -158,7 +157,7 @@ pub fn check_problem(model: &CompiledModel<'_>, trace: Option<&obs::Trace>) -> V
 
     // Not `presolve` / `matrixclass`: those name the solver's stages,
     // and stage times are summed by name over the whole tree.
-    let passes: [(&str, fn(&CompiledModel<'_>, &mut Vec<Diagnostic>)); 7] = [
+    let passes: [(&str, fn(&CompiledModel, &mut Vec<Diagnostic>)); 7] = [
         ("check.constants", rules::sd004_infeasible_constants),
         ("check.duplicates", rules::sd005_duplicate_or_shadowed),
         ("check.unbounded", rules::sd001_unbounded_in_objective),
@@ -175,22 +174,11 @@ pub fn check_problem(model: &CompiledModel<'_>, trace: Option<&obs::Trace>) -> V
     diags
 }
 
-/// Compile a `SOLVESELECT` and run the analyzer (the `EXPLAIN CHECK`
-/// entry point). Errors only when the statement itself fails to compile
-/// into a problem instance.
+/// Prepare a `SOLVESELECT` as its solve does and run the analyzer (the
+/// `EXPLAIN CHECK` entry point). Errors only when the solve would fail
+/// before its own analysis runs.
 pub fn check_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Vec<Diagnostic>> {
-    let prob = crate::problem::build_problem(db, ctes, stmt)?;
-    prob.instantiate_all(db, ctes)?;
-    Ok(check_problem(&compile_model(db, ctes, &prob), None))
-}
-
-/// Parse and check a single `SOLVESELECT` statement.
-pub fn check_sql(db: &Database, sql: &str) -> Result<Vec<Diagnostic>> {
-    match parser::parse_statement(sql)? {
-        Statement::Solve(stmt) => check_stmt(db, &Ctes::new(), &stmt),
-        Statement::Explain { stmt, .. } => check_stmt(db, &Ctes::new(), &stmt),
-        _ => Err(Error::solver("CHECK is only defined for SOLVESELECT statements")),
-    }
+    Ok(check_problem(&prepare(db, ctes, stmt, None)?, None))
 }
 
 /// True when any diagnostic is `Error`-level (the model cannot solve as

@@ -23,7 +23,7 @@ const COEFF_RATIO_LIMIT: f64 = 1e8;
 /// (proven infeasible), SD009 (implied-fixed variable), SD010
 /// (redundant / forcing constraint), SD011 (empty or singleton row)
 /// and SD012 (pathological coefficient range).
-pub fn presolve_rules(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn presolve_rules(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     if m.atoms.is_empty() {
         return;
     }

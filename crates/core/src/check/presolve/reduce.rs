@@ -269,7 +269,7 @@ const MAX_LOG_LINES: usize = 40;
 /// body of `EXPLAIN PRESOLVE SOLVESELECT`. Models that do not compile
 /// to a linear program get a one-line explanation instead of an error:
 /// presolve simply does not apply to them.
-pub fn explain_presolve(m: &CompiledModel<'_>) -> Vec<String> {
+pub fn explain_presolve(m: &CompiledModel) -> Vec<String> {
     if let Some(failure) = m.first_failure() {
         return vec![format!(
             "presolve: rules do not compile to a linear program; no reductions apply ({})",

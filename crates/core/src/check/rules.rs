@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 /// appearance in a row — a multi-variable or equality atom, an
 /// auxiliary column's definition — disables the check for that
 /// variable (the coupling may bound it indirectly).
-pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd001_unbounded_in_objective(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     if !m.complete() || m.linear_objective().is_none() {
         return;
     }
@@ -64,7 +64,7 @@ pub fn sd001_unbounded_in_objective(m: &CompiledModel<'_>, diags: &mut Vec<Diagn
 /// or any constraint is dead weight: §4.3's pruning removes the
 /// variables before solving and their cells pass through unchanged,
 /// which is rarely what the model author meant.
-pub fn sd003_unreferenced_columns(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd003_unreferenced_columns(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     if !m.complete() {
         return;
     }
@@ -115,7 +115,7 @@ pub fn sd003_unreferenced_columns(m: &CompiledModel<'_>, diags: &mut Vec<Diagnos
 /// ever satisfy the model. (Constant comparisons that never touch a
 /// decision variable, like `1 <= 0`, are caught earlier during rule
 /// evaluation and reported from the driver.)
-pub fn sd004_infeasible_constants(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd004_infeasible_constants(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     for a in &m.atoms {
         if !a.diff.is_constant() {
             continue;
@@ -174,7 +174,7 @@ fn fingerprint(a: &Atom) -> u64 {
 /// Exact duplicate atoms add no information (warning); a single-variable
 /// bound strictly dominated by a tighter bound on the same side is
 /// shadowed (note).
-pub fn sd005_duplicate_or_shadowed(m: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd005_duplicate_or_shadowed(m: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     // -- exact duplicates ---------------------------------------------------
     // First occurrences in model order, with how often each recurs.
     let mut seen: Vec<(&Atom, usize)> = Vec::new();

@@ -74,7 +74,7 @@ pub fn blocks(atoms: &[Atom], first: VarId, aux: &[AuxColumn]) -> Vec<Block> {
 /// unevaluated rule might couple the blocks) and at least one genuine
 /// multi-variable constraint (a model of pure per-variable bounds would
 /// otherwise report every variable as its own "block").
-pub fn sd019_decomposable(model: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>) {
+pub fn sd019_decomposable(model: &CompiledModel, diags: &mut Vec<Diagnostic>) {
     if !model.complete() {
         return;
     }
@@ -120,7 +120,7 @@ pub fn sd019_decomposable(model: &CompiledModel<'_>, diags: &mut Vec<Diagnostic>
 /// and the future partitioned solver). Returns an empty vector when a
 /// rule did not compile — an incomplete picture admits no sound
 /// decomposition, and callers must treat that as "none known".
-pub fn problem_blocks(model: &CompiledModel<'_>) -> Vec<Block> {
+pub fn problem_blocks(model: &CompiledModel) -> Vec<Block> {
     if model.rule_failure().is_some() {
         return Vec::new();
     }

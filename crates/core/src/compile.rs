@@ -11,11 +11,11 @@
 //! compile and say what did not.
 
 use crate::check::presolve::{propagate, Outcome};
-use crate::problem::ProblemInstance;
+use crate::problem::{instantiate, ProblemInstance};
 use crate::symbolic::{as_linexpr, sym_value, ConstraintVal, ConstraintValue, LinExpr, Rel, VarId};
-use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, TableRef};
+use sqlengine::ast::{Expr, Literal, NamedRule, Query, SelectItem, SetExpr, SolveStmt, TableRef};
 use sqlengine::catalog::{Ctes, Database, StepCell, StepHook};
-use sqlengine::error::Error;
+use sqlengine::error::{Error, Result};
 use sqlengine::exec::run_query;
 use sqlengine::types::{downcast, BinOp, Value};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -78,9 +78,9 @@ pub struct Lowered {
     pub atom_of_row: Vec<usize>,
 }
 
-/// The rules of one problem instance, compiled once.
-pub struct CompiledModel<'a> {
-    pub prob: &'a ProblemInstance,
+/// A problem instance and its rules, compiled once ([`prepare`]).
+pub struct CompiledModel {
+    pub prob: ProblemInstance,
     /// Objective sense; `true` when there is no objective.
     pub minimize: bool,
     /// `None` when the statement has no objective.
@@ -317,29 +317,47 @@ fn aux_hook(first: VarId, columns: Arc<Mutex<Vec<AuxColumn>>>) -> StepHook {
     })
 }
 
+/// The one way a `SOLVESELECT` gets its model, for the solve, every
+/// `EXPLAIN` and [`check_stmt`](crate::check_stmt): build the instance
+/// (`plan` span: `rewrite`, `instantiate`) and compile its rules
+/// (`compile` span). When the symbolic pass left a relation out for a
+/// reason other than non-linearity, every deferred relation runs, so the
+/// statement fails as it did with every relation run up front. A no-op
+/// solve ([`ProblemInstance::is_no_op`], SD018) compiles no rule.
+pub fn prepare(
+    db: &Database,
+    ctes: &Ctes,
+    stmt: &SolveStmt,
+    trace: Option<&obs::Trace>,
+) -> Result<CompiledModel> {
+    let prob = {
+        let _plan = trace.map(|t| t.span("plan"));
+        instantiate(db, ctes, stmt, trace)?
+    };
+    if prob.is_no_op() {
+        return Ok(CompiledModel::uncompiled(prob));
+    }
+    let model = {
+        let span = trace.map(|t| t.span("compile"));
+        let model = compile_model(db, ctes, prob);
+        if let Some(s) = &span {
+            s.note("bounds", model.bounds);
+        }
+        model
+    };
+    if model.unbound.iter().flatten().any(|&k| k != FailureKind::NonLinear) {
+        model.prob.instantiate_all(db, ctes)?;
+    }
+    Ok(model)
+}
+
 /// Compile the rules of a problem instance: one symbolic pass over the
 /// decision relations, then the objective and each SUBJECTTO rule
 /// evaluated on its own, so one defective rule does not hide the
 /// others. Never fails — failures are part of the result.
-pub fn compile_model<'a>(
-    db: &Database,
-    base: &Ctes,
-    prob: &'a ProblemInstance,
-) -> CompiledModel<'a> {
-    let mut model = CompiledModel {
-        prob,
-        minimize: prob.minimize.is_some() || prob.maximize.is_none(),
-        objective: None,
-        rules: Vec::new(),
-        atoms: Vec::new(),
-        aux: Vec::new(),
-        bounds: 0,
-        unbound: Vec::new(),
-        labels: prob.subjectto.iter().map(|_| OnceLock::new()).collect(),
-        lowered: OnceLock::new(),
-        propagated: OnceLock::new(),
-        matrix: OnceLock::new(),
-    };
+pub fn compile_model(db: &Database, base: &Ctes, prob: ProblemInstance) -> CompiledModel {
+    let mut model = CompiledModel::uncompiled(prob);
+    let prob = &model.prob;
     // No rules at all (predictive solvers, plain fills): nothing reads
     // the symbolic environment, so it is not built.
     if prob.minimize.is_none() && prob.maximize.is_none() && prob.subjectto.is_empty() {
@@ -406,7 +424,25 @@ pub fn compile_model<'a>(
     model
 }
 
-impl CompiledModel<'_> {
+impl CompiledModel {
+    /// `prob` with none of its rules compiled.
+    fn uncompiled(prob: ProblemInstance) -> CompiledModel {
+        CompiledModel {
+            minimize: prob.minimize.is_some() || prob.maximize.is_none(),
+            objective: None,
+            rules: Vec::new(),
+            atoms: Vec::new(),
+            aux: Vec::new(),
+            bounds: 0,
+            unbound: Vec::new(),
+            labels: prob.subjectto.iter().map(|_| OnceLock::new()).collect(),
+            lowered: OnceLock::new(),
+            propagated: OnceLock::new(),
+            matrix: OnceLock::new(),
+            prob,
+        }
+    }
+
     /// Variable `v` is an auxiliary column.
     pub fn is_aux(&self, v: VarId) -> bool {
         v as usize >= self.prob.num_vars()
@@ -502,7 +538,7 @@ impl CompiledModel<'_> {
     }
 
     fn lower(&self) -> Lowered {
-        let prob = self.prob;
+        let prob = &self.prob;
         let n = prob.num_vars();
         let objective = self.linear_objective();
         let mut reached = vec![false; n + self.aux.len()];
@@ -579,12 +615,11 @@ mod tests {
     use sqlengine::ast::Statement;
     use sqlengine::{execute_script, parser};
 
-    fn compiled<T>(db: &Database, sql: &str, f: impl FnOnce(&CompiledModel<'_>) -> T) -> T {
+    fn compiled<T>(db: &Database, sql: &str, f: impl FnOnce(&CompiledModel) -> T) -> T {
         let Statement::Solve(stmt) = parser::parse_statement(sql).unwrap() else {
             panic!("not a solve statement");
         };
-        let prob = build_problem(db, &Ctes::new(), &stmt).unwrap();
-        f(&compile_model(db, &Ctes::new(), &prob))
+        f(&prepare(db, &Ctes::new(), &stmt, None).unwrap())
     }
 
     fn test_db() -> Database {
@@ -697,7 +732,7 @@ mod tests {
         };
         let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
         let before = db.exec_counts();
-        let m = compile_model(&db, &Ctes::new(), &prob);
+        let m = compile_model(&db, &Ctes::new(), prob);
         assert!(m.objective.is_none() && m.rules.is_empty() && m.atoms.is_empty());
         assert_eq!(m.lowered().problem.num_vars, 0);
         assert_eq!(db.exec_counts(), before);

@@ -3,102 +3,19 @@
 //! objective, constraints — without running a solver. This is the
 //! PA-pipeline analogue of `EXPLAIN`.
 
-use crate::compile::{compile_model, Atom, CompiledModel, FailureKind};
-use crate::problem::build_problem;
+use crate::compile::{Atom, CompiledModel, FailureKind};
 use crate::symbolic::{LinExpr, VarId};
-use sqlengine::ast::{SolveStmt, Statement};
 use sqlengine::catalog::{Ctes, Database};
-use sqlengine::error::{Error, Result};
-use sqlengine::parser;
+use sqlengine::error::Result;
 use std::fmt::Write as _;
 
-/// A human-readable account of a compiled problem.
-#[derive(Debug, Clone)]
-pub struct Explanation {
-    /// One line per decision relation: alias, rows, decision columns.
-    pub relations: Vec<String>,
-    /// Total decision variables (before pruning).
-    pub variables: usize,
-    /// Variables actually referenced by rules (after §4.3 pruning).
-    pub used_variables: usize,
-    /// Rendered objective, when linear.
-    pub objective: Option<String>,
-    pub minimize: bool,
-    /// The first `MAX_RENDERED` constraints, rendered, when linear.
-    pub constraints: Vec<String>,
-    /// How many constraints there are in all.
-    pub constraint_count: usize,
-    /// Whether the rules compile to a linear program.
-    pub linear: bool,
-    /// When they do not for a reason other than non-linearity (a
-    /// trivially false or non-boolean cell, an unknown relation, two
-    /// objectives): the error of the first rule that failed.
-    pub failure: Option<String>,
-    /// The named solver and method.
-    pub solver: Option<String>,
-    /// Matrix-classification summary (row-class census, TU verdict,
-    /// implied integrality), when the rules compile linear and the
-    /// matrix has at least one row.
-    pub matrix: Option<String>,
-}
-
-/// How many constraints an [`Explanation`] renders; [`Explanation::render`]
-/// elides the rest with a `... and N more` line.
+/// How many constraints [`explain`] renders; a `... and N more` line
+/// elides the rest.
 const MAX_RENDERED: usize = 20;
 
-impl Explanation {
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "decision relations:");
-        for r in &self.relations {
-            let _ = writeln!(s, "  {r}");
-        }
-        let _ = writeln!(
-            s,
-            "variables: {} ({} referenced by rules)",
-            self.variables, self.used_variables
-        );
-        if let Some(obj) = &self.objective {
-            let _ = writeln!(
-                s,
-                "objective: {} {}",
-                if self.minimize { "minimize" } else { "maximize" },
-                obj
-            );
-        }
-        let _ = writeln!(
-            s,
-            "constraints: {} ({})",
-            self.constraint_count,
-            match (self.linear, &self.failure) {
-                (true, _) => "linear",
-                (false, None) => "not linear — black-box evaluation",
-                (false, Some(_)) => "not compiled",
-            }
-        );
-        if let Some(f) = &self.failure {
-            let _ = writeln!(s, "  {f}");
-        }
-        for c in &self.constraints {
-            let _ = writeln!(s, "  {c}");
-        }
-        if self.linear && self.constraint_count > self.constraints.len() {
-            let _ =
-                writeln!(s, "  ... and {} more", self.constraint_count - self.constraints.len());
-        }
-        if let Some(mx) = &self.matrix {
-            let _ = writeln!(s, "matrix: {mx}");
-        }
-        if let Some(sv) = &self.solver {
-            let _ = writeln!(s, "solver: {sv}");
-        }
-        s
-    }
-}
-
-/// One-line matrix summary for [`Explanation::matrix`]: census, TU
-/// verdict and implied-integrality tally, comma-joined.
-fn matrix_summary(model: &CompiledModel<'_>) -> Option<String> {
+/// One-line matrix summary for [`explain`], when the matrix has a row:
+/// census, TU verdict and implied-integrality tally, comma-joined.
+fn matrix_summary(model: &CompiledModel) -> Option<String> {
     let p = &model.lowered().problem;
     if p.constraints.is_empty() {
         return None;
@@ -124,14 +41,14 @@ fn matrix_summary(model: &CompiledModel<'_>) -> Option<String> {
 
 /// The name of variable `v`: `alias[row].column` of its decision cell,
 /// or, for an auxiliary column, of the recursive relation's cell it was.
-pub(crate) fn var_name(m: &CompiledModel<'_>, v: VarId) -> String {
+pub(crate) fn var_name(m: &CompiledModel, v: VarId) -> String {
     let mut name = String::new();
     write_var_name(&mut name, m, v);
     name
 }
 
-fn write_var_name(out: &mut String, m: &CompiledModel<'_>, v: VarId) {
-    let prob = m.prob;
+fn write_var_name(out: &mut String, m: &CompiledModel, v: VarId) {
+    let prob = &m.prob;
     let Some(info) = prob.vars.get(v as usize) else {
         out.push_str(&m.aux[v as usize - prob.num_vars()].name);
         return;
@@ -144,7 +61,7 @@ fn write_var_name(out: &mut String, m: &CompiledModel<'_>, v: VarId) {
 
 /// The terms `c*name` joined by ` + `, with unit coefficients elided,
 /// written onto `out`.
-fn write_terms(out: &mut String, m: &CompiledModel<'_>, terms: impl Iterator<Item = (VarId, f64)>) {
+fn write_terms(out: &mut String, m: &CompiledModel, terms: impl Iterator<Item = (VarId, f64)>) {
     for (i, (v, c)) in terms.enumerate() {
         if i > 0 {
             out.push_str(" + ");
@@ -159,7 +76,7 @@ fn write_terms(out: &mut String, m: &CompiledModel<'_>, terms: impl Iterator<Ite
 }
 
 /// Render `e` in decision variables, auxiliary columns expanded.
-pub(crate) fn render_linexpr(m: &CompiledModel<'_>, e: &LinExpr) -> String {
+pub(crate) fn render_linexpr(m: &CompiledModel, e: &LinExpr) -> String {
     let e = m.expand(e);
     let mut out = String::new();
     write_terms(&mut out, m, e.terms.iter().copied());
@@ -173,13 +90,13 @@ pub(crate) fn render_linexpr(m: &CompiledModel<'_>, e: &LinExpr) -> String {
 }
 
 /// Render an atom `diff ⋈ 0` back into readable form.
-pub(crate) fn render_atom(m: &CompiledModel<'_>, a: &Atom) -> String {
+pub(crate) fn render_atom(m: &CompiledModel, a: &Atom) -> String {
     format!("{} {} 0", render_linexpr(m, &a.diff), a.rel)
 }
 
 /// Render a row `c*name + … ⋈ rhs` as it is, auxiliary columns by name.
 pub(crate) fn render_row(
-    m: &CompiledModel<'_>,
+    m: &CompiledModel,
     terms: impl Iterator<Item = (VarId, f64)>,
     op: impl std::fmt::Display,
     rhs: f64,
@@ -192,7 +109,7 @@ pub(crate) fn render_row(
 
 /// Render row `i` of the model's linear program in decision variables,
 /// auxiliary columns expanded.
-pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
+pub(crate) fn render_lp_row(m: &CompiledModel, i: usize) -> String {
     let low = m.lowered();
     let c = &low.problem.constraints[i];
     let terms = c.coeffs().iter().map(|&(j, a)| (low.used[j], a)).collect();
@@ -200,84 +117,79 @@ pub(crate) fn render_lp_row(m: &CompiledModel<'_>, i: usize) -> String {
     render_row(m, row.terms.into_iter(), c.rel, c.rhs)
 }
 
-/// Compile (but do not solve) a `SOLVESELECT`, reporting its structure.
-pub fn explain_stmt(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Explanation> {
-    let prob = build_problem(db, ctes, stmt)?;
-    // The listing reads every relation as instantiated.
-    let relations = (0..prob.relations.len())
-        .map(|ri| {
-            let (r, table) = (&prob.relations[ri], prob.instantiated(db, ctes, ri)?);
-            let dec: Vec<&str> =
-                r.dec_cols.iter().map(|&c| table.schema().columns[c].name.as_str()).collect();
-            Ok(format!(
-                "{} — {} rows, decision columns: [{}]",
-                r.alias.as_deref().unwrap_or("<input>"),
-                table.num_rows(),
-                dec.join(", ")
-            ))
-        })
-        .collect::<Result<_>>()?;
-    let model = compile_model(db, ctes, &prob);
-    let solver = stmt.using.as_ref().map(|u| {
-        let mut s = u.solver.clone();
-        if let Some(m) = &u.method {
-            s.push('.');
-            s.push_str(m);
-        }
-        s
-    });
-
-    if let Some(failure) = model.first_failure() {
-        return Ok(Explanation {
-            relations,
-            variables: prob.num_vars(),
-            used_variables: prob.num_vars(),
-            objective: None,
-            minimize: model.minimize,
-            constraints: vec![],
-            constraint_count: prob.subjectto.len(),
-            linear: false,
-            failure: (failure.kind != FailureKind::NonLinear).then(|| failure.error.to_string()),
-            solver,
-            matrix: None,
-        });
+/// Render the structure of a prepared `SOLVESELECT` without solving it:
+/// the decision relations, the variables and how many the rules
+/// reference (§4.3 pruning), and, when the rules compile linear, the
+/// objective, the first constraints and the matrix summary; otherwise
+/// the first failure that is not non-linearity, or that the solve is a
+/// no-op ([`is_no_op`](crate::problem::ProblemInstance::is_no_op)). The
+/// relation listing reads every relation as instantiated, so a deferred
+/// relation runs here, and its failure is the error.
+pub fn explain(db: &Database, ctes: &Ctes, model: &CompiledModel) -> Result<String> {
+    let prob = &model.prob;
+    let mut s = String::from("decision relations:\n");
+    for (ri, r) in prob.relations.iter().enumerate() {
+        let table = prob.instantiated(db, ctes, ri)?;
+        let dec: Vec<&str> =
+            r.dec_cols.iter().map(|&c| table.schema().columns[c].name.as_str()).collect();
+        let alias = r.alias.as_deref().unwrap_or("<input>");
+        let rows = table.num_rows();
+        let _ = writeln!(s, "  {alias} — {rows} rows, decision columns: [{}]", dec.join(", "));
+    }
+    // A no-op, or a model whose objective or a rule did not compile,
+    // renders neither.
+    let linear = model.complete() && !prob.is_no_op();
+    let used = if linear { model.lowered().decisions } else { prob.num_vars() };
+    let _ = writeln!(s, "variables: {} ({used} referenced by rules)", prob.num_vars());
+    if linear {
+        let sense = if model.minimize { "minimize" } else { "maximize" };
+        let o = model.linear_objective().map_or_else(|| "0".into(), |o| render_linexpr(model, o));
+        let _ = writeln!(s, "objective: {sense} {o}");
     }
     let atoms = || model.rules.iter().flatten().flatten().flat_map(|c| c.atoms());
-    let constraints: Vec<String> = atoms()
-        .take(MAX_RENDERED)
-        .map(|(l, rel, r)| {
-            format!("{} {rel} {}", render_linexpr(&model, l), render_linexpr(&model, r))
-        })
-        .collect();
-    Ok(Explanation {
-        relations,
-        variables: prob.num_vars(),
-        used_variables: model.lowered().decisions,
-        objective: Some(
-            model.linear_objective().map_or_else(|| "0".to_string(), |o| render_linexpr(&model, o)),
-        ),
-        minimize: model.minimize,
-        constraint_count: atoms().count(),
-        constraints,
-        linear: true,
-        failure: None,
-        solver,
-        matrix: matrix_summary(&model),
-    })
-}
-
-/// Parse and explain a `SOLVESELECT` statement.
-pub fn explain_sql(db: &Database, sql: &str) -> Result<Explanation> {
-    match parser::parse_statement(sql)? {
-        Statement::Solve(stmt) => explain_stmt(db, &Ctes::new(), &stmt),
-        _ => Err(Error::solver("EXPLAIN is only defined for SOLVESELECT statements")),
+    let failure = model.first_failure().filter(|f| f.kind != FailureKind::NonLinear);
+    let (count, kind) = match (linear, failure) {
+        (true, _) => (atoms().count(), "linear"),
+        _ if prob.is_no_op() => (prob.subjectto.len(), "not compiled — no variables, a no-op"),
+        (false, None) => (prob.subjectto.len(), "not linear — black-box evaluation"),
+        (false, Some(_)) => (prob.subjectto.len(), "not compiled"),
+    };
+    let _ = writeln!(s, "constraints: {count} ({kind})");
+    if let Some(f) = failure {
+        let _ = writeln!(s, "  {}", f.error);
     }
+    if linear {
+        for (l, rel, r) in atoms().take(MAX_RENDERED) {
+            let _ =
+                writeln!(s, "  {} {rel} {}", render_linexpr(model, l), render_linexpr(model, r));
+        }
+        if count > MAX_RENDERED {
+            let _ = writeln!(s, "  ... and {} more", count - MAX_RENDERED);
+        }
+        if let Some(mx) = matrix_summary(model) {
+            let _ = writeln!(s, "matrix: {mx}");
+        }
+    }
+    if let Some(solver) = &prob.solver {
+        let method = prob.method.as_ref().map(|m| format!(".{m}")).unwrap_or_default();
+        let _ = writeln!(s, "solver: {solver}{method}");
+    }
+    Ok(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlengine::execute_script;
+    use crate::compile::prepare;
+    use sqlengine::ast::Statement;
+    use sqlengine::{execute_script, parser};
+
+    fn explain_sql(db: &Database, sql: &str) -> Result<String> {
+        let Statement::Solve(stmt) = parser::parse_statement(sql)? else {
+            panic!("not a solve statement: {sql}");
+        };
+        explain(db, &Ctes::new(), &prepare(db, &Ctes::new(), &stmt, None)?)
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -292,7 +204,7 @@ mod tests {
     #[test]
     fn explains_linear_problem() {
         let db = db();
-        let e = explain_sql(
+        let text = explain_sql(
             &db,
             "SOLVESELECT p(a, b) AS (SELECT * FROM pars) \
              MINIMIZE (SELECT 2*a + b FROM p) \
@@ -300,42 +212,59 @@ mod tests {
              USING solverlp.cbc()",
         )
         .unwrap();
-        assert!(e.linear);
-        assert_eq!(e.variables, 2);
-        assert_eq!(e.used_variables, 2);
-        assert_eq!(e.constraint_count, 3);
-        assert!(e.objective.as_deref().unwrap().contains("2*p[0].a"));
-        assert_eq!(e.solver.as_deref(), Some("solverlp.cbc"));
-        let text = e.render();
-        assert!(text.contains("minimize"));
-        assert!(text.contains("p — 1 rows"));
+        for line in [
+            "  p — 1 rows, decision columns: [a, b]",
+            "variables: 2 (2 referenced by rules)",
+            "objective: minimize 2*p[0].a + p[0].b",
+            "constraints: 3 (linear)",
+            "solver: solverlp.cbc",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line}:\n{text}");
+        }
     }
 
     #[test]
     fn reports_pruning() {
         let db = db();
-        let e = explain_sql(
+        let text = explain_sql(
             &db,
             "SOLVESELECT p(a, b) AS (SELECT * FROM pars) \
              MINIMIZE (SELECT a FROM p) SUBJECTTO (SELECT a >= 1 FROM p) USING solverlp()",
         )
         .unwrap();
-        assert_eq!(e.variables, 2);
-        assert_eq!(e.used_variables, 1); // b pruned
+        assert!(text.contains("variables: 2 (1 referenced by rules)"), "{text}");
+        // b pruned
     }
 
     #[test]
     fn nonlinear_problems_fall_back_to_blackbox_report() {
         let db = db();
-        let e = explain_sql(
+        let text = explain_sql(
             &db,
             "SOLVESELECT p(a) AS (SELECT * FROM pars) \
              MINIMIZE (SELECT a * a FROM p) \
              SUBJECTTO (SELECT 0 <= a <= 1 FROM p) USING swarmops.pso()",
         )
         .unwrap();
-        assert!(!e.linear && e.failure.is_none());
-        assert!(e.render().contains("black-box"));
+        assert!(text.contains("constraints: 1 (not linear — black-box evaluation)\n"), "{text}");
+        assert!(!text.contains("objective:"), "{text}");
+    }
+
+    /// An input relation with decision columns and no rows leaves no
+    /// variable: the solve returns it, and no rule is compiled.
+    #[test]
+    fn an_empty_input_is_explained_as_a_no_op() {
+        let mut db = db();
+        execute_script(&mut db, "DELETE FROM pars").unwrap();
+        let text = explain_sql(
+            &db,
+            "SOLVESELECT p(a) AS (SELECT * FROM pars) MINIMIZE (SELECT sum(a) FROM p) \
+             SUBJECTTO (SELECT a >= 1 FROM p) USING solverlp()",
+        )
+        .unwrap();
+        assert!(text.contains("variables: 0 (0 referenced by rules)\n"), "{text}");
+        assert!(text.contains("constraints: 1 (not compiled — no variables, a no-op)\n"), "{text}");
+        assert!(!text.contains("objective:"), "{text}");
     }
 
     /// Only non-linearity earns the black-box label; any other rule
@@ -348,7 +277,7 @@ mod tests {
             ("SELECT a + 1 FROM p", "expected a constraint or boolean"),
             ("SELECT v >= 0 FROM nosuch", "in SUBJECTTO rule (SELECT (v >= 0) FROM nosuch)"),
         ] {
-            let e = explain_sql(
+            let text = explain_sql(
                 &db,
                 &format!(
                     "SOLVESELECT p(a) AS (SELECT * FROM pars) MINIMIZE (SELECT a FROM p) \
@@ -356,17 +285,9 @@ mod tests {
                 ),
             )
             .unwrap();
-            assert!(!e.linear, "{rule}");
-            let text = e.render();
             assert!(text.contains("constraints: 2 (not compiled)"), "{rule}:\n{text}");
             assert!(text.contains(reason), "{rule}:\n{text}");
             assert!(!text.contains("black-box"), "{rule}:\n{text}");
         }
-    }
-
-    #[test]
-    fn rejects_plain_select() {
-        let db = db();
-        assert!(explain_sql(&db, "SELECT 1").is_err());
     }
 }

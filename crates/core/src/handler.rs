@@ -2,10 +2,10 @@
 //! `MODELEVAL` from query execution into the solver framework.
 
 use crate::check;
-use crate::compile::{compile_model, FailureKind};
+use crate::compile::prepare;
 use crate::explain;
 use crate::model::{expect_model, ModelValue};
-use crate::problem::{build_problem, build_problem_traced};
+use crate::problem::build_problem;
 use crate::solver::{SolveContext, SolveControl, SolverRegistry};
 use sqlengine::ast::{ExplainMode, Query, SolveKind, SolveStmt};
 use sqlengine::catalog::{Ctes, Database, SolveHandler};
@@ -39,35 +39,14 @@ impl SolveHandler for Handler {
             .using
             .as_ref()
             .ok_or_else(|| Error::solver("SOLVESELECT requires a USING clause naming a solver"))?;
-        let (solver, prob) = {
-            let _plan = trace.map(|t| t.span("plan"));
-            let solver = self.registry.get(&using.solver)?;
-            SolverRegistry::check_method(solver.as_ref(), &using.method)?;
-            (solver, build_problem_traced(db, ctes, stmt, trace)?)
-        };
+        let solver = self.registry.get(&using.solver)?;
+        SolverRegistry::check_method(solver.as_ref(), &using.method)?;
+        let model = prepare(db, ctes, stmt, trace)?;
         // An input relation with decision columns and no rows leaves no
         // variables: the solve is a no-op whatever the solver (SD018),
         // and its output is that relation, empty.
-        if prob.num_vars() == 0 && !prob.relations[0].dec_cols.is_empty() {
-            return Ok(Table::clone(prob.relations[0].table()?));
-        }
-        // The one symbolic evaluation of the rules; the analyzer and
-        // the solver both read its result.
-        let model = {
-            let span = trace.map(|t| t.span("compile"));
-            let model = compile_model(db, ctes, &prob);
-            if let Some(s) = &span {
-                s.note("bounds", model.bounds);
-            }
-            model
-        };
-        // A deferred relation has not run as instantiated. Where that run
-        // may fail — the symbolic pass failed on a relation for a reason
-        // other than non-linearity, or the solve fails — it runs before
-        // the statement reports, so it fails the way it did when every
-        // relation ran up front.
-        if model.unbound.iter().flatten().any(|&k| k != FailureKind::NonLinear) {
-            prob.instantiate_all(db, ctes)?;
+        if model.prob.is_no_op() {
+            return Ok(Table::clone(model.prob.relations[0].table()?));
         }
         // Pre-solve static analysis. All findings go to the statement;
         // its result keeps only advisory (Warning/Note) severities —
@@ -86,8 +65,11 @@ impl SolveHandler for Handler {
             }
             s
         });
-        let out = solver.solve(&ctx, &prob).or_else(|e| {
-            prob.instantiate_all(db, ctes)?;
+        // A deferred relation has not run as instantiated; a solve that
+        // fails runs it first, so it fails the way it did when every
+        // relation ran up front.
+        let out = solver.solve(&ctx).or_else(|e| {
+            model.prob.instantiate_all(db, ctes)?;
             Err(e)
         });
         if let (Some(s), Ok(t)) = (span, &out) {
@@ -103,18 +85,13 @@ impl SolveHandler for Handler {
         ctes: &Ctes,
         mode: ExplainMode,
     ) -> Result<Table> {
-        match mode {
-            ExplainMode::Check => Ok(diagnostics_table(&check::check_stmt(db, ctes, stmt)?)),
-            ExplainMode::Presolve => {
-                let prob = build_problem(db, ctes, stmt)?;
-                prob.instantiate_all(db, ctes)?;
-                let model = compile_model(db, ctes, &prob);
-                Ok(plan_table(check::presolve::reduce::explain_presolve(&model)))
-            }
-            ExplainMode::Plan | ExplainMode::Analyze => {
-                Ok(plan_table(explain::explain_stmt(db, ctes, stmt)?.render().lines()))
-            }
-        }
+        let model = prepare(db, ctes, stmt, None)?;
+        Ok(match mode {
+            ExplainMode::Check => diagnostics_table(&check::check_problem(&model, None)),
+            ExplainMode::Presolve => plan_table(check::presolve::reduce::explain_presolve(&model)),
+            // `EXPLAIN`; the engine runs `EXPLAIN ANALYZE` as a solve.
+            _ => plan_table(explain::explain(db, ctes, &model)?.lines()),
+        })
     }
 
     fn solve_model(&self, _db: &Database, stmt: &SolveStmt, _ctes: &Ctes) -> Result<Value> {

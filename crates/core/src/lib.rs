@@ -26,9 +26,8 @@ pub mod solver;
 pub mod solvers;
 pub mod symbolic;
 
-pub use check::{check_sql, check_stmt};
-pub use compile::{compile_model, CompiledModel};
-pub use explain::{explain_sql, Explanation};
+pub use check::check_stmt;
+pub use compile::{compile_model, prepare, CompiledModel};
 pub use model::ModelValue;
 pub use obs_tables::ObsTables;
 pub use problem::{build_problem, ProblemInstance};

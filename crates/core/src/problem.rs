@@ -18,7 +18,7 @@
 
 use crate::compile::{rule_error, CompiledModel};
 use crate::model::expect_model;
-use crate::symbolic::{ConstraintValue, LinExpr, Rel, VarId};
+use crate::symbolic::{ConstraintValue, Rel, VarId};
 use sqlengine::ast::{
     Cte, DecCols, DecRel, Expr, NamedRule, Node, Query, Select, SelectItem, SolveStmt, TableRef,
 };
@@ -27,6 +27,7 @@ use sqlengine::error::{Error, Result};
 use sqlengine::exec::{run_query, run_query_bound};
 use sqlengine::table::{Schema, Table};
 use sqlengine::types::{DataType, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -116,6 +117,12 @@ impl ProblemInstance {
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
         self.vars.len()
+    }
+
+    /// The input relation has decision columns and no rows, and no
+    /// relation has a variable: solving returns the input as it is.
+    pub fn is_no_op(&self) -> bool {
+        self.num_vars() == 0 && !self.relations[0].dec_cols.is_empty()
     }
 
     /// Fetch a solver parameter as f64.
@@ -275,21 +282,21 @@ fn resolve_dec_cols(schema: &Schema, spec: &DecCols, alias: Option<&str>) -> Res
 /// `SOLVESELECT` statement. Evaluates solver parameters, materializes
 /// every decision relation in order, and assigns variable ids.
 pub fn build_problem(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<ProblemInstance> {
-    build_problem_traced(db, ctes, stmt, None)
+    instantiate(db, ctes, stmt, None)
 }
 
 /// [`build_problem`], recording `rewrite` (model inlining) and
 /// `instantiate` (relation materialization) stages into the trace.
-pub fn build_problem_traced(
+pub(crate) fn instantiate(
     db: &Database,
     ctes: &Ctes,
     stmt: &SolveStmt,
     trace: Option<&obs::Trace>,
 ) -> Result<ProblemInstance> {
     let stmt = if stmt.inlines.is_empty() {
-        stmt.clone()
+        Cow::Borrowed(stmt)
     } else {
-        obs::trace::span_time(trace, "rewrite", || inline_models(db, ctes, stmt))?
+        Cow::Owned(obs::trace::span_time(trace, "rewrite", || inline_models(db, ctes, stmt))?)
     };
 
     // Solver parameters: bare column names act as identifiers
@@ -545,12 +552,11 @@ pub fn apply_solution(
 /// — the objective query over the relations a candidate changes.
 pub struct BlackboxProblem<'a> {
     pub space: globalopt::SearchSpace,
-    /// Linear constraints not representable as bounds (penalized).
+    /// Linear constraints not representable as bounds (penalized); they
+    /// may read the model's auxiliary columns ([`CompiledModel::aux`]),
+    /// valued after the decision variables.
     pub penalties: Vec<ConstraintValue>,
-    /// The definitions of the auxiliary columns the penalties may read
-    /// ([`CompiledModel::aux`]), valued after the decision variables.
-    aux: Vec<LinExpr>,
-    pub objective: Query,
+    pub objective: &'a Query,
     pub minimize: bool,
     /// Starting point from initial values (midpoint of bounds when NULL).
     pub start: Vec<f64>,
@@ -558,7 +564,7 @@ pub struct BlackboxProblem<'a> {
     /// nothing an evaluation runs calls a registered UDF, which may not
     /// ([`calls_udf`]).
     pub(crate) pure: bool,
-    prob: &'a ProblemInstance,
+    model: &'a CompiledModel,
     /// The environment the relations are bound into.
     base: Ctes,
 }
@@ -572,9 +578,9 @@ pub struct BlackboxProblem<'a> {
 pub fn build_blackbox<'a>(
     db: &Database,
     base: &Ctes,
-    model: &CompiledModel<'a>,
+    model: &'a CompiledModel,
 ) -> Result<BlackboxProblem<'a>> {
-    let prob = model.prob;
+    let prob = &model.prob;
     let n = prob.num_vars();
     if n == 0 {
         return Err(Error::solver("problem has no decision variables"));
@@ -636,8 +642,8 @@ pub fn build_blackbox<'a>(
         .collect();
 
     let (objective, minimize) = match (&prob.minimize, &prob.maximize) {
-        (Some(q), None) => (q.clone(), true),
-        (None, Some(q)) => (q.clone(), false),
+        (Some(q), None) => (q, true),
+        (None, Some(q)) => (q, false),
         _ => {
             return Err(Error::solver(
                 "black-box solvers need exactly one objective (MINIMIZE or MAXIMIZE)",
@@ -647,11 +653,9 @@ pub fn build_blackbox<'a>(
 
     // An evaluation runs the relations a binding re-runs and the objective.
     let rerun = prob.relations.iter().filter(|r| !r.inputs.is_empty()).map(|r| &r.query);
-    let pure = !std::iter::once(&objective).chain(rerun).any(|q| calls_udf(db, q));
+    let pure = !std::iter::once(objective).chain(rerun).any(|q| calls_udf(db, q));
     let base = base.clone();
-    let aux = model.aux.iter().map(|a| a.def.clone()).collect();
-    let bb =
-        BlackboxProblem { space, penalties, aux, objective, minimize, start, pure, prob, base };
+    let bb = BlackboxProblem { space, penalties, objective, minimize, start, pure, model, base };
     bb.evaluate(db, &bb.start)?;
     Ok(bb)
 }
@@ -694,7 +698,7 @@ impl BlackboxProblem<'_> {
     /// recursive simulation CDTE) see them, then run the objective query
     /// and add the penalties (§5.3).
     pub fn evaluate(&self, db: &Database, x: &[f64]) -> Result<f64> {
-        let prob = self.prob;
+        let prob = &self.model.prob;
         let cell = |id: VarId| prob.vars[id as usize].cell(x[id as usize]);
         let (env, failed) = prob.bind(db, &self.base, Some(&cell))?;
         if let Some((ri, e)) = failed.into_iter().next() {
@@ -702,14 +706,14 @@ impl BlackboxProblem<'_> {
             return Err(Error::solver(format!("in relation {name}: {e}")));
         }
         let clause = if self.minimize { "MINIMIZE" } else { "MAXIMIZE" };
-        let raw = run_query(db, &env, &self.objective, None)
+        let raw = run_query(db, &env, self.objective, None)
             .and_then(|t| t.scalar())
             .and_then(|v| v.as_f64())
-            .map_err(|e| rule_error(clause, None, &self.objective, e))?;
+            .map_err(|e| rule_error(clause, None, self.objective, e))?;
         let mut fitness = if self.minimize { raw } else { -raw };
         let mut values = x.to_vec();
-        for def in &self.aux {
-            let v = def.eval(&|v| values[v as usize]);
+        for aux in &self.model.aux {
+            let v = aux.def.eval(&|v| values[v as usize]);
             values.push(v);
         }
         let getter = |v: VarId| values[v as usize];
@@ -723,7 +727,7 @@ impl BlackboxProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_model;
+    use crate::compile::prepare;
     use sqlengine::ast::Statement;
     use sqlengine::{execute_script, parser};
 
@@ -826,8 +830,7 @@ mod tests {
         assert!(expanded.ctes[1].query.to_string().contains("m_pars"));
 
         // And the whole thing solves: x >= 20 minimized → 20.
-        let prob = build_problem(&db, &Ctes::new(), &expanded).unwrap();
-        let model = compile_model(&db, &Ctes::new(), &prob);
+        let model = prepare(&db, &Ctes::new(), &expanded, None).unwrap();
         assert!(model.first_failure().is_none());
         let sol = lp::solve(&model.lowered().problem);
         assert!(sol.is_optimal());
@@ -844,8 +847,7 @@ mod tests {
              MINIMIZE (SELECT (a - 3.0) * (a - 3.0) FROM p) \
              SUBJECTTO (SELECT 0 <= a <= 10 FROM p) USING swarmops.pso()",
         );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let model = compile_model(&db, &Ctes::new(), &prob);
+        let model = prepare(&db, &Ctes::new(), &stmt, None).unwrap();
         let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         assert_eq!(bb.space.lower, vec![0.0]);
         assert_eq!(bb.space.upper, vec![10.0]);
@@ -871,8 +873,7 @@ mod tests {
              SUBJECTTO (SELECT a + b >= 4 FROM p), (SELECT 0 <= a <= 10, 0 <= b <= 10 FROM p) \
              USING swarmops.de()",
         );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let model = compile_model(&db, &Ctes::new(), &prob);
+        let model = prepare(&db, &Ctes::new(), &stmt, None).unwrap();
         let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         assert_eq!(bb.penalties.len(), 1);
         let bad = bb.fitness(&db, &[1.0, 1.0]);
@@ -901,8 +902,7 @@ mod tests {
              WITH b AS (SELECT x FROM a WHERE x > 0) \
              MINIMIZE (SELECT sum(x) FROM b) USING s()",
         );
-        let prob = build_problem(&db, &Ctes::new(), &stmt).unwrap();
-        let model = compile_model(&db, &Ctes::new(), &prob);
+        let model = prepare(&db, &Ctes::new(), &stmt, None).unwrap();
         let bb = build_blackbox(&db, &Ctes::new(), &model).unwrap();
         // With x = -1 the dependent relation b loses its row.
         let err = bb.evaluate(&db, &[-1.0]).unwrap_err();

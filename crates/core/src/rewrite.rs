@@ -10,7 +10,7 @@
 //! this path because it is transparent to every registered solver; here
 //! it serves as a semantics cross-check and an ablation subject.
 
-use crate::problem::{build_problem, ProblemInstance};
+use crate::problem::{build_problem, inline_models};
 use sqlengine::ast::{
     DecCols, DecRel, Expr, Literal, Query, Select, SelectItem, SolveStmt, TableRef,
 };
@@ -18,6 +18,7 @@ use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
 use sqlengine::table::{Column, Schema, Table};
 use sqlengine::types::{BinOp, BitString, DataType, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Name of the synthetic combined relation.
@@ -30,6 +31,12 @@ pub const C_MASK: &str = "c_mask";
 pub struct CdteRewrite {
     pub stmt: SolveStmt,
     pub combined: Table,
+    /// The input relation's schema as instantiated: the shape
+    /// [`solve_via_rewrite`] projects the output back to.
+    pub input_schema: Schema,
+    /// The input relation's `c_mask` bit, when it has decision columns
+    /// (it is then the first relation of the combined table).
+    pub input_mask: Option<BitString>,
 }
 
 /// Does the statement have more than one decision-bearing relation
@@ -41,19 +48,19 @@ pub fn needs_rewrite(stmt: &SolveStmt) -> bool {
 }
 
 /// Apply the §4.3 rewrite. The decision-bearing relations are
-/// materialized (via [`build_problem`]'s machinery), row-aligned into
+/// materialized once (by [`build_problem`]), row-aligned into
 /// the combined table with prefixed column names and a `c_mask`, and the
 /// statement is rewritten so its only decision relation is
 /// `SELECT * FROM __l` while the original aliases become mask-filtered
 /// projections.
 pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<CdteRewrite> {
-    // Materialize everything once (also expands INLINE).
-    let prob: ProblemInstance = build_problem(db, ctes, stmt)?;
+    // Expand INLINE once; the problem is built from the expanded statement.
     let stmt = if stmt.inlines.is_empty() {
-        stmt.clone()
+        Cow::Borrowed(stmt)
     } else {
-        crate::problem::inline_models(db, ctes, stmt)?
+        Cow::Owned(inline_models(db, ctes, stmt)?)
     };
+    let prob = build_problem(db, ctes, &stmt)?;
 
     // Decision-bearing relations, in order.
     let mut dec_rels = Vec::new(); // (relation, alias, table)
@@ -120,7 +127,7 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
     // Rewritten statement: input = SELECT * FROM __l with the combined
     // decision columns; each original alias becomes a mask-filtered
     // projection CDTE; decision-free CDTEs keep their original queries.
-    let mut new_stmt = stmt.clone();
+    let mut new_stmt = SolveStmt::clone(&stmt);
     new_stmt.input = DecRel {
         alias: Some("l".to_string()),
         dec_cols: DecCols::List(dec_col_names),
@@ -179,9 +186,12 @@ pub fn rewrite_cdtes(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result<Cdt
         }
     }
     new_stmt.ctes = new_ctes;
-    new_stmt.inlines.clear();
 
-    Ok(CdteRewrite { stmt: new_stmt, combined })
+    let input_schema = prob.relations[0].table()?.schema.clone();
+    let input_mask = (!prob.relations[0].dec_cols.is_empty())
+        .then(|| BitString::single(width, 0))
+        .transpose()?;
+    Ok(CdteRewrite { stmt: new_stmt, combined, input_schema, input_mask })
 }
 
 /// Execute a `SOLVESELECT` through the rewrite path and return the
@@ -209,30 +219,14 @@ pub fn solve_via_rewrite(db: &Database, ctes: &Ctes, stmt: &SolveStmt) -> Result
         .schema
         .index_of(C_MASK)
         .ok_or_else(|| Error::solver("rewritten output lost its c_mask column"))?;
-    // Find the input relation's membership bit.
-    let prob = build_problem(db, ctes, stmt)?;
-    let mut bit = None;
-    let mut k = 0u8;
-    for rel in &prob.relations {
-        if !rel.dec_cols.is_empty() {
-            if rel.alias.as_deref() == Some(orig_alias.as_str()) {
-                bit = Some(k);
-            }
-            k += 1;
-        }
-    }
-    let bit = bit.ok_or_else(|| {
+    let sel_mask = rw.input_mask.ok_or_else(|| {
         Error::solver("the input relation has no decision columns; rewrite not applicable")
     })?;
-    let width = k;
-    let sel_mask = BitString::single(width, bit)?;
-
-    let mut schema_cols = Vec::new();
-    for (_, name) in &keep {
-        let input = &prob.relations[0].table()?.schema;
-        let orig_idx = input.index_of(name).unwrap_or(0);
-        schema_cols.push(input.columns[orig_idx].clone());
-    }
+    let input = &rw.input_schema;
+    let schema_cols: Vec<Column> = keep
+        .iter()
+        .map(|(_, name)| input.columns[input.index_of(name).unwrap_or(0)].clone())
+        .collect();
     let mut rows = Vec::new();
     for row in &solved.rows {
         let Value::Bits(mask) = &row[mask_idx] else {

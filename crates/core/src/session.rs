@@ -10,7 +10,7 @@ use forecast::arima::arima_rmse;
 use obs::{MetricsRegistry, QueryTrace, SessionRegistry};
 use parking_lot::RwLock;
 use sqlengine::ast::Statement;
-use sqlengine::catalog::ScalarUdf;
+use sqlengine::catalog::{Ctes, ScalarUdf};
 use sqlengine::error::{Error, Result};
 use sqlengine::exec::Outcome;
 use sqlengine::{execute_statement_timed, parser, Database, ExecResult, Table, Value};
@@ -274,11 +274,16 @@ impl Session {
         out
     }
 
-    /// Run the pre-solve static analyzer over a `SOLVESELECT` without
-    /// solving it (the programmatic face of `EXPLAIN CHECK`). Returns
-    /// all findings, every severity included.
+    /// Run the pre-solve static analyzer over a `SOLVESELECT` (or an
+    /// `EXPLAIN` of one) without solving it: the programmatic face of
+    /// `EXPLAIN CHECK`, through [`crate::check_stmt`]. Returns all
+    /// findings, every severity included.
     pub fn check(&self, sql: &str) -> Result<Vec<sqlengine::diag::Diagnostic>> {
-        crate::check::check_sql(&self.db, sql)
+        match parser::parse_statement(sql)? {
+            Statement::Solve(stmt) => crate::check_stmt(&self.db, &Ctes::new(), &stmt),
+            Statement::Explain { stmt, .. } => crate::check_stmt(&self.db, &Ctes::new(), &stmt),
+            _ => Err(Error::solver("CHECK is only defined for SOLVESELECT statements")),
+        }
     }
 
     /// Run the whole-script static analyzer (`scriptcheck`, SD013–SD018)
@@ -413,7 +418,7 @@ mod tests {
         assert_send_sync::<Database>();
         assert_send_sync::<crate::problem::ProblemInstance>();
         assert_send_sync::<sqlengine::catalog::Ctes>();
-        assert_send_sync::<crate::compile::CompiledModel<'_>>();
+        assert_send_sync::<crate::compile::CompiledModel>();
         assert_send_sync::<crate::solver::SolveControl>();
     }
 
@@ -427,11 +432,7 @@ mod tests {
             fn name(&self) -> &str {
                 "nop_shared"
             }
-            fn solve(
-                &self,
-                _ctx: &crate::solver::SolveContext<'_>,
-                _prob: &crate::problem::ProblemInstance,
-            ) -> Result<Table> {
+            fn solve(&self, _ctx: &crate::solver::SolveContext<'_>) -> Result<Table> {
                 Err(Error::solver("nop"))
             }
         }

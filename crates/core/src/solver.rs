@@ -3,7 +3,6 @@
 //! extensibility).
 
 use crate::compile::CompiledModel;
-use crate::problem::ProblemInstance;
 use parking_lot::RwLock;
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
@@ -130,7 +129,7 @@ pub struct SolveContext<'a> {
     pub ctes: &'a Ctes,
     pub trace: Option<&'a obs::Trace>,
     pub control: Option<&'a SolveControl>,
-    pub model: &'a CompiledModel<'a>,
+    pub model: &'a CompiledModel,
 }
 
 impl SolveContext<'_> {
@@ -181,9 +180,11 @@ impl SolveContext<'_> {
     }
 }
 
-/// A SolveDB+ solver. Solvers receive the built problem instance
-/// (materialized relations, rules, parameters) and return the output
-/// relation in the schema of the input relation.
+/// A SolveDB+ solver. A solver reads the statement's model on
+/// [`SolveContext::model`] — the problem instance (materialized
+/// relations, rules, parameters) at `ctx.model.prob`, and its rules as
+/// compiled once — and returns the output relation in the schema of the
+/// input relation.
 pub trait Solver: Send + Sync {
     /// Registry name (`USING <name>`).
     fn name(&self) -> &str;
@@ -194,7 +195,7 @@ pub trait Solver: Send + Sync {
     }
 
     /// Solve and produce the output relation.
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table>;
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table>;
 }
 
 /// Thread-safe solver registry.
@@ -256,8 +257,8 @@ mod tests {
         fn methods(&self) -> Vec<&str> {
             vec!["fast", "slow"]
         }
-        fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
-            Ok(Table::clone(prob.relations[0].table()?))
+        fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+            Ok(Table::clone(ctx.model.prob.relations[0].table()?))
         }
     }
 

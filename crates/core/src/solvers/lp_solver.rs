@@ -25,7 +25,8 @@ impl Solver for LpSolver {
         vec!["cbc", "glpk", "simplex", "bb", "auto"]
     }
 
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         if let Some(failure) = ctx.model.first_failure() {
             return Err(failure.error.clone());
         }

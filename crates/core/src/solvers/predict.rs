@@ -179,7 +179,8 @@ impl Solver for LrSolver {
         "lr_solver"
     }
 
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         let task = ctx.stage("prepare", || prepare(prob))?;
         let out = ctx.stage("fit-predict", || {
             forecast_each(prob, &task, |t| {
@@ -251,7 +252,8 @@ impl Solver for ArimaSolver {
         vec!["auto", "fixed"]
     }
 
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         let task = ctx.stage("prepare", || prepare(prob))?;
         let fixed = match (
             prob.param_usize("ar").transpose()?,
@@ -415,7 +417,8 @@ impl Solver for PredictiveAdvisor {
         "predictive_solver"
     }
 
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         let task = ctx.stage("prepare", || prepare(prob))?;
         let validations = std::cell::Cell::new(0u64);
         let hits_before = self.cache_hits();

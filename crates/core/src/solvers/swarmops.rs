@@ -6,7 +6,7 @@
 //! candidate's values and re-evaluates the `MINIMIZE`/`MAXIMIZE` query —
 //! exactly the per-iteration cost the paper measures in Fig. 4(b).
 
-use crate::problem::{apply_solution, build_blackbox, BlackboxProblem, ProblemInstance};
+use crate::problem::{apply_solution, build_blackbox, BlackboxProblem};
 use crate::solver::{SolveContext, Solver};
 use globalopt::{
     differential_evolution_with, pso_with, sa_from_with, DeOptions, Fitness, PsoOptions, SaOptions,
@@ -46,7 +46,8 @@ impl Solver for SwarmOps {
         vec!["pso", "sa", "de"]
     }
 
-    fn solve(&self, ctx: &SolveContext<'_>, prob: &ProblemInstance) -> Result<Table> {
+    fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
+        let prob = &ctx.model.prob;
         let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, ctx.model))?;
         let fitness = StatementFitness { bb: &bb, db: ctx.db };
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0x5001_7EDB) as u64;

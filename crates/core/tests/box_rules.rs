@@ -113,7 +113,7 @@ fn rule(rng: &mut Rng) -> (String, bool) {
     (format!("SELECT {} FROM {from}", items.join(", ")), shape)
 }
 
-fn compiled<T>(db: &Database, rule: &str, f: impl FnOnce(&CompiledModel<'_>) -> T) -> T {
+fn compiled<T>(db: &Database, rule: &str, f: impl FnOnce(&CompiledModel) -> T) -> T {
     let sql = format!(
         "SOLVESELECT p(a, b, c) AS (SELECT * FROM pars) \
          WITH e(err) AS (SELECT id, w, NULL::float8 AS err FROM pars) \
@@ -122,13 +122,15 @@ fn compiled<T>(db: &Database, rule: &str, f: impl FnOnce(&CompiledModel<'_>) -> 
     let Statement::Solve(stmt) = parser::parse_statement(&sql).unwrap() else {
         panic!("not a solve statement: {sql}");
     };
+    // Compiled whatever the input's row count: `prepare` compiles no rule
+    // of a statement whose input relation is empty.
     let prob = build_problem(db, &Ctes::new(), &stmt).unwrap();
-    f(&compile_model(db, &Ctes::new(), &prob))
+    f(&compile_model(db, &Ctes::new(), prob))
 }
 
 /// What a compiled rule is, to compare: its cells, or the kind of its
 /// failure and the error without the rule's label; then its atoms.
-fn outcome(m: &CompiledModel<'_>) -> (String, String) {
+fn outcome(m: &CompiledModel) -> (String, String) {
     let rule = match &m.rules[0] {
         Ok(cells) => format!("{cells:?}"),
         Err(f) => {

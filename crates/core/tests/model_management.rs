@@ -128,17 +128,20 @@ fn explain_through_public_api() {
     let mut s = Session::new();
     s.execute_script("CREATE TABLE v (x float8, y float8); INSERT INTO v VALUES (NULL, NULL)")
         .unwrap();
-    let e = solvedbplus_core::explain_sql(
-        s.db(),
+    let sqlengine::ast::Statement::Solve(stmt) = sqlengine::parser::parse_statement(
         "SOLVESELECT q(x, y) AS (SELECT * FROM v) \
          MINIMIZE (SELECT x + 2*y FROM q) \
          SUBJECTTO (SELECT x + y = 10, x >= 0, y >= 0 FROM q) \
          USING solverlp()",
     )
-    .unwrap();
-    assert!(e.linear);
-    assert_eq!(e.variables, 2);
-    assert_eq!(e.constraint_count, 3);
+    .unwrap() else {
+        panic!("not a solve statement");
+    };
+    let ctes = sqlengine::Ctes::new();
+    let model = solvedbplus_core::prepare(s.db(), &ctes, &stmt, None).unwrap();
+    let text = solvedbplus_core::explain::explain(s.db(), &ctes, &model).unwrap();
+    assert!(text.contains("variables: 2 (2 referenced by rules)\n"), "{text}");
+    assert!(text.contains("constraints: 3 (linear)\n"), "{text}");
 }
 
 #[test]

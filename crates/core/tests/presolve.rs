@@ -95,8 +95,7 @@ fn kernel_rows(s: &Session, sql: &str) -> [Vec<usize>; 2] {
         panic!("not a solve statement: {sql}");
     };
     let ctes = sqlengine::Ctes::new();
-    let prob = solvedbplus_core::build_problem(s.db(), &ctes, &stmt).unwrap();
-    let model = solvedbplus_core::compile_model(s.db(), &ctes, &prob);
+    let model = solvedbplus_core::prepare(s.db(), &ctes, &stmt, None).unwrap();
     let lowered = &model.lowered().problem;
     let rows = |p: &lp::Problem| p.constraints.iter().map(|c| c.coeffs().len()).collect();
     [rows(&reduce(lowered).reduced), rows(lowered)]

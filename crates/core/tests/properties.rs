@@ -301,7 +301,7 @@ fn rerun_every_relation(
 /// formulation failed.
 fn bound_outcome(
     db: &sqlengine::Database,
-    prob: &solvedbplus_core::ProblemInstance,
+    prob: solvedbplus_core::ProblemInstance,
     points: &[Vec<f64>],
 ) -> (String, Result<Vec<u64>, String>) {
     use solvedbplus_core::compile::compile_model;
@@ -342,6 +342,6 @@ proptest! {
             .map(|_| (0..prob.num_vars()).map(|_| rng.below(81) as f64 / 10.0 - 4.0).collect())
             .collect();
         let every = rerun_every_relation(&db, &prob);
-        prop_assert_eq!(bound_outcome(&db, &prob, &points), bound_outcome(&db, &every, &points), "{}", sql);
+        prop_assert_eq!(bound_outcome(&db, prob, &points), bound_outcome(&db, every, &points), "{}", sql);
     }
 }

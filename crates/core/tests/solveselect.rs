@@ -508,7 +508,7 @@ fn paper_p4_cost_optimization_with_inline() {
 
 #[test]
 fn user_installed_solver_is_callable() {
-    use solvedbplus_core::{ProblemInstance, SolveContext, Solver};
+    use solvedbplus_core::{SolveContext, Solver};
     use sqlengine::error::Result as SqlResult;
     use std::sync::Arc;
 
@@ -517,8 +517,8 @@ fn user_installed_solver_is_callable() {
         fn name(&self) -> &str {
             "answer42"
         }
-        fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> SqlResult<Table> {
-            solvedbplus_core::problem::apply_solution(prob, &|_| Some(42.0))
+        fn solve(&self, ctx: &SolveContext<'_>) -> SqlResult<Table> {
+            solvedbplus_core::problem::apply_solution(&ctx.model.prob, &|_| Some(42.0))
         }
     }
 
@@ -934,7 +934,8 @@ fn a_deferred_relation_that_cannot_run_fails_the_statement_as_before() {
 /// A deferred relation runs as instantiated only when something reads
 /// it: one whose run over the NULL decision cells fails, but whose every
 /// binding runs, no longer fails a solve that does not fail on its own.
-/// `EXPLAIN` lists it, so it runs there and fails.
+/// The analyzer and presolve prepare the statement as the solve does, so
+/// they report on it too. `EXPLAIN` lists it, so it runs there and fails.
 #[test]
 fn a_deferred_relation_no_one_reads_is_not_run_as_instantiated() {
     let (mut s, _) = probed();
@@ -942,7 +943,16 @@ fn a_deferred_relation_no_one_reads_is_not_run_as_instantiated() {
                WITH d AS (SELECT CASE WHEN x IS NULL THEN 1 / 0 ELSE x END AS y FROM v) \
                MINIMIZE (SELECT sum(y) FROM d) SUBJECTTO (SELECT 1 <= x <= 3 FROM v) \
                USING solverlp()";
-    assert_eq!(floats(&s.query(sql).unwrap(), "x"), [1.0]);
+    let solved = s.execute(sql).unwrap();
+    let warnings: Vec<String> = solved.warnings.iter().map(|d| d.code.to_string()).collect();
+    assert_eq!(floats(&solved.into_table().unwrap(), "x"), [1.0]);
+    let first = |t: &Table| t.rows.iter().map(|r| r[0].to_string()).collect::<Vec<_>>();
+    let checked = s.query(&format!("EXPLAIN CHECK {sql}")).unwrap();
+    assert_eq!(first(&checked), warnings);
+    let findings: Vec<String> = s.check(sql).unwrap().iter().map(|d| d.code.to_string()).collect();
+    assert_eq!(findings, warnings);
+    let presolved = first(&s.query(&format!("EXPLAIN PRESOLVE {sql}")).unwrap());
+    assert_eq!(presolved[0], "presolve: 1 vars, 0 rows -> 1 vars, 0 rows");
     let err = s.query(&format!("EXPLAIN {sql}")).unwrap_err();
     assert_eq!(err.to_string(), "evaluation error: division by zero");
 }

@@ -1,9 +1,12 @@
 //! Installing a user-defined solver (the paper's RC3 extensibility):
 //! a greedy interval scheduler exposed as `USING greedy_scheduler()`.
+//! A solver reads the statement's prepared model on its context:
+//! `ctx.model.prob` is the problem instance (the decision relations as
+//! instantiated, the parameters), `ctx.model` its rules compiled once.
 //!
 //! Run with: `cargo run --example custom_solver`
 
-use solvedbplus::{ProblemInstance, Session, SolveContext, Solver, Table, Value};
+use solvedbplus::{Session, SolveContext, Solver, Table, Value};
 use std::sync::Arc;
 
 /// Picks a maximum set of non-overlapping intervals (classic greedy by
@@ -15,8 +18,8 @@ impl Solver for GreedyScheduler {
         "greedy_scheduler"
     }
 
-    fn solve(&self, _ctx: &SolveContext<'_>, prob: &ProblemInstance) -> sqlengine::Result<Table> {
-        let rel = &prob.relations[0];
+    fn solve(&self, ctx: &SolveContext<'_>) -> sqlengine::Result<Table> {
+        let rel = &ctx.model.prob.relations[0];
         let t = rel.table()?;
         let start = t.schema.index_of("start_at").expect("start_at column");
         let finish = t.schema.index_of("finish_at").expect("finish_at column");

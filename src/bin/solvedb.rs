@@ -10,10 +10,11 @@
 //! ```
 //!
 //! Statements end with `;` and may span lines. Meta commands:
-//! `\d` (list tables), `\solvers`, `\explain SOLVESELECT ...;`,
-//! `\demo` (load the paper's Table 1), `\timing` (toggle stage
-//! breakdowns), `\q`. Meta commands other than `\q`, `\ping` and
-//! `\timing` inspect in-process state and are local-only.
+//! `\d` (list tables), `\solvers`, `\demo` (load the paper's Table 1),
+//! `\timing` (toggle stage breakdowns), `\q`. Meta commands other than
+//! `\q`, `\ping` and `\timing` inspect in-process state and are
+//! local-only. `EXPLAIN SOLVESELECT ...;` shows what a solve compiles
+//! to, locally and over `--connect` alike.
 //!
 //! With `--timing` (or after `\timing on`), every statement that
 //! carries an execution trace — SOLVESELECT and EXPLAIN ANALYZE — is
@@ -536,17 +537,8 @@ fn run_meta(backend: &mut Backend, cmd: &str, timing: &mut bool) -> MetaOutcome 
                 "  SOLVESELECT t(pvsupply) AS (SELECT * FROM input) USING predictive_solver();"
             );
         }
-        other if other.starts_with("\\explain ") => {
-            let sql = other.trim_start_matches("\\explain ").trim_end_matches(';');
-            match solvedbplus::core::explain_sql(session.db(), sql) {
-                Ok(e) => print!("{}", e.render()),
-                Err(e) => println!("error: {e}"),
-            }
-        }
         other => {
-            println!(
-                "unknown meta command: {other} (try \\d, \\solvers, \\demo, \\explain, \\timing, \\q)"
-            )
+            println!("unknown meta command: {other} (try \\d, \\solvers, \\demo, \\timing, \\q)")
         }
     }
     MetaOutcome::Handled

@@ -224,8 +224,7 @@ fn example_fitness_is_bit_identical_to_the_row_interpreter() {
         panic!("FIT_SQL is not a SOLVESELECT");
     };
     let ctes = solvedbplus::Ctes::new();
-    let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
-    let model = solvedbplus::core::compile_model(s.db(), &ctes, &prob);
+    let model = solvedbplus::core::prepare(s.db(), &ctes, &stmt, None).unwrap();
     let bb = build_blackbox(s.db(), &ctes, &model).unwrap();
     // 24 candidates on a lattice through the box.
     let xs: Vec<Vec<f64>> = (0..24)
@@ -316,7 +315,7 @@ fn check_passes(stages: &[solvedbplus::obs::Stage]) -> usize {
 /// under it are its own seven passes and nothing that evaluates.
 #[test]
 fn a_solve_statement_compiles_its_rules_once() {
-    use solvedbplus::core::{check, compile_model};
+    use solvedbplus::core::{check, prepare};
     use solvedbplus::sqlengine::{self, ast::Statement};
     const HISTORY: u64 = 48;
     const HORIZON: u64 = 12;
@@ -368,8 +367,7 @@ fn a_solve_statement_compiles_its_rules_once() {
         panic!("PLAN_SQL is not a SOLVESELECT");
     };
     let ctes = solvedbplus::Ctes::new();
-    let prob = solvedbplus::build_problem(s.db(), &ctes, &stmt).unwrap();
-    let model = compile_model(s.db(), &ctes, &prob);
+    let model = prepare(s.db(), &ctes, &stmt, None).unwrap();
     let compiled = s.db().exec_counts();
     assert!(check::check_problem(&model, None).iter().all(|d| d.code == "SD019"));
     assert!(model.propagated().infeasible.is_none());

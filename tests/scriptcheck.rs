@@ -6,7 +6,7 @@
 //! the end; and the decomposable model fires SD019 with provably
 //! disjoint blocks.
 
-use solvedbplus::core::{build_problem, check, compile_model};
+use solvedbplus::core::{check, prepare};
 use solvedbplus::sqlengine::ast::Statement;
 use solvedbplus::sqlengine::catalog::Ctes;
 use solvedbplus::sqlengine::parser;
@@ -131,8 +131,7 @@ fn decomposable_blocks_are_variable_disjoint() {
         }
     }
     let solve = solve.expect("decomposable.sql contains a SOLVESELECT");
-    let prob = build_problem(session.db(), &Ctes::new(), &solve).unwrap();
-    let model = compile_model(session.db(), &Ctes::new(), &prob);
+    let model = prepare(session.db(), &Ctes::new(), &solve, None).unwrap();
     let blocks = check::structure::problem_blocks(&model);
     assert!(blocks.len() >= 2, "expected >= 2 blocks, got {blocks:?}");
     for (i, a) in blocks.iter().enumerate() {
