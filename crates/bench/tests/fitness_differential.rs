@@ -78,6 +78,10 @@ fn blackbox_fitness_is_bit_identical_to_the_row_interpreter() {
         // builds them on one row — and nothing was planned per candidate.
         assert!(work.recursive_steps > 0 && work.builds_reused > 0, "{name}: {work:?}");
         assert_eq!(work.row_steps, work.recursive_steps - xs.len() as u64, "{name}: {work:?}");
+        // Every one of them on typed registers, and the catalog tables'
+        // build sides were kept across candidates.
+        assert_eq!(work.typed_steps, work.row_steps, "{name}: {work:?}");
+        assert!(work.builds_kept > 0, "{name}: {work:?}");
         assert_eq!(work.plans_built, 0, "{name}: {work:?}");
         // Every simulation anchors on closed subqueries. The planned path
         // answers them from what their sites kept — except in a shared
@@ -112,6 +116,8 @@ fn p4_symbolic_compile_yields_the_identical_lp() {
         // (`p4_nocdte` states its dynamics without a recursion).
         let work = s.db().exec_counts().since(&before);
         assert_eq!(work.row_steps > 0, work.recursive_steps > 0, "{name}: {work:?}");
+        // Symbolic values are `Value`s: no step runs on typed registers.
+        assert_eq!(work.typed_steps, 0, "{name}: {work:?}");
         assert_eq!(work.recursive_steps > 0, name != "features/p4_nocdte", "{name}");
         assert_eq!(planned, forced_rows(&mut s, lp_text), "{name}");
         assert!(planned.contains("constraints"), "{name}");

@@ -20,7 +20,7 @@
 //! consulted only on a catalog miss.
 
 use obs::{MetricsRegistry, SessionRegistry};
-use sqlengine::catalog::VirtualTableProvider;
+use sqlengine::catalog::{ExecCounts, VirtualTableProvider};
 use sqlengine::table::{Column, Schema, Table};
 use sqlengine::types::{DataType, Value};
 use std::sync::Arc;
@@ -206,17 +206,26 @@ fn metrics_table(metrics: &MetricsRegistry) -> Table {
         rows.push(hist_row(&name, &h));
     }
     // The plain counters: a count and no latencies, once they move.
-    let counters = [
-        ("columns_pivoted", metrics.columns_pivoted()),
-        ("subqueries_reused", metrics.subqueries_reused()),
-        ("rows_copied", metrics.rows_copied()),
-    ];
+    let counters =
+        work_counters(&ExecCounts::default()).map(|(name, _)| (name, metrics.count(name)));
     for (name, count) in counters.into_iter().filter(|(_, count)| *count > 0) {
         let mut row = vec![Value::text(name), int(count)];
         row.resize(schema.len(), Value::Null);
         rows.push(row);
     }
     Table::with_rows(schema, rows)
+}
+
+/// The executor counters `sdb_metrics` shows, by name, as `work` reads
+/// them; sessions add each statement's to the registry.
+pub(crate) fn work_counters(work: &ExecCounts) -> [(&'static str, u64); 5] {
+    [
+        ("columns_pivoted", work.columns_pivoted),
+        ("subqueries_reused", work.subqueries_reused),
+        ("rows_copied", work.rows_copied),
+        ("typed_steps", work.typed_steps),
+        ("builds_kept", work.builds_kept),
+    ]
 }
 
 fn hist_row(name: &str, h: &obs::Histogram) -> Vec<Value> {
@@ -361,9 +370,11 @@ mod tests {
         metrics.record_stage("wal.fsync", 2_000_000);
         metrics.record_stage("wal.fsync", 4_000_000);
         metrics.record_statement_exec("SELECT ?", 1_000_000, 1, false, None, None);
-        metrics.add_columns_pivoted(3);
-        metrics.add_subqueries_reused(5);
-        metrics.add_rows_copied(7);
+        metrics.add_count("columns_pivoted", 3);
+        metrics.add_count("subqueries_reused", 5);
+        metrics.add_count("rows_copied", 7);
+        metrics.add_count("typed_steps", 11);
+        metrics.add_count("builds_kept", 13);
         let t = ObsTables::new(metrics, None, None).table("sdb_metrics").unwrap();
         assert_eq!(t.schema.columns[0].name, "name");
         let names: Vec<String> = t.rows.iter().map(|r| format!("{}", r[0])).collect();
@@ -371,12 +382,18 @@ mod tests {
         assert!(names.contains(&"wal.fsync".to_string()), "{names:?}");
         let fsync = t.rows.iter().find(|r| format!("{}", r[0]) == "wal.fsync").unwrap();
         assert_eq!(fsync[1], Value::Int(2));
-        let pivoted = &t.rows[t.rows.len() - 3];
-        assert_eq!(pivoted[..3], [Value::text("columns_pivoted"), Value::Int(3), Value::Null]);
-        let reused = &t.rows[t.rows.len() - 2];
-        assert_eq!(reused[..3], [Value::text("subqueries_reused"), Value::Int(5), Value::Null]);
-        let copied = t.rows.last().unwrap();
-        assert_eq!(copied[..3], [Value::text("rows_copied"), Value::Int(7), Value::Null]);
+        let counters: Vec<_> = t.rows[t.rows.len() - 5..].iter().map(|r| r[..3].to_vec()).collect();
+        let row = |name, count| vec![Value::text(name), Value::Int(count), Value::Null];
+        assert_eq!(
+            counters,
+            [
+                row("columns_pivoted", 3),
+                row("subqueries_reused", 5),
+                row("rows_copied", 7),
+                row("typed_steps", 11),
+                row("builds_kept", 13),
+            ]
+        );
     }
 
     #[test]

@@ -211,14 +211,10 @@ impl Session {
             obs::timed(|| execute_statement_timed(&mut self.db, stmt, parse_nanos));
         let nanos = elapsed.as_nanos() as u64;
         let work = self.db.exec_counts().since(&work_before);
-        if work.columns_pivoted > 0 {
-            self.metrics.add_columns_pivoted(work.columns_pivoted);
-        }
-        if work.subqueries_reused > 0 {
-            self.metrics.add_subqueries_reused(work.subqueries_reused);
-        }
-        if work.rows_copied > 0 {
-            self.metrics.add_rows_copied(work.rows_copied);
+        for (name, n) in crate::obs_tables::work_counters(&work) {
+            if n > 0 {
+                self.metrics.add_count(name, n);
+            }
         }
         // Fold per-stage latency distributions in before the group
         // commit appends its wal.append stage: the WAL histograms are

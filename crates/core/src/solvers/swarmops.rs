@@ -12,9 +12,10 @@ use globalopt::{
     differential_evolution_with, pso_with, sa_from_with, DeOptions, Fitness, PsoOptions, SaOptions,
     SearchProgress,
 };
-use sqlengine::catalog::Database;
+use sqlengine::catalog::{Database, WorkTally};
 use sqlengine::error::Result;
 use sqlengine::table::Table;
+use std::sync::Arc;
 
 #[derive(Debug, Default)]
 pub struct SwarmOps;
@@ -48,12 +49,15 @@ impl Solver for SwarmOps {
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<Table> {
         let prob = &ctx.model.prob;
-        let bb = ctx.stage("build", || build_blackbox(ctx.db, ctx.ctes, ctx.model))?;
+        // The solve's own work, whatever else runs on the database.
+        let tally = Arc::new(WorkTally::default());
+        let ctes = ctx.ctes.with_tally(tally.clone());
+        let bb = ctx.stage("build", || build_blackbox(ctx.db, &ctes, ctx.model))?;
         let fitness = StatementFitness { bb: &bb, db: ctx.db };
         let seed = prob.param_usize("seed").transpose()?.unwrap_or(0x5001_7EDB) as u64;
         let method = prob.method.as_deref().unwrap_or("pso");
         let search = ctx.trace.map(|t| t.span("search"));
-        let work_before = ctx.db.exec_counts();
+        let work_before = tally.read();
         // One watchdog/progress callback shared by the three methods;
         // `interrupted` records whether it asked the search to stop.
         let mut interrupted = false;
@@ -105,13 +109,15 @@ impl Solver for SwarmOps {
             }
         };
         if let Some(span) = search {
-            let work = ctx.db.exec_counts().since(&work_before);
+            let work = tally.read().since(&work_before);
             span.note("evaluations", result.evaluations);
             span.note("distinct", result.distinct);
             span.note("recursive_steps", work.recursive_steps);
             span.note("plans_built", work.plans_built);
             span.note("builds_reused", work.builds_reused);
+            span.note("builds_kept", work.builds_kept);
             span.note("row_steps", work.row_steps);
+            span.note("typed_steps", work.typed_steps);
             span.note("subqueries_reused", work.subqueries_reused);
         }
         ctx.report(obs::SolverStats {

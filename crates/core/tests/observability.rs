@@ -697,3 +697,78 @@ fn worker_traces_adopted_in_key_order_equal_the_sequential_trace() {
     assert_eq!(roots, ["plan", "compile", "check", "solve", "plan", "compile", "check", "solve"]);
     assert_eq!(untimed(threaded), untimed(sequential));
 }
+
+/// Two black-box solves on worker threads over one shared catalog: the
+/// work each notes on its `search` span is its own — what it notes when
+/// the two run one after the other — though both count into the same
+/// database's counters.
+#[test]
+fn concurrent_searches_each_note_their_own_work() {
+    use obs::Trace;
+    use sqlengine::ast::Statement;
+    use sqlengine::catalog::Ctes;
+
+    let mut s = Session::new();
+    s.execute_script(
+        "CREATE TABLE v0 (x float8); INSERT INTO v0 VALUES (NULL);
+         CREATE TABLE k (k float8); INSERT INTO k VALUES (2), (4);
+         CREATE TABLE h (n int8, w float8);
+         INSERT INTO h VALUES (1, 0.5), (2, 0.25), (3, 0.125), (4, 0.75)",
+    )
+    .unwrap();
+    // Two statements whose relations are named apart, so that neither
+    // runs a plan of the other's: a plan one statement's symbolic pass
+    // made would replace the other's cached one.
+    let solves: Vec<_> = [("v", "0.5"), ("u", "0.75")]
+        .map(|(v, w)| {
+            let sql = format!(
+                "SOLVESELECT {v}(x) AS (SELECT * FROM v0) \
+                 WITH {v}sim AS (WITH RECURSIVE s(n, y) AS (SELECT 1, x FROM {v} UNION ALL \
+                   SELECT s.n + 1, s.y * h.w + {w} FROM s JOIN h ON h.n = s.n) SELECT n, y FROM s) \
+                 MINIMIZE (SELECT sum((y - (SELECT max(k) FROM k))^2) FROM {v}sim) \
+                 SUBJECTTO (SELECT 0 <= x <= 9 FROM {v}) \
+                 USING swarmops.sa(iterations := 2000, seed := 3)"
+            );
+            match sqlengine::parser::parse_statement(&sql).unwrap() {
+                Statement::Solve(st) => st,
+                other => panic!("not a solve: {other:?}"),
+            }
+        })
+        .into();
+    let db = s.db();
+    let handler = db.solve_handler().unwrap();
+    let ctes = Ctes::new();
+    let search = |trace: Trace| -> Vec<(String, String)> {
+        fn find(stages: &[Stage]) -> Option<&Stage> {
+            stages.iter().find_map(|s| if s.name == "search" { Some(s) } else { find(&s.children) })
+        }
+        let trace = trace.finish();
+        find(&trace.stages).expect("a search span").meta.clone()
+    };
+    let solve = |st| {
+        let trace = Trace::new("solve");
+        handler.solve_select(db, st, &ctes, Some(&trace)).unwrap();
+        search(trace)
+    };
+    // One warm-up run of each, so both forms meet the same cached plans
+    // and kept results.
+    for st in &solves {
+        solve(st);
+    }
+    let sequential: Vec<_> = solves.iter().map(solve).collect();
+    let threaded: Vec<_> = std::thread::scope(|scope| {
+        let running: Vec<_> = solves.iter().map(|st| scope.spawn(move || solve(st))).collect();
+        running.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(threaded, sequential);
+    let note = |notes: &[(String, String)], key: &str| {
+        notes.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse::<u64>().unwrap())
+    };
+    for notes in &sequential {
+        let evaluations = note(notes, "evaluations").unwrap();
+        // The objective's subquery, once per row of the five-row sim.
+        assert_eq!(note(notes, "subqueries_reused"), Some(5 * evaluations), "{notes:?}");
+        assert!(note(notes, "typed_steps").unwrap() > 0, "{notes:?}");
+        assert!(note(notes, "builds_kept").unwrap() > 0, "{notes:?}");
+    }
+}

@@ -85,15 +85,9 @@ struct MetricsInner {
     /// `solve/compile`, `wal.append`, ... — slash-joined stage paths
     /// from the per-query trace trees).
     stages: HashMap<String, Histogram>,
-    /// Column chunks the executor pivoted out of row storage into table
-    /// images (the sum of the sessions' `ExecCounts::columns_pivoted`).
-    columns_pivoted: u64,
-    /// Subquery executions answered by the result their site kept (the
-    /// sum of the sessions' `ExecCounts::subqueries_reused`).
-    subqueries_reused: u64,
-    /// Rows catalog writes copied because another table version shared
-    /// them (the sum of the sessions' `ExecCounts::rows_copied`).
-    rows_copied: u64,
+    /// Plain work counters by name: the sums of the sessions' executor
+    /// counters (`ExecCounts`) that `sdb_metrics` shows.
+    counts: HashMap<&'static str, u64>,
 }
 
 /// Thread-safe cumulative metrics store.
@@ -164,32 +158,14 @@ impl MetricsRegistry {
         inner.stages.entry(name.to_string()).or_default().record(nanos);
     }
 
-    /// Add to the count of column chunks pivoted into table images.
-    pub fn add_columns_pivoted(&self, chunks: u64) {
-        self.lock().columns_pivoted += chunks;
+    /// Add `n` to the work counter `name`.
+    pub fn add_count(&self, name: &'static str, n: u64) {
+        *self.lock().counts.entry(name).or_default() += n;
     }
 
-    pub fn columns_pivoted(&self) -> u64 {
-        self.lock().columns_pivoted
-    }
-
-    /// Add to the count of subquery executions a kept result answered.
-    pub fn add_subqueries_reused(&self, executions: u64) {
-        self.lock().subqueries_reused += executions;
-    }
-
-    pub fn subqueries_reused(&self) -> u64 {
-        self.lock().subqueries_reused
-    }
-
-    /// Add to the count of rows catalog writes copied from a shared
-    /// table version.
-    pub fn add_rows_copied(&self, rows: u64) {
-        self.lock().rows_copied += rows;
-    }
-
-    pub fn rows_copied(&self) -> u64 {
-        self.lock().rows_copied
+    /// The work counter `name`; 0 before it moved.
+    pub fn count(&self, name: &str) -> u64 {
+        self.lock().counts.get(name).copied().unwrap_or(0)
     }
 
     /// Record a whole trace tree: every stage (recursively, with

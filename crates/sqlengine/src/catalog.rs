@@ -132,12 +132,13 @@ impl Binding {
 
 /// CTE environment threaded through execution: names visible as
 /// relations beyond the catalog (WITH members, SOLVESELECT decision
-/// relations, inlined model relations), and the [`StepHook`] of a
-/// symbolic pass.
+/// relations, inlined model relations), the [`StepHook`] of a symbolic
+/// pass, and the [`WorkTally`] of a solve that counts its own work.
 #[derive(Clone, Default)]
 pub struct Ctes {
     map: HashMap<String, Arc<Binding>>,
     step_hook: Option<StepHook>,
+    tally: Option<Arc<WorkTally>>,
 }
 
 impl std::fmt::Debug for Ctes {
@@ -152,11 +153,21 @@ impl std::fmt::Debug for Ctes {
 impl Ctes {
     /// This environment with `hook` rewriting what recursive steps emit.
     pub fn with_step_hook(&self, hook: StepHook) -> Ctes {
-        Ctes { map: self.map.clone(), step_hook: Some(hook) }
+        Ctes { step_hook: Some(hook), ..self.clone() }
     }
 
     pub fn step_hook(&self) -> Option<&StepHook> {
         self.step_hook.as_ref()
+    }
+
+    /// This environment with the work done under it — in every
+    /// environment made from it — counted on `tally` too.
+    pub fn with_tally(&self, tally: Arc<WorkTally>) -> Ctes {
+        Ctes { tally: Some(tally), ..self.clone() }
+    }
+
+    pub fn tally(&self) -> Option<&Arc<WorkTally>> {
+        self.tally.as_ref()
     }
 
     pub fn new() -> Ctes {
@@ -307,7 +318,7 @@ impl CatalogMutation {
     pub fn apply(&self, db: &mut Database) -> Result<()> {
         db.writing(self.relation());
         let copied = Arc::make_mut(&mut db.relations).apply(self, false)?;
-        db.count_rows_copied(copied);
+        db.work.add(Work::RowsCopied, copied);
         Ok(())
     }
 }
@@ -503,8 +514,12 @@ pub trait VirtualTableProvider: Send + Sync {
 }
 
 /// A reading of the executor's monotone work counters; the difference of
-/// two readings is the work done in between (a black-box solver notes
-/// it on its `search` span).
+/// two readings is the work done in between. [`Database::exec_counts`]
+/// reads one database's counters, whoever did the work; a [`WorkTally`]
+/// that an environment carries ([`Ctes::with_tally`]) counts only the
+/// work done under it (a black-box solver notes its tally's difference on
+/// its `search` span, so two solves on one database each count their
+/// own).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounts {
     /// Query plans built by the planner (cache hits build none).
@@ -514,11 +529,18 @@ pub struct ExecCounts {
     /// Hash-join build sides reused from an earlier recursive step
     /// instead of being rebuilt.
     pub builds_reused: u64,
+    /// Hash-join build sides the statement kept from an earlier execution
+    /// of the same plan instead of being rebuilt: sides that read only
+    /// catalog tables, of a plan that runs more than once in the statement.
+    pub builds_kept: u64,
     /// Recursive steps of terms whose plan has a row pipeline (a spine).
     pub spine_steps: u64,
     /// Of `spine_steps`, those that ran on it: a one-row working table
     /// evaluated on scalars rather than on batches.
     pub row_steps: u64,
+    /// Of `row_steps`, those that ran on the spine's typed registers
+    /// rather than on [`Value`]s.
+    pub typed_steps: u64,
     /// Column chunks (one column of one scan batch) pivoted out of row
     /// storage into a table's columnar image. A scan whose columns are
     /// already in the image pivots none.
@@ -532,19 +554,70 @@ pub struct ExecCounts {
     pub rows_copied: u64,
 }
 
+/// One of the counters of [`ExecCounts`], by its place in
+/// [`ExecCounts::fields`].
+#[derive(Clone, Copy)]
+pub(crate) enum Work {
+    PlansBuilt,
+    RecursiveSteps,
+    BuildsReused,
+    BuildsKept,
+    SpineSteps,
+    RowSteps,
+    TypedSteps,
+    ColumnsPivoted,
+    SubqueriesReused,
+    RowsCopied,
+}
+
+const WORK_KINDS: usize = 10;
+
+/// Monotone counts of executor work, one per kind of [`ExecCounts`].
+#[derive(Default)]
+pub struct WorkTally([AtomicU64; WORK_KINDS]);
+
+impl WorkTally {
+    fn add(&self, work: Work, n: u64) {
+        self.0[work as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// What the tally holds.
+    pub fn read(&self) -> ExecCounts {
+        ExecCounts::read(|i| self.0[i].load(Ordering::Relaxed))
+    }
+}
+
 impl ExecCounts {
+    fn fields(&mut self) -> [&mut u64; WORK_KINDS] {
+        [
+            &mut self.plans_built,
+            &mut self.recursive_steps,
+            &mut self.builds_reused,
+            &mut self.builds_kept,
+            &mut self.spine_steps,
+            &mut self.row_steps,
+            &mut self.typed_steps,
+            &mut self.columns_pivoted,
+            &mut self.subqueries_reused,
+            &mut self.rows_copied,
+        ]
+    }
+
+    fn read(count: impl Fn(usize) -> u64) -> ExecCounts {
+        let mut counts = ExecCounts::default();
+        for (i, field) in counts.fields().into_iter().enumerate() {
+            *field = count(i);
+        }
+        counts
+    }
+
     /// Work done since the `earlier` reading.
     pub fn since(&self, earlier: &ExecCounts) -> ExecCounts {
-        ExecCounts {
-            plans_built: self.plans_built - earlier.plans_built,
-            recursive_steps: self.recursive_steps - earlier.recursive_steps,
-            builds_reused: self.builds_reused - earlier.builds_reused,
-            spine_steps: self.spine_steps - earlier.spine_steps,
-            row_steps: self.row_steps - earlier.row_steps,
-            columns_pivoted: self.columns_pivoted - earlier.columns_pivoted,
-            subqueries_reused: self.subqueries_reused - earlier.subqueries_reused,
-            rows_copied: self.rows_copied - earlier.rows_copied,
+        let (mut now, mut then) = (*self, *earlier);
+        for (field, before) in now.fields().into_iter().zip(then.fields()) {
+            *field -= *before;
         }
+        now
     }
 }
 
@@ -562,14 +635,7 @@ pub struct Database {
     virtual_tables: Option<Arc<dyn VirtualTableProvider>>,
     durability: Option<Arc<dyn DurabilityHook>>,
     /// Monotone executor work counters, read through [`ExecCounts`].
-    plans_built: AtomicU64,
-    recursive_steps: AtomicU64,
-    builds_reused: AtomicU64,
-    spine_steps: AtomicU64,
-    row_steps: AtomicU64,
-    columns_pivoted: AtomicU64,
-    subqueries_reused: AtomicU64,
-    rows_copied: AtomicU64,
+    work: WorkTally,
     /// Cache of optimized plans — see `plan::cache`. Hit/miss counters
     /// feed `sdb_stat_statements`.
     pub(crate) plan_cache: std::sync::Mutex<crate::plan::cache::PlanCache>,
@@ -617,47 +683,16 @@ impl Database {
 
     /// Read the executor work counters.
     pub fn exec_counts(&self) -> ExecCounts {
-        ExecCounts {
-            plans_built: self.plans_built.load(Ordering::Relaxed),
-            recursive_steps: self.recursive_steps.load(Ordering::Relaxed),
-            builds_reused: self.builds_reused.load(Ordering::Relaxed),
-            spine_steps: self.spine_steps.load(Ordering::Relaxed),
-            row_steps: self.row_steps.load(Ordering::Relaxed),
-            columns_pivoted: self.columns_pivoted.load(Ordering::Relaxed),
-            subqueries_reused: self.subqueries_reused.load(Ordering::Relaxed),
-            rows_copied: self.rows_copied.load(Ordering::Relaxed),
+        self.work.read()
+    }
+
+    /// Count `n` units of `work` done under `ctes`: on this database, and
+    /// on the tally `ctes` carries, if it carries one.
+    pub(crate) fn count(&self, ctes: &Ctes, work: Work, n: u64) {
+        self.work.add(work, n);
+        if let Some(tally) = ctes.tally() {
+            tally.add(work, n);
         }
-    }
-
-    pub(crate) fn count_plan_built(&self) {
-        self.plans_built.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account one finished recursive CTE: its steps, whether its plan
-    /// has a row pipeline and how many steps ran on it, and reused builds.
-    pub(crate) fn count_recursion(
-        &self,
-        steps: u64,
-        has_spine: bool,
-        row_steps: u64,
-        builds_reused: u64,
-    ) {
-        self.recursive_steps.fetch_add(steps, Ordering::Relaxed);
-        self.spine_steps.fetch_add(if has_spine { steps } else { 0 }, Ordering::Relaxed);
-        self.row_steps.fetch_add(row_steps, Ordering::Relaxed);
-        self.builds_reused.fetch_add(builds_reused, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_columns_pivoted(&self, chunks: u64) {
-        self.columns_pivoted.fetch_add(chunks, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_subquery_reused(&self) {
-        self.subqueries_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_rows_copied(&self, rows: u64) {
-        self.rows_copied.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Record a solve's analyzer findings for the statement running it.
@@ -833,7 +868,7 @@ impl Database {
         self.writing(name);
         let stored = self.relations_mut().tables.get_mut(name).ok_or_else(missing)?;
         let copied = stored.append(coerced.iter().cloned());
-        self.count_rows_copied(copied);
+        self.work.add(Work::RowsCopied, copied);
         self.emit(CatalogMutation::AppendRows { name: name.to_string(), rows: coerced });
         Ok(n)
     }
@@ -859,7 +894,7 @@ impl Database {
             .ok_or_else(|| Error::catalog(format!("relation '{name}' does not exist")))?;
         let copied = stored.rewrite(edit);
         let table = stored.clone();
-        self.count_rows_copied(copied);
+        self.work.add(Work::RowsCopied, copied);
         self.emit(CatalogMutation::PutTable { name: name.to_string(), table });
         Ok(())
     }

@@ -17,19 +17,20 @@
 //!
 //! The recursion loop (`run_recursive_cte`) steps a planned term three
 //! ways, chosen per step from what it can see: a one-row working table
-//! on the plan's row pipeline (`IteratedPlan::step_row`), any other on
-//! the batch operators (`IteratedPlan::step`), and a term that has no
+//! on the plan's row pipeline (`IteratedPlan::step_row`: on typed
+//! registers, or on values for a step they cannot run), any other on the
+//! batch operators (`IteratedPlan::step`), and a term that has no
 //! reusable plan as a query of its own.
 
 use crate::ast::*;
-use crate::catalog::{Binding, Ctes, Database, StepCell, StepHook};
+use crate::catalog::{Binding, Ctes, Database, StepCell, StepHook, Work};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::head::limit_offset;
 use crate::exec::oracle;
 use crate::plan::build::bound_has_subquery;
-use crate::plan::columnar::{push_rows, Batch, ColumnVec, BATCH_SIZE};
-use crate::plan::exec::{unseen_rows, IteratedPlan};
+use crate::plan::columnar::{Batch, ColumnVec};
+use crate::plan::exec::{unseen_rows, Grown, IteratedPlan, OneRow, Working};
 use crate::plan::keys::KeyIndex;
 use crate::plan::plan_select;
 use crate::table::{Column as TColumn, Row, Schema, Table};
@@ -74,15 +75,15 @@ fn with_ctes<'c>(
     for cte in &q.with {
         let bound = if q.recursive && query_references(&cte.query, &cte.name) {
             let span = trace.map(|tr| tr.span(&format!("recursive CTE {}", cte.name)));
-            let (table, how) = run_recursive_cte(db, &env, cte, outer)?;
+            let (bound, how) = run_recursive_cte(db, &env, cte, outer)?;
             if let Some(s) = &span {
-                s.rows(table.num_rows() as u64);
+                s.rows(bound.num_rows() as u64);
                 s.note("term", &how);
             }
             if let Some(notes) = notes.as_deref_mut() {
                 notes.push(format!("recursive CTE {}: {how}", cte.name));
             }
-            Binding::rows(Arc::new(table))
+            bound
         } else {
             let mut bound = run_query_bound(db, &env, &cte.query, outer)?;
             bound.rename(&cte.columns)?;
@@ -182,7 +183,8 @@ fn run_select_planned(
         return Ok((Binding::rows(Arc::new(t)), None));
     }
     let (planned, cache_hit) = db.plan_cached(ctes, sel, order_by, limit, offset, outer)?;
-    let t = crate::plan::execute(db, ctes, &planned, trace, outer)?;
+    let keeps = db.keeps_builds(ctes, &planned, cache_hit);
+    let t = crate::plan::execute(db, ctes, &planned, keeps, trace, outer)?;
     // After the execution, whose subqueries went through the cache too:
     // the event a statement reports is its own body's.
     if let Some(hit) = cache_hit {
@@ -344,20 +346,20 @@ pub(crate) fn recursive_parts(cte: &Cte) -> Result<(bool, &SetExpr, &SetExpr)> {
 /// semantics. A recursive term that is one `SELECT` block is planned
 /// once; every step executes that plan on what the step before it
 /// produced, keeping what the working table does not feed: a single row
-/// on the plan's row pipeline, straight onto the result's rows; anything
-/// else as batches, which become rows once, when the next step has read
-/// them. Any other term — a set operation, one whose plan captured rows
-/// of the working table (a FROM subquery or view over it), one of another
-/// width than the anchor (an error), every term while the reference
-/// interpreter is forced — is evaluated as a query of its own in every
-/// step, its working table bound as a CTE. Also returns how the term ran,
-/// for `EXPLAIN SELECT`.
+/// on the plan's row pipeline, straight onto the result's open tail — as
+/// typed columns while the steps run on typed registers; anything else as
+/// batches, which join the result as they are. Any other term — a set
+/// operation, one whose plan captured rows of the working table (a FROM
+/// subquery or view over it), one of another width than the anchor (an
+/// error), every term while the reference interpreter is forced — is
+/// evaluated as a query of its own in every step, its working table bound
+/// as a CTE. Also returns how the term ran, for `EXPLAIN SELECT`.
 fn run_recursive_cte(
     db: &Database,
     ctes: &Ctes,
     cte: &Cte,
     outer: Option<&Env<'_>>,
-) -> Result<(Table, String)> {
+) -> Result<(Binding, String)> {
     let (all, left, right) = recursive_parts(cte)?;
     let mut result = run_set_expr(db, ctes, left, outer)?;
     result.schema.rename(&cte.columns)?;
@@ -368,7 +370,7 @@ fn run_recursive_cte(
         result.rows.retain(|row| seen.is_new(row.as_slice()));
     }
     if result.rows.is_empty() {
-        return Ok((result, "no steps (empty anchor)".to_string()));
+        return Ok((Binding::rows(Arc::new(result)), "no steps (empty anchor)".to_string()));
     }
 
     let working_table = |rows: Vec<Row>| Arc::new(Table::with_rows(schema.clone(), rows));
@@ -378,7 +380,7 @@ fn run_recursive_cte(
     let plan = match right {
         _ if db.force_row_interpreter() => Err("row interpreter forced"),
         SetExpr::Select(sel) => {
-            let (plan, _) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
+            let (plan, event) = db.plan_cached(&step_ctes, sel, &[], &None, &None, outer)?;
             // Rows captured at plan time go stale with the first step.
             if plan.reads.names().any(|name| name == cte.name) {
                 Err("a FROM subquery or view reads the recursive relation")
@@ -387,7 +389,7 @@ fn run_recursive_cte(
                 // first step raises itself, as the reference does.
                 Err("the term's width is not the anchor's")
             } else {
-                Ok(plan)
+                Ok((db.keeps_builds(&step_ctes, &plan, event), plan))
             }
         }
         _ => Err("recursive term is not a plain SELECT"),
@@ -423,83 +425,99 @@ fn run_recursive_cte(
     };
 
     let mut steps = 0usize;
-    let (has_spine, row_steps, reused, how) = match &plan {
-        Ok(term) => {
-            let mut plan = IteratedPlan::new(term, &cte.name);
+    match &plan {
+        Ok((keeps, term)) => {
+            // Typed registers carry no custom value for the hook to
+            // rewrite, and a `UNION` dedupes rows.
+            let typed = all && ctes.step_hook().is_none();
+            let mut plan = IteratedPlan::new(term, &cte.name, typed, *keeps);
             // Only subqueries look the working table up by name.
             let by_name = term.root.has_subquery();
-            // The working table is what the last step added: the batches
-            // of a batch step, which join `result.rows` when the next
-            // step has read them — or, with none pending, the last `tail`
-            // rows of `result.rows`.
-            let mut pending: Vec<Batch> = Vec::new();
-            let mut tail = result.rows.len();
-            let mut total = tail;
+            let mut added = Added::Rows(result.rows.len());
+            let mut out = Grown::new(std::mem::take(&mut result.rows));
             loop {
                 steps += 1;
-                capped(steps, total)?;
-                let on_one_row = match result.rows.last() {
-                    Some(row) if pending.is_empty() && tail == 1 => {
-                        plan.step_row(db, &step_ctes, row, outer)?
+                capped(steps, out.len())?;
+                let one_row;
+                let working = match &added {
+                    Added::Typed => Some(Working::Carried),
+                    Added::Rows(1) => out.last_row().map(Working::Row),
+                    Added::Batches(b)
+                        if plan.has_spine() && b.iter().map(|b| b.len).sum::<usize>() == 1 =>
+                    {
+                        one_row = b.iter().find(|b| b.len == 1).map(|b| b.row_at(0));
+                        one_row.as_deref().map(Working::Row)
                     }
                     _ => None,
                 };
-                let added = match on_one_row {
-                    Some(new) => {
-                        let mut new = new.filter(|row| all || seen.is_new(row.as_slice()));
-                        let first = result.rows.len();
-                        hook(first, Step::Rows(new.as_mut_slice()));
-                        tail = usize::from(new.is_some());
-                        result.rows.extend(new);
-                        tail
+                let on_one_row = match working {
+                    Some(working) => plan.step_row(db, &step_ctes, working, outer)?,
+                    None => None,
+                };
+                added = match on_one_row {
+                    Some(OneRow::Typed(row)) => match row {
+                        Some(row) => {
+                            out.push_scalars(row);
+                            Added::Typed
+                        }
+                        None => break,
+                    },
+                    Some(OneRow::Values(new)) => {
+                        let Some(mut new) = new.filter(|row| all || seen.is_new(row.as_slice()))
+                        else {
+                            break;
+                        };
+                        hook(out.len(), Step::Rows(std::slice::from_mut(&mut new)));
+                        out.push_row(new);
+                        Added::Rows(1)
                     }
                     None => {
-                        let from_rows: Vec<Batch>;
-                        let working = if pending.is_empty() {
-                            let rows = &result.rows[result.rows.len() - tail..];
-                            from_rows = rows
-                                .chunks(BATCH_SIZE)
-                                .map(|c| Batch::from_rows(c, None))
-                                .collect();
-                            &from_rows
-                        } else {
-                            &pending
+                        let from_tail;
+                        let working = match &added {
+                            Added::Batches(b) => b,
+                            Added::Rows(n) => {
+                                from_tail = out.tail_batches(*n);
+                                &from_tail
+                            }
+                            Added::Typed => {
+                                from_tail = vec![out.last_typed()];
+                                &from_tail
+                            }
                         };
                         let mut new = plan.step(db, &step_ctes, working, outer)?;
                         if !all {
                             new = unseen_rows(&new, schema.len(), &mut seen);
                         }
                         new.retain(|b| b.len > 0);
-                        let first =
-                            result.rows.len() + pending.iter().map(|b| b.len).sum::<usize>();
-                        hook(first, Step::Batches(&mut new));
-                        if by_name && !new.is_empty() {
+                        if new.is_empty() {
+                            break;
+                        }
+                        hook(out.len(), Step::Batches(&mut new));
+                        if by_name {
                             let working = Binding::batches(schema.clone(), new.clone());
                             step_ctes.bind(&cte.name, Arc::new(working));
                         }
-                        push_rows(&pending, &mut result.rows);
-                        pending = new;
-                        let added = pending.iter().map(|b| b.len).sum();
-                        // One row is a row: the next step may read it as one.
-                        if added == 1 && plan.has_spine() {
-                            push_rows(&pending, &mut result.rows);
-                            pending.clear();
-                            tail = 1;
-                        }
-                        added
+                        out.push_batches(&new);
+                        Added::Batches(new)
                     }
                 };
-                if added == 0 {
-                    break;
-                }
-                total += added;
             }
+            let (row_steps, typed_steps) = plan.row_steps();
             let how = format!(
-                "planned once{}, {} of {steps} steps on one row",
+                "planned once{}, {row_steps} of {steps} steps on one row, {typed_steps} typed",
                 if plan.keeps_builds() { ", build side reused" } else { "" },
-                plan.row_steps()
             );
-            (plan.has_spine(), plan.row_steps(), plan.builds_reused(), how)
+            let counts = [
+                (Work::RecursiveSteps, steps as u64),
+                (Work::SpineSteps, if plan.has_spine() { steps as u64 } else { 0 }),
+                (Work::RowSteps, row_steps),
+                (Work::TypedSteps, typed_steps),
+                (Work::BuildsReused, plan.builds_reused()),
+            ];
+            for (work, n) in counts {
+                db.count(ctes, work, n);
+            }
+            Ok((Binding::batches(schema, out.into_batches()), how))
         }
         Err(why) => {
             let rec_q = Query {
@@ -525,11 +543,19 @@ fn run_recursive_cte(
                 working_rows = new_rows.len();
                 step_ctes.insert(&cte.name, working_table(new_rows));
             }
-            (false, 0, 0, format!("a query of its own per step ({why})"))
+            db.count(ctes, Work::RecursiveSteps, steps as u64);
+            Ok((Binding::rows(Arc::new(result)), format!("a query of its own per step ({why})")))
         }
-    };
-    db.count_recursion(steps as u64, has_spine, row_steps, reused);
-    Ok((result, how))
+    }
+}
+
+/// What the last step of a recursion added, which is the working table
+/// of the next: the last rows of the result's open row tail, the last row
+/// of its typed tail, or batches.
+enum Added {
+    Rows(usize),
+    Typed,
+    Batches(Vec<Batch>),
 }
 
 /// The new rows of one recursive step, as rows or as batches.

@@ -24,7 +24,7 @@
 //! plans, and [`Database::end_statement`] drops them all.
 
 use crate::ast::{Expr, Node, Query};
-use crate::catalog::{Database, ReadSet};
+use crate::catalog::{Database, ReadSet, Work};
 use crate::error::Result;
 use crate::exec::eval::{Env, EvalCtx};
 use crate::exec::select::run_query;
@@ -145,7 +145,7 @@ pub(crate) fn run_subquery(
     match found {
         Lookup::Run => run(),
         Lookup::Kept(table) => {
-            db.count_subquery_reused();
+            db.count(ctx.ctes, Work::SubqueriesReused, 1);
             Ok(table)
         }
         Lookup::Miss => {

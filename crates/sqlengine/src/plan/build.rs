@@ -56,7 +56,7 @@ use crate::ast::{
     Expr, JoinConstraint, JoinKind, Node, OrderItem, Query, Select, SelectItem, SetExpr,
     TableAlias, TableRef as AstTableRef,
 };
-use crate::catalog::{Ctes, Database, ReadSet};
+use crate::catalog::{Ctes, Database, ReadSet, Work};
 use crate::error::{Error, Result};
 use crate::exec::eval::{Binder, BoundExpr, Scope, ScopeCol};
 use crate::exec::head::{
@@ -619,7 +619,7 @@ pub fn plan_select(
         input = PlanNode::Limit { input: Box::new(input), limit: limit_n, offset: offset_n };
     }
 
-    db.count_plan_built();
+    db.count(ctes, Work::PlansBuilt, 1);
     let reads = ReadSet::of(db.relations(), ctes, captured.reads);
     Ok(PlannedQuery::new(input, head.schema, reads, captured.solve))
 }

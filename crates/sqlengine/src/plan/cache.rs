@@ -46,6 +46,16 @@
 //! that captured a solve's answer ([`PlannedQuery::captured_solve`]) is
 //! never cached: nothing versions a solver run.
 //!
+//! A statement-scoped plan that runs more than once in its statement —
+//! a black-box solver's objective and simulation, once per candidate —
+//! also keeps, from its second run on, the hash-join build sides whose
+//! subtree reads nothing but the tables the plan holds (`plan::exec`):
+//! they are the same in every run. The entry holds the plan's `Arc`, so
+//! the node addresses keying the builds stay that plan's; it is valid
+//! while the plan is, goes with it when a write retires the plan, and is
+//! dropped with the statement's plans. A plan that runs once keeps
+//! nothing.
+//!
 //! The key is the query itself (`PlanKey`): an entry owns the block,
 //! the ORDER BY / LIMIT / OFFSET of its query, the bound CTE names and
 //! the outer chain's column names, and a lookup borrows them. The map
@@ -58,7 +68,8 @@
 //! (unlike `sdb_stat_statements`, whose shape key masks literals to group
 //! statements).
 
-use super::{plan_select, PlannedQuery};
+use super::exec::JoinBuild;
+use super::{plan_select, PlanNode, PlannedQuery};
 use crate::ast::{Expr, OrderItem, Select};
 use crate::catalog::{Ctes, Database, ReadSet};
 use crate::error::Result;
@@ -154,6 +165,18 @@ pub(crate) struct PlanCache {
     /// This statement's subquery sites and their kept results, by the
     /// address of the site's `Query` (`exec::subquery`).
     subqueries: HashMap<usize, KeptSubquery>,
+    /// The statement-scoped plans that ran in this statement, by address.
+    runs: HashMap<usize, PlanRuns>,
+}
+
+/// A statement-scoped plan that ran in the statement, and the build sides
+/// kept for it.
+struct PlanRuns {
+    /// Held so that the addresses keying the entry stay this plan's.
+    plan: Arc<PlannedQuery>,
+    runs: u32,
+    /// By the address of the node each is built over.
+    builds: Vec<(usize, Arc<JoinBuild>)>,
 }
 
 impl PlanCache {
@@ -169,7 +192,7 @@ impl PlanCache {
     /// return its event. The maps go with their capacity: between
     /// statements a session holds only its session plans.
     pub(crate) fn end_statement(&mut self) -> Option<bool> {
-        (self.statement, self.subqueries) = Default::default();
+        (self.statement, self.subqueries, self.runs) = Default::default();
         self.event.take()
     }
 }
@@ -227,6 +250,55 @@ impl Database {
         cache.session.retain(|_, planned| keep(&planned.reads));
         cache.statement.retain(|_, planned| keep(&planned.reads));
         cache.subqueries.retain(|_, kept| kept.reads().is_none_or(&keep));
+        cache.runs.retain(|_, ran| keep(&ran.plan.reads));
+    }
+
+    /// Count a run of `planned`, which [`Self::plan_cached`] returned under
+    /// `ctes` with `event`: whether the run keeps the plan's build sides
+    /// that read only its tables. It does from the second run in the
+    /// statement of a statement-scoped cached plan on, outside a symbolic
+    /// pass (whose step hook has effects of its own).
+    pub(crate) fn keeps_builds(
+        &self,
+        ctes: &Ctes,
+        planned: &Arc<PlannedQuery>,
+        event: Option<bool>,
+    ) -> bool {
+        if event.is_none() || ctes.is_empty() || ctes.step_hook().is_some() {
+            return false;
+        }
+        let mut cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if cache.runs.len() >= MAX_CACHED_PLANS {
+            cache.runs.clear();
+        }
+        let at = Arc::as_ptr(planned) as usize;
+        let ran = cache.runs.entry(at).or_insert_with(|| PlanRuns {
+            plan: planned.clone(),
+            runs: 0,
+            builds: Vec::new(),
+        });
+        ran.runs += 1;
+        ran.runs > 1
+    }
+
+    /// The build side over `node` of `plan` that the statement keeps.
+    pub(crate) fn kept_build(
+        &self,
+        plan: &PlannedQuery,
+        node: &PlanNode,
+    ) -> Option<Arc<JoinBuild>> {
+        let cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let ran = cache.runs.get(&(plan as *const PlannedQuery as usize))?;
+        let at = node as *const PlanNode as usize;
+        ran.builds.iter().find(|(node, _)| *node == at).map(|(_, build)| build.clone())
+    }
+
+    /// Keep `build`, over `node` of `plan`, for the rest of the statement.
+    pub(crate) fn keep_build(&self, plan: &PlannedQuery, node: &PlanNode, build: Arc<JoinBuild>) {
+        let mut cache = self.plan_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ran) = cache.runs.get_mut(&(plan as *const PlannedQuery as usize)) {
+            ran.builds.push((node as *const PlanNode as usize, build));
+        }
     }
 
     /// `f` of the entry of the subquery site at `site`, if the statement

@@ -22,7 +22,7 @@ use super::build::bound_has_subquery;
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::table::Row;
-use crate::types::value::{cmp_f64, time_arith, Word};
+use crate::types::value::{cmp_f64, time_arith, Scalar, Word};
 use crate::types::{BinOp, Bitmap, UnOp, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -138,6 +138,55 @@ impl ColumnVec {
             ColumnVec::Iv(v, _) => Value::Interval(v[i]),
             ColumnVec::Any(v) => v[i].clone(),
         }
+    }
+
+    /// The slot at `i` as a [`Scalar`], when it is not NULL and of a
+    /// word kind.
+    pub(crate) fn scalar(&self, i: usize) -> Option<Scalar> {
+        let valid = |b: &Bitmap| b.get(i);
+        match self {
+            ColumnVec::Int(v, b) => valid(b).then(|| Scalar::Int(v[i])),
+            ColumnVec::Float(v, b) => valid(b).then(|| Scalar::Float(v[i])),
+            ColumnVec::Bool(v, b) => valid(b).then(|| Scalar::Bool(v[i])),
+            ColumnVec::Ts(v, b) => valid(b).then(|| Scalar::Ts(v[i])),
+            ColumnVec::Iv(v, b) => valid(b).then(|| Scalar::Iv(v[i])),
+            ColumnVec::Text(..) => None,
+            ColumnVec::Any(v) => Scalar::of(&v[i]),
+        }
+    }
+
+    /// Is `s` of the kind of this typed column?
+    pub(crate) fn holds(&self, s: Scalar) -> bool {
+        matches!(
+            (self, s),
+            (ColumnVec::Int(..), Scalar::Int(_))
+                | (ColumnVec::Float(..), Scalar::Float(_))
+                | (ColumnVec::Bool(..), Scalar::Bool(_))
+                | (ColumnVec::Ts(..), Scalar::Ts(_))
+                | (ColumnVec::Iv(..), Scalar::Iv(_))
+        )
+    }
+
+    /// Append `s`, which the column [`Self::holds`].
+    pub(crate) fn push(&mut self, s: Scalar) {
+        let valid = match (self, s) {
+            (ColumnVec::Int(v, b), Scalar::Int(x))
+            | (ColumnVec::Ts(v, b), Scalar::Ts(x))
+            | (ColumnVec::Iv(v, b), Scalar::Iv(x)) => {
+                v.push(x);
+                b
+            }
+            (ColumnVec::Float(v, b), Scalar::Float(x)) => {
+                v.push(x);
+                b
+            }
+            (ColumnVec::Bool(v, b), Scalar::Bool(x)) => {
+                v.push(x);
+                b
+            }
+            _ => return,
+        };
+        valid.push(true);
     }
 
     /// The kind, values and validity of a column that holds one `i64`
@@ -379,17 +428,11 @@ impl Batch {
 
 /// Materialize a sequence of batches as rows.
 pub fn batches_to_rows(batches: &[Batch]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    push_rows(batches, &mut rows);
-    rows
-}
-
-/// [`batches_to_rows`] onto the end of `rows`.
-pub(crate) fn push_rows(batches: &[Batch], rows: &mut Vec<Row>) {
-    rows.reserve(batches.iter().map(|b| b.len).sum());
+    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.len).sum());
     for b in batches {
         rows.extend((0..b.len).map(|i| b.row_at(i)));
     }
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -578,6 +621,22 @@ impl VecExpr {
     /// `Fallback` can hold one.
     pub(crate) fn has_subquery(&self) -> bool {
         matches!(self, VecExpr::Fallback(b) if bound_has_subquery(b))
+    }
+
+    /// Is the value a function of the row alone — no outer row, nothing
+    /// the row evaluator runs (a function call may be a UDF's)?
+    pub(crate) fn is_closed(&self) -> bool {
+        match self {
+            VecExpr::Col(_) | VecExpr::Const(_) => true,
+            VecExpr::Outer { .. } | VecExpr::Fallback(_) => false,
+            VecExpr::BinOp { lhs, rhs, .. } | VecExpr::Logic { lhs, rhs, .. } => {
+                lhs.is_closed() && rhs.is_closed()
+            }
+            VecExpr::UnOp { expr, .. }
+            | VecExpr::IsNull { expr, .. }
+            | VecExpr::Cast { expr, .. }
+            | VecExpr::InList { expr, .. } => expr.is_closed(),
+        }
     }
 
     /// Evaluate on one row, without a batch: the row semantics the

@@ -26,9 +26,16 @@
 //! feed — whole subtrees and hash-join build sides — runs once. Where
 //! the working table reaches the root through one path of row-at-a-time
 //! operators over those kept sides (the `Spine`), a step whose working
-//! table is a single row evaluates that path on scalars instead of on
-//! one-row batches; any other step, and any other plan, runs the batch
-//! operators.
+//! table is a single row evaluates that path on one row instead of on
+//! one-row batches: on typed registers (`Scalar`s) where every value it
+//! reads and every operation it applies has a machine-word form, and on
+//! [`Value`]s for a step where one has not. Any other step, and any other
+//! plan, runs the batch operators.
+//!
+//! A hash join's build side that reads nothing but the tables its plan
+//! holds is the same in every execution of the plan. Of a plan that the
+//! statement's plan cache holds and runs more than once, such a side is
+//! built once for the statement (`Database::keeps_builds`).
 
 use super::build::{bound_has_subquery, collect_cols, remap_cols};
 use super::columnar::{batches_to_rows, Batch, ColumnVec, RowRef, VecEvalCtx, VecExpr, BATCH_SIZE};
@@ -36,30 +43,33 @@ use super::image::StoredTable;
 use super::ir::{PlanAggCall, PlanNode, PlannedQuery, ScanSource};
 use super::keys::{Key, KeyIndex, Slot};
 use crate::ast::OrderItem;
-use crate::catalog::{Binding, Ctes, Database};
+use crate::catalog::{Binding, Ctes, Database, Work};
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{key_order, AggState};
 use crate::exec::subquery::run_subquery;
 use crate::table::{Row, Schema};
-use crate::types::value::Word;
-use crate::types::{GroupKey, Value};
+use crate::types::value::{Scalar, Word};
+use crate::types::{BinOp, DataType, GroupKey, UnOp, Value};
 use obs::Span;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Execute a planned query under the rows of its enclosing blocks,
-/// producing the result as the batches the executor made.
+/// producing the result as the batches the executor made. `keeps`: the
+/// statement keeps the plan's catalog-only build sides
+/// (`Database::keeps_builds`).
 pub fn execute(
     db: &Database,
     ctes: &Ctes,
     planned: &PlannedQuery,
+    keeps: bool,
     trace: Option<&obs::Trace>,
     outer: Option<&Env<'_>>,
 ) -> Result<Binding> {
-    Runner { ctx: EvalCtx { db, ctes }, trace, step: None, outer }.run(planned)
+    let keeps = keeps.then_some(planned);
+    Runner { ctx: EvalCtx { db, ctes }, trace, step: None, keeps, outer }.run(planned)
 }
 
 /// One plan executed repeatedly while a single CTE slot (`rebound`) is
@@ -77,7 +87,12 @@ pub(crate) struct IteratedPlan<'p> {
     kept: Kept,
     /// The plan's row pipeline, when it has one.
     spine: Option<Spine<'p>>,
+    /// May a one-row step run on typed registers?
+    typed: bool,
+    /// The statement keeps the plan's catalog-only build sides.
+    keeps: bool,
     row_steps: u64,
+    typed_steps: u64,
 }
 
 /// What an [`IteratedPlan`] keeps between steps, by the address of the
@@ -88,7 +103,7 @@ pub(crate) struct IteratedPlan<'p> {
 struct Kept {
     outputs: Vec<(*const PlanNode, Option<Vec<Batch>>)>,
     /// Keyed by the hash join's right child.
-    builds: Vec<(*const PlanNode, Option<Rc<JoinBuild>>)>,
+    builds: Vec<(*const PlanNode, Option<Arc<JoinBuild>>)>,
     reused: u64,
 }
 
@@ -104,8 +119,33 @@ fn kept_ref<T>(list: &[(*const PlanNode, T)], node: *const PlanNode) -> Option<&
     kept_pos(list, node).map(|i| &list[i].1)
 }
 
+/// The working table of a step [`IteratedPlan::step_row`] runs: one row,
+/// as values, or as the registers the typed step that produced it left it
+/// in.
+pub(crate) enum Working<'a> {
+    Row(&'a [Value]),
+    Carried,
+}
+
+/// What a step on one row produced.
+pub(crate) enum OneRow<'s> {
+    /// On typed registers: the row, if the step produced one.
+    Typed(Option<&'s [Scalar]>),
+    /// On values.
+    Values(Option<Row>),
+}
+
 impl<'p> IteratedPlan<'p> {
-    pub(crate) fn new(plan: &'p PlannedQuery, rebound: &'p str) -> IteratedPlan<'p> {
+    /// `typed`: a one-row step may run on typed registers — not under a
+    /// step hook, whose rewrites only `Value`s carry, nor for a `UNION`,
+    /// whose duplicate elimination reads rows. `keeps`: the statement
+    /// keeps the plan's catalog-only build sides.
+    pub(crate) fn new(
+        plan: &'p PlannedQuery,
+        rebound: &'p str,
+        typed: bool,
+        keeps: bool,
+    ) -> IteratedPlan<'p> {
         /// Register what the subtree at `node` keeps; true when nothing
         /// in it reads `slot`, which leaves keeping it (or something
         /// larger) to the caller.
@@ -130,51 +170,85 @@ impl<'p> IteratedPlan<'p> {
             kept.outputs.push((&plan.root, None));
         }
         let spine = Spine::of(plan, rebound, &kept);
-        IteratedPlan { plan, rebound, kept, spine, row_steps: 0 }
+        IteratedPlan { plan, rebound, kept, spine, typed, keeps, row_steps: 0, typed_steps: 0 }
     }
 
-    /// [`Self::step`] over a working table of the single row `working`,
-    /// on the plan's [`Spine`]: `Some` of the row the step produced, if
-    /// it produced one. `None` when this step has to run on the batch
+    /// [`Self::step`] over a working table of one row, on the plan's
+    /// [`Spine`]: on its typed registers when the step can run there, on
+    /// values otherwise. `None` when this step has to run on the batch
     /// operators — the plan has no spine, a kept side is still to be
     /// computed (which the batch operators do, once), or the row meets
     /// more than one row of a kept side. A step is a pure function of
-    /// its working table, so whatever part of it ran here is simply run
-    /// again there.
+    /// its working table, so whatever part of it ran on one form is
+    /// simply run again on the next.
     pub(crate) fn step_row(
         &mut self,
         db: &Database,
         ctes: &Ctes,
-        working: &[Value],
+        working: Working<'_>,
         outer: Option<&Env<'_>>,
-    ) -> Result<Option<Option<Row>>> {
-        let Some(spine) = &mut self.spine else { return Ok(None) };
-        if spine.sides.is_none() {
-            match KeptSides::of(spine, &self.kept) {
-                Ok(sides) => spine.sides = sides,
-                // A kept side that is not one row stays that way.
-                Err(NotOneRow) => {
-                    self.spine = None;
-                    return Ok(None);
-                }
-            }
+    ) -> Result<Option<OneRow<'_>>> {
+        if !self.has_sides() {
+            return Ok(None);
         }
+        let Some(spine) = &mut self.spine else { return Ok(None) };
+        let builds = spine.build_at.len() as u64;
+        if let Some(produced) = spine.run_typed(&working) {
+            self.row_steps += 1;
+            self.typed_steps += 1;
+            self.kept.reused += builds;
+            return Ok(Some(OneRow::Typed(spine.typed_row().filter(|_| produced))));
+        }
+        let carried;
+        let working = match working {
+            Working::Row(row) => row,
+            Working::Carried => match &spine.typed {
+                Some(typed) => {
+                    carried = typed.carried();
+                    &carried
+                }
+                None => return Ok(None),
+            },
+        };
         let out = spine.run(&EvalCtx { db, ctes }, working, outer)?;
         if out.is_some() {
             self.row_steps += 1;
-            self.kept.reused += spine.build_at.len() as u64;
+            self.kept.reused += builds;
         }
-        Ok(out)
+        Ok(out.map(OneRow::Values))
     }
 
-    /// Can a step over a one-row working table run on scalars?
+    /// Has the spine its kept sides, which the batch operators compute?
+    /// Takes them from `kept` when they are all there.
+    fn has_sides(&mut self) -> bool {
+        let Some(spine) = &mut self.spine else { return false };
+        if spine.sides.is_some() {
+            return true;
+        }
+        match KeptSides::of(spine, &self.kept) {
+            Ok(None) => false,
+            Ok(Some(sides)) => {
+                spine.typed = self.typed.then(|| TypedStep::compile(spine, &sides)).flatten();
+                spine.sides = Some(sides);
+                true
+            }
+            // A kept output that is not one row stays that way.
+            Err(NotOneRow) => {
+                self.spine = None;
+                false
+            }
+        }
+    }
+
+    /// Can a step over a one-row working table run on the spine?
     pub(crate) fn has_spine(&self) -> bool {
         self.spine.is_some()
     }
 
-    /// How many steps [`Self::step_row`] ran.
-    pub(crate) fn row_steps(&self) -> u64 {
-        self.row_steps
+    /// How many steps [`Self::step_row`] ran, and of those on typed
+    /// registers.
+    pub(crate) fn row_steps(&self) -> (u64, u64) {
+        (self.row_steps, self.typed_steps)
     }
 
     /// Execute the plan with the `rebound` slot reading `working`.
@@ -190,7 +264,8 @@ impl<'p> IteratedPlan<'p> {
         outer: Option<&Env<'_>>,
     ) -> Result<Vec<Batch>> {
         let step = Step { rebound: self.rebound, working, kept: &mut self.kept };
-        Runner { ctx: EvalCtx { db, ctes }, trace: None, step: Some(step), outer }
+        let keeps = self.keeps.then_some(self.plan);
+        Runner { ctx: EvalCtx { db, ctes }, trace: None, step: Some(step), keeps, outer }
             .run_batches(self.plan)
     }
 
@@ -203,6 +278,87 @@ impl<'p> IteratedPlan<'p> {
     /// Does any join of the plan qualify for build reuse?
     pub(crate) fn keeps_builds(&self) -> bool {
         !self.kept.builds.is_empty()
+    }
+}
+
+/// The relation a recursion grows, in the forms its steps make it in:
+/// whole batches, then an open tail that one-row steps append to — typed
+/// columns while they run on registers, rows otherwise.
+pub(crate) struct Grown {
+    batches: Vec<Batch>,
+    rows: Vec<Row>,
+    typed: Vec<ColumnVec>,
+    len: usize,
+}
+
+impl Grown {
+    /// The relation of the anchor's `rows`.
+    pub(crate) fn new(rows: Vec<Row>) -> Grown {
+        Grown { batches: Vec::new(), len: rows.len(), rows, typed: Vec::new() }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The open tail as batches.
+    fn seal(&mut self) {
+        let rows = std::mem::take(&mut self.rows);
+        self.batches.extend(rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)));
+        if let Some(len) = self.typed.first().map(ColumnVec::len) {
+            let cols = self.typed.drain(..).map(Arc::new).collect();
+            self.batches.push(Batch { cols, len });
+        }
+    }
+
+    pub(crate) fn push_row(&mut self, row: Row) {
+        if !self.typed.is_empty() {
+            self.seal();
+        }
+        self.rows.push(row);
+        self.len += 1;
+    }
+
+    pub(crate) fn push_scalars(&mut self, row: &[Scalar]) {
+        if !self.rows.is_empty() {
+            self.seal();
+        }
+        let fits = |(col, s): (&ColumnVec, &Scalar)| col.holds(*s);
+        if self.typed.is_empty() || !self.typed.iter().zip(row).all(fits) {
+            // A column that changes kind starts a batch of its own.
+            self.seal();
+            self.typed = row.iter().map(|s| ColumnVec::broadcast(&s.value(), 0)).collect();
+        }
+        self.typed.iter_mut().zip(row).for_each(|(col, s)| col.push(*s));
+        self.len += 1;
+    }
+
+    pub(crate) fn push_batches(&mut self, batches: &[Batch]) {
+        self.seal();
+        self.batches.extend(batches.iter().cloned());
+        self.len += batches.iter().map(|b| b.len).sum::<usize>();
+    }
+
+    /// The last `n` rows, which the open row tail holds, as batches.
+    pub(crate) fn tail_batches(&self, n: usize) -> Vec<Batch> {
+        let rows = &self.rows[self.rows.len() - n..];
+        rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, None)).collect()
+    }
+
+    /// The last row of the open row tail.
+    pub(crate) fn last_row(&self) -> Option<&[Value]> {
+        self.rows.last().map(Vec::as_slice)
+    }
+
+    /// The last row of the open typed tail, as a one-row batch.
+    pub(crate) fn last_typed(&self) -> Batch {
+        let last = |c: &ColumnVec| Arc::new(c.gather(&[c.len() - 1]));
+        Batch { cols: self.typed.iter().map(last).collect(), len: 1 }
+    }
+
+    pub(crate) fn into_batches(mut self) -> Vec<Batch> {
+        self.seal();
+        self.batches
     }
 }
 
@@ -252,6 +408,8 @@ struct Spine<'p> {
     stages: Vec<(Stage<'p>, &'p Scope, Vec<Src>)>,
     /// The root's expressions, over the same.
     project: (&'p [VecExpr], &'p Scope, Vec<Src>),
+    /// Columns of the working row.
+    width: usize,
     visible: usize,
     /// The right children of the probed hash joins and the kept-output
     /// inputs of the keyless ones, as [`Src`] numbers them.
@@ -260,6 +418,8 @@ struct Spine<'p> {
     /// What `build_at` / `output_at` hold, once the batch operators have
     /// computed every one of them.
     sides: Option<KeptSides>,
+    /// The spine on typed registers, compiled when the sides are there.
+    typed: Option<TypedStep>,
     /// Per kept build, the row this step's probe matched.
     matched: Vec<Option<usize>>,
     /// Scratch for a probe key.
@@ -267,7 +427,7 @@ struct Spine<'p> {
 }
 
 struct KeptSides {
-    builds: Vec<Rc<JoinBuild>>,
+    builds: Vec<Arc<JoinBuild>>,
     /// One batch of one row each.
     outputs: Vec<Batch>,
 }
@@ -327,10 +487,12 @@ impl<'p> Spine<'p> {
         let mut spine = Spine {
             stages: Vec::new(),
             project: (exprs, input.scope(), Vec::new()),
+            width: 0,
             visible: plan.visible,
             build_at: Vec::new(),
             output_at: Vec::new(),
             sides: None,
+            typed: None,
             matched: Vec::new(),
             key: Default::default(),
         };
@@ -348,6 +510,7 @@ impl<'p> Spine<'p> {
             PlanNode::Scan { source: ScanSource::Slot { name, .. }, cols, total_cols, .. }
                 if name == slot =>
             {
+                self.width = *total_cols;
                 Some(match cols {
                     Some(cols) => cols.iter().map(|&c| Src::Working(c)).collect(),
                     None => (0..*total_cols).map(Src::Working).collect(),
@@ -405,6 +568,22 @@ impl<'p> Spine<'p> {
             }
             _ => None,
         }
+    }
+
+    /// The step over `working` on the typed registers: whether it
+    /// produced a row, `None` when it is not a step they run.
+    fn run_typed(&mut self, working: &Working<'_>) -> Option<bool> {
+        let (Some(typed), Some(sides)) = (&mut self.typed, &self.sides) else { return None };
+        let working = match working {
+            Working::Row(row) => Some(*row),
+            Working::Carried => None,
+        };
+        typed.run(sides, working)
+    }
+
+    /// The row the last typed step produced.
+    fn typed_row(&self) -> Option<&[Scalar]> {
+        self.typed.as_ref().map(|t| &t.out[..self.visible])
     }
 
     /// The step over the one-row working table `working`: the row it
@@ -468,6 +647,257 @@ impl<'p> Spine<'p> {
     }
 }
 
+/// An operand of a [`TypedStep`]: a register or a constant.
+#[derive(Clone, Copy)]
+enum Operand {
+    Reg(usize),
+    Const(Scalar),
+}
+
+impl Operand {
+    fn get(self, regs: &[Scalar]) -> Scalar {
+        match self {
+            Operand::Reg(r) => regs[r],
+            Operand::Const(c) => c,
+        }
+    }
+}
+
+/// One operation of a [`TypedStep`], into register `.1`: a [`VecExpr`]
+/// node's row semantics, [`Scalar`]'s in place of [`Value`]'s.
+enum Op {
+    Bin(BinOp, Operand, Operand),
+    Un(UnOp, Operand),
+    Cast(DataType, Operand),
+}
+
+/// Operations in order — an expression's operands before it — and the
+/// operand that holds each expression's value once they ran.
+#[derive(Default)]
+struct Code {
+    ops: Vec<(Op, usize)>,
+    values: Vec<Operand>,
+}
+
+impl Code {
+    /// Run the operations: `None` when one has no value on scalars.
+    fn run(&self, regs: &mut [Scalar]) -> Option<()> {
+        for (op, dst) in &self.ops {
+            regs[*dst] = match op {
+                Op::Bin(op, l, r) => Scalar::binop(*op, l.get(regs), r.get(regs))?,
+                Op::Un(op, v) => Scalar::unop(*op, v.get(regs))?,
+                Op::Cast(ty, v) => v.get(regs).cast(ty)?,
+            };
+        }
+        Some(())
+    }
+}
+
+/// One operator of a [`TypedStep`].
+enum TypedStage {
+    /// The predicate is `code`'s one value.
+    Filter(Code),
+    /// A probe into the spine's `build`-th kept build by `code`'s values,
+    /// whose matched row fills the registers of `loads` (`(column,
+    /// register)`).
+    Probe { code: Code, build: usize, pad: bool, loads: Vec<(usize, usize)> },
+}
+
+/// The [`Spine`] over typed registers: `0..width` hold the working row,
+/// then one per build column an expression reads and one per operation;
+/// a kept output's values are read once, into constants. A step it cannot
+/// run there — a NULL where a register is read, a value or an operation
+/// without a word form, a probe that meets two build rows — it leaves to
+/// the `Value` spine, which raises whatever error the step raises.
+struct TypedStep {
+    stages: Vec<TypedStage>,
+    project: Code,
+    /// The working columns an expression reads.
+    reads: Vec<usize>,
+    regs: Vec<Scalar>,
+    /// The projection of the last step that ran: its row.
+    out: Vec<Scalar>,
+    width: usize,
+    key: (Vec<Scalar>, Vec<GroupKey>),
+}
+
+/// What [`TypedStep::compile`] allocates registers in.
+struct Registers<'s> {
+    sides: &'s KeptSides,
+    reads: Vec<usize>,
+    /// Per kept build, `(column, register)` of the columns read.
+    loads: Vec<Vec<(usize, usize)>>,
+    next: usize,
+}
+
+impl Registers<'_> {
+    /// `code` with the expressions `exprs` over rows of `layout`.
+    fn code(&mut self, exprs: &[VecExpr], layout: &[Src]) -> Option<Code> {
+        let mut code = Code::default();
+        for e in exprs {
+            let value = self.operand(e, layout, &mut code.ops)?;
+            code.values.push(value);
+        }
+        Some(code)
+    }
+
+    /// Where the value of `e` is once `ops`, onto which its operations go,
+    /// ran.
+    fn operand(
+        &mut self,
+        e: &VecExpr,
+        layout: &[Src],
+        ops: &mut Vec<(Op, usize)>,
+    ) -> Option<Operand> {
+        let op = match e {
+            VecExpr::Col(i) => {
+                return Some(match layout[*i] {
+                    Src::Working(c) => {
+                        if !self.reads.contains(&c) {
+                            self.reads.push(c);
+                        }
+                        Operand::Reg(c)
+                    }
+                    Src::Build(b, c) => match self.loads[b].iter().find(|(col, _)| *col == c) {
+                        Some(&(_, reg)) => Operand::Reg(reg),
+                        None => {
+                            let reg = self.register();
+                            self.loads[b].push((c, reg));
+                            Operand::Reg(reg)
+                        }
+                    },
+                    Src::Output(o, c) => {
+                        Operand::Const(Scalar::of(&self.sides.outputs[o].cols[c].get(0))?)
+                    }
+                })
+            }
+            VecExpr::Const(v) => return Some(Operand::Const(Scalar::of(v)?)),
+            // Of a value that is there: NULL only when `negated` is not.
+            VecExpr::IsNull { expr, negated } => {
+                self.operand(expr, layout, ops)?;
+                return Some(Operand::Const(Scalar::Bool(*negated)));
+            }
+            VecExpr::BinOp { op, lhs, rhs } | VecExpr::Logic { op, lhs, rhs, .. } => {
+                let l = self.operand(lhs, layout, ops)?;
+                Op::Bin(*op, l, self.operand(rhs, layout, ops)?)
+            }
+            VecExpr::UnOp { op, expr } => Op::Un(*op, self.operand(expr, layout, ops)?),
+            VecExpr::Cast { expr, ty } => Op::Cast(ty.clone(), self.operand(expr, layout, ops)?),
+            VecExpr::Outer { .. } | VecExpr::InList { .. } | VecExpr::Fallback(_) => return None,
+        };
+        let dst = self.register();
+        ops.push((op, dst));
+        Some(Operand::Reg(dst))
+    }
+
+    fn register(&mut self) -> usize {
+        self.next += 1;
+        self.next - 1
+    }
+}
+
+impl TypedStep {
+    /// The spine's typed form over its kept `sides`; `None` when some
+    /// operator or expression on it has none.
+    fn compile(spine: &Spine<'_>, sides: &KeptSides) -> Option<TypedStep> {
+        let mut regs = Registers {
+            sides,
+            reads: Vec::new(),
+            loads: vec![Vec::new(); spine.build_at.len()],
+            next: spine.width,
+        };
+        let mut stages = Vec::with_capacity(spine.stages.len());
+        for (stage, _, layout) in &spine.stages {
+            stages.push(match stage {
+                Stage::Filter { pred, .. } => {
+                    TypedStage::Filter(regs.code(std::slice::from_ref(*pred), layout)?)
+                }
+                Stage::Probe { keys, build, pad } => TypedStage::Probe {
+                    code: regs.code(keys, layout)?,
+                    build: *build,
+                    pad: *pad,
+                    loads: Vec::new(),
+                },
+                Stage::Cross { .. } => return None,
+            });
+        }
+        let (exprs, _, layout) = &spine.project;
+        let project = regs.code(exprs, layout)?;
+        for stage in &mut stages {
+            if let TypedStage::Probe { build, loads, .. } = stage {
+                *loads = std::mem::take(&mut regs.loads[*build]);
+            }
+        }
+        Some(TypedStep {
+            stages,
+            out: vec![Scalar::Bool(false); project.values.len()],
+            project,
+            reads: regs.reads,
+            regs: vec![Scalar::Bool(false); regs.next],
+            width: spine.width,
+            key: Default::default(),
+        })
+    }
+
+    /// Run a step over `working`, or — `None` — over the row the last
+    /// step produced: whether it produced a row (in `out`); `None` when
+    /// it is not a step that runs here.
+    fn run(&mut self, sides: &KeptSides, working: Option<&[Value]>) -> Option<bool> {
+        let regs = &mut self.regs;
+        match working {
+            Some(row) => {
+                for &c in &self.reads {
+                    regs[c] = Scalar::of(&row[c])?;
+                }
+            }
+            None => regs[..self.width].copy_from_slice(&self.out[..self.width]),
+        }
+        for stage in &self.stages {
+            match stage {
+                TypedStage::Filter(code) => {
+                    code.run(regs)?;
+                    match code.values[0].get(regs) {
+                        Scalar::Bool(true) => {}
+                        Scalar::Bool(false) => return Some(false),
+                        _ => return None,
+                    }
+                }
+                TypedStage::Probe { code, build, pad, loads } => {
+                    code.run(regs)?;
+                    let (key, scratch) = &mut self.key;
+                    key.clear();
+                    key.extend(code.values.iter().map(|k| k.get(regs)));
+                    let table = &sides.builds[*build];
+                    let first = table.first_match(key.as_slice(), scratch);
+                    if first == END {
+                        // Unmatched, a left join's row reads NULLs.
+                        if *pad && loads.is_empty() {
+                            continue;
+                        }
+                        return (!*pad).then_some(false);
+                    }
+                    if table.next[first as usize] != END {
+                        return None;
+                    }
+                    for &(col, reg) in loads {
+                        regs[reg] = table.batch.cols[col].scalar(first as usize)?;
+                    }
+                }
+            }
+        }
+        self.project.run(regs)?;
+        for (value, out) in self.project.values.iter().zip(&mut self.out) {
+            *out = value.get(regs);
+        }
+        Some(true)
+    }
+
+    /// The working row the registers hold, as values.
+    fn carried(&self) -> Row {
+        self.regs[..self.width].iter().map(|s| s.value()).collect()
+    }
+}
+
 /// One step of an [`IteratedPlan`], as its [`Runner`] sees it.
 struct Step<'k> {
     rebound: &'k str,
@@ -480,6 +910,8 @@ struct Runner<'a, 'k> {
     ctx: EvalCtx<'a>,
     trace: Option<&'a obs::Trace>,
     step: Option<Step<'k>>,
+    /// The plan, when the statement keeps its catalog-only build sides.
+    keeps: Option<&'a PlannedQuery>,
     /// The rows of the enclosing blocks, innermost first.
     outer: Option<&'a Env<'a>>,
 }
@@ -524,13 +956,27 @@ impl<'a> Runner<'a, '_> {
         Ok(out)
     }
 
-    /// The kept build side of a hash join whose right input `right` no
-    /// step changes: built by the first step that gets here, probed by
-    /// every later one. `None` when the join keeps none (outside a
-    /// recursion, or a right input the working table feeds).
-    fn kept_build(&mut self, right: &PlanNode, rkeys: &[VecExpr]) -> Result<Option<Rc<JoinBuild>>> {
+    /// Does a step or the statement keep a build side over `right`?
+    fn keeps_right(&self, right: &PlanNode, rkeys: &[VecExpr]) -> bool {
+        let by_step = self.step.as_ref().is_some_and(|s| kept_pos(&s.kept.builds, right).is_some());
+        by_step || self.keeps_side(right, rkeys)
+    }
+
+    /// Does the statement keep a build side over `side`, keyed by `keys`?
+    fn keeps_side(&self, side: &PlanNode, keys: &[VecExpr]) -> bool {
+        self.keeps.is_some() && keys.iter().all(VecExpr::is_closed) && reads_only_tables(side)
+    }
+
+    /// The kept build side of a hash join over `right`: a recursion's,
+    /// built by the first step that gets here and probed by every later
+    /// one, or the statement's. `None` when neither keeps one.
+    fn kept_build(
+        &mut self,
+        right: &PlanNode,
+        rkeys: &[VecExpr],
+    ) -> Result<Option<Arc<JoinBuild>>> {
         match self.step.as_mut().and_then(|s| kept_at(&mut s.kept.builds, right)) {
-            None => return Ok(None),
+            None => return self.statement_build(right, rkeys),
             Some(Some(build)) => {
                 let build = build.clone();
                 if let Some(step) = &mut self.step {
@@ -540,11 +986,38 @@ impl<'a> Runner<'a, '_> {
             }
             Some(None) => {}
         }
-        let rb = self.run_node(right)?;
-        let build = Rc::new(JoinBuild::new(&self.over(right.scope()), &rb, rkeys)?);
+        let build = match self.statement_build(right, rkeys)? {
+            Some(build) => build,
+            None => {
+                let rb = self.run_node(right)?;
+                Arc::new(JoinBuild::new(&self.over(right.scope()), &rb, rkeys)?)
+            }
+        };
         if let Some(keep) = self.step.as_mut().and_then(|s| kept_at(&mut s.kept.builds, right)) {
             *keep = Some(build.clone());
         }
+        Ok(Some(build))
+    }
+
+    /// The build side over `side` that the statement keeps for the plan,
+    /// built now if it has none yet; `None` when it keeps none over
+    /// `side`.
+    fn statement_build(
+        &mut self,
+        side: &PlanNode,
+        keys: &[VecExpr],
+    ) -> Result<Option<Arc<JoinBuild>>> {
+        let Some(plan) = self.keeps.filter(|_| self.keeps_side(side, keys)) else {
+            return Ok(None);
+        };
+        let db = self.ctx.db;
+        if let Some(build) = db.kept_build(plan, side) {
+            db.count(self.ctx.ctes, Work::BuildsKept, 1);
+            return Ok(Some(build));
+        }
+        let batches = self.run_node(side)?;
+        let build = Arc::new(JoinBuild::new(&self.over(side.scope()), &batches, keys)?);
+        db.keep_build(plan, side, build.clone());
         Ok(Some(build))
     }
 
@@ -572,7 +1045,7 @@ impl<'a> Runner<'a, '_> {
                 }
                 ScanSource::Table(stored) => {
                     let (batches, pivoted) = stored.scan(cols.as_deref());
-                    self.ctx.db.count_columns_pivoted(pivoted);
+                    self.ctx.db.count(self.ctx.ctes, Work::ColumnsPivoted, pivoted);
                     if let Some(s) = span {
                         s.note("pivoted", pivoted);
                     }
@@ -624,22 +1097,30 @@ impl<'a> Runner<'a, '_> {
             }
 
             PlanNode::Join { left, right, kind, lkeys, rkeys, cond, scope, .. } => {
-                let lb = self.run_node(left)?;
                 if lkeys.is_empty() {
-                    let rb = self.run_node(right)?;
+                    let (lb, rb) = (self.run_node(left)?, self.run_node(right)?);
                     let widths = (left.scope().cols.len(), right.scope().cols.len());
                     return loop_join(&self.over(scope), &lb, &rb, widths, *kind, cond.as_deref());
                 }
                 // The table goes over the input with fewer rows — both
-                // are in hand — except that a recursion's kept build
-                // stays where every step finds it, and an outer join
-                // pads in the order a right-side table gives.
+                // are in hand — except that a kept build (a recursion's,
+                // or the statement's) stays where every execution finds
+                // it, and an outer join pads in the order a right-side
+                // table gives.
                 let rows = |batches: &[Batch]| batches.iter().map(|b| b.len).sum::<usize>();
-                let kept = self.kept_build(right, rkeys)?;
-                let rb = if kept.is_some() { Vec::new() } else { self.run_node(right)? };
-                let build_is_left = kept.is_none()
-                    && matches!(kind, crate::ast::JoinKind::Inner)
-                    && rows(&lb) < rows(&rb);
+                let inner = matches!(kind, crate::ast::JoinKind::Inner);
+                let (lb, rb, kept, build_is_left) = if self.keeps_right(right, rkeys) {
+                    let lb = self.run_node(left)?;
+                    (lb, Vec::new(), self.kept_build(right, rkeys)?, false)
+                } else if let Some(kept) =
+                    if inner { self.statement_build(left, lkeys)? } else { None }
+                {
+                    (Vec::new(), self.run_node(right)?, Some(kept), true)
+                } else {
+                    let (lb, rb) = (self.run_node(left)?, self.run_node(right)?);
+                    let build_is_left = inner && rows(&lb) < rows(&rb);
+                    (lb, rb, None, build_is_left)
+                };
                 let built;
                 let build: &JoinBuild = match &kept {
                     Some(kept) => kept,
@@ -676,6 +1157,7 @@ impl<'a> Runner<'a, '_> {
                         ctx: EvalCtx { db: self.ctx.db, ctes: self.ctx.ctes },
                         trace: None,
                         step: None,
+                        keeps: None,
                         outer: Some(&under),
                     };
                     let mut matched = false;
@@ -752,6 +1234,24 @@ impl<'a> Runner<'a, '_> {
                 Ok(out)
             }
         }
+    }
+}
+
+/// Does the subtree at `node` read nothing but the tables its plan holds
+/// — no CTE slot, no subquery, no outer row, no expression the row
+/// evaluator runs (which may call a UDF)? Its output is then the same in
+/// every execution of the plan.
+fn reads_only_tables(node: &PlanNode) -> bool {
+    let closed = |exprs: &[VecExpr]| exprs.iter().all(VecExpr::is_closed);
+    match node {
+        PlanNode::Scan { source: ScanSource::Table(_), .. } => true,
+        PlanNode::Filter { input, pred, .. } => pred.is_closed() && reads_only_tables(input),
+        PlanNode::Reorder { input, .. } => reads_only_tables(input),
+        PlanNode::Project { input, exprs, .. } => closed(exprs) && reads_only_tables(input),
+        PlanNode::Join { left, right, lkeys, rkeys, cond: None, .. } => {
+            closed(lkeys) && closed(rkeys) && reads_only_tables(left) && reads_only_tables(right)
+        }
+        _ => false,
     }
 }
 
@@ -859,7 +1359,7 @@ pub(crate) fn matching_rows(
         None => (Cow::Borrowed(pred), Cow::Borrowed(scope), None),
     };
     let (batches, pivoted) = stored.scan(keep.as_deref());
-    ctx.db.count_columns_pivoted(pivoted);
+    ctx.db.count(ctx.ctes, Work::ColumnsPivoted, pivoted);
     let ve = VecExpr::compile(&pred);
     let vctx = VecEvalCtx { ctx, scope: &scope, outer: None };
     let mut hits = vec![false; stored.num_rows()];
@@ -897,7 +1397,7 @@ const END: u32 = u32::MAX;
 /// The build side of a hash equi-join: one input as one batch, and its
 /// rows chained by join key in row order (NULL keys never match, so
 /// those rows are in no chain but stay pad-eligible).
-struct JoinBuild {
+pub(crate) struct JoinBuild {
     batch: Batch,
     /// The keys of the chained rows: none with a NULL, so a probe key
     /// with one finds nothing.

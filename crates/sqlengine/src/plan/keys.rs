@@ -12,7 +12,7 @@
 //! without a `GroupKey` per row.
 
 use super::columnar::ColumnVec;
-use crate::types::value::{exact_f64, exact_i64, num_bits};
+use crate::types::value::{exact_f64, exact_i64, num_bits, Scalar};
 use crate::types::{GroupKey, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,6 +117,26 @@ pub(crate) trait Key: Copy {
     fn group_keys(self, out: &mut Vec<GroupKey>);
 }
 
+impl Key for &[Scalar] {
+    fn kind(self) -> Option<KeyKind> {
+        match self {
+            [s] => KeyKind::of_value(&s.value()),
+            _ => None,
+        }
+    }
+
+    fn fixed(self, kind: KeyKind) -> Option<u64> {
+        match self {
+            [s] => kind.key_of(*s),
+            _ => None,
+        }
+    }
+
+    fn group_keys(self, out: &mut Vec<GroupKey>) {
+        out.extend(self.iter().map(|s| s.value().group_key()));
+    }
+}
+
 /// Row `.1` of the key columns `.0`.
 #[derive(Clone, Copy)]
 pub(crate) struct Slot<'a>(pub &'a [Arc<ColumnVec>], pub usize);
@@ -201,23 +221,26 @@ impl KeyKind {
     /// The key of `v` in this kind's space; `None` for NULL and for a
     /// value that no value of the kind equals.
     fn key(self, v: &Value) -> Option<u64> {
+        Scalar::of(v).and_then(|s| self.key_of(s))
+    }
+
+    /// [`Self::key`] of a scalar.
+    fn key_of(self, s: Scalar) -> Option<u64> {
         use KeyKind::{Float, Int, Iv, Ts};
-        match v {
-            Value::Int(i) => match self {
-                Int => Some(*i as u64),
-                Float => exact_f64(*i).map(num_bits),
+        match s {
+            Scalar::Int(i) => match self {
+                Int => Some(i as u64),
+                Float => exact_f64(i).map(num_bits),
                 Ts | Iv => None,
             },
-            Value::Float(f) => match self {
-                Int => exact_i64(*f).map(|i| i as u64),
-                Float => Some(num_bits(*f)),
+            Scalar::Float(f) => match self {
+                Int => exact_i64(f).map(|i| i as u64),
+                Float => Some(num_bits(f)),
                 Ts | Iv => None,
             },
-            Value::Timestamp(t) => (self == Ts).then_some(*t as u64),
-            Value::Interval(t) => (self == Iv).then_some(*t as u64),
-            Value::Null | Value::Bool(_) | Value::Text(_) | Value::Bits(_) | Value::Custom(_) => {
-                None
-            }
+            Scalar::Ts(t) => (self == Ts).then_some(t as u64),
+            Scalar::Iv(t) => (self == Iv).then_some(t as u64),
+            Scalar::Bool(_) => None,
         }
     }
 

@@ -482,6 +482,180 @@ pub(crate) fn time_arith(op: BinOp, lhs: Word, rhs: Word) -> Option<WordOp> {
     }
 }
 
+/// A value of a kind that is one machine word: what a register of a
+/// recursion's typed step program holds (`plan::exec`). Its operations
+/// are [`Value::binop`], [`Value::unop`] and [`Value::cast`] on the values
+/// of these kinds, bit for bit, except that each returns `None` where
+/// those return an error or a value of another kind; the caller then runs
+/// the step on `Value`s, which raises the error.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scalar {
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// Microseconds since the Unix epoch.
+    Ts(i64),
+    /// Microseconds.
+    Iv(i64),
+}
+
+impl Scalar {
+    /// `v` as a scalar, when it is not NULL and of a word kind.
+    pub(crate) fn of(v: &Value) -> Option<Scalar> {
+        match *v {
+            Value::Bool(b) => Some(Scalar::Bool(b)),
+            Value::Int(i) => Some(Scalar::Int(i)),
+            Value::Float(f) => Some(Scalar::Float(f)),
+            Value::Timestamp(t) => Some(Scalar::Ts(t)),
+            Value::Interval(i) => Some(Scalar::Iv(i)),
+            Value::Null | Value::Text(_) | Value::Bits(_) | Value::Custom(_) => None,
+        }
+    }
+
+    pub(crate) fn value(self) -> Value {
+        match self {
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Ts(t) => Value::Timestamp(t),
+            Scalar::Iv(i) => Value::Interval(i),
+        }
+    }
+
+    fn of_word(kind: Word, v: i64) -> Scalar {
+        match kind {
+            Word::Int => Scalar::Int(v),
+            Word::Ts => Scalar::Ts(v),
+            Word::Iv => Scalar::Iv(v),
+        }
+    }
+
+    fn word(self) -> Option<(Word, i64)> {
+        match self {
+            Scalar::Int(i) => Some((Word::Int, i)),
+            Scalar::Ts(t) => Some((Word::Ts, t)),
+            Scalar::Iv(i) => Some((Word::Iv, i)),
+            Scalar::Bool(_) | Scalar::Float(_) => None,
+        }
+    }
+
+    /// [`Value::as_f64`].
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Scalar::Int(i) => Some(i as f64),
+            Scalar::Float(f) => Some(f),
+            Scalar::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
+            Scalar::Ts(_) | Scalar::Iv(_) => None,
+        }
+    }
+
+    /// [`Value::binop`]. `AND` / `OR` take both operands evaluated, which
+    /// without NULLs is what the evaluator's short circuit returns too.
+    pub(crate) fn binop(op: BinOp, lhs: Scalar, rhs: Scalar) -> Option<Scalar> {
+        use Scalar::*;
+        // The float arithmetic of a simulation step, first.
+        if let (Float(a), Float(b)) = (lhs, rhs) {
+            match op {
+                BinOp::Add => return Some(Float(a + b)),
+                BinOp::Sub => return Some(Float(a - b)),
+                BinOp::Mul => return Some(Float(a * b)),
+                _ => {}
+            }
+        }
+        if op.is_comparison() {
+            let ord = match (lhs, rhs) {
+                (Int(a), Int(b)) | (Ts(a), Ts(b)) | (Iv(a), Iv(b)) => a.cmp(&b),
+                (Int(a), Float(b)) => cmp_f64(a as f64, b),
+                (Float(a), Int(b)) => cmp_f64(a, b as f64),
+                (Float(a), Float(b)) => cmp_f64(a, b),
+                (Bool(a), Bool(b)) => a.cmp(&b),
+                _ => return None,
+            };
+            return Some(Bool(match op {
+                BinOp::Eq => ord == Ordering::Equal,
+                BinOp::Ne => ord != Ordering::Equal,
+                BinOp::Lt => ord == Ordering::Less,
+                BinOp::Le => ord != Ordering::Greater,
+                BinOp::Gt => ord == Ordering::Greater,
+                _ => ord != Ordering::Less,
+            }));
+        }
+        if let (Some((l, a)), Some((r, b))) = (lhs.word(), rhs.word()) {
+            if let Some((f, kind)) = time_arith(op, l, r) {
+                return f(a, b).map(|us| Scalar::of_word(kind, us));
+            }
+        }
+        let float = |f: fn(f64, f64) -> f64| Some(Float(f(lhs.as_f64()?, rhs.as_f64()?)));
+        match (op, lhs, rhs) {
+            (BinOp::And, Bool(a), Bool(b)) => Some(Bool(a && b)),
+            (BinOp::Or, Bool(a), Bool(b)) => Some(Bool(a || b)),
+            (BinOp::Add, Int(a), Int(b)) => a.checked_add(b).map(Int),
+            (BinOp::Add, ..) => float(|a, b| a + b),
+            (BinOp::Sub, Int(a), Int(b)) => a.checked_sub(b).map(Int),
+            (BinOp::Sub, ..) => float(|a, b| a - b),
+            (BinOp::Mul, Int(a), Int(b)) => a.checked_mul(b).map(Int),
+            (BinOp::Mul, Iv(a), b @ (Int(_) | Float(_))) => {
+                Some(Iv((a as f64 * b.as_f64()?) as i64))
+            }
+            (BinOp::Mul, a @ (Int(_) | Float(_)), Iv(b)) => {
+                Some(Iv((a.as_f64()? * b as f64) as i64))
+            }
+            (BinOp::Mul, ..) => float(|a, b| a * b),
+            (BinOp::Div | BinOp::Mod, Int(_), Int(0)) => None,
+            (BinOp::Div, Int(a), Int(b)) => a.checked_div(b).map(Int),
+            (BinOp::Mod, Int(a), Int(b)) => a.checked_rem(b).map(Int),
+            (BinOp::Div, Iv(a), b @ (Int(_) | Float(_))) => {
+                let d = b.as_f64()?;
+                (d != 0.0).then(|| Iv((a as f64 / d) as i64))
+            }
+            (BinOp::Div | BinOp::Mod, ..) => {
+                let d = rhs.as_f64()?;
+                let l = lhs.as_f64()?;
+                match op {
+                    _ if d == 0.0 => None,
+                    BinOp::Div => Some(Float(l / d)),
+                    _ => Some(Float(l % d)),
+                }
+            }
+            (BinOp::Pow, ..) => float(f64::powf),
+            (BinOp::BitAnd, Int(a), Int(b)) => Some(Int(a & b)),
+            (BinOp::BitOr, Int(a), Int(b)) => Some(Int(a | b)),
+            (BinOp::BitXor, Int(a), Int(b)) => Some(Int(a ^ b)),
+            _ => None,
+        }
+    }
+
+    /// [`Value::unop`].
+    pub(crate) fn unop(op: UnOp, v: Scalar) -> Option<Scalar> {
+        match (op, v) {
+            (UnOp::Neg, Scalar::Int(i)) => i.checked_neg().map(Scalar::Int),
+            (UnOp::Neg, Scalar::Float(f)) => Some(Scalar::Float(-f)),
+            (UnOp::Neg, Scalar::Iv(i)) => i.checked_neg().map(Scalar::Iv),
+            (UnOp::Not, Scalar::Bool(b)) => Some(Scalar::Bool(!b)),
+            (UnOp::BitNot, Scalar::Int(i)) => Some(Scalar::Int(!i)),
+            _ => None,
+        }
+    }
+
+    /// [`Value::cast`].
+    pub(crate) fn cast(self, ty: &DataType) -> Option<Scalar> {
+        match (self, ty) {
+            (Scalar::Bool(_), DataType::Bool)
+            | (Scalar::Int(_), DataType::Int)
+            | (Scalar::Float(_), DataType::Float)
+            | (Scalar::Ts(_), DataType::Timestamp)
+            | (Scalar::Iv(_), DataType::Interval) => Some(self),
+            (Scalar::Int(i), DataType::Float) => Some(Scalar::Float(i as f64)),
+            (Scalar::Float(f), DataType::Int) => {
+                f.is_finite().then(|| Scalar::Int(f.round() as i64))
+            }
+            (Scalar::Bool(b), DataType::Int) => Some(Scalar::Int(b as i64)),
+            (Scalar::Int(i), DataType::Bool) => Some(Scalar::Bool(i != 0)),
+            _ => None,
+        }
+    }
+}
+
 /// `i` as the `f64` that holds it exactly, if one does.
 pub(crate) fn exact_f64(i: i64) -> Option<f64> {
     let f = i as f64;

@@ -434,7 +434,7 @@ fn recursive_name_inside_a_from_subquery_is_planned_again_every_step() {
     // 1 builds `edges`; {2, 3} is two rows; 4 meets two edges; 5 meets none.
     assert_eq!(
         plan.rows[0][0].to_string(),
-        "recursive CTE reach: planned once, build side reused, 1 of 4 steps on one row"
+        "recursive CTE reach: planned once, build side reused, 1 of 4 steps on one row, 0 typed"
     );
     // EXPLAIN ANALYZE says the same on the recursion's span.
     let traced = q(
@@ -445,7 +445,9 @@ fn recursive_name_inside_a_from_subquery_is_planned_again_every_step() {
     let span = traced.rows.iter().map(|r| r[0].to_string()).find(|l| l.contains("recursive CTE"));
     let span = span.expect("a span for the recursion");
     assert!(
-        span.contains("rows=5  term=planned once, build side reused, 1 of 4 steps on one row"),
+        span.contains(
+            "rows=5  term=planned once, build side reused, 1 of 4 steps on one row, 0 typed"
+        ),
         "{span}"
     );
 }
