@@ -9,7 +9,9 @@ use crate::compile::{Atom, CompiledModel};
 use crate::explain::{render_atom, var_name};
 use crate::symbolic::{Rel, VarId};
 use sqlengine::diag::Diagnostic;
-use std::collections::{BTreeMap, HashMap};
+use sqlengine::hash::{FastMap, FastState};
+use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hasher};
 
 // ---------------------------------------------------------------------------
 // SD001 — decision variable unbounded in the objective direction
@@ -165,10 +167,11 @@ fn identity(a: &Atom) -> impl Iterator<Item = u64> + '_ {
         .chain(std::iter::once(signed(a.diff.constant)))
 }
 
-/// The fingerprint of an atom's [`identity`]: a multiply-rotate fold of
-/// its words (FxHash's step).
-fn fingerprint(a: &Atom) -> u64 {
-    identity(a).fold(0, |h, w| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95))
+/// The fingerprint of an atom's [`identity`]: its words, hashed.
+fn fingerprint(state: &FastState, a: &Atom) -> u64 {
+    let mut h = state.build_hasher();
+    identity(a).for_each(|w| h.write_u64(w));
+    h.finish()
 }
 
 /// Exact duplicate atoms add no information (warning); a single-variable
@@ -180,13 +183,14 @@ pub fn sd005_duplicate_or_shadowed(m: &CompiledModel, diags: &mut Vec<Diagnostic
     let mut seen: Vec<(&Atom, usize)> = Vec::new();
     // Fingerprint → the latest entry of `seen` that has it; `next[i]` is
     // the entry before `i` with the same fingerprint.
-    let mut latest: HashMap<u64, usize> = HashMap::with_capacity(m.atoms.len());
+    let state = FastState::default();
+    let mut latest: FastMap<u64, usize> = FastMap::with_capacity_and_hasher(m.atoms.len(), state);
     let mut next: Vec<Option<usize>> = Vec::new();
     for a in &m.atoms {
         if a.diff.is_constant() {
             continue; // SD004 territory
         }
-        let f = fingerprint(a);
+        let f = fingerprint(&state, a);
         let mut at = latest.get(&f).copied();
         while let Some(i) = at {
             if identity(seen[i].0).eq(identity(a)) {

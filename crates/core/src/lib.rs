@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every hash table hashes with `sqlengine::hash::FastState` (clippy.toml).
+#![deny(clippy::disallowed_types)]
 
 pub mod check;
 pub mod compile;

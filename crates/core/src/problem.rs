@@ -25,10 +25,10 @@ use sqlengine::ast::{
 use sqlengine::catalog::{Binding, Ctes, Database};
 use sqlengine::error::{Error, Result};
 use sqlengine::exec::{run_query, run_query_bound};
+use sqlengine::hash::FastMap;
 use sqlengine::table::{Schema, Table};
 use sqlengine::types::{DataType, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One decision variable's placement and metadata.
@@ -100,7 +100,7 @@ pub struct ProblemInstance {
     pub maximize: Option<Query>,
     pub subjectto: Vec<NamedRule>,
     pub vars: Vec<VarInfo>,
-    pub params: HashMap<String, Value>,
+    pub params: FastMap<String, Value>,
     /// Solver named in the `USING` clause.
     pub solver: Option<String>,
     pub method: Option<String>,
@@ -302,7 +302,7 @@ pub(crate) fn instantiate(
     // Solver parameters: bare column names act as identifiers
     // (`features := outTemp`), everything else is evaluated as a
     // constant expression.
-    let mut params = HashMap::new();
+    let mut params = FastMap::default();
     let mut solver = None;
     let mut method = None;
     if let Some(u) = &stmt.using {

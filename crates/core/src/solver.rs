@@ -6,8 +6,8 @@ use crate::compile::CompiledModel;
 use parking_lot::RwLock;
 use sqlengine::catalog::{Ctes, Database};
 use sqlengine::error::{Error, Result};
+use sqlengine::hash::FastMap;
 use sqlengine::table::Table;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,7 +201,7 @@ pub trait Solver: Send + Sync {
 /// Thread-safe solver registry.
 #[derive(Default)]
 pub struct SolverRegistry {
-    solvers: RwLock<HashMap<String, Arc<dyn Solver>>>,
+    solvers: RwLock<FastMap<String, Arc<dyn Solver>>>,
 }
 
 impl SolverRegistry {

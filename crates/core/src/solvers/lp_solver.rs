@@ -7,9 +7,9 @@ use crate::check::presolve::Counts;
 use crate::problem::{apply_solution, ProblemInstance};
 use crate::solver::{SolveContext, Solver};
 use sqlengine::error::{Error, Result};
+use sqlengine::hash::FastMap;
 use sqlengine::table::Table;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 #[derive(Debug, Default)]
 pub struct LpSolver;
@@ -277,7 +277,7 @@ fn finish(
             node_limit.unwrap_or(lp::mip::MipOptions::default().node_limit)
         ))),
         lp::Status::Optimal | lp::Status::NodeLimit => {
-            let assignment: HashMap<u32, f64> =
+            let assignment: FastMap<u32, f64> =
                 used.iter().enumerate().map(|(i, &v)| (v, sol.x[i])).collect();
             apply_solution(prob, &|v| assignment.get(&v).copied())
         }

@@ -17,9 +17,9 @@ use forecast::{
 use globalopt::{pso, PsoOptions, SearchSpace};
 use parking_lot::RwLock;
 use sqlengine::error::{Error, Result};
+use sqlengine::hash::FastMap;
 use sqlengine::table::Table;
 use sqlengine::types::{DataType, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// P2.1 Preparing: the analyzed input relation.
@@ -320,13 +320,16 @@ impl Solver for ArimaSolver {
 /// repeated invocations on the same series skip validation — the "model
 /// instances stored for fast reuse" of P2.3.
 pub struct PredictiveAdvisor {
-    cache: RwLock<HashMap<String, String>>,
+    cache: RwLock<FastMap<String, String>>,
     cache_hits: AtomicUsize,
 }
 
 impl Default for PredictiveAdvisor {
     fn default() -> Self {
-        PredictiveAdvisor { cache: RwLock::new(HashMap::new()), cache_hits: AtomicUsize::new(0) }
+        PredictiveAdvisor {
+            cache: RwLock::new(FastMap::default()),
+            cache_hits: AtomicUsize::new(0),
+        }
     }
 }
 

@@ -698,14 +698,15 @@ fn worker_traces_adopted_in_key_order_equal_the_sequential_trace() {
     assert_eq!(untimed(threaded), untimed(sequential));
 }
 
-/// Two black-box solves on worker threads over one shared catalog: the
-/// work each notes on its `search` span is its own — what it notes when
-/// the two run one after the other — though both count into the same
-/// database's counters.
-#[test]
-fn concurrent_searches_each_note_their_own_work() {
+/// The notes of the `search` spans of two black-box solves — their
+/// decision relations named `names`, their simulations stepping apart —
+/// run one after the other and then on two worker threads over one
+/// shared catalog while the first is compiled again and again, after one
+/// warm-up run of each, so that both forms meet the same cached plans and
+/// kept results.
+fn searches_in_sequence_and_in_parallel(names: [&str; 2]) -> [Vec<Notes>; 2] {
     use obs::Trace;
-    use sqlengine::ast::Statement;
+    use sqlengine::ast::{ExplainMode, Statement};
     use sqlengine::catalog::Ctes;
 
     let mut s = Session::new();
@@ -716,10 +717,7 @@ fn concurrent_searches_each_note_their_own_work() {
          INSERT INTO h VALUES (1, 0.5), (2, 0.25), (3, 0.125), (4, 0.75)",
     )
     .unwrap();
-    // Two statements whose relations are named apart, so that neither
-    // runs a plan of the other's: a plan one statement's symbolic pass
-    // made would replace the other's cached one.
-    let solves: Vec<_> = [("v", "0.5"), ("u", "0.75")]
+    let solves: Vec<_> = [(names[0], "0.5"), (names[1], "0.75")]
         .map(|(v, w)| {
             let sql = format!(
                 "SOLVESELECT {v}(x) AS (SELECT * FROM v0) \
@@ -738,7 +736,7 @@ fn concurrent_searches_each_note_their_own_work() {
     let db = s.db();
     let handler = db.solve_handler().unwrap();
     let ctes = Ctes::new();
-    let search = |trace: Trace| -> Vec<(String, String)> {
+    let search = |trace: Trace| -> Notes {
         fn find(stages: &[Stage]) -> Option<&Stage> {
             stages.iter().find_map(|s| if s.name == "search" { Some(s) } else { find(&s.children) })
         }
@@ -750,20 +748,39 @@ fn concurrent_searches_each_note_their_own_work() {
         handler.solve_select(db, st, &ctes, Some(&trace)).unwrap();
         search(trace)
     };
-    // One warm-up run of each, so both forms meet the same cached plans
-    // and kept results.
     for st in &solves {
         solve(st);
     }
     let sequential: Vec<_> = solves.iter().map(solve).collect();
     let threaded: Vec<_> = std::thread::scope(|scope| {
         let running: Vec<_> = solves.iter().map(|st| scope.spawn(move || solve(st))).collect();
+        // The first statement's symbolic pass, over custom-valued cells,
+        // until both searches are done: it plans under the names the
+        // searches evaluate under while they run.
+        while !running.iter().all(|w| w.is_finished()) {
+            handler.explain(db, &solves[0], &ctes, ExplainMode::Plan).unwrap();
+        }
         running.into_iter().map(|w| w.join().unwrap()).collect()
     });
+    [sequential, threaded]
+}
+
+/// A span's notes.
+type Notes = Vec<(String, String)>;
+
+/// The count `key` of a span's notes.
+fn note(notes: &[(String, String)], key: &str) -> Option<u64> {
+    notes.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse::<u64>().unwrap())
+}
+
+/// Two black-box solves on worker threads over one shared catalog: the
+/// work each notes on its `search` span is its own — what it notes when
+/// the two run one after the other — though both count into the same
+/// database's counters.
+#[test]
+fn concurrent_searches_each_note_their_own_work() {
+    let [sequential, threaded] = searches_in_sequence_and_in_parallel(["v", "u"]);
     assert_eq!(threaded, sequential);
-    let note = |notes: &[(String, String)], key: &str| {
-        notes.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse::<u64>().unwrap())
-    };
     for notes in &sequential {
         let evaluations = note(notes, "evaluations").unwrap();
         // The objective's subquery, once per row of the five-row sim.
@@ -771,4 +788,15 @@ fn concurrent_searches_each_note_their_own_work() {
         assert!(note(notes, "typed_steps").unwrap() > 0, "{notes:?}");
         assert!(note(notes, "builds_kept").unwrap() > 0, "{notes:?}");
     }
+}
+
+/// Two black-box solves whose relations have the same names, so that
+/// each runs the other's cached plans of the same text — its symbolic
+/// pass's over custom-valued cells beside its evaluations' over floats —
+/// on worker threads: each notes what it notes in sequence, `plans_built`
+/// and `subqueries_reused` among it.
+#[test]
+fn concurrent_searches_of_the_same_names_each_note_their_own_work() {
+    let [sequential, threaded] = searches_in_sequence_and_in_parallel(["v", "v"]);
+    assert_eq!(threaded, sequential);
 }

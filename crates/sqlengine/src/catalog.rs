@@ -4,11 +4,11 @@
 use crate::ast::{ExplainMode, Query, SolveStmt};
 use crate::diag::{Diagnostic, Severity};
 use crate::error::{Error, Result};
+use crate::hash::FastMap;
 use crate::plan::columnar::{batches_to_rows, Batch, BATCH_SIZE};
 use crate::plan::{Rewrite, StoredTable};
 use crate::table::{coerce, Row, Schema, Table, TableRef};
 use crate::types::Value;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -19,7 +19,7 @@ pub struct ScalarUdf {
     pub name: String,
     pub param_names: Vec<String>,
     /// Default values for trailing parameters (by name).
-    pub defaults: HashMap<String, Value>,
+    pub defaults: FastMap<String, Value>,
     pub func: Arc<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>,
 }
 
@@ -136,7 +136,7 @@ impl Binding {
 /// pass, and the [`WorkTally`] of a solve that counts its own work.
 #[derive(Clone, Default)]
 pub struct Ctes {
-    map: HashMap<String, Arc<Binding>>,
+    map: FastMap<String, Arc<Binding>>,
     step_hook: Option<StepHook>,
     tally: Option<Arc<WorkTally>>,
 }
@@ -195,8 +195,9 @@ impl Ctes {
         self.map.insert(name.to_string(), binding);
     }
 
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.map.keys().map(|s| s.as_str())
+    /// Each bound name with the schema of its relation.
+    pub fn schemas(&self) -> impl Iterator<Item = (&str, &Schema)> {
+        self.map.iter().map(|(name, binding)| (name.as_str(), binding.schema()))
     }
 
     /// True when no CTE bindings are visible (plan-cache eligibility:
@@ -331,8 +332,8 @@ impl CatalogMutation {
 /// chunks it changes (see [`StoredTable`]).
 #[derive(Debug, Clone, Default)]
 pub struct Relations {
-    tables: HashMap<String, StoredTable>,
-    views: HashMap<String, Arc<Query>>,
+    tables: FastMap<String, StoredTable>,
+    views: FastMap<String, Arc<Query>>,
 }
 
 impl Relations {
@@ -630,7 +631,7 @@ pub struct Database {
     /// code that changes an entry; unshared (every ephemeral session),
     /// `Arc::make_mut` hands out the maps as they are.
     relations: Arc<Relations>,
-    udfs: HashMap<String, ScalarUdf>,
+    udfs: FastMap<String, ScalarUdf>,
     solve_handler: Option<Arc<dyn SolveHandler>>,
     virtual_tables: Option<Arc<dyn VirtualTableProvider>>,
     durability: Option<Arc<dyn DurabilityHook>>,

@@ -16,6 +16,11 @@
 //! — subqueries, FROM subqueries, views — go back through
 //! `select::run_query`, and so stay on this interpreter while the switch
 //! is on.
+//!
+//! Its hash tables keep std's SipHash, not the engine's `hash::FastState`:
+//! the reference should share as little as it can with the operators it
+//! checks.
+#![allow(clippy::disallowed_types)]
 
 use crate::ast::*;
 use crate::catalog::{Ctes, Database};

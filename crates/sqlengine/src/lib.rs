@@ -15,12 +15,15 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every engine hash table hashes with `hash::FastState` (clippy.toml).
+#![deny(clippy::disallowed_types)]
 
 pub mod ast;
 pub mod catalog;
 pub mod diag;
 pub mod error;
 pub mod exec;
+pub mod hash;
 pub mod lexer;
 pub mod parser;
 pub mod plan;

@@ -65,9 +65,10 @@ use crate::exec::head::{
 use crate::exec::select::{
     apply_alias_columns, run_query, try_equi_keys, using_condition, using_pairs,
 };
+use crate::hash::{FastMap, FastSet};
 use crate::table::Schema;
 use crate::types::DataType;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Compile a `SELECT` block, under the scopes `outer` of its enclosing
@@ -292,7 +293,7 @@ pub fn plan_select(
             let kept: Vec<Vec<usize>> = if has_subquery {
                 widths.iter().map(|&w| (0..w).collect()).collect()
             } else {
-                let mut used: HashSet<usize> = HashSet::new();
+                let mut used: FastSet<usize> = FastSet::default();
                 let mut add = |b: &BoundExpr| {
                     let mut cols = Vec::new();
                     collect_cols(b, &mut cols);
@@ -318,7 +319,7 @@ pub fn plan_select(
                     .collect()
             };
             // Old syntactic index → pruned syntactic index.
-            let mut to_pruned: HashMap<usize, usize> = HashMap::new();
+            let mut to_pruned: FastMap<usize, usize> = FastMap::default();
             let mut pruned_offsets = Vec::with_capacity(bases.len());
             let mut pruned_scope = Scope::default();
             for (bi, keep) in kept.iter().enumerate() {
@@ -328,7 +329,7 @@ pub fn plan_select(
                     pruned_scope.cols.push(bases[bi].scope.cols[j].clone());
                 }
             }
-            let map: Option<HashMap<usize, usize>> =
+            let map: Option<FastMap<usize, usize>> =
                 if to_pruned.len() == total && (0..total).all(|i| to_pruned.get(&i) == Some(&i)) {
                     None
                 } else {
@@ -357,7 +358,7 @@ pub fn plan_select(
                     est,
                 };
                 // Base-local remap: syntactic index → scan output index.
-                let local: HashMap<usize, usize> =
+                let local: FastMap<usize, usize> =
                     kept[bi].iter().enumerate().map(|(pos, &j)| (offsets[bi] + j, pos)).collect();
                 for Pushed { pred, desc, derived } in &pushed[bi] {
                     est = pred_est(pred, est, &col_distinct);
@@ -419,7 +420,7 @@ pub fn plan_select(
 
             // -- assemble the join tree -------------------------------------
             // acc_map: pruned syntactic index → position in the join output.
-            let mut acc_map: HashMap<usize, usize> = HashMap::new();
+            let mut acc_map: FastMap<usize, usize> = FastMap::default();
             let first = order[0];
             for pos in 0..kept[first].len() {
                 acc_map.insert(pruned_offsets[first] + pos, pos);
@@ -434,7 +435,7 @@ pub fn plan_select(
                 let mut lkeys = Vec::new();
                 let mut rkeys = Vec::new();
                 let mut descs = Vec::new();
-                let local: HashMap<usize, usize> =
+                let local: FastMap<usize, usize> =
                     kept[c].iter().enumerate().map(|(pos, &j)| (offsets[c] + j, pos)).collect();
                 let mut denom = 1.0f64;
                 for (ei, e) in edges.iter().enumerate() {
@@ -633,7 +634,7 @@ fn internal(what: &str) -> Error {
 /// `b` with its columns renumbered through `map`, which holds every one
 /// of them (subqueries pin the scope, so an expression with one is never
 /// renumbered).
-fn remapped(b: &BoundExpr, map: &HashMap<usize, usize>) -> Result<BoundExpr> {
+fn remapped(b: &BoundExpr, map: &FastMap<usize, usize>) -> Result<BoundExpr> {
     remap_cols(b, map).ok_or_else(|| internal("column outside the pruned scope"))
 }
 
@@ -1048,7 +1049,7 @@ pub(crate) fn collect_cols(b: &BoundExpr, out: &mut Vec<usize>) {
 /// row stays what it is. Returns `None` when a column is missing from the
 /// map or the expression contains a subquery (those must never be
 /// remapped).
-pub(crate) fn remap_cols(b: &BoundExpr, map: &HashMap<usize, usize>) -> Option<BoundExpr> {
+pub(crate) fn remap_cols(b: &BoundExpr, map: &FastMap<usize, usize>) -> Option<BoundExpr> {
     match b {
         BoundExpr::Column { depth: 0, index } => {
             Some(BoundExpr::Column { depth: 0, index: *map.get(index)? })

@@ -23,8 +23,12 @@
 //! CTE environment — every query of a `SOLVESELECT`, whose decision
 //! relations are CTEs — is cacheable too. Its key carries the names the
 //! environment binds (which names resolve to a CTE rather than the
-//! catalog is part of the plan), a hit is honoured only when every slot
-//! is bound to a relation of the planned schema, and a plan that
+//! catalog is part of the plan) with the schema each is bound to, so a
+//! block planned over one binding's column types and again over another's
+//! — a solve's symbolic pass over custom-valued cells, its evaluations
+//! over floats — keeps two entries instead of replacing one with the
+//! other. A hit is still honoured only when every slot is bound to a
+//! relation of the planned schema, and a plan that
 //! captured rows read from a bound CTE (a FROM subquery or view over
 //! it) is never cached. Neither is a plan that scanned a *virtual*
 //! table (`sdb_stat_statements`, `sdb_metrics`, …), directly or through
@@ -58,15 +62,15 @@
 //!
 //! The key is the query itself (`PlanKey`): an entry owns the block,
 //! the ORDER BY / LIMIT / OFFSET of its query, the bound CTE names and
-//! the outer chain's column names, and a lookup borrows them. The map
-//! hashes a lookup's parts once and serves an entry only when its parts
-//! *equal* them, so two distinct queries that hash alike never share a
-//! plan. Equality is exact down to the literals — a float by its bits —
-//! so `SELECT a FROM t WHERE b = 1` and `... b = 2` cache separately.
-//! That is deliberate: constant folding bakes literals into the
-//! optimized plan, so plans cannot be shared across literal variants
-//! (unlike `sdb_stat_statements`, whose shape key masks literals to group
-//! statements).
+//! schemas and the outer chain's column names, and a lookup borrows
+//! them. The map hashes a lookup's parts once and serves an entry only
+//! when its parts *equal* them, so two distinct queries that hash alike
+//! never share a plan. Equality is exact down to the literals — a float
+//! by its bits — so `SELECT a FROM t WHERE b = 1` and `... b = 2` cache
+//! separately. That is deliberate: constant folding bakes literals into
+//! the optimized plan, so plans cannot be shared across literal variants
+//! (unlike `sdb_stat_statements`, whose shape key masks literals to
+//! group statements).
 
 use super::exec::JoinBuild;
 use super::{plan_select, PlanNode, PlannedQuery};
@@ -75,22 +79,23 @@ use crate::catalog::{Ctes, Database, ReadSet};
 use crate::error::Result;
 use crate::exec::eval::{Env, ScopeCol};
 use crate::exec::subquery::KeptSubquery;
+use crate::hash::FastMap;
+use crate::table::Schema;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, PoisonError};
 
 /// Clear a map once it holds this many plans: a read-only session that
 /// varies its literals would otherwise grow the map without bound.
 const MAX_CACHED_PLANS: usize = 256;
 
-/// What a plan was planned from: the CTE names in scope (sorted), the
-/// `(qualifier, name)` of every column of the outer scope chain (per
-/// scope, innermost first), and the block with the ORDER BY, LIMIT and
-/// OFFSET of the query it is the body of. A lookup borrows every part;
-/// an entry owns them.
+/// What a plan was planned from: the CTE names in scope with the schema
+/// each is bound to (sorted by name), the `(qualifier, name)` of every
+/// column of the outer scope chain (per scope, innermost first), and the
+/// block with the ORDER BY, LIMIT and OFFSET of the query it is the
+/// body of. A lookup borrows every part; an entry owns them.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey<'a> {
-    ctes: Vec<Cow<'a, str>>,
+    ctes: Vec<(Cow<'a, str>, Cow<'a, Schema>)>,
     outer: Vec<Vec<Column<'a>>>,
     sel: Cow<'a, Select>,
     order_by: Cow<'a, [OrderItem]>,
@@ -102,8 +107,8 @@ pub(crate) struct PlanKey<'a> {
 type Column<'a> = (Option<Cow<'a, str>>, Cow<'a, str>);
 
 impl<'a> PlanKey<'a> {
-    /// The key of a SELECT under the CTE names `ctes` binds and the
-    /// scopes of the `outer` chain, borrowing every part.
+    /// The key of a SELECT under the CTE names and schemas `ctes` binds
+    /// and the scopes of the `outer` chain, borrowing every part.
     pub(crate) fn new(
         ctes: &'a Ctes,
         sel: &'a Select,
@@ -112,12 +117,15 @@ impl<'a> PlanKey<'a> {
         offset: &'a Option<Expr>,
         outer: Option<&'a Env<'_>>,
     ) -> PlanKey<'a> {
-        let mut names: Vec<Cow<str>> = ctes.names().map(Cow::Borrowed).collect();
-        names.sort_unstable();
+        let mut bound: Vec<_> = ctes
+            .schemas()
+            .map(|(name, schema)| (Cow::Borrowed(name), Cow::Borrowed(schema)))
+            .collect();
+        bound.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let column =
             |c: &'a ScopeCol| (c.qualifier.as_deref().map(Cow::Borrowed), c.name[..].into());
         PlanKey {
-            ctes: names,
+            ctes: bound,
             outer: std::iter::successors(outer, |env| env.parent)
                 .map(|env| env.scope.cols.iter().map(column).collect())
                 .collect(),
@@ -133,7 +141,7 @@ impl<'a> PlanKey<'a> {
         let scope =
             |cols: Vec<Column>| cols.into_iter().map(|(q, n)| (q.map(own), own(n))).collect();
         PlanKey {
-            ctes: self.ctes.into_iter().map(own).collect(),
+            ctes: self.ctes.into_iter().map(|(name, schema)| (own(name), own(schema))).collect(),
             outer: self.outer.into_iter().map(scope).collect(),
             sel: own(self.sel),
             order_by: own(self.order_by),
@@ -148,7 +156,7 @@ fn own<T: ToOwned + ?Sized + 'static>(part: Cow<'_, T>) -> Cow<'static, T> {
     Cow::Owned(part.into_owned())
 }
 
-type PlanMap = HashMap<PlanKey<'static>, Arc<PlannedQuery>>;
+type PlanMap = FastMap<PlanKey<'static>, Arc<PlannedQuery>>;
 
 /// The two plan maps of a [`Database`].
 #[derive(Default)]
@@ -164,9 +172,9 @@ pub(crate) struct PlanCache {
     event: Option<bool>,
     /// This statement's subquery sites and their kept results, by the
     /// address of the site's `Query` (`exec::subquery`).
-    subqueries: HashMap<usize, KeptSubquery>,
+    subqueries: FastMap<usize, KeptSubquery>,
     /// The statement-scoped plans that ran in this statement, by address.
-    runs: HashMap<usize, PlanRuns>,
+    runs: FastMap<usize, PlanRuns>,
 }
 
 /// A statement-scoped plan that ran in the statement, and the build sides
@@ -471,6 +479,23 @@ mod tests {
         assert_eq!(hit(&db, sql, &c, None), Some(false));
         assert_eq!(hit(&db, sql, &d, None), Some(false), "other CTE names must miss");
         assert_eq!(hit(&db, sql, &c, None), Some(true));
+    }
+
+    /// A block planned over a float binding and then over a custom-valued
+    /// one of the same name — a solve's evaluations and its symbolic pass
+    /// — keeps both plans: the float binding hits again.
+    #[test]
+    fn blocks_under_other_slot_types_share_no_entry() {
+        let db = db_with_table();
+        let under = |ty| {
+            let schema = Schema::new(vec![crate::table::Column::new("x", ty)]);
+            Ctes::new().with("c", Arc::new(Table::with_rows(schema, vec![])))
+        };
+        let (float, custom) = (under(DataType::Float), under(DataType::Named("linexpr".into())));
+        let sql = "SELECT x FROM c";
+        assert_eq!(hit(&db, sql, &float, None), Some(false));
+        assert_eq!(hit(&db, sql, &custom, None), Some(false), "other slot types must miss");
+        assert_eq!(hit(&db, sql, &float, None), Some(true), "the float plan must be kept");
     }
 
     /// A block under an outer row binds names in the outer chain: one

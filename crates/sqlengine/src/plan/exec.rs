@@ -48,12 +48,12 @@ use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::exec::select::{key_order, AggState};
 use crate::exec::subquery::run_subquery;
+use crate::hash::FastMap;
 use crate::table::{Row, Schema};
 use crate::types::value::{Scalar, Word};
 use crate::types::{BinOp, DataType, GroupKey, UnOp, Value};
 use obs::Span;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Execute a planned query under the rows of its enclosing blocks,
@@ -1347,7 +1347,7 @@ pub(crate) fn matching_rows(
     collect_cols(pred, &mut keep);
     keep.sort_unstable();
     keep.dedup();
-    let positions: HashMap<usize, usize> =
+    let positions: FastMap<usize, usize> =
         keep.iter().enumerate().map(|(pos, &c)| (c, pos)).collect();
     // A subquery binds against the row it runs under, so a predicate
     // with one (`remap_cols` refuses it) sees the full-width row.

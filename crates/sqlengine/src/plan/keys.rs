@@ -12,9 +12,9 @@
 //! without a `GroupKey` per row.
 
 use super::columnar::ColumnVec;
+use crate::hash::FastMap;
 use crate::types::value::{exact_f64, exact_i64, num_bits, Scalar};
 use crate::types::{GroupKey, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The distinct keys of the rows inserted, each with a dense `u32` id in
@@ -26,12 +26,12 @@ pub(crate) struct KeyIndex {
     /// when it is of a fixed-width kind.
     kind: Option<Option<KeyKind>>,
     /// The keys that kind holds, by their `u64`.
-    fixed: HashMap<u64, u32>,
+    fixed: FastMap<u64, u32>,
     /// Every other key: several columns, a column of another kind, and a
     /// value the kind cannot hold (`2.5` in an `Int` index) — which under
     /// `GroupKey` equality equals nothing `fixed` holds, so a key column
     /// may change representation from one batch or step to the next.
-    keys: HashMap<Vec<GroupKey>, u32>,
+    keys: FastMap<Vec<GroupKey>, u32>,
     /// Scratch for a key about to be looked up in `keys`.
     scratch: Vec<GroupKey>,
 }
@@ -261,6 +261,117 @@ impl KeyKind {
             KeyKind::Int | KeyKind::Float => "num",
             KeyKind::Ts => "ts",
             KeyKind::Iv => "iv",
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::columnar::Batch;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const HOUR_US: i64 = 3_600_000_000;
+    /// 2^53 + 1, an integer no `f64` holds.
+    const PAST_F64: i64 = (1 << 53) + 1;
+
+    /// A value of kind `kind`, from a pool small enough that keys repeat:
+    /// integers (2^53 + 1 and its neighbours among them), floats (`-0.0`
+    /// beside `0.0`, `1.0` beside `1`, NaN), timestamps at an hourly µs
+    /// stride, intervals of the same microseconds, texts and NULL.
+    fn value(rng: &mut StdRng, kind: u8) -> Value {
+        fn pick<T: Copy>(rng: &mut StdRng, pool: &[T]) -> T {
+            pool[rng.gen_range(0..pool.len())]
+        }
+        let rare = rng.gen_bool(0.125);
+        match kind {
+            0 if rare => Value::Int(pick(rng, &[PAST_F64, PAST_F64 - 1, -PAST_F64, i64::MAX])),
+            0 => Value::Int(rng.gen_range(-3..4)),
+            1 if rare => Value::Float(pick(rng, &[-0.0, 2.5, f64::NAN, (1i64 << 53) as f64])),
+            1 => Value::Float(rng.gen_range(-3..4) as f64),
+            2 => Value::Timestamp(1_600_000_000_000_000 + rng.gen_range(0..8i64) * HOUR_US),
+            3 => Value::Interval(rng.gen_range(0..4i64) * HOUR_US),
+            4 => Value::text(pick(rng, &["a", "b", "1"])),
+            _ => Value::Null,
+        }
+    }
+
+    /// A stream of keys of `width` columns: each column has a kind of its
+    /// own that most of its values take, the rest of any kind — so the
+    /// first key decides the index's kind and later ones change
+    /// representation.
+    fn stream(rng: &mut StdRng, width: usize, len: usize) -> Vec<Vec<Value>> {
+        let home: Vec<u8> = (0..width).map(|_| rng.gen_range(0..6)).collect();
+        let mut column = |&home: &u8| {
+            let kind = if rng.gen_bool(0.85) { home } else { rng.gen_range(0..6) };
+            value(rng, kind)
+        };
+        (0..len).map(|_| home.iter().map(&mut column).collect()).collect()
+    }
+
+    /// Dense first-seen ids under `GroupKey` equality, by linear scan.
+    struct Reference(Vec<Vec<GroupKey>>);
+
+    impl Reference {
+        fn get(&self, key: &[Value]) -> Option<u32> {
+            let key: Vec<GroupKey> = key.iter().map(Value::group_key).collect();
+            self.0.iter().position(|k| *k == key).map(|id| id as u32)
+        }
+
+        fn insert(&mut self, key: &[Value]) -> u32 {
+            self.get(key).unwrap_or_else(|| {
+                self.0.push(key.iter().map(Value::group_key).collect());
+                self.0.len() as u32 - 1
+            })
+        }
+    }
+
+    /// Random key streams inserted into a `KeyIndex` as rows of values
+    /// and as slots of batches (the kind taken from the first batch's
+    /// columns, one batch per random chunk) get the reference's ids, and
+    /// `get` — of values, of scalars where every column is one, of slots
+    /// — agrees with it for every key inserted and for keys that were not.
+    #[test]
+    fn key_index_ids_match_a_linear_scan_reference() {
+        let mut rng = StdRng::seed_from_u64(0x6b65_7973);
+        for _ in 0..400 {
+            let (width, len) = (rng.gen_range(1..4), rng.gen_range(1..120));
+            let keys = stream(&mut rng, width, len);
+            let mut reference = Reference(Vec::new());
+            let expected: Vec<u32> = keys.iter().map(|k| reference.insert(k)).collect();
+
+            let mut by_value = KeyIndex::default();
+            let ids: Vec<u32> = keys.iter().map(|k| by_value.insert(&k[..])).collect();
+            assert_eq!(ids, expected, "values: {keys:?}");
+
+            let mut batches = Vec::new();
+            let mut rest = &keys[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..40usize).min(rest.len()));
+                batches.push(Batch::from_rows(chunk, None));
+                rest = tail;
+            }
+            let mut by_slot = KeyIndex::for_columns(&batches[0].cols, keys.len());
+            let slots = batches.iter().flat_map(|b| (0..b.len).map(|i| Slot(&b.cols, i)));
+            let ids: Vec<u32> = slots.map(|slot| by_slot.insert(slot)).collect();
+            assert_eq!(ids, expected, "slots: {keys:?}");
+
+            let probes = [keys.clone(), stream(&mut rng, width, 20)].concat();
+            let probe_batch = Batch::from_rows(&probes, None);
+            let mut scratch = Vec::new();
+            for (i, probe) in probes.iter().enumerate() {
+                let want = reference.get(probe);
+                for index in [&by_value, &by_slot] {
+                    assert_eq!(index.get(&probe[..], &mut scratch), want, "{probe:?}");
+                    let slot = Slot(&probe_batch.cols, i);
+                    assert_eq!(index.get(slot, &mut scratch), want, "{probe:?}");
+                    if let Some(scalars) = probe.iter().map(Scalar::of).collect::<Option<Vec<_>>>()
+                    {
+                        assert_eq!(index.get(&scalars[..], &mut scratch), want, "{probe:?}");
+                    }
+                }
+            }
         }
     }
 }

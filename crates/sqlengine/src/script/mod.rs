@@ -30,12 +30,13 @@ use crate::ast::{Query, SolveStmt, Statement, TableRef};
 use crate::catalog::Database;
 use crate::diag::{Diagnostic, Severity};
 use crate::error::Result;
+use crate::hash::{FastMap, FastSet};
 use crate::parser;
 use crate::table::{Column, Schema, Table};
 use crate::types::{DataType, Value};
 use rwset::RwSet;
 use shadow::{RelKind, RowEstimate, ShadowCatalog};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Catalog snapshot
@@ -148,8 +149,8 @@ impl ScriptAnalysis {
 
     /// Diagnostics of at least `min` severity, grouped by statement —
     /// the shape the server/batch layers attach to per-statement results.
-    pub fn by_statement(&self, min: Severity) -> HashMap<usize, Vec<Diagnostic>> {
-        let mut out: HashMap<usize, Vec<Diagnostic>> = HashMap::new();
+    pub fn by_statement(&self, min: Severity) -> FastMap<usize, Vec<Diagnostic>> {
+        let mut out: FastMap<usize, Vec<Diagnostic>> = FastMap::default();
         for d in &self.diagnostics {
             if d.diag.severity >= min {
                 out.entry(d.stmt).or_default().push(d.diag.clone());
@@ -327,7 +328,7 @@ fn independent_groups(n: usize, edges: &[Edge]) -> usize {
         let (a, b) = (find(&mut parent, e.from), find(&mut parent, e.to));
         parent[a] = b;
     }
-    (0..n).map(|i| find(&mut parent, i)).collect::<HashSet<_>>().len()
+    (0..n).map(|i| find(&mut parent, i)).collect::<FastSet<_>>().len()
 }
 
 // ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ impl Checker<'_> {
     /// Transitively validate the base relations of `view`, when it is a
     /// view being read.
     fn resolve_view_bases(&mut self, idx: usize, view: &str) {
-        let mut visited = HashSet::new();
+        let mut visited = FastSet::default();
         visited.insert(view.to_string());
         let mut queue: Vec<_> = self.shadow.db.view(view).cloned().into_iter().collect();
         while let Some(def) = queue.pop() {

@@ -18,9 +18,9 @@ use crate::ast::{Expr, Literal, Query, SetExpr, Statement};
 use crate::catalog::{Ctes, Database};
 use crate::exec::declared_schema;
 use crate::exec::head::query_schema;
+use crate::hash::FastMap;
 use crate::table::{Schema, Table};
 use crate::types::BinOp;
-use std::collections::HashMap;
 
 /// What kind of relation a name is at one script point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ pub struct DerivedRel {
     /// Set once any later statement reads it (directly or through a view).
     pub ever_read: bool,
     /// Literal-derived per-column intervals; `None` = intervals lost.
-    pub ranges: Option<HashMap<String, ColRange>>,
+    pub ranges: Option<FastMap<String, ColRange>>,
 }
 
 impl DerivedRel {
@@ -84,12 +84,12 @@ impl DerivedRel {
 #[derive(Debug, Default)]
 pub struct ShadowCatalog {
     pub(crate) db: Database,
-    rels: HashMap<String, DerivedRel>,
+    rels: FastMap<String, DerivedRel>,
 }
 
 impl ShadowCatalog {
     pub fn new(db: Database) -> ShadowCatalog {
-        ShadowCatalog { db, rels: HashMap::new() }
+        ShadowCatalog { db, rels: FastMap::default() }
     }
 
     /// What is known of `name`; `None` when neither a statement nor the
@@ -183,7 +183,7 @@ impl ShadowCatalog {
                         created_at: Some(idx),
                         dropped_at: None,
                         ever_read: false,
-                        ranges: Some(HashMap::new()),
+                        ranges: Some(FastMap::default()),
                     },
                 );
             }
@@ -247,7 +247,7 @@ impl ShadowCatalog {
                     match where_ {
                         None => {
                             rel.rows = RowEstimate::Known(0);
-                            rel.ranges = Some(HashMap::new());
+                            rel.ranges = Some(FastMap::default());
                         }
                         // Deleting rows can only shrink intervals; keep
                         // them (they stay a sound over-approximation).

@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Column {
     pub name: String,
     pub ty: DataType,
@@ -20,7 +20,7 @@ impl Column {
 
 /// A table schema. Column names are stored as written (the lexer already
 /// folds unquoted identifiers to lower case); lookups are exact.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Schema {
     pub columns: Vec<Column>,
 }
