@@ -1,6 +1,7 @@
 //! Built-in scalar functions.
 
 use crate::error::{Error, Result};
+use crate::types::value::Word;
 use crate::types::{timeval, DataType, Value};
 
 /// A built-in scalar function. `strict` functions return NULL when any
@@ -39,9 +40,7 @@ static BUILTINS: &[BuiltinFn] = &[
         max_args: 1,
         strict: true,
         f: |a| match &a[0] {
-            Value::Int(i) => {
-                i.checked_abs().map(Value::Int).ok_or_else(|| Error::eval("integer overflow"))
-            }
+            Value::Int(i) => i.checked_abs().map(Value::Int).ok_or_else(|| Word::Int.overflow()),
             v => Ok(Value::Float(v.as_f64()?.abs())),
         },
     },

@@ -22,7 +22,10 @@ use super::build::bound_has_subquery;
 use crate::error::{Error, Result};
 use crate::exec::eval::{BoundExpr, Env, EvalCtx, Scope};
 use crate::table::Row;
-use crate::types::value::{cmp_f64, time_arith, Scalar, Word};
+use crate::types::value::{
+    cmp_f64, comparison, division_by_zero, float_op, word_error, word_op, Cmp, FloatOp, Scalar,
+    Word, WordOp,
+};
 use crate::types::{BinOp, Bitmap, UnOp, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -606,12 +609,13 @@ impl VecExpr {
         matches!(self, VecExpr::Const(_) | VecExpr::Outer { .. })
     }
 
-    /// The value of a scalar operand.
-    fn scalar<'v>(&'v self, ev: &VecEvalCtx<'v>) -> Result<Option<&'v Value>> {
+    /// The expression evaluated as an operand of [`binop`]: a scalar one
+    /// stays its one value.
+    fn operand<'v>(&'v self, batch: &'v Batch, ev: &VecEvalCtx<'v>) -> Result<Evaluated<'v>> {
         Ok(match self {
-            VecExpr::Const(v) => Some(v),
-            VecExpr::Outer { depth, index } => Some(ev.outer_value(*depth, *index)?),
-            _ => None,
+            VecExpr::Const(v) => Evaluated::Const(v),
+            VecExpr::Outer { depth, index } => Evaluated::Const(ev.outer_value(*depth, *index)?),
+            _ => Evaluated::Col(self.eval_ref(batch, ev)?),
         })
     }
 
@@ -689,15 +693,14 @@ impl VecExpr {
             VecExpr::Outer { depth, index } => {
                 ColumnVec::broadcast(ev.outer_value(*depth, *index)?, batch.len)
             }
-            VecExpr::BinOp { op, lhs, rhs } => match (lhs.scalar(ev)?, rhs.scalar(ev)?) {
-                (None, Some(c)) => binop_scalar(*op, &*lhs.eval_ref(batch, ev)?, c, false)?,
-                (Some(c), None) => binop_scalar(*op, &*rhs.eval_ref(batch, ev)?, c, true)?,
-                _ => binop_columns(*op, &*lhs.eval_ref(batch, ev)?, &*rhs.eval_ref(batch, ev)?)?,
-            },
+            VecExpr::BinOp { op, lhs, rhs } => {
+                let (l, r) = (lhs.operand(batch, ev)?, rhs.operand(batch, ev)?);
+                binop(*op, l.operand(), r.operand(), batch.len)?
+            }
             VecExpr::Logic { op, lhs, rhs, orig } => {
-                let l = lhs.eval_ref(batch, ev)?;
-                match rhs.eval_ref(batch, ev) {
-                    Ok(r) => binop_columns(*op, &l, &r)?,
+                let l = lhs.operand(batch, ev)?;
+                match rhs.operand(batch, ev) {
+                    Ok(r) => binop(*op, l.operand(), r.operand(), batch.len)?,
                     Err(_) => eval_fallback(orig, batch, ev)?,
                 }
             }
@@ -742,6 +745,21 @@ impl VecExpr {
     }
 }
 
+/// An operand as [`VecExpr::operand`] evaluates it.
+enum Evaluated<'a> {
+    Col(Cow<'a, ColumnVec>),
+    Const(&'a Value),
+}
+
+impl Evaluated<'_> {
+    fn operand(&self) -> Operand<'_> {
+        match self {
+            Evaluated::Col(c) => Operand::Col(c),
+            Evaluated::Const(v) => Operand::Const(v),
+        }
+    }
+}
+
 /// Row-at-a-time evaluation of a bound expression over a batch.
 fn eval_fallback(b: &BoundExpr, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<ColumnVec> {
     let mut out = Vec::with_capacity(batch.len);
@@ -757,370 +775,219 @@ fn eval_fallback(b: &BoundExpr, batch: &Batch, ev: &VecEvalCtx<'_>) -> Result<Co
 // Vectorized binary operators
 // ---------------------------------------------------------------------------
 
-fn ord_matches(op: BinOp, o: Ordering) -> bool {
-    match op {
-        BinOp::Eq => o == Ordering::Equal,
-        BinOp::Ne => o != Ordering::Equal,
-        BinOp::Lt => o == Ordering::Less,
-        BinOp::Le => o != Ordering::Greater,
-        BinOp::Gt => o == Ordering::Greater,
-        BinOp::Ge => o != Ordering::Less,
-        _ => false,
+/// An operand of [`binop`]: a column of the batch, or one value that every
+/// row shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Operand<'a> {
+    Col(&'a ColumnVec),
+    Const(&'a Value),
+}
+
+/// The values of one operand, each read the same way: a slice of a
+/// column's data or the constant every row shares.
+enum Slot<'a, T> {
+    Col(&'a [T]),
+    Const(&'a T),
+}
+
+impl<T> Clone for Slot<'_, T> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-/// Apply a binary operator over two columns with typed fast loops for
-/// the common cases; everything else routes each element through
-/// [`Value::binop`] (identical semantics to the row interpreter).
-fn binop_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
-    use ColumnVec::*;
-    let n = l.len();
-    debug_assert_eq!(n, r.len());
+impl<T> Copy for Slot<'_, T> {}
 
-    // Comparisons on columns of one kind (or of two numeric kinds).
-    if op.is_comparison() {
-        /// Per row of two columns with validities `av` and `bv`, whether
-        /// the ordering `cmp` gives the row satisfies `op`.
-        fn pairs(
-            op: BinOp,
-            av: &Bitmap,
-            bv: &Bitmap,
-            n: usize,
-            cmp: impl Fn(usize) -> Ordering,
-        ) -> ColumnVec {
-            let mut valid = Bitmap::with_capacity(n);
-            let data = (0..n)
-                .map(|i| {
-                    let ok = av.get(i) && bv.get(i);
-                    valid.push(ok);
-                    ok && ord_matches(op, cmp(i))
-                })
-                .collect();
-            Bool(data, valid)
-        }
-        match (l, r) {
-            (Int(a, av), Int(b, bv)) | (Ts(a, av), Ts(b, bv)) | (Iv(a, av), Iv(b, bv)) => {
-                return Ok(pairs(op, av, bv, n, |i| a[i].cmp(&b[i])));
-            }
-            (Float(a, av), Float(b, bv)) => {
-                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i], b[i])));
-            }
-            (Int(a, av), Float(b, bv)) => {
-                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i] as f64, b[i])));
-            }
-            (Float(a, av), Int(b, bv)) => {
-                return Ok(pairs(op, av, bv, n, |i| cmp_f64(a[i], b[i] as f64)));
-            }
-            (Text(a, av), Text(b, bv)) => {
-                return Ok(pairs(op, av, bv, n, |i| a[i].as_ref().cmp(b[i].as_ref())));
-            }
-            _ => {}
+/// The operand of a typed loop, by the kind its values are of.
+#[derive(Clone, Copy)]
+enum Typed<'a> {
+    Words(Word, Slot<'a, i64>),
+    Floats(Slot<'a, f64>),
+    Bools(Slot<'a, bool>),
+    Texts(Slot<'a, Arc<str>>),
+}
+
+impl<'a> Operand<'a> {
+    /// The validity of a column; a constant has none.
+    fn validity(self) -> Option<&'a Bitmap> {
+        match self {
+            Operand::Col(c) => c.validity(),
+            Operand::Const(_) => None,
         }
     }
 
-    // Kleene AND/OR on boolean columns.
-    if matches!(op, BinOp::And | BinOp::Or) {
-        if let (Bool(a, av), Bool(b, bv)) = (l, r) {
-            // No NULL on either side: two-valued logic, validity as is.
-            if av.all_set() && bv.all_set() {
-                let pairs = a.iter().zip(b);
-                let data = if op == BinOp::And {
-                    pairs.map(|(x, y)| *x & *y).collect()
-                } else {
-                    pairs.map(|(x, y)| *x | *y).collect()
-                };
-                return Ok(Bool(data, av.clone()));
-            }
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::with_capacity(n);
-            for i in 0..n {
-                let x = if av.get(i) { Some(a[i]) } else { None };
-                let y = if bv.get(i) { Some(b[i]) } else { None };
-                let out = match (op, x, y) {
-                    (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Some(false),
-                    (BinOp::And, Some(true), Some(true)) => Some(true),
-                    (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Some(true),
-                    (BinOp::Or, Some(false), Some(false)) => Some(false),
-                    _ => None,
-                };
-                data.push(out.unwrap_or(false));
-                valid.push(out.is_some());
-            }
-            return Ok(Bool(data, valid));
-        }
-        // Non-boolean operand: route through Value::binop to reproduce
-        // the interpreter's error.
-        return binop_generic(op, l, r);
+    /// The values as a typed loop reads them; `None` for an `Any` column
+    /// and a NULL, bit-string or custom constant.
+    fn typed(self) -> Option<Typed<'a>> {
+        use Typed::*;
+        Some(match self {
+            Operand::Col(ColumnVec::Int(v, _)) => Words(Word::Int, Slot::Col(v)),
+            Operand::Col(ColumnVec::Ts(v, _)) => Words(Word::Ts, Slot::Col(v)),
+            Operand::Col(ColumnVec::Iv(v, _)) => Words(Word::Iv, Slot::Col(v)),
+            Operand::Col(ColumnVec::Float(v, _)) => Floats(Slot::Col(v)),
+            Operand::Col(ColumnVec::Bool(v, _)) => Bools(Slot::Col(v)),
+            Operand::Col(ColumnVec::Text(v, _)) => Texts(Slot::Col(v)),
+            Operand::Const(Value::Int(c)) => Words(Word::Int, Slot::Const(c)),
+            Operand::Const(Value::Timestamp(c)) => Words(Word::Ts, Slot::Const(c)),
+            Operand::Const(Value::Interval(c)) => Words(Word::Iv, Slot::Const(c)),
+            Operand::Const(Value::Float(c)) => Floats(Slot::Const(c)),
+            Operand::Const(Value::Bool(c)) => Bools(Slot::Const(c)),
+            Operand::Const(Value::Text(c)) => Texts(Slot::Const(c)),
+            _ => return None,
+        })
     }
 
-    // Integer, timestamp and interval arithmetic with overflow checks
-    // (mirrors Value::binop).
-    if let (Some((lk, a, av)), Some((rk, b, bv))) = (l.words(), r.words()) {
-        let int: Option<fn(i64, i64) -> Option<i64>> = match (lk, rk, op) {
-            (Word::Int, Word::Int, BinOp::Add) => Some(i64::checked_add),
-            (Word::Int, Word::Int, BinOp::Sub) => Some(i64::checked_sub),
-            (Word::Int, Word::Int, BinOp::Mul) => Some(i64::checked_mul),
-            (Word::Int, Word::Int, BinOp::Div) => Some(i64::checked_div),
-            (Word::Int, Word::Int, BinOp::Mod) => Some(i64::checked_rem),
-            _ => None,
-        };
-        if let Some((f, kind)) = int.map(|f| (f, Word::Int)).or_else(|| time_arith(op, lk, rk)) {
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::with_capacity(n);
-            for i in 0..n {
-                let ok = av.get(i) && bv.get(i);
-                // `None` is an overflow, or — from the two dividing forms
-                // only — a zero divisor.
-                data.push(if ok {
-                    f(a[i], b[i]).ok_or_else(|| {
-                        let by_zero = matches!(op, BinOp::Div | BinOp::Mod) && b[i] == 0;
-                        Error::eval(if by_zero { "division by zero" } else { kind.overflow() })
-                    })?
-                } else {
-                    0
-                });
-                valid.push(ok);
-            }
-            return Ok(ColumnVec::of_words(kind, data, valid));
+    /// Row `i`'s value, borrowed where it lies as one.
+    fn at(self, i: usize) -> Cow<'a, Value> {
+        match self {
+            Operand::Const(v) => Cow::Borrowed(v),
+            Operand::Col(ColumnVec::Any(v)) => Cow::Borrowed(&v[i]),
+            Operand::Col(c) => Cow::Owned(c.get(i)),
         }
     }
+}
 
-    // Float (or mixed int/float) arithmetic.
-    let float_at = |c: &ColumnVec, i: usize| -> Option<f64> {
-        match c {
-            Int(v, b) => b.get(i).then(|| v[i] as f64),
-            Float(v, b) => b.get(i).then(|| v[i]),
-            _ => None,
+/// `f(i, l, r)` over the `n` rows' operand values, in order: one loop per
+/// shape, chosen here, outside it.
+fn zip<A, B, R>(n: usize, l: Slot<A>, r: Slot<B>, mut f: impl FnMut(usize, &A, &B) -> R) -> Vec<R> {
+    match (l, r) {
+        (Slot::Col(a), Slot::Col(b)) => {
+            a.iter().zip(b).enumerate().map(|(i, (x, y))| f(i, x, y)).collect()
+        }
+        (Slot::Col(a), Slot::Const(y)) => a.iter().enumerate().map(|(i, x)| f(i, x, y)).collect(),
+        (Slot::Const(x), Slot::Col(b)) => b.iter().enumerate().map(|(i, y)| f(i, x, y)).collect(),
+        (Slot::Const(x), Slot::Const(y)) => (0..n).map(|i| f(i, x, y)).collect(),
+    }
+}
+
+/// `$body` once per variant of the table entry `$op`, with `$c` that
+/// variant as a constant: the operation folds into each loop `$body`
+/// runs, which is so compiled for its one operator.
+macro_rules! per_op {
+    ($op:expr, $ty:ident::{$($v:ident),+}, |$c:ident| $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                const $c: $ty = $ty::$v;
+                $body
+            })+
         }
     };
-    if matches!((l, r), (Int(..) | Float(..), Int(..) | Float(..)))
-        && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Pow)
-    {
-        let mut data = Vec::with_capacity(n);
-        let mut valid = Bitmap::with_capacity(n);
-        for i in 0..n {
-            match (float_at(l, i), float_at(r, i)) {
-                (Some(x), Some(y)) => {
-                    let v = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div | BinOp::Mod => {
-                            if y == 0.0 {
-                                return Err(Error::eval("division by zero"));
-                            }
-                            if op == BinOp::Div {
-                                x / y
-                            } else {
-                                x % y
-                            }
+}
+
+/// `l op r` over `n` rows: [`Value::binop`] row by row — values, NULLs and
+/// the first failing non-NULL row's error. Typed loops run comparisons of
+/// one kind (Int against Float too), word and float arithmetic, `||` of
+/// texts and Kleene `AND` / `OR`, taking the operator's arithmetic from
+/// the table in `types::value`; their validity is the column operands'
+/// bitmaps ANDed, and a NULL slot holds whatever the loop made of its
+/// placeholder. Any other pair goes through [`Value::binop`] per row.
+pub(crate) fn binop(op: BinOp, l: Operand, r: Operand, n: usize) -> Result<ColumnVec> {
+    use Typed::*;
+    let (Some(a), Some(b)) = (l.typed(), r.typed()) else {
+        return per_value(op, l, r, n);
+    };
+    let valid = match (l.validity(), r.validity()) {
+        (Some(x), Some(y)) => x.and(y),
+        (Some(v), None) | (None, Some(v)) => v.clone(),
+        (None, None) => Bitmap::filled(n, true),
+    };
+    if let Some(cmp) = comparison(op) {
+        let data = per_op!(cmp, Cmp::{Eq, Ne, Lt, Le, Gt, Ge}, |C| match (a, b) {
+            (Words(k, x), Words(j, y)) if k == j => zip(n, x, y, |_, x, y| C.holds(x.cmp(y))),
+            (Words(Word::Int, x), Floats(y)) => {
+                zip(n, x, y, |_, x, y| C.holds(cmp_f64(*x as f64, *y)))
+            }
+            (Floats(x), Words(Word::Int, y)) => {
+                zip(n, x, y, |_, x, y| C.holds(cmp_f64(*x, *y as f64)))
+            }
+            (Floats(x), Floats(y)) => zip(n, x, y, |_, x, y| C.holds(cmp_f64(*x, *y))),
+            (Bools(x), Bools(y)) => zip(n, x, y, |_, x, y| C.holds(x.cmp(y))),
+            (Texts(x), Texts(y)) => zip(n, x, y, |_, x, y| C.holds(x.as_ref().cmp(y.as_ref()))),
+            _ => return per_value(op, l, r, n),
+        });
+        return Ok(ColumnVec::Bool(data, valid));
+    }
+    if let (Words(k, x), Words(j, y)) = (a, b) {
+        if let Some((f, kind)) = word_op(op, k, j) {
+            let mut failed = None;
+            let data = per_op!(
+                f,
+                WordOp::{Add, Sub, Mul, Div, Mod, BitAnd, BitOr, BitXor},
+                |F| zip(n, x, y, |i, x, y| {
+                    F.apply(*x, *y).unwrap_or_else(|| {
+                        if failed.is_none() && valid.get(i) {
+                            failed = Some(word_error(F, kind, *y));
                         }
-                        _ => x.powf(y),
-                    };
-                    data.push(v);
-                    valid.push(true);
+                        0
+                    })
+                })
+            );
+            return match failed {
+                Some(e) => Err(e),
+                None => Ok(ColumnVec::of_words(kind, data, valid)),
+            };
+        }
+    }
+    if let Some(f) = float_op(op) {
+        let mut failed = false;
+        let data = per_op!(f, FloatOp::{Add, Sub, Mul, Div, Mod, Pow}, |F| {
+            let mut float = |i: usize, x: f64, y: f64| {
+                F.apply(x, y).unwrap_or_else(|| {
+                    failed |= valid.get(i);
+                    0.0
+                })
+            };
+            match (a, b) {
+                (Floats(x), Floats(y)) => zip(n, x, y, |i, x, y| float(i, *x, *y)),
+                (Words(Word::Int, x), Floats(y)) => {
+                    zip(n, x, y, |i, x, y| float(i, *x as f64, *y))
                 }
-                _ => {
-                    data.push(0.0);
-                    valid.push(false);
+                (Floats(x), Words(Word::Int, y)) => {
+                    zip(n, x, y, |i, x, y| float(i, *x, *y as f64))
                 }
+                (Words(Word::Int, x), Words(Word::Int, y)) => {
+                    zip(n, x, y, |i, x, y| float(i, *x as f64, *y as f64))
+                }
+                _ => return per_value(op, l, r, n),
             }
-        }
-        return Ok(Float(data, valid));
+        });
+        return if failed { Err(division_by_zero()) } else { Ok(ColumnVec::Float(data, valid)) };
     }
-
-    // Text concatenation.
-    if op == BinOp::Concat {
-        if let (Text(a, av), Text(b, bv)) = (l, r) {
-            let empty: Arc<str> = Arc::from("");
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::with_capacity(n);
-            for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    let mut s = String::with_capacity(a[i].len() + b[i].len());
-                    s.push_str(&a[i]);
-                    s.push_str(&b[i]);
-                    data.push(Arc::from(s.as_str()));
-                    valid.push(true);
-                } else {
-                    data.push(empty.clone());
-                    valid.push(false);
-                }
-            }
-            return Ok(Text(data, valid));
+    match (op, a, b) {
+        (BinOp::Concat, Texts(x), Texts(y)) => {
+            let data = zip(n, x, y, |_, x, y| Arc::from([x.as_ref(), y.as_ref()].concat()));
+            Ok(ColumnVec::Text(data, valid))
         }
-    }
-
-    binop_generic(op, l, r)
-}
-
-/// `col op c` — `c op col` when `const_left` — for a constant `c`: what
-/// [`binop_columns`] makes of `col` and `c` broadcast to its length,
-/// errors included, without the broadcast. The typed kernels take the
-/// constant as a scalar, choose the operator outside the loop and hand
-/// on the column's validity a word at a time (a slot that is NULL holds
-/// whatever the loop computed from its placeholder); an `Any` column's
-/// values go through [`Value::binop`] where they lie.
-fn binop_scalar(op: BinOp, col: &ColumnVec, c: &Value, const_left: bool) -> Result<ColumnVec> {
-    use ColumnVec::*;
-    if op.is_comparison() {
-        // `c < x` is `x > c`: the constant moves to the right.
-        let op = match op {
-            BinOp::Lt if const_left => BinOp::Gt,
-            BinOp::Le if const_left => BinOp::Ge,
-            BinOp::Gt if const_left => BinOp::Lt,
-            BinOp::Ge if const_left => BinOp::Le,
-            same => same,
-        };
-        let data = match (col, c) {
-            (Int(a, _), Value::Int(c))
-            | (Ts(a, _), Value::Timestamp(c))
-            | (Iv(a, _), Value::Interval(c)) => Some(compare(op, a, |x| x.cmp(c))),
-            (Int(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x as f64, *c))),
-            (Float(a, _), Value::Int(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c as f64))),
-            (Float(a, _), Value::Float(c)) => Some(compare(op, a, |x| cmp_f64(*x, *c))),
-            (Text(a, _), Value::Text(c)) => Some(compare(op, a, |x| x.as_ref().cmp(c.as_ref()))),
-            _ => None,
-        };
-        if let (Some(data), Some(valid)) = (data, col.validity()) {
-            return Ok(Bool(data, valid.clone()));
+        // Without a NULL, two-valued logic.
+        (BinOp::And, Bools(x), Bools(y)) if valid.all_set() => {
+            Ok(ColumnVec::Bool(zip(n, x, y, |_, x, y| *x & *y), valid))
         }
-    }
-    if let (Some((ck, a, valid)), Some((k, c))) = (col.words(), c.word()) {
-        let kinds = if const_left { (k, ck) } else { (ck, k) };
-        if let Some((f, kind)) = time_arith(op, kinds.0, kinds.1) {
-            return int_map(kind, a, valid, |x| {
-                // In the order the operator takes them.
-                let (l, r) = if const_left { (c, x) } else { (x, c) };
-                f(l, r).ok_or(kind.overflow())
+        (BinOp::Or, Bools(x), Bools(y)) if valid.all_set() => {
+            Ok(ColumnVec::Bool(zip(n, x, y, |_, x, y| *x | *y), valid))
+        }
+        (BinOp::And | BinOp::Or, Bools(x), Bools(y)) => {
+            // The value that decides the result alone: false for AND, true
+            // for OR. A row is known where both sides are, or where a known
+            // side holds it.
+            let decides = op == BinOp::Or;
+            let (lv, rv) = (l.validity(), r.validity());
+            let mut known = Bitmap::with_capacity(n);
+            let data = zip(n, x, y, |i, x, y| {
+                let (p, q) = (lv.is_none_or(|v| v.get(i)), rv.is_none_or(|v| v.get(i)));
+                let decided = (p && *x == decides) || (q && *y == decides);
+                known.push(decided || (p && q));
+                decided == decides
             });
+            Ok(ColumnVec::Bool(data, known))
         }
-    }
-    let arithmetic =
-        matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Pow);
-    match (col, c) {
-        (Int(a, valid), Value::Int(c)) if arithmetic && op != BinOp::Pow => {
-            let c = *c;
-            // In the order the operator takes them.
-            let args = |x: i64| if const_left { (c, x) } else { (x, c) };
-            let checked = |v: Option<i64>| v.ok_or("integer overflow");
-            let divided = |v: Option<i64>, by: i64| match v {
-                None if by == 0 => Err("division by zero"),
-                v => checked(v),
-            };
-            return match op {
-                BinOp::Add => int_map(Word::Int, a, valid, |x| checked(x.checked_add(c))),
-                BinOp::Mul => int_map(Word::Int, a, valid, |x| checked(x.checked_mul(c))),
-                BinOp::Sub => int_map(Word::Int, a, valid, |x| {
-                    let (l, r) = args(x);
-                    checked(l.checked_sub(r))
-                }),
-                BinOp::Div => int_map(Word::Int, a, valid, |x| {
-                    let (l, r) = args(x);
-                    divided(l.checked_div(r), r)
-                }),
-                _ => int_map(Word::Int, a, valid, |x| {
-                    let (l, r) = args(x);
-                    divided(l.checked_rem(r), r)
-                }),
-            };
-        }
-        (Int(a, valid), Value::Int(_) | Value::Float(_)) if arithmetic => {
-            return float_map(op, a, valid, |x| x as f64, c.as_f64()?, const_left);
-        }
-        (Float(a, valid), Value::Int(_) | Value::Float(_)) if arithmetic => {
-            return float_map(op, a, valid, |x| x, c.as_f64()?, const_left);
-        }
-        (Any(vals), _) => {
-            let mut out = Vec::with_capacity(vals.len());
-            for v in vals {
-                out.push(if const_left {
-                    Value::binop(op, c, v)?
-                } else {
-                    Value::binop(op, v, c)?
-                });
-            }
-            return Ok(ColumnVec::from_values(out));
-        }
-        _ => {}
-    }
-    let broadcast = ColumnVec::broadcast(c, col.len());
-    if const_left {
-        binop_columns(op, &broadcast, col)
-    } else {
-        binop_columns(op, col, &broadcast)
+        _ => per_value(op, l, r, n),
     }
 }
 
-/// Per value, whether its ordering against the constant satisfies the
-/// comparison `op`.
-fn compare<T>(op: BinOp, vals: &[T], cmp: impl Fn(&T) -> Ordering) -> Vec<bool> {
-    match op {
-        BinOp::Eq => vals.iter().map(|x| cmp(x) == Ordering::Equal).collect(),
-        BinOp::Ne => vals.iter().map(|x| cmp(x) != Ordering::Equal).collect(),
-        BinOp::Lt => vals.iter().map(|x| cmp(x) == Ordering::Less).collect(),
-        BinOp::Le => vals.iter().map(|x| cmp(x) != Ordering::Greater).collect(),
-        BinOp::Gt => vals.iter().map(|x| cmp(x) == Ordering::Greater).collect(),
-        _ => vals.iter().map(|x| cmp(x) != Ordering::Less).collect(),
-    }
-}
-
-/// A column of `i64`s through `f`, to a column of `kind`; a failure
-/// counts only where the slot is not NULL.
-fn int_map(
-    kind: Word,
-    vals: &[i64],
-    valid: &Bitmap,
-    f: impl Fn(i64) -> std::result::Result<i64, &'static str>,
-) -> Result<ColumnVec> {
-    let mut data = Vec::with_capacity(vals.len());
-    for (i, &x) in vals.iter().enumerate() {
-        match f(x) {
-            Ok(v) => data.push(v),
-            Err(why) if valid.get(i) => return Err(Error::eval(why)),
-            Err(_) => data.push(0),
-        }
-    }
-    Ok(ColumnVec::of_words(kind, data, valid.clone()))
-}
-
-/// Float arithmetic of a numeric column (`to` reads a value as `f64`)
-/// with the constant `c`, in the operand order `const_left` gives.
-fn float_map<T: Copy>(
-    op: BinOp,
-    vals: &[T],
-    valid: &Bitmap,
-    to: impl Fn(T) -> f64,
-    c: f64,
-    const_left: bool,
-) -> Result<ColumnVec> {
-    let args = |x: T| if const_left { (c, to(x)) } else { (to(x), c) };
-    let data = match op {
-        BinOp::Add => float_loop(vals, args, |l, r| l + r),
-        BinOp::Sub => float_loop(vals, args, |l, r| l - r),
-        BinOp::Mul => float_loop(vals, args, |l, r| l * r),
-        BinOp::Pow => float_loop(vals, args, f64::powf),
-        _ => {
-            let by_zero = |(i, &x): (usize, &T)| args(x).1 == 0.0 && valid.get(i);
-            if vals.iter().enumerate().any(by_zero) {
-                return Err(Error::eval("division by zero"));
-            }
-            if op == BinOp::Div {
-                float_loop(vals, args, |l, r| l / r)
-            } else {
-                float_loop(vals, args, |l, r| l % r)
-            }
-        }
-    };
-    Ok(ColumnVec::Float(data, valid.clone()))
-}
-
-fn float_loop<T: Copy>(
-    vals: &[T],
-    args: impl Fn(T) -> (f64, f64),
-    f: impl Fn(f64, f64) -> f64,
-) -> Vec<f64> {
-    vals.iter().map(|&x| args(x)).map(|(l, r)| f(l, r)).collect()
+/// [`Value::binop`] row by row.
+fn per_value(op: BinOp, l: Operand, r: Operand, n: usize) -> Result<ColumnVec> {
+    let out = (0..n).map(|i| Value::binop(op, &l.at(i), &r.at(i))).collect::<Result<_>>()?;
+    Ok(ColumnVec::from_values(out))
 }
 
 /// `c [NOT] IN (items [, NULL])` for a typed column and non-NULL items:
@@ -1130,7 +997,7 @@ fn in_list(c: &ColumnVec, items: &[Value], has_null: bool, negated: bool) -> Res
     let n = c.len();
     let mut hit = vec![false; n];
     for item in items {
-        match binop_scalar(BinOp::Eq, c, item, false)? {
+        match binop(BinOp::Eq, Operand::Col(c), Operand::Const(item), n)? {
             ColumnVec::Bool(eq, _) => hit.iter_mut().zip(&eq).for_each(|(h, e)| *h |= *e),
             other => (0..n).for_each(|i| hit[i] |= matches!(other.get(i), Value::Bool(true))),
         }
@@ -1143,16 +1010,6 @@ fn in_list(c: &ColumnVec, items: &[Value], has_null: bool, negated: bool) -> Res
         valid.push(known);
     }
     Ok(ColumnVec::Bool(data, valid))
-}
-
-/// Element-by-element application of [`Value::binop`].
-fn binop_generic(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
-    let n = l.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(Value::binop(op, &l.get(i), &r.get(i))?);
-    }
-    Ok(ColumnVec::from_values(out))
 }
 
 #[cfg(test)]
@@ -1193,11 +1050,16 @@ mod tests {
         assert!(matches!(both, ColumnVec::Any(_)));
     }
 
+    /// [`binop`] of two columns.
+    fn columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> Result<ColumnVec> {
+        binop(op, Operand::Col(l), Operand::Col(r), l.len())
+    }
+
     #[test]
     fn typed_comparison_propagates_nulls() {
         let a = ints(&[Some(1), None, Some(3)]);
         let b = ints(&[Some(2), Some(2), Some(2)]);
-        let c = binop_columns(BinOp::Gt, &a, &b).unwrap();
+        let c = columns(BinOp::Gt, &a, &b).unwrap();
         assert_eq!(c.get(0), Value::Bool(false));
         assert!(c.get(1).is_null());
         assert_eq!(c.get(2), Value::Bool(true));
@@ -1207,8 +1069,8 @@ mod tests {
     fn int_arithmetic_checks_overflow() {
         let a = ints(&[Some(i64::MAX)]);
         let b = ints(&[Some(1)]);
-        assert!(binop_columns(BinOp::Add, &a, &b).is_err());
-        let ok = binop_columns(BinOp::Add, &ints(&[Some(2)]), &ints(&[Some(3)])).unwrap();
+        assert!(columns(BinOp::Add, &a, &b).is_err());
+        let ok = columns(BinOp::Add, &ints(&[Some(2)]), &ints(&[Some(3)])).unwrap();
         assert_eq!(ok.get(0), Value::Int(5));
     }
 
@@ -1216,73 +1078,148 @@ mod tests {
     fn kleene_and_matches_interpreter() {
         let t = ColumnVec::from_values(vec![Value::Bool(true), Value::Bool(false), Value::Null]);
         let u = ColumnVec::from_values(vec![Value::Null, Value::Null, Value::Null]);
-        let c = binop_columns(BinOp::And, &t, &u).unwrap();
+        let c = columns(BinOp::And, &t, &u).unwrap();
         assert!(c.get(0).is_null());
         assert_eq!(c.get(1), Value::Bool(false));
         assert!(c.get(2).is_null());
     }
 
-    /// A column against a constant without the broadcast: the values,
-    /// NULLs and errors `binop_columns` gives for the broadcast constant,
-    /// with the constant on either side.
+    /// [`binop`] in every shape — column/column, column/constant,
+    /// constant/column — is [`Value::binop`] row by row: every operator
+    /// over every column kind, 130-row columns with NULLs on both sides
+    /// of a 64-bit word boundary, edge constants (NaN, `-0.0`,
+    /// `i64::MIN` / `MAX`, zero divisors, NULL). A batch in which some
+    /// row errors reports the first such row's error.
     #[test]
-    fn scalar_kernels_equal_the_broadcast_form() {
-        let nan = f64::NAN;
-        let (stamp, span) = (Value::Timestamp, Value::Interval);
-        let columns = [
-            ints(&[Some(1), None, Some(-3), Some(0), Some(i64::MAX), Some(7)]),
-            ColumnVec::from_values(
-                [Some(1.5), None, Some(nan), Some(0.0), Some(-2.0), Some(1e300)]
-                    .map(|v| v.map(Value::Float).unwrap_or(Value::Null))
-                    .to_vec(),
-            ),
-            ColumnVec::from_values(vec![Value::text("a"), Value::Null, Value::text("b")]),
-            ColumnVec::from_values(vec![Value::Bool(true), Value::Null, Value::Bool(false)]),
-            ColumnVec::from_values(vec![stamp(5), Value::Null, stamp(9), stamp(i64::MAX)]),
-            ColumnVec::from_values(vec![span(7), Value::Null, span(i64::MIN), span(-2)]),
-            ColumnVec::from_values(vec![Value::Int(1), Value::text("x"), Value::Null]),
-            ColumnVec::from_values(vec![Value::Null, Value::Null]),
-            ints(&[]),
+    fn binop_is_value_binop_row_by_row() {
+        use crate::types::BitString;
+        const N: usize = 130;
+        let (nan, big) = (f64::NAN, i64::MAX);
+        let int = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        let float = |v: &[f64]| v.iter().map(|&f| Value::Float(f)).collect::<Vec<_>>();
+        let stamp = |v: &[i64]| v.iter().map(|&t| Value::Timestamp(t)).collect::<Vec<_>>();
+        let span = |v: &[i64]| v.iter().map(|&t| Value::Interval(t)).collect::<Vec<_>>();
+        // Per kind, the values a column cycles through: edges, and tame
+        // ones whose arithmetic succeeds.
+        let kinds = [
+            int(&[1, -3, 0, big, i64::MIN, 7, -1, 2]),
+            int(&[1, 2, -3, 5, 7, -11]),
+            float(&[1.5, nan, 0.0, -0.0, -2.0, 1e300, f64::INFINITY, -nan, 3.0]),
+            float(&[0.5, -2.25, 3.0, 1e-3, 7.0]),
+            vec![Value::Bool(true), Value::Bool(false), Value::Bool(false)],
+            ["a", "b", "", "ab"].map(Value::text).to_vec(),
+            stamp(&[5, 9, big, i64::MIN, 0, -1]),
+            stamp(&[1_000, 2_000_000, -5]),
+            span(&[7, i64::MIN, -2, 0, big]),
+            span(&[3, -4, 100]),
+            vec![Value::Int(1), Value::text("x"), Value::Float(2.5), Value::Bool(true)],
+            vec![Value::Null],
         ];
+        // Column `k` shifted by `s`: NULL at rows 63 and 64 and every
+        // ninth row from `s`.
+        let column = |k: usize, s: usize| -> Vec<Value> {
+            let vals = &kinds[k];
+            let null = |i: usize| i == 63 || i == 64 || i % 9 == s % 9;
+            (0..N)
+                .map(|i| if null(i) { Value::Null } else { vals[(i + s) % vals.len()].clone() })
+                .collect()
+        };
+        let lefts: Vec<Vec<Value>> = (0..kinds.len()).map(|k| column(k, 0)).collect();
+        let rights: Vec<Vec<Value>> = (0..kinds.len()).map(|k| column(k, 4)).collect();
         let constants = [
             Value::Int(2),
             Value::Int(0),
             Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(big),
             Value::Float(2.5),
             Value::Float(0.0),
+            Value::Float(-0.0),
             Value::Float(nan),
             Value::text("a"),
             Value::Bool(true),
-            stamp(5),
-            stamp(i64::MIN),
-            span(7),
-            span(i64::MAX),
-            span(-1),
+            Value::Bool(false),
+            Value::Timestamp(5),
+            Value::Timestamp(i64::MIN),
+            Value::Interval(7),
+            Value::Interval(big),
+            Value::Interval(0),
+            Value::Bits(BitString::parse("10").unwrap()),
             Value::Null,
         ];
         use BinOp::*;
-        let ops = [Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, Pow, Concat, And, Or];
-        let render = |r: Result<ColumnVec>| match r {
-            Ok(c) => format!("{:?}", (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>()),
+        let ops = [
+            Eq,
+            Ne,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            Add,
+            Sub,
+            Mul,
+            Div,
+            Mod,
+            Pow,
+            Concat,
+            And,
+            Or,
+            BitAnd,
+            BitOr,
+            BitXor,
+            Instantiate,
+        ];
+        // The values, floats by their bits, or the error.
+        let render = |r: Result<Vec<Value>>| match r {
+            Ok(vals) => vals
+                .iter()
+                .map(|v| match v {
+                    Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+                    v => format!("{v:?}"),
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
             Err(e) => format!("error: {e}"),
         };
-        for col in &columns {
-            for c in &constants {
-                let broadcast = ColumnVec::broadcast(c, col.len());
-                for op in ops {
-                    let what = format!("{col:?} {op:?} {c:?}");
-                    assert_eq!(
-                        render(binop_scalar(op, col, c, false)),
-                        render(binop_columns(op, col, &broadcast)),
-                        "{what}"
-                    );
-                    assert_eq!(
-                        render(binop_scalar(op, col, c, true)),
-                        render(binop_columns(op, &broadcast, col)),
-                        "constant on the left: {what}"
-                    );
+        let check = |op: BinOp,
+                     l: Operand,
+                     r: Operand,
+                     lv: &dyn Fn(usize) -> Value,
+                     rv: &dyn Fn(usize) -> Value| {
+            let want = (0..N).map(|i| Value::binop(op, &lv(i), &rv(i))).collect::<Result<Vec<_>>>();
+            let got = binop(op, l, r, N).map(|c| (0..N).map(|i| c.get(i)).collect());
+            assert_eq!(render(got), render(want), "{op:?} of {l:?} and {r:?}");
+        };
+        for op in ops {
+            for lvals in &lefts {
+                let l = ColumnVec::from_values(lvals.clone());
+                for rvals in &rights {
+                    let r = ColumnVec::from_values(rvals.clone());
+                    check(op, Operand::Col(&l), Operand::Col(&r), &|i| lvals[i].clone(), &|i| {
+                        rvals[i].clone()
+                    });
+                }
+                for c in &constants {
+                    check(op, Operand::Col(&l), Operand::Const(c), &|i| lvals[i].clone(), &|_| {
+                        c.clone()
+                    });
+                    check(op, Operand::Const(c), Operand::Col(&l), &|_| c.clone(), &|i| {
+                        lvals[i].clone()
+                    });
                 }
             }
+        }
+        // Rows that fail differently, `i64::MIN` divided by -1 and by 0:
+        // the first one's error, in either order.
+        let min = Value::Int(i64::MIN);
+        let dividends = ColumnVec::broadcast(&min, 2);
+        let texts = [Word::Int.overflow(), division_by_zero()];
+        for (divisors, want) in [([-1, 0], &texts[0]), ([0, -1], &texts[1])] {
+            let divisors = ints(&divisors.map(Some));
+            let want = Err(want.clone());
+            assert_eq!(columns(Div, &dividends, &divisors).map(|c| c.len()), want);
+            let by_constant = binop(Div, Operand::Const(&min), Operand::Col(&divisors), 2);
+            assert_eq!(by_constant.map(|c| c.len()), want);
         }
     }
 
@@ -1318,7 +1255,7 @@ mod tests {
         let mut exprs: Vec<VecExpr> = Vec::new();
         for op in [Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod, Pow, Concat] {
             exprs.push(VecExpr::BinOp { op, lhs: col(0), rhs: col(1) });
-            // Against a constant the batch runs the scalar kernels.
+            // A constant operand stays one value.
             for c in [
                 Value::Int(2),
                 Value::Int(-1),
@@ -1435,7 +1372,7 @@ mod tests {
     fn mixed_numeric_division_promotes_to_float() {
         let a = ints(&[Some(7)]);
         let b = ColumnVec::from_values(vec![Value::Float(2.0)]);
-        let c = binop_columns(BinOp::Div, &a, &b).unwrap();
+        let c = columns(BinOp::Div, &a, &b).unwrap();
         assert_eq!(c.get(0), Value::Float(3.5));
     }
 }

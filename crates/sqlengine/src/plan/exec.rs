@@ -1870,8 +1870,7 @@ fn update_acc(
         Acc::SumInt { sum, seen } => {
             if let Some(ColumnVec::Int(vals, bm)) = col.as_deref() {
                 if bm.get(i) {
-                    *sum =
-                        sum.checked_add(vals[i]).ok_or_else(|| Error::eval("integer overflow"))?;
+                    *sum = sum.checked_add(vals[i]).ok_or_else(|| Word::Int.overflow())?;
                     *seen = true;
                 }
             }
@@ -1887,8 +1886,7 @@ fn update_acc(
         Acc::AvgInt { sum, n } => {
             if let Some(ColumnVec::Int(vals, bm)) = col.as_deref() {
                 if bm.get(i) {
-                    *sum =
-                        sum.checked_add(vals[i]).ok_or_else(|| Error::eval("integer overflow"))?;
+                    *sum = sum.checked_add(vals[i]).ok_or_else(|| Word::Int.overflow())?;
                     *n += 1;
                 }
             }

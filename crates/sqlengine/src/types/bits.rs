@@ -191,6 +191,14 @@ impl Bitmap {
         self.count_ones() == self.len
     }
 
+    /// The bits set in both `self` and `other`, of equal length, a word
+    /// at a time.
+    pub fn and(&self, other: &Bitmap) -> Bitmap {
+        debug_assert_eq!(self.len, other.len);
+        let blocks = self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & b).collect();
+        Bitmap { blocks, len: self.len }
+    }
+
     /// Append every bit of `other`, a word at a time.
     pub fn extend(&mut self, other: &Bitmap) {
         let shift = self.len % 64;
@@ -289,5 +297,19 @@ mod tests {
         let empty = Bitmap::filled(70, false);
         assert_eq!(empty.count_ones(), 0);
         assert!(!empty.get(69) && !empty.get(1000));
+    }
+
+    #[test]
+    fn bitmap_and_is_word_wise() {
+        let mut a = Bitmap::new();
+        let mut b = Bitmap::new();
+        for i in 0..130 {
+            a.push(i % 2 == 0);
+            b.push(i % 3 == 0);
+        }
+        let both = a.and(&b);
+        assert_eq!(both.len(), 130);
+        assert!((0..130).all(|i| both.get(i) == (i % 6 == 0)));
+        assert!(!both.get(130));
     }
 }

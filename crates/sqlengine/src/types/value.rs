@@ -182,22 +182,8 @@ impl Value {
             }
         }
 
-        if op.is_comparison() {
-            if lhs.is_null() || rhs.is_null() {
-                return Ok(Null);
-            }
-            let ord = lhs.sql_cmp(rhs)?;
-            let b = match (op, ord) {
-                (_, None) => return Ok(Null),
-                (BinOp::Eq, Some(o)) => o == Ordering::Equal,
-                (BinOp::Ne, Some(o)) => o != Ordering::Equal,
-                (BinOp::Lt, Some(o)) => o == Ordering::Less,
-                (BinOp::Le, Some(o)) => o != Ordering::Greater,
-                (BinOp::Gt, Some(o)) => o == Ordering::Greater,
-                (BinOp::Ge, Some(o)) => o != Ordering::Less,
-                _ => unreachable!(),
-            };
-            return Ok(Bool(b));
+        if let Some(cmp) = comparison(op) {
+            return Ok(lhs.sql_cmp(rhs)?.map_or(Null, |o| Bool(cmp.holds(o))));
         }
 
         if let BinOp::And | BinOp::Or = op {
@@ -218,89 +204,41 @@ impl Value {
         }
 
         if let (Some((l, a)), Some((r, b))) = (lhs.word(), rhs.word()) {
-            if let Some((f, kind)) = time_arith(op, l, r) {
-                return f(a, b)
-                    .map(|us| kind.value(us))
-                    .ok_or_else(|| Error::eval(kind.overflow()));
+            if let Some((f, kind)) = word_op(op, l, r) {
+                return f.apply(a, b).map(|v| kind.value(v)).ok_or_else(|| word_error(f, kind, b));
             }
         }
 
-        match op {
-            BinOp::Add => match (lhs, rhs) {
-                (Int(a), Int(b)) => Ok(Int(a.checked_add(*b).ok_or_else(overflow)?)),
-                _ => Ok(Float(lhs.as_f64()? + rhs.as_f64()?)),
-            },
-            BinOp::Sub => match (lhs, rhs) {
-                (Int(a), Int(b)) => Ok(Int(a.checked_sub(*b).ok_or_else(overflow)?)),
-                _ => Ok(Float(lhs.as_f64()? - rhs.as_f64()?)),
-            },
-            BinOp::Mul => match (lhs, rhs) {
-                (Int(a), Int(b)) => Ok(Int(a.checked_mul(*b).ok_or_else(overflow)?)),
-                (Interval(a), b @ (Int(_) | Float(_))) => {
-                    Ok(Interval((*a as f64 * b.as_f64()?) as i64))
+        if let Some(f) = float_op(op) {
+            // `(x, y, scaled)`: the operands as floats, and whether the
+            // result scales an interval (`iv * n`, `n * iv`, `iv / n`).
+            let (x, y, scaled) = match (op, lhs, rhs) {
+                (BinOp::Mul | BinOp::Div, Interval(a), Int(_) | Float(_)) => {
+                    (*a as f64, rhs.as_f64()?, true)
                 }
-                (a @ (Int(_) | Float(_)), Interval(b)) => {
-                    Ok(Interval((a.as_f64()? * *b as f64) as i64))
+                (BinOp::Mul, Int(_) | Float(_), Interval(b)) => (lhs.as_f64()?, *b as f64, true),
+                // A dividing operator reads its divisor first and the
+                // dividend only past a zero one: `'a' / 0` divides by zero.
+                (BinOp::Div | BinOp::Mod, ..) => {
+                    let y = rhs.as_f64()?;
+                    (if y == 0.0 { y } else { lhs.as_f64()? }, y, false)
                 }
-                _ => Ok(Float(lhs.as_f64()? * rhs.as_f64()?)),
-            },
-            BinOp::Div => match (lhs, rhs) {
-                (Int(_), Int(0)) => Err(Error::eval("division by zero")),
-                (Int(a), Int(b)) => a.checked_div(*b).map(Int).ok_or_else(overflow),
-                (Interval(a), b @ (Int(_) | Float(_))) => {
-                    let d = b.as_f64()?;
-                    if d == 0.0 {
-                        Err(Error::eval("division by zero"))
-                    } else {
-                        Ok(Interval((*a as f64 / d) as i64))
-                    }
-                }
-                _ => {
-                    let d = rhs.as_f64()?;
-                    if d == 0.0 {
-                        Err(Error::eval("division by zero"))
-                    } else {
-                        Ok(Float(lhs.as_f64()? / d))
-                    }
-                }
-            },
-            BinOp::Mod => match (lhs, rhs) {
-                (Int(_), Int(0)) => Err(Error::eval("division by zero")),
-                (Int(a), Int(b)) => a.checked_rem(*b).map(Int).ok_or_else(overflow),
-                _ => {
-                    let d = rhs.as_f64()?;
-                    if d == 0.0 {
-                        Err(Error::eval("division by zero"))
-                    } else {
-                        Ok(Float(lhs.as_f64()? % d))
-                    }
-                }
-            },
-            BinOp::Pow => Ok(Float(lhs.as_f64()?.powf(rhs.as_f64()?))),
-            BinOp::Concat => {
+                _ => (lhs.as_f64()?, rhs.as_f64()?, false),
+            };
+            let v = f.apply(x, y).ok_or_else(division_by_zero)?;
+            return Ok(if scaled { Interval(v as i64) } else { Float(v) });
+        }
+
+        match (op, lhs, rhs) {
+            (BinOp::Concat, ..) => {
                 let mut s = lhs.to_string();
                 s.push_str(&rhs.to_string());
                 Ok(Value::text(s))
             }
-            BinOp::BitAnd => match (lhs, rhs) {
-                (Bits(a), Bits(b)) => Ok(Bits(a.and(b)?)),
-                (Int(a), Int(b)) => Ok(Int(a & b)),
-                _ => Err(type_err(op, lhs, rhs)),
-            },
-            BinOp::BitOr => match (lhs, rhs) {
-                (Bits(a), Bits(b)) => Ok(Bits(a.or(b)?)),
-                (Int(a), Int(b)) => Ok(Int(a | b)),
-                _ => Err(type_err(op, lhs, rhs)),
-            },
-            BinOp::BitXor => match (lhs, rhs) {
-                (Bits(a), Bits(b)) => Ok(Bits(a.xor(b)?)),
-                (Int(a), Int(b)) => Ok(Int(a ^ b)),
-                _ => Err(type_err(op, lhs, rhs)),
-            },
-            BinOp::Instantiate => match (lhs, rhs) {
-                (Int(a), Int(b)) if (0..64).contains(b) => Ok(Int(a << b)),
-                _ => Err(type_err(op, lhs, rhs)),
-            },
+            (BinOp::BitAnd, Bits(a), Bits(b)) => Ok(Bits(a.and(b)?)),
+            (BinOp::BitOr, Bits(a), Bits(b)) => Ok(Bits(a.or(b)?)),
+            (BinOp::BitXor, Bits(a), Bits(b)) => Ok(Bits(a.xor(b)?)),
+            (BinOp::Instantiate, Int(a), Int(b)) if (0..64).contains(b) => Ok(Int(a << b)),
             _ => Err(type_err(op, lhs, rhs)),
         }
     }
@@ -317,10 +255,10 @@ impl Value {
             return Ok(Null);
         }
         match (op, v) {
-            (UnOp::Neg, Int(i)) => i.checked_neg().map(Int).ok_or_else(overflow),
+            (UnOp::Neg, Int(i)) => i.checked_neg().map(Int).ok_or_else(|| Word::Int.overflow()),
             (UnOp::Neg, Float(f)) => Ok(Float(-f)),
             (UnOp::Neg, Interval(i)) => {
-                i.checked_neg().map(Interval).ok_or_else(|| Error::eval(Word::Iv.overflow()))
+                i.checked_neg().map(Interval).ok_or_else(|| Word::Iv.overflow())
             }
             (UnOp::Not, Bool(b)) => Ok(Bool(!b)),
             (UnOp::BitNot, Bits(b)) => Ok(Bits(b.not())),
@@ -421,10 +359,6 @@ impl Value {
     }
 }
 
-fn overflow() -> Error {
-    Error::eval("integer overflow")
-}
-
 fn type_err(op: BinOp, lhs: &Value, rhs: &Value) -> Error {
     Error::eval(format!(
         "operator {} not defined for {} and {}",
@@ -455,31 +389,179 @@ impl Word {
 
     /// What an operation whose result of this kind leaves `i64` fails
     /// with.
-    pub(crate) fn overflow(self) -> &'static str {
-        match self {
+    pub(crate) fn overflow(self) -> Error {
+        Error::eval(match self {
             Word::Int => "integer overflow",
             Word::Ts => "timestamp out of range",
             Word::Iv => "interval out of range",
+        })
+    }
+}
+
+/// What a dividing operator fails with on a zero divisor.
+pub(crate) fn division_by_zero() -> Error {
+    Error::eval("division by zero")
+}
+
+/// What the word operation `f`, with a result of `kind`, fails with on
+/// the right operand `rhs`.
+pub(crate) fn word_error(f: WordOp, kind: Word, rhs: i64) -> Error {
+    if rhs == 0 && matches!(f, WordOp::Div | WordOp::Mod) {
+        division_by_zero()
+    } else {
+        kind.overflow()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The operator table: what `Value::binop`, `Scalar::binop` and the batch
+// kernel (`plan::columnar::binop`) each take an operator's arithmetic from.
+// ---------------------------------------------------------------------------
+
+/// A comparison operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cmp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl Cmp {
+    /// Does an operand pair ordered `o` satisfy the comparison?
+    #[inline]
+    pub(crate) fn holds(self, o: Ordering) -> bool {
+        match self {
+            Cmp::Eq => o == Ordering::Equal,
+            Cmp::Ne => o != Ordering::Equal,
+            Cmp::Lt => o == Ordering::Less,
+            Cmp::Le => o != Ordering::Greater,
+            Cmp::Gt => o == Ordering::Greater,
+            Cmp::Ge => o != Ordering::Less,
         }
     }
 }
 
-/// A checked operation on two `i64`s and the kind of its result.
-pub(crate) type WordOp = (fn(i64, i64) -> Option<i64>, Word);
+/// A checked operation on two `i64`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WordOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    BitAnd,
+    BitOr,
+    BitXor,
+}
 
-/// The arithmetic of timestamps and intervals that stays in microseconds
-/// — `ts ± iv`, `iv + ts`, `ts − ts`, `iv ± iv` — as the checked
-/// operation on the two counts and the kind of its result; `None` for
-/// any other operator or pair of kinds.
-pub(crate) fn time_arith(op: BinOp, lhs: Word, rhs: Word) -> Option<WordOp> {
-    use Word::{Iv, Ts};
-    match (op, lhs, rhs) {
-        (BinOp::Add, Ts, Iv) | (BinOp::Add, Iv, Ts) => Some((i64::checked_add, Ts)),
-        (BinOp::Add, Iv, Iv) => Some((i64::checked_add, Iv)),
-        (BinOp::Sub, Ts, Iv) => Some((i64::checked_sub, Ts)),
-        (BinOp::Sub, Ts, Ts) | (BinOp::Sub, Iv, Iv) => Some((i64::checked_sub, Iv)),
-        _ => None,
+impl WordOp {
+    /// `a op b`: `None` where the result leaves `i64` or the divisor is
+    /// zero; [`word_error`] says which.
+    #[inline]
+    pub(crate) fn apply(self, a: i64, b: i64) -> Option<i64> {
+        match self {
+            WordOp::Add => a.checked_add(b),
+            WordOp::Sub => a.checked_sub(b),
+            WordOp::Mul => a.checked_mul(b),
+            WordOp::Div => a.checked_div(b),
+            WordOp::Mod => a.checked_rem(b),
+            WordOp::BitAnd => Some(a & b),
+            WordOp::BitOr => Some(a | b),
+            WordOp::BitXor => Some(a ^ b),
+        }
     }
+}
+
+/// An operation on two `f64`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FloatOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Pow,
+}
+
+impl FloatOp {
+    /// `a op b`: `None` from the dividing ones at a zero divisor, which
+    /// [`division_by_zero`] reports. A NaN result is `f64::NAN`: which of
+    /// two NaN operands an instruction passes on, sign included, is the
+    /// compiler's choice (it may swap the operands of `+`), so evaluators
+    /// that inline this differently agree to the bit only this way.
+    #[inline]
+    pub(crate) fn apply(self, a: f64, b: f64) -> Option<f64> {
+        let v = match self {
+            FloatOp::Add => a + b,
+            FloatOp::Sub => a - b,
+            FloatOp::Mul => a * b,
+            FloatOp::Div if b == 0.0 => return None,
+            FloatOp::Div => a / b,
+            FloatOp::Mod if b == 0.0 => return None,
+            FloatOp::Mod => a % b,
+            FloatOp::Pow => a.powf(b),
+        };
+        Some(if v.is_nan() { f64::NAN } else { v })
+    }
+}
+
+/// The table's row of `op`: its comparison, its operation on words and
+/// its operation on floats, each where it has one.
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+fn entry(op: BinOp) -> (Option<Cmp>, Option<WordOp>, Option<FloatOp>) {
+    let cmp = |c| (Some(c), None, None);
+    let arith = |w, f| (None, w, f);
+    match op {
+        BinOp::Eq => cmp(Cmp::Eq),
+        BinOp::Ne => cmp(Cmp::Ne),
+        BinOp::Lt => cmp(Cmp::Lt),
+        BinOp::Le => cmp(Cmp::Le),
+        BinOp::Gt => cmp(Cmp::Gt),
+        BinOp::Ge => cmp(Cmp::Ge),
+        BinOp::Add => arith(Some(WordOp::Add), Some(FloatOp::Add)),
+        BinOp::Sub => arith(Some(WordOp::Sub), Some(FloatOp::Sub)),
+        BinOp::Mul => arith(Some(WordOp::Mul), Some(FloatOp::Mul)),
+        BinOp::Div => arith(Some(WordOp::Div), Some(FloatOp::Div)),
+        BinOp::Mod => arith(Some(WordOp::Mod), Some(FloatOp::Mod)),
+        BinOp::Pow => arith(None, Some(FloatOp::Pow)),
+        BinOp::BitAnd => arith(Some(WordOp::BitAnd), None),
+        BinOp::BitOr => arith(Some(WordOp::BitOr), None),
+        BinOp::BitXor => arith(Some(WordOp::BitXor), None),
+        BinOp::And | BinOp::Or | BinOp::Concat | BinOp::Instantiate => arith(None, None),
+    }
+}
+
+/// The comparison `op` is, if it is one.
+pub(crate) fn comparison(op: BinOp) -> Option<Cmp> {
+    entry(op).0
+}
+
+/// The operation of `op` on values of the word kinds `lhs` and `rhs`, and
+/// the kind of its result: integer arithmetic and bitwise `&`, `|`, `#`,
+/// and the arithmetic of timestamps and intervals that stays in
+/// microseconds — `ts ± iv`, `iv + ts`, `ts − ts`, `iv ± iv`. `None` for
+/// any other operator or pair of kinds.
+pub(crate) fn word_op(op: BinOp, lhs: Word, rhs: Word) -> Option<(WordOp, Word)> {
+    use Word::{Int, Iv, Ts};
+    let f = entry(op).1?;
+    let (add, sub) = (f == WordOp::Add, f == WordOp::Sub);
+    let kind = match (lhs, rhs) {
+        (Int, Int) => Int,
+        (Ts, Iv) if add || sub => Ts,
+        (Iv, Ts) if add => Ts,
+        (Iv, Iv) if add || sub => Iv,
+        (Ts, Ts) if sub => Iv,
+        (Int, Ts | Iv) | (Ts | Iv, Int) | (Ts | Iv, Ts | Iv) => return None,
+    };
+    Some((f, kind))
+}
+
+/// The `f64` operation of `op`, if it has one.
+pub(crate) fn float_op(op: BinOp) -> Option<FloatOp> {
+    entry(op).2
 }
 
 /// A value of a kind that is one machine word: what a register of a
@@ -554,15 +636,10 @@ impl Scalar {
     pub(crate) fn binop(op: BinOp, lhs: Scalar, rhs: Scalar) -> Option<Scalar> {
         use Scalar::*;
         // The float arithmetic of a simulation step, first.
-        if let (Float(a), Float(b)) = (lhs, rhs) {
-            match op {
-                BinOp::Add => return Some(Float(a + b)),
-                BinOp::Sub => return Some(Float(a - b)),
-                BinOp::Mul => return Some(Float(a * b)),
-                _ => {}
-            }
+        if let (Float(a), Float(b), Some(f)) = (lhs, rhs, float_op(op)) {
+            return f.apply(a, b).map(Float);
         }
-        if op.is_comparison() {
+        if let Some(cmp) = comparison(op) {
             let ord = match (lhs, rhs) {
                 (Int(a), Int(b)) | (Ts(a), Ts(b)) | (Iv(a), Iv(b)) => a.cmp(&b),
                 (Int(a), Float(b)) => cmp_f64(a as f64, b),
@@ -571,57 +648,21 @@ impl Scalar {
                 (Bool(a), Bool(b)) => a.cmp(&b),
                 _ => return None,
             };
-            return Some(Bool(match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::Ne => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                _ => ord != Ordering::Less,
-            }));
+            return Some(Bool(cmp.holds(ord)));
         }
         if let (Some((l, a)), Some((r, b))) = (lhs.word(), rhs.word()) {
-            if let Some((f, kind)) = time_arith(op, l, r) {
-                return f(a, b).map(|us| Scalar::of_word(kind, us));
+            if let Some((f, kind)) = word_op(op, l, r) {
+                return f.apply(a, b).map(|v| Scalar::of_word(kind, v));
             }
         }
-        let float = |f: fn(f64, f64) -> f64| Some(Float(f(lhs.as_f64()?, rhs.as_f64()?)));
+        let scaled = |x: f64, y: f64| Some(Iv(float_op(op)?.apply(x, y)? as i64));
         match (op, lhs, rhs) {
             (BinOp::And, Bool(a), Bool(b)) => Some(Bool(a && b)),
             (BinOp::Or, Bool(a), Bool(b)) => Some(Bool(a || b)),
-            (BinOp::Add, Int(a), Int(b)) => a.checked_add(b).map(Int),
-            (BinOp::Add, ..) => float(|a, b| a + b),
-            (BinOp::Sub, Int(a), Int(b)) => a.checked_sub(b).map(Int),
-            (BinOp::Sub, ..) => float(|a, b| a - b),
-            (BinOp::Mul, Int(a), Int(b)) => a.checked_mul(b).map(Int),
-            (BinOp::Mul, Iv(a), b @ (Int(_) | Float(_))) => {
-                Some(Iv((a as f64 * b.as_f64()?) as i64))
-            }
-            (BinOp::Mul, a @ (Int(_) | Float(_)), Iv(b)) => {
-                Some(Iv((a.as_f64()? * b as f64) as i64))
-            }
-            (BinOp::Mul, ..) => float(|a, b| a * b),
-            (BinOp::Div | BinOp::Mod, Int(_), Int(0)) => None,
-            (BinOp::Div, Int(a), Int(b)) => a.checked_div(b).map(Int),
-            (BinOp::Mod, Int(a), Int(b)) => a.checked_rem(b).map(Int),
-            (BinOp::Div, Iv(a), b @ (Int(_) | Float(_))) => {
-                let d = b.as_f64()?;
-                (d != 0.0).then(|| Iv((a as f64 / d) as i64))
-            }
-            (BinOp::Div | BinOp::Mod, ..) => {
-                let d = rhs.as_f64()?;
-                let l = lhs.as_f64()?;
-                match op {
-                    _ if d == 0.0 => None,
-                    BinOp::Div => Some(Float(l / d)),
-                    _ => Some(Float(l % d)),
-                }
-            }
-            (BinOp::Pow, ..) => float(f64::powf),
-            (BinOp::BitAnd, Int(a), Int(b)) => Some(Int(a & b)),
-            (BinOp::BitOr, Int(a), Int(b)) => Some(Int(a | b)),
-            (BinOp::BitXor, Int(a), Int(b)) => Some(Int(a ^ b)),
-            _ => None,
+            (BinOp::Instantiate, Int(a), Int(b)) => (0..64).contains(&b).then(|| Int(a << b)),
+            (BinOp::Mul | BinOp::Div, Iv(a), Int(_) | Float(_)) => scaled(a as f64, rhs.as_f64()?),
+            (BinOp::Mul, Int(_) | Float(_), Iv(b)) => scaled(lhs.as_f64()?, b as f64),
+            _ => Some(Float(float_op(op)?.apply(lhs.as_f64()?, rhs.as_f64()?)?)),
         }
     }
 
@@ -924,5 +965,156 @@ mod tests {
         assert_eq!(Value::binop(BinOp::Sub, &Value::Timestamp(-2), &late), span_error);
         assert_eq!(Value::unop(UnOp::Neg, &long), span_error);
         assert_eq!(long.to_string(), "-106751991 days 4 hours 54.775808 seconds");
+    }
+
+    /// Edge values of every [`Scalar`] kind.
+    fn scalars() -> Vec<Scalar> {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let mut all = vec![Scalar::Bool(true), Scalar::Bool(false)];
+        for i in [0, 1, -1, 2, 7, 63, 64, -64, min, max] {
+            all.push(Scalar::Int(i));
+        }
+        let nan = f64::NAN;
+        for f in [0.0, -0.0, 1.5, -2.0, 2.0, 1e300, nan, -nan, f64::INFINITY, f64::NEG_INFINITY] {
+            all.push(Scalar::Float(f));
+        }
+        for t in [0, 5, -1, min, max] {
+            all.push(Scalar::Ts(t));
+            all.push(Scalar::Iv(t));
+        }
+        all
+    }
+
+    /// What the value and kind `r` is, a float by its bits.
+    fn show(r: &Result<Value>) -> String {
+        match r {
+            Ok(Value::Float(f)) => format!("Float({:#x})", f.to_bits()),
+            r => format!("{r:?}"),
+        }
+    }
+
+    /// A `Scalar` operation `got` against the `Value` one `want`: the same
+    /// value bit for bit, or `None` where `want` is an error or a value no
+    /// scalar holds.
+    fn agrees(got: Option<Scalar>, want: &Result<Value>) -> bool {
+        match got {
+            Some(s) => show(&Ok(s.value())) == show(want),
+            None => want.as_ref().map_or(true, |v| Scalar::of(v).is_none()),
+        }
+    }
+
+    #[test]
+    fn scalar_operations_are_value_operations() {
+        use BinOp::*;
+        let ops = [
+            Add,
+            Sub,
+            Mul,
+            Div,
+            Mod,
+            Pow,
+            Eq,
+            Ne,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            And,
+            Or,
+            Concat,
+            BitAnd,
+            BitOr,
+            BitXor,
+            Instantiate,
+        ];
+        let all = scalars();
+        for op in ops {
+            for &a in &all {
+                for &b in &all {
+                    let want = Value::binop(op, &a.value(), &b.value());
+                    let got = Scalar::binop(op, a, b);
+                    assert!(agrees(got, &want), "{a:?} {op:?} {b:?}: {got:?}, {}", show(&want));
+                }
+            }
+        }
+        let types = [
+            DataType::Unknown,
+            DataType::Bool,
+            DataType::Int,
+            DataType::Float,
+            DataType::Text,
+            DataType::Timestamp,
+            DataType::Interval,
+            DataType::Bits,
+            DataType::Named("model".into()),
+        ];
+        for &a in &all {
+            for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot] {
+                let (got, want) = (Scalar::unop(op, a), Value::unop(op, &a.value()));
+                assert!(agrees(got, &want), "{op:?} {a:?}: {got:?}, {}", show(&want));
+            }
+            for ty in &types {
+                let (got, want) = (a.cast(ty), a.value().cast(ty));
+                assert!(agrees(got, &want), "{a:?} as {ty:?}: {got:?}, {}", show(&want));
+            }
+        }
+    }
+
+    /// The word operations against `i128` arithmetic with a range check,
+    /// and the error each failure reports.
+    #[test]
+    fn word_arithmetic_is_exact_or_an_error() {
+        use BinOp::*;
+        use Word::{Int, Iv, Ts};
+        let edges = [0, 1, -1, 2, -2, 3, 1 << 32, -(1 << 32), i64::MAX, i64::MIN, i64::MAX - 1];
+        for op in [Add, Sub, Mul, Div, Mod, Pow, BitAnd, BitOr, BitXor, Eq, Concat, Instantiate] {
+            for l in [Int, Ts, Iv] {
+                for r in [Int, Ts, Iv] {
+                    let kind = match (op, l, r) {
+                        (Add | Sub | Mul | Div | Mod | BitAnd | BitOr | BitXor, Int, Int) => {
+                            Some(Int)
+                        }
+                        (Add, Ts, Iv) | (Add, Iv, Ts) | (Sub, Ts, Iv) => Some(Ts),
+                        (Add | Sub, Iv, Iv) | (Sub, Ts, Ts) => Some(Iv),
+                        _ => None,
+                    };
+                    let table = word_op(op, l, r);
+                    assert_eq!(table.map(|(_, k)| k), kind, "{l:?} {op:?} {r:?}");
+                    let Some((f, kind)) = table else { continue };
+                    let overflow = match kind {
+                        Int => "integer overflow",
+                        Ts => "timestamp out of range",
+                        Iv => "interval out of range",
+                    };
+                    for a in edges {
+                        for b in edges {
+                            let (x, y) = (i128::from(a), i128::from(b));
+                            // A remainder exists where its quotient does.
+                            let exact = match op {
+                                Add => Some(x + y),
+                                Sub => Some(x - y),
+                                Mul => Some(x * y),
+                                Div => (y != 0).then(|| x / y),
+                                Mod => (y != 0 && i64::try_from(x / y).is_ok()).then(|| x % y),
+                                BitAnd => Some(x & y),
+                                BitOr => Some(x | y),
+                                _ => Some(x ^ y),
+                            };
+                            let want = exact.and_then(|v| i64::try_from(v).ok());
+                            assert_eq!(f.apply(a, b), want, "{a} {op:?} {b}");
+                            let reference = Value::binop(op, &l.value(a), &r.value(b));
+                            let want = match want {
+                                Some(v) => Ok(kind.value(v)),
+                                None if b == 0 && matches!(op, Div | Mod) => {
+                                    Err(Error::eval("division by zero"))
+                                }
+                                None => Err(Error::eval(overflow)),
+                            };
+                            assert_eq!(reference, want, "{a} {op:?} {b}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
